@@ -76,7 +76,7 @@ from .codegen import (
     get_backend,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "__version__",

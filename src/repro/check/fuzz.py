@@ -2,7 +2,7 @@
 
 The paper's rewrite rules are pinned by targeted property tests; this module
 complements them with randomized coverage: random :class:`~repro.symbolic.Expr`
-trees over a small variable set, random integer bindings, and four properties
+trees over a small variable set, random integer bindings, and five properties
 checked per trial —
 
 * ``simplify(e, env)`` evaluates exactly like ``e`` under the bindings,
@@ -10,7 +10,13 @@ checked per trial —
 * the :class:`~repro.symbolic.PythonPrinter` round-trips: evaluating the
   printed text as Python reproduces the expression's value,
 * the full lowering path (``lower_expression``: expand-vs-not variant
-  selection plus simplification) preserves the value.
+  selection plus simplification) preserves the value,
+* the value lies within ``env.range_of(expr)`` — the range analysis the
+  prover and guard elimination trust (a symbolic end is evaluated under the
+  bindings).
+
+Half the trials declare (and draw bindings from) a range with a negative
+lower end, so the negative floor-division/modulo paths are fuzzed too.
 
 Floor-division and modulo denominators are wrapped in ``Max(.., 1)`` so every
 generated tree is total over the sampled bindings — the same discipline the
@@ -52,11 +58,12 @@ __all__ = [
 #: the variable alphabet of generated expressions
 FUZZ_VARS = ("i", "j", "k", "m", "n")
 
-#: bindings (and declared ranges) are drawn from this inclusive interval
-VALUE_RANGE = (0, 12)
+#: each trial declares one of these inclusive ranges for every variable and
+#: draws its bindings from it
+VALUE_RANGES = ((0, 12), (0, 12), (-6, 6), (-9, 3))
 
 #: the properties one trial asserts, in evaluation order
-PROPERTIES = ("simplify", "fixpoint", "printer", "lowering")
+PROPERTIES = ("simplify", "fixpoint", "printer", "lowering", "range")
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,7 @@ def random_expr(rng: random.Random, depth: int = 4) -> Expr:
 
     Division and modulo denominators are ``Max(sub, 1)`` — provably positive
     under range analysis, so the tree evaluates (and simplifies) without
-    division-by-zero for any binding in :data:`VALUE_RANGE`.
+    division-by-zero for any binding in :data:`VALUE_RANGES`.
     """
     if depth <= 0 or rng.random() < 0.25:
         if rng.random() < 0.6:
@@ -131,13 +138,15 @@ def random_expr(rng: random.Random, depth: int = 4) -> Expr:
     return lhs // denominator if op == "div" else lhs % denominator
 
 
-def _draw_trial(trial_seed: int, depth: int) -> tuple[Expr, dict]:
-    """The one place a trial's expression and bindings are derived from its
-    seed — replay and reporting must never re-implement this sequence."""
+def _draw_trial(trial_seed: int, depth: int) -> tuple[Expr, tuple[int, int], dict]:
+    """The one place a trial's expression, declared range and bindings are
+    derived from its seed — replay and reporting must never re-implement
+    this sequence."""
     rng = random.Random(trial_seed)
     expr = random_expr(rng, depth)
-    bindings = {name: rng.randint(*VALUE_RANGE) for name in FUZZ_VARS}
-    return expr, bindings
+    value_range = rng.choice(VALUE_RANGES)
+    bindings = {name: rng.randint(*value_range) for name in FUZZ_VARS}
+    return expr, value_range, bindings
 
 
 def fuzz_trial(trial_seed: int, depth: int = 4) -> list[tuple[str, str]]:
@@ -147,21 +156,25 @@ def fuzz_trial(trial_seed: int, depth: int = 4) -> list[tuple[str, str]]:
     :class:`FuzzFailure` and it rebuilds the identical expression, bindings
     and environment.
     """
-    expr, bindings = _draw_trial(trial_seed, depth)
+    expr, value_range, bindings = _draw_trial(trial_seed, depth)
     env = SymbolicEnv()
     for name in FUZZ_VARS:
-        env.declare_range(name, *VALUE_RANGE)
+        env.declare_range(name, *value_range)
     expected = expr.evaluate(bindings)
     violations: list[tuple[str, str]] = []
 
-    def check(prop: str, fn) -> None:
+    def check(prop: str, fn, holds=lambda got: got == expected) -> None:
         try:
             got = fn()
         except Exception as exc:  # a crash is as much a soundness bug as a wrong value
             violations.append((prop, f"raised {type(exc).__name__}: {exc}"))
             return
-        if got != expected:
+        if not holds(got):
             violations.append((prop, f"evaluated to {got}, expression gives {expected}"))
+
+    def range_ends() -> tuple:
+        r = env.range_of(expr)
+        return tuple(None if end is None else end.evaluate(bindings) for end in (r.lo, r.hi))
 
     check("simplify", lambda: simplify(expr, env).evaluate(bindings))
     check("fixpoint", lambda: simplify_fixpoint(expr, env).evaluate(bindings))
@@ -174,11 +187,17 @@ def fuzz_trial(trial_seed: int, depth: int = 4) -> list[tuple[str, str]]:
         ),
     )
     check("lowering", lambda: lower_expression(expr, env)[0].evaluate(bindings))
+    check(
+        "range",
+        range_ends,
+        lambda ends: (ends[0] is None or ends[0] <= expected)
+        and (ends[1] is None or expected <= ends[1]),
+    )
     if violations:
         # annotate with the replay material once, not per property
         printed = str(expr)
         violations = [
-            (prop, f"{detail} [expr: {printed}; bindings: {bindings}]")
+            (prop, f"{detail} [expr: {printed}; declared: {value_range}; bindings: {bindings}]")
             for prop, detail in violations
         ]
     return violations
@@ -193,7 +212,7 @@ def fuzz_symbolic(trials: int = 200, seed: int = 0, depth: int = 4) -> FuzzRepor
         for prop in PROPERTIES:
             report.checked[prop] += 1
         if violations:
-            expr, bindings = _draw_trial(trial_seed, depth)
+            expr, _, bindings = _draw_trial(trial_seed, depth)
         for prop, detail in violations:
             report.failures.append(
                 FuzzFailure(

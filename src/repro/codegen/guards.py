@@ -3,9 +3,9 @@
 Generated kernels historically carried their bounds predication at runtime —
 ``where_blocks`` masks on NW's anti-diagonal waves, ``compact_threads``
 interior masks in the stencils — because nothing could prove the masks
-always-true for a given launch shape.  The stride-aware range analysis
-(:mod:`repro.symbolic.indexrange`) can: apps build the mask's predicate
-symbolically over declared index ranges and call
+always-true for a given launch shape.  The range analysis
+(:meth:`repro.symbolic.SymbolicEnv.range_of`) can: apps build the mask's
+predicate symbolically over declared index ranges and call
 :func:`prove_guard_redundant`; a ``True`` verdict licenses launching the
 unguarded kernel variant.
 

@@ -4,15 +4,16 @@ Public surface of the engine used throughout the LEGO reproduction:
 
 * expression construction — :class:`Var`, :class:`Const`, :func:`symbols`,
   operator overloading, :class:`Min`, :class:`Max`;
-* assumptions — :class:`SymbolicEnv`, :class:`SymInterval`;
+* assumptions and ranges — :class:`SymbolicEnv` and its one range domain
+  :class:`SymInterval` (``env.range_of(e)``; ends are expressions, literal
+  constants or unbounded), :func:`constant_interval` (the literal ends) and
+  :class:`Interval`, the integer transfer functions underneath;
 * simplification — :func:`simplify`, :func:`simplify_fixpoint`, :func:`expand`
   (the paper's Table II rules with range-proved side conditions);
 * proofs — :func:`prove_le`, :func:`prove_lt`, :func:`prove_in_bounds`,
   :func:`brute_force_check`;
-* stride-aware ranges — :class:`IndexRange`, :func:`index_range`,
-  :func:`affine_strides`, :func:`is_mixed_radix_bijection` (the Exo-style
-  base + constant-bounds + stride analysis behind guard elimination and
-  static layout-bijectivity proofs);
+* strides — :func:`affine_strides`, :func:`is_mixed_radix_bijection` (exact
+  affine decomposition behind static layout-bijectivity proofs);
 * cost model — :func:`operation_count`, :func:`choose_cheapest`;
 * printers — :class:`PythonPrinter`, :class:`TritonPrinter`, :class:`CPrinter`,
   :class:`MLIRArithPrinter`;
@@ -40,16 +41,9 @@ from .expr import (
     intern_table_size,
     symbols,
 )
-from .ranges import Interval, RangeEnv
+from .ranges import Interval, affine_strides, is_mixed_radix_bijection
 from .stats import CACHE_STATS, CacheCounters, cache_statistics, reset_cache_statistics
-from .symranges import EnvCaches, SymInterval, SymbolicEnv
-from .indexrange import (
-    IndexRange,
-    affine_strides,
-    constant_interval,
-    index_range,
-    is_mixed_radix_bijection,
-)
+from .symranges import EnvCaches, SymInterval, SymbolicEnv, constant_interval
 from .prover import (
     brute_force_check,
     is_nonneg,
@@ -92,12 +86,9 @@ __all__ = [
     "as_expr",
     "symbols",
     "Interval",
-    "RangeEnv",
     "EnvCaches",
     "SymInterval",
     "SymbolicEnv",
-    "IndexRange",
-    "index_range",
     "constant_interval",
     "affine_strides",
     "is_mixed_radix_bijection",

@@ -1,7 +1,7 @@
 """Range-analysis benchmark: static proofs, guard elimination, generation time.
 
 The ``range-smoke`` CI job runs this module (``python -m repro.symbolic.bench``)
-to gate the stride-aware range analysis on three observable outcomes:
+to gate the range analysis on three observable outcomes:
 
 * **LUD bijectivity is static** — every distinct kernel shape of the tuned
   LUD search space must discharge its ``element_offset`` bijectivity proof
@@ -13,6 +13,11 @@ to gate the stride-aware range analysis on three observable outcomes:
 * **Generation stays fast** — the full LUD kernel-shape sweep, proofs
   included, must generate within a generous wall-clock bound so the analysis
   never becomes the slow part of search.
+
+The report also carries the prover ladder's stage table: how many proof-cache
+misses each stage (``structure``, ``range``, ``expand``, ``facts``) discharged
+while the gates ran, and how many abstained — the answer to "which stages
+never discharge anything".
 
 Writes ``BENCH_symbolic.json`` and exits nonzero when any gate fails.
 """
@@ -115,12 +120,25 @@ def bench_guard_elimination() -> dict:
     }
 
 
+def _ladder_counts() -> dict[str, int]:
+    """The prover's per-stage discharge counters, zeros included."""
+    from .prover import LADDER_STAGES
+    from .stats import CACHE_STATS
+
+    counts = CACHE_STATS.rule_applications
+    return {stage: counts.get("ladder:" + stage, 0) for stage in LADDER_STAGES}
+
+
 def run() -> dict:
     """Run every gate and assemble the report."""
     from .. import __version__
 
+    ladder_before = _ladder_counts()
     lud = bench_lud_static_bijectivity()
     guards = bench_guard_elimination()
+    ladder = {
+        stage: count - ladder_before[stage] for stage, count in _ladder_counts().items()
+    }
     ok = (
         lud["all_static"]
         and lud["within_budget"]
@@ -131,6 +149,7 @@ def run() -> dict:
         "version": __version__,
         "lud_bijectivity": lud,
         "guard_elimination": guards,
+        "prover_ladder": ladder,
         "ok": ok,
     }
 
@@ -150,6 +169,10 @@ def main(argv: list[str] | None = None) -> int:
         f"guards eliminated: nw={guards['nw_guards_eliminated']:.0f} "
         f"stencil={guards['stencil_guards_eliminated']:.0f}"
     )
+    misses = sum(report["prover_ladder"].values())
+    print(f"prover ladder ({misses} misses): " + " ".join(
+        f"{stage}={count}" for stage, count in report["prover_ladder"].items()
+    ))
     print(f"ok={report['ok']} -> {out_path}")
     return 0 if report["ok"] else 1
 

@@ -3,29 +3,41 @@
 The paper discharges the side conditions of Table II (non-negativity and
 upper-bound checks over index ranges derived from the layout specification)
 with the Z3 SMT solver.  This reproduction replaces Z3 with a purpose-built
-prover that is complete for the queries layout lowering actually generates:
+prover that is complete for the queries layout lowering actually generates.
+Every obligation — ``e >= 0``, ``e > 0`` (as ``e - 1 >= 0``), ``a <= b`` (as
+``b - a >= 0``), an in-bounds pair — is reduced to *one* non-negativity
+ladder (:func:`_ladder_nonneg`), each stage strictly stronger than the last:
 
-* **structural sign analysis** — sums/products/min/max/div/mod of expressions
-  whose signs are known from the assumption environment,
-* **bound propagation** — to prove ``a < b`` the prover compares ``b`` against
-  the symbolic upper bound of ``a`` (and symmetrically), relying on the
-  expression canonicaliser to cancel common terms such as ``BK - (BK - 1)``,
-* **exhaustive checking** — :func:`brute_force_check` enumerates small
-  concrete domains and is used by the test suite as an oracle that the
-  symbolic reasoning is sound.
+1. **structure** — sign analysis of sums/products/min/max/div/mod whose
+   operand signs are known from the assumption environment;
+2. **range** — the lower end of :meth:`SymbolicEnv.range_of` (exact integer
+   arithmetic when every bound involved is a literal, so negative
+   coefficients and div/mod folding are covered) is itself non-negative;
+3. **expand** — stages 1-2 again after distributing products over sums,
+   which lets the n-ary ``Add`` canonicaliser cancel syntactically
+   different but equal terms (``nt_n*(X + 1) - nt_n - nt_n*X``);
+4. **facts** — term cancellation against relational facts: user-declared
+   ``lhs <= rhs`` constraints plus the built-in lemma ``min(a, b) * max(1, a
+   // b) <= a`` (which Z3 discharges for the paper; grouped thread-block
+   layouts need it).
+
+Which stage discharged each ladder miss (or ``ladder:abstain``) is counted
+in ``CACHE_STATS.rule_applications`` under ``ladder:<stage>``.
+:func:`brute_force_check` enumerates small concrete domains and is the test
+suite's oracle that the symbolic reasoning is sound.
 
 All functions return ``True`` only when the property is proven; ``False``
 means "unknown", never "disproven".
 
-Every public query is memoised on the environment's proof cache, keyed by
-``(query kind, expression identity)`` — expressions are hash-consed, so the
-same side condition asked again by a later simplification pass (the engine's
-former hot spot) is a dictionary lookup.  The cache is dropped whenever a new
-fact is declared on the environment.
+Every query is memoised on the environment's proof cache, keyed by ``(query
+kind, expression identity)`` — expressions are hash-consed, so the same side
+condition asked again by a later simplification pass is a dictionary lookup.
+The cache is dropped whenever a new fact is declared on the environment.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from contextlib import contextmanager
 from typing import Callable, Iterable, Mapping, Optional
@@ -100,40 +112,53 @@ def _record_query(kind: str, query: Callable[[], str], result: bool) -> bool:
     return result
 
 
-def _var_lo_const(var: Var, env: SymbolicEnv) -> Optional[int]:
-    lo = env.range_of_var(var.name).lo
-    if isinstance(lo, Const):
-        return lo.value
-    return None
-
-
 # proof-cache key tags (paired with expression ids)
-_NONNEG, _POSITIVE, _NONZERO, _LE, _PROVE_NONNEG, _PROVE_POSITIVE = range(6)
+_NONNEG, _POSITIVE, _LADDER, _LE = range(4)
 
 
-def is_nonneg(expr: ExprLike, env: SymbolicEnv) -> bool:
+def _memoised(tag: int, on_const: Callable[[int], bool]):
+    """Memoise a unary ``(expr, env) -> bool`` query on ``env.caches.proof``;
+    literal constants are decided by ``on_const`` without touching the cache."""
+
+    def decorate(impl: Callable[[Expr, SymbolicEnv], bool]):
+        @functools.wraps(impl)
+        def query(expr: ExprLike, env: SymbolicEnv) -> bool:
+            expr = as_expr(expr)
+            if isinstance(expr, Const):
+                return on_const(expr.value)
+            cache = env.caches.proof
+            key = (tag, expr._id)
+            hit = cache.get(key)
+            if hit is not None:
+                CACHE_STATS.proof_hits += 1
+                return hit
+            result = impl(expr, env)
+            CACHE_STATS.proof_misses += 1
+            cache[key] = result
+            return result
+
+        return query
+
+    return decorate
+
+
+# ---------------------------------------------------------------------------
+# stage 1: structural sign analysis
+# ---------------------------------------------------------------------------
+
+
+@_memoised(_NONNEG, lambda value: value >= 0)
+def is_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
     """Structurally prove ``expr >= 0`` under the environment's assumptions."""
-    expr = as_expr(expr)
-    if isinstance(expr, Const):
-        return expr.value >= 0
-    cache = env.caches.proof
-    key = (_NONNEG, expr._id)
-    hit = cache.get(key)
-    if hit is not None:
-        CACHE_STATS.proof_hits += 1
-        return hit
-    result = _is_nonneg_impl(expr, env)
-    CACHE_STATS.proof_misses += 1
-    cache[key] = result
-    return result
-
-
-def _is_nonneg_impl(expr: Expr, env: SymbolicEnv) -> bool:
     if isinstance(expr, Var):
-        lo = _var_lo_const(expr, env)
-        return lo is not None and lo >= 0
+        lo = env.range_of_var(expr.name).lo
+        return isinstance(lo, Const) and lo.value >= 0
     if isinstance(expr, Add):
-        return all(is_nonneg(a, env) for a in expr.args)
+        if all(is_nonneg(a, env) for a in expr.args):
+            return True
+        # x - 1 >= 0 is x >= 1 (the canonical Add leads with its constant)
+        head, *rest = expr.args
+        return isinstance(head, Const) and head.value == -1 and is_positive(Add(*rest), env)
     if isinstance(expr, Mul):
         negatives = 0
         for a in expr.args:
@@ -177,46 +202,22 @@ def _is_nonpos(expr: Expr, env: SymbolicEnv) -> bool:
     return False
 
 
-def is_positive(expr: ExprLike, env: SymbolicEnv) -> bool:
+@_memoised(_POSITIVE, lambda value: value > 0)
+def is_positive(expr: Expr, env: SymbolicEnv) -> bool:
     """Structurally prove ``expr > 0`` under the environment's assumptions."""
-    expr = as_expr(expr)
-    if isinstance(expr, Const):
-        return expr.value > 0
-    cache = env.caches.proof
-    key = (_POSITIVE, expr._id)
-    hit = cache.get(key)
-    if hit is not None:
-        CACHE_STATS.proof_hits += 1
-        return hit
-    result = _is_positive_impl(expr, env)
-    CACHE_STATS.proof_misses += 1
-    cache[key] = result
-    return result
-
-
-def _is_positive_impl(expr: Expr, env: SymbolicEnv) -> bool:
     if env.is_declared_positive(expr):
         return True
     if isinstance(expr, Var):
-        lo = _var_lo_const(expr, env)
-        if lo is not None and lo > 0:
-            return True
-        lo_expr = env.range_of_var(expr.name).lo
-        return lo_expr is not None and is_positive(lo_expr, env) if lo_expr is not expr else False
+        lo = env.range_of_var(expr.name).lo
+        return lo is not None and lo is not expr and is_positive(lo, env)
     if isinstance(expr, Add):
-        if all(is_nonneg(a, env) for a in expr.args) and any(
+        return all(is_nonneg(a, env) for a in expr.args) and any(
             is_positive(a, env) for a in expr.args
-        ):
-            return True
-        return False
-    if isinstance(expr, Mul):
-        return all(is_positive(a, env) for a in expr.args)
-    if isinstance(expr, Min):
+        )
+    if isinstance(expr, (Mul, Min)):
         return all(is_positive(a, env) for a in expr.args)
     if isinstance(expr, Max):
-        return any(is_positive(a, env) for a in expr.args) and all(
-            is_positive(a, env) or is_nonneg(a, env) for a in expr.args
-        ) or any(is_positive(a, env) for a in expr.args)
+        return any(is_positive(a, env) for a in expr.args)
     if isinstance(expr, FloorDiv):
         # x // d >= 1 requires x >= d; prove via bound comparison.
         return prove_le(expr.denominator, expr.numerator, env) and is_positive(
@@ -225,71 +226,64 @@ def _is_positive_impl(expr: Expr, env: SymbolicEnv) -> bool:
     return False
 
 
-def is_nonzero(expr: ExprLike, env: SymbolicEnv) -> bool:
-    """Prove ``expr != 0``."""
-    expr = as_expr(expr)
-    if isinstance(expr, Const):
-        return expr.value != 0
-    cache = env.caches.proof
-    key = (_NONZERO, expr._id)
-    hit = cache.get(key)
-    if hit is not None:
-        CACHE_STATS.proof_hits += 1
-        return hit
-    result = is_positive(expr, env) or is_positive(as_expr(Mul(-1, expr)), env)
-    CACHE_STATS.proof_misses += 1
-    cache[key] = result
-    return result
+# ---------------------------------------------------------------------------
+# the ladder
+# ---------------------------------------------------------------------------
+
+
+#: the ladder's outcomes, in order; each miss of :func:`_ladder_nonneg` bumps
+#: ``CACHE_STATS.rule_applications["ladder:<outcome>"]`` exactly once
+LADDER_STAGES = ("structure", "range", "expand", "facts", "abstain")
+
+
+def _lower_end_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
+    lo = env.range_of(expr).lo
+    return lo is not None and lo is not expr and is_nonneg(lo, env)
+
+
+@_memoised(_LADDER, lambda value: value >= 0)
+def _ladder_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
+    """Prove ``expr >= 0``: structure, range lower end, expand, declared facts.
+
+    The one place the prover's stages are listed; every public query reduces
+    its obligation to a call of this function (see the module docstring).
+    """
+    from .simplify import expand  # local import: simplify imports this module
+
+    if is_nonneg(expr, env):
+        stage = "structure"
+    elif _lower_end_nonneg(expr, env):
+        stage = "range"
+    else:
+        expanded = expand(expr)
+        if expanded is not expr and (
+            is_nonneg(expanded, env) or _lower_end_nonneg(expanded, env)
+        ):
+            stage = "expand"
+        elif _nonneg_with_facts(expanded, env):
+            stage = "facts"
+        else:
+            stage = "abstain"
+    CACHE_STATS.count_rule("ladder:" + stage)
+    return stage != "abstain"
 
 
 def prove_nonneg(expr: ExprLike, env: SymbolicEnv) -> bool:
-    """Prove ``expr >= 0`` using structure first, then range bounds."""
+    """Prove ``expr >= 0``."""
     expr = as_expr(expr)
-    cache = env.caches.proof
-    key = (_PROVE_NONNEG, expr._id)
-    hit = cache.get(key)
-    if hit is not None:
-        CACHE_STATS.proof_hits += 1
-        return _record_query("nonneg", lambda: f"0 <= {expr}", hit)
-    result = _prove_nonneg_impl(expr, env)
-    CACHE_STATS.proof_misses += 1
-    cache[key] = result
-    return _record_query("nonneg", lambda: f"0 <= {expr}", result)
-
-
-def _prove_nonneg_impl(expr: Expr, env: SymbolicEnv) -> bool:
-    if is_nonneg(expr, env):
-        return True
-    if _indexrange_nonneg(expr, env):
-        return True
-    lo = env.range_of(expr).lo
-    if lo is not None and lo is not expr and is_nonneg(lo, env):
-        return True
-    return False
+    return _record_query("nonneg", lambda: f"0 <= {expr}", _ladder_nonneg(expr, env))
 
 
 def prove_positive(expr: ExprLike, env: SymbolicEnv) -> bool:
-    """Prove ``expr > 0`` using structure first, then range bounds."""
+    """Prove ``expr > 0`` (equivalently ``expr - 1 >= 0`` over integers)."""
     expr = as_expr(expr)
-    cache = env.caches.proof
-    key = (_PROVE_POSITIVE, expr._id)
-    hit = cache.get(key)
-    if hit is not None:
-        CACHE_STATS.proof_hits += 1
-        return _record_query("positive", lambda: f"0 < {expr}", hit)
-    result = _prove_positive_impl(expr, env)
-    CACHE_STATS.proof_misses += 1
-    cache[key] = result
-    return _record_query("positive", lambda: f"0 < {expr}", result)
+    return _record_query("positive", lambda: f"0 < {expr}", _ladder_nonneg(expr - 1, env))
 
 
-def _prove_positive_impl(expr: Expr, env: SymbolicEnv) -> bool:
-    if is_positive(expr, env):
-        return True
-    lo = env.range_of(expr).lo
-    if lo is not None and lo is not expr and is_positive(lo, env):
-        return True
-    return False
+def is_nonzero(expr: ExprLike, env: SymbolicEnv) -> bool:
+    """Prove ``expr != 0`` (strictly positive, or strictly negative)."""
+    expr = as_expr(expr)
+    return _ladder_nonneg(expr - 1, env) or _ladder_nonneg(-expr - 1, env)
 
 
 def prove_le(lhs: ExprLike, rhs: ExprLike, env: SymbolicEnv) -> bool:
@@ -312,72 +306,16 @@ def prove_le(lhs: ExprLike, rhs: ExprLike, env: SymbolicEnv) -> bool:
 
 def _prove_le_impl(lhs: Expr, rhs: Expr, env: SymbolicEnv) -> bool:
     # Direct difference: canonicalisation cancels shared terms.
-    if _difference_nonneg(rhs - lhs, env):
+    if _ladder_nonneg(rhs - lhs, env):
         return True
     # Compare through symbolic bounds: lhs <= hi(lhs) and lo(rhs) <= rhs.
-    lhs_range = env.range_of(lhs)
-    rhs_range = env.range_of(rhs)
-    upper_candidates: list[Expr] = []
-    if lhs_range.hi is not None and lhs_range.hi != lhs:
-        upper_candidates.append(lhs_range.hi)
-    lower_candidates: list[Expr] = [rhs]
-    if rhs_range.lo is not None and rhs_range.lo != rhs:
-        lower_candidates.append(rhs_range.lo)
-    for upper in upper_candidates:
-        for lower in lower_candidates:
-            if _difference_nonneg(lower - upper, env):
-                return True
-    # Finally, lhs itself vs the lower bound of rhs.
-    if rhs_range.lo is not None and rhs_range.lo != rhs:
-        if _difference_nonneg(rhs_range.lo - lhs, env):
-            return True
-    return False
-
-
-def _difference_nonneg(diff: Expr, env: SymbolicEnv) -> bool:
-    """Prove that a difference expression is non-negative.
-
-    Four stages, each strictly stronger than the previous:
-
-    1. structural sign analysis of the difference as written;
-    2. stride-aware constant-bounds analysis (:func:`~repro.symbolic.
-       indexrange.index_range`): exact interval arithmetic over the
-       env-declared constant variable ranges, which — unlike the structural
-       stage — handles negative coefficients (``n - r - brick*bz - tz - 1``)
-       and div/mod folding, the shapes guard elimination produces;
-    3. the same sign analysis after distributing products over sums, which
-       lets the n-ary ``Add`` canonicaliser cancel syntactically different
-       but equal terms (``nt_n*(X + 1) - nt_n - nt_n*X``);
-    4. term cancellation against relational facts — user-declared ``lhs <=
-       rhs`` constraints plus the built-in lemma ``min(a, b) * max(1, a // b)
-       <= a`` for non-negative ``a``/positive ``b`` (which Z3 discharges for
-       the paper; grouped thread-block layouts need it).
-    """
-    if is_nonneg(diff, env):
-        return True
-    if _indexrange_nonneg(diff, env):
-        return True
-    from .simplify import expand  # local import: simplify imports this module
-
-    expanded = expand(diff)
-    if expanded != diff and (
-        is_nonneg(expanded, env) or _indexrange_nonneg(expanded, env)
-    ):
-        return True
-    return _nonneg_with_facts(expanded, env)
-
-
-def _indexrange_nonneg(diff: Expr, env: SymbolicEnv) -> bool:
-    """Stride-aware stage: ``base + [lo, hi] >= 0`` when ``lo >= 0`` and the
-    residual base is itself provably non-negative (trivially so when zero)."""
-    from .indexrange import index_range  # local import: avoids a cycle
-
-    r = index_range(diff, env)
-    if r.lo is None or r.lo < 0:
-        return False
-    if r.is_constant():
-        return True
-    return is_nonneg(r.base, env)
+    upper = env.range_of(lhs).hi
+    lower = env.range_of(rhs).lo
+    uppers = [] if upper is None or upper == lhs else [upper]
+    lowers = [] if lower is None or lower == rhs else [lower]
+    pairs = [(hi, lo) for hi in uppers for lo in [rhs] + lowers]
+    pairs += [(lhs, lo) for lo in lowers]
+    return any(_ladder_nonneg(lo - hi, env) for hi, lo in pairs)
 
 
 def _product_facts(expr: Expr, env: SymbolicEnv) -> list[tuple[Expr, Expr]]:
@@ -498,8 +436,7 @@ def prove_in_bounds(
     This is the query code generation issues to discharge a bounds guard:
     ``lo``/``hi`` are *inclusive* (an index into an extent-``n`` buffer is in
     bounds when ``prove_in_bounds(idx, 0, n - 1, env)``).  Both sides run
-    through :func:`prove_le` and therefore benefit from the stride-aware
-    constant-bounds stage.
+    through :func:`prove_le`, i.e. the full ladder.
     """
     expr = as_expr(expr)
     result = prove_le(lo, expr, env) and prove_le(expr, hi, env)

@@ -1,75 +1,52 @@
-"""Interval (range) analysis for symbolic integer expressions.
+"""Integer intervals and exact affine stride decomposition.
 
 The paper propagates index-range information derived from layout shapes
 through the generated expressions and uses it (via Z3) to discharge the side
-conditions of the division/modulo simplification rules of Table II.  This
-module provides the reproduction's equivalent: a small abstract-interpretation
-framework over integer intervals.
-
-Two pieces:
+conditions of the division/modulo simplification rules of Table II.  The
+reproduction has **one** range domain — :class:`~repro.symbolic.symranges.
+SymInterval`, walked by :meth:`SymbolicEnv.range_of` — and this module is its
+integer kernel plus the env-free stride helpers:
 
 * :class:`Interval` — a possibly unbounded integer interval ``[lo, hi]`` with
-  sound arithmetic for the operations appearing in layout expressions
-  (addition, multiplication, floor division, modulo, min/max).
-* :class:`RangeEnv` — an environment mapping variable names to intervals,
-  with :meth:`RangeEnv.range_of` computing a sound interval for an arbitrary
-  expression.
+  sound transfer functions for every operation of a layout expression
+  (addition, negation, multiplication, floor division, modulo, min/max).
+  ``range_of`` runs them whenever every operand end is a literal, so the
+  constant-bounds case never builds an expression node.
+* :func:`affine_strides` — exact decomposition ``const + Σ stride_v · v``;
+  :func:`is_mixed_radix_bijection` turns the strides of a flattened layout
+  offset into a static bijectivity verdict.
 
 Unbounded ends are represented by ``None``.  All operations are conservative:
-the returned interval always contains every value the expression can take for
-inputs inside the environment's intervals.
+the returned interval always contains every value the operation can produce
+for operands inside the argument intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from .expr import (
-    Add,
-    BoolAnd,
-    BoolNot,
-    BoolOr,
-    Cmp,
-    Const,
-    Expr,
-    FloorDiv,
-    Max,
-    Min,
-    Mod,
-    Mul,
-    Var,
-)
+from .expr import Add, Const, Expr, ExprLike, Mul, Var, as_expr
 
-__all__ = ["Interval", "RangeEnv"]
+__all__ = ["Interval", "affine_strides", "is_mixed_radix_bijection"]
 
 
 def _neg(value: Optional[int]) -> Optional[int]:
     return None if value is None else -value
 
 
-def _min_opt(values: Iterable[Optional[int]]) -> Optional[int]:
-    out: Optional[int] = None
-    first = True
-    for v in values:
-        if v is None:
-            return None
-        if first or v < out:  # type: ignore[operator]
-            out = v
-            first = False
-    return out
+def _both(pick: Callable[[int, int], int], a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """``pick(a, b)`` when both ends are finite; unbounded when either is."""
+    return None if a is None or b is None else pick(a, b)
 
 
-def _max_opt(values: Iterable[Optional[int]]) -> Optional[int]:
-    out: Optional[int] = None
-    first = True
-    for v in values:
-        if v is None:
-            return None
-        if first or v > out:  # type: ignore[operator]
-            out = v
-            first = False
-    return out
+def _either(pick: Callable[[int, int], int], a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """``pick`` over the finite ends; unbounded only when neither is finite."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return pick(a, b)
 
 
 @dataclass(frozen=True)
@@ -141,11 +118,11 @@ class Interval:
     # -- lattice --------------------------------------------------------------
 
     def union(self, other: "Interval") -> "Interval":
-        return Interval(_min_opt([self.lo, other.lo]), _max_opt([self.hi, other.hi]))
+        return Interval(_both(min, self.lo, other.lo), _both(max, self.hi, other.hi))
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
-        lo = self.lo if other.lo is None else (other.lo if self.lo is None else max(self.lo, other.lo))
-        hi = self.hi if other.hi is None else (other.hi if self.hi is None else min(self.hi, other.hi))
+        lo = _either(max, self.lo, other.lo)
+        hi = _either(min, self.hi, other.hi)
         if lo is not None and hi is not None and lo > hi:
             return None
         return Interval(lo, hi)
@@ -275,10 +252,12 @@ class Interval:
         return out
 
     def min(self, other: "Interval") -> "Interval":
-        return Interval(_min_opt([self.lo, other.lo]), _min_opt([self.hi, other.hi]))
+        # the smaller value is below *either* finite upper end
+        return Interval(_both(min, self.lo, other.lo), _either(min, self.hi, other.hi))
 
     def max(self, other: "Interval") -> "Interval":
-        return Interval(_max_opt([self.lo, other.lo]), _max_opt([self.hi, other.hi]))
+        # the larger value is above *either* finite lower end
+        return Interval(_either(max, self.lo, other.lo), _both(max, self.hi, other.hi))
 
     def __repr__(self) -> str:
         lo = "-inf" if self.lo is None else str(self.lo)
@@ -286,104 +265,103 @@ class Interval:
         return f"[{lo}, {hi}]"
 
 
-class RangeEnv:
-    """Maps variable names to intervals and evaluates expression ranges.
+# ---------------------------------------------------------------------------
+# exact affine decomposition (env-independent)
+# ---------------------------------------------------------------------------
 
-    The environment is immutable from the caller's point of view: ``with_var``
-    and ``updated`` return new environments.  Construction accepts either
-    :class:`Interval` instances, ``(lo, hi)`` tuples, or plain ints (meaning a
-    point interval).
+
+def affine_strides(
+    expr: ExprLike, variables: Sequence[str]
+) -> Optional[Tuple[int, dict]]:
+    """Decompose ``expr`` into ``const + Σ strides[v] · v`` exactly.
+
+    Returns ``(const, {name: stride})`` when the expression is an affine
+    combination of the given variables (and nothing else); ``None`` when any
+    free variable is outside ``variables`` or the structure is non-affine
+    (div/mod/min/max of a variable term).  Purely structural — no
+    environment, no approximation — so a non-``None`` result is an identity.
     """
+    expr = as_expr(expr)
+    allowed = set(variables)
 
-    def __init__(self, bindings: Mapping[str, object] | None = None):
-        self._bindings: dict[str, Interval] = {}
-        if bindings:
-            for name, value in bindings.items():
-                self._bindings[name] = self._coerce(value)
+    def walk(node: Expr) -> Optional[Tuple[int, dict]]:
+        if isinstance(node, Const):
+            return node.value, {}
+        if isinstance(node, Var):
+            if node.name not in allowed:
+                return None
+            return 0, {node.name: 1}
+        if isinstance(node, Add):
+            const = 0
+            strides: dict[str, int] = {}
+            for arg in node.args:
+                part = walk(arg)
+                if part is None:
+                    return None
+                const += part[0]
+                for name, coeff in part[1].items():
+                    strides[name] = strides.get(name, 0) + coeff
+            return const, strides
+        if isinstance(node, Mul):
+            coeff = 1
+            linear: Optional[Tuple[int, dict]] = None
+            for arg in node.args:
+                if isinstance(arg, Const):
+                    coeff *= arg.value
+                    continue
+                part = walk(arg)
+                if part is None:
+                    return None
+                if part[1]:
+                    if linear is not None:
+                        return None  # variable × variable: not affine
+                    linear = part
+                else:
+                    coeff *= part[0]
+            if linear is None:
+                return coeff, {}
+            const = linear[0] * coeff
+            return const, {name: c * coeff for name, c in linear[1].items()}
+        return None
 
-    @staticmethod
-    def _coerce(value: object) -> Interval:
-        if isinstance(value, Interval):
-            return value
-        if isinstance(value, int):
-            return Interval.point(value)
-        if isinstance(value, tuple) and len(value) == 2:
-            return Interval(value[0], value[1])
-        raise TypeError(f"cannot interpret {value!r} as an Interval")
+    result = walk(expr)
+    if result is None:
+        return None
+    const, strides = result
+    return const, {name: c for name, c in strides.items() if c != 0}
 
-    # -- functional updates ---------------------------------------------------
 
-    def with_var(self, name: str, value: object) -> "RangeEnv":
-        new = RangeEnv()
-        new._bindings = dict(self._bindings)
-        new._bindings[name] = self._coerce(value)
-        return new
+def is_mixed_radix_bijection(
+    const: int, pairs: Iterable[Tuple[int, int]], total: int
+) -> bool:
+    """Is ``const + Σ stride_k · i_k`` (``0 <= i_k < extent_k``) a bijection
+    onto ``[0, total)``?
 
-    def updated(self, bindings: Mapping[str, object]) -> "RangeEnv":
-        new = RangeEnv()
-        new._bindings = dict(self._bindings)
-        for name, value in bindings.items():
-            new._bindings[name] = self._coerce(value)
-        return new
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._bindings
-
-    def __getitem__(self, name: str) -> Interval:
-        return self._bindings[name]
-
-    def get(self, name: str, default: Interval | None = None) -> Interval | None:
-        return self._bindings.get(name, default)
-
-    def items(self):
-        return self._bindings.items()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}: {v}" for k, v in sorted(self._bindings.items()))
-        return f"RangeEnv({{{inner}}})"
-
-    # -- analysis -------------------------------------------------------------
-
-    def range_of(self, expr: Expr) -> Interval:
-        """Compute a sound interval for ``expr`` under this environment."""
-        if isinstance(expr, Const):
-            return Interval.point(expr.value)
-        if isinstance(expr, Var):
-            bound = self._bindings.get(expr.name)
-            if bound is not None:
-                return bound
-            meta_range = expr.meta.get("range")
-            if isinstance(meta_range, Interval):
-                return meta_range
-            if isinstance(meta_range, tuple) and len(meta_range) == 2:
-                return Interval(meta_range[0], meta_range[1])
-            return Interval.top()
-        if isinstance(expr, Add):
-            out = Interval.point(0)
-            for arg in expr.args:
-                out = out + self.range_of(arg)
-            return out
-        if isinstance(expr, Mul):
-            out = Interval.point(1)
-            for arg in expr.args:
-                out = out * self.range_of(arg)
-            return out
-        if isinstance(expr, FloorDiv):
-            return self.range_of(expr.numerator).floordiv(self.range_of(expr.denominator))
-        if isinstance(expr, Mod):
-            return self.range_of(expr.value_expr).mod(self.range_of(expr.modulus))
-        if isinstance(expr, Min):
-            out: Interval | None = None
-            for arg in expr.args:
-                r = self.range_of(arg)
-                out = r if out is None else out.min(r)
-            return out if out is not None else Interval.top()
-        if isinstance(expr, Max):
-            out = None
-            for arg in expr.args:
-                r = self.range_of(arg)
-                out = r if out is None else out.max(r)
-            return out if out is not None else Interval.top()
-        if isinstance(expr, (Cmp, BoolAnd, BoolOr, BoolNot)):
-            return Interval(0, 1)
-        return Interval.top()
+    ``pairs`` is the ``(stride, extent)`` list of the affine offset.  The map
+    is a bijection exactly when the constant term is zero and the strides,
+    sorted increasingly (dimensions of extent 1 contribute nothing and are
+    skipped), form a *permuted mixed-radix basis*: the smallest stride is 1
+    and each subsequent stride is the previous stride times the previous
+    extent, with the extents multiplying out to ``total``.  This is the
+    static form of the LUD ``element_offset`` check that previously ran by
+    enumerating every index combination at runtime.
+    """
+    if const != 0 or total <= 0:
+        return False
+    live: list[Tuple[int, int]] = []
+    for stride, extent in pairs:
+        if extent <= 0:
+            return False
+        if extent == 1:
+            continue
+        if stride <= 0:
+            # with const == 0 a negative or zero stride cannot reach [0, total)
+            return False
+        live.append((stride, extent))
+    live.sort()
+    expected = 1
+    for stride, extent in live:
+        if stride != expected:
+            return False
+        expected *= extent
+    return expected == total

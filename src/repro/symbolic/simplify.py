@@ -66,10 +66,9 @@ from .expr import (
     Var,
     as_expr,
 )
-from .indexrange import constant_interval
 from .prover import is_nonzero, is_positive, prove_le, prove_lt, prove_nonneg
 from .stats import CACHE_STATS
-from .symranges import SymbolicEnv
+from .symranges import SymbolicEnv, constant_interval
 
 __all__ = [
     "simplify",
@@ -138,7 +137,7 @@ class _Rewriter:
 
     The single-pass result for a node is a pure function of the node identity
     and the environment's facts, so it is cached in
-    ``env._simplify_cache[expr_id]``.  Results whose computation ran into the
+    ``env.caches.simplify[expr_id]``.  Results whose computation ran into the
     depth cutoff are not cached (they would poison shallower queries).
     """
 
@@ -151,7 +150,7 @@ class _Rewriter:
     def rewrite(self, expr: Expr, depth: int = 0) -> Expr:
         if isinstance(expr, (Const, Var)):
             return expr
-        cache = self.env._simplify_cache
+        cache = self.env.caches.simplify
         cached = cache.get(expr._id)
         if cached is not None:
             CACHE_STATS.simplify_hits += 1
@@ -212,7 +211,7 @@ def simplify_fixpoint(expr: ExprLike, env: SymbolicEnv | None = None) -> Expr:
     """
     expr = as_expr(expr)
     env = env or SymbolicEnv()
-    cache = env._fixpoint_cache
+    cache = env.caches.fixpoint
     cached = cache.get(expr._id)
     if cached is not None:
         CACHE_STATS.fixpoint_hits += 1
@@ -334,14 +333,14 @@ def _div_negative_const(expr: FloorDiv, env: SymbolicEnv, rw: _Rewriter) -> Opti
     "x // c -> q when the constant range of x lies within [q*c, (q+1)*c)",
 )
 def _div_interval_collapse(expr: FloorDiv, env: SymbolicEnv, rw: _Rewriter) -> Optional[Expr]:
-    # The stride-aware range analysis carries exact constant bounds through
-    # negative coefficients, so this subsumes div-range-zero (q == 0, x >= 0)
+    # Range analysis carries exact constant bounds through negative
+    # coefficients, so this subsumes div-range-zero (q == 0, x >= 0)
     # and additionally collapses negative-range and shifted numerators.
     den = expr.denominator
     if not isinstance(den, Const) or den.value <= 0:
         return None
     bounds = constant_interval(expr.numerator, env)
-    if bounds is None or bounds.lo is None or bounds.hi is None:
+    if not bounds.bounded():
         return None
     quotient = bounds.lo // den.value
     if bounds.hi // den.value != quotient:
@@ -359,7 +358,7 @@ def _mod_interval_collapse(expr: Mod, env: SymbolicEnv, rw: _Rewriter) -> Option
     if not isinstance(mod, Const) or mod.value <= 0:
         return None
     bounds = constant_interval(expr.value_expr, env)
-    if bounds is None or bounds.lo is None or bounds.hi is None:
+    if not bounds.bounded():
         return None
     quotient = bounds.lo // mod.value
     if bounds.hi // mod.value != quotient:

@@ -7,14 +7,18 @@ number.  The paper propagates such ranges through the layout and discharges
 the side conditions of its simplification rules (Table II) with Z3.  This
 module provides the reproduction's equivalent machinery:
 
-* :class:`SymInterval` — an interval whose bounds are symbolic expressions
-  (or ``None`` for unbounded ends),
+* :class:`SymInterval` — the one range domain: an interval whose ends are
+  symbolic expressions, literal constants, or ``None`` (unbounded),
 * :class:`SymbolicEnv` — the assumption environment: per-variable ranges,
   divisibility facts (``BK`` divides ``K``) and helper constructors for the
   common "size symbol" (positive) and "index symbol" (``0 <= i < extent``)
   declarations,
-* :meth:`SymbolicEnv.range_of` — sound symbolic interval for an arbitrary
-  expression.
+* :meth:`SymbolicEnv.range_of` — the one expression walker: a sound interval
+  for an arbitrary expression.  Operands whose ends are all literal go
+  through the integer transfer functions of :class:`~repro.symbolic.ranges.
+  Interval` (no expression node is built); anything else through the
+  symbolic rules below,
+* :func:`constant_interval` — the literal ends of ``range_of``.
 
 The structural non-negativity / positivity checks that make symbolic bound
 comparisons possible live in :mod:`repro.symbolic.prover`.
@@ -23,7 +27,8 @@ comparisons possible live in :mod:`repro.symbolic.prover`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from functools import reduce
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .expr import (
     Add,
@@ -38,9 +43,10 @@ from .expr import (
     Var,
     as_expr,
 )
+from .ranges import Interval
 from .stats import CACHE_STATS
 
-__all__ = ["EnvCaches", "SymInterval", "SymbolicEnv"]
+__all__ = ["EnvCaches", "SymInterval", "SymbolicEnv", "constant_interval"]
 
 
 def _opt_expr(value) -> Optional[Expr]:
@@ -84,6 +90,11 @@ class SymInterval:
     def top() -> "SymInterval":
         return SymInterval(None, None)
 
+    @staticmethod
+    def of(interval: Interval) -> "SymInterval":
+        """Wrap an integer interval (the one place literal ends become nodes)."""
+        return SymInterval(interval.lo, interval.hi)
+
     # -- queries --------------------------------------------------------------
 
     def constant_bounds(self) -> tuple[Optional[int], Optional[int]]:
@@ -91,6 +102,15 @@ class SymInterval:
         lo = self.lo.value if isinstance(self.lo, Const) else None
         hi = self.hi.value if isinstance(self.hi, Const) else None
         return lo, hi
+
+    def is_literal(self) -> bool:
+        """Are both ends literal constants (the integer kernel's exact case)?"""
+        return isinstance(self.lo, Const) and isinstance(self.hi, Const)
+
+    def literal_ends(self) -> Interval:
+        """The literal ends as an integer interval; a symbolic or missing end
+        widens to unbounded, so the result is sound wherever this one is."""
+        return Interval(*self.constant_bounds())
 
     def __repr__(self) -> str:
         lo = "-inf" if self.lo is None else str(self.lo)
@@ -101,10 +121,7 @@ class SymInterval:
 class EnvCaches:
     """Every env-scoped memo family behind **one** invalidation epoch.
 
-    The environment used to carry four parallel cache dicts, each cleared by
-    hand when a fact changed; adding the index-range family would have made
-    it five ways to forget one.  This object owns them all: ``invalidate()``
-    bumps the single ``epoch`` (the number that feeds
+    ``invalidate()`` bumps the single ``epoch`` (the number that feeds
     :attr:`SymbolicEnv.fingerprint`) and drops every family at once, so a
     cache entry in *any* family is always consistent with the facts in force
     when it was written.
@@ -114,12 +131,10 @@ class EnvCaches:
     * ``simplify`` — one-pass rewriter results (:mod:`.simplify`),
     * ``fixpoint`` — ``simplify_fixpoint`` chains,
     * ``proof`` — prover verdicts, keyed ``(kind tag, expr ids...)``,
-    * ``range`` — :class:`SymInterval` results of :meth:`SymbolicEnv.range_of`,
-    * ``indexrange`` — :class:`~repro.symbolic.indexrange.IndexRange`
-      results of the stride-aware constant-bounds analysis.
+    * ``range`` — :class:`SymInterval` results of :meth:`SymbolicEnv.range_of`.
     """
 
-    __slots__ = ("epoch", "simplify", "fixpoint", "proof", "range", "indexrange")
+    __slots__ = ("epoch", "simplify", "fixpoint", "proof", "range")
 
     def __init__(self):
         self.epoch = 0
@@ -127,10 +142,9 @@ class EnvCaches:
         self.fixpoint: dict[int, Expr] = {}
         self.proof: dict[tuple, bool] = {}
         self.range: dict[int, SymInterval] = {}
-        self.indexrange: dict[int, object] = {}
 
     def families(self) -> tuple[dict, ...]:
-        return (self.simplify, self.fixpoint, self.proof, self.range, self.indexrange)
+        return (self.simplify, self.fixpoint, self.proof, self.range)
 
     def invalidate(self) -> None:
         """A fact changed: bump the shared epoch, drop every family."""
@@ -146,7 +160,6 @@ class EnvCaches:
         new.fixpoint = dict(self.fixpoint)
         new.proof = dict(self.proof)
         new.range = dict(self.range)
-        new.indexrange = dict(self.indexrange)
         return new
 
 
@@ -187,28 +200,6 @@ class SymbolicEnv:
         # consistent with the facts in force when it was written.
         self.caches = EnvCaches()
         self._range_cutoff_events = 0
-
-    # Back-compat aliases for the pre-unification attribute names; new code
-    # should go through :attr:`caches` directly.
-    @property
-    def _simplify_cache(self) -> dict[int, Expr]:
-        return self.caches.simplify
-
-    @property
-    def _fixpoint_cache(self) -> dict[int, Expr]:
-        return self.caches.fixpoint
-
-    @property
-    def _proof_cache(self) -> dict[tuple, bool]:
-        return self.caches.proof
-
-    @property
-    def _range_cache(self) -> dict[int, SymInterval]:
-        return self.caches.range
-
-    @property
-    def _version(self) -> int:
-        return self.caches.epoch
 
     @property
     def fingerprint(self) -> tuple[int, int]:
@@ -381,7 +372,7 @@ class SymbolicEnv:
         depth cutoff (which conservatively widens to ``top``) is *not* cached
         so that a later shallow query is not poisoned by a deep one.
         """
-        cached = self._range_cache.get(expr._id)
+        cached = self.caches.range.get(expr._id)
         if cached is not None:
             CACHE_STATS.range_hits += 1
             return cached
@@ -393,12 +384,12 @@ class SymbolicEnv:
                 result = SymInterval(Const(1), result.hi)
         if self._range_cutoff_events == cutoffs_before:
             CACHE_STATS.range_misses += 1
-            self._range_cache[expr._id] = result
+            self.caches.range[expr._id] = result
         return result
 
     def _range_of_dispatch(self, expr: Expr, _depth: int = 0) -> SymInterval:
-        from .prover import is_nonneg, is_positive
-
+        """The one expression walker: pick the node's integer transfer
+        function and symbolic rule, then let the operand ranges decide."""
         if _depth > self._max_depth:
             self._range_cutoff_events += 1
             return SymInterval.top()
@@ -412,140 +403,137 @@ class SymbolicEnv:
                 return bound
             meta_range = expr.meta.get("range")
             if isinstance(meta_range, tuple) and len(meta_range) == 2:
-                return SymInterval(_opt_expr(meta_range[0]), _opt_expr(meta_range[1]))
+                return SymInterval(*meta_range)
             return SymInterval.top()
         if isinstance(expr, Add):
-            # Every term is its own (trivial) bound, so a sum always has
-            # symbolic bounds; tighter per-term bounds are used when known.
-            lo: Optional[Expr] = Const(0)
-            hi: Optional[Expr] = Const(0)
-            for arg in expr.args:
-                r = self.range_of(arg, depth)
-                lo = lo + (r.lo if r.lo is not None else arg)
-                hi = hi + (r.hi if r.hi is not None else arg)
-            return SymInterval(lo, hi)
-        if isinstance(expr, Mul):
-            return self._range_of_mul(expr, depth)
-        if isinstance(expr, FloorDiv):
-            return self._range_of_floordiv(expr, depth)
-        if isinstance(expr, Mod):
-            return self._range_of_mod(expr, depth)
-        if isinstance(expr, Min):
-            return self._range_of_min(expr, depth)
-        if isinstance(expr, Max):
-            return self._range_of_max(expr, depth)
-        # comparisons / boolean nodes take values in {0, 1}
-        return SymInterval(Const(0), Const(1))
+            kernel, rule = Interval.__add__, self._add_rule
+        elif isinstance(expr, Mul):
+            kernel, rule = Interval.__mul__, self._mul_rule
+        elif isinstance(expr, FloorDiv):
+            kernel, rule = Interval.floordiv, self._floordiv_rule
+        elif isinstance(expr, Mod):
+            kernel, rule = Interval.mod, self._mod_rule
+        elif isinstance(expr, Min):
+            kernel, rule = Interval.min, self._min_rule
+        elif isinstance(expr, Max):
+            kernel, rule = Interval.max, self._max_rule
+        else:
+            # comparisons / boolean nodes take values in {0, 1}
+            return SymInterval(Const(0), Const(1))
 
-    def _range_of_mul(self, expr: Mul, depth: int) -> SymInterval:
-        from .prover import is_nonneg
-
-        # Pull out a literal constant coefficient to handle negation cleanly.
-        const_coeff = 1
-        rest: list[Expr] = []
-        for arg in expr.args:
-            if isinstance(arg, Const):
-                const_coeff *= arg.value
-            else:
-                rest.append(arg)
-        if not rest:
-            return SymInterval.point(Const(const_coeff))
-        rest_ranges = [self.range_of(a, depth) for a in rest]
-        if not all(is_nonneg(a, self) for a in rest):
-            return SymInterval.top()
-        # All non-constant factors are non-negative, so the product is
-        # monotone in each factor and every factor is its own trivial upper
-        # bound when no tighter bound is known.
-        lo: Optional[Expr] = Const(1)
-        hi: Optional[Expr] = Const(1)
-        for factor, r in zip(rest, rest_ranges):
-            lo = None if (lo is None or r.lo is None) else Mul(lo, r.lo)
-            hi = Mul(hi, r.hi if r.hi is not None else factor)
-        if lo is None:
-            lo = Const(0)
-        if const_coeff >= 0:
-            return SymInterval(
-                Mul(const_coeff, lo),
-                None if hi is None else Mul(const_coeff, hi),
-            )
-        # negative coefficient flips the interval
+        ranges = [self.range_of(arg, depth) for arg in expr.args]
+        literal = reduce(kernel, (r.literal_ends() for r in ranges))
+        if all(r.is_literal() for r in ranges):
+            # constant bounds throughout: exact integer arithmetic, wrapped once
+            return SymInterval.of(literal)
+        result = rule(expr, ranges, depth)
+        if result.lo is not None and result.hi is not None:
+            return result
+        # where the symbolic rule abstains, the operands' literal ends alone
+        # may still bound the value (negative or half-bounded div/mod)
         return SymInterval(
-            None if hi is None else Mul(const_coeff, hi),
-            Mul(const_coeff, lo),
+            literal.lo if result.lo is None else result.lo,
+            literal.hi if result.hi is None else result.hi,
         )
 
-    def _range_of_floordiv(self, expr: FloorDiv, depth: int) -> SymInterval:
+    # Symbolic rules, one per node type; ``ranges`` are the operands' ranges
+    # in ``expr.args`` order.  An operand end that is unknown is bounded by
+    # the operand itself, so relational reasoning can still cancel it.
+
+    def _add_rule(self, expr: Add, ranges: Sequence[SymInterval], depth: int) -> SymInterval:
+        return SymInterval(
+            Add(*(arg if r.lo is None else r.lo for arg, r in zip(expr.args, ranges))),
+            Add(*(arg if r.hi is None else r.hi for arg, r in zip(expr.args, ranges))),
+        )
+
+    def _mul_rule(self, expr: Mul, ranges: Sequence[SymInterval], depth: int) -> SymInterval:
+        from .prover import is_nonneg
+
+        # Pull out the literal coefficient to handle negation cleanly.
+        coeff = 1
+        rest: list[tuple[Expr, SymInterval]] = []
+        for arg, r in zip(expr.args, ranges):
+            if isinstance(arg, Const):
+                coeff *= arg.value
+            else:
+                rest.append((arg, r))
+        if all(is_nonneg(factor, self) for factor, _ in rest):
+            # non-negative factors: the product is monotone in each of them
+            los = [r.lo for _, r in rest]
+            lo = Const(0) if any(b is None for b in los) else Mul(coeff, *los)
+            hi = Mul(coeff, *(factor if r.hi is None else r.hi for factor, r in rest))
+        elif len(rest) == 1:
+            # c * f is monotone in f whatever the sign of f
+            factor, r = rest[0]
+            lo = Mul(coeff, factor if r.lo is None else r.lo)
+            hi = Mul(coeff, factor if r.hi is None else r.hi)
+        else:
+            return SymInterval.top()
+        return SymInterval(lo, hi) if coeff >= 0 else SymInterval(hi, lo)
+
+    def _floordiv_rule(self, expr: FloorDiv, ranges: Sequence[SymInterval], depth: int) -> SymInterval:
         from .prover import is_nonneg, is_positive
         from .simplify import simplify
 
-        num, den = expr.numerator, expr.denominator
-        if is_nonneg(num, self) and is_positive(den, self):
-            num_range = self.range_of(num, depth)
-            hi: Optional[Expr] = None
-            if num_range.hi is not None:
-                # x <= hi  and  d >= 1  imply  x // d <= hi // d
-                hi = simplify(FloorDiv(num_range.hi, den), self, _depth=depth)
-            lo: Expr = Const(0)
-            if num_range.lo is not None:
-                den_range = self.range_of(den, depth)
-                if den_range.hi is not None:
-                    lo = simplify(FloorDiv(num_range.lo, den_range.hi), self, _depth=depth)
-            return SymInterval(lo, hi)
-        return SymInterval.top()
+        num, den = expr.args
+        num_range, den_range = ranges
+        if not (is_nonneg(num, self) and is_positive(den, self)):
+            return SymInterval.top()
+        hi: Optional[Expr] = None
+        if num_range.hi is not None:
+            # x <= hi  and  d >= 1  imply  x // d <= hi // d
+            hi = simplify(FloorDiv(num_range.hi, den), self, _depth=depth)
+        lo: Expr = Const(0)
+        if num_range.lo is not None and den_range.hi is not None:
+            lo = simplify(FloorDiv(num_range.lo, den_range.hi), self, _depth=depth)
+        return SymInterval(lo, hi)
 
-    def _range_of_mod(self, expr: Mod, depth: int) -> SymInterval:
+    def _mod_rule(self, expr: Mod, ranges: Sequence[SymInterval], depth: int) -> SymInterval:
         from .prover import is_nonneg, is_positive, prove_le
 
-        value, modulus = expr.value_expr, expr.modulus
-        if is_positive(modulus, self):
-            value_range = self.range_of(value, depth)
-            hi: Expr = modulus - 1
-            if (
-                value_range.hi is not None
-                and is_nonneg(value, self)
-                and prove_le(value_range.hi, modulus - 1, self)
-            ):
-                # the value never wraps: the mod is the identity on its range
-                return SymInterval(value_range.lo or Const(0), value_range.hi)
-            return SymInterval(Const(0), hi)
-        return SymInterval.top()
+        value, modulus = expr.args
+        value_range = ranges[0]
+        if not is_positive(modulus, self):
+            return SymInterval.top()
+        if (
+            value_range.hi is not None
+            and is_nonneg(value, self)
+            and prove_le(value_range.hi, modulus - 1, self)
+        ):
+            # the value never wraps: the mod is the identity on its range
+            return SymInterval(value_range.lo or Const(0), value_range.hi)
+        return SymInterval(Const(0), modulus - 1)
 
-    def _range_of_min(self, expr: Min, depth: int) -> SymInterval:
+    def _min_rule(self, expr: Min, ranges: Sequence[SymInterval], depth: int) -> SymInterval:
         from .prover import is_nonneg
 
-        arg_ranges = [self.range_of(a, depth) for a in expr.args]
-        # Upper bound: Min(args) <= Min of per-argument upper bounds; an
-        # argument without a known bound is its own (trivial) upper bound, so
-        # e.g. Min(GM, nt_m) with unbounded size symbols stays bounded by the
-        # Min expression itself — which the relational prover can then use.
-        hi_parts = [r.hi if r.hi is not None else arg for arg, r in zip(expr.args, arg_ranges)]
-        hi: Optional[Expr] = Min(*hi_parts) if hi_parts else None
-        lo: Optional[Expr] = None
-        const_los = [r.lo for r in arg_ranges]
-        if all(isinstance(b, Const) for b in const_los if b is not None) and all(
-            b is not None for b in const_los
-        ):
-            lo = Const(min(b.value for b in const_los))  # type: ignore[union-attr]
-        elif all(is_nonneg(a, self) for a in expr.args):
-            lo = Const(0)
-        return SymInterval(lo, hi)
+        # Min(args) <= Min of per-argument upper bounds; an argument without
+        # a known bound is its own (trivial) upper bound, so e.g. Min(GM, nt_m)
+        # with unbounded size symbols stays bounded by the Min expression
+        # itself — which the relational prover can then use.
+        hi = Min(*(arg if r.hi is None else r.hi for arg, r in zip(expr.args, ranges)))
+        los = [r.lo for r in ranges]
+        if all(isinstance(b, Const) for b in los):
+            return SymInterval(min(b.value for b in los), hi)
+        return SymInterval(Const(0) if all(is_nonneg(a, self) for a in expr.args) else None, hi)
 
-    def _range_of_max(self, expr: Max, depth: int) -> SymInterval:
-        arg_ranges = [self.range_of(a, depth) for a in expr.args]
-        lo: Optional[Expr] = None
-        for r in arg_ranges:
-            if r.lo is not None:
-                lo = r.lo if lo is None else Max(lo, r.lo)
-        # Symmetric to Min: Max(args) <= Max of per-argument upper bounds,
-        # falling back to the argument itself when its bound is unknown.
-        hi_parts = [r.hi if r.hi is not None else arg for arg, r in zip(expr.args, arg_ranges)]
-        hi: Optional[Expr] = Max(*hi_parts) if hi_parts else None
-        const_his = [r.hi for r in arg_ranges]
-        if all(b is not None and isinstance(b, Const) for b in const_his):
-            hi = Const(max(b.value for b in const_his))  # type: ignore[union-attr]
-        return SymInterval(lo, hi)
+    def _max_rule(self, expr: Max, ranges: Sequence[SymInterval], depth: int) -> SymInterval:
+        los = [r.lo for r in ranges if r.lo is not None]
+        # Symmetric to Min: an argument with an unknown upper bound is its own.
+        his = [arg if r.hi is None else r.hi for arg, r in zip(expr.args, ranges)]
+        if all(isinstance(b, Const) for b in his):
+            hi: Expr = Const(max(b.value for b in his))
+        else:
+            hi = Max(*his)
+        return SymInterval(Max(*los) if los else None, hi)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [f"{k}: {v}" for k, v in sorted(self._ranges.items())]
         divs = [f"{d} | {x}" for (x, d) in self._divisibility]
         return "SymbolicEnv(" + "; ".join(parts + divs) + ")"
+
+
+def constant_interval(expr: ExprLike, env: SymbolicEnv) -> Interval:
+    """The literal ends of ``env.range_of(expr)`` as an integer interval
+    (an end that stayed symbolic, or is unknown, reads as unbounded)."""
+    return env.range_of(as_expr(expr)).literal_ends()

@@ -176,7 +176,20 @@ def test_fuzz_symbolic_is_clean_and_deterministic():
     second = fuzz_symbolic(trials=60, seed=0)
     assert first.ok, [f.as_dict() for f in first.failures]
     assert first.as_dict() == second.as_dict()
-    assert first.checked == {"simplify": 60, "fixpoint": 60, "printer": 60, "lowering": 60}
+    assert first.checked == {
+        "simplify": 60, "fixpoint": 60, "printer": 60, "lowering": 60, "range": 60,
+    }
+
+
+def test_fuzzer_catches_unsound_range_transfer(monkeypatch):
+    from repro.symbolic import Interval
+
+    # a floordiv transfer function that forgets numerators can be negative
+    monkeypatch.setattr(
+        Interval, "floordiv", lambda self, other: Interval(0, max(0, self.hi))
+    )
+    report = fuzz_symbolic(trials=200, seed=1)
+    assert any(f.property == "range" for f in report.failures)
 
 
 def test_search_space_sample_is_valid_and_deterministic():

@@ -1,4 +1,6 @@
-"""Stride-aware range analysis: intervals, IndexRange, unified caches, proofs."""
+"""Range analysis: the integer kernel, the one walker, unified caches, proofs."""
+
+import operator
 
 import pytest
 
@@ -7,33 +9,41 @@ from repro.symbolic import (
     EnvCaches,
     Interval,
     SymbolicEnv,
+    SymInterval,
     Var,
     affine_strides,
     as_expr,
     constant_interval,
-    index_range,
     is_mixed_radix_bijection,
+    is_nonzero,
     prove_in_bounds,
     prove_le,
+    prove_lt,
     prove_nonneg,
+    prove_positive,
     record_proof_queries,
     simplify_fixpoint,
 )
 
 
-# -- Interval.floordiv / Interval.mod vs concrete enumeration -----------------------
+# -- one soundness oracle for every Interval transfer function ----------------------
 
 
 _ENDPOINTS = (-6, -3, -1, 0, 1, 3, 6)
 
+_BOUNDED = [Interval(lo, hi) for lo in _ENDPOINTS for hi in _ENDPOINTS if lo <= hi]
 
-def _bounded_intervals():
-    return [
-        Interval(lo, hi)
-        for lo in _ENDPOINTS
-        for hi in _ENDPOINTS
-        if lo <= hi
-    ]
+#: (abstract transfer function, concrete operation); ``neg`` is unary
+_TRANSFER = {
+    "add": (Interval.__add__, operator.add),
+    "neg": (Interval.__neg__, operator.neg),
+    "sub": (Interval.__sub__, operator.sub),
+    "mul": (Interval.__mul__, operator.mul),
+    "floordiv": (Interval.floordiv, operator.floordiv),
+    "mod": (Interval.mod, operator.mod),
+    "min": (Interval.min, min),
+    "max": (Interval.max, max),
+}
 
 
 def _sample_values(interval, spread=25):
@@ -42,28 +52,36 @@ def _sample_values(interval, spread=25):
     return range(lo, hi + 1)
 
 
+def _assert_transfer_sound(name, lhs_intervals, rhs_intervals):
+    """The oracle: every concrete result lands inside the abstract one."""
+    abstract, concrete = _TRANSFER[name]
+    if name == "neg":
+        for a in list(lhs_intervals) + list(rhs_intervals):
+            result = abstract(a)
+            for x in _sample_values(a):
+                assert result.contains(concrete(x)), (name, a, x, result)
+        return
+    for a in lhs_intervals:
+        for b in rhs_intervals:
+            result = abstract(a, b)
+            for x in _sample_values(a):
+                for y in _sample_values(b):
+                    if y == 0 and name in ("floordiv", "mod"):
+                        continue  # undefined executions need no cover
+                    assert result.contains(concrete(x, y)), (name, a, b, x, y, result)
+
+
+@pytest.mark.parametrize("name", ["add", "neg", "sub", "mul", "min", "max"])
+def test_interval_transfer_sound_on_bounded_intervals(name):
+    _assert_transfer_sound(name, _BOUNDED, _BOUNDED)
+
+
 def test_interval_floordiv_sound_on_bounded_intervals():
-    # exhaustive over small bounded numerator/divisor intervals: every
-    # concrete quotient must land inside the abstract result
-    for num in _bounded_intervals():
-        for den in _bounded_intervals():
-            result = num.floordiv(den)
-            for x in _sample_values(num):
-                for d in _sample_values(den):
-                    if d == 0:
-                        continue
-                    assert result.contains(x // d), (num, den, x, d, result)
+    _assert_transfer_sound("floordiv", _BOUNDED, _BOUNDED)
 
 
 def test_interval_mod_sound_on_bounded_intervals():
-    for num in _bounded_intervals():
-        for den in _bounded_intervals():
-            result = num.mod(den)
-            for x in _sample_values(num):
-                for d in _sample_values(den):
-                    if d == 0:
-                        continue
-                    assert result.contains(x % d), (num, den, x, d, result)
+    _assert_transfer_sound("mod", _BOUNDED, _BOUNDED)
 
 
 @pytest.mark.parametrize("num", [
@@ -75,13 +93,23 @@ def test_interval_mod_sound_on_bounded_intervals():
     Interval(2, None), Interval(None, -2), Interval(None, None),
 ])
 def test_interval_divmod_sound_on_half_bounded_intervals(num, den):
-    fdiv, fmod = num.floordiv(den), num.mod(den)
-    for x in _sample_values(num):
-        for d in _sample_values(den):
-            if d == 0:
-                continue
-            assert fdiv.contains(x // d), (num, den, x, d, fdiv)
-            assert fmod.contains(x % d), (num, den, x, d, fmod)
+    # every transfer function, not only div/mod, over each half-bounded pair
+    for name in _TRANSFER:
+        _assert_transfer_sound(name, [num], [den])
+        if name in ("add", "mul", "min", "max"):
+            continue  # commutative: one order covers both
+        _assert_transfer_sound(name, [den], [num])
+
+
+def test_interval_min_max_keep_the_finite_end():
+    # the smaller value is below either finite upper end, the larger above
+    # either finite lower end: an unbounded partner must not erase them
+    assert Interval(0, 5).min(Interval(2, None)) == Interval(0, 5)
+    assert Interval(2, None).min(Interval(0, 5)) == Interval(0, 5)
+    assert Interval(None, 5).max(Interval(2, 7)) == Interval(2, 7)
+    assert Interval(2, 7).max(Interval(None, 5)) == Interval(2, 7)
+    assert Interval(None, 5).min(Interval(2, 7)) == Interval(None, 5)
+    assert Interval(0, None).max(Interval(2, 7)) == Interval(2, None)
 
 
 def test_interval_floordiv_precision():
@@ -102,44 +130,85 @@ def test_interval_mod_precision():
     assert Interval(0, 100).mod(Interval(-8, -8)) == Interval(-7, 0)
 
 
-# -- IndexRange ---------------------------------------------------------------------
+# -- the one walker: env.range_of / constant_interval -------------------------------
 
 
 def test_index_range_of_declared_index_is_constant():
     env = SymbolicEnv()
     i = env.declare_index("i", 16)
-    r = index_range(i, env)
-    assert r.is_constant()
-    assert (r.lo, r.hi) == (0, 15)
+    r = env.range_of(i)
+    assert r.is_literal()
+    assert r.constant_bounds() == (0, 15)
+    assert constant_interval(i, env) == Interval(0, 15)
     assert constant_interval(i * 4 + 3, env) == Interval(3, 63)
 
 
 def test_index_range_add_cancels_opaque_bases():
     env = SymbolicEnv()
-    x = Var("x")  # undeclared: opaque
-    r = index_range(x - x, env)
-    # the opaque fallback is exact (offset interval [0, 0]), so the
-    # enclosing Add cancels to a constant zero range
-    assert r.is_constant()
-    assert (r.lo, r.hi) == (0, 0)
+    x = Var("x")  # undeclared: no bounds at all
+    # an unbounded term is its own exact bound, so the sum cancels it
+    assert env.range_of(x - x) == SymInterval(0, 0)
+    assert constant_interval(x - x, env) == Interval(0, 0)
+    r = env.range_of((x + 3) - x)
+    assert r.constant_bounds() == (3, 3)
 
 
 def test_index_range_strides_track_affine_coefficients():
     env = SymbolicEnv()
     i = env.declare_index("i", 4)
     x = Var("x")
-    r = index_range(x * 16 + i, env)
-    assert not r.is_constant()
-    assert r.stride_of("x") == 16
-    assert (r.lo, r.hi) == (0, 3)
+    expr = x * 16 + i
+    r = env.range_of(expr)
+    # the unbounded part stays symbolic in both ends, offset by i's bounds
+    assert not r.is_literal()
+    assert (r.lo, r.hi) == (x * 16, x * 16 + 3)
+    assert constant_interval(expr - x * 16, env) == Interval(0, 3)
+    assert affine_strides(expr, ("x", "i")) == (0, {"x": 16, "i": 1})
 
 
 def test_index_range_mod_by_positive_constant_bounds():
     env = SymbolicEnv()
     x = Var("x")
-    r = index_range(x % 8, env)
-    assert r.is_constant()
-    assert (r.lo, r.hi) == (0, 7)
+    r = env.range_of(x % 8)
+    assert r.is_literal()
+    assert constant_interval(x % 8, env) == Interval(0, 7)
+
+
+def test_range_of_scales_through_a_possibly_negative_factor():
+    env = SymbolicEnv()
+    x = env.declare_range("x", -5, 5)
+    y = Var("y")
+    assert constant_interval(-3 * as_expr(x) + 1, env) == Interval(-14, 16)
+    # a single unbounded factor bounds the product by itself, sign flipped
+    assert env.range_of(-2 * y) == SymInterval(-2 * y, -2 * y)
+    # half-bounded: the known end scales, the unknown one stays symbolic
+    k = env.declare_range("k", -3, None)
+    assert env.range_of(-2 * as_expr(k)).hi == Const(6)
+    assert constant_interval(as_expr(k) // 4, env) == Interval(-1, None)
+
+
+def test_range_of_sound_with_partially_declared_variables():
+    # repro.check's fuzzer declares every variable fully, which keeps the
+    # walker on its integer path; here some variables are half-bounded or
+    # undeclared, so the symbolic rules (self-bounded ends) are exercised
+    import random
+
+    from repro.check.fuzz import FUZZ_VARS, random_expr
+
+    for trial in range(400):
+        rng = random.Random(trial)
+        expr = random_expr(rng, 4)
+        lo, hi = rng.choice(((0, 12), (-6, 6), (-9, 3)))
+        env = SymbolicEnv()
+        for name in FUZZ_VARS:
+            declared = rng.choice(((lo, hi), (lo, hi), (lo, None), (None, hi), None))
+            if declared is not None:
+                env.declare_range(name, *declared)
+        bindings = {name: rng.randint(lo, hi) for name in FUZZ_VARS}
+        value = expr.evaluate(bindings)
+        r = env.range_of(expr)
+        assert r.lo is None or r.lo.evaluate(bindings) <= value, (trial, str(expr), r)
+        assert r.hi is None or value <= r.hi.evaluate(bindings), (trial, str(expr), r)
 
 
 # -- affine_strides / is_mixed_radix_bijection --------------------------------------
@@ -187,9 +256,9 @@ def test_env_caches_share_one_invalidation_epoch():
     # populate several families through their public entry points
     simplify_fixpoint((i + 8) % 8, env)
     prove_nonneg(i, env)
-    index_range(i, env)
-    populated = [fam for fam in caches.families() if fam]
-    assert len(populated) >= 3
+    env.range_of(i * 2 + 1)
+    assert len(caches.families()) == 4
+    assert all(caches.families())
     epoch = caches.epoch
     fingerprint = env.fingerprint
     env.declare_index("j", 4)  # new fact: one bump clears every family
@@ -201,8 +270,9 @@ def test_env_caches_share_one_invalidation_epoch():
 def test_env_copy_snapshots_caches():
     env = SymbolicEnv()
     i = env.declare_index("i", 8)
-    index_range(i, env)
+    env.range_of(i * 2 + 1)
     clone = env.copy()
+    assert clone.caches.range == env.caches.range
     clone.declare_index("j", 4)
     # the clone invalidated its own caches; the original kept its entries
     assert any(env.caches.families())
@@ -228,16 +298,48 @@ def test_mod_interval_collapse_rewrites_to_offset():
         assert simplified.evaluate({"j": value}) == value % 4
 
 
-# -- prover: stride-aware stage and the in-bounds query -----------------------------
+# -- prover: the range stage and the in-bounds query --------------------------------
 
 
 def test_prove_nonneg_through_possibly_negative_scaling():
     env = SymbolicEnv()
     x = env.declare_range("x", -5, 5)
-    # range_of treats a product with a possibly-negative factor as top;
-    # the IndexRange stage bounds 2x + 10 to [0, 20] directly
+    # the range stage bounds 2x + 10 to [0, 20] by integer arithmetic
     assert prove_nonneg(2 * as_expr(x) + 10, env)
     assert not prove_nonneg(2 * as_expr(x) + 9, env)
+
+
+def test_entry_points_agree_on_strict_positivity():
+    # one ladder behind every entry point: 2x + 11 is in [1, 21]
+    env = SymbolicEnv()
+    x = env.declare_range("x", -5, 5)
+    expr = 2 * as_expr(x) + 11
+    assert prove_lt(0, expr, env)
+    assert prove_positive(expr, env)
+    assert is_nonzero(expr, env)
+    assert is_nonzero(-expr, env)
+    assert not prove_positive(expr - 1, env)
+    assert not is_nonzero(expr - 1, env)
+
+
+def test_ladder_counts_the_discharging_stage():
+    from repro.symbolic import cache_statistics
+
+    def ladder_counts():
+        rules = cache_statistics()["rule_applications"]
+        return {k: v for k, v in rules.items() if k.startswith("ladder:")}
+
+    env = SymbolicEnv()
+    i = env.declare_index("i", 16)
+    x = env.declare_range("x", -5, 5)
+    before = ladder_counts()
+    prove_nonneg(i, env)                      # sign of a declared index
+    prove_nonneg(2 * as_expr(x) + 10, env)    # needs the integer bounds
+    prove_nonneg(2 * as_expr(x) + 9, env)     # nobody can
+    prove_nonneg(i, env)                      # proof-cache hit: not a miss
+    after = ladder_counts()
+    delta = {k: after[k] - before.get(k, 0) for k in after if after[k] != before.get(k, 0)}
+    assert delta == {"ladder:structure": 1, "ladder:range": 1, "ladder:abstain": 1}
 
 
 def test_prove_in_bounds_is_inclusive_two_sided():

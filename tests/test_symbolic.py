@@ -17,7 +17,7 @@ from repro.symbolic import (
     Mod,
     Mul,
     PythonPrinter,
-    RangeEnv,
+    constant_interval,
     SymbolicEnv,
     SymInterval,
     TritonPrinter,
@@ -132,9 +132,10 @@ def test_interval_floordiv_and_mod():
 
 
 def test_range_env_range_of():
-    env = RangeEnv({"x": Interval(0, 7)})
-    x = Var("x")
-    assert env.range_of(x * 2 + 1) == Interval(1, 15)
+    env = SymbolicEnv()
+    x = env.declare_range("x", 0, 7)
+    assert env.range_of(x * 2 + 1) == SymInterval(1, 15)
+    assert constant_interval(x * 2 + 1, env) == Interval(1, 15)
 
 
 def test_sym_interval_constructors():
