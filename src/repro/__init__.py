@@ -71,12 +71,10 @@ from .codegen import (
     CodegenContext,
     GeneratedKernel,
     available_backends,
-    generate_cuda_kernel,
-    generate_triton_kernel,
     get_backend,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "__version__",
@@ -113,6 +111,4 @@ __all__ = [
     "GeneratedKernel",
     "available_backends",
     "get_backend",
-    "generate_triton_kernel",
-    "generate_cuda_kernel",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codegen import CodegenContext, TritonKernel, generate_triton_kernel
+from ..codegen import CodegenContext, TritonKernel, get_backend
 from ..core import Row, TileBy
 from ..gpusim import A100_80GB, DeviceSpec
 from ..symbolic import Var
@@ -213,7 +213,9 @@ def build_grouped_gemm_context() -> CodegenContext:
 
 
 def generate_grouped_gemm_kernel() -> TritonKernel:
-    return generate_triton_kernel("grouped_gemm", GROUPED_GEMM_TEMPLATE, build_grouped_gemm_context())
+    return get_backend("triton").generate(
+        "grouped_gemm", GROUPED_GEMM_TEMPLATE, build_grouped_gemm_context()
+    )
 
 
 def grouped_gemm_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codegen import CodegenContext, CudaKernel, generate_cuda_kernel, note_fallback, note_static_proof
+from ..codegen import CodegenContext, CudaKernel, get_backend, note_fallback, note_static_proof
 from ..core import GroupBy, Row
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, cost_features, estimate_time
 from ..minicuda import GlobalArray, launch
@@ -125,7 +125,7 @@ def generate_lud_internal_kernel(config: LudConfig) -> CudaKernel:
     ctx.bind("element_offset", layout.apply(r_i, r_j, ty, tx))
     ctx.require_in_bounds("element_offset", 0, config.block * config.block - 1)
     template = LUD_INTERNAL_TEMPLATE.format(B=config.block, R=coarsening)
-    return generate_cuda_kernel(f"lud_internal_b{config.block}", template, ctx)
+    return get_backend("cuda").generate(f"lud_internal_b{config.block}", template, ctx)
 
 
 def lud_reference(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codegen import CodegenContext, TritonKernel, generate_triton_kernel
+from ..codegen import CodegenContext, TritonKernel, get_backend
 from ..core import Col, Row, TileBy
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, estimate_time
 from ..gpusim.baselines import cublas_matmul_time, triton_matmul_efficiency
@@ -172,7 +172,7 @@ def build_matmul_context(variant: str = "nn") -> CodegenContext:
 def generate_matmul_kernel(variant: str = "nn") -> TritonKernel:
     """Instantiate the matmul template for one operand-layout variant."""
     context = build_matmul_context(variant)
-    return generate_triton_kernel(f"matmul_{variant}", MATMUL_TEMPLATE, context)
+    return get_backend("triton").generate(f"matmul_{variant}", MATMUL_TEMPLATE, context)
 
 
 def run_matmul(

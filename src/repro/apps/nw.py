@@ -30,7 +30,7 @@ import numpy as np
 from ..codegen import generate_accessor_wrapper, prove_guard_redundant
 from ..core import GroupBy, RegP, GenP, antidiagonal
 from ..gpusim import A100_80GB, DeviceSpec, estimate_time
-from ..minicuda import CudaTrace, GlobalArray, launch, trace_to_cost
+from ..minicuda import CudaTrace, GlobalArray, launch
 from ..symbolic import BoolAnd, SymbolicEnv, as_expr
 
 __all__ = [

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codegen import CodegenContext, TritonKernel, generate_triton_kernel
+from ..codegen import CodegenContext, TritonKernel, get_backend
 from ..core import GroupBy, Row
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, estimate_time
 from ..gpusim.baselines import pytorch_elementwise_time
@@ -147,7 +147,7 @@ def build_softmax_context(config: SoftmaxConfig | None = None) -> CodegenContext
 
 
 def generate_softmax_kernel() -> TritonKernel:
-    return generate_triton_kernel("softmax", SOFTMAX_TEMPLATE, build_softmax_context())
+    return get_backend("triton").generate("softmax", SOFTMAX_TEMPLATE, build_softmax_context())
 
 
 def softmax_reference(x: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ Four pieces live here, composed by their users:
   process can produce.
 * :class:`ResultCache` — the persistent tier: a ``key -> dict`` JSON store
   with atomic writes (temp file + ``os.replace``) and a ``corrupt_reset``
-  flag raised when an unreadable store was discarded on load.  Grown out of
-  ``repro.tune.cache`` (which now re-exports it) so the autotuner's
-  evaluation cache and the service's kernel store share one implementation.
+  flag raised when an unreadable store was discarded on load.  The
+  autotuner's evaluation cache and the service's kernel store share it, and
+  both salt their keys with :func:`code_fingerprint`.
 * :class:`ShardedFileStore` — the multi-process durable tier: one atomic
   file per entry, sharded into subdirectories, so compile-farm workers in
   different processes share one store without last-writer-wins data loss
@@ -24,7 +24,7 @@ Four pieces live here, composed by their users:
 
 from .claims import Claim, ClaimRegistry
 from .filestore import ShardedFileStore
-from .persistent import ResultCache, stable_digest
+from .persistent import ResultCache, code_fingerprint, stable_digest
 from .sharded import ShardedLRUCache
 
 __all__ = [
@@ -33,5 +33,6 @@ __all__ = [
     "ResultCache",
     "ShardedFileStore",
     "ShardedLRUCache",
+    "code_fingerprint",
     "stable_digest",
 ]

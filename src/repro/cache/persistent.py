@@ -1,10 +1,10 @@
 """Persistent JSON-backed result store shared by the tuner and the service.
 
-Originally ``repro.tune.cache``: the autotuner's evaluation cache, keyed by a
-digest of the app, the candidate configuration and the lowered index
-expressions of the generated kernel.  The compilation service reuses the same
-store as the durable tier of its kernel cache (payloads are kernel sources
-plus metadata instead of evaluation results), so the class moved here.
+The autotuner's evaluation cache is keyed by a digest of the app, the
+candidate configuration and the lowered index expressions of the generated
+kernel.  The compilation service uses the same store as the durable tier of
+its kernel cache (payloads are kernel sources plus metadata instead of
+evaluation results).
 
 Durability contract:
 
@@ -28,7 +28,7 @@ import threading
 from pathlib import Path
 from typing import Mapping
 
-__all__ = ["ResultCache", "stable_digest"]
+__all__ = ["ResultCache", "code_fingerprint", "stable_digest"]
 
 
 def stable_digest(payload: Mapping) -> str:
@@ -43,6 +43,37 @@ def stable_digest(payload: Mapping) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()
     ).hexdigest()
+
+
+_CODE_FINGERPRINT: str | None = None
+_CODE_FINGERPRINT_LOCK = threading.Lock()
+
+
+def code_fingerprint() -> str:
+    """Content digest of the installed ``repro`` package source.
+
+    Salts every durable key (the service's kernel-store keys, the tuner's
+    evaluation keys): a persisted entry must not outlive the code that
+    produced it — a hand-bumped version string cannot guarantee that, because
+    development edits layouts, the expression engine and the cost model
+    without bumping it.  Hashing ~100 source files costs a few milliseconds,
+    once per process, only when a key is first built.
+    """
+    global _CODE_FINGERPRINT
+    if _CODE_FINGERPRINT is None:
+        with _CODE_FINGERPRINT_LOCK:
+            if _CODE_FINGERPRINT is None:
+                import repro
+
+                root = Path(repro.__file__).parent
+                digest = hashlib.sha256()
+                for path in sorted(root.rglob("*.py")):
+                    digest.update(str(path.relative_to(root)).encode())
+                    digest.update(b"\0")
+                    digest.update(path.read_bytes())
+                    digest.update(b"\0")
+                _CODE_FINGERPRINT = digest.hexdigest()
+    return _CODE_FINGERPRINT
 
 
 class ResultCache:
@@ -87,14 +118,12 @@ class ResultCache:
         :class:`~repro.gpusim.DeviceSpec` an evaluation was costed against —
         per-device tuning (:mod:`repro.tune.search`) reuses one store across
         the zoo, and the same configuration evaluates differently on every
-        device.  The package version salts every key so entries also
-        invalidate across releases of the analytic performance model (which
+        device.  :func:`code_fingerprint` salts every key so entries also
+        invalidate whenever the analytic performance model changes (which
         evaluation depends on but the expressions cannot capture).
         """
-        from .. import __version__
-
         payload = {
-            "version": __version__,
+            "code": code_fingerprint(),
             "app": app,
             "backend": backend,
             "device": device,

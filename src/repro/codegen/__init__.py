@@ -6,8 +6,6 @@
   :func:`register_backend` — the backend protocol and registry shared by the
   Triton, CUDA and MLIR generators (one lower-render-validate path, one
   result type),
-* :func:`generate_triton_kernel` / :func:`generate_cuda_kernel` — thin
-  wrappers over the registry kept for existing call sites,
 * :func:`generate_accessor_wrapper` — CUDA accessor-struct emission for
   layouts applied per-access (the NW integration style),
 * :func:`prove_guard_redundant` / :func:`discharge_in_bounds` — static guard
@@ -39,8 +37,8 @@ from .backend import (
     get_backend,
     register_backend,
 )
-from .triton import TritonKernel, generate_triton_kernel
-from .cuda import CudaKernel, generate_accessor_wrapper, generate_cuda_kernel
+from .triton import TritonKernel
+from .cuda import CudaKernel, generate_accessor_wrapper
 from .pipeline import GenerationReport, compare_expansion_strategies, time_generation
 
 __all__ = [
@@ -61,9 +59,7 @@ __all__ = [
     "get_backend",
     "register_backend",
     "TritonKernel",
-    "generate_triton_kernel",
     "CudaKernel",
-    "generate_cuda_kernel",
     "generate_accessor_wrapper",
     "GenerationReport",
     "compare_expansion_strategies",

@@ -19,15 +19,14 @@ Python CUDA execution model in :mod:`repro.minicuda`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from ..core.blocks import GroupBy
 from ..core.perms import GenP
 from ..symbolic import CPrinter
-from .backend import GeneratedKernel, TemplateBackend, get_backend, register_backend
+from .backend import GeneratedKernel, TemplateBackend, register_backend
 from .context import CodegenContext
 
-__all__ = ["CudaKernel", "CudaBackend", "generate_cuda_kernel", "generate_accessor_wrapper"]
+__all__ = ["CudaKernel", "CudaBackend", "generate_accessor_wrapper"]
 
 
 @dataclass
@@ -49,23 +48,6 @@ class CudaBackend(TemplateBackend):
         launch_bounds = options.pop("launch_bounds", None)
         super().kernel_kwargs(options)
         return {"launch_bounds": dict(launch_bounds or {})}
-
-
-def generate_cuda_kernel(
-    name: str,
-    template: str,
-    context: CodegenContext,
-    extra_bindings: Mapping[str, object] | None = None,
-    launch_bounds: Mapping[str, int] | None = None,
-) -> CudaKernel:
-    """Instantiate a CUDA kernel template with LEGO-lowered index expressions.
-
-    Thin wrapper over ``get_backend("cuda").generate`` kept for existing
-    call sites.
-    """
-    return get_backend("cuda").generate(
-        name, template, context, extra_bindings, launch_bounds=launch_bounds
-    )
 
 
 _WRAPPER_TEMPLATE = """\

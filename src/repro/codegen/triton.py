@@ -13,20 +13,17 @@ GPU + the Triton compiler documented in DESIGN.md).
 The actual lower-render-validate sequence lives in the shared
 :class:`~repro.codegen.backend.TemplateBackend`; this module contributes the
 Triton printer, the :class:`TritonKernel` result type and the registry entry
-(``get_backend("triton")``).  :func:`generate_triton_kernel` is kept as a
-thin wrapper over the registry for existing call sites.
+(``get_backend("triton")``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from ..symbolic import TritonPrinter
 from .backend import GeneratedKernel, TemplateBackend, register_backend
-from .context import CodegenContext
 
-__all__ = ["TritonKernel", "TritonBackend", "generate_triton_kernel"]
+__all__ = ["TritonKernel", "TritonBackend"]
 
 
 @dataclass
@@ -48,27 +45,3 @@ class TritonBackend(TemplateBackend):
         constants = options.pop("constants", None)
         super().kernel_kwargs(options)
         return {"constants": dict(constants or {})}
-
-
-def generate_triton_kernel(
-    name: str,
-    template: str,
-    context: CodegenContext,
-    extra_bindings: Mapping[str, object] | None = None,
-    constants: Mapping[str, int] | None = None,
-) -> TritonKernel:
-    """Instantiate ``template`` with the expressions lowered from ``context``.
-
-    ``extra_bindings`` are substituted verbatim (strings or stringifiable
-    values) — useful for names that are not index expressions, such as data
-    types.  Every placeholder in the template must be covered by either the
-    context bindings or ``extra_bindings``.
-
-    Thin wrapper over ``get_backend("triton").generate`` kept for existing
-    call sites.
-    """
-    from .backend import get_backend
-
-    return get_backend("triton").generate(
-        name, template, context, extra_bindings, constants=constants
-    )

@@ -12,9 +12,11 @@ NumPy-backed execution model that
   layout and whose per-warp bank conflicts are recorded
   (:class:`SharedArray`);
 * provides global-memory views whose per-warp sector transactions are
-  recorded (:class:`GlobalArray`);
-* converts the recorded counters into a :class:`repro.gpusim.KernelCost`
-  for the analytic device model (:func:`trace_to_cost`).
+  recorded (:class:`GlobalArray`).
+
+:func:`repro.perf.adapters.cuda_trace_to_cost` converts the recorded
+counters into a :class:`repro.gpusim.KernelCost` for the analytic device
+model.
 
 Functional correctness is checked by running full launches at small problem
 sizes; performance estimation traces a sample of blocks and scales.
@@ -22,7 +24,6 @@ sizes; performance estimation traces a sample of blocks and scales.
 
 from .runtime import BlockContext, CudaTrace, Dim3, launch
 from .smem import GlobalArray, SharedArray
-from .trace import trace_to_cost
 
 __all__ = [
     "Dim3",
@@ -31,5 +32,4 @@ __all__ = [
     "launch",
     "SharedArray",
     "GlobalArray",
-    "trace_to_cost",
 ]

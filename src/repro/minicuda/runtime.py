@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..gpusim.sharedmem import ConflictProfile
+from ..vm.engine import run_launch
 
 __all__ = ["Dim3", "BlockContext", "CudaTrace", "launch"]
 
@@ -288,60 +289,16 @@ def launch(
     sector_bytes = device.dram_sector_bytes if device is not None else None
     run_trace = CudaTrace(sector_bytes=sector_bytes or 32) if trace else None
 
-    if sample_blocks is None or sample_blocks >= total_blocks:
-        block_ids = range(total_blocks)
-        scale = 1.0
-    else:
-        if sample_blocks <= 0:
-            raise ValueError("sample_blocks must be positive")
-        from ..vm.sampling import evenly_spaced
-
-        block_ids = evenly_spaced(total_blocks, sample_blocks)
-        scale = total_blocks / len(block_ids)
-
-    max_smem = 0
-    executed = False
-    from ..vm.engine import engine_mode
-
-    mode = engine_mode()
-    if mode != "treewalk" and len(block_ids) > 1:
-        from .smem import GlobalArray
+    def batched(block_ids, run_trace):
         from ..vm.cuda import launch_batched
 
-        # snapshot global arrays so a mid-flight batched failure can fall
-        # back to a clean tree-walk run
-        snapshots = [
-            (value, value.data.copy()) for value in args if isinstance(value, GlobalArray)
-        ]
-        attempt = CudaTrace(sector_bytes=sector_bytes or 32) if trace else None
-        try:
-            max_smem = launch_batched(
-                kernel, grid, block, args, attempt, block_ids,
-                warp_size=warp_size, sector_bytes=sector_bytes,
-            )
-            executed = True
-            if run_trace is not None and attempt is not None:
-                run_trace.load_elements = attempt.load_elements
-                run_trace.store_elements = attempt.store_elements
-                run_trace.load_bytes = attempt.load_bytes
-                run_trace.store_bytes = attempt.store_bytes
-                run_trace.load_transactions = attempt.load_transactions
-                run_trace.store_transactions = attempt.store_transactions
-                run_trace.smem_load_bytes = attempt.smem_load_bytes
-                run_trace.smem_store_bytes = attempt.smem_store_bytes
-                run_trace.smem_profile = attempt.smem_profile
-                run_trace.flops = attempt.flops
-        except Exception as exc:
-            if mode == "vectorized-strict":
-                raise
-            max_smem = 0
-            for array, saved in snapshots:
-                array.data[:] = saved
-            from ..obs import record_vm_fallback
+        return launch_batched(
+            kernel, grid, block, args, run_trace, block_ids,
+            warp_size=warp_size, sector_bytes=sector_bytes,
+        )
 
-            record_vm_fallback("minicuda", kernel, exc)
-
-    if not executed:
+    def treewalk(block_ids, run_trace):
+        max_smem = 0
         for flat in block_ids:
             bx = flat % grid.x
             by = (flat // grid.x) % grid.y
@@ -352,12 +309,17 @@ def launch(
             )
             kernel(ctx, *args)
             max_smem = max(max_smem, ctx.smem_bytes_allocated())
+        return max_smem
+
+    executed_blocks, scale, max_smem = run_launch(
+        total_blocks, sample_blocks, "sample_blocks", batched, treewalk, run_trace
+    )
 
     if run_trace is None:
         run_trace = CudaTrace()
     run_trace.blocks = total_blocks
     run_trace.threads_per_block = block.count
-    run_trace.executed_blocks = len(list(block_ids))
+    run_trace.executed_blocks = executed_blocks
     run_trace.smem_per_block = max_smem
     run_trace.scale = scale
     return run_trace.scaled()

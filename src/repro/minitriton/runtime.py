@@ -25,6 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..vm.engine import run_launch
 from . import language as tl
 from .language import DeviceBuffer, KernelTrace
 
@@ -118,61 +119,16 @@ def launch(
     charges moved bytes at the same size.
     """
     grid3 = _normalize_grid(grid)
-    total = grid3[0] * grid3[1] * grid3[2]
-    state = tl._get_state()
-    previous_trace = state.trace
-    previous_grid = state.grid
-    previous_sector = state.sector_bytes
     run_trace = KernelTrace(sector_bytes=sector_bytes) if trace else None
 
-    if sample_programs is None or sample_programs >= total:
-        program_ids = range(total)
-        scale = 1.0
-    else:
-        if sample_programs <= 0:
-            raise ValueError("sample_programs must be positive")
-        from ..vm.sampling import evenly_spaced
-
-        program_ids = evenly_spaced(total, sample_programs)
-        scale = total / len(program_ids)
-
-    executed = False
-    from ..vm.engine import engine_mode
-
-    mode = engine_mode()
-    if mode != "treewalk" and len(program_ids) > 1 and hasattr(kernel, "_lego_source"):
+    def batched(program_ids, run_trace):
         from ..vm.triton import launch_batched
 
-        # snapshot device buffers so a mid-flight batched failure can fall
-        # back to a clean tree-walk run
-        snapshots = {
-            key: value.data.copy()
-            for key, value in kernel_args.items()
-            if isinstance(value, DeviceBuffer)
-        }
-        attempt = KernelTrace(sector_bytes=sector_bytes) if trace else None
-        try:
-            launch_batched(kernel, grid3, kernel_args, attempt, program_ids, sector_bytes)
-            executed = True
-            if run_trace is not None and attempt is not None:
-                run_trace.load_elements = attempt.load_elements
-                run_trace.store_elements = attempt.store_elements
-                run_trace.load_bytes = attempt.load_bytes
-                run_trace.store_bytes = attempt.store_bytes
-                run_trace.load_transactions = attempt.load_transactions
-                run_trace.store_transactions = attempt.store_transactions
-                run_trace.flops = attempt.flops
-                run_trace.tensor_core_flops = attempt.tensor_core_flops
-        except Exception as exc:
-            if mode == "vectorized-strict":
-                raise
-            for key, saved in snapshots.items():
-                kernel_args[key].data[:] = saved
-            from ..obs import record_vm_fallback
+        launch_batched(kernel, grid3, kernel_args, run_trace, program_ids, sector_bytes)
 
-            record_vm_fallback("minitriton", kernel, exc)
-
-    if not executed:
+    def treewalk(program_ids, run_trace):
+        state = tl._get_state()
+        previous = (state.trace, state.grid, state.sector_bytes)
         try:
             state.trace = run_trace
             state.grid = grid3
@@ -184,14 +140,19 @@ def launch(
                 state.program_ids = (pid0, pid1, pid2)
                 kernel(**kernel_args)
         finally:
-            state.trace = previous_trace
-            state.grid = previous_grid
-            state.sector_bytes = previous_sector
+            state.trace, state.grid, state.sector_bytes = previous
             state.program_ids = (0, 0, 0)
+
+    # the batched engine re-executes the kernel's source text, which only
+    # kernels built by compile_kernel carry
+    programs, scale, _ = run_launch(
+        grid3[0] * grid3[1] * grid3[2], sample_programs, "sample_programs",
+        batched if hasattr(kernel, "_lego_source") else None, treewalk, run_trace,
+    )
 
     if run_trace is None:
         run_trace = KernelTrace(sector_bytes=sector_bytes)
-    run_trace.programs = len(list(program_ids))
+    run_trace.programs = programs
     run_trace.scale = scale
     run_trace.sampled = scale != 1.0
     return run_trace.scaled()

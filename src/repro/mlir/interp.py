@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..gpusim.sharedmem import ConflictProfile, warp_conflict_degree
+from ..vm.engine import run_launch
 from .ir import Block, FuncOp, Module, Operation, Value
 from .types import MemRefType
 
@@ -354,53 +355,16 @@ def run_gpu_kernel(
     block = tuple(int(b) for b in block)
     total_blocks = grid[0] * grid[1] * grid[2]
 
-    if sample_blocks is None or sample_blocks >= total_blocks:
-        block_ids = range(total_blocks)
-        scale = 1.0
-    else:
-        from ..vm.sampling import evenly_spaced
-
-        block_ids = evenly_spaced(total_blocks, sample_blocks)
-        scale = total_blocks / len(block_ids)
-
-    smem_per_block = 0
-    executed = False
-    from ..vm.engine import engine_mode
-
-    mode = engine_mode()
-    if mode != "treewalk" and len(block_ids) > 1:
+    def batched(block_ids, result):
         from ..vm.mlir import launch_batched
 
-        # snapshot argument buffers so a mid-flight batched failure can
-        # fall back to a clean tree-walk run
-        snapshots = [(buf, buf.copy()) for buf in flat_buffers.values()]
-        attempt = GpuLaunchResult(sector_bytes=sector_bytes)
-        try:
-            smem_per_block = launch_batched(
-                fn, grid, block, flat_buffers, arguments, attempt, block_ids,
-                warp_size=warp_size, sector_bytes=sector_bytes,
-            )
-            executed = True
-            result.load_elements = attempt.load_elements
-            result.store_elements = attempt.store_elements
-            result.load_bytes = attempt.load_bytes
-            result.store_bytes = attempt.store_bytes
-            result.load_transactions = attempt.load_transactions
-            result.store_transactions = attempt.store_transactions
-            result.smem_bytes = attempt.smem_bytes
-            result.smem_profile = attempt.smem_profile
-            result.flops = attempt.flops
-        except Exception as exc:
-            if mode == "vectorized-strict":
-                raise
-            smem_per_block = 0
-            for buf, saved in snapshots:
-                buf[:] = saved
-            from ..obs import record_vm_fallback
+        return launch_batched(
+            fn, grid, block, flat_buffers, arguments, result, block_ids,
+            warp_size=warp_size, sector_bytes=sector_bytes,
+        )
 
-            record_vm_fallback("mlir", fn, exc)
-
-    if not executed:
+    def treewalk(block_ids, result):
+        smem_per_block = 0
         for flat in block_ids:
             bx = flat % grid[0]
             by = (flat // grid[0]) % grid[1]
@@ -416,10 +380,11 @@ def run_gpu_kernel(
                     executor.set(value, array)
             executor.run_block(fn.body)
             smem_per_block = max(smem_per_block, executor.shared_allocated)
+        return smem_per_block
 
+    result.executed_blocks, result.scale, result.smem_per_block = run_launch(
+        total_blocks, sample_blocks, "sample_blocks", batched, treewalk, result
+    )
     result.blocks = total_blocks
     result.threads_per_block = block[0] * block[1] * block[2]
-    result.executed_blocks = len(list(block_ids))
-    result.smem_per_block = smem_per_block
-    result.scale = scale
     return result.scaled()

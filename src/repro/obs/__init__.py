@@ -57,25 +57,6 @@ from .trace import (
     tracing,
 )
 
-def record_vm_fallback(substrate: str, kernel, exc: BaseException) -> None:
-    """Record one vectorized-engine fallback to the tree-walk interpreter.
-
-    Called by the substrate runtimes (minitriton / minicuda / mlir) at the
-    point where a batched execution attempt failed and the launch restarts
-    under the tree-walk engine: bumps the ``repro.vm.fallbacks`` counter and
-    drops an instant event into the active trace so the fallback shows up in
-    the timeline next to the re-executed launch.
-    """
-    counter("repro.vm.fallbacks").inc()
-    instant(
-        "vm.fallback",
-        "vm",
-        substrate=substrate,
-        kernel=getattr(kernel, "name", "") or getattr(kernel, "__name__", ""),
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
 def record_farm_event(kind: str, **fields) -> None:
     """Record one farm lifecycle event (``shed`` / ``restart`` / ``redrive``).
 
@@ -93,7 +74,6 @@ def record_farm_event(kind: str, **fields) -> None:
 
 __all__ = [
     "record_farm_event",
-    "record_vm_fallback",
     # tracing
     "TRACE_ENV",
     "TRACER",

@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="app to autotune (default: matmul, on a bounded subspace)")
     parser.add_argument("--measure-top-k", type=int, default=3,
                         help="candidates to measure on the substrate (default: 3)")
-    parser.add_argument("--engine", default=None,
-                        help="substrate execution engine (vectorized | vectorized-strict | treewalk)")
+    parser.add_argument("--engine", default=None, choices=("vectorized", "treewalk"),
+                        help="substrate execution engine (vectorized | treewalk)")
     parser.add_argument("--replay", type=int, default=0, metavar="N",
                         help="also replay N synthetic compile requests through the service")
     parser.add_argument("--trace", default=None, metavar="PATH", dest="trace_path",

@@ -5,7 +5,7 @@ stack's previously ad-hoc accounting:
 
 * **Owned metrics** — :class:`Counter` / :class:`Gauge` / :class:`Histogram`
   instruments created through :meth:`MetricsRegistry.counter` and friends
-  (the vectorized-engine fallback counters, search-stage counters, ...).
+  (the proof and guard counters, search-stage counters, ...).
 * **Absorbed sources** — existing stat producers registered as callables
   that return a (possibly nested) dict: the symbolic engine's global
   :data:`~repro.symbolic.stats.CACHE_STATS` is registered by default, and a

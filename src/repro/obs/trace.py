@@ -23,7 +23,7 @@ Design constraints, in priority order:
 3. **Self-describing export.**  :func:`chrome_trace` returns the standard
    ``{"traceEvents": [...]}`` JSON object: ``ph="X"`` complete events with
    microsecond ``ts``/``dur``, ``ph="i"`` instants for point occurrences
-   (e.g. a vectorized-engine fallback), and ``ph="M"`` thread-name
+   (e.g. a farm worker restart), and ``ph="M"`` thread-name
    metadata.  :func:`repro.obs.report.validate_chrome_trace` checks an
    export against the schema the viewers require.
 """
@@ -140,7 +140,7 @@ class Tracer:
         return Span(self, name, category, args)
 
     def instant(self, name: str, category: str = "repro", **args) -> None:
-        """Record a point event (e.g. a fallback) at the current time."""
+        """Record a point event (e.g. a farm restart) at the current time."""
         if not self.enabled:
             return
         now = time.perf_counter()

@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-error-for", action="append", default=[], metavar="APP=BOUND",
                         dest="max_error_for",
                         help="per-app override of --max-error (repeatable, e.g. --max-error-for matmul=10)")
-    parser.add_argument("--engine", default=None, choices=("vectorized", "vectorized-strict", "treewalk"),
+    parser.add_argument("--engine", default=None, choices=("vectorized", "treewalk"),
                         help="substrate execution engine (default: the ambient mode, normally vectorized)")
     parser.add_argument("--full-launch", action="store_true", dest="full_launch",
                         help="require unsampled launches and differentially verify every measured config "

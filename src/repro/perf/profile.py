@@ -187,13 +187,13 @@ def profile(
     returned :class:`KernelProfile`.
 
     ``engine`` overrides the substrate execution engine for this profile
-    (``"vectorized"`` — the default — ``"vectorized-strict"`` or
-    ``"treewalk"``; see :mod:`repro.vm`); ``None`` keeps the ambient mode.
+    (``"vectorized"`` — the default — or ``"treewalk"``; see
+    :mod:`repro.vm`); ``None`` keeps the ambient mode.
     """
-    from ..vm.engine import engine_mode, use_engine
+    from ..vm.engine import resolve_mode, use_engine
 
     spec = _resolve(app)
-    resolved_engine = engine if engine is not None else engine_mode()
+    resolved_engine = resolve_mode(engine)
     report = KernelProfile(app=spec.name, backend=spec.backend, config=dict(config),
                            seed=seed, device=device.name, engine=resolved_engine)
     with span("perf.profile", "perf", app=spec.name, device=device.name,

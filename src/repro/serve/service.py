@@ -28,7 +28,6 @@ counters mutate only under the service lock.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import threading
 import time
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from ..cache import ResultCache, ShardedLRUCache, stable_digest
+from ..cache import ResultCache, ShardedLRUCache, code_fingerprint, stable_digest
 from ..codegen.backend import GeneratedKernel
 from ..obs.trace import span
 from ..symbolic import CostWeights
@@ -54,36 +53,6 @@ __all__ = [
     "table_requests",
     "warm_from_table",
 ]
-
-
-_CODE_FINGERPRINT: str | None = None
-_CODE_FINGERPRINT_LOCK = threading.Lock()
-
-
-def code_fingerprint() -> str:
-    """Content digest of the installed ``repro`` package source.
-
-    Salts every durable-tier key: the persistent kernel store must not
-    serve a kernel generated by *different code* — the version string alone
-    cannot catch that, because development edits layouts and the expression
-    engine without bumping it.  Hashing ~100 source files costs a few
-    milliseconds, once per process, only when a store is configured.
-    """
-    global _CODE_FINGERPRINT
-    if _CODE_FINGERPRINT is None:
-        with _CODE_FINGERPRINT_LOCK:
-            if _CODE_FINGERPRINT is None:
-                import repro
-
-                root = Path(repro.__file__).parent
-                digest = hashlib.sha256()
-                for path in sorted(root.rglob("*.py")):
-                    digest.update(str(path.relative_to(root)).encode())
-                    digest.update(b"\0")
-                    digest.update(path.read_bytes())
-                    digest.update(b"\0")
-                _CODE_FINGERPRINT = digest.hexdigest()
-    return _CODE_FINGERPRINT
 
 
 def _freeze(value):

@@ -153,8 +153,8 @@ class ProfileStore:
     """Measured-profile records + fitted models in the durable cache tier.
 
     Keys are *namespaced raw strings* (not :meth:`ResultCache.key` digests),
-    so they survive the version salt: a profile measured under release N is
-    still valid training data under release N+1 — the substrate time of a
+    so they survive the source-fingerprint salt: a profile measured before a
+    source edit is still valid training data after it — the substrate time of a
     configuration is a fact about the configuration, not about the model
     that predicted it.
     """

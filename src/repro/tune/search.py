@@ -411,14 +411,14 @@ def search(
     evaluation, measurement, cache keys and persistence.
     """
     from ..gpusim import A100_80GB, get_device
-    from ..vm.engine import engine_mode
+    from ..vm.engine import resolve_mode
 
     spec = _resolve(app)
     space = spec.space if space is None else space
     device_spec = get_device(device) if device is not None else A100_80GB
     cache = cache if cache is not None else ResultCache(cache_path)
     store = profile_store if profile_store is not None else ProfileStore(cache)
-    resolved_engine = engine if engine is not None else engine_mode()
+    resolved_engine = resolve_mode(engine)
 
     started = time.perf_counter()
     stage_seconds: dict[str, float] = {}

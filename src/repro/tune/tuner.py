@@ -18,9 +18,10 @@ loop.  This module turns that sweep into a subsystem:
    the op-count cost model breaks performance-model ties toward cheaper
    index arithmetic, and enumeration order (paper-preferred values first)
    breaks exact ties deterministically;
-4. results land in a persistent :class:`~repro.tune.cache.ResultCache` keyed
-   off the hash-consed lowered expressions (and the backend name), so
-   re-running a sweep after an unrelated change costs nothing.
+4. results land in a persistent :class:`~repro.cache.ResultCache` keyed
+   off the hash-consed lowered expressions (and the backend name) and
+   salted by the source fingerprint, so re-running a sweep on unchanged
+   code costs nothing.
 
 Evaluation can optionally fan out over a process pool (``parallel=N``) for
 trace-heavy apps; generation runs through the (thread-pooled) service

@@ -1,35 +1,35 @@
 """Vectorized substrate execution engine.
 
 The three execution substrates (:mod:`repro.minitriton`,
-:mod:`repro.minicuda`, :mod:`repro.mlir`) were built as tree-walk
-interpreters: one Python pass per program / per block, which makes them
-easy to audit but slow enough that ``repro.perf`` had to ration itself
-to sampled launches.  This package compiles each launch into a
-**whole-grid vectorized NumPy execution**: every program (mini-Triton)
-or block (mini-CUDA, MLIR) runs simultaneously along a leading batch
-axis, and the trace counters — DRAM sectors at the trace's recorded
-granularity, shared-memory bank-conflict degrees, flops — are
-synthesized from the batched access-offset arrays with
-:mod:`repro.vm.batch` instead of per-access Python callbacks.
+:mod:`repro.minicuda`, :mod:`repro.mlir`) each have a tree-walk
+interpreter — one Python pass per program / per block, easy to audit —
+and a batched executor in this package that runs the **whole grid as one
+NumPy execution**: every program (mini-Triton) or block (mini-CUDA, MLIR)
+runs simultaneously along a leading batch axis, and the trace counters —
+DRAM sectors at the trace's recorded granularity, shared-memory
+bank-conflict degrees, flops — are synthesized from the batched
+access-offset arrays with :mod:`repro.vm.batch`.
 
-The engine is **bit-for-bit equivalent** to the interpreters: outputs
-and every trace counter match exactly (all counters are sums of
-integer-valued terms, so summation order cannot perturb them), which is
-what lets ``repro.check`` differentially verify each vectorized
-executor against its tree-walk twin.
+The two are **bit-for-bit equivalent**: outputs and every trace counter
+match exactly (all counters are sums of integer-valued terms, so
+summation order cannot perturb them), which is what lets ``repro.check``
+differentially verify each batched executor against its tree-walk twin.
 
-Selection is controlled by :func:`engine_mode` / :func:`use_engine`
-(or the ``REPRO_VM`` environment variable):
+:func:`repro.vm.engine.run_launch` is the one dispatch the three
+launchers share.  The engine is selected by :func:`use_engine` (or the
+``REPRO_VM`` environment variable) and read with :func:`engine_mode`:
 
-* ``"vectorized"`` (default) — batched execution, falling back to the
-  tree-walk interpreter when a kernel does something the batched
-  namespace cannot express;
-* ``"vectorized-strict"`` — batched execution, re-raising instead of
-  falling back (used by the equivalence tests);
-* ``"treewalk"`` — the original interpreters, unconditionally.
+* ``"vectorized"`` (default) — batched execution; whatever the batched
+  engine raises is the launch's error.  A hand-written kernel using a
+  construct it cannot express gets an error that says to run it under
+  ``use_engine("treewalk")``;
+* ``"treewalk"`` — the reference interpreters.
+
+Single-lane launches and mini-Triton kernels not built by
+:func:`repro.minitriton.compile_kernel` have nothing to batch and take
+the tree walk in either mode.
 """
 
-from .engine import engine_mode, set_engine_mode, use_engine
-from .sampling import evenly_spaced
+from .engine import engine_mode, evenly_spaced, use_engine
 
-__all__ = ["engine_mode", "set_engine_mode", "use_engine", "evenly_spaced"]
+__all__ = ["engine_mode", "use_engine", "evenly_spaced"]

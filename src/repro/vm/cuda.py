@@ -37,6 +37,7 @@ from ..core.bijection import flatten_index
 from ..minicuda.runtime import BlockContext, CudaTrace, Dim3
 from ..minicuda.smem import _layout_table
 from .batch import chunk_keys, grouped_conflict_degrees, grouped_unique_count
+from .engine import TREEWALK_HINT
 
 __all__ = ["BatchedBlockContext", "launch_batched"]
 
@@ -108,7 +109,8 @@ class BatchedSharedArray:
         if physical.ndim <= 1:
             return False
         raise TypeError(
-            f"{self.name}: cannot classify a rank-{physical.ndim} access under batching"
+            f"{self.name}: cannot classify a rank-{physical.ndim} access under batching; "
+            f"{TREEWALK_HINT}"
         )
 
     def _record(self, physical: np.ndarray, batched: bool, is_store: bool) -> None:
@@ -362,7 +364,8 @@ class BatchedBlockContext:
             transactions = float(per_block) * self._batch
         else:
             raise TypeError(
-                f"cannot classify a rank-{physical.ndim} global access under batching"
+                f"cannot classify a rank-{physical.ndim} global access under batching; "
+                f"{TREEWALK_HINT}"
             )
         _bump_global(trace, is_store, count, count * element_bytes, transactions)
 

@@ -7,7 +7,8 @@ block-uniform values stay rank <= 1 (recorded once and multiplied by ``B``).
 Workgroup and private ``memref.alloc`` buffers get one row per block.
 
 Anything outside the batchable subset (e.g. block-dependent ``scf.for``
-bounds) raises, which the launcher turns into a tree-walk fallback.
+bounds) raises ``NotImplementedError`` naming ``use_engine("treewalk")``,
+the engine that can run it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from ..mlir.interp import _BlockExecutor
 from ..mlir.ir import Operation, Value
 from ..mlir.types import MemRefType
 from .batch import chunk_keys, grouped_conflict_degrees, grouped_unique_count
+from .engine import TREEWALK_HINT
 
 __all__ = ["launch_batched"]
 
@@ -59,7 +61,7 @@ class _BatchedExecutor(_BlockExecutor):
         if array.ndim <= 1:
             return False
         raise NotImplementedError(
-            f"cannot classify a rank-{array.ndim} value under batching"
+            f"cannot classify a rank-{array.ndim} value under batching; {TREEWALK_HINT}"
         )
 
     # -- accounting ---------------------------------------------------------
@@ -186,7 +188,9 @@ class _BatchedExecutor(_BlockExecutor):
     def _for(self, op: Operation) -> None:
         for operand in op.operands[:3]:
             if np.asarray(self.get(operand)).ndim >= 2:
-                raise NotImplementedError("block-dependent scf.for bounds cannot batch")
+                raise NotImplementedError(
+                    f"block-dependent scf.for bounds cannot batch; {TREEWALK_HINT}"
+                )
         super()._for(op)
 
 

@@ -549,8 +549,7 @@ def launch_batched(
     device buffers are mutated in place, exactly as the per-program loop
     would have.  Raises when the kernel was not compiled through
     :func:`repro.minitriton.compile_kernel` (no attached source) or uses
-    a construct the batched namespace cannot express — the caller falls
-    back to the tree-walk interpreter.
+    a construct the batched namespace cannot express.
     """
     source = getattr(kernel, "_lego_source", None)
     name = getattr(kernel, "_lego_name", None)

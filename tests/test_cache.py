@@ -212,27 +212,30 @@ def test_result_cache_prune_keeps_unsalted_entries():
 
 
 def test_result_cache_version_salt_invalidates_and_prune_reclaims(monkeypatch):
-    """The 1.6.0 range-analysis refactor changes what cached results mean
-    (guard-eliminated launches, statically proven layouts), so the version
-    salt must repartition the key space and ``prune`` must reclaim the
-    pre-refactor generation of entries."""
+    """Tuner evaluations depend on the cost model, which the expressions in
+    the key cannot capture — so the key is salted by the source fingerprint
+    (not by the hand-bumped version: an un-bumped model edit must still
+    repartition the key space) and ``prune`` reclaims the old generation."""
     import repro
+    from repro.cache import code_fingerprint, persistent
 
     config = {"block": 64, "cuda_block": 16}
     exprs = {"element_offset": "tx + 16*ty"}
     current_key = ResultCache.key("lud", config, exprs, backend="cuda")
-    monkeypatch.setattr(repro, "__version__", "1.5.0")
+    monkeypatch.setattr(repro, "__version__", "0.0.0")
+    assert ResultCache.key("lud", config, exprs, backend="cuda") == current_key
+    monkeypatch.setattr(persistent, "_CODE_FINGERPRINT", "edited-cost-model")
     old_key = ResultCache.key("lud", config, exprs, backend="cuda")
     monkeypatch.undo()
-    assert old_key != current_key  # the bump re-salted every key
+    assert old_key != current_key  # same version, different source: re-salted
 
     cache = ResultCache(None)
-    cache.put(old_key, {"version": "1.5.0", "time_seconds": 1.0})
-    cache.put(current_key, {"version": repro.__version__, "time_seconds": 2.0})
-    removed = cache.prune(lambda key, entry: entry.get("version") == repro.__version__)
+    cache.put(old_key, {"code": "edited-cost-model", "time_seconds": 1.0})
+    cache.put(current_key, {"code": code_fingerprint(), "time_seconds": 2.0})
+    removed = cache.prune(lambda key, entry: entry.get("code") == code_fingerprint())
     assert removed == 1
     assert cache.get(old_key) is None
-    assert cache.get(current_key) == {"version": repro.__version__, "time_seconds": 2.0}
+    assert cache.get(current_key) == {"code": code_fingerprint(), "time_seconds": 2.0}
 
 
 def test_result_cache_reload_merges_foreign_saves(tmp_path):

@@ -10,8 +10,6 @@ from repro.codegen import (
     available_backends,
     extract_placeholders,
     generate_accessor_wrapper,
-    generate_cuda_kernel,
-    generate_triton_kernel,
     get_backend,
     render_template,
     compare_expansion_strategies,
@@ -105,21 +103,21 @@ def test_time_generation_extracts_op_counts():
 # -- Triton backend ------------------------------------------------------------------------------
 
 
-def test_generate_triton_kernel_validates_placeholders():
+def test_triton_backend_validates_placeholders():
     ctx = CodegenContext("k")
     ctx.bind("present", Var("x") + 1)
     with pytest.raises(ValueError):
-        generate_triton_kernel("k", "{{ present }} {{ absent }}", ctx)
+        get_backend("triton").generate("k", "{{ present }} {{ absent }}", ctx)
 
 
-def test_generate_triton_kernel_renders_arange():
+def test_triton_backend_renders_arange():
     M, N = symbols("M N")
     row = Var("row")
     ctx = CodegenContext("k")
     ctx.size(M, N)
     ctx.index(row, M)
     ctx.bind("offs", GroupBy([M, N]).OrderBy(Row(M, N))[row, :])
-    kernel = generate_triton_kernel("k", "ptr + {{ offs }}", ctx)
+    kernel = get_backend("triton").generate("k", "ptr + {{ offs }}", ctx)
     assert "tl.arange(0, N)" in kernel.source
     assert kernel.binding_ops() >= 1
 
@@ -136,14 +134,14 @@ def test_matmul_kernel_matches_figure10():
 # -- CUDA backend -----------------------------------------------------------------------------------
 
 
-def test_generate_cuda_kernel_uses_c_syntax():
+def test_cuda_backend_uses_c_syntax():
     B = Var("B")
     i = Var("i")
     ctx = CodegenContext("k")
     ctx.size(B)
     ctx.index(i, B * B)
     ctx.bind("offset", (i // B) * B + i % B)
-    kernel = generate_cuda_kernel("k", "m[{{ offset }}]", ctx)
+    kernel = get_backend("cuda").generate("k", "m[{{ offset }}]", ctx)
     assert "//" not in kernel.source
     assert "/" in kernel.source or "%" in kernel.source or kernel.source == "m[i]"
 
@@ -261,25 +259,13 @@ def _simple_context() -> CodegenContext:
     return ctx
 
 
-def test_wrappers_and_registry_generate_identical_kernels():
-    wrapper = generate_triton_kernel("k", "ptr + {{ offs }}", _simple_context())
-    registry = get_backend("triton").generate("k", "ptr + {{ offs }}", _simple_context())
-    assert wrapper.source == registry.source
-    assert wrapper.backend == registry.backend == "triton"
-    assert isinstance(wrapper, GeneratedKernel) and isinstance(registry, GeneratedKernel)
-
-    cuda_wrapper = generate_cuda_kernel("k", "ptr[{{ offs }}]", _simple_context())
-    cuda_registry = get_backend("cuda").generate("k", "ptr[{{ offs }}]", _simple_context())
-    assert cuda_wrapper.source == cuda_registry.source
-    assert cuda_wrapper.backend == "cuda"
-
-
 def test_all_backends_share_generated_kernel_result_type():
-    triton = generate_triton_kernel("k", "{{ offs }}", _simple_context())
-    cuda = generate_cuda_kernel("k", "{{ offs }}", _simple_context())
+    triton = get_backend("triton").generate("k", "{{ offs }}", _simple_context())
+    cuda = get_backend("cuda").generate("k", "{{ offs }}", _simple_context())
     mlir = generate_transpose_module(64, 16, "smem")
-    for kernel in (triton, cuda, mlir):
+    for kernel, backend in ((triton, "triton"), (cuda, "cuda"), (mlir, "mlir")):
         assert isinstance(kernel, GeneratedKernel)
+        assert kernel.backend == backend
         assert kernel.source
         assert kernel.generation_seconds >= 0
     assert triton.binding_ops() == cuda.binding_ops() >= 1

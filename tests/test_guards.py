@@ -7,7 +7,7 @@ from repro.apps import lud, nw, stencil
 from repro.codegen import (
     CodegenContext,
     discharge_in_bounds,
-    generate_triton_kernel,
+    get_backend,
     prove_guard_redundant,
 )
 from repro.obs.metrics import counter
@@ -60,7 +60,7 @@ def test_generated_kernel_carries_proven_bounds():
     i = ctx.index("i", 8)
     ctx.bind("off", i * 2)
     ctx.require_in_bounds("off", 0, 14)
-    kernel = generate_triton_kernel("carries", "x = {{ off }}", ctx)
+    kernel = get_backend("triton").generate("carries", "x = {{ off }}", ctx)
     assert kernel.proven_bounds == {"off": True}
 
 
@@ -103,7 +103,7 @@ def test_lud_nonaffine_layout_falls_back_to_enumeration():
         ctx.index(var, extent)
     flat = tx + 2 * as_expr(ty) + 4 * as_expr(r_j) + 8 * as_expr(r_i)
     ctx.bind("element_offset", Mod(flat * 5, 16))
-    kernel = generate_triton_kernel("swizzled", "x = {{ element_offset }}", ctx)
+    kernel = get_backend("triton").generate("swizzled", "x = {{ element_offset }}", ctx)
     assert lud.prove_element_offset_bijection(kernel, cfg) is None
     assert lud.assert_element_offset_bijection(kernel, cfg) == "enumerated"
 
@@ -116,7 +116,7 @@ def test_lud_broken_layout_is_statically_rejected():
         ctx.index(var, extent)
     # stride 2 on tx collides with ty's stride: not a mixed-radix basis
     ctx.bind("element_offset", 2 * as_expr(tx) + 2 * as_expr(ty) + 4 * as_expr(r_j) + 8 * as_expr(r_i))
-    kernel = generate_triton_kernel("broken", "x = {{ element_offset }}", ctx)
+    kernel = get_backend("triton").generate("broken", "x = {{ element_offset }}", ctx)
     assert lud.prove_element_offset_bijection(kernel, cfg) is False
     with pytest.raises(ValueError, match="not a bijection"):
         lud.assert_element_offset_bijection(kernel, cfg)

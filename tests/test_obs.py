@@ -25,7 +25,6 @@ from repro.obs import (
     Tracer,
     attribution,
     percentile,
-    record_vm_fallback,
     span_trees,
     validate_chrome_trace,
 )
@@ -278,22 +277,6 @@ def test_tracing_context_manager_restores_state():
     with tracing(True):
         assert TRACER.enabled
     assert TRACER.enabled == previous
-
-
-def test_vm_fallback_instrumentation_counts_and_marks():
-    fallbacks = REGISTRY.counter("repro.vm.fallbacks")
-    before = fallbacks.value
-    with tracing(True):
-        TRACER.clear()
-        record_vm_fallback("minitriton", None, ValueError("unsupported op"))
-        events = TRACER.events()
-    assert fallbacks.value == before + 1
-    assert any(
-        e["name"] == "vm.fallback" and e["ph"] == "i"
-        and e["args"]["substrate"] == "minitriton"
-        and "ValueError" in e["args"]["error"]
-        for e in events
-    )
 
 
 # -- metrics registry ---------------------------------------------------------------

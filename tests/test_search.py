@@ -7,7 +7,6 @@ the device zoo and the per-device tuning tables.
 
 import random
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -330,22 +329,6 @@ def test_warm_from_table_precompiles_winners(tmp_path):
         config = table.best("transpose", "NVIDIA A100 80GB")
         service.compile(CompileRequest("transpose", spec.generate_config(config)))
         assert service.stats().memory_hits >= 1
-
-
-# -- compatibility shims ------------------------------------------------------------
-
-
-def test_tune_cache_module_is_a_deprecated_alias():
-    import importlib
-
-    module = importlib.import_module("repro.tune.cache")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cls = module.ResultCache
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    from repro.cache import ResultCache as canonical
-
-    assert cls is canonical
 
 
 # -- the vectorized LUD analytic path -----------------------------------------------

@@ -80,13 +80,13 @@ def test_request_keys_are_value_based():
 
 
 def test_stable_key_is_salted_by_the_code_fingerprint(monkeypatch):
-    from repro.serve import service as service_module
+    from repro.cache import persistent
 
     request = CompileRequest("matmul", {"variant": "nn"})
     baseline = request.stable_key()
     assert request.stable_key() == baseline  # stable within one process
     # different source tree -> different durable-tier key space
-    monkeypatch.setattr(service_module, "_CODE_FINGERPRINT", "edited-source")
+    monkeypatch.setattr(persistent, "_CODE_FINGERPRINT", "edited-source")
     assert request.stable_key() != baseline
 
 
@@ -222,8 +222,7 @@ def test_persistent_tier_warms_a_fresh_service(tmp_path):
 
 
 def test_store_prunes_entries_stranded_by_a_code_change(tmp_path, monkeypatch):
-    from repro.cache import ResultCache
-    from repro.serve import service as service_module
+    from repro.cache import ResultCache, persistent
 
     store = tmp_path / "kernels.json"
     with CompileService(workers=1, store=store) as first:
@@ -236,7 +235,7 @@ def test_store_prunes_entries_stranded_by_a_code_change(tmp_path, monkeypatch):
 
     # a source edit changes the fingerprint: the stranded kernel entry is
     # reclaimed on attach, the foreign entry is kept
-    monkeypatch.setattr(service_module, "_CODE_FINGERPRINT", "edited-source")
+    monkeypatch.setattr(persistent, "_CODE_FINGERPRINT", "edited-source")
     with CompileService(workers=1, store=store) as second:
         second.compile(CompileRequest("matmul", {"variant": "nn"}))
         assert second.stats().persistent_hits == 0  # old entry unreachable

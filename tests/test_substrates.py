@@ -19,8 +19,9 @@ from repro.gpusim import (
     warp_conflict_degree,
     warp_transactions,
 )
-from repro.minicuda import Dim3, GlobalArray, SharedArray, launch, trace_to_cost
+from repro.minicuda import Dim3, GlobalArray, SharedArray, launch
 from repro.minitriton import compile_kernel, from_device, launch as tl_launch, to_device
+from repro.perf.adapters import cuda_trace_to_cost
 from repro.core import GroupBy, antidiagonal
 
 
@@ -218,7 +219,7 @@ def test_trace_to_cost_charges_moved_sectors():
 
     array = GlobalArray(np.zeros(4096, dtype=np.float32))
     trace = launch(kernel, grid=1, block=32, args=(array,))
-    cost = trace_to_cost(trace, "strided")
+    cost = cuda_trace_to_cost(trace, name="strided")
     assert cost.dram_bytes == pytest.approx(32 * 32)  # 32 lanes x 32-byte sectors
 
 
