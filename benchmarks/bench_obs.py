@@ -4,7 +4,7 @@ Chrome-trace schema validity, and the disabled-instrumentation overhead.
 Three gates (the ``obs-smoke`` CI job runs all of them):
 
 * **Coverage** — a traced two-stage matmul autotune (bounded subspace,
-  ``measure_top_k=3``) must produce a span tree rooted at ``tune.autotune``
+  ``measure_top_k=3``) must produce a span tree rooted at ``tune.search``
   whose named stages include the analytic pre-filter, the cost model, the
   compile-service batch, VM execution and the measured re-rank, with
   self-times summing to within 10% of the root's wall time (coverage

@@ -64,7 +64,7 @@ def check_report(report: dict) -> None:
     assert tuning["nw"]["best_config"]["layout"] not in ("row", "col")
     assert tuning["transpose"]["best_config"]["variant"] == "smem"
     for app in ("lud", "nw", "transpose"):
-        assert tuning[app]["measured_candidates"] >= 1
+        assert tuning[app]["candidates_measured"] >= 1
         assert tuning[app]["max_analytic_error"] <= MAX_ANALYTIC_ERROR
 
 

@@ -44,7 +44,7 @@ def grouped_gemm_check_reference(config, inputs) -> np.ndarray:
     ).astype(np.float16)
 
 
-def grouped_gemm_check_case(config, rng):
+def grouped_gemm_check_case(config, rng, device=None):
     """A small full-launch grouped GEMM: 2 groups of 16^3 in 8x8 tiles.
 
     All candidates share one kernel text (``generate_params=()``), so the

@@ -192,7 +192,7 @@ def layernorm_check_reference(config, inputs) -> np.ndarray:
     return layernorm_backward_reference(inputs["dy"], inputs["x"], inputs["w"], eps)
 
 
-def layernorm_check_case(config, rng):
+def layernorm_check_case(config, rng, device=None):
     """A small full-launch LayerNorm (forward or backward) per the config."""
     from .registry import CheckCase
 

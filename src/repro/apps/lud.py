@@ -267,7 +267,7 @@ def lud_check_reference(config, inputs) -> np.ndarray:
     return np.tril(lower, -1) + upper
 
 
-def lud_check_case(config, rng):
+def lud_check_case(config, rng, device=None):
     """Check one LUD coarsening configuration at a small problem size.
 
     Two checks ride in one case: the blocked factorisation (the Rodinia
@@ -285,7 +285,7 @@ def lud_check_case(config, rng):
     cfg = LudConfig(n=2 * block, block=block, cuda_block=cuda_block)
     matrix = rng.standard_normal((cfg.n, cfg.n)) + cfg.n * np.eye(cfg.n)
 
-    def execute(kernel):
+    def execute(kernel, device=None):
         if kernel is not None and kernel.bindings:
             # cache-restored kernels carry no live expression nodes; the
             # blocked-vs-reference factorisation check below still applies
@@ -382,7 +382,7 @@ def run_lud_internal(matrix: np.ndarray, config: LudConfig, step: int = 0,
     return gmem.to_numpy(), trace
 
 
-def lud_perf_case(config, rng, device: DeviceSpec = A100_80GB):
+def lud_perf_case(config, rng, device=None):
     """The measured-profiling case: one internal wave plus extrapolation.
 
     Executes the first step's internal kernel on a two-block problem (one
@@ -401,12 +401,13 @@ def lud_perf_case(config, rng, device: DeviceSpec = A100_80GB):
     block = config.get("block", 16)
     cuda_block = config.get("cuda_block", 16)
     target_n = config.get("n", 2048)
+    device = device or A100_80GB
     if 2 * block * block * 4 > device.max_static_smem_bytes:
         return None  # static __shared__ panels would not launch (see run_lud_internal)
     cfg = LudConfig(n=2 * block, block=block, cuda_block=cuda_block)
     matrix = (rng.standard_normal((cfg.n, cfg.n)) + cfg.n * np.eye(cfg.n)).astype(np.float32)
 
-    def execute(kernel, device=device):
+    def execute(kernel, device=None):
         return run_lud_internal(matrix, cfg, step=0, device=device or A100_80GB)
 
     target_blocks = target_n // block

@@ -236,7 +236,7 @@ def matmul_reference(config, inputs) -> np.ndarray:
     return (a @ b).astype(np.float16)
 
 
-def matmul_check_case(config, rng):
+def matmul_check_case(config, rng, device=None):
     """A small full-launch matmul problem for the differential runner.
 
     The kernel text depends only on the operand-layout variant, so the check

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codegen import generate_accessor_wrapper, prove_guard_redundant
+from ..codegen import GuardProofError, generate_accessor_wrapper, prove_guard_redundant
 from ..core import GroupBy, RegP, GenP, antidiagonal
 from ..gpusim import A100_80GB, DeviceSpec, estimate_time
 from ..minicuda import CudaTrace, GlobalArray, launch
@@ -144,7 +144,7 @@ def nw_check_reference(config, inputs) -> np.ndarray:
     return nw_reference(inputs["reference"], config.get("penalty", 10))
 
 
-def nw_check_case(config, rng):
+def nw_check_case(config, rng, device=None):
     """A small full-wavefront NW problem under the configured buffer layout.
 
     The score matrix is integer, so the check is exact: any layout that is
@@ -172,7 +172,7 @@ def nw_check_case(config, rng):
     )
 
 
-def nw_perf_case(config, rng):
+def nw_perf_case(config, rng, device=None):
     """The measured-profiling case: the check wavefront plus extrapolation.
 
     The bank-conflict profile of the shared score buffer — the quantity the
@@ -184,7 +184,7 @@ def nw_perf_case(config, rng):
     """
     from .registry import PerfCase
 
-    case = nw_check_case(config, rng)
+    case = nw_check_case(config, rng, device=device)
     if case is None:
         return None
     block = case.config["block"]
@@ -221,7 +221,8 @@ def _prove_wave_guard(wave: int, block_count: int) -> bool:
     ``bxw`` over the wave's span — and asks the stride-aware prover to
     discharge the kernel's guard predicate
     ``0 <= by < bc and 0 <= bx < bc`` (with ``by = wave - bx``) for every
-    grid point.  A ``True`` verdict licenses launching the unguarded kernel.
+    grid point.  :func:`run_nw_blocked` launches the (unguarded) kernel only
+    on a ``True`` verdict.
     """
     lo, hi = nw_wave_span(wave, block_count)
     count = hi - lo + 1
@@ -236,17 +237,15 @@ def _prove_wave_guard(wave: int, block_count: int) -> bool:
 
 
 def _nw_block_kernel(ctx, score: GlobalArray, reference: GlobalArray, config: NwConfig,
-                     wave: int, layout, block_count: int, bx_offset: int = 0,
-                     guarded: bool = True):
-    """Process one block on the current wavefront (one thread per column)."""
+                     wave: int, layout, bx_offset: int):
+    """Process one block on the current wavefront (one thread per column).
+
+    The grid is the wave's live span (:func:`nw_wave_span`) offset by
+    ``bx_offset``, so every launched block is on the wavefront and in the
+    matrix — :func:`_prove_wave_guard` proves it — and nothing is masked.
+    """
     b = config.block
     # blocks on wave w: block_x + block_y == w
-    bx = ctx.blockIdx.x + bx_offset
-    by = wave - bx
-    if guarded:
-        ctx = ctx.where_blocks((by >= 0) & (by < block_count) & (bx < block_count))
-        if ctx is None:
-            return
     bx = ctx.blockIdx.x + bx_offset
     by = wave - bx
     base_i = by * b
@@ -292,7 +291,6 @@ def run_nw_blocked(
     config: NwConfig,
     layout: GroupBy | None = None,
     device: DeviceSpec | None = None,
-    eliminate_guards: bool = True,
 ) -> tuple[np.ndarray, CudaTrace]:
     """Run the blocked NW kernel over all wavefronts on the mini-CUDA substrate.
 
@@ -301,11 +299,12 @@ def run_nw_blocked(
     two layouts).  ``device`` sets the warp width / sector granularity the
     trace records at.
 
-    With ``eliminate_guards`` (the default) each wave launches only its live
-    span of blocks — grid ``(blocks_on_wave, 1)`` offset to the wave's first
-    ``blockIdx.x`` — and the kernel's wavefront mask is dropped, provided the
-    range prover discharges the guard predicate for that launch shape
-    (:func:`_prove_wave_guard`).  Unproven shapes keep the full guarded grid.
+    Each wave launches only its live span of blocks — grid
+    ``(blocks_on_wave, 1)`` offset to the wave's first ``blockIdx.x`` — with
+    no wavefront mask in the kernel, which is sound because the range prover
+    discharges the guard predicate for that launch shape
+    (:func:`_prove_wave_guard`); a shape it cannot prove raises
+    :class:`~repro.codegen.GuardProofError` rather than launch unproven.
     """
     n, b = config.n, config.block
     score = np.zeros((n + 1, n + 1), dtype=np.int32)
@@ -318,17 +317,18 @@ def run_nw_blocked(
     launches = 0
     block_count = config.num_blocks
     for wave in range(2 * block_count - 1):
-        blocks_on_wave = min(wave + 1, block_count, 2 * block_count - 1 - wave)
         lo, hi = nw_wave_span(wave, block_count)
-        if eliminate_guards and _prove_wave_guard(wave, block_count):
-            grid, bx_offset, guarded = (hi - lo + 1, 1), lo, False
-        else:
-            grid, bx_offset, guarded = (block_count, 1), 0, True
+        blocks_on_wave = hi - lo + 1
+        if not _prove_wave_guard(wave, block_count):
+            raise GuardProofError(
+                f"nw wave {wave} of a {block_count}-block matrix: the wavefront "
+                f"guard is not proven redundant over blockIdx.x in [{lo}, {hi}]"
+            )
         trace = launch(
             _nw_block_kernel,
-            grid=grid,
+            grid=(blocks_on_wave, 1),
             block=(b, 1),
-            args=(score_buf, ref_buf, config, wave, layout, block_count, bx_offset, guarded),
+            args=(score_buf, ref_buf, config, wave, layout, lo),
             device=device,
         )
         merged.sector_bytes = trace.sector_bytes

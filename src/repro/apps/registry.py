@@ -9,14 +9,21 @@ stencil, transpose) registers one :class:`AppSpec` that exposes, uniformly:
 * ``generate(config)`` — produce the kernel for one configuration through
   the unified backend registry (``get_backend``); ``None`` for apps whose
   candidates share a single kernel text,
-* ``evaluate(config)`` — the analytic performance estimate in seconds
-  (every app's model bottoms out in :func:`repro.gpusim.estimate_time`),
-  optionally a dict carrying extra metrics next to ``time_seconds``,
+* ``evaluate(config, device=A100_80GB)`` — the analytic performance
+  estimate in seconds on one :class:`~repro.gpusim.DeviceSpec` (every app's
+  model bottoms out in :func:`repro.gpusim.estimate_time`), optionally a
+  dict carrying extra metrics next to ``time_seconds``,
 * ``paper_config`` — the axis values of the configuration the paper's
   evaluation prefers, which the tuner tests assert the sweep reproduces.
 
 Specs live next to the app code (each app module defines an ``app_spec()``
 factory); this module resolves names lazily so ``import repro`` stays light.
+
+One calling convention, which the tuner, the checker and the profiler call
+without inspecting signatures: ``evaluate(config, device=A100_80GB)``, the
+case builders ``check_case`` / ``perf_case`` ``(config, rng, device=None)``
+and every case's ``execute(kernel, device=None)`` — ``device=None`` sizes
+the case and records its trace at the CUDA defaults.
 """
 
 from __future__ import annotations
@@ -43,9 +50,10 @@ class CheckCase:
     configuration with problem sizes shrunk to something the Python
     substrates execute in milliseconds, but with every axis that determines
     the generated kernel left intact.  ``inputs`` are the named NumPy input
-    buffers (also what :attr:`AppSpec.reference` consumes); ``execute`` runs
-    the kernel on the app's substrate at the full (never sampled) launch and
-    returns ``(output array, trace or None)``.
+    buffers (also what :attr:`AppSpec.reference` consumes);
+    ``execute(kernel, device=None)`` runs the kernel on the app's substrate
+    at the full (never sampled) launch and returns ``(output array, trace or
+    None)``.
     """
 
     config: dict
@@ -91,7 +99,7 @@ class AppSpec:
     name: str
     backend: str
     space: SearchSpace
-    evaluate: Callable[[Mapping], object]
+    evaluate: Callable[..., object]
     generate: Callable[[Mapping], object] | None = None
     paper_config: Mapping = field(default_factory=dict)
     description: str = ""
@@ -108,18 +116,18 @@ class AppSpec:
     #: this within per-dtype tolerances.
     reference: Callable[[Mapping, Mapping], object] | None = None
     #: build a :class:`CheckCase` for one configuration:
-    #: ``check_case(config, rng) -> CheckCase | None`` (``None`` when the
-    #: configuration selects nothing executable, e.g. an external baseline).
-    #: ``rng`` is a ``numpy.random.Generator`` — inputs must come from it so
-    #: every check reproduces from its printed seed.
-    check_case: Callable[[Mapping, object], "CheckCase | None"] | None = None
+    #: ``check_case(config, rng, device=None) -> CheckCase | None`` (``None``
+    #: when the configuration selects nothing executable, e.g. an external
+    #: baseline).  ``rng`` is a ``numpy.random.Generator`` — inputs must come
+    #: from it so every check reproduces from its printed seed.
+    check_case: Callable[..., "CheckCase | None"] | None = None
     #: build a :class:`PerfCase` for one configuration:
-    #: ``perf_case(config, rng) -> PerfCase | None``.  Optional — the
+    #: ``perf_case(config, rng, device=None) -> PerfCase | None``.  Optional — the
     #: measured profiler (:mod:`repro.perf`) falls back to ``check_case``
     #: (measuring at the check size, no extrapolation) when absent.  Apps
     #: whose full-size behaviour the tuner must rank under measurement
     #: (LUD, NW, transpose) register one with the extrapolation scale set.
-    perf_case: Callable[[Mapping, object], "PerfCase | None"] | None = None
+    perf_case: Callable[..., "PerfCase | None"] | None = None
 
     def generate_config(self, config: Mapping) -> dict:
         """Project ``config`` onto the axes that determine the generated kernel."""

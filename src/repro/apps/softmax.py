@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-def softmax_check_case(config, rng):
+def softmax_check_case(config, rng, device=None):
     """A small full-launch softmax for the differential runner.
 
     Only the fused LEGO kernel is executable on the substrate; the eager

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codegen import prove_guard_redundant
+from ..codegen import GuardProofError, prove_guard_redundant
 from ..core import GroupBy, RegP, Row, TileBy
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, estimate_time
 from ..minicuda import GlobalArray, launch
@@ -54,7 +54,7 @@ def stencil_check_reference(config, inputs) -> np.ndarray:
     return stencil_reference(inputs["grid"], by_name[config.get("stencil", "star-7pt")])
 
 
-def stencil_check_case(config, rng):
+def stencil_check_case(config, rng, device=None):
     """A small full-grid stencil sweep under the configured data layout.
 
     The output must match the row-major reference *regardless* of the
@@ -85,7 +85,7 @@ def stencil_check_case(config, rng):
     )
 
 
-def stencil_perf_case(config, rng):
+def stencil_perf_case(config, rng, device=None):
     """The measured-profiling case: a multi-brick grid plus extrapolation.
 
     Historically the stencil had no perf case, so measured profiling fell
@@ -303,7 +303,6 @@ def run_stencil(
     layout: GroupBy | None = None,
     brick: int = 4,
     device: DeviceSpec | None = None,
-    eliminate_guards: bool = True,
 ):
     """Run the stencil kernel on the mini-CUDA substrate with the given layout.
 
@@ -312,19 +311,24 @@ def run_stencil(
     placement (and hence the traffic pattern) changes.  ``device`` sets the
     warp width / sector granularity the trace records at.
 
-    With ``eliminate_guards`` (the default) the fully interior blocks —
-    those in :func:`interior_block_span` along every axis — execute without
-    the per-thread interior mask, provided the range prover discharges the
-    interior predicate for this ``(n, brick, radius)`` shape; boundary
-    blocks keep the guarded ``compact_threads`` path.
+    The fully interior blocks — those in :func:`interior_block_span` along
+    every axis — execute without the per-thread interior mask, which is
+    sound because the range prover discharges the interior predicate for
+    this ``(n, brick, radius)`` shape (:func:`_prove_interior_span`; a shape
+    it cannot prove raises :class:`~repro.codegen.GuardProofError`).  The
+    boundary blocks' ``compact_threads`` mask is the stencil's semantics —
+    halo cells are not updated — and stays.
     """
     n = grid.shape[0]
     src = GlobalArray(grid.astype(np.float32), layout=layout, name="src")
     dst = GlobalArray(grid.astype(np.float32), layout=layout, name="dst")
     blocks = n // brick
-    interior_span = None
-    if eliminate_guards and _prove_interior_span(n, brick, spec.radius):
-        interior_span = interior_block_span(n, brick, spec.radius)
+    interior_span = interior_block_span(n, brick, spec.radius)
+    if interior_span is not None and not _prove_interior_span(n, brick, spec.radius):
+        raise GuardProofError(
+            f"stencil {spec.name} on n={n}, brick={brick}: the interior mask is not "
+            f"proven redundant over blocks {interior_span}"
+        )
     trace = launch(
         _stencil_kernel,
         grid=(blocks, blocks, blocks),

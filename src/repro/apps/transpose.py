@@ -38,7 +38,7 @@ def transpose_check_reference(config, inputs) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(inputs["matrix"]).T)
 
 
-def transpose_check_case(config, rng):
+def transpose_check_case(config, rng, device=None):
     """A small full-grid transpose interpreted from the generated MLIR.
 
     The emitted module hard-codes the problem size in its memref types, so
@@ -66,7 +66,7 @@ def transpose_check_case(config, rng):
     )
 
 
-def transpose_perf_case(config, rng):
+def transpose_perf_case(config, rng, device=None):
     """The measured-profiling case: the check problem plus extrapolation.
 
     Coalescing behaviour and bank conflicts are per-tile properties, so the
@@ -76,7 +76,7 @@ def transpose_perf_case(config, rng):
     """
     from .registry import PerfCase
 
-    case = transpose_check_case(config, rng)
+    case = transpose_check_case(config, rng, device=device)
     if case is None:
         return None
     target_n = config.get("n", 2048)

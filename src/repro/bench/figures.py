@@ -315,7 +315,7 @@ def fig12b(n: int = 2048) -> ExperimentResult:
     grid the paper sweeps (LUD blocks 16/32/64, CUDA block fixed at 16x16).
     """
     from ..apps.registry import get_app
-    from ..tune import Choice, sweep
+    from ..tune import Choice, autotune
 
     spec = get_app("lud")
     space = spec.space.subspace(
@@ -325,7 +325,7 @@ def fig12b(n: int = 2048) -> ExperimentResult:
         smem_layout=("row",), panel_layout=("row",),
         unroll=(1,), prefetch=(0,), vector=(1,),
     ).extended(Choice("n", (n,)))
-    result = sweep(spec, space=space)
+    result = autotune(spec, space=space)
     rows = [
         {
             "lud_block": c.config["block"],
@@ -350,7 +350,7 @@ def fig12c(n: int = 512, brick: int = 8) -> ExperimentResult:
     every one of them, which is the figure's result.
     """
     from ..apps.registry import get_app
-    from ..tune import Choice, sweep
+    from ..tune import Choice, autotune
 
     app = get_app("stencil")
     rows = []
@@ -360,7 +360,7 @@ def fig12c(n: int = 512, brick: int = 8) -> ExperimentResult:
             brick_y=(brick,), brick_z=(brick,),
             coarsen=(1,), vector=(1,), unroll=(1,),
         ).extended(Choice("n", (n,)))
-        result = sweep(app, space=space)
+        result = autotune(app, space=space)
         times = {c.config["layout"]: c.time_seconds for c in result.evaluations}
         rows.append(
             {

@@ -9,13 +9,16 @@ executable one:
   result against the app's NumPy reference model
   (:attr:`~repro.apps.registry.AppSpec.reference`) within per-dtype
   tolerances, returning a structured :class:`CheckReport`;
+  :func:`run_case` is the "seed, build the case, resolve the kernel,
+  execute under the engine" prefix it shares with :func:`repro.perf.profile`;
 * :mod:`repro.check.fuzz` — property-based fuzzing of the symbolic layer:
   random expression trees with random integer bindings assert that
   ``simplify`` / ``simplify_fixpoint`` / the Python printer / the full
   lowering path all preserve concrete evaluation;
 * :func:`differential_verifier` — the hook ``CompileService(verify=...)``
   runs on the first compilation of each distinct kernel, and
-  ``autotune(verify_top_k=...)`` runs on a sweep's winning configurations;
+  ``search(verify_top_k=...)`` / ``autotune(verify_top_k=...)`` run on a
+  sweep's winning configurations;
 * ``python -m repro.check`` — the CLI sweep over apps x sampled configs
   (see :mod:`repro.check.__main__`).
 
@@ -34,6 +37,7 @@ from .runner import (
     check_kernel,
     differential_verifier,
     resolve_case_kernel,
+    run_case,
     run_check,
     sample_configs,
     stable_seed,
@@ -49,6 +53,7 @@ __all__ = [
     "stable_seed",
     "sample_configs",
     "resolve_case_kernel",
+    "run_case",
     "run_check",
     "check_kernel",
     "check_app",

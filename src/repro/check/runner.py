@@ -44,6 +44,7 @@ __all__ = [
     "stable_seed",
     "sample_configs",
     "resolve_case_kernel",
+    "run_case",
     "run_check",
     "check_kernel",
     "check_app",
@@ -271,6 +272,39 @@ def _compare(report: CheckReport, actual, reference) -> CheckReport:
     return report
 
 
+def run_case(spec: AppSpec, builder, config: Mapping, *, seed_parts: tuple,
+             device=None, kernel=None, service=None, engine: str | None = None):
+    """Build one case of ``config`` and execute it on its substrate.
+
+    The prefix :func:`run_check` and :func:`repro.perf.profile` share: seed
+    a NumPy generator from ``seed_parts`` and the configuration, build the
+    case with ``builder`` (``spec.check_case`` or ``spec.perf_case``),
+    resolve the kernel (:func:`resolve_case_kernel`) and execute under
+    ``engine`` (``None`` keeps the ambient :mod:`repro.vm` mode).  ``device``
+    is the :class:`~repro.gpusim.DeviceSpec` the builder sizes the case for
+    and the substrate records its trace at; ``None`` keeps the CUDA
+    defaults.  Returns ``(case, kernel, output, trace)``, or ``None`` when
+    the configuration selects nothing executable (an external baseline);
+    whatever the builder, the generator or the substrate raises propagates.
+    """
+    from ..obs.trace import span
+    from ..vm.engine import resolve_mode, use_engine
+
+    rng = np.random.default_rng(
+        stable_seed(*seed_parts, {k: config[k] for k in sorted(config)})
+    )
+    case = builder(dict(config), rng, device=device)
+    if case is None:
+        return None
+    with span("perf.resolve", "perf", app=spec.name):
+        use = resolve_case_kernel(spec, case, config, kernel=kernel, service=service)
+    mode = resolve_mode(engine)
+    with use_engine(mode), span("vm.execute", "vm", app=spec.name, engine=mode,
+                                kernel=getattr(use, "name", "") or spec.name):
+        output, trace = case.execute(use, device=device)
+    return case, use, output, trace
+
+
 def _check(spec: AppSpec, config: Mapping, *, seed: int, kernel, service) -> CheckReport:
     from ..obs.trace import span
 
@@ -285,22 +319,15 @@ def _check_inner(spec: AppSpec, config: Mapping, *, seed: int, kernel, service) 
     if spec.check_case is None or spec.reference is None:
         report.reason = "app registers no reference model / check case"
         return report
-    rng = np.random.default_rng(stable_seed(seed, spec.name, {k: config[k] for k in sorted(config)}))
     try:
-        case = spec.check_case(config, rng)
-    except Exception as exc:  # a config the check builder cannot honour is a failure
-        report.status = "failed"
-        report.reason = f"check_case raised {type(exc).__name__}: {exc}"
-        return report
-    if case is None:
-        report.reason = "configuration selects no executable kernel"
-        return report
-    report.check_config = dict(case.config)
-    try:
-        use = resolve_case_kernel(spec, case, config, kernel=kernel, service=service)
-        if use is not None:
-            report.kernel = getattr(use, "name", "") or ""
-        output, trace = case.execute(use)
+        run = run_case(spec, spec.check_case, config, seed_parts=(seed, spec.name),
+                       kernel=kernel, service=service)
+        if run is None:
+            report.reason = "configuration selects no executable kernel"
+            return report
+        case, use, output, trace = run
+        report.check_config = dict(case.config)
+        report.kernel = getattr(use, "name", "") or ""
         if trace is not None:
             if getattr(trace, "sampled", False):
                 raise ValueError(
@@ -309,7 +336,7 @@ def _check_inner(spec: AppSpec, config: Mapping, *, seed: int, kernel, service) 
                 )
             report.trace = _trace_counters(trace)
         reference = spec.reference(case.config, case.inputs)
-    except Exception as exc:
+    except Exception as exc:  # a config the app cannot build or execute is a failure
         report.status = "failed"
         report.reason = f"{type(exc).__name__}: {exc}"
         return report

@@ -24,6 +24,7 @@ optional at import time.
 from .template import TemplateError, extract_placeholders, render_template
 from .context import CodegenContext, LoweredBinding, lower_expression
 from .guards import (
+    GuardProofError,
     discharge_in_bounds,
     note_fallback,
     note_static_proof,
@@ -48,6 +49,7 @@ __all__ = [
     "CodegenContext",
     "LoweredBinding",
     "lower_expression",
+    "GuardProofError",
     "prove_guard_redundant",
     "discharge_in_bounds",
     "note_static_proof",

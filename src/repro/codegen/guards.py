@@ -7,7 +7,9 @@ always-true for a given launch shape.  The range analysis
 (:meth:`repro.symbolic.SymbolicEnv.range_of`) can: apps build the mask's
 predicate symbolically over declared index ranges and call
 :func:`prove_guard_redundant`; a ``True`` verdict licenses launching the
-unguarded kernel variant.
+unguarded kernel.  The NW wavefront and stencil interior launches have no
+guarded twin to retreat to — a verdict other than ``True`` there is a
+:class:`GuardProofError`, not a slower launch.
 
 Every verdict is observable through :mod:`repro.obs`:
 
@@ -29,11 +31,16 @@ from typing import Optional
 from ..symbolic import Expr, ExprLike, SymbolicEnv, as_expr, prove, prove_in_bounds
 
 __all__ = [
+    "GuardProofError",
     "prove_guard_redundant",
     "discharge_in_bounds",
     "note_static_proof",
     "note_fallback",
 ]
+
+
+class GuardProofError(RuntimeError):
+    """A launch relies on a guard proof the range analysis did not discharge."""
 
 
 def _counter(name: str):
@@ -75,7 +82,7 @@ def prove_guard_redundant(
     ``predicate`` is a boolean expression (``Cmp``/``BoolAnd``/... nodes)
     over variables whose ranges are declared on ``env``.  Returns ``True``
     only on a proof — ``False`` means *unknown*, and the caller must keep
-    the dynamic guard.  Verdicts update the guard-elimination counters and
+    the dynamic guard (or refuse the launch).  Verdicts update the guard-elimination counters and
     the proof runs inside a ``symbolic.range`` span.
     """
     from ..obs.trace import span

@@ -70,14 +70,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_instrumented_autotune(app: str = "matmul", measure_top_k: int = 3,
                               engine: str | None = None) -> dict:
-    """Autotune ``app`` with tracing on; return the attribution report.
+    """Tune ``app`` exhaustively with tracing on; return the attribution report.
 
-    The returned dict is :func:`repro.obs.attribution` of the captured
-    events (rooted at ``tune.autotune``) plus the tune summary, the stage
-    coverage check and the Chrome-trace schema validation problems.
+    Calls the driver (:func:`repro.tune.search`) directly, with
+    ``autotune``'s arguments, so the trace is rooted at the driver's own
+    ``tune.search`` span and coverage measures the driver's body.  The
+    returned dict is :func:`repro.obs.attribution` of the captured events
+    plus the tune summary, the stage coverage check and the Chrome-trace
+    schema validation problems.
     """
     from ..apps.registry import get_app
-    from ..tune.tuner import autotune
+    from ..tune import search
 
     spec = get_app(app)
     space = spec.space
@@ -89,14 +92,15 @@ def run_instrumented_autotune(app: str = "matmul", measure_top_k: int = 3,
     TRACER.clear()
     try:
         started = time.perf_counter()
-        result = autotune(spec, space=space, measure_top_k=measure_top_k, engine=engine)
+        result = search(spec, space=space, budget=None, measure_top_k=measure_top_k,
+                        engine=engine, train=False)
         wall = time.perf_counter() - started
         events = TRACER.events()
         trace = TRACER.chrome_trace()
     finally:
         set_tracing(was_enabled)
 
-    report = attribution(events, root_name="tune.autotune")
+    report = attribution(events, root_name="tune.search")
     stages_present = set(report["stages"])
     missing = [s for s in REQUIRED_STAGES if s not in stages_present]
     best = result.best

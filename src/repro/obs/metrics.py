@@ -22,8 +22,9 @@ counter reset mid-window can never surface a negative rate) and a
 served by ``python -m repro.serve --metrics``).
 
 The ceil-based nearest-rank :func:`percentile` lives here as the single
-shared implementation — :class:`~repro.serve.metrics.LatencyRecorder` and
-the serve benchmark's tail-latency assertions both delegate to it.
+shared implementation — :class:`Histogram` (and through it
+:class:`~repro.serve.metrics.LatencyRecorder`) and the serve benchmark's
+tail-latency assertions all use it.
 """
 
 from __future__ import annotations
@@ -131,8 +132,8 @@ class Gauge:
 class Histogram:
     """A bounded sample window with exact running count/sum (thread-safe).
 
-    The same reservoir model as the serve latency recorder: the most recent
-    ``max_samples`` observations back the percentiles, while ``count`` and
+    The one reservoir (the serve latency recorder is a view over it): the most
+    recent ``max_samples`` observations back the percentiles, while ``count`` and
     ``sum`` stay exact forever, so the mean never loses precision to
     eviction.  Percentiles use the shared nearest-rank :func:`percentile`.
     """
@@ -171,6 +172,7 @@ class Histogram:
             f"{self.name}.p50": percentile(ordered, 0.50),
             f"{self.name}.p95": percentile(ordered, 0.95),
             f"{self.name}.p99": percentile(ordered, 0.99),
+            f"{self.name}.p999": percentile(ordered, 0.999),
             f"{self.name}.max": ordered[-1] if ordered else 0.0,
         }
 

@@ -11,13 +11,15 @@ loop from execution back into tuning:
   granularity of the :class:`~repro.gpusim.DeviceSpec` (never a hardcoded
   32) and carrying the measured bank-conflict factor;
 * :func:`profile` — execute one ``(app, config)`` pair on its substrate
-  (reusing the :mod:`repro.check` case machinery and, optionally, a
+  (through :func:`repro.check.run_case`, the case machinery shared with the
+  differential runner, and optionally a
   :class:`~repro.serve.CompileService`) and return a
   :class:`KernelProfile`: measured cost, measured + extrapolated
   :class:`~repro.gpusim.TimeBreakdown`, the analytic estimate of the same
   problem and the disagreement between the two;
-* ``autotune(measure_top_k=...)`` (:mod:`repro.tune`) — two-stage tuning:
-  pre-filter analytically, re-rank the top-k by measured cost;
+* ``search(measure_top_k=...)`` / ``autotune(measure_top_k=...)``
+  (:mod:`repro.tune`) — two-stage tuning: pre-filter analytically, re-rank
+  the top-k by measured cost;
 * ``python -m repro.perf`` — the sweep CLI writing ``BENCH_perf.json``
   (see :mod:`repro.perf.__main__`).
 

@@ -4,9 +4,9 @@
 correctness — and it deliberately reuses the same machinery: the app's
 case builder (:attr:`~repro.apps.registry.AppSpec.perf_case`, falling back
 to ``check_case``) produces a small full-launch problem, the kernel is
-resolved through :func:`repro.check.resolve_case_kernel` (so a
-:class:`~repro.serve.CompileService` provides batching/dedup/caching when
-one is passed), the case executes on the matching substrate, and the
+resolved and the case executed by :func:`repro.check.run_case`, the prefix
+both subsystems share (so a :class:`~repro.serve.CompileService` provides
+batching/dedup/caching when one is passed), and the
 recorded trace becomes a measured :class:`~repro.gpusim.KernelCost`
 through the unified adapter protocol (:mod:`repro.perf.adapters`).
 
@@ -32,36 +32,16 @@ path as the verification subsystem, so a profile reproduces exactly.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from ..apps.registry import AppSpec, PerfCase, available_apps, get_app
-from ..check.runner import resolve_case_kernel, sample_configs, stable_seed
+from ..check.runner import run_case, sample_configs
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, TimeBreakdown, estimate_time
 from ..obs.trace import span
 from .adapters import trace_metrics, trace_to_cost
 
 __all__ = ["KernelProfile", "profile", "profile_app", "profile_all"]
-
-
-def _accepts_device(fn: Callable) -> bool:
-    """Does this case builder / execute callable take a ``device`` kwarg?
-
-    Case builders and executes are plain callables registered long before a
-    device is chosen, so the device is threaded through as an *optional*
-    keyword: callables that declare it record their traces at the device's
-    warp width / sector granularity, older ones keep the CUDA defaults.
-    """
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-    return "device" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
 
 
 @dataclass
@@ -156,14 +136,10 @@ def _resolve(app) -> AppSpec:
 def _analytic_seconds(spec: AppSpec, config: Mapping, device: DeviceSpec) -> float:
     """The app's analytic estimate (``evaluate`` may return seconds or a dict).
 
-    The device is forwarded when the app's ``evaluate`` accepts it, so the
-    measured-vs-analytic disagreement compares two models of the *same*
-    device rather than the caller's device against the default A100.
+    Costed against the profile's own device, so the measured-vs-analytic
+    disagreement compares two models of the *same* device.
     """
-    if _accepts_device(spec.evaluate):
-        result = spec.evaluate(dict(config), device=device)
-    else:
-        result = spec.evaluate(dict(config))
+    result = spec.evaluate(dict(config), device=device)
     if isinstance(result, Mapping):
         return float(result["time_seconds"])
     return float(result)
@@ -182,15 +158,15 @@ def profile(
 
     Builds the app's perf case (falling back to its check case), resolves
     the kernel (through ``service`` when given), executes on the matching
-    substrate and converts the trace into a measured cost + breakdown.
-    Never raises on a substrate or model failure — the outcome is the
-    returned :class:`KernelProfile`.
+    substrate (:func:`repro.check.run_case`) and converts the trace into a
+    measured cost + breakdown.  Never raises on a substrate or model
+    failure — the outcome is the returned :class:`KernelProfile`.
 
     ``engine`` overrides the substrate execution engine for this profile
     (``"vectorized"`` — the default — or ``"treewalk"``; see
     :mod:`repro.vm`); ``None`` keeps the ambient mode.
     """
-    from ..vm.engine import resolve_mode, use_engine
+    from ..vm.engine import resolve_mode
 
     spec = _resolve(app)
     resolved_engine = resolve_mode(engine)
@@ -198,75 +174,53 @@ def profile(
                            seed=seed, device=device.name, engine=resolved_engine)
     with span("perf.profile", "perf", app=spec.name, device=device.name,
               engine=resolved_engine) as root:
-        builder = spec.perf_case or spec.check_case
-        if builder is None:
-            report.reason = "app registers neither perf_case nor check_case"
-            root.add(status=report.status)
-            return report
-        rng = np.random.default_rng(
-            stable_seed(seed, "perf", spec.name, {k: config[k] for k in sorted(config)})
-        )
-        try:
-            if _accepts_device(builder):
-                case = builder(dict(config), rng, device=device)
-            else:
-                case = builder(dict(config), rng)
-        except Exception as exc:
-            report.status = "failed"
-            report.reason = f"case builder raised {type(exc).__name__}: {exc}"
-            root.add(status=report.status)
-            return report
-        if case is None:
-            report.reason = "configuration selects no executable kernel"
-            root.add(status=report.status)
-            return report
-        report.case_config = dict(case.config)
-        scale = float(getattr(case, "scale", 1.0))
-        launches = int(getattr(case, "launches", 1))
-        target_config = getattr(case, "target_config", None) or dict(case.config)
-        report.target_config = dict(target_config)
-        report.scale, report.launches = scale, launches
-        dtype = getattr(case, "dtype", "fp32")
-        tensor_core = getattr(case, "tensor_core", False)
-        try:
-            with span("perf.resolve", "perf", app=spec.name):
-                kernel = resolve_case_kernel(spec, case, config, service=service)
-            if kernel is not None:
-                report.kernel = getattr(kernel, "name", "") or ""
-            with use_engine(resolved_engine):
-                with span("vm.execute", "vm", app=spec.name, engine=resolved_engine,
-                          kernel=report.kernel or spec.name):
-                    if _accepts_device(case.execute):
-                        _, trace = case.execute(kernel, device=device)
-                    else:
-                        _, trace = case.execute(kernel)
-            if trace is None:
-                report.reason = "substrate records no trace for this app"
-                root.add(status=report.status)
-                return report
-            with span("perf.adapt", "perf", app=spec.name):
-                adapter_args: dict = {"name": report.kernel or spec.name}
-                if isinstance(case, PerfCase):
-                    adapter_args.update(dtype=dtype, tensor_core=tensor_core)
-                cost = trace_to_cost(trace, device, **adapter_args)
-                report.measured_cost = cost
-                report.measured = estimate_time(cost, device)
-                full_cost = replace(cost.scaled(scale), launches=launches)
-                report.extrapolated = estimate_time(full_cost, device)
-                report.metrics = trace_metrics(trace, device)
-                report.analytic_seconds = _analytic_seconds(spec, target_config, device)
-        except Exception as exc:
-            report.status = "failed"
-            report.reason = f"{type(exc).__name__}: {exc}"
-            root.add(status=report.status)
-            return report
-        measured = report.extrapolated.total
-        if measured > 0 and report.analytic_seconds > 0:
-            high, low = max(measured, report.analytic_seconds), min(measured, report.analytic_seconds)
-            report.analytic_error = high / low
-        report.status = "measured"
+        _profile_inner(spec, config, report, device=device, seed=seed,
+                       service=service, engine=resolved_engine)
         root.add(status=report.status)
     return report
+
+
+def _profile_inner(spec: AppSpec, config: Mapping, report: KernelProfile, *,
+                   device: DeviceSpec, seed: int, service, engine: str) -> None:
+    builder = spec.perf_case or spec.check_case
+    if builder is None:
+        report.reason = "app registers neither perf_case nor check_case"
+        return
+    try:
+        run = run_case(spec, builder, config, seed_parts=(seed, "perf", spec.name),
+                       device=device, service=service, engine=engine)
+        if run is None:
+            report.reason = "configuration selects no executable kernel"
+            return
+        case, kernel, _, trace = run
+        report.case_config = dict(case.config)
+        report.kernel = getattr(kernel, "name", "") or ""
+        report.target_config = dict(getattr(case, "target_config", None) or case.config)
+        report.scale = float(getattr(case, "scale", 1.0))
+        report.launches = int(getattr(case, "launches", 1))
+        if trace is None:
+            report.reason = "substrate records no trace for this app"
+            return
+        with span("perf.adapt", "perf", app=spec.name):
+            adapter_args: dict = {"name": report.kernel or spec.name}
+            if isinstance(case, PerfCase):
+                adapter_args.update(dtype=case.dtype, tensor_core=case.tensor_core)
+            cost = trace_to_cost(trace, device, **adapter_args)
+            report.measured_cost = cost
+            report.measured = estimate_time(cost, device)
+            full_cost = replace(cost.scaled(report.scale), launches=report.launches)
+            report.extrapolated = estimate_time(full_cost, device)
+            report.metrics = trace_metrics(trace, device)
+            report.analytic_seconds = _analytic_seconds(spec, report.target_config, device)
+    except Exception as exc:
+        report.status = "failed"
+        report.reason = f"{type(exc).__name__}: {exc}"
+        return
+    measured = report.extrapolated.total
+    if measured > 0 and report.analytic_seconds > 0:
+        high, low = max(measured, report.analytic_seconds), min(measured, report.analytic_seconds)
+        report.analytic_error = high / low
+    report.status = "measured"
 
 
 def profile_app(

@@ -380,7 +380,7 @@ class CompileFarm:
         not client load) and blocks until every winner is resident, so the
         first client request for a tuned kernel is a memory hit.  Rows
         stamped by a different package version warm nothing — the durable
-        tier they would feed is unreachable under the current version salt
+        tier they would feed is unreachable under the current source salt
         anyway.  Returns the number of requests warmed.
         """
         requests = table_requests(table, apps=apps)

@@ -10,48 +10,31 @@ mid-traffic snapshot can and cannot tear).
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass, field
 
-from ..obs.metrics import percentile
+from ..obs.metrics import Histogram
 
 __all__ = ["FarmStats", "LaneStats", "LatencyRecorder", "ServiceStats"]
 
 
 class LatencyRecorder:
-    """Bounded, thread-safe reservoir of per-request latencies (seconds).
+    """Per-request latencies: a millisecond view over one :class:`Histogram`.
 
-    Keeps the most recent ``max_samples`` values (enough for stable
-    percentiles over a replay window) plus exact running count/sum, so the
-    mean never loses precision to the eviction of old samples.
+    The reservoir (most recent ``max_samples`` values backing the
+    percentiles, exact running count/sum so the mean never loses precision
+    to eviction) is :class:`repro.obs.metrics.Histogram`; this class only
+    records seconds into it and reports milliseconds out of it.
     """
 
     def __init__(self, max_samples: int = 10_000):
-        if max_samples < 1:
-            raise ValueError("LatencyRecorder requires a positive sample bound")
-        self._lock = threading.Lock()
-        # deque(maxlen=...) evicts in O(1); a list would memmove the whole
-        # window under the lock on every hot-path record once full
-        self._samples: deque[float] = deque(maxlen=max_samples)
-        self._count = 0
-        self._total = 0.0
+        self._histogram = Histogram("latency", max_samples=max_samples)
 
     def record(self, seconds: float) -> None:
-        with self._lock:
-            self._count += 1
-            self._total += seconds
-            self._samples.append(seconds)
+        self._histogram.observe(seconds)
 
     @property
     def count(self) -> int:
-        return self._count
-
-    # The ceil-based nearest-rank implementation now lives in
-    # ``repro.obs.metrics.percentile`` (one shared definition for the serve
-    # and perf sides); this delegating staticmethod keeps the call sites the
-    # p50/p95/p99 regression tests pin.
-    _percentile = staticmethod(percentile)
+        return self._histogram.count
 
     def snapshot(self) -> dict:
         """Consistent ``{count, mean_ms, p50/p95/p99/p999_ms, max_ms}`` view.
@@ -60,18 +43,11 @@ class LatencyRecorder:
         is exact for replay windows up to ``max_samples`` requests, which is
         why the burst benchmark sizes its trace under the reservoir.
         """
-        with self._lock:
-            ordered = sorted(self._samples)
-            count, total = self._count, self._total
-        return {
-            "count": count,
-            "mean_ms": (total / count) * 1e3 if count else 0.0,
-            "p50_ms": self._percentile(ordered, 0.50) * 1e3,
-            "p95_ms": self._percentile(ordered, 0.95) * 1e3,
-            "p99_ms": self._percentile(ordered, 0.99) * 1e3,
-            "p999_ms": self._percentile(ordered, 0.999) * 1e3,
-            "max_ms": (ordered[-1] * 1e3) if ordered else 0.0,
-        }
+        stats = self._histogram.collect()
+        snapshot = {"count": int(stats["latency.count"])}
+        for name in ("mean", "p50", "p95", "p99", "p999", "max"):
+            snapshot[f"{name}_ms"] = stats[f"latency.{name}"] * 1e3
+        return snapshot
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@
   fingerprint built from interned expression identities (``Expr.expr_id``)
   — the cheapest stable key the hash-consed IR can produce.  The durable
   tier is a :class:`~repro.cache.ResultCache` JSON store keyed on a
-  cross-process digest (canonical printed expressions, version-salted), so
+  cross-process digest (canonical printed expressions, code-salted), so
   a fresh process starts warm.
 * **In-flight deduplication.**  Concurrent submissions of the same request
   share one compilation: the first becomes the leader, the rest piggyback
@@ -28,10 +28,8 @@ counters mutate only under the service lock.
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
-import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -77,11 +75,11 @@ class CompileRequest:
     """One compilation request: an app, a configuration, an optional target.
 
     ``backend`` defaults to the app's declared backend; ``cost_weights``
-    optionally overrides the operation-count weights used for the
-    expanded-vs-unexpanded variant selection (forwarded to generators that
-    accept them).  Requests are value objects: two requests with the same
-    payload produce the same cache keys, which is what deduplication and
-    both cache tiers key on.
+    names the operation-count weights the kernel is wanted under and is key
+    material only (no registered generator takes weights, so the default
+    compiler does not forward them).  Requests are value objects: two
+    requests with the same payload produce the same cache keys, which is
+    what deduplication and both cache tiers key on.
     """
 
     app: str
@@ -102,14 +100,11 @@ class CompileRequest:
     def stable_key(self) -> str:
         """Cross-process digest (keys the persistent tier).
 
-        Salted with the package version *and* a content fingerprint of the
-        package source, so a persisted kernel can never outlive the code
-        that generated it.
+        Salted with a content fingerprint of the package source (which
+        covers the version string in ``repro/__init__.py``), so a persisted
+        kernel can never outlive the code that generated it.
         """
-        from .. import __version__
-
         payload = {
-            "version": __version__,
             "code": code_fingerprint(),
             "app": self.app,
             "backend": self.backend,
@@ -156,13 +151,6 @@ class PersistedKernel(GeneratedKernel):
         )
 
 
-def _store_salt() -> str:
-    """The invalidation salt stamped on every persisted kernel payload."""
-    from .. import __version__
-
-    return f"{__version__}/{code_fingerprint()}"
-
-
 def kernel_payload(kernel: GeneratedKernel | None, verified: bool = False) -> dict:
     """JSON-ready payload of one compilation result (``None`` is legal).
 
@@ -171,9 +159,9 @@ def kernel_payload(kernel: GeneratedKernel | None, verified: bool = False) -> di
     a restored kernel still needs checking.
     """
     if kernel is None:
-        return {"salt": _store_salt(), "verified": verified, "kernel": None}
+        return {"salt": code_fingerprint(), "verified": verified, "kernel": None}
     return {
-        "salt": _store_salt(),
+        "salt": code_fingerprint(),
         "verified": verified,
         "kernel": {
             "name": kernel.name,
@@ -203,36 +191,6 @@ def kernel_from_payload(payload: Mapping) -> PersistedKernel | None:
     )
 
 
-# Weakly keyed on the callable itself: keying on id() would let a collected
-# generate function's address be reused by a different one and answer with a
-# stale signature, and would pin nothing while growing forever.
-_ACCEPTS_WEIGHTS: "weakref.WeakKeyDictionary[Callable, bool]" = weakref.WeakKeyDictionary()
-
-
-def _signature_accepts_cost_weights(fn: Callable) -> bool:
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-    return "cost_weights" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-def _accepts_cost_weights(fn: Callable) -> bool:
-    try:
-        cached = _ACCEPTS_WEIGHTS.get(fn)
-    except TypeError:  # unhashable callable: compute fresh each time
-        return _signature_accepts_cost_weights(fn)
-    if cached is None:
-        cached = _signature_accepts_cost_weights(fn)
-        try:
-            _ACCEPTS_WEIGHTS[fn] = cached
-        except TypeError:  # not weak-referenceable: skip the memo
-            pass
-    return cached
-
-
 def default_compiler(request: CompileRequest) -> GeneratedKernel | None:
     """Resolve the app in the registry and generate its kernel.
 
@@ -250,8 +208,6 @@ def default_compiler(request: CompileRequest) -> GeneratedKernel | None:
             f"app {request.app!r} targets backend {spec.backend!r}, "
             f"request asked for {request.backend!r}"
         )
-    if request.cost_weights is not None and _accepts_cost_weights(spec.generate):
-        return spec.generate(request.config, cost_weights=request.cost_weights)
     return spec.generate(request.config)
 
 
@@ -294,11 +250,12 @@ class CompileService:
         self.cache = cache if cache is not None else ShardedLRUCache()
         self.store = ResultCache(store) if isinstance(store, (str, Path)) else store
         if self.store is not None:
-            # Reclaim kernel entries stranded by a version / source-code
-            # change: their salted keys are unreachable forever, and an
-            # append-only store would grow monotonically with dead weight.
+            # Reclaim kernel entries stranded by a source-code change (a
+            # version bump is one): their salted keys are unreachable forever,
+            # and an append-only store would grow monotonically with dead
+            # weight.
             # Entries from other clients (no salt field) are left alone.
-            salt = _store_salt()
+            salt = code_fingerprint()
             self.store.prune(
                 lambda key, entry: "salt" not in entry or entry["salt"] == salt
             )
@@ -576,7 +533,7 @@ def table_requests(table, apps=None) -> list[CompileRequest]:
     Rows are skipped when their app has no generator (or is no longer
     registered) **or when their ``version`` stamp names a different package
     release** — a stale-version table must warm nothing, because the durable
-    tier those kernels would land in is salted by the current version anyway
+    tier those kernels would land in is salted by the current source anyway
     (rows from tables written before version stamping carry no ``version``
     and are trusted).
     """

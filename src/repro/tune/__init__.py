@@ -1,38 +1,38 @@
-"""Layout autotuning: declarative search spaces + candidate ranking.
+"""Layout autotuning: declarative search spaces and one tuning driver.
 
 The paper's central claim is "change the layout, not the code"; its
 evaluation is a hand-driven sweep over layout/tiling configurations.  This
 package makes that sweep a first-class subsystem:
 
-* :class:`SearchSpace` / :class:`Choice` — declarative configuration spaces
-  (tile sizes, orderings, coarsening factors, skew/swizzle selections),
-* :func:`autotune` / :func:`sweep` — generate every candidate through the
-  unified backend registry, evaluate it on the analytic device model and
-  rank by (estimated time, GPU-weighted index-op count); with
-  ``measure_top_k=k`` the analytic top-k is re-ranked by *measured*
-  substrate cost through :mod:`repro.perf` (two-stage tuning),
+* :class:`SearchSpace` / :class:`Choice` — declarative, streaming
+  configuration spaces (tile sizes, orderings, coarsening factors,
+  skew/swizzle selections),
+* :func:`search` — the one driver: generate every pooled candidate through
+  the unified backend registry, evaluate it on the analytic device model,
+  rank by (estimated time, GPU-weighted index-op count), optionally
+  re-score the leaders with a learned :class:`CostModel`, re-rank the top
+  ``measure_top_k`` by *measured* substrate cost through :mod:`repro.perf`,
+  differentially verify the winners and persist them in a
+  :class:`TuningTable`; :func:`autotune` is its exhaustive spelling (the
+  whole space, nothing learned or persisted).  Both return a
+  :class:`TuneResult`,
 * :class:`ResultCache` — persistent evaluation cache keyed off the
-  hash-consed lowered index expressions.
+  hash-consed lowered index expressions and the device.
 
 Quickstart::
 
     from repro import tune
     result = tune.autotune("lud")
-    result.best.config      # {'block': 64, 'cuda_block': 16}
+    result.best.config      # {'block': 64, 'cuda_block': 16, ...}
+    tune.search("matmul", device="h100", budget=512, measure_top_k=4).summary()
 """
 
 from ..cache import ResultCache
 from .space import Choice, SearchSpace
-from .tuner import Candidate, TuneResult, autotune, sweep
+from .tuner import Candidate, TuneResult
 from .model import CostModel, ProfileStore, candidate_features
 from .tables import TuningTable, problem_signature
-from .search import (
-    SearchResult,
-    evolutionary,
-    measure_candidates,
-    search,
-    successive_halving,
-)
+from .search import autotune, measure_candidates, search
 
 __all__ = [
     "Choice",
@@ -41,11 +41,7 @@ __all__ = [
     "Candidate",
     "TuneResult",
     "autotune",
-    "sweep",
-    "SearchResult",
     "search",
-    "successive_halving",
-    "evolutionary",
     "measure_candidates",
     "CostModel",
     "ProfileStore",

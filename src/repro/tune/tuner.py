@@ -1,45 +1,33 @@
-"""The layout autotuner: enumerate, generate, evaluate, rank.
+"""Candidates, the analytic evaluation stage and the one tuning result.
 
-The paper's evaluation (Figures 11-13, Table IV) is a hand-driven sweep over
-layout and tiling configurations — every figure harness used to carry its own
-loop.  This module turns that sweep into a subsystem:
-
-1. an app's declarative :class:`~repro.tune.space.SearchSpace` is enumerated
-   into candidate configurations;
-2. each candidate's kernel is generated through the compilation service
-   (:mod:`repro.serve`), which drives the unified backend registry
-   (``get_backend`` — Triton, CUDA or MLIR, whichever the app targets) on a
-   worker pool: candidates that differ only in evaluation-side axes collapse
-   onto one compile request (``AppSpec.generate_params``), and independent
-   sweeps in one process share a warm kernel cache;
-3. each candidate is evaluated with the app's analytic performance model
-   (:func:`repro.gpusim.estimate_time` under the hood) and ranked by
-   ``(estimated time, GPU-weighted index-op count, enumeration order)`` —
-   the op-count cost model breaks performance-model ties toward cheaper
-   index arithmetic, and enumeration order (paper-preferred values first)
-   breaks exact ties deterministically;
-4. results land in a persistent :class:`~repro.cache.ResultCache` keyed
-   off the hash-consed lowered expressions (and the backend name) and
-   salted by the source fingerprint, so re-running a sweep on unchanged
-   code costs nothing.
-
-Evaluation can optionally fan out over a process pool (``parallel=N``) for
-trace-heavy apps; generation runs through the (thread-pooled) service
-because it is cache-key material that every worker must agree on.
+The first rung of the tuning ladder (:mod:`repro.tune.search` drives the
+rest): each configuration's kernel is generated through the compilation
+service (:mod:`repro.serve`), which drives the unified backend registry
+(``get_backend`` — Triton, CUDA or MLIR, whichever the app targets) —
+candidates that differ only in evaluation-side axes collapse onto one
+compile request (``AppSpec.generate_params``), and independent sweeps in
+one process share a warm kernel cache — and evaluated with the app's
+analytic performance model (:func:`repro.gpusim.estimate_time` under the
+hood).  Candidates rank by ``(estimated time, GPU-weighted index-op count,
+enumeration order)``: the op-count cost model breaks performance-model ties
+toward cheaper index arithmetic, and enumeration order (paper-preferred
+values first) breaks exact ties deterministically.  Evaluations land in a
+persistent :class:`~repro.cache.ResultCache` keyed off the hash-consed
+lowered expressions, the backend and the device, and salted by the source
+fingerprint, so re-running a sweep on unchanged code costs nothing.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..cache import ResultCache
+from ..gpusim import A100_80GB, DeviceSpec
 from ..obs.trace import span
 from ..symbolic import CostWeights
-from .space import SearchSpace
 
-__all__ = ["Candidate", "TuneResult", "autotune", "evaluate_configs", "sweep"]
+__all__ = ["Candidate", "TuneResult", "evaluate_configs"]
 
 
 @dataclass
@@ -52,8 +40,8 @@ class Candidate:
     order: int = 0
     has_kernel: bool = False
     cached: bool = False
-    #: measured (substrate-traced) time when ``autotune(measure_top_k=...)``
-    #: profiled this candidate; ``None`` means analytic-only
+    #: measured (substrate-traced) time when the measured stage profiled
+    #: this candidate; ``None`` means analytic-only
     measured_time_seconds: float | None = None
     metrics: dict = field(default_factory=dict)
 
@@ -83,19 +71,36 @@ class Candidate:
 
 @dataclass
 class TuneResult:
-    """Every candidate of one sweep, in enumeration order, plus bookkeeping."""
+    """The outcome of one tuning run: every candidate plus bookkeeping."""
 
     app: str
+    #: every evaluated candidate, in evaluation order (enumeration order
+    #: when the whole space was scanned)
     evaluations: list[Candidate]
+    device: str = ""
+    #: ``"exhaustive"`` (the whole space was evaluated) or ``"halving"``
+    #: (a seeded sample of it, bounded by the budget)
+    strategy: str = "exhaustive"
+    #: valid configurations in the space
+    space_size: int = 0
+    #: the substrate execution engine the measured stage ran under
+    #: (``repro.vm`` mode — makes the artifact self-describing across
+    #: ``REPRO_VM`` settings)
+    engine: str = ""
     wall_seconds: float = 0.0
+    #: per-stage wall seconds (``prefilter`` / ``model`` / ``measure``)
+    stage_seconds: dict = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: differential-check reports of the top-ranked configs, when
-    #: ``autotune(verify_top_k=...)`` requested verification
-    verification: list = field(default_factory=list)
-    #: :class:`~repro.perf.KernelProfile` of each candidate
-    #: ``autotune(measure_top_k=...)`` profiled (skips included)
+    #: :class:`~repro.perf.KernelProfile` of each candidate the measured
+    #: stage profiled (skips and failures included)
     profiles: list = field(default_factory=list)
+    #: differential-check reports of the top-ranked configs (``verify_top_k``)
+    verification: list = field(default_factory=list)
+    #: a learned cost model participated in survivor selection
+    model_used: bool = False
+    #: training samples behind the model that was used (0 when none)
+    model_samples: int = 0
 
     @property
     def ranked(self) -> list[Candidate]:
@@ -105,37 +110,54 @@ class TuneResult:
     def best(self) -> Candidate:
         return self.ranked[0]
 
+    @property
+    def evaluated(self) -> int:
+        """Candidates evaluated analytically."""
+        return len(self.evaluations)
+
+    @property
+    def measured(self) -> int:
+        """Candidates re-ranked by measured substrate cost."""
+        return sum(1 for p in self.profiles if p.ok)
+
     def __len__(self) -> int:
         return len(self.evaluations)
 
     def table(self) -> list[dict]:
-        """Rows (configuration + time) in enumeration order, for the harnesses."""
+        """Rows (configuration + time) in evaluation order, for the harnesses."""
         return [
             {**c.config, "time_ms": c.milliseconds, "index_ops": c.index_ops}
             for c in self.evaluations
         ]
 
     def summary(self) -> dict:
-        """Compact JSON-friendly summary (used by the benchmark artifact)."""
+        """Compact JSON-friendly summary (used by the benchmark artifacts)."""
         best = self.best
-        summary = {
+        return {
             "app": self.app,
-            "candidates": len(self.evaluations),
-            "best_config": best.config,
+            "device": self.device,
+            "strategy": self.strategy,
+            "engine": self.engine,
+            "space_size": self.space_size,
+            "candidates_evaluated": self.evaluated,
+            "candidates_measured": self.measured,
+            "profiles_failed": sum(1 for p in self.profiles if p.status == "failed"),
+            "best_config": dict(best.config),
             "best_time_ms": best.milliseconds,
-            "wall_seconds": self.wall_seconds,
+            "best_measured_time_ms": (
+                best.measured_time_seconds * 1e3 if best.measured else None
+            ),
+            "max_analytic_error": max(
+                (c.metrics.get("analytic_error", 1.0) for c in self.evaluations if c.measured),
+                default=1.0,
+            ),
+            "model_used": self.model_used,
+            "model_samples": self.model_samples,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
+            "wall_seconds": self.wall_seconds,
+            "stage_seconds": dict(self.stage_seconds),
         }
-        if self.profiles:
-            measured = [c for c in self.evaluations if c.measured]
-            summary["measured_candidates"] = len(measured)
-            if best.measured:
-                summary["best_measured_time_ms"] = best.measured_time_seconds * 1e3
-            summary["max_analytic_error"] = max(
-                (c.metrics.get("analytic_error", 1.0) for c in measured), default=1.0
-            )
-        return summary
 
 
 def _normalize_result(result) -> dict:
@@ -145,38 +167,6 @@ def _normalize_result(result) -> dict:
             raise ValueError("evaluate() returned a mapping without 'time_seconds'")
         return dict(result)
     return {"time_seconds": float(result)}
-
-
-def _accepts_device(fn) -> bool:
-    """Does this evaluate callable take a ``device`` kwarg?
-
-    The registered apps all do; ad-hoc test/notebook specs may not, and
-    they keep evaluating device-free (their results are cached without a
-    device component either — see :func:`_evaluate_one`).
-    """
-    import inspect
-
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-    return "device" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-def _evaluate_one(spec, config, device) -> dict:
-    if device is not None and _accepts_device(spec.evaluate):
-        return _normalize_result(spec.evaluate(config, device=device))
-    return _normalize_result(spec.evaluate(config))
-
-
-def _pool_evaluate(job: tuple) -> dict:
-    """Process-pool worker: resolve the app by name and evaluate one config."""
-    app_name, config, device = job
-    from ..apps.registry import get_app
-
-    return _evaluate_one(get_app(app_name), config, device)
 
 
 def _service_backed(spec) -> bool:
@@ -224,25 +214,19 @@ def evaluate_configs(
     *,
     cache: ResultCache,
     service=None,
-    parallel: int | None = None,
-    device=None,
+    device: DeviceSpec = A100_80GB,
 ) -> list["Candidate"]:
-    """Analytically evaluate a list of configurations into ranked candidates.
+    """Analytically evaluate a list of configurations into candidates.
 
-    The shared stage behind :func:`autotune` (which evaluates a whole
-    :class:`~repro.tune.space.SearchSpace`) and :func:`repro.tune.search`
-    (which evaluates strategy-chosen pools of a space too large to
-    enumerate).  Generation goes through the compilation service: it drives
-    the unified backend, provides the expression fingerprint the cache keys
-    off, and supplies the op-count half of the ranking.  Candidates that
-    share a projected kernel share the rendered-expression work (memoised
-    by kernel identity — on a 10^4-point space re-rendering per candidate
-    would dwarf evaluation).  ``device`` is an optional
-    :class:`~repro.gpusim.DeviceSpec` threaded into device-aware app
-    evaluates and into every cache key.
+    Generation goes through the compilation service: it drives the unified
+    backend, provides the expression fingerprint the cache keys off, and
+    supplies the op-count half of the ranking.  Candidates that share a
+    projected kernel share the rendered-expression work (memoised by kernel
+    identity — on a 10^4-point space re-rendering per candidate would dwarf
+    evaluation).  ``device`` is the :class:`~repro.gpusim.DeviceSpec` every
+    app ``evaluate`` is costed against and a component of every cache key.
     """
     gpu_weights = CostWeights.gpu_default()
-    device_key = device.name if device is not None else ""
 
     keys: list[str] = []
     ops: list[int] = []
@@ -267,29 +251,15 @@ def evaluate_configs(
                 expressions = rendered
                 index_ops = rendered_ops
         keys.append(ResultCache.key(spec.name, config, expressions,
-                                    backend=spec.backend, device=device_key))
+                                    backend=spec.backend, device=device.name))
         ops.append(index_ops)
         kernels.append(kernel is not None)
 
     cached_results: list[dict | None] = [cache.get(key) for key in keys]
     missing = [i for i, entry in enumerate(cached_results) if entry is None]
-
-    # Pool workers re-resolve the spec by name from a fresh process, which
-    # only works for the module-backed apps; ad-hoc AppSpecs evaluate serially.
-    from ..apps.registry import _APP_MODULES
-
     with span("tune.model", "tune", app=spec.name,
               configs=len(configs), cached=len(configs) - len(missing)):
-        if missing and parallel and parallel > 1 and spec.name in _APP_MODULES:
-            from concurrent.futures import ProcessPoolExecutor
-
-            jobs = [(spec.name, configs[i], device) for i in missing]
-            chunksize = max(1, len(jobs) // (parallel * 8))
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
-                fresh = list(pool.map(_pool_evaluate, jobs, chunksize=chunksize))
-        else:
-            fresh = [_evaluate_one(spec, configs[i], device) for i in missing]
-
+        fresh = [_normalize_result(spec.evaluate(configs[i], device=device)) for i in missing]
     for i, result in zip(missing, fresh):
         cache.put(keys[i], result)
         cached_results[i] = result
@@ -313,125 +283,3 @@ def evaluate_configs(
             )
         )
     return evaluations
-
-
-def autotune(
-    app,
-    space: SearchSpace | None = None,
-    cache: ResultCache | None = None,
-    cache_path=None,
-    parallel: int | None = None,
-    service=None,
-    verify_top_k: int = 0,
-    verify_seed: int = 0,
-    measure_top_k: int = 0,
-    measure_seed: int = 0,
-    measure_workers: int = 0,
-    device=None,
-    engine: str | None = None,
-) -> TuneResult:
-    """Sweep an app's configuration space and rank every candidate.
-
-    ``app`` is a registered app name (``"matmul"``, ``"lud"``, ...) or an
-    :class:`~repro.apps.registry.AppSpec`; ``space`` defaults to the app's
-    full declared space (narrow it with :meth:`SearchSpace.subspace`).
-    ``cache``/``cache_path`` enable the persistent result cache, and
-    ``parallel`` evaluates cache misses on a process pool of that many
-    workers.  ``service`` overrides the shared
-    :func:`repro.serve.default_service` used for candidate generation of
-    registry-backed apps; ad-hoc specs the registry cannot resolve always
-    generate inline (their ``generate`` callable is unreachable through a
-    service compiler).  Returns a :class:`TuneResult`;
-    ``result.best.config`` is the winning configuration.
-
-    ``measure_top_k`` turns the sweep into **two-stage tuning**: the full
-    space is still pre-filtered by the analytic model, then the ``k``
-    best-ranked configurations are executed on their substrate through
-    :func:`repro.perf.profile` (reusing ``service`` for generation) and
-    re-ranked by their *measured* cost; each profiled candidate records its
-    analytic-vs-measured disagreement in ``metrics["analytic_error"]`` and
-    the full :class:`~repro.perf.KernelProfile` lands in
-    :attr:`TuneResult.profiles`.  Candidates whose configuration selects
-    nothing executable (external baselines) keep their analytic rank below
-    every measured candidate.  ``measure_workers`` fans the measured stage
-    out over a process pool (:func:`repro.tune.search.measure_candidates` —
-    a candidate whose profile fails is demoted, never fatal); ``0`` keeps
-    the stage in-process.  ``device`` selects the
-    :class:`~repro.gpusim.DeviceSpec` *both* stages are costed against — a
-    zoo key (``"h100"``) or a spec — and is part of the evaluation cache
-    key, so one persistent store serves per-device sweeps.  ``engine``
-    overrides the substrate execution engine the measurements run under
-    (vectorized by default — pass ``"treewalk"`` to force the interpreters;
-    see :mod:`repro.vm`).
-
-    ``verify_top_k`` differentially checks the ``k`` best-ranked
-    configurations through :mod:`repro.check` before returning — a sweep
-    must not hand out a winner whose kernel computes the wrong answer — and
-    raises :class:`repro.check.CheckFailure` on the first mismatch; the
-    reports (including skips for evaluation-only baselines) land in
-    :attr:`TuneResult.verification`.  With both stages requested,
-    verification runs after measurement, so it checks the *measured*
-    winners.  ``verify_seed`` / ``measure_seed`` make the stages' inputs
-    reproducible.
-    """
-    from ..apps.registry import AppSpec, get_app
-    from ..gpusim import get_device
-
-    spec: AppSpec = app if isinstance(app, AppSpec) else get_app(app)
-    space = spec.space if space is None else space
-    # `cache or ...` would discard a caller-passed *empty* cache: ResultCache
-    # defines __len__, so a fresh store is falsy and the warm-sweep contract
-    # (pass the same cache twice, second sweep replays) would silently break
-    cache = cache if cache is not None else ResultCache(cache_path)
-    eval_device = get_device(device) if device is not None else None
-
-    started = time.perf_counter()
-    with span("tune.autotune", "tune", app=spec.name,
-              measure_top_k=measure_top_k, verify_top_k=verify_top_k) as root:
-        configs = list(space)
-        if not configs:
-            raise ValueError(f"search space for app {spec.name!r} is empty")
-        root.add(candidates=len(configs))
-
-        hits_before, misses_before = cache.hits, cache.misses
-        # the exhaustive analytic sweep is autotune's pre-filter: it selects
-        # the measured stage's survivors exactly as the sampled strategies
-        # do for spaces too large to enumerate
-        with span("search.prefilter", "search", app=spec.name, strategy="exhaustive"):
-            evaluations = evaluate_configs(
-                spec, configs, cache=cache, service=service,
-                parallel=parallel, device=eval_device,
-            )
-        cache.save()
-        result = TuneResult(
-            app=spec.name,
-            evaluations=evaluations,
-            cache_hits=cache.hits - hits_before,
-            cache_misses=cache.misses - misses_before,
-        )
-        if measure_top_k > 0:
-            from ..gpusim import A100_80GB
-            from .search import measure_candidates
-
-            measure_device = eval_device or A100_80GB
-            with span("search.measure", "search", app=spec.name, top_k=measure_top_k):
-                result.profiles.extend(measure_candidates(
-                    spec, result.ranked[:measure_top_k],
-                    device=measure_device, seed=measure_seed, service=service,
-                    engine=engine, workers=measure_workers,
-                ))
-        if verify_top_k > 0:
-            from ..check import CheckFailure, run_check
-
-            with span("check.verify", "check", app=spec.name, top_k=verify_top_k):
-                for candidate in result.ranked[:verify_top_k]:
-                    report = run_check(spec, candidate.config, seed=verify_seed, service=service)
-                    result.verification.append(report)
-                    if report.status == "failed":
-                        raise CheckFailure(report)
-        result.wall_seconds = time.perf_counter() - started
-    return result
-
-
-#: alias: the figure harnesses read better as "sweep the paper's grid"
-sweep = autotune

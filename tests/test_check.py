@@ -108,9 +108,10 @@ def _adhoc_spec(execute):
         name="adhoc",
         backend="triton",
         space=SearchSpace(Choice("x", (1,))),
-        evaluate=lambda config: 1.0,
+        evaluate=lambda config, device=None: 1.0,
         reference=lambda config, inputs: np.zeros(4, dtype=np.float32),
-        check_case=lambda config, rng: CheckCase(config=dict(config), inputs={}, execute=execute),
+        check_case=lambda config, rng, device=None: CheckCase(
+            config=dict(config), inputs={}, execute=execute),
     )
 
 
@@ -118,7 +119,7 @@ def test_runner_rejects_sampled_launch_traces():
     """A partially executed grid must never pass a numeric check, even when
     the (partial) output happens to match."""
     sampled = KernelTrace(sampled=True)
-    spec = _adhoc_spec(lambda kernel: (np.zeros(4, dtype=np.float32), sampled))
+    spec = _adhoc_spec(lambda kernel, device=None: (np.zeros(4, dtype=np.float32), sampled))
     report = run_check(spec, {"x": 1}, seed=0)
     assert report.status == "failed"
     assert "sampled" in report.reason
@@ -126,7 +127,7 @@ def test_runner_rejects_sampled_launch_traces():
 
 def test_runner_accepts_full_launch_traces():
     full = KernelTrace(programs=4)
-    spec = _adhoc_spec(lambda kernel: (np.zeros(4, dtype=np.float32), full))
+    spec = _adhoc_spec(lambda kernel, device=None: (np.zeros(4, dtype=np.float32), full))
     report = run_check(spec, {"x": 1}, seed=0)
     assert report.status == "passed"
     assert report.trace["programs"] == 4.0
@@ -287,7 +288,7 @@ def test_autotune_verify_top_k_attaches_reports():
 
     space = get_app("matmul").space.subspace(variant=("nn", "tn"), BM=(128,), BN=(128,),
                                             BK=(64,), GM=(8,))
-    result = tune.autotune("matmul", space=space, verify_top_k=2, verify_seed=0)
+    result = tune.autotune("matmul", space=space, verify_top_k=2)
     assert len(result.verification) == 2
     assert all(report.passed for report in result.verification)
 

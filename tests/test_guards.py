@@ -148,24 +148,40 @@ def test_nw_every_wave_guard_is_proven():
             assert nw._prove_wave_guard(wave, block_count), (wave, block_count)
 
 
+#: counters of a masked full-grid ("guarded") launch of the n=48, block=16 run
+#: below — what the live-span launch must record too
+_NW_PINNED = {
+    "load_bytes": 10404, "store_bytes": 9216,
+    "load_transactions": 2484, "store_transactions": 414,
+    "smem_load_bytes": 27648, "smem_store_bytes": 10404,
+    "flops": 6912, "blocks": 9, "executed_blocks": 9,
+}
+
+
 def test_nw_guard_eliminated_run_matches_guarded_run():
     rng = np.random.default_rng(3)
     cfg = nw.NwConfig(n=48, block=16)
     reference = rng.integers(-4, 5, size=(cfg.n, cfg.n)).astype(np.int32)
     expected = nw.nw_reference(reference, cfg.penalty)
-    for layout in (None, nw.antidiagonal_buffer_layout(cfg.block)):
-        out_e, tr_e = nw.run_nw_blocked(reference, cfg, layout=layout, eliminate_guards=True)
-        out_g, tr_g = nw.run_nw_blocked(reference, cfg, layout=layout, eliminate_guards=False)
-        assert np.array_equal(out_e, expected)
-        assert np.array_equal(out_g, expected)
-        # the unguarded launch must not perturb the measured profile: same
-        # traffic, same conflicts, same executed blocks
-        for attr in (
-            "load_bytes", "store_bytes", "load_transactions", "store_transactions",
-            "smem_load_bytes", "smem_store_bytes", "flops", "blocks", "executed_blocks",
-        ):
-            assert getattr(tr_e, attr) == getattr(tr_g, attr), attr
-        assert tr_e.bank_conflict_factor == tr_g.bank_conflict_factor
+    conflicts = {}
+    for name, layout in (("row", None), ("antidiagonal", nw.antidiagonal_buffer_layout(cfg.block))):
+        out, trace = nw.run_nw_blocked(reference, cfg, layout=layout)
+        assert np.array_equal(out, expected)
+        # launching only the live span must not perturb the measured profile
+        for attr, value in _NW_PINNED.items():
+            assert getattr(trace, attr) == value, (name, attr)
+        conflicts[name] = trace.bank_conflict_factor
+    assert conflicts["antidiagonal"] == 1.0
+    assert conflicts["row"] == pytest.approx(4.307086614173229)
+
+
+def test_nw_unproven_wave_guard_raises_instead_of_launching(monkeypatch):
+    from repro.codegen import GuardProofError
+
+    monkeypatch.setattr(nw, "_prove_wave_guard", lambda wave, block_count: wave != 1)
+    cfg = nw.NwConfig(n=32, block=16)
+    with pytest.raises(GuardProofError, match="nw wave 1 of a 2-block matrix"):
+        nw.run_nw_blocked(np.zeros((cfg.n, cfg.n), dtype=np.int32), cfg)
 
 
 # -- stencil: interior-block guard elimination --------------------------------------
@@ -189,8 +205,22 @@ def test_stencil_interior_span_is_proven_whenever_it_exists():
     for n, brick, r in [(16, 4, 1), (16, 4, 2), (12, 4, 1), (24, 8, 2), (32, 4, 4)]:
         assert stencil.interior_block_span(n, brick, r) is not None
         assert stencil._prove_interior_span(n, brick, r), (n, brick, r)
-    # no interior block -> nothing to prove, stays guarded
+    # no interior block -> nothing to prove, every block keeps its mask
     assert not stencil._prove_interior_span(8, 4, 1)
+
+
+#: counters of an every-block-masked ("guarded") launch of the n=16, brick=4
+#: runs below, by (stencil, layout) — what the split launch must record too
+_STENCIL_PINNED = {
+    ("star-7pt", "array"): {"load_bytes": 76832, "store_bytes": 10976, "flops": 19208,
+                            "load_transactions": 6048, "store_transactions": 808},
+    ("star-7pt", "brick"): {"load_bytes": 76832, "store_bytes": 10976, "flops": 19208,
+                            "load_transactions": 4282, "store_transactions": 480},
+    ("cube-27pt", "array"): {"load_bytes": 296352, "store_bytes": 10976, "flops": 74088,
+                             "load_transactions": 25344, "store_transactions": 808},
+    ("cube-27pt", "brick"): {"load_bytes": 296352, "store_bytes": 10976, "flops": 74088,
+                             "load_transactions": 22218, "store_transactions": 480},
+}
 
 
 @pytest.mark.parametrize("spec", [stencil.STENCILS[0], stencil.STENCILS[4]])
@@ -199,13 +229,22 @@ def test_stencil_guard_eliminated_run_matches_guarded_run(spec):
     n, brick = 16, 4
     grid = rng.standard_normal((n, n, n)).astype(np.float32)
     expected = stencil.stencil_reference(grid, spec)
-    for layout in (None, stencil.brick_layout(n, brick)):
-        out_e, tr_e = stencil.run_stencil(grid, spec, layout=layout, brick=brick,
-                                          eliminate_guards=True)
-        out_g, tr_g = stencil.run_stencil(grid, spec, layout=layout, brick=brick,
-                                          eliminate_guards=False)
-        assert np.allclose(out_e, expected, atol=1e-5)
-        assert np.allclose(out_g, expected, atol=1e-5)
-        for attr in ("load_bytes", "store_bytes", "load_transactions",
-                     "store_transactions", "flops"):
-            assert getattr(tr_e, attr) == getattr(tr_g, attr), attr
+    for name, layout in (("array", None), ("brick", stencil.brick_layout(n, brick))):
+        out, trace = stencil.run_stencil(grid, spec, layout=layout, brick=brick)
+        assert np.allclose(out, expected, atol=1e-5)
+        for attr, value in _STENCIL_PINNED[spec.name, name].items():
+            assert getattr(trace, attr) == value, (name, attr)
+
+
+def test_stencil_unproven_interior_span_raises_instead_of_launching(monkeypatch):
+    from repro.codegen import GuardProofError
+
+    monkeypatch.setattr(stencil, "_prove_interior_span", lambda n, brick, radius: False)
+    spec = stencil.STENCILS[0]
+    grid = np.zeros((16, 16, 16), dtype=np.float32)
+    with pytest.raises(GuardProofError, match="interior mask is not proven"):
+        stencil.run_stencil(grid, spec, brick=4)
+    # a grid with no interior block has nothing to prove and still runs
+    small = np.zeros((4, 4, 4), dtype=np.float32)
+    out, _ = stencil.run_stencil(small, spec, brick=4)
+    assert np.array_equal(out, stencil.stencil_reference(small, spec))

@@ -50,10 +50,20 @@ def test_percentile_nearest_rank_semantics():
 
 
 def test_percentile_is_the_single_shared_implementation():
-    """Both historical call sites delegate to ``repro.obs.percentile``."""
+    """The serve recorder is a millisecond view over the one obs reservoir."""
+    from repro.obs.metrics import Histogram
     from repro.serve.metrics import LatencyRecorder
 
-    assert LatencyRecorder._percentile is percentile
+    recorder, histogram = LatencyRecorder(), Histogram("latency")
+    assert isinstance(recorder._histogram, Histogram)
+    for ms in (5, 1, 4, 2, 3):
+        recorder.record(ms / 1e3)
+        histogram.observe(ms / 1e3)
+    snap, collected = recorder.snapshot(), histogram.collect()
+    assert set(snap) == {"count", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "p999_ms", "max_ms"}
+    for name in ("mean", "p50", "p95", "p99", "p999", "max"):
+        assert snap[f"{name}_ms"] == collected[f"latency.{name}"] * 1e3
+    assert collected["latency.p999"] == percentile([0.001, 0.002, 0.003, 0.004, 0.005], 0.999)
 
 
 def test_latency_recorder_percentiles_pinned():
@@ -106,8 +116,9 @@ def test_latency_recorder_reservoir_evicts_oldest_first():
         recorder.record(float(value))
     # the reservoir keeps exactly the 10 most recent samples (15..24) while
     # count/total still cover all 25
-    assert sorted(recorder._samples) == [float(v) for v in range(15, 25)]
     snap = recorder.snapshot()
+    assert snap["max_ms"] == pytest.approx(24.0 * 1e3)
+    assert snap["p999_ms"] == pytest.approx(24.0 * 1e3)
     assert snap["count"] == 25
     assert snap["mean_ms"] == pytest.approx(sum(range(25)) / 25 * 1e3)
     assert snap["p50_ms"] == pytest.approx(19.0 * 1e3)
@@ -476,12 +487,11 @@ def test_kernel_profile_serializes_device_and_engine():
 
 
 def test_search_result_serializes_engine_and_stage_seconds():
-    from repro.tune.search import SearchResult
-    from repro.tune.tuner import Candidate
+    from repro.tune import Candidate, TuneResult
 
-    result = SearchResult(
+    result = TuneResult(
         app="matmul", device="h100", strategy="halving", engine="vectorized",
-        space_size=10, evaluated=10, measured=2,
+        space_size=10,
         evaluations=[Candidate(config={"BM": 64}, time_seconds=1e-3)],
         stage_seconds={"prefilter": 0.5, "model": 0.01, "measure": 1.5},
     )

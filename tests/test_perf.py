@@ -24,6 +24,7 @@ from repro.perf import (
     trace_metrics,
     trace_to_cost,
 )
+from repro.obs.metrics import percentile
 from repro.serve.metrics import LatencyRecorder
 from repro.tune import autotune
 
@@ -34,9 +35,9 @@ from repro.tune import autotune
 def test_percentile_nearest_rank_even_window():
     # p50 of [1, 2, 3, 4] is the 2nd smallest under ceil-based nearest rank;
     # the old round(q * (len - 1)) picked the 3rd (banker's rounding of 1.5)
-    assert LatencyRecorder._percentile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
-    assert LatencyRecorder._percentile([1.0, 2.0], 0.50) == 1.0
-    assert LatencyRecorder._percentile([1.0, 2.0, 3.0], 0.50) == 2.0
+    assert percentile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
+    assert percentile([1.0, 2.0], 0.50) == 1.0
+    assert percentile([1.0, 2.0, 3.0], 0.50) == 2.0
 
 
 def test_percentile_pins_p50_p95_p99_exactly():
@@ -52,8 +53,8 @@ def test_percentile_pins_p50_p95_p99_exactly():
 
 
 def test_percentile_empty_and_single():
-    assert LatencyRecorder._percentile([], 0.5) == 0.0
-    assert LatencyRecorder._percentile([7.0], 0.99) == 7.0
+    assert percentile([], 0.5) == 0.0
+    assert percentile([7.0], 0.99) == 7.0
 
 
 # -- satellite: occupancy clamps -----------------------------------------------------
@@ -328,7 +329,7 @@ def test_measured_autotune_reproduces_transpose_smem_over_naive():
     assert best.config["variant"] == "smem"
     assert best.config["generator"] == "lego"
     summary = result.summary()
-    assert summary["measured_candidates"] >= 1
+    assert summary["candidates_measured"] >= 1
     assert summary["max_analytic_error"] < 10.0
     assert summary["best_measured_time_ms"] > 0
 

@@ -1,8 +1,8 @@
-"""Tests for the scalable search engine (repro.tune.search and friends).
+"""Tests for the tuning driver at scale (repro.tune.search and friends).
 
 Covers the streaming SearchSpace on million-point products, the seeded
-strategies, the measured re-rank's fault isolation, the learned cost model,
-the device zoo and the per-device tuning tables.
+sampled pre-filter, the measured re-rank's fault isolation, the learned
+cost model, the device zoo and the per-device tuning tables.
 """
 
 import random
@@ -19,11 +19,9 @@ from repro.tune import (
     SearchSpace,
     TuningTable,
     autotune,
-    evolutionary,
     measure_candidates,
     problem_signature,
     search,
-    successive_halving,
 )
 
 
@@ -114,45 +112,41 @@ def test_extended_app_spaces_cleared_the_scale_bar():
         assert len(space) >= 10_000, f"{name}: only {len(space)} valid configs"
 
 
-# -- strategies ---------------------------------------------------------------------
+# -- the sampled pre-filter ---------------------------------------------------------
+
+
+def _sampled(app, budget, seed):
+    result = search(app, budget=budget, seed=seed, measure_top_k=0, cache=ResultCache())
+    assert result.strategy == "halving" and result.evaluated <= budget + 1
+    return [c.config for c in result.evaluations]
 
 
 def test_successive_halving_is_seed_deterministic():
-    first = successive_halving("matmul", budget=96, seed=5, cache=ResultCache())
-    second = successive_halving("matmul", budget=96, seed=5, cache=ResultCache())
-    assert [c.config for c in first] == [c.config for c in second]
-    other = successive_halving("matmul", budget=96, seed=6, cache=ResultCache())
-    assert [c.config for c in first] != [c.config for c in other]
-
-
-def test_evolutionary_is_seed_deterministic_and_respects_constraints():
-    from repro.apps.registry import get_app
-
-    space = get_app("lud").space
-    first = evolutionary("lud", budget=80, seed=2, cache=ResultCache())
-    second = evolutionary("lud", budget=80, seed=2, cache=ResultCache())
-    assert [c.config for c in first] == [c.config for c in second]
-    assert all(space.constraint(c.config) for c in first)
+    first = _sampled("matmul", budget=96, seed=5)
+    assert first == _sampled("matmul", budget=96, seed=5)
+    assert first != _sampled("matmul", budget=96, seed=6)
 
 
 def test_sampled_strategies_always_include_the_paper_config():
     from repro.apps.registry import get_app
 
-    paper_first = next(iter(get_app("lud").space))
-    ranked = successive_halving("lud", budget=32, seed=11, cache=ResultCache())
-    assert paper_first in [c.config for c in ranked]
+    space = get_app("lud").space
+    pool = _sampled("lud", budget=32, seed=11)
+    assert pool[0] == next(iter(space))
+    assert all(space.constraint(config) for config in pool)
 
 
 def test_search_exhaustive_matches_autotune_winner():
-    result = search("nw", strategy="exhaustive", measure_top_k=0, cache=ResultCache())
+    cache = ResultCache()
+    result = search("nw", budget=None, measure_top_k=0, cache=cache)
     baseline = autotune("nw")
+    assert result.strategy == baseline.strategy == "exhaustive"
     assert result.best.config == baseline.best.config
     assert result.evaluated == len(baseline.evaluations) == result.space_size
-
-
-def test_search_rejects_unknown_strategy():
-    with pytest.raises(ValueError, match="unknown search strategy"):
-        search("nw", strategy="simulated-annealing", cache=ResultCache())
+    # a budget that covers the space is the same exhaustive scan
+    covered = search("nw", budget=result.space_size, measure_top_k=0, cache=cache)
+    assert covered.strategy == "exhaustive"
+    assert [c.config for c in covered.evaluations] == [c.config for c in result.evaluations]
 
 
 # -- measured re-rank and fault isolation -------------------------------------------
@@ -188,26 +182,6 @@ def test_inexecutable_candidate_is_demoted_not_fatal():
     assert ok_64.measured and ok_32.measured
     ranked = sorted(candidates, key=type(candidates[0]).rank_key)
     assert ranked[-1] is demoted  # analytic tier sorts below measured tier
-
-
-def test_parallel_measurement_matches_serial_and_isolates_faults():
-    from repro.tune.tuner import evaluate_configs
-    from repro.apps.registry import get_app
-
-    spec = get_app("lud")
-    configs = [
-        {"block": b, "cuda_block": 16, "smem_layout": "row",
-         "panel_layout": "row", "unroll": 1, "prefetch": 0, "vector": 1}
-        for b in (128, 64, 32, 16)
-    ]
-    serial = evaluate_configs(spec, configs, cache=ResultCache())
-    parallel = evaluate_configs(spec, configs, cache=ResultCache())
-    serial_profiles = measure_candidates(spec, serial, workers=0)
-    parallel_profiles = measure_candidates(spec, parallel, workers=2)
-    assert [p.status for p in serial_profiles] == [p.status for p in parallel_profiles]
-    assert [c.measured_time_seconds for c in serial] == pytest.approx(
-        [c.measured_time_seconds for c in parallel]
-    )
 
 
 def test_search_keeps_walking_past_demoted_candidates():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.apps.registry import AppSpec, available_apps, get_app
-from repro.tune import Choice, ResultCache, SearchSpace, autotune, sweep
+from repro.tune import Choice, ResultCache, SearchSpace, TuneResult, autotune, search
 
 
 # -- search spaces ------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_registry_resolves_specs_lazily_and_rejects_unknown():
 def toy_spec():
     calls = []
 
-    def evaluate(config):
+    def evaluate(config, device=None):
         calls.append(dict(config))
         return {"time_seconds": abs(config["x"] - 3) + 1.0, "x": config["x"]}
 
@@ -128,10 +128,10 @@ def test_autotune_ranks_by_estimated_time(toy_spec):
 def test_autotune_uses_the_persistent_cache(toy_spec, tmp_path):
     spec, calls = toy_spec
     path = tmp_path / "tune.json"
-    first = autotune(spec, cache_path=path)
+    first = autotune(spec, cache=ResultCache(path))
     assert len(calls) == 4 and not any(c.cached for c in first.evaluations)
 
-    second = autotune(spec, cache_path=path)
+    second = autotune(spec, cache=ResultCache(path))  # a fresh store on the same file
     assert len(calls) == 4  # nothing re-evaluated
     assert all(c.cached for c in second.evaluations)
     assert second.best.config == first.best.config
@@ -144,7 +144,7 @@ def test_autotune_tolerates_non_kernel_generate_results():
         name="adhoc",
         backend="triton",
         space=SearchSpace(Choice("x", (1, 2))),
-        evaluate=lambda config: float(config["x"]),
+        evaluate=lambda config, device=None: float(config["x"]),
         generate=lambda config: f"// kernel for x={config['x']}\n",
     )
     result = autotune(spec)
@@ -160,20 +160,69 @@ def test_autotune_rejects_empty_spaces(toy_spec):
                                          constraint=lambda c: False))
 
 
-def test_autotune_parallel_evaluation_matches_serial():
-    from repro.apps.registry import get_app
+@pytest.mark.parametrize("budget", [None, 1, 1024])
+def test_search_rejects_empty_spaces_before_evaluating(toy_spec, budget):
+    spec, calls = toy_spec
+    empty = SearchSpace(Choice("x", (99,)), constraint=lambda c: False)
+    with pytest.raises(ValueError, match="search space for app 'toy' is empty"):
+        search(spec, space=empty, budget=budget, measure_top_k=0)
+    assert calls == []
 
-    # a narrowed slice of the (now 10^4+-point) stencil space: big enough to
-    # exercise pool chunking, small enough to sweep twice in a test
-    space = get_app("stencil").space.subspace(
-        brick=(8,), brick_y=(8,), brick_z=(8,), vector=(1,), unroll=(1,)
-    )
-    serial = autotune("stencil", space=space)
-    parallel = autotune("stencil", space=space, parallel=2)
-    assert [c.config for c in serial.evaluations] == [c.config for c in parallel.evaluations]
-    assert [c.time_seconds for c in serial.evaluations] == pytest.approx(
-        [c.time_seconds for c in parallel.evaluations]
-    )
+
+def test_autotune_and_search_share_one_evaluation_key():
+    # both spellings default the device to the A100, so one evaluation has
+    # one key: the second sweep is all hits and the cache does not grow
+    cache = ResultCache()
+    swept = autotune("transpose", cache=cache)
+    entries = len(cache)
+    assert swept.cache_misses == entries == 24
+    again = search("transpose", budget=None, measure_top_k=0, cache=cache)
+    assert (again.cache_hits, again.cache_misses) == (24, 0)
+    assert all(c.cached for c in again.evaluations)
+    assert len(cache) == entries
+
+
+@pytest.mark.parametrize("app", available_apps())
+def test_autotune_is_search_over_the_whole_space(app):
+    swept = autotune(app)
+    searched = search(app, budget=None, measure_top_k=0, train=False)
+    assert type(swept) is type(searched) is TuneResult
+    assert swept.strategy == searched.strategy == "exhaustive"
+    assert swept.device == searched.device == "NVIDIA A100 80GB"
+    assert swept.evaluated == searched.evaluated == swept.space_size == len(get_app(app).space)
+    assert swept.best.config == searched.best.config
+    assert [c.config for c in swept.evaluations] == [c.config for c in searched.evaluations]
+    assert [c.time_seconds for c in swept.evaluations] == [
+        c.time_seconds for c in searched.evaluations
+    ]
+    # nothing measured, learned or verified unless asked for
+    assert swept.measured == 0 and not swept.profiles and not swept.verification
+    assert not swept.model_used
+
+
+def test_registered_apps_share_one_calling_convention():
+    """evaluate(config, device=), builders (config, rng, device=), execute(kernel, device=)."""
+    import numpy as np
+
+    from repro.apps.registry import CheckCase
+    from repro.check import resolve_case_kernel
+    from repro.gpusim import A100_80GB, get_device
+
+    h100 = get_device("h100")
+    for name in available_apps():
+        spec = get_app(name)
+        config = next(iter(spec.space))
+        on_h100 = spec.evaluate(config, device=h100)
+        assert spec.evaluate(config) == spec.evaluate(config, device=A100_80GB)
+        assert on_h100 != spec.evaluate(config), name  # the device is honoured
+        builders = [spec.check_case] + ([spec.perf_case] if spec.perf_case else [])
+        for builder in builders:
+            for device in (None, h100):
+                case = builder(dict(config), np.random.default_rng(0), device=device)
+                assert isinstance(case, CheckCase), (name, builder)
+                kernel = resolve_case_kernel(spec, case, config)
+                output, _ = case.execute(kernel, device=device)
+                assert output is not None, (name, builder)
 
 
 # -- the paper's winners ------------------------------------------------------------
