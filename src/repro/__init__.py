@@ -74,7 +74,7 @@ from .codegen import (
     get_backend,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "__version__",

@@ -228,7 +228,6 @@ def run_grouped_gemm(
     a: np.ndarray,
     b: np.ndarray,
     config: GroupedGemmConfig,
-    sample_programs: int | None = None,
     device: DeviceSpec | None = None,
 ):
     """Execute the grouped GEMM kernel; ``a`` is ``(G, M, K)``, ``b`` is ``(G, K, N)``."""
@@ -246,7 +245,6 @@ def run_grouped_gemm(
             "G": g, "M": m, "N": n, "K": k,
             "BM": config.BM, "BN": config.BN, "BK": config.BK,
         },
-        sample_programs=sample_programs,
         sector_bytes=device.dram_sector_bytes if device is not None else 32,
     )
     return from_device(c_buf, (g, m, n)), trace

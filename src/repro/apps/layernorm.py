@@ -142,7 +142,7 @@ def layernorm_backward_reference(
     return (wdy - (xhat * c1 + c2)) * rstd
 
 
-def run_layernorm_forward(kernel: TritonKernel, x, w, b, eps: float = 1e-5, sample_programs=None,
+def run_layernorm_forward(kernel: TritonKernel, x, w, b, eps: float = 1e-5,
                           device: DeviceSpec | None = None):
     m, n = x.shape
     x_buf = to_device(x.astype(np.float32).reshape(-1), "x")
@@ -157,13 +157,12 @@ def run_layernorm_forward(kernel: TritonKernel, x, w, b, eps: float = 1e-5, samp
             "x_ptr": x_buf, "w_ptr": w_buf, "b_ptr": b_buf, "y_ptr": y_buf,
             "M": m, "N": n, "eps": eps, "BN": n,
         },
-        sample_programs=sample_programs,
         sector_bytes=device.dram_sector_bytes if device is not None else 32,
     )
     return from_device(y_buf, (m, n)), trace
 
 
-def run_layernorm_backward(kernel: TritonKernel, dy, x, w, eps: float = 1e-5, sample_programs=None,
+def run_layernorm_backward(kernel: TritonKernel, dy, x, w, eps: float = 1e-5,
                            device: DeviceSpec | None = None):
     m, n = x.shape
     dy_buf = to_device(dy.astype(np.float32).reshape(-1), "dy")
@@ -178,7 +177,6 @@ def run_layernorm_backward(kernel: TritonKernel, dy, x, w, eps: float = 1e-5, sa
             "dy_ptr": dy_buf, "x_ptr": x_buf, "w_ptr": w_buf, "dx_ptr": dx_buf,
             "M": m, "N": n, "eps": eps, "BN": n,
         },
-        sample_programs=sample_programs,
         sector_bytes=device.dram_sector_bytes if device is not None else 32,
     )
     return from_device(dx_buf, (m, n)), trace

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codegen import CodegenContext, CudaKernel, get_backend, note_fallback, note_static_proof
+from ..codegen import CodegenContext, CudaKernel, GuardProofError, get_backend, note_static_proof
 from ..core import GroupBy, Row
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, cost_features, estimate_time
 from ..minicuda import GlobalArray, launch
@@ -179,9 +179,12 @@ def split_lu(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_element_offsets(kernel, config: LudConfig) -> None:
-    """Prove the kernel's generated ``element_offset`` covers its block.
+    """Enumerate the kernel's generated ``element_offset`` over its block.
 
-    Evaluates the lowered index expression
+    The oracle ``python -m repro.symbolic.bench`` and the tests cross-check
+    the static proof (:func:`prove_element_offset_bijection`) against;
+    nothing on the check or tuning path calls it.  Evaluates the lowered
+    index expression
     (:meth:`~repro.codegen.backend.GeneratedKernel.evaluate_bindings`) for
     every ``(r_i, r_j, ty, tx)`` a thread block enumerates and asserts the
     offsets are a bijection onto the ``B x B`` elements: the internal kernel
@@ -219,8 +222,7 @@ def prove_element_offset_bijection(kernel, config: LudConfig) -> bool | None:
     (:func:`~repro.symbolic.is_mixed_radix_bijection`).  Returns ``True`` /
     ``False`` on a definitive structural verdict and ``None`` when the
     expression is not affine in the thread coordinates (e.g. a swizzled
-    layout lowered through ``%``), in which case the caller must fall back
-    to runtime enumeration.
+    layout lowered through ``%``).
     """
     binding = kernel.bindings.get("element_offset")
     if binding is None:
@@ -235,30 +237,30 @@ def prove_element_offset_bijection(kernel, config: LudConfig) -> bool | None:
     return is_mixed_radix_bijection(const, pairs, b * b)
 
 
-def assert_element_offset_bijection(kernel, config: LudConfig) -> str:
-    """Discharge the bijectivity obligation, statically when possible.
+def assert_element_offset_bijection(kernel, config: LudConfig) -> None:
+    """Discharge the bijectivity obligation with the static mixed-radix proof.
 
-    The static mixed-radix proof covers every affine coarsening layout — the
-    entire tuned LUD search space — so the hot path (one call per generated
-    configuration during search and verification) no longer enumerates
-    ``B^2`` index combinations.  Non-affine layouts fall back to the
-    enumeration check, which stays as the test-only cross-check as well.
-    Returns ``"static"`` or ``"enumerated"``; raises ``ValueError`` when the
-    layout provably skips or doubles an element.
+    The proof covers every affine coarsening layout — the entire tuned LUD
+    search space — so the hot path (one call per generated configuration
+    during search and verification) never enumerates ``B^2`` index
+    combinations.  Raises ``ValueError`` when the layout provably skips or
+    doubles an element and :class:`~repro.codegen.GuardProofError` when the
+    proof abstains (a non-affine layout): an unproven layout is refused, not
+    enumerated.
     """
     verdict = prove_element_offset_bijection(kernel, config)
+    b = config.block
     if verdict is None:
-        note_fallback()
-        check_element_offsets(kernel, config)
-        return "enumerated"
+        raise GuardProofError(
+            f"element_offset of {kernel.name!r} is not affine in the thread "
+            f"coordinates: bijectivity onto the {b}x{b} block is not proven"
+        )
     note_static_proof()
     if not verdict:
-        b = config.block
         raise ValueError(
             f"element_offset of {kernel.name!r} is not a bijection onto the "
             f"{b}x{b} block: strides are not a permuted mixed-radix basis"
         )
-    return "static"
 
 
 def lud_check_reference(config, inputs) -> np.ndarray:
@@ -274,8 +276,7 @@ def lud_check_case(config, rng, device=None):
     kernel-structure mirror) must match the unblocked reference, and the
     generated coarsened-thread-layout expression must enumerate the block
     bijectively — discharged statically by the mixed-radix stride proof
-    (:func:`assert_element_offset_bijection`), with the old runtime
-    enumeration kept only as the non-affine fallback.  The matrix is made
+    (:func:`assert_element_offset_bijection`).  The matrix is made
     diagonally dominant so the factorisation is well-conditioned.
     """
     from .registry import CheckCase

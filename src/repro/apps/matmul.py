@@ -181,7 +181,6 @@ def run_matmul(
     b: np.ndarray,
     config: MatmulConfig,
     variant: str = "nn",
-    sample_programs: int | None = None,
     device: DeviceSpec | None = None,
 ):
     """Execute a generated matmul kernel on the mini-Triton interpreter.
@@ -217,7 +216,6 @@ def run_matmul(
             "BK": config.BK,
             "GM": config.GM,
         },
-        sample_programs=sample_programs,
         sector_bytes=device.dram_sector_bytes if device is not None else 32,
     )
     c = from_device(c_buf, (config.M, config.N))

@@ -342,9 +342,6 @@ def run_nw_blocked(
         merged.smem_profile = merged.smem_profile.merge(trace.smem_profile)
         merged.flops += trace.flops
         merged.blocks += blocks_on_wave
-        # every wave launches its full grid; without accumulating the
-        # executed count the merged trace would misreport itself as sampled
-        merged.executed_blocks += min(trace.executed_blocks, blocks_on_wave)
         merged.threads_per_block = trace.threads_per_block
         merged.smem_per_block = max(merged.smem_per_block, trace.smem_per_block)
     merged.extras = {"launches": launches}

@@ -52,8 +52,7 @@ class CheckCase:
     the generated kernel left intact.  ``inputs`` are the named NumPy input
     buffers (also what :attr:`AppSpec.reference` consumes);
     ``execute(kernel, device=None)`` runs the kernel on the app's substrate
-    at the full (never sampled) launch and returns ``(output array, trace or
-    None)``.
+    and returns ``(output array, trace or None)``.
     """
 
     config: dict

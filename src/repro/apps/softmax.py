@@ -158,8 +158,7 @@ def softmax_reference(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def run_softmax(kernel: TritonKernel, x: np.ndarray, sample_programs: int | None = None,
-                device: DeviceSpec | None = None):
+def run_softmax(kernel: TritonKernel, x: np.ndarray, device: DeviceSpec | None = None):
     """Execute the generated kernel on the mini-Triton interpreter."""
     m, n = x.shape
     x_buf = to_device(x.astype(np.float32).reshape(-1), "x")
@@ -169,7 +168,6 @@ def run_softmax(kernel: TritonKernel, x: np.ndarray, sample_programs: int | None
         fn,
         grid=m,
         kernel_args={"x_ptr": x_buf, "y_ptr": y_buf, "M": m, "N": n, "BN": n},
-        sample_programs=sample_programs,
         sector_bytes=device.dram_sector_bytes if device is not None else 32,
     )
     return from_device(y_buf, (m, n)), trace

@@ -88,11 +88,9 @@ def stencil_check_case(config, rng, device=None):
 def stencil_perf_case(config, rng, device=None):
     """The measured-profiling case: a multi-brick grid plus extrapolation.
 
-    Historically the stencil had no perf case, so measured profiling fell
-    back to the minimal check grid — too small to exercise more than one
-    interior brick, which is why the widest (125-point) stencil could only
-    be ranked sampled.  With the vectorized engine a grid of several bricks
-    per side executes in milliseconds, so the case runs it *unsampled* and
+    The minimal check grid is too small to exercise more than one interior
+    brick, so the case runs a grid of several bricks per side (milliseconds
+    on the vectorized engine, the widest 125-point stencil included) and
     extrapolates by the ratio of interior cells (traffic and arithmetic are
     both per-interior-cell; the layout's per-transaction behaviour is what
     the measurement captures and survives scaling unchanged).

@@ -117,7 +117,7 @@ def generate_transpose(config: TransposeConfig, variant: str = "smem",
 
 
 def run_transpose(kernel: MlirKernel, matrix: np.ndarray, config: TransposeConfig,
-                  sample_blocks: int | None = None, device: DeviceSpec | None = None):
+                  device: DeviceSpec | None = None):
     """Interpret the generated MLIR kernel; returns ``(transposed, launch result)``.
 
     ``device`` sets the warp width / sector granularity the trace records at.
@@ -130,7 +130,6 @@ def run_transpose(kernel: MlirKernel, matrix: np.ndarray, config: TransposeConfi
         grid=config.grid(),
         block=config.block(),
         arguments=[source, destination],
-        sample_blocks=sample_blocks,
         device=device,
     )
     return destination.reshape(config.n, config.n), result

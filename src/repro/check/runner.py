@@ -14,8 +14,8 @@ one: every registered application carries a NumPy **reference model** and a
    service when one is passed — regenerating at the check size when the
    downsizing changed a kernel-determining axis,
 3. executes it on the matching substrate (Triton -> ``minitriton.launch``,
-   CUDA -> ``minicuda``, MLIR -> ``mlir.interp``), refusing traces from
-   sampled launches (partial grids must never be numerically compared),
+   CUDA -> ``minicuda``, MLIR -> ``mlir.interp``) — every launch runs its
+   whole grid, so the output is always complete,
 4. asserts the output matches the reference within per-dtype tolerances and
    returns a structured :class:`CheckReport`.
 
@@ -169,7 +169,6 @@ class CheckFailure(AssertionError):
 _TRACE_COUNTERS = (
     "programs",
     "blocks",
-    "executed_blocks",
     "load_elements",
     "store_elements",
     "load_bytes",
@@ -273,14 +272,14 @@ def _compare(report: CheckReport, actual, reference) -> CheckReport:
 
 
 def run_case(spec: AppSpec, builder, config: Mapping, *, seed_parts: tuple,
-             device=None, kernel=None, service=None, engine: str | None = None):
+             device=None, kernel=None, service=None):
     """Build one case of ``config`` and execute it on its substrate.
 
     The prefix :func:`run_check` and :func:`repro.perf.profile` share: seed
     a NumPy generator from ``seed_parts`` and the configuration, build the
     case with ``builder`` (``spec.check_case`` or ``spec.perf_case``),
-    resolve the kernel (:func:`resolve_case_kernel`) and execute under
-    ``engine`` (``None`` keeps the ambient :mod:`repro.vm` mode).  ``device``
+    resolve the kernel (:func:`resolve_case_kernel`) and execute under the
+    ambient :mod:`repro.vm` engine mode.  ``device``
     is the :class:`~repro.gpusim.DeviceSpec` the builder sizes the case for
     and the substrate records its trace at; ``None`` keeps the CUDA
     defaults.  Returns ``(case, kernel, output, trace)``, or ``None`` when
@@ -288,7 +287,7 @@ def run_case(spec: AppSpec, builder, config: Mapping, *, seed_parts: tuple,
     whatever the builder, the generator or the substrate raises propagates.
     """
     from ..obs.trace import span
-    from ..vm.engine import resolve_mode, use_engine
+    from ..vm.engine import engine_mode
 
     rng = np.random.default_rng(
         stable_seed(*seed_parts, {k: config[k] for k in sorted(config)})
@@ -298,9 +297,8 @@ def run_case(spec: AppSpec, builder, config: Mapping, *, seed_parts: tuple,
         return None
     with span("perf.resolve", "perf", app=spec.name):
         use = resolve_case_kernel(spec, case, config, kernel=kernel, service=service)
-    mode = resolve_mode(engine)
-    with use_engine(mode), span("vm.execute", "vm", app=spec.name, engine=mode,
-                                kernel=getattr(use, "name", "") or spec.name):
+    with span("vm.execute", "vm", app=spec.name, engine=engine_mode(),
+              kernel=getattr(use, "name", "") or spec.name):
         output, trace = case.execute(use, device=device)
     return case, use, output, trace
 
@@ -329,11 +327,6 @@ def _check_inner(spec: AppSpec, config: Mapping, *, seed: int, kernel, service) 
         report.check_config = dict(case.config)
         report.kernel = getattr(use, "name", "") or ""
         if trace is not None:
-            if getattr(trace, "sampled", False):
-                raise ValueError(
-                    "substrate trace reports a sampled launch; differential checks "
-                    "must execute the full grid (partial results are not comparable)"
-                )
             report.trace = _trace_counters(trace)
         reference = spec.reference(case.config, case.inputs)
     except Exception as exc:  # a config the app cannot build or execute is a failure

@@ -26,7 +26,6 @@ from .context import CodegenContext, LoweredBinding, lower_expression
 from .guards import (
     GuardProofError,
     discharge_in_bounds,
-    note_fallback,
     note_static_proof,
     prove_guard_redundant,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "prove_guard_redundant",
     "discharge_in_bounds",
     "note_static_proof",
-    "note_fallback",
     "Backend",
     "GeneratedKernel",
     "TemplateBackend",

@@ -7,9 +7,10 @@ always-true for a given launch shape.  The range analysis
 (:meth:`repro.symbolic.SymbolicEnv.range_of`) can: apps build the mask's
 predicate symbolically over declared index ranges and call
 :func:`prove_guard_redundant`; a ``True`` verdict licenses launching the
-unguarded kernel.  The NW wavefront and stencil interior launches have no
-guarded twin to retreat to — a verdict other than ``True`` there is a
-:class:`GuardProofError`, not a slower launch.
+unguarded kernel.  The NW wavefront and stencil interior launches and LUD's
+``element_offset`` bijectivity have no guarded twin to retreat to — a
+verdict other than ``True`` there is a :class:`GuardProofError`, not a
+slower launch or a runtime enumeration.
 
 Every verdict is observable through :mod:`repro.obs`:
 
@@ -35,7 +36,6 @@ __all__ = [
     "prove_guard_redundant",
     "discharge_in_bounds",
     "note_static_proof",
-    "note_fallback",
 ]
 
 
@@ -67,11 +67,6 @@ _HELP = {
 def note_static_proof(amount: int = 1) -> None:
     """Record obligations discharged statically (outside the helpers here)."""
     _counter("repro.symbolic.proofs_static").inc(amount)
-
-
-def note_fallback(amount: int = 1) -> None:
-    """Record obligations that stayed dynamic."""
-    _counter("repro.symbolic.proofs_fallback").inc(amount)
 
 
 def prove_guard_redundant(

@@ -14,12 +14,12 @@ NumPy-backed execution model that
 * provides global-memory views whose per-warp sector transactions are
   recorded (:class:`GlobalArray`).
 
-:func:`repro.perf.adapters.cuda_trace_to_cost` converts the recorded
-counters into a :class:`repro.gpusim.KernelCost` for the analytic device
-model.
+:func:`repro.perf.trace_to_cost` converts the recorded counters into a
+:class:`repro.gpusim.KernelCost` for the analytic device model.
 
-Functional correctness is checked by running full launches at small problem
-sizes; performance estimation traces a sample of blocks and scales.
+Every launch runs its whole grid: functional correctness and performance
+estimation read the same small full launch, and :mod:`repro.perf`
+extrapolates the cost to the paper-scale problem (``PerfCase.scale``).
 """
 
 from .runtime import BlockContext, CudaTrace, Dim3, launch

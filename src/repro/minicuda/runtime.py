@@ -8,9 +8,9 @@ such per-thread index arrays.  This mirrors how a warp-synchronous CUDA
 kernel reads on paper while keeping the Python interpreter overhead per block
 (not per thread).
 
-:func:`launch` runs the kernel over a grid of blocks (optionally a sample of
-them, scaling the recorded counters) and returns a :class:`CudaTrace` with
-the accumulated global-memory traffic and shared-memory conflict profile.
+:func:`launch` runs the kernel over every block of the grid and returns a
+:class:`CudaTrace` with the accumulated global-memory traffic and
+shared-memory conflict profile.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class Dim3:
 
 @dataclass
 class CudaTrace:
-    """Counters accumulated over one launch (scaled to the full grid)."""
+    """Counters accumulated over one launch."""
 
     #: global memory
     load_elements: float = 0.0
@@ -73,13 +73,11 @@ class CudaTrace:
     #: launch geometry
     blocks: int = 0
     threads_per_block: int = 0
-    executed_blocks: int = 0
     smem_per_block: int = 0
     #: DRAM sector granularity (bytes) the transaction counters were
     #: recorded at (see :class:`GlobalArray`); the trace->cost adapter
     #: charges moved bytes at the same size
     sector_bytes: int = 32
-    scale: float = 1.0
     extras: dict = field(default_factory=dict)
 
     @property
@@ -93,38 +91,6 @@ class CudaTrace:
     @property
     def bank_conflict_factor(self) -> float:
         return self.smem_profile.average_degree
-
-    @property
-    def sampled(self) -> bool:
-        """Only a sample of the grid executed, so global arrays are partial.
-
-        Survives :meth:`scaled` (which resets ``scale`` but keeps both block
-        counts); the differential runner refuses sampled traces.
-        """
-        return self.executed_blocks < self.blocks
-
-    def scaled(self) -> "CudaTrace":
-        """Return a copy with all extensive counters scaled to the full grid."""
-        out = CudaTrace(
-            load_elements=self.load_elements * self.scale,
-            store_elements=self.store_elements * self.scale,
-            load_bytes=self.load_bytes * self.scale,
-            store_bytes=self.store_bytes * self.scale,
-            load_transactions=self.load_transactions * self.scale,
-            store_transactions=self.store_transactions * self.scale,
-            smem_load_bytes=self.smem_load_bytes * self.scale,
-            smem_store_bytes=self.smem_store_bytes * self.scale,
-            flops=self.flops * self.scale,
-            blocks=self.blocks,
-            threads_per_block=self.threads_per_block,
-            executed_blocks=self.executed_blocks,
-            smem_per_block=self.smem_per_block,
-            sector_bytes=self.sector_bytes,
-            scale=1.0,
-        )
-        out.smem_profile = self.smem_profile
-        out.extras = dict(self.extras)
-        return out
 
 
 class BlockContext:
@@ -268,26 +234,22 @@ def launch(
     grid,
     block,
     args: Sequence = (),
-    trace: bool = True,
-    sample_blocks: int | None = None,
     device=None,
 ) -> CudaTrace:
-    """Run ``kernel`` over ``grid`` x ``block`` threads.
+    """Run ``kernel`` over every block of ``grid`` x ``block`` threads.
 
     ``kernel`` is called once per thread block as ``kernel(ctx, *args)``.
-    With ``sample_blocks=N`` only ``N`` evenly spaced blocks execute and the
-    returned trace is scaled to the full grid (use sampling for performance
-    estimation only — results written to global arrays are then partial).
     ``device`` (a :class:`~repro.gpusim.DeviceSpec`) sets the warp width and
     DRAM sector granularity the accounting uses instead of the CUDA-default
     32/32.
     """
     grid = Dim3.of(grid)
     block = Dim3.of(block)
-    total_blocks = grid.count
     warp_size = device.warp_size if device is not None else 32
     sector_bytes = device.dram_sector_bytes if device is not None else None
-    run_trace = CudaTrace(sector_bytes=sector_bytes or 32) if trace else None
+    run_trace = CudaTrace(
+        blocks=grid.count, threads_per_block=block.count, sector_bytes=sector_bytes or 32
+    )
 
     def batched(block_ids, run_trace):
         from ..vm.cuda import launch_batched
@@ -311,15 +273,5 @@ def launch(
             max_smem = max(max_smem, ctx.smem_bytes_allocated())
         return max_smem
 
-    executed_blocks, scale, max_smem = run_launch(
-        total_blocks, sample_blocks, "sample_blocks", batched, treewalk, run_trace
-    )
-
-    if run_trace is None:
-        run_trace = CudaTrace()
-    run_trace.blocks = total_blocks
-    run_trace.threads_per_block = block.count
-    run_trace.executed_blocks = executed_blocks
-    run_trace.smem_per_block = max_smem
-    run_trace.scale = scale
-    return run_trace.scaled()
+    run_trace.smem_per_block = run_launch(grid.count, batched, treewalk, run_trace)
+    return run_trace

@@ -118,33 +118,7 @@ class KernelTrace:
     #: recorded at — the trace->cost adapter charges moved bytes at the same
     #: size, so recording and costing can never disagree
     sector_bytes: int = 32
-    #: multiplier applied when only a sample of programs was executed
-    scale: float = 1.0
-    #: the launch executed only a sample of the grid, so device-buffer
-    #: contents are partial.  ``scaled()`` folds ``scale`` back into the
-    #: counters (resetting it to 1.0), so this flag — not the scale — is the
-    #: durable record that results must never be numerically compared; the
-    #: differential runner (:mod:`repro.check`) rejects traces carrying it.
-    sampled: bool = False
     extras: dict = field(default_factory=dict)
-
-    def scaled(self) -> "KernelTrace":
-        out = KernelTrace(
-            load_elements=self.load_elements * self.scale,
-            store_elements=self.store_elements * self.scale,
-            load_bytes=self.load_bytes * self.scale,
-            store_bytes=self.store_bytes * self.scale,
-            load_transactions=self.load_transactions * self.scale,
-            store_transactions=self.store_transactions * self.scale,
-            flops=self.flops * self.scale,
-            tensor_core_flops=self.tensor_core_flops * self.scale,
-            programs=int(self.programs * self.scale),
-            sector_bytes=self.sector_bytes,
-            scale=1.0,
-            sampled=self.sampled,
-        )
-        out.extras = dict(self.extras)
-        return out
 
     @property
     def dram_bytes(self) -> float:

@@ -7,15 +7,14 @@ program instance, exactly mirroring Triton's execution model:
 * :func:`compile_kernel` — execute the source in a namespace providing ``tl``
   (the language module) and a no-op ``@triton.jit`` decorator, and return the
   requested kernel function;
-* :func:`launch` — run the kernel for every program id in the grid (or for a
-  sample of them, scaling the recorded memory/arithmetic trace accordingly);
+* :func:`launch` — run the kernel for every program id in the grid and
+  return the recorded memory/arithmetic trace;
 * :func:`to_device` / :func:`from_device` — move NumPy arrays in and out of
   :class:`~repro.minitriton.language.DeviceBuffer` allocations.
 
-Sampled launches exist because Python-interpreting every program of an
-8192x8192 GEMM is infeasible; correctness tests run full launches at small
-sizes, benchmarks trace a sample and feed the scaled counters to the analytic
-device model.
+Every launch runs the whole grid, so device buffers are always complete.
+Paper-scale problems are costed by tracing a small full launch and
+extrapolating with ``PerfCase.scale`` / ``KernelCost.scaled`` (:mod:`repro.perf`).
 """
 
 from __future__ import annotations
@@ -101,25 +100,18 @@ def launch(
     kernel: Callable,
     grid,
     kernel_args: Mapping[str, object],
-    trace: bool = True,
-    sample_programs: int | None = None,
     sector_bytes: int = 32,
 ) -> KernelTrace:
-    """Run ``kernel`` over ``grid``.
+    """Run ``kernel`` over every program of ``grid`` and return its trace.
 
-    ``kernel_args`` are passed as keyword arguments to every program.  With
-    ``sample_programs=N`` only ``N`` evenly spaced program instances execute
-    and the returned trace is scaled up to the full grid (results written to
-    device buffers are then partial — use sampling only for performance
-    tracing, never for correctness checks; the returned trace carries
-    ``sampled=True`` so numeric consumers such as :mod:`repro.check` can
-    refuse it).  ``sector_bytes`` sets the DRAM sector granularity the
-    transaction counters are recorded at (pass the target device's
+    ``kernel_args`` are passed as keyword arguments to every program.
+    ``sector_bytes`` sets the DRAM sector granularity the transaction
+    counters are recorded at (pass the target device's
     ``dram_sector_bytes``); the trace remembers it so the cost adapter
     charges moved bytes at the same size.
     """
     grid3 = _normalize_grid(grid)
-    run_trace = KernelTrace(sector_bytes=sector_bytes) if trace else None
+    run_trace = KernelTrace(programs=grid3[0] * grid3[1] * grid3[2], sector_bytes=sector_bytes)
 
     def batched(program_ids, run_trace):
         from ..vm.triton import launch_batched
@@ -145,14 +137,6 @@ def launch(
 
     # the batched engine re-executes the kernel's source text, which only
     # kernels built by compile_kernel carry
-    programs, scale, _ = run_launch(
-        grid3[0] * grid3[1] * grid3[2], sample_programs, "sample_programs",
-        batched if hasattr(kernel, "_lego_source") else None, treewalk, run_trace,
-    )
-
-    if run_trace is None:
-        run_trace = KernelTrace(sector_bytes=sector_bytes)
-    run_trace.programs = programs
-    run_trace.scale = scale
-    run_trace.sampled = scale != 1.0
-    return run_trace.scaled()
+    can_batch = hasattr(kernel, "_lego_source")
+    run_launch(run_trace.programs, batched if can_batch else None, treewalk, run_trace)
+    return run_trace

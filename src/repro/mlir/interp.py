@@ -45,12 +45,10 @@ class GpuLaunchResult:
     flops: float = 0.0
     blocks: int = 0
     threads_per_block: int = 0
-    executed_blocks: int = 0
     smem_per_block: int = 0
     #: DRAM sector granularity (bytes) the transaction counters were
     #: recorded at; moved-byte accounting uses the same size
     sector_bytes: int = _SECTOR_BYTES
-    scale: float = 1.0
 
     @property
     def dram_bytes(self) -> float:
@@ -63,31 +61,6 @@ class GpuLaunchResult:
     @property
     def bank_conflict_factor(self) -> float:
         return self.smem_profile.average_degree
-
-    @property
-    def sampled(self) -> bool:
-        """Only a sample of the grid executed, so memref contents are partial."""
-        return self.executed_blocks < self.blocks
-
-    def scaled(self) -> "GpuLaunchResult":
-        out = GpuLaunchResult(
-            load_elements=self.load_elements * self.scale,
-            store_elements=self.store_elements * self.scale,
-            load_bytes=self.load_bytes * self.scale,
-            store_bytes=self.store_bytes * self.scale,
-            load_transactions=self.load_transactions * self.scale,
-            store_transactions=self.store_transactions * self.scale,
-            smem_bytes=self.smem_bytes * self.scale,
-            flops=self.flops * self.scale,
-            blocks=self.blocks,
-            threads_per_block=self.threads_per_block,
-            executed_blocks=self.executed_blocks,
-            smem_per_block=self.smem_per_block,
-            sector_bytes=self.sector_bytes,
-            scale=1.0,
-        )
-        out.smem_profile = self.smem_profile
-        return out
 
 
 class _BlockExecutor:
@@ -316,15 +289,12 @@ def run_gpu_kernel(
     grid: tuple[int, int, int],
     block: tuple[int, int, int],
     arguments: Sequence[np.ndarray],
-    sample_blocks: int | None = None,
     device=None,
 ) -> GpuLaunchResult:
-    """Interpret ``kernel_name`` from ``module`` over a launch grid.
+    """Interpret ``kernel_name`` from ``module`` over every block of a launch grid.
 
     ``arguments`` are NumPy arrays bound (in order) to the kernel's memref
-    arguments; they are mutated in place by ``memref.store``.  With
-    ``sample_blocks`` only a subset of blocks executes and counters are
-    scaled (results are then partial — use for performance tracing only).
+    arguments; they are mutated in place by ``memref.store``.
     ``device`` (a :class:`~repro.gpusim.DeviceSpec`) supplies the warp width
     and DRAM sector granularity the traffic accounting uses instead of the
     CUDA-default 32/32.
@@ -350,10 +320,13 @@ def run_gpu_kernel(
 
     warp_size = device.warp_size if device is not None else _WARP
     sector_bytes = device.dram_sector_bytes if device is not None else _SECTOR_BYTES
-    result = GpuLaunchResult(sector_bytes=sector_bytes)
     grid = tuple(int(g) for g in grid)
     block = tuple(int(b) for b in block)
-    total_blocks = grid[0] * grid[1] * grid[2]
+    result = GpuLaunchResult(
+        blocks=grid[0] * grid[1] * grid[2],
+        threads_per_block=block[0] * block[1] * block[2],
+        sector_bytes=sector_bytes,
+    )
 
     def batched(block_ids, result):
         from ..vm.mlir import launch_batched
@@ -382,9 +355,5 @@ def run_gpu_kernel(
             smem_per_block = max(smem_per_block, executor.shared_allocated)
         return smem_per_block
 
-    result.executed_blocks, result.scale, result.smem_per_block = run_launch(
-        total_blocks, sample_blocks, "sample_blocks", batched, treewalk, result
-    )
-    result.blocks = total_blocks
-    result.threads_per_block = block[0] * block[1] * block[2]
-    return result.scaled()
+    result.smem_per_block = run_launch(result.blocks, batched, treewalk, result)
+    return result

@@ -58,12 +58,14 @@ from .trace import (
 )
 
 def record_farm_event(kind: str, **fields) -> None:
-    """Record one farm lifecycle event (``shed`` / ``restart`` / ``redrive``).
+    """Record one farm lifecycle event (``shed`` / ``restart`` / ``redrive`` /
+    ``supervisor_error``).
 
     Called by the compile-farm supervisor (:mod:`repro.serve.farm`) at the
     points production debugging cares about: a capped lane shedding a
-    request, a worker process dying and being replaced, and an orphaned
-    in-flight request being re-driven to a fresh worker.  Each call bumps
+    request, a worker process dying and being replaced, an orphaned
+    in-flight request being re-driven to a fresh worker, and an exception
+    the supervisor loop isolated.  Each call bumps
     the ``repro.farm.<kind>s`` counter and — when tracing is enabled —
     drops a ``farm.<kind>`` instant into the timeline so the event lines up
     with the serve spans around it.

@@ -57,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="app to autotune (default: matmul, on a bounded subspace)")
     parser.add_argument("--measure-top-k", type=int, default=3,
                         help="candidates to measure on the substrate (default: 3)")
-    parser.add_argument("--engine", default=None, choices=("vectorized", "treewalk"),
-                        help="substrate execution engine (vectorized | treewalk)")
     parser.add_argument("--replay", type=int, default=0, metavar="N",
                         help="also replay N synthetic compile requests through the service")
     parser.add_argument("--trace", default=None, metavar="PATH", dest="trace_path",
@@ -68,8 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_instrumented_autotune(app: str = "matmul", measure_top_k: int = 3,
-                              engine: str | None = None) -> dict:
+def run_instrumented_autotune(app: str = "matmul", measure_top_k: int = 3) -> dict:
     """Tune ``app`` exhaustively with tracing on; return the attribution report.
 
     Calls the driver (:func:`repro.tune.search`) directly, with
@@ -93,7 +90,7 @@ def run_instrumented_autotune(app: str = "matmul", measure_top_k: int = 3,
     try:
         started = time.perf_counter()
         result = search(spec, space=space, budget=None, measure_top_k=measure_top_k,
-                        engine=engine, train=False)
+                        train=False)
         wall = time.perf_counter() - started
         events = TRACER.events()
         trace = TRACER.chrome_trace()
@@ -146,9 +143,7 @@ def _run_replay(requests: int) -> dict:
 
 def main(argv: list[str] | None = None) -> dict:
     args = _build_parser().parse_args(argv)
-    report = run_instrumented_autotune(
-        args.app, measure_top_k=args.measure_top_k, engine=args.engine,
-    )
+    report = run_instrumented_autotune(args.app, measure_top_k=args.measure_top_k)
     trace = report.pop("trace")
 
     print(render_attribution(report["attribution"]))

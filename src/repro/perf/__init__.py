@@ -5,8 +5,8 @@ interpreter) record traces of every launch; until this package only the
 autotuner's *analytic* model consumed them.  ``repro.perf`` closes the
 loop from execution back into tuning:
 
-* :mod:`repro.perf.adapters` — the unified trace->cost protocol: one
-  registered adapter per substrate trace type turns a trace into a
+* :mod:`repro.perf.adapters` — :func:`trace_to_cost`, the one function
+  that turns any of the three substrate traces into a
   measured :class:`~repro.gpusim.KernelCost`, charging DRAM at the sector
   granularity of the :class:`~repro.gpusim.DeviceSpec` (never a hardcoded
   32) and carrying the measured bank-conflict factor;
@@ -31,15 +31,7 @@ Quickstart::
     p.measured_seconds, p.analytic_seconds, p.analytic_error
 """
 
-from .adapters import (
-    adapter_for,
-    cuda_trace_to_cost,
-    mlir_trace_to_cost,
-    register_adapter,
-    trace_metrics,
-    trace_to_cost,
-    triton_trace_to_cost,
-)
+from .adapters import trace_metrics, trace_to_cost
 from .profile import KernelProfile, profile, profile_all, profile_app
 
 __all__ = [
@@ -49,9 +41,4 @@ __all__ = [
     "profile_all",
     "trace_to_cost",
     "trace_metrics",
-    "register_adapter",
-    "adapter_for",
-    "triton_trace_to_cost",
-    "cuda_trace_to_cost",
-    "mlir_trace_to_cost",
 ]

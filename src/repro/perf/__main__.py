@@ -22,12 +22,11 @@ over-charge the cube stencils' neighbour reuse — every one of the
 125-point stencil's passes is billed as DRAM traffic where real
 hardware's L2 absorbs them; see DESIGN.md, "Measured profiling").
 
-``--full-launch`` hardens the sweep for the vectorized engine era: every
-launch must run unsampled (the 125-point cube stencil, historically only
-rankable through sampled launches, is profiled explicitly), and every
-measured configuration is differentially verified through
-:mod:`repro.check`.  ``--engine`` pins the substrate execution engine
-(``treewalk`` reproduces the pre-vectorization interpreters).
+Besides the sampled configurations the sweep always profiles the 125-point
+cube stencil (the widest launch of the eight apps) in both layouts, and
+every measured configuration is differentially verified through
+:mod:`repro.check`.  The substrates run under the ambient :mod:`repro.vm`
+engine mode (``REPRO_VM=treewalk`` sweeps the reference interpreters).
 """
 
 from __future__ import annotations
@@ -38,7 +37,9 @@ import sys
 from pathlib import Path
 
 from ..apps.registry import available_apps
-from .profile import profile_all
+from ..check import run_check
+from ..vm.engine import engine_mode
+from .profile import profile, profile_all
 
 __all__ = ["main", "run_sweep"]
 
@@ -59,11 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-error-for", action="append", default=[], metavar="APP=BOUND",
                         dest="max_error_for",
                         help="per-app override of --max-error (repeatable, e.g. --max-error-for matmul=10)")
-    parser.add_argument("--engine", default=None, choices=("vectorized", "treewalk"),
-                        help="substrate execution engine (default: the ambient mode, normally vectorized)")
-    parser.add_argument("--full-launch", action="store_true", dest="full_launch",
-                        help="require unsampled launches and differentially verify every measured config "
-                             "through repro.check (adds the 125-point cube stencil explicitly)")
     parser.add_argument("--json", default="BENCH_perf.json", metavar="PATH", dest="json_path",
                         help="write the report here (default: BENCH_perf.json; '-' disables)")
     return parser
@@ -81,30 +77,21 @@ def _per_app_bounds(args: argparse.Namespace) -> dict[str, float]:
 
 def run_sweep(args: argparse.Namespace) -> dict:
     apps = available_apps() if args.apps == "all" else [a.strip() for a in args.apps.split(",") if a.strip()]
-    engine = getattr(args, "engine", None)
-    full_launch = bool(getattr(args, "full_launch", False))
     bounds = _per_app_bounds(args)
-    results = profile_all(apps, samples=args.samples, seed=args.seed, engine=engine)
-    if full_launch and "stencil" in results:
-        # the widest cube stencil was historically only rankable through
-        # sampled launches; cover it explicitly now that it runs unsampled
-        from .profile import profile
-
+    results = profile_all(apps, samples=args.samples, seed=args.seed)
+    if "stencil" in results:
+        # the widest launch of the eight apps, whatever the draw
         for layout in ("brick", "array"):
             config = {"stencil": "cube-125pt", "layout": layout, "brick": 8}
-            results["stencil"].append(
-                profile("stencil", config, seed=args.seed, engine=engine)
-            )
+            results["stencil"].append(profile("stencil", config, seed=args.seed))
     report: dict = {
         "seed": args.seed,
         "samples": args.samples,
         "max_error": args.max_error,
         "max_error_for": dict(bounds),
-        "engine": engine or "default",
-        "full_launch": full_launch,
+        "engine": engine_mode(),
         "apps": {},
         "failures": [],
-        "sampled_rows": [],
         "check_failures": [],
     }
     measured = failed = skipped = 0
@@ -133,28 +120,21 @@ def run_sweep(args: argparse.Namespace) -> dict:
         skipped += sum(1 for p in profiles if p.skipped)
         worst = max(worst, app_worst)
         errors_ok = errors_ok and app_errors_ok
-        if full_launch:
-            from ..check import run_check
-
-            for p in good:
-                if p.metrics.get("sampled"):
-                    report["sampled_rows"].append({"app": name, "config": dict(p.config)})
-                check = run_check(name, p.config, seed=args.seed)
-                if check.status == "failed":
-                    report["check_failures"].append(check.as_dict())
+        for p in good:
+            check = run_check(name, p.config, seed=args.seed)
+            if check.status == "failed":
+                report["check_failures"].append(check.as_dict())
     report["measured"] = measured
     report["failed"] = failed
     report["skipped"] = skipped
     report["max_analytic_error"] = worst
     # the sweep is healthy when nothing errored, every app measured at least
     # one kernel, no measured/analytic pair tripped its app's sanity bound,
-    # and (under --full-launch) every launch ran unsampled and every
-    # measured configuration passed differential verification
+    # and every measured configuration passed differential verification
     report["ok"] = (
         failed == 0
         and errors_ok
         and all(row["measured"] > 0 for row in report["apps"].values())
-        and not report["sampled_rows"]
         and not report["check_failures"]
     )
     return report
@@ -182,9 +162,7 @@ def main(argv: list[str] | None = None) -> dict:
     for failure in report["failures"]:
         print(f"FAILED {failure['app']} {failure['config']}: {failure['reason']} "
               f"(seed={failure['seed']})")
-    for row in report.get("sampled_rows", []):
-        print(f"SAMPLED {row['app']} {row['config']}: launch did not run unsampled")
-    for check in report.get("check_failures", []):
+    for check in report["check_failures"]:
         print(f"CHECK FAILED {check['app']} {check['config']}: {check['reason']} "
               f"(seed={check['seed']})")
     print(

@@ -1,23 +1,19 @@
-"""Unified trace -> :class:`~repro.gpusim.KernelCost` adapters.
+"""The one trace -> :class:`~repro.gpusim.KernelCost` mapping.
 
 All three execution substrates record traces (mini-Triton
 :class:`~repro.minitriton.KernelTrace`, mini-CUDA
 :class:`~repro.minicuda.CudaTrace`, MLIR interpreter
-:class:`~repro.mlir.GpuLaunchResult`), but until this module only the
-mini-CUDA trace knew how to become a :class:`~repro.gpusim.KernelCost` —
-and it charged a hardcoded 32-byte sector while
-:func:`repro.gpusim.memory.warp_transactions` took the sector size as a
-parameter.  This module is the one protocol all three share:
+:class:`~repro.mlir.GpuLaunchResult`) and :func:`trace_to_cost` turns any of
+them into a measured cost:
 
-* an **adapter** is ``adapt(trace, device, **overrides) -> KernelCost``,
-  registered per trace type with :func:`register_adapter`;
-* :func:`trace_to_cost` dispatches on the trace's type (walking its MRO, so
-  trace subclasses inherit their base adapter);
+* the Triton trace takes the program-model mapping, the two block-model
+  traces share one mapping (the MLIR interpreter mirrors the mini-CUDA
+  execution model), and anything else is a ``TypeError`` naming the type;
 * DRAM bytes are charged from the *transaction* counters — sectors actually
-  moved at the granularity the trace was recorded at, falling back to
-  ``device.dram_sector_bytes`` — never a literal 32, so poorly coalesced
-  kernels pay for the full sectors they touch while the recording and the
-  costing can never disagree about the sector size;
+  moved at the granularity the trace was recorded at (``trace.sector_bytes``,
+  which the launcher set from the device) — never a literal 32, so poorly
+  coalesced kernels pay for the full sectors they touch while the recording
+  and the costing can never disagree about the sector size;
 * :func:`trace_metrics` summarises the measured memory behaviour
   (coalescing efficiency, bank-conflict factor, useful vs moved bytes) for
   the profiling reports.
@@ -25,72 +21,42 @@ parameter.  This module is the one protocol all three share:
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost
 from ..minicuda.runtime import CudaTrace
 from ..minitriton.language import KernelTrace
 from ..mlir.interp import GpuLaunchResult
 
-__all__ = [
-    "register_adapter",
-    "adapter_for",
-    "trace_to_cost",
-    "trace_metrics",
-    "triton_trace_to_cost",
-    "cuda_trace_to_cost",
-    "mlir_trace_to_cost",
-]
-
-
-_ADAPTERS: dict[type, Callable] = {}
-
-
-def register_adapter(trace_type: type):
-    """Class decorator target: register ``fn`` as the adapter for a trace type."""
-
-    def decorate(fn: Callable) -> Callable:
-        _ADAPTERS[trace_type] = fn
-        return fn
-
-    return decorate
-
-
-def adapter_for(trace) -> Callable:
-    """The registered adapter for ``trace`` (MRO-aware, so subclasses inherit)."""
-    for klass in type(trace).__mro__:
-        adapter = _ADAPTERS.get(klass)
-        if adapter is not None:
-            return adapter
-    raise TypeError(
-        f"no trace->cost adapter registered for {type(trace).__name__}; "
-        f"known trace types: {', '.join(sorted(t.__name__ for t in _ADAPTERS))}"
-    )
+__all__ = ["trace_to_cost", "trace_metrics"]
 
 
 def trace_to_cost(trace, device: DeviceSpec = A100_80GB, **overrides) -> KernelCost:
-    """Convert any substrate trace into a :class:`~repro.gpusim.KernelCost`."""
-    return adapter_for(trace)(trace, device, **overrides)
+    """Convert a substrate trace into a :class:`~repro.gpusim.KernelCost`.
 
-
-def _sector_bytes(trace, device: DeviceSpec) -> float:
-    """The sector granularity the trace's transactions were recorded at.
-
-    Traces stamp the size they counted with; a trace that predates the
-    stamp (or an ad-hoc one built in a test) falls back to the device's
-    DRAM sector size — the same parameter
-    :func:`repro.gpusim.memory.warp_transactions` takes, so both layers
-    always charge the same granularity.
+    ``overrides`` are the keyword arguments of the mapping the trace's type
+    selects: ``name``, ``dtype``, ``tensor_core``, ``compute_efficiency``,
+    ``dram_efficiency`` and ``launches`` for every trace, plus the
+    ``threads_per_block`` / ``smem_per_block`` hints for a Triton trace.
     """
-    return float(getattr(trace, "sector_bytes", 0) or device.dram_sector_bytes)
+    if isinstance(trace, KernelTrace):
+        return _triton_cost(trace, device, **overrides)
+    if isinstance(trace, (CudaTrace, GpuLaunchResult)):
+        return _block_model_cost(trace, device, **overrides)
+    raise TypeError(
+        f"no trace->cost mapping for {type(trace).__name__}; "
+        "expected a KernelTrace, CudaTrace or GpuLaunchResult"
+    )
 
 
 def _dram_traffic(trace, device: DeviceSpec) -> tuple[float, float]:
-    """``(useful_bytes, moved_bytes)`` of the trace's global-memory traffic."""
+    """``(useful_bytes, moved_bytes)`` of the trace's global-memory traffic.
+
+    Transactions are charged at the sector size the trace stamped; a
+    hand-built trace stamped 0 takes ``device.dram_sector_bytes``, the same
+    parameter :func:`repro.gpusim.memory.warp_transactions` takes.
+    """
     useful = float(trace.load_bytes + trace.store_bytes)
     transactions = float(trace.load_transactions + trace.store_transactions)
-    moved = transactions * _sector_bytes(trace, device)
-    return useful, moved
+    return useful, transactions * float(trace.sector_bytes or device.dram_sector_bytes)
 
 
 def trace_metrics(trace, device: DeviceSpec = A100_80GB) -> dict:
@@ -99,8 +65,8 @@ def trace_metrics(trace, device: DeviceSpec = A100_80GB) -> dict:
     ``coalescing_efficiency`` is useful bytes over sector bytes actually
     moved (1.0 = every transferred byte was requested; broadcast reuse of a
     sector can push it above 1); ``bank_conflict_factor`` is the average
-    shared-memory serialisation degree (1.0 when the substrate records no
-    shared traffic).
+    shared-memory serialisation degree (1.0 for the Triton trace, which
+    records no shared traffic).
     """
     useful, moved = _dram_traffic(trace, device)
     return {
@@ -109,16 +75,12 @@ def trace_metrics(trace, device: DeviceSpec = A100_80GB) -> dict:
         "coalescing_efficiency": (useful / moved) if moved else 1.0,
         "bank_conflict_factor": float(getattr(trace, "bank_conflict_factor", 1.0)),
         "flops": float(trace.flops),
-        # whether only a sample of the launch grid executed (the
-        # ``--full-launch`` sweep asserts this stays False)
-        "sampled": bool(getattr(trace, "sampled", False)),
     }
 
 
-@register_adapter(KernelTrace)
-def triton_trace_to_cost(
+def _triton_cost(
     trace: KernelTrace,
-    device: DeviceSpec = A100_80GB,
+    device: DeviceSpec,
     *,
     name: str = "kernel",
     dtype: str | None = None,
@@ -160,16 +122,16 @@ def triton_trace_to_cost(
     )
 
 
-def _block_model_trace_to_cost(
-    trace,
+def _block_model_cost(
+    trace: CudaTrace | GpuLaunchResult,
     device: DeviceSpec,
     *,
-    name: str,
-    dtype: str,
-    tensor_core: bool,
-    compute_efficiency: float,
-    dram_efficiency: float,
-    launches: int,
+    name: str = "kernel",
+    dtype: str = "fp32",
+    tensor_core: bool = False,
+    compute_efficiency: float = 0.85,
+    dram_efficiency: float = 0.85,
+    launches: int | None = None,
 ) -> KernelCost:
     """Shared cost mapping for the two block-execution-model traces.
 
@@ -178,8 +140,12 @@ def _block_model_trace_to_cost(
     transaction-charged DRAM bytes, shared traffic carrying the measured
     average bank-conflict serialisation factor, and full launch geometry
     (blocks, threads per block, shared memory per block) for the
-    occupancy model.
+    occupancy model.  Merged multi-launch traces (NW's wavefront loop)
+    record their launch count in ``trace.extras['launches']``, the default
+    for ``launches``.
     """
+    if launches is None:
+        launches = int(getattr(trace, "extras", {}).get("launches", 1))
     useful, moved = _dram_traffic(trace, device)
     return KernelCost(
         name=name,
@@ -195,54 +161,5 @@ def _block_model_trace_to_cost(
         smem_per_block=float(trace.smem_per_block),
         compute_efficiency=compute_efficiency,
         dram_efficiency=dram_efficiency,
-        launches=launches,
-    )
-
-
-@register_adapter(CudaTrace)
-def cuda_trace_to_cost(
-    trace: CudaTrace,
-    device: DeviceSpec = A100_80GB,
-    *,
-    name: str = "kernel",
-    dtype: str = "fp32",
-    tensor_core: bool = False,
-    compute_efficiency: float = 0.85,
-    dram_efficiency: float = 0.85,
-    launches: int | None = None,
-) -> KernelCost:
-    """Summarise a mini-CUDA :class:`~repro.minicuda.CudaTrace`.
-
-    Merged multi-launch traces (NW's wavefront loop) record their launch
-    count in ``trace.extras['launches']``, which is the default when the
-    caller does not override it.
-    """
-    if launches is None:
-        launches = int(trace.extras.get("launches", 1)) if trace.extras else 1
-    return _block_model_trace_to_cost(
-        trace, device,
-        name=name, dtype=dtype, tensor_core=tensor_core,
-        compute_efficiency=compute_efficiency, dram_efficiency=dram_efficiency,
-        launches=launches,
-    )
-
-
-@register_adapter(GpuLaunchResult)
-def mlir_trace_to_cost(
-    trace: GpuLaunchResult,
-    device: DeviceSpec = A100_80GB,
-    *,
-    name: str = "kernel",
-    dtype: str = "fp32",
-    tensor_core: bool = False,
-    compute_efficiency: float = 0.85,
-    dram_efficiency: float = 0.85,
-    launches: int = 1,
-) -> KernelCost:
-    """Summarise an MLIR-interpreter :class:`~repro.mlir.GpuLaunchResult`."""
-    return _block_model_trace_to_cost(
-        trace, device,
-        name=name, dtype=dtype, tensor_core=tensor_core,
-        compute_efficiency=compute_efficiency, dram_efficiency=dram_efficiency,
         launches=launches,
     )

@@ -8,7 +8,7 @@ resolved and the case executed by :func:`repro.check.run_case`, the prefix
 both subsystems share (so a :class:`~repro.serve.CompileService` provides
 batching/dedup/caching when one is passed), and the
 recorded trace becomes a measured :class:`~repro.gpusim.KernelCost`
-through the unified adapter protocol (:mod:`repro.perf.adapters`).
+through :func:`repro.perf.adapters.trace_to_cost`.
 
 Two time figures come out of every profile:
 
@@ -39,6 +39,7 @@ from ..apps.registry import AppSpec, PerfCase, available_apps, get_app
 from ..check.runner import run_case, sample_configs
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, TimeBreakdown, estimate_time
 from ..obs.trace import span
+from ..vm.engine import engine_mode
 from .adapters import trace_metrics, trace_to_cost
 
 __all__ = ["KernelProfile", "profile", "profile_app", "profile_all"]
@@ -152,60 +153,53 @@ def profile(
     device: DeviceSpec = A100_80GB,
     seed: int = 0,
     service=None,
-    engine: str | None = None,
 ) -> KernelProfile:
     """Measure one ``(app, config)`` pair end to end.
 
     Builds the app's perf case (falling back to its check case), resolves
     the kernel (through ``service`` when given), executes on the matching
-    substrate (:func:`repro.check.run_case`) and converts the trace into a
-    measured cost + breakdown.  Never raises on a substrate or model
-    failure — the outcome is the returned :class:`KernelProfile`.
-
-    ``engine`` overrides the substrate execution engine for this profile
-    (``"vectorized"`` — the default — or ``"treewalk"``; see
-    :mod:`repro.vm`); ``None`` keeps the ambient mode.
+    substrate (:func:`repro.check.run_case`, under the ambient
+    :mod:`repro.vm` engine mode, which the profile records) and converts the
+    trace into a measured cost + breakdown.  Never raises on a substrate or
+    model failure — the outcome is the returned :class:`KernelProfile`.
     """
-    from ..vm.engine import resolve_mode
-
     spec = _resolve(app)
-    resolved_engine = resolve_mode(engine)
     report = KernelProfile(app=spec.name, backend=spec.backend, config=dict(config),
-                           seed=seed, device=device.name, engine=resolved_engine)
+                           seed=seed, device=device.name, engine=engine_mode())
     with span("perf.profile", "perf", app=spec.name, device=device.name,
-              engine=resolved_engine) as root:
-        _profile_inner(spec, config, report, device=device, seed=seed,
-                       service=service, engine=resolved_engine)
+              engine=report.engine) as root:
+        _profile_inner(spec, config, report, device=device, seed=seed, service=service)
         root.add(status=report.status)
     return report
 
 
 def _profile_inner(spec: AppSpec, config: Mapping, report: KernelProfile, *,
-                   device: DeviceSpec, seed: int, service, engine: str) -> None:
+                   device: DeviceSpec, seed: int, service) -> None:
     builder = spec.perf_case or spec.check_case
     if builder is None:
         report.reason = "app registers neither perf_case nor check_case"
         return
     try:
         run = run_case(spec, builder, config, seed_parts=(seed, "perf", spec.name),
-                       device=device, service=service, engine=engine)
+                       device=device, service=service)
         if run is None:
             report.reason = "configuration selects no executable kernel"
             return
         case, kernel, _, trace = run
         report.case_config = dict(case.config)
         report.kernel = getattr(kernel, "name", "") or ""
-        report.target_config = dict(getattr(case, "target_config", None) or case.config)
-        report.scale = float(getattr(case, "scale", 1.0))
-        report.launches = int(getattr(case, "launches", 1))
+        report.target_config = dict(case.config)
+        overrides: dict = {"name": report.kernel or spec.name}
+        if isinstance(case, PerfCase):  # a check case is measured as executed
+            report.target_config = dict(case.target_config or case.config)
+            report.scale = float(case.scale)
+            report.launches = int(case.launches)
+            overrides.update(dtype=case.dtype, tensor_core=case.tensor_core)
         if trace is None:
             report.reason = "substrate records no trace for this app"
             return
         with span("perf.adapt", "perf", app=spec.name):
-            adapter_args: dict = {"name": report.kernel or spec.name}
-            if isinstance(case, PerfCase):
-                adapter_args.update(dtype=case.dtype, tensor_core=case.tensor_core)
-            cost = trace_to_cost(trace, device, **adapter_args)
+            cost = trace_to_cost(trace, device, **overrides)
             report.measured_cost = cost
             report.measured = estimate_time(cost, device)
             full_cost = replace(cost.scaled(report.scale), launches=report.launches)
@@ -230,7 +224,6 @@ def profile_app(
     device: DeviceSpec = A100_80GB,
     seed: int = 0,
     service=None,
-    engine: str | None = None,
 ) -> list[KernelProfile]:
     """Profile ``samples`` randomly drawn valid configurations of one app.
 
@@ -241,10 +234,7 @@ def profile_app(
     """
     spec = _resolve(app)
     configs = sample_configs(spec, samples, seed, "perf-configs")
-    return [
-        profile(spec, config, device=device, seed=seed, service=service, engine=engine)
-        for config in configs
-    ]
+    return [profile(spec, config, device=device, seed=seed, service=service) for config in configs]
 
 
 def profile_all(
@@ -254,11 +244,10 @@ def profile_all(
     device: DeviceSpec = A100_80GB,
     seed: int = 0,
     service=None,
-    engine: str | None = None,
 ) -> dict[str, list[KernelProfile]]:
     """Sweep apps x sampled configs; profiles grouped by app name."""
     names = list(apps) if apps else available_apps()
     return {
-        name: profile_app(name, samples, device=device, seed=seed, service=service, engine=engine)
+        name: profile_app(name, samples, device=device, seed=seed, service=service)
         for name in names
     }

@@ -38,7 +38,7 @@ Architecture (every piece chosen for kill-safety):
   ``farm.redrive`` instants record it.  A ticket that kills ``max_redrives``
   workers in a row is failed with :class:`FarmCompileError` instead of
   crash-looping the farm.
-* **Warming.**  ``warm_table=`` pre-compiles every (current-version) tuning
+* **Warming.**  ``warm_table=`` pre-compiles every (current-source) tuning
   -table winner through the farm at start, so the first interactive request
   for a tuned kernel is a memory hit.
 
@@ -75,6 +75,17 @@ from .service import (
 )
 
 __all__ = ["CompileFarm", "FarmCompileError"]
+
+
+#: start method of the worker processes — the only one that is safe
+#: regardless of which threads the parent holds at fork time
+_MP_CONTEXT = "spawn"
+#: supervisor wake-up period (seconds): the longest a dead worker goes unnoticed
+_HEALTH_INTERVAL = 0.1
+#: worker respawns before the farm stops replacing dead processes
+_RESTART_LIMIT = 32
+#: per-lane latency reservoir size
+_LATENCY_SAMPLES = 20_000
 
 
 class FarmCompileError(RuntimeError):
@@ -227,12 +238,12 @@ class _LaneLedger:
 
     __slots__ = ("submitted", "resolved", "errors", "outcomes", "latency")
 
-    def __init__(self, latency_samples: int):
+    def __init__(self):
         self.submitted = 0
         self.resolved = 0
         self.errors = 0
         self.outcomes = collections.Counter()
-        self.latency = LatencyRecorder(latency_samples)
+        self.latency = LatencyRecorder(_LATENCY_SAMPLES)
 
 
 class CompileFarm:
@@ -242,8 +253,6 @@ class CompileFarm:
     a private temporary directory that is removed on :meth:`close`.
     ``admission`` maps lane names to pending caps (see
     :mod:`repro.serve.admission` for the defaults and shed semantics).
-    ``mp_context`` defaults to ``"spawn"`` — the only start method that is
-    safe regardless of which threads the parent holds at fork time.
     ``compile_delay`` artificially slows every fresh compile inside the
     workers (the chaos tests' kill window); leave it 0 in production.
     """
@@ -253,17 +262,11 @@ class CompileFarm:
         workers: int = 2,
         store: str | Path | None = None,
         admission: Mapping[str, int] | None = None,
-        mp_context: str = "spawn",
         claim_ttl: float = 5.0,
-        health_interval: float = 0.1,
         max_outstanding: int = 2,
         max_redrives: int = 3,
-        restart_limit: int = 32,
-        latency_samples: int = 20_000,
-        cache: ShardedLRUCache | None = None,
         compile_delay: float = 0.0,
         warm_table=None,
-        warm_apps: Iterable[str] | None = None,
     ):
         if workers < 1:
             raise ValueError("CompileFarm requires at least one worker process")
@@ -283,23 +286,17 @@ class CompileFarm:
             "claim_ttl": claim_ttl,
             "compile_delay": compile_delay,
         }
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context(_MP_CONTEXT)
         self._admission = AdmissionController(admission)
         self._max_outstanding = max_outstanding
         self._max_redrives = max_redrives
-        self._restart_limit = restart_limit
-        self._health_interval = health_interval
-        self.cache = cache if cache is not None else ShardedLRUCache(
-            shards=8, capacity_per_shard=2048
-        )
+        self.cache = ShardedLRUCache(shards=8, capacity_per_shard=2048)
 
         self._lock = threading.Lock()
         self._queues = {lane: collections.deque() for lane in self._admission.lanes}
         self._tickets: dict[int, _Ticket] = {}
         self._inflight: dict[str, int] = {}  # stable key -> leader ticket id
-        self._lanes = {
-            lane: _LaneLedger(latency_samples) for lane in self._admission.lanes
-        }
+        self._lanes = {lane: _LaneLedger() for lane in self._admission.lanes}
         self._compile_counts: collections.Counter = collections.Counter()
         self._next_ticket = 0
         self._next_worker = 0
@@ -324,7 +321,7 @@ class CompileFarm:
         )
         self._supervisor.start()
         if warm_table is not None:
-            self.warm_from_table(warm_table, apps=warm_apps)
+            self.warm_from_table(warm_table)
 
     # -- public API -----------------------------------------------------------
 
@@ -374,14 +371,14 @@ class CompileFarm:
         return [future.result() for future in futures]
 
     def warm_from_table(self, table, apps: Iterable[str] | None = None) -> int:
-        """Pre-compile every current-version tuning-table winner (sweep lane).
+        """Pre-compile every current-source tuning-table winner (sweep lane).
 
         Warm traffic bypasses admission (it is the farm's own startup work,
         not client load) and blocks until every winner is resident, so the
         first client request for a tuned kernel is a memory hit.  Rows
-        stamped by a different package version warm nothing — the durable
-        tier they would feed is unreachable under the current source salt
-        anyway.  Returns the number of requests warmed.
+        stamped by different source (``code`` fingerprint) warm nothing —
+        the durable tier they would feed is unreachable under the current
+        source salt anyway.  Returns the number of requests warmed.
         """
         requests = table_requests(table, apps=apps)
         futures = [self._enqueue(r, LANE_SWEEP, warm=True) for r in requests]
@@ -585,7 +582,9 @@ class CompileFarm:
         Each iteration is exception-isolated: a surprise in one worker's
         message handling must not take the supervisor thread down with every
         client future still pending — serving limps on and the next health
-        tick retries.
+        tick retries.  The surprise is never silent: each one bumps
+        ``repro.farm.supervisor_errors`` and drops a ``farm.supervisor_error``
+        instant carrying the exception.
         """
         while True:
             with self._lock:
@@ -597,7 +596,7 @@ class CompileFarm:
                 ]
             try:
                 try:
-                    ready = connection_wait(waitables, timeout=self._health_interval)
+                    ready = connection_wait(waitables, timeout=_HEALTH_INTERVAL)
                 except OSError:
                     ready = []
                 if self._wake_r in ready:
@@ -614,8 +613,9 @@ class CompileFarm:
                     self._dispatch_locked()
                     if not self._pending_locked():
                         self._idle.notify_all()
-            except Exception:  # noqa: BLE001 - keep supervising, see docstring
-                time.sleep(self._health_interval)
+            except Exception as exc:  # noqa: BLE001 - keep supervising, see docstring
+                record_farm_event("supervisor_error", error=f"{type(exc).__name__}: {exc}")
+                time.sleep(_HEALTH_INTERVAL)
 
     def _drain_conn_locked(self, conn) -> None:
         handle = next(
@@ -670,7 +670,7 @@ class CompileFarm:
             record_farm_event("redrive", ticket=ticket.id, app=ticket.request.app)
             self._queues[ticket.lane].appendleft(ticket.id)
         alive = sum(1 for h in self._workers.values() if h.alive)
-        if not self._stopping and self._restarts <= self._restart_limit \
+        if not self._stopping and self._restarts <= _RESTART_LIMIT \
                 and alive < self.workers:
             self._spawn_worker()
         elif alive == 0:

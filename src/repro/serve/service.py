@@ -211,6 +211,10 @@ def default_compiler(request: CompileRequest) -> GeneratedKernel | None:
     return spec.generate(request.config)
 
 
+#: request-latency reservoir size
+_LATENCY_SAMPLES = 10_000
+
+
 class CompileService:
     """A thread-pooled, deduplicating, two-tier-cached compilation service.
 
@@ -239,7 +243,6 @@ class CompileService:
         workers: int = 4,
         cache: ShardedLRUCache | None = None,
         store: ResultCache | str | Path | None = None,
-        latency_samples: int = 10_000,
         verify: Callable[[CompileRequest, GeneratedKernel | None], None] | None = None,
     ):
         if workers < 1:
@@ -264,7 +267,7 @@ class CompileService:
         )
         self._lock = threading.Lock()
         self._inflight: dict[tuple, Future] = {}
-        self._latency = LatencyRecorder(latency_samples)
+        self._latency = LatencyRecorder(_LATENCY_SAMPLES)
         self._submitted = 0
         self._completed = 0
         self._compiled = 0
@@ -531,25 +534,25 @@ def table_requests(table, apps=None) -> list[CompileRequest]:
     device-specific while the generated kernel is not), projects each winner
     through ``AppSpec.generate_config`` and dedups by kernel identity.
     Rows are skipped when their app has no generator (or is no longer
-    registered) **or when their ``version`` stamp names a different package
-    release** — a stale-version table must warm nothing, because the durable
-    tier those kernels would land in is salted by the current source anyway
-    (rows from tables written before version stamping carry no ``version``
-    and are trusted).
+    registered) **or when their ``code`` stamp is not the current
+    :func:`~repro.cache.code_fingerprint`** — a table written by different
+    source must warm nothing, because the durable tier those kernels would
+    land in is salted by the current source anyway (rows that carry no
+    ``code`` stamp are trusted).
     """
-    from .. import __version__
     from ..apps.registry import available_apps, get_app
 
     wanted = set(apps) if apps is not None else None
     registered = set(available_apps())
+    fingerprint = code_fingerprint()
     requests: list[CompileRequest] = []
     seen: set[tuple] = set()
     for entry in table.entries():
         app = entry.get("app", "")
         if app not in registered or (wanted is not None and app not in wanted):
             continue
-        version = entry.get("version")
-        if version is not None and version != __version__:
+        code = entry.get("code")
+        if code is not None and code != fingerprint:
             continue
         spec = get_app(app)
         if spec.generate is None:
@@ -566,9 +569,9 @@ def table_requests(table, apps=None) -> list[CompileRequest]:
 def warm_from_table(service: CompileService, table, apps=None) -> int:
     """Pre-compile every tuning-table winner through ``service``.
 
-    Submits one compile request per distinct current-version winner (see
+    Submits one compile request per distinct current-source winner (see
     :func:`table_requests` for the row-selection rules, including the
-    stale-version skip), so a freshly started server answers its first
+    stale-stamp skip), so a freshly started server answers its first
     tuned-kernel request from a warm cache.  Returns the number of requests
     submitted; blocks until they are all compiled.
     """

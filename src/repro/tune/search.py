@@ -40,6 +40,7 @@ import time
 from ..cache import ResultCache
 from ..gpusim import A100_80GB, DeviceSpec, get_device
 from ..obs.trace import span
+from ..vm.engine import engine_mode
 from .model import ProfileStore
 from .space import SearchSpace
 from .tables import TuningTable
@@ -97,7 +98,6 @@ def measure_candidates(
     device: DeviceSpec = A100_80GB,
     seed: int = 0,
     service=None,
-    engine: str | None = None,
 ) -> list:
     """Profile candidates on their substrate and fold the times into them.
 
@@ -110,7 +110,7 @@ def measure_candidates(
 
     spec = _resolve(app)
     profiles = [
-        profile(spec, candidate.config, device=device, seed=seed, service=service, engine=engine)
+        profile(spec, candidate.config, device=device, seed=seed, service=service)
         for candidate in candidates
     ]
     for candidate, kernel_profile in zip(candidates, profiles):
@@ -145,7 +145,6 @@ def search(
     seed: int = 0,
     cache: ResultCache | None = None,
     service=None,
-    engine: str | None = None,
     profile_store: ProfileStore | None = None,
     table: TuningTable | None = None,
     train: bool = True,
@@ -170,8 +169,8 @@ def search(
     :class:`~repro.perf.KernelProfile` lands in :attr:`TuneResult.profiles`.
     Candidates whose configuration selects nothing executable (external
     baselines) keep their analytic rank below every measured candidate.
-    ``engine`` overrides the substrate execution engine the measurements
-    run under (see :mod:`repro.vm`).  The learned model comes from
+    The measurements run under the ambient :mod:`repro.vm` engine mode,
+    recorded in :attr:`TuneResult.engine`.  The learned model comes from
     ``profile_store`` — or, when ``train`` is set, from a store over
     ``cache`` — and ``train`` records the new profiles into it and refits;
     with neither, the learned rung is off.  The winner is recorded in
@@ -187,8 +186,6 @@ def search(
     shared :func:`repro.serve.default_service` used to generate the kernels
     of registry-backed apps (ad-hoc specs always generate inline).
     """
-    from ..vm.engine import resolve_mode
-
     spec = _resolve(app)
     space = spec.space if space is None else space
     device_spec = get_device(device) if device is not None else A100_80GB
@@ -197,7 +194,6 @@ def search(
     # (pass the same cache twice, second sweep replays) would silently break
     cache = cache if cache is not None else ResultCache()
     store = ProfileStore(cache) if profile_store is None and train else profile_store
-    resolved_engine = resolve_mode(engine)
 
     started = time.perf_counter()
     with span("tune.search", "tune", app=spec.name, device=device_spec.name,
@@ -209,7 +205,7 @@ def search(
         result = TuneResult(
             app=spec.name, evaluations=[], device=device_spec.name,
             strategy="exhaustive" if exhaustive else "halving",
-            space_size=space_size, engine=resolved_engine,
+            space_size=space_size, engine=engine_mode(),
         )
         root.add(strategy=result.strategy)
 
@@ -250,7 +246,7 @@ def search(
             # executing anything), so the cap is generous.
             stage_started = time.perf_counter()
             with span("search.measure", "search", app=spec.name, top_k=measure_top_k,
-                      engine=resolved_engine):
+                      engine=result.engine):
                 seen_ids = {id(c) for c in survivors}
                 queue = survivors + [c for c in ranking if id(c) not in seen_ids]
                 attempt_cap = max(16 * measure_top_k, 64)
@@ -260,8 +256,7 @@ def search(
                     batch = queue[position:position + measure_top_k]
                     position += len(batch)
                     batch_profiles = measure_candidates(spec, batch, device=device_spec,
-                                                        seed=seed, service=service,
-                                                        engine=engine)
+                                                        seed=seed, service=service)
                     result.profiles.extend(batch_profiles)
                     if train:
                         for candidate, kernel_profile in zip(batch, batch_profiles):
@@ -299,7 +294,6 @@ def autotune(
     measure_top_k: int = 0,
     measure_seed: int = 0,
     device=None,
-    engine: str | None = None,
 ) -> TuneResult:
     """Sweep an app's whole configuration space and rank every candidate.
 
@@ -315,7 +309,7 @@ def autotune(
               measure_top_k=measure_top_k, verify_top_k=verify_top_k) as root:
         result = search(
             spec, device=device, space=space, budget=None, measure_top_k=measure_top_k,
-            seed=measure_seed, cache=cache, service=service, engine=engine,
+            seed=measure_seed, cache=cache, service=service,
             train=False, verify_top_k=verify_top_k,
         )
         root.add(candidates=len(result))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..cache import ResultCache
+from ..cache import ResultCache, code_fingerprint
 
 __all__ = ["PROBLEM_KEYS", "TuningTable", "problem_signature"]
 
@@ -53,16 +53,15 @@ class TuningTable:
 
     def put(self, app: str, device: str, config: Mapping, *,
             time_ms: float = 0.0, measured: bool = False,
-            source: str = "search", version: str | None = None) -> str:
+            source: str = "search", code: str | None = None) -> str:
         """Record one winner; returns the row key.
 
-        Rows are stamped with the package ``version`` that produced them
-        (override only to write test fixtures): service/farm warming skips
-        rows from a different release, so a stale table can never pre-fill
-        caches with winners the current model would not pick.
+        Rows are stamped with the ``code`` fingerprint of the source that
+        produced them (:func:`repro.cache.code_fingerprint`; override only
+        to write test fixtures): service/farm warming skips rows written by
+        different source, so a stale table can never pre-fill caches with
+        winners the current model would not pick.
         """
-        from .. import __version__
-
         signature = problem_signature(config)
         key = self._key(device, app, signature)
         self.cache.put(key, {
@@ -73,7 +72,7 @@ class TuningTable:
             "time_ms": float(time_ms),
             "measured": bool(measured),
             "source": source,
-            "version": __version__ if version is None else version,
+            "code": code_fingerprint() if code is None else code,
         })
         return key
 

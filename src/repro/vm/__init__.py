@@ -16,8 +16,10 @@ summation order cannot perturb them), which is what lets ``repro.check``
 differentially verify each batched executor against its tree-walk twin.
 
 :func:`repro.vm.engine.run_launch` is the one dispatch the three
-launchers share.  The engine is selected by :func:`use_engine` (or the
-``REPRO_VM`` environment variable) and read with :func:`engine_mode`:
+launchers share: every launch runs its whole grid once and records a
+trace.  The engine is ambient — selected by :func:`use_engine` or the
+``REPRO_VM`` environment variable, the only two selectors, and read with
+:func:`engine_mode`:
 
 * ``"vectorized"`` (default) — batched execution; whatever the batched
   engine raises is the launch's error.  A hand-written kernel using a
@@ -30,6 +32,6 @@ Single-lane launches and mini-Triton kernels not built by
 the tree walk in either mode.
 """
 
-from .engine import engine_mode, evenly_spaced, use_engine
+from .engine import engine_mode, use_engine
 
-__all__ = ["engine_mode", "use_engine", "evenly_spaced"]
+__all__ = ["engine_mode", "use_engine"]

@@ -1,15 +1,16 @@
 """Engine-mode selection and the one launch driver of the three substrates.
 
-One process-wide mode decides how :func:`repro.minitriton.launch`,
+One ambient mode decides how :func:`repro.minitriton.launch`,
 :func:`repro.minicuda.launch` and :func:`repro.mlir.run_gpu_kernel`
 execute: ``"vectorized"`` (the batched NumPy engine) or ``"treewalk"``
-(the reference interpreters).  The default comes from the ``REPRO_VM``
-environment variable (``vectorized`` when unset); tests and benchmarks
-switch modes locally with the :func:`use_engine` context manager.
+(the reference interpreters).  It has two spellings and no others: the
+process-wide ``REPRO_VM`` environment variable (``vectorized`` when unset)
+and the scoped :func:`use_engine` context manager.  Nothing takes an
+``engine=`` argument; callers that record the mode read :func:`engine_mode`.
 
-:func:`run_launch` is the dispatch all three launchers share: it picks the
-sampled lane ids, chooses the executor and runs it once.  An exception
-raised by the batched engine propagates to the caller.
+:func:`run_launch` is the dispatch all three launchers share: the whole grid
+runs once on the executor the mode selects.  An exception raised by the
+batched engine propagates to the caller.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import threading
 from contextlib import contextmanager
 from typing import Callable
 
-__all__ = ["MODES", "engine_mode", "resolve_mode", "use_engine", "evenly_spaced", "run_launch"]
+__all__ = ["MODES", "engine_mode", "use_engine", "run_launch"]
 
 MODES = ("vectorized", "treewalk")
 
@@ -54,11 +55,6 @@ def engine_mode() -> str:
     return _canonical(raw.lower(), "REPRO_VM value") if raw else "vectorized"
 
 
-def resolve_mode(mode: str | None) -> str:
-    """An ``engine=`` argument validated and normalised; ``None`` is the active mode."""
-    return engine_mode() if mode is None else _canonical(mode, "engine mode")
-
-
 @contextmanager
 def use_engine(mode: str):
     """Run a block under ``mode``, restoring the previous mode after."""
@@ -71,55 +67,16 @@ def use_engine(mode: str):
         _local.mode = previous
 
 
-def evenly_spaced(total: int, count: int) -> list[int]:
-    """``count`` distinct, strictly increasing ids evenly spread over ``range(total)``.
+def run_launch(total: int, batched: Callable | None, treewalk: Callable, trace):
+    """Execute one launch of all ``total`` lanes (programs or blocks).
 
-    ``i * total // count`` is integer throughout, starts at 0, and is
-    strictly increasing whenever ``count <= total`` (consecutive values
-    differ by ``floor`` of a stride >= 1), so the selection is exact by
-    construction — a float stride plus set-dedup can collapse to fewer ids
-    than requested and skew the ``scaled()`` extrapolation.
-    ``count >= total`` returns the full range.
+    The lanes go to ``treewalk(ids, trace)`` when the mode is ``"treewalk"``,
+    when there is a single lane (nothing to batch), or when ``batched`` is
+    ``None`` (the substrate cannot batch this kernel); otherwise to
+    ``batched(ids, trace)``.  Either executor writes its counters straight
+    into ``trace`` and runs exactly once — whatever it raises is the launch's
+    error.  Returns the executor's return value.
     """
-    total, count = int(total), int(count)
-    if total <= 0:
-        return []
-    if count >= total:
-        return list(range(total))
-    if count <= 0:
-        return []
-    return [i * total // count for i in range(count)]
-
-
-def run_launch(
-    total: int,
-    sample: int | None,
-    sample_name: str,
-    batched: Callable | None,
-    treewalk: Callable,
-    trace,
-):
-    """Execute one launch of ``total`` lanes (programs or blocks).
-
-    With ``sample=N`` only ``N`` evenly spaced lanes run and ``scale`` is the
-    factor that extrapolates their counters to the full grid.  The lanes go
-    to ``treewalk(ids, trace)`` when the mode is ``"treewalk"``, when there
-    is a single lane (nothing to batch), or when ``batched`` is ``None`` (the
-    substrate cannot batch this kernel); otherwise to ``batched(ids, trace)``.
-    Either executor writes its counters straight into ``trace`` and runs
-    exactly once — whatever it raises is the launch's error.
-
-    Returns ``(executed lanes, scale, the executor's return value)``.
-    """
-    if sample is None or sample >= total:
-        ids, scale = range(total), 1.0
-    else:
-        if sample <= 0:
-            raise ValueError(f"{sample_name} must be positive")
-        ids = evenly_spaced(total, sample)
-        scale = total / len(ids)
-    if batched is None or len(ids) <= 1 or engine_mode() == "treewalk":
-        execute = treewalk
-    else:
-        execute = batched
-    return len(ids), scale, execute(ids, trace)
+    if batched is None or total <= 1 or engine_mode() == "treewalk":
+        return treewalk(range(total), trace)
+    return batched(range(total), trace)

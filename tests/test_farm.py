@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.cache import ClaimRegistry, ResultCache, ShardedFileStore
+from repro.obs.metrics import counter
 from repro.serve import (
     CompileFarm,
     CompileRequest,
@@ -32,6 +33,16 @@ from repro.serve.__main__ import main as serve_main, parse_phases
 from repro.tune.tables import TuningTable
 
 SPAWN = multiprocessing.get_context("spawn")
+
+
+@pytest.fixture
+def supervisor_errors():
+    """Callable: exceptions the farm supervisor loop isolated since the test began."""
+    def isolated() -> float:
+        return counter("repro.farm.supervisor_errors").value
+
+    before = isolated()
+    return lambda: isolated() - before
 
 
 # -- claim files --------------------------------------------------------------------
@@ -354,7 +365,7 @@ def test_interactive_lane_jumps_the_sweep_queue():
 # -- chaos: SIGKILL mid-compile ------------------------------------------------------
 
 
-def test_sigkill_mid_compile_redrives_without_loss_or_double_compile():
+def test_sigkill_mid_compile_redrives_without_loss_or_double_compile(supervisor_errors):
     requests = _small_trace(8, duplicate_fraction=0.0, seed=19)
     with CompileFarm(workers=2, compile_delay=0.4, claim_ttl=2.0) as farm:
         futures = [farm.submit(r) for r in requests]
@@ -374,9 +385,10 @@ def test_sigkill_mid_compile_redrives_without_loss_or_double_compile():
     assert stats.double_compiled == 0, "a kill must never double-compile a kernel"
     assert integrity["corrupt"] == 0, "the kill corrupted a store shard"
     assert list(claims_left) == [], "a claim file outlived the drain"
+    assert supervisor_errors() == 0, "the supervisor isolated a bug"
 
 
-def test_repeated_kills_exhaust_into_farm_error():
+def test_repeated_kills_exhaust_into_farm_error(supervisor_errors):
     """A request that keeps killing its worker fails loudly, not forever."""
     request = CompileRequest("matmul", {"variant": "nn"})
     from repro.serve import FarmCompileError
@@ -398,12 +410,44 @@ def test_repeated_kills_exhaust_into_farm_error():
             future.result()
         assert kills >= 2
         assert farm.stats().lost == 0
+    assert supervisor_errors() == 0, "the supervisor isolated a bug"
+
+
+def test_farm_and_service_take_only_the_options_callers_set():
+    # the rest are module constants: binding fails before any process starts
+    # (.close() only runs, and the test then fails, if an option came back)
+    for removed in ({"mp_context": "spawn"}, {"health_interval": 0.1}, {"restart_limit": 32},
+                    {"latency_samples": 100}, {"cache": None}, {"warm_apps": None}):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            CompileFarm(workers=1, **removed).close()
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        CompileService(workers=1, latency_samples=10).close()
+
+
+def test_supervisor_exception_is_counted_and_serving_continues(supervisor_errors):
+    """A bug inside the supervisor loop is isolated, but never silently."""
+    with CompileFarm(workers=1) as farm:
+        dispatch, raised = farm._dispatch_locked, []
+
+        def dispatch_raising_once():
+            if not raised and any(farm._queues.values()):
+                raised.append(True)
+                raise RuntimeError("injected dispatch bug")
+            dispatch()
+
+        farm._dispatch_locked = dispatch_raising_once
+        kernel = farm.submit(CompileRequest("matmul", {"variant": "nn"})).result(timeout=120)
+        stats = farm.stats()
+    assert raised, "the injected bug never ran"
+    assert kernel is not None, "the request did not survive the supervisor's bug"
+    assert stats.lost == 0 and stats.errors == 0
+    assert supervisor_errors() == 1
 
 
 # -- cross-process / cross-farm claim dedup ------------------------------------------
 
 
-def test_two_farms_sharing_a_store_compile_each_kernel_once(tmp_path):
+def test_two_farms_sharing_a_store_compile_each_kernel_once(tmp_path, supervisor_errors):
     """Claims dedup across *farms* too: shared store, global exactly-once."""
     requests = _small_trace(4, duplicate_fraction=0.0, seed=23)
     distinct = len({r.stable_key() for r in requests})
@@ -433,22 +477,23 @@ def test_two_farms_sharing_a_store_compile_each_kernel_once(tmp_path):
         + stats_b.lane(LANE_INTERACTIVE).store_hits
     )
     assert dedup_waits == 2 * distinct - total_compiled
+    assert supervisor_errors() == 0, "a supervisor isolated a bug"
 
 
 # -- cache warming from tuning tables ------------------------------------------------
 
 
-def _winner_table(tmp_path, version=None):
+def _winner_table(tmp_path, code=None):
     cache = ResultCache(tmp_path / "tables.json")
     table = TuningTable(cache)
     table.put("matmul", "devA", {"variant": "nn"}, time_ms=1.0,
-              measured=True, version=version)
+              measured=True, code=code)
     table.put("lud", "devA", {"n": 1024, "block": 64, "cuda_block": 16},
-              time_ms=2.0, measured=True, version=version)
+              time_ms=2.0, measured=True, code=code)
     return table
 
 
-def test_farm_warms_from_tuning_table(tmp_path):
+def test_farm_warms_from_tuning_table(tmp_path, supervisor_errors):
     table = _winner_table(tmp_path)
     warm_requests = table_requests(table)
     assert len(warm_requests) == 2
@@ -465,10 +510,11 @@ def test_farm_warms_from_tuning_table(tmp_path):
     sweep = stats.lane(LANE_SWEEP)
     assert sweep.submitted == 2, "warming rides the sweep lane"
     assert stats.compiled == 2 and stats.double_compiled == 0
+    assert supervisor_errors() == 0, "the supervisor isolated a bug"
 
 
 def test_stale_version_table_warms_nothing(tmp_path):
-    table = _winner_table(tmp_path, version="0.0.0")
+    table = _winner_table(tmp_path, code="0" * 16)
     assert table_requests(table) == []
     with CompileFarm(workers=1, warm_table=table) as farm:
         stats = farm.stats()

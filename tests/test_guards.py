@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import codegen
 from repro.apps import lud, nw, stencil
 from repro.codegen import (
     CodegenContext,
+    GuardProofError,
     discharge_in_bounds,
     get_backend,
     prove_guard_redundant,
@@ -88,14 +90,15 @@ def test_lud_bijectivity_is_static_and_agrees_with_enumeration(block, cuda_block
     cfg = lud.LudConfig(n=2 * block, block=block, cuda_block=cuda_block)
     kernel = lud.generate_lud_internal_kernel(cfg)
     assert lud.prove_element_offset_bijection(kernel, cfg) is True
-    assert lud.assert_element_offset_bijection(kernel, cfg) == "static"
-    lud.check_element_offsets(kernel, cfg)  # the retained enumeration agrees
+    lud.assert_element_offset_bijection(kernel, cfg)
+    lud.check_element_offsets(kernel, cfg)  # the enumeration oracle agrees
     assert kernel.proven_bounds == {"element_offset": True}
 
 
-def test_lud_nonaffine_layout_falls_back_to_enumeration():
+def test_lud_nonaffine_layout_is_refused():
     # a multiplicative swizzle: flat * 5 % 16 is a bijection on [0, 16)
-    # (5 is coprime with 16) but not affine, so the static proof abstains
+    # (5 is coprime with 16) but not affine, so the static proof abstains —
+    # and an abstention is an error, not an enumeration
     cfg = lud.LudConfig(n=8, block=4, cuda_block=2)
     r_i, r_j, ty, tx = Var("r_i"), Var("r_j"), Var("ty"), Var("tx")
     ctx = CodegenContext("swizzled")
@@ -105,7 +108,10 @@ def test_lud_nonaffine_layout_falls_back_to_enumeration():
     ctx.bind("element_offset", Mod(flat * 5, 16))
     kernel = get_backend("triton").generate("swizzled", "x = {{ element_offset }}", ctx)
     assert lud.prove_element_offset_bijection(kernel, cfg) is None
-    assert lud.assert_element_offset_bijection(kernel, cfg) == "enumerated"
+    lud.check_element_offsets(kernel, cfg)  # a bijection all the same
+    with pytest.raises(GuardProofError, match="not affine"):
+        lud.assert_element_offset_bijection(kernel, cfg)
+    assert not hasattr(codegen, "note_fallback")
 
 
 def test_lud_broken_layout_is_statically_rejected():
@@ -154,7 +160,7 @@ _NW_PINNED = {
     "load_bytes": 10404, "store_bytes": 9216,
     "load_transactions": 2484, "store_transactions": 414,
     "smem_load_bytes": 27648, "smem_store_bytes": 10404,
-    "flops": 6912, "blocks": 9, "executed_blocks": 9,
+    "flops": 6912, "blocks": 9,
 }
 
 

@@ -2,11 +2,12 @@
 
 The adapter tests pin the measured :class:`KernelCost` of one app per
 substrate against hand-computed element/byte/transaction counts on tiny
-fixed configurations, and the extrapolation tests assert that
-``KernelCost.scaled`` of a sampled run reproduces the full (unsampled)
-run.  The tuning tests are the acceptance bar: ``autotune(measure_top_k=)``
+fixed configurations, and the extrapolation test asserts that
+``KernelCost.scaled`` of a one-block launch reproduces the wider launch.  The tuning tests are the acceptance bar: ``autotune(measure_top_k=)``
 must reproduce the paper-preferred winners under *measured* ranking.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from repro.apps.transpose import TransposeConfig, generate_transpose, run_transp
 from repro.gpusim import A100_80GB, KernelCost, occupancy_factor, warp_transactions
 from repro.perf import (
     KernelProfile,
-    adapter_for,
     profile,
     profile_app,
     trace_metrics,
@@ -160,9 +160,14 @@ def test_mlir_adapter_matches_hand_computed_transpose_counts():
     assert cost.blocks == blocks and cost.threads_per_block == tile * tile
 
 
-def test_adapter_rejects_unknown_trace_types():
-    with pytest.raises(TypeError, match="no trace->cost adapter"):
-        adapter_for(object())
+def test_trace_to_cost_rejects_unknown_trace_types():
+    with pytest.raises(TypeError, match="no trace->cost mapping for SimpleNamespace"):
+        trace_to_cost(SimpleNamespace(flops=0.0), A100_80GB)
+    # the per-type registry and its MRO walk are gone with their three registrants
+    import repro.perf
+
+    for gone in ("register_adapter", "adapter_for"):
+        assert not hasattr(repro.perf, gone) and not hasattr(repro.perf.adapters, gone)
 
 
 def test_profile_threads_the_device_into_substrate_recording():
@@ -200,24 +205,7 @@ def test_adapter_charges_recorded_sector_granularity():
     assert cost.dram_bytes == 128.0  # 2 transactions x the 64-byte sectors
 
 
-# -- sampled-run extrapolation (KernelCost.scaled) -----------------------------------
-
-
-def test_sampled_softmax_cost_matches_full_run():
-    m, n = 16, 8
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((m, n)).astype(np.float32)
-    kernel = generate_softmax_kernel()
-    _, full = run_softmax(kernel, x)
-    _, sampled = run_softmax(kernel, x, sample_programs=4)
-    assert sampled.sampled is True and full.sampled is False
-    # the per-program work is uniform, so the scaled sampled trace matches
-    # the full run exactly — and so do the adapted costs
-    full_cost = trace_to_cost(full, A100_80GB)
-    sampled_cost = trace_to_cost(sampled, A100_80GB)
-    assert sampled_cost.dram_bytes == pytest.approx(full_cost.dram_bytes)
-    assert sampled_cost.flops == pytest.approx(full_cost.flops)
-    assert sampled_cost.blocks == pytest.approx(full_cost.blocks)
+# -- small-launch extrapolation (KernelCost.scaled) ---------------------------------
 
 
 def test_scaled_lud_cost_matches_wider_wave():
@@ -270,6 +258,29 @@ def test_profile_is_seed_deterministic():
     assert a.ok and b.ok
     assert a.measured_seconds == b.measured_seconds
     assert a.metrics == b.metrics
+
+
+def test_profile_and_search_follow_the_ambient_engine():
+    from repro.tune import search
+    from repro.vm import use_engine
+
+    config = {"variant": "smem", "skew": 1, "tile": 32, "generator": "lego"}
+    vectorized = profile("transpose", config)
+    with use_engine("treewalk"):
+        treewalk = profile("transpose", config)
+        tuned = autotune("transpose", measure_top_k=1)
+    assert (vectorized.engine, treewalk.engine) == ("vectorized", "treewalk")
+    assert treewalk.ok and treewalk.measured_cost == vectorized.measured_cost
+    assert tuned.engine == "treewalk"
+    assert [p.engine for p in tuned.profiles] == ["treewalk"]
+    assert tuned.best.config == autotune("transpose", measure_top_k=1).best.config
+    # use_engine / REPRO_VM are the only selectors: nothing takes engine=
+    for call in (lambda: profile("transpose", config, engine="treewalk"),
+                 lambda: profile_app("transpose", 1, engine="treewalk"),
+                 lambda: autotune("transpose", engine="treewalk"),
+                 lambda: search("transpose", engine="treewalk")):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'engine'"):
+            call()
 
 
 def test_profile_app_always_includes_the_preferred_config():

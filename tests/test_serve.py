@@ -345,15 +345,19 @@ def test_service_stats_latency_includes_p999():
 
 
 def test_warm_from_table_skips_stale_version_rows(tmp_path):
-    """Rows stamped by a different release warm nothing at the service tier."""
+    """Rows stamped by different source warm nothing at the service tier."""
     from repro.cache import ResultCache
     from repro.serve import warm_from_table
     from repro.serve.service import table_requests
     from repro.tune.tables import TuningTable
 
     table = TuningTable(ResultCache(tmp_path / "stale.json"))
-    table.put("matmul", "devA", {"variant": "nn"}, version="0.0.0")
-    table.put("matmul", "devB", {"variant": "tn"})  # current release
+    from repro.cache import code_fingerprint
+
+    table.put("matmul", "devA", {"variant": "nn"}, code="0" * 16)
+    key = table.put("matmul", "devB", {"variant": "tn"})  # current source
+    assert table.cache.get(key)["code"] == code_fingerprint()
+    assert "version" not in table.cache.get(key)  # no hand-bumped label decides staleness
     requests = table_requests(table)
     assert [r.config["variant"] for r in requests] == ["tn"]
     with CompileService(workers=1) as service:

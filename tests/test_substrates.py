@@ -21,7 +21,7 @@ from repro.gpusim import (
 )
 from repro.minicuda import Dim3, GlobalArray, SharedArray, launch
 from repro.minitriton import compile_kernel, from_device, launch as tl_launch, to_device
-from repro.perf.adapters import cuda_trace_to_cost
+from repro.perf import trace_to_cost
 from repro.core import GroupBy, antidiagonal
 
 
@@ -79,30 +79,6 @@ def test_minitriton_masked_access_handles_partial_tiles():
     xb, yb = to_device(x, "x"), to_device(np.zeros(10, dtype=np.float32), "y")
     tl_launch(fn, grid=2, kernel_args={"x_ptr": xb, "y_ptr": yb, "N": 10, "BN": 8})
     assert np.array_equal(from_device(yb), x)
-
-
-def test_minitriton_sampled_launch_scales_trace_and_flags_it():
-    fn = compile_kernel(SIMPLE_KERNEL, "add_one")
-    x = np.zeros(1024, dtype=np.float32)
-    xb, yb = to_device(x, "x"), to_device(x.copy(), "y")
-    trace = tl_launch(fn, grid=64, kernel_args={"x_ptr": xb, "y_ptr": yb, "N": 1024, "BN": 16},
-                      sample_programs=8)
-    assert trace.load_elements == pytest.approx(1024, rel=0.01)
-    # the scale is folded back into the counters, so the durable record that
-    # device buffers are partial is the flag (repro.check refuses such traces)
-    assert trace.sampled is True and trace.scale == 1.0
-
-
-def test_minitriton_full_launch_is_not_flagged_sampled():
-    fn = compile_kernel(SIMPLE_KERNEL, "add_one")
-    xb = to_device(np.zeros(64, dtype=np.float32), "x")
-    yb = to_device(np.zeros(64, dtype=np.float32), "y")
-    trace = tl_launch(fn, grid=4, kernel_args={"x_ptr": xb, "y_ptr": yb, "N": 64, "BN": 16})
-    assert trace.sampled is False
-    # asking for at least the whole grid is a full launch, not a sample
-    trace = tl_launch(fn, grid=4, kernel_args={"x_ptr": xb, "y_ptr": yb, "N": 64, "BN": 16},
-                      sample_programs=64)
-    assert trace.sampled is False
 
 
 def test_minitriton_dot_records_tensor_core_flops():
@@ -200,26 +176,13 @@ def test_shared_array_logical_view_roundtrip():
     assert np.array_equal(kernel.out, expected)
 
 
-def test_launch_sampling_scales_blocks():
-    def kernel(ctx, buf):
-        buf.load(ctx, ctx.tx + ctx.blockIdx.x * 8)
-
-    array = GlobalArray(np.zeros(1024, dtype=np.float32))
-    trace = launch(kernel, grid=128, block=8, args=(array,), sample_blocks=16)
-    assert trace.load_elements == pytest.approx(1024, rel=0.01)
-    assert trace.blocks == 128
-    assert trace.sampled is True
-    full = launch(kernel, grid=4, block=8, args=(array,))
-    assert full.sampled is False
-
-
 def test_trace_to_cost_charges_moved_sectors():
     def kernel(ctx, buf):
         buf.load(ctx, ctx.tx * 16)  # heavily strided: one sector per element
 
     array = GlobalArray(np.zeros(4096, dtype=np.float32))
     trace = launch(kernel, grid=1, block=32, args=(array,))
-    cost = cuda_trace_to_cost(trace, name="strided")
+    cost = trace_to_cost(trace, name="strided")
     assert cost.dram_bytes == pytest.approx(32 * 32)  # 32 lanes x 32-byte sectors
 
 

@@ -14,7 +14,7 @@ proving the differential runner guards the vectorized path for real.
 import numpy as np
 import pytest
 
-from repro.vm import engine_mode, evenly_spaced, use_engine
+from repro.vm import engine_mode, use_engine
 from repro.vm import engine as engine_module
 
 
@@ -87,8 +87,6 @@ def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         with use_engine("faster"):
             pass
-    with pytest.raises(ValueError):
-        engine_module.resolve_mode("fast")
 
 
 def test_vectorized_strict_spelling_is_the_vectorized_mode(monkeypatch):
@@ -97,68 +95,62 @@ def test_vectorized_strict_spelling_is_the_vectorized_mode(monkeypatch):
     strict = "vectorized-strict"
     with use_engine(strict):
         assert engine_mode() == "vectorized"
-    assert engine_module.resolve_mode(strict) == "vectorized"
     monkeypatch.setattr(engine_module._local, "mode", None, raising=False)
     monkeypatch.setenv("REPRO_VM", strict)
     assert engine_mode() == "vectorized"
 
 
-# -- sampled-id selection (the set-dedup regression) ------------------------
+# -- the one launch contract: whole grid, traced, ambient engine -------------
 
 
-def test_evenly_spaced_exact_small_grids():
-    assert evenly_spaced(16, 4) == [0, 4, 8, 12]
-    assert evenly_spaced(7, 3) == [0, 2, 4]
-    assert evenly_spaced(5, 5) == [0, 1, 2, 3, 4]
-    # count >= total: the full range, never more
-    assert evenly_spaced(4, 9) == [0, 1, 2, 3]
-    assert evenly_spaced(0, 3) == []
-    assert evenly_spaced(6, 0) == []
-
-
-def test_evenly_spaced_always_exact_count():
-    # the old float-stride + set-dedup selection could not *guarantee* the
-    # requested count; the integer form is exact by construction, even at
-    # grid sizes where float products lose integer precision
-    for total, count in ((10**9, 997), (2**53 + 3, 1000), (12345, 123)):
-        ids = evenly_spaced(total, count)
-        assert len(ids) == count
-        assert ids[0] == 0
-        assert all(b > a for a, b in zip(ids, ids[1:]))
-        assert ids[-1] < total
-
-
-def test_sampled_launches_execute_exactly_the_requested_count():
+def test_launchers_run_the_whole_grid_and_take_no_sampling_arguments():
+    from repro import minicuda, minitriton, mlir
+    from repro.apps.grouped_gemm import run_grouped_gemm
+    from repro.apps.layernorm import run_layernorm_backward, run_layernorm_forward
+    from repro.apps.matmul import run_matmul
     from repro.apps.softmax import generate_softmax_kernel, run_softmax
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((16, 8)).astype(np.float32)
-    kernel = generate_softmax_kernel()
-    _, trace = run_softmax(kernel, x, sample_programs=5)
-    assert trace.sampled
-    assert trace.programs == 16  # scaled() folds the 16/5 scale back in
-    _, full = run_softmax(kernel, x)
-    assert not full.sampled
-    assert full.programs == 16
-
-
-def test_sampled_block_launches_execute_exactly_the_requested_count():
     from repro.apps.stencil import STENCILS, run_stencil
     from repro.apps.transpose import (TransposeConfig, generate_transpose_module,
                                       run_transpose)
 
-    spec = {s.name: s for s in STENCILS}["star-7pt"]
+    # keyword binding fails before any body runs, so placeholder operands do
+    calls = [
+        (minitriton.launch, (None, 1, {}), ("sample_programs", "trace")),
+        (minicuda.launch, (None, 1, 1), ("sample_blocks", "trace")),
+        (mlir.run_gpu_kernel, (None, "k", (1, 1, 1), (1, 1, 1), []), ("sample_blocks",)),
+        (run_matmul, (None, None, None, None, "nn"), ("sample_programs",)),
+        (run_grouped_gemm, (None, None, None, None), ("sample_programs",)),
+        (run_softmax, (None, None), ("sample_programs",)),
+        (run_layernorm_forward, (None, None, None, None), ("sample_programs",)),
+        (run_layernorm_backward, (None, None, None, None), ("sample_programs",)),
+        (run_transpose, (None, None, None), ("sample_blocks",)),
+    ]
+    for fn, args, removed in calls:
+        for keyword in removed:
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                fn(*args, **{keyword: 4})
+
     rng = np.random.default_rng(1)
+    x = rng.standard_normal((16, 8)).astype(np.float32)
+    _, triton_trace = run_softmax(generate_softmax_kernel(), x)
+    assert triton_trace.programs == 16
+
+    spec = {s.name: s for s in STENCILS}["star-7pt"]
     grid = rng.standard_normal((8, 8, 8)).astype(np.float32)
     with use_engine("treewalk"):
-        _, trace = run_stencil(grid, spec, brick=4)
-    assert trace.executed_blocks == 8
+        _, cuda_trace = run_stencil(grid, spec, brick=4)
+    assert cuda_trace.blocks == 8
 
     config = TransposeConfig(n=16, tile=8)
     kernel = generate_transpose_module(config.n, config.tile, "smem", skew=True)
     matrix = rng.standard_normal((16, 16)).astype(np.float32)
-    _, result = run_transpose(kernel, matrix, config, sample_blocks=3)
-    assert result.executed_blocks == 3
+    out, mlir_trace = run_transpose(kernel, matrix, config)
+    assert mlir_trace.blocks == 4
+    np.testing.assert_array_equal(out, matrix.T)
+
+    for trace in (triton_trace, cuda_trace, mlir_trace):
+        for gone in ("scale", "sampled", "executed_blocks", "scaled"):
+            assert not hasattr(trace, gone), f"{type(trace).__name__}.{gone}"
 
 
 # -- golden equivalence: mini-Triton ---------------------------------------
@@ -337,31 +329,3 @@ def test_batched_failure_propagates_and_is_not_retried(monkeypatch):
     assert calls["n"] == 1
     np.testing.assert_array_equal(out, expected)
     assert trace_counters(trace) == trace_counters(expected_trace)
-
-
-@pytest.mark.parametrize("substrate", ["minitriton", "minicuda", "mlir"])
-@pytest.mark.parametrize("sample", [0, -1])
-def test_non_positive_sample_count_is_rejected_on_every_substrate(substrate, sample):
-    # run_launch validates the count once, for all three substrates
-    if substrate == "minitriton":
-        from repro.apps.softmax import generate_softmax_kernel, run_softmax
-
-        x = np.zeros((16, 8), dtype=np.float32)
-        match = "sample_programs must be positive"
-        run = lambda: run_softmax(generate_softmax_kernel(), x, sample_programs=sample)
-    elif substrate == "minicuda":
-        from repro.minicuda import launch
-
-        match = "sample_blocks must be positive"
-        run = lambda: launch(lambda ctx: None, grid=4, block=32, sample_blocks=sample)
-    else:
-        from repro.apps.transpose import (TransposeConfig, generate_transpose_module,
-                                          run_transpose)
-
-        config = TransposeConfig(n=16, tile=8)
-        kernel = generate_transpose_module(config.n, config.tile, "smem", skew=True)
-        matrix = np.zeros((16, 16), dtype=np.float32)
-        match = "sample_blocks must be positive"
-        run = lambda: run_transpose(kernel, matrix, config, sample_blocks=sample)
-    with pytest.raises(ValueError, match=match):
-        run()
