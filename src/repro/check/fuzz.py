@@ -2,7 +2,7 @@
 
 The paper's rewrite rules are pinned by targeted property tests; this module
 complements them with randomized coverage: random :class:`~repro.symbolic.Expr`
-trees over a small variable set, random integer bindings, and five properties
+trees over a small variable set, random integer bindings, and six properties
 checked per trial —
 
 * ``simplify(e, env)`` evaluates exactly like ``e`` under the bindings,
@@ -13,7 +13,9 @@ checked per trial —
   selection plus simplification) preserves the value,
 * the value lies within ``env.range_of(expr)`` — the range analysis the
   prover and guard elimination trust (a symbolic end is evaluated under the
-  bindings).
+  bindings),
+* when ``0 <= e`` is refuted at a witness valuation of the environment, the
+  prover's proving stages (run directly, beneath the refuter) do not prove it.
 
 Half the trials declare (and draw bindings from) a range with a negative
 lower end, so the negative floor-division/modulo paths are fuzzed too.
@@ -44,6 +46,7 @@ from ..symbolic import (
     simplify,
     simplify_fixpoint,
 )
+from ..symbolic.prover import _ladder_stages, refuted
 from .runner import stable_seed
 
 __all__ = [
@@ -63,7 +66,7 @@ FUZZ_VARS = ("i", "j", "k", "m", "n")
 VALUE_RANGES = ((0, 12), (0, 12), (-6, 6), (-9, 3))
 
 #: the properties one trial asserts, in evaluation order
-PROPERTIES = ("simplify", "fixpoint", "printer", "lowering", "range")
+PROPERTIES = ("simplify", "fixpoint", "printer", "lowering", "range", "refuter")
 
 
 @dataclass(frozen=True)
@@ -192,6 +195,11 @@ def fuzz_trial(trial_seed: int, depth: int = 4) -> list[tuple[str, str]]:
         range_ends,
         lambda ends: (ends[0] is None or ends[0] <= expected)
         and (ends[1] is None or expected <= ends[1]),
+    )
+    check(
+        "refuter",
+        lambda: refuted(Const(0), expr, env) and _ladder_stages(expr, env),
+        lambda refuted_yet_proven: not refuted_yet_proven,
     )
     if violations:
         # annotate with the replay material once, not per property

@@ -14,10 +14,11 @@ to gate the range analysis on three observable outcomes:
   included, must generate within a generous wall-clock bound so the analysis
   never becomes the slow part of search.
 
-The report also carries the prover ladder's stage table: how many proof-cache
+The report also carries the prover ladder's outcome table — how many
+obligations were ``refuted`` at a witness valuation, how many proof-cache
 misses each stage (``structure``, ``range``, ``expand``, ``facts``) discharged
-while the gates ran, and how many abstained — the answer to "which stages
-never discharge anything".
+while the gates ran — and the text of every obligation that abstained: those
+are neither false at a witness nor proven, i.e. the prover's completeness gaps.
 
 Writes ``BENCH_symbolic.json`` and exits nonzero when any gate fails.
 """
@@ -132,10 +133,12 @@ def _ladder_counts() -> dict[str, int]:
 def run() -> dict:
     """Run every gate and assemble the report."""
     from .. import __version__
+    from .prover import record_proof_queries
 
     ladder_before = _ladder_counts()
-    lud = bench_lud_static_bijectivity()
-    guards = bench_guard_elimination()
+    with record_proof_queries() as queries:
+        lud = bench_lud_static_bijectivity()
+        guards = bench_guard_elimination()
     ladder = {
         stage: count - ladder_before[stage] for stage, count in _ladder_counts().items()
     }
@@ -150,6 +153,7 @@ def run() -> dict:
         "lud_bijectivity": lud,
         "guard_elimination": guards,
         "prover_ladder": ladder,
+        "abstentions": sorted({text for kind, text, _ in queries if kind == "abstain"}),
         "ok": ok,
     }
 
@@ -169,10 +173,12 @@ def main(argv: list[str] | None = None) -> int:
         f"guards eliminated: nw={guards['nw_guards_eliminated']:.0f} "
         f"stencil={guards['stencil_guards_eliminated']:.0f}"
     )
-    misses = sum(report["prover_ladder"].values())
-    print(f"prover ladder ({misses} misses): " + " ".join(
+    outcomes = sum(report["prover_ladder"].values())
+    print(f"prover ladder ({outcomes} outcomes): " + " ".join(
         f"{stage}={count}" for stage, count in report["prover_ladder"].items()
     ))
+    for text in report["abstentions"]:
+        print(f"  abstained: {text}")
     print(f"ok={report['ok']} -> {out_path}")
     return 0 if report["ok"] else 1
 

@@ -6,8 +6,16 @@ with the Z3 SMT solver.  This reproduction replaces Z3 with a purpose-built
 prover that is complete for the queries layout lowering actually generates.
 Every obligation — ``e >= 0``, ``e > 0`` (as ``e - 1 >= 0``), ``a <= b`` (as
 ``b - a >= 0``), an in-bounds pair — is reduced to *one* non-negativity
-ladder (:func:`_ladder_nonneg`), each stage strictly stronger than the last:
+ladder (:func:`_ladder_nonneg`): refute first, then four proving stages
+(:func:`_ladder_stages`), each strictly stronger than the last:
 
+0. **refute** — the obligation evaluates false at one of the environment's
+   witness valuations (:meth:`SymbolicEnv.witnesses`: concrete points at
+   which every declared fact holds).  Such a point is a model of the facts,
+   so the statement does not follow from them and no sound stage below could
+   prove it: the answer is ``False`` before any difference or range is built.
+   :func:`prove_le` and rewrite rules 4/5 apply the same test to their own
+   ``lhs <= rhs`` / ``num < den`` first, so the work is never started;
 1. **structure** — sign analysis of sums/products/min/max/div/mod whose
    operand signs are known from the assumption environment;
 2. **range** — the lower end of :meth:`SymbolicEnv.range_of` (exact integer
@@ -21,13 +29,14 @@ ladder (:func:`_ladder_nonneg`), each stage strictly stronger than the last:
    // b) <= a`` (which Z3 discharges for the paper; grouped thread-block
    layouts need it).
 
-Which stage discharged each ladder miss (or ``ladder:abstain``) is counted
-in ``CACHE_STATS.rule_applications`` under ``ladder:<stage>``.
+Which outcome each obligation met — ``refuted``, a stage, or ``abstain`` — is
+counted once in ``CACHE_STATS.rule_applications`` under ``ladder:<outcome>``.
 :func:`brute_force_check` enumerates small concrete domains and is the test
 suite's oracle that the symbolic reasoning is sound.
 
 All functions return ``True`` only when the property is proven; ``False``
-means "unknown", never "disproven".
+means "unknown", never "disproven" — a refutation is reported as the same
+``False``, which is why it changes no verdict a caller could have used.
 
 Every query is memoised on the environment's proof cache, keyed by ``(query
 kind, expression identity)`` — expressions are hash-consed, so the same side
@@ -83,7 +92,8 @@ __all__ = [
 
 #: when a list, every public ``prove_*`` verdict is appended as
 #: ``(kind, printed query, proven)`` — including cache hits, so a recorded
-#: sweep sees the query mix the callers actually issue.
+#: sweep sees the query mix the callers actually issue — and every obligation
+#: the ladder abstains on (neither refuted nor proven) as kind ``"abstain"``.
 _QUERY_LOG: Optional[list] = None
 
 
@@ -232,8 +242,29 @@ def is_positive(expr: Expr, env: SymbolicEnv) -> bool:
 
 
 #: the ladder's outcomes, in order; each miss of :func:`_ladder_nonneg` bumps
-#: ``CACHE_STATS.rule_applications["ladder:<outcome>"]`` exactly once
-LADDER_STAGES = ("structure", "range", "expand", "facts", "abstain")
+#: ``CACHE_STATS.rule_applications["ladder:<outcome>"]`` exactly once (as does
+#: a refutation made above it, by :func:`prove_le` or a rewrite rule)
+LADDER_STAGES = ("refuted", "structure", "range", "expand", "facts", "abstain")
+
+_ZERO = Const(0)
+
+
+def refuted(lhs: Expr, rhs: Expr, env: SymbolicEnv, gap: int = 0) -> bool:
+    """Is ``lhs + gap <= rhs`` false at one of ``env``'s witness valuations?
+
+    A witness satisfies every declared fact, so a statement false there does
+    not follow from the facts and no sound stage below could prove it.  A
+    point where either side cannot be evaluated (a variable the environment
+    never declared, a zero divisor) is skipped, never guessed.
+    """
+    for point in env.witnesses():
+        try:
+            if lhs.evaluate(point) + gap > rhs.evaluate(point):
+                CACHE_STATS.count_rule("ladder:refuted")
+                return True
+        except (KeyError, ZeroDivisionError):
+            continue
+    return False
 
 
 def _lower_end_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
@@ -243,11 +274,17 @@ def _lower_end_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
 
 @_memoised(_LADDER, lambda value: value >= 0)
 def _ladder_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
-    """Prove ``expr >= 0``: structure, range lower end, expand, declared facts.
+    """Prove ``expr >= 0``: refute, else climb :func:`_ladder_stages`.
 
-    The one place the prover's stages are listed; every public query reduces
-    its obligation to a call of this function (see the module docstring).
+    Every public query reduces its obligation to a call of this function
+    (see the module docstring).
     """
+    return not refuted(_ZERO, expr, env) and _ladder_stages(expr, env)
+
+
+def _ladder_stages(expr: Expr, env: SymbolicEnv) -> bool:
+    """The proving stages, listed in one place: structure, range lower end,
+    expand, declared facts."""
     from .simplify import expand  # local import: simplify imports this module
 
     if is_nonneg(expr, env):
@@ -264,6 +301,7 @@ def _ladder_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
             stage = "facts"
         else:
             stage = "abstain"
+            _record_query("abstain", lambda: f"0 <= {expr}", False)
     CACHE_STATS.count_rule("ladder:" + stage)
     return stage != "abstain"
 
@@ -298,7 +336,7 @@ def prove_le(lhs: ExprLike, rhs: ExprLike, env: SymbolicEnv) -> bool:
     if hit is not None:
         CACHE_STATS.proof_hits += 1
         return _record_query("le", lambda: f"{lhs} <= {rhs}", hit)
-    result = _prove_le_impl(lhs, rhs, env)
+    result = not refuted(lhs, rhs, env) and _prove_le_impl(lhs, rhs, env)
     CACHE_STATS.proof_misses += 1
     cache[key] = result
     return _record_query("le", lambda: f"{lhs} <= {rhs}", result)

@@ -66,7 +66,7 @@ from .expr import (
     Var,
     as_expr,
 )
-from .prover import is_nonzero, is_positive, prove_le, prove_lt, prove_nonneg
+from .prover import is_nonzero, is_positive, prove_le, prove_lt, prove_nonneg, refuted
 from .stats import CACHE_STATS
 from .symranges import SymbolicEnv, constant_interval
 
@@ -267,6 +267,8 @@ def _mod_split_multiple(expr: Mod, env: SymbolicEnv, rw: _Rewriter) -> Optional[
 @_rule(Mod, "mod-range-identity", "Table II rule 5: x % a -> x when a > 0 and 0 <= x < a")
 def _mod_range_identity(expr: Mod, env: SymbolicEnv, rw: _Rewriter) -> Optional[Expr]:
     value, modulus = expr.value_expr, expr.modulus
+    if refuted(value, modulus, env, gap=1):
+        return None  # value < modulus fails at a witness: so would either test below
     if not (is_positive(modulus, env) and prove_nonneg(value, env)):
         return None
     value_hi = env.range_of(value).hi
@@ -306,6 +308,8 @@ def _div_mod_zero(expr: FloorDiv, env: SymbolicEnv, rw: _Rewriter) -> Optional[E
 @_rule(FloorDiv, "div-range-zero", "Table II rule 4: x / a -> 0 when a > 0 and 0 <= x < a")
 def _div_range_zero(expr: FloorDiv, env: SymbolicEnv, rw: _Rewriter) -> Optional[Expr]:
     num, den = expr.numerator, expr.denominator
+    if refuted(num, den, env, gap=1):
+        return None  # num < den fails at a witness: so would either test below
     if not (is_positive(den, env) and prove_nonneg(num, env)):
         return None
     num_hi = env.range_of(num).hi

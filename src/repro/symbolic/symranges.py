@@ -26,6 +26,7 @@ comparisons possible live in :mod:`repro.symbolic.prover`.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence
@@ -131,10 +132,13 @@ class EnvCaches:
     * ``simplify`` — one-pass rewriter results (:mod:`.simplify`),
     * ``fixpoint`` — ``simplify_fixpoint`` chains,
     * ``proof`` — prover verdicts, keyed ``(kind tag, expr ids...)``,
-    * ``range`` — :class:`SymInterval` results of :meth:`SymbolicEnv.range_of`.
+    * ``range`` — :class:`SymInterval` results of :meth:`SymbolicEnv.range_of`,
+
+    plus ``witnesses`` — the valuations of :meth:`SymbolicEnv.witnesses`
+    (``None`` until first asked for; not a dict, so not in :meth:`families`).
     """
 
-    __slots__ = ("epoch", "simplify", "fixpoint", "proof", "range")
+    __slots__ = ("epoch", "simplify", "fixpoint", "proof", "range", "witnesses")
 
     def __init__(self):
         self.epoch = 0
@@ -142,6 +146,7 @@ class EnvCaches:
         self.fixpoint: dict[int, Expr] = {}
         self.proof: dict[tuple, bool] = {}
         self.range: dict[int, SymInterval] = {}
+        self.witnesses: Optional[tuple[dict[str, int], ...]] = None
 
     def families(self) -> tuple[dict, ...]:
         return (self.simplify, self.fixpoint, self.proof, self.range)
@@ -151,6 +156,7 @@ class EnvCaches:
         self.epoch += 1
         for family in self.families():
             family.clear()
+        self.witnesses = None
 
     def copied(self) -> "EnvCaches":
         """A snapshot carrying the same epoch and entries (for env copies)."""
@@ -160,7 +166,14 @@ class EnvCaches:
         new.fixpoint = dict(self.fixpoint)
         new.proof = dict(self.proof)
         new.range = dict(self.range)
+        new.witnesses = self.witnesses  # immutable once built
         return new
+
+
+#: an environment keeps up to this many witness valuations, found in at most
+#: this many draws; an unbounded range end is drawn within this span of the
+#: other (small sizes are what make ``x < BN``-shaped obligations fail)
+_WITNESS_COUNT, _WITNESS_ATTEMPTS, _WITNESS_SPAN = 6, 24, 6
 
 
 class SymbolicEnv:
@@ -312,19 +325,6 @@ class SymbolicEnv:
         new.caches = self.caches.copied()
         return new
 
-    def merged_with(self, other: "SymbolicEnv | None") -> "SymbolicEnv":
-        if other is None:
-            return self
-        new = self.copy()
-        new._ranges.update(other._ranges)
-        new._divisibility.update(other._divisibility)
-        new._positive_exprs.update(other._positive_exprs)
-        for fact in other._le_facts:
-            if fact not in new._le_facts:
-                new._le_facts.append(fact)
-        new._invalidate()
-        return new
-
     # -- lookups --------------------------------------------------------------
 
     def range_of_var(self, name: str) -> SymInterval:
@@ -362,6 +362,94 @@ class SymbolicEnv:
         if isinstance(dividend, Add):
             return all(self.divides(divisor, term) for term in dividend.args)
         return False
+
+    # -- witness valuations ---------------------------------------------------
+
+    def witnesses(self) -> tuple[dict[str, int], ...]:
+        """Concrete valuations of the declared variables at which *every*
+        declared fact holds (memoised until the next ``declare_*``).
+
+        Each is a model of the assumptions, so a statement false at one cannot
+        follow from them (:func:`repro.symbolic.prover.refuted`).  Candidates
+        are drawn from a fixed seed and kept only when :meth:`_satisfies_facts`
+        confirms them; facts nobody can satisfy, or over undeclared variables,
+        leave the tuple empty, which refutes nothing.
+        """
+        points = self.caches.witnesses
+        if points is None:
+            rng = random.Random(0)
+            repairs = sorted(  # ``d | x`` facts on a plain variable, in a fixed order
+                (f for f in self._divisibility if isinstance(f[0], Var)),
+                key=lambda f: (f[0].name, f[1].sort_key()),
+            )
+            found: list[dict[str, int]] = []
+            for _ in range(_WITNESS_ATTEMPTS):
+                point = self._sample_point(rng, repairs)
+                if point is not None and point not in found and self._satisfies_facts(point):
+                    found.append(point)
+                    if len(found) == _WITNESS_COUNT:
+                        break
+            if not found:
+                CACHE_STATS.count_rule("witness:none")
+            points = self.caches.witnesses = tuple(found)
+        return points
+
+    def _sample_point(self, rng: random.Random, repairs) -> Optional[dict[str, int]]:
+        """Draw one candidate valuation, layer by layer: variables whose bounds
+        the point can already evaluate get a value inside them, then every
+        ``d | x`` fact of ``repairs`` on a freshly valued ``x`` rounds ``x`` up
+        to a multiple, before anything bounded by ``x`` is drawn."""
+        point: dict[str, int] = {}
+        pending = list(self._ranges.items())
+        while pending:
+            fresh: dict[str, int] = {}
+            deferred = []
+            for name, bound in pending:
+                try:
+                    lo = None if bound.lo is None else bound.lo.evaluate(point)
+                    hi = None if bound.hi is None else bound.hi.evaluate(point)
+                except (KeyError, ZeroDivisionError):
+                    deferred.append((name, bound))  # not yet (or never) evaluable
+                    continue
+                if lo is None:
+                    lo = -_WITNESS_SPAN // 2 if hi is None else hi - _WITNESS_SPAN
+                if hi is None:
+                    hi = lo + _WITNESS_SPAN
+                if lo > hi:
+                    return None
+                fresh[name] = rng.randint(lo, hi)
+            if not fresh:
+                return None  # a bound mentions a variable nobody declared
+            point.update(fresh)
+            for dividend, divisor in repairs:
+                if dividend.name in fresh:
+                    try:
+                        step = divisor.evaluate(point)
+                    except (KeyError, ZeroDivisionError):
+                        continue
+                    if step > 0:
+                        point[dividend.name] = -(-point[dividend.name] // step) * step
+            pending = deferred
+        return point
+
+    def _satisfies_facts(self, point: Mapping[str, int]) -> bool:
+        """Does every declared range, divisibility, positivity and ``<=`` fact
+        hold at ``point``?  (By evaluation; a fact that cannot be evaluated
+        there does not hold.)"""
+        try:
+            for name, bound in self._ranges.items():
+                value = point[name]
+                if bound.lo is not None and bound.lo.evaluate(point) > value:
+                    return False
+                if bound.hi is not None and bound.hi.evaluate(point) < value:
+                    return False
+            return (
+                all(x.evaluate(point) % d.evaluate(point) == 0 for x, d in self._divisibility)
+                and all(e.evaluate(point) >= 1 for e in self._positive_exprs)
+                and all(a.evaluate(point) <= b.evaluate(point) for a, b in self._le_facts)
+            )
+        except (KeyError, ZeroDivisionError):
+            return False
 
     # -- range analysis -------------------------------------------------------
 

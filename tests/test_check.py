@@ -168,7 +168,7 @@ def test_fuzz_symbolic_is_clean_and_deterministic():
     assert first.ok, [f.as_dict() for f in first.failures]
     assert first.as_dict() == second.as_dict()
     assert first.checked == {
-        "simplify": 60, "fixpoint": 60, "printer": 60, "lowering": 60, "range": 60,
+        "simplify": 60, "fixpoint": 60, "printer": 60, "lowering": 60, "range": 60, "refuter": 60,
     }
 
 

@@ -267,6 +267,19 @@ def test_env_caches_share_one_invalidation_epoch():
     assert all(not fam for fam in caches.families())
 
 
+def test_declaring_a_fact_drops_the_witnesses():
+    env = SymbolicEnv()
+    i = env.declare_index("i", 8)
+    assert not prove_nonneg(as_expr(i) - 8, env)  # refuted: i - 8 < 0 at every witness
+    points = env.caches.witnesses
+    assert points and all(0 <= p["i"] < 8 for p in points)
+    assert env.copy().caches.witnesses is points  # same facts, same valuations
+    env.declare_range("i", 8, 15)
+    assert env.caches.witnesses is None
+    assert prove_nonneg(as_expr(i) - 8, env)
+    assert all(8 <= p["i"] <= 15 for p in env.caches.witnesses)
+
+
 def test_env_copy_snapshots_caches():
     env = SymbolicEnv()
     i = env.declare_index("i", 8)
@@ -335,11 +348,14 @@ def test_ladder_counts_the_discharging_stage():
     before = ladder_counts()
     prove_nonneg(i, env)                      # sign of a declared index
     prove_nonneg(2 * as_expr(x) + 10, env)    # needs the integer bounds
-    prove_nonneg(2 * as_expr(x) + 9, env)     # nobody can
+    prove_nonneg(as_expr(i) - 16, env)        # false at every witness: refuted, no stage runs
+    prove_nonneg(as_expr(i) // Var("n"), env)  # no witness values n, no stage proves it
     prove_nonneg(i, env)                      # proof-cache hit: not a miss
     after = ladder_counts()
     delta = {k: after[k] - before.get(k, 0) for k in after if after[k] != before.get(k, 0)}
-    assert delta == {"ladder:structure": 1, "ladder:range": 1, "ladder:abstain": 1}
+    assert delta == {
+        "ladder:structure": 1, "ladder:range": 1, "ladder:refuted": 1, "ladder:abstain": 1,
+    }
 
 
 def test_prove_in_bounds_is_inclusive_two_sided():

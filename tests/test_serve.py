@@ -100,32 +100,43 @@ def test_request_config_is_copied():
 # -- deduplication and counters -----------------------------------------------------
 
 
-def _counting_compiler():
+def _counting_compiler(release: threading.Event | None = None):
+    """A compiler that records its calls; with ``release``, every call (a
+    leader, by construction) holds until the event is set."""
     calls: list[tuple] = []
     lock = threading.Lock()
 
     def compiler(request: CompileRequest):
         with lock:
             calls.append(request.local_key())
+        if release is not None:
+            assert release.wait(timeout=60), "the test never released the leaders"
         return get_app(request.app).generate(request.config)
 
     return compiler, calls
 
 
 def test_batch_compiles_each_distinct_kernel_exactly_once():
-    compiler, calls = _counting_compiler()
+    # leaders hold until the whole batch is submitted, so every duplicate
+    # meets its leader in flight however fast a compile is
+    release = threading.Event()
+    compiler, calls = _counting_compiler(release)
     distinct = [
         CompileRequest("matmul", {"variant": v}) for v in ("nn", "nt", "tn", "tt")
     ] + [CompileRequest("softmax", {"implementation": "lego"})]
     requests = distinct * 8  # 40 requests, 5 distinct kernels
     with CompileService(compiler=compiler, workers=4) as service:
-        kernels = service.submit_batch(requests)
+        try:
+            futures = [service.submit(request) for request in requests]
+            assert service.stats().submitted == len(requests)
+        finally:
+            release.set()
+        kernels = [future.result(timeout=60) for future in futures]
         stats = service.stats()
     assert len(calls) == len(distinct), "a kernel compiled more than once"
     assert sorted(set(calls)) == sorted(r.local_key() for r in distinct)
     assert stats.compiled == len(distinct)
-    assert stats.deduped + stats.memory_hits == len(requests) - len(distinct)
-    assert stats.deduped > 0, "a 4-worker batch of 8x duplicates must dedup in flight"
+    assert stats.deduped == len(requests) - len(distinct) and stats.memory_hits == 0
     # all duplicates share the leader's kernel object
     assert kernels[0] is kernels[5] is kernels[-5]
 
