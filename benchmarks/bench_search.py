@@ -12,7 +12,7 @@ The acceptance run for the tuning driver (:func:`repro.tune.search`):
 * **learning** — a repeated LUD search on the shared store must pick up the
   cost model trained from the first run's profiles;
 * **persistence** — per-device winners land in a tuning table, and
-  :func:`repro.serve.warm_from_table` pre-compiles them so a fresh service
+  ``CompileService.warm_from_table`` pre-compiles them so a fresh service
   answers the first tuned-kernel request without compiling.
 
 Run standalone to emit the JSON artifact the CI job uploads::
@@ -78,10 +78,10 @@ def run_search_bench() -> dict:
         }
 
     # -- persistence: tuning table warms a fresh service ----------------------
-    from repro.serve import CompileService, warm_from_table
+    from repro.serve import CompileService
 
     with CompileService(workers=2) as service:
-        warmed = warm_from_table(service, table)
+        warmed = service.warm_from_table(table)
         stats = service.stats()
     report["warm_from_table"] = {
         "table_rows": len(table),

@@ -168,7 +168,7 @@ def run_farm_bench() -> dict:
         outcomes = [f.result(timeout=120.0) for f in futures]
         wall_seconds = time.perf_counter() - started
         stats = farm.stats()
-        integrity = farm._store.verify_integrity()
+        integrity = farm.store.verify_integrity()
 
     shed = sum(1 for o in outcomes if isinstance(o, Rejected))
     interactive = stats.lane("interactive").as_dict()

@@ -35,6 +35,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from .persistent import _publish_atomically
+
 __all__ = ["Claim", "ClaimRegistry"]
 
 
@@ -64,7 +66,7 @@ class Claim:
         """Extend the lease for a compile running longer than one TTL."""
         payload = self.registry._payload(ttl)
         self.deadline = payload["deadline"]
-        self.registry._publish(self.path, payload, replace=True)
+        _publish_atomically(self.path, json.dumps(payload))
 
     def __enter__(self) -> "Claim":
         return self
@@ -106,15 +108,12 @@ class ClaimRegistry:
             "deadline": time.time() + (self.ttl if ttl is None else ttl),
         }
 
-    def _publish(self, path: Path, payload: dict, replace: bool = False) -> bool:
-        """Atomically write ``payload`` at ``path``; False if already claimed."""
+    def _publish(self, path: Path, payload: dict) -> bool:
+        """Atomically create ``path`` holding ``payload``; False if already claimed."""
         fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
                 json.dump(payload, handle)
-            if replace:
-                os.replace(tmp_name, path)
-                return True
             try:
                 os.link(tmp_name, path)
                 return True

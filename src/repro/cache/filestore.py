@@ -26,10 +26,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Iterator, Mapping
+
+from .persistent import _publish_atomically
 
 __all__ = ["ShardedFileStore"]
 
@@ -91,20 +92,8 @@ class ShardedFileStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         # the original key rides inside the envelope: filenames are digests,
         # and items()/keys() must recover what callers actually stored
-        payload = json.dumps({"key": key, "value": dict(value)}, sort_keys=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _publish_atomically(
+            path, json.dumps({"key": key, "value": dict(value)}, sort_keys=True))
         with self._lock:
             self.puts += 1
 
@@ -117,27 +106,26 @@ class ShardedFileStore:
     def keys(self) -> list[str]:
         return [key for key, _ in self.items()]
 
-    def items(self) -> list[tuple[str, dict]]:
-        out: list[tuple[str, dict]] = []
+    def _scan(self) -> Iterator[tuple[Path, tuple[str, dict] | None]]:
+        """Every entry file with its ``(key, value)``, or ``None`` if unreadable."""
         for path in self._entry_files():
             try:
                 envelope = json.loads(path.read_text())
-                out.append((envelope["key"], envelope["value"]))
+                yield path, (envelope["key"], envelope["value"])
             except (OSError, json.JSONDecodeError, TypeError, KeyError):
-                with self._lock:
-                    self.corrupt_entries += 1
-        return out
+                yield path, None
+
+    def items(self) -> list[tuple[str, dict]]:
+        entries = [entry for _, entry in self._scan()]
+        with self._lock:
+            self.corrupt_entries += entries.count(None)
+        return [entry for entry in entries if entry is not None]
 
     def prune(self, keep) -> int:
-        """Drop entries failing ``keep(key, value)``; returns removals."""
-        doomed = []
-        for path in self._entry_files():
-            try:
-                envelope = json.loads(path.read_text())
-                if not keep(envelope["key"], envelope["value"]):
-                    doomed.append(path)
-            except (OSError, json.JSONDecodeError, TypeError, KeyError):
-                doomed.append(path)  # unreadable entries are dead weight
+        """Drop entries failing ``keep(key, value)`` — and unreadable ones,
+        which are dead weight; returns removals."""
+        doomed = [path for path, entry in self._scan()
+                  if entry is None or not keep(*entry)]
         for path in doomed:
             try:
                 os.unlink(path)
@@ -154,19 +142,13 @@ class ShardedFileStore:
         ``mkstemp`` and ``os.replace``) and are counted separately — they
         are invisible to ``get`` and never corrupt anything.
         """
-        entries = corrupt = 0
-        for path in self._entry_files():
-            entries += 1
-            try:
-                envelope = json.loads(path.read_text())
-                envelope["key"], envelope["value"]
-            except (OSError, json.JSONDecodeError, TypeError, KeyError):
-                corrupt += 1
+        scanned = [entry for _, entry in self._scan()]
         stray_tmp = sum(
             1 for shard in self.root.iterdir() if shard.is_dir()
             for _ in shard.glob("*.tmp")
         )
-        return {"entries": entries, "corrupt": corrupt, "stray_tmp": stray_tmp}
+        return {"entries": len(scanned), "corrupt": scanned.count(None),
+                "stray_tmp": stray_tmp}
 
     def stats(self) -> dict:
         with self._lock:

@@ -31,6 +31,27 @@ from typing import Mapping
 __all__ = ["ResultCache", "code_fingerprint", "stable_digest"]
 
 
+def _publish_atomically(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path`` and rename it into place.
+
+    ``os.replace`` is atomic on POSIX and Windows: a reader (or a crash) can
+    only ever observe the old complete file or the new complete one, never a
+    truncated one.  The one publish step of every durable store here
+    (:class:`ResultCache`, ``ShardedFileStore`` entries, claim refreshes).
+    """
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:  # noqa: BLE001 - re-raised: only the orphaned temp file is removed
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 def stable_digest(payload: Mapping) -> str:
     """SHA-256 over the canonical JSON form of ``payload``.
 
@@ -210,30 +231,11 @@ class ResultCache:
         return True
 
     def save(self) -> Path | None:
-        """Atomically write the store back (no-op without a path or changes).
-
-        The serialised store lands in a temp file next to the destination and
-        is renamed over it with ``os.replace``, which is atomic on POSIX and
-        Windows: a reader (or a crash) can only ever observe the old complete
-        store or the new complete store, never a truncated one.
-        """
+        """Atomically write the store back (no-op without a path or changes)."""
         with self._lock:
             if self.path is None or not self._dirty:
                 return self.path
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps(self._entries, sort_keys=True, indent=1)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.path.parent, prefix=self.path.name + ".", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            _publish_atomically(self.path, json.dumps(self._entries, sort_keys=True, indent=1))
             self._dirty = False
             return self.path

@@ -169,7 +169,7 @@ def fuzz_trial(trial_seed: int, depth: int = 4) -> list[tuple[str, str]]:
     def check(prop: str, fn, holds=lambda got: got == expected) -> None:
         try:
             got = fn()
-        except Exception as exc:  # a crash is as much a soundness bug as a wrong value
+        except Exception as exc:  # noqa: BLE001 - a crash is as much a soundness bug as a wrong value
             violations.append((prop, f"raised {type(exc).__name__}: {exc}"))
             return
         if not holds(got):

@@ -329,7 +329,7 @@ def _check_inner(spec: AppSpec, config: Mapping, *, seed: int, kernel, service) 
         if trace is not None:
             report.trace = _trace_counters(trace)
         reference = spec.reference(case.config, case.inputs)
-    except Exception as exc:  # a config the app cannot build or execute is a failure
+    except Exception as exc:  # noqa: BLE001 - a config the app cannot build or execute is a failure
         report.status = "failed"
         report.reason = f"{type(exc).__name__}: {exc}"
         return report

@@ -35,6 +35,8 @@ import threading
 from collections import deque
 from typing import Callable, Mapping
 
+from .trace import instant
+
 __all__ = [
     "percentile",
     "Counter",
@@ -272,22 +274,39 @@ class MetricsRegistry:
 
     # -- snapshot / delta / exposition ----------------------------------------
 
+    def _read_sources(self) -> list[tuple[str, Mapping]]:
+        """Every absorbed source's current value, read live.
+
+        A raising source (a closed service, say) is skipped — one broken
+        source must not blank the snapshot — but never silently: each
+        failure bumps ``repro.obs.source_errors`` and drops an
+        ``obs.source_error`` instant naming the source and the exception.
+        """
+        with self._lock:
+            sources = list(self._sources.items())
+        produced = []
+        for name, fn in sources:
+            try:
+                produced.append((name, fn()))
+            except Exception as exc:  # noqa: BLE001 - isolate the source; counted, see docstring
+                self.counter(
+                    "repro.obs.source_errors", "absorbed stat sources that raised when read"
+                ).inc()
+                instant("obs.source_error", "obs", source=name, error=type(exc).__name__)
+        return produced
+
     def snapshot(self) -> dict[str, float]:
         """A flat ``{dotted_name: value}`` view of every metric and source."""
+        # sources first: a failure they count lands in this same snapshot
+        produced = self._read_sources()
         with self._lock:
             metrics = list(self._metrics.values())
-            sources = list(self._sources.items())
             epoch = self._epoch
         out: dict[str, float] = {"__epoch__": float(epoch)}
         for metric in metrics:
             out.update(metric.collect())
-        for name, fn in sources:
-            try:
-                produced = fn()
-            except Exception:
-                # a dead source (closed service) must not break snapshots
-                continue
-            _flatten(name, produced, out)
+        for name, value in produced:
+            _flatten(name, value, out)
         return out
 
     @staticmethod
@@ -317,9 +336,9 @@ class MetricsRegistry:
         absorbed-source leaves expose as untyped gauges.
         """
         lines: list[str] = []
+        produced = self._read_sources()
         with self._lock:
             metrics = list(self._metrics.values())
-            sources = list(self._sources.items())
         for metric in metrics:
             name = _prom_name(metric.name)
             if metric.help:
@@ -335,13 +354,9 @@ class MetricsRegistry:
             else:
                 lines.append(f"# TYPE {name} {metric.kind}")
                 lines.append(f"{name} {metric.value:g}")
-        for source, fn in sources:
-            try:
-                produced = fn()
-            except Exception:
-                continue
+        for source, value in produced:
             flat: dict[str, float] = {}
-            _flatten(source, produced, flat)
+            _flatten(source, value, flat)
             for key in sorted(flat):
                 lines.append(f"# TYPE {_prom_name(key)} gauge")
                 lines.append(f"{_prom_name(key)} {flat[key]:g}")

@@ -1,23 +1,17 @@
-"""``repro.serve`` — the concurrent layout-compilation service.
-
-The ROADMAP's north star is a system that absorbs compile traffic at
-production scale; this package is the serving layer over the generation
-pipeline the earlier PRs made fast (hash-consed IR) and uniform (backend
-registry):
+"""``repro.serve`` — serving compile requests: one path, two executors.
 
 * :class:`CompileRequest` — the value object clients submit
   (``app``, ``config``, optional backend and cost weights),
-* :class:`CompileService` — thread-pooled execution with in-flight request
-  deduplication and a sharded two-tier kernel cache (in-memory LRU shards
-  over interned-expression fingerprints; optional persistent JSON store),
-* :class:`ServiceStats` — the metrics snapshot: per-shard hit rates,
-  p50/p95/p99 latency, queue depth, dedup and compile counters,
-* :class:`CompileFarm` — the multi-process tier: N worker processes over a
-  shared durable :class:`~repro.cache.ShardedFileStore`, priority lanes
-  with bounded admission (over-cap submissions shed with a typed
-  :class:`Rejected`), cross-process claim-file dedup, worker health
-  checking with automatic restart and request re-drive, and per-lane
-  p50/p95/p99/p99.9 latency in :class:`FarmStats`,
+* :class:`CompileService` — the request path (:mod:`repro.serve.service`):
+  memory tier → in-flight coalescing → leader (durable-tier probe, compile,
+  verify, store), with leaders on a thread pool,
+* :class:`CompileFarm` — the same service with leaders in worker
+  *processes* (:mod:`repro.serve.farm`): priority lanes with bounded
+  admission (over-cap submissions shed with a typed :class:`Rejected`),
+  cross-process claim-file dedup, worker health checking with restart and
+  request re-drive,
+* :class:`ServiceStats` / :class:`FarmStats` + :class:`LaneStats` — two
+  views of the per-lane ledger (:mod:`repro.serve.metrics`),
 * :func:`synthetic_requests` / :func:`traffic_trace` + ``python -m
   repro.serve`` — deterministic traffic replay (uniform-duplicate traces,
   or Zipf-popular Poisson arrivals across configurable burst phases).
@@ -51,7 +45,6 @@ from .service import (
     default_compiler,
     default_service,
     table_requests,
-    warm_from_table,
 )
 from .traffic import (
     DEFAULT_PHASES,
@@ -89,6 +82,5 @@ __all__ = [
     "table_requests",
     "trace_summary",
     "traffic_trace",
-    "warm_from_table",
     "zipf_requests",
 ]

@@ -83,7 +83,6 @@ class AdmissionController:
         self._limits = merged
         self._lock = threading.Lock()
         self._pending = {lane: 0 for lane in merged}
-        self._admitted = {lane: 0 for lane in merged}
         self._sheds = {lane: 0 for lane in merged}
 
     def check_lane(self, lane: str) -> None:
@@ -109,7 +108,6 @@ class AdmissionController:
                 self._sheds[lane] += 1
                 return False, depth
             self._pending[lane] = depth + 1
-            self._admitted[lane] += 1
             return True, depth + 1
 
     def release(self, lane: str) -> None:
@@ -118,22 +116,14 @@ class AdmissionController:
                 raise AssertionError(f"release underflow on lane {lane!r}")
             self._pending[lane] -= 1
 
-    def depth(self, lane: str) -> int:
-        with self._lock:
-            return self._pending[lane]
-
-    def sheds(self, lane: str) -> int:
-        with self._lock:
-            return self._sheds[lane]
-
     def snapshot(self) -> dict:
-        """Per-lane ``{limit, pending, admitted, sheds}`` under one lock."""
+        """Per-lane ``{limit, pending, sheds}`` under one lock (admitted
+        counts live on the service's lane ledger, not here)."""
         with self._lock:
             return {
                 lane: {
                     "limit": self._limits[lane],
                     "pending": self._pending[lane],
-                    "admitted": self._admitted[lane],
                     "sheds": self._sheds[lane],
                 }
                 for lane in sorted(self._limits)

@@ -1,20 +1,24 @@
-"""Service observability: latency accounting and the ``ServiceStats`` snapshot.
+"""Serving observability: the per-lane request ledger and its snapshot views.
 
-The service records one latency sample per completed request (cache hits
+Every submission is counted on one :class:`LaneLedger` and resolves through
+exactly one outcome on it; each records one latency sample (cache hits
 included — a hit's microseconds are part of the distribution a traffic
-replay should see) into a bounded reservoir, and exposes everything as an
-immutable :class:`ServiceStats` snapshot whose counter invariants are exact
-at quiescence (see :meth:`repro.serve.CompileService.stats` for what a
+replay should see) into a bounded reservoir.  :class:`ServiceStats` (the
+in-process service, one lane) and :class:`LaneStats` (one farm lane, inside
+:class:`FarmStats`) are two named, immutable views of that same ledger:
+``deduped`` is ``coalesced``, ``persistent_hits`` is ``store_hits``,
+``completed`` is ``resolved``.  Their counter invariants are exact at
+quiescence (see :meth:`repro.serve.CompileService.stats` for what a
 mid-traffic snapshot can and cannot tear).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..obs.metrics import Histogram
 
-__all__ = ["FarmStats", "LaneStats", "LatencyRecorder", "ServiceStats"]
+__all__ = ["FarmStats", "LaneLedger", "LaneStats", "LatencyRecorder", "ServiceStats"]
 
 
 class LatencyRecorder:
@@ -48,6 +52,52 @@ class LatencyRecorder:
         for name in ("mean", "p50", "p95", "p99", "p999", "max"):
             snapshot[f"{name}_ms"] = stats[f"latency.{name}"] * 1e3
         return snapshot
+
+
+class LaneLedger:
+    """One lane's mutable counters (all mutated under the service lock).
+
+    ``outcomes`` counts resolutions by how they were served: ``memory_hit``,
+    ``coalesced`` (rode an in-flight leader, or a leader that finished
+    between the counted lookup and the lock), ``compiled``, ``store_hit``,
+    ``dedup_wait`` (waited out another process's claim) or ``error``.
+    """
+
+    __slots__ = ("submitted", "outcomes", "latency")
+
+    OUTCOMES = ("memory_hit", "coalesced", "compiled", "store_hit", "dedup_wait", "error")
+
+    def __init__(self, max_samples: int):
+        self.submitted = 0
+        self.outcomes = dict.fromkeys(self.OUTCOMES, 0)
+        self.latency = LatencyRecorder(max_samples)
+
+    def settle(self, outcome: str, seconds: float) -> None:
+        self.outcomes[outcome] += 1
+        self.latency.record(seconds)
+
+    def read(self) -> dict:
+        """The ledger under :class:`LaneStats`' field names."""
+        outcomes = self.outcomes
+        return {
+            "submitted": self.submitted,
+            "resolved": sum(outcomes.values()),
+            "errors": outcomes["error"],
+            "memory_hits": outcomes["memory_hit"],
+            "coalesced": outcomes["coalesced"],
+            "compiled": outcomes["compiled"],
+            "store_hits": outcomes["store_hit"],
+            "dedup_waits": outcomes["dedup_wait"],
+            "latency": self.latency.snapshot(),
+        }
+
+
+def _as_dict(stats, **derived) -> dict:
+    """JSON-ready form of a stats dataclass: its fields (mappings copied)
+    plus the ``derived`` keys, which also replace any non-JSON field."""
+    out = {f.name: getattr(stats, f.name) for f in fields(stats)}
+    out.update(derived)
+    return {k: dict(v) if isinstance(v, dict) else v for k, v in out.items()}
 
 
 @dataclass(frozen=True)
@@ -86,22 +136,8 @@ class ServiceStats:
 
     def as_dict(self) -> dict:
         """JSON-ready form (the CLI and the benchmark artifact emit this)."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "compiled": self.compiled,
-            "deduped": self.deduped,
-            "errors": self.errors,
-            "memory_hits": self.memory_hits,
-            "memory_misses": self.memory_misses,
-            "memory_hit_rate": self.hit_rate,
-            "persistent_hits": self.persistent_hits,
-            "queue_depth": self.queue_depth,
-            "workers": self.workers,
-            "store_entries": self.store_entries,
-            "latency": dict(self.latency),
-            "shards": [dict(s) for s in self.shards],
-        }
+        return _as_dict(self, memory_hit_rate=self.hit_rate,
+                        shards=[dict(s) for s in self.shards])
 
 
 @dataclass(frozen=True)
@@ -109,9 +145,9 @@ class LaneStats:
     """One priority lane's ledger inside a :class:`FarmStats` snapshot.
 
     At quiescence ``submitted == shed + resolved`` and ``resolved ==
-    memory_hits + coalesced + compiled + store_hits + worker_hits +
-    dedup_waits + errors`` — every admitted request resolves through exactly
-    one of those outcomes (asserted by the farm tests).
+    memory_hits + coalesced + compiled + store_hits + dedup_waits +
+    errors`` — every admitted request resolves through exactly one of those
+    outcomes (asserted by the serving-contract tests).
     """
 
     lane: str = ""
@@ -121,16 +157,14 @@ class LaneStats:
     resolved: int = 0
     pending: int = 0
     errors: int = 0
-    #: supervisor memory tier answered without touching a worker
+    #: the memory tier answered without starting a leader
     memory_hits: int = 0
-    #: piggybacked on an identical in-flight ticket (supervisor-side dedup)
+    #: piggybacked on an identical in-flight ticket (front-half dedup)
     coalesced: int = 0
     #: a worker compiled the kernel fresh (claims make this exactly-once)
     compiled: int = 0
     #: a worker answered from the shared durable store
     store_hits: int = 0
-    #: a worker answered from its own process-local memory tier
-    worker_hits: int = 0
     #: a worker waited out another process's claim, then read the store
     dedup_waits: int = 0
     latency: dict = field(default_factory=dict)
@@ -139,28 +173,11 @@ class LaneStats:
     def hit_rate(self) -> float:
         """Fraction of resolutions served without a fresh compilation."""
         served = self.resolved - self.errors
-        hits = (self.memory_hits + self.coalesced + self.store_hits
-                + self.worker_hits + self.dedup_waits)
+        hits = self.memory_hits + self.coalesced + self.store_hits + self.dedup_waits
         return (hits / served) if served else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "lane": self.lane,
-            "limit": self.limit,
-            "submitted": self.submitted,
-            "shed": self.shed,
-            "resolved": self.resolved,
-            "pending": self.pending,
-            "errors": self.errors,
-            "memory_hits": self.memory_hits,
-            "coalesced": self.coalesced,
-            "compiled": self.compiled,
-            "store_hits": self.store_hits,
-            "worker_hits": self.worker_hits,
-            "dedup_waits": self.dedup_waits,
-            "hit_rate": self.hit_rate,
-            "latency": dict(self.latency),
-        }
+        return _as_dict(self, hit_rate=self.hit_rate)
 
 
 @dataclass(frozen=True)
@@ -175,8 +192,12 @@ class FarmStats:
     * ``double_compiled == 0`` — no distinct kernel reports more than one
       fresh compilation across every worker process (claim files +
       store-before-done ordering);
-    * ``executions >= resolved`` — a re-driven ticket may execute on more
-      than one worker, but only the first outcome resolves it.
+    * ``executions >=`` the number of *leader* resolutions (``compiled +
+      store_hits + dedup_waits`` over the lanes, plus worker-reported
+      errors) — memory hits and followers resolve without an execution.  A
+      worker killed mid-ticket never reports, so re-drives add none: the
+      two are equal unless a ticket was failed (``max_redrives``, ``close``)
+      while an execution of it was still to report.
     """
 
     workers: int = 0
@@ -206,20 +227,5 @@ class FarmStats:
         return self.submitted - self.shed - self.resolved
 
     def as_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "alive": self.alive,
-            "submitted": self.submitted,
-            "shed": self.shed,
-            "resolved": self.resolved,
-            "lost": self.lost,
-            "errors": self.errors,
-            "compiled": self.compiled,
-            "executions": self.executions,
-            "redriven": self.redriven,
-            "restarts": self.restarts,
-            "warmed": self.warmed,
-            "double_compiled": self.double_compiled,
-            "store": dict(self.store),
-            "lanes": {lane.lane: lane.as_dict() for lane in self.lanes},
-        }
+        return _as_dict(self, lost=self.lost,
+                        lanes={lane.lane: lane.as_dict() for lane in self.lanes})

@@ -1,29 +1,28 @@
-"""The concurrent layout-compilation service.
+"""The compile request path: one front half, one leader path, two executors.
 
-:class:`CompileService` turns the per-call generation pipeline
-(``CodegenContext.lower`` + ``get_backend``) into a request-serving layer:
+A compile request is served the same way whether its leader runs on a pool
+thread (:class:`CompileService`) or in a worker process
+(:class:`~repro.serve.farm.CompileFarm`, a subclass):
 
-* **Sharded two-tier kernel cache.**  The hot tier is a
-  :class:`~repro.cache.ShardedLRUCache` keyed on a process-local request
-  fingerprint built from interned expression identities (``Expr.expr_id``)
-  — the cheapest stable key the hash-consed IR can produce.  The durable
-  tier is a :class:`~repro.cache.ResultCache` JSON store keyed on a
-  cross-process digest (canonical printed expressions, code-salted), so
-  a fresh process starts warm.
-* **In-flight deduplication.**  Concurrent submissions of the same request
-  share one compilation: the first becomes the leader, the rest piggyback
-  on its future.  Each distinct kernel is compiled exactly once per cache
-  lifetime (the invariant the batch tests assert).
-* **Batching.**  ``submit`` is asynchronous (returns a future);
-  ``submit_batch`` fans a request list over the worker pool and returns
-  results in submission order.
-* **Metrics.**  Per-shard hit rates, p50/p95/p99 latency and queue depth
-  via :meth:`CompileService.stats`.
+* **Front half** — :meth:`CompileService._submit`: closed check → one
+  *counted* memory-tier lookup → admission → coalesce onto an identical
+  in-flight ticket or lead; then :meth:`CompileService._resolve_locked`
+  settles the lane ledger strictly before any waiter observes completion.
+* **Leader path** — :func:`resolve_tiers`: durable-tier probe → (claim) →
+  compile → verify → ``store.put`` before success is reported.
+
+Dedup is three tiers, stated once: the memory tier (a
+:class:`~repro.cache.ShardedLRUCache` keyed on ``local_key()``, a
+fingerprint of interned expression identities — the cheapest stable key the
+hash-consed IR can produce) answers repeats, the in-flight map coalesces
+concurrent duplicates, and claim files dedup across processes; the durable
+tier is keyed on ``stable_key()`` (canonical printed expressions, salted by
+the source fingerprint), so a fresh process starts warm.
 
 Thread-safety relies on the symbolic layer's contract (DESIGN.md): the
-intern table is lock-striped, every compile request builds its own
-``CodegenContext``/``SymbolicEnv`` inside one worker thread, and service
-counters mutate only under the service lock.
+intern table is lock-striped, every compile builds its own
+``CodegenContext``/``SymbolicEnv`` inside one worker, and the ledger, the
+in-flight map and ticket state mutate only under the service lock.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from ..codegen.backend import GeneratedKernel
 from ..obs.trace import span
 from ..symbolic import CostWeights
 from ..symbolic.expr import Expr
-from .metrics import LatencyRecorder, ServiceStats
+from .metrics import LaneLedger, ServiceStats
 
 __all__ = [
     "CompileRequest",
@@ -48,8 +47,8 @@ __all__ = [
     "PersistedKernel",
     "default_compiler",
     "default_service",
+    "resolve_tiers",
     "table_requests",
-    "warm_from_table",
 ]
 
 
@@ -211,12 +210,144 @@ def default_compiler(request: CompileRequest) -> GeneratedKernel | None:
     return spec.generate(request.config)
 
 
-#: request-latency reservoir size
-_LATENCY_SAMPLES = 10_000
+#: per-lane latency reservoir size (replay windows up to this many requests
+#: get exact percentiles — the burst benchmark sizes its trace under it)
+_LATENCY_SAMPLES = 20_000
+#: how often a leader waiting out another process's claim re-probes the store
+_CLAIM_POLL = 0.005
+#: how long it waits on a *live* foreign claim before giving up (seconds)
+_CLAIM_WAIT_LIMIT = 60.0
+
+
+# -- the leader path ------------------------------------------------------------------
+
+
+def _restore(request: CompileRequest, store, stable: str, verify):
+    """Probe the durable tier: ``(kernel, payload)``, or ``None`` on a miss."""
+    with span("serve.store.probe", "serve", app=request.app) as probe:
+        payload = store.get(stable)
+        probe.add(tier_hit=payload is not None)
+    if payload is None:
+        return None
+    kernel = kernel_from_payload(payload)
+    if verify is not None and not payload.get("verified"):
+        # the store may have been warmed by a producer with no verifier (a
+        # benchmark, an unverified service), so an unstamped restore is
+        # checked here and stamped — the gate must hold for every kernel
+        # this leader serves
+        with span("serve.verify", "serve", app=request.app, restored=True):
+            verify(request, kernel)
+        payload = {**payload, "verified": True}
+        store.put(stable, payload)
+    return kernel, payload
+
+
+def _compile(request: CompileRequest, store, stable, compiler, verify):
+    with span("serve.execute", "serve", app=request.app):
+        kernel = compiler(request)
+    if verify is not None:
+        # a failed verification must poison nothing: no tier has seen the
+        # kernel yet, so the raise lands in the error ledger and every
+        # waiter sees the CheckFailure
+        with span("serve.verify", "serve", app=request.app):
+            verify(request, kernel)
+    payload = None
+    if store is not None:
+        payload = kernel_payload(kernel, verified=verify is not None)
+        store.put(stable, payload)
+    return "compiled", kernel, payload
+
+
+def resolve_tiers(request: CompileRequest, store, claims, compiler, verify,
+                  compile_delay: float = 0.0):
+    """The one leader path: durable tier, (claim), compile, verify, put.
+
+    Returns ``(outcome, kernel, payload)``; ``payload`` is the JSON envelope
+    read from or written to ``store`` (``None`` without a store).  The
+    in-process service calls this on a pool thread with ``claims=None``; a
+    farm worker calls it with the shared :class:`~repro.cache.ShardedFileStore`
+    and a :class:`~repro.cache.ClaimRegistry`, which is what holds the
+    farm-wide exactly-once-compile invariant:
+
+    1. an existing store entry answers immediately (``store_hit``);
+    2. otherwise acquire the claim — a holder that died is broken via its
+       recorded pid / lease deadline inside ``acquire``;
+    3. claim held by a live sibling: poll the store until its result lands
+       (``dedup_wait``) or the claim goes stale, then retry the acquire;
+    4. claim won: re-probe the store (the holder may have finished between
+       our miss and our claim), then compile, verify, ``put``, release.
+
+    The ``put`` happens **before** this function returns (and so before a
+    worker's done-message and before the claim is released): a leader killed
+    after publishing never causes a recompile, and one killed before
+    publishing never reported success — "compiled" is reported at most once
+    per kernel.  ``compile_delay`` is the chaos tests' kill window: a sleep
+    under the claim, with the lease refreshed after it.
+    """
+    if store is None:
+        return _compile(request, None, None, compiler, verify)
+    stable = request.stable_key()
+    restored = _restore(request, store, stable, verify)
+    if restored is not None:
+        return ("store_hit", *restored)
+    if claims is None:
+        return _compile(request, store, stable, compiler, verify)
+    while True:
+        claim = claims.acquire(stable)
+        if claim is not None:
+            with claim:
+                restored = _restore(request, store, stable, verify)
+                if restored is not None:  # the previous holder just finished
+                    return ("dedup_wait", *restored)
+                if compile_delay:
+                    time.sleep(compile_delay)
+                    claim.refresh()
+                return _compile(request, store, stable, compiler, verify)
+        # a live sibling process holds the claim: wait for its result
+        waited = time.perf_counter()
+        while claims.held(stable):
+            restored = _restore(request, store, stable, verify)
+            if restored is not None:
+                return ("dedup_wait", *restored)
+            time.sleep(_CLAIM_POLL)
+            if time.perf_counter() - waited > _CLAIM_WAIT_LIMIT:
+                raise TimeoutError(
+                    f"gave up waiting on a foreign claim for {request.app!r}"
+                )
+        # claim released or went stale without a result: retry the acquire
+
+
+# -- the front half -------------------------------------------------------------------
+
+
+@dataclass(eq=False, slots=True)
+class _Ticket:
+    """One admitted memory-tier miss: a leader, or a follower riding one."""
+
+    request: CompileRequest
+    key: tuple
+    lane: str
+    started: float
+    #: holds an admission slot, released when the ticket resolves
+    admitted: bool
+    #: what the submitter waits on, set by ``_settle``; ``None`` when someone
+    #: else answers the submitter (the pool's own future, an inline result)
+    future: Future | None = None
+    followers: list = field(default_factory=list)
+    resolved: bool = False
+    # what a process executor adds: a pipe-message id, a re-drive count
+    id: int = 0
+    redrives: int = 0
+
+
+def _settled(value) -> Future:
+    future: Future = Future()
+    future.set_result(value)
+    return future
 
 
 class CompileService:
-    """A thread-pooled, deduplicating, two-tier-cached compilation service.
+    """A deduplicating, two-tier-cached compilation service on a thread pool.
 
     ``compiler`` maps a :class:`CompileRequest` to a
     :class:`~repro.codegen.backend.GeneratedKernel` (default: resolve the
@@ -229,13 +360,27 @@ class CompileService:
     right after the compiler returns and before the result reaches either
     cache tier, so a raising verifier (e.g.
     :func:`repro.check.differential_verifier`) fails the request — and every
-    deduplicated follower — instead of serving a numerically wrong kernel.
+    coalesced follower — instead of serving a numerically wrong kernel.
     Memory-tier hits are not re-verified (they passed within this cache's
     lifetime).  Durable-tier restores carry a ``verified`` stamp from their
-    producing service; a restore *without* the stamp (the store was warmed
-    by a benchmark or a verifier-less service) is verified on first restore
-    and stamped, so the gate holds for every kernel this service serves.
+    producing service; a restore *without* the stamp is verified on first
+    restore and stamped, so the gate holds for every kernel served.
+
+    The thread pool is an asynchrony device, not a throughput one (the GIL
+    serialises the compiles); :class:`~repro.serve.farm.CompileFarm`
+    overrides four hooks (``_admit``, ``_release``, ``_follow_locked``,
+    ``_lead_locked``) to run leaders in worker processes behind capped
+    priority lanes.
     """
+
+    #: the one, uncapped lane of the in-process service
+    _LANE = "service"
+    #: lane that tuning-table warming rides
+    _WARM_LANE = _LANE
+    #: ``submit`` keywords a batch uses unless its caller names others
+    _BATCH_SUBMIT: Mapping = {}
+    #: default :meth:`register_metrics` source name
+    _METRICS_NAME = "repro.serve"
 
     def __init__(
         self,
@@ -249,44 +394,51 @@ class CompileService:
             raise ValueError("CompileService requires at least one worker")
         self._compiler = compiler or default_compiler
         self._verify = verify
-        self.workers = workers
-        self.cache = cache if cache is not None else ShardedLRUCache()
-        self.store = ResultCache(store) if isinstance(store, (str, Path)) else store
-        if self.store is not None:
-            # Reclaim kernel entries stranded by a source-code change (a
-            # version bump is one): their salted keys are unreachable forever,
-            # and an append-only store would grow monotonically with dead
-            # weight.
-            # Entries from other clients (no salt field) are left alone.
-            salt = code_fingerprint()
-            self.store.prune(
-                lambda key, entry: "salt" not in entry or entry["salt"] == salt
-            )
+        self._open(
+            workers,
+            cache if cache is not None else ShardedLRUCache(),
+            ResultCache(store) if isinstance(store, (str, Path)) else store,
+            (self._LANE,),
+        )
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
+
+    def _open(self, workers: int, cache: ShardedLRUCache, store, lanes) -> None:
+        """The constructor half both executors share: tiers, ledgers, in-flight map."""
+        self.workers = workers
+        self.cache = cache
+        self.store = store
+        if store is not None:
+            # Reclaim kernel entries stranded by a source-code change (a
+            # version bump is one): their salted keys are unreachable forever,
+            # and an append-only store would grow monotonically with dead
+            # weight.  Entries from other clients (no salt field) are left alone.
+            salt = code_fingerprint()
+            store.prune(lambda key, entry: "salt" not in entry or entry["salt"] == salt)
         self._lock = threading.Lock()
-        self._inflight: dict[tuple, Future] = {}
-        self._latency = LatencyRecorder(_LATENCY_SAMPLES)
-        self._submitted = 0
-        self._completed = 0
-        self._compiled = 0
-        self._deduped = 0
-        self._errors = 0
-        self._persistent_hits = 0
+        self._lanes = {lane: LaneLedger(_LATENCY_SAMPLES) for lane in lanes}
+        self._inflight: dict[tuple, _Ticket] = {}  # local key -> leader ticket
+        #: resolutions accounted under the lock whose futures are not yet set
+        self._settling: list[tuple[list[Future], object, BaseException | None]] = []
+        self._warmed = 0
         self._closed = False
 
     # -- the request path -----------------------------------------------------
 
     def submit(self, request: CompileRequest) -> Future:
-        """Enqueue one request; returns a future of the compiled kernel.
+        """Enqueue one request; returns a future of the compiled kernel."""
+        return self._submit(request, self._LANE)
 
-        The hot path — a warm-cache hit — takes only the key's shard lock;
-        the service-wide lock is held just for counter bumps.  On a miss,
-        the in-flight check, a race re-check of the cache and the leader
-        registration happen under the service lock, so of any set of
-        concurrent identical requests exactly one compiles and the rest
-        share its future.
+    def _submit(self, request: CompileRequest, lane: str, admit: bool = True) -> Future:
+        """The front half every submission takes, whichever executor leads.
+
+        The hot path — a memory-tier hit — takes only the key's shard lock
+        (the service lock is held just for the ledger bumps) and returns a
+        future that is already done.  On a miss, the in-flight check, a race
+        re-check of the cache and the leader registration happen under the
+        service lock, so of any set of concurrent identical requests exactly
+        one leads and the rest ride its ticket.
         """
         started = time.perf_counter()
         key = request.local_key()
@@ -294,214 +446,236 @@ class CompileService:
         # lookup, so a rejected straggler never skews the shard counters.
         with self._lock:
             if self._closed:
-                raise RuntimeError("CompileService is closed")
-            self._submitted += 1
+                raise RuntimeError(f"{type(self).__name__} is closed")
+            ledger = self._lanes[lane]
+            ledger.submitted += 1
         # Lock-free fast path: one counted lookup per submission (this is
         # what keeps ``submitted == memory_hits + memory_misses`` exact).
         hit, value = self.cache.lookup(key)
         if hit:
             with self._lock:
-                self._completed += 1
-            self._latency.record(time.perf_counter() - started)
-            future: Future = Future()
-            future.set_result(value)
-            return future
-        late_hit = False
-        leader = False
+                ledger.settle("memory_hit", time.perf_counter() - started)
+            return _settled(value)
+        if admit:
+            shed = self._admit(request, lane)
+            if shed is not None:
+                return _settled(shed)
+        ticket = _Ticket(request, key, lane, started, admitted=admit)
         with self._lock:
             if self._closed:
                 # raced with close() after the counted lookup: settle the
-                # ledger (an error outcome) so the stats invariants stay
-                # exact even across a racing shutdown
-                self._errors += 1
-                self._completed += 1
-                raise RuntimeError("CompileService is closed")
-            existing = self._inflight.get(key)
-            if existing is not None:
-                self._deduped += 1
-                future = existing
-            else:
-                # A leader may have finished between our counted lookup and
-                # this lock: it caches its result before dropping the
-                # in-flight entry, so an uncounted re-check closes the race.
-                # Serving from it is still a dedup against that concurrent
-                # compile (keeps ``memory_misses == deduped + compiled +
-                # persistent_hits + errors`` exact).
-                late_hit, value = self.cache.peek(key)
-                if late_hit:
-                    self._deduped += 1
-                    self._completed += 1
-                else:
-                    leader = True
-                    future = self._executor.submit(self._execute, request, key, started)
-                    self._inflight[key] = future
-        if late_hit:
-            self._latency.record(time.perf_counter() - started)
-            future = Future()
-            future.set_result(value)
-            return future
-        if leader:
-            return future
-        # Follower: relay the leader's outcome through a wrapper future so
-        # accounting happens strictly before any waiter observes completion
-        # (a bare done-callback can run *after* ``result()`` returns).  The
-        # callback registers outside the lock: an already-resolved leader
-        # runs it inline, which must not re-enter the (non-reentrant) lock.
-        wrapper: Future = Future()
+                # ledger (an error outcome) so its invariants stay exact
+                # even across a racing shutdown
+                closed = RuntimeError(f"{type(self).__name__} is closed")
+                self._resolve_locked(ticket, error=closed)
+                raise closed
+            leader = self._inflight.get(key)
+            if leader is not None:
+                ticket.future = Future()
+                leader.followers.append(ticket)
+                self._follow_locked(leader, ticket)
+                return ticket.future
+            # A leader may have finished between our counted lookup and this
+            # lock: it caches its result before dropping the in-flight
+            # entry, so an uncounted re-check closes the race (the
+            # exactly-once window of a store-less service; for a farm, a
+            # worker round trip saved).  Serving from it is a dedup against
+            # that concurrent compile, which keeps ``memory_misses ==
+            # deduped + compiled + persistent_hits + errors`` exact.
+            late_hit, value = self.cache.peek(key)
+            if not late_hit:
+                self._inflight[key] = ticket
+                return self._lead_locked(ticket)
+            self._resolve_locked(ticket, "coalesced", value)
+        return _settled(value)
 
-        def _relay(done: Future) -> None:
-            self._account_follower(started)
-            exc = done.exception()
-            if exc is not None:
-                wrapper.set_exception(exc)
-            else:
-                wrapper.set_result(done.result())
-
-        future.add_done_callback(_relay)
-        return wrapper
-
-    def compile(self, request: CompileRequest) -> GeneratedKernel | None:
+    def compile(self, request: CompileRequest, **how) -> GeneratedKernel | None:
         """Synchronous ``submit``: block until the kernel is available."""
-        return self.submit(request).result()
+        return self.submit(request, **how).result()
 
-    def submit_batch(
-        self, requests: Iterable[CompileRequest]
-    ) -> list[GeneratedKernel | None]:
-        """Fan a batch over the pool; results come back in submission order."""
-        futures = [self.submit(request) for request in requests]
+    def submit_batch(self, requests: Iterable[CompileRequest], **how) -> list:
+        """Fan a batch out; results come back in submission order."""
+        how = {**self._BATCH_SUBMIT, **how}
+        futures = [self.submit(request, **how) for request in requests]
         return [future.result() for future in futures]
 
-    def _account_follower(self, started: float) -> None:
-        with self._lock:
-            self._completed += 1
-        self._latency.record(time.perf_counter() - started)
+    def warm_from_table(self, table, apps: Iterable[str] | None = None) -> int:
+        """Pre-compile every current-source tuning-table winner.
 
-    def _execute(self, request: CompileRequest, key: tuple, started: float):
-        """Leader path, on a worker thread: durable tier, then the compiler.
-
-        The fresh result lands in the memory tier *before* the in-flight
-        entry is dropped (in ``finally``, after this frame's stores), so at
-        every instant a submitted request is either cached or in flight —
-        the exactly-once guarantee has no window.
+        Submits one request per distinct winner (see :func:`table_requests`
+        for the row-selection rules, including the stale-stamp skip) and
+        blocks until they are all resident, so the first client request for
+        a tuned kernel is a memory hit.  Warm traffic bypasses admission (it
+        is the server's own startup work, not client load).  Returns the
+        number of requests warmed.
         """
+        futures = [self._submit(request, self._WARM_LANE, admit=False)
+                   for request in table_requests(table, apps)]
+        for future in futures:
+            future.result()
+        with self._lock:
+            self._warmed += len(futures)
+        return len(futures)
+
+    # -- where a leader runs (the hooks a process executor overrides) ------------
+
+    def _admit(self, request: CompileRequest, lane: str):
+        """Reserve a pending slot on ``lane``, or return the shed marker the
+        submission resolves with.  The in-process service is uncapped."""
+        return None
+
+    def _release(self, lane: str) -> None:
+        """Give back the slot :meth:`_admit` reserved."""
+
+    def _follow_locked(self, leader: _Ticket, follower: _Ticket) -> None:
+        """``follower`` just coalesced onto the still-unresolved ``leader``."""
+
+    def _lead_locked(self, ticket: _Ticket) -> Future:
+        """Start ``ticket``'s leader; returns the future its submitter waits
+        on.  Here a pool thread leads, and the pool's own future serves: it
+        is set when :meth:`_lead` returns, after the ledger has settled."""
+        return self._executor.submit(self._lead, ticket)
+
+    def _lead(self, ticket: _Ticket):
+        outcome, kernel, error = "", None, None
         try:
-            stable = request.stable_key() if self.store is not None else None
-            if stable is not None:
-                with span("serve.store.probe", "serve", app=request.app) as probe:
-                    payload = self.store.get(stable)
-                    probe.add(tier_hit=payload is not None)
-                if payload is not None:
-                    kernel = kernel_from_payload(payload)
-                    if self._verify is not None and not payload.get("verified"):
-                        # the store may have been warmed by a producer with no
-                        # verifier (a benchmark, an unverified service), so an
-                        # unstamped restore is checked here and stamped — the
-                        # gate must hold for every kernel this service serves
-                        with span("serve.verify", "serve", app=request.app, restored=True):
-                            self._verify(request, kernel)
-                        self.store.put(stable, {**payload, "verified": True})
-                    with self._lock:
-                        self._persistent_hits += 1
-                    self.cache.put(key, kernel)
-                    return kernel
-            with span("serve.execute", "serve", app=request.app):
-                kernel = self._compiler(request)
-            if self._verify is not None:
-                # a failed verification must poison nothing: neither cache
-                # tier has seen the kernel yet, so the raise lands in the
-                # error ledger and every waiter sees the CheckFailure
-                with span("serve.verify", "serve", app=request.app):
-                    self._verify(request, kernel)
-            if stable is not None:
-                self.store.put(stable, kernel_payload(kernel, verified=self._verify is not None))
-            self.cache.put(key, kernel)
-            # Counted only once the result is fully stored: a failure while
-            # serialising/caching lands in `errors` alone, so every memory
-            # miss resolves to exactly one ledger outcome.
-            with self._lock:
-                self._compiled += 1
-            return kernel
-        except BaseException:
-            with self._lock:
-                self._errors += 1
-            raise
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-                self._completed += 1
-            self._latency.record(time.perf_counter() - started)
+            outcome, kernel, _ = resolve_tiers(
+                ticket.request, self.store, None, self._compiler, self._verify)
+        except BaseException as exc:  # noqa: BLE001 - the ticket's outcome: it reaches the ledger and every waiter
+            error = exc
+        with self._lock:
+            self._resolve_locked(ticket, outcome, kernel, error)
+        self._settle()
+        if error is not None:
+            raise error
+        return kernel
+
+    # -- resolution -------------------------------------------------------------
+
+    def _resolve_locked(self, ticket: _Ticket, outcome: str = "", value=None,
+                        error: BaseException | None = None) -> None:
+        """Resolve a leader and its followers, exactly once.
+
+        In this order: the kernel lands in the memory tier *before* the
+        in-flight entry is dropped (at every instant a submitted request is
+        either cached or in flight — exactly-once has no window; an error is
+        not cached, so a retry recompiles), then the ledger, the latency
+        reservoir and admission are settled, and only then are the futures
+        queued for :meth:`_settle` — accounting strictly precedes any waiter
+        observing completion.
+        """
+        if ticket.resolved:
+            return
+        if error is None:
+            self.cache.put(ticket.key, value)
+        if self._inflight.get(ticket.key) is ticket:
+            del self._inflight[ticket.key]
+        members = [ticket, *ticket.followers]
+        now = time.perf_counter()
+        for member in members:
+            member.resolved = True
+            how = "error" if error is not None else outcome if member is ticket else "coalesced"
+            self._lanes[member.lane].settle(how, now - member.started)
+            if member.admitted:
+                self._release(member.lane)
+        waiters = [member.future for member in members if member.future is not None]
+        if waiters:
+            self._settling.append((waiters, value, error))
+
+    def _settle(self) -> None:
+        """Set the futures of every resolution accounted so far.
+
+        Runs outside the service lock: a done-callback may call back into
+        the service (``submit``, ``stats``) without deadlocking on it.
+        """
+        if not self._settling:
+            return
+        with self._lock:
+            batch, self._settling = self._settling, []
+        for waiters, value, error in batch:
+            for future in waiters:
+                if error is not None:
+                    future.set_exception(error)
+                else:
+                    future.set_result(value)
 
     # -- observability / lifecycle --------------------------------------------
+
+    def _read_ledgers_locked(self) -> dict[str, dict]:
+        return {lane: self._lanes[lane].read() for lane in sorted(self._lanes)}
 
     def stats(self) -> ServiceStats:
         """A :class:`~repro.serve.metrics.ServiceStats` snapshot.
 
         The documented counter invariants are exact once the service is
         quiescent.  A snapshot taken mid-traffic cannot freeze both the
-        service counters and the shard counters at one instant (they live
-        under different locks by design); the shard counters are read
-        *first*, so a live snapshot may at worst undercount lookups
-        relative to submissions (requests between the two reads), never
-        show more lookups than submissions.  Memory-tier counters come
-        from the cache object; when one cache is shared between services,
-        those counters aggregate over all of them.
+        ledger and the shard counters at one instant (they live under
+        different locks by design); the shard counters are read *first*, so
+        a live snapshot may at worst undercount lookups relative to
+        submissions (requests between the two reads), never show more
+        lookups than submissions.  Memory-tier counters come from the cache
+        object; when one cache is shared between services, those counters
+        aggregate over all of them.
         """
         cache_stats = self.cache.stats()
         with self._lock:
-            submitted = self._submitted
-            completed = self._completed
-            compiled = self._compiled
-            deduped = self._deduped
-            errors = self._errors
-            persistent_hits = self._persistent_hits
+            ledger = self._read_ledgers_locked()[self._LANE]
             queue_depth = len(self._inflight)
         return ServiceStats(
-            submitted=submitted,
-            completed=completed,
-            compiled=compiled,
-            deduped=deduped,
-            errors=errors,
+            submitted=ledger["submitted"],
+            completed=ledger["resolved"],
+            compiled=ledger["compiled"],
+            deduped=ledger["coalesced"],
+            errors=ledger["errors"],
             memory_hits=cache_stats["hits"],
             memory_misses=cache_stats["misses"],
-            persistent_hits=persistent_hits,
+            persistent_hits=ledger["store_hits"],
             queue_depth=queue_depth,
             workers=self.workers,
             store_entries=len(self.store) if self.store is not None else 0,
-            latency=self._latency.snapshot(),
+            latency=ledger["latency"],
             shards=tuple(cache_stats["per_shard"]),
         )
 
-    def register_metrics(self, name: str = "repro.serve", registry=None) -> str:
-        """Absorb this service's stats into an observability registry.
+    def register_metrics(self, name: str = "", registry=None) -> str:
+        """Absorb :meth:`stats` into an observability registry.
 
-        Registers :meth:`stats` (as its JSON form) as a live source on the
+        Registers the stats' JSON form as a live source on the
         :data:`repro.obs.REGISTRY` (or ``registry``): every snapshot and the
-        Prometheus exposition then carry the service's hit rates, latency
-        percentiles and queue depth under ``<name>.*`` keys.  Returns the
-        source name so callers can ``unregister_source`` it when the
-        service's lifetime is shorter than the process's.
+        Prometheus exposition then carry the hit rates, latency percentiles
+        and queue depths under ``<name>.*`` keys (default ``repro.serve``;
+        ``repro.farm`` for a farm).  Returns the source name so callers can
+        ``unregister_source`` it when the service's lifetime is shorter than
+        the process's.
         """
         from ..obs.metrics import REGISTRY
 
+        name = name or self._METRICS_NAME
         target = registry if registry is not None else REGISTRY
         target.register_source(name, lambda: self.stats().as_dict())
         return name
 
     def flush(self) -> None:
-        """Persist the durable tier (atomic; no-op without a store)."""
-        if self.store is not None:
+        """Persist the durable tier (atomic).  A no-op without a store, or
+        with a per-entry file store, whose every ``put`` is already durable."""
+        if isinstance(self.store, ResultCache):
             self.store.save()
+
+    def _begin_close(self) -> bool:
+        """Reject further submissions; ``False`` if already closed."""
+        with self._lock:
+            if self._closed:
+                return False
+            self._closed = True
+            return True
 
     def close(self, wait: bool = True) -> None:
         """Drain the pool, persist the store and reject further submissions."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._executor.shutdown(wait=wait)
-        self.flush()
+        if self._begin_close():
+            self._executor.shutdown(wait=wait)
+            self.flush()
 
-    def __enter__(self) -> "CompileService":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -529,7 +703,7 @@ def default_service() -> CompileService:
 def table_requests(table, apps=None) -> list[CompileRequest]:
     """The distinct compile requests a tuning table's winners imply.
 
-    Shared by the service's and the farm's ``warm_from_table``: walks every
+    What ``warm_from_table`` submits: walks every
     row (every device by default — winning *configurations* are
     device-specific while the generated kernel is not), projects each winner
     through ``AppSpec.generate_config`` and dedups by kernel identity.
@@ -564,18 +738,3 @@ def table_requests(table, apps=None) -> list[CompileRequest]:
         seen.add(key)
         requests.append(request)
     return requests
-
-
-def warm_from_table(service: CompileService, table, apps=None) -> int:
-    """Pre-compile every tuning-table winner through ``service``.
-
-    Submits one compile request per distinct current-source winner (see
-    :func:`table_requests` for the row-selection rules, including the
-    stale-stamp skip), so a freshly started server answers its first
-    tuned-kernel request from a warm cache.  Returns the number of requests
-    submitted; blocks until they are all compiled.
-    """
-    futures = [service.submit(request) for request in table_requests(table, apps)]
-    for future in futures:
-        future.result()
-    return len(futures)

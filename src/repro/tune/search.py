@@ -29,7 +29,7 @@ strictly more expensive scorer:
    and profiles in a :class:`~repro.tune.model.ProfileStore`, both in the
    durable cache tier, keyed per device: searching the zoo
    (:data:`repro.gpusim.DEVICE_ZOO`) builds per-device tuning tables that
-   :func:`repro.serve.warm_from_table` pre-compiles on service start.
+   :meth:`repro.serve.CompileService.warm_from_table` pre-compiles on start.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ tier (:class:`~repro.cache.ResultCache`) under namespaced raw-string keys
 (``tuning-table/v1/<device>/<app>/<signature>``), so the same JSON store
 that persists evaluations and profiles ships the tuned configurations too.
 
-:func:`repro.serve.warm_from_table` walks a table and pre-compiles every
-winner through the compilation service — a freshly started server answers
+:meth:`repro.serve.CompileService.warm_from_table` walks a table and
+pre-compiles every winner through the compilation service — a freshly started server answers
 its first tuned-kernel request from a warm cache.
 """
 

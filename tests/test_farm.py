@@ -24,6 +24,7 @@ from repro.serve import (
     LANE_INTERACTIVE,
     LANE_SWEEP,
     Rejected,
+    default_compiler,
     synthetic_requests,
     table_requests,
     trace_summary,
@@ -262,19 +263,6 @@ def _small_trace(total: int, duplicate_fraction: float = 0.5, seed: int = 11):
     )
 
 
-def test_farm_serves_same_kernels_as_thread_service():
-    requests = _small_trace(10, duplicate_fraction=0.0)
-    with CompileService(workers=2) as service:
-        expected = service.submit_batch(requests)
-    with CompileFarm(workers=2) as farm:
-        got = farm.submit_batch(requests, lane=LANE_INTERACTIVE)
-        stats = farm.stats()
-    assert [getattr(k, "source", None) for k in got] == \
-        [getattr(k, "source", None) for k in expected]
-    assert stats.lost == 0 and stats.double_compiled == 0
-    assert stats.submitted == stats.shed + stats.resolved
-
-
 def test_farm_dedups_duplicates_to_one_compile_each():
     requests = _small_trace(36, duplicate_fraction=0.7)
     distinct = len({r.stable_key() for r in requests})
@@ -283,7 +271,7 @@ def test_farm_dedups_duplicates_to_one_compile_each():
         for f in futures:
             f.result(timeout=120)
         stats = farm.stats()
-        integrity = farm._store.verify_integrity()
+        integrity = farm.store.verify_integrity()
     assert stats.compiled == distinct, "duplicates must coalesce, not recompile"
     assert stats.double_compiled == 0
     assert stats.lost == 0
@@ -293,15 +281,22 @@ def test_farm_dedups_duplicates_to_one_compile_each():
     assert lane.latency["p999_ms"] >= lane.latency["p99_ms"] >= 0.0
 
 
-def test_farm_memory_tier_answers_repeats():
-    request = CompileRequest("matmul", {"variant": "nn"})
-    with CompileFarm(workers=1) as farm:
-        first = farm.compile(request)
-        second = farm.compile(request)
+def test_farm_prunes_store_entries_stranded_by_a_code_change(tmp_path):
+    """A persistent farm store must not only grow: stale-salt kernels go at start."""
+    from repro.serve.service import kernel_payload
+
+    current = CompileRequest("matmul", {"variant": "nn"})
+    seeded = ShardedFileStore(tmp_path / "kernels")
+    seeded.put(current.stable_key(), kernel_payload(default_compiler(current)))
+    seeded.put("kernel-from-older-source", {**kernel_payload(None), "salt": "0" * 64})
+    seeded.put("tuner-entry", {"time_seconds": 1.0})  # unsalted, foreign: kept
+    with CompileFarm(workers=1, store=tmp_path) as farm:
+        assert sorted(farm.store.keys()) == sorted([current.stable_key(), "tuner-entry"])
+        assert farm.compile(current).source == default_compiler(current).source
         stats = farm.stats()
-    assert first.source == second.source
-    assert stats.lane(LANE_INTERACTIVE).memory_hits == 1
-    assert stats.compiled == 1
+        integrity = farm.store.verify_integrity()
+    assert stats.lane(LANE_INTERACTIVE).store_hits == 1 and stats.compiled == 0
+    assert integrity["corrupt"] == 0 and integrity["entries"] == 2
 
 
 def test_farm_rejects_unknown_lane():
@@ -373,7 +368,7 @@ def test_sigkill_mid_compile_redrives_without_loss_or_double_compile(supervisor_
         killed = farm.kill_worker(0)
         results = [f.result(timeout=180) for f in futures]
         stats = farm.stats()
-        integrity = farm._store.verify_integrity()
+        integrity = farm.store.verify_integrity()
         claims_left = farm._claims_dir.glob("*.claim")
     assert killed > 0
     assert all(not isinstance(r, Rejected) for r in results)
@@ -383,6 +378,10 @@ def test_sigkill_mid_compile_redrives_without_loss_or_double_compile(supervisor_
     assert stats.lost == 0
     assert stats.errors == 0
     assert stats.double_compiled == 0, "a kill must never double-compile a kernel"
+    lane = stats.lane(LANE_INTERACTIVE)
+    # a killed worker never reports: every leader resolution is backed by (at
+    # least) one reported execution, re-drives notwithstanding
+    assert stats.executions >= lane.compiled + lane.store_hits + lane.dedup_waits == len(requests)
     assert integrity["corrupt"] == 0, "the kill corrupted a store shard"
     assert list(claims_left) == [], "a claim file outlived the drain"
     assert supervisor_errors() == 0, "the supervisor isolated a bug"
@@ -414,6 +413,24 @@ def test_repeated_kills_exhaust_into_farm_error(supervisor_errors):
 
 
 def test_farm_and_service_take_only_the_options_callers_set():
+    import inspect
+
+    # the two constructor surfaces, pinned exactly: a PR cannot grow one
+    assert list(inspect.signature(CompileService.__init__).parameters) == [
+        "self", "compiler", "workers", "cache", "store", "verify"]
+    assert list(inspect.signature(CompileFarm.__init__).parameters) == [
+        "self", "workers", "store", "admission", "claim_ttl", "max_outstanding",
+        "max_redrives", "compile_delay", "warm_table"]
+    assert list(inspect.signature(CompileService.submit).parameters) == ["self", "request"]
+    assert list(inspect.signature(CompileFarm.submit).parameters) == ["self", "request", "lane"]
+    # and no hidden ones: a worker's spec carries exactly what __init__ sets
+    # (claim_poll / claim_wait_limit are constants; worker_cache left with the
+    # worker-local tier and the _serve_one that read all three)
+    import repro.serve.farm as farm_module
+
+    assert not hasattr(farm_module, "_serve_one")
+    with CompileFarm(workers=1) as farm:
+        assert sorted(farm._spec) == ["claim_ttl", "claims_dir", "compile_delay", "store_dir"]
     # the rest are module constants: binding fails before any process starts
     # (.close() only runs, and the test then fails, if an option came back)
     for removed in ({"mp_context": "spawn"}, {"health_interval": 0.1}, {"restart_limit": 32},

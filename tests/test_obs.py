@@ -361,11 +361,16 @@ def test_registry_dead_source_skipped():
     def dead():
         raise RuntimeError("service closed")
 
-    registry.register_source("gone", dead)
+    registry.register_source("healthy", lambda: {"hits": 3})
     registry.counter("alive").inc()
+    assert registry.snapshot().get("repro.obs.source_errors", 0.0) == 0.0
+    registry.register_source("gone", dead)
     snap = registry.snapshot()
-    assert snap["alive"] == 1.0
+    assert snap["alive"] == 1.0 and snap["healthy.hits"] == 3.0
     assert not any(key.startswith("gone") for key in snap)
+    assert snap["repro.obs.source_errors"] == 1.0, "a swallowed source failure left no trace"
+    text = registry.render_prometheus()  # the exposition isolates and counts too
+    assert "healthy_hits 3" in text and "repro_obs_source_errors 2" in text
 
 
 def test_prometheus_exposition():

@@ -286,13 +286,13 @@ def test_problem_signature_ignores_tuning_axes():
 
 
 def test_warm_from_table_precompiles_winners(tmp_path):
-    from repro.serve import CompileService, warm_from_table
+    from repro.serve import CompileService
 
     cache = ResultCache(tmp_path / "warm.json")
     table = TuningTable(cache)
     search("transpose", budget=64, measure_top_k=0, cache=cache, table=table)
     with CompileService(workers=2) as service:
-        warmed = warm_from_table(service, table)
+        warmed = service.warm_from_table(table)
         assert warmed == 1
         assert service.stats().compiled == 1
         # the request a client would send for the tuned config is now a hit

@@ -7,9 +7,14 @@ import pytest
 from repro.apps.registry import get_app
 from repro.cache import ShardedLRUCache
 from repro.serve import (
+    LANE_INTERACTIVE,
+    CompileFarm,
     CompileRequest,
     CompileService,
+    FarmCompileError,
+    FarmStats,
     PersistedKernel,
+    default_compiler,
     synthetic_requests,
 )
 from repro.serve.service import kernel_from_payload, kernel_payload
@@ -171,17 +176,6 @@ def test_stats_invariants_hold_under_concurrent_submitters():
     assert sum(s["hits"] for s in stats.shards) == stats.memory_hits
 
 
-def test_negative_results_are_cached_not_recompiled():
-    compiler, calls = _counting_compiler()
-    request = CompileRequest("softmax", {"implementation": "pytorch"})  # generator declines
-    with CompileService(compiler=compiler, workers=2) as service:
-        assert service.compile(request) is None
-        assert service.compile(request) is None
-        stats = service.stats()
-    assert len(calls) == 1
-    assert stats.memory_hits == 1
-
-
 def test_compiler_errors_propagate_and_are_not_cached():
     attempts = []
 
@@ -201,11 +195,138 @@ def test_compiler_errors_propagate_and_are_not_cached():
     assert stats.errors == 1 and stats.compiled == 1
 
 
-def test_closed_service_rejects_submissions():
-    service = CompileService(workers=1)
-    service.close()
-    with pytest.raises(RuntimeError, match="closed"):
-        service.submit(CompileRequest("matmul", {"variant": "nn"}))
+# -- one contract, both spellings ---------------------------------------------------
+#
+# CompileFarm is CompileService with processes: everything below runs once on
+# the in-process service and once on a one-worker farm.
+
+
+@pytest.fixture(params=["service", "farm"])
+def serving_stack(request, tmp_path):
+    """Factory of the stack under test; ``durable=True`` roots it on one
+    store location per test, so a second call is a restart on that store."""
+
+    def open_stack(durable: bool = False):
+        if request.param == "service":
+            return CompileService(workers=2, store=tmp_path / "kernels.json" if durable else None)
+        return CompileFarm(workers=1, store=tmp_path / "farm" if durable else None)
+
+    return open_stack
+
+
+def _ledger(stack) -> dict:
+    """The default lane's ledger under one set of names, after checking the
+    view-specific invariants (exact at quiescence)."""
+    stats = stack.stats()
+    if isinstance(stats, FarmStats):
+        assert stats.lost == 0 and stats.double_compiled == 0
+        assert stats.submitted == stats.shed + stats.resolved
+        for lane in stats.lanes:
+            assert lane.submitted == lane.shed + lane.resolved
+            assert lane.resolved == (lane.memory_hits + lane.coalesced + lane.compiled
+                                     + lane.store_hits + lane.dedup_waits + lane.errors)
+            assert "worker_hits" not in lane.as_dict()  # the tier that never hit is gone
+        # every leader resolution is one worker execution (nothing was re-driven;
+        # the only errors here are worker-reported, on the leader of each group)
+        leaders = sum(l.compiled + l.store_hits + l.dedup_waits for l in stats.lanes)
+        assert stats.redriven == 0 and leaders <= stats.executions <= leaders + stats.errors
+        lane = stats.lane(LANE_INTERACTIVE)
+        return {"compiled": lane.compiled, "memory_hits": lane.memory_hits,
+                "coalesced": lane.coalesced, "store_hits": lane.store_hits,
+                "errors": lane.errors, "latency": lane.latency}
+    assert stats.submitted == stats.completed == stats.memory_hits + stats.memory_misses
+    assert stats.memory_misses == (stats.deduped + stats.compiled
+                                   + stats.persistent_hits + stats.errors)
+    assert stats.queue_depth == 0 and stats.latency["count"] == stats.completed
+    return {"compiled": stats.compiled, "memory_hits": stats.memory_hits,
+            "coalesced": stats.deduped, "store_hits": stats.persistent_hits,
+            "errors": stats.errors, "latency": stats.latency}
+
+
+_CONTRACT_REQUESTS = [
+    CompileRequest("matmul", {"variant": "nn"}),
+    CompileRequest("lud", {"n": 1024, "block": 64, "cuda_block": 16}),
+    CompileRequest("softmax", {"implementation": "pytorch"}),  # generator declines: None
+]
+
+
+def test_contract_serves_the_default_compilers_kernels(serving_stack):
+    expected = [getattr(default_compiler(r), "source", None) for r in _CONTRACT_REQUESTS]
+    with serving_stack() as stack:
+        served = [stack.compile(r) for r in _CONTRACT_REQUESTS]
+        ledger = _ledger(stack)
+    assert [getattr(k, "source", None) for k in served] == expected
+    assert expected[-1] is None and ledger["compiled"] == len(_CONTRACT_REQUESTS)
+
+
+def test_contract_duplicates_compile_once_and_share_the_result(serving_stack):
+    distinct = _CONTRACT_REQUESTS[:2]
+    requests = distinct * 6
+    with serving_stack() as stack:
+        futures = [stack.submit(r) for r in requests]  # duplicates arrive mid-compile
+        kernels = [f.result(timeout=120) for f in futures]
+        ledger = _ledger(stack)
+    assert ledger["compiled"] == len(distinct), "a kernel compiled more than once"
+    assert ledger["coalesced"] + ledger["memory_hits"] == len(requests) - len(distinct)
+    assert ledger["coalesced"] > 0, "no duplicate met its leader in flight"
+    for index, kernel in enumerate(kernels):
+        assert kernel is kernels[index % len(distinct)], "duplicates must share one kernel"
+
+
+def test_contract_negative_result_is_cached_not_recompiled(serving_stack):
+    declined = _CONTRACT_REQUESTS[-1]
+    with serving_stack() as stack:
+        assert stack.compile(declined) is None
+        assert stack.compile(declined) is None
+        ledger = _ledger(stack)
+    assert ledger["compiled"] == 1 and ledger["memory_hits"] == 1
+
+
+def test_contract_compiler_error_reaches_every_waiter_and_is_not_cached(serving_stack):
+    wrong_backend = CompileRequest("matmul", {"variant": "nn"}, backend="cuda")
+    with serving_stack() as stack:
+        for future in [stack.submit(wrong_backend) for _ in range(3)]:
+            with pytest.raises((ValueError, FarmCompileError), match="targets backend"):
+                future.result(timeout=120)
+        with pytest.raises((ValueError, FarmCompileError), match="targets backend"):
+            stack.compile(wrong_backend)  # not cached: a retry leads (and fails) again
+        ledger = _ledger(stack)
+    assert ledger["errors"] == 4
+    assert ledger["memory_hits"] == 0 and ledger["compiled"] == 0
+
+
+def test_contract_closed_stack_rejects_submissions(serving_stack):
+    stack = serving_stack()
+    stack.close()
+    stack.close()  # idempotent
+    with pytest.raises(RuntimeError, match=f"{type(stack).__name__} is closed"):
+        stack.submit(_CONTRACT_REQUESTS[0])
+
+
+def test_contract_restart_on_the_same_store_compiles_nothing(serving_stack):
+    with serving_stack(durable=True) as first:
+        fresh = [first.compile(r) for r in _CONTRACT_REQUESTS]
+        assert _ledger(first)["compiled"] == len(_CONTRACT_REQUESTS)
+    with serving_stack(durable=True) as second:
+        restored = [second.compile(r) for r in _CONTRACT_REQUESTS]
+        ledger = _ledger(second)
+    assert ledger["compiled"] == 0 and ledger["store_hits"] == len(_CONTRACT_REQUESTS)
+    assert [getattr(k, "source", None) for k in restored] == \
+        [getattr(k, "source", None) for k in fresh]
+
+
+def test_contract_memory_hit_is_done_on_return_and_its_latency_is_measured(serving_stack):
+    request = _CONTRACT_REQUESTS[0]
+    with serving_stack() as stack:
+        first = stack.compile(request)
+        hits = [stack.submit(request) for _ in range(5)]
+        assert all(f.done() for f in hits), "a memory hit settles before submit returns"
+        assert all(f.result() is first for f in hits)
+        ledger = _ledger(stack)
+    assert ledger["memory_hits"] == 5 and ledger["compiled"] == 1
+    # five of the six samples are memory hits, so the median is a hit's own
+    # measured time: microseconds, but never a literal zero
+    assert 0.0 < ledger["latency"]["p50_ms"] < ledger["latency"]["max_ms"]
 
 
 # -- the persistent tier ------------------------------------------------------------
@@ -358,7 +479,6 @@ def test_service_stats_latency_includes_p999():
 def test_warm_from_table_skips_stale_version_rows(tmp_path):
     """Rows stamped by different source warm nothing at the service tier."""
     from repro.cache import ResultCache
-    from repro.serve import warm_from_table
     from repro.serve.service import table_requests
     from repro.tune.tables import TuningTable
 
@@ -372,5 +492,5 @@ def test_warm_from_table_skips_stale_version_rows(tmp_path):
     requests = table_requests(table)
     assert [r.config["variant"] for r in requests] == ["tn"]
     with CompileService(workers=1) as service:
-        assert warm_from_table(service, table) == 1
+        assert service.warm_from_table(table) == 1
         assert service.stats().compiled == 1
