@@ -31,7 +31,7 @@ def main() -> None:
 
     print("\nEstimated end-to-end speedup from the layout change (Figure 12a):")
     for n in (2048, 4096, 8192, 16384):
-        result = nw.nw_speedup(n, block=16, trace_n=128)
+        result = nw.nw_speedup(n, block=16)
         print(f"  n = {n:>6d}: {result['speedup']:.2f}x")
 
     print("\nCUDA accessor wrapper LEGO emits for the original Rodinia kernel:\n")

@@ -16,8 +16,10 @@ This module reproduces both sides:
   LEGO anti-diagonal layout from :func:`antidiagonal_buffer_layout`);
 * :func:`generate_nw_wrapper` — the CUDA accessor struct the paper injects
   into the original kernel (two-line change);
-* :func:`nw_performance` — analytic time estimate from the measured bank
-  conflicts and traffic.
+* :func:`nw_block_trace` — one block's bank-conflict profile and DRAM
+  traffic derived from the layout alone, without launching anything;
+* :func:`nw_performance` — analytic time estimate from a block's bank
+  conflicts and traffic (static or measured).
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 
 from ..codegen import GuardProofError, generate_accessor_wrapper, prove_guard_redundant
 from ..core import GroupBy, RegP, GenP, antidiagonal
-from ..gpusim import A100_80GB, DeviceSpec, estimate_time
+from ..gpusim import A100_80GB, DeviceSpec
+from ..gpusim.sharedmem import chunk_keys, grouped_conflict_degrees
 from ..minicuda import CudaTrace, GlobalArray, launch
 from ..symbolic import BoolAnd, SymbolicEnv, as_expr
 
@@ -46,6 +49,7 @@ __all__ = [
     "nw_wave_span",
     "run_nw_blocked",
     "generate_nw_wrapper",
+    "nw_block_trace",
     "nw_performance",
     "nw_speedup",
     "app_spec",
@@ -101,8 +105,13 @@ def skewed_buffer_layout(block: int, skew: int) -> GroupBy:
 NW_BUFFER_LAYOUTS = ("antidiagonal", "skew1", "skew2", "row", "col")
 
 
+@functools.lru_cache(maxsize=None)
 def nw_buffer_layout(block: int, name: str) -> GroupBy | None:
-    """Resolve one value of the layout axis to a buffer layout (``None`` = row-major)."""
+    """Resolve one value of the layout axis to a buffer layout (``None`` = row-major).
+
+    Cached (layouts are immutable) so the layout's memoised permutation
+    vector is built once per ``(block, name)``, not once per evaluation.
+    """
     width = block + 1
     if name == "row":
         return None
@@ -236,6 +245,16 @@ def _prove_wave_guard(wave: int, block_count: int) -> bool:
     return prove_guard_redundant(predicate, env, kernel="nw_wave")
 
 
+def _nw_diagonal_cells(m: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buffer coordinates ``(i, j)`` of the cells on anti-diagonal ``m`` of a block.
+
+    Shared by the kernel and the static model (:func:`nw_block_trace`) so the
+    two cannot disagree about which lanes a wavefront step touches.
+    """
+    lanes = np.arange(max(0, m - block + 1), min(m, block - 1) + 1)
+    return lanes + 1, m - lanes + 1
+
+
 def _nw_block_kernel(ctx, score: GlobalArray, reference: GlobalArray, config: NwConfig,
                      wave: int, layout, bx_offset: int):
     """Process one block on the current wavefront (one thread per column).
@@ -263,16 +282,14 @@ def _nw_block_kernel(ctx, score: GlobalArray, reference: GlobalArray, config: Nw
 
     # forward sweep over the 2b-1 anti-diagonals
     for m in range(2 * b - 1):
-        lanes = np.arange(max(0, m - b + 1), min(m, b - 1) + 1)
-        i = lanes + 1
-        j = m - lanes + 1
+        i, j = _nw_diagonal_cells(m, b)
         up_left = buff.load(i - 1, j - 1)
         left = buff.load(i, j - 1)
         up = buff.load(i - 1, j)
         ref_vals = reference.load(ctx, base_i + i - 1, base_j + j - 1)
         value = np.maximum(up_left + ref_vals, np.maximum(left - config.penalty, up - config.penalty))
         buff.store(value, i, j)
-        ctx.count_flops(3 * lanes.size)
+        ctx.count_flops(3 * i.size)
         ctx.syncthreads()
 
     # Write the block's interior back to the score matrix.  The write-back is
@@ -358,6 +375,39 @@ def generate_nw_wrapper(block: int = 16) -> str:
     return generate_accessor_wrapper("buff", antidiagonal_buffer_layout(block), scalar_type="int")
 
 
+def nw_block_trace(block: int, layout: GroupBy | None = None,
+                   device: DeviceSpec = A100_80GB) -> CudaTrace:
+    """The trace of one NW block, derived from the layout without launching.
+
+    A layout is algebra, so the bank-conflict profile of the shared buffer
+    is a property of it, not of a run: the kernel's access schedule — three
+    staging stores, then three loads and one store per anti-diagonal step —
+    is mapped through the layout's permutation vector, cut into warps and
+    scored in one call.  A block loads its ``(b+1)^2`` boundary and
+    substitution scores and stores its ``b^2`` interior, 4 bytes each.  The
+    result equals the per-block share of a :func:`run_nw_blocked` trace of
+    any size.
+    """
+    b, width = block, block + 1
+    tx = np.arange(b)
+    corner = np.zeros(1, dtype=np.int64)
+    accesses = [(0 * tx, tx + 1), (tx + 1, 0 * tx), (corner, corner)]
+    for m in range(2 * b - 1):
+        i, j = _nw_diagonal_cells(m, b)
+        accesses += [(i - 1, j - 1), (i, j - 1), (i - 1, j), (i, j)]
+    cells = np.concatenate([i * width + j for i, j in accesses])
+    if layout is not None:
+        cells = layout.permutation_vector()[cells]
+    # one key per (access, warp chunk): an access never spans more than b lanes
+    keys = np.concatenate([
+        chunk_keys(1, i.size, device.warp_size).ravel() + n * b for n, (i, _) in enumerate(accesses)
+    ])
+    trace = CudaTrace(blocks=1, threads_per_block=b, load_bytes=4.0 * width * width,
+                      store_bytes=4.0 * b * b)
+    trace.smem_profile.record_many(grouped_conflict_degrees(keys, cells, 4))
+    return trace
+
+
 #: latency constants of the per-cell dependency chain (cycles) and the
 #: back-to-back kernel launch overhead of the Rodinia host loop; see
 #: :func:`nw_performance` for the model they parameterise.
@@ -373,7 +423,10 @@ def nw_performance(
     target_config: NwConfig | None = None,
     device: DeviceSpec = A100_80GB,
 ) -> float:
-    """Estimated end-to-end NW time from a measured trace.
+    """Estimated end-to-end NW time from a trace of ``traced_config``.
+
+    The trace is :func:`nw_block_trace`'s static one (one block) or a measured
+    :func:`run_nw_blocked` one; only per-block quantities are read.
 
     The NW inner loop is *latency bound*: the cells of consecutive
     anti-diagonals depend on each other, so every one of the ``2b - 1`` steps
@@ -384,8 +437,8 @@ def nw_performance(
 
     ``time = waves * (launch overhead + block critical path + wave DRAM time)``
 
-    The measured bank-conflict profile sets the number of shared-memory
-    replays; the measured DRAM traffic (scaled to the target size) sets the
+    The trace's bank-conflict profile sets the number of shared-memory
+    replays; its DRAM traffic (scaled to the target size) sets the
     per-wave memory time.  This is the mechanism behind Figure 12a: the
     anti-diagonal layout shortens the critical path, everything else is
     unchanged.
@@ -412,28 +465,19 @@ def nw_performance(
     return waves * (launch_overhead + batches * block_critical_path + wave_dram_time)
 
 
-def nw_speedup(
-    n: int,
-    block: int = 16,
-    penalty: int = 10,
-    trace_n: int | None = None,
-) -> dict[str, float]:
+def nw_speedup(n: int, block: int = 16, penalty: int = 10) -> dict[str, float]:
     """Row-major vs anti-diagonal NW: times, conflict factors and speedup.
 
-    The conflict profile and per-block traffic are collected on a moderate
-    traced problem (``trace_n``, default ``min(n, 256)``) — they are
-    per-block quantities independent of the matrix size — and the time model
+    The conflict profile and traffic are per-block quantities independent of
+    the matrix size, so they come from :func:`nw_block_trace`; the time model
     is evaluated for the requested ``n``.
     """
-    trace_n = trace_n or min(n, 256)
-    traced_config = NwConfig(n=trace_n, block=block, penalty=penalty)
+    one_block = NwConfig(n=block, block=block, penalty=penalty)
     target_config = NwConfig(n=n, block=block, penalty=penalty)
-    rng = np.random.default_rng(0)
-    reference = rng.integers(-4, 5, size=(trace_n, trace_n)).astype(np.int32)
-    _, trace_row = run_nw_blocked(reference, traced_config, layout=None)
-    _, trace_anti = run_nw_blocked(reference, traced_config, layout=antidiagonal_buffer_layout(block))
-    time_row = nw_performance(trace_row, traced_config, target_config)
-    time_anti = nw_performance(trace_anti, traced_config, target_config)
+    trace_row = nw_block_trace(block)
+    trace_anti = nw_block_trace(block, antidiagonal_buffer_layout(block))
+    time_row = nw_performance(trace_row, one_block, target_config)
+    time_anti = nw_performance(trace_anti, one_block, target_config)
     return {
         "n": n,
         "time_row_major": time_row,
@@ -448,11 +492,11 @@ def app_spec():
     """The NW :class:`~repro.apps.registry.AppSpec` for the autotuner.
 
     The space crosses the shared-buffer layout (anti-diagonal, row-cyclic
-    skews, row- and column-major) with the block size.  Evaluation traces a
-    small problem on the mini-CUDA substrate — the bank-conflict profile is
-    a per-block property — and extrapolates the latency model to the target
-    size, exactly like :func:`nw_speedup`; the conflict factor rides along
-    as a metric.  The paper's anti-diagonal layout is listed first so that
+    skews, row- and column-major) with the block size.  Evaluation launches
+    nothing: it derives one block's conflict profile and traffic from the
+    layout (:func:`nw_block_trace`) and evaluates the latency model at the
+    target size, exactly like :func:`nw_speedup`; the conflict factor rides
+    along as a metric.  The paper's anti-diagonal layout is listed first so that
     other conflict-free candidates (skew 1) cannot win on an exact tie.
     """
     from ..tune.space import Choice, SearchSpace
@@ -466,15 +510,11 @@ def app_spec():
 
     def evaluate(config, device=A100_80GB):
         block = config["block"]
-        trace_n = 4 * block
-        traced = NwConfig(n=trace_n, block=block)
         target = NwConfig(n=config.get("n", n), block=block)
-        rng = np.random.default_rng(0)
-        reference = rng.integers(-4, 5, size=(trace_n, trace_n)).astype(np.int32)
-        layout = nw_buffer_layout(block, config["layout"])
-        _, trace = run_nw_blocked(reference, traced, layout=layout, device=device)
+        trace = nw_block_trace(block, nw_buffer_layout(block, config["layout"]), device)
         return {
-            "time_seconds": nw_performance(trace, traced, target, device=device),
+            "time_seconds": nw_performance(trace, NwConfig(n=block, block=block), target,
+                                           device=device),
             "conflict_factor": trace.bank_conflict_factor,
         }
 

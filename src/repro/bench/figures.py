@@ -298,7 +298,7 @@ def fig11(sizes=(2048, 4096, 8192)) -> ExperimentResult:
 
 def fig12a(sizes=(2048, 4096, 8192, 16384)) -> ExperimentResult:
     """NW: row-major vs anti-diagonal shared-memory layout."""
-    rows = [nw.nw_speedup(n, block=16, trace_n=128) for n in sizes]
+    rows = [nw.nw_speedup(n, block=16) for n in sizes]
     return ExperimentResult(
         experiment="Figure 12a",
         description="Needleman-Wunsch speedup from the anti-diagonal shared-memory layout",

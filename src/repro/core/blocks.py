@@ -124,6 +124,7 @@ class GroupBy:
         if not self._shape:
             raise ValueError("GroupBy requires a non-empty logical shape")
         self._order_bys = tuple(order_bys)
+        self._permutation = None  # memo of permutation_vector()
         self._validate_sizes()
 
     # -- construction ----------------------------------------------------------
@@ -244,15 +245,22 @@ class GroupBy:
         return len(seen) == total
 
     def permutation_vector(self):
-        """Return ``perm`` with ``perm[logical_flat] = physical_flat`` (concrete only)."""
+        """Return ``perm`` with ``perm[logical_flat] = physical_flat`` (concrete only).
+
+        Built once per layout object (layouts are immutable) and returned
+        read-only: callers index it, they do not own it.
+        """
         import numpy as np
 
-        if not self.is_concrete():
-            raise TypeError("permutation_vector requires a concrete layout")
-        out = np.empty(self.size(), dtype=np.int64)
-        for coords in self.iter_logical_indices():
-            out[flatten_index(coords, self._shape)] = self.apply(coords)
-        return out
+        if self._permutation is None:
+            if not self.is_concrete():
+                raise TypeError("permutation_vector requires a concrete layout")
+            out = np.empty(self.size(), dtype=np.int64)
+            for coords in self.iter_logical_indices():
+                out[flatten_index(coords, self._shape)] = self.apply(coords)
+            out.setflags(write=False)
+            self._permutation = out
+        return self._permutation
 
     def physical_table(self):
         """Return ``table`` with ``table[physical_flat] = logical_flat`` (concrete only).

@@ -10,6 +10,11 @@ the Figure 12a reproduction.
 ``warp_conflict_degree`` computes the serialisation factor of a single warp
 access from the per-lane *element* indices into the shared buffer;
 ``access_conflict_profile`` aggregates a whole kernel phase.
+
+The ``grouped_*`` scorers are what every mini-CUDA and MLIR recorder —
+tree-walk and batched alike — calls, once per access: lanes are keyed by warp
+chunk (:func:`chunk_keys`) and all chunks are scored from one sort, as exact
+integer counts, so a trace does not depend on which executor recorded it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["warp_conflict_degree", "ConflictProfile", "access_conflict_profile"]
+__all__ = [
+    "warp_conflict_degree",
+    "ConflictProfile",
+    "access_conflict_profile",
+    "chunk_keys",
+    "grouped_conflict_degrees",
+    "grouped_unique_count",
+]
 
 
 def warp_conflict_degree(
@@ -102,3 +114,79 @@ def access_conflict_profile(
     for access in warp_accesses:
         profile.record(warp_conflict_degree(access, element_bytes, num_banks))
     return profile
+
+
+def grouped_unique_count(group_ids: np.ndarray, values: np.ndarray) -> int:
+    """Total number of distinct ``(group, value)`` pairs.
+
+    Lanes carry an explicit group id (see :func:`chunk_keys`); with sector
+    numbers as values this is the per-warp DRAM transaction count of a
+    whole access.  Summing per-group unique counts equals counting unique
+    pairs, which one lexsort delivers for the whole batch.
+    """
+    g = np.asarray(group_ids, dtype=np.int64).ravel()
+    v = np.asarray(values, dtype=np.int64).ravel()
+    if g.size != v.size:
+        raise ValueError("group_ids and values must have the same number of lanes")
+    if g.size == 0:
+        return 0
+    order = np.lexsort((v, g))
+    g, v = g[order], v[order]
+    is_new = np.ones(g.size, dtype=bool)
+    is_new[1:] = (g[1:] != g[:-1]) | (v[1:] != v[:-1])
+    return int(is_new.sum())
+
+
+def grouped_conflict_degrees(
+    group_ids: np.ndarray,
+    element_indices: np.ndarray,
+    element_bytes: int,
+    *,
+    num_banks: int = 32,
+    bank_bytes: int = 4,
+) -> np.ndarray:
+    """Per-group shared-memory conflict degree, one entry per group.
+
+    :func:`warp_conflict_degree` for every warp chunk at once: word
+    addresses are deduplicated within the group (broadcast is free),
+    surviving words map to banks, and the group's degree is the worst
+    per-bank multiplicity.  Groups are whatever the caller keyed lanes by
+    (see :func:`chunk_keys`); the degrees go to
+    :meth:`ConflictProfile.record_many`.
+    """
+    g = np.asarray(group_ids, dtype=np.int64).ravel()
+    idx = np.asarray(element_indices, dtype=np.int64).ravel()
+    if g.size != idx.size:
+        raise ValueError("group_ids and element_indices must have the same number of lanes")
+    if g.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    words = idx * int(element_bytes) // int(bank_bytes)
+    order = np.lexsort((words, g))
+    g, words = g[order], words[order]
+    is_new = np.ones(g.size, dtype=bool)
+    is_new[1:] = (g[1:] != g[:-1]) | (words[1:] != words[:-1])
+    g_unique, words_unique = g[is_new], words[is_new]
+    group_start = np.ones(g_unique.size, dtype=bool)
+    group_start[1:] = g_unique[1:] != g_unique[:-1]
+    group_compact = np.cumsum(group_start) - 1
+    num_groups = int(group_compact[-1]) + 1
+    banks = words_unique % num_banks
+    per_bank = np.bincount(
+        group_compact * num_banks + banks, minlength=num_groups * num_banks
+    )
+    degrees = per_bank.reshape(num_groups, num_banks).max(axis=1)
+    return np.maximum(degrees, 1).astype(np.int64)
+
+
+def chunk_keys(rows: int, row_length: int, warp_size: int) -> np.ndarray:
+    """Warp-chunk group keys for a dense ``(rows, row_length)`` access.
+
+    Each row (one block's flat lane list, C order) splits into
+    ``warp_size`` chunks, ragged tail kept.  This returns the matching
+    ``(rows, row_length)`` key array — one distinct key per (row, chunk) —
+    for feeding :func:`grouped_unique_count` /
+    :func:`grouped_conflict_degrees`.
+    """
+    chunks_per_row = (row_length + warp_size - 1) // warp_size
+    chunk_in_row = np.arange(row_length, dtype=np.int64) // warp_size
+    return np.arange(rows, dtype=np.int64)[:, None] * chunks_per_row + chunk_in_row[None, :]

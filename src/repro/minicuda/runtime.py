@@ -106,7 +106,7 @@ class BlockContext:
         block_idx: Dim3,
         block_dim: Dim3,
         grid_dim: Dim3,
-        trace: CudaTrace | None,
+        trace: CudaTrace,
         warp_size: int = 32,
         sector_bytes: int | None = None,
     ):
@@ -153,8 +153,7 @@ class BlockContext:
     # -- arithmetic accounting ------------------------------------------------------
 
     def count_flops(self, flops: float) -> None:
-        if self.trace is not None:
-            self.trace.flops += float(flops)
+        self.trace.flops += float(flops)
 
     # -- control-flow hooks ----------------------------------------------------------
 

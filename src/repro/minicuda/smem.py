@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.bijection import flatten_index
-from ..gpusim.sharedmem import warp_conflict_degree
+from ..gpusim.sharedmem import chunk_keys, grouped_conflict_degrees, grouped_unique_count
 
 __all__ = ["SharedArray", "GlobalArray"]
 
@@ -36,6 +36,18 @@ def _layout_table(layout, shape: tuple[int, ...]) -> np.ndarray | None:
             f"layout maps {table.size} elements but the array has {expected}"
         )
     return table
+
+
+def _bump_global(trace, is_store: bool, count: float, nbytes: float, transactions: float) -> None:
+    """Add one global access to the trace's load or store counters."""
+    if is_store:
+        trace.store_elements += count
+        trace.store_bytes += nbytes
+        trace.store_transactions += transactions
+    else:
+        trace.load_elements += count
+        trace.load_bytes += nbytes
+        trace.load_transactions += transactions
 
 
 class SharedArray:
@@ -87,7 +99,7 @@ class SharedArray:
 
     def _record(self, physical: np.ndarray, is_store: bool) -> None:
         ctx = self._context
-        if ctx is None or ctx.trace is None:
+        if ctx is None:
             return
         trace = ctx.trace
         flat = physical.reshape(-1)
@@ -96,12 +108,9 @@ class SharedArray:
             trace.smem_store_bytes += nbytes
         else:
             trace.smem_load_bytes += nbytes
-        # Score bank conflicts warp by warp over the block's thread order.
-        warp_size = getattr(ctx, "warp_size", 32)
-        for start in range(0, flat.size, warp_size):
-            lane_indices = flat[start : start + warp_size]
-            degree = warp_conflict_degree(lane_indices, element_bytes=self.dtype.itemsize)
-            trace.smem_profile.record(degree)
+        # score bank conflicts per warp over the block's thread order
+        keys = chunk_keys(1, flat.size, getattr(ctx, "warp_size", 32))
+        trace.smem_profile.record_many(grouped_conflict_degrees(keys, flat, self.dtype.itemsize))
 
     # -- accesses -----------------------------------------------------------------
 
@@ -186,7 +195,7 @@ class GlobalArray:
         return self._table[logical_flat]
 
     def _record(self, ctx, physical: np.ndarray, is_store: bool) -> None:
-        if ctx is None or ctx.trace is None:
+        if ctx is None:
             return
         # batched contexts (repro.vm.cuda) synthesize the same counters from
         # the whole-grid index array instead of per-warp Python loops
@@ -198,24 +207,13 @@ class GlobalArray:
         flat = physical.reshape(-1)
         element_bytes = self.dtype.itemsize
         count = float(flat.size)
-        # count sector transactions warp by warp; warp width and sector
+        # count sector transactions per warp; warp width and sector
         # granularity come from the launch context (i.e. the DeviceSpec)
         # when it provides them, so recording matches the device model
-        transactions = 0
-        warp_size = getattr(ctx, "warp_size", 32)
+        keys = chunk_keys(1, flat.size, getattr(ctx, "warp_size", 32))
         sector_bytes = getattr(ctx, "sector_bytes", None) or self.sector_bytes
-        byte_addresses = flat * element_bytes
-        for start in range(0, flat.size, warp_size):
-            sectors = np.unique(byte_addresses[start : start + warp_size] // sector_bytes)
-            transactions += int(sectors.size)
-        if is_store:
-            trace.store_elements += count
-            trace.store_bytes += count * element_bytes
-            trace.store_transactions += transactions
-        else:
-            trace.load_elements += count
-            trace.load_bytes += count * element_bytes
-            trace.load_transactions += transactions
+        transactions = grouped_unique_count(keys, flat * element_bytes // sector_bytes)
+        _bump_global(trace, is_store, count, count * element_bytes, transactions)
 
     def load(self, ctx, *indices) -> np.ndarray:
         physical = self._physical(indices)

@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..gpusim.sharedmem import ConflictProfile, warp_conflict_degree
+from ..gpusim.sharedmem import (ConflictProfile, chunk_keys, grouped_conflict_degrees,
+                                grouped_unique_count)
 from ..vm.engine import run_launch
 from .ir import Block, FuncOp, Module, Operation, Value
 from .types import MemRefType
@@ -220,12 +221,12 @@ class _BlockExecutor:
 
     def _record_global(self, offsets: np.ndarray, element_bytes: int, is_store: bool) -> None:
         flat = offsets.reshape(-1)
-        count = float(flat.size)
-        transactions = 0
-        warp, sector = self.warp_size, self.sector_bytes
-        byte_addresses = flat * element_bytes
-        for start in range(0, flat.size, warp):
-            transactions += int(np.unique(byte_addresses[start : start + warp] // sector).size)
+        keys = chunk_keys(1, flat.size, self.warp_size)
+        transactions = grouped_unique_count(keys, flat * element_bytes // self.sector_bytes)
+        self._bump_global(float(flat.size), element_bytes, transactions, is_store)
+
+    def _bump_global(self, count: float, element_bytes: int, transactions: float,
+                     is_store: bool) -> None:
         if is_store:
             self.result.store_elements += count
             self.result.store_bytes += count * element_bytes
@@ -237,11 +238,9 @@ class _BlockExecutor:
 
     def _record_shared(self, offsets: np.ndarray, element_bytes: int) -> None:
         flat = offsets.reshape(-1)
-        warp = self.warp_size
         self.result.smem_bytes += float(flat.size) * element_bytes
-        for start in range(0, flat.size, warp):
-            degree = warp_conflict_degree(flat[start : start + warp], element_bytes=element_bytes)
-            self.result.smem_profile.record(degree)
+        keys = chunk_keys(1, flat.size, self.warp_size)
+        self.result.smem_profile.record_many(grouped_conflict_degrees(keys, flat, element_bytes))
 
     def _load(self, op: Operation) -> None:
         source = op.operands[0]

@@ -205,7 +205,7 @@ def _profile_inner(spec: AppSpec, config: Mapping, report: KernelProfile, *,
             full_cost = replace(cost.scaled(report.scale), launches=report.launches)
             report.extrapolated = estimate_time(full_cost, device)
             report.metrics = trace_metrics(trace, device)
-            report.analytic_seconds = _analytic_seconds(spec, report.target_config, device)
+        report.analytic_seconds = _analytic_seconds(spec, report.target_config, device)
     except Exception as exc:  # noqa: BLE001 - fault isolation: a failed profile is a returned status
         report.status = "failed"
         report.reason = f"{type(exc).__name__}: {exc}"

@@ -1,24 +1,19 @@
-"""Batched trace-counter synthesis primitives.
+"""Batched trace-counter synthesis for the mini-Triton executor.
 
-The tree-walk recorders compute, per program / per warp, "how many
-unique sectors did this access touch" and "how badly do these lanes
-conflict on shared-memory banks".  These helpers compute the same
-quantities for *every* program / warp chunk of a whole-grid batched
-access at once, from sorted runs instead of per-access ``np.unique``
-calls.  All results are exact integer counts, so the synthesized trace
-is bit-for-bit the tree-walk trace regardless of batching.
+The tree-walk recorder computes, per program, "how many unique sectors
+did this access touch".  :func:`row_unique_counts` computes the same
+quantity for *every* program of a whole-grid batched access at once, from
+sorted runs instead of per-access ``np.unique`` calls.  The result is an
+exact integer count, so the synthesized trace is bit-for-bit the tree-walk
+trace regardless of batching.  (The per-warp scorers of the block
+substrates are in :mod:`repro.gpusim.sharedmem`.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "row_unique_counts",
-    "grouped_unique_count",
-    "grouped_conflict_degrees",
-    "chunk_keys",
-]
+__all__ = ["row_unique_counts"]
 
 _SENTINEL = np.iinfo(np.int64).max
 
@@ -49,80 +44,3 @@ def row_unique_counts(values: np.ndarray, valid: np.ndarray | None = None) -> np
     is_new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     in_valid_run = np.arange(cols) < n_valid[:, None]
     return (is_new & in_valid_run).sum(axis=1).astype(np.int64)
-
-
-def grouped_unique_count(group_ids: np.ndarray, values: np.ndarray) -> int:
-    """Total number of distinct ``(group, value)`` pairs.
-
-    The ragged counterpart of :func:`row_unique_counts`: lanes carry an
-    explicit group id (block row, warp chunk, ...) instead of sitting in
-    rectangular rows.  Summing per-group unique counts equals counting
-    unique pairs, which one lexsort delivers for the whole batch.
-    """
-    g = np.asarray(group_ids, dtype=np.int64).ravel()
-    v = np.asarray(values, dtype=np.int64).ravel()
-    if g.size != v.size:
-        raise ValueError("group_ids and values must have the same number of lanes")
-    if g.size == 0:
-        return 0
-    order = np.lexsort((v, g))
-    g, v = g[order], v[order]
-    is_new = np.ones(g.size, dtype=bool)
-    is_new[1:] = (g[1:] != g[:-1]) | (v[1:] != v[:-1])
-    return int(is_new.sum())
-
-
-def grouped_conflict_degrees(
-    group_ids: np.ndarray,
-    element_indices: np.ndarray,
-    element_bytes: int,
-    *,
-    num_banks: int = 32,
-    bank_bytes: int = 4,
-) -> np.ndarray:
-    """Per-group shared-memory conflict degree, one entry per group.
-
-    Mirrors :func:`repro.gpusim.sharedmem.warp_conflict_degree` for every
-    warp chunk at once: word addresses are deduplicated within the group
-    (broadcast is free), surviving words map to banks, and the group's
-    degree is the worst per-bank multiplicity.  Groups are whatever the
-    caller keyed lanes by — the returned degrees form the same multiset
-    the tree-walk recorder feeds to ``ConflictProfile.record`` chunk by
-    chunk.
-    """
-    g = np.asarray(group_ids, dtype=np.int64).ravel()
-    idx = np.asarray(element_indices, dtype=np.int64).ravel()
-    if g.size != idx.size:
-        raise ValueError("group_ids and element_indices must have the same number of lanes")
-    if g.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    words = idx * int(element_bytes) // int(bank_bytes)
-    order = np.lexsort((words, g))
-    g, words = g[order], words[order]
-    is_new = np.ones(g.size, dtype=bool)
-    is_new[1:] = (g[1:] != g[:-1]) | (words[1:] != words[:-1])
-    g_unique, words_unique = g[is_new], words[is_new]
-    group_start = np.ones(g_unique.size, dtype=bool)
-    group_start[1:] = g_unique[1:] != g_unique[:-1]
-    group_compact = np.cumsum(group_start) - 1
-    num_groups = int(group_compact[-1]) + 1
-    banks = words_unique % num_banks
-    per_bank = np.bincount(
-        group_compact * num_banks + banks, minlength=num_groups * num_banks
-    )
-    degrees = per_bank.reshape(num_groups, num_banks).max(axis=1)
-    return np.maximum(degrees, 1).astype(np.int64)
-
-
-def chunk_keys(rows: int, row_length: int, warp_size: int) -> np.ndarray:
-    """Warp-chunk group keys for a dense ``(rows, row_length)`` access.
-
-    The tree-walk recorders split each block's flat lane list into
-    ``warp_size`` chunks (C order, ragged tail kept).  This returns the
-    matching ``(rows, row_length)`` key array — one distinct key per
-    (row, chunk) — for feeding :func:`grouped_unique_count` /
-    :func:`grouped_conflict_degrees`.
-    """
-    chunks_per_row = (row_length + warp_size - 1) // warp_size
-    chunk_in_row = np.arange(row_length, dtype=np.int64) // warp_size
-    return np.arange(rows, dtype=np.int64)[:, None] * chunks_per_row + chunk_in_row[None, :]

@@ -22,8 +22,8 @@ single-source):
 
 Shared-memory arrays get one slab per block (``(B, words)``); global
 arrays are untouched — their ``_record`` dispatches to the context's
-``record_global``, which synthesizes the per-warp sector counts with
-:mod:`repro.vm.batch`.
+``record_global``, which scores the per-warp sector counts of every block
+at once (:mod:`repro.gpusim.sharedmem`).
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.bijection import flatten_index
+from ..gpusim.sharedmem import chunk_keys, grouped_conflict_degrees, grouped_unique_count
 from ..minicuda.runtime import BlockContext, CudaTrace, Dim3
-from ..minicuda.smem import _layout_table
-from .batch import chunk_keys, grouped_conflict_degrees, grouped_unique_count
+from ..minicuda.smem import _bump_global, _layout_table
 from .engine import TREEWALK_HINT
 
 __all__ = ["BatchedBlockContext", "launch_batched"]
@@ -116,20 +116,13 @@ class BatchedSharedArray:
     def _record(self, physical: np.ndarray, batched: bool, is_store: bool) -> None:
         ctx = self._context
         trace = ctx.trace
-        if trace is None:
-            return
         warp_size = getattr(ctx, "warp_size", 32)
         itemsize = self.dtype.itemsize
-        if batched:
-            lanes = physical.shape[1]
-            keys = chunk_keys(self.batch, lanes, warp_size)
-            degrees = grouped_conflict_degrees(keys, physical, itemsize)
-            nbytes = float(self.batch * lanes) * itemsize
-        else:
-            flat = physical.reshape(-1)
-            keys = chunk_keys(1, flat.size, warp_size)
-            degrees = np.tile(grouped_conflict_degrees(keys, flat, itemsize), self.batch)
-            nbytes = float(self.batch * flat.size) * itemsize
+        rows = physical if batched else physical.reshape(1, -1)
+        degrees = grouped_conflict_degrees(chunk_keys(*rows.shape, warp_size), rows, itemsize)
+        if not batched:  # block-uniform: every block repeats the one pattern
+            degrees = np.tile(degrees, self.batch)
+        nbytes = float(self.batch * rows.shape[1]) * itemsize
         if is_store:
             trace.smem_store_bytes += nbytes
         else:
@@ -215,14 +208,11 @@ class _CompactedThreads:
 
     def count_flops(self, flops: float) -> None:
         # compacted flop counts are already lane-sums across blocks
-        if self._parent.trace is not None:
-            self._parent.trace.flops += float(flops)
+        self._parent.trace.flops += float(flops)
 
     def record_global(self, physical: np.ndarray, element_bytes: int,
                       is_store: bool, default_sector: int = 32) -> None:
         trace = self._parent.trace
-        if trace is None:
-            return
         sector_bytes = self._parent.sector_bytes or default_sector
         flat = physical.reshape(-1)
         if flat.size != self._keys.size:
@@ -233,18 +223,6 @@ class _CompactedThreads:
         _bump_global(trace, is_store, count, count * element_bytes, transactions)
 
 
-def _bump_global(trace: CudaTrace, is_store: bool, count: float,
-                 nbytes: float, transactions: float) -> None:
-    if is_store:
-        trace.store_elements += count
-        trace.store_bytes += nbytes
-        trace.store_transactions += transactions
-    else:
-        trace.load_elements += count
-        trace.load_bytes += nbytes
-        trace.load_transactions += transactions
-
-
 class BatchedBlockContext:
     """All launched blocks of one (chunk of a) grid, executed at once."""
 
@@ -253,7 +231,7 @@ class BatchedBlockContext:
         block_ids: np.ndarray,
         block_dim: Dim3,
         grid_dim: Dim3,
-        trace: CudaTrace | None,
+        trace: CudaTrace,
         warp_size: int = 32,
         sector_bytes: int | None = None,
         _alloc_sizes: list | None = None,
@@ -298,8 +276,7 @@ class BatchedBlockContext:
 
     def count_flops(self, flops: float) -> None:
         # a block-uniform flop count is paid by every block
-        if self.trace is not None:
-            self.trace.flops += float(flops) * self._batch
+        self.trace.flops += float(flops) * self._batch
 
     # -- control-flow hooks -------------------------------------------------
 
@@ -343,31 +320,21 @@ class BatchedBlockContext:
     def record_global(self, physical: np.ndarray, element_bytes: int,
                       is_store: bool, default_sector: int = 32) -> None:
         trace = self.trace
-        if trace is None:
-            return
         sector_bytes = self.sector_bytes or default_sector
         if physical.ndim == 2 and physical.shape[0] == self._batch:
-            lanes = physical.shape[1]
-            count = float(self._batch * lanes)
-            keys = chunk_keys(self._batch, lanes, self.warp_size)
-            sectors = physical * element_bytes // sector_bytes
-            transactions = float(grouped_unique_count(keys, sectors))
+            rows, repeat = physical, 1
         elif physical.ndim <= 1:
             # block-uniform access: every block repeats the same pattern
-            flat = physical.reshape(-1)
-            count = float(flat.size) * self._batch
-            byte_addresses = flat * element_bytes
-            per_block = 0
-            for start in range(0, flat.size, self.warp_size):
-                sectors = np.unique(byte_addresses[start:start + self.warp_size] // sector_bytes)
-                per_block += int(sectors.size)
-            transactions = float(per_block) * self._batch
+            rows, repeat = physical.reshape(1, -1), self._batch
         else:
             raise TypeError(
                 f"cannot classify a rank-{physical.ndim} global access under batching; "
                 f"{TREEWALK_HINT}"
             )
-        _bump_global(trace, is_store, count, count * element_bytes, transactions)
+        keys = chunk_keys(*rows.shape, self.warp_size)
+        transactions = grouped_unique_count(keys, rows * element_bytes // sector_bytes)
+        count = float(rows.size * repeat)
+        _bump_global(trace, is_store, count, count * element_bytes, float(transactions * repeat))
 
 
 #: lane budget per batched pass (blocks are chunked so that
@@ -380,7 +347,7 @@ def launch_batched(
     grid: Dim3,
     block: Dim3,
     args: Sequence,
-    run_trace: CudaTrace | None,
+    run_trace: CudaTrace,
     block_ids,
     warp_size: int,
     sector_bytes: int | None,

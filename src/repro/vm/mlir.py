@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ..gpusim.sharedmem import chunk_keys, grouped_conflict_degrees, grouped_unique_count
 from ..mlir.interp import _BlockExecutor
 from ..mlir.ir import Operation, Value
 from ..mlir.types import MemRefType
-from .batch import chunk_keys, grouped_conflict_degrees, grouped_unique_count
 from .engine import TREEWALK_HINT
 
 __all__ = ["launch_batched"]
@@ -76,42 +76,21 @@ class _BatchedExecutor(_BlockExecutor):
                 self.result.flops += float(raw.size) * self._batch
 
     def _record_global(self, offsets: np.ndarray, element_bytes: int, is_store: bool) -> None:
-        warp, sector = self.warp_size, self.sector_bytes
-        if self._is_batched(offsets):
-            lanes = offsets.shape[1]
-            count = float(self._batch * lanes)
-            keys = chunk_keys(self._batch, lanes, warp)
-            transactions = float(grouped_unique_count(keys, offsets * element_bytes // sector))
-        else:
-            flat = offsets.reshape(-1)
-            count = float(flat.size) * self._batch
-            byte_addresses = flat * element_bytes
-            per_block = 0
-            for start in range(0, flat.size, warp):
-                per_block += int(np.unique(byte_addresses[start:start + warp] // sector).size)
-            transactions = float(per_block) * self._batch
-        if is_store:
-            self.result.store_elements += count
-            self.result.store_bytes += count * element_bytes
-            self.result.store_transactions += transactions
-        else:
-            self.result.load_elements += count
-            self.result.load_bytes += count * element_bytes
-            self.result.load_transactions += transactions
+        # a block-uniform access is one row, repeated identically in every block
+        rows, repeat = (offsets, 1) if self._is_batched(offsets) else \
+            (offsets.reshape(1, -1), self._batch)
+        keys = chunk_keys(*rows.shape, self.warp_size)
+        transactions = grouped_unique_count(keys, rows * element_bytes // self.sector_bytes)
+        self._bump_global(float(rows.size * repeat), element_bytes, float(transactions * repeat),
+                          is_store)
 
     def _record_shared(self, offsets: np.ndarray, element_bytes: int) -> None:
-        warp = self.warp_size
-        if self._is_batched(offsets):
-            lanes = offsets.shape[1]
-            self.result.smem_bytes += float(self._batch * lanes) * element_bytes
-            keys = chunk_keys(self._batch, lanes, warp)
-            degrees = grouped_conflict_degrees(keys, offsets, element_bytes)
-        else:
-            flat = offsets.reshape(-1)
-            self.result.smem_bytes += float(self._batch * flat.size) * element_bytes
-            keys = chunk_keys(1, flat.size, warp)
-            degrees = np.tile(grouped_conflict_degrees(keys, flat, element_bytes), self._batch)
-        self.result.smem_profile.record_many(degrees)
+        batched = self._is_batched(offsets)
+        rows = offsets if batched else offsets.reshape(1, -1)
+        degrees = grouped_conflict_degrees(chunk_keys(*rows.shape, self.warp_size), rows,
+                                           element_bytes)
+        self.result.smem_bytes += float(self._batch * rows.shape[1]) * element_bytes
+        self.result.smem_profile.record_many(degrees if batched else np.tile(degrees, self._batch))
 
     # -- memory -------------------------------------------------------------
 

@@ -1,9 +1,14 @@
 """The benchmark applications: generated kernels are correct and layouts behave."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.apps import grouped_gemm, layernorm, lud, matmul, nw, softmax, stencil, transpose
+from repro.apps.registry import get_app
+from repro.gpusim import DEVICE_ZOO, warp_conflict_degree
 
 
 # -- matmul -------------------------------------------------------------------------------
@@ -185,8 +190,60 @@ def test_nw_antidiagonal_layout_removes_bank_conflicts(nw_case):
 
 
 def test_nw_speedup_in_paper_band():
-    result = nw.nw_speedup(4096, block=16, trace_n=64)
+    result = nw.nw_speedup(4096, block=16)
     assert 1.3 <= result["speedup"] <= 2.2
+
+
+@pytest.mark.parametrize("device_name", sorted(DEVICE_ZOO))
+def test_nw_static_block_trace_equals_the_traced_launch(device_name):
+    """The static model is the per-block share of a real traced run, bit for bit."""
+    device = DEVICE_ZOO[device_name]
+    spec = get_app("nw")
+    for config in spec.space:
+        block, layout = config["block"], nw.nw_buffer_layout(config["block"], config["layout"])
+        traced = nw.NwConfig(n=2 * block, block=block)  # a 1-, a 2- and a 1-block wave
+        reference = np.zeros((traced.n, traced.n), dtype=np.int32)
+        _, trace = nw.run_nw_blocked(reference, traced, layout=layout, device=device)
+        static = nw.nw_block_trace(block, layout, device)
+
+        measured, profile = trace.smem_profile, static.smem_profile
+        assert trace.blocks == 4
+        assert measured.histogram == {d: 4 * c for d, c in profile.histogram.items()}
+        assert measured.accesses == 4 * profile.accesses
+        assert measured.worst_degree == profile.worst_degree
+        assert measured.average_degree == profile.average_degree
+        assert trace.load_bytes == 4 * static.load_bytes
+        assert trace.store_bytes == 4 * static.store_bytes
+
+        target = nw.NwConfig(n=4096, block=block)
+        assert spec.evaluate(dict(config), device=device) == {
+            "time_seconds": nw.nw_performance(trace, traced, target, device=device),
+            "conflict_factor": trace.bank_conflict_factor,
+        }
+
+
+@pytest.mark.parametrize("block", [4, 8, 16, 32])
+@pytest.mark.parametrize("layout_name, stride_of", [
+    ("row", lambda b: b), ("col", lambda b: b), ("antidiagonal", lambda b: 1),
+])
+def test_nw_static_profile_obeys_the_stride_rule(layout_name, stride_of, block):
+    """Lanes ``stride`` words apart hit ``32 / gcd(stride, 32)`` banks, ``k`` lanes
+    serialise into ``ceil(k / banks)`` passes: the closed form for the affine layouts."""
+    layout = nw.nw_buffer_layout(block, layout_name)
+    banks = 32 // math.gcd(stride_of(block), 32)
+    expected = Counter()
+    for m in range(2 * block - 1):
+        lanes = min(m, block - 1) - max(0, m - block + 1) + 1
+        expected[-(-lanes // banks)] += 4  # three neighbour loads and the cell store
+
+    def word(i, j):
+        return i * (block + 1) + j if layout is None else layout.apply(i, j)
+
+    # the staging stores are not constant-stride under every layout: score them lane by lane
+    expected[warp_conflict_degree([word(0, t + 1) for t in range(block)])] += 1
+    expected[warp_conflict_degree([word(t + 1, 0) for t in range(block)])] += 1
+    expected[1] += 1  # the corner
+    assert nw.nw_block_trace(block, layout).smem_profile.histogram == expected
 
 
 def test_nw_wrapper_contains_device_function():

@@ -143,6 +143,14 @@ def test_permutation_vector_and_physical_table_are_inverse():
     assert np.array_equal(table[perm], np.arange(36))
 
 
+def test_permutation_vector_is_memoised_and_read_only():
+    layout = figure6_layout()
+    perm = layout.permutation_vector()
+    assert layout.permutation_vector() is perm
+    with pytest.raises(ValueError, match="read-only"):
+        perm[0] = 1
+
+
 def test_verify_requires_concrete_layout():
     symbolic = GroupBy([Var("N"), 4])
     with pytest.raises(TypeError):

@@ -19,6 +19,12 @@ from repro.gpusim import (
     warp_conflict_degree,
     warp_transactions,
 )
+from repro.gpusim.sharedmem import (
+    ConflictProfile,
+    chunk_keys,
+    grouped_conflict_degrees,
+    grouped_unique_count,
+)
 from repro.minicuda import Dim3, GlobalArray, SharedArray, launch
 from repro.minitriton import compile_kernel, from_device, launch as tl_launch, to_device
 from repro.perf import trace_to_cost
@@ -204,6 +210,32 @@ def test_warp_conflict_degree_broadcast_and_conflict():
     conflicting = [32 * i for i in range(16)]
     assert warp_conflict_degree(conflicting) == 16
     assert warp_conflict_degree([]) == 1
+
+
+@pytest.mark.parametrize("element_bytes", [2, 4, 8])
+@pytest.mark.parametrize("warp_size", [16, 32])
+def test_grouped_scorers_equal_the_per_warp_loop(element_bytes, warp_size):
+    """The scorers every recorder calls agree with one-warp-at-a-time scoring on
+    narrow, exact, ragged and multi-warp accesses, with and without duplicate words."""
+    rng = np.random.default_rng(element_bytes * warp_size)
+    for lanes in (0, 1, 5, warp_size - 1, warp_size, warp_size + 1, 3 * warp_size + 7, 256):
+        for spread in (4, 64, 4096):  # a small spread forces broadcasts and duplicates
+            flat = rng.integers(0, spread, size=lanes)
+            warps = [flat[start:start + warp_size] for start in range(0, lanes, warp_size)]
+            keys = chunk_keys(1, lanes, warp_size)
+
+            degrees = grouped_conflict_degrees(keys, flat, element_bytes)
+            assert degrees.tolist() == [warp_conflict_degree(w, element_bytes) for w in warps]
+            by_loop, at_once = ConflictProfile(), ConflictProfile()
+            for degree in degrees:
+                by_loop.record(int(degree))
+            at_once.record_many(degrees)
+            assert at_once == by_loop
+
+            sectors = flat * element_bytes // 32
+            assert grouped_unique_count(keys, sectors) == sum(
+                np.unique(w * element_bytes // 32).size for w in warps
+            )
 
 
 def test_access_conflict_profile_merge():

@@ -87,6 +87,27 @@ def test_registry_knows_all_eight_apps():
     }
 
 
+@pytest.mark.parametrize("name", sorted(available_apps()))
+def test_analytic_evaluate_launches_nothing(name, monkeypatch):
+    """The analytic rung is a model: no app's ``evaluate`` may run a substrate."""
+    import repro.minicuda.runtime
+    import repro.minitriton.runtime
+    import repro.mlir.interp
+    import repro.vm.engine
+
+    def no_launch(*args, **kwargs):
+        raise AssertionError(f"{name}.evaluate launched a kernel")
+
+    for module in (repro.vm.engine, repro.minitriton.runtime, repro.minicuda.runtime,
+                   repro.mlir.interp):
+        monkeypatch.setattr(module, "run_launch", no_launch)
+    spec = get_app(name)
+    # paper_config names only the axes the paper fixes; the rest take their first value
+    result = spec.evaluate({**next(iter(spec.space)), **spec.paper_config})
+    seconds = result["time_seconds"] if isinstance(result, dict) else result
+    assert seconds > 0
+
+
 def test_registry_resolves_specs_lazily_and_rejects_unknown():
     spec = get_app("lud")
     assert spec.backend == "cuda"
