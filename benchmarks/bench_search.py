@@ -69,8 +69,7 @@ def run_search_bench() -> dict:
                         measure_top_k=MEASURE_TOP_K, cache=cache,
                         profile_store=store, table=table)
         truth = search(app, device="a100", budget=None,
-                       measure_top_k=result.space_size, cache=ResultCache(),
-                       train=False)
+                       measure_top_k=result.space_size, cache=ResultCache())
         report["ground_truth"][app] = {
             "search": result.summary(),
             "exhaustive_measured": truth.summary(),

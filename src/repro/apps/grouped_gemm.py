@@ -30,7 +30,7 @@ __all__ = [
     "run_grouped_gemm",
     "grouped_gemm_reference",
     "grouped_gemm_check_reference",
-    "grouped_gemm_check_case",
+    "grouped_gemm_case",
     "grouped_gemm_performance",
     "app_spec",
 ]
@@ -44,13 +44,14 @@ def grouped_gemm_check_reference(config, inputs) -> np.ndarray:
     ).astype(np.float16)
 
 
-def grouped_gemm_check_case(config, rng, device=None):
+def grouped_gemm_case(config, rng, device=None):
     """A small full-launch grouped GEMM: 2 groups of 16^3 in 8x8 tiles.
 
     All candidates share one kernel text (``generate_params=()``), so the
-    check tiling is free to shrink to whatever the interpreter runs fastest.
+    case tiling is free to shrink to whatever the interpreter runs fastest.
+    FP16 operands through ``tl.dot``: tensor cores.
     """
-    from .registry import CheckCase
+    from .registry import Case
 
     cfg = GroupedGemmConfig(groups=2, M=16, N=16, K=16, BM=8, BN=8, BK=8)
     a = rng.standard_normal((cfg.groups, cfg.M, cfg.K)).astype(np.float16)
@@ -59,11 +60,13 @@ def grouped_gemm_check_case(config, rng, device=None):
     def execute(kernel, device=None):
         return run_grouped_gemm(kernel, a, b, cfg, device=device)
 
-    return CheckCase(
+    return Case(
         config={"groups": cfg.groups, "M": cfg.M, "N": cfg.N, "K": cfg.K,
                 "BM": cfg.BM, "BN": cfg.BN, "BK": cfg.BK},
         inputs={"a": a, "b": b},
         execute=execute,
+        dtype="fp16",
+        tensor_core=True,
     )
 
 
@@ -133,7 +136,7 @@ def app_spec():
         generate=lambda config: generate_grouped_gemm_kernel(),
         generate_params=(),
         reference=grouped_gemm_check_reference,
-        check_case=grouped_gemm_check_case,
+        case=grouped_gemm_case,
         paper_config={"BM": 64, "BN": 64, "BK": 32},
         description="Grouped GEMM tiling sweep (Figure 11)",
     ))

@@ -36,7 +36,7 @@ __all__ = [
     "layernorm_reference",
     "layernorm_backward_reference",
     "layernorm_check_reference",
-    "layernorm_check_case",
+    "layernorm_case",
     "run_layernorm_forward",
     "run_layernorm_backward",
     "layernorm_performance",
@@ -190,9 +190,9 @@ def layernorm_check_reference(config, inputs) -> np.ndarray:
     return layernorm_backward_reference(inputs["dy"], inputs["x"], inputs["w"], eps)
 
 
-def layernorm_check_case(config, rng, device=None):
+def layernorm_case(config, rng, device=None):
     """A small full-launch LayerNorm (forward or backward) per the config."""
-    from .registry import CheckCase
+    from .registry import Case
 
     if config.get("implementation", "lego") != "lego":
         return None  # eager baselines are evaluation-only
@@ -214,7 +214,7 @@ def layernorm_check_case(config, rng, device=None):
         def execute(kernel, device=None):
             return run_layernorm_backward(kernel, dy, x, w, device=device)
 
-    return CheckCase(config=resolved, inputs=inputs, execute=execute)
+    return Case(config=resolved, inputs=inputs, execute=execute)
 
 
 def layernorm_performance(
@@ -295,7 +295,7 @@ def app_spec():
         generate=generate,
         generate_params=("implementation", "direction"),
         reference=layernorm_check_reference,
-        check_case=layernorm_check_case,
+        case=layernorm_case,
         paper_config={"implementation": "lego"},
         description="Fused LayerNorm vs eager framework (Figure 11)",
     ))

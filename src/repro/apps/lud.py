@@ -34,8 +34,7 @@ __all__ = [
     "lud_reference",
     "lud_blocked",
     "lud_check_reference",
-    "lud_check_case",
-    "lud_perf_case",
+    "lud_case",
     "run_lud_internal",
     "check_element_offsets",
     "prove_element_offset_bijection",
@@ -264,40 +263,11 @@ def assert_element_offset_bijection(kernel, config: LudConfig) -> None:
 
 
 def lud_check_reference(config, inputs) -> np.ndarray:
-    """Ground truth: unblocked Doolittle factors, packed like the Rodinia output."""
-    lower, upper = lud_reference(inputs["matrix"])
-    return np.tril(lower, -1) + upper
-
-
-def lud_check_case(config, rng, device=None):
-    """Check one LUD coarsening configuration at a small problem size.
-
-    Two checks ride in one case: the blocked factorisation (the Rodinia
-    kernel-structure mirror) must match the unblocked reference, and the
-    generated coarsened-thread-layout expression must enumerate the block
-    bijectively — discharged statically by the mixed-radix stride proof
-    (:func:`assert_element_offset_bijection`).  The matrix is made
-    diagonally dominant so the factorisation is well-conditioned.
-    """
-    from .registry import CheckCase
-
-    block = config.get("block", 16)
-    cuda_block = config.get("cuda_block", 16)
-    cfg = LudConfig(n=2 * block, block=block, cuda_block=cuda_block)
-    matrix = rng.standard_normal((cfg.n, cfg.n)) + cfg.n * np.eye(cfg.n)
-
-    def execute(kernel, device=None):
-        if kernel is not None and kernel.bindings:
-            # cache-restored kernels carry no live expression nodes; the
-            # blocked-vs-reference factorisation check below still applies
-            assert_element_offset_bijection(kernel, cfg)
-        return lud_blocked(matrix, cfg.block), None
-
-    return CheckCase(
-        config={"n": cfg.n, "block": block, "cuda_block": cuda_block},
-        inputs={"matrix": matrix},
-        execute=execute,
-    )
+    """Ground truth of one internal wave: the trailing update ``A22 - A21 @ A12``."""
+    b = config["block"]
+    out = np.asarray(inputs["matrix"]).astype(np.float64)
+    out[b:, b:] -= out[b:, :b] @ out[:b, b:]
+    return out
 
 
 def _lud_internal_block_kernel(ctx, m: GlobalArray, offset: int, block: int):
@@ -383,11 +353,15 @@ def run_lud_internal(matrix: np.ndarray, config: LudConfig, step: int = 0,
     return gmem.to_numpy(), trace
 
 
-def lud_perf_case(config, rng, device=None):
-    """The measured-profiling case: one internal wave plus extrapolation.
+def lud_case(config, rng, device=None):
+    """One internal wave of a coarsening configuration, plus extrapolation.
 
     Executes the first step's internal kernel on a two-block problem (one
-    trailing block) and extrapolates to the full factorisation: the
+    trailing block) on mini-CUDA; the updated matrix must equal the NumPy
+    trailing update, and the generated coarsened-thread-layout expression
+    must enumerate the block bijectively — discharged statically by the
+    mixed-radix stride proof (:func:`assert_element_offset_bijection`).
+    The measured block extrapolates to the full factorisation: the
     internal kernel launches ``(nb - k - 1)^2`` blocks at step ``k``, so
     the per-block measurement scales by ``sum of squares``; the host loop
     launches the diagonal, perimeter and internal kernels once per step.
@@ -397,7 +371,7 @@ def lud_perf_case(config, rng, device=None):
     ``__shared__`` panels exceed ``device.max_static_smem_bytes`` select
     nothing executable (see :func:`run_lud_internal`).
     """
-    from .registry import PerfCase
+    from .registry import Case
 
     block = config.get("block", 16)
     cuda_block = config.get("cuda_block", 16)
@@ -409,15 +383,18 @@ def lud_perf_case(config, rng, device=None):
     matrix = (rng.standard_normal((cfg.n, cfg.n)) + cfg.n * np.eye(cfg.n)).astype(np.float32)
 
     def execute(kernel, device=None):
+        if kernel is not None and kernel.bindings:
+            # cache-restored kernels carry no live expression nodes; the
+            # wave-vs-reference comparison still applies
+            assert_element_offset_bijection(kernel, cfg)
         return run_lud_internal(matrix, cfg, step=0, device=device or A100_80GB)
 
     target_blocks = target_n // block
-    internal_blocks = sum(j * j for j in range(1, target_blocks))
-    return PerfCase(
+    return Case(
         config={"n": cfg.n, "block": block, "cuda_block": cuda_block},
         inputs={"matrix": matrix},
         execute=execute,
-        scale=float(internal_blocks),
+        scale=float(sum(j * j for j in range(1, target_blocks))),
         launches=3 * target_blocks,
         target_config={"n": target_n, "block": block, "cuda_block": cuda_block},
     )
@@ -640,8 +617,7 @@ def app_spec():
         generate=lambda config: generate_lud_internal_kernel(config_of(config)),
         generate_params=("n", "block", "cuda_block"),
         reference=lud_check_reference,
-        check_case=lud_check_case,
-        perf_case=lud_perf_case,
+        case=lud_case,
         paper_config={"block": 64, "cuda_block": 16},
         description="LUD thread-coarsening-as-layout sweep (Figure 12b), "
                     "extended with shared/panel-layout and code-shape axes",

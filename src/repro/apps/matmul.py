@@ -31,7 +31,7 @@ __all__ = [
     "generate_matmul_kernel",
     "run_matmul",
     "matmul_reference",
-    "matmul_check_case",
+    "matmul_case",
     "matmul_cost",
     "matmul_performance",
     "reference_index_ops",
@@ -234,15 +234,15 @@ def matmul_reference(config, inputs) -> np.ndarray:
     return (a @ b).astype(np.float16)
 
 
-def matmul_check_case(config, rng, device=None):
-    """A small full-launch matmul problem for the differential runner.
+def matmul_case(config, rng, device=None):
+    """A small full-launch matmul problem, measured as executed.
 
-    The kernel text depends only on the operand-layout variant, so the check
+    The kernel text depends only on the operand-layout variant, so the case
     shrinks the problem and tiling to a 2x2 grid of 16x16 tiles the
     mini-Triton interpreter executes in milliseconds while keeping the
-    sampled variant.
+    sampled variant.  FP16 operands through ``tl.dot``: tensor cores.
     """
-    from .registry import CheckCase
+    from .registry import Case
 
     variant = config.get("variant", "nn")
     cfg = MatmulConfig(M=32, N=32, K=16, BM=16, BN=16, BK=8, GM=2)
@@ -252,11 +252,13 @@ def matmul_check_case(config, rng, device=None):
     def execute(kernel, device=None):
         return run_matmul(kernel, a, b, cfg, variant, device=device)
 
-    return CheckCase(
+    return Case(
         config={"variant": variant, "M": cfg.M, "N": cfg.N, "K": cfg.K,
                 "BM": cfg.BM, "BN": cfg.BN, "BK": cfg.BK, "GM": cfg.GM},
         inputs={"a": a, "b": b},
         execute=execute,
+        dtype="fp16",
+        tensor_core=True,
     )
 
 
@@ -391,7 +393,7 @@ def app_spec():
         generate=lambda config: generate_matmul_kernel(config["variant"]),
         generate_params=("variant",),
         reference=matmul_reference,
-        check_case=matmul_check_case,
+        case=matmul_case,
         paper_config={"BM": 128, "BN": 128, "BK": 64, "GM": 8},
         description="FP16 matmul: operand-layout variants x Triton tutorial tiling",
     ))

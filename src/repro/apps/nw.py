@@ -44,8 +44,7 @@ __all__ = [
     "NW_BUFFER_LAYOUTS",
     "nw_reference",
     "nw_check_reference",
-    "nw_check_case",
-    "nw_perf_case",
+    "nw_case",
     "nw_wave_span",
     "run_nw_blocked",
     "generate_nw_wrapper",
@@ -153,17 +152,24 @@ def nw_check_reference(config, inputs) -> np.ndarray:
     return nw_reference(inputs["reference"], config.get("penalty", 10))
 
 
-def nw_check_case(config, rng, device=None):
+def nw_case(config, rng, device=None):
     """A small full-wavefront NW problem under the configured buffer layout.
 
-    The score matrix is integer, so the check is exact: any layout that is
-    not a bijection of the shared buffer — or any staging bug — corrupts
-    cells of the dynamic program outright rather than perturbing them.
-    Executes through :func:`run_nw_blocked` for every layout value,
-    including the ones whose configuration generates no accessor wrapper
-    (row/col/affine layouts patch the original kernel).
+    The score matrix is integer (hence ``int32``), so the comparison is
+    exact: any layout that is not a bijection of the shared buffer — or any
+    staging bug — corrupts cells of the dynamic program outright rather
+    than perturbing them.  Executes through :func:`run_nw_blocked` for every
+    layout value, including the ones whose configuration generates no
+    accessor wrapper (row/col/affine layouts patch the original kernel).
+
+    The bank-conflict profile of the shared score buffer — the quantity the
+    layout axis changes — is a per-block property, so the small problem
+    measures it exactly.  Extensive traffic scales by the block count; the
+    full-size run launches one kernel per anti-diagonal wave, which is
+    where NW's launch overhead (and the benefit of fewer, larger blocks)
+    comes from.
     """
-    from .registry import CheckCase
+    from .registry import Case
 
     block = config.get("block", 16)
     layout_name = config.get("layout", "antidiagonal")
@@ -174,39 +180,14 @@ def nw_check_case(config, rng, device=None):
     def execute(kernel, device=None):
         return run_nw_blocked(reference, cfg, layout=layout, device=device)
 
-    return CheckCase(
+    target_n = config.get("n", 4096)
+    return Case(
         config={"layout": layout_name, "block": block, "n": cfg.n, "penalty": cfg.penalty},
         inputs={"reference": reference},
         execute=execute,
-    )
-
-
-def nw_perf_case(config, rng, device=None):
-    """The measured-profiling case: the check wavefront plus extrapolation.
-
-    The bank-conflict profile of the shared score buffer — the quantity the
-    layout axis changes — is a per-block property, so the small check
-    problem measures it exactly.  Extensive traffic scales by the block
-    count; the full-size run launches one kernel per anti-diagonal wave,
-    which is where NW's launch overhead (and the benefit of fewer, larger
-    blocks) comes from.  The score matrix is integer, hence ``int32``.
-    """
-    from .registry import PerfCase
-
-    case = nw_check_case(config, rng, device=device)
-    if case is None:
-        return None
-    block = case.config["block"]
-    target_n = config.get("n", 4096)
-    target_blocks = (target_n // block) ** 2
-    case_blocks = (case.config["n"] // block) ** 2
-    return PerfCase(
-        config=case.config,
-        inputs=case.inputs,
-        execute=case.execute,
-        scale=target_blocks / case_blocks,
+        scale=(target_n // block) ** 2 / (cfg.n // block) ** 2,
         launches=2 * (target_n // block) - 1,
-        target_config={"layout": case.config["layout"], "block": block, "n": target_n},
+        target_config={"layout": layout_name, "block": block, "n": target_n},
         dtype="int32",
     )
 
@@ -537,8 +518,7 @@ def app_spec():
         generate=generate,
         generate_params=("block", "layout"),
         reference=nw_check_reference,
-        check_case=nw_check_case,
-        perf_case=nw_perf_case,
+        case=nw_case,
         paper_config={"layout": "antidiagonal", "block": 16},
         description="NW shared-buffer layout sweep (Figure 12a)",
     ))

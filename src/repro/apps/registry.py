@@ -21,9 +21,9 @@ factory); this module resolves names lazily so ``import repro`` stays light.
 
 One calling convention, which the tuner, the checker and the profiler call
 without inspecting signatures: ``evaluate(config, device=A100_80GB)``, the
-case builders ``check_case`` / ``perf_case`` ``(config, rng, device=None)``
-and every case's ``execute(kernel, device=None)`` — ``device=None`` sizes
-the case and records its trace at the CUDA defaults.
+one case builder ``case(config, rng, device=None) -> Case | None`` and
+every case's ``execute(kernel, device=None)`` — ``device=None`` sizes the
+case and records its trace at the CUDA defaults.
 """
 
 from __future__ import annotations
@@ -35,40 +35,30 @@ from typing import Callable, Mapping
 
 from ..tune.space import SearchSpace
 
-__all__ = ["AppSpec", "CheckCase", "PerfCase", "register_app", "get_app", "available_apps"]
+__all__ = ["AppSpec", "Case", "register_app", "get_app", "available_apps"]
 
 
 @dataclass(frozen=True)
-class CheckCase:
-    """One executable differential-check instance of an app configuration.
+class Case:
+    """One executable instance of an app configuration.
 
-    Built by :attr:`AppSpec.check_case` for the verification subsystem
-    (:mod:`repro.check`): a *small, full-launch* problem whose result can be
-    compared element-wise against the app's NumPy reference model.
+    Built by :attr:`AppSpec.case` and executed once by
+    :func:`repro.check.run_case`; :mod:`repro.check` compares the output
+    element-wise against the app's NumPy reference model and
+    :mod:`repro.perf` does the same *and* turns the trace of that same
+    execution into a measured cost.
 
-    ``config`` is the resolved check configuration — the sampled
+    ``config`` is the resolved case configuration — the sampled
     configuration with problem sizes shrunk to something the Python
     substrates execute in milliseconds, but with every axis that determines
     the generated kernel left intact.  ``inputs`` are the named NumPy input
     buffers (also what :attr:`AppSpec.reference` consumes);
-    ``execute(kernel, device=None)`` runs the kernel on the app's substrate
-    and returns ``(output array, trace or None)``.
-    """
+    ``execute(kernel, device=None)`` runs the whole launch on the app's
+    substrate and returns ``(output array, trace or None)``.
 
-    config: dict
-    inputs: dict
-    execute: Callable
-
-
-@dataclass(frozen=True)
-class PerfCase(CheckCase):
-    """A :class:`CheckCase` whose execution doubles as a measurement.
-
-    Built by :attr:`AppSpec.perf_case` for the measured-profiling subsystem
-    (:mod:`repro.perf`).  The executed problem is still small (the Python
-    substrates interpret it in milliseconds), but the case records how the
-    small run relates to the app's full-size problem so the measured
-    :class:`~repro.gpusim.KernelCost` can be extrapolated:
+    The remaining fields relate the small run to the app's full-size
+    problem, so the measured :class:`~repro.gpusim.KernelCost` can be
+    extrapolated (the defaults measure the case as executed):
 
     * ``scale`` — factor the extensive counters (bytes, flops, blocks) are
       multiplied by to represent the full-size run.  Intensive per-block
@@ -84,6 +74,9 @@ class PerfCase(CheckCase):
       kernel, forwarded into the cost.
     """
 
+    config: dict
+    inputs: dict
+    execute: Callable
     scale: float = 1.0
     launches: int = 1
     target_config: dict | None = None
@@ -109,24 +102,17 @@ class AppSpec:
     #: operand-layout variant — which is where batch dedup gets its leverage.
     generate_params: tuple[str, ...] | None = None
     #: NumPy ground-truth model ``reference(config, inputs) -> array``:
-    #: given a resolved check configuration and the named input buffers of a
-    #: :class:`CheckCase`, produce the expected output.  The differential
-    #: runner (:mod:`repro.check`) asserts the substrate execution matches
-    #: this within per-dtype tolerances.
+    #: given a resolved case configuration and the named input buffers of a
+    #: :class:`Case`, produce the expected output.  Every execution of a case
+    #: (:mod:`repro.check`, :mod:`repro.perf`) is compared against it within
+    #: per-dtype tolerances.
     reference: Callable[[Mapping, Mapping], object] | None = None
-    #: build a :class:`CheckCase` for one configuration:
-    #: ``check_case(config, rng, device=None) -> CheckCase | None`` (``None``
-    #: when the configuration selects nothing executable, e.g. an external
-    #: baseline).  ``rng`` is a ``numpy.random.Generator`` — inputs must come
-    #: from it so every check reproduces from its printed seed.
-    check_case: Callable[..., "CheckCase | None"] | None = None
-    #: build a :class:`PerfCase` for one configuration:
-    #: ``perf_case(config, rng, device=None) -> PerfCase | None``.  Optional — the
-    #: measured profiler (:mod:`repro.perf`) falls back to ``check_case``
-    #: (measuring at the check size, no extrapolation) when absent.  Apps
-    #: whose full-size behaviour the tuner must rank under measurement
-    #: (LUD, NW, transpose) register one with the extrapolation scale set.
-    perf_case: Callable[..., "PerfCase | None"] | None = None
+    #: the one case builder: ``case(config, rng, device=None) -> Case | None``
+    #: (``None`` when the configuration selects nothing executable — an
+    #: external baseline, a shape whose static shared memory would not
+    #: launch on ``device``).  ``rng`` is a ``numpy.random.Generator`` —
+    #: inputs must come from it so every run reproduces from its printed seed.
+    case: Callable[..., "Case | None"] | None = None
 
     def generate_config(self, config: Mapping) -> dict:
         """Project ``config`` onto the axes that determine the generated kernel."""

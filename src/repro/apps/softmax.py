@@ -30,19 +30,19 @@ __all__ = [
     "generate_softmax_kernel",
     "run_softmax",
     "softmax_reference",
-    "softmax_check_case",
+    "softmax_case",
     "softmax_performance",
     "app_spec",
 ]
 
 
-def softmax_check_case(config, rng, device=None):
+def softmax_case(config, rng, device=None):
     """A small full-launch softmax for the differential runner.
 
     Only the fused LEGO kernel is executable on the substrate; the eager
     baselines are evaluation-only rows, so their configurations are skipped.
     """
-    from .registry import CheckCase
+    from .registry import Case
 
     if config.get("implementation", "lego") != "lego":
         return None
@@ -52,7 +52,7 @@ def softmax_check_case(config, rng, device=None):
     def execute(kernel, device=None):
         return run_softmax(kernel, x, device=device)
 
-    return CheckCase(
+    return Case(
         config={"implementation": "lego", "M": m, "N": n},
         inputs={"x": x},
         execute=execute,
@@ -85,7 +85,7 @@ def app_spec():
         generate=lambda config: generate_softmax_kernel() if config["implementation"] == "lego" else None,
         generate_params=("implementation",),
         reference=lambda config, inputs: softmax_reference(inputs["x"]),
-        check_case=softmax_check_case,
+        case=softmax_case,
         paper_config={"implementation": "lego"},
         description="Fused softmax vs eager framework (Figure 11)",
     ))

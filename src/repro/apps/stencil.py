@@ -37,8 +37,7 @@ __all__ = [
     "stencil_offsets",
     "stencil_reference",
     "stencil_check_reference",
-    "stencil_check_case",
-    "stencil_perf_case",
+    "stencil_case",
     "interior_block_span",
     "run_stencil",
     "stencil_cost",
@@ -54,48 +53,20 @@ def stencil_check_reference(config, inputs) -> np.ndarray:
     return stencil_reference(inputs["grid"], by_name[config.get("stencil", "star-7pt")])
 
 
-def stencil_check_case(config, rng, device=None):
-    """A small full-grid stencil sweep under the configured data layout.
+def stencil_case(config, rng, device=None):
+    """A multi-brick full-grid stencil sweep under the configured data layout.
 
     The output must match the row-major reference *regardless* of the
     physical layout — that indifference is exactly what the brick layout's
-    correctness claim is — so both layout values execute the same check.
-    The grid is the smallest brick multiple that still has interior cells
-    for the stencil's radius.
-    """
-    from .registry import CheckCase
-
-    by_name = {spec.name: spec for spec in STENCILS}
-    spec = by_name[config.get("stencil", "star-7pt")]
-    brick = config.get("brick", 4)
-    n = 2 * brick
-    while n < 2 * spec.radius + 2:
-        n += brick
-    grid = rng.standard_normal((n, n, n)).astype(np.float32)
-    layout_name = config.get("layout", "brick")
-    layout = brick_layout(n, brick) if layout_name == "brick" else None
-
-    def execute(kernel, device=None):
-        return run_stencil(grid, spec, layout=layout, brick=brick, device=device)
-
-    return CheckCase(
-        config={"stencil": spec.name, "layout": layout_name, "brick": brick, "n": n},
-        inputs={"grid": grid},
-        execute=execute,
-    )
-
-
-def stencil_perf_case(config, rng, device=None):
-    """The measured-profiling case: a multi-brick grid plus extrapolation.
-
-    The minimal check grid is too small to exercise more than one interior
-    brick, so the case runs a grid of several bricks per side (milliseconds
-    on the vectorized engine, the widest 125-point stencil included) and
+    correctness claim is — so both layout values execute the same case.
+    The smallest grid with interior cells exercises one interior brick at
+    most, so the case runs several bricks per side (milliseconds on the
+    vectorized engine, the widest 125-point stencil included) and
     extrapolates by the ratio of interior cells (traffic and arithmetic are
     both per-interior-cell; the layout's per-transaction behaviour is what
     the measurement captures and survives scaling unchanged).
     """
-    from .registry import PerfCase
+    from .registry import Case
 
     by_name = {spec.name: spec for spec in STENCILS}
     spec = by_name[config.get("stencil", "star-7pt")]
@@ -111,17 +82,14 @@ def stencil_perf_case(config, rng, device=None):
     def execute(kernel, device=None):
         return run_stencil(grid, spec, layout=layout, brick=brick, device=device)
 
+    resolved = {"stencil": spec.name, "layout": layout_name, "brick": brick, "n": n}
     target_n = config.get("n", 512)
-    interior = (n - 2 * r) ** 3
-    target_interior = (target_n - 2 * r) ** 3
-    return PerfCase(
-        config={"stencil": spec.name, "layout": layout_name, "brick": brick, "n": n},
+    return Case(
+        config=resolved,
         inputs={"grid": grid},
         execute=execute,
-        scale=target_interior / interior,
-        launches=1,
-        target_config={"stencil": spec.name, "layout": layout_name, "brick": brick, "n": target_n},
-        dtype="fp32",
+        scale=(target_n - 2 * r) ** 3 / (n - 2 * r) ** 3,
+        target_config={**resolved, "n": target_n},
     )
 
 
@@ -483,8 +451,7 @@ def app_spec():
         space=space,
         evaluate=evaluate,
         reference=stencil_check_reference,
-        check_case=stencil_check_case,
-        perf_case=stencil_perf_case,
+        case=stencil_case,
         paper_config={"layout": "brick"},
         description="3-D stencil data-layout sweep (Figure 12c)",
     ))

@@ -24,8 +24,7 @@ __all__ = [
     "generate_transpose",
     "run_transpose",
     "transpose_check_reference",
-    "transpose_check_case",
-    "transpose_perf_case",
+    "transpose_case",
     "transpose_time",
     "transpose_throughput",
     "transpose_table",
@@ -38,16 +37,21 @@ def transpose_check_reference(config, inputs) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(inputs["matrix"]).T)
 
 
-def transpose_check_case(config, rng, device=None):
+def transpose_case(config, rng, device=None):
     """A small full-grid transpose interpreted from the generated MLIR.
 
     The emitted module hard-codes the problem size in its memref types, so
-    the check configuration keeps the variant/skew/tile axes and shrinks
-    ``n`` to two tiles per side — the differential runner regenerates the
-    kernel at this size (its ``generate_params`` projection differs from the
-    sampled configuration's).  CUDA-SDK rows are evaluation-only baselines.
+    the case configuration keeps the variant/skew/tile axes and shrinks
+    ``n`` to two tiles per side — the runner regenerates the kernel at this
+    size (its ``generate_params`` projection differs from the sampled
+    configuration's).  CUDA-SDK rows are evaluation-only baselines.
+
+    Coalescing behaviour and bank conflicts are per-tile properties, so the
+    two-tiles-per-side execution measures them exactly; the recorded cost
+    extrapolates to the app's target problem by the ratio of tile counts.
+    A transpose is a single kernel launch at any size.
     """
-    from .registry import CheckCase
+    from .registry import Case
 
     if config.get("generator", "lego") != "lego":
         return None
@@ -58,37 +62,15 @@ def transpose_check_case(config, rng, device=None):
     def execute(kernel, device=None):
         return run_transpose(kernel, matrix, cfg, device=device)
 
-    return CheckCase(
-        config={"n": cfg.n, "tile": tile, "variant": config.get("variant", "smem"),
-                "skew": config.get("skew", 1), "generator": "lego"},
+    resolved = {"n": cfg.n, "tile": tile, "variant": config.get("variant", "smem"),
+                "skew": config.get("skew", 1), "generator": "lego"}
+    target_n = config.get("n", 2048)
+    return Case(
+        config=resolved,
         inputs={"matrix": matrix},
         execute=execute,
-    )
-
-
-def transpose_perf_case(config, rng, device=None):
-    """The measured-profiling case: the check problem plus extrapolation.
-
-    Coalescing behaviour and bank conflicts are per-tile properties, so the
-    check-size execution (two tiles per side) measures them exactly; the
-    recorded cost extrapolates to the app's target problem by the ratio of
-    tile counts.  A transpose is a single kernel launch at any size.
-    """
-    from .registry import PerfCase
-
-    case = transpose_check_case(config, rng, device=device)
-    if case is None:
-        return None
-    target_n = config.get("n", 2048)
-    case_blocks = (case.config["n"] // case.config["tile"]) ** 2
-    target_blocks = (target_n // case.config["tile"]) ** 2
-    return PerfCase(
-        config=case.config,
-        inputs=case.inputs,
-        execute=case.execute,
-        scale=target_blocks / case_blocks,
-        launches=1,
-        target_config={**case.config, "n": target_n},
+        scale=(target_n // tile) ** 2 / (cfg.n // tile) ** 2,
+        target_config={**resolved, "n": target_n},
     )
 
 
@@ -246,8 +228,7 @@ def app_spec():
         generate=generate,
         generate_params=("n", "tile", "variant", "skew", "generator"),
         reference=transpose_check_reference,
-        check_case=transpose_check_case,
-        perf_case=transpose_perf_case,
+        case=transpose_case,
         # the skew axis is not part of the asserted contract: at tiles where
         # the conflict term stays under the DRAM bound the two skews tie and
         # the op-count tie-break prefers the simpler row-major tile; the

@@ -9,8 +9,10 @@ executable one:
   result against the app's NumPy reference model
   (:attr:`~repro.apps.registry.AppSpec.reference`) within per-dtype
   tolerances, returning a structured :class:`CheckReport`;
-  :func:`run_case` is the "seed, build the case, resolve the kernel,
-  execute under the engine" prefix it shares with :func:`repro.perf.profile`;
+  :func:`run_case` ("seed, build the case, resolve the kernel, execute
+  under the engine") and :func:`judge_case` (output vs reference) are the
+  two halves it shares with :func:`repro.perf.profile`, which verifies the
+  one execution it measures;
 * :mod:`repro.check.fuzz` — property-based fuzzing of the symbolic layer:
   random expression trees with random integer bindings assert that
   ``simplify`` / ``simplify_fixpoint`` / the Python printer / the full
@@ -36,6 +38,7 @@ from .runner import (
     check_app,
     check_kernel,
     differential_verifier,
+    judge_case,
     resolve_case_kernel,
     run_case,
     run_check,
@@ -54,6 +57,7 @@ __all__ = [
     "sample_configs",
     "resolve_case_kernel",
     "run_case",
+    "judge_case",
     "run_check",
     "check_kernel",
     "check_app",

@@ -4,14 +4,14 @@ The golden-kernel tests pin correctness by byte-identical kernel *text*; a
 rewrite-engine or backend bug that changes semantics while the goldens stay
 untouched (a new simplify rule, a cost-weight variant flip) would ship
 silently.  This module converts that textual safety net into an executable
-one: every registered application carries a NumPy **reference model** and a
-**check case** builder (:class:`~repro.apps.registry.AppSpec.reference` /
-``check_case``), and :func:`run_check`
+one: every registered application carries a NumPy **reference model** and
+one **case** builder (:class:`~repro.apps.registry.AppSpec.reference` /
+``case``), and :func:`run_check`
 
-1. builds a small *full-launch* check case from a configuration (kernel
+1. builds a small *full-launch* case from a configuration (kernel
    -determining axes intact, problem sizes shrunk),
 2. generates the kernel through the app's generator — or the compilation
-   service when one is passed — regenerating at the check size when the
+   service when one is passed — regenerating at the case size when the
    downsizing changed a kernel-determining axis,
 3. executes it on the matching substrate (Triton -> ``minitriton.launch``,
    CUDA -> ``minicuda``, MLIR -> ``mlir.interp``) — every launch runs its
@@ -19,7 +19,11 @@ one: every registered application carries a NumPy **reference model** and a
 4. asserts the output matches the reference within per-dtype tolerances and
    returns a structured :class:`CheckReport`.
 
-Every check derives its inputs from ``(seed, app, configuration)`` through
+Steps 1-3 are :func:`run_case` and step 4 is :func:`judge_case`;
+:func:`repro.perf.profile` calls the same two on the one execution it
+measures, so a measured configuration needs no second launch to be verified.
+
+Every case derives its inputs from ``(seed, app, configuration)`` through
 SHA-256 — *never* from interpreter hash randomisation or module-level RNG
 state — so any reported failure reproduces from the printed seed.
 """
@@ -45,6 +49,7 @@ __all__ = [
     "sample_configs",
     "resolve_case_kernel",
     "run_case",
+    "judge_case",
     "run_check",
     "check_kernel",
     "check_app",
@@ -271,15 +276,14 @@ def _compare(report: CheckReport, actual, reference) -> CheckReport:
     return report
 
 
-def run_case(spec: AppSpec, builder, config: Mapping, *, seed_parts: tuple,
+def run_case(spec: AppSpec, config: Mapping, *, seed: int,
              device=None, kernel=None, service=None):
-    """Build one case of ``config`` and execute it on its substrate.
+    """Build the case of ``config`` and execute it on its substrate.
 
     The prefix :func:`run_check` and :func:`repro.perf.profile` share: seed
-    a NumPy generator from ``seed_parts`` and the configuration, build the
-    case with ``builder`` (``spec.check_case`` or ``spec.perf_case``),
-    resolve the kernel (:func:`resolve_case_kernel`) and execute under the
-    ambient :mod:`repro.vm` engine mode.  ``device``
+    a NumPy generator from ``(seed, app, configuration)``, build the case
+    with ``spec.case``, resolve the kernel (:func:`resolve_case_kernel`)
+    and execute under the ambient :mod:`repro.vm` engine mode.  ``device``
     is the :class:`~repro.gpusim.DeviceSpec` the builder sizes the case for
     and the substrate records its trace at; ``None`` keeps the CUDA
     defaults.  Returns ``(case, kernel, output, trace)``, or ``None`` when
@@ -290,9 +294,9 @@ def run_case(spec: AppSpec, builder, config: Mapping, *, seed_parts: tuple,
     from ..vm.engine import engine_mode
 
     rng = np.random.default_rng(
-        stable_seed(*seed_parts, {k: config[k] for k in sorted(config)})
+        stable_seed(seed, spec.name, {k: config[k] for k in sorted(config)})
     )
-    case = builder(dict(config), rng, device=device)
+    case = spec.case(dict(config), rng, device=device)
     if case is None:
         return None
     with span("perf.resolve", "perf", app=spec.name):
@@ -301,6 +305,19 @@ def run_case(spec: AppSpec, builder, config: Mapping, *, seed_parts: tuple,
               kernel=getattr(use, "name", "") or spec.name):
         output, trace = case.execute(use, device=device)
     return case, use, output, trace
+
+
+def judge_case(spec: AppSpec, config: Mapping, run, *, seed: int) -> CheckReport:
+    """The verdict on one executed case: its output against ``spec.reference``.
+
+    ``run`` is what :func:`run_case` returned for ``config`` under ``seed``.
+    """
+    case, use, output, trace = run
+    report = CheckReport(app=spec.name, backend=spec.backend, config=dict(config), seed=seed,
+                         check_config=dict(case.config), kernel=getattr(use, "name", "") or "")
+    if trace is not None:
+        report.trace = _trace_counters(trace)
+    return _compare(report, output, spec.reference(case.config, case.inputs))
 
 
 def _check(spec: AppSpec, config: Mapping, *, seed: int, kernel, service) -> CheckReport:
@@ -314,33 +331,26 @@ def _check(spec: AppSpec, config: Mapping, *, seed: int, kernel, service) -> Che
 
 def _check_inner(spec: AppSpec, config: Mapping, *, seed: int, kernel, service) -> CheckReport:
     report = CheckReport(app=spec.name, backend=spec.backend, config=dict(config), seed=seed)
-    if spec.check_case is None or spec.reference is None:
-        report.reason = "app registers no reference model / check case"
+    if spec.case is None or spec.reference is None:
+        report.reason = "app registers no reference model / case builder"
         return report
     try:
-        run = run_case(spec, spec.check_case, config, seed_parts=(seed, spec.name),
-                       kernel=kernel, service=service)
+        run = run_case(spec, config, seed=seed, kernel=kernel, service=service)
         if run is None:
             report.reason = "configuration selects no executable kernel"
             return report
-        case, use, output, trace = run
-        report.check_config = dict(case.config)
-        report.kernel = getattr(use, "name", "") or ""
-        if trace is not None:
-            report.trace = _trace_counters(trace)
-        reference = spec.reference(case.config, case.inputs)
+        return judge_case(spec, config, run, seed=seed)
     except Exception as exc:  # noqa: BLE001 - a config the app cannot build or execute is a failure
         report.status = "failed"
         report.reason = f"{type(exc).__name__}: {exc}"
         return report
-    return _compare(report, output, reference)
 
 
 def run_check(app, config: Mapping, *, seed: int = 0, service=None) -> CheckReport:
     """Differentially check one ``(app, config)`` pair end to end.
 
     Generates the kernel (through ``service`` when given, else inline),
-    executes the app's check case on its substrate and compares against the
+    executes the app's case on its substrate and compares against the
     NumPy reference model.  Never raises on a mismatch — the outcome is the
     returned :class:`CheckReport` (use :func:`differential_verifier` for the
     raising form the compilation service hooks into).
@@ -352,7 +362,7 @@ def check_kernel(app, config: Mapping, kernel, *, seed: int = 0) -> CheckReport:
     """Differentially check an already-compiled kernel for ``config``.
 
     Used by the service's first-compilation hook: the freshly compiled
-    kernel is executed directly when the check case preserves its
+    kernel is executed directly when the case preserves its
     kernel-determining axes, and a downsized twin is regenerated through the
     same generator otherwise.
     """

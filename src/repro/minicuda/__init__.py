@@ -19,7 +19,7 @@ NumPy-backed execution model that
 
 Every launch runs its whole grid: functional correctness and performance
 estimation read the same small full launch, and :mod:`repro.perf`
-extrapolates the cost to the paper-scale problem (``PerfCase.scale``).
+extrapolates the cost to the paper-scale problem (``Case.scale``).
 """
 
 from .runtime import BlockContext, CudaTrace, Dim3, launch

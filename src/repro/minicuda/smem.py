@@ -50,33 +50,27 @@ def _bump_global(trace, is_store: bool, count: float, nbytes: float, transaction
         trace.load_transactions += transactions
 
 
-class SharedArray:
-    """A shared-memory array addressed by logical indices through a layout.
+class _LayoutArray:
+    """Logical indexing through a layout table, shared by every array here.
 
     ``shape`` is the logical shape the kernel indexes with; ``layout`` (a
     concrete :class:`repro.core.GroupBy`, or ``None`` for row-major) maps the
-    logical index to the physical word the element lives in.  Accesses take
-    per-thread NumPy index arrays; each access is split into warps and its
-    bank-conflict degree recorded into the launch trace.
+    logical index to the physical word the element lives in.  Subclasses
+    own ``data`` — physical words along the last axis — and the recording.
     """
 
-    def __init__(self, shape: Sequence[int], dtype=np.float32, layout=None, name: str = "smem", context=None):
+    def __init__(self, shape: Sequence[int], dtype, layout, name: str):
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
         self.name = name
         self.layout = layout
         self._table = _layout_table(layout, self.shape)
-        size = 1
-        for extent in self.shape:
-            size *= extent
-        self.data = np.zeros(size, dtype=self.dtype)
-        self._context = context
+        self.size = int(np.prod(self.shape, dtype=np.int64))
 
     @property
     def nbytes(self) -> int:
-        return int(self.data.nbytes)
-
-    # -- index handling -----------------------------------------------------------
+        """Bytes of one logical copy (per block, for the batched shared array)."""
+        return self.size * self.dtype.itemsize
 
     def _physical(self, indices: tuple) -> np.ndarray:
         """Map per-thread logical indices to physical element offsets."""
@@ -96,6 +90,33 @@ class SharedArray:
         if self._table is None:
             return logical_flat
         return self._table[logical_flat]
+
+    def to_numpy(self) -> np.ndarray:
+        """The logical-view contents (undoing the layout), as a dense array."""
+        shape = self.data.shape[:-1] + self.shape
+        if self._table is None:
+            return self.data.reshape(shape).copy()
+        return self.data[..., self._table].reshape(shape)
+
+    def __repr__(self) -> str:
+        layout_name = "row-major" if self.layout is None else repr(self.layout)
+        return f"{type(self).__name__}({self.name}, shape={self.shape}, layout={layout_name})"
+
+
+class SharedArray(_LayoutArray):
+    """A shared-memory array addressed by logical indices through a layout.
+
+    Accesses take per-thread NumPy index arrays; each access is split into
+    warps and its bank-conflict degree recorded into the launch trace.
+    """
+
+    def __init__(self, shape: Sequence[int], dtype=np.float32, layout=None, name: str = "smem", context=None):
+        super().__init__(shape, dtype, layout, name)
+        self._context = context
+        self.data = self._allocate()
+
+    def _allocate(self) -> np.ndarray:
+        return np.zeros(self.size, dtype=self.dtype)
 
     def _record(self, physical: np.ndarray, is_store: bool) -> None:
         ctx = self._context
@@ -135,20 +156,8 @@ class SharedArray:
             indices = (indices,)
         self.store(value, *indices)
 
-    def to_numpy(self) -> np.ndarray:
-        """The logical-view contents (undoing the layout), as a dense array."""
-        if self._table is None:
-            return self.data.reshape(self.shape).copy()
-        logical = np.empty_like(self.data)
-        logical[np.arange(self.data.size)] = self.data[self._table]
-        return logical.reshape(self.shape)
 
-    def __repr__(self) -> str:
-        layout_name = "row-major" if self.layout is None else repr(self.layout)
-        return f"SharedArray({self.name}, shape={self.shape}, layout={layout_name})"
-
-
-class GlobalArray:
+class GlobalArray(_LayoutArray):
     """A global-memory array with per-warp sector-transaction accounting.
 
     ``layout`` (optional, concrete) redirects logical indices to physical
@@ -158,12 +167,8 @@ class GlobalArray:
 
     def __init__(self, array: np.ndarray, layout=None, name: str = "gmem", sector_bytes: int = 32):
         array = np.asarray(array)
-        self.shape = array.shape
-        self.dtype = array.dtype
-        self.name = name
-        self.layout = layout
+        super().__init__(array.shape, array.dtype, layout, name)
         self.sector_bytes = sector_bytes
-        self._table = _layout_table(layout, tuple(int(s) for s in array.shape))
         logical_flat = np.ascontiguousarray(array).reshape(-1).copy()
         if self._table is None:
             self.data = logical_flat
@@ -171,28 +176,6 @@ class GlobalArray:
             # scatter the logical contents into their physical positions
             self.data = np.empty_like(logical_flat)
             self.data[self._table] = logical_flat
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.data.nbytes)
-
-    def _physical(self, indices: tuple) -> np.ndarray:
-        if len(indices) != len(self.shape):
-            raise ValueError(
-                f"{self.name} has {len(self.shape)} logical dimensions, got {len(indices)} indices"
-            )
-        arrays = [np.asarray(idx, dtype=np.int64) for idx in indices]
-        arrays = np.broadcast_arrays(*arrays)
-        for axis, (arr, extent) in enumerate(zip(arrays, self.shape)):
-            if arr.size and (arr.min() < 0 or arr.max() >= extent):
-                raise IndexError(
-                    f"{self.name}: axis {axis} index out of range [0, {extent}) "
-                    f"(got [{arr.min()}, {arr.max()}])"
-                )
-        logical_flat = np.asarray(flatten_index(arrays, self.shape), dtype=np.int64)
-        if self._table is None:
-            return logical_flat
-        return self._table[logical_flat]
 
     def _record(self, ctx, physical: np.ndarray, is_store: bool) -> None:
         if ctx is None:
@@ -224,15 +207,3 @@ class GlobalArray:
         physical = self._physical(indices)
         self._record(ctx, physical, is_store=True)
         self.data[physical] = np.broadcast_to(np.asarray(value, dtype=self.dtype), physical.shape)
-
-    def to_numpy(self) -> np.ndarray:
-        """The logical-view contents (undoing the layout), as a dense array."""
-        if self._table is None:
-            return self.data.reshape(self.shape).copy()
-        logical = np.empty_like(self.data)
-        logical[np.arange(self.data.size)] = self.data[self._table]
-        return logical.reshape(self.shape)
-
-    def __repr__(self) -> str:
-        layout_name = "row-major" if self.layout is None else repr(self.layout)
-        return f"GlobalArray({self.name}, shape={self.shape}, layout={layout_name})"

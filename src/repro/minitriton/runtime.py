@@ -14,7 +14,7 @@ program instance, exactly mirroring Triton's execution model:
 
 Every launch runs the whole grid, so device buffers are always complete.
 Paper-scale problems are costed by tracing a small full launch and
-extrapolating with ``PerfCase.scale`` / ``KernelCost.scaled`` (:mod:`repro.perf`).
+extrapolating with ``Case.scale`` / ``KernelCost.scaled`` (:mod:`repro.perf`).
 """
 
 from __future__ import annotations

@@ -89,8 +89,7 @@ def run_instrumented_autotune(app: str = "matmul", measure_top_k: int = 3) -> di
     TRACER.clear()
     try:
         started = time.perf_counter()
-        result = search(spec, space=space, budget=None, measure_top_k=measure_top_k,
-                        train=False)
+        result = search(spec, space=space, budget=None, measure_top_k=measure_top_k)
         wall = time.perf_counter() - started
         events = TRACER.events()
         trace = TRACER.chrome_trace()

@@ -14,7 +14,8 @@ loop from execution back into tuning:
   (through :func:`repro.check.run_case`, the case machinery shared with the
   differential runner, and optionally a
   :class:`~repro.serve.CompileService`) and return a
-  :class:`KernelProfile`: measured cost, measured + extrapolated
+  :class:`KernelProfile`: the differential verdict on that execution's
+  output, measured cost, measured + extrapolated
   :class:`~repro.gpusim.TimeBreakdown`, the analytic estimate of the same
   problem and the disagreement between the two;
 * ``search(measure_top_k=...)`` / ``autotune(measure_top_k=...)``

@@ -1,7 +1,7 @@
 """``python -m repro.perf`` — the measured-profiling sweep.
 
 Draws randomized valid configurations from every app's search space (the
-paper-preferred configuration always included), executes each kernel's perf
+paper-preferred configuration always included), executes each kernel's
 case on its substrate, converts the trace into a measured
 :class:`~repro.gpusim.KernelCost` and compares the device-model time
 against the app's analytic estimate::
@@ -23,9 +23,11 @@ over-charge the cube stencils' neighbour reuse — every one of the
 hardware's L2 absorbs them; see DESIGN.md, "Measured profiling").
 
 Besides the sampled configurations the sweep always profiles the 125-point
-cube stencil (the widest launch of the eight apps) in both layouts, and
-every measured configuration is differentially verified through
-:mod:`repro.check`.  The substrates run under the ambient :mod:`repro.vm`
+cube stencil (the widest launch of the eight apps) in both layouts.  Every
+profile carries the differential verdict on the output of the execution it
+measured (:attr:`KernelProfile.check`), so a configuration is launched
+once; a disagreeing output is a failed profile, listed under
+``check_failures``.  The substrates run under the ambient :mod:`repro.vm`
 engine mode (``REPRO_VM=treewalk`` sweeps the reference interpreters).
 """
 
@@ -37,7 +39,6 @@ import sys
 from pathlib import Path
 
 from ..apps.registry import available_apps
-from ..check import run_check
 from ..vm.engine import engine_mode
 from .profile import profile, profile_all
 
@@ -120,22 +121,19 @@ def run_sweep(args: argparse.Namespace) -> dict:
         skipped += sum(1 for p in profiles if p.skipped)
         worst = max(worst, app_worst)
         errors_ok = errors_ok and app_errors_ok
-        for p in good:
-            check = run_check(name, p.config, seed=args.seed)
-            if check.status == "failed":
-                report["check_failures"].append(check.as_dict())
+        report["check_failures"].extend(
+            p.check.as_dict() for p in bad if p.check is not None)
     report["measured"] = measured
     report["failed"] = failed
     report["skipped"] = skipped
     report["max_analytic_error"] = worst
-    # the sweep is healthy when nothing errored, every app measured at least
-    # one kernel, no measured/analytic pair tripped its app's sanity bound,
-    # and every measured configuration passed differential verification
+    # the sweep is healthy when nothing errored or computed a wrong answer
+    # (both are failed profiles), every app measured at least one kernel and
+    # no measured/analytic pair tripped its app's sanity bound
     report["ok"] = (
         failed == 0
         and errors_ok
         and all(row["measured"] > 0 for row in report["apps"].values())
-        and not report["check_failures"]
     )
     return report
 

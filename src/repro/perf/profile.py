@@ -1,14 +1,16 @@
 """Measured profiling: execute a kernel on its substrate, return its cost.
 
 :func:`profile` is to performance what :func:`repro.check.run_check` is to
-correctness — and it deliberately reuses the same machinery: the app's
-case builder (:attr:`~repro.apps.registry.AppSpec.perf_case`, falling back
-to ``check_case``) produces a small full-launch problem, the kernel is
-resolved and the case executed by :func:`repro.check.run_case`, the prefix
-both subsystems share (so a :class:`~repro.serve.CompileService` provides
-batching/dedup/caching when one is passed), and the
-recorded trace becomes a measured :class:`~repro.gpusim.KernelCost`
-through :func:`repro.perf.adapters.trace_to_cost`.
+correctness — and it is the same execution: the app's one case builder
+(:attr:`~repro.apps.registry.AppSpec.case`) produces a small full-launch
+problem, the kernel is resolved and the case executed by
+:func:`repro.check.run_case`, the prefix both subsystems share (so a
+:class:`~repro.serve.CompileService` provides batching/dedup/caching when
+one is passed), the output is compared against the app's reference model
+(:func:`repro.check.judge_case` — a disagreeing output is a ``failed``
+profile, so no wrong kernel is ever ranked by its speed) and the recorded
+trace becomes a measured :class:`~repro.gpusim.KernelCost` through
+:func:`repro.perf.adapters.trace_to_cost`.
 
 Two time figures come out of every profile:
 
@@ -35,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from ..apps.registry import AppSpec, PerfCase, available_apps, get_app
-from ..check.runner import run_case, sample_configs
+from ..apps.registry import AppSpec, available_apps, get_app
+from ..check.runner import CheckReport, judge_case, run_case, sample_configs
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, TimeBreakdown, estimate_time
 from ..obs.trace import span
 from ..vm.engine import engine_mode
@@ -75,9 +77,12 @@ class KernelProfile:
     analytic_seconds: float = 0.0
     #: ``max(measured, analytic) / min(measured, analytic)`` (>= 1)
     analytic_error: float = 1.0
-    #: extrapolation bookkeeping (see :class:`~repro.apps.registry.PerfCase`)
+    #: extrapolation bookkeeping (see :class:`~repro.apps.registry.Case`)
     scale: float = 1.0
     launches: int = 1
+    #: the differential verdict on the output of the measured execution
+    #: (``None``: nothing executed, or the app registers no reference model)
+    check: CheckReport | None = None
     #: measured memory behaviour (coalescing efficiency, conflict factor, ...)
     metrics: dict = field(default_factory=dict)
 
@@ -95,6 +100,7 @@ class KernelProfile:
         return self.status == "skipped"
 
     def as_dict(self) -> dict:
+        check = self.check
         return {
             "app": self.app,
             "backend": self.backend,
@@ -116,6 +122,11 @@ class KernelProfile:
             "scale": self.scale,
             "launches": self.launches,
             "metrics": dict(self.metrics),
+            "check": None if check is None else {
+                "status": check.status,
+                "max_abs_error": check.max_abs_error,
+                "max_rel_error": check.max_rel_error,
+            },
         }
 
     def summary(self) -> str:
@@ -154,14 +165,15 @@ def profile(
     seed: int = 0,
     service=None,
 ) -> KernelProfile:
-    """Measure one ``(app, config)`` pair end to end.
+    """Measure — and verify — one ``(app, config)`` pair in one execution.
 
-    Builds the app's perf case (falling back to its check case), resolves
-    the kernel (through ``service`` when given), executes on the matching
-    substrate (:func:`repro.check.run_case`, under the ambient
-    :mod:`repro.vm` engine mode, which the profile records) and converts the
-    trace into a measured cost + breakdown.  Never raises on a substrate or
-    model failure — the outcome is the returned :class:`KernelProfile`.
+    Builds the app's case, resolves the kernel (through ``service`` when
+    given), executes on the matching substrate (:func:`repro.check.run_case`,
+    under the ambient :mod:`repro.vm` engine mode, which the profile
+    records), compares the output against the app's reference model
+    (:attr:`KernelProfile.check`) and converts the trace into a measured
+    cost + breakdown.  Never raises on a substrate, model or verification
+    failure — the outcome is the returned :class:`KernelProfile`.
     """
     spec = _resolve(app)
     report = KernelProfile(app=spec.name, backend=spec.backend, config=dict(config),
@@ -175,31 +187,32 @@ def profile(
 
 def _profile_inner(spec: AppSpec, config: Mapping, report: KernelProfile, *,
                    device: DeviceSpec, seed: int, service) -> None:
-    builder = spec.perf_case or spec.check_case
-    if builder is None:
-        report.reason = "app registers neither perf_case nor check_case"
+    if spec.case is None:
+        report.reason = "app registers no case builder"
         return
     try:
-        run = run_case(spec, builder, config, seed_parts=(seed, "perf", spec.name),
-                       device=device, service=service)
+        run = run_case(spec, config, seed=seed, device=device, service=service)
         if run is None:
             report.reason = "configuration selects no executable kernel"
             return
         case, kernel, _, trace = run
         report.case_config = dict(case.config)
         report.kernel = getattr(kernel, "name", "") or ""
-        report.target_config = dict(case.config)
-        overrides: dict = {"name": report.kernel or spec.name}
-        if isinstance(case, PerfCase):  # a check case is measured as executed
-            report.target_config = dict(case.target_config or case.config)
-            report.scale = float(case.scale)
-            report.launches = int(case.launches)
-            overrides.update(dtype=case.dtype, tensor_core=case.tensor_core)
+        report.target_config = dict(case.target_config or case.config)
+        report.scale = float(case.scale)
+        report.launches = int(case.launches)
+        if spec.reference is not None:
+            report.check = judge_case(spec, config, run, seed=seed)
+            if report.check.status == "failed":
+                report.status = "failed"
+                report.reason = report.check.reason
+                return
         if trace is None:
             report.reason = "substrate records no trace for this app"
             return
         with span("perf.adapt", "perf", app=spec.name):
-            cost = trace_to_cost(trace, device, **overrides)
+            cost = trace_to_cost(trace, device, name=report.kernel or spec.name,
+                                 dtype=case.dtype, tensor_core=case.tensor_core)
             report.measured_cost = cost
             report.measured = estimate_time(cost, device)
             full_cost = replace(cost.scaled(report.scale), launches=report.launches)

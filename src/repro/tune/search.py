@@ -1,7 +1,7 @@
 """The tuning driver: one fidelity ladder from a search space to a winner.
 
 :func:`search` is the only driver; :func:`autotune` is its exhaustive
-spelling (whole space, no learned model, nothing persisted beyond the
+spelling (whole space, no profile store, nothing persisted beyond the
 evaluation cache).  Each rung scores geometrically fewer candidates with a
 strictly more expensive scorer:
 
@@ -19,12 +19,15 @@ strictly more expensive scorer:
    evict the analytic leader.
 3. **Draining measured re-rank** — :func:`measure_candidates` profiles the
    survivors on their substrate through :func:`repro.perf.profile` with
-   per-candidate fault isolation: a skipped or failed profile demotes that
-   candidate (it keeps its analytic rank and records the outcome in its
-   metrics), frees its slot for the next-ranked one and never kills the
-   sweep.
-4. **Verification** (``verify_top_k``) — the winners are differentially
-   checked through :mod:`repro.check` before the result is handed out.
+   per-candidate fault isolation: a skipped or failed profile — a launch
+   that raised, or one whose output disagrees with the app's reference
+   model — demotes that candidate (it keeps its analytic rank and records
+   the outcome in its metrics), frees its slot for the next-ranked one and
+   never kills the sweep.
+4. **Verification** (``verify_top_k``) — the winners' differential verdicts
+   are collected before the result is handed out: the one the measured
+   rung recorded for the execution it timed, a :mod:`repro.check` launch
+   only for winners it did not execute.
 5. **Persistence** — winners land in a :class:`~repro.tune.tables.TuningTable`
    and profiles in a :class:`~repro.tune.model.ProfileStore`, both in the
    durable cache tier, keyed per device: searching the zoo
@@ -147,7 +150,6 @@ def search(
     service=None,
     profile_store: ProfileStore | None = None,
     table: TuningTable | None = None,
-    train: bool = True,
     verify_top_k: int = 0,
 ) -> TuneResult:
     """Tune one app on one device, end to end (see the module docstring).
@@ -170,17 +172,19 @@ def search(
     Candidates whose configuration selects nothing executable (external
     baselines) keep their analytic rank below every measured candidate.
     The measurements run under the ambient :mod:`repro.vm` engine mode,
-    recorded in :attr:`TuneResult.engine`.  The learned model comes from
-    ``profile_store`` — or, when ``train`` is set, from a store over
-    ``cache`` — and ``train`` records the new profiles into it and refits;
-    with neither, the learned rung is off.  The winner is recorded in
-    ``table`` keyed ``app x device x problem scale``.
+    recorded in :attr:`TuneResult.engine`.  With a ``profile_store`` the
+    learned rung is on: its model re-scores the analytic leaders, the new
+    profiles are recorded into it and the model is refitted; without one
+    nothing is learned or recorded.  The winner is recorded in ``table``
+    keyed ``app x device x problem scale``.
 
-    ``verify_top_k`` differentially checks the ``k`` best-ranked (measured,
-    when measurement ran) configurations before returning — a sweep must
-    not hand out a winner whose kernel computes the wrong answer — and
-    raises :class:`repro.check.CheckFailure` on the first mismatch; the
-    reports (skips for evaluation-only baselines included) land in
+    ``verify_top_k`` collects the differential verdict of the ``k``
+    best-ranked (measured, when measurement ran) configurations before
+    returning — a sweep must not hand out a winner whose kernel computes
+    the wrong answer — and raises :class:`repro.check.CheckFailure` on the
+    first mismatch.  A configuration the measured rung executed was judged
+    on that execution and is not launched again; the reports (skips for
+    evaluation-only baselines included) land in
     :attr:`TuneResult.verification`.  ``seed`` makes the sample and the
     measured and verified inputs reproducible.  ``service`` overrides the
     shared :func:`repro.serve.default_service` used to generate the kernels
@@ -193,7 +197,8 @@ def search(
     # defines __len__, so a fresh store is falsy and the warm-sweep contract
     # (pass the same cache twice, second sweep replays) would silently break
     cache = cache if cache is not None else ResultCache()
-    store = ProfileStore(cache) if profile_store is None and train else profile_store
+    # id(candidate) -> the verdict on the execution the measured rung timed
+    verdicts: dict = {}
 
     started = time.perf_counter()
     with span("tune.search", "tune", app=spec.name, device=device_spec.name,
@@ -226,7 +231,8 @@ def search(
             stage_started = time.perf_counter()
             ranking = result.ranked
             survivors = ranking[:measure_top_k]
-            model = store.model(spec.name, device_spec.name) if store is not None else None
+            model = (profile_store.model(spec.name, device_spec.name)
+                     if profile_store is not None else None)
             if model is not None:
                 with span("search.model", "search", app=spec.name, samples=model.samples):
                     window = ranking[:max(4 * measure_top_k, 16)]
@@ -258,11 +264,14 @@ def search(
                     batch_profiles = measure_candidates(spec, batch, device=device_spec,
                                                         seed=seed, service=service)
                     result.profiles.extend(batch_profiles)
-                    if train:
-                        for candidate, kernel_profile in zip(batch, batch_profiles):
-                            store.record(kernel_profile, candidate, device=device_spec.name)
-                if train:
-                    store.train(spec.name, device_spec.name)
+                    for candidate, kernel_profile in zip(batch, batch_profiles):
+                        if kernel_profile.check is not None:
+                            verdicts[id(candidate)] = kernel_profile.check
+                        if profile_store is not None:
+                            profile_store.record(kernel_profile, candidate,
+                                                 device=device_spec.name)
+                if profile_store is not None:
+                    profile_store.train(spec.name, device_spec.name)
             result.stage_seconds["measure"] = time.perf_counter() - stage_started
 
         if verify_top_k > 0:
@@ -270,7 +279,8 @@ def search(
 
             with span("check.verify", "check", app=spec.name, top_k=verify_top_k):
                 for candidate in result.ranked[:verify_top_k]:
-                    report = run_check(spec, candidate.config, seed=seed, service=service)
+                    report = verdicts.get(id(candidate)) or run_check(
+                        spec, candidate.config, seed=seed, service=service)
                     result.verification.append(report)
                     if report.status == "failed":
                         raise CheckFailure(report)
@@ -297,8 +307,8 @@ def autotune(
 ) -> TuneResult:
     """Sweep an app's whole configuration space and rank every candidate.
 
-    The exhaustive spelling of :func:`search`: no budget, no learned model,
-    no training, no tuning table — ``result.evaluations`` holds the full
+    The exhaustive spelling of :func:`search`: no budget, no profile store,
+    no tuning table — ``result.evaluations`` holds the full
     space in enumeration order and ``result.best.config`` is the winning
     configuration.  ``measure_top_k`` turns the sweep into two-stage tuning
     (the analytic leaders re-ranked by measured cost, inputs seeded by
@@ -309,8 +319,7 @@ def autotune(
               measure_top_k=measure_top_k, verify_top_k=verify_top_k) as root:
         result = search(
             spec, device=device, space=space, budget=None, measure_top_k=measure_top_k,
-            seed=measure_seed, cache=cache, service=service,
-            train=False, verify_top_k=verify_top_k,
+            seed=measure_seed, cache=cache, service=service, verify_top_k=verify_top_k,
         )
         root.add(candidates=len(result))
     return result

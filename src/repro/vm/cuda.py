@@ -33,10 +33,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.bijection import flatten_index
 from ..gpusim.sharedmem import chunk_keys, grouped_conflict_degrees, grouped_unique_count
 from ..minicuda.runtime import BlockContext, CudaTrace, Dim3
-from ..minicuda.smem import _bump_global, _layout_table
+from ..minicuda.smem import SharedArray, _bump_global
 from .engine import TREEWALK_HINT
 
 __all__ = ["BatchedBlockContext", "launch_batched"]
@@ -58,50 +57,20 @@ def _per_block_values(raw: np.ndarray, batch: int, block_shape: tuple) -> np.nda
     return np.broadcast_to(raw, (batch,) + tuple(block_shape))
 
 
-class BatchedSharedArray:
+class BatchedSharedArray(SharedArray):
     """Per-block shared memory for a batched context: ``data`` is ``(B, words)``.
 
-    Mirrors :class:`repro.minicuda.SharedArray` — logical indexing through
-    the same layout table, identical byte and bank-conflict accounting —
-    but holds every active block's buffer as one row.
+    A :class:`repro.minicuda.SharedArray` — logical indexing through the
+    same layout table, identical byte and bank-conflict accounting — that
+    holds every active block's buffer as one row.
     """
 
-    def __init__(self, shape: Sequence[int], dtype=np.float32, layout=None,
-                 name: str = "smem", context=None):
-        self.shape = tuple(int(s) for s in shape)
-        self.dtype = np.dtype(dtype)
-        self.name = name
-        self.layout = layout
-        self._table = _layout_table(layout, self.shape)
-        size = 1
-        for extent in self.shape:
-            size *= extent
-        self._context = context
-        self.batch = context._batch
-        self.data = np.zeros((self.batch, size), dtype=self.dtype)
+    def _allocate(self) -> np.ndarray:
+        return np.zeros((self._context._batch, self.size), dtype=self.dtype)
 
     @property
-    def nbytes(self) -> int:
-        """Bytes *per block*, matching the tree-walk allocation accounting."""
-        return int(self.data.nbytes // self.batch)
-
-    def _physical(self, indices: tuple) -> np.ndarray:
-        if len(indices) != len(self.shape):
-            raise ValueError(
-                f"{self.name} has {len(self.shape)} logical dimensions, got {len(indices)} indices"
-            )
-        arrays = [np.asarray(idx, dtype=np.int64) for idx in indices]
-        arrays = np.broadcast_arrays(*arrays)
-        for axis, (arr, extent) in enumerate(zip(arrays, self.shape)):
-            if arr.size and (arr.min() < 0 or arr.max() >= extent):
-                raise IndexError(
-                    f"{self.name}: axis {axis} index out of range [0, {extent}) "
-                    f"(got [{arr.min()}, {arr.max()}])"
-                )
-        logical_flat = np.asarray(flatten_index(arrays, self.shape), dtype=np.int64)
-        if self._table is None:
-            return logical_flat
-        return self._table[logical_flat]
+    def batch(self) -> int:
+        return self.data.shape[0]
 
     def _classify(self, physical: np.ndarray) -> bool:
         if physical.ndim == 2 and physical.shape[0] == self.batch:
@@ -149,25 +118,6 @@ class BatchedSharedArray:
             return
         values = _per_block_values(raw, self.batch, physical.shape)
         self.data[:, physical.reshape(-1)] = values.reshape(self.batch, -1)
-
-    def __getitem__(self, indices):
-        if not isinstance(indices, tuple):
-            indices = (indices,)
-        return self.load(*indices)
-
-    def __setitem__(self, indices, value):
-        if not isinstance(indices, tuple):
-            indices = (indices,)
-        self.store(value, *indices)
-
-    def to_numpy(self) -> np.ndarray:
-        """Every block's logical view: ``(B,) + logical shape``."""
-        if self._table is None:
-            return self.data.reshape((self.batch,) + self.shape).copy()
-        return self.data[:, self._table].reshape((self.batch,) + self.shape)
-
-    def __repr__(self) -> str:
-        return f"BatchedSharedArray({self.name}, B={self.batch}, shape={self.shape})"
 
 
 class _CompactedThreads:

@@ -244,15 +244,12 @@ class _BatchedLanguage:
         return float(np.asarray(x).size) * self._programs
 
     def _count_flops(self, x, per_element: float = 1.0) -> None:
-        if self._trace is not None:
-            self._trace.flops += self._size_of(x) * per_element
+        self._trace.flops += self._size_of(x) * per_element
 
     def _record_batched(self, offsets: np.ndarray, element_bytes: int,
                         is_store: bool, valid: np.ndarray | None = None) -> None:
         """Per-program sector dedup over a ``(P,) + block`` offset array."""
         trace = self._trace
-        if trace is None:
-            return
         programs = offsets.shape[0]
         flat = offsets.reshape(programs, -1)
         if valid is not None:
@@ -268,8 +265,6 @@ class _BatchedLanguage:
                         is_store: bool, valid: np.ndarray | None = None) -> None:
         """A program-uniform access repeats identically in every program."""
         trace = self._trace
-        if trace is None:
-            return
         flat = offsets.reshape(-1)
         if valid is not None:
             flat = flat[np.broadcast_to(valid, offsets.shape).reshape(-1)]
@@ -401,13 +396,12 @@ class _BatchedLanguage:
         if acc is not None:
             acc_raw = acc.data if isinstance(acc, BatchedTensor) else np.asarray(acc, dtype=np.float32)
             result = result + np.asarray(acc_raw, dtype=np.float32)
-        if self._trace is not None:
-            m, k = a_raw.shape[-2], a_raw.shape[-1]
-            n = b_raw.shape[-1]
-            flops = 2.0 * m * n * k * self._programs
-            self._trace.flops += flops
-            if a_raw.dtype == np.float16 or b_raw.dtype == np.float16:
-                self._trace.tensor_core_flops += flops
+        m, k = a_raw.shape[-2], a_raw.shape[-1]
+        n = b_raw.shape[-1]
+        flops = 2.0 * m * n * k * self._programs
+        self._trace.flops += flops
+        if a_raw.dtype == np.float16 or b_raw.dtype == np.float16:
+            self._trace.tensor_core_flops += flops
         if batched:
             return BatchedTensor(result, 2)
         return tl._as_tensor(result)
@@ -539,7 +533,7 @@ def launch_batched(
     kernel: Callable,
     grid3: tuple[int, int, int],
     kernel_args: Mapping[str, object],
-    run_trace: KernelTrace | None,
+    run_trace: KernelTrace,
     program_ids,
     sector_bytes: int,
 ) -> None:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.apps.registry import AppSpec, CheckCase, available_apps, get_app
+from repro.apps.registry import AppSpec, Case, available_apps, get_app
 from repro.check import (
     CheckFailure,
     check_all,
@@ -100,6 +100,25 @@ def test_check_kernel_regenerates_when_check_shrinks_kernel_axes():
     assert report.check_config["n"] == 16
 
 
+def test_lud_check_launches_the_coarsened_internal_wave(monkeypatch):
+    """LUD's check is the mini-CUDA internal kernel, not a NumPy mirror of it."""
+    from repro.apps import lud
+
+    config = {"block": 32, "cuda_block": 8}
+    report = run_check("lud", config, seed=0)
+    assert report.passed, report.summary()
+    assert report.trace["blocks"] > 0 and report.dtype == "float32"
+    real = lud._lud_internal_block_kernel
+
+    def collapsed_rows(ctx, m, offset, block):
+        ctx.ty = ctx.ty // 2 * 2  # i = r_i * T + ty now skips every odd row
+        real(ctx, m, offset, block)
+
+    monkeypatch.setattr(lud, "_lud_internal_block_kernel", collapsed_rows)
+    broken = run_check("lud", config, seed=0)
+    assert broken.status == "failed" and "disagrees" in broken.reason
+
+
 # -- substrate traces land in the report ---------------------------------------------------
 
 
@@ -110,7 +129,7 @@ def _adhoc_spec(execute):
         space=SearchSpace(Choice("x", (1,))),
         evaluate=lambda config, device=None: 1.0,
         reference=lambda config, inputs: np.zeros(4, dtype=np.float32),
-        check_case=lambda config, rng, device=None: CheckCase(
+        case=lambda config, rng, device=None: Case(
             config=dict(config), inputs={}, execute=execute),
     )
 

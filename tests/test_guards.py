@@ -5,6 +5,7 @@ import pytest
 
 from repro import codegen
 from repro.apps import lud, nw, stencil
+from repro.apps.registry import get_app
 from repro.codegen import (
     CodegenContext,
     GuardProofError,
@@ -85,7 +86,17 @@ def test_guard_proof_updates_counters():
 # -- LUD: static bijectivity --------------------------------------------------------
 
 
-@pytest.mark.parametrize("block,cuda_block", [(16, 16), (32, 16), (64, 16), (32, 8), (128, 32)])
+#: every (block, cuda_block) of the LUD space — the shapes whose static panels
+#: cannot launch (blocks 128/256) are skipped by the executed check, so the
+#: static proof is pinned for them here
+_LUD_SHAPES = sorted({
+    (c["block"], c["cuda_block"])
+    for c in get_app("lud").space.subspace(smem_layout=("row",), panel_layout=("row",),
+                                           unroll=(1,), prefetch=(0,), vector=(1,))
+})
+
+
+@pytest.mark.parametrize("block,cuda_block", _LUD_SHAPES)
 def test_lud_bijectivity_is_static_and_agrees_with_enumeration(block, cuda_block):
     cfg = lud.LudConfig(n=2 * block, block=block, cuda_block=cuda_block)
     kernel = lud.generate_lud_internal_kernel(cfg)

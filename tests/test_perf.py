@@ -12,8 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.apps.lud import LudConfig, lud_perf_case, run_lud_internal
-from repro.apps.registry import PerfCase, get_app
+from repro.apps.lud import LudConfig, lud_case, run_lud_internal
+from repro.apps.registry import Case, get_app
 from repro.apps.softmax import generate_softmax_kernel, run_softmax
 from repro.apps.transpose import TransposeConfig, generate_transpose, run_transpose
 from repro.gpusim import A100_80GB, KernelCost, occupancy_factor, warp_transactions
@@ -191,9 +191,9 @@ def test_lud_static_smem_limit_follows_the_device():
 
     roomy = replace(A100_80GB, max_static_smem_bytes=256 * 1024)
     rng = np.random.default_rng(0)
-    assert lud_perf_case({"block": 128, "cuda_block": 16}, rng) is None
-    case = lud_perf_case({"block": 128, "cuda_block": 16}, rng, device=roomy)
-    assert isinstance(case, PerfCase)
+    assert lud_case({"block": 128, "cuda_block": 16}, rng) is None
+    case = lud_case({"block": 128, "cuda_block": 16}, rng, device=roomy)
+    assert isinstance(case, Case)
 
 
 def test_adapter_charges_recorded_sector_granularity():
@@ -283,6 +283,84 @@ def test_profile_and_search_follow_the_ambient_engine():
             call()
 
 
+# -- one execution: what is measured is what is verified -------------------------------
+
+
+def _counting_spec(corrupt=()):
+    """Two candidates (x=1 leads analytically) that log every ``execute`` call;
+    configurations in ``corrupt`` return an output their reference disagrees with."""
+    from repro.apps.registry import AppSpec
+    from repro.minitriton.language import KernelTrace
+    from repro.tune.space import Choice, SearchSpace
+
+    calls = []
+
+    def case(config, rng, device=None):
+        x = rng.standard_normal(4).astype(np.float32)
+
+        def execute(kernel, device=None):
+            calls.append(config["x"])
+            trace = KernelTrace(programs=1, load_bytes=16.0, load_transactions=1.0, flops=4.0)
+            return (x + 1.0 if config["x"] in corrupt else x.copy()), trace
+
+        return Case(config=dict(config), inputs={"x": x}, execute=execute)
+
+    spec = AppSpec(name="adhoc", backend="triton", space=SearchSpace(Choice("x", (1, 2))),
+                   evaluate=lambda config, device=None: 1e-3 * config["x"],
+                   reference=lambda config, inputs: inputs["x"], case=case)
+    return spec, calls
+
+
+def test_profile_executes_its_case_once_and_carries_the_verdict():
+    spec, calls = _counting_spec()
+    report = profile(spec, {"x": 1})
+    assert report.ok and calls == [1]
+    assert report.check.passed and report.check.elements == 4
+    assert report.as_dict()["check"] == {"status": "passed", "max_abs_error": 0.0,
+                                         "max_rel_error": 0.0}
+
+
+def test_wrong_output_is_a_failed_profile_the_ladder_demotes():
+    from repro.check import CheckFailure
+    from repro.tune import search
+
+    spec, calls = _counting_spec(corrupt={1})
+    bad = profile(spec, {"x": 1})
+    assert bad.status == "failed" and "disagrees with the reference" in bad.reason
+    assert bad.check.status == "failed" and bad.measured is None
+    result = search(spec, measure_top_k=2)
+    assert [p.status for p in result.profiles] == ["failed", "measured"]
+    assert result.best.config == {"x": 2} and result.best.measured
+    assert result.ranked[-1].metrics["profile_status"] == "failed"
+    # the verdicts are read back, not re-executed: two more launches, then the raise
+    del calls[:]
+    with pytest.raises(CheckFailure):
+        search(spec, measure_top_k=2, verify_top_k=2)
+    assert sorted(calls) == [1, 2]
+
+
+def _vm_launches(run):
+    from repro.obs.trace import TRACER, tracing
+
+    with tracing(True):
+        TRACER.clear()
+        result = run()
+        return result, [e for e in TRACER.events() if e["name"] == "vm.execute"]
+
+
+def test_measured_configurations_launch_exactly_once():
+    from repro.perf.__main__ import main
+
+    tuned, launches = _vm_launches(
+        lambda: autotune("transpose", measure_top_k=3, verify_top_k=3))
+    assert tuned.measured == 3 and [r.status for r in tuned.verification] == ["passed"] * 3
+    assert len(launches) == 3  # verification read the measured rung's verdicts
+    report, launches = _vm_launches(
+        lambda: main(["--apps", "softmax,nw", "--samples", "1", "--json", "-"]))
+    assert report["ok"] and report["check_failures"] == []
+    assert len(launches) == report["measured"] > 0
+
+
 def test_profile_app_always_includes_the_preferred_config():
     profiles = profile_app("lud", samples=1)
     first = next(iter(get_app("lud").space))
@@ -292,9 +370,9 @@ def test_profile_app_always_includes_the_preferred_config():
 
 def test_lud_perf_case_rejects_static_smem_overflow():
     rng = np.random.default_rng(0)
-    assert lud_perf_case({"block": 128, "cuda_block": 16}, rng) is None
-    case = lud_perf_case({"block": 64, "cuda_block": 16}, rng)
-    assert isinstance(case, PerfCase)
+    assert lud_case({"block": 128, "cuda_block": 16}, rng) is None
+    case = lud_case({"block": 64, "cuda_block": 16}, rng)
+    assert isinstance(case, Case)
     nb = 2048 // 64
     assert case.scale == sum(j * j for j in range(1, nb))
     assert case.launches == 3 * nb

@@ -206,7 +206,7 @@ def test_autotune_and_search_share_one_evaluation_key():
 @pytest.mark.parametrize("app", available_apps())
 def test_autotune_is_search_over_the_whole_space(app):
     swept = autotune(app)
-    searched = search(app, budget=None, measure_top_k=0, train=False)
+    searched = search(app, budget=None, measure_top_k=0)
     assert type(swept) is type(searched) is TuneResult
     assert swept.strategy == searched.strategy == "exhaustive"
     assert swept.device == searched.device == "NVIDIA A100 80GB"
@@ -222,10 +222,10 @@ def test_autotune_is_search_over_the_whole_space(app):
 
 
 def test_registered_apps_share_one_calling_convention():
-    """evaluate(config, device=), builders (config, rng, device=), execute(kernel, device=)."""
+    """evaluate(config, device=), case(config, rng, device=), execute(kernel, device=)."""
     import numpy as np
 
-    from repro.apps.registry import CheckCase
+    from repro.apps.registry import Case
     from repro.check import resolve_case_kernel
     from repro.gpusim import A100_80GB, get_device
 
@@ -236,14 +236,12 @@ def test_registered_apps_share_one_calling_convention():
         on_h100 = spec.evaluate(config, device=h100)
         assert spec.evaluate(config) == spec.evaluate(config, device=A100_80GB)
         assert on_h100 != spec.evaluate(config), name  # the device is honoured
-        builders = [spec.check_case] + ([spec.perf_case] if spec.perf_case else [])
-        for builder in builders:
-            for device in (None, h100):
-                case = builder(dict(config), np.random.default_rng(0), device=device)
-                assert isinstance(case, CheckCase), (name, builder)
-                kernel = resolve_case_kernel(spec, case, config)
-                output, _ = case.execute(kernel, device=device)
-                assert output is not None, (name, builder)
+        for device in (None, h100):
+            case = spec.case(dict(config), np.random.default_rng(0), device=device)
+            assert isinstance(case, Case), name
+            kernel = resolve_case_kernel(spec, case, config)
+            output, _ = case.execute(kernel, device=device)
+            assert output is not None, name
 
 
 # -- the paper's winners ------------------------------------------------------------
