@@ -32,7 +32,7 @@ import numpy as np
 from ..codegen import GuardProofError, generate_accessor_wrapper, prove_guard_redundant
 from ..core import GroupBy, RegP, GenP, antidiagonal
 from ..gpusim import A100_80GB, DeviceSpec
-from ..gpusim.sharedmem import chunk_keys, grouped_conflict_degrees
+from ..gpusim.sharedmem import ragged_warp_rows, row_conflict_degrees
 from ..minicuda import CudaTrace, GlobalArray, launch
 from ..symbolic import BoolAnd, SymbolicEnv, as_expr
 
@@ -379,13 +379,11 @@ def nw_block_trace(block: int, layout: GroupBy | None = None,
     cells = np.concatenate([i * width + j for i, j in accesses])
     if layout is not None:
         cells = layout.permutation_vector()[cells]
-    # one key per (access, warp chunk): an access never spans more than b lanes
-    keys = np.concatenate([
-        chunk_keys(1, i.size, device.warp_size).ravel() + n * b for n, (i, _) in enumerate(accesses)
-    ])
+    # the accesses differ in length; each is cut into warps of its own
+    chunks = ragged_warp_rows(cells, [i.size for i, _ in accesses], device.warp_size)
     trace = CudaTrace(blocks=1, threads_per_block=b, load_bytes=4.0 * width * width,
                       store_bytes=4.0 * b * b)
-    trace.smem_profile.record_many(grouped_conflict_degrees(keys, cells, 4))
+    trace.smem_profile.record_many(row_conflict_degrees(chunks, 4))
     return trace
 
 

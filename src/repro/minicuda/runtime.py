@@ -250,17 +250,17 @@ def launch(
         blocks=grid.count, threads_per_block=block.count, sector_bytes=sector_bytes or 32
     )
 
-    def batched(block_ids, run_trace):
+    def batched(total, run_trace):
         from ..vm.cuda import launch_batched
 
         return launch_batched(
-            kernel, grid, block, args, run_trace, block_ids,
+            kernel, grid, block, args, run_trace, total,
             warp_size=warp_size, sector_bytes=sector_bytes,
         )
 
-    def treewalk(block_ids, run_trace):
+    def treewalk(total, run_trace):
         max_smem = 0
-        for flat in block_ids:
+        for flat in range(total):
             bx = flat % grid.x
             by = (flat // grid.x) % grid.y
             bz = flat // (grid.x * grid.y)

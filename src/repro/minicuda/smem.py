@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.bijection import flatten_index
-from ..gpusim.sharedmem import chunk_keys, grouped_conflict_degrees, grouped_unique_count
+from ..gpusim.sharedmem import row_conflict_degrees, row_distinct_counts, warp_rows
 
 __all__ = ["SharedArray", "GlobalArray"]
 
@@ -78,8 +78,9 @@ class _LayoutArray:
             raise ValueError(
                 f"{self.name} has {len(self.shape)} logical dimensions, got {len(indices)} indices"
             )
+        # each index array is checked as given (a broadcast has the same
+        # extrema); flatten_index's arithmetic does the broadcasting
         arrays = [np.asarray(idx, dtype=np.int64) for idx in indices]
-        arrays = np.broadcast_arrays(*arrays)
         for axis, (arr, extent) in enumerate(zip(arrays, self.shape)):
             if arr.size and (arr.min() < 0 or arr.max() >= extent):
                 raise IndexError(
@@ -130,8 +131,8 @@ class SharedArray(_LayoutArray):
         else:
             trace.smem_load_bytes += nbytes
         # score bank conflicts per warp over the block's thread order
-        keys = chunk_keys(1, flat.size, getattr(ctx, "warp_size", 32))
-        trace.smem_profile.record_many(grouped_conflict_degrees(keys, flat, self.dtype.itemsize))
+        chunks = warp_rows(flat[None, :], getattr(ctx, "warp_size", 32))
+        trace.smem_profile.record_many(row_conflict_degrees(chunks, self.dtype.itemsize))
 
     # -- accesses -----------------------------------------------------------------
 
@@ -193,9 +194,10 @@ class GlobalArray(_LayoutArray):
         # count sector transactions per warp; warp width and sector
         # granularity come from the launch context (i.e. the DeviceSpec)
         # when it provides them, so recording matches the device model
-        keys = chunk_keys(1, flat.size, getattr(ctx, "warp_size", 32))
         sector_bytes = getattr(ctx, "sector_bytes", None) or self.sector_bytes
-        transactions = grouped_unique_count(keys, flat * element_bytes // sector_bytes)
+        sectors = warp_rows(flat[None, :] * element_bytes // sector_bytes,
+                            getattr(ctx, "warp_size", 32))
+        transactions = int(row_distinct_counts(sectors).sum())
         _bump_global(trace, is_store, count, count * element_bytes, transactions)
 
     def load(self, ctx, *indices) -> np.ndarray:

@@ -113,19 +113,19 @@ def launch(
     grid3 = _normalize_grid(grid)
     run_trace = KernelTrace(programs=grid3[0] * grid3[1] * grid3[2], sector_bytes=sector_bytes)
 
-    def batched(program_ids, run_trace):
+    def batched(total, run_trace):
         from ..vm.triton import launch_batched
 
-        launch_batched(kernel, grid3, kernel_args, run_trace, program_ids, sector_bytes)
+        launch_batched(kernel, grid3, kernel_args, run_trace, total, sector_bytes)
 
-    def treewalk(program_ids, run_trace):
+    def treewalk(total, run_trace):
         state = tl._get_state()
         previous = (state.trace, state.grid, state.sector_bytes)
         try:
             state.trace = run_trace
             state.grid = grid3
             state.sector_bytes = sector_bytes
-            for flat in program_ids:
+            for flat in range(total):
                 pid0 = flat % grid3[0]
                 pid1 = (flat // grid3[0]) % grid3[1]
                 pid2 = flat // (grid3[0] * grid3[1])

@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..gpusim.sharedmem import (ConflictProfile, chunk_keys, grouped_conflict_degrees,
-                                grouped_unique_count)
+from ..gpusim.sharedmem import (ConflictProfile, row_conflict_degrees, row_distinct_counts,
+                                warp_rows)
 from ..vm.engine import run_launch
 from .ir import Block, FuncOp, Module, Operation, Value
 from .types import MemRefType
@@ -221,9 +221,9 @@ class _BlockExecutor:
 
     def _record_global(self, offsets: np.ndarray, element_bytes: int, is_store: bool) -> None:
         flat = offsets.reshape(-1)
-        keys = chunk_keys(1, flat.size, self.warp_size)
-        transactions = grouped_unique_count(keys, flat * element_bytes // self.sector_bytes)
-        self._bump_global(float(flat.size), element_bytes, transactions, is_store)
+        sectors = warp_rows(flat[None, :] * element_bytes // self.sector_bytes, self.warp_size)
+        self._bump_global(float(flat.size), element_bytes, int(row_distinct_counts(sectors).sum()),
+                          is_store)
 
     def _bump_global(self, count: float, element_bytes: int, transactions: float,
                      is_store: bool) -> None:
@@ -239,8 +239,8 @@ class _BlockExecutor:
     def _record_shared(self, offsets: np.ndarray, element_bytes: int) -> None:
         flat = offsets.reshape(-1)
         self.result.smem_bytes += float(flat.size) * element_bytes
-        keys = chunk_keys(1, flat.size, self.warp_size)
-        self.result.smem_profile.record_many(grouped_conflict_degrees(keys, flat, element_bytes))
+        chunks = warp_rows(flat[None, :], self.warp_size)
+        self.result.smem_profile.record_many(row_conflict_degrees(chunks, element_bytes))
 
     def _load(self, op: Operation) -> None:
         source = op.operands[0]
@@ -327,17 +327,17 @@ def run_gpu_kernel(
         sector_bytes=sector_bytes,
     )
 
-    def batched(block_ids, result):
+    def batched(total, result):
         from ..vm.mlir import launch_batched
 
         return launch_batched(
-            fn, grid, block, flat_buffers, arguments, result, block_ids,
+            fn, grid, block, flat_buffers, arguments, result, total,
             warp_size=warp_size, sector_bytes=sector_bytes,
         )
 
-    def treewalk(block_ids, result):
+    def treewalk(total, result):
         smem_per_block = 0
-        for flat in block_ids:
+        for flat in range(total):
             bx = flat % grid[0]
             by = (flat // grid[0]) % grid[1]
             bz = flat // (grid[0] * grid[1])

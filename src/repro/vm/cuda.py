@@ -33,7 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..gpusim.sharedmem import chunk_keys, grouped_conflict_degrees, grouped_unique_count
+from ..gpusim.sharedmem import (ragged_warp_rows, row_conflict_degrees, row_distinct_counts,
+                                warp_rows)
 from ..minicuda.runtime import BlockContext, CudaTrace, Dim3
 from ..minicuda.smem import SharedArray, _bump_global
 from .engine import TREEWALK_HINT
@@ -87,16 +88,15 @@ class BatchedSharedArray(SharedArray):
         trace = ctx.trace
         warp_size = getattr(ctx, "warp_size", 32)
         itemsize = self.dtype.itemsize
-        rows = physical if batched else physical.reshape(1, -1)
-        degrees = grouped_conflict_degrees(chunk_keys(*rows.shape, warp_size), rows, itemsize)
-        if not batched:  # block-uniform: every block repeats the one pattern
-            degrees = np.tile(degrees, self.batch)
+        # block-uniform: every block repeats the one pattern
+        rows, repeat = (physical, 1) if batched else (physical.reshape(1, -1), self.batch)
+        degrees = row_conflict_degrees(warp_rows(rows, warp_size), itemsize)
         nbytes = float(self.batch * rows.shape[1]) * itemsize
         if is_store:
             trace.smem_store_bytes += nbytes
         else:
             trace.smem_load_bytes += nbytes
-        trace.smem_profile.record_many(degrees)
+        trace.smem_profile.record_many(degrees, repeat)
 
     def load(self, *indices) -> np.ndarray:
         physical = self._physical(indices)
@@ -126,19 +126,16 @@ class _CompactedThreads:
     Lanes are flattened block-major (C order over the ``(B, T)`` mask),
     which is exactly the order the tree-walk sees: each block's compacted
     lanes, block after block.  Warp chunks therefore restart at every
-    block boundary — the precomputed ``_keys`` encode (block, chunk).
+    block boundary — ``_chunks`` holds, per (block, chunk) row, the flat
+    positions of its lanes (padding included), so an access is one gather.
     """
 
     def __init__(self, parent, mask: np.ndarray):
         self._parent = parent
         self._mask = mask
-        rows = np.nonzero(mask)[0]
         counts = mask.sum(axis=1)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        position_in_block = np.arange(rows.size, dtype=np.int64) - starts[rows]
-        warp_size = parent.warp_size
-        max_chunks = int(-(-mask.shape[1] // warp_size))
-        self._keys = rows * max_chunks + position_in_block // warp_size
+        self._lanes = int(counts.sum())
+        self._chunks = ragged_warp_rows(np.arange(self._lanes), counts, parent.warp_size)
 
     @property
     def trace(self):
@@ -165,11 +162,11 @@ class _CompactedThreads:
         trace = self._parent.trace
         sector_bytes = self._parent.sector_bytes or default_sector
         flat = physical.reshape(-1)
-        if flat.size != self._keys.size:
+        if flat.size != self._lanes:
             raise TypeError("compacted access does not match the active lane count")
         count = float(flat.size)
-        sectors = flat * element_bytes // sector_bytes
-        transactions = float(grouped_unique_count(self._keys, sectors))
+        sectors = (flat * element_bytes // sector_bytes)[self._chunks]
+        transactions = float(row_distinct_counts(sectors).sum())
         _bump_global(trace, is_store, count, count * element_bytes, transactions)
 
 
@@ -281,8 +278,8 @@ class BatchedBlockContext:
                 f"cannot classify a rank-{physical.ndim} global access under batching; "
                 f"{TREEWALK_HINT}"
             )
-        keys = chunk_keys(*rows.shape, self.warp_size)
-        transactions = grouped_unique_count(keys, rows * element_bytes // sector_bytes)
+        sectors = warp_rows(rows * element_bytes // sector_bytes, self.warp_size)
+        transactions = int(row_distinct_counts(sectors).sum())
         count = float(rows.size * repeat)
         _bump_global(trace, is_store, count, count * element_bytes, float(transactions * repeat))
 
@@ -298,20 +295,20 @@ def launch_batched(
     block: Dim3,
     args: Sequence,
     run_trace: CudaTrace,
-    block_ids,
+    total: int,
     warp_size: int,
     sector_bytes: int | None,
 ) -> int:
-    """Run ``block_ids`` of the grid in vectorized batches.
+    """Run all ``total`` blocks of the grid in vectorized batches.
 
     Mutates global arrays and accumulates into ``run_trace`` exactly as
     the per-block loop would; returns the per-block shared-memory
     allocation total (the launcher's ``max_smem``).
     """
-    ids = np.asarray(list(block_ids), dtype=np.int64)
+    ids = np.arange(total, dtype=np.int64)
     blocks_per_chunk = max(1, LANE_CHUNK // max(1, block.count))
     max_smem = 0
-    for start in range(0, ids.size, blocks_per_chunk):
+    for start in range(0, total, blocks_per_chunk):
         ctx = BatchedBlockContext(
             ids[start:start + blocks_per_chunk], block, grid, run_trace,
             warp_size=warp_size, sector_bytes=sector_bytes,

@@ -70,13 +70,13 @@ def use_engine(mode: str):
 def run_launch(total: int, batched: Callable | None, treewalk: Callable, trace):
     """Execute one launch of all ``total`` lanes (programs or blocks).
 
-    The lanes go to ``treewalk(ids, trace)`` when the mode is ``"treewalk"``,
+    The lanes go to ``treewalk(total, trace)`` when the mode is ``"treewalk"``,
     when there is a single lane (nothing to batch), or when ``batched`` is
     ``None`` (the substrate cannot batch this kernel); otherwise to
-    ``batched(ids, trace)``.  Either executor writes its counters straight
+    ``batched(total, trace)``.  Either executor writes its counters straight
     into ``trace`` and runs exactly once — whatever it raises is the launch's
     error.  Returns the executor's return value.
     """
     if batched is None or total <= 1 or engine_mode() == "treewalk":
-        return treewalk(range(total), trace)
-    return batched(range(total), trace)
+        return treewalk(total, trace)
+    return batched(total, trace)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..gpusim.sharedmem import chunk_keys, grouped_conflict_degrees, grouped_unique_count
+from ..gpusim.sharedmem import row_conflict_degrees, row_distinct_counts, warp_rows
 from ..mlir.interp import _BlockExecutor
 from ..mlir.ir import Operation, Value
 from ..mlir.types import MemRefType
@@ -79,18 +79,17 @@ class _BatchedExecutor(_BlockExecutor):
         # a block-uniform access is one row, repeated identically in every block
         rows, repeat = (offsets, 1) if self._is_batched(offsets) else \
             (offsets.reshape(1, -1), self._batch)
-        keys = chunk_keys(*rows.shape, self.warp_size)
-        transactions = grouped_unique_count(keys, rows * element_bytes // self.sector_bytes)
+        sectors = warp_rows(rows * element_bytes // self.sector_bytes, self.warp_size)
+        transactions = int(row_distinct_counts(sectors).sum())
         self._bump_global(float(rows.size * repeat), element_bytes, float(transactions * repeat),
                           is_store)
 
     def _record_shared(self, offsets: np.ndarray, element_bytes: int) -> None:
-        batched = self._is_batched(offsets)
-        rows = offsets if batched else offsets.reshape(1, -1)
-        degrees = grouped_conflict_degrees(chunk_keys(*rows.shape, self.warp_size), rows,
-                                           element_bytes)
+        rows, repeat = (offsets, 1) if self._is_batched(offsets) else \
+            (offsets.reshape(1, -1), self._batch)
+        degrees = row_conflict_degrees(warp_rows(rows, self.warp_size), element_bytes)
         self.result.smem_bytes += float(self._batch * rows.shape[1]) * element_bytes
-        self.result.smem_profile.record_many(degrees if batched else np.tile(degrees, self._batch))
+        self.result.smem_profile.record_many(degrees, repeat)
 
     # -- memory -------------------------------------------------------------
 
@@ -184,21 +183,21 @@ def launch_batched(
     flat_buffers,
     arguments: Sequence,
     result,
-    block_ids,
+    total: int,
     warp_size: int,
     sector_bytes: int,
 ) -> int:
-    """Run ``block_ids`` of the launch grid in vectorized batches.
+    """Run all ``total`` blocks of the launch grid in vectorized batches.
 
     Mirrors the per-block loop of :func:`repro.mlir.interp.run_gpu_kernel`
     (same buffer mutation, same counters in ``result``); returns the
     per-block shared-allocation total.
     """
-    ids = np.asarray(list(block_ids), dtype=np.int64)
+    ids = np.arange(total, dtype=np.int64)
     threads = block[0] * block[1] * block[2]
     blocks_per_chunk = max(1, LANE_CHUNK // max(1, threads))
     smem_per_block = 0
-    for start in range(0, ids.size, blocks_per_chunk):
+    for start in range(0, total, blocks_per_chunk):
         executor = _BatchedExecutor(
             ids[start:start + blocks_per_chunk], block, grid, flat_buffers, result,
             warp_size=warp_size, sector_bytes=sector_bytes,

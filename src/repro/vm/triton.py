@@ -14,10 +14,10 @@ Alignment convention: a ``BatchedTensor`` stores ``data`` of shape
 with leading singleton axes (after the batch axis), so plain operands
 broadcast right-aligned into the block dims and never touch the batch
 axis.  Trace counters are synthesized per program with
-:mod:`repro.vm.batch` — per-program unique sector counts match the
-tree-walk ``np.unique`` per access — and stores flatten in C (program
--major) order so duplicate offsets resolve identically to sequential
-program execution.
+:func:`repro.gpusim.sharedmem.row_distinct_counts` (row = program) — the
+counts match the tree-walk ``np.unique`` per access — and stores flatten
+in C (program-major) order so duplicate offsets resolve identically to
+sequential program execution.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from ..gpusim.sharedmem import row_distinct_counts
 from ..minitriton import language as tl
 from ..minitriton.language import DeviceBuffer, KernelTrace, _np_dtype
-from .batch import row_unique_counts
 
 __all__ = ["BatchedTensor", "batched_tl", "launch_batched"]
 
@@ -258,7 +258,7 @@ class _BatchedLanguage:
         else:
             count = float(flat.size)
         sectors = flat * element_bytes // self._sector_bytes
-        transactions = float(row_unique_counts(sectors, valid).sum())
+        transactions = float(row_distinct_counts(sectors, valid).sum())
         self._bump(trace, is_store, count, count * element_bytes, transactions)
 
     def _record_uniform(self, offsets: np.ndarray, element_bytes: int,
@@ -534,10 +534,10 @@ def launch_batched(
     grid3: tuple[int, int, int],
     kernel_args: Mapping[str, object],
     run_trace: KernelTrace,
-    program_ids,
+    total: int,
     sector_bytes: int,
 ) -> None:
-    """Execute ``program_ids`` of the grid in vectorized batches.
+    """Execute all ``total`` programs of the grid in vectorized batches.
 
     Counters accumulate into ``run_trace`` (which the caller owns) and
     device buffers are mutated in place, exactly as the per-program loop
@@ -550,12 +550,12 @@ def launch_batched(
     if not source or not name:
         raise TypeError("kernel carries no source; batched execution unavailable")
     fn = _compile_batched(source, name)
-    ids = np.asarray(list(program_ids), dtype=np.int64)
+    ids = np.arange(total, dtype=np.int64)
     wrapped = {
         key: _BatchedDeviceBuffer(value) if isinstance(value, DeviceBuffer) else value
         for key, value in kernel_args.items()
     }
-    for start in range(0, ids.size, PROGRAM_CHUNK):
+    for start in range(0, total, PROGRAM_CHUNK):
         chunk = ids[start:start + PROGRAM_CHUNK]
         pid0 = chunk % grid3[0]
         pid1 = (chunk // grid3[0]) % grid3[1]

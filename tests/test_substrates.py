@@ -21,13 +21,15 @@ from repro.gpusim import (
 )
 from repro.gpusim.sharedmem import (
     ConflictProfile,
-    chunk_keys,
-    grouped_conflict_degrees,
-    grouped_unique_count,
+    ragged_warp_rows,
+    row_conflict_degrees,
+    row_distinct_counts,
+    warp_rows,
 )
 from repro.minicuda import Dim3, GlobalArray, SharedArray, launch
 from repro.minitriton import compile_kernel, from_device, launch as tl_launch, to_device
 from repro.perf import trace_to_cost
+from repro.vm import use_engine
 from repro.core import GroupBy, antidiagonal
 
 
@@ -155,6 +157,28 @@ def test_global_array_out_of_range_raises():
         launch(kernel, grid=1, block=4, args=(array,))
 
 
+def test_out_of_range_broadcast_index_names_array_axis_and_extrema():
+    """Bounds are checked per index array, before ``(B, 1)`` block terms and
+    ``(T,)`` thread terms broadcast — the error is the one the broadcast gave."""
+    array = GlobalArray(np.zeros((4, 8), dtype=np.float32), name="grid")
+
+    def global_kernel(ctx, buf):
+        buf.load(ctx, ctx.blockIdx.x * 2, ctx.tx + 1)
+
+    def shared_kernel(ctx):
+        tile = ctx.shared_array((4, 8), dtype=np.float32, name="tile")
+        tile.store(np.zeros(8), ctx.blockIdx.x * 0 + 4, ctx.tx)  # the block term is out
+
+    for engine in ("vectorized", "treewalk"):
+        with use_engine(engine):
+            with pytest.raises(IndexError, match=r"grid: axis 1 index out of range \[0, 8\) "
+                                                 r"\(got \[1, 8\]\)"):
+                launch(global_kernel, grid=2, block=8, args=(array,))
+            with pytest.raises(IndexError, match=r"tile: axis 0 index out of range \[0, 4\) "
+                                                 r"\(got \[4, 4\]\)"):
+                launch(shared_kernel, grid=3, block=8)
+
+
 def test_shared_array_bank_conflicts_row_major_vs_antidiagonal():
     results = {}
 
@@ -212,30 +236,95 @@ def test_warp_conflict_degree_broadcast_and_conflict():
     assert warp_conflict_degree([]) == 1
 
 
+def _row_orders(rng, lanes, spread):
+    """One access in each order the sorted-rows test can meet."""
+    shuffled = rng.integers(0, spread, size=lanes)
+    ascending = np.sort(shuffled)
+    return {"ascending": ascending, "descending": ascending[::-1],
+            "constant": np.full(lanes, spread // 2), "shuffled": shuffled}
+
+
+def _per_warp_scores(flat, warp_size, element_bytes):
+    """The reference: one warp at a time, ``warp_conflict_degree`` and ``np.unique``."""
+    warps = [flat[start:start + warp_size] for start in range(0, flat.size, warp_size)]
+    return ([warp_conflict_degree(w, element_bytes) for w in warps],
+            [np.unique(w * element_bytes // 32).size for w in warps])
+
+
 @pytest.mark.parametrize("element_bytes", [2, 4, 8])
 @pytest.mark.parametrize("warp_size", [16, 32])
 def test_grouped_scorers_equal_the_per_warp_loop(element_bytes, warp_size):
     """The scorers every recorder calls agree with one-warp-at-a-time scoring on
-    narrow, exact, ragged and multi-warp accesses, with and without duplicate words."""
+    narrow, exact, ragged and multi-warp accesses, with and without duplicate words,
+    whether the rows arrive sorted (no sort taken) or not (row sort taken)."""
     rng = np.random.default_rng(element_bytes * warp_size)
     for lanes in (0, 1, 5, warp_size - 1, warp_size, warp_size + 1, 3 * warp_size + 7, 256):
         for spread in (4, 64, 4096):  # a small spread forces broadcasts and duplicates
-            flat = rng.integers(0, spread, size=lanes)
-            warps = [flat[start:start + warp_size] for start in range(0, lanes, warp_size)]
-            keys = chunk_keys(1, lanes, warp_size)
+            for flat in _row_orders(rng, lanes, spread).values():
+                expected_degrees, expected_sectors = _per_warp_scores(flat, warp_size, element_bytes)
+                degrees = row_conflict_degrees(warp_rows(flat[None, :], warp_size), element_bytes)
+                assert degrees.tolist() == expected_degrees
+                sectors = warp_rows(flat[None, :] * element_bytes // 32, warp_size)
+                assert row_distinct_counts(sectors).tolist() == expected_sectors
 
-            degrees = grouped_conflict_degrees(keys, flat, element_bytes)
-            assert degrees.tolist() == [warp_conflict_degree(w, element_bytes) for w in warps]
-            by_loop, at_once = ConflictProfile(), ConflictProfile()
-            for degree in degrees:
-                by_loop.record(int(degree))
-            at_once.record_many(degrees)
-            assert at_once == by_loop
+                by_loop, at_once, tiled, repeated = (ConflictProfile() for _ in range(4))
+                for degree in degrees:
+                    by_loop.record(int(degree))
+                at_once.record_many(degrees)
+                assert at_once == by_loop
+                tiled.record_many(np.tile(degrees, 3))
+                repeated.record_many(degrees, repeat=3)
+                assert repeated == tiled
 
-            sectors = flat * element_bytes // 32
-            assert grouped_unique_count(keys, sectors) == sum(
-                np.unique(w * element_bytes // 32).size for w in warps
-            )
+
+@pytest.mark.parametrize("warp_size", [16, 32])
+def test_dense_rows_with_a_ragged_tail_equal_the_per_row_loop(warp_size):
+    """A ``(rows, row_length)`` access is each row cut into warps of its own: the
+    tail chunk of one row never borrows lanes from the next."""
+    rng = np.random.default_rng(warp_size)
+    for row_length in (5, warp_size, 2 * warp_size + 3):
+        dense = rng.integers(0, 512, size=(7, row_length))
+        dense[::2] = np.sort(dense[::2], axis=1)  # some rows arrive sorted, some do not
+        per_row = [_per_warp_scores(row, warp_size, 4) for row in dense]
+        assert row_conflict_degrees(warp_rows(dense, warp_size), 4).tolist() == \
+            [degree for degrees, _ in per_row for degree in degrees]
+        assert row_distinct_counts(warp_rows(dense * 4 // 32, warp_size)).tolist() == \
+            [count for _, counts in per_row for count in counts]
+
+
+@pytest.mark.parametrize("warp_size", [16, 32])
+def test_ragged_rows_equal_scoring_each_blocks_compacted_lanes(warp_size):
+    """The ``_CompactedThreads`` contract: lanes that survive a per-block mask are
+    chunked into warps block by block (an all-masked block contributes nothing)."""
+    rng = np.random.default_rng(7 * warp_size)
+    mask = rng.random((9, 2 * warp_size + 5)) < 0.6
+    mask[3] = False
+    mask[5] = True
+    values = rng.integers(0, 4096, size=mask.shape)
+    chunks = ragged_warp_rows(values[mask], mask.sum(axis=1), warp_size)
+    per_block = [_per_warp_scores(row[keep], warp_size, 4) for row, keep in zip(values, mask)]
+    assert row_conflict_degrees(chunks, 4).tolist() == \
+        [degree for degrees, _ in per_block for degree in degrees]
+    assert row_distinct_counts(chunks * 4 // 32).tolist() == \
+        [count for _, counts in per_block for count in counts]
+    with pytest.raises(ValueError):
+        ragged_warp_rows(values[mask], mask.sum(axis=1)[:-1], warp_size)
+
+
+def test_row_distinct_counts_under_a_mask_equal_np_unique():
+    """mini-Triton's per-program dedup: row = program, ``valid`` = its mask."""
+    rng = np.random.default_rng(11)
+    sectors = rng.integers(0, 40, size=(12, 48))
+    sectors[:4] = np.sort(sectors[:4], axis=1)
+    valid = rng.random(sectors.shape) < 0.5
+    valid[0] = False  # an all-masked program touches nothing
+    valid[1] = True
+    valid[2, 30:] = False  # a bounds mask: the tail of a sorted row
+    expected = [np.unique(row[keep]).size for row, keep in zip(sectors, valid)]
+    assert expected[0] == 0
+    assert row_distinct_counts(sectors, valid).tolist() == expected
+    assert row_distinct_counts(sectors).tolist() == [np.unique(row).size for row in sectors]
+    assert row_distinct_counts(np.zeros((3, 0), dtype=np.int64)).tolist() == [0, 0, 0]
 
 
 def test_access_conflict_profile_merge():
