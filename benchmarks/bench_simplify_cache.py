@@ -3,10 +3,10 @@
 Exercises the memoised rewrite engine on the index expressions the matmul,
 NW and LUD applications actually lower (the Tables III/IV hot path):
 
-* **cold** — every expression simplified under a fresh assumption
-  environment (empty caches, the pre-refactor behaviour on every pass);
-* **warm** — the same expressions re-simplified under the same environment,
-  which the hash-consed IR turns into fixpoint-cache lookups.
+* **cold** — every expression simplified on an empty memo table
+  (``clear_memos()`` first: the pre-refactor behaviour on every pass);
+* **warm** — the same expressions re-simplified under the same facts, which
+  the hash-consed IR and the process-wide table turn into fixpoint lookups.
 
 The warm/cold ratio and the fixpoint-cache hit rate are what the interning +
 memoisation refactor bought; the assertions pin both so a regression that
@@ -29,7 +29,7 @@ import time
 from repro.apps import lud, matmul
 from repro.codegen import CodegenContext
 from repro.core.slicing import LayoutSlice
-from repro.symbolic import CACHE_STATS, SymbolicEnv, as_expr, simplify_fixpoint
+from repro.symbolic import CACHE_STATS, SymbolicEnv, as_expr, clear_memos, simplify_fixpoint
 
 
 def _index_expressions() -> list[tuple[object, SymbolicEnv]]:
@@ -68,18 +68,13 @@ def _index_expressions() -> list[tuple[object, SymbolicEnv]]:
     return pairs
 
 
-def _simplify_all(pairs, fresh_env: bool) -> float:
+def _simplify_all(pairs, cold: bool = False) -> float:
+    if cold:
+        clear_memos()  # the table is process-wide: "cold" means emptied, not a new env
     started = time.perf_counter()
     for expr, env in pairs:
-        simplify_fixpoint(expr, env.copy() if fresh_env else env)
+        simplify_fixpoint(expr, env)
     return time.perf_counter() - started
-
-
-def _fresh_env_copy(env: SymbolicEnv) -> SymbolicEnv:
-    """A copy of ``env`` with the memo tables dropped (cold-cache baseline)."""
-    copy = env.copy()
-    copy._invalidate()
-    return copy
 
 
 def test_simplify_cache_throughput(benchmark, report_rows):
@@ -87,18 +82,13 @@ def test_simplify_cache_throughput(benchmark, report_rows):
 
     pairs = _index_expressions()
 
-    # cold: fresh environment copies with cleared caches every round
-    cold_seconds = min(
-        _simplify_all([(e, _fresh_env_copy(env)) for e, env in pairs], fresh_env=False)
-        for _ in range(3)
-    )
+    # cold: an emptied memo table every round
+    cold_seconds = min(_simplify_all(pairs, cold=True) for _ in range(3))
 
-    # warm: same environments => fixpoint-cache hits
-    _simplify_all(pairs, fresh_env=False)  # populate
+    # warm: same facts => fixpoint hits
+    _simplify_all(pairs)  # populate
     before = CACHE_STATS.snapshot()
-    warm_seconds = benchmark.pedantic(
-        lambda: _simplify_all(pairs, fresh_env=False), rounds=3, iterations=1
-    )
+    warm_seconds = benchmark.pedantic(lambda: _simplify_all(pairs), rounds=3, iterations=1)
     delta = CACHE_STATS.delta(before, CACHE_STATS.snapshot())
 
     rows = [

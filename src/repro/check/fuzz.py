@@ -2,7 +2,7 @@
 
 The paper's rewrite rules are pinned by targeted property tests; this module
 complements them with randomized coverage: random :class:`~repro.symbolic.Expr`
-trees over a small variable set, random integer bindings, and six properties
+trees over a small variable set, random integer bindings, and seven properties
 checked per trial —
 
 * ``simplify(e, env)`` evaluates exactly like ``e`` under the bindings,
@@ -15,7 +15,11 @@ checked per trial —
   prover and guard elimination trust (a symbolic end is evaluated under the
   bindings),
 * when ``0 <= e`` is refuted at a witness valuation of the environment, the
-  prover's proving stages (run directly, beneath the refuter) do not prove it.
+  prover's proving stages (run directly, beneath the refuter) do not prove it,
+* sharing is invisible: ``simplify_fixpoint``, ``range_of`` and the ``0 <= e``
+  verdict read off the memo table as every earlier trial left it (four fact
+  sets serve all trials) equal the answers derived on an empty table
+  (:func:`fuzz_symbolic` checks this across trials and leaves the table empty).
 
 Half the trials declare (and draw bindings from) a range with a negative
 lower end, so the negative floor-division/modulo paths are fuzzed too.
@@ -43,6 +47,8 @@ from ..symbolic import (
     PythonPrinter,
     SymbolicEnv,
     Var,
+    clear_memos,
+    prove_le,
     simplify,
     simplify_fixpoint,
 )
@@ -66,7 +72,7 @@ FUZZ_VARS = ("i", "j", "k", "m", "n")
 VALUE_RANGES = ((0, 12), (0, 12), (-6, 6), (-9, 3))
 
 #: the properties one trial asserts, in evaluation order
-PROPERTIES = ("simplify", "fixpoint", "printer", "lowering", "range", "refuter")
+PROPERTIES = ("simplify", "fixpoint", "printer", "lowering", "range", "refuter", "sharing")
 
 
 @dataclass(frozen=True)
@@ -141,28 +147,39 @@ def random_expr(rng: random.Random, depth: int = 4) -> Expr:
     return lhs // denominator if op == "div" else lhs % denominator
 
 
-def _draw_trial(trial_seed: int, depth: int) -> tuple[Expr, tuple[int, int], dict]:
-    """The one place a trial's expression, declared range and bindings are
-    derived from its seed — replay and reporting must never re-implement
-    this sequence."""
+def _draw_trial(trial_seed: int, depth: int) -> tuple[Expr, tuple[int, int], dict, SymbolicEnv]:
+    """The one place a trial's expression, declared range, bindings and
+    environment are derived from its seed — replay and reporting must never
+    re-implement this sequence."""
     rng = random.Random(trial_seed)
     expr = random_expr(rng, depth)
     value_range = rng.choice(VALUE_RANGES)
     bindings = {name: rng.randint(*value_range) for name in FUZZ_VARS}
-    return expr, value_range, bindings
+    env = SymbolicEnv()
+    for name in FUZZ_VARS:
+        env.declare_range(name, *value_range)
+    return expr, value_range, bindings, env
+
+
+def _memoised_answers(trial_seed: int, depth: int) -> tuple:
+    """What the sharing property compares: one answer per memo family (or the
+    exception deriving them raised), on the memo table as it stands."""
+    expr, _, _, env = _draw_trial(trial_seed, depth)
+    try:
+        return simplify_fixpoint(expr, env), env.range_of(expr), prove_le(Const(0), expr, env)
+    except Exception as exc:  # noqa: BLE001 - a crash must be the same crash with or without sharing
+        return type(exc).__name__, str(exc)
 
 
 def fuzz_trial(trial_seed: int, depth: int = 4) -> list[tuple[str, str]]:
-    """Run one trial from its seed; returns ``(property, detail)`` violations.
+    """Run one trial from its seed; returns ``(property, detail)`` violations
+    of the six properties a trial can judge alone.
 
     This is the replay entry point: feed it the ``seed`` printed on a
     :class:`FuzzFailure` and it rebuilds the identical expression, bindings
     and environment.
     """
-    expr, value_range, bindings = _draw_trial(trial_seed, depth)
-    env = SymbolicEnv()
-    for name in FUZZ_VARS:
-        env.declare_range(name, *value_range)
+    expr, value_range, bindings, env = _draw_trial(trial_seed, depth)
     expected = expr.evaluate(bindings)
     violations: list[tuple[str, str]] = []
 
@@ -213,23 +230,30 @@ def fuzz_trial(trial_seed: int, depth: int = 4) -> list[tuple[str, str]]:
 
 def fuzz_symbolic(trials: int = 200, seed: int = 0, depth: int = 4) -> FuzzReport:
     """Run ``trials`` randomized soundness trials of the symbolic layer."""
-    report = FuzzReport(trials=trials, seed=seed, checked={prop: 0 for prop in PROPERTIES})
-    for trial in range(trials):
-        trial_seed = stable_seed(seed, "fuzz", trial)
-        violations = fuzz_trial(trial_seed, depth)
-        for prop in PROPERTIES:
-            report.checked[prop] += 1
-        if violations:
-            expr, _, bindings = _draw_trial(trial_seed, depth)
-        for prop, detail in violations:
-            report.failures.append(
-                FuzzFailure(
-                    trial=trial,
-                    seed=trial_seed,
-                    property=prop,
-                    expression=str(expr),
-                    bindings=bindings,
-                    detail=detail,
-                )
+    report = FuzzReport(trials=trials, seed=seed, checked={prop: trials for prop in PROPERTIES})
+    seeds = [stable_seed(seed, "fuzz", trial) for trial in range(trials)]
+    shared, found = [], []
+    for trial, trial_seed in enumerate(seeds):
+        # asked first, so the table holds only what earlier trials left in it
+        shared.append(_memoised_answers(trial_seed, depth))
+        found += [(trial, prop, detail) for prop, detail in fuzz_trial(trial_seed, depth)]
+    for trial, trial_seed in enumerate(seeds):
+        clear_memos()
+        alone = _memoised_answers(trial_seed, depth)
+        if alone != shared[trial]:
+            found.append((trial, "sharing", f"after the earlier trials: {shared[trial]}, "
+                                            f"on an empty table: {alone}"))
+    clear_memos()
+    for trial, prop, detail in found:
+        expr, _, bindings, _ = _draw_trial(seeds[trial], depth)
+        report.failures.append(
+            FuzzFailure(
+                trial=trial,
+                seed=seeds[trial],
+                property=prop,
+                expression=str(expr),
+                bindings=bindings,
+                detail=detail,
             )
+        )
     return report

@@ -56,6 +56,11 @@ class LoweredBinding:
         return merged.doprint(self.expr)
 
 
+#: Ties on total op count are broken towards the variant with fewer integer
+#: divisions/modulos, which are the expensive operations on GPUs.
+_DIVMOD_WEIGHTS = CostWeights(add=0, mul=0, floordiv=1, mod=1, minmax=0, cmp=0, boolean=0)
+
+
 def lower_expression(
     expr: Expr,
     env: SymbolicEnv,
@@ -74,12 +79,9 @@ def lower_expression(
         candidates.append(("unexpanded", simplify_fixpoint(expr, env)))
     if pre_expand in ("auto", "always"):
         candidates.append(("expanded", simplify_fixpoint(expand(expr), env)))
-    # Ties on total op count are broken towards the variant with fewer integer
-    # divisions/modulos, which are the expensive operations on GPUs.
-    divmod_weights = CostWeights(add=0, mul=0, floordiv=1, mod=1, minmax=0, cmp=0, boolean=0)
     best_variant, best_expr, best_cost = None, None, None
     for variant, simplified in candidates:
-        cost = (operation_count(simplified, weights), operation_count(simplified, divmod_weights))
+        cost = (operation_count(simplified, weights), operation_count(simplified, _DIVMOD_WEIGHTS))
         if best_cost is None or cost < best_cost:
             best_variant, best_expr, best_cost = variant, simplified, cost
     assert best_expr is not None and best_variant is not None and best_cost is not None
@@ -187,7 +189,7 @@ class CodegenContext:
             tuple(sorted(self._substitutions.items())),
             self.pre_expand,
             weights,
-            self.env.fingerprint,
+            self.env.fact_token,
         )
 
     def lower(self, cost_weights: CostWeights | None = None) -> dict[str, LoweredBinding]:

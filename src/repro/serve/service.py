@@ -20,9 +20,8 @@ tier is keyed on ``stable_key()`` (canonical printed expressions, salted by
 the source fingerprint), so a fresh process starts warm.
 
 Thread-safety relies on the symbolic layer's contract (DESIGN.md): the
-intern table is lock-striped, every compile builds its own
-``CodegenContext``/``SymbolicEnv`` inside one worker, and the ledger, the
-in-flight map and ticket state mutate only under the service lock.
+intern table is lock-striped, the memo table is benign under races, and the
+ledger, the in-flight map and ticket state mutate only under the service lock.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ Public surface of the engine used throughout the LEGO reproduction:
 * cost model — :func:`operation_count`, :func:`choose_cheapest`;
 * printers — :class:`PythonPrinter`, :class:`TritonPrinter`, :class:`CPrinter`,
   :class:`MLIRArithPrinter`;
-* caching — expressions are hash-consed (interned); :func:`cache_statistics`
-  reports hit rates of the rewrite/proof/range/print memo layers and
-  :data:`RULE_REGISTRY` lists the Table II rewrite rules as data.
+* caching — expressions are hash-consed (interned), derived answers live in
+  one table keyed by (expression, fact set) (:func:`clear_memos` empties it),
+  :func:`cache_statistics` reports hit rates of the rewrite/proof/range/print
+  memo layers and :data:`RULE_REGISTRY` lists the Table II rules as data.
 """
 
 from .expr import (
@@ -43,7 +44,8 @@ from .expr import (
 )
 from .ranges import Interval, affine_strides, is_mixed_radix_bijection
 from .stats import CACHE_STATS, CacheCounters, cache_statistics, reset_cache_statistics
-from .symranges import EnvCaches, SymInterval, SymbolicEnv, constant_interval
+from .memo import clear_memos
+from .symranges import SymInterval, SymbolicEnv, constant_interval
 from .prover import (
     brute_force_check,
     is_nonneg,
@@ -86,7 +88,6 @@ __all__ = [
     "as_expr",
     "symbols",
     "Interval",
-    "EnvCaches",
     "SymInterval",
     "SymbolicEnv",
     "constant_interval",
@@ -112,6 +113,7 @@ __all__ = [
     "CACHE_STATS",
     "CacheCounters",
     "cache_statistics",
+    "clear_memos",
     "reset_cache_statistics",
     "intern_table_size",
     "CostWeights",

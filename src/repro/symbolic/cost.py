@@ -10,7 +10,7 @@ This module provides:
 
 * :func:`operation_count` — count +, *, //, %, min/max and comparisons in one
   expression or a collection of expressions (duplicate sub-expressions that a
-  backend compiler would CSE can optionally be counted once);
+  backend compiler would CSE are counted once);
 * :func:`choose_cheapest` — pick the lowest-cost variant from candidates;
 * :class:`CostWeights` — optional per-operation weights (integer division and
   modulo are substantially more expensive than add/mul on GPUs).
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .expr import Add, BoolAnd, BoolNot, BoolOr, Cmp, Const, Expr, FloorDiv, Max, Min, Mod, Mul, Var
+from .memo import MEMO, memo_put
 
 __all__ = ["CostWeights", "operation_count", "choose_cheapest"]
 
@@ -69,30 +70,32 @@ def _node_cost(node: Expr, weights: CostWeights) -> int:
     return 0
 
 
-def operation_count(
-    exprs: Expr | Iterable[Expr],
-    weights: CostWeights | None = None,
-    share_common: bool = True,
-) -> int:
+def operation_count(exprs: Expr | Iterable[Expr], weights: CostWeights | None = None) -> int:
     """Count the arithmetic operations needed to evaluate ``exprs``.
 
-    When ``share_common`` is true (the default), syntactically identical
-    sub-expressions are counted once across the whole collection — the Triton
-    and CUDA compilers CSE these, and the paper's op counts (Table IV) reflect
-    the user-visible arithmetic rather than a fully duplicated tree.
+    Syntactically identical sub-expressions are counted once across the whole
+    collection — the Triton and CUDA compilers CSE these, and the paper's op
+    counts (Table IV) reflect the user-visible arithmetic rather than a fully
+    duplicated tree.  The count of a single interned node is memoised
+    (lowering asks for it several times per binding, under two weightings).
     """
     weights = weights or CostWeights()
-    if isinstance(exprs, Expr):
+    single = isinstance(exprs, Expr)
+    if single:
+        key = ("ops", exprs._id, weights)
+        cached = MEMO.get(key)
+        if cached is not None:
+            return cached
         exprs = [exprs]
     total = 0
     seen: set[Expr] = set()
     for expr in exprs:
         for node in expr.walk():
-            if share_common:
-                if node in seen:
-                    continue
+            if node not in seen:
                 seen.add(node)
-            total += _node_cost(node, weights)
+                total += _node_cost(node, weights)
+    if single:
+        memo_put(key, total)
     return total
 
 

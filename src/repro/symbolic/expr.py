@@ -187,30 +187,6 @@ class Expr:
             yield node
             stack.extend(reversed(node.args))
 
-    def count_ops(self, weights: Mapping[str, int] | None = None) -> int:
-        """Count arithmetic operations (the paper's Table IV metric).
-
-        ``Add``/``Mul`` with *n* operands count as ``n - 1`` operations;
-        ``FloorDiv``, ``Mod``, ``Min``, ``Max`` and comparisons count as one
-        each.  ``weights`` may override the per-operation cost (keyed by the
-        lower-case node name, e.g. ``{"floordiv": 4}``).
-        """
-        weights = weights or {}
-        total = 0
-        for node in self.walk():
-            name = type(node).__name__.lower()
-            if isinstance(node, (Add, Mul)):
-                total += (len(node.args) - 1) * weights.get(name, 1)
-            elif isinstance(node, (FloorDiv, Mod, Cmp)):
-                total += weights.get(name, 1)
-            elif isinstance(node, (Min, Max)):
-                total += (len(node.args) - 1) * weights.get(name, 1)
-            elif isinstance(node, (BoolAnd, BoolOr)):
-                total += (len(node.args) - 1) * weights.get(name, 1)
-            elif isinstance(node, BoolNot):
-                total += weights.get(name, 1)
-        return total
-
     # -- rewriting ------------------------------------------------------------
 
     def subs(self, mapping: Mapping[ExprLike, ExprLike]) -> "Expr":

@@ -38,10 +38,10 @@ All functions return ``True`` only when the property is proven; ``False``
 means "unknown", never "disproven" — a refutation is reported as the same
 ``False``, which is why it changes no verdict a caller could have used.
 
-Every query is memoised on the environment's proof cache, keyed by ``(query
-kind, expression identity)`` — expressions are hash-consed, so the same side
-condition asked again by a later simplification pass is a dictionary lookup.
-The cache is dropped whenever a new fact is declared on the environment.
+Every query is memoised in :mod:`repro.symbolic.memo`, keyed ``(query kind,
+expression id..., fact token)`` — the same side condition asked again by a
+later simplification pass, or by another environment holding the same facts,
+is a dictionary lookup; declaring a new fact changes the token.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from .expr import (
     Var,
     as_expr,
 )
+from .memo import MEMO, memo_put
 from .stats import CACHE_STATS
 from .symranges import SymbolicEnv
 
@@ -122,13 +123,9 @@ def _record_query(kind: str, query: Callable[[], str], result: bool) -> bool:
     return result
 
 
-# proof-cache key tags (paired with expression ids)
-_NONNEG, _POSITIVE, _LADDER, _LE = range(4)
-
-
-def _memoised(tag: int, on_const: Callable[[int], bool]):
-    """Memoise a unary ``(expr, env) -> bool`` query on ``env.caches.proof``;
-    literal constants are decided by ``on_const`` without touching the cache."""
+def _memoised(tag: str, on_const: Callable[[int], bool]):
+    """Memoise a unary ``(expr, env) -> bool`` query under ``(tag, expr id, fact
+    token)``; literal constants are decided by ``on_const``, not the table."""
 
     def decorate(impl: Callable[[Expr, SymbolicEnv], bool]):
         @functools.wraps(impl)
@@ -136,15 +133,14 @@ def _memoised(tag: int, on_const: Callable[[int], bool]):
             expr = as_expr(expr)
             if isinstance(expr, Const):
                 return on_const(expr.value)
-            cache = env.caches.proof
-            key = (tag, expr._id)
-            hit = cache.get(key)
+            key = (tag, expr._id, env.fact_token)
+            hit = MEMO.get(key)
             if hit is not None:
                 CACHE_STATS.proof_hits += 1
                 return hit
             result = impl(expr, env)
             CACHE_STATS.proof_misses += 1
-            cache[key] = result
+            memo_put(key, result)
             return result
 
         return query
@@ -157,7 +153,7 @@ def _memoised(tag: int, on_const: Callable[[int], bool]):
 # ---------------------------------------------------------------------------
 
 
-@_memoised(_NONNEG, lambda value: value >= 0)
+@_memoised("nonneg", lambda value: value >= 0)
 def is_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
     """Structurally prove ``expr >= 0`` under the environment's assumptions."""
     if isinstance(expr, Var):
@@ -212,7 +208,7 @@ def _is_nonpos(expr: Expr, env: SymbolicEnv) -> bool:
     return False
 
 
-@_memoised(_POSITIVE, lambda value: value > 0)
+@_memoised("positive", lambda value: value > 0)
 def is_positive(expr: Expr, env: SymbolicEnv) -> bool:
     """Structurally prove ``expr > 0`` under the environment's assumptions."""
     if env.is_declared_positive(expr):
@@ -272,7 +268,7 @@ def _lower_end_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
     return lo is not None and lo is not expr and is_nonneg(lo, env)
 
 
-@_memoised(_LADDER, lambda value: value >= 0)
+@_memoised("ladder", lambda value: value >= 0)
 def _ladder_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
     """Prove ``expr >= 0``: refute, else climb :func:`_ladder_stages`.
 
@@ -330,15 +326,14 @@ def prove_le(lhs: ExprLike, rhs: ExprLike, env: SymbolicEnv) -> bool:
     rhs = as_expr(rhs)
     if lhs == rhs:
         return _record_query("le", lambda: f"{lhs} <= {rhs}", True)
-    cache = env.caches.proof
-    key = (_LE, lhs._id, rhs._id)
-    hit = cache.get(key)
+    key = ("le", lhs._id, rhs._id, env.fact_token)
+    hit = MEMO.get(key)
     if hit is not None:
         CACHE_STATS.proof_hits += 1
         return _record_query("le", lambda: f"{lhs} <= {rhs}", hit)
     result = not refuted(lhs, rhs, env) and _prove_le_impl(lhs, rhs, env)
     CACHE_STATS.proof_misses += 1
-    cache[key] = result
+    memo_put(key, result)
     return _record_query("le", lambda: f"{lhs} <= {rhs}", result)
 
 

@@ -33,11 +33,11 @@ The rules live in an explicit registry (:data:`RULE_REGISTRY`): each is a
 node type — rather than a branch in a nested if-chain.  The engine applies
 them through a **memoised bottom-up rewriter**: expression nodes are
 hash-consed (:mod:`repro.symbolic.expr`), so one single-pass rewrite result
-per node id is cached on the :class:`SymbolicEnv` (whose caches are dropped
-whenever an assumption is declared — the ``(expr_id, env_fingerprint)``
-scheme).  :func:`simplify_fixpoint` additionally caches the final fixpoint per
-root expression, making repeated lowering of the same index expressions — the
-hot path of Tables III/IV — effectively free.
+per ``(node id, fact token)`` is kept in :mod:`repro.symbolic.memo` — shared
+by every environment that declares the same facts, never served under others.
+:func:`simplify_fixpoint` additionally files the final fixpoint per root
+expression, making repeated lowering of the same index expressions — sibling
+kernels, repeat compiles, the hot path of Tables III/IV — a dictionary lookup.
 
 ``expand`` distributes products over sums; the code-generation pipeline
 generates both the expanded and unexpanded simplified forms and picks the one
@@ -66,6 +66,7 @@ from .expr import (
     Var,
     as_expr,
 )
+from .memo import MEMO, NO_FACTS, memo_put
 from .prover import is_nonzero, is_positive, prove_le, prove_lt, prove_nonneg, refuted
 from .stats import CACHE_STATS
 from .symranges import SymbolicEnv, constant_interval
@@ -133,25 +134,26 @@ def _rule(node_type: type, name: str, description: str):
 
 
 class _Rewriter:
-    """One simplification pass: bottom-up, memoised on the environment.
+    """One simplification pass: bottom-up, memoised on the fact set.
 
     The single-pass result for a node is a pure function of the node identity
-    and the environment's facts, so it is cached in
-    ``env.caches.simplify[expr_id]``.  Results whose computation ran into the
-    depth cutoff are not cached (they would poison shallower queries).
+    and the environment's facts, so it is filed under ``("simplify", expr_id,
+    env.fact_token)``.  Results whose computation ran into the depth cutoff
+    are not cached (they would poison shallower queries).
     """
 
-    __slots__ = ("env", "_cutoff_hit")
+    __slots__ = ("env", "_token", "_cutoff_hit")
 
     def __init__(self, env: SymbolicEnv):
         self.env = env
+        self._token = env.fact_token
         self._cutoff_hit = False
 
     def rewrite(self, expr: Expr, depth: int = 0) -> Expr:
         if isinstance(expr, (Const, Var)):
             return expr
-        cache = self.env.caches.simplify
-        cached = cache.get(expr._id)
+        key = ("simplify", expr._id, self._token)
+        cached = MEMO.get(key)
         if cached is not None:
             CACHE_STATS.simplify_hits += 1
             return cached
@@ -166,7 +168,7 @@ class _Rewriter:
         self._cutoff_hit = self._cutoff_hit or outer_cutoff
         if subtree_clean:
             CACHE_STATS.simplify_misses += 1
-            cache[expr._id] = result
+            memo_put(key, result)
         return result
 
     def apply_rules(self, node_type: type, expr: Expr) -> Expr:
@@ -204,15 +206,15 @@ def simplify(expr: ExprLike, env: SymbolicEnv | None = None, _depth: int = 0) ->
 def simplify_fixpoint(expr: ExprLike, env: SymbolicEnv | None = None) -> Expr:
     """Apply :func:`simplify` repeatedly until the expression stops changing.
 
-    Fixpoints are memoised per root expression on the environment: every
+    Fixpoints are memoised per (root expression, fact token): every
     intermediate form seen along the way maps to the same final result, so
-    re-simplifying either the original or an already-simplified expression is
-    a dictionary lookup.
+    re-simplifying either the original or an already-simplified expression,
+    under any environment holding the same facts, is a dictionary lookup.
     """
     expr = as_expr(expr)
     env = env or SymbolicEnv()
-    cache = env.caches.fixpoint
-    cached = cache.get(expr._id)
+    token = env.fact_token
+    cached = MEMO.get(("fixpoint", expr._id, token))
     if cached is not None:
         CACHE_STATS.fixpoint_hits += 1
         return cached
@@ -235,7 +237,7 @@ def simplify_fixpoint(expr: ExprLike, env: SymbolicEnv | None = None) -> Expr:
         # querying an intermediate directly would run further passes, and the
         # cache must never return a less-simplified answer than a cold call.
         for seen in chain:
-            cache[seen._id] = current
+            memo_put(("fixpoint", seen._id, token), current)
     return current
 
 
@@ -653,25 +655,15 @@ def expand(expr: ExprLike) -> Expr:
     expr = as_expr(expr)
     if isinstance(expr, (Const, Var)):
         return expr
-    cached = _EXPAND_CACHE.get(expr._id)
+    key = ("expand", expr._id, NO_FACTS)  # env-independent: one entry per node
+    cached = MEMO.get(key)
     if cached is not None:
         return cached
     out = expr.map_children(expand)
     if isinstance(out, Mul):
         out = _expand_mul(out)
-    _EXPAND_CACHE[expr._id] = out
+    memo_put(key, out)
     return out
-
-
-#: ``expand`` is env-independent, so one process-global identity-keyed cache
-#: is sound; interning keeps it compact (one entry per distinct expression).
-#: Concurrency: dict reads/writes are individually atomic under the GIL and
-#: ``expand`` is a pure function of the (interned) node identity, so a race
-#: between two threads computing the same entry is benign — both write the
-#: same interned result and last-writer-wins changes nothing.  The per-env
-#: simplify/fixpoint/proof/range caches have no such story and rely on the
-#: thread-confinement contract documented on :class:`SymbolicEnv`.
-_EXPAND_CACHE: dict[int, Expr] = {}
 
 
 def _expand_mul(expr: Expr) -> Expr:

@@ -1,12 +1,12 @@
 """Cache-hit accounting for the symbolic engine.
 
-The hash-consed IR (:mod:`repro.symbolic.expr`) enables identity-keyed memo
-tables throughout the stack: the rewrite engine, the fixpoint driver, the
-prover and the range analysis all keep per-environment caches, and the code
-printers keep per-instance caches.  This module centralises their hit/miss
-counters so the code-generation pipeline can report cache effectiveness
-(:class:`repro.codegen.pipeline.GenerationReport`) and the cache benchmark
-can assert hit rates.
+The hash-consed IR (:mod:`repro.symbolic.expr`) enables identity-keyed
+memoisation throughout the stack: the rewrite engine, the fixpoint driver, the
+prover and the range analysis share one process-wide table (:mod:`.memo`), the
+code printers keep per-instance caches.  This module centralises their
+hit/miss counters (and the table's size, tokens and resets) so the
+code-generation pipeline can report cache effectiveness (:class:`repro.codegen.
+pipeline.GenerationReport`) and the cache benchmark can assert hit rates.
 
 Counters are process-global and monotonically increasing; callers that want
 a delta snapshot the counters before and after (see
@@ -22,9 +22,12 @@ ServiceStats` count under their own locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["CacheCounters", "CACHE_STATS", "cache_statistics", "reset_cache_statistics"]
+
+
+_GAUGES = ("interned_nodes", "memo_entries", "fact_tokens")
 
 
 @dataclass
@@ -41,6 +44,8 @@ class CacheCounters:
     range_misses: int = 0
     print_hits: int = 0
     print_misses: int = 0
+    #: times the memo table was emptied (its cap, or ``clear_memos()``)
+    memo_resets: int = 0
     rule_applications: dict[str, int] = field(default_factory=dict)
     #: bumped by every :meth:`reset`; snapshots carry it so :meth:`delta`
     #: can tell that the counters were zeroed between two snapshots
@@ -52,21 +57,15 @@ class CacheCounters:
     def snapshot(self) -> dict[str, object]:
         """A plain-dict copy of the current counter values."""
         from .expr import intern_table_size
+        from .memo import FACT_TOKENS, MEMO
 
         return {
             "epoch": self.epoch,
-            "simplify_hits": self.simplify_hits,
-            "simplify_misses": self.simplify_misses,
-            "fixpoint_hits": self.fixpoint_hits,
-            "fixpoint_misses": self.fixpoint_misses,
-            "proof_hits": self.proof_hits,
-            "proof_misses": self.proof_misses,
-            "range_hits": self.range_hits,
-            "range_misses": self.range_misses,
-            "print_hits": self.print_hits,
-            "print_misses": self.print_misses,
+            **{name: getattr(self, name) for name in _COUNTERS},
             "rule_applications": dict(self.rule_applications),
             "interned_nodes": intern_table_size(),
+            "memo_entries": len(MEMO),
+            "fact_tokens": len(FACT_TOKENS),
         }
 
     @staticmethod
@@ -97,10 +96,9 @@ class CacheCounters:
             else:
                 before_number = before_value if isinstance(before_value, (int, float)) else 0
                 difference = after_value - before_number
-                # the intern table is never reset, so its size may legally
-                # shrink between snapshots only if the table itself could
-                # evict; counters are monotonic within an epoch — clamp both
-                out[key] = max(0, difference) if key != "interned_nodes" else difference
+                # sizes are gauges (the memo table shrinks when it resets);
+                # counters are monotonic within an epoch — clamp those
+                out[key] = difference if key in _GAUGES else max(0, difference)
         for kind in ("simplify", "fixpoint", "proof", "range", "print"):
             hits = out.get(f"{kind}_hits", 0)
             total = hits + out.get(f"{kind}_misses", 0)
@@ -108,18 +106,17 @@ class CacheCounters:
         return out
 
     def reset(self) -> None:
-        self.simplify_hits = 0
-        self.simplify_misses = 0
-        self.fixpoint_hits = 0
-        self.fixpoint_misses = 0
-        self.proof_hits = 0
-        self.proof_misses = 0
-        self.range_hits = 0
-        self.range_misses = 0
-        self.print_hits = 0
-        self.print_misses = 0
+        for name in _COUNTERS:
+            setattr(self, name, 0)
         self.rule_applications.clear()
         self.epoch += 1
+
+
+#: the integer counters :meth:`~CacheCounters.snapshot` copies and
+#: :meth:`~CacheCounters.reset` zeroes — a new one is one field, nothing else
+_COUNTERS = tuple(
+    f.name for f in fields(CacheCounters) if f.name not in ("rule_applications", "epoch")
+)
 
 
 #: the process-global counter instance used by every cache layer
@@ -127,7 +124,7 @@ CACHE_STATS = CacheCounters()
 
 
 def cache_statistics() -> dict[str, object]:
-    """Snapshot of the global cache counters (plus the intern-table size)."""
+    """Snapshot of the global cache counters (plus intern- and memo-table sizes)."""
     return CACHE_STATS.snapshot()
 
 

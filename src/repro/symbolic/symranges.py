@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .expr import (
@@ -44,10 +44,11 @@ from .expr import (
     Var,
     as_expr,
 )
+from .memo import MEMO, intern_facts, memo_put
 from .ranges import Interval
 from .stats import CACHE_STATS
 
-__all__ = ["EnvCaches", "SymInterval", "SymbolicEnv", "constant_interval"]
+__all__ = ["SymInterval", "SymbolicEnv", "constant_interval"]
 
 
 def _opt_expr(value) -> Optional[Expr]:
@@ -119,57 +120,6 @@ class SymInterval:
         return f"[{lo}, {hi}]"
 
 
-class EnvCaches:
-    """Every env-scoped memo family behind **one** invalidation epoch.
-
-    ``invalidate()`` bumps the single ``epoch`` (the number that feeds
-    :attr:`SymbolicEnv.fingerprint`) and drops every family at once, so a
-    cache entry in *any* family is always consistent with the facts in force
-    when it was written.
-
-    Families (all identity-keyed on ``Expr.expr_id``):
-
-    * ``simplify`` — one-pass rewriter results (:mod:`.simplify`),
-    * ``fixpoint`` — ``simplify_fixpoint`` chains,
-    * ``proof`` — prover verdicts, keyed ``(kind tag, expr ids...)``,
-    * ``range`` — :class:`SymInterval` results of :meth:`SymbolicEnv.range_of`,
-
-    plus ``witnesses`` — the valuations of :meth:`SymbolicEnv.witnesses`
-    (``None`` until first asked for; not a dict, so not in :meth:`families`).
-    """
-
-    __slots__ = ("epoch", "simplify", "fixpoint", "proof", "range", "witnesses")
-
-    def __init__(self):
-        self.epoch = 0
-        self.simplify: dict[int, Expr] = {}
-        self.fixpoint: dict[int, Expr] = {}
-        self.proof: dict[tuple, bool] = {}
-        self.range: dict[int, SymInterval] = {}
-        self.witnesses: Optional[tuple[dict[str, int], ...]] = None
-
-    def families(self) -> tuple[dict, ...]:
-        return (self.simplify, self.fixpoint, self.proof, self.range)
-
-    def invalidate(self) -> None:
-        """A fact changed: bump the shared epoch, drop every family."""
-        self.epoch += 1
-        for family in self.families():
-            family.clear()
-        self.witnesses = None
-
-    def copied(self) -> "EnvCaches":
-        """A snapshot carrying the same epoch and entries (for env copies)."""
-        new = EnvCaches()
-        new.epoch = self.epoch
-        new.simplify = dict(self.simplify)
-        new.fixpoint = dict(self.fixpoint)
-        new.proof = dict(self.proof)
-        new.range = dict(self.range)
-        new.witnesses = self.witnesses  # immutable once built
-        return new
-
-
 #: an environment keeps up to this many witness valuations, found in at most
 #: this many draws; an unbounded range end is drawn within this span of the
 #: other (small sizes are what make ``x < BN``-shaped obligations fail)
@@ -190,14 +140,12 @@ class SymbolicEnv:
     Environments are mutated in place by the ``declare_*`` helpers; the
     layout-lowering context builds one environment per kernel.
 
-    **Thread confinement.**  Unlike the intern table (which is lock-striped
-    and shared by every thread), an environment and its memo caches are NOT
-    internally synchronised: an instance must only be used by one thread at
-    a time.  This is by construction in the concurrent compilation service —
-    every compile request builds its own :class:`~repro.codegen.context.
-    CodegenContext` and therefore its own environment inside one worker
-    thread — and is the documented contract for any other caller.  Use
-    :meth:`copy` to hand independent snapshots to multiple threads.
+    An environment owns no cache: every answer derived under it lives in the
+    process-wide table of :mod:`repro.symbolic.memo` under :attr:`fact_token`,
+    so environments holding the same facts share their answers and a
+    ``declare_*`` that changes a fact moves this one to another token.  The
+    table is safe to share between threads; an environment is an ordinary
+    mutable object (do not declare on one while another thread queries it).
     """
 
     def __init__(self):
@@ -206,22 +154,33 @@ class SymbolicEnv:
         self._positive_exprs: set[Expr] = set()
         self._le_facts: list[tuple[Expr, Expr]] = []
         self._max_depth = 16
-        # -- memoisation state (identity-keyed on Expr.expr_id) ---------------
-        # Every declared fact can change what simplifies/proves, so any
-        # mutation bumps the shared cache epoch and drops every family at
-        # once (see :class:`EnvCaches`); an entry is therefore always
-        # consistent with the facts in force when it was written.
-        self.caches = EnvCaches()
+        #: the valuations of :meth:`witnesses` (``None`` until asked for)
+        self._witnesses: Optional[tuple[dict[str, int], ...]] = None
         self._range_cutoff_events = 0
 
-    @property
-    def fingerprint(self) -> tuple[int, int]:
-        """Identity + cache-epoch pair distinguishing assumption states."""
-        return (id(self), self.caches.epoch)
+    def _fact_key(self) -> tuple:
+        """The whole fact set, by node id (``==`` ignores ``Var.meta``, which
+        ranges read); ``<=`` facts in order: the prover takes the first fit."""
+        return (
+            frozenset(
+                (name, None if r.lo is None else r.lo._id, None if r.hi is None else r.hi._id)
+                for name, r in self._ranges.items()
+            ),
+            frozenset((x._id, d._id) for x, d in self._divisibility),
+            frozenset(e._id for e in self._positive_exprs),
+            tuple((a._id, b._id) for a, b in self._le_facts),
+        )
+
+    @cached_property
+    def fact_token(self) -> int:
+        """The interned fact set: equal for environments holding the same
+        facts, different otherwise (recomputed after a fact changes)."""
+        return intern_facts(self._fact_key())
 
     def _invalidate(self) -> None:
-        """A fact changed: bump the shared epoch and drop every memo table."""
-        self.caches.invalidate()
+        """A fact changed: forget the token and the witnesses."""
+        self.__dict__.pop("fact_token", None)
+        self._witnesses = None
 
     # -- declarations ---------------------------------------------------------
 
@@ -320,9 +279,7 @@ class SymbolicEnv:
         new._divisibility = set(self._divisibility)
         new._positive_exprs = set(self._positive_exprs)
         new._le_facts = list(self._le_facts)
-        # The copy holds exactly the same facts, so the memoised results are
-        # still valid and carry over (they are invalidated independently).
-        new.caches = self.caches.copied()
+        new._witnesses = self._witnesses  # same facts, same valuations
         return new
 
     # -- lookups --------------------------------------------------------------
@@ -375,7 +332,7 @@ class SymbolicEnv:
         confirms them; facts nobody can satisfy, or over undeclared variables,
         leave the tuple empty, which refutes nothing.
         """
-        points = self.caches.witnesses
+        points = self._witnesses
         if points is None:
             rng = random.Random(0)
             repairs = sorted(  # ``d | x`` facts on a plain variable, in a fixed order
@@ -391,7 +348,7 @@ class SymbolicEnv:
                         break
             if not found:
                 CACHE_STATS.count_rule("witness:none")
-            points = self.caches.witnesses = tuple(found)
+            points = self._witnesses = tuple(found)
         return points
 
     def _sample_point(self, rng: random.Random, repairs) -> Optional[dict[str, int]]:
@@ -456,11 +413,12 @@ class SymbolicEnv:
     def range_of(self, expr: Expr, _depth: int = 0) -> SymInterval:
         """Compute a sound symbolic interval for ``expr`` (memoised).
 
-        Results are cached per expression identity; a result computed under a
-        depth cutoff (which conservatively widens to ``top``) is *not* cached
-        so that a later shallow query is not poisoned by a deep one.
+        Results are cached per (expression id, fact token); a result computed
+        under a depth cutoff (which conservatively widens to ``top``) is *not*
+        cached so that a later shallow query is not poisoned by a deep one.
         """
-        cached = self.caches.range.get(expr._id)
+        key = ("range", expr._id, self.fact_token)
+        cached = MEMO.get(key)
         if cached is not None:
             CACHE_STATS.range_hits += 1
             return cached
@@ -472,7 +430,7 @@ class SymbolicEnv:
                 result = SymInterval(Const(1), result.hi)
         if self._range_cutoff_events == cutoffs_before:
             CACHE_STATS.range_misses += 1
-            self.caches.range[expr._id] = result
+            memo_put(key, result)
         return result
 
     def _range_of_dispatch(self, expr: Expr, _depth: int = 0) -> SymInterval:

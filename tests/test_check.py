@@ -26,6 +26,7 @@ from importlib import import_module
 # the package re-exports the ``simplify`` *function* under the same name, so
 # the rewrite-engine module must be resolved explicitly
 simplify_module = import_module("repro.symbolic.simplify")
+from repro.symbolic import clear_memos
 from repro.symbolic.expr import Mod
 from repro.tune.space import Choice, SearchSpace
 
@@ -160,8 +161,7 @@ def broken_mod_rule():
         yield
     finally:
         simplify_module._RULES_BY_TYPE[Mod] = original
-        # drop any expansion results memoised while the broken rule was live
-        simplify_module._EXPAND_CACHE.clear()
+        clear_memos()  # drop every answer memoised while the broken rule was live
 
 
 def test_differential_runner_catches_broken_rewrite(broken_mod_rule):
@@ -188,7 +188,19 @@ def test_fuzz_symbolic_is_clean_and_deterministic():
     assert first.as_dict() == second.as_dict()
     assert first.checked == {
         "simplify": 60, "fixpoint": 60, "printer": 60, "lowering": 60, "range": 60, "refuter": 60,
+        "sharing": 60,
     }
+
+
+def test_fuzzer_catches_answers_shared_across_fact_sets(monkeypatch):
+    from repro.symbolic import SymbolicEnv
+
+    # a fact token blind to the declared ranges: the fuzzer's four value
+    # ranges collapse onto one token and serve each other's answers
+    real = SymbolicEnv._fact_key
+    monkeypatch.setattr(SymbolicEnv, "_fact_key", lambda env: ((),) + real(env)[1:])
+    report = fuzz_symbolic(trials=60, seed=0)
+    assert any(f.property == "sharing" for f in report.failures)
 
 
 def test_fuzzer_catches_unsound_range_transfer(monkeypatch):

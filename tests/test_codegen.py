@@ -100,6 +100,20 @@ def test_time_generation_extracts_op_counts():
     assert report.details["backend"] == "triton"
 
 
+def test_generation_report_shows_the_memo_table_and_a_sibling_hitting_it():
+    from repro.apps.matmul import generate_matmul_kernel
+
+    _, first = time_generation("matmul-nn", lambda: generate_matmul_kernel("nn"))
+    stats = first.cache_stats
+    assert stats["memo_entries"] > 100 and stats["fact_tokens"] >= 1 and stats["memo_resets"] == 0
+    # a sibling variant declares the same facts and lowers the same pid_m / pid_n
+    # / output pointer: it meets the first kernel's fixpoints, whoever's env asked
+    _, sibling = time_generation("matmul-nt", lambda: generate_matmul_kernel("nt"))
+    assert sibling.cache_stats["fact_tokens"] == 0, "same facts, no new token"
+    assert sibling.cache_hit_rate("fixpoint") > 0.5 > first.cache_hit_rate("fixpoint")
+    assert sibling.cache_stats["memo_entries"] < stats["memo_entries"] / 2
+
+
 # -- Triton backend ------------------------------------------------------------------------------
 
 

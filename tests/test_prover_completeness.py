@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from repro.apps.registry import available_apps, get_app
-from repro.symbolic import record_proof_queries
+from repro.symbolic import clear_memos, record_proof_queries
 
 BASELINE_PATH = Path(__file__).parent / "data" / "prover_baseline.json"
 
@@ -40,6 +40,7 @@ def generation_sweep() -> dict[str, dict]:
             for config in configs:
                 if spec.generate is None:
                     continue
+                clear_memos()  # each kernel alone, as the baseline was recorded
                 try:
                     kernel = spec.generate(config)
                 except (KeyError, ValueError, TypeError):
@@ -84,6 +85,17 @@ def test_proven_rate_never_regresses():
         if recorded["queries"] and not now["queries"]:
             regressions.append(f"{name}: generation no longer issues proof queries")
     assert not regressions, "prover completeness regressed:\n" + "\n".join(regressions)
+
+
+def test_each_kernel_alone_issues_exactly_the_recorded_queries():
+    """The memo table is shared between kernels; emptied before each one (as
+    :func:`generation_sweep` does) a kernel must ask — and prove — exactly what
+    it did when every environment kept its own caches."""
+    baseline = json.loads(BASELINE_PATH.read_text())
+    current = generation_sweep()
+    for name, recorded in baseline.items():
+        now = current[name]
+        assert (now["queries"], now["proven"]) == (recorded["queries"], recorded["proven"]), name
 
 
 def test_sweep_exercises_the_prover():

@@ -5,17 +5,21 @@ import operator
 import pytest
 
 from repro.symbolic import (
+    CACHE_STATS,
     Const,
-    EnvCaches,
     Interval,
+    Min,
     SymbolicEnv,
     SymInterval,
     Var,
     affine_strides,
     as_expr,
+    cache_statistics,
+    clear_memos,
     constant_interval,
     is_mixed_radix_bijection,
     is_nonzero,
+    is_positive,
     prove_in_bounds,
     prove_le,
     prove_lt,
@@ -245,51 +249,196 @@ def test_mixed_radix_bijection_verdicts():
     assert not is_mixed_radix_bijection(0, [(1, 4), (-4, 4)], 16)
 
 
-# -- unified cache epoch ------------------------------------------------------------
+# -- one memo table keyed by (expression, fact token) -------------------------------
 
 
-def test_env_caches_share_one_invalidation_epoch():
+def test_a_changed_fact_changes_the_token_and_the_answers():
     env = SymbolicEnv()
-    caches = env.caches
-    assert isinstance(caches, EnvCaches)
     i = env.declare_index("i", 8)
-    # populate several families through their public entry points
-    simplify_fixpoint((i + 8) % 8, env)
-    prove_nonneg(i, env)
-    env.range_of(i * 2 + 1)
-    assert len(caches.families()) == 4
-    assert all(caches.families())
-    epoch = caches.epoch
-    fingerprint = env.fingerprint
-    env.declare_index("j", 4)  # new fact: one bump clears every family
-    assert caches.epoch == epoch + 1
-    assert env.fingerprint != fingerprint
-    assert all(not fam for fam in caches.families())
+    wrapped = (i + 8) % 16
+    # populate every family through its public entry point
+    assert simplify_fixpoint(wrapped, env) == i + 8
+    assert prove_le(i, 7, env)
+    assert env.range_of(i * 2 + 1) == SymInterval(1, 15)
+    token, entries = env.fact_token, cache_statistics()["memo_entries"]
+    assert entries > 0
+    env.declare_index("i", 8)  # a no-op declaration keeps the token and the answers
+    before = CACHE_STATS.snapshot()
+    assert env.fact_token == token
+    assert simplify_fixpoint(wrapped, env) == i + 8
+    assert CACHE_STATS.delta(before, CACHE_STATS.snapshot())["fixpoint_hits"] == 1
+    env.declare_range("i", 8, 15)  # a changed fact: new token, new answers
+    assert env.fact_token != token
+    assert simplify_fixpoint(wrapped, env) == i - 8
+    assert not prove_le(i, 7, env)
+    assert env.range_of(i * 2 + 1) == SymInterval(17, 31)
+    # nothing was dropped: the old fact set's entries are still there for
+    # whoever declares those facts again
+    assert cache_statistics()["memo_entries"] > entries
+    again = SymbolicEnv()
+    again.declare_index("i", 8)
+    assert again.fact_token == token
 
 
 def test_declaring_a_fact_drops_the_witnesses():
     env = SymbolicEnv()
     i = env.declare_index("i", 8)
     assert not prove_nonneg(as_expr(i) - 8, env)  # refuted: i - 8 < 0 at every witness
-    points = env.caches.witnesses
+    points = env.witnesses()
     assert points and all(0 <= p["i"] < 8 for p in points)
-    assert env.copy().caches.witnesses is points  # same facts, same valuations
+    assert env.witnesses() is points  # memoised until the next declare
+    assert env.copy().witnesses() is points  # same facts, same valuations
     env.declare_range("i", 8, 15)
-    assert env.caches.witnesses is None
+    assert env.witnesses() is not points
     assert prove_nonneg(as_expr(i) - 8, env)
-    assert all(8 <= p["i"] <= 15 for p in env.caches.witnesses)
+    assert all(8 <= p["i"] <= 15 for p in env.witnesses())
 
 
-def test_env_copy_snapshots_caches():
+def test_a_diverging_copy_does_not_disturb_the_original():
     env = SymbolicEnv()
     i = env.declare_index("i", 8)
-    env.range_of(i * 2 + 1)
+    assert env.range_of(i * 2 + 1) == SymInterval(1, 15)
     clone = env.copy()
-    assert clone.caches.range == env.caches.range
-    clone.declare_index("j", 4)
-    # the clone invalidated its own caches; the original kept its entries
-    assert any(env.caches.families())
-    assert env.fingerprint != clone.fingerprint
+    assert clone.fact_token == env.fact_token
+    before = CACHE_STATS.snapshot()
+    assert clone.range_of(i * 2 + 1) == SymInterval(1, 15)  # the original's entry
+    assert CACHE_STATS.delta(before, CACHE_STATS.snapshot())["range_misses"] == 0
+    clone.declare_range("i", 0, 3)
+    assert clone.fact_token != env.fact_token
+    assert clone.range_of(i * 2 + 1) == SymInterval(1, 7)
+    before = CACHE_STATS.snapshot()
+    assert env.range_of(i * 2 + 1) == SymInterval(1, 15)  # still a hit, still right
+    assert CACHE_STATS.delta(before, CACHE_STATS.snapshot())["range_misses"] == 0
+
+
+def _matmul_like_env(order):
+    """The same five facts, declared in ``order``."""
+    K, BK = Var("K"), Var("BK")
+    env = SymbolicEnv()
+    declare = {
+        "size": lambda: env.declare_size(K, BK),
+        "div": lambda: env.declare_divisible(K, BK),
+        "k": lambda: env.declare_index("k", K // BK),
+        "r": lambda: env.declare_index("r", BK),
+        "le": lambda: env.declare_le(BK, K),
+    }
+    for step in order:
+        declare[step]()
+    return env
+
+
+def test_same_facts_in_any_order_share_every_answer():
+    K, BK, k, r = Var("K"), Var("BK"), Var("k"), Var("r")
+    expr = ((k * BK + r) // BK) * BK + (k * BK + r) % BK
+    first = _matmul_like_env(["size", "div", "k", "r", "le"])
+    second = _matmul_like_env(["r", "le", "size", "k", "div"])
+    assert first is not second and first.fact_token == second.fact_token
+    answer = simplify_fixpoint(expr, first)
+    before = CACHE_STATS.snapshot()
+    assert simplify_fixpoint(expr, second) is answer
+    delta = CACHE_STATS.delta(before, CACHE_STATS.snapshot())
+    assert (delta["fixpoint_hits"], delta["fixpoint_misses"]) == (1, 0)
+    assert delta["simplify_misses"] == delta["proof_misses"] == delta["range_misses"] == 0
+    # ``<=`` facts are ordered (the prover takes the first that fits): two of
+    # them in the other order are a different fact set
+    one_way, other_way = (_matmul_like_env(["size", "div", "k", "r"]) for _ in range(2))
+    one_way.declare_le(BK, K)
+    one_way.declare_le(k, K)
+    other_way.declare_le(k, K)
+    other_way.declare_le(BK, K)
+    assert one_way.fact_token != other_way.fact_token
+
+
+def _one_fact_apart():
+    """(name, expression, env A, env B): A and B differ in exactly one fact of
+    one family, and the expression's answers differ with it."""
+    x, d = Var("x"), Var("d")
+
+    def ranged(hi):
+        env = SymbolicEnv()
+        env.declare_range("x", 0, hi)
+        return env
+
+    def sized(extra):
+        env = SymbolicEnv()
+        env.declare_size(d)
+        env.declare_nonneg(x)
+        extra(env)
+        return env
+
+    yield "range", x % 8, ranged(7), ranged(8)
+    yield "divisible", (x // d) * d, sized(lambda e: e.declare_divisible(x, d)), sized(lambda e: None)
+    yield "positive", (x % (d - 1)) // (d - 1), sized(lambda e: e.declare_positive(d - 1)), sized(lambda e: None)
+    yield "le", Min(x, d), sized(lambda e: e.declare_le(x, d)), sized(lambda e: None)
+
+
+def _answers(expr, env):
+    return (
+        simplify_fixpoint(expr, env),
+        env.range_of(expr),
+        prove_le(expr, Var("x"), env),
+        is_positive(Var("d") - 1, env),
+    )
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["weaker-last", "weaker-first"])
+def test_envs_one_fact_apart_never_share(reverse):
+    """On a kept table, in both orders: an entry written under one fact set is
+    never served under a weaker or a stronger one."""
+    for name, expr, strong, weak in _one_fact_apart():
+        assert strong.fact_token != weak.fact_token, name
+        shared = [_answers(expr, env) for env in ((weak, strong) if reverse else (strong, weak))]
+        if reverse:
+            shared.reverse()
+        alone = []
+        for env in (strong, weak):
+            clear_memos()
+            alone.append(_answers(expr, env))
+        assert shared == alone, name
+        assert shared[0] != shared[1], f"{name}: the fact should have mattered"
+
+
+@pytest.mark.parametrize("family", range(4), ids=["range", "divisible", "positive", "le"])
+def test_a_token_that_ignores_a_family_is_caught(family, monkeypatch):
+    """The mutation the test above exists for: drop one family from the key
+    and two different fact sets collide on one token."""
+    real = SymbolicEnv._fact_key
+    monkeypatch.setattr(
+        SymbolicEnv,
+        "_fact_key",
+        lambda env: tuple(() if n == family else part for n, part in enumerate(real(env))),
+    )
+    name, expr, strong, weak = list(_one_fact_apart())[family]
+    assert strong.fact_token == weak.fact_token
+    assert _answers(expr, strong) == _answers(expr, weak), f"{name}: stale answers are served"
+
+
+def test_filling_past_the_cap_resets_without_reusing_tokens(monkeypatch):
+    from repro.symbolic import memo
+
+    monkeypatch.setattr(memo, "MEMO_CAP", 64)
+    x = Var("x")
+    old = SymbolicEnv()
+    old.declare_range("x", 0, 7)
+    old_token = old.fact_token
+    assert simplify_fixpoint(x % 8, old) == x
+    resets = cache_statistics()["memo_resets"]
+    n = 0
+    while cache_statistics()["memo_resets"] == resets:  # fill under the old token
+        n += 1
+        assert simplify_fixpoint((x + 8 * n) % 8, old) == x
+        assert n < 64, "the cap never fired"
+    assert cache_statistics()["memo_resets"] == resets + 1
+    assert cache_statistics()["memo_entries"] < 64
+    # a different fact set minted after the reset must not get the old token:
+    # ``old`` still holds it, and still files entries under it
+    new = SymbolicEnv()
+    new.declare_range("x", 0, 8)
+    assert new.fact_token != old_token == old.fact_token
+    assert simplify_fixpoint(x % 8, new) == x % 8
+    assert simplify_fixpoint(x % 8, old) == x
+    assert new.range_of(x % 8) == SymInterval(0, 7) and old.range_of(x) == SymInterval(0, 7)
+    assert not prove_le(x, 7, new) and prove_le(x, 7, old)
 
 
 # -- simplify rules fed by range facts ----------------------------------------------

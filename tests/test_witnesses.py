@@ -18,6 +18,7 @@ from repro.symbolic import (
     Var,
     as_expr,
     cache_statistics,
+    clear_memos,
     prove_le,
     prove_lt,
     prove_nonneg,
@@ -44,7 +45,10 @@ def compile_corpus():
 
 
 def generate_everything():
-    kernels = [spec.generate(config) for spec, config in compile_corpus()]
+    kernels = []
+    for spec, config in compile_corpus():
+        clear_memos()  # every kernel derives (and checks) its own algebra
+        kernels.append(spec.generate(config))
     assert len(kernels) == 85
     generation_sweep()
 
@@ -199,7 +203,9 @@ def test_the_oracle_catches_a_broken_transfer_function(monkeypatch):
     with proofs_checked_at_witnesses(monkeypatch) as violations:
         assert not obligation() and not violations
         monkeypatch.setattr(Interval, "mod", mod_one_short)
+        clear_memos()  # the rule of ``clear_memos``: swap a transfer function, clear
         assert obligation(), "the mutation should make the range stage over-claim"
     assert violations, "a proven-but-false obligation went unnoticed"
     # and with the refuter in place the same mutation no longer yields a wrong proof
+    clear_memos()
     assert not obligation()
