@@ -31,8 +31,7 @@ import numpy as np
 
 from ..codegen import GuardProofError, generate_accessor_wrapper, prove_guard_redundant
 from ..core import GroupBy, RegP, GenP, antidiagonal
-from ..gpusim import A100_80GB, DeviceSpec
-from ..gpusim.sharedmem import ragged_warp_rows, row_conflict_degrees
+from ..gpusim import A100_80GB, ConflictProfile, DeviceSpec
 from ..minicuda import CudaTrace, GlobalArray, launch
 from ..symbolic import BoolAnd, SymbolicEnv, as_expr
 
@@ -361,13 +360,30 @@ def nw_block_trace(block: int, layout: GroupBy | None = None,
     """The trace of one NW block, derived from the layout without launching.
 
     A layout is algebra, so the bank-conflict profile of the shared buffer
-    is a property of it, not of a run: the kernel's access schedule — three
-    staging stores, then three loads and one store per anti-diagonal step —
-    is mapped through the layout's permutation vector, cut into warps and
-    scored in one call.  A block loads its ``(b+1)^2`` boundary and
-    substitution scores and stores its ``b^2`` interior, 4 bytes each.  The
-    result equals the per-block share of a :func:`run_nw_blocked` trace of
-    any size.
+    is a property of it, not of a run (:func:`_nw_block_profile`).  A block
+    loads its ``(b+1)^2`` boundary and substitution scores and stores its
+    ``b^2`` interior, 4 bytes each.  The result equals the per-block share
+    of a :func:`run_nw_blocked` trace of any size; every call returns a trace
+    of its own, so a caller may mutate it.
+    """
+    width = block + 1
+    profile = _nw_block_profile(block, layout, device.warp_size)
+    return CudaTrace(blocks=1, threads_per_block=block, load_bytes=4.0 * width * width,
+                     store_bytes=4.0 * block * block,
+                     smem_profile=ConflictProfile().merge(profile))
+
+
+@functools.lru_cache(maxsize=256)
+def _nw_block_profile(block: int, layout: GroupBy | None, warp_size: int) -> ConflictProfile:
+    """One block's shared-buffer conflict profile; callers copy it, never mutate it.
+
+    The kernel's access schedule — three staging stores, then three loads and
+    one store per anti-diagonal step — is mapped through the layout's
+    permutation vector and logged on a trace, which cuts each access into
+    warps of its own and scores them all in one flush.  Memoised because the
+    tuner evaluates every ``(block, layout)`` once per device and sweep;
+    :func:`nw_buffer_layout` hands out one layout object per name, which
+    makes the object a stable key.
     """
     b, width = block, block + 1
     tx = np.arange(b)
@@ -376,15 +392,13 @@ def nw_block_trace(block: int, layout: GroupBy | None = None,
     for m in range(2 * b - 1):
         i, j = _nw_diagonal_cells(m, b)
         accesses += [(i - 1, j - 1), (i, j - 1), (i - 1, j), (i, j)]
-    cells = np.concatenate([i * width + j for i, j in accesses])
-    if layout is not None:
-        cells = layout.permutation_vector()[cells]
-    # the accesses differ in length; each is cut into warps of its own
-    chunks = ragged_warp_rows(cells, [i.size for i, _ in accesses], device.warp_size)
-    trace = CudaTrace(blocks=1, threads_per_block=b, load_bytes=4.0 * width * width,
-                      store_bytes=4.0 * b * b)
-    trace.smem_profile.record_many(row_conflict_degrees(chunks, 4))
-    return trace
+    table = None if layout is None else layout.permutation_vector()
+    trace = CudaTrace()
+    for i, j in accesses:
+        cells = i * width + j
+        trace.log_shared((cells if table is None else table[cells])[None, :], 4, warp_size)
+    trace.flush()
+    return trace.smem_profile
 
 
 #: latency constants of the per-cell dependency chain (cycles) and the
@@ -454,7 +468,7 @@ def nw_speedup(n: int, block: int = 16, penalty: int = 10) -> dict[str, float]:
     one_block = NwConfig(n=block, block=block, penalty=penalty)
     target_config = NwConfig(n=n, block=block, penalty=penalty)
     trace_row = nw_block_trace(block)
-    trace_anti = nw_block_trace(block, antidiagonal_buffer_layout(block))
+    trace_anti = nw_block_trace(block, nw_buffer_layout(block, "antidiagonal"))
     time_row = nw_performance(trace_row, one_block, target_config)
     time_anti = nw_performance(trace_anti, one_block, target_config)
     return {

@@ -11,17 +11,25 @@ the Figure 12a reproduction.
 access from the per-lane *element* indices into the shared buffer;
 ``access_conflict_profile`` aggregates a whole kernel phase.
 
-Every mini-CUDA and MLIR recorder — tree-walk and batched alike — and
-mini-Triton's batched one score an access once, row-wise: a warp chunk of a
-dense ``(rows, row_length)`` access is a contiguous run of at most
-``warp_size`` lanes, so :func:`warp_rows` reshapes the access into a
-``(chunks, warp_size)`` matrix (:func:`ragged_warp_rows` when the rows differ
-in length).  A ragged tail is padded by repeating the row's last lane, which
-adds neither a distinct value nor a word to any bank.
-:func:`row_distinct_counts` (sectors) and :func:`row_conflict_degrees` (banks)
-then work within each row, sorting it only when ``row[1:] >= row[:-1]`` fails
-somewhere — a coalesced layout arrives sorted.  The counts are exact integers,
-so a trace does not depend on which executor recorded it.
+Recorders do not score.  The three substrates' launch traces are
+:class:`AccessLog` instances: every mini-CUDA and MLIR recorder — tree-walk and
+batched alike — and mini-Triton's batched one append the dense
+``(rows, lanes)`` offsets of an access (:meth:`AccessLog.log_shared`,
+:meth:`AccessLog.log_global`) with the number of blocks that ``repeat`` it,
+and :meth:`AccessLog.flush` scores what is pending in one pass: accesses of
+one kind are pooled into one warp-row matrix (:func:`warp_rows`;
+:func:`ragged_warp_rows` when their lengths differ — a ragged tail is padded
+by repeating the row's last lane, which adds neither a distinct value nor a
+word to any bank), sorted only when some row is out of order (a coalesced
+layout arrives sorted), and scored by :func:`row_conflict_degrees` (banks) or
+:func:`distinct_total` (sectors — a launch needs only their total, so it is
+one scan of the flattened matrix, not a per-row reduction).
+:func:`repro.vm.engine.run_launch` flushes when the executor returns, and the
+log flushes itself before it would hold more than one slab
+(:data:`repro.vm.engine.SLAB_ELEMENTS`), so a launch of many tiny accesses
+pays NumPy's per-call cost once and a huge one never builds a huge temporary.
+The counts are exact integers, so a trace depends neither on the executor
+that recorded it nor on where the flushes fell.
 """
 
 from __future__ import annotations
@@ -32,15 +40,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..vm import engine
+
 __all__ = [
     "warp_conflict_degree",
     "ConflictProfile",
     "access_conflict_profile",
+    "AccessLog",
     "warp_rows",
     "ragged_warp_rows",
     "row_distinct_counts",
+    "distinct_total",
     "row_conflict_degrees",
 ]
+
+_BANK_BYTES = 4
 
 
 def warp_conflict_degree(
@@ -89,9 +103,9 @@ class ConflictProfile:
         """Record a batch of warp-access degrees at once, ``repeat`` times over.
 
         Equivalent to calling :meth:`record` per degree (the profile's
-        statistics are all order-insensitive); the vectorized engine uses
-        this to commit a whole launch's degrees in one call, and ``repeat``
-        for a block-uniform access — one pattern paid by every block.
+        statistics are all order-insensitive); a flush of the access log
+        commits a pooled matrix's degrees in one call, with ``repeat`` for
+        block-uniform accesses — one pattern paid by every block.
         """
         degrees = np.asarray(degrees, dtype=np.int64)
         if degrees.size == 0:
@@ -166,34 +180,76 @@ def ragged_warp_rows(lanes: np.ndarray, counts, warp_size: int) -> np.ndarray:
     return out.reshape(-1, warp_size)
 
 
+def _units(offsets: np.ndarray, element_bytes: int, unit_bytes: int) -> np.ndarray:
+    """The unit (bank word, DRAM sector) each element offset falls in.
+
+    ``offsets * element_bytes // unit_bytes`` — one shift whenever the
+    element size divides the unit into a power of two, which every dtype and
+    sector size of the device zoo does.  Always a new array (a shift by zero
+    included): the log keeps it until the flush, and a kernel may go on to
+    change its index array in place.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    ratio, rest = divmod(int(unit_bytes), int(element_bytes))
+    if rest == 0 and ratio & (ratio - 1) == 0:
+        return offsets >> (ratio.bit_length() - 1)
+    return offsets * int(element_bytes) // int(unit_bytes)
+
+
+#: what a masked lane's unit becomes: one extra value per row, and it sorts last
+_MASKED = np.iinfo(np.int64).max
+
+
+def _masked_last(matrix: np.ndarray, valid) -> tuple[np.ndarray, np.ndarray]:
+    """``matrix`` with its masked entries set to :data:`_MASKED`, and which rows have any."""
+    valid = np.broadcast_to(np.asarray(valid, dtype=bool), matrix.shape)
+    return np.where(valid, matrix, _MASKED), ~valid.all(axis=1)
+
+
 def _ordered_rows(matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` with every row non-decreasing; sorts only if some row is not."""
-    if (matrix[:, 1:] < matrix[:, :-1]).any():
-        return np.sort(matrix, axis=1)
-    return matrix
+    """``matrix``, contiguous, with every row non-decreasing; sorts only if some row is not."""
+    matrix = np.ascontiguousarray(matrix)
+    flat = matrix.reshape(-1)
+    descents = flat[1:] < flat[:-1]
+    descents[matrix.shape[1] - 1::matrix.shape[1]] = False  # a seam between rows is not one
+    return np.sort(matrix, axis=1) if descents.any() else matrix
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Flat flags over ``ordered``: the entry differs from its left neighbour in the row."""
+    flat = ordered.reshape(-1)
+    starts = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::ordered.shape[1]] = True  # a row's first entry starts a run whatever the seam says
+    return starts
 
 
 def row_distinct_counts(matrix: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
     """Per-row count of distinct values (among the row's ``valid`` entries).
 
-    With sector numbers as values and warp chunks as rows
-    (:func:`warp_rows`) the sum is an access's DRAM transaction count;
-    mini-Triton deduplicates a whole program at once, so there a row is a
-    program and ``valid`` its mask (a fully masked row counts 0).
+    The per-row view of :func:`distinct_total`, which is what the log commits;
+    the property tests compare this one with ``np.unique`` warp by warp.  A
+    fully masked row counts 0.
     """
     matrix = np.asarray(matrix, dtype=np.int64)
-    rows, width = matrix.shape
-    if width == 0:
-        return np.zeros(rows, dtype=np.int64)
-    masked = None
+    if matrix.size == 0:
+        return np.zeros(matrix.shape[0], dtype=np.int64)
+    masked = 0
     if valid is not None:
-        valid = np.broadcast_to(np.asarray(valid, dtype=bool), matrix.shape)
-        masked = ~valid.all(axis=1)
-        # masked entries become one extra value that sorts last, counted off below
-        matrix = np.where(valid, matrix, np.iinfo(np.int64).max)
+        matrix, masked = _masked_last(matrix, valid)
     ordered = _ordered_rows(matrix)
-    counts = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
-    return counts if masked is None else counts - masked
+    return np.count_nonzero(_run_starts(ordered).reshape(ordered.shape), axis=1) - masked
+
+
+def distinct_total(matrix: np.ndarray) -> int:
+    """Distinct values per row, summed over the rows of a non-empty matrix.
+
+    With sector numbers as values and warp chunks (mini-Triton: programs) as
+    rows this is an access's DRAM transaction count: one scan of the
+    flattened matrix counts the runs, with the seams between rows forced to
+    start one.
+    """
+    return int(np.count_nonzero(_run_starts(_ordered_rows(matrix))))
 
 
 def row_conflict_degrees(
@@ -201,7 +257,7 @@ def row_conflict_degrees(
     element_bytes: int,
     *,
     num_banks: int = 32,
-    bank_bytes: int = 4,
+    bank_bytes: int = _BANK_BYTES,
 ) -> np.ndarray:
     """Per-row shared-memory conflict degree of a warp-chunk matrix.
 
@@ -215,11 +271,89 @@ def row_conflict_degrees(
     if matrix.size == 0:
         return np.ones(rows, dtype=np.int64)
     if element_bytes != bank_bytes:
-        matrix = matrix * int(element_bytes) // int(bank_bytes)
+        matrix = _units(matrix, element_bytes, bank_bytes)
     words = _ordered_rows(matrix)
-    fresh = np.ones(words.shape, dtype=bool)
-    fresh[:, 1:] = words[:, 1:] != words[:, :-1]
     slots = (words % num_banks).reshape(-1)
     slots += np.repeat(np.arange(0, rows * num_banks, num_banks), width)
-    per_bank = np.bincount(slots[fresh.reshape(-1)], minlength=rows * num_banks)
+    per_bank = np.bincount(slots[_run_starts(words)], minlength=rows * num_banks)
     return per_bank.reshape(rows, num_banks).max(axis=1)
+
+
+def _pooled_rows(accesses: list, warp_size: int) -> np.ndarray:
+    """One warp-row matrix of every access in the list (each a dense ``(rows, lanes)``)."""
+    if len({access.shape[1] for access in accesses}) == 1:
+        return warp_rows(accesses[0] if len(accesses) == 1 else np.concatenate(accesses),
+                         warp_size)
+    counts = np.repeat([access.shape[1] for access in accesses],
+                       [access.shape[0] for access in accesses])
+    lanes = np.concatenate([access.reshape(-1) for access in accesses])
+    return ragged_warp_rows(lanes, counts, warp_size)
+
+
+class AccessLog:
+    """Base of the three launch traces: the launch's accesses, pending one scoring pass.
+
+    A recorder appends an access — ``(rows, lanes)`` element offsets, every
+    row cut into warps of ``warp_size`` lanes of its own, the whole pattern
+    paid ``repeat`` times (a block-uniform access: one row, every block) —
+    and :meth:`flush` commits the bank-conflict profile and the sector
+    transactions of everything pending.  The counters are final once the
+    launcher has returned (:func:`repro.vm.engine.run_launch` flushes); code
+    that drives a block context by hand on a trace of its own calls
+    :meth:`flush` before it reads them.  The state appears with the first
+    access, so the dataclasses that inherit from this need no field for it.
+    """
+
+    _pending = None  # {(counter, warp_size, repeat): [accesses, masked rows]}
+    _pending_slots = 0  # warp-row slots a flush would build: chunks * warp_size
+
+    def log_shared(self, offsets: np.ndarray, element_bytes: int, warp_size: int,
+                   repeat: int = 1) -> None:
+        """Append one shared-memory access; scored into ``smem_profile``."""
+        self._append("smem_profile", _units(offsets, element_bytes, _BANK_BYTES),
+                     warp_size, repeat)
+
+    def log_global(self, offsets: np.ndarray, element_bytes: int, sector_bytes: int,
+                   warp_size: int, is_store: bool, repeat: int = 1, valid=None) -> None:
+        """Append one global-memory access; scored into the load or store transactions.
+
+        ``valid`` (mini-Triton's mask) marks the lanes that touch memory; a
+        row with none contributes nothing.  Masked rows are whole programs:
+        they are deduplicated uncut, so ``warp_size`` must cover the row.
+        """
+        sectors = _units(offsets, element_bytes, sector_bytes)
+        masked_rows = 0
+        if valid is not None:
+            if sectors.shape[1] > warp_size:
+                raise ValueError("a masked access cannot be cut into warps")
+            sectors, masked = _masked_last(sectors, valid)
+            masked_rows = int(np.count_nonzero(masked))
+        self._append("store_transactions" if is_store else "load_transactions",
+                     sectors, warp_size, repeat, masked_rows)
+
+    def _append(self, counter: str, units: np.ndarray, warp_size: int, repeat: int,
+                masked_rows: int = 0) -> None:
+        if units.size == 0:
+            return
+        rows, lanes = units.shape
+        slots = rows * -(-lanes // warp_size) * warp_size
+        if self._pending_slots + slots > engine.SLAB_ELEMENTS:
+            self.flush()
+        if self._pending is None:
+            self._pending = {}
+        group = self._pending.setdefault((counter, warp_size, repeat), [[], 0])
+        group[0].append(units)
+        group[1] += masked_rows
+        self._pending_slots += slots
+
+    def flush(self) -> None:
+        """Score everything pending into the counters; a no-op on an empty log."""
+        pending, self._pending, self._pending_slots = self._pending, None, 0
+        for (counter, warp_size, repeat), (accesses, masked_rows) in (pending or {}).items():
+            matrix = _pooled_rows(accesses, warp_size)
+            if counter == "smem_profile":  # the matrix holds bank words already
+                self.smem_profile.record_many(row_conflict_degrees(matrix, _BANK_BYTES), repeat)
+            else:
+                # the masked value is one extra distinct value in each row that has it
+                transactions = (distinct_total(matrix) - masked_rows) * repeat
+                setattr(self, counter, getattr(self, counter) + float(transactions))

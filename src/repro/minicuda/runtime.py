@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..gpusim.sharedmem import ConflictProfile
+from ..gpusim.sharedmem import AccessLog, ConflictProfile
 from ..vm.engine import run_launch
 
 __all__ = ["Dim3", "BlockContext", "CudaTrace", "launch"]
@@ -54,8 +54,8 @@ class Dim3:
 
 
 @dataclass
-class CudaTrace:
-    """Counters accumulated over one launch."""
+class CudaTrace(AccessLog):
+    """Counters accumulated over one launch (final once its access log is flushed)."""
 
     #: global memory
     load_elements: float = 0.0

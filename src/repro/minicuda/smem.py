@@ -4,11 +4,12 @@
 kernel keeps addressing the buffer with its *logical* multi-dimensional
 indices, and the array redirects each access through a LEGO layout's
 ``apply`` bijection (the CUDA wrapper-class trick of Section V-B).  Every
-warp's access is scored for bank conflicts against the 32-bank model, which
-is exactly the effect the anti-diagonal layout removes.
+access goes to the launch trace's log, which scores each warp for bank
+conflicts against the 32-bank model — exactly the effect the anti-diagonal
+layout removes.
 
-``GlobalArray`` wraps a flat NumPy buffer and records per-warp sector
-transactions for coalescing analysis.
+``GlobalArray`` wraps a flat NumPy buffer and logs its accesses for per-warp
+sector-transaction (coalescing) analysis.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from ..core.bijection import flatten_index
-from ..gpusim.sharedmem import row_conflict_degrees, row_distinct_counts, warp_rows
 
 __all__ = ["SharedArray", "GlobalArray"]
 
@@ -38,16 +38,14 @@ def _layout_table(layout, shape: tuple[int, ...]) -> np.ndarray | None:
     return table
 
 
-def _bump_global(trace, is_store: bool, count: float, nbytes: float, transactions: float) -> None:
-    """Add one global access to the trace's load or store counters."""
+def _bump_global(trace, is_store: bool, count: float, nbytes: float) -> None:
+    """Add one global access to the trace's load or store volume (its sectors are logged)."""
     if is_store:
         trace.store_elements += count
         trace.store_bytes += nbytes
-        trace.store_transactions += transactions
     else:
         trace.load_elements += count
         trace.load_bytes += nbytes
-        trace.load_transactions += transactions
 
 
 class _LayoutArray:
@@ -107,8 +105,8 @@ class _LayoutArray:
 class SharedArray(_LayoutArray):
     """A shared-memory array addressed by logical indices through a layout.
 
-    Accesses take per-thread NumPy index arrays; each access is split into
-    warps and its bank-conflict degree recorded into the launch trace.
+    Accesses take per-thread NumPy index arrays; each access is logged on the
+    launch trace, which splits it into warps and scores their conflict degrees.
     """
 
     def __init__(self, shape: Sequence[int], dtype=np.float32, layout=None, name: str = "smem", context=None):
@@ -130,9 +128,8 @@ class SharedArray(_LayoutArray):
             trace.smem_store_bytes += nbytes
         else:
             trace.smem_load_bytes += nbytes
-        # score bank conflicts per warp over the block's thread order
-        chunks = warp_rows(flat[None, :], getattr(ctx, "warp_size", 32))
-        trace.smem_profile.record_many(row_conflict_degrees(chunks, self.dtype.itemsize))
+        # bank conflicts are scored per warp over the block's thread order
+        trace.log_shared(flat[None, :], self.dtype.itemsize, getattr(ctx, "warp_size", 32))
 
     # -- accesses -----------------------------------------------------------------
 
@@ -195,10 +192,9 @@ class GlobalArray(_LayoutArray):
         # granularity come from the launch context (i.e. the DeviceSpec)
         # when it provides them, so recording matches the device model
         sector_bytes = getattr(ctx, "sector_bytes", None) or self.sector_bytes
-        sectors = warp_rows(flat[None, :] * element_bytes // sector_bytes,
-                            getattr(ctx, "warp_size", 32))
-        transactions = int(row_distinct_counts(sectors).sum())
-        _bump_global(trace, is_store, count, count * element_bytes, transactions)
+        trace.log_global(flat[None, :], element_bytes, sector_bytes,
+                         getattr(ctx, "warp_size", 32), is_store)
+        _bump_global(trace, is_store, count, count * element_bytes)
 
     def load(self, ctx, *indices) -> np.ndarray:
         physical = self._physical(indices)

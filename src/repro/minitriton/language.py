@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..gpusim.sharedmem import AccessLog
+
 __all__ = [
     "constexpr",
     "float16",
@@ -102,8 +104,13 @@ def _as_tensor(values) -> TlTensor:
 
 
 @dataclass
-class KernelTrace:
-    """Memory-traffic and arithmetic counters accumulated across programs."""
+class KernelTrace(AccessLog):
+    """Memory-traffic and arithmetic counters accumulated across programs.
+
+    The batched engine appends its accesses to the trace's log
+    (:class:`~repro.gpusim.sharedmem.AccessLog`) and the launcher flushes it;
+    the per-program reference below counts each access's sectors on the spot.
+    """
 
     load_elements: float = 0.0
     store_elements: float = 0.0

@@ -4,8 +4,9 @@ The interpreter executes one thread block at a time with all threads of the
 block vectorised (each SSA value is either a per-thread NumPy array or a
 uniform scalar), mirroring the mini-CUDA substrate.  Global memrefs are NumPy
 buffers shared across blocks; workgroup (shared) memrefs are allocated per
-block.  Loads and stores record the per-warp sector transactions and
-shared-memory bank conflicts that feed the analytic device model.
+block.  Loads and stores go to the launch result's access log, which scores
+the per-warp sector transactions and shared-memory bank conflicts that feed
+the analytic device model.
 
 Supported operations: the ``arith`` / ``memref`` / ``gpu`` / ``scf`` subset
 produced by :mod:`repro.codegen.mlir`.
@@ -18,8 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..gpusim.sharedmem import (ConflictProfile, row_conflict_degrees, row_distinct_counts,
-                                warp_rows)
+from ..gpusim.sharedmem import AccessLog, ConflictProfile
 from ..vm.engine import run_launch
 from .ir import Block, FuncOp, Module, Operation, Value
 from .types import MemRefType
@@ -32,8 +32,8 @@ _SECTOR_BYTES = 32
 
 
 @dataclass
-class GpuLaunchResult:
-    """Traffic counters accumulated while interpreting a launch."""
+class GpuLaunchResult(AccessLog):
+    """Traffic counters accumulated while interpreting a launch (final once its log is flushed)."""
 
     load_elements: float = 0.0
     store_elements: float = 0.0
@@ -221,26 +221,22 @@ class _BlockExecutor:
 
     def _record_global(self, offsets: np.ndarray, element_bytes: int, is_store: bool) -> None:
         flat = offsets.reshape(-1)
-        sectors = warp_rows(flat[None, :] * element_bytes // self.sector_bytes, self.warp_size)
-        self._bump_global(float(flat.size), element_bytes, int(row_distinct_counts(sectors).sum()),
-                          is_store)
+        self.result.log_global(flat[None, :], element_bytes, self.sector_bytes, self.warp_size,
+                               is_store)
+        self._bump_global(float(flat.size), element_bytes, is_store)
 
-    def _bump_global(self, count: float, element_bytes: int, transactions: float,
-                     is_store: bool) -> None:
+    def _bump_global(self, count: float, element_bytes: int, is_store: bool) -> None:
         if is_store:
             self.result.store_elements += count
             self.result.store_bytes += count * element_bytes
-            self.result.store_transactions += transactions
         else:
             self.result.load_elements += count
             self.result.load_bytes += count * element_bytes
-            self.result.load_transactions += transactions
 
     def _record_shared(self, offsets: np.ndarray, element_bytes: int) -> None:
         flat = offsets.reshape(-1)
         self.result.smem_bytes += float(flat.size) * element_bytes
-        chunks = warp_rows(flat[None, :], self.warp_size)
-        self.result.smem_profile.record_many(row_conflict_degrees(chunks, element_bytes))
+        self.result.log_shared(flat[None, :], element_bytes, self.warp_size)
 
     def _load(self, op: Operation) -> None:
         source = op.operands[0]

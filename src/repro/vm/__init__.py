@@ -8,8 +8,10 @@ NumPy execution**: every program (mini-Triton) or block (mini-CUDA, MLIR)
 runs simultaneously along a leading batch axis, and the trace counters —
 DRAM sectors at the trace's recorded granularity, shared-memory
 bank-conflict degrees, flops — are synthesized from the batched
-access-offset arrays by :mod:`repro.gpusim.sharedmem`'s row-wise scorers (a
-row is a warp chunk, or a program) — the ones the tree walks call too.
+access-offset arrays: every recorder, the tree walks' included, appends its
+access to the launch trace's log (:class:`repro.gpusim.sharedmem.AccessLog`)
+and one flush scores what is pending row-wise (a row is a warp chunk, or a
+program).
 
 The two are **bit-for-bit equivalent**: outputs and every trace counter
 match exactly (all counters are sums of integer-valued terms, so

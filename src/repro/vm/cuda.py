@@ -20,10 +20,12 @@ single-source):
   batched form of boolean-compressing the thread arrays), preserving the
   tree-walk's per-block warp chunking of the compacted lane order.
 
-Shared-memory arrays get one slab per block (``(B, words)``); global
+Shared-memory arrays get one row per block (``(B, words)``); global
 arrays are untouched — their ``_record`` dispatches to the context's
-``record_global``, which scores the per-warp sector counts of every block
-at once (:mod:`repro.gpusim.sharedmem`).
+``record_global``.  Neither scores: each appends its ``(B, T)`` offsets (or
+the one block-uniform row with ``repeat = B``) to the launch trace's access
+log (:class:`repro.gpusim.sharedmem.AccessLog`).  The grid runs in passes of
+:data:`repro.vm.engine.SLAB_ELEMENTS` lanes, the size the log flushes at.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..gpusim.sharedmem import (ragged_warp_rows, row_conflict_degrees, row_distinct_counts,
-                                warp_rows)
+from ..gpusim.sharedmem import ragged_warp_rows
 from ..minicuda.runtime import BlockContext, CudaTrace, Dim3
 from ..minicuda.smem import SharedArray, _bump_global
+from . import engine
 from .engine import TREEWALK_HINT
 
 __all__ = ["BatchedBlockContext", "launch_batched"]
@@ -90,13 +92,12 @@ class BatchedSharedArray(SharedArray):
         itemsize = self.dtype.itemsize
         # block-uniform: every block repeats the one pattern
         rows, repeat = (physical, 1) if batched else (physical.reshape(1, -1), self.batch)
-        degrees = row_conflict_degrees(warp_rows(rows, warp_size), itemsize)
         nbytes = float(self.batch * rows.shape[1]) * itemsize
         if is_store:
             trace.smem_store_bytes += nbytes
         else:
             trace.smem_load_bytes += nbytes
-        trace.smem_profile.record_many(degrees, repeat)
+        trace.log_shared(rows, itemsize, warp_size, repeat)
 
     def load(self, *indices) -> np.ndarray:
         physical = self._physical(indices)
@@ -165,9 +166,9 @@ class _CompactedThreads:
         if flat.size != self._lanes:
             raise TypeError("compacted access does not match the active lane count")
         count = float(flat.size)
-        sectors = (flat * element_bytes // sector_bytes)[self._chunks]
-        transactions = float(row_distinct_counts(sectors).sum())
-        _bump_global(trace, is_store, count, count * element_bytes, transactions)
+        trace.log_global(flat[self._chunks], element_bytes, sector_bytes, self.warp_size,
+                         is_store)
+        _bump_global(trace, is_store, count, count * element_bytes)
 
 
 class BatchedBlockContext:
@@ -278,15 +279,9 @@ class BatchedBlockContext:
                 f"cannot classify a rank-{physical.ndim} global access under batching; "
                 f"{TREEWALK_HINT}"
             )
-        sectors = warp_rows(rows * element_bytes // sector_bytes, self.warp_size)
-        transactions = int(row_distinct_counts(sectors).sum())
+        trace.log_global(rows, element_bytes, sector_bytes, self.warp_size, is_store, repeat)
         count = float(rows.size * repeat)
-        _bump_global(trace, is_store, count, count * element_bytes, float(transactions * repeat))
-
-
-#: lane budget per batched pass (blocks are chunked so that
-#: ``blocks_per_chunk * threads_per_block`` stays near this)
-LANE_CHUNK = 1 << 19
+        _bump_global(trace, is_store, count, count * element_bytes)
 
 
 def launch_batched(
@@ -299,14 +294,14 @@ def launch_batched(
     warp_size: int,
     sector_bytes: int | None,
 ) -> int:
-    """Run all ``total`` blocks of the grid in vectorized batches.
+    """Run all ``total`` blocks of the grid in vectorized passes of one slab of lanes.
 
     Mutates global arrays and accumulates into ``run_trace`` exactly as
     the per-block loop would; returns the per-block shared-memory
     allocation total (the launcher's ``max_smem``).
     """
     ids = np.arange(total, dtype=np.int64)
-    blocks_per_chunk = max(1, LANE_CHUNK // max(1, block.count))
+    blocks_per_chunk = max(1, engine.SLAB_ELEMENTS // max(1, block.count))
     max_smem = 0
     for start in range(0, total, blocks_per_chunk):
         ctx = BatchedBlockContext(

@@ -3,7 +3,7 @@
 Reuses the op dispatch of :class:`repro.mlir.interp._BlockExecutor` but
 binds ``gpu.block_id`` to ``(B, 1)`` arrays so every launched block's SSA
 values materialise at once: per-thread values broadcast to ``(B, T)`` rows,
-block-uniform values stay rank <= 1 (recorded once and multiplied by ``B``).
+block-uniform values stay rank <= 1 (logged once with ``repeat = B``).
 Workgroup and private ``memref.alloc`` buffers get one row per block.
 
 Anything outside the batchable subset (e.g. block-dependent ``scf.for``
@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..gpusim.sharedmem import row_conflict_degrees, row_distinct_counts, warp_rows
 from ..mlir.interp import _BlockExecutor
 from ..mlir.ir import Operation, Value
 from ..mlir.types import MemRefType
+from . import engine
 from .engine import TREEWALK_HINT
 
 __all__ = ["launch_batched"]
@@ -79,17 +79,15 @@ class _BatchedExecutor(_BlockExecutor):
         # a block-uniform access is one row, repeated identically in every block
         rows, repeat = (offsets, 1) if self._is_batched(offsets) else \
             (offsets.reshape(1, -1), self._batch)
-        sectors = warp_rows(rows * element_bytes // self.sector_bytes, self.warp_size)
-        transactions = int(row_distinct_counts(sectors).sum())
-        self._bump_global(float(rows.size * repeat), element_bytes, float(transactions * repeat),
-                          is_store)
+        self.result.log_global(rows, element_bytes, self.sector_bytes, self.warp_size, is_store,
+                               repeat)
+        self._bump_global(float(rows.size * repeat), element_bytes, is_store)
 
     def _record_shared(self, offsets: np.ndarray, element_bytes: int) -> None:
         rows, repeat = (offsets, 1) if self._is_batched(offsets) else \
             (offsets.reshape(1, -1), self._batch)
-        degrees = row_conflict_degrees(warp_rows(rows, self.warp_size), element_bytes)
         self.result.smem_bytes += float(self._batch * rows.shape[1]) * element_bytes
-        self.result.smem_profile.record_many(degrees, repeat)
+        self.result.log_shared(rows, element_bytes, self.warp_size, repeat)
 
     # -- memory -------------------------------------------------------------
 
@@ -172,10 +170,6 @@ class _BatchedExecutor(_BlockExecutor):
         super()._for(op)
 
 
-#: lane budget per batched pass (blocks are chunked to bound memory)
-LANE_CHUNK = 1 << 19
-
-
 def launch_batched(
     fn,
     grid: tuple[int, int, int],
@@ -187,7 +181,7 @@ def launch_batched(
     warp_size: int,
     sector_bytes: int,
 ) -> int:
-    """Run all ``total`` blocks of the launch grid in vectorized batches.
+    """Run all ``total`` blocks of the launch grid in vectorized passes of one slab of lanes.
 
     Mirrors the per-block loop of :func:`repro.mlir.interp.run_gpu_kernel`
     (same buffer mutation, same counters in ``result``); returns the
@@ -195,7 +189,7 @@ def launch_batched(
     """
     ids = np.arange(total, dtype=np.int64)
     threads = block[0] * block[1] * block[2]
-    blocks_per_chunk = max(1, LANE_CHUNK // max(1, threads))
+    blocks_per_chunk = max(1, engine.SLAB_ELEMENTS // max(1, threads))
     smem_per_block = 0
     for start in range(0, total, blocks_per_chunk):
         executor = _BatchedExecutor(

@@ -13,11 +13,13 @@ Alignment convention: a ``BatchedTensor`` stores ``data`` of shape
 ``(P,) + block_shape``; binary operations pad the shorter *block* rank
 with leading singleton axes (after the batch axis), so plain operands
 broadcast right-aligned into the block dims and never touch the batch
-axis.  Trace counters are synthesized per program with
-:func:`repro.gpusim.sharedmem.row_distinct_counts` (row = program) — the
-counts match the tree-walk ``np.unique`` per access — and stores flatten
-in C (program-major) order so duplicate offsets resolve identically to
-sequential program execution.
+axis.  An access is appended to the trace's log
+(:class:`repro.gpusim.sharedmem.AccessLog`) as a ``(P, block)`` matrix — a row
+is a program, deduplicated whole, its mask riding along; a program-uniform
+access is one row with ``repeat = P`` — and the sector totals the log commits
+match the tree-walk's per-program dedup.  Stores flatten in C (program-major)
+order so duplicate offsets resolve identically to sequential program
+execution.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ..gpusim.sharedmem import row_distinct_counts
 from ..minitriton import language as tl
 from ..minitriton.language import DeviceBuffer, KernelTrace, _np_dtype
 
@@ -248,8 +249,7 @@ class _BatchedLanguage:
 
     def _record_batched(self, offsets: np.ndarray, element_bytes: int,
                         is_store: bool, valid: np.ndarray | None = None) -> None:
-        """Per-program sector dedup over a ``(P,) + block`` offset array."""
-        trace = self._trace
+        """Log a ``(P,) + block`` offset array: a row per program, deduplicated whole."""
         programs = offsets.shape[0]
         flat = offsets.reshape(programs, -1)
         if valid is not None:
@@ -257,32 +257,28 @@ class _BatchedLanguage:
             count = float(valid.sum())
         else:
             count = float(flat.size)
-        sectors = flat * element_bytes // self._sector_bytes
-        transactions = float(row_distinct_counts(sectors, valid).sum())
-        self._bump(trace, is_store, count, count * element_bytes, transactions)
+        self._log(flat, element_bytes, is_store, count, valid=valid)
 
     def _record_uniform(self, offsets: np.ndarray, element_bytes: int,
                         is_store: bool, valid: np.ndarray | None = None) -> None:
         """A program-uniform access repeats identically in every program."""
-        trace = self._trace
         flat = offsets.reshape(-1)
         if valid is not None:
             flat = flat[np.broadcast_to(valid, offsets.shape).reshape(-1)]
-        count = float(flat.size) * self._programs
-        sectors = np.unique(flat * element_bytes // self._sector_bytes)
-        transactions = float(sectors.size) * self._programs
-        self._bump(trace, is_store, count, count * element_bytes, transactions)
+        self._log(flat[None, :], element_bytes, is_store, float(flat.size) * self._programs,
+                  repeat=self._programs)
 
-    @staticmethod
-    def _bump(trace, is_store, count, nbytes, transactions):
+    def _log(self, rows: np.ndarray, element_bytes: int, is_store: bool, count: float,
+             repeat: int = 1, valid: np.ndarray | None = None) -> None:
+        trace = self._trace
+        trace.log_global(rows, element_bytes, self._sector_bytes, rows.shape[1], is_store,
+                         repeat, valid)
         if is_store:
             trace.store_elements += count
-            trace.store_bytes += nbytes
-            trace.store_transactions += transactions
+            trace.store_bytes += count * element_bytes
         else:
             trace.load_elements += count
-            trace.load_bytes += nbytes
-            trace.load_transactions += transactions
+            trace.load_bytes += count * element_bytes
 
     # -- memory operations -------------------------------------------------
 
@@ -523,10 +519,15 @@ def _compile_batched(source: str, kernel_name: str) -> Callable:
     return fn
 
 
-#: programs executed per batched pass; bounds peak memory at roughly
-#: ``chunk * block_elements`` while keeping counters additive and the
-#: program-major store order intact (chunks run in increasing id order)
-PROGRAM_CHUNK = 8192
+#: programs executed per batched pass (chunks run in increasing id order, which
+#: keeps the program-major store order intact).  It counts programs, not lanes
+#: — the block size is unknown before the body runs — so it is the slab
+#: (:data:`repro.vm.engine.SLAB_ELEMENTS`) in its own unit.  Best-of-15 launch,
+#: ms, at 8192 / 2048 / 1024 / 512 / 256 programs a pass: softmax 7.2 / 4.2 /
+#: 4.3 / 4.7 / 5.7, layernorm 7.1 / 4.3 / 4.5 / 5.1 / 6.7, matmul 35.2 / 35.2 /
+#: 34.5 / 38.6 / 43.2, grouped GEMM 18.8 / 18.8 / 18.8 / 21.3 / 24.8 — do not
+#: go below 1024.
+PROGRAM_CHUNK = 1024
 
 
 def launch_batched(

@@ -264,6 +264,51 @@ def test_vm_transpose_matches_treewalk(variant, skew):
     np.testing.assert_array_equal(out.reshape(32, 32), matrix.T)
 
 
+# -- one slab tiles every launch: where the passes and flushes fall is unobservable --
+
+
+def _slab_softmax():
+    from repro.apps.softmax import generate_softmax_kernel, run_softmax
+
+    x = np.random.default_rng(21).standard_normal((48, 24)).astype(np.float32)
+    return run_softmax(generate_softmax_kernel(), x)
+
+
+def _slab_stencil():
+    from repro.apps.stencil import STENCILS, run_stencil
+
+    spec = {s.name: s for s in STENCILS}["star-7pt"]
+    grid = np.random.default_rng(22).standard_normal((8, 8, 8)).astype(np.float32)
+    return run_stencil(grid, spec, brick=4)
+
+
+def _slab_transpose():
+    from repro.apps.transpose import (TransposeConfig, generate_transpose_module,
+                                      run_transpose)
+
+    config = TransposeConfig(n=32, tile=8)
+    matrix = np.random.default_rng(23).standard_normal((32, 32)).astype(np.float32)
+    return run_transpose(generate_transpose_module(config.n, config.tile, "smem", skew=True),
+                         matrix, config)
+
+
+@pytest.mark.parametrize("run", [_slab_softmax, _slab_stencil, _slab_transpose])
+def test_outputs_and_counters_do_not_depend_on_the_slab(monkeypatch, run):
+    """One kernel per substrate, tiled one block / program a pass (the log then
+    flushes at every access), at the default, and as one whole-grid pass."""
+    from repro.vm import triton as vm_triton
+
+    with use_engine("vectorized"):
+        default_out, default_trace = run()
+        assert max(getattr(default_trace, "blocks", 0), getattr(default_trace, "programs", 0)) > 1
+        for slab in (1, 1 << 40):
+            monkeypatch.setattr(engine_module, "SLAB_ELEMENTS", slab)
+            monkeypatch.setattr(vm_triton, "PROGRAM_CHUNK", slab)
+            out, trace = run()
+            assert np.array_equal(np.asarray(out), np.asarray(default_out))
+            assert trace_counters(trace) == trace_counters(default_trace)
+
+
 # -- the differential runner guards the vectorized path ---------------------
 
 
