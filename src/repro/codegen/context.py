@@ -21,7 +21,6 @@ from typing import Mapping, Sequence
 
 from ..core.slicing import LayoutSlice
 from ..symbolic import (
-    CACHE_STATS,
     CostWeights,
     Expr,
     PythonPrinter,
@@ -99,8 +98,6 @@ class CodegenContext:
         self._bindings: dict[str, object] = {}
         self._substitutions: dict[str, str] = {}
         self.generation_seconds: float | None = None
-        #: cache-counter increments observed during the last :meth:`lower`
-        self.last_cache_stats: dict[str, object] = {}
         self._lowered: dict[str, LoweredBinding] | None = None
         self._lowered_key: tuple | None = None
         #: access-in-bounds obligations: binding name -> (lo, hi), inclusive
@@ -211,7 +208,6 @@ class CodegenContext:
         from ..obs.trace import span
 
         started = time.perf_counter()
-        stats_before = CACHE_STATS.snapshot()
         lowered: dict[str, LoweredBinding] = {}
         with span("codegen.lower", "codegen", kernel=self.name, bindings=len(self._bindings)):
             for name, value in self._bindings.items():
@@ -219,7 +215,6 @@ class CodegenContext:
             if self._obligations:
                 self.proven_bounds = self._discharge_obligations(lowered)
         self.generation_seconds = time.perf_counter() - started
-        self.last_cache_stats = CACHE_STATS.delta(stats_before, CACHE_STATS.snapshot())
         self._lowered = lowered
         # Key computed after lowering: contribute_env may have added facts on
         # the first pass, and the key must reflect the settled environment.

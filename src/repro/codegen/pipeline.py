@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
 
 from ..symbolic import (
     CACHE_STATS,

@@ -33,7 +33,7 @@ import math
 import re
 import threading
 from collections import deque
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from .trace import instant
 

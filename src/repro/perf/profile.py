@@ -34,8 +34,8 @@ path as the verification subsystem, so a profile reproduces exactly.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
 
 from ..apps.registry import AppSpec, available_apps, get_app
 from ..check.runner import CheckReport, judge_case, run_case, sample_configs

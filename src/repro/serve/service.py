@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
 
 from ..cache import ResultCache, ShardedLRUCache, code_fingerprint, stable_digest
 from ..codegen.backend import GeneratedKernel

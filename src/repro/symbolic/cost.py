@@ -76,17 +76,16 @@ def operation_count(exprs: Expr | Iterable[Expr], weights: CostWeights | None = 
     Syntactically identical sub-expressions are counted once across the whole
     collection — the Triton and CUDA compilers CSE these, and the paper's op
     counts (Table IV) reflect the user-visible arithmetic rather than a fully
-    duplicated tree.  The count of a single interned node is memoised
-    (lowering asks for it several times per binding, under two weightings).
+    duplicated tree.  The count is memoised under the ids of the whole
+    collection (one node or many): lowering, ``kernel_payload`` and the tuner
+    all ask for the same bindings under the same two weightings.
     """
     weights = weights or CostWeights()
-    single = isinstance(exprs, Expr)
-    if single:
-        key = ("ops", exprs._id, weights)
-        cached = MEMO.get(key)
-        if cached is not None:
-            return cached
-        exprs = [exprs]
+    exprs = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
+    key = ("ops", *[expr._id for expr in exprs], weights)
+    cached = MEMO.get(key)
+    if cached is not None:
+        return cached
     total = 0
     seen: set[Expr] = set()
     for expr in exprs:
@@ -94,8 +93,7 @@ def operation_count(exprs: Expr | Iterable[Expr], weights: CostWeights | None = 
             if node not in seen:
                 seen.add(node)
                 total += _node_cost(node, weights)
-    if single:
-        memo_put(key, total)
+    memo_put(key, total)
     return total
 
 

@@ -7,8 +7,13 @@ arithmetic that layout lowering actually needs, from scratch:
 
 * expression nodes: constants, variables, ``Add``, ``Mul``, floor division,
   modulo, ``Min``, ``Max`` and comparisons,
-* light canonicalisation at construction time (constant folding, flattening
-  of associative nodes, deterministic ordering of commutative operands),
+* canonicalisation at construction time, to an invariant the constructors
+  themselves read back (``_make`` is only called here, with such tuples): a
+  ``Mul`` holds at most one ``Const``, in front, never 0 or 1, the rest sorted
+  by :meth:`Expr.sort_key` and none of them a ``Mul``; an ``Add`` is sorted,
+  holds no ``Add`` and at most one ``Const`` (first); like terms are collected.
+  ``Add(*ops)`` / ``Mul(*ops)`` are pure in their interned operands and filed
+  in :mod:`repro.symbolic.memo` under the operands' ids,
 * substitution, concrete evaluation and free-variable queries,
 * an operation-count used by the cost model that selects between expanded
   and unexpanded index expressions (Section IV-A of the paper).
@@ -46,7 +51,10 @@ from __future__ import annotations
 
 import itertools
 import threading
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+
+from .memo import MEMO, memo_put
 
 __all__ = [
     "Expr",
@@ -105,11 +113,16 @@ def intern_table_size() -> int:
 
 
 def _finalize(obj: "Expr", ekey: tuple) -> "Expr":
-    """Install the cached structural key, hash and id on a fresh node."""
+    """Install the cached structural key, sort key, hash and id on a fresh node."""
     object.__setattr__(obj, "_ekey", ekey)
+    object.__setattr__(obj, "_skey", (_TYPE_ORDER.get(ekey[0], 99), ekey))
     object.__setattr__(obj, "_hash", hash(ekey))
     object.__setattr__(obj, "_id", next(_IDS))
     return obj
+
+
+#: the three commutative sorts (``Add``, ``Mul``, ``Min``/``Max``) read the stored key
+_SORT_KEY = attrgetter("_skey")
 
 
 def as_expr(value: ExprLike) -> "Expr":
@@ -127,7 +140,7 @@ def as_expr(value: ExprLike) -> "Expr":
 class Expr:
     """Base class of all symbolic integer expressions."""
 
-    __slots__ = ("_hash", "_ekey", "_id")
+    __slots__ = ("_hash", "_ekey", "_skey", "_id")
 
     # -- construction helpers -------------------------------------------------
 
@@ -241,14 +254,18 @@ class Expr:
     # -- printing -------------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        from .printers import PythonPrinter
-
-        return PythonPrinter().doprint(self)
+        return str(self)
 
     def __str__(self) -> str:
-        from .printers import PythonPrinter
+        """Canonical text: a ``PythonPrinter`` with no substitutions, memoised."""
+        key = ("str", self._id)
+        text = MEMO.get(key)
+        if text is None:
+            from .printers import PythonPrinter
 
-        return PythonPrinter().doprint(self)
+            text = PythonPrinter().doprint(self)
+            memo_put(key, text)
+        return text
 
     # -- operators ------------------------------------------------------------
 
@@ -320,7 +337,7 @@ class Expr:
 
     def sort_key(self) -> tuple:
         """Deterministic ordering key used to canonicalise commutative nodes."""
-        return (_TYPE_ORDER.get(type(self).__name__, 99), self._ekey)
+        return self._skey
 
 
 class Const(Expr):
@@ -460,12 +477,17 @@ class Add(_NaryExpr):
     __slots__ = ()
 
     def __new__(cls, *operands: ExprLike) -> Expr:
+        return _constructed("add", operands, cls._canonical)
+
+    @classmethod
+    def _canonical(cls, operands: tuple) -> Expr:
         terms: list[Expr] = []
         const_total = 0
         for op in operands:
-            op = as_expr(op)
+            if not isinstance(op, Expr):
+                op = as_expr(op)
             if isinstance(op, Add):
-                children: Iterable[Expr] = op.args
+                children: Iterable[Expr] = op._args
             else:
                 children = (op,)
             for child in children:
@@ -473,23 +495,21 @@ class Add(_NaryExpr):
                     const_total += child.value
                 else:
                     terms.append(child)
-        # Collect like terms by their non-constant part.
-        collected: dict[Expr, int] = {}
-        order: list[Expr] = []
+        # Collect like terms by their non-constant part, remembering the term
+        # a part came from: met once, that term already is the canonical
+        # ``coeff * rest`` and is kept; only parts that collected are rebuilt.
+        collected: dict[Expr, tuple[int, Expr | None]] = {}
         for term in terms:
             coeff, rest = _split_coeff(term)
-            if rest not in collected:
-                collected[rest] = 0
-                order.append(rest)
-            collected[rest] += coeff
+            met = collected.get(rest)
+            collected[rest] = (coeff, term) if met is None else (met[0] + coeff, None)
         final_terms: list[Expr] = []
-        for rest in order:
-            coeff = collected[rest]
-            if coeff == 0:
-                continue
-            if coeff == 1:
+        for rest, (coeff, term) in collected.items():
+            if term is not None:
+                final_terms.append(term)
+            elif coeff == 1:
                 final_terms.append(rest)
-            else:
+            elif coeff != 0:
                 final_terms.append(Mul(coeff, rest))
         if const_total != 0:
             final_terms.append(Const(const_total))
@@ -497,7 +517,7 @@ class Add(_NaryExpr):
             return Const(0)
         if len(final_terms) == 1:
             return final_terms[0]
-        final_terms.sort(key=lambda e: e.sort_key())
+        final_terms.sort(key=_SORT_KEY)
         return cls._make(tuple(final_terms))
 
     def evaluate(self, env: Mapping[str, int] | None = None):
@@ -517,12 +537,17 @@ class Mul(_NaryExpr):
     __slots__ = ()
 
     def __new__(cls, *operands: ExprLike) -> Expr:
+        return _constructed("mul", operands, cls._canonical)
+
+    @classmethod
+    def _canonical(cls, operands: tuple) -> Expr:
         factors: list[Expr] = []
         const_total = 1
         for op in operands:
-            op = as_expr(op)
+            if not isinstance(op, Expr):
+                op = as_expr(op)
             if isinstance(op, Mul):
-                children: Iterable[Expr] = op.args
+                children: Iterable[Expr] = op._args
             else:
                 children = (op,)
             for child in children:
@@ -534,9 +559,10 @@ class Mul(_NaryExpr):
             return Const(0)
         if not factors:
             return Const(const_total)
-        factors.sort(key=lambda e: e.sort_key())
+        if len(factors) > 1:
+            factors.sort(key=_SORT_KEY)
         if const_total != 1:
-            factors = [Const(const_total)] + factors
+            factors.insert(0, Const(const_total))
         if len(factors) == 1:
             return factors[0]
         return cls._make(tuple(factors))
@@ -553,21 +579,42 @@ class Mul(_NaryExpr):
 
 
 def _split_coeff(term: Expr) -> tuple[int, Expr]:
-    """Split ``term`` into ``(integer coefficient, remaining factor)``."""
+    """Split ``term`` into ``(integer coefficient, remaining factor)``.
+
+    Reads the canonical form (module docstring): a ``Mul``'s only ``Const`` is
+    its first argument and the rest is already flat and sorted, so the
+    remaining factor is the tail as it stands — no rebuild, no re-sort.
+    """
     if isinstance(term, Mul):
-        consts = [a for a in term.args if isinstance(a, Const)]
-        rest = [a for a in term.args if not isinstance(a, Const)]
-        coeff = 1
-        for c in consts:
-            coeff *= c.value
-        if not rest:
-            return coeff, Const(1)
-        if len(rest) == 1:
-            return coeff, rest[0]
-        return coeff, Mul(*rest)
-    if isinstance(term, Const):
-        return term.value, Const(1)
+        args = term._args
+        head = args[0]
+        if isinstance(head, Const):
+            return head.value, args[1] if len(args) == 2 else Mul._make(args[1:])
     return 1, term
+
+
+def _constructed(family: str, operands: tuple, build: Callable[[tuple], Expr]) -> Expr:
+    """``build(operands)``, filed in the memo under the operands' identities.
+
+    ``Add(*ops)`` / ``Mul(*ops)`` is a pure function of its interned operands,
+    and lowering rebuilds the same sums many times (expanded and unexpanded
+    variants, every round of the rewrite fixpoint).  Expression operands key
+    by id, literal ints by a 1-tuple so ``3`` never aliases the node with id 3.
+    """
+    key: list = [family]
+    for op in operands:
+        if isinstance(op, Expr):
+            key.append(op._id)
+        elif isinstance(op, int):
+            key.append((op,))
+        else:
+            key.append(as_expr(op)._id)  # anything else: the TypeError it always raised
+    memo_key = tuple(key)
+    node = MEMO.get(memo_key)
+    if node is None:
+        node = build(operands)
+        memo_put(memo_key, node)
+    return node
 
 
 class FloorDiv(_NaryExpr):
@@ -687,7 +734,7 @@ def _build_minmax(cls, operands: Sequence[ExprLike], pick) -> Expr:
         raise ValueError(f"{cls.__name__} requires at least one operand")
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=lambda e: e.sort_key())
+    flat.sort(key=_SORT_KEY)
     return cls._make(tuple(flat))
 
 

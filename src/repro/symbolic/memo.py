@@ -1,9 +1,12 @@
 """The one process-wide memo table of the symbolic layer.
 
 Every memoised answer — a one-pass rewrite, a fixpoint, a prover verdict, a
-range, an expansion, an operation count — is a pure function of an interned
-expression and the facts it was derived under.  Expression ids are global and
-never reused, so the table is keyed ``(family, expr id..., fact token)``: the
+range, an expansion, an operation count, the canonical text, an ``Add`` /
+``Mul`` constructor's result — is a pure function of interned expressions and
+the facts it was derived under (none, for the last three).  Expression ids are
+global and never reused, so the table is keyed ``(family, expr id..., fact
+token)`` (``ops``: the collection's ids and the weights; ``add`` / ``mul``: the
+operands' ids, a literal int as a 1-tuple; ``str``: the id alone): the
 token is interned here from an environment's *whole* declared fact set
 (:attr:`SymbolicEnv.fact_token`), equal tokens mean equal fact sets, and an
 entry is therefore never served under weaker or different facts — while
@@ -27,13 +30,14 @@ __all__ = ["MEMO", "MEMO_CAP", "FACT_TOKENS", "NO_FACTS", "intern_facts", "memo_
 #: ``(family, expr id..., fact token) -> answer``; never ``None``
 MEMO: dict[tuple, object] = {}
 
-#: One cap for every family.  Measured on the 85-kernel corpus: 3.6 k entries
-#: (simplify 1.2 k, range 0.8 k, proofs 0.7 k, the rest 0.8 k) under 39 tokens,
-#: 140 B an entry traced (key tuple, dict slot, ``SymInterval``; the nodes live
-#: in the intern table either way), +1.1 MB resident on ``compile_cold``.  32 k
-#: entries is nine corpora for ~5 MB traced, ~10 MB resident.  Past it
-#: everything is dropped at once: entries are cheap to re-derive, and with no
-#: per-entry bookkeeping a hit stays one dict lookup.
+#: One cap for every family.  Measured on the 85-kernel corpus: 5.2 k entries
+#: (constructor answers 1.4 k, simplify 1.2 k, range 0.8 k, proofs 0.7 k, op
+#: counts 0.3 k, text 0.07 k, the rest 0.6 k) under 39 tokens, 93 B an entry
+#: for the table and its key tuples, values on top (``SymInterval``s, texts;
+#: the nodes live in the intern table either way).  32 k entries is six
+#: corpora for ~3 MB of table and keys.  Past it everything is dropped at
+#: once: entries are cheap to re-derive, and with no per-entry bookkeeping a
+#: hit stays one dict lookup.
 MEMO_CAP = 1 << 15
 
 #: the token of the empty fact set (what env-free ``expand`` is filed under)

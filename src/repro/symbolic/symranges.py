@@ -78,6 +78,8 @@ class SymInterval:
     @staticmethod
     def index(extent: ExprLike) -> "SymInterval":
         """Range of an index into a dimension of symbolic size ``extent``."""
+        if isinstance(extent, int):
+            return SymInterval(Const(0), Const(extent - 1))
         return SymInterval(Const(0), as_expr(extent) - 1)
 
     @staticmethod

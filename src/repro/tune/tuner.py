@@ -19,8 +19,8 @@ fingerprint, so re-running a sweep on unchanged code costs nothing.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from ..cache import ResultCache
 from ..gpusim import A100_80GB, DeviceSpec

@@ -1,5 +1,6 @@
 """The concurrent compilation service and the symbolic layer's thread safety."""
 
+import sys
 import threading
 
 import pytest
@@ -39,13 +40,32 @@ def test_parallel_interning_yields_one_node():
         results[slot] = Mod(FloorDiv(Add(Mul(a, 7), Mul(b, 3), 11), c), Add(a, c))
 
     pool = [threading.Thread(target=build, args=(i,)) for i in range(threads)]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch mid-constructor, not between them
+    try:
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
     ids = {expr.expr_id for expr in results}
     assert len(ids) == 1, "racing constructors minted distinct nodes"
     assert all(expr is results[0] for expr in results)
+    # every Add/Mul above went through the operand-keyed memo family (the test
+    # starts on an empty table): racing writers filed the one interned node,
+    # and a node is never published before its stored sort key
+    from repro.symbolic.expr import _TYPE_ORDER
+    from repro.symbolic.memo import MEMO
+
+    a, b = Var("tsafe_a"), Var("tsafe_b")
+    total = Add(Mul(a, 7), Mul(b, 3), 11)
+    assert MEMO[("mul", a.expr_id, (7,))] is Mul(a, 7)
+    assert MEMO[("add", Mul(a, 7).expr_id, Mul(b, 3).expr_id, (11,))] is total
+    assert total is results[0].args[0].args[0]
+    for node in results[0].walk():
+        assert node.sort_key() == (_TYPE_ORDER[type(node).__name__], node._ekey)
 
 
 def test_parallel_generation_matches_sequential_goldens(tmp_path):
