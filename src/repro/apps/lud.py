@@ -308,7 +308,7 @@ def _lud_internal_block_kernel(ctx, m: GlobalArray, offset: int, block: int):
         for r_i in range(r):
             for r_j in range(r):
                 # out-of-place so the accumulator can widen to one row per
-                # block under the batched engine
+                # block of the pass
                 accumulators[r_i][r_j] = accumulators[r_i][r_j] + col_fragment[r_i] * row_fragment[r_j]
         ctx.count_flops(2 * r * r * tx.size)
     ctx.syncthreads()

@@ -61,7 +61,7 @@ def stencil_case(config, rng, device=None):
     correctness claim is — so both layout values execute the same case.
     The smallest grid with interior cells exercises one interior brick at
     most, so the case runs several bricks per side (milliseconds on the
-    vectorized engine, the widest 125-point stencil included) and
+    substrate, the widest 125-point stencil included) and
     extrapolates by the ratio of interior cells (traffic and arithmetic are
     both per-interior-cell; the layout's per-transaction behaviour is what
     the measurement captures and survives scaling unchanged).

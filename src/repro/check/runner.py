@@ -283,15 +283,13 @@ def run_case(spec: AppSpec, config: Mapping, *, seed: int,
     The prefix :func:`run_check` and :func:`repro.perf.profile` share: seed
     a NumPy generator from ``(seed, app, configuration)``, build the case
     with ``spec.case``, resolve the kernel (:func:`resolve_case_kernel`)
-    and execute under the ambient :mod:`repro.vm` engine mode.  ``device``
-    is the :class:`~repro.gpusim.DeviceSpec` the builder sizes the case for
-    and the substrate records its trace at; ``None`` keeps the CUDA
-    defaults.  Returns ``(case, kernel, output, trace)``, or ``None`` when
+    and execute it on its substrate.  ``device`` is the
+    :class:`~repro.gpusim.DeviceSpec` the builder sizes the case for and the
+    substrate records its trace at; ``None`` keeps the CUDA defaults.  Returns ``(case, kernel, output, trace)``, or ``None`` when
     the configuration selects nothing executable (an external baseline);
     whatever the builder, the generator or the substrate raises propagates.
     """
     from ..obs.trace import span
-    from ..vm.engine import engine_mode
 
     rng = np.random.default_rng(
         stable_seed(seed, spec.name, {k: config[k] for k in sorted(config)})
@@ -301,8 +299,7 @@ def run_case(spec: AppSpec, config: Mapping, *, seed: int,
         return None
     with span("perf.resolve", "perf", app=spec.name):
         use = resolve_case_kernel(spec, case, config, kernel=kernel, service=service)
-    with span("vm.execute", "vm", app=spec.name, engine=engine_mode(),
-              kernel=getattr(use, "name", "") or spec.name):
+    with span("vm.execute", "vm", app=spec.name, kernel=getattr(use, "name", "") or spec.name):
         output, trace = case.execute(use, device=device)
     return case, use, output, trace
 

@@ -12,9 +12,9 @@ access from the per-lane *element* indices into the shared buffer;
 ``access_conflict_profile`` aggregates a whole kernel phase.
 
 Recorders do not score.  The three substrates' launch traces are
-:class:`AccessLog` instances: every mini-CUDA and MLIR recorder — tree-walk and
-batched alike — and mini-Triton's batched one append the dense
-``(rows, lanes)`` offsets of an access (:meth:`AccessLog.log_shared`,
+:class:`AccessLog` instances: every recorder — mini-CUDA's and MLIR's a row per
+block, mini-Triton's a row per program — appends the dense ``(rows, lanes)``
+offsets of an access (:meth:`AccessLog.log_shared`,
 :meth:`AccessLog.log_global`) with the number of blocks that ``repeat`` it,
 and :meth:`AccessLog.flush` scores what is pending in one pass: accesses of
 one kind are pooled into one warp-row matrix (:func:`warp_rows`;
@@ -28,8 +28,8 @@ one scan of the flattened matrix, not a per-row reduction).
 log flushes itself before it would hold more than one slab
 (:data:`repro.vm.engine.SLAB_ELEMENTS`), so a launch of many tiny accesses
 pays NumPy's per-call cost once and a huge one never builds a huge temporary.
-The counts are exact integers, so a trace depends neither on the executor
-that recorded it nor on where the flushes fell.
+The counts are exact integers, so a trace does not depend on where the
+flushes fell.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ bank conflicts, global-memory coalescing, data-movement volume and the amount
 of work per thread block.  This substrate replaces the CUDA runtime with a
 NumPy-backed execution model that
 
-* runs kernels block-by-block with all threads of a block vectorised
-  (:func:`launch`), honouring ``blockIdx`` / ``threadIdx`` / ``blockDim``;
+* runs kernels a pass of blocks at a time with all threads of each block
+  vectorised (:func:`launch`), honouring ``blockIdx`` / ``threadIdx`` /
+  ``blockDim``;
 * provides shared-memory arrays whose accesses are routed through a LEGO
   layout and whose per-warp bank conflicts are recorded
   (:class:`SharedArray`);

@@ -1,12 +1,25 @@
 """Block/thread execution model for the mini-CUDA substrate.
 
-A kernel is an ordinary Python function ``kernel(ctx, *args)`` receiving a
-:class:`BlockContext` for one thread block.  Inside the kernel all threads of
-the block are represented *vectorised*: ``ctx.tx`` / ``ctx.ty`` / ``ctx.tz``
-are NumPy arrays with one entry per thread, and shared/global accesses take
-such per-thread index arrays.  This mirrors how a warp-synchronous CUDA
-kernel reads on paper while keeping the Python interpreter overhead per block
-(not per thread).
+A kernel is an ordinary Python function ``kernel(ctx, *args)``.  The
+:class:`BlockContext` it receives stands for a pass of thread blocks executed
+at once, with all threads of each block vectorised: ``ctx.tx`` / ``ctx.ty`` /
+``ctx.tz`` are ``(T,)`` arrays with one entry per thread and
+``ctx.blockIdx.x/y/z`` are ``(B, 1)`` arrays with one row per block, so index
+arithmetic broadcasts to ``(B, T)``.  The shape convention is the whole
+protocol: an access whose physical index array is 2-D with leading extent
+``B`` differs per block; anything of rank <= 1 is block-uniform and repeats
+identically in every block (logged once, with ``repeat = B``).  A
+single-block launch is the pass of one.  This mirrors how a warp-synchronous
+CUDA kernel reads on paper while keeping the Python interpreter overhead per
+pass (not per block or thread).
+
+Kernels cooperate through two small control-flow hooks:
+
+* ``ctx.where_blocks(cond)`` — narrow to the blocks satisfying a per-block
+  predicate (in place of an early ``return``);
+* ``ctx.compact_threads(mask)`` — select active lanes per block (in place of
+  boolean-compressing the thread arrays), each block's compacted lanes cut
+  into warps of their own.
 
 :func:`launch` runs the kernel over every block of the grid and returns a
 :class:`CudaTrace` with the accumulated global-memory traffic and
@@ -16,12 +29,15 @@ shared-memory conflict profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..gpusim.sharedmem import AccessLog, ConflictProfile
-from ..vm.engine import run_launch
+from ..gpusim.sharedmem import AccessLog, ConflictProfile, ragged_warp_rows
+from ..vm import engine
+from ..vm.engine import launch_extents, run_launch
+from .smem import SharedArray, _bump_global
 
 __all__ = ["Dim3", "BlockContext", "CudaTrace", "launch"]
 
@@ -35,15 +51,9 @@ class Dim3:
     z: int = 1
 
     @staticmethod
-    def of(value) -> "Dim3":
-        if isinstance(value, Dim3):
-            return value
-        if isinstance(value, int):
-            return Dim3(value)
-        parts = tuple(int(v) for v in value)
-        while len(parts) < 3:
-            parts = parts + (1,)
-        return Dim3(*parts[:3])
+    def of(value, argument: str) -> "Dim3":
+        """``value`` validated as the launch's ``argument`` (``"grid"`` or ``"block"``)."""
+        return Dim3(*launch_extents(value, argument))
 
     @property
     def count(self) -> int:
@@ -74,9 +84,8 @@ class CudaTrace(AccessLog):
     blocks: int = 0
     threads_per_block: int = 0
     smem_per_block: int = 0
-    #: DRAM sector granularity (bytes) the transaction counters were
-    #: recorded at (see :class:`GlobalArray`); the trace->cost adapter
-    #: charges moved bytes at the same size
+    #: DRAM sector granularity (bytes) every global access of the launch is
+    #: recorded at; the trace->cost adapter charges moved bytes at the same size
     sector_bytes: int = 32
     extras: dict = field(default_factory=dict)
 
@@ -93,139 +102,159 @@ class CudaTrace(AccessLog):
         return self.smem_profile.average_degree
 
 
-class BlockContext:
-    """Execution context of one thread block (all threads vectorised).
+class _CompactedThreads:
+    """Active lanes of a context after ``compact_threads(mask)``.
 
-    ``tx`` / ``ty`` / ``tz`` are ``int64`` arrays of length ``blockDim.count``
-    holding each thread's coordinates; ``thread_linear`` is the linear thread
-    id used to group threads into warps for conflict/coalescing accounting.
+    Lanes are flattened block-major (C order over the ``(B, T)`` mask): each
+    block's compacted lanes, block after block.  Warp chunks therefore
+    restart at every block boundary — ``_chunks`` holds, per (block, chunk)
+    row, the flat positions of its lanes (padding included), so an access is
+    one gather.
+    """
+
+    def __init__(self, parent, mask: np.ndarray):
+        self._parent = parent
+        self._mask = mask
+        counts = mask.sum(axis=1)
+        self._lanes = int(counts.sum())
+        self._chunks = ragged_warp_rows(np.arange(self._lanes), counts, parent.warp_size)
+
+    @property
+    def trace(self):
+        return self._parent.trace
+
+    @property
+    def warp_size(self):
+        return self._parent.warp_size
+
+    def compact(self, values) -> np.ndarray:
+        """Select the active lanes of a per-lane value (flat, block-major)."""
+        return np.broadcast_to(np.asarray(values), self._mask.shape)[self._mask]
+
+    def count_flops(self, flops: float) -> None:
+        # compacted flop counts are already lane-sums across blocks
+        self._parent.trace.flops += float(flops)
+
+    def record_global(self, physical: np.ndarray, element_bytes: int, is_store: bool) -> None:
+        trace = self._parent.trace
+        flat = physical.reshape(-1)
+        if flat.size != self._lanes:
+            raise TypeError("compacted access does not match the active lane count")
+        count = float(flat.size)
+        trace.log_global(flat[self._chunks], element_bytes, trace.sector_bytes, self.warp_size,
+                         is_store)
+        _bump_global(trace, is_store, count, count * element_bytes)
+
+
+class BlockContext:
+    """A pass of thread blocks of one grid, executed at once.
+
+    ``block_ids`` are the flat ids of the pass's blocks; ``trace`` receives
+    their counters and fixes the DRAM sector size global accesses are
+    recorded at; ``warp_size`` is the width accesses are cut into warps by.
     """
 
     def __init__(
         self,
-        block_idx: Dim3,
+        block_ids: np.ndarray,
         block_dim: Dim3,
         grid_dim: Dim3,
         trace: CudaTrace,
         warp_size: int = 32,
-        sector_bytes: int | None = None,
     ):
-        self.blockIdx = block_idx
+        batch = int(block_ids.size)
+        bx = (block_ids % grid_dim.x).reshape(batch, 1)
+        by = ((block_ids // grid_dim.x) % grid_dim.y).reshape(batch, 1)
+        bz = (block_ids // (grid_dim.x * grid_dim.y)).reshape(batch, 1)
+        self.blockIdx = SimpleNamespace(x=bx, y=by, z=bz)
         self.blockDim = block_dim
         self.gridDim = grid_dim
         self.trace = trace
-        #: warp width accesses are grouped by for conflict/coalescing
-        #: accounting; the launcher sets it from the target device
         self.warp_size = warp_size
-        #: DRAM sector granularity for transaction counting (``None``: each
-        #: :class:`~repro.minicuda.GlobalArray` falls back to its own)
-        self.sector_bytes = sector_bytes
-        count = block_dim.count
-        linear = np.arange(count, dtype=np.int64)
-        self.thread_linear = linear
+        self._batch = batch
+        linear = np.arange(block_dim.count, dtype=np.int64)
         self.tx = linear % block_dim.x
         self.ty = (linear // block_dim.x) % block_dim.y
         self.tz = linear // (block_dim.x * block_dim.y)
-        self._shared: list = []
-
-    # -- CUDA-style queries -----------------------------------------------------
+        # shared with narrowed sub-contexts so the launcher reads the
+        # per-block allocation total off the root context
+        self._alloc_sizes: list[int] = []
 
     @property
     def num_threads(self) -> int:
         return self.blockDim.count
 
     def syncthreads(self) -> None:
-        """Barrier: a no-op because threads execute in lockstep here."""
+        """Barrier: a no-op — whole blocks execute in lockstep."""
 
-    # -- shared memory ------------------------------------------------------------
-
-    def shared_array(self, shape: Sequence[int], dtype=np.float32, layout=None, name: str = "smem"):
-        """Allocate a shared-memory array for this block (see :class:`SharedArray`)."""
-        from .smem import SharedArray
-
-        array = SharedArray(shape, dtype=dtype, layout=layout, name=name, context=self)
-        self._shared.append(array)
+    def shared_array(self, shape: Sequence[int], dtype=np.float32, layout=None,
+                     name: str = "smem") -> SharedArray:
+        """Allocate a shared-memory array, one copy per block (see :class:`SharedArray`)."""
+        array = SharedArray(self, shape, dtype=dtype, layout=layout, name=name)
+        self._alloc_sizes.append(array.nbytes)
         return array
 
     def smem_bytes_allocated(self) -> int:
-        return int(sum(a.nbytes for a in self._shared))
-
-    # -- arithmetic accounting ------------------------------------------------------
+        """Per-block shared allocation total."""
+        return int(sum(self._alloc_sizes))
 
     def count_flops(self, flops: float) -> None:
-        self.trace.flops += float(flops)
+        # a block-uniform flop count is paid by every block
+        self.trace.flops += float(flops) * self._batch
 
-    # -- control-flow hooks ----------------------------------------------------------
+    # -- control-flow hooks -------------------------------------------------
 
     def where_blocks(self, condition):
-        """Keep executing only when this block satisfies ``condition``.
-
-        The batched context (:mod:`repro.vm.cuda`) narrows to the subset of
-        blocks where the per-block predicate holds; here the predicate is a
-        scalar, so the result is either this context or ``None``.  Kernels
-        use it in place of an early ``return`` so the same source runs under
-        both engines.
-        """
-        return self if bool(condition) else None
+        """Narrow to the blocks where ``condition`` holds (``None`` if empty)."""
+        keep = np.asarray(condition, dtype=bool).reshape(-1)
+        if keep.size != self._batch:
+            raise TypeError(
+                f"where_blocks predicate has {keep.size} entries for {self._batch} blocks"
+            )
+        if keep.all():
+            return self
+        if not keep.any():
+            return None
+        narrowed = object.__new__(BlockContext)
+        narrowed.__dict__.update(self.__dict__)
+        narrowed.blockIdx = SimpleNamespace(
+            x=self.blockIdx.x[keep], y=self.blockIdx.y[keep], z=self.blockIdx.z[keep]
+        )
+        narrowed._batch = int(keep.sum())
+        return narrowed
 
     def compact_threads(self, mask):
-        """Restrict to the active lanes of ``mask`` (``None`` when all idle).
+        """Select active lanes per block (``None`` when no lane is active).
 
-        ``ctx.compact(x)`` on the returned context selects the active lanes
-        of a per-thread array — the engine-neutral spelling of boolean
-        compression like ``x[mask]``.
+        ``ctx.compact(x)`` on the returned context selects the active lanes of
+        a per-thread array — the spelling of boolean compression like
+        ``x[mask]``.
         """
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), (self.num_threads,))
+        mask = np.broadcast_to(
+            np.asarray(mask, dtype=bool), (self._batch, self.blockDim.count)
+        )
         if not mask.any():
             return None
-        return _CompactThreads(self, mask)
+        return _CompactedThreads(self, mask)
 
-    # -- warp helpers ---------------------------------------------------------------
+    # -- global-memory accounting (called by GlobalArray.load / store) ------
 
-    def iter_warps(self, active: np.ndarray | None = None, warp_size: int | None = None):
-        """Yield per-warp boolean masks over the block's threads."""
-        count = self.num_threads
-        warp_size = warp_size or self.warp_size
-        for start in range(0, count, warp_size):
-            mask = np.zeros(count, dtype=bool)
-            mask[start : start + warp_size] = True
-            if active is not None:
-                mask &= active
-            if mask.any():
-                yield mask
-
-
-class _CompactThreads:
-    """The active lanes of one block, as seen by array accesses.
-
-    Exposes the accounting attributes (``trace`` / ``warp_size`` /
-    ``sector_bytes`` / ``count_flops``) of the parent block so global
-    accesses through it record exactly as they would through the block
-    context with pre-compressed index arrays.
-    """
-
-    def __init__(self, ctx: "BlockContext", mask: np.ndarray):
-        self._ctx = ctx
-        self._mask = mask
-
-    @property
-    def trace(self):
-        return self._ctx.trace
-
-    @property
-    def warp_size(self):
-        return self._ctx.warp_size
-
-    @property
-    def sector_bytes(self):
-        return self._ctx.sector_bytes
-
-    def compact(self, values) -> np.ndarray:
-        """Select the active lanes of a per-thread value."""
-        return np.broadcast_to(np.asarray(values), self._mask.shape)[self._mask]
-
-    def count_flops(self, flops: float) -> None:
-        self._ctx.count_flops(flops)
+    def record_global(self, physical: np.ndarray, element_bytes: int, is_store: bool) -> None:
+        trace = self.trace
+        if physical.ndim == 2 and physical.shape[0] == self._batch:
+            rows, repeat = physical, 1
+        elif physical.ndim <= 1:
+            # block-uniform access: every block repeats the same pattern
+            rows, repeat = physical.reshape(1, -1), self._batch
+        else:
+            raise TypeError(
+                f"cannot classify a rank-{physical.ndim} global access: expected one row "
+                f"per block ({self._batch}) or a block-uniform index"
+            )
+        trace.log_global(rows, element_bytes, trace.sector_bytes, self.warp_size, is_store,
+                         repeat)
+        count = float(rows.size * repeat)
+        _bump_global(trace, is_store, count, count * element_bytes)
 
 
 def launch(
@@ -237,40 +266,29 @@ def launch(
 ) -> CudaTrace:
     """Run ``kernel`` over every block of ``grid`` x ``block`` threads.
 
-    ``kernel`` is called once per thread block as ``kernel(ctx, *args)``.
-    ``device`` (a :class:`~repro.gpusim.DeviceSpec`) sets the warp width and
-    DRAM sector granularity the accounting uses instead of the CUDA-default
-    32/32.
+    ``kernel`` is called as ``kernel(ctx, *args)`` once per pass of
+    :data:`repro.vm.engine.SLAB_ELEMENTS` lanes.  ``device`` (a
+    :class:`~repro.gpusim.DeviceSpec`) sets the warp width and DRAM sector
+    granularity the accounting uses instead of the CUDA-default 32/32.
     """
-    grid = Dim3.of(grid)
-    block = Dim3.of(block)
+    grid = Dim3.of(grid, "grid")
+    block = Dim3.of(block, "block")
     warp_size = device.warp_size if device is not None else 32
-    sector_bytes = device.dram_sector_bytes if device is not None else None
     run_trace = CudaTrace(
-        blocks=grid.count, threads_per_block=block.count, sector_bytes=sector_bytes or 32
+        blocks=grid.count, threads_per_block=block.count,
+        sector_bytes=device.dram_sector_bytes if device is not None else 32,
     )
 
-    def batched(total, run_trace):
-        from ..vm.cuda import launch_batched
-
-        return launch_batched(
-            kernel, grid, block, args, run_trace, total,
-            warp_size=warp_size, sector_bytes=sector_bytes,
-        )
-
-    def treewalk(total, run_trace):
+    def execute(total, run_trace):
+        ids = np.arange(total, dtype=np.int64)
+        blocks_per_pass = max(1, engine.SLAB_ELEMENTS // block.count)
         max_smem = 0
-        for flat in range(total):
-            bx = flat % grid.x
-            by = (flat // grid.x) % grid.y
-            bz = flat // (grid.x * grid.y)
-            ctx = BlockContext(
-                Dim3(bx, by, bz), block, grid, run_trace,
-                warp_size=warp_size, sector_bytes=sector_bytes,
-            )
+        for start in range(0, total, blocks_per_pass):
+            ctx = BlockContext(ids[start:start + blocks_per_pass], block, grid, run_trace,
+                               warp_size=warp_size)
             kernel(ctx, *args)
             max_smem = max(max_smem, ctx.smem_bytes_allocated())
         return max_smem
 
-    run_trace.smem_per_block = run_launch(grid.count, batched, treewalk, run_trace)
+    run_trace.smem_per_block = run_launch(grid.count, execute, run_trace)
     return run_trace

@@ -67,7 +67,7 @@ class _LayoutArray:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of one logical copy (per block, for the batched shared array)."""
+        """Bytes of one logical copy (per block, for a shared array)."""
         return self.size * self.dtype.itemsize
 
     def _physical(self, indices: tuple) -> np.ndarray:
@@ -102,46 +102,83 @@ class _LayoutArray:
         return f"{type(self).__name__}({self.name}, shape={self.shape}, layout={layout_name})"
 
 
+def _per_block_values(raw: np.ndarray, batch: int, block_shape: tuple) -> np.ndarray:
+    """Broadcast a store value to ``(batch,) + block_shape``.
+
+    Values of rank >= 2 whose leading extent is the batch count carry one
+    slice per block; leading singleton block axes (an artifact of the
+    ``(B, 1)`` block-index arrays) are squeezed until the per-block shape
+    lines up.  Anything else is block-uniform and broadcasts right-aligned.
+    """
+    if raw.ndim >= 2 and raw.shape[0] == batch:
+        per_block = raw.shape[1:]
+        while len(per_block) > len(block_shape) and per_block[0] == 1:
+            per_block = per_block[1:]
+            raw = raw.reshape((batch,) + per_block)
+    return np.broadcast_to(raw, (batch,) + tuple(block_shape))
+
+
 class SharedArray(_LayoutArray):
     """A shared-memory array addressed by logical indices through a layout.
 
-    Accesses take per-thread NumPy index arrays; each access is logged on the
-    launch trace, which splits it into warps and scores their conflict degrees.
+    Allocated by :meth:`repro.minicuda.BlockContext.shared_array`, one copy per
+    block of the context's pass: ``data`` is ``(B, words)``.  Accesses take
+    per-thread index arrays — one row per block, or block-uniform — and each
+    is logged on the launch trace, which splits it into warps and scores their
+    conflict degrees.
     """
 
-    def __init__(self, shape: Sequence[int], dtype=np.float32, layout=None, name: str = "smem", context=None):
+    def __init__(self, context, shape: Sequence[int], dtype=np.float32, layout=None,
+                 name: str = "smem"):
         super().__init__(shape, dtype, layout, name)
         self._context = context
-        self.data = self._allocate()
+        self.batch = context._batch
+        self.data = np.zeros((self.batch, self.size), dtype=self.dtype)
 
-    def _allocate(self) -> np.ndarray:
-        return np.zeros(self.size, dtype=self.dtype)
+    def _classify(self, physical: np.ndarray) -> bool:
+        """Whether an access differs per block (``True``) or is block-uniform."""
+        if physical.ndim == 2 and physical.shape[0] == self.batch:
+            return True
+        if physical.ndim <= 1:
+            return False
+        raise TypeError(
+            f"{self.name}: cannot classify a rank-{physical.ndim} access: expected one row "
+            f"per block ({self.batch}) or a block-uniform index"
+        )
 
-    def _record(self, physical: np.ndarray, is_store: bool) -> None:
+    def _record(self, physical: np.ndarray, batched: bool, is_store: bool) -> None:
         ctx = self._context
-        if ctx is None:
-            return
         trace = ctx.trace
-        flat = physical.reshape(-1)
-        nbytes = float(flat.size) * self.dtype.itemsize
+        itemsize = self.dtype.itemsize
+        # block-uniform: every block repeats the one pattern
+        rows, repeat = (physical, 1) if batched else (physical.reshape(1, -1), self.batch)
+        nbytes = float(self.batch * rows.shape[1]) * itemsize
         if is_store:
             trace.smem_store_bytes += nbytes
         else:
             trace.smem_load_bytes += nbytes
-        # bank conflicts are scored per warp over the block's thread order
-        trace.log_shared(flat[None, :], self.dtype.itemsize, getattr(ctx, "warp_size", 32))
+        trace.log_shared(rows, itemsize, ctx.warp_size, repeat)
 
     # -- accesses -----------------------------------------------------------------
 
     def load(self, *indices) -> np.ndarray:
         physical = self._physical(indices)
-        self._record(physical, is_store=False)
-        return self.data[physical]
+        batched = self._classify(physical)
+        self._record(physical, batched, is_store=False)
+        if batched:
+            return self.data[np.arange(self.batch)[:, None], physical]
+        return self.data[:, physical]
 
     def store(self, value, *indices) -> None:
         physical = self._physical(indices)
-        self._record(physical, is_store=True)
-        self.data[physical] = np.broadcast_to(np.asarray(value, dtype=self.dtype), physical.shape)
+        batched = self._classify(physical)
+        self._record(physical, batched, is_store=True)
+        raw = np.asarray(value, dtype=self.dtype)
+        if batched:
+            values = _per_block_values(raw, self.batch, physical.shape[1:])
+            self.data[np.arange(self.batch)[:, None], physical] = values
+        else:
+            self.data[:, physical] = _per_block_values(raw, self.batch, physical.shape)
 
     # ``buf[i, j]`` sugar used by the ported Rodinia kernels
     def __getitem__(self, indices):
@@ -161,12 +198,13 @@ class GlobalArray(_LayoutArray):
     ``layout`` (optional, concrete) redirects logical indices to physical
     positions exactly as for :class:`SharedArray` — this is how the brick
     data layout is applied to the stencil grids without touching kernel code.
+    Each access is logged by the kernel's context (``ctx``), at its launch's
+    warp width and DRAM sector size.
     """
 
-    def __init__(self, array: np.ndarray, layout=None, name: str = "gmem", sector_bytes: int = 32):
+    def __init__(self, array: np.ndarray, layout=None, name: str = "gmem"):
         array = np.asarray(array)
         super().__init__(array.shape, array.dtype, layout, name)
-        self.sector_bytes = sector_bytes
         logical_flat = np.ascontiguousarray(array).reshape(-1).copy()
         if self._table is None:
             self.data = logical_flat
@@ -175,33 +213,12 @@ class GlobalArray(_LayoutArray):
             self.data = np.empty_like(logical_flat)
             self.data[self._table] = logical_flat
 
-    def _record(self, ctx, physical: np.ndarray, is_store: bool) -> None:
-        if ctx is None:
-            return
-        # batched contexts (repro.vm.cuda) synthesize the same counters from
-        # the whole-grid index array instead of per-warp Python loops
-        recorder = getattr(ctx, "record_global", None)
-        if recorder is not None:
-            recorder(physical, self.dtype.itemsize, is_store, self.sector_bytes)
-            return
-        trace = ctx.trace
-        flat = physical.reshape(-1)
-        element_bytes = self.dtype.itemsize
-        count = float(flat.size)
-        # count sector transactions per warp; warp width and sector
-        # granularity come from the launch context (i.e. the DeviceSpec)
-        # when it provides them, so recording matches the device model
-        sector_bytes = getattr(ctx, "sector_bytes", None) or self.sector_bytes
-        trace.log_global(flat[None, :], element_bytes, sector_bytes,
-                         getattr(ctx, "warp_size", 32), is_store)
-        _bump_global(trace, is_store, count, count * element_bytes)
-
     def load(self, ctx, *indices) -> np.ndarray:
         physical = self._physical(indices)
-        self._record(ctx, physical, is_store=False)
+        ctx.record_global(physical, self.dtype.itemsize, is_store=False)
         return self.data[physical]
 
     def store(self, ctx, value, *indices) -> None:
         physical = self._physical(indices)
-        self._record(ctx, physical, is_store=True)
+        ctx.record_global(physical, self.dtype.itemsize, is_store=True)
         self.data[physical] = np.broadcast_to(np.asarray(value, dtype=self.dtype), physical.shape)

@@ -2,17 +2,14 @@
 
 The substitution for the Triton compiler + GPU in this reproduction
 (documented in DESIGN.md): generated kernels are ordinary Triton-syntax
-source; :func:`compile_kernel` loads them, :func:`launch` executes them
-program-by-program, and the recorded :class:`KernelTrace` feeds the analytic
-device model in :mod:`repro.gpusim`.
+source; :func:`compile_kernel` loads them, :func:`launch` executes them over
+the whole grid, a pass of programs at a time, and the recorded
+:class:`KernelTrace` feeds the analytic device model in :mod:`repro.gpusim`.
 """
 
 from . import language
-from .language import DeviceBuffer, KernelTrace, PointerArray
+from .language import DeviceBuffer, KernelTrace, PointerArray, tl
 from .runtime import TritonJitShim, compile_kernel, from_device, launch, to_device
-
-# conventional alias so application code can write ``from repro.minitriton import tl``
-tl = language
 
 __all__ = [
     "language",

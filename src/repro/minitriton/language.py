@@ -1,24 +1,37 @@
 """The ``tl.*`` language subset used by the paper's Triton benchmarks.
 
-This module is imported as ``tl`` inside generated kernels.  It implements,
-on top of NumPy, exactly the operations the evaluation kernels use:
+Generated kernels see :data:`tl` under the name ``tl``.  It implements, on
+top of NumPy, exactly the operations the evaluation kernels use:
 
 ``program_id``, ``num_programs``, ``arange``, ``zeros``, ``full``, ``load``,
-``store``, ``dot``, ``cdiv``, ``sum``, ``max``, ``exp``, ``log``, ``sqrt``,
-``rsqrt``, ``where``, ``maximum``, ``minimum``, ``abs`` and the dtype markers
-``float16``/``float32``/``int32`` plus ``constexpr``.
+``store``, ``dot``, ``cdiv``, ``sum``, ``max``, ``min``, ``exp``, ``log``,
+``sqrt``, ``rsqrt``, ``where``, ``maximum``, ``minimum``, ``abs`` and the
+dtype markers ``float16``/``float32``/``int32``/``int64`` plus ``constexpr``.
 
-Semantics follow Triton's block-program model: a kernel instance ("program")
-operates on whole blocks (NumPy arrays); the launcher in
-:mod:`repro.minitriton.runtime` runs one Python call per program id.  Every
-``load``/``store``/``dot`` optionally records volume and coalescing
-information into the active :class:`KernelTrace`, which feeds the analytic
+Semantics follow Triton's block-program model, run for a whole pass of
+programs at once: ``tl.program_id`` returns an array holding every program
+id of the pass, so one call of the kernel body evaluates all of them (a
+one-program launch is the pass of one).  Values derived from the program id
+become :class:`BatchedTensor`\\ s — NumPy arrays with a leading batch
+(program) axis — while values that do not depend on it stay plain arrays
+shared by all programs, exactly as a register common to all CTAs would be.
+
+Alignment convention: a ``BatchedTensor`` stores ``data`` of shape
+``(P,) + block_shape``; binary operations pad the shorter *block* rank with
+leading singleton axes (after the batch axis), so plain operands broadcast
+right-aligned into the block dims and never touch the batch axis.  An access
+is appended to the active :class:`KernelTrace`'s log
+(:class:`repro.gpusim.sharedmem.AccessLog`) as a ``(P, block)`` matrix — a
+row is a program, deduplicated whole, its mask riding along; a
+program-uniform access is one row with ``repeat = P``.  Stores flatten in C
+(program-major) order, so duplicate offsets resolve to the highest program
+id, as sequential program execution would.  The trace feeds the analytic
 performance model.
 """
 
 from __future__ import annotations
 
-import math as _math
+import builtins
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,26 +47,8 @@ __all__ = [
     "KernelTrace",
     "DeviceBuffer",
     "PointerArray",
-    "program_id",
-    "num_programs",
-    "arange",
-    "zeros",
-    "full",
-    "load",
-    "store",
-    "dot",
-    "cdiv",
-    "sum",
-    "max",
-    "min",
-    "exp",
-    "log",
-    "sqrt",
-    "rsqrt",
-    "abs",
-    "where",
-    "maximum",
-    "minimum",
+    "BatchedTensor",
+    "tl",
 ]
 
 
@@ -88,7 +83,7 @@ def _np_dtype(dtype) -> np.dtype:
 
 
 class TlTensor(np.ndarray):
-    """A NumPy array with Triton's ``.to(dtype)`` conversion method."""
+    """A program-uniform block: a NumPy array with Triton's ``.to(dtype)``."""
 
     def to(self, dtype) -> "TlTensor":
         return np.asarray(self).astype(_np_dtype(dtype)).view(TlTensor)
@@ -98,18 +93,12 @@ def _as_tensor(values) -> TlTensor:
     return np.asarray(values).view(TlTensor)
 
 
-# ---------------------------------------------------------------------------
-# execution state (set by the launcher) and tracing
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class KernelTrace(AccessLog):
     """Memory-traffic and arithmetic counters accumulated across programs.
 
-    The batched engine appends its accesses to the trace's log
-    (:class:`~repro.gpusim.sharedmem.AccessLog`) and the launcher flushes it;
-    the per-program reference below counts each access's sectors on the spot.
+    The language appends every access to the trace's log
+    (:class:`~repro.gpusim.sharedmem.AccessLog`) and the launcher flushes it.
     """
 
     load_elements: float = 0.0
@@ -121,9 +110,9 @@ class KernelTrace(AccessLog):
     flops: float = 0.0
     tensor_core_flops: float = 0.0
     programs: int = 0
-    #: DRAM sector granularity (bytes) the transaction counters were
-    #: recorded at — the trace->cost adapter charges moved bytes at the same
-    #: size, so recording and costing can never disagree
+    #: DRAM sector granularity (bytes) the transaction counters are recorded
+    #: at — the trace->cost adapter charges moved bytes at the same size, so
+    #: recording and costing can never disagree
     sector_bytes: int = 32
     extras: dict = field(default_factory=dict)
 
@@ -132,23 +121,122 @@ class KernelTrace(AccessLog):
         return self.load_bytes + self.store_bytes
 
 
-class _State:
-    """Per-launch execution state (program ids, grid shape, active trace)."""
+class BatchedTensor:
+    """A block value carried by every program: ``data`` is ``(P,) + block_shape``."""
 
-    def __init__(self):
-        self.program_ids: tuple[int, int, int] = (0, 0, 0)
-        self.grid: tuple[int, int, int] = (1, 1, 1)
-        self.trace: KernelTrace | None = None
-        #: DRAM sector granularity transactions are counted at; the launcher
-        #: sets it from the target :class:`~repro.gpusim.DeviceSpec`
-        self.sector_bytes: int = 32
+    __array_ufunc__ = None  # force NumPy to defer to our reflected operators
+    __array_priority__ = 1000
+
+    __slots__ = ("data", "block_ndim")
+
+    def __init__(self, data: np.ndarray, block_ndim: int):
+        data = np.asarray(data)
+        if data.ndim != block_ndim + 1:
+            raise ValueError(
+                f"batched data of shape {data.shape} inconsistent with block rank {block_ndim}"
+            )
+        self.data = data
+        self.block_ndim = int(block_ndim)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def to(self, dtype) -> "BatchedTensor":
+        return BatchedTensor(self.data.astype(_np_dtype(dtype)), self.block_ndim)
+
+    astype = to
+
+    def __repr__(self) -> str:
+        return f"BatchedTensor(P={self.data.shape[0]}, block={self.data.shape[1:]})"
+
+    # -- indexing ----------------------------------------------------------
+
+    def __getitem__(self, key) -> "BatchedTensor":
+        if not isinstance(key, tuple):
+            key = (key,)
+        block_ndim = self.block_ndim
+        for item in key:
+            if item is None:
+                block_ndim += 1
+            elif isinstance(item, (int, np.integer)):
+                block_ndim -= 1
+            elif not isinstance(item, slice):
+                raise TypeError(
+                    f"batched indexing supports ints, slices and None, got {type(item).__name__}"
+                )
+        return BatchedTensor(self.data[(slice(None),) + key], block_ndim)
+
+    # -- unary -------------------------------------------------------------
+
+    def __neg__(self):
+        return BatchedTensor(-self.data, self.block_ndim)
+
+    def __pos__(self):
+        return self
+
+    def __invert__(self):
+        return BatchedTensor(~self.data, self.block_ndim)
+
+    def __abs__(self):
+        return BatchedTensor(np.abs(self.data), self.block_ndim)
+
+    # -- binary (generated below) ------------------------------------------
 
 
-_state = _State()
+def _block_rank(x) -> int:
+    return x.block_ndim if isinstance(x, BatchedTensor) else np.ndim(x)
 
 
-def _get_state() -> _State:
-    return _state
+def _aligned_raw(x, rank: int):
+    """Raw array for ``x`` broadcast-compatible at block rank ``rank``.
+
+    Batched operands pad missing block axes directly after the batch
+    axis; plain operands are returned as-is — right-aligned NumPy
+    broadcasting lines them up with the trailing block dims without ever
+    touching the batch axis (their rank is at most ``rank`` < data rank).
+    """
+    if isinstance(x, BatchedTensor):
+        data = x.data
+        pad = rank - x.block_ndim
+        if pad:
+            data = data.reshape(data.shape[:1] + (1,) * pad + data.shape[1:])
+        return data
+    return x
+
+
+def _apply2(op, a, b):
+    """Apply a two-operand NumPy op under the batch-alignment convention."""
+    if not (isinstance(a, BatchedTensor) or isinstance(b, BatchedTensor)):
+        return op(a, b)
+    rank = builtins.max(_block_rank(a), _block_rank(b))
+    return BatchedTensor(op(_aligned_raw(a, rank), _aligned_raw(b, rank)), rank)
+
+
+def _make_binop(op, reflected: bool):
+    def method(self, other):
+        if isinstance(other, (DeviceBuffer, PointerArray)):
+            return NotImplemented
+        if reflected:
+            return _apply2(op, other, self)
+        return _apply2(op, self, other)
+
+    return method
+
+
+for _name, _op in {
+    "add": np.add, "sub": np.subtract, "mul": np.multiply,
+    "truediv": np.true_divide, "floordiv": np.floor_divide, "mod": np.mod,
+    "pow": np.power, "and": np.bitwise_and, "or": np.bitwise_or,
+    "xor": np.bitwise_xor,
+}.items():
+    setattr(BatchedTensor, f"__{_name}__", _make_binop(_op, reflected=False))
+    setattr(BatchedTensor, f"__r{_name}__", _make_binop(_op, reflected=True))
+for _name, _op in {
+    "lt": np.less, "le": np.less_equal, "gt": np.greater,
+    "ge": np.greater_equal, "eq": np.equal, "ne": np.not_equal,
+}.items():
+    setattr(BatchedTensor, f"__{_name}__", _make_binop(_op, reflected=False))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +266,7 @@ class DeviceBuffer:
         return self.data.reshape(shape).copy()
 
     def __add__(self, offsets) -> "PointerArray":
-        return PointerArray(self, np.asarray(offsets))
+        return PointerArray(self, offsets)
 
     __radd__ = __add__
 
@@ -187,34 +275,21 @@ class DeviceBuffer:
 
 
 class PointerArray:
-    """A buffer plus an array of element offsets (the result of ``ptr + offs``)."""
+    """``buffer + offsets`` (the result of ``ptr + offs``); offsets may be batched or uniform."""
 
-    def __init__(self, buffer: DeviceBuffer, offsets: np.ndarray):
+    __slots__ = ("buffer", "offsets")
+
+    def __init__(self, buffer: DeviceBuffer, offsets):
         self.buffer = buffer
-        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.offsets = offsets
 
     def __add__(self, more) -> "PointerArray":
-        return PointerArray(self.buffer, self.offsets + np.asarray(more))
+        return PointerArray(self.buffer, _apply2(np.add, self.offsets, more))
 
     __radd__ = __add__
 
     def __repr__(self) -> str:
-        return f"PointerArray({self.buffer.name}, shape={self.offsets.shape})"
-
-
-# ---------------------------------------------------------------------------
-# program / grid queries
-# ---------------------------------------------------------------------------
-
-
-def program_id(axis: int) -> int:
-    """Index of the current program along ``axis`` of the launch grid."""
-    return _state.program_ids[axis]
-
-
-def num_programs(axis: int) -> int:
-    """Number of programs along ``axis`` of the launch grid."""
-    return _state.grid[axis]
+        return f"PointerArray({self.buffer.name})"
 
 
 # ---------------------------------------------------------------------------
@@ -235,161 +310,305 @@ def full(shape, value, dtype=float32) -> TlTensor:
     return _as_tensor(np.full(tuple(int(s) for s in shape), value, dtype=_np_dtype(dtype)))
 
 
-# ---------------------------------------------------------------------------
-# memory operations (traced)
-# ---------------------------------------------------------------------------
-
-
-def _record_access(offsets: np.ndarray, element_bytes: int, is_store: bool) -> None:
-    trace = _state.trace
-    if trace is None:
-        return
-    count = float(offsets.size)
-    byte_addresses = offsets.reshape(-1) * element_bytes
-    sectors = np.unique(byte_addresses // _state.sector_bytes)
-    transactions = float(sectors.size)
-    if is_store:
-        trace.store_elements += count
-        trace.store_bytes += count * element_bytes
-        trace.store_transactions += transactions
-    else:
-        trace.load_elements += count
-        trace.load_bytes += count * element_bytes
-        trace.load_transactions += transactions
-
-
-def load(pointer: PointerArray, mask=None, other=0.0) -> TlTensor:
-    """Gather from a pointer block, honouring the optional mask."""
-    if not isinstance(pointer, PointerArray):
-        raise TypeError("tl.load expects a pointer expression (buffer + offsets)")
-    offsets = pointer.offsets
-    data = pointer.buffer.data
-    if mask is None:
-        if offsets.size and (offsets.min() < 0 or offsets.max() >= data.size):
-            raise IndexError(
-                f"out-of-bounds unmasked load on {pointer.buffer.name}: "
-                f"range [{offsets.min()}, {offsets.max()}] vs size {data.size}"
-            )
-        values = data[offsets]
-        _record_access(offsets, pointer.buffer.element_bytes, is_store=False)
-        return _as_tensor(values)
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), offsets.shape)
-    safe_offsets = np.where(mask, offsets, 0)
-    if safe_offsets.size and (safe_offsets.min() < 0 or safe_offsets.max() >= data.size):
-        raise IndexError(f"masked load still out of bounds on {pointer.buffer.name}")
-    values = np.where(mask, data[safe_offsets], other)
-    _record_access(offsets[mask], pointer.buffer.element_bytes, is_store=False)
-    return _as_tensor(values)
-
-
-def store(pointer: PointerArray, value, mask=None) -> None:
-    """Scatter a block to memory, honouring the optional mask."""
-    if not isinstance(pointer, PointerArray):
-        raise TypeError("tl.store expects a pointer expression (buffer + offsets)")
-    offsets = pointer.offsets
-    data = pointer.buffer.data
-    value = np.broadcast_to(np.asarray(value), offsets.shape)
-    if mask is None:
-        if offsets.size and (offsets.min() < 0 or offsets.max() >= data.size):
-            raise IndexError(
-                f"out-of-bounds unmasked store on {pointer.buffer.name}: "
-                f"range [{offsets.min()}, {offsets.max()}] vs size {data.size}"
-            )
-        data[offsets] = value.astype(data.dtype, copy=False)
-        _record_access(offsets, pointer.buffer.element_bytes, is_store=True)
-        return
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), offsets.shape)
-    flat_offsets = offsets[mask]
-    if flat_offsets.size and (flat_offsets.min() < 0 or flat_offsets.max() >= data.size):
-        raise IndexError(f"masked store still out of bounds on {pointer.buffer.name}")
-    data[flat_offsets] = value[mask].astype(data.dtype, copy=False)
-    _record_access(flat_offsets, pointer.buffer.element_bytes, is_store=True)
-
-
-# ---------------------------------------------------------------------------
-# arithmetic
-# ---------------------------------------------------------------------------
-
-
-def dot(a, b, acc=None) -> TlTensor:
-    """Block matrix multiply with float32 accumulation (tensor-core ``tl.dot``)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    result = np.matmul(a.astype(np.float32), b.astype(np.float32))
-    if acc is not None:
-        result = result + np.asarray(acc, dtype=np.float32)
-    trace = _state.trace
-    if trace is not None:
-        m, k = a.shape[-2], a.shape[-1]
-        n = b.shape[-1]
-        flops = 2.0 * m * n * k
-        trace.flops += flops
-        if a.dtype == np.float16 or b.dtype == np.float16:
-            trace.tensor_core_flops += flops
-    return _as_tensor(result)
-
-
 def cdiv(a: int, b: int) -> int:
     """Ceiling division."""
     return -(-int(a) // int(b))
 
 
-def _count_flops(array, per_element: float = 1.0) -> None:
-    trace = _state.trace
-    if trace is not None:
-        trace.flops += float(np.asarray(array).size) * per_element
+def _np_shape(x) -> tuple:
+    return np.asarray(x).shape if not isinstance(x, np.ndarray) else x.shape
 
 
-def sum(x, axis=None):  # noqa: A001 - Triton spelling
-    _count_flops(x)
-    return _as_tensor(np.sum(np.asarray(x, dtype=np.float32), axis=axis))
+# ---------------------------------------------------------------------------
+# the namespace
+# ---------------------------------------------------------------------------
 
 
-def max(x, axis=None):  # noqa: A001 - Triton spelling
-    _count_flops(x)
-    return _as_tensor(np.max(np.asarray(x), axis=axis))
+class _Language:
+    """The ``tl`` namespace generated kernels see.
+
+    The launcher binds a pass of program ids and the launch trace around
+    each call of the kernel.  The flop-counting rule is that a
+    program-uniform value would have been computed by every program, so
+    plain operands count ``size * P`` while batched operands already carry
+    the program axis in their size.
+    """
+
+    constexpr = constexpr
+    float16 = float16
+    float32 = float32
+    int32 = int32
+    int64 = int64
+    arange = staticmethod(arange)
+    zeros = staticmethod(zeros)
+    full = staticmethod(full)
+
+    def __init__(self):
+        self._trace: KernelTrace | None = None
+        self._pids: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._grid: tuple[int, int, int] = (1, 1, 1)
+        self._programs: int = 0
+
+    # -- launch state ------------------------------------------------------
+
+    def _begin(self, pids, grid, trace):
+        self._pids = pids
+        self._grid = grid
+        self._trace = trace
+        self._programs = int(pids[0].size)
+
+    def _end(self):
+        self._pids = None
+        self._trace = None
+        self._programs = 0
+
+    # -- program / grid queries --------------------------------------------
+
+    def program_id(self, axis: int) -> BatchedTensor:
+        return BatchedTensor(self._pids[axis], 0)
+
+    def num_programs(self, axis: int) -> int:
+        return self._grid[axis]
+
+    # -- tracing helpers ---------------------------------------------------
+
+    def _size_of(self, x) -> float:
+        """Element count of ``x`` summed over the pass's programs."""
+        if isinstance(x, BatchedTensor):
+            return float(x.data.size)
+        return float(np.asarray(x).size) * self._programs
+
+    def _count_flops(self, x, per_element: float = 1.0) -> None:
+        self._trace.flops += self._size_of(x) * per_element
+
+    def _record_batched(self, offsets: np.ndarray, element_bytes: int,
+                        is_store: bool, valid: np.ndarray | None = None) -> None:
+        """Log a ``(P,) + block`` offset array: a row per program, deduplicated whole."""
+        programs = offsets.shape[0]
+        flat = offsets.reshape(programs, -1)
+        if valid is not None:
+            valid = np.broadcast_to(valid, offsets.shape).reshape(programs, -1)
+            count = float(valid.sum())
+        else:
+            count = float(flat.size)
+        self._log(flat, element_bytes, is_store, count, valid=valid)
+
+    def _record_uniform(self, offsets: np.ndarray, element_bytes: int,
+                        is_store: bool, valid: np.ndarray | None = None) -> None:
+        """A program-uniform access repeats identically in every program."""
+        flat = offsets.reshape(-1)
+        if valid is not None:
+            flat = flat[np.broadcast_to(valid, offsets.shape).reshape(-1)]
+        self._log(flat[None, :], element_bytes, is_store, float(flat.size) * self._programs,
+                  repeat=self._programs)
+
+    def _log(self, rows: np.ndarray, element_bytes: int, is_store: bool, count: float,
+             repeat: int = 1, valid: np.ndarray | None = None) -> None:
+        trace = self._trace
+        trace.log_global(rows, element_bytes, trace.sector_bytes, rows.shape[1], is_store,
+                         repeat, valid)
+        if is_store:
+            trace.store_elements += count
+            trace.store_bytes += count * element_bytes
+        else:
+            trace.load_elements += count
+            trace.load_bytes += count * element_bytes
+
+    # -- memory operations -------------------------------------------------
+
+    def load(self, pointer, mask=None, other=0.0):
+        """Gather from a pointer block, honouring the optional mask."""
+        if not isinstance(pointer, PointerArray):
+            raise TypeError("tl.load expects a pointer expression (buffer + offsets)")
+        data = pointer.buffer.data
+        element_bytes = pointer.buffer.element_bytes
+        offsets = pointer.offsets
+        if not isinstance(offsets, BatchedTensor) and isinstance(mask, BatchedTensor):
+            # a uniform pointer guarded by a per-program mask gathers
+            # differently in each program: replay it batched
+            raw = np.broadcast_to(
+                np.asarray(offsets, dtype=np.int64),
+                (self._programs,) + np.asarray(offsets).shape,
+            )
+            offsets = BatchedTensor(raw, np.ndim(np.asarray(offsets)))
+        if isinstance(offsets, BatchedTensor):
+            raw = offsets.data.astype(np.int64, copy=False)
+            if mask is None:
+                if raw.size and (raw.min() < 0 or raw.max() >= data.size):
+                    raise IndexError(
+                        f"out-of-bounds unmasked load on {pointer.buffer.name}: "
+                        f"range [{raw.min()}, {raw.max()}] vs size {data.size}"
+                    )
+                self._record_batched(raw, element_bytes, is_store=False)
+                return BatchedTensor(data[raw], offsets.block_ndim)
+            rank = builtins.max(offsets.block_ndim, _block_rank(mask))
+            raw = _aligned_raw(offsets, rank).astype(np.int64, copy=False)
+            mask_raw = np.broadcast_to(
+                np.asarray(_aligned_raw(mask, rank), dtype=bool), raw.shape
+            )
+            safe = np.where(mask_raw, raw, 0)
+            if safe.size and (safe.min() < 0 or safe.max() >= data.size):
+                raise IndexError(f"masked load still out of bounds on {pointer.buffer.name}")
+            other_raw = _aligned_raw(other, rank) if isinstance(other, BatchedTensor) else other
+            values = np.where(mask_raw, data[safe], other_raw)
+            self._record_batched(raw, element_bytes, is_store=False, valid=mask_raw)
+            return BatchedTensor(values, rank)
+        # program-uniform access: identical in every program
+        raw = np.asarray(offsets, dtype=np.int64)
+        if mask is None:
+            if raw.size and (raw.min() < 0 or raw.max() >= data.size):
+                raise IndexError(
+                    f"out-of-bounds unmasked load on {pointer.buffer.name}: "
+                    f"range [{raw.min()}, {raw.max()}] vs size {data.size}"
+                )
+            self._record_uniform(raw, element_bytes, is_store=False)
+            return _as_tensor(data[raw])
+        mask_raw = np.broadcast_to(np.asarray(mask, dtype=bool), raw.shape)
+        safe = np.where(mask_raw, raw, 0)
+        if safe.size and (safe.min() < 0 or safe.max() >= data.size):
+            raise IndexError(f"masked load still out of bounds on {pointer.buffer.name}")
+        values = np.where(mask_raw, data[safe], other)
+        self._record_uniform(raw, element_bytes, is_store=False, valid=mask_raw)
+        return _as_tensor(values)
+
+    def store(self, pointer, value, mask=None) -> None:
+        """Scatter a block to memory, honouring the optional mask."""
+        if not isinstance(pointer, PointerArray):
+            raise TypeError("tl.store expects a pointer expression (buffer + offsets)")
+        data = pointer.buffer.data
+        element_bytes = pointer.buffer.element_bytes
+        offsets = pointer.offsets
+        if not isinstance(offsets, BatchedTensor):
+            # a program-uniform store target is written by every program in
+            # turn; replaying it batched (broadcast over the program axis)
+            # reproduces both the last-writer-wins result and the counters
+            raw = np.broadcast_to(
+                np.asarray(offsets, dtype=np.int64),
+                (self._programs,) + np.asarray(offsets).shape,
+            )
+            offsets = BatchedTensor(raw, np.ndim(np.asarray(offsets)))
+        rank = builtins.max(offsets.block_ndim, _block_rank(value))
+        if mask is not None:
+            rank = builtins.max(rank, _block_rank(mask))
+        raw = np.broadcast_to(
+            _aligned_raw(offsets, rank).astype(np.int64, copy=False),
+            np.broadcast_shapes(
+                _np_shape(_aligned_raw(offsets, rank)),
+                _np_shape(_aligned_raw(value, rank)),
+            ),
+        )
+        values = np.broadcast_to(np.asarray(_aligned_raw(value, rank)), raw.shape)
+        if mask is None:
+            if raw.size and (raw.min() < 0 or raw.max() >= data.size):
+                raise IndexError(
+                    f"out-of-bounds unmasked store on {pointer.buffer.name}: "
+                    f"range [{raw.min()}, {raw.max()}] vs size {data.size}"
+                )
+            # C-order flatten is program-major: duplicate offsets resolve to
+            # the highest program id, matching sequential execution
+            data[raw.reshape(-1)] = values.reshape(-1).astype(data.dtype, copy=False)
+            self._record_batched(raw, element_bytes, is_store=True)
+            return
+        mask_raw = np.broadcast_to(
+            np.asarray(_aligned_raw(mask, rank), dtype=bool), raw.shape
+        )
+        flat_offsets = raw[mask_raw]
+        if flat_offsets.size and (flat_offsets.min() < 0 or flat_offsets.max() >= data.size):
+            raise IndexError(f"masked store still out of bounds on {pointer.buffer.name}")
+        data[flat_offsets] = values[mask_raw].astype(data.dtype, copy=False)
+        self._record_batched(raw, element_bytes, is_store=True, valid=mask_raw)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def dot(self, a, b, acc=None):
+        """Block matrix multiply with float32 accumulation (tensor-core ``tl.dot``)."""
+        a_raw = a.data if isinstance(a, BatchedTensor) else np.asarray(a)
+        b_raw = b.data if isinstance(b, BatchedTensor) else np.asarray(b)
+        batched = isinstance(a, BatchedTensor) or isinstance(b, BatchedTensor)
+        result = np.matmul(a_raw.astype(np.float32), b_raw.astype(np.float32))
+        if acc is not None:
+            acc_raw = acc.data if isinstance(acc, BatchedTensor) else np.asarray(acc, dtype=np.float32)
+            result = result + np.asarray(acc_raw, dtype=np.float32)
+        m, k = a_raw.shape[-2], a_raw.shape[-1]
+        n = b_raw.shape[-1]
+        flops = 2.0 * m * n * k * self._programs
+        self._trace.flops += flops
+        if a_raw.dtype == np.float16 or b_raw.dtype == np.float16:
+            self._trace.tensor_core_flops += flops
+        if batched:
+            return BatchedTensor(result, 2)
+        return _as_tensor(result)
+
+    def cdiv(self, a, b):
+        if isinstance(a, BatchedTensor) or isinstance(b, BatchedTensor):
+            return -(-a // b)
+        return cdiv(a, b)
+
+    # -- reductions --------------------------------------------------------
+
+    def _reduce(self, np_op, x, axis, cast=None):
+        self._count_flops(x)
+        if isinstance(x, BatchedTensor):
+            data = x.data if cast is None else x.data.astype(cast)
+            if axis is None:
+                # each program reduces its own flat block: reduce each row of
+                # the (P, -1) view
+                return BatchedTensor(np_op(data.reshape(data.shape[0], -1), axis=1), 0)
+            data_axis = axis + 1 if axis >= 0 else axis
+            return BatchedTensor(np_op(data, axis=data_axis), x.block_ndim - 1)
+        arr = np.asarray(x) if cast is None else np.asarray(x, dtype=cast)
+        return _as_tensor(np_op(arr, axis=axis))
+
+    def sum(self, x, axis=None):  # noqa: A003 - Triton spelling
+        return self._reduce(np.sum, x, axis, cast=np.float32)
+
+    def max(self, x, axis=None):  # noqa: A003 - Triton spelling
+        return self._reduce(np.max, x, axis)
+
+    def min(self, x, axis=None):  # noqa: A003 - Triton spelling
+        return self._reduce(np.min, x, axis)
+
+    # -- elementwise -------------------------------------------------------
+
+    def _unary(self, np_op, x, cast=None):
+        self._count_flops(x)
+        if isinstance(x, BatchedTensor):
+            data = x.data if cast is None else x.data.astype(cast)
+            return BatchedTensor(np_op(data), x.block_ndim)
+        arr = np.asarray(x) if cast is None else np.asarray(x, dtype=cast)
+        return _as_tensor(np_op(arr))
+
+    def exp(self, x):
+        return self._unary(np.exp, x, cast=np.float32)
+
+    def log(self, x):
+        return self._unary(np.log, x, cast=np.float32)
+
+    def sqrt(self, x):
+        return self._unary(np.sqrt, x, cast=np.float32)
+
+    def rsqrt(self, x):
+        return self._unary(lambda v: 1.0 / np.sqrt(v), x, cast=np.float32)
+
+    def abs(self, x):  # noqa: A003 - Triton spelling
+        return self._unary(np.abs, x)
+
+    def where(self, cond, a, b):
+        self._count_flops(cond)
+        if not any(isinstance(v, BatchedTensor) for v in (cond, a, b)):
+            return _as_tensor(np.where(np.asarray(cond), a, b))
+        rank = builtins.max(_block_rank(cond), _block_rank(a), _block_rank(b))
+        raws = [np.asarray(_aligned_raw(v, rank)) for v in (cond, a, b)]
+        return BatchedTensor(np.where(*raws), rank)
+
+    def maximum(self, a, b):
+        self._count_flops(a)
+        return _apply2(np.maximum, a, b)
+
+    def minimum(self, a, b):
+        self._count_flops(a)
+        return _apply2(np.minimum, a, b)
 
 
-def min(x, axis=None):  # noqa: A001 - Triton spelling
-    _count_flops(x)
-    return _as_tensor(np.min(np.asarray(x), axis=axis))
-
-
-def exp(x):
-    _count_flops(x)
-    return _as_tensor(np.exp(np.asarray(x, dtype=np.float32)))
-
-
-def log(x):
-    _count_flops(x)
-    return _as_tensor(np.log(np.asarray(x, dtype=np.float32)))
-
-
-def sqrt(x):
-    _count_flops(x)
-    return _as_tensor(np.sqrt(np.asarray(x, dtype=np.float32)))
-
-
-def rsqrt(x):
-    _count_flops(x)
-    return _as_tensor(1.0 / np.sqrt(np.asarray(x, dtype=np.float32)))
-
-
-def abs(x):  # noqa: A001 - Triton spelling
-    _count_flops(x)
-    return _as_tensor(np.abs(np.asarray(x)))
-
-
-def where(cond, a, b):
-    _count_flops(cond)
-    return _as_tensor(np.where(np.asarray(cond), a, b))
-
-
-def maximum(a, b):
-    _count_flops(a)
-    return _as_tensor(np.maximum(np.asarray(a), np.asarray(b)))
-
-
-def minimum(a, b):
-    _count_flops(a)
-    return _as_tensor(np.minimum(np.asarray(a), np.asarray(b)))
+#: the namespace every kernel runs under (``from repro.minitriton import tl``)
+tl = _Language()

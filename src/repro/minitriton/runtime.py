@@ -1,12 +1,12 @@
 """Kernel compilation (``exec``) and grid launch for the mini-Triton substrate.
 
 The LEGO/Triton integration produces kernel *source text*.  This runtime turns
-that text into a callable and runs it over a launch grid, one Python call per
-program instance, exactly mirroring Triton's execution model:
+that text into a callable and runs it over a launch grid, a pass of programs
+per call of the kernel body (see :mod:`repro.minitriton.language`):
 
 * :func:`compile_kernel` — execute the source in a namespace providing ``tl``
-  (the language module) and a no-op ``@triton.jit`` decorator, and return the
-  requested kernel function;
+  (the language namespace) and a no-op ``@triton.jit`` decorator, and return
+  the requested kernel function;
 * :func:`launch` — run the kernel for every program id in the grid and
   return the recorded memory/arithmetic trace;
 * :func:`to_device` / :func:`from_device` — move NumPy arrays in and out of
@@ -19,16 +19,26 @@ extrapolating with ``Case.scale`` / ``KernelCost.scaled`` (:mod:`repro.perf`).
 
 from __future__ import annotations
 
+import builtins
 import types
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..vm.engine import run_launch
-from . import language as tl
-from .language import DeviceBuffer, KernelTrace
+from ..vm.engine import launch_extents, run_launch
+from .language import BatchedTensor, DeviceBuffer, KernelTrace, _apply2, cdiv, tl
 
 __all__ = ["TritonJitShim", "compile_kernel", "launch", "to_device", "from_device"]
+
+#: programs executed per pass (passes run in increasing id order, which keeps
+#: the program-major store order intact).  It counts programs, not lanes — the
+#: block size is unknown before the body runs — so it is the slab
+#: (:data:`repro.vm.engine.SLAB_ELEMENTS`) in its own unit.  Best-of-15 launch,
+#: ms, at 8192 / 2048 / 1024 / 512 / 256 programs a pass: softmax 7.2 / 4.2 /
+#: 4.3 / 4.7 / 5.7, layernorm 7.1 / 4.3 / 4.5 / 5.1 / 6.7, matmul 35.2 / 35.2 /
+#: 34.5 / 38.6 / 43.2, grouped GEMM 18.8 / 18.8 / 18.8 / 21.3 / 24.8 — do not
+#: go below 1024.
+PROGRAM_CHUNK = 1024
 
 
 class TritonJitShim(types.SimpleNamespace):
@@ -42,7 +52,20 @@ class TritonJitShim(types.SimpleNamespace):
 
     @staticmethod
     def cdiv(a: int, b: int) -> int:
-        return tl.cdiv(a, b)
+        return cdiv(a, b)
+
+
+def _namespace_min(*args, **kwargs):
+    """``min`` builtin that understands batched scalars (``min(GM, nt_m - pid)``)."""
+    if len(args) == 2 and not kwargs and any(isinstance(a, BatchedTensor) for a in args):
+        return _apply2(np.minimum, args[0], args[1])
+    return builtins.min(*args, **kwargs)
+
+
+def _namespace_max(*args, **kwargs):
+    if len(args) == 2 and not kwargs and any(isinstance(a, BatchedTensor) for a in args):
+        return _apply2(np.maximum, args[0], args[1])
+    return builtins.max(*args, **kwargs)
 
 
 def compile_kernel(source: str, kernel_name: str) -> Callable:
@@ -54,8 +77,8 @@ def compile_kernel(source: str, kernel_name: str) -> Callable:
     namespace: dict[str, object] = {
         "tl": tl,
         "triton": TritonJitShim(),
-        "min": min,
-        "max": max,
+        "min": _namespace_min,
+        "max": _namespace_max,
         "range": range,
     }
     code = compile(source, filename=f"<lego-kernel:{kernel_name}>", mode="exec")
@@ -65,13 +88,6 @@ def compile_kernel(source: str, kernel_name: str) -> Callable:
     fn = namespace[kernel_name]
     if not callable(fn):
         raise TypeError(f"{kernel_name!r} is not callable")
-    # remember the source so the vectorized engine (repro.vm) can recompile
-    # the same kernel under its batched ``tl`` namespace
-    try:
-        fn._lego_source = source
-        fn._lego_name = kernel_name
-    except (AttributeError, TypeError):
-        pass
     return fn
 
 
@@ -85,17 +101,6 @@ def from_device(buffer: DeviceBuffer, shape: Sequence[int] | None = None) -> np.
     return buffer.to_numpy(tuple(shape) if shape is not None else None)
 
 
-def _normalize_grid(grid) -> tuple[int, int, int]:
-    if isinstance(grid, int):
-        grid = (grid,)
-    grid = tuple(int(g) for g in grid)
-    while len(grid) < 3:
-        grid = grid + (1,)
-    if len(grid) > 3:
-        raise ValueError("launch grids have at most 3 dimensions")
-    return grid
-
-
 def launch(
     kernel: Callable,
     grid,
@@ -104,39 +109,27 @@ def launch(
 ) -> KernelTrace:
     """Run ``kernel`` over every program of ``grid`` and return its trace.
 
-    ``kernel_args`` are passed as keyword arguments to every program.
-    ``sector_bytes`` sets the DRAM sector granularity the transaction
-    counters are recorded at (pass the target device's
+    ``kernel_args`` are passed as keyword arguments to every call of the
+    kernel.  ``sector_bytes`` sets the DRAM sector granularity the
+    transaction counters are recorded at (pass the target device's
     ``dram_sector_bytes``); the trace remembers it so the cost adapter
     charges moved bytes at the same size.
     """
-    grid3 = _normalize_grid(grid)
+    grid3 = launch_extents(grid, "grid")
     run_trace = KernelTrace(programs=grid3[0] * grid3[1] * grid3[2], sector_bytes=sector_bytes)
 
-    def batched(total, run_trace):
-        from ..vm.triton import launch_batched
-
-        launch_batched(kernel, grid3, kernel_args, run_trace, total, sector_bytes)
-
-    def treewalk(total, run_trace):
-        state = tl._get_state()
-        previous = (state.trace, state.grid, state.sector_bytes)
-        try:
-            state.trace = run_trace
-            state.grid = grid3
-            state.sector_bytes = sector_bytes
-            for flat in range(total):
-                pid0 = flat % grid3[0]
-                pid1 = (flat // grid3[0]) % grid3[1]
-                pid2 = flat // (grid3[0] * grid3[1])
-                state.program_ids = (pid0, pid1, pid2)
+    def execute(total, run_trace):
+        ids = np.arange(total, dtype=np.int64)
+        for start in range(0, total, PROGRAM_CHUNK):
+            chunk = ids[start:start + PROGRAM_CHUNK]
+            pid0 = chunk % grid3[0]
+            pid1 = (chunk // grid3[0]) % grid3[1]
+            pid2 = chunk // (grid3[0] * grid3[1])
+            tl._begin((pid0, pid1, pid2), grid3, run_trace)
+            try:
                 kernel(**kernel_args)
-        finally:
-            state.trace, state.grid, state.sector_bytes = previous
-            state.program_ids = (0, 0, 0)
+            finally:
+                tl._end()
 
-    # the batched engine re-executes the kernel's source text, which only
-    # kernels built by compile_kernel carry
-    can_batch = hasattr(kernel, "_lego_source")
-    run_launch(run_trace.programs, batched if can_batch else None, treewalk, run_trace)
+    run_launch(run_trace.programs, execute, run_trace)
     return run_trace

@@ -1,12 +1,12 @@
 """Interpreter for ``gpu.func`` kernels emitted by the LEGO MLIR backend.
 
-The interpreter executes one thread block at a time with all threads of the
-block vectorised (each SSA value is either a per-thread NumPy array or a
-uniform scalar), mirroring the mini-CUDA substrate.  Global memrefs are NumPy
-buffers shared across blocks; workgroup (shared) memrefs are allocated per
-block.  Loads and stores go to the launch result's access log, which scores
-the per-warp sector transactions and shared-memory bank conflicts that feed
-the analytic device model.
+The interpreter executes a pass of thread blocks at a time with all threads
+of each block vectorised (each SSA value is a per-thread array with one row
+per block, or a block-uniform value), mirroring the mini-CUDA substrate.
+Global memrefs are NumPy buffers shared across blocks; workgroup (shared)
+memrefs are allocated one row per block.  Loads and stores go to the launch
+result's access log, which scores the per-warp sector transactions and
+shared-memory bank conflicts that feed the analytic device model.
 
 Supported operations: the ``arith`` / ``memref`` / ``gpu`` / ``scf`` subset
 produced by :mod:`repro.codegen.mlir`.
@@ -20,7 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..gpusim.sharedmem import AccessLog, ConflictProfile
-from ..vm.engine import run_launch
+from ..vm import engine
+from ..vm.engine import launch_extents, run_launch
 from .ir import Block, FuncOp, Module, Operation, Value
 from .types import MemRefType
 
@@ -65,25 +66,38 @@ class GpuLaunchResult(AccessLog):
 
 
 class _BlockExecutor:
-    """Executes one function body for one thread block."""
+    """Executes one function body for a pass of thread blocks at once.
+
+    ``gpu.block_id`` binds to ``(B, 1)`` arrays, so every block's SSA values
+    materialise together: per-thread values broadcast to ``(B, T)`` rows,
+    block-uniform values stay rank <= 1 (logged once with ``repeat = B``).
+    ``memref.alloc`` buffers get one row per block; kernel argument buffers
+    stay flat and are shared by all blocks.
+    """
 
     def __init__(
         self,
-        block_idx: tuple[int, int, int],
+        block_ids: np.ndarray,
         block_dim: tuple[int, int, int],
         grid_dim: tuple[int, int, int],
         memrefs: Mapping[int, np.ndarray],
         result: GpuLaunchResult,
         warp_size: int = _WARP,
-        sector_bytes: int = _SECTOR_BYTES,
     ):
-        self.block_idx = block_idx
+        batch = int(block_ids.size)
+        self.block_idx = (
+            (block_ids % grid_dim[0]).reshape(batch, 1),
+            ((block_ids // grid_dim[0]) % grid_dim[1]).reshape(batch, 1),
+            (block_ids // (grid_dim[0] * grid_dim[1])).reshape(batch, 1),
+        )
+        self._batch = batch
         self.block_dim = block_dim
         self.grid_dim = grid_dim
         self.warp_size = warp_size
-        self.sector_bytes = sector_bytes
-        self.memrefs = dict(memrefs)  # id(Value) -> flat numpy buffer
+        self.memrefs = dict(memrefs)  # id(Value) -> numpy buffer
         self.memref_types: dict[int, MemRefType] = {}
+        #: in-kernel allocations, one row per block
+        self._batched_buffers: set[int] = set()
         self.shared_allocated = 0
         self.result = result
         count = block_dim[0] * block_dim[1] * block_dim[2]
@@ -165,11 +179,23 @@ class _BlockExecutor:
         else:
             raise NotImplementedError(f"interpreter does not support {name}")
 
+    def _is_batched(self, array: np.ndarray) -> bool:
+        """Whether a value differs per block (``True``) or is block-uniform."""
+        if array.ndim == 2 and array.shape[0] == self._batch:
+            return True
+        if array.ndim <= 1:
+            return False
+        raise NotImplementedError(
+            f"cannot classify a rank-{array.ndim} value: expected one row per block "
+            f"({self._batch}) or a block-uniform value"
+        )
+
     def _count_flops(self, op: Operation) -> None:
         if op.name.endswith("f"):
             value = self.values.get(id(op.results[0])) if op.results else None
-            size = np.asarray(value).size if value is not None else 1
-            self.result.flops += float(size)
+            raw = np.asarray(value) if value is not None else np.asarray(1)
+            # a block-uniform value is computed by every block
+            self.result.flops += float(raw.size) * (1 if self._is_batched(raw) else self._batch)
 
     def _compare(self, op: Operation):
         predicate = op.attributes["predicate"]
@@ -191,11 +217,15 @@ class _BlockExecutor:
         memref_type = op.result.type
         if not isinstance(memref_type, MemRefType):
             raise TypeError("memref.alloc result must be a memref")
-        buffer = np.zeros(memref_type.num_elements, dtype=memref_type.element_type.np_dtype)
+        buffer = np.zeros(
+            (self._batch, memref_type.num_elements), dtype=memref_type.element_type.np_dtype
+        )
         self.memrefs[id(op.result)] = buffer
         self.memref_types[id(op.result)] = memref_type
+        self._batched_buffers.add(id(op.result))
         if memref_type.memory_space == 3:
-            self.shared_allocated += int(buffer.nbytes)
+            # allocation accounting is per block
+            self.shared_allocated += int(buffer.nbytes // self._batch)
         self.set(op.result, op.result)
 
     def _flat_offsets(self, source: Value, index_values: Sequence) -> np.ndarray:
@@ -219,24 +249,42 @@ class _BlockExecutor:
             return self.memrefs[id(bound)]
         raise KeyError(f"memref {source} is not bound to a buffer")
 
-    def _record_global(self, offsets: np.ndarray, element_bytes: int, is_store: bool) -> None:
-        flat = offsets.reshape(-1)
-        self.result.log_global(flat[None, :], element_bytes, self.sector_bytes, self.warp_size,
-                               is_store)
-        self._bump_global(float(flat.size), element_bytes, is_store)
+    def _buffer_is_batched(self, source: Value) -> bool:
+        if id(source) in self._batched_buffers:
+            return True
+        bound = self.values.get(id(source))
+        return bound is not None and id(bound) in self._batched_buffers
 
-    def _bump_global(self, count: float, element_bytes: int, is_store: bool) -> None:
+    def _rows(self, offsets: np.ndarray) -> tuple[np.ndarray, int]:
+        """An access as log rows: one per block, or the block-uniform row repeated."""
+        if self._is_batched(offsets):
+            return offsets, 1
+        return offsets.reshape(1, -1), self._batch
+
+    def _record_global(self, offsets: np.ndarray, element_bytes: int, is_store: bool) -> None:
+        rows, repeat = self._rows(offsets)
+        result = self.result
+        result.log_global(rows, element_bytes, result.sector_bytes, self.warp_size, is_store,
+                          repeat)
+        count = float(rows.size * repeat)
         if is_store:
-            self.result.store_elements += count
-            self.result.store_bytes += count * element_bytes
+            result.store_elements += count
+            result.store_bytes += count * element_bytes
         else:
-            self.result.load_elements += count
-            self.result.load_bytes += count * element_bytes
+            result.load_elements += count
+            result.load_bytes += count * element_bytes
 
     def _record_shared(self, offsets: np.ndarray, element_bytes: int) -> None:
-        flat = offsets.reshape(-1)
-        self.result.smem_bytes += float(flat.size) * element_bytes
-        self.result.log_shared(flat[None, :], element_bytes, self.warp_size)
+        rows, repeat = self._rows(offsets)
+        self.result.smem_bytes += float(self._batch * rows.shape[1]) * element_bytes
+        self.result.log_shared(rows, element_bytes, self.warp_size, repeat)
+
+    def _record(self, memref_type: MemRefType, offsets: np.ndarray, element_bytes: int,
+                is_store: bool) -> None:
+        if memref_type.memory_space == 3:
+            self._record_shared(offsets, element_bytes)
+        else:
+            self._record_global(offsets, element_bytes, is_store)
 
     def _load(self, op: Operation) -> None:
         source = op.operands[0]
@@ -244,12 +292,14 @@ class _BlockExecutor:
         assert isinstance(memref_type, MemRefType)
         buffer = self._buffer_of(source)
         offsets = self._flat_offsets(source, [self.get(v) for v in op.operands[1:]])
-        element_bytes = buffer.dtype.itemsize
-        if memref_type.memory_space == 3:
-            self._record_shared(offsets, element_bytes)
+        self._record(memref_type, offsets, buffer.dtype.itemsize, is_store=False)
+        if not self._buffer_is_batched(source):
+            values = buffer[offsets]
+        elif self._is_batched(offsets):
+            values = buffer[np.arange(self._batch)[:, None], offsets]
         else:
-            self._record_global(offsets, element_bytes, is_store=False)
-        self.set(op.result, buffer[offsets])
+            values = buffer[:, offsets]
+        self.set(op.result, values)
 
     def _store(self, op: Operation) -> None:
         value = self.get(op.operands[0])
@@ -258,19 +308,26 @@ class _BlockExecutor:
         assert isinstance(memref_type, MemRefType)
         buffer = self._buffer_of(dest)
         offsets = self._flat_offsets(dest, [self.get(v) for v in op.operands[2:]])
-        element_bytes = buffer.dtype.itemsize
-        if memref_type.memory_space == 3:
-            self._record_shared(offsets, element_bytes)
+        self._record(memref_type, offsets, buffer.dtype.itemsize, is_store=True)
+        raw = np.asarray(value, dtype=buffer.dtype)
+        if not self._buffer_is_batched(dest):
+            # flat argument buffer: C-order fancy assignment is block-major,
+            # so duplicate offsets resolve to the highest block id
+            buffer[offsets] = np.broadcast_to(raw, offsets.shape)
+        elif self._is_batched(offsets):
+            buffer[np.arange(self._batch)[:, None], offsets] = np.broadcast_to(raw, offsets.shape)
         else:
-            self._record_global(offsets, element_bytes, is_store=True)
-        buffer[offsets] = np.broadcast_to(np.asarray(value, dtype=buffer.dtype), offsets.shape)
+            buffer[:, offsets] = np.broadcast_to(raw, (self._batch,) + offsets.shape)
 
     # -- control flow -----------------------------------------------------------------
 
     def _for(self, op: Operation) -> None:
-        lower = int(np.asarray(self.get(op.operands[0])).reshape(-1)[0])
-        upper = int(np.asarray(self.get(op.operands[1])).reshape(-1)[0])
-        step = int(np.asarray(self.get(op.operands[2])).reshape(-1)[0])
+        bounds = [np.asarray(self.get(operand)) for operand in op.operands[:3]]
+        if any(bound.ndim >= 2 for bound in bounds):
+            raise NotImplementedError(
+                "block-dependent scf.for bounds: every block of a pass runs the same iterations"
+            )
+        lower, upper, step = (int(bound.reshape(-1)[0]) for bound in bounds)
         body = op.regions[0].blocks[0]
         induction = body.arguments[0]
         for iv in range(lower, upper, step):
@@ -292,8 +349,11 @@ def run_gpu_kernel(
     arguments; they are mutated in place by ``memref.store``.
     ``device`` (a :class:`~repro.gpusim.DeviceSpec`) supplies the warp width
     and DRAM sector granularity the traffic accounting uses instead of the
-    CUDA-default 32/32.
+    CUDA-default 32/32.  The blocks run in passes of
+    :data:`repro.vm.engine.SLAB_ELEMENTS` lanes.
     """
+    grid = launch_extents(grid, "grid")
+    block = launch_extents(block, "block")
     fn = module.get_function(kernel_name)
     if fn.kind != "gpu.func":
         raise ValueError(f"{kernel_name!r} is not a gpu.func kernel")
@@ -314,41 +374,25 @@ def run_gpu_kernel(
             flat_buffers[id(value)] = flat
 
     warp_size = device.warp_size if device is not None else _WARP
-    sector_bytes = device.dram_sector_bytes if device is not None else _SECTOR_BYTES
-    grid = tuple(int(g) for g in grid)
-    block = tuple(int(b) for b in block)
+    threads = block[0] * block[1] * block[2]
     result = GpuLaunchResult(
         blocks=grid[0] * grid[1] * grid[2],
-        threads_per_block=block[0] * block[1] * block[2],
-        sector_bytes=sector_bytes,
+        threads_per_block=threads,
+        sector_bytes=device.dram_sector_bytes if device is not None else _SECTOR_BYTES,
     )
 
-    def batched(total, result):
-        from ..vm.mlir import launch_batched
-
-        return launch_batched(
-            fn, grid, block, flat_buffers, arguments, result, total,
-            warp_size=warp_size, sector_bytes=sector_bytes,
-        )
-
-    def treewalk(total, result):
+    def execute(total, result):
+        ids = np.arange(total, dtype=np.int64)
+        blocks_per_pass = max(1, engine.SLAB_ELEMENTS // threads)
         smem_per_block = 0
-        for flat in range(total):
-            bx = flat % grid[0]
-            by = (flat // grid[0]) % grid[1]
-            bz = flat // (grid[0] * grid[1])
-            executor = _BlockExecutor(
-                (bx, by, bz), block, grid, flat_buffers, result,
-                warp_size=warp_size, sector_bytes=sector_bytes,
-            )
+        for start in range(0, total, blocks_per_pass):
+            executor = _BlockExecutor(ids[start:start + blocks_per_pass], block, grid,
+                                      flat_buffers, result, warp_size=warp_size)
             for value, array in zip(fn.arguments, arguments):
-                if isinstance(value.type, MemRefType):
-                    executor.set(value, value)
-                else:
-                    executor.set(value, array)
+                executor.set(value, value if isinstance(value.type, MemRefType) else array)
             executor.run_block(fn.body)
             smem_per_block = max(smem_per_block, executor.shared_allocated)
         return smem_per_block
 
-    result.smem_per_block = run_launch(result.blocks, batched, treewalk, result)
+    result.smem_per_block = run_launch(result.blocks, execute, result)
     return result

@@ -27,8 +27,7 @@ cube stencil (the widest launch of the eight apps) in both layouts.  Every
 profile carries the differential verdict on the output of the execution it
 measured (:attr:`KernelProfile.check`), so a configuration is launched
 once; a disagreeing output is a failed profile, listed under
-``check_failures``.  The substrates run under the ambient :mod:`repro.vm`
-engine mode (``REPRO_VM=treewalk`` sweeps the reference interpreters).
+``check_failures``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import sys
 from pathlib import Path
 
 from ..apps.registry import available_apps
-from ..vm.engine import engine_mode
 from .profile import profile, profile_all
 
 __all__ = ["main", "run_sweep"]
@@ -90,7 +88,6 @@ def run_sweep(args: argparse.Namespace) -> dict:
         "samples": args.samples,
         "max_error": args.max_error,
         "max_error_for": dict(bounds),
-        "engine": engine_mode(),
         "apps": {},
         "failures": [],
         "check_failures": [],

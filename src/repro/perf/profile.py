@@ -41,7 +41,6 @@ from ..apps.registry import AppSpec, available_apps, get_app
 from ..check.runner import CheckReport, judge_case, run_case, sample_configs
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, TimeBreakdown, estimate_time
 from ..obs.trace import span
-from ..vm.engine import engine_mode
 from .adapters import trace_metrics, trace_to_cost
 
 __all__ = ["KernelProfile", "profile", "profile_app", "profile_all"]
@@ -65,8 +64,6 @@ class KernelProfile:
     kernel: str = ""
     #: device-zoo name of the device model the profile ran against
     device: str = ""
-    #: substrate execution engine mode the case executed under (see repro.vm)
-    engine: str = ""
     #: measured cost of the case as executed (extensive counters at case size)
     measured_cost: KernelCost | None = None
     #: device-model breakdown of the case as executed
@@ -112,7 +109,6 @@ class KernelProfile:
             "seed": self.seed,
             "kernel": self.kernel,
             "device": self.device,
-            "engine": self.engine,
             "measured": self.measured.as_dict() if self.measured is not None else None,
             "extrapolated": self.extrapolated.as_dict() if self.extrapolated is not None else None,
             "measured_ms": self.measured_seconds * 1e3,
@@ -168,18 +164,16 @@ def profile(
     """Measure — and verify — one ``(app, config)`` pair in one execution.
 
     Builds the app's case, resolves the kernel (through ``service`` when
-    given), executes on the matching substrate (:func:`repro.check.run_case`,
-    under the ambient :mod:`repro.vm` engine mode, which the profile
-    records), compares the output against the app's reference model
+    given), executes on the matching substrate (:func:`repro.check.run_case`),
+    compares the output against the app's reference model
     (:attr:`KernelProfile.check`) and converts the trace into a measured
     cost + breakdown.  Never raises on a substrate, model or verification
     failure — the outcome is the returned :class:`KernelProfile`.
     """
     spec = _resolve(app)
     report = KernelProfile(app=spec.name, backend=spec.backend, config=dict(config),
-                           seed=seed, device=device.name, engine=engine_mode())
-    with span("perf.profile", "perf", app=spec.name, device=device.name,
-              engine=report.engine) as root:
+                           seed=seed, device=device.name)
+    with span("perf.profile", "perf", app=spec.name, device=device.name) as root:
         _profile_inner(spec, config, report, device=device, seed=seed, service=service)
         root.add(status=report.status)
     return report

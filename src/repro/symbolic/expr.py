@@ -151,7 +151,7 @@ class Expr:
     @property
     def expr_id(self) -> int:
         """Stable integer identity; interned nodes share ids, so this is the
-        preferred key for memo tables (O(1), no tree walks)."""
+        preferred key for memo tables (O(1), no traversal)."""
         return self._id
 
     def __hash__(self) -> int:

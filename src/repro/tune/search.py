@@ -43,7 +43,6 @@ import time
 from ..cache import ResultCache
 from ..gpusim import A100_80GB, DeviceSpec, get_device
 from ..obs.trace import span
-from ..vm.engine import engine_mode
 from .model import ProfileStore
 from .space import SearchSpace
 from .tables import TuningTable
@@ -171,8 +170,7 @@ def search(
     :class:`~repro.perf.KernelProfile` lands in :attr:`TuneResult.profiles`.
     Candidates whose configuration selects nothing executable (external
     baselines) keep their analytic rank below every measured candidate.
-    The measurements run under the ambient :mod:`repro.vm` engine mode,
-    recorded in :attr:`TuneResult.engine`.  With a ``profile_store`` the
+    With a ``profile_store`` the
     learned rung is on: its model re-scores the analytic leaders, the new
     profiles are recorded into it and the model is refitted; without one
     nothing is learned or recorded.  The winner is recorded in ``table``
@@ -210,7 +208,7 @@ def search(
         result = TuneResult(
             app=spec.name, evaluations=[], device=device_spec.name,
             strategy="exhaustive" if exhaustive else "halving",
-            space_size=space_size, engine=engine_mode(),
+            space_size=space_size,
         )
         root.add(strategy=result.strategy)
 
@@ -251,8 +249,7 @@ def search(
             # attempt cap runs out.  Skips are cheap (the case builder bails before
             # executing anything), so the cap is generous.
             stage_started = time.perf_counter()
-            with span("search.measure", "search", app=spec.name, top_k=measure_top_k,
-                      engine=result.engine):
+            with span("search.measure", "search", app=spec.name, top_k=measure_top_k):
                 seen_ids = {id(c) for c in survivors}
                 queue = survivors + [c for c in ranking if id(c) not in seen_ids]
                 attempt_cap = max(16 * measure_top_k, 64)

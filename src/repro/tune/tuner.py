@@ -83,10 +83,6 @@ class TuneResult:
     strategy: str = "exhaustive"
     #: valid configurations in the space
     space_size: int = 0
-    #: the substrate execution engine the measured stage ran under
-    #: (``repro.vm`` mode — makes the artifact self-describing across
-    #: ``REPRO_VM`` settings)
-    engine: str = ""
     wall_seconds: float = 0.0
     #: per-stage wall seconds (``prefilter`` / ``model`` / ``measure``)
     stage_seconds: dict = field(default_factory=dict)
@@ -137,7 +133,6 @@ class TuneResult:
             "app": self.app,
             "device": self.device,
             "strategy": self.strategy,
-            "engine": self.engine,
             "space_size": self.space_size,
             "candidates_evaluated": self.evaluated,
             "candidates_measured": self.measured,

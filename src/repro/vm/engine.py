@@ -1,34 +1,21 @@
-"""Engine-mode selection and the one launch driver of the three substrates.
+"""The one launch path of the three substrates.
 
-One ambient mode decides how :func:`repro.minitriton.launch`,
-:func:`repro.minicuda.launch` and :func:`repro.mlir.run_gpu_kernel`
-execute: ``"vectorized"`` (the batched NumPy engine) or ``"treewalk"``
-(the reference interpreters).  It has two spellings and no others: the
-process-wide ``REPRO_VM`` environment variable (``vectorized`` when unset)
-and the scoped :func:`use_engine` context manager.  Nothing takes an
-``engine=`` argument; callers that record the mode read :func:`engine_mode`.
-
-:func:`run_launch` is the dispatch all three launchers share: the whole grid
-runs once on the executor the mode selects, then the launch's access log is
-scored.  An exception raised by the batched engine propagates to the caller.
+:func:`repro.minitriton.launch`, :func:`repro.minicuda.launch` and
+:func:`repro.mlir.run_gpu_kernel` each validate their geometry with
+:func:`launch_extents` and hand their executor to :func:`run_launch`: the
+whole grid runs once on the substrate's batched executor, then the launch's
+access log is scored.  An exception raised by the executor propagates to the
+caller.
 """
 
 from __future__ import annotations
 
-import os
-import threading
+import numbers
+from collections.abc import Iterable
 from contextlib import contextmanager
 from typing import Callable
 
-__all__ = ["MODES", "engine_mode", "use_engine", "run_launch"]
-
-MODES = ("vectorized", "treewalk")
-
-# ``perfbench/`` (frozen by BENCHMARK.json) still calls
-# ``use_engine("vectorized-strict")``, the former name of what is now the only
-# batched behaviour.  The spelling is accepted here, and nowhere else, until a
-# benchmark PR drops it from perfbench.
-_ALIASES = {"vectorized-strict": "vectorized"}
+__all__ = ["SLAB_ELEMENTS", "engine_mode", "launch_extents", "run_launch", "use_engine"]
 
 #: Elements one NumPy call of the engine should see — the one size that tiles a
 #: launch.  The mini-CUDA and MLIR executors cut the grid into passes of this
@@ -42,58 +29,58 @@ _ALIASES = {"vectorized-strict": "vectorized"}
 #: 34.0 / 34.2 / 35.3; LUD and NW are flat (21-22, 25).
 SLAB_ELEMENTS = 1 << 16
 
-#: appended to the errors a batched executor raises for a construct it
-#: cannot express, so the message says what to do
-TREEWALK_HINT = 'run under use_engine("treewalk")'
-
-_local = threading.local()
+#: the smallest extent of each launch argument: an empty grid is an empty
+#: launch, a block has at least one thread
+_MINIMUM_EXTENT = {"grid": 0, "block": 1}
 
 
-def _canonical(mode: str, source: str) -> str:
-    canonical = _ALIASES.get(mode, mode)
-    if canonical not in MODES:
-        # a typo'd name must not silently run the default engine — the
-        # selector exists precisely to force a specific one
-        raise ValueError(f"invalid {source} {mode!r}; expected one of {MODES}")
-    return canonical
+def launch_extents(value, argument: str) -> tuple[int, int, int]:
+    """``value`` — one integer or up to three — as three extents, missing ones 1.
+
+    ``argument`` is ``"grid"`` or ``"block"``.  Extents must be integers
+    (Python or NumPy), at least 0 for a grid and 1 for a block; anything else
+    is a ``ValueError`` naming the argument and the axis, because the extents
+    become the trace's launch geometry and feed the occupancy and cost model.
+    """
+    minimum = _MINIMUM_EXTENT[argument]
+    extents = tuple(value) if isinstance(value, Iterable) else (value,)
+    if not 1 <= len(extents) <= 3:
+        raise ValueError(f"{argument} has {len(extents)} axes; a launch has one to three")
+    for axis, extent in enumerate(extents):
+        if isinstance(extent, bool) or not isinstance(extent, numbers.Integral) \
+                or extent < minimum:
+            raise ValueError(
+                f"{argument} axis {axis}: expected an integer >= {minimum}, got {extent!r}"
+            )
+    return tuple(int(extent) for extent in extents) + (1,) * (3 - len(extents))
 
 
+def run_launch(total: int, execute: Callable, trace):
+    """Execute one launch of all ``total`` lanes (programs or blocks).
+
+    ``execute(total, trace)`` runs exactly once, adding its counters to
+    ``trace`` and appending its accesses to the trace's log, which is flushed
+    when it returns: **the counters are final when the launcher returns**,
+    not while the kernel runs (the log scores itself early only to stay within
+    one slab).  Whatever the executor raises is the launch's error; the
+    pending accesses are discarded with the trace, which nobody receives.
+    Returns the executor's return value.
+    """
+    result = execute(total, trace)
+    trace.flush()
+    return result
+
+
+# The frozen perfbench/ still names the executor it runs; this shim keeps that
+# spelling working and goes with the benchmark rework (ROADMAP.md item 3).
 def engine_mode() -> str:
-    """The active execution mode for all three substrates."""
-    active = getattr(_local, "mode", None)
-    if active is not None:
-        return active
-    raw = os.environ.get("REPRO_VM", "").strip()
-    return _canonical(raw.lower(), "REPRO_VM value") if raw else "vectorized"
+    """The name of the one executor: ``"vectorized"``."""
+    return "vectorized"
 
 
 @contextmanager
 def use_engine(mode: str):
-    """Run a block under ``mode``, restoring the previous mode after."""
-    mode = _canonical(mode, "engine mode")
-    previous = getattr(_local, "mode", None)
-    _local.mode = mode
-    try:
-        yield
-    finally:
-        _local.mode = previous
-
-
-def run_launch(total: int, batched: Callable | None, treewalk: Callable, trace):
-    """Execute one launch of all ``total`` lanes (programs or blocks).
-
-    The lanes go to ``treewalk(total, trace)`` when the mode is ``"treewalk"``,
-    when there is a single lane (nothing to batch), or when ``batched`` is
-    ``None`` (the substrate cannot batch this kernel); otherwise to
-    ``batched(total, trace)``.  Either executor runs exactly once, adding
-    its counters to ``trace`` and appending its accesses to the trace's log,
-    which is flushed when the executor returns: **the counters are final when
-    the launcher returns**, not while the kernel runs (the log scores itself
-    early only to stay within one slab).  Whatever the executor raises is the
-    launch's error; the pending accesses are discarded with the trace, which
-    nobody receives.  Returns the executor's return value.
-    """
-    walk = batched is None or total <= 1 or engine_mode() == "treewalk"
-    result = (treewalk if walk else batched)(total, trace)
-    trace.flush()
-    return result
+    """Accept the executor's names (``"vectorized"``, ``"vectorized-strict"``); change nothing."""
+    if mode not in ("vectorized", "vectorized-strict"):
+        raise ValueError(f"invalid engine mode {mode!r}; the only executor is 'vectorized'")
+    yield

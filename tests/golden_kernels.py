@@ -20,6 +20,12 @@ from pathlib import Path
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+def golden_kernel_paths() -> list[Path]:
+    """The kernel-text goldens (the directory also holds ``vm_reference.json``,
+    the executor's pinned runs, which ``tests/test_vm.py`` checks)."""
+    return sorted(GOLDEN_DIR.glob("*.txt"))
+
+
 def build_artifacts() -> dict[str, str]:
     from repro.apps import grouped_gemm, layernorm, lud, matmul, nw, softmax, stencil
     from repro.codegen import CodegenContext

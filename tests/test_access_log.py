@@ -187,7 +187,7 @@ def test_a_flush_between_two_accesses_of_one_array_changes_nothing():
 def test_a_hand_driven_block_context_is_scored_by_its_own_traces_flush():
     """No launcher, no ``run_launch``: the trace owns its log and exposes the flush."""
     trace = CudaTrace()
-    ctx = BlockContext(Dim3(0), Dim3(16), Dim3(1), trace)
+    ctx = BlockContext(np.array([0]), Dim3(16), Dim3(1), trace)  # a pass of one block
     tile = ctx.shared_array((17, 17), dtype=np.int32)
     lanes = np.arange(16)
     tile.store(np.ones(16), lanes + 1, 15 - lanes + 1)  # a column walk: stride 16 words

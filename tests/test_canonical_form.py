@@ -21,7 +21,7 @@ from typing import Iterable
 
 import pytest
 
-from golden_kernels import GOLDEN_DIR, build_artifacts
+from golden_kernels import build_artifacts, golden_kernel_paths
 from repro.codegen import CodegenContext
 from repro.symbolic import CostWeights, clear_memos, operation_count
 from repro.symbolic.expr import _INTERN, _TYPE_ORDER, Add, Const, Expr, Mul, Var, as_expr
@@ -260,5 +260,5 @@ def test_goldens_are_byte_identical_under_a_tiny_memo_cap(monkeypatch):
     resets = cache_statistics()["memo_resets"]
     artifacts = build_artifacts()
     assert cache_statistics()["memo_resets"] - resets > 20
-    for path in GOLDEN_DIR.iterdir():
+    for path in golden_kernel_paths():
         assert artifacts[path.name] == path.read_text(), path.name

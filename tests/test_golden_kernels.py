@@ -10,7 +10,7 @@ Regenerate intentionally with ``PYTHONPATH=src python tests/golden_kernels.py --
 
 import pytest
 
-from golden_kernels import GOLDEN_DIR, build_artifacts
+from golden_kernels import GOLDEN_DIR, build_artifacts, golden_kernel_paths
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +19,7 @@ def artifacts() -> dict[str, str]:
 
 
 def _golden_names() -> list[str]:
-    return sorted(p.name for p in GOLDEN_DIR.iterdir())
+    return [p.name for p in golden_kernel_paths()]
 
 
 def test_golden_directory_is_complete(artifacts):

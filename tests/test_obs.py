@@ -482,26 +482,23 @@ def test_end_to_end_traced_block_attributes(tmp_path):
 # -- serialization satellites -------------------------------------------------------
 
 
-def test_kernel_profile_serializes_device_and_engine():
+def test_kernel_profile_serializes_device():
     from repro.perf.profile import KernelProfile
 
-    profile = KernelProfile(app="matmul", device="a100-80gb", engine="vectorized")
+    profile = KernelProfile(app="matmul", device="a100-80gb")
     payload = profile.as_dict()
     assert payload["device"] == "a100-80gb"
-    assert payload["engine"] == "vectorized"
 
 
-def test_search_result_serializes_engine_and_stage_seconds():
+def test_search_result_serializes_stage_seconds():
     from repro.tune import Candidate, TuneResult
 
     result = TuneResult(
-        app="matmul", device="h100", strategy="halving", engine="vectorized",
-        space_size=10,
+        app="matmul", device="h100", strategy="halving", space_size=10,
         evaluations=[Candidate(config={"BM": 64}, time_seconds=1e-3)],
         stage_seconds={"prefilter": 0.5, "model": 0.01, "measure": 1.5},
     )
     summary = result.summary()
-    assert summary["engine"] == "vectorized"
     assert summary["stage_seconds"]["measure"] == 1.5
     assert summary["device"] == "h100"
 

@@ -260,21 +260,17 @@ def test_profile_is_seed_deterministic():
     assert a.metrics == b.metrics
 
 
-def test_profile_and_search_follow_the_ambient_engine():
+def test_profile_and_search_take_no_engine():
+    """One executor per substrate: nothing selects one, nothing records one."""
     from repro.tune import search
-    from repro.vm import use_engine
 
     config = {"variant": "smem", "skew": 1, "tile": 32, "generator": "lego"}
-    vectorized = profile("transpose", config)
-    with use_engine("treewalk"):
-        treewalk = profile("transpose", config)
-        tuned = autotune("transpose", measure_top_k=1)
-    assert (vectorized.engine, treewalk.engine) == ("vectorized", "treewalk")
-    assert treewalk.ok and treewalk.measured_cost == vectorized.measured_cost
-    assert tuned.engine == "treewalk"
-    assert [p.engine for p in tuned.profiles] == ["treewalk"]
-    assert tuned.best.config == autotune("transpose", measure_top_k=1).best.config
-    # use_engine / REPRO_VM are the only selectors: nothing takes engine=
+    measured = profile("transpose", config)
+    tuned = autotune("transpose", measure_top_k=1)
+    assert measured.ok and [p.ok for p in tuned.profiles] == [True]
+    for artifact in (measured, tuned, *tuned.profiles):
+        assert not hasattr(artifact, "engine")
+    assert "engine" not in measured.as_dict() and "engine" not in tuned.summary()
     for call in (lambda: profile("transpose", config, engine="treewalk"),
                  lambda: profile_app("transpose", 1, engine="treewalk"),
                  lambda: autotune("transpose", engine="treewalk"),

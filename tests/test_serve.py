@@ -224,11 +224,19 @@ def test_compiler_errors_propagate_and_are_not_cached():
 @pytest.fixture(params=["service", "farm"])
 def serving_stack(request, tmp_path):
     """Factory of the stack under test; ``durable=True`` roots it on one
-    store location per test, so a second call is a restart on that store."""
+    store location per test, so a second call is a restart on that store.
+    With ``hold``, the service's leaders wait for it before compiling: an
+    in-process compile holds the interpreter lock and can starve the
+    submitting thread until it is done (a farm compiles in another process)."""
 
-    def open_stack(durable: bool = False):
+    def open_stack(durable: bool = False, hold: threading.Event | None = None):
         if request.param == "service":
-            return CompileService(workers=2, store=tmp_path / "kernels.json" if durable else None)
+            def held(compile_request):
+                hold.wait(timeout=120)
+                return default_compiler(compile_request)
+
+            return CompileService(held if hold is not None else None, workers=2,
+                                  store=tmp_path / "kernels.json" if durable else None)
         return CompileFarm(workers=1, store=tmp_path / "farm" if durable else None)
 
     return open_stack
@@ -282,8 +290,10 @@ def test_contract_serves_the_default_compilers_kernels(serving_stack):
 def test_contract_duplicates_compile_once_and_share_the_result(serving_stack):
     distinct = _CONTRACT_REQUESTS[:2]
     requests = distinct * 6
-    with serving_stack() as stack:
+    submitted = threading.Event()
+    with serving_stack(hold=submitted) as stack:
         futures = [stack.submit(r) for r in requests]  # duplicates arrive mid-compile
+        submitted.set()
         kernels = [f.result(timeout=120) for f in futures]
         ledger = _ledger(stack)
     assert ledger["compiled"] == len(distinct), "a kernel compiled more than once"

@@ -26,10 +26,9 @@ from repro.gpusim.sharedmem import (
     row_distinct_counts,
     warp_rows,
 )
-from repro.minicuda import Dim3, GlobalArray, SharedArray, launch
+from repro.minicuda import Dim3, GlobalArray, launch
 from repro.minitriton import compile_kernel, from_device, launch as tl_launch, to_device
 from repro.perf import trace_to_cost
-from repro.vm import use_engine
 from repro.core import GroupBy, antidiagonal
 
 
@@ -113,8 +112,9 @@ def tiny_dot(a_ptr, b_ptr, c_ptr, N: tl.constexpr):
 
 
 def test_dim3_normalisation():
-    assert Dim3.of(4) == Dim3(4, 1, 1)
-    assert Dim3.of((2, 3)) == Dim3(2, 3, 1)
+    assert Dim3.of(4, "block") == Dim3(4, 1, 1)
+    assert Dim3.of((2, 3), "block") == Dim3(2, 3, 1)
+    assert Dim3.of(Dim3(0, 2), "grid") == Dim3(0, 2, 1)  # an empty grid is a launch of nothing
     assert Dim3(2, 3, 4).count == 24
 
 
@@ -169,14 +169,12 @@ def test_out_of_range_broadcast_index_names_array_axis_and_extrema():
         tile = ctx.shared_array((4, 8), dtype=np.float32, name="tile")
         tile.store(np.zeros(8), ctx.blockIdx.x * 0 + 4, ctx.tx)  # the block term is out
 
-    for engine in ("vectorized", "treewalk"):
-        with use_engine(engine):
-            with pytest.raises(IndexError, match=r"grid: axis 1 index out of range \[0, 8\) "
-                                                 r"\(got \[1, 8\]\)"):
-                launch(global_kernel, grid=2, block=8, args=(array,))
-            with pytest.raises(IndexError, match=r"tile: axis 0 index out of range \[0, 4\) "
-                                                 r"\(got \[4, 4\]\)"):
-                launch(shared_kernel, grid=3, block=8)
+    with pytest.raises(IndexError, match=r"grid: axis 1 index out of range \[0, 8\) "
+                                         r"\(got \[1, 8\]\)"):
+        launch(global_kernel, grid=2, block=8, args=(array,))
+    with pytest.raises(IndexError, match=r"tile: axis 0 index out of range \[0, 4\) "
+                                         r"\(got \[4, 4\]\)"):
+        launch(shared_kernel, grid=3, block=8)
 
 
 def test_shared_array_bank_conflicts_row_major_vs_antidiagonal():
@@ -201,7 +199,7 @@ def test_shared_array_logical_view_roundtrip():
         idx = np.arange(4)
         for row in range(4):
             buf.store(np.full(4, row * 10) + idx, np.full(4, row), idx)
-        kernel.out = buf.to_numpy()
+        kernel.out = buf.to_numpy()[0]  # one logical copy per block: block 0's
 
     launch(kernel, grid=1, block=4, args=(GroupBy([4, 4]).OrderBy(antidiagonal(4)),))
     expected = np.arange(4)[None, :] + 10 * np.arange(4)[:, None]
@@ -216,6 +214,25 @@ def test_trace_to_cost_charges_moved_sectors():
     trace = launch(kernel, grid=1, block=32, args=(array,))
     cost = trace_to_cost(trace, name="strided")
     assert cost.dram_bytes == pytest.approx(32 * 32)  # 32 lanes x 32-byte sectors
+
+
+def test_the_launch_sector_size_is_the_one_recorded_and_charged():
+    """A global array has no sector size of its own: every access is counted at the
+    launch's (the device's ``dram_sector_bytes``, else 32), the size its trace records."""
+    from dataclasses import replace
+
+    with pytest.raises(TypeError):
+        GlobalArray(np.zeros(16, dtype=np.float32), sector_bytes=64)
+
+    def kernel(ctx, buf):
+        buf.load(ctx, ctx.tx * 16)  # one sector per element at either size
+
+    wide = replace(A100_80GB, dram_sector_bytes=64)
+    array = GlobalArray(np.zeros(4096, dtype=np.float32))
+    for device, sector in ((None, 32), (wide, 64)):
+        trace = launch(kernel, grid=1, block=32, args=(array,), device=device)
+        assert trace.sector_bytes == sector and trace.load_transactions == 32
+        assert trace_to_cost(trace).dram_bytes == trace.load_transactions * sector
 
 
 # -- analytic device model -------------------------------------------------------------------------

@@ -1,25 +1,39 @@
-"""Golden equivalence of the vectorized execution engine (:mod:`repro.vm`).
+"""The one executor of each substrate, held to a pinned verdict (:mod:`repro.vm`).
 
-The batched engine must be *observationally identical* to the tree-walk
-interpreters: same output buffers bit-for-bit AND the same trace — every
-DRAM counter (elements, bytes, transactions at the recorded sector size),
-the shared-memory traffic and full bank-conflict profile (accesses,
-passes, worst degree, histogram), and the flop counts.  These tests run
-each app's kernel under both engines at small full-launch sizes and
-compare everything; a mutation test then breaks the batched Triton store
-on purpose and checks that :mod:`repro.check` catches the corruption,
-proving the differential runner guards the vectorized path for real.
+Every launch runs its whole grid on the substrate's batched executor: all
+programs (mini-Triton) or blocks (mini-CUDA, MLIR) at once, along a leading
+batch axis.  ``tests/golden/vm_reference.json`` pins what it must produce on
+nineteen small full launches of the eight apps: per run, every trace counter
+(DRAM elements, bytes and transactions at the recorded sector size, the
+shared-memory traffic and full bank-conflict profile, flops, launch geometry)
+and the output's shape, dtype and sha256.  The file was recorded from the
+per-program / per-block reference interpreters the executor replaced, on the
+last revision that still had them, with
+
+    REPRO_VM=treewalk PYTHONPATH=src python tests/test_vm.py --write
+
+so it is their verdict, kept as data.  Rewriting it with today's code pins
+the executor against itself: do it only for an intended counter change.  A
+mutation test then breaks the Triton store on purpose and checks that
+:mod:`repro.check` catches the corruption.
 """
+
+import functools
+import hashlib
+import json
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
-from repro.vm import engine_mode, use_engine
-from repro.vm import engine as engine_module
+from repro.vm import engine, engine_mode, use_engine
+
+REFERENCE_PATH = pathlib.Path(__file__).parent / "golden" / "vm_reference.json"
 
 
 def trace_counters(trace) -> dict:
-    """Every comparable counter of a substrate trace, as plain numbers."""
+    """Every comparable counter of a substrate trace, as plain JSON numbers."""
     out = {}
     for key in ("load_elements", "store_elements", "load_bytes", "store_bytes",
                 "load_transactions", "store_transactions", "flops",
@@ -33,74 +47,157 @@ def trace_counters(trace) -> dict:
         out["smem_accesses"] = profile.accesses
         out["smem_total_passes"] = profile.total_passes
         out["smem_worst_degree"] = profile.worst_degree
-        out["smem_histogram"] = dict(profile.histogram)
+        out["smem_histogram"] = {str(degree): count
+                                 for degree, count in sorted(profile.histogram.items())}
     return out
 
 
-def assert_engines_agree(run):
-    """Run ``run()`` under both engines; outputs and traces must match."""
-    with use_engine("treewalk"):
-        tree_out, tree_trace = run()
-    with use_engine("vectorized"):
-        vec_out, vec_trace = run()
-    tree_out, vec_out = np.asarray(tree_out), np.asarray(vec_out)
-    assert tree_out.shape == vec_out.shape
-    assert np.array_equal(tree_out, vec_out)
-    assert trace_counters(tree_trace) == trace_counters(vec_trace)
-    return tree_out
+# -- the pinned runs: small full launches of the eight apps --------------------------
 
 
-# -- engine-mode plumbing ---------------------------------------------------
+def _matmul(variant):
+    from repro.apps.matmul import MatmulConfig, generate_matmul_kernel, run_matmul
+
+    config = MatmulConfig(32, 32, 32, BM=8, BN=8, BK=8, GM=2)
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((32, 32)).astype(np.float16)
+    b = rng.standard_normal((32, 32)).astype(np.float16)
+    return run_matmul(generate_matmul_kernel(variant), a, b, config, variant)
+
+
+def _grouped_gemm():
+    from repro.apps.grouped_gemm import (GroupedGemmConfig, generate_grouped_gemm_kernel,
+                                         run_grouped_gemm)
+
+    config = GroupedGemmConfig(groups=2, M=16, N=16, K=16, BM=8, BN=8, BK=8)
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((2, 16, 16)).astype(np.float16)
+    b = rng.standard_normal((2, 16, 16)).astype(np.float16)
+    return run_grouped_gemm(generate_grouped_gemm_kernel(), a, b, config)
+
+
+def _softmax():
+    from repro.apps.softmax import generate_softmax_kernel, run_softmax
+
+    x = np.random.default_rng(13).standard_normal((32, 16)).astype(np.float32)
+    return run_softmax(generate_softmax_kernel(), x)
+
+
+def _layernorm(direction):
+    from repro.apps.layernorm import (generate_layernorm_backward, generate_layernorm_forward,
+                                      run_layernorm_backward, run_layernorm_forward)
+
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((32, 16)).astype(np.float32)
+    w = rng.standard_normal(16).astype(np.float32)
+    b = rng.standard_normal(16).astype(np.float32)
+    dy = rng.standard_normal((32, 16)).astype(np.float32)
+    if direction == "fwd":
+        return run_layernorm_forward(generate_layernorm_forward(), x, w, b)
+    return run_layernorm_backward(generate_layernorm_backward(), dy, x, w)
+
+
+def _nw(layout):
+    from repro.apps.nw import NwConfig, nw_buffer_layout, run_nw_blocked
+
+    reference = np.random.default_rng(15).integers(-4, 5, size=(32, 32)).astype(np.int32)
+    return run_nw_blocked(reference, NwConfig(n=32, block=8), layout=nw_buffer_layout(8, layout))
+
+
+def _lud():
+    from repro.apps.lud import LudConfig, run_lud_internal
+
+    matrix = np.random.default_rng(16).standard_normal((64, 64)).astype(np.float32)
+    return run_lud_internal(matrix, LudConfig(n=64, block=16, cuda_block=8), step=0)
+
+
+def _stencil(name, layout):
+    from repro.apps.stencil import STENCILS, brick_layout, run_stencil
+
+    spec = {s.name: s for s in STENCILS}[name]
+    grid = np.random.default_rng(17).standard_normal((8, 8, 8)).astype(np.float32)
+    group = brick_layout(8, 4) if layout == "brick" else None
+    return run_stencil(grid, spec, layout=group, brick=4)
+
+
+def _transpose_input():
+    return np.random.default_rng(18).standard_normal((32, 32)).astype(np.float32)
+
+
+def _transpose(variant, skew):
+    from repro.apps.transpose import TransposeConfig, generate_transpose_module, run_transpose
+
+    config = TransposeConfig(n=32, tile=8)
+    kernel = generate_transpose_module(config.n, config.tile, variant, skew=skew)
+    return run_transpose(kernel, _transpose_input(), config)
+
+
+RUNS = {
+    **{f"matmul-{v}": functools.partial(_matmul, v) for v in ("nn", "nt", "tn", "tt")},
+    "grouped_gemm": _grouped_gemm,
+    "softmax": _softmax,
+    "layernorm-fwd": functools.partial(_layernorm, "fwd"),
+    "layernorm-bwd": functools.partial(_layernorm, "bwd"),
+    **{f"nw-{layout}": functools.partial(_nw, layout)
+       for layout in ("antidiagonal", "skew1", "row", "col")},
+    "lud": _lud,
+    "stencil-star-7pt": functools.partial(_stencil, "star-7pt", None),
+    "stencil-star-7pt-brick": functools.partial(_stencil, "star-7pt", "brick"),
+    "stencil-cube-125pt": functools.partial(_stencil, "cube-125pt", None),
+    "transpose-naive-skew": functools.partial(_transpose, "naive", True),
+    "transpose-smem-skew": functools.partial(_transpose, "smem", True),
+    "transpose-smem": functools.partial(_transpose, "smem", False),
+}
+
+
+def observe(name):
+    """Run ``name`` and return ``(output, everything the reference pins about it)``."""
+    out, trace = RUNS[name]()
+    out = np.ascontiguousarray(out)
+    return out, {"trace_counters": trace_counters(trace), "shape": list(out.shape),
+                 "dtype": str(out.dtype), "sha256": hashlib.sha256(out.tobytes()).hexdigest()}
+
+
+@functools.lru_cache(maxsize=None)
+def reference() -> dict:
+    return json.loads(REFERENCE_PATH.read_text())
+
+
+def assert_matches_reference(name):
+    """The one executor reproduces the pinned run exactly; returns its output."""
+    out, observed = observe(name)
+    assert observed == reference()[name]
+    return out
+
+
+def test_the_reference_pins_every_run():
+    assert sorted(reference()) == sorted(RUNS)
+
+
+# -- the engine shim: one executor, selected by nothing --------------------------------
 
 
 def test_default_mode_is_vectorized(monkeypatch):
-    monkeypatch.delenv("REPRO_VM", raising=False)
-    monkeypatch.setattr(engine_module._local, "mode", None, raising=False)
+    monkeypatch.setenv("REPRO_VM", "treewalk")  # nothing reads it any more
     assert engine_mode() == "vectorized"
-
-
-def test_env_selects_mode(monkeypatch):
-    monkeypatch.setattr(engine_module._local, "mode", None, raising=False)
-    monkeypatch.setenv("REPRO_VM", "treewalk")
-    assert engine_mode() == "treewalk"
-    # a typo'd engine name must fail loudly, not silently run the default
-    # engine while the user believes they selected another
-    monkeypatch.setattr(engine_module._local, "mode", None, raising=False)
-    monkeypatch.setenv("REPRO_VM", "bogus")
-    with pytest.raises(ValueError, match="REPRO_VM"):
-        engine_mode()
-    monkeypatch.setenv("REPRO_VM", "")
-    assert engine_mode() == "vectorized"
-
-
-def test_use_engine_restores_previous_mode():
-    with use_engine("vectorized"):
-        with use_engine("treewalk"):
-            assert engine_mode() == "treewalk"
-            with use_engine("vectorized"):
-                assert engine_mode() == "vectorized"
-            assert engine_mode() == "treewalk"
-        assert engine_mode() == "vectorized"
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        with use_engine("faster"):
-            pass
+    for mode in ("faster", "treewalk"):
+        with pytest.raises(ValueError):
+            with use_engine(mode):
+                pass
 
 
-def test_vectorized_strict_spelling_is_the_vectorized_mode(monkeypatch):
-    # perfbench/ (frozen by BENCHMARK.json) selects the batched engine by its
-    # former name; it must stay accepted and mean exactly "vectorized"
-    strict = "vectorized-strict"
-    with use_engine(strict):
-        assert engine_mode() == "vectorized"
-    monkeypatch.setattr(engine_module._local, "mode", None, raising=False)
-    monkeypatch.setenv("REPRO_VM", strict)
-    assert engine_mode() == "vectorized"
+def test_vectorized_strict_spelling_is_the_vectorized_mode():
+    # perfbench/ (frozen by BENCHMARK.json) selects the executor by its former
+    # name; it must stay accepted and mean exactly "vectorized"
+    for mode in ("vectorized-strict", "vectorized"):
+        with use_engine(mode):
+            assert engine_mode() == "vectorized"
 
 
-# -- the one launch contract: whole grid, traced, ambient engine -------------
+# -- the one launch contract: whole grid, traced, validated geometry ---------------------
 
 
 def test_launchers_run_the_whole_grid_and_take_no_sampling_arguments():
@@ -137,8 +234,7 @@ def test_launchers_run_the_whole_grid_and_take_no_sampling_arguments():
 
     spec = {s.name: s for s in STENCILS}["star-7pt"]
     grid = rng.standard_normal((8, 8, 8)).astype(np.float32)
-    with use_engine("treewalk"):
-        _, cuda_trace = run_stencil(grid, spec, brick=4)
+    _, cuda_trace = run_stencil(grid, spec, brick=4)
     assert cuda_trace.blocks == 8
 
     config = TransposeConfig(n=16, tile=8)
@@ -153,83 +249,100 @@ def test_launchers_run_the_whole_grid_and_take_no_sampling_arguments():
             assert not hasattr(trace, gone), f"{type(trace).__name__}.{gone}"
 
 
-# -- golden equivalence: mini-Triton ---------------------------------------
+_COPY_KERNEL = """
+@triton.jit
+def copy(x_ptr, y_ptr):
+    offs = tl.program_id(axis=0) * 4 + tl.arange(0, 4)
+    tl.store(y_ptr + offs, tl.load(x_ptr + offs))
+"""
+
+
+def _launcher(substrate):
+    """``launch(grid, block)`` of one trivial kernel on ``substrate``; the
+    geometry fields of the trace it returns are what the cost model reads."""
+    if substrate == "triton":
+        from repro.minitriton import compile_kernel, launch, to_device
+
+        fn = compile_kernel(_COPY_KERNEL, "copy")
+        args = {"x_ptr": to_device(np.zeros(64, dtype=np.float32)),
+                "y_ptr": to_device(np.zeros(64, dtype=np.float32))}
+        return lambda grid, block: launch(fn, grid, args)
+    if substrate == "cuda":
+        from repro.minicuda import launch
+
+        return lambda grid, block: launch(lambda ctx: None, grid, block)
+    from repro.apps.transpose import generate_transpose_module
+    from repro.mlir import run_gpu_kernel
+
+    kernel = generate_transpose_module(32, 8, "naive")
+    buffers = [np.zeros((32, 32), dtype=np.float32) for _ in range(2)]
+    return lambda grid, block: run_gpu_kernel(kernel.module, kernel.kernel_names[0], grid,
+                                              block, buffers)
+
+
+_BAD_GEOMETRY = [  # (argument, value, the axis the error names)
+    ("grid", -3, 0),
+    ("grid", (2.7,), 0),
+    ("grid", (1, 1, 1, 1), None),
+    ("block", -1, 0),
+    ("block", (8, 2.0), 1),
+]
+
+
+@pytest.mark.parametrize("substrate,argument,value,axis", [
+    (substrate, *case) for substrate in ("triton", "cuda", "mlir") for case in _BAD_GEOMETRY
+    if substrate != "triton" or case[0] == "grid"  # a mini-Triton launch has no block
+])
+def test_launch_geometry_is_validated(substrate, argument, value, axis):
+    """Negative, fractional and four-axis extents are a ``ValueError`` naming the
+    argument and the axis — never a negative or truncated count in the trace."""
+    run = _launcher(substrate)
+    geometry = {"grid": 1, "block": (8, 8)}
+    geometry[argument] = value
+    where = f"{argument} axis {axis}" if axis is not None else f"{argument} has 4 axes"
+    with pytest.raises(ValueError, match=where):
+        run(**geometry)
+
+
+@pytest.mark.parametrize("substrate", ["triton", "cuda", "mlir"])
+def test_an_empty_grid_is_an_empty_launch_and_numpy_extents_are_integers(substrate):
+    run = _launcher(substrate)
+    empty = run(0, (8, 8))
+    assert getattr(empty, "programs", getattr(empty, "blocks", None)) == 0
+    assert empty.load_elements == 0.0
+    two = run((np.int64(2),), (np.int32(8), 8))
+    assert getattr(two, "programs", getattr(two, "blocks", None)) == 2
+
+
+# -- the pinned verdict, app by app ------------------------------------------------------
 
 
 @pytest.mark.parametrize("variant", ["nn", "nt", "tn", "tt"])
 def test_vm_matmul_matches_treewalk(variant):
-    from repro.apps.matmul import MatmulConfig, generate_matmul_kernel, run_matmul
-
-    config = MatmulConfig(32, 32, 32, BM=8, BN=8, BK=8, GM=2)
-    kernel = generate_matmul_kernel(variant)
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((32, 32)).astype(np.float16)
-    b = rng.standard_normal((32, 32)).astype(np.float16)
-    assert_engines_agree(lambda: run_matmul(kernel, a, b, config, variant))
+    assert_matches_reference(f"matmul-{variant}")
 
 
 def test_vm_grouped_gemm_matches_treewalk():
-    from repro.apps.grouped_gemm import (GroupedGemmConfig,
-                                         generate_grouped_gemm_kernel,
-                                         run_grouped_gemm)
-
-    config = GroupedGemmConfig(groups=2, M=16, N=16, K=16, BM=8, BN=8, BK=8)
-    kernel = generate_grouped_gemm_kernel()
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((2, 16, 16)).astype(np.float16)
-    b = rng.standard_normal((2, 16, 16)).astype(np.float16)
-    assert_engines_agree(lambda: run_grouped_gemm(kernel, a, b, config))
+    assert_matches_reference("grouped_gemm")
 
 
 def test_vm_softmax_matches_treewalk():
-    from repro.apps.softmax import generate_softmax_kernel, run_softmax
-
-    kernel = generate_softmax_kernel()
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal((32, 16)).astype(np.float32)
-    out = assert_engines_agree(lambda: run_softmax(kernel, x))
+    out = assert_matches_reference("softmax")
     np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=1e-5)
 
 
 def test_vm_layernorm_matches_treewalk():
-    from repro.apps.layernorm import (generate_layernorm_backward,
-                                      generate_layernorm_forward,
-                                      run_layernorm_backward,
-                                      run_layernorm_forward)
-
-    rng = np.random.default_rng(14)
-    x = rng.standard_normal((32, 16)).astype(np.float32)
-    w = rng.standard_normal(16).astype(np.float32)
-    b = rng.standard_normal(16).astype(np.float32)
-    dy = rng.standard_normal((32, 16)).astype(np.float32)
-    fwd = generate_layernorm_forward()
-    bwd = generate_layernorm_backward()
-    assert_engines_agree(lambda: run_layernorm_forward(fwd, x, w, b))
-    assert_engines_agree(lambda: run_layernorm_backward(bwd, dy, x, w))
-
-
-# -- golden equivalence: mini-CUDA -----------------------------------------
+    assert_matches_reference("layernorm-fwd")
+    assert_matches_reference("layernorm-bwd")
 
 
 @pytest.mark.parametrize("layout", ["antidiagonal", "skew1", "row", "col"])
 def test_vm_nw_matches_treewalk(layout):
-    from repro.apps.nw import NwConfig, nw_buffer_layout, run_nw_blocked
-
-    config = NwConfig(n=32, block=8)
-    rng = np.random.default_rng(15)
-    reference = rng.integers(-4, 5, size=(32, 32)).astype(np.int32)
-    assert_engines_agree(
-        lambda: run_nw_blocked(reference, config, layout=nw_buffer_layout(8, layout))
-    )
+    assert_matches_reference(f"nw-{layout}")
 
 
 def test_vm_lud_matches_treewalk():
-    from repro.apps.lud import LudConfig, run_lud_internal
-
-    config = LudConfig(n=64, block=16, cuda_block=8)
-    rng = np.random.default_rng(16)
-    matrix = rng.standard_normal((64, 64)).astype(np.float32)
-    assert_engines_agree(lambda: run_lud_internal(matrix.copy(), config, step=0))
+    assert_matches_reference("lud")
 
 
 @pytest.mark.parametrize("name,layout", [
@@ -238,123 +351,73 @@ def test_vm_lud_matches_treewalk():
     ("cube-125pt", None),
 ])
 def test_vm_stencil_matches_treewalk(name, layout):
-    from repro.apps.stencil import STENCILS, brick_layout, run_stencil
-
-    spec = {s.name: s for s in STENCILS}[name]
-    rng = np.random.default_rng(17)
-    n = 8
-    grid = rng.standard_normal((n, n, n)).astype(np.float32)
-    group = brick_layout(n, 4) if layout == "brick" else None
-    assert_engines_agree(lambda: run_stencil(grid, spec, layout=group, brick=4))
-
-
-# -- golden equivalence: MLIR interpreter ----------------------------------
+    assert_matches_reference(f"stencil-{name}" + ("-brick" if layout else ""))
 
 
 @pytest.mark.parametrize("variant,skew", [("naive", True), ("smem", True), ("smem", False)])
 def test_vm_transpose_matches_treewalk(variant, skew):
-    from repro.apps.transpose import (TransposeConfig, generate_transpose_module,
-                                      run_transpose)
-
-    config = TransposeConfig(n=32, tile=8)
-    kernel = generate_transpose_module(config.n, config.tile, variant, skew=skew)
-    rng = np.random.default_rng(18)
-    matrix = rng.standard_normal((32, 32)).astype(np.float32)
-    out = assert_engines_agree(lambda: run_transpose(kernel, matrix, config))
-    np.testing.assert_array_equal(out.reshape(32, 32), matrix.T)
+    out = assert_matches_reference(f"transpose-{variant}" + ("-skew" if skew else ""))
+    np.testing.assert_array_equal(out.reshape(32, 32), _transpose_input().T)
 
 
 # -- one slab tiles every launch: where the passes and flushes fall is unobservable --
 
 
-def _slab_softmax():
-    from repro.apps.softmax import generate_softmax_kernel, run_softmax
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_and_counters_do_not_depend_on_the_slab(monkeypatch, name):
+    """Each pinned run one lane a pass (the reference interpreters' shape of
+    execution; the log then flushes at every access), at the default slab, and
+    as one whole-grid pass."""
+    from repro.minitriton import runtime
 
-    x = np.random.default_rng(21).standard_normal((48, 24)).astype(np.float32)
-    return run_softmax(generate_softmax_kernel(), x)
-
-
-def _slab_stencil():
-    from repro.apps.stencil import STENCILS, run_stencil
-
-    spec = {s.name: s for s in STENCILS}["star-7pt"]
-    grid = np.random.default_rng(22).standard_normal((8, 8, 8)).astype(np.float32)
-    return run_stencil(grid, spec, brick=4)
-
-
-def _slab_transpose():
-    from repro.apps.transpose import (TransposeConfig, generate_transpose_module,
-                                      run_transpose)
-
-    config = TransposeConfig(n=32, tile=8)
-    matrix = np.random.default_rng(23).standard_normal((32, 32)).astype(np.float32)
-    return run_transpose(generate_transpose_module(config.n, config.tile, "smem", skew=True),
-                         matrix, config)
+    passes = [(1, 1), (engine.SLAB_ELEMENTS, runtime.PROGRAM_CHUNK), (1 << 40, 1 << 40)]
+    for lanes, programs in passes:
+        monkeypatch.setattr(engine, "SLAB_ELEMENTS", lanes)
+        monkeypatch.setattr(runtime, "PROGRAM_CHUNK", programs)
+        assert observe(name)[1] == reference()[name], (lanes, programs)
 
 
-@pytest.mark.parametrize("run", [_slab_softmax, _slab_stencil, _slab_transpose])
-def test_outputs_and_counters_do_not_depend_on_the_slab(monkeypatch, run):
-    """One kernel per substrate, tiled one block / program a pass (the log then
-    flushes at every access), at the default, and as one whole-grid pass."""
-    from repro.vm import triton as vm_triton
-
-    with use_engine("vectorized"):
-        default_out, default_trace = run()
-        assert max(getattr(default_trace, "blocks", 0), getattr(default_trace, "programs", 0)) > 1
-        for slab in (1, 1 << 40):
-            monkeypatch.setattr(engine_module, "SLAB_ELEMENTS", slab)
-            monkeypatch.setattr(vm_triton, "PROGRAM_CHUNK", slab)
-            out, trace = run()
-            assert np.array_equal(np.asarray(out), np.asarray(default_out))
-            assert trace_counters(trace) == trace_counters(default_trace)
-
-
-# -- the differential runner guards the vectorized path ---------------------
+# -- the differential runner guards the executor -----------------------------------------
 
 
 def test_check_catches_corrupted_vectorized_store(monkeypatch):
-    """Mutation test: break the batched store, repro.check must notice.
+    """Mutation test: break the Triton store, repro.check must notice.
 
-    This is the proof that the golden-equivalence contract is enforced by
-    machinery, not by luck: a vectorized executor that writes wrong values
-    fails differential verification while the tree walk still passes.
+    This is the proof that the output contract is enforced by machinery, not
+    by luck: an executor that writes wrong values fails differential
+    verification.
     """
     from repro.check import run_check
-    from repro.vm import triton as vm_triton
+    from repro.minitriton import tl
 
     config = {"implementation": "lego"}
-    with use_engine("vectorized"):
-        assert run_check("softmax", config).status == "passed"
+    assert run_check("softmax", config).status == "passed"
 
-    original = vm_triton.batched_tl.store
+    original = tl.store
 
     def corrupted(pointer, value, mask=None):
         return original(pointer, value + 1.0, mask)
 
-    monkeypatch.setattr(vm_triton.batched_tl, "store", corrupted)
-    with use_engine("vectorized"):
-        assert run_check("softmax", config).status == "failed"
-    with use_engine("treewalk"):
-        assert run_check("softmax", config).status == "passed"
+    monkeypatch.setattr(tl, "store", corrupted)
+    assert run_check("softmax", config).status == "failed"
 
 
 def test_batched_failure_propagates_and_is_not_retried(monkeypatch):
-    """A raising batched executor is the launch's error under the default mode.
+    """A raising executor is the launch's error.
 
-    Nothing catches it and nothing re-runs the launch on the tree walk — the
-    patched ``store`` runs exactly once — while ``treewalk`` mode, which never
-    enters the batched namespace, still produces the reference output.
+    Nothing catches it and nothing re-runs the launch — the patched ``store``
+    runs exactly once — and the failed launch leaves nothing behind: with the
+    store restored, the same launch reproduces the output computed before the
+    patch.
     """
     from repro.apps.softmax import generate_softmax_kernel, run_softmax
-    from repro.vm import triton as vm_triton
+    from repro.minitriton import tl
 
-    rng = np.random.default_rng(19)
-    x = rng.standard_normal((16, 8)).astype(np.float32)
+    x = np.random.default_rng(19).standard_normal((16, 8)).astype(np.float32)
     kernel = generate_softmax_kernel()
-    with use_engine("treewalk"):
-        expected, expected_trace = run_softmax(kernel, x)
+    expected, expected_trace = run_softmax(kernel, x)
 
-    original = vm_triton.batched_tl.store
+    original = tl.store
     calls = {"n": 0}
 
     def dies_after_writing(pointer, value, mask=None):
@@ -362,15 +425,20 @@ def test_batched_failure_propagates_and_is_not_retried(monkeypatch):
         calls["n"] += 1
         raise RuntimeError("batched executor exploded")
 
-    monkeypatch.setattr(vm_triton.batched_tl, "store", dies_after_writing)
-    monkeypatch.delenv("REPRO_VM", raising=False)
-    monkeypatch.setattr(engine_module._local, "mode", None, raising=False)
-    assert engine_mode() == "vectorized"
+    monkeypatch.setattr(tl, "store", dies_after_writing)
     with pytest.raises(RuntimeError, match="batched executor exploded"):
         run_softmax(kernel, x)
     assert calls["n"] == 1  # raised out of the first store; no second attempt
-    with use_engine("treewalk"):
-        out, trace = run_softmax(kernel, x)
+    monkeypatch.undo()
+    out, trace = run_softmax(kernel, x)
     assert calls["n"] == 1
     np.testing.assert_array_equal(out, expected)
     assert trace_counters(trace) == trace_counters(expected_trace)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_vm.py --write")
+    REFERENCE_PATH.write_text(json.dumps({name: observe(name)[1] for name in RUNS},
+                                         indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(RUNS)} runs to {REFERENCE_PATH}")
