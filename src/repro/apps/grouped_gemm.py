@@ -80,7 +80,7 @@ def app_spec():
     addresses — a mild penalty, so the default order is listed first).
     Together they take the valid space past 10^4 points.
     """
-    from ..gpusim import cost_features, estimate_time
+    from ..gpusim import estimate_time
     from ..tune.space import Choice, SearchSpace
     from .registry import AppSpec, register_app
 
@@ -125,8 +125,7 @@ def app_spec():
         if config.get("group_major", 0):
             cost.dram_efficiency *= 0.97
             cost.dram_bytes *= 1.05
-        breakdown = estimate_time(cost, device)
-        return {"time_seconds": breakdown.total, **cost_features(cost, breakdown)}
+        return estimate_time(cost, device).total
 
     return register_app(AppSpec(
         name="grouped_gemm",

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..codegen import CodegenContext, CudaKernel, GuardProofError, get_backend, note_static_proof
 from ..core import GroupBy, Row
-from ..gpusim import A100_80GB, DeviceSpec, KernelCost, cost_features, estimate_time
+from ..gpusim import A100_80GB, DeviceSpec, KernelCost, estimate_time
 from ..minicuda import GlobalArray, launch
 from ..symbolic import Var, affine_strides, is_mixed_radix_bijection
 
@@ -483,7 +483,7 @@ def lud_performance_vectorized(
     unroll: int = 1,
     prefetch: int = 0,
     vector: int = 1,
-) -> tuple[float, dict]:
+) -> float:
     """:func:`lud_performance` as one NumPy sweep over the factorisation steps.
 
     Replicates the per-step roofline of the reference loop exactly (same
@@ -492,9 +492,8 @@ def lud_performance_vectorized(
     walk the extended 10^4-point space in tenths of a second instead of
     minutes.  At the default satellite values the total matches the loop to
     floating-point roundoff (pinned by a test); the satellite knobs apply
-    the ``_LUD_*_EFF`` penalty factors to the internal kernel.  Returns
-    ``(total_seconds, features)`` where ``features`` is the aggregate
-    analytic-trace dict of :func:`repro.gpusim.cost_features`.
+    the ``_LUD_*_EFF`` penalty factors to the internal kernel.  Returns the
+    total in seconds.
     """
     n, block, tpb = config.n, config.block, config.cuda_block * config.cuda_block
     nb = config.num_blocks
@@ -542,21 +541,7 @@ def lud_performance_vectorized(
     # the loop pays estimate_time's own launch overhead plus one host-side
     # overhead per internal step (and two per perimeter step, folded above)
     total += float(np.sum(internal_busy)) + inner.size * 2 * launch_overhead
-
-    aggregate = KernelCost(
-        name="lud",
-        flops=float(np.sum(perim_flops) + np.sum(internal_flops)),
-        dram_bytes=float(np.sum(perim_bytes) + np.sum(internal_bytes)),
-        blocks=float(np.sum(perim_blocks) + np.sum(internal_blocks)),
-        threads_per_block=float(tpb),
-        smem_per_block=smem_per_block,
-        compute_efficiency=internal_compute_eff,
-        dram_efficiency=internal_dram_eff,
-        launches=3 * nb,
-    )
-    aggregate.threads = aggregate.blocks * tpb
-    features = cost_features(aggregate, estimate_time(aggregate, device))
-    return total, features
+    return total
 
 
 def app_spec():
@@ -599,7 +584,7 @@ def app_spec():
         return LudConfig(n=config.get("n", n), block=config["block"], cuda_block=config["cuda_block"])
 
     def evaluate(config, device=A100_80GB):
-        total, features = lud_performance_vectorized(
+        return lud_performance_vectorized(
             config_of(config), device,
             smem_layout=config.get("smem_layout", "row"),
             panel_layout=config.get("panel_layout", "row"),
@@ -607,7 +592,6 @@ def app_spec():
             prefetch=config.get("prefetch", 0),
             vector=config.get("vector", 1),
         )
-        return {"time_seconds": total, **features}
 
     return register_app(AppSpec(
         name="lud",

@@ -342,7 +342,6 @@ def app_spec():
     taking the valid space past 10^4 points; the constraint prunes
     shared-memory overflows and degenerate work-per-thread splits.
     """
-    from ..gpusim import cost_features
     from ..tune.space import Choice, SearchSpace
     from .registry import AppSpec, register_app
 
@@ -382,8 +381,7 @@ def app_spec():
             threads_per_block=32 * config.get("num_warps", 8),
             stages=config.get("stages", 1),
         )
-        breakdown = estimate_time(cost, device)
-        return {"time_seconds": breakdown.total, **cost_features(cost, breakdown)}
+        return estimate_time(cost, device).total
 
     return register_app(AppSpec(
         name="matmul",

@@ -174,10 +174,9 @@ class ResultCache:
         """A consistent snapshot of ``(key, entry)`` pairs, optionally filtered.
 
         Digest keys are opaque, but clients that store *namespaced* records
-        (the profile store's ``"profile-record/..."`` rows, the tuning
-        tables' ``"tuning-table/..."`` rows) scan their namespace with
-        ``prefix``.  Entries are copied, so a caller can iterate while
-        service workers keep writing.
+        (the tuning tables' ``"tuning-table/..."`` rows) scan their
+        namespace with ``prefix``.  Entries are copied, so a caller can
+        iterate while service workers keep writing.
         """
         with self._lock:
             return [

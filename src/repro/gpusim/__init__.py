@@ -27,7 +27,6 @@ from .sharedmem import ConflictProfile, access_conflict_profile, warp_conflict_d
 from .kernelmodel import (
     KernelCost,
     TimeBreakdown,
-    cost_features,
     estimate_time,
     occupancy_factor,
     roofline_point,
@@ -60,7 +59,6 @@ __all__ = [
     "estimate_time",
     "occupancy_factor",
     "roofline_point",
-    "cost_features",
     "cublas_efficiency",
     "cublas_matmul_time",
     "pytorch_elementwise_time",

@@ -29,7 +29,6 @@ __all__ = [
     "estimate_time",
     "occupancy_factor",
     "roofline_point",
-    "cost_features",
 ]
 
 
@@ -191,30 +190,6 @@ def estimate_time(cost: KernelCost, device: DeviceSpec) -> TimeBreakdown:
         occupancy=occupancy,
         bound=bound,
     )
-
-
-def cost_features(cost: KernelCost, breakdown: TimeBreakdown) -> dict:
-    """The analytic-trace features a learned cost model trains on.
-
-    One canonical recipe shared by the apps' ``evaluate`` metric dicts and
-    the profile store (:mod:`repro.tune.model`), so the features a model was
-    *trained* on and the features it *predicts* from can never drift apart.
-    Everything here is available before any measurement happens — it all
-    comes from the analytic :class:`KernelCost`.
-    """
-    return {
-        "flops": cost.flops,
-        "dram_bytes": cost.dram_bytes,
-        "l2_bytes": cost.l2_bytes if cost.l2_bytes else cost.dram_bytes,
-        "smem_bytes": cost.smem_bytes,
-        "bank_conflict_factor": cost.bank_conflict_factor,
-        "occupancy": breakdown.occupancy,
-        "blocks": cost.blocks,
-        "threads_per_block": cost.threads_per_block,
-        "smem_per_block": cost.smem_per_block,
-        "launches": float(cost.launches),
-        "bound": breakdown.bound,
-    }
 
 
 def roofline_point(cost: KernelCost, device: DeviceSpec) -> dict[str, float]:

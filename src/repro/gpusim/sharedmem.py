@@ -49,7 +49,6 @@ __all__ = [
     "AccessLog",
     "warp_rows",
     "ragged_warp_rows",
-    "row_distinct_counts",
     "distinct_total",
     "row_conflict_degrees",
 ]
@@ -222,23 +221,6 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     np.not_equal(flat[1:], flat[:-1], out=starts[1:])
     starts[::ordered.shape[1]] = True  # a row's first entry starts a run whatever the seam says
     return starts
-
-
-def row_distinct_counts(matrix: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
-    """Per-row count of distinct values (among the row's ``valid`` entries).
-
-    The per-row view of :func:`distinct_total`, which is what the log commits;
-    the property tests compare this one with ``np.unique`` warp by warp.  A
-    fully masked row counts 0.
-    """
-    matrix = np.asarray(matrix, dtype=np.int64)
-    if matrix.size == 0:
-        return np.zeros(matrix.shape[0], dtype=np.int64)
-    masked = 0
-    if valid is not None:
-        matrix, masked = _masked_last(matrix, valid)
-    ordered = _ordered_rows(matrix)
-    return np.count_nonzero(_run_starts(ordered).reshape(ordered.shape), axis=1) - masked
 
 
 def distinct_total(matrix: np.ndarray) -> int:

@@ -9,12 +9,11 @@ package makes that sweep a first-class subsystem:
   skew/swizzle selections),
 * :func:`search` — the one driver: generate every pooled candidate through
   the unified backend registry, evaluate it on the analytic device model,
-  rank by (estimated time, GPU-weighted index-op count), optionally
-  re-score the leaders with a learned :class:`CostModel`, re-rank the top
-  ``measure_top_k`` by *measured* substrate cost through :mod:`repro.perf`,
-  differentially verify the winners and persist them in a
-  :class:`TuningTable`; :func:`autotune` is its exhaustive spelling (the
-  whole space, nothing learned or persisted).  Both return a
+  rank by (estimated time, GPU-weighted index-op count), re-rank the top
+  ``measure_top_k`` of that one ranking by *measured* substrate cost
+  through :mod:`repro.perf`, differentially verify the winners and persist
+  them in a :class:`TuningTable`; :func:`autotune` is its exhaustive
+  spelling (the whole space, nothing persisted).  Both return a
   :class:`TuneResult`,
 * :class:`ResultCache` — persistent evaluation cache keyed off the
   hash-consed lowered index expressions and the device.
@@ -30,7 +29,6 @@ Quickstart::
 from ..cache import ResultCache
 from .space import Choice, SearchSpace
 from .tuner import Candidate, TuneResult
-from .model import CostModel, ProfileStore, candidate_features
 from .tables import TuningTable, problem_signature
 from .search import autotune, measure_candidates, search
 
@@ -43,9 +41,6 @@ __all__ = [
     "autotune",
     "search",
     "measure_candidates",
-    "CostModel",
-    "ProfileStore",
-    "candidate_features",
     "TuningTable",
     "problem_signature",
 ]

@@ -1,9 +1,10 @@
 """The tuning driver: one fidelity ladder from a search space to a winner.
 
 :func:`search` is the only driver; :func:`autotune` is its exhaustive
-spelling (whole space, no profile store, nothing persisted beyond the
-evaluation cache).  Each rung scores geometrically fewer candidates with a
-strictly more expensive scorer:
+spelling (whole space, no tuning table, nothing persisted beyond the
+evaluation cache).  There is one ranking — analytic, then measured in
+analytic order — and each rung scores geometrically fewer candidates with
+a strictly more expensive scorer:
 
 1. **Analytic pre-filter** — the whole space when ``budget`` is ``None`` or
    covers it, otherwise a seeded, deterministic sample drawn from the
@@ -12,25 +13,19 @@ strictly more expensive scorer:
    configuration, so a sampled search can never miss the paper's winner.
    Every pooled configuration is generated and evaluated by
    :func:`~repro.tune.tuner.evaluate_configs`.
-2. **Learned re-score** — a :class:`~repro.tune.model.CostModel` trained on
-   accumulated measured profiles re-scores the analytic leaders; the
-   measured budget is split between the analytic and learned rankings
-   (interleaved, deduplicated), so a bad model adds suspects but can never
-   evict the analytic leader.
-3. **Draining measured re-rank** — :func:`measure_candidates` profiles the
-   survivors on their substrate through :func:`repro.perf.profile` with
-   per-candidate fault isolation: a skipped or failed profile — a launch
-   that raised, or one whose output disagrees with the app's reference
-   model — demotes that candidate (it keeps its analytic rank and records
-   the outcome in its metrics), frees its slot for the next-ranked one and
-   never kills the sweep.
-4. **Verification** (``verify_top_k``) — the winners' differential verdicts
+2. **Draining measured re-rank** — :func:`measure_candidates` profiles the
+   analytic leaders, in analytic order, on their substrate through
+   :func:`repro.perf.profile` with per-candidate fault isolation: a skipped
+   or failed profile — a launch that raised, or one whose output disagrees
+   with the app's reference model — demotes that candidate (it keeps its
+   analytic rank and records the outcome in its metrics), frees its slot
+   for the next-ranked one and never kills the sweep.
+3. **Verification** (``verify_top_k``) — the winners' differential verdicts
    are collected before the result is handed out: the one the measured
    rung recorded for the execution it timed, a :mod:`repro.check` launch
    only for winners it did not execute.
-5. **Persistence** — winners land in a :class:`~repro.tune.tables.TuningTable`
-   and profiles in a :class:`~repro.tune.model.ProfileStore`, both in the
-   durable cache tier, keyed per device: searching the zoo
+4. **Persistence** — winners land in a :class:`~repro.tune.tables.TuningTable`
+   in the durable cache tier, keyed per device: searching the zoo
    (:data:`repro.gpusim.DEVICE_ZOO`) builds per-device tuning tables that
    :meth:`repro.serve.CompileService.warm_from_table` pre-compiles on start.
 """
@@ -43,7 +38,6 @@ import time
 from ..cache import ResultCache
 from ..gpusim import A100_80GB, DeviceSpec, get_device
 from ..obs.trace import span
-from .model import ProfileStore
 from .space import SearchSpace
 from .tables import TuningTable
 from .tuner import Candidate, TuneResult, evaluate_configs
@@ -120,23 +114,6 @@ def measure_candidates(
     return profiles
 
 
-def _interleave(primary: list[Candidate], secondary: list[Candidate],
-                count: int) -> list[Candidate]:
-    """Merge two rankings, primary first at each rank, deduplicated by id."""
-    merged: list[Candidate] = []
-    seen: set[int] = set()
-    for pair in zip(primary, secondary):
-        for candidate in pair:
-            if id(candidate) not in seen:
-                seen.add(id(candidate))
-                merged.append(candidate)
-    for candidate in primary[len(secondary):] + secondary[len(primary):]:
-        if id(candidate) not in seen:
-            seen.add(id(candidate))
-            merged.append(candidate)
-    return merged[:count]
-
-
 def search(
     app,
     *,
@@ -147,7 +124,6 @@ def search(
     seed: int = 0,
     cache: ResultCache | None = None,
     service=None,
-    profile_store: ProfileStore | None = None,
     table: TuningTable | None = None,
     verify_top_k: int = 0,
 ) -> TuneResult:
@@ -164,17 +140,15 @@ def search(
     threaded through analytic evaluation, measurement, cache keys and
     persistence, so one persistent store serves per-device sweeps.
 
-    ``measure_top_k`` successful profiles re-rank the leaders by *measured*
-    substrate cost; each profiled candidate records its analytic-vs-measured
-    disagreement in ``metrics["analytic_error"]`` and the full
+    ``measure_top_k`` successful profiles, taken in analytic order, re-rank
+    the leaders by *measured* substrate cost; each profiled candidate
+    records its analytic-vs-measured disagreement in
+    ``metrics["analytic_error"]`` and the full
     :class:`~repro.perf.KernelProfile` lands in :attr:`TuneResult.profiles`.
     Candidates whose configuration selects nothing executable (external
     baselines) keep their analytic rank below every measured candidate.
-    With a ``profile_store`` the
-    learned rung is on: its model re-scores the analytic leaders, the new
-    profiles are recorded into it and the model is refitted; without one
-    nothing is learned or recorded.  The winner is recorded in ``table``
-    keyed ``app x device x problem scale``.
+    The winner is recorded in ``table`` keyed
+    ``app x device x problem scale``.
 
     ``verify_top_k`` collects the differential verdict of the ``k``
     best-ranked (measured, when measurement ran) configurations before
@@ -222,41 +196,22 @@ def search(
         result.cache_misses = cache.misses - misses_before
         result.stage_seconds["prefilter"] = time.perf_counter() - stage_started
 
-        result.stage_seconds.update(model=0.0, measure=0.0)
+        result.stage_seconds["measure"] = 0.0
         if measure_top_k > 0:
-            # learned second filter: interleave the analytic ranking with the
-            # model's, so the measured budget covers both (analytic leader first)
-            stage_started = time.perf_counter()
-            ranking = result.ranked
-            survivors = ranking[:measure_top_k]
-            model = (profile_store.model(spec.name, device_spec.name)
-                     if profile_store is not None else None)
-            if model is not None:
-                with span("search.model", "search", app=spec.name, samples=model.samples):
-                    window = ranking[:max(4 * measure_top_k, 16)]
-                    scores = model.score_candidates(window)
-                    by_model = [c for _, _, c in
-                                sorted(zip(scores, range(len(window)), window),
-                                       key=lambda t: (t[0], t[1]))]
-                    survivors = _interleave(ranking, by_model, measure_top_k)
-                result.model_used, result.model_samples = True, model.samples
-            result.stage_seconds["model"] = time.perf_counter() - stage_started
-
-            # Measured re-rank as a draining ladder: a demoted candidate (skipped —
-            # e.g. its static shared memory would not launch — or failed) frees its
-            # slot for the next-ranked one, so the sweep keeps walking the ranking
-            # until ``measure_top_k`` candidates measured successfully or the
-            # attempt cap runs out.  Skips are cheap (the case builder bails before
-            # executing anything), so the cap is generous.
+            # Measured re-rank as a draining ladder over the analytic ranking: a
+            # demoted candidate (skipped — e.g. its static shared memory would not
+            # launch — or failed) frees its slot for the next-ranked one, so the
+            # sweep keeps walking the ranking until ``measure_top_k`` candidates
+            # measured successfully or the attempt cap runs out.  Skips are cheap
+            # (the case builder bails before executing anything), so the cap is
+            # generous.
             stage_started = time.perf_counter()
             with span("search.measure", "search", app=spec.name, top_k=measure_top_k):
-                seen_ids = {id(c) for c in survivors}
-                queue = survivors + [c for c in ranking if id(c) not in seen_ids]
-                attempt_cap = max(16 * measure_top_k, 64)
+                ranking = result.ranked
+                end = min(len(ranking), max(16 * measure_top_k, 64))
                 position = 0
-                while (result.measured < measure_top_k and position < len(queue)
-                       and position < attempt_cap):
-                    batch = queue[position:position + measure_top_k]
+                while result.measured < measure_top_k and position < end:
+                    batch = ranking[position:position + measure_top_k]
                     position += len(batch)
                     batch_profiles = measure_candidates(spec, batch, device=device_spec,
                                                         seed=seed, service=service)
@@ -264,11 +219,6 @@ def search(
                     for candidate, kernel_profile in zip(batch, batch_profiles):
                         if kernel_profile.check is not None:
                             verdicts[id(candidate)] = kernel_profile.check
-                        if profile_store is not None:
-                            profile_store.record(kernel_profile, candidate,
-                                                 device=device_spec.name)
-                if profile_store is not None:
-                    profile_store.train(spec.name, device_spec.name)
             result.stage_seconds["measure"] = time.perf_counter() - stage_started
 
         if verify_top_k > 0:
@@ -304,8 +254,8 @@ def autotune(
 ) -> TuneResult:
     """Sweep an app's whole configuration space and rank every candidate.
 
-    The exhaustive spelling of :func:`search`: no budget, no profile store,
-    no tuning table — ``result.evaluations`` holds the full
+    The exhaustive spelling of :func:`search`: no budget, no tuning table —
+    ``result.evaluations`` holds the full
     space in enumeration order and ``result.best.config`` is the winning
     configuration.  ``measure_top_k`` turns the sweep into two-stage tuning
     (the analytic leaders re-ranked by measured cost, inputs seeded by

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from math import prod
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -63,12 +63,6 @@ class SearchSpace:
         self.constraint = constraint
         self._size: int | None = None if constraint is not None else self.raw_size
 
-    @classmethod
-    def from_dict(cls, axes: Mapping[str, Sequence],
-                  constraint: Callable[[Mapping], bool] | None = None) -> "SearchSpace":
-        """Build a space from ``{name: values}`` (insertion order preserved)."""
-        return cls(*(Choice(name, values) for name, values in axes.items()), constraint=constraint)
-
     @property
     def raw_size(self) -> int:
         """Cartesian-product size before the constraint (closed form, O(axes))."""
@@ -98,21 +92,6 @@ class SearchSpace:
             config = dict(zip(names, combo))
             if self.constraint is None or self.constraint(config):
                 yield config
-
-    def chunks(self, chunk_size: int) -> Iterator[list[dict]]:
-        """Valid configurations in enumeration order, ``chunk_size`` at a time.
-
-        The search strategies stream large spaces through this so that at
-        most one chunk of configuration dicts is alive at once.
-        """
-        if chunk_size < 1:
-            raise ValueError("chunks() needs a positive chunk size")
-        it = self.candidates()
-        while True:
-            chunk = list(islice(it, chunk_size))
-            if not chunk:
-                return
-            yield chunk
 
     def __iter__(self) -> Iterator[dict]:
         return self.candidates()
@@ -157,12 +136,7 @@ class SearchSpace:
             return [config for _, config in reservoir]
         return [config for _, config in sorted(reservoir)]
 
-    def sample(
-        self,
-        count: int,
-        rng: random.Random | int | None = None,
-        stratify: str | None = None,
-    ) -> list[dict]:
+    def sample(self, count: int, rng: random.Random | int | None = None) -> list[dict]:
         """``count`` randomly drawn valid configurations, without replacement.
 
         Never materialises the space: unconstrained spaces draw distinct
@@ -176,16 +150,11 @@ class SearchSpace:
 
         ``rng`` is an explicit :class:`random.Random` (or an int seed —
         never module-level state), so the verification subsystem's draws
-        reproduce from a printed seed.  ``stratify`` names an axis whose
-        values split ``count`` as evenly as possible (each stratum sampled
-        from the corresponding :meth:`subspace`), guaranteeing coverage of
-        e.g. every layout family even in a tiny sample.
+        reproduce from a printed seed.
         """
         if count < 1:
             raise ValueError("sample() needs a positive count")
         rng = self._normalize_rng(rng)
-        if stratify is not None:
-            return self._stratified(count, rng, stratify)
         raw = self.raw_size
         if raw == 0:
             raise ValueError("cannot sample from an empty search space")
@@ -212,26 +181,6 @@ class SearchSpace:
             return [chosen[i] for i in sorted(chosen)]
         # dense rejections (or count covers the valid space): one streaming pass
         return self._reservoir(count, rng)
-
-    def _stratified(self, count: int, rng: random.Random, axis: str) -> list[dict]:
-        values = {c.name: c.values for c in self.choices}.get(axis)
-        if values is None:
-            raise ValueError(f"unknown stratify axis {axis!r}; space has "
-                             f"{[c.name for c in self.choices]}")
-        base, extra = divmod(count, len(values))
-        samples: list[dict] = []
-        for i, value in enumerate(values):
-            share = base + (1 if i < extra else 0)
-            if share == 0:
-                continue
-            stratum = self.subspace(**{axis: (value,)})
-            try:
-                samples.extend(stratum.sample(share, rng))
-            except ValueError:
-                continue  # a stratum emptied by the constraint contributes nothing
-        if not samples:
-            raise ValueError("cannot sample from an empty search space")
-        return samples
 
     def subspace(self, **axes: Sequence) -> "SearchSpace":
         """A copy with some axes narrowed to the given values (same constraint).

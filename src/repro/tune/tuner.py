@@ -84,7 +84,7 @@ class TuneResult:
     #: valid configurations in the space
     space_size: int = 0
     wall_seconds: float = 0.0
-    #: per-stage wall seconds (``prefilter`` / ``model`` / ``measure``)
+    #: per-stage wall seconds (``prefilter`` / ``measure``)
     stage_seconds: dict = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
@@ -93,10 +93,6 @@ class TuneResult:
     profiles: list = field(default_factory=list)
     #: differential-check reports of the top-ranked configs (``verify_top_k``)
     verification: list = field(default_factory=list)
-    #: a learned cost model participated in survivor selection
-    model_used: bool = False
-    #: training samples behind the model that was used (0 when none)
-    model_samples: int = 0
 
     @property
     def ranked(self) -> list[Candidate]:
@@ -146,8 +142,6 @@ class TuneResult:
                 (c.metrics.get("analytic_error", 1.0) for c in self.evaluations if c.measured),
                 default=1.0,
             ),
-            "model_used": self.model_used,
-            "model_samples": self.model_samples,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "wall_seconds": self.wall_seconds,

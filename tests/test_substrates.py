@@ -21,12 +21,12 @@ from repro.gpusim import (
 )
 from repro.gpusim.sharedmem import (
     ConflictProfile,
+    distinct_total,
     ragged_warp_rows,
     row_conflict_degrees,
-    row_distinct_counts,
     warp_rows,
 )
-from repro.minicuda import Dim3, GlobalArray, launch
+from repro.minicuda import CudaTrace, Dim3, GlobalArray, launch
 from repro.minitriton import compile_kernel, from_device, launch as tl_launch, to_device
 from repro.perf import trace_to_cost
 from repro.core import GroupBy, antidiagonal
@@ -270,6 +270,24 @@ def _per_warp_scores(flat, warp_size, element_bytes):
             [np.unique(w * element_bytes // 32).size for w in warps])
 
 
+def _row_sectors(matrix):
+    """``distinct_total`` one row at a time: each warp chunk's sector count."""
+    return [distinct_total(row[None]) for row in matrix]
+
+
+def _program_sectors(sectors, valid=None):
+    """Each row's sector count as mini-Triton logs it: one program, never cut,
+    through ``AccessLog.log_global`` (unit-sized elements and sectors)."""
+    counts = []
+    for index, row in enumerate(sectors):
+        trace = CudaTrace()
+        trace.log_global(row[None], 1, 1, row.size, False,
+                         valid=None if valid is None else valid[index][None])
+        trace.flush()
+        counts.append(int(trace.load_transactions))
+    return counts
+
+
 @pytest.mark.parametrize("element_bytes", [2, 4, 8])
 @pytest.mark.parametrize("warp_size", [16, 32])
 def test_grouped_scorers_equal_the_per_warp_loop(element_bytes, warp_size):
@@ -284,7 +302,7 @@ def test_grouped_scorers_equal_the_per_warp_loop(element_bytes, warp_size):
                 degrees = row_conflict_degrees(warp_rows(flat[None, :], warp_size), element_bytes)
                 assert degrees.tolist() == expected_degrees
                 sectors = warp_rows(flat[None, :] * element_bytes // 32, warp_size)
-                assert row_distinct_counts(sectors).tolist() == expected_sectors
+                assert _row_sectors(sectors) == expected_sectors
 
                 by_loop, at_once, tiled, repeated = (ConflictProfile() for _ in range(4))
                 for degree in degrees:
@@ -307,7 +325,7 @@ def test_dense_rows_with_a_ragged_tail_equal_the_per_row_loop(warp_size):
         per_row = [_per_warp_scores(row, warp_size, 4) for row in dense]
         assert row_conflict_degrees(warp_rows(dense, warp_size), 4).tolist() == \
             [degree for degrees, _ in per_row for degree in degrees]
-        assert row_distinct_counts(warp_rows(dense * 4 // 32, warp_size)).tolist() == \
+        assert _row_sectors(warp_rows(dense * 4 // 32, warp_size)) == \
             [count for _, counts in per_row for count in counts]
 
 
@@ -324,7 +342,7 @@ def test_ragged_rows_equal_scoring_each_blocks_compacted_lanes(warp_size):
     per_block = [_per_warp_scores(row[keep], warp_size, 4) for row, keep in zip(values, mask)]
     assert row_conflict_degrees(chunks, 4).tolist() == \
         [degree for degrees, _ in per_block for degree in degrees]
-    assert row_distinct_counts(chunks * 4 // 32).tolist() == \
+    assert _row_sectors(chunks * 4 // 32) == \
         [count for _, counts in per_block for count in counts]
     with pytest.raises(ValueError):
         ragged_warp_rows(values[mask], mask.sum(axis=1)[:-1], warp_size)
@@ -341,9 +359,10 @@ def test_row_distinct_counts_under_a_mask_equal_np_unique():
     valid[2, 30:] = False  # a bounds mask: the tail of a sorted row
     expected = [np.unique(row[keep]).size for row, keep in zip(sectors, valid)]
     assert expected[0] == 0
-    assert row_distinct_counts(sectors, valid).tolist() == expected
-    assert row_distinct_counts(sectors).tolist() == [np.unique(row).size for row in sectors]
-    assert row_distinct_counts(np.zeros((3, 0), dtype=np.int64)).tolist() == [0, 0, 0]
+    assert _program_sectors(sectors, valid) == expected
+    unmasked = [np.unique(row).size for row in sectors]
+    assert _program_sectors(sectors) == _row_sectors(sectors) == unmasked
+    assert _program_sectors(np.zeros((3, 0), dtype=np.int64)) == [0, 0, 0]
 
 
 def test_access_conflict_profile_merge():
