@@ -23,7 +23,10 @@ by repeating the row's last lane, which adds neither a distinct value nor a
 word to any bank), sorted only when some row is out of order (a coalesced
 layout arrives sorted), and scored by :func:`row_conflict_degrees` (banks) or
 :func:`distinct_total` (sectors — a launch needs only their total, so it is
-one scan of the flattened matrix, not a per-row reduction).
+one scan of the flattened matrix, not a per-row reduction).  An access whose
+rows are one pattern shifted per row (mini-Triton's affine offsets) never
+becomes that matrix: :meth:`AccessLog.log_global_affine` logs one row per
+sector residue, repeated by the number of rows that have it.
 :func:`repro.vm.engine.run_launch` flushes when the executor returns, and the
 log flushes itself before it would hold more than one slab
 (:data:`repro.vm.engine.SLAB_ELEMENTS`), so a launch of many tiny accesses
@@ -34,6 +37,7 @@ flushes fell.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -195,6 +199,15 @@ def _units(offsets: np.ndarray, element_bytes: int, unit_bytes: int) -> np.ndarr
     return offsets * int(element_bytes) // int(unit_bytes)
 
 
+def _residue_classes(base: np.ndarray, element_bytes: int, unit_bytes: int) -> np.ndarray:
+    """``base mod u/gcd(e, u)``: which of a unit's bytes a row at ``base`` starts on.
+
+    The residue ``(base · e) mod u`` depends on ``base`` only through this
+    class, one class per residue, so ``base · e`` is never formed.
+    """
+    return base % (unit_bytes // math.gcd(element_bytes, unit_bytes))
+
+
 #: what a masked lane's unit becomes: one extra value per row, and it sorts last
 _MASKED = np.iinfo(np.int64).max
 
@@ -312,6 +325,29 @@ class AccessLog:
             masked_rows = int(np.count_nonzero(masked))
         self._append("store_transactions" if is_store else "load_transactions",
                      sectors, warp_size, repeat, masked_rows)
+
+    def log_global_affine(self, base: np.ndarray, pattern: np.ndarray, element_bytes: int,
+                          sector_bytes: int, warp_size: int, is_store: bool) -> None:
+        """Append the access whose row ``p`` is ``base[p] + pattern``, never building the rows.
+
+        Exactly :meth:`log_global` of ``base[:, None] + pattern``: the sector
+        of lane ``o`` of row ``b`` is ``(b + o)·e // u``.  With ``m =
+        u/gcd(e, u)`` and ``b = s + t·m``, ``t·m·e`` is a multiple of ``u``,
+        so that is ``(s + o)·e // u`` plus ``t·m·e/u`` — the same for every
+        lane of the row, so it moves no lane count.  Rows of one class
+        ``s = b mod m`` (one residue ``(b·e) mod u``) therefore cost the same:
+        the access is a ``bincount`` of the classes and one pattern per live
+        class, logged with ``repeat`` = its row count, so the flush adds
+        ``Σ count_s · distinct_s``.
+        """
+        base = np.asarray(base, dtype=np.int64).reshape(-1)
+        pattern = np.asarray(pattern, dtype=np.int64).reshape(-1)
+        rows = np.bincount(_residue_classes(base, element_bytes, sector_bytes))
+        live = rows.nonzero()[0]
+        sectors = _units(live[:, None] + pattern, element_bytes, sector_bytes)
+        counter = "store_transactions" if is_store else "load_transactions"
+        for units, repeat in zip(sectors, rows[live].tolist()):
+            self._append(counter, units[None, :], warp_size, repeat)
 
     def _append(self, counter: str, units: np.ndarray, warp_size: int, repeat: int,
                 masked_rows: int = 0) -> None:

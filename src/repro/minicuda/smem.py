@@ -18,8 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bijection import flatten_index
-
 __all__ = ["SharedArray", "GlobalArray"]
 
 
@@ -64,6 +62,11 @@ class _LayoutArray:
         self.layout = layout
         self._table = _layout_table(layout, self.shape)
         self.size = int(np.prod(self.shape, dtype=np.int64))
+        # row-major strides of the logical shape: the flat index is sum(index * stride)
+        strides = [1] * len(self.shape)
+        for axis in range(len(self.shape) - 2, -1, -1):
+            strides[axis] = strides[axis + 1] * self.shape[axis + 1]
+        self._axes = tuple(zip(self.shape, strides))
 
     @property
     def nbytes(self) -> int:
@@ -71,24 +74,30 @@ class _LayoutArray:
         return self.size * self.dtype.itemsize
 
     def _physical(self, indices: tuple) -> np.ndarray:
-        """Map per-thread logical indices to physical element offsets."""
+        """Map per-thread logical indices to physical element offsets, in one pass.
+
+        Each index is checked as given (a broadcast has the same extrema) by
+        one reduction: viewed unsigned, a negative index is larger than any
+        extent.  Python ints are checked without NumPy.
+        """
         if len(indices) != len(self.shape):
             raise ValueError(
                 f"{self.name} has {len(self.shape)} logical dimensions, got {len(indices)} indices"
             )
-        # each index array is checked as given (a broadcast has the same
-        # extrema); flatten_index's arithmetic does the broadcasting
-        arrays = [np.asarray(idx, dtype=np.int64) for idx in indices]
-        for axis, (arr, extent) in enumerate(zip(arrays, self.shape)):
-            if arr.size and (arr.min() < 0 or arr.max() >= extent):
-                raise IndexError(
-                    f"{self.name}: axis {axis} index out of range [0, {extent}) "
-                    f"(got [{arr.min()}, {arr.max()}])"
-                )
-        logical_flat = np.asarray(flatten_index(arrays, self.shape), dtype=np.int64)
-        if self._table is None:
-            return logical_flat
-        return self._table[logical_flat]
+        flat = None
+        for axis, ((extent, stride), index) in enumerate(zip(self._axes, indices)):
+            if type(index) is int:
+                bad = not 0 <= index < extent
+            else:
+                index = np.asarray(index, dtype=np.int64)
+                bad = index.size and index.view(np.uint64).max() >= extent
+            if bad:
+                raise IndexError(f"{self.name}: axis {axis} index out of range [0, {extent}) "
+                                 f"(got [{np.min(index)}, {np.max(index)}])")
+            term = index if stride == 1 else index * stride
+            flat = term if flat is None else flat + term
+        flat = np.asarray(0 if flat is None else flat, dtype=np.int64)
+        return flat if self._table is None else self._table[flat]
 
     def to_numpy(self) -> np.ndarray:
         """The logical-view contents (undoing the layout), as a dense array."""

@@ -15,6 +15,10 @@ one-program launch is the pass of one).  Values derived from the program id
 become :class:`BatchedTensor`\\ s — NumPy arrays with a leading batch
 (program) axis — while values that do not depend on it stay plain arrays
 shared by all programs, exactly as a register common to all CTAs would be.
+Pointer arithmetic keeps its structure: ``+``/``-`` of program-id scalars and
+int64 blocks, and ``*`` by an int, yield :class:`AffineOffsets` — a base per
+program plus one block pattern — which an unmasked ``load``/``store``
+bounds-checks and scores on the form; everything else materialises it.
 
 Alignment convention: a ``BatchedTensor`` stores ``data`` of shape
 ``(P,) + block_shape``; binary operations pad the shorter *block* rank with
@@ -184,6 +188,96 @@ class BatchedTensor:
     # -- binary (generated below) ------------------------------------------
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+class AffineOffsets(BatchedTensor):
+    """Integer offsets ``base[p] + pattern``: an int64 base per program, one block pattern.
+
+    ``program_id``-derived pointer arithmetic keeps this form (see
+    :func:`_affine2`): the base is ``(P,)``, the pattern is program-uniform
+    and carries the block shape.  ``data`` is the materialised
+    ``(P,) + block`` array — what every other op, dtype or mask reads — and
+    is built once, on first use.
+    """
+
+    __slots__ = ("base", "pattern", "_data")
+
+    def __init__(self, base: np.ndarray, pattern: np.ndarray):
+        self.base = base
+        self.pattern = pattern
+        self.block_ndim = pattern.ndim
+        self._data = None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self.base.reshape(self.base.shape + (1,) * self.block_ndim) + self.pattern
+        return self._data
+
+    def span(self) -> tuple[int, int] | None:
+        """``(min, max)`` over every program's offsets, as Python ints.
+
+        ``None`` when there are none, or when a sum leaves int64 (the
+        materialised array wraps there, so only it can say what it holds).
+        """
+        base, pattern = self.base, self.pattern
+        if not (base.size and pattern.size):
+            return None
+        low = int(base.min()) + int(pattern.min())
+        high = int(base.max()) + int(pattern.max())
+        if low < _INT64.min or high > _INT64.max:
+            return None
+        return low, high
+
+
+def _affine_parts(x):
+    """``(base, pattern)`` of an operand that may join an affine form (either may be
+    ``None``), or ``None`` when it may not."""
+    if isinstance(x, AffineOffsets):
+        return x.base, x.pattern
+    if isinstance(x, BatchedTensor):
+        return (x.data, None) if x.block_ndim == 0 and x.data.dtype == np.int64 else None
+    if isinstance(x, np.ndarray) and x.dtype == np.int64:
+        return None, x.copy()  # the form must not follow a later in-place update of x
+    return (None, x) if type(x) is int else None
+
+
+def _joined(op, x, y):
+    if y is None:
+        return x
+    if x is None:
+        return y if op is np.add else -y
+    return op(x, y)
+
+
+def _affine2(op, a, b) -> AffineOffsets | None:
+    """``op(a, b)`` kept affine, or ``None`` (the caller materialises).
+
+    ``+``/``-`` of rank-0 int64 batched values, int64 plain arrays, Python
+    ints and affine offsets is affine once some operand has a block (an
+    affine one, or a plain array of rank >= 1); so is ``*`` of affine
+    offsets by a Python int.  Int64 arithmetic wraps alike in either
+    association, so the materialised form equals the op-by-op array.
+    """
+    if op is np.multiply:
+        if type(b) is int and isinstance(a, AffineOffsets):
+            return AffineOffsets(a.base * b, a.pattern * b)
+        if type(a) is int and isinstance(b, AffineOffsets):
+            return AffineOffsets(b.base * a, b.pattern * a)
+        return None
+    if (op is not np.add and op is not np.subtract) or not (_has_block(a) or _has_block(b)):
+        return None
+    parts_a, parts_b = _affine_parts(a), _affine_parts(b)
+    if parts_a is None or parts_b is None:
+        return None
+    return AffineOffsets(_joined(op, parts_a[0], parts_b[0]), _joined(op, parts_a[1], parts_b[1]))
+
+
+def _has_block(x) -> bool:
+    return isinstance(x, AffineOffsets) or (isinstance(x, np.ndarray) and x.ndim > 0)
+
+
 def _block_rank(x) -> int:
     return x.block_ndim if isinstance(x, BatchedTensor) else np.ndim(x)
 
@@ -209,6 +303,9 @@ def _apply2(op, a, b):
     """Apply a two-operand NumPy op under the batch-alignment convention."""
     if not (isinstance(a, BatchedTensor) or isinstance(b, BatchedTensor)):
         return op(a, b)
+    affine = _affine2(op, a, b)
+    if affine is not None:
+        return affine
     rank = builtins.max(_block_rank(a), _block_rank(b))
     return BatchedTensor(op(_aligned_raw(a, rank), _aligned_raw(b, rank)), rank)
 
@@ -319,6 +416,33 @@ def _np_shape(x) -> tuple:
     return np.asarray(x).shape if not isinstance(x, np.ndarray) else x.shape
 
 
+def _extent(raw: np.ndarray) -> tuple[int, int] | None:
+    """``(min, max)`` of an offset array; ``None`` when it is empty."""
+    return (raw.min(), raw.max()) if raw.size else None
+
+
+def _check_unmasked(what: str, buffer: DeviceBuffer, span) -> None:
+    """Raise when an unmasked access's ``(min, max)`` offset leaves the buffer."""
+    size = buffer.data.size
+    if span is not None and (span[0] < 0 or span[1] >= size):
+        raise IndexError(f"out-of-bounds unmasked {what} on {buffer.name}: "
+                         f"range [{span[0]}, {span[1]}] vs size {size}")
+
+
+def _masked_gather(buffer: DeviceBuffer, raw: np.ndarray, mask: np.ndarray, other):
+    """``buffer[raw]`` where ``mask`` holds and ``other`` elsewhere.
+
+    Only the active lanes are bounds-checked and gathered: an inactive lane
+    may point anywhere, a fully masked access touches nothing.
+    """
+    data = buffer.data
+    active = raw[mask]
+    if active.size and (active.min() < 0 or active.max() >= data.size):
+        raise IndexError(f"masked load still out of bounds on {buffer.name}")
+    gathered = data[np.where(mask, raw, 0)] if active.size else np.zeros((), data.dtype)
+    return np.where(mask, gathered, other)
+
+
 # ---------------------------------------------------------------------------
 # the namespace
 # ---------------------------------------------------------------------------
@@ -402,11 +526,24 @@ class _Language:
         self._log(flat[None, :], element_bytes, is_store, float(flat.size) * self._programs,
                   repeat=self._programs)
 
+    def _record_affine(self, base: np.ndarray, pattern: np.ndarray, element_bytes: int,
+                       is_store: bool) -> None:
+        """Log affine offsets: a row per program, ``base[p] + pattern``, counted in closed form."""
+        trace = self._trace
+        pattern = pattern.reshape(-1)
+        trace.log_global_affine(base, pattern, element_bytes, trace.sector_bytes, pattern.size,
+                                is_store)
+        self._count_volume(float(base.size * pattern.size), element_bytes, is_store)
+
     def _log(self, rows: np.ndarray, element_bytes: int, is_store: bool, count: float,
              repeat: int = 1, valid: np.ndarray | None = None) -> None:
         trace = self._trace
         trace.log_global(rows, element_bytes, trace.sector_bytes, rows.shape[1], is_store,
                          repeat, valid)
+        self._count_volume(count, element_bytes, is_store)
+
+    def _count_volume(self, count: float, element_bytes: int, is_store: bool) -> None:
+        trace = self._trace
         if is_store:
             trace.store_elements += count
             trace.store_bytes += count * element_bytes
@@ -420,9 +557,16 @@ class _Language:
         """Gather from a pointer block, honouring the optional mask."""
         if not isinstance(pointer, PointerArray):
             raise TypeError("tl.load expects a pointer expression (buffer + offsets)")
-        data = pointer.buffer.data
-        element_bytes = pointer.buffer.element_bytes
+        buffer = pointer.buffer
+        data = buffer.data
+        element_bytes = buffer.element_bytes
         offsets = pointer.offsets
+        if mask is None and isinstance(offsets, AffineOffsets):
+            span = offsets.span()
+            if span is not None:
+                _check_unmasked("load", buffer, span)
+                self._record_affine(offsets.base, offsets.pattern, element_bytes, is_store=False)
+                return BatchedTensor(data[offsets.data], offsets.block_ndim)
         if not isinstance(offsets, BatchedTensor) and isinstance(mask, BatchedTensor):
             # a uniform pointer guarded by a per-program mask gathers
             # differently in each program: replay it batched
@@ -434,11 +578,7 @@ class _Language:
         if isinstance(offsets, BatchedTensor):
             raw = offsets.data.astype(np.int64, copy=False)
             if mask is None:
-                if raw.size and (raw.min() < 0 or raw.max() >= data.size):
-                    raise IndexError(
-                        f"out-of-bounds unmasked load on {pointer.buffer.name}: "
-                        f"range [{raw.min()}, {raw.max()}] vs size {data.size}"
-                    )
+                _check_unmasked("load", buffer, _extent(raw))
                 self._record_batched(raw, element_bytes, is_store=False)
                 return BatchedTensor(data[raw], offsets.block_ndim)
             rank = builtins.max(offsets.block_ndim, _block_rank(mask))
@@ -446,28 +586,18 @@ class _Language:
             mask_raw = np.broadcast_to(
                 np.asarray(_aligned_raw(mask, rank), dtype=bool), raw.shape
             )
-            safe = np.where(mask_raw, raw, 0)
-            if safe.size and (safe.min() < 0 or safe.max() >= data.size):
-                raise IndexError(f"masked load still out of bounds on {pointer.buffer.name}")
             other_raw = _aligned_raw(other, rank) if isinstance(other, BatchedTensor) else other
-            values = np.where(mask_raw, data[safe], other_raw)
+            values = _masked_gather(buffer, raw, mask_raw, other_raw)
             self._record_batched(raw, element_bytes, is_store=False, valid=mask_raw)
             return BatchedTensor(values, rank)
         # program-uniform access: identical in every program
         raw = np.asarray(offsets, dtype=np.int64)
         if mask is None:
-            if raw.size and (raw.min() < 0 or raw.max() >= data.size):
-                raise IndexError(
-                    f"out-of-bounds unmasked load on {pointer.buffer.name}: "
-                    f"range [{raw.min()}, {raw.max()}] vs size {data.size}"
-                )
+            _check_unmasked("load", buffer, _extent(raw))
             self._record_uniform(raw, element_bytes, is_store=False)
             return _as_tensor(data[raw])
         mask_raw = np.broadcast_to(np.asarray(mask, dtype=bool), raw.shape)
-        safe = np.where(mask_raw, raw, 0)
-        if safe.size and (safe.min() < 0 or safe.max() >= data.size):
-            raise IndexError(f"masked load still out of bounds on {pointer.buffer.name}")
-        values = np.where(mask_raw, data[safe], other)
+        values = _masked_gather(buffer, raw, mask_raw, other)
         self._record_uniform(raw, element_bytes, is_store=False, valid=mask_raw)
         return _as_tensor(values)
 
@@ -475,8 +605,9 @@ class _Language:
         """Scatter a block to memory, honouring the optional mask."""
         if not isinstance(pointer, PointerArray):
             raise TypeError("tl.store expects a pointer expression (buffer + offsets)")
-        data = pointer.buffer.data
-        element_bytes = pointer.buffer.element_bytes
+        buffer = pointer.buffer
+        data = buffer.data
+        element_bytes = buffer.element_bytes
         offsets = pointer.offsets
         if not isinstance(offsets, BatchedTensor):
             # a program-uniform store target is written by every program in
@@ -499,15 +630,16 @@ class _Language:
         )
         values = np.broadcast_to(np.asarray(_aligned_raw(value, rank)), raw.shape)
         if mask is None:
-            if raw.size and (raw.min() < 0 or raw.max() >= data.size):
-                raise IndexError(
-                    f"out-of-bounds unmasked store on {pointer.buffer.name}: "
-                    f"range [{raw.min()}, {raw.max()}] vs size {data.size}"
-                )
+            span = offsets.span() if isinstance(offsets, AffineOffsets) and raw.size else None
+            _check_unmasked("store", buffer, span or _extent(raw))
             # C-order flatten is program-major: duplicate offsets resolve to
             # the highest program id, matching sequential execution
             data[raw.reshape(-1)] = values.reshape(-1).astype(data.dtype, copy=False)
-            self._record_batched(raw, element_bytes, is_store=True)
+            if span:
+                self._record_affine(offsets.base, np.broadcast_to(offsets.pattern, raw.shape[1:]),
+                                    element_bytes, is_store=True)
+            else:
+                self._record_batched(raw, element_bytes, is_store=True)
             return
         mask_raw = np.broadcast_to(
             np.asarray(_aligned_raw(mask, rank), dtype=bool), raw.shape

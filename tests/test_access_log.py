@@ -143,6 +143,58 @@ def test_the_comparison_catches_a_skipped_sort(monkeypatch):
         _assert_pooled_equals_per_access()
 
 
+# -- affine accesses: counted in closed form ------------------------------------------
+
+
+def _affine_accesses(seed):
+    """``(base, pattern, element_bytes, sector_bytes, warp_size)`` draws: random and
+    non-monotone bases (negative ones included), patterns with negative and
+    broadcast (zero) strides, every element size against 32- and 64-byte sectors
+    plus a non-power-of-two ratio, warps that cover the row and warps that cut it."""
+    rng = np.random.default_rng(seed)
+    for element_bytes, sector_bytes in [(1, 32), (2, 32), (4, 32), (8, 32), (1, 64), (2, 64),
+                                        (4, 64), (8, 64), (4, 24), (8, 24), (3, 32)]:
+        for _ in range(4):
+            shape = tuple(int(extent) for extent in rng.integers(1, 9, size=rng.integers(1, 4)))
+            strides = rng.choice([-17, -3, -1, 0, 1, 2, 5, 64], size=len(shape))
+            grid = np.indices(shape).reshape(len(shape), -1)
+            pattern = int(rng.integers(-50, 50)) + strides @ grid
+            base = rng.integers(-4096, 4096, size=int(rng.integers(1, 200)))
+            if rng.random() < 0.5:  # a few distinct bases, repeated out of order
+                base = rng.choice(base[:3], size=base.size)
+            lanes = pattern.size
+            for warp_size in (lanes, max(1, lanes // 3), 32):
+                yield base, pattern, element_bytes, sector_bytes, warp_size
+
+
+def _assert_affine_equals_materialised(seeds=range(3)):
+    for seed in seeds:
+        for base, pattern, element_bytes, sector_bytes, warp_size in _affine_accesses(seed):
+            closed, rows = CudaTrace(), CudaTrace()
+            closed.log_global_affine(base, pattern, element_bytes, sector_bytes, warp_size, False)
+            closed.log_global_affine(base, pattern, element_bytes, sector_bytes, warp_size, True)
+            materialised = base[:, None] + pattern
+            rows.log_global(materialised, element_bytes, sector_bytes, warp_size, False)
+            rows.log_global(materialised, element_bytes, sector_bytes, warp_size, True)
+            assert closed.load_transactions == 0.0  # pending until the flush, as the log is
+            closed.flush()
+            rows.flush()
+            assert (closed.load_transactions, closed.store_transactions) == \
+                (rows.load_transactions, rows.store_transactions), \
+                (seed, element_bytes, sector_bytes, warp_size)
+
+
+def test_affine_access_counts_equal_the_materialised_rows():
+    _assert_affine_equals_materialised()
+
+
+def test_the_affine_comparison_catches_a_residue_taken_mod_the_element_size(monkeypatch):
+    monkeypatch.setattr(sharedmem, "_residue_classes",
+                        lambda base, element_bytes, unit_bytes: base % element_bytes)
+    with pytest.raises(AssertionError):
+        _assert_affine_equals_materialised()
+
+
 def test_a_masked_access_is_never_cut_into_warps():
     offsets = np.arange(64)[None, :]
     with pytest.raises(ValueError, match="masked"):

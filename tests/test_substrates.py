@@ -88,6 +88,98 @@ def test_minitriton_masked_access_handles_partial_tiles():
     assert np.array_equal(from_device(yb), x)
 
 
+UNIFORM_MASKED_KERNEL = """
+@triton.jit
+def masked_copy(x_ptr, y_ptr, N, BN: tl.constexpr):
+    offs = tl.arange(0, BN)
+    mask = offs < N
+    tl.store(y_ptr + offs, tl.load(x_ptr + offs, mask=mask, other=0.0), mask=mask)
+"""
+
+
+@pytest.mark.parametrize("source", [MASKED_KERNEL, UNIFORM_MASKED_KERNEL],
+                         ids=["per-program", "program-uniform"])
+def test_a_fully_masked_copy_of_an_empty_buffer_touches_nothing(source):
+    """No lane is active, so no lane is bounds-checked or gathered."""
+    fn = compile_kernel(source, "masked_copy")
+    xb, yb = to_device(np.zeros(0, dtype=np.float32), "x"), to_device(np.zeros(0, dtype=np.float32), "y")
+    trace = tl_launch(fn, grid=(2,), kernel_args={"x_ptr": xb, "y_ptr": yb, "N": 0, "BN": 8})
+    assert (trace.load_elements, trace.load_transactions, trace.store_elements) == (0.0, 0.0, 0.0)
+
+
+COPY_KERNEL = """
+@triton.jit
+def shifted_copy(x_ptr, y_ptr, SHIFT, BN: tl.constexpr):
+    pid = tl.program_id(axis=0)
+    offs = {offsets}
+    tl.store(y_ptr + offs, tl.load(x_ptr + offs))
+"""
+AFFINE = "SHIFT + pid * BN + tl.arange(0, BN)"
+# base and pattern each near -2**63 (SHIFT = -2**62): the exact sum leaves int64,
+# and the int64 one wraps back to 2 * (pid * BN + lane)
+WRAPPING = "(pid * BN + SHIFT) * 2 + (tl.arange(0, BN) + SHIFT) * 2"
+
+
+def _materialised(offsets: str) -> str:
+    """The same offsets through an op that is not affine: the op-by-op array."""
+    return f"({offsets}) // 1"
+
+
+def _copy(offsets: str, x, y_size: int, shift: int):
+    fn = compile_kernel(COPY_KERNEL.format(offsets=offsets), "shifted_copy")
+    xb, yb = to_device(x, "x"), to_device(np.zeros(y_size, dtype=x.dtype), "y")
+    trace = tl_launch(fn, grid=4, kernel_args={"x_ptr": xb, "y_ptr": yb, "SHIFT": shift, "BN": 8})
+    return from_device(yb), trace
+
+
+def test_pointer_arithmetic_stays_affine_until_the_gather(monkeypatch):
+    """The kernel's offsets reach ``tl.load`` as ``base + pattern`` and
+    materialise to the op-by-op array; outputs and counters are the same."""
+    from repro.minitriton.language import AffineOffsets, tl
+
+    seen, load = [], tl.load
+
+    def spy(pointer, *args, **kwargs):
+        seen.append(pointer.offsets)
+        return load(pointer, *args, **kwargs)
+
+    monkeypatch.setattr(tl, "load", spy)
+    x = np.arange(40, dtype=np.float32)
+    affine, affine_trace = _copy(AFFINE, x, 40, 3)
+    plain, plain_trace = _copy(_materialised(AFFINE), x, 40, 3)
+    assert isinstance(seen[0], AffineOffsets) and not isinstance(seen[1], AffineOffsets)
+    np.testing.assert_array_equal(seen[0].data, seen[1].data)
+    np.testing.assert_array_equal(affine, plain)
+    assert affine_trace == plain_trace
+
+
+@pytest.mark.parametrize("shift, x_size, y_size, what", [
+    (-3, 32, 32, r"load on x: range \[-3, 28\] vs size 32"),
+    (5, 32, 40, r"load on x: range \[5, 36\] vs size 32"),
+    (0, 32, 30, r"store on y: range \[0, 31\] vs size 30"),
+])
+def test_out_of_bounds_affine_accesses_raise_the_materialised_message(shift, x_size, y_size, what):
+    messages = []
+    for offsets in (AFFINE, _materialised(AFFINE)):
+        with pytest.raises(IndexError, match="out-of-bounds unmasked " + what) as error:
+            _copy(offsets, np.arange(x_size, dtype=np.float32), y_size, shift)
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
+
+
+def test_an_affine_sum_that_wraps_int64_takes_the_materialised_path():
+    from repro.minitriton.language import AffineOffsets
+
+    low = np.iinfo(np.int64).min
+    assert AffineOffsets(np.array([low]), np.arange(4) + low).span() is None
+    x = np.arange(64, dtype=np.float32)
+    wrapped, wrapped_trace = _copy(WRAPPING, x, 64, -(2 ** 62))
+    plain, plain_trace = _copy(_materialised(WRAPPING), x, 64, -(2 ** 62))
+    np.testing.assert_array_equal(wrapped, np.where(np.arange(64) % 2 == 0, x, 0))
+    np.testing.assert_array_equal(wrapped, plain)
+    assert wrapped_trace == plain_trace
+
+
 def test_minitriton_dot_records_tensor_core_flops():
     source = """
 @triton.jit
@@ -175,6 +267,26 @@ def test_out_of_range_broadcast_index_names_array_axis_and_extrema():
     with pytest.raises(IndexError, match=r"tile: axis 0 index out of range \[0, 4\) "
                                          r"\(got \[4, 4\]\)"):
         launch(shared_kernel, grid=3, block=8)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["global", "shared"])
+@pytest.mark.parametrize("shift, got", [(-3, r"\[-3, 4\]"), (5, r"\[5, 12\]")])
+def test_a_negative_or_too_large_block_index_names_its_signed_extrema(shared, shift, got):
+    """One unsigned reduction per axis catches both ends of a ``(B, T)``
+    index; the message gives the signed extrema."""
+    array = GlobalArray(np.zeros((4, 8), dtype=np.float32), name="grid")
+
+    def kernel(ctx):
+        rows = ctx.blockIdx.x % 4 + ctx.tx * 0
+        columns = rows * 0 + ctx.tx + shift
+        if shared:
+            ctx.shared_array((4, 8), dtype=np.float32, name="grid").load(rows, columns)
+        else:
+            array.load(ctx, rows, columns)
+
+    with pytest.raises(IndexError, match=r"^grid: axis 1 index out of range \[0, 8\) "
+                                         rf"\(got {got}\)$"):
+        launch(kernel, grid=3, block=8)
 
 
 def test_shared_array_bank_conflicts_row_major_vs_antidiagonal():

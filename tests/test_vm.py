@@ -377,6 +377,29 @@ def test_outputs_and_counters_do_not_depend_on_the_slab(monkeypatch, name):
         assert observe(name)[1] == reference()[name], (lanes, programs)
 
 
+# -- the benchmark's launches, at bench size --------------------------------------------
+
+
+def test_the_eight_bench_launches_hold_their_pinned_counters():
+    """Every ``perfbench/cases.py`` launch at seed 0 — not only the ``--smoke``
+    half the ladder's smoke run checks — against ``perfbench/expected_traces.json``.
+    Only reads ``perfbench/`` (no import, so not even a bytecode cache is written)."""
+    import types
+
+    bench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    cases = sys.modules.setdefault("perfbench_cases", types.ModuleType("perfbench_cases"))
+    exec(compile((bench / "cases.py").read_text(), str(bench / "cases.py"), "exec"),
+         cases.__dict__)
+    expected = json.loads((bench / "expected_traces.json").read_text())
+    built = cases.build_cases(0, smoke=False)
+    assert {case.name for case in built} == set(expected)
+    for case in built:
+        output, trace = case.run()
+        assert cases.trace_counters(trace) == expected[case.name], case.name
+        np.testing.assert_allclose(np.asarray(output, dtype=np.float64), case.reference(),
+                                   **case.tolerance, err_msg=case.name)
+
+
 # -- the differential runner guards the executor -----------------------------------------
 
 
