@@ -18,8 +18,10 @@ Every verdict is observable through :mod:`repro.obs`:
   (a guard was dropped from a launch),
 * ``repro.symbolic.proofs_static`` — obligations discharged statically
   (guard proofs, access-in-bounds obligations, bijectivity proofs),
-* ``repro.symbolic.proofs_fallback`` — obligations that stayed dynamic
-  (the guard remains, or a runtime check runs instead).
+* ``repro.symbolic.proofs_fallback`` — obligations the range analysis
+  did not discharge (the name predates the guarded twins' removal: nothing
+  checks them at run time — a launch that relies on one raises
+  :class:`GuardProofError`).
 
 The proof itself runs inside a ``symbolic.range`` span so trace timelines
 attribute the analysis cost.
@@ -59,7 +61,7 @@ _HELP = {
         "guard/bounds/bijectivity obligations discharged statically by the range analysis"
     ),
     "repro.symbolic.proofs_fallback": (
-        "obligations the range analysis could not discharge (dynamic guard or runtime check kept)"
+        "obligations the range analysis could not discharge (a launch relying on one raises)"
     ),
 }
 

@@ -26,7 +26,8 @@ layout arrives sorted), and scored by :func:`row_conflict_degrees` (banks) or
 one scan of the flattened matrix, not a per-row reduction).  An access whose
 rows are one pattern shifted per row (mini-Triton's affine offsets) never
 becomes that matrix: :meth:`AccessLog.log_global_affine` logs one row per
-sector residue, repeated by the number of rows that have it.
+sector residue, repeated by the number of rows that have it; which rows read
+the same tile, so that mini-Triton gathers it once, is :func:`distinct_bases`.
 :func:`repro.vm.engine.run_launch` flushes when the executor returns, and the
 log flushes itself before it would hold more than one slab
 (:data:`repro.vm.engine.SLAB_ELEMENTS`), so a launch of many tiny accesses
@@ -51,6 +52,7 @@ __all__ = [
     "ConflictProfile",
     "access_conflict_profile",
     "AccessLog",
+    "distinct_bases",
     "warp_rows",
     "ragged_warp_rows",
     "distinct_total",
@@ -206,6 +208,12 @@ def _residue_classes(base: np.ndarray, element_bytes: int, unit_bytes: int) -> n
     class, one class per residue, so ``base · e`` is never formed.
     """
     return base % (unit_bytes // math.gcd(element_bytes, unit_bytes))
+
+
+def distinct_bases(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(unique, index)`` with ``unique[index] == base``: the rows an affine access
+    really reads (``unique`` sorted), and which of them each row is."""
+    return np.unique(base, return_inverse=True)
 
 
 #: what a masked lane's unit becomes: one extra value per row, and it sorts last

@@ -18,7 +18,9 @@ shared by all programs, exactly as a register common to all CTAs would be.
 Pointer arithmetic keeps its structure: ``+``/``-`` of program-id scalars and
 int64 blocks, and ``*`` by an int, yield :class:`AffineOffsets` — a base per
 program plus one block pattern — which an unmasked ``load``/``store``
-bounds-checks and scores on the form; everything else materialises it.
+bounds-checks and scores on the form; everything else materialises it.  An
+unmasked load whose bases repeat gathers each distinct tile once
+(:class:`SharedTiles`), and ``tl.dot`` casts each of them once.
 
 Alignment convention: a ``BatchedTensor`` stores ``data`` of shape
 ``(P,) + block_shape``; binary operations pad the shorter *block* rank with
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gpusim.sharedmem import AccessLog
+from ..gpusim.sharedmem import AccessLog, distinct_bases
 
 __all__ = [
     "constexpr",
@@ -229,6 +231,44 @@ class AffineOffsets(BatchedTensor):
         if low < _INT64.min or high > _INT64.max:
             return None
         return low, high
+
+
+class SharedTiles(BatchedTensor):
+    """A load whose programs share tiles: program ``p`` holds ``tiles[index[p]]``.
+
+    ``tiles`` is ``(U,) + block``, one gathered copy per distinct base, and
+    ``index`` is ``(P,)``.  ``data`` is the ``(P,) + block`` array every op but
+    ``tl.dot`` reads, built once, on first use.
+    """
+
+    __slots__ = ("tiles", "index", "_data")
+
+    def __init__(self, tiles: np.ndarray, index: np.ndarray):
+        self.tiles = tiles
+        self.index = index
+        self.block_ndim = tiles.ndim - 1
+        self._data = None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self.tiles[self.index]
+        return self._data
+
+
+def _gather(data: np.ndarray, offsets: AffineOffsets) -> BatchedTensor:
+    """``data[offsets.data]``, gathering each distinct base's tile once when bases repeat.
+
+    One program, or bases strictly increasing (a row per program), cannot
+    repeat: one compare pass and the plain gather.
+    """
+    base, pattern = offsets.base, offsets.pattern
+    if base.size > 1 and not (base[1:] > base[:-1]).all():
+        unique, index = distinct_bases(base)
+        if unique.size < base.size:
+            rows = unique.reshape(unique.shape + (1,) * pattern.ndim)
+            return SharedTiles(data[rows + pattern], index)
+    return BatchedTensor(data[offsets.data], offsets.block_ndim)
 
 
 def _affine_parts(x):
@@ -443,6 +483,19 @@ def _masked_gather(buffer: DeviceBuffer, raw: np.ndarray, mask: np.ndarray, othe
     return np.where(mask, gathered, other)
 
 
+def _fp32_operand(x) -> tuple[np.ndarray, np.dtype]:
+    """A ``tl.dot`` operand as float32, with the dtype it had.
+
+    Shared tiles are cast once per distinct tile, then spread over the
+    programs: the cast is elementwise, so this is bit-identical to casting
+    ``data``.
+    """
+    if isinstance(x, SharedTiles):
+        return x.tiles.astype(np.float32)[x.index], x.tiles.dtype
+    raw = x.data if isinstance(x, BatchedTensor) else np.asarray(x)
+    return raw.astype(np.float32), raw.dtype
+
+
 # ---------------------------------------------------------------------------
 # the namespace
 # ---------------------------------------------------------------------------
@@ -498,6 +551,8 @@ class _Language:
 
     def _size_of(self, x) -> float:
         """Element count of ``x`` summed over the pass's programs."""
+        if isinstance(x, SharedTiles):
+            return float(x.index.size * (x.tiles.size // x.tiles.shape[0]))
         if isinstance(x, BatchedTensor):
             return float(x.data.size)
         return float(np.asarray(x).size) * self._programs
@@ -566,7 +621,7 @@ class _Language:
             if span is not None:
                 _check_unmasked("load", buffer, span)
                 self._record_affine(offsets.base, offsets.pattern, element_bytes, is_store=False)
-                return BatchedTensor(data[offsets.data], offsets.block_ndim)
+                return _gather(data, offsets)
         if not isinstance(offsets, BatchedTensor) and isinstance(mask, BatchedTensor):
             # a uniform pointer guarded by a per-program mask gathers
             # differently in each program: replay it batched
@@ -654,18 +709,17 @@ class _Language:
 
     def dot(self, a, b, acc=None):
         """Block matrix multiply with float32 accumulation (tensor-core ``tl.dot``)."""
-        a_raw = a.data if isinstance(a, BatchedTensor) else np.asarray(a)
-        b_raw = b.data if isinstance(b, BatchedTensor) else np.asarray(b)
+        (a32, a_dtype), (b32, b_dtype) = _fp32_operand(a), _fp32_operand(b)
         batched = isinstance(a, BatchedTensor) or isinstance(b, BatchedTensor)
-        result = np.matmul(a_raw.astype(np.float32), b_raw.astype(np.float32))
+        result = np.matmul(a32, b32)
         if acc is not None:
             acc_raw = acc.data if isinstance(acc, BatchedTensor) else np.asarray(acc, dtype=np.float32)
             result = result + np.asarray(acc_raw, dtype=np.float32)
-        m, k = a_raw.shape[-2], a_raw.shape[-1]
-        n = b_raw.shape[-1]
+        m, k = a32.shape[-2], a32.shape[-1]
+        n = b32.shape[-1]
         flops = 2.0 * m * n * k * self._programs
         self._trace.flops += flops
-        if a_raw.dtype == np.float16 or b_raw.dtype == np.float16:
+        if a_dtype == np.float16 or b_dtype == np.float16:
             self._trace.tensor_core_flops += flops
         if batched:
             return BatchedTensor(result, 2)
@@ -725,21 +779,27 @@ class _Language:
     def abs(self, x):  # noqa: A003 - Triton spelling
         return self._unary(np.abs, x)
 
+    # the three below count their broadcast result: every operand order counts alike
+
     def where(self, cond, a, b):
-        self._count_flops(cond)
         if not any(isinstance(v, BatchedTensor) for v in (cond, a, b)):
-            return _as_tensor(np.where(np.asarray(cond), a, b))
-        rank = builtins.max(_block_rank(cond), _block_rank(a), _block_rank(b))
-        raws = [np.asarray(_aligned_raw(v, rank)) for v in (cond, a, b)]
-        return BatchedTensor(np.where(*raws), rank)
+            result = _as_tensor(np.where(np.asarray(cond), a, b))
+        else:
+            rank = builtins.max(_block_rank(cond), _block_rank(a), _block_rank(b))
+            raws = [np.asarray(_aligned_raw(v, rank)) for v in (cond, a, b)]
+            result = BatchedTensor(np.where(*raws), rank)
+        self._count_flops(result)
+        return result
 
     def maximum(self, a, b):
-        self._count_flops(a)
-        return _apply2(np.maximum, a, b)
+        result = _apply2(np.maximum, a, b)
+        self._count_flops(result)
+        return result
 
     def minimum(self, a, b):
-        self._count_flops(a)
-        return _apply2(np.minimum, a, b)
+        result = _apply2(np.minimum, a, b)
+        self._count_flops(result)
+        return result
 
 
 #: the namespace every kernel runs under (``from repro.minitriton import tl``)

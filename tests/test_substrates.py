@@ -132,21 +132,30 @@ def _copy(offsets: str, x, y_size: int, shift: int):
     return from_device(yb), trace
 
 
+def _spy_loads(monkeypatch) -> list:
+    """Record every ``tl.load``'s ``(pointer, value)``."""
+    from repro.minitriton.language import tl
+
+    loaded, load = [], tl.load
+
+    def spy(pointer, *args, **kwargs):
+        loaded.append((pointer, load(pointer, *args, **kwargs)))
+        return loaded[-1][1]
+
+    monkeypatch.setattr(tl, "load", spy)
+    return loaded
+
+
 def test_pointer_arithmetic_stays_affine_until_the_gather(monkeypatch):
     """The kernel's offsets reach ``tl.load`` as ``base + pattern`` and
     materialise to the op-by-op array; outputs and counters are the same."""
-    from repro.minitriton.language import AffineOffsets, tl
+    from repro.minitriton.language import AffineOffsets
 
-    seen, load = [], tl.load
-
-    def spy(pointer, *args, **kwargs):
-        seen.append(pointer.offsets)
-        return load(pointer, *args, **kwargs)
-
-    monkeypatch.setattr(tl, "load", spy)
+    loaded = _spy_loads(monkeypatch)
     x = np.arange(40, dtype=np.float32)
     affine, affine_trace = _copy(AFFINE, x, 40, 3)
     plain, plain_trace = _copy(_materialised(AFFINE), x, 40, 3)
+    seen = [pointer.offsets for pointer, _ in loaded]
     assert isinstance(seen[0], AffineOffsets) and not isinstance(seen[1], AffineOffsets)
     np.testing.assert_array_equal(seen[0].data, seen[1].data)
     np.testing.assert_array_equal(affine, plain)
@@ -178,6 +187,146 @@ def test_an_affine_sum_that_wraps_int64_takes_the_materialised_path():
     np.testing.assert_array_equal(wrapped, np.where(np.arange(64) % 2 == 0, x, 0))
     np.testing.assert_array_equal(wrapped, plain)
     assert wrapped_trace == plain_trace
+
+
+TILE_KERNEL = """
+@triton.jit
+def tile_dot(base_ptr, a_ptr, b_ptr, c_ptr, a_pattern, b_pattern, c_pattern, SIZE: tl.constexpr):
+    pid = tl.program_id(axis=0)
+    base = tl.load(base_ptr + pid)
+    a = tl.load(a_ptr + {a_offsets})
+    b = tl.load(b_ptr + {b_offsets})
+    tl.store(c_ptr + pid * SIZE + c_pattern, {result})
+"""
+TILE_PROGRAMS = 12
+
+
+def _tile_bases(kind: str, rng) -> np.ndarray:
+    """Per-program bases (3 elements apart, so neighbouring tiles overlap)."""
+    pid = np.arange(TILE_PROGRAMS)
+    rows = {
+        # the GEMM's GM = 2 grouping of A's tile rows over a 4 x 3 tile grid
+        "grouped": ((pid // 6) % 2) * 2 + pid % 2,
+        "equal": np.full(TILE_PROGRAMS, 5),
+        "distinct": rng.permutation(TILE_PROGRAMS),
+        "strictly-increasing": pid,
+        "decreasing": (TILE_PROGRAMS - 1 - pid) // 2,
+        "shuffled-groups": rng.integers(0, 4, TILE_PROGRAMS),
+    }[kind]
+    return (rows * 3).astype(np.int64)
+
+
+def _tile_run(kind: str, dtype, rank: int, materialise: bool, loaded: list):
+    rng = np.random.default_rng(rank)
+    if rank == 2:  # (3, 4) @ (4, 2), B's rows walked backwards
+        a_pattern = np.arange(3)[:, None] * 7 + np.arange(4)[None, :]
+        b_pattern = (3 - np.arange(4))[:, None] * 5 + np.arange(2)[None, :] * 2
+        c_pattern, result = np.arange(3)[:, None] * 2 + np.arange(2)[None, :], "tl.dot(a, b)"
+    else:
+        a_pattern, b_pattern, c_pattern, result = np.arange(5) * 2, 4 - np.arange(3), np.arange(5), "a"
+    a = (rng.standard_normal(64) * 8).astype(dtype)
+    b = (rng.standard_normal(64) * 8).astype(dtype)
+    out_dtype = np.float32 if rank == 2 else dtype
+    offsets = "(base + {0}) // 1" if materialise else "base + {0}"
+    source = TILE_KERNEL.format(a_offsets=offsets.format("a_pattern"),
+                                b_offsets=offsets.format("b_pattern"), result=result)
+    buffers = [to_device(_tile_bases(kind, np.random.default_rng(7)), "base"),
+               to_device(a, "a"), to_device(b, "b"),
+               to_device(np.zeros(TILE_PROGRAMS * c_pattern.size, dtype=out_dtype), "c")]
+    trace = tl_launch(compile_kernel(source, "tile_dot"), grid=TILE_PROGRAMS, kernel_args={
+        "base_ptr": buffers[0], "a_ptr": buffers[1], "b_ptr": buffers[2], "c_ptr": buffers[3],
+        "a_pattern": a_pattern, "b_pattern": b_pattern, "c_pattern": c_pattern,
+        "SIZE": c_pattern.size})
+    for pointer, value in loaded:
+        if pointer.buffer is not buffers[0]:
+            np.testing.assert_array_equal(value.data, pointer.buffer.data[pointer.offsets.data])
+            assert value.data.dtype == pointer.buffer.dtype
+    return buffers[3].data.tobytes(), trace
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int32])
+@pytest.mark.parametrize("kind", ["grouped", "equal", "distinct", "strictly-increasing",
+                                  "decreasing", "shuffled-groups"])
+def test_a_shared_tile_load_is_the_materialised_gather_and_dots_bit_for_bit(
+        kind, dtype, rank, monkeypatch):
+    """A load whose bases repeat gathers each distinct tile once; its ``data``
+    is ``buffer[base + pattern]`` and ``tl.dot`` on it is the plain one's, bit
+    for bit (outputs and counters against the ``// 1``-materialised twin)."""
+    from repro.minitriton.language import SharedTiles
+
+    loaded = _spy_loads(monkeypatch)
+    shared, shared_trace = _tile_run(kind, dtype, rank, False, loaded)
+    tiles = [value for _, value in loaded[1:]]
+    repeats = kind in ("grouped", "equal", "decreasing", "shuffled-groups")
+    assert [isinstance(value, SharedTiles) for value in tiles] == [repeats, repeats]
+    loaded.clear()
+    plain, plain_trace = _tile_run(kind, dtype, rank, True, loaded)
+    assert not any(isinstance(value, SharedTiles) for _, value in loaded)
+    assert shared == plain
+    assert shared_trace == plain_trace
+
+
+@pytest.mark.parametrize("grid", [1, 4], ids=["one-program", "strictly-increasing"])
+def test_bases_that_cannot_repeat_skip_detection(grid, monkeypatch):
+    """One program, or a row per program, is one compare pass and the plain gather."""
+    from repro.minitriton import language
+
+    def refuse(base):
+        raise AssertionError("tile detection ran")
+
+    monkeypatch.setattr(language, "distinct_bases", refuse)
+    loaded = _spy_loads(monkeypatch)
+    x = np.arange(64, dtype=np.float32)
+    xb, yb = to_device(x, "x"), to_device(np.zeros(64, dtype=np.float32), "y")
+    tl_launch(compile_kernel(SIMPLE_KERNEL, "add_one"), grid=grid,
+              kernel_args={"x_ptr": xb, "y_ptr": yb, "N": 64, "BN": 16})
+    assert [type(value) for _, value in loaded] == [language.BatchedTensor]
+    np.testing.assert_array_equal(from_device(yb)[:16 * grid], x[:16 * grid] + 1)
+
+
+SNAPSHOT_KERNEL = """
+@triton.jit
+def overwrite_then_use(x_ptr, y_ptr, BN: tl.constexpr):
+    pid = tl.program_id(axis=0)
+    x_ptrs = x_ptr + (pid // 2) * BN + tl.arange(0, BN)
+    x = tl.load(x_ptrs)
+    tl.store(x_ptrs, tl.full((BN,), -1.0, tl.float32))
+    tl.store(y_ptr + pid * BN + tl.arange(0, BN), x)
+"""
+
+
+def test_a_shared_tile_is_a_snapshot_not_a_view_of_the_buffer(monkeypatch):
+    """Programs 2q and 2q+1 share a tile, overwrite it, then store what they loaded."""
+    from repro.minitriton.language import SharedTiles
+
+    loaded = _spy_loads(monkeypatch)
+    x = np.arange(32, dtype=np.float32)
+    xb, yb = to_device(x, "x"), to_device(np.zeros(32, dtype=np.float32), "y")
+    tl_launch(compile_kernel(SNAPSHOT_KERNEL, "overwrite_then_use"), grid=4,
+              kernel_args={"x_ptr": xb, "y_ptr": yb, "BN": 8})
+    assert isinstance(loaded[0][1], SharedTiles)
+    np.testing.assert_array_equal(from_device(yb), np.tile(x[:16].reshape(2, 1, 8), (1, 2, 1)).ravel())
+    np.testing.assert_array_equal(from_device(xb)[:16], -1.0)
+
+
+FLOP_KERNEL = """
+@triton.jit
+def clamp_copy(x_ptr, y_ptr, BN: tl.constexpr):
+    offs = tl.program_id(axis=0) * BN + tl.arange(0, BN)
+    x = tl.load(x_ptr + offs)
+    tl.store(y_ptr + offs, {expression})
+"""
+
+
+@pytest.mark.parametrize("expression", ["tl.maximum(x, 0.0)", "tl.maximum(0.0, x)",
+                                        "tl.minimum(1.0, x)", "tl.where(True, x, 0.0)"])
+def test_elementwise_flops_count_the_broadcast_result_in_any_operand_order(expression):
+    """Four programs of sixteen lanes: 64 flops, whichever operand is the block."""
+    fn = compile_kernel(FLOP_KERNEL.format(expression=expression), "clamp_copy")
+    xb, yb = to_device(np.arange(64, dtype=np.float32) - 32, "x"), to_device(np.zeros(64, np.float32), "y")
+    trace = tl_launch(fn, grid=4, kernel_args={"x_ptr": xb, "y_ptr": yb, "BN": 16})
+    assert trace.flops == 64
 
 
 def test_minitriton_dot_records_tensor_core_flops():
