@@ -73,36 +73,22 @@ def grouped_gemm_case(config, rng, device=None):
 def app_spec():
     """The grouped-GEMM :class:`~repro.apps.registry.AppSpec` for the autotuner.
 
-    The paper's grid is the tile-size triple; the extended axes are the
-    launch shape (``num_warps``, ``stages``), the program-id grouping
-    (``GM``) and the group traversal order (``group_major=1`` walks all
-    groups at each tile coordinate, thrashing L2 across group base
-    addresses — a mild penalty, so the default order is listed first).
-    Together they take the valid space past 10^4 points.
+    The axes are the ``GroupedGemmConfig`` tiling — the paper's tile-size
+    triple plus the program-id grouping ``GM`` — 625 configurations.  All
+    of them share one kernel text (``generate_params=()``).
     """
     from ..gpusim import estimate_time
     from ..tune.space import Choice, SearchSpace
+    from .matmul import matmul_cost
     from .registry import AppSpec, register_app
 
     groups, n = 8, 1024
-    smem_limit = A100_80GB.smem_per_sm_bytes
-
-    def valid(config) -> bool:
-        smem = (config["BM"] + config["BN"]) * config["BK"] * 2 * config["stages"]
-        if smem > smem_limit:
-            return False
-        per_thread = config["BM"] * config["BN"] / (32 * config["num_warps"])
-        return 1 <= per_thread <= 256
 
     space = SearchSpace(
         Choice("BM", (64, 32, 128, 16, 256)),
         Choice("BN", (64, 32, 128, 16, 256)),
         Choice("BK", (32, 64, 16, 128, 8)),
         Choice("GM", (8, 4, 16, 1, 2)),
-        Choice("num_warps", (8, 4, 16, 2, 1)),
-        Choice("stages", (1, 2, 3)),
-        Choice("group_major", (0, 1)),
-        constraint=valid,
     )
 
     def evaluate(config, device=A100_80GB):
@@ -112,19 +98,8 @@ def app_spec():
                                 K=config.get("K", n),
                                 BM=config["BM"], BN=config["BN"], BK=config["BK"],
                                 GM=config.get("GM", 8))
-        from .matmul import matmul_cost
-
-        cost = matmul_cost(
-            cfg.per_group(), "lego",
-            threads_per_block=32 * config.get("num_warps", 8),
-            stages=config.get("stages", 1),
-        )
-        # one fused launch: extensive counters scale by the group count, and
-        # group-major traversal breaks the per-group L2 tile reuse
-        cost = cost.scaled(cfg.groups)
-        if config.get("group_major", 0):
-            cost.dram_efficiency *= 0.97
-            cost.dram_bytes *= 1.05
+        # one fused launch: extensive counters scale by the group count
+        cost = matmul_cost(cfg.per_group(), "lego").scaled(cfg.groups)
         return estimate_time(cost, device).total
 
     return register_app(AppSpec(

@@ -458,86 +458,49 @@ def lud_configurations(n: int) -> list[LudConfig]:
     return [LudConfig(n=n, block=b, cuda_block=16) for b in (16, 32, 64)]
 
 
-# Satellite-axis efficiency factors for the *internal* kernel.  The template's
-# row-major shared buffers are already conflict-free for its access pattern
-# (``peri_col[i][k]`` is a warp broadcast, ``peri_row[k][j]`` is stride-1), so
-# the alternative shared/panel layouts and the code-shape knobs can only cost:
-# padding wastes shared memory (occupancy), skewing adds index arithmetic,
-# column-major staging de-coalesces the panel loads, deep unrolling spills
-# registers, wide vector loads constrain alignment.  Every factor is <= 1 and
-# the neutral value leads its axis, so the Figure 12b winner — block 64,
-# CUDA block 16, all knobs at their defaults — survives the 10^4-point space
-# by construction (exact ties resolve by enumeration order).
-_LUD_SMEM_EFF = {"row": 1.0, "padded": 1.0, "skew": 0.99, "col": 0.95}
-_LUD_PANEL_EFF = {"row": 1.0, "padded": 0.995, "skew": 0.99, "col": 0.9}
-_LUD_UNROLL_EFF = {1: 1.0, 2: 1.0, 4: 1.0, 8: 0.99, 16: 0.97}
-_LUD_VECTOR_EFF = {1: 1.0, 2: 0.998, 4: 0.995}
-
-
-def lud_performance_vectorized(
-    config: LudConfig,
-    device: DeviceSpec = A100_80GB,
-    *,
-    smem_layout: str = "row",
-    panel_layout: str = "row",
-    unroll: int = 1,
-    prefetch: int = 0,
-    vector: int = 1,
-) -> float:
+def lud_performance_vectorized(config: LudConfig, device: DeviceSpec = A100_80GB) -> float:
     """:func:`lud_performance` as one NumPy sweep over the factorisation steps.
 
     Replicates the per-step roofline of the reference loop exactly (same
     costs, same occupancy formula, same launch-overhead accounting) but
-    evaluates all ``nb`` steps as arrays, which is what lets the autotuner
-    walk the extended 10^4-point space in tenths of a second instead of
-    minutes.  At the default satellite values the total matches the loop to
-    floating-point roundoff (pinned by a test); the satellite knobs apply
-    the ``_LUD_*_EFF`` penalty factors to the internal kernel.  Returns the
-    total in seconds.
+    evaluates all ``nb`` steps as arrays; the total matches the loop to
+    floating-point roundoff (pinned by a test).  Returns the total in
+    seconds.
     """
-    n, block, tpb = config.n, config.block, config.cuda_block * config.cuda_block
+    block, tpb = config.block, config.cuda_block * config.cuda_block
     nb = config.num_blocks
     element = 4.0
     launch_overhead = device.launch_overhead_us * 1e-6
+    smem_per_block = 2.0 * block * block * element
 
-    pad = block + 1 if smem_layout == "padded" else block
-    smem_per_block = 2.0 * block * pad * element * (2 if prefetch else 1)
-    base_smem_per_block = 2.0 * block * block * element
-    internal_compute_eff = 0.6 * _LUD_SMEM_EFF[smem_layout] * _LUD_UNROLL_EFF[unroll]
-    internal_dram_eff = 0.85 * _LUD_PANEL_EFF[panel_layout] * _LUD_VECTOR_EFF[vector]
+    # occupancy_factor()'s per-SM terms are the same for every step
+    resident = max(1, int(device.max_threads_per_sm // max(tpb, 1)))
+    resident = min(resident, device.max_blocks_per_sm)
+    resident = min(resident, max(1, int(device.smem_per_sm_bytes // smem_per_block)))
+    warps = resident * tpb / device.warp_size
+    hiding = min(1.0, resident / 4.0, warps / 16.0)
 
-    def occupancy(blocks, per_block_smem):
-        # occupancy_factor() on an array of block counts (scalar per-SM terms)
-        wave = np.minimum(1.0, blocks / device.num_sms)
-        resident = max(1, int(device.max_threads_per_sm // max(tpb, 1)))
-        resident = min(resident, device.max_blocks_per_sm)
-        if per_block_smem > 0:
-            resident = min(resident, max(1, int(device.smem_per_sm_bytes // per_block_smem)))
-        warps = resident * tpb / device.warp_size
-        hiding = min(1.0, resident / 4.0, warps / 16.0)
-        return np.maximum(0.05, wave * (0.5 + 0.5 * hiding))
-
-    def busy(flops, dram_bytes, compute_eff, dram_eff, blocks, per_block_smem):
+    def busy(flops, dram_bytes, compute_eff, dram_eff, blocks):
         compute = flops / (device.peak_flops("fp32") * compute_eff * 1e9)
         dram = dram_bytes / (device.dram_bandwidth_gbs * 1e9 * dram_eff)
         l2 = dram_bytes / (device.l2_bandwidth_gbs * 1e9)
-        return np.maximum(compute, np.maximum(dram, l2)) / occupancy(blocks, per_block_smem)
+        wave = np.minimum(1.0, blocks / device.num_sms)
+        occupancy = np.maximum(0.05, wave * (0.5 + 0.5 * hiding))
+        return np.maximum(compute, np.maximum(dram, l2)) / occupancy
 
     trailing = nb - 1 - np.arange(nb, dtype=np.float64)
     perim_blocks = np.maximum(1.0, 2.0 * trailing)
     perim_bytes = element * (2.0 * trailing + 1.0) * block * block * 3.0
     perim_flops = (2.0 * trailing + 1.0) * float(block) ** 3
     total = float(np.sum(
-        busy(perim_flops, perim_bytes, 0.85, 0.85, perim_blocks, base_smem_per_block)
+        busy(perim_flops, perim_bytes, 0.85, 0.85, perim_blocks)
     )) + nb * 3 * launch_overhead
 
     inner = trailing[trailing > 0]
     internal_blocks = inner * inner
     internal_bytes = element * internal_blocks * (3.0 * block * block)
     internal_flops = 2.0 * internal_blocks * float(block) ** 3
-    internal_busy = busy(internal_flops, internal_bytes,
-                         internal_compute_eff, internal_dram_eff,
-                         internal_blocks, smem_per_block)
+    internal_busy = busy(internal_flops, internal_bytes, 0.6, 0.85, internal_blocks)
     # the loop pays estimate_time's own launch overhead plus one host-side
     # overhead per internal step (and two per perimeter step, folded above)
     total += float(np.sum(internal_busy)) + inner.size * 2 * launch_overhead
@@ -560,23 +523,10 @@ def app_spec():
 
     n = 2048
 
-    def valid(c) -> bool:
-        if c["block"] % c["cuda_block"] != 0 or n % c["block"] != 0:
-            return False
-        coarsening = c["block"] // c["cuda_block"]
-        # vector loads move whole fragments of a thread's coarsened strip,
-        # and the k-loop cannot unroll past the block depth
-        return coarsening % c["vector"] == 0 and c["unroll"] <= c["block"]
-
     space = SearchSpace(
         Choice("block", (64, 16, 32, 8, 128, 256)),
         Choice("cuda_block", (16, 4, 8, 32, 2)),
-        Choice("smem_layout", ("row", "padded", "skew", "col")),
-        Choice("panel_layout", ("row", "padded", "skew", "col")),
-        Choice("unroll", (1, 2, 4, 8, 16)),
-        Choice("prefetch", (0, 1)),
-        Choice("vector", (1, 2, 4)),
-        constraint=valid,
+        constraint=lambda c: c["block"] % c["cuda_block"] == 0 and n % c["block"] == 0,
     )
 
     def config_of(config) -> LudConfig:
@@ -584,14 +534,7 @@ def app_spec():
         return LudConfig(n=config.get("n", n), block=config["block"], cuda_block=config["cuda_block"])
 
     def evaluate(config, device=A100_80GB):
-        return lud_performance_vectorized(
-            config_of(config), device,
-            smem_layout=config.get("smem_layout", "row"),
-            panel_layout=config.get("panel_layout", "row"),
-            unroll=config.get("unroll", 1),
-            prefetch=config.get("prefetch", 0),
-            vector=config.get("vector", 1),
-        )
+        return lud_performance_vectorized(config_of(config), device)
 
     return register_app(AppSpec(
         name="lud",
@@ -603,6 +546,5 @@ def app_spec():
         reference=lud_check_reference,
         case=lud_case,
         paper_config={"block": 64, "cuda_block": 16},
-        description="LUD thread-coarsening-as-layout sweep (Figure 12b), "
-                    "extended with shared/panel-layout and code-shape axes",
+        description="LUD thread-coarsening-as-layout sweep (Figure 12b)",
     ))

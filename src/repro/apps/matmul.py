@@ -262,22 +262,11 @@ def matmul_case(config, rng, device=None):
     )
 
 
-def matmul_cost(
-    config: MatmulConfig,
-    implementation: str = "lego",
-    *,
-    threads_per_block: int = 256,
-    stages: int = 1,
-) -> KernelCost:
+def matmul_cost(config: MatmulConfig, implementation: str = "lego") -> KernelCost:
     """The analytic :class:`~repro.gpusim.KernelCost` of one GEMM launch.
 
-    ``threads_per_block`` follows the ``num_warps`` tuning axis
-    (``32 * num_warps``); ``stages`` is software pipelining depth — each
-    extra stage double-buffers the shared-memory tiles (``smem_per_block``
-    grows, squeezing resident blocks) in exchange for a modestly better
-    effective DRAM efficiency from prefetch overlap.  The defaults
-    (``256`` threads, single stage) reproduce the historical closed form
-    exactly, which is what the figure harnesses call.
+    A 256-thread program per output tile, single-stage (no software
+    pipelining): the shape of the generated kernel.
     """
     if implementation not in ("lego", "triton"):
         raise ValueError(f"unknown implementation {implementation!r}")
@@ -292,8 +281,7 @@ def matmul_cost(
     passes_a = max(1.0, tiles_n / config.GM)
     passes_b = max(1.0, tiles_m / config.GM)
     dram_bytes = float(element) * (passes_a * m * k + passes_b * k * n + m * n)
-    stages = max(1, int(stages))
-    dram_efficiency = 0.85 if stages == 1 else min(0.92, 0.85 + 0.02 * (stages - 1))
+    threads_per_block = 256
     return KernelCost(
         name=f"matmul_{implementation}",
         flops=2.0 * m * n * k,
@@ -301,11 +289,11 @@ def matmul_cost(
         tensor_core=True,
         dram_bytes=max(dram_bytes, float(element) * (m * k + k * n + m * n)),
         compute_efficiency=triton_matmul_efficiency(m, n, k),
-        dram_efficiency=dram_efficiency,
+        dram_efficiency=0.85,
         blocks=float(tiles_m * tiles_n),
         threads_per_block=float(threads_per_block),
         threads=float(tiles_m * tiles_n * threads_per_block),
-        smem_per_block=float((config.BM + config.BN) * config.BK * element * stages),
+        smem_per_block=float((config.BM + config.BN) * config.BK * element),
     )
 
 
@@ -313,9 +301,6 @@ def matmul_performance(
     config: MatmulConfig,
     implementation: str = "lego",
     device: DeviceSpec = A100_80GB,
-    *,
-    threads_per_block: int = 256,
-    stages: int = 1,
 ) -> float:
     """Estimated FP16 GEMM time in seconds for one implementation.
 
@@ -325,39 +310,22 @@ def matmul_performance(
     """
     if implementation == "cublas":
         return cublas_matmul_time(config.M, config.N, config.K, device)
-    cost = matmul_cost(config, implementation,
-                       threads_per_block=threads_per_block, stages=stages)
-    return estimate_time(cost, device).total
+    return estimate_time(matmul_cost(config, implementation), device).total
 
 
 def app_spec():
     """The matmul :class:`~repro.apps.registry.AppSpec` for the autotuner.
 
-    The sweep covers operand-layout variants and the tiling configuration at
-    the Figure 11 mid-size problem (4096^3); the paper's runs use the Triton
+    The sweep covers the operand-layout variants (the kernel text) and the
+    ``MatmulConfig`` tiling (its launch) at the Figure 11 mid-size problem
+    (4096^3) — 2 000 configurations; the paper's runs use the Triton
     tutorial tiling ``BM = BN = 128, BK = 64, GM = 8`` (listed first on each
-    axis so performance-model ties resolve toward it).  Beyond the paper's
-    grid the space carries the launch-shape axes a real Triton sweep tunes —
-    ``num_warps`` (threads per block) and ``stages`` (pipelining depth) —
-    taking the valid space past 10^4 points; the constraint prunes
-    shared-memory overflows and degenerate work-per-thread splits.
+    axis so performance-model ties resolve toward it).
     """
     from ..tune.space import Choice, SearchSpace
     from .registry import AppSpec, register_app
 
     n = 4096
-    smem_limit = A100_80GB.smem_per_sm_bytes
-
-    def valid(config) -> bool:
-        # tile buffers (double-buffered per pipeline stage) must fit an SM's
-        # shared memory, and each of the 32*num_warps threads must own
-        # between 1 and 256 output elements of the BM x BN accumulator
-        smem = (config["BM"] + config["BN"]) * config["BK"] * 2 * config["stages"]
-        if smem > smem_limit:
-            return False
-        threads = 32 * config["num_warps"]
-        per_thread = config["BM"] * config["BN"] / threads
-        return 1 <= per_thread <= 256
 
     space = SearchSpace(
         Choice("variant", ("nn", "nt", "tn", "tt")),
@@ -365,9 +333,6 @@ def app_spec():
         Choice("BN", (128, 64, 256, 32, 16)),
         Choice("BK", (64, 32, 16, 128)),
         Choice("GM", (8, 4, 16, 1, 2)),
-        Choice("num_warps", (8, 4, 16, 2, 1)),
-        Choice("stages", (1, 2, 3)),
-        constraint=valid,
     )
 
     def evaluate(config, device=A100_80GB):
@@ -376,12 +341,7 @@ def app_spec():
         cfg = MatmulConfig(config.get("M", n), config.get("N", n), config.get("K", n),
                            BM=config["BM"], BN=config["BN"],
                            BK=config["BK"], GM=config["GM"])
-        cost = matmul_cost(
-            cfg, "lego",
-            threads_per_block=32 * config.get("num_warps", 8),
-            stages=config.get("stages", 1),
-        )
-        return estimate_time(cost, device).total
+        return matmul_performance(cfg, "lego", device)
 
     return register_app(AppSpec(
         name="matmul",

@@ -5,7 +5,9 @@ stencil, transpose) registers one :class:`AppSpec` that exposes, uniformly:
 
 * ``space`` — the declarative configuration search space the layout
   autotuner sweeps (tile sizes, orderings, coarsening factors, skew/layout
-  selections),
+  selections); every axis reaches the program — a ``generate_params`` key,
+  a field of the launcher's configuration, or a parameter of the run the
+  case executes — never only the cost model,
 * ``generate(config)`` — produce the kernel for one configuration through
   the unified backend registry (``get_backend``); ``None`` for apps whose
   candidates share a single kernel text,

@@ -305,18 +305,7 @@ def run_stencil(
     return dst.to_numpy(), trace
 
 
-def stencil_cost(
-    spec: StencilSpec,
-    n: int,
-    layout: str = "array",
-    brick: int = 8,
-    *,
-    brick_y: int | None = None,
-    brick_z: int | None = None,
-    coarsen: int = 1,
-    vector: int = 1,
-    unroll: int = 1,
-) -> KernelCost:
+def stencil_cost(spec: StencilSpec, n: int, layout: str = "array", brick: int = 8) -> KernelCost:
     """The analytic :class:`~repro.gpusim.KernelCost` of one stencil sweep.
 
     Both layouts stream the grid roughly once per sweep — the ``2r + 1``
@@ -325,27 +314,19 @@ def stencil_cost(
 
     * **brick** — every 32-byte sector a brick occupies is fully consumed by
       the block computing that brick, so the sweep runs near the streaming
-      bandwidth limit (the Zhou et al. effect the paper reuses);
+      bandwidth limit (the Zhou et al. effect the paper reuses); a brick
+      narrower than a sector (``brick * 4 < 32`` bytes) leaves part of every
+      sector unconsumed;
     * **array** — the row-major kernel's neighbour accesses in ``y``/``z``
       are strided and misaligned with respect to sectors and vector widths,
       wasting a large, stencil-size-insensitive fraction of every
       transaction, plus a small L2-miss term that grows with the number of
       distinct ``(dy, dz)`` planes the stencil touches.
-
-    The keyword-only axes extend the paper's grid: ``brick_y``/``brick_z``
-    make the brick anisotropic (``brick`` is the unit-stride x side — a
-    short x side leaves part of every 32-byte sector unconsumed, so the
-    default cubic brick of 8 floats keeps the historical efficiency
-    exactly), ``coarsen`` folds several cells into one thread,
-    ``vector``/``unroll`` are mild code-shape penalties.  At the defaults
-    this reproduces the historical closed form bit for bit.
     """
     element = 4.0
     cells = float(n) ** 3
     offsets = stencil_offsets(spec)
-    by = brick if brick_y is None else brick_y
-    bz = brick if brick_z is None else brick_z
-    volume = brick * by * bz
+    volume = brick ** 3
     if layout == "brick":
         read_elements = 1.0
         # fraction of each DRAM sector the brick's x-extent actually covers
@@ -357,22 +338,21 @@ def stencil_cost(
         efficiency = 0.26
     else:
         raise ValueError(f"unknown stencil layout {layout!r}")
-    efficiency *= {1: 1.0, 2: 0.998, 4: 0.995}.get(vector, 0.99)
     dram_bytes = cells * element * (read_elements + 1.0)
     # Arithmetic per cell is capped: the generated kernels reuse partial sums
     # along the unit-stride axis, and the paper's roofline (Figure 13b) places
     # every stencil on the memory roof, i.e. bandwidth- not compute-bound.
     flops_per_cell = float(min(len(offsets), 32))
-    threads_per_block = float(volume // coarsen) if layout == "brick" else 256.0
+    threads_per_block = float(volume) if layout == "brick" else 256.0
     return KernelCost(
         name=f"stencil_{spec.name}_{layout}",
         flops=cells * flops_per_cell,
         dram_bytes=dram_bytes,
         dram_efficiency=efficiency,
-        compute_efficiency=0.85 * {1: 1.0, 2: 1.0, 4: 0.99}.get(unroll, 0.98),
+        compute_efficiency=0.85,
         blocks=cells / volume,
         threads_per_block=threads_per_block,
-        threads=cells / coarsen,
+        threads=cells,
     )
 
 
@@ -382,10 +362,9 @@ def stencil_performance(
     layout: str = "array",
     brick: int = 8,
     device: DeviceSpec = A100_80GB,
-    **axes,
 ) -> float:
     """Estimated stencil sweep time (see :func:`stencil_cost` for the model)."""
-    return estimate_time(stencil_cost(spec, n, layout, brick, **axes), device).total
+    return estimate_time(stencil_cost(spec, n, layout, brick), device).total
 
 
 def stencil_speedup(spec: StencilSpec, n: int = 512, brick: int = 8) -> dict[str, float]:
@@ -405,11 +384,10 @@ def stencil_speedup(spec: StencilSpec, n: int = 512, brick: int = 8) -> dict[str
 def app_spec():
     """The stencil :class:`~repro.apps.registry.AppSpec` for the autotuner.
 
-    The axes are the data layout (brick vs row-major array), the brick
-    shape (anisotropic: x, y and z sides), the stencil shape and the
-    code-shape knobs (coarsening, vector width, unrolling); the brick
-    layout wins for every shape, which is Figure 12c's result.  The
-    constraint keeps the thread block between a warp and the CUDA limit.
+    The axes are what :func:`stencil_case` runs: the data layout (brick vs
+    row-major array), the cubic brick side and the stencil shape — 36
+    configurations; the brick layout wins for every shape, which is
+    Figure 12c's result.
     """
     from ..tune.space import Choice, SearchSpace
     from .registry import AppSpec, register_app
@@ -417,31 +395,15 @@ def app_spec():
     n = 512
     by_name = {spec.name: spec for spec in STENCILS}
 
-    def valid(c) -> bool:
-        volume = c["brick"] * c["brick_y"] * c["brick_z"]
-        return 32 <= volume <= 4096 and volume % c["coarsen"] == 0
-
     space = SearchSpace(
         Choice("layout", ("brick", "array")),
-        Choice("brick", (8, 4, 16, 2)),
-        Choice("brick_y", (8, 4, 16, 2)),
-        Choice("brick_z", (8, 4, 16, 2)),
+        Choice("brick", (8, 4, 16)),
         Choice("stencil", tuple(by_name)),
-        Choice("coarsen", (1, 2, 4, 8)),
-        Choice("vector", (1, 2, 4)),
-        Choice("unroll", (1, 2, 4)),
-        constraint=valid,
     )
 
     def evaluate(config, device=A100_80GB):
-        cost = stencil_cost(
-            by_name[config["stencil"]], config.get("n", n),
-            config["layout"], config["brick"],
-            brick_y=config.get("brick_y"), brick_z=config.get("brick_z"),
-            coarsen=config.get("coarsen", 1),
-            vector=config.get("vector", 1), unroll=config.get("unroll", 1),
-        )
-        return estimate_time(cost, device).total
+        return stencil_performance(by_name[config["stencil"]], config.get("n", n),
+                                   config["layout"], config["brick"], device)
 
     return register_app(AppSpec(
         name="stencil",

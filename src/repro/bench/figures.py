@@ -318,13 +318,7 @@ def fig12b(n: int = 2048) -> ExperimentResult:
     from ..tune import Choice, autotune
 
     spec = get_app("lud")
-    space = spec.space.subspace(
-        block=(16, 32, 64), cuda_block=(16,),
-        # pin the scaled-up space's satellite axes at their neutral values —
-        # the figure sweeps the paper's grid, not the full tuning space
-        smem_layout=("row",), panel_layout=("row",),
-        unroll=(1,), prefetch=(0,), vector=(1,),
-    ).extended(Choice("n", (n,)))
+    space = spec.space.subspace(block=(16, 32, 64), cuda_block=(16,)).extended(Choice("n", (n,)))
     result = autotune(spec, space=space)
     rows = [
         {
@@ -357,8 +351,6 @@ def fig12c(n: int = 512, brick: int = 8) -> ExperimentResult:
     for spec in stencil.STENCILS:
         space = app.space.subspace(
             layout=("array", "brick"), brick=(brick,), stencil=(spec.name,),
-            brick_y=(brick,), brick_z=(brick,),
-            coarsen=(1,), vector=(1,), unroll=(1,),
         ).extended(Choice("n", (n,)))
         result = autotune(app, space=space)
         times = {c.config["layout"]: c.time_seconds for c in result.evaluations}

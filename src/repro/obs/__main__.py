@@ -36,15 +36,13 @@ REQUIRED_STAGES = (
     "search.measure",     # measured re-rank of the survivors
 )
 
-#: bounded matmul subspace (full space is ~26k points; this is 2^5*2*2 = 128)
+#: bounded matmul subspace (the full space is 2 000 points; this is 2^3 = 8)
 _SUBSPACE_AXES = dict(
     variant=("nn",),
     BM=(128, 64),
     BN=(128, 64),
     BK=(64, 32),
     GM=(8,),
-    num_warps=(8, 4),
-    stages=(1, 2),
 )
 
 

@@ -48,8 +48,8 @@ def _unique_pools(names: Sequence[str], unique_count: int) -> dict[str, list[dic
     """Per-app pools of distinct projected configurations.
 
     Streaming cap: each app contributes at most ``ceil(unique/apps)``
-    distinct configurations, so its (possibly 10^4+-point) space is streamed
-    just far enough instead of materialising the whole product.  Pools hold
+    distinct configurations, so its space (matmul's holds 2 000 points) is
+    streamed just far enough instead of materialising the whole product.  Pools hold
     *projected* configurations deduplicated by kernel identity: a unique
     request should be a unique kernel, not an evaluation-axis variant of the
     previous one.

@@ -16,9 +16,10 @@ list (O(1) for unconstrained spaces, one memoised streaming pass
 otherwise), and :meth:`sample` draws without replacement by drawing
 *indices* — rejection-sampling them against the constraint, falling back to
 a single reservoir pass only when the space is too dense with rejections.
-A 10^6-point space therefore counts and samples in microseconds, which is
-what lets the app spaces grow to 10^4+ valid points (see
-:mod:`repro.tune.search`).
+A 10^6-point space therefore counts and samples in microseconds (see
+:mod:`repro.tune.search`).  An app's axes are its kernel's parameters, so
+its space is as large as the kernel is configurable: 27 LUD
+configurations, 2 000 matmul ones.
 """
 
 from __future__ import annotations
@@ -185,8 +186,10 @@ class SearchSpace:
     def subspace(self, **axes: Sequence) -> "SearchSpace":
         """A copy with some axes narrowed to the given values (same constraint).
 
-        Used by the figure harnesses to restrict an app's full space to the
-        exact sweep a paper figure reports.
+        Every given value must be one the axis declares — a subspace never
+        widens its space (``ValueError`` otherwise).  Used by the figure
+        harnesses to restrict an app's full space to the exact sweep a paper
+        figure reports.
         """
         narrowed = []
         unknown = set(axes) - {c.name for c in self.choices}
@@ -195,7 +198,12 @@ class SearchSpace:
                              f"{[c.name for c in self.choices]}")
         for choice in self.choices:
             if choice.name in axes:
-                narrowed.append(Choice(choice.name, axes[choice.name]))
+                values = tuple(axes[choice.name])
+                outside = [v for v in values if v not in choice.values]
+                if outside:
+                    raise ValueError(f"axis {choice.name!r} has no values {outside}; "
+                                     f"it declares {list(choice.values)}")
+                narrowed.append(Choice(choice.name, values))
             else:
                 narrowed.append(choice)
         return SearchSpace(*narrowed, constraint=self.constraint)

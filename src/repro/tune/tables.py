@@ -1,9 +1,9 @@
 """Per-device tuning tables: persisted search winners the service can warm from.
 
-A search over a 10^4-point space is worth remembering: the winner for one
-``app x device x problem scale`` keeps winning until the model or the app
-changes.  :class:`TuningTable` stores those winners in the durable cache
-tier (:class:`~repro.cache.ResultCache`) under namespaced raw-string keys
+A search is worth remembering: the winner for one ``app x device x
+problem scale`` keeps winning until the model or the app changes.
+:class:`TuningTable` stores those winners in the durable cache tier
+(:class:`~repro.cache.ResultCache`) under namespaced raw-string keys
 (``tuning-table/v1/<device>/<app>/<signature>``), so the same JSON store
 that persists evaluations and profiles ships the tuned configurations too.
 
@@ -31,7 +31,7 @@ def problem_signature(config: Mapping) -> str:
     """A stable, readable signature of the problem scale inside ``config``.
 
     Only :data:`PROBLEM_KEYS` participate — tuning axes (tile sizes,
-    layouts, unroll factors) are exactly what the table exists to remember,
+    layouts, coarsening factors) are exactly what the table exists to remember,
     so they must not fragment its rows.  Configurations that carry no
     problem keys (an app tuned at its default scale) share the ``default``
     row.

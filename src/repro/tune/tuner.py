@@ -211,8 +211,8 @@ def evaluate_configs(
     backend, provides the expression fingerprint the cache keys off, and
     supplies the op-count half of the ranking.  Candidates that share a
     projected kernel share the rendered-expression work (memoised by kernel
-    identity — on a 10^4-point space re-rendering per candidate would dwarf
-    evaluation).  ``device`` is the :class:`~repro.gpusim.DeviceSpec` every
+    identity — matmul's 2 000 configurations share four kernels, and
+    re-rendering per candidate would dwarf evaluation).  ``device`` is the :class:`~repro.gpusim.DeviceSpec` every
     app ``evaluate`` is costed against and a component of every cache key.
     """
     gpu_weights = CostWeights.gpu_default()

@@ -1,13 +1,15 @@
 """The benchmark applications: generated kernels are correct and layouts behave."""
 
+import inspect
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.apps import grouped_gemm, layernorm, lud, matmul, nw, softmax, stencil, transpose
-from repro.apps.registry import get_app
+from repro.apps.registry import available_apps, get_app
 from repro.gpusim import DEVICE_ZOO, warp_conflict_degree
 
 
@@ -381,3 +383,71 @@ def test_transpose_table_shape_matches_paper():
         assert smem["lego_mlir_gbs"] > 3 * naive["lego_mlir_gbs"]
         assert smem["lego_mlir_gbs"] > smem["cuda_sdk_gbs"]
         assert naive["lego_mlir_gbs"] > naive["cuda_sdk_gbs"]
+
+
+# -- every tuning axis reaches the program ------------------------------------------
+
+
+#: the launch configuration each app's launcher takes
+_LAUNCHER_CONFIGS = {
+    "matmul": matmul.MatmulConfig,
+    "grouped_gemm": grouped_gemm.GroupedGemmConfig,
+    "lud": lud.LudConfig,
+    "transpose": transpose.TransposeConfig,
+    "nw": nw.NwConfig,
+}
+
+
+def _program_inputs(spec) -> set:
+    """The names a tuning axis may carry: what the generated kernel text
+    reads, a field of the launcher's configuration, or (the stencil, whose
+    candidates share no generated text) a parameter of ``run_stencil`` /
+    the resolved configuration ``stencil_case`` runs it with."""
+    assert spec.generate is None or spec.generate_params is not None, spec.name
+    names = set(spec.generate_params or ())
+    if spec.name in _LAUNCHER_CONFIGS:
+        names |= {f.name for f in fields(_LAUNCHER_CONFIGS[spec.name])}
+    if spec.name == "stencil":
+        names |= set(inspect.signature(stencil.run_stencil).parameters)
+        names |= set(stencil.stencil_case(next(iter(spec.space)), np.random.default_rng(0)).config)
+    return names
+
+
+def _case_fingerprint(spec, config):
+    case = spec.case(config, np.random.default_rng(0)) if spec.case is not None else None
+    if case is None:
+        return None
+    inputs = {name: np.asarray(array).tobytes() for name, array in case.inputs.items()}
+    return (case.config, inputs, case.scale, case.launches, case.target_config,
+            case.dtype, case.tensor_core)
+
+
+def _axis_moves_the_program(spec, axis) -> bool:
+    """Some pair of valid configurations differing only in ``axis`` differs in
+    the kernel text's inputs, in the built case, or in the analytic model."""
+    space = spec.space
+    values = next(c for c in space.choices if c.name == axis).values
+    for config in space:
+        for value in values:
+            other = {**config, axis: value}
+            if value == config[axis] or (space.constraint and not space.constraint(other)):
+                continue
+            if spec.generate is not None and spec.generate_config(config) != spec.generate_config(other):
+                return True  # e.g. matmul's variant moves only the kernel text
+            if spec.evaluate(config) != spec.evaluate(other):
+                return True
+            if _case_fingerprint(spec, config) != _case_fingerprint(spec, other):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("app", available_apps())
+def test_every_tuning_axis_is_realised(app):
+    spec = get_app(app)
+    inputs = _program_inputs(spec)
+    for choice in spec.space.choices:
+        assert choice.name in inputs, (
+            f"{app}: axis {choice.name!r} is no kernel parameter, launcher field "
+            f"or stencil-run parameter ({sorted(inputs)})"
+        )
+        assert _axis_moves_the_program(spec, choice.name), f"{app}: axis {choice.name!r} is dead"

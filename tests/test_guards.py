@@ -89,11 +89,7 @@ def test_guard_proof_updates_counters():
 #: every (block, cuda_block) of the LUD space — the shapes whose static panels
 #: cannot launch (blocks 128/256) are skipped by the executed check, so the
 #: static proof is pinned for them here
-_LUD_SHAPES = sorted({
-    (c["block"], c["cuda_block"])
-    for c in get_app("lud").space.subspace(smem_layout=("row",), panel_layout=("row",),
-                                           unroll=(1,), prefetch=(0,), vector=(1,))
-})
+_LUD_SHAPES = sorted((c["block"], c["cuda_block"]) for c in get_app("lud").space)
 
 
 @pytest.mark.parametrize("block,cuda_block", _LUD_SHAPES)

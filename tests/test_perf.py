@@ -386,7 +386,12 @@ def test_measured_autotune_reproduces_lud_block64_coarsen4():
     assert best.config["block"] == 64
     assert best.config["cuda_block"] == 16  # coarsening 64 / 16 = 4
     assert best.metrics["analytic_error"] < 10.0
-    assert len(result.profiles) == 5
+    # five distinct kernels measured; the block-128/256 leaders between
+    # them need more static shared memory than the device allows
+    measured = [p for p in result.profiles if p.status == "measured"]
+    skipped = [p for p in result.profiles if p.status != "measured"]
+    assert len(measured) == 5
+    assert all(p.status == "skipped" and p.config["block"] >= 128 for p in skipped)
     # measured candidates re-rank strictly ahead of analytic-only ones
     measured = [c for c in result.ranked if c.measured]
     assert result.ranked[: len(measured)] == measured

@@ -34,6 +34,9 @@ def test_space_subspace_narrows_axes():
     assert list(narrowed) == [{"a": 2, "b": 4}, {"a": 2, "b": 5}]
     with pytest.raises(ValueError):
         space.subspace(nope=(1,))
+    # a subspace never widens an axis past the values it declares
+    with pytest.raises(ValueError, match=r"'a'.*\[1, 2, 3\]"):
+        space.subspace(a=(2, 7))
 
 
 def test_space_rejects_duplicates_and_empty_choices():
