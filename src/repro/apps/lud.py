@@ -22,9 +22,10 @@ import numpy as np
 
 from ..codegen import CodegenContext, CudaKernel, GuardProofError, get_backend, note_static_proof
 from ..core import GroupBy, Row
-from ..gpusim import A100_80GB, DeviceSpec, KernelCost, estimate_time
+from ..gpusim import A100_80GB, DeviceSpec
 from ..minicuda import GlobalArray, launch
 from ..symbolic import Var, affine_strides, is_mixed_radix_bijection
+from ..vm import engine
 
 __all__ = [
     "LudConfig",
@@ -39,7 +40,6 @@ __all__ = [
     "check_element_offsets",
     "prove_element_offset_bijection",
     "assert_element_offset_bijection",
-    "lud_performance",
     "lud_performance_vectorized",
     "lud_configurations",
     "app_spec",
@@ -283,7 +283,12 @@ def _lud_internal_block_kernel(ctx, m: GlobalArray, offset: int, block: int):
     thread loads its ``R`` panel fragments once and reuses them across the
     ``R x R`` accumulators, which is why coarsening divides the
     shared-memory traffic per flop — the mechanism behind Figure 12b that
-    a measured profile must reproduce.
+    a measured profile must reproduce.  The fragment loads of consecutive
+    ``k`` go out as one :meth:`~repro.minicuda.SharedArray.load_rows` per
+    slab of lanes (:data:`repro.vm.engine.SLAB_ELEMENTS` over the pass's
+    blocks) and are recorded as the separate loads they stand for; the
+    ``R x R`` accumulators update as one array, each element still summing
+    in ``k`` order, so every output bit is that of one multiply-add at a time.
     """
     b = block
     t = ctx.blockDim.x
@@ -301,22 +306,31 @@ def _lud_internal_block_kernel(ctx, m: GlobalArray, offset: int, block: int):
             peri_row.store(m.load(ctx, offset + i, col0 + j), i, j)
             peri_col.store(m.load(ctx, row0 + i, offset + j), i, j)
     ctx.syncthreads()
-    accumulators = [[np.zeros(tx.shape, dtype=np.float32) for _ in range(r)] for _ in range(r)]
-    for k in range(b):
-        col_fragment = [peri_col.load(r_i * t + ty, k) for r_i in range(r)]
-        row_fragment = [peri_row.load(k, r_j * t + tx) for r_j in range(r)]
-        for r_i in range(r):
-            for r_j in range(r):
-                # out-of-place so the accumulator can widen to one row per
-                # block of the pass
-                accumulators[r_i][r_j] = accumulators[r_i][r_j] + col_fragment[r_i] * row_fragment[r_j]
-        ctx.count_flops(2 * r * r * tx.size)
+    lanes = tx.size
+    # accumulator [r_i, r_j] of every thread; it widens to one per block of the pass
+    accumulators = np.zeros((r, r, lanes), dtype=np.float32)
+    # the k-loop's fragment loads go out a slab of lanes at a time: row
+    # ``kk * R + r_i`` of a group is the load of fragment ``r_i`` at its kk-th k
+    fragments = np.arange(r)[:, None] * t
+    col_i, row_j = fragments + ty, fragments + tx
+    group = max(1, engine.SLAB_ELEMENTS // (peri_col.batch * r * lanes))
+    for k0 in range(0, b, group):
+        ks = np.arange(k0, min(k0 + group, b))
+        k_rows = np.repeat(ks, r)[:, None]
+        shape = (-1, ks.size, r, lanes)
+        col_group = peri_col.load_rows(np.tile(col_i, (ks.size, 1)), k_rows).reshape(shape)
+        row_group = peri_row.load_rows(k_rows, np.tile(row_j, (ks.size, 1))).reshape(shape)
+        for kk in range(ks.size):
+            # every [r_i, r_j] at once: each element still adds col * row in k order
+            accumulators = (accumulators
+                            + col_group[:, kk, :, None] * row_group[:, kk, None, :])
+        ctx.count_flops(2 * r * r * lanes * ks.size)
     ctx.syncthreads()
     for r_i in range(r):
         for r_j in range(r):
             i = r_i * t + ty
             j = r_j * t + tx
-            value = m.load(ctx, row0 + i, col0 + j) - accumulators[r_i][r_j]
+            value = m.load(ctx, row0 + i, col0 + j) - accumulators[..., r_i, r_j, :]
             m.store(ctx, value, row0 + i, col0 + j)
 
 
@@ -329,7 +343,8 @@ def run_lud_internal(matrix: np.ndarray, config: LudConfig, step: int = 0,
     trailing block of that step (``(nb - step - 1)^2`` thread blocks of
     ``cuda_block^2`` threads), returning ``(updated matrix, trace)``.  This
     is the measured counterpart of the internal-kernel term of
-    :func:`lud_performance` — the phase that dominates end-to-end LUD time.
+    :func:`lud_performance_vectorized` — the phase that dominates end-to-end
+    LUD time.
     """
     trailing = config.num_blocks - step - 1
     if trailing < 1:
@@ -400,7 +415,12 @@ def lud_case(config, rng, device=None):
     )
 
 
-def lud_performance(config: LudConfig, device: DeviceSpec = A100_80GB) -> float:
+def lud_configurations(n: int) -> list[LudConfig]:
+    """The Figure 12b configuration sweep: LUD blocks 16/32/64, CUDA block 16."""
+    return [LudConfig(n=n, block=b, cuda_block=16) for b in (16, 32, 64)]
+
+
+def lud_performance_vectorized(config: LudConfig, device: DeviceSpec = A100_80GB) -> float:
     """Estimated end-to-end LUD time for one (block, coarsening) configuration.
 
     The internal kernel dominates: for step ``k`` it launches
@@ -408,64 +428,11 @@ def lud_performance(config: LudConfig, device: DeviceSpec = A100_80GB) -> float:
     plus its own block and performing ``2 B^3`` flops.  Larger LUD blocks
     mean fewer steps (fewer kernel launches), less repeated panel traffic and
     more work per thread block — but need coarsening to stay within the CUDA
-    block limit, which is exactly the Figure 12b trade-off.
-    """
-    n, block = config.n, config.block
-    nb = config.num_blocks
-    element = 4.0
-
-    total = 0.0
-    launch_overhead = device.launch_overhead_us * 1e-6
-    threads_per_block = config.cuda_block * config.cuda_block
-    for k in range(nb):
-        trailing = nb - k - 1
-        # diagonal + perimeter kernels (small, latency/launch dominated)
-        perim_blocks = max(1, 2 * trailing)
-        perim_bytes = element * (2 * trailing + 1) * block * block * 3
-        perim_flops = (2 * trailing + 1) * block ** 3
-        perim_cost = KernelCost(
-            name="lud_perimeter",
-            flops=perim_flops,
-            dram_bytes=perim_bytes,
-            blocks=float(perim_blocks),
-            threads_per_block=float(threads_per_block),
-            threads=float(perim_blocks * threads_per_block),
-            smem_per_block=float(2 * block * block * element),
-        )
-        total += estimate_time(perim_cost, device).total + 2 * launch_overhead
-        if trailing == 0:
-            continue
-        # internal kernel
-        internal_blocks = trailing * trailing
-        internal_bytes = element * internal_blocks * (3 * block * block)
-        internal_flops = 2.0 * internal_blocks * block ** 3
-        internal_cost = KernelCost(
-            name="lud_internal",
-            flops=internal_flops,
-            dram_bytes=internal_bytes,
-            blocks=float(internal_blocks),
-            threads_per_block=float(threads_per_block),
-            threads=float(internal_blocks * threads_per_block),
-            smem_per_block=float(2 * block * block * element),
-            compute_efficiency=0.6,
-        )
-        total += estimate_time(internal_cost, device).total + launch_overhead
-    return total
-
-
-def lud_configurations(n: int) -> list[LudConfig]:
-    """The Figure 12b configuration sweep: LUD blocks 16/32/64, CUDA block 16."""
-    return [LudConfig(n=n, block=b, cuda_block=16) for b in (16, 32, 64)]
-
-
-def lud_performance_vectorized(config: LudConfig, device: DeviceSpec = A100_80GB) -> float:
-    """:func:`lud_performance` as one NumPy sweep over the factorisation steps.
-
-    Replicates the per-step roofline of the reference loop exactly (same
-    costs, same occupancy formula, same launch-overhead accounting) but
-    evaluates all ``nb`` steps as arrays; the total matches the loop to
-    floating-point roundoff (pinned by a test).  Returns the total in
-    seconds.
+    block limit, which is exactly the Figure 12b trade-off.  Every step's
+    roofline (:func:`~repro.gpusim.estimate_time`'s costs, occupancy formula
+    and launch overheads) is evaluated as one NumPy sweep over the ``nb``
+    steps; a per-step loop kept in the tests pins it to roundoff.  Returns
+    the total in seconds.
     """
     block, tpb = config.block, config.cuda_block * config.cuda_block
     nb = config.num_blocks
@@ -501,8 +468,8 @@ def lud_performance_vectorized(config: LudConfig, device: DeviceSpec = A100_80GB
     internal_bytes = element * internal_blocks * (3.0 * block * block)
     internal_flops = 2.0 * internal_blocks * float(block) ** 3
     internal_busy = busy(internal_flops, internal_bytes, 0.6, 0.85, internal_blocks)
-    # the loop pays estimate_time's own launch overhead plus one host-side
-    # overhead per internal step (and two per perimeter step, folded above)
+    # an internal step pays estimate_time's own launch overhead plus one
+    # host-side overhead (and a perimeter step two, folded above)
     total += float(np.sum(internal_busy)) + inner.size * 2 * launch_overhead
     return total
 

@@ -12,7 +12,7 @@ def lud_roofline(n: int = 2048, device: DeviceSpec = A100_80GB) -> list[dict]:
     """Roofline points for the LUD configurations of Figure 12b."""
     rows = []
     for cfg in lud.lud_configurations(n):
-        seconds = lud.lud_performance(cfg, device)
+        seconds = lud.lud_performance_vectorized(cfg, device)
         flops = 2.0 / 3.0 * n ** 3
         # DRAM traffic falls with the block size: each internal-kernel block
         # re-reads two panels per step, i.e. ~3 * n^2 * (n / B) elements total.

@@ -120,6 +120,36 @@ class ResultCache:
                 self.corrupt_reset = True
 
     @staticmethod
+    def kernel_digest(
+        app: str,
+        expressions: Mapping[str, str] | None = None,
+        backend: str = "",
+        device: str = "",
+    ) -> str:
+        """The first half of :meth:`key`: everything but the configuration.
+
+        A sweep's candidates share a handful of kernels, so the tuner takes
+        this once per kernel and :meth:`candidate_key` once per candidate.
+        """
+        if expressions:
+            expressions = {name: expressions[name] for name in sorted(expressions)}
+        return stable_digest({
+            "code": code_fingerprint(),
+            "app": app,
+            "backend": backend,
+            "device": device,
+            "expressions": expressions or None,
+        })
+
+    @staticmethod
+    def candidate_key(kernel_digest: str, config: Mapping) -> str:
+        """The second half of :meth:`key`: a :meth:`kernel_digest` and the configuration."""
+        return stable_digest({
+            "kernel": kernel_digest,
+            "config": {name: config[name] for name in sorted(config)},
+        })
+
+    @staticmethod
     def key(
         app: str,
         config: Mapping,
@@ -142,16 +172,13 @@ class ResultCache:
         device.  :func:`code_fingerprint` salts every key so entries also
         invalidate whenever the analytic performance model changes (which
         evaluation depends on but the expressions cannot capture).
+
+        The one recipe, in two steps: :meth:`candidate_key` of the
+        :meth:`kernel_digest`, so a caller that keys many configurations of
+        one kernel serialises its expressions once.
         """
-        payload = {
-            "code": code_fingerprint(),
-            "app": app,
-            "backend": backend,
-            "device": device,
-            "config": {name: config[name] for name in sorted(config)},
-            "expressions": {name: expressions[name] for name in sorted(expressions)} if expressions else None,
-        }
-        return stable_digest(payload)
+        return ResultCache.candidate_key(
+            ResultCache.kernel_digest(app, expressions, backend, device), config)
 
     def get(self, key: str) -> dict | None:
         with self._lock:

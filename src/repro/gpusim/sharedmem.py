@@ -192,7 +192,8 @@ def _units(offsets: np.ndarray, element_bytes: int, unit_bytes: int) -> np.ndarr
     element size divides the unit into a power of two, which every dtype and
     sector size of the device zoo does.  Always a new array (a shift by zero
     included): the log keeps it until the flush, and a kernel may go on to
-    change its index array in place.
+    change its index array in place.  A recorder whose offsets are already a
+    fresh array of 4-byte elements skips it (``log_shared(..., fresh=True)``).
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     ratio, rest = divmod(int(unit_bytes), int(element_bytes))
@@ -311,10 +312,15 @@ class AccessLog:
     _pending_slots = 0  # warp-row slots a flush would build: chunks * warp_size
 
     def log_shared(self, offsets: np.ndarray, element_bytes: int, warp_size: int,
-                   repeat: int = 1) -> None:
-        """Append one shared-memory access; scored into ``smem_profile``."""
-        self._append("smem_profile", _units(offsets, element_bytes, _BANK_BYTES),
-                     warp_size, repeat)
+                   repeat: int = 1, fresh: bool = False) -> None:
+        """Append one shared-memory access; scored into ``smem_profile``.
+
+        ``fresh`` says ``offsets`` is an int64 array nobody else holds: a
+        4-byte element is one bank word, so the log keeps it as it is.
+        """
+        words = (offsets if fresh and element_bytes == _BANK_BYTES
+                 else _units(offsets, element_bytes, _BANK_BYTES))
+        self._append("smem_profile", words, warp_size, repeat)
 
     def log_global(self, offsets: np.ndarray, element_bytes: int, sector_bytes: int,
                    warp_size: int, is_store: bool, repeat: int = 1, valid=None) -> None:

@@ -8,10 +8,11 @@ at once, with all threads of each block vectorised: ``ctx.tx`` / ``ctx.ty`` /
 arithmetic broadcasts to ``(B, T)``.  The shape convention is the whole
 protocol: an access whose physical index array is 2-D with leading extent
 ``B`` differs per block; anything of rank <= 1 is block-uniform and repeats
-identically in every block (logged once, with ``repeat = B``).  A
-single-block launch is the pass of one.  This mirrors how a warp-synchronous
-CUDA kernel reads on paper while keeping the Python interpreter overhead per
-pass (not per block or thread).
+identically in every block (logged once, with ``repeat = B``);
+``SharedArray.load_rows`` takes a block-uniform ``(instructions, lanes)``
+matrix, many such loads in one call.  A single-block launch is the pass of
+one.  This mirrors how a warp-synchronous CUDA kernel reads on paper while
+keeping the Python interpreter overhead per pass (not per block or thread).
 
 Kernels cooperate through two small control-flow hooks:
 

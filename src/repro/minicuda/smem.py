@@ -78,7 +78,8 @@ class _LayoutArray:
 
         Each index is checked as given (a broadcast has the same extrema) by
         one reduction: viewed unsigned, a negative index is larger than any
-        extent.  Python ints are checked without NumPy.
+        extent.  Python ints are checked without NumPy; an index that is not
+        an integer (CUDA refuses a float subscript) is a ``TypeError``.
         """
         if len(indices) != len(self.shape):
             raise ValueError(
@@ -89,7 +90,12 @@ class _LayoutArray:
             if type(index) is int:
                 bad = not 0 <= index < extent
             else:
-                index = np.asarray(index, dtype=np.int64)
+                index = np.asarray(index)
+                if index.dtype != np.int64:
+                    if index.dtype.kind not in "biu":
+                        raise TypeError(f"{self.name}: axis {axis} index must be an integer, "
+                                        f"got {index.dtype}")
+                    index = index.astype(np.int64)
                 bad = index.size and index.view(np.uint64).max() >= extent
             if bad:
                 raise IndexError(f"{self.name}: axis {axis} index out of range [0, {extent}) "
@@ -134,7 +140,10 @@ class SharedArray(_LayoutArray):
     block of the context's pass: ``data`` is ``(B, words)``.  Accesses take
     per-thread index arrays — one row per block, or block-uniform — and each
     is logged on the launch trace, which splits it into warps and scores their
-    conflict degrees.
+    conflict degrees.  An access decodes in one native call
+    (``np.ravel_multi_index`` plus the layout table); a rejected index falls
+    back to the per-axis scan, which raises the error that names it.
+    :meth:`load_rows` issues many block-uniform loads in one call.
     """
 
     def __init__(self, context, shape: Sequence[int], dtype=np.float32, layout=None,
@@ -143,6 +152,15 @@ class SharedArray(_LayoutArray):
         self._context = context
         self.batch = context._batch
         self.data = np.zeros((self.batch, self.size), dtype=self.dtype)
+
+    def _decode(self, indices: tuple) -> np.ndarray:
+        """Physical offsets of an access, a fresh array the kernel never sees."""
+        try:
+            flat = np.ravel_multi_index(indices, self.shape)
+        except (TypeError, ValueError):
+            # a float, a negative or a too-large index: the scan names it
+            return np.array(self._physical(indices))
+        return flat if self._table is None else self._table[flat]
 
     def _classify(self, physical: np.ndarray) -> bool:
         """Whether an access differs per block (``True``) or is block-uniform."""
@@ -155,33 +173,57 @@ class SharedArray(_LayoutArray):
             f"per block ({self.batch}) or a block-uniform index"
         )
 
-    def _record(self, physical: np.ndarray, batched: bool, is_store: bool) -> None:
+    def _record(self, rows: np.ndarray, repeat: int, is_store: bool) -> None:
+        """Log ``rows`` (each cut into warps of its own), paid ``repeat`` times."""
         ctx = self._context
         trace = ctx.trace
         itemsize = self.dtype.itemsize
-        # block-uniform: every block repeats the one pattern
-        rows, repeat = (physical, 1) if batched else (physical.reshape(1, -1), self.batch)
-        nbytes = float(self.batch * rows.shape[1]) * itemsize
+        nbytes = float(repeat * rows.size) * itemsize
         if is_store:
             trace.smem_store_bytes += nbytes
         else:
             trace.smem_load_bytes += nbytes
-        trace.log_shared(rows, itemsize, ctx.warp_size, repeat)
+        trace.log_shared(rows, itemsize, ctx.warp_size, repeat, fresh=True)
+
+    def _access(self, indices: tuple, is_store: bool) -> tuple[np.ndarray, bool]:
+        physical = self._decode(indices)
+        batched = self._classify(physical)
+        # block-uniform: every block repeats the one pattern
+        if batched:
+            self._record(physical, 1, is_store)
+        else:
+            self._record(physical.reshape(1, -1), self.batch, is_store)
+        return physical, batched
 
     # -- accesses -----------------------------------------------------------------
 
     def load(self, *indices) -> np.ndarray:
-        physical = self._physical(indices)
-        batched = self._classify(physical)
-        self._record(physical, batched, is_store=False)
+        physical, batched = self._access(indices, is_store=False)
         if batched:
             return self.data[np.arange(self.batch)[:, None], physical]
         return self.data[:, physical]
 
+    def load_rows(self, *indices) -> np.ndarray:
+        """Many block-uniform loads in one call: ``(B, instructions, lanes)``.
+
+        The indices broadcast to ``(instructions, lanes)``; row ``r`` of the
+        result is what ``load`` of row ``r`` returns, and the trace records
+        exactly those separate loads — each row cut into warps of its own,
+        paid by every block.  A per-block index (a rank-3 ``(B, instructions,
+        lanes)`` pattern) or any rank but 2 is a ``TypeError``; a per-block
+        access is a :meth:`load`.
+        """
+        physical = self._decode(indices)
+        if physical.ndim != 2:
+            raise TypeError(
+                f"{self.name}: load_rows takes one block-uniform (instructions, lanes) "
+                f"pattern, got a rank-{physical.ndim} access"
+            )
+        self._record(physical, self.batch, is_store=False)
+        return self.data[:, physical]
+
     def store(self, value, *indices) -> None:
-        physical = self._physical(indices)
-        batched = self._classify(physical)
-        self._record(physical, batched, is_store=True)
+        physical, batched = self._access(indices, is_store=True)
         raw = np.asarray(value, dtype=self.dtype)
         if batched:
             values = _per_block_values(raw, self.batch, physical.shape[1:])

@@ -178,10 +178,13 @@ def _service_backed(spec) -> bool:
 def _generate_kernels(spec, configs: list[dict], service) -> list:
     """One kernel (or ``None``) per config, through the compile service.
 
-    Registry-backed apps batch-submit one request per *projected* config
-    (``AppSpec.generate_config``): candidates differing only in
-    evaluation-side axes dedup onto a single compilation, and the service's
-    shared cache keeps repeated sweeps warm.
+    Registry-backed apps request each *projected* config
+    (``AppSpec.generate_config``) once: the pool is grouped by
+    ``CompileRequest.local_key()``, the distinct requests go to
+    ``submit_batch``, and every candidate of a group gets its one kernel
+    object back — candidates differing only in evaluation-side axes share a
+    compilation and pay no submission of their own.  The service's shared
+    cache keeps repeated sweeps warm.
     """
     if spec.generate is None:
         return [None] * len(configs)
@@ -190,11 +193,15 @@ def _generate_kernels(spec, configs: list[dict], service) -> list:
     from ..serve import CompileRequest, default_service
 
     service = service or default_service()
-    requests = [
-        CompileRequest(app=spec.name, config=spec.generate_config(config))
-        for config in configs
-    ]
-    return service.submit_batch(requests)
+    distinct: dict[tuple, CompileRequest] = {}
+    keys = []
+    for config in configs:
+        request = CompileRequest(app=spec.name, config=spec.generate_config(config))
+        key = request.local_key()
+        distinct.setdefault(key, request)
+        keys.append(key)
+    kernels = dict(zip(distinct, service.submit_batch(distinct.values())))
+    return [kernels[key] for key in keys]
 
 
 def evaluate_configs(
@@ -210,9 +217,11 @@ def evaluate_configs(
     Generation goes through the compilation service: it drives the unified
     backend, provides the expression fingerprint the cache keys off, and
     supplies the op-count half of the ranking.  Candidates that share a
-    projected kernel share the rendered-expression work (memoised by kernel
-    identity — matmul's 2 000 configurations share four kernels, and
-    re-rendering per candidate would dwarf evaluation).  ``device`` is the :class:`~repro.gpusim.DeviceSpec` every
+    projected kernel share the rendered-expression work and the kernel half
+    of their cache key (:meth:`~repro.cache.ResultCache.kernel_digest`,
+    memoised by kernel identity — matmul's 2 000 configurations share four
+    kernels, and re-rendering or re-serialising per candidate would dwarf
+    evaluation).  ``device`` is the :class:`~repro.gpusim.DeviceSpec` every
     app ``evaluate`` is costed against and a component of every cache key.
     """
     gpu_weights = CostWeights.gpu_default()
@@ -220,27 +229,28 @@ def evaluate_configs(
     keys: list[str] = []
     ops: list[int] = []
     kernels: list[bool] = []
+    # id(kernel) -> (kernel digest, index ops); the generated list keeps every id live
     rendered_memo: dict[int, tuple] = {}
     with span("serve.compile", "serve", app=spec.name, configs=len(configs)):
         generated = _generate_kernels(spec, configs, service)
     for config, kernel in zip(configs, generated):
-        expressions = None
-        index_ops = 0
-        # Ad-hoc specs may generate objects that are not GeneratedKernels
-        # (plain source text, say); they degrade to config-only cache keys.
-        renderer = getattr(kernel, "rendered_expressions", None)
-        if renderer is not None:
-            memo = rendered_memo.get(id(kernel))
-            if memo is None:
+        memo = rendered_memo.get(id(kernel))
+        if memo is None:
+            expressions = None
+            index_ops = 0
+            # Ad-hoc specs may generate objects that are not GeneratedKernels
+            # (plain source text, say); they degrade to config-only cache keys.
+            renderer = getattr(kernel, "rendered_expressions", None)
+            if renderer is not None:
                 rendered = renderer()
-                memo = (rendered, kernel.binding_ops(gpu_weights) if rendered else 0)
-                rendered_memo[id(kernel)] = memo
-            rendered, rendered_ops = memo
-            if rendered:
-                expressions = rendered
-                index_ops = rendered_ops
-        keys.append(ResultCache.key(spec.name, config, expressions,
-                                    backend=spec.backend, device=device.name))
+                if rendered:
+                    expressions = rendered
+                    index_ops = kernel.binding_ops(gpu_weights)
+            memo = (ResultCache.kernel_digest(spec.name, expressions, backend=spec.backend,
+                                              device=device.name), index_ops)
+            rendered_memo[id(kernel)] = memo
+        digest, index_ops = memo
+        keys.append(ResultCache.candidate_key(digest, config))
         ops.append(index_ops)
         kernels.append(kernel is not None)
 

@@ -299,7 +299,7 @@ def test_lud_kernel_generation_embeds_layout_offset():
 
 
 def test_lud_best_configuration_is_block64_coarsen4():
-    times = {cfg.block: lud.lud_performance(cfg) for cfg in lud.lud_configurations(2048)}
+    times = {cfg.block: lud.lud_performance_vectorized(cfg) for cfg in lud.lud_configurations(2048)}
     assert times[64] < times[32] < times[16]
 
 

@@ -290,8 +290,50 @@ def test_warm_from_table_precompiles_winners(tmp_path):
 # -- the vectorized LUD analytic path -----------------------------------------------
 
 
+def lud_performance(config, device):
+    """The per-step loop :func:`repro.apps.lud.lud_performance_vectorized` evaluates
+    as one sweep: each step's perimeter and internal kernels costed through
+    :func:`repro.gpusim.estimate_time`, plus the host loop's launch overheads."""
+    from repro.gpusim import KernelCost, estimate_time
+
+    block, nb = config.block, config.num_blocks
+    element = 4.0
+    total = 0.0
+    launch_overhead = device.launch_overhead_us * 1e-6
+    threads_per_block = config.cuda_block * config.cuda_block
+    for k in range(nb):
+        trailing = nb - k - 1
+        # diagonal + perimeter kernels (small, latency/launch dominated)
+        perim_blocks = max(1, 2 * trailing)
+        perim_cost = KernelCost(
+            name="lud_perimeter",
+            flops=(2 * trailing + 1) * block ** 3,
+            dram_bytes=element * (2 * trailing + 1) * block * block * 3,
+            blocks=float(perim_blocks),
+            threads_per_block=float(threads_per_block),
+            threads=float(perim_blocks * threads_per_block),
+            smem_per_block=float(2 * block * block * element),
+        )
+        total += estimate_time(perim_cost, device).total + 2 * launch_overhead
+        if trailing == 0:
+            continue
+        internal_blocks = trailing * trailing
+        internal_cost = KernelCost(
+            name="lud_internal",
+            flops=2.0 * internal_blocks * block ** 3,
+            dram_bytes=element * internal_blocks * (3 * block * block),
+            blocks=float(internal_blocks),
+            threads_per_block=float(threads_per_block),
+            threads=float(internal_blocks * threads_per_block),
+            smem_per_block=float(2 * block * block * element),
+            compute_efficiency=0.6,
+        )
+        total += estimate_time(internal_cost, device).total + launch_overhead
+    return total
+
+
 def test_lud_vectorized_matches_reference_loop_on_every_tuned_shape():
-    from repro.apps.lud import LudConfig, lud_performance, lud_performance_vectorized
+    from repro.apps.lud import LudConfig, lud_performance_vectorized
     from repro.apps.registry import get_app
     from repro.gpusim import DEVICE_ZOO
 

@@ -426,12 +426,14 @@ def test_autotune_generation_dedups_through_the_service():
     try:
         result = autotune("matmul", service=service)
         stats = service.stats()
-        # 144 candidates project onto the 4 operand-layout variants
-        assert stats.compiled == 4
-        assert stats.deduped + stats.memory_hits == len(result) - 4
+        # 2 000 candidates project onto the 4 operand-layout variants, and the
+        # tuner submits each distinct projected config once
+        assert len(result) == 2000
+        assert stats.submitted == stats.compiled == 4
         # a second sweep is served entirely from the warm cache
         again = autotune("matmul", service=service)
         assert service.stats().compiled == 4
+        assert service.stats().memory_hits == 4
         assert again.best.config == result.best.config
         assert [c.index_ops for c in again.evaluations] == [
             c.index_ops for c in result.evaluations

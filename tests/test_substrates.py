@@ -438,6 +438,51 @@ def test_a_negative_or_too_large_block_index_names_its_signed_extrema(shared, sh
         launch(kernel, grid=3, block=8)
 
 
+@pytest.mark.parametrize("access", ["shared-uniform", "shared-per-block", "global"])
+def test_a_float_index_is_refused_not_truncated(access):
+    """CUDA rejects a float subscript; casting it to int64 read elements 1 and 2
+    for ``[1.9, 2.5]``."""
+    array = GlobalArray(np.zeros((4, 8), dtype=np.float32), name="grid")
+
+    def kernel(ctx):
+        if access == "global":
+            array.load(ctx, 1, np.array([1.9, 2.5]))
+            return
+        tile = ctx.shared_array((4, 8), dtype=np.float32, name="grid")
+        if access == "shared-uniform":
+            tile.load(1, np.array([1.9, 2.5]))
+        else:
+            tile.load(ctx.blockIdx.x % 4, ctx.blockIdx.x * 0 + np.array([1.9, 2.5]))
+
+    with pytest.raises(TypeError, match=r"^grid: axis 1 index must be an integer, got float64$"):
+        launch(kernel, grid=3, block=2)
+
+
+@pytest.mark.parametrize("layout", [None, "col"], ids=["row-major", "table"])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("bad, got", [(-2, r"\[-2, 1\]"), (None, None)])
+def test_the_one_call_decode_raises_the_per_axis_message(layout, axis, bad, got):
+    """A block-uniform shared access decodes in one ``ravel_multi_index``; an
+    index it refuses is named by the per-axis scan, with its signed extrema."""
+    from repro.core import Col
+
+    shape = (4, 8)
+    extent = shape[axis]
+    if bad is None:  # one past the end
+        bad, got = extent, rf"\[1, {extent}\]"
+    index = np.array([1, bad]) if bad > 0 else np.array([bad, 1])
+    other = np.arange(2)
+    table = None if layout is None else GroupBy(list(shape)).OrderBy(Col(*shape))
+
+    def kernel(ctx):
+        tile = ctx.shared_array(shape, dtype=np.float32, layout=table, name="tile")
+        tile.load(*((index, other) if axis == 0 else (other, index)))
+
+    with pytest.raises(IndexError, match=rf"^tile: axis {axis} index out of range "
+                                         rf"\[0, {extent}\) \(got {got}\)$"):
+        launch(kernel, grid=2, block=2)
+
+
 def test_shared_array_bank_conflicts_row_major_vs_antidiagonal():
     def kernel(ctx, layout):
         buf = ctx.shared_array((17, 17), dtype=np.int32, layout=layout)

@@ -74,6 +74,23 @@ def test_cache_key_depends_on_expressions_config_and_backend():
         ResultCache.key("app", {"a": 1}, {"offs": "N*row"}, backend="cuda")
     # insertion order of the config must not matter
     assert ResultCache.key("app", {"b": 2, "a": 1}) == ResultCache.key("app", {"a": 1, "b": 2})
+    # every input, one at a time: distinct keys, each the two-step digest
+    inputs = [
+        ("app", {"a": 1}, {"offs": "N*row"}, "", ""),
+        ("app", {"a": 2}, {"offs": "N*row"}, "", ""),
+        ("app", {"a": 1}, {"offs": "N*row + 1"}, "", ""),
+        ("app", {"a": 1}, None, "", ""),
+        ("other", {"a": 1}, {"offs": "N*row"}, "", ""),
+        ("app", {"a": 1}, {"offs": "N*row"}, "cuda", ""),
+        ("app", {"a": 1}, {"offs": "N*row"}, "", "NVIDIA A100 80GB"),
+        ("app", {"a": 1}, {"offs": "N*row"}, "", "NVIDIA H100 SXM"),
+    ]
+    keys = [ResultCache.key(app, config, expressions, backend=backend, device=device)
+            for app, config, expressions, backend, device in inputs]
+    assert len(set(keys)) == len(inputs)
+    for (app, config, expressions, backend, device), key in zip(inputs, keys):
+        kernel = ResultCache.kernel_digest(app, expressions, backend=backend, device=device)
+        assert key == ResultCache.candidate_key(kernel, config)
 
 
 # -- the registry -------------------------------------------------------------------

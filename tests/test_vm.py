@@ -403,6 +403,62 @@ def test_the_eight_bench_launches_hold_their_pinned_counters():
 # -- the differential runner guards the executor -----------------------------------------
 
 
+# -- many block-uniform shared loads in one call ------------------------------------------
+
+
+def _fragment_rows(lanes: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """LUD's k-loop fragments at a ``t x t`` CUDA block: row ``k * R + r`` reads
+    column ``k`` of the panel rows ``r * t + ty``."""
+    t = int(round(lanes ** 0.5))
+    r = 64 // t
+    ty = np.arange(lanes) // t
+    rows = np.tile(np.arange(r)[:, None] * t + ty, (steps, 1))
+    columns = np.repeat(np.arange(steps), r)[:, None]
+    return rows, columns
+
+
+@pytest.mark.parametrize("lanes", [4, 16, 64, 256, 1024])
+@pytest.mark.parametrize("layout", [None, "antidiagonal"])
+@pytest.mark.parametrize("dtype", [np.int32, np.float32])
+def test_load_rows_is_the_same_rows_issued_as_separate_loads(lanes, layout, dtype):
+    """Values and every trace counter (passes and histogram included) of one
+    ``load_rows`` equal its rows issued one ``load`` each, at LUD's lane counts
+    (CUDA block 2 ... 32) through NW's anti-diagonal table and without one."""
+    from repro.apps.nw import nw_buffer_layout
+    from repro.minicuda import launch
+
+    buffer_layout = None if layout is None else nw_buffer_layout(64, layout)
+    rows, columns = _fragment_rows(lanes, steps=5)
+    seen = {}
+
+    def kernel(ctx, grouped):
+        buf = ctx.shared_array((65, 65), dtype=dtype, layout=buffer_layout, name="panel")
+        buf.data[...] = (np.arange(buf.size) + 1000 * np.arange(buf.batch)[:, None]) % 997
+        if grouped:
+            seen[grouped] = buf.load_rows(rows, columns)
+        else:
+            seen[grouped] = np.stack([buf.load(row, column[0])
+                                      for row, column in zip(rows, columns)], axis=1)
+
+    traces = {grouped: launch(kernel, grid=3, block=lanes, args=(grouped,))
+              for grouped in (False, True)}
+    assert seen[True].shape == (3,) + rows.shape and seen[True].dtype == dtype
+    np.testing.assert_array_equal(seen[True], seen[False])
+    assert trace_counters(traces[True]) == trace_counters(traces[False])
+
+
+def test_load_rows_takes_one_block_uniform_matrix():
+    from repro.minicuda import launch
+
+    def kernel(ctx, *indices):
+        ctx.shared_array((8, 8), name="panel").load_rows(*indices)
+
+    lanes = np.arange(4)
+    for indices in [(lanes, 0), (1, 2), (np.zeros((2, 2, 4), dtype=np.int64), lanes)]:
+        with pytest.raises(TypeError, match=r"^panel: load_rows takes one block-uniform"):
+            launch(kernel, grid=2, block=4, args=indices)
+
+
 def test_check_catches_corrupted_vectorized_store(monkeypatch):
     """Mutation test: break the Triton store, repro.check must notice.
 
