@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,14 +226,40 @@ def _prove_wave_guard(wave: int, block_count: int) -> bool:
     return prove_guard_redundant(predicate, env, kernel="nw_wave")
 
 
-def _nw_diagonal_cells(m: int, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buffer coordinates ``(i, j)`` of the cells on anti-diagonal ``m`` of a block.
+class _NwStep(NamedTuple):
+    """One anti-diagonal step of a block: its cells and the neighbours they read.
 
-    Shared by the kernel and the static model (:func:`nw_block_trace`) so the
-    two cannot disagree about which lanes a wavefront step touches.
+    Every array is read-only.  Row ``0``/``1``/``2`` of ``neighbour_rows`` /
+    ``neighbour_columns`` is the up-left / left / up neighbour of each cell.
     """
-    lanes = np.arange(max(0, m - block + 1), min(m, block - 1) + 1)
-    return lanes + 1, m - lanes + 1
+
+    i: np.ndarray
+    j: np.ndarray
+    i_up: np.ndarray  # i - 1
+    j_left: np.ndarray  # j - 1
+    neighbour_rows: np.ndarray  # (3, cells)
+    neighbour_columns: np.ndarray  # (3, cells)
+
+
+@functools.lru_cache(maxsize=None)
+def _nw_steps(block: int) -> tuple[_NwStep, ...]:
+    """The ``2 * block - 1`` wavefront steps of a block, built once per block size.
+
+    Step ``m`` holds the buffer cells ``(i, j)`` on anti-diagonal ``m``.  The
+    kernel and the static model (:func:`nw_block_trace`) both iterate this
+    table, so the two cannot disagree about which lanes a step touches.
+    """
+    steps = []
+    for m in range(2 * block - 1):
+        lanes = np.arange(max(0, m - block + 1), min(m, block - 1) + 1)
+        i, j = lanes + 1, m - lanes + 1
+        i_up, j_left = i - 1, j - 1
+        step = _NwStep(i, j, i_up, j_left, np.stack((i_up, i, i_up)),
+                       np.stack((j_left, j_left, j)))
+        for array in step:
+            array.flags.writeable = False
+        steps.append(step)
+    return tuple(steps)
 
 
 def _nw_block_kernel(ctx, score: GlobalArray, reference: GlobalArray, config: NwConfig,
@@ -242,6 +269,11 @@ def _nw_block_kernel(ctx, score: GlobalArray, reference: GlobalArray, config: Nw
     The grid is the wave's live span (:func:`nw_wave_span`) offset by
     ``bx_offset``, so every launched block is on the wavefront and in the
     matrix — :func:`_prove_wave_guard` proves it — and nothing is masked.
+    Each step of the forward sweep comes from the block size's step table
+    (:func:`_nw_steps`) and reads its three neighbours in one
+    :meth:`~repro.minicuda.SharedArray.load_rows`, recorded as the three
+    loads it stands for; the block offsets stay ``block + lane`` up to the
+    global gathers.
     """
     b = config.block
     # blocks on wave w: block_x + block_y == w
@@ -261,15 +293,13 @@ def _nw_block_kernel(ctx, score: GlobalArray, reference: GlobalArray, config: Nw
     ctx.syncthreads()
 
     # forward sweep over the 2b-1 anti-diagonals
-    for m in range(2 * b - 1):
-        i, j = _nw_diagonal_cells(m, b)
-        up_left = buff.load(i - 1, j - 1)
-        left = buff.load(i, j - 1)
-        up = buff.load(i - 1, j)
-        ref_vals = reference.load(ctx, base_i + i - 1, base_j + j - 1)
+    for step in _nw_steps(b):
+        up_left, left, up = buff.load_rows(step.neighbour_rows,
+                                           step.neighbour_columns).swapaxes(0, 1)
+        ref_vals = reference.load(ctx, base_i + step.i_up, base_j + step.j_left)
         value = np.maximum(up_left + ref_vals, np.maximum(left - config.penalty, up - config.penalty))
-        buff.store(value, i, j)
-        ctx.count_flops(3 * i.size)
+        buff.store(value, step.i, step.j)
+        ctx.count_flops(3 * step.i.size)
         ctx.syncthreads()
 
     # Write the block's interior back to the score matrix.  The write-back is
@@ -389,9 +419,9 @@ def _nw_block_profile(block: int, layout: GroupBy | None, warp_size: int) -> Con
     tx = np.arange(b)
     corner = np.zeros(1, dtype=np.int64)
     accesses = [(0 * tx, tx + 1), (tx + 1, 0 * tx), (corner, corner)]
-    for m in range(2 * b - 1):
-        i, j = _nw_diagonal_cells(m, b)
-        accesses += [(i - 1, j - 1), (i, j - 1), (i - 1, j), (i, j)]
+    for step in _nw_steps(b):
+        accesses += [(step.i_up, step.j_left), (step.i, step.j_left), (step.i_up, step.j),
+                     (step.i, step.j)]
     table = None if layout is None else layout.permutation_vector()
     trace = CudaTrace()
     for i, j in accesses:

@@ -229,7 +229,10 @@ def _stencil_kernel(ctx, src: GlobalArray, dst: GlobalArray, n: int, spec: Stenc
     has discharged the interior predicate) the blocks whose coordinates lie
     inside the span skip the per-thread interior mask and the
     ``compact_threads`` compression entirely; only boundary blocks keep the
-    guarded path.
+    guarded path.  An interior block's ``ii + dz`` (block part plus lane part
+    plus an offset) stays that sum into every neighbour load, so a load is
+    checked on the parts' extrema and logged in closed form; the boundary
+    blocks' comparisons and ``ctx.compact`` read the materialised arrays.
     """
     r = spec.radius
     bx, by, bz = ctx.blockIdx.x, ctx.blockIdx.y, ctx.blockIdx.z

@@ -352,14 +352,19 @@ class AccessLog:
         ``s = b mod m`` (one residue ``(b·e) mod u``) therefore cost the same:
         the access is a ``bincount`` of the classes and one pattern per live
         class, logged with ``repeat`` = its row count, so the flush adds
-        ``Σ count_s · distinct_s``.
+        ``Σ count_s · distinct_s``.  An access with no more rows than classes
+        (NW's few-block waves) has no row to save: its rows are logged as they are.
         """
         base = np.asarray(base, dtype=np.int64).reshape(-1)
         pattern = np.asarray(pattern, dtype=np.int64).reshape(-1)
+        counter = "store_transactions" if is_store else "load_transactions"
+        if base.size <= sector_bytes // math.gcd(element_bytes, sector_bytes):
+            self._append(counter, _units(base[:, None] + pattern, element_bytes, sector_bytes),
+                         warp_size, 1)
+            return
         rows = np.bincount(_residue_classes(base, element_bytes, sector_bytes))
         live = rows.nonzero()[0]
         sectors = _units(live[:, None] + pattern, element_bytes, sector_bytes)
-        counter = "store_transactions" if is_store else "load_transactions"
         for units, repeat in zip(sectors, rows[live].tolist()):
             self._append(counter, units[None, :], warp_size, repeat)
 

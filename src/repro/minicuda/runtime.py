@@ -3,9 +3,13 @@
 A kernel is an ordinary Python function ``kernel(ctx, *args)``.  The
 :class:`BlockContext` it receives stands for a pass of thread blocks executed
 at once, with all threads of each block vectorised: ``ctx.tx`` / ``ctx.ty`` /
-``ctx.tz`` are ``(T,)`` arrays with one entry per thread and
-``ctx.blockIdx.x/y/z`` are ``(B, 1)`` arrays with one row per block, so index
-arithmetic broadcasts to ``(B, T)``.  The shape convention is the whole
+``ctx.tz`` are ``(T,)`` values with one entry per thread and
+``ctx.blockIdx.x/y/z`` are ``(B, 1)`` values with one row per block, so index
+arithmetic broadcasts to ``(B, T)``.  They are
+:class:`~repro.minicuda.smem.SplitIndex` values: under ``+``/``-``/``* int``
+an index stays ``block + lane``, which a global access checks, logs and
+gathers without building the ``(B, T)`` arrays; every other use reads the
+same array the op-by-op arithmetic gives.  The shape convention is the whole
 protocol: an access whose physical index array is 2-D with leading extent
 ``B`` differs per block; anything of rank <= 1 is block-uniform and repeats
 identically in every block (logged once, with ``repeat = B``);
@@ -38,7 +42,7 @@ import numpy as np
 from ..gpusim.sharedmem import AccessLog, ConflictProfile, ragged_warp_rows
 from ..vm import engine
 from ..vm.engine import launch_extents, run_launch
-from .smem import SharedArray, _bump_global
+from .smem import SharedArray, SplitIndex, _bump_global, _extrema
 
 __all__ = ["Dim3", "BlockContext", "CudaTrace", "launch"]
 
@@ -113,6 +117,9 @@ class _CompactedThreads:
     one gather.
     """
 
+    #: compacted lanes are not rows of blocks: every global access takes the dense path
+    _batch = None
+
     def __init__(self, parent, mask: np.ndarray):
         self._parent = parent
         self._mask = mask
@@ -153,6 +160,11 @@ class BlockContext:
     ``block_ids`` are the flat ids of the pass's blocks; ``trace`` receives
     their counters and fixes the DRAM sector size global accesses are
     recorded at; ``warp_size`` is the width accesses are cut into warps by.
+    ``blockIdx.x/y/z`` are block-only and ``tx/ty/tz`` lane-only
+    :class:`~repro.minicuda.smem.SplitIndex` values (read-only ``(B, 1)`` and
+    ``(T,)`` arrays to any use but ``+``/``-``/``* int``), so a global access
+    indexed by their sums takes the closed form
+    (:meth:`record_global_affine`).
     """
 
     def __init__(
@@ -167,16 +179,16 @@ class BlockContext:
         bx = (block_ids % grid_dim.x).reshape(batch, 1)
         by = ((block_ids // grid_dim.x) % grid_dim.y).reshape(batch, 1)
         bz = (block_ids // (grid_dim.x * grid_dim.y)).reshape(batch, 1)
-        self.blockIdx = SimpleNamespace(x=bx, y=by, z=bz)
+        self.blockIdx = _block_index(bx, by, bz)
         self.blockDim = block_dim
         self.gridDim = grid_dim
         self.trace = trace
         self.warp_size = warp_size
         self._batch = batch
         linear = np.arange(block_dim.count, dtype=np.int64)
-        self.tx = linear % block_dim.x
-        self.ty = (linear // block_dim.x) % block_dim.y
-        self.tz = linear // (block_dim.x * block_dim.y)
+        self.tx = _lane_index(linear % block_dim.x)
+        self.ty = _lane_index((linear // block_dim.x) % block_dim.y)
+        self.tz = _lane_index(linear // (block_dim.x * block_dim.y))
         # shared with narrowed sub-contexts so the launcher reads the
         # per-block allocation total off the root context
         self._alloc_sizes: list[int] = []
@@ -218,8 +230,8 @@ class BlockContext:
             return None
         narrowed = object.__new__(BlockContext)
         narrowed.__dict__.update(self.__dict__)
-        narrowed.blockIdx = SimpleNamespace(
-            x=self.blockIdx.x[keep], y=self.blockIdx.y[keep], z=self.blockIdx.z[keep]
+        narrowed.blockIdx = _block_index(
+            self.blockIdx.x[keep], self.blockIdx.y[keep], self.blockIdx.z[keep]
         )
         narrowed._batch = int(keep.sum())
         return narrowed
@@ -256,6 +268,35 @@ class BlockContext:
                          repeat)
         count = float(rows.size * repeat)
         _bump_global(trace, is_store, count, count * element_bytes)
+
+    def record_global_affine(self, base: np.ndarray, pattern: np.ndarray, element_bytes: int,
+                             is_store: bool) -> None:
+        """Log the access whose block ``b`` reads ``base[b] + pattern``, never building the rows.
+
+        Each block's row is still cut into warps of ``warp_size`` lanes, as
+        :meth:`record_global` cuts the materialised ``(B, lanes)`` rows.
+        """
+        trace = self.trace
+        trace.log_global_affine(base, pattern, element_bytes, trace.sector_bytes,
+                                self.warp_size, is_store)
+        count = float(base.size * pattern.size)
+        _bump_global(trace, is_store, count, count * element_bytes)
+
+
+def _lane_index(lanes: np.ndarray) -> SplitIndex:
+    """A thread index: lane-only, read-only, its extrema known from the start."""
+    lanes.flags.writeable = False
+    return SplitIndex(None, lanes, lane_span=_extrema(lanes))
+
+
+def _block_index(bx: np.ndarray, by: np.ndarray, bz: np.ndarray) -> SimpleNamespace:
+    """``blockIdx``: one block-only split index per axis over its ``(B, 1)`` ids, its
+    extrema known from the start (the int arithmetic on it carries them along)."""
+    axes = {}
+    for axis, ids in zip("xyz", (bx, by, bz)):
+        ids.flags.writeable = False
+        axes[axis] = SplitIndex(ids, None, block_span=_extrema(ids))
+    return SimpleNamespace(**axes)
 
 
 def launch(
