@@ -29,7 +29,15 @@ import time
 from repro.apps import lud, matmul
 from repro.codegen import CodegenContext
 from repro.core.slicing import LayoutSlice
-from repro.symbolic import CACHE_STATS, SymbolicEnv, as_expr, clear_memos, simplify_fixpoint
+from repro.obs import REGISTRY
+from repro.symbolic import (
+    CACHE_PREFIX,
+    SymbolicEnv,
+    as_expr,
+    cache_statistics,
+    clear_memos,
+    simplify_fixpoint,
+)
 
 
 def _index_expressions() -> list[tuple[object, SymbolicEnv]]:
@@ -87,9 +95,11 @@ def test_simplify_cache_throughput(benchmark, report_rows):
 
     # warm: same facts => fixpoint hits
     _simplify_all(pairs)  # populate
-    before = CACHE_STATS.snapshot()
+    before = cache_statistics()
     warm_seconds = benchmark.pedantic(lambda: _simplify_all(pairs), rounds=3, iterations=1)
-    delta = CACHE_STATS.delta(before, CACHE_STATS.snapshot())
+    delta = REGISTRY.delta(before, cache_statistics())
+    hits = delta[CACHE_PREFIX + "fixpoint_hits"]
+    fixpoint_hit_rate = hits / (hits + delta[CACHE_PREFIX + "fixpoint_misses"])
 
     rows = [
         {
@@ -98,7 +108,7 @@ def test_simplify_cache_throughput(benchmark, report_rows):
             "cold_seconds": cold_seconds,
             "warm_seconds": warm_seconds,
             "speedup": cold_seconds / warm_seconds if warm_seconds else float("inf"),
-            "fixpoint_hit_rate": delta["fixpoint_hit_rate"],
+            "fixpoint_hit_rate": fixpoint_hit_rate,
         }
     ]
     report_rows["Simplify cache"] = ExperimentResult(
@@ -107,5 +117,5 @@ def test_simplify_cache_throughput(benchmark, report_rows):
         rows=rows,
     )
 
-    assert delta["fixpoint_hit_rate"] > 0.9, "warm re-simplification should hit the fixpoint cache"
+    assert fixpoint_hit_rate > 0.9, "warm re-simplification should hit the fixpoint cache"
     assert warm_seconds * 5 < cold_seconds, "warm path should be >=5x faster than cold"

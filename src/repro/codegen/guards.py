@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..obs.metrics import counter
 from ..symbolic import Expr, ExprLike, SymbolicEnv, as_expr, prove, prove_in_bounds
 
 __all__ = [
@@ -45,30 +46,23 @@ class GuardProofError(RuntimeError):
     """A launch relies on a guard proof the range analysis did not discharge."""
 
 
-def _counter(name: str):
-    # create-or-get on every call: the registry may be cleared between tests,
-    # so a cached Counter object could silently detach from exposition
-    from ..obs.metrics import counter
-
-    return counter(name, _HELP[name])
-
-
-_HELP = {
-    "repro.symbolic.guards_eliminated": (
-        "bounds guards/predication removed from kernel launches after an always-true proof"
-    ),
-    "repro.symbolic.proofs_static": (
-        "guard/bounds/bijectivity obligations discharged statically by the range analysis"
-    ),
-    "repro.symbolic.proofs_fallback": (
-        "obligations the range analysis could not discharge (a launch relying on one raises)"
-    ),
-}
+GUARDS_ELIMINATED = counter(
+    "repro.symbolic.guards_eliminated",
+    "bounds guards/predication removed from kernel launches after an always-true proof",
+)
+PROOFS_STATIC = counter(
+    "repro.symbolic.proofs_static",
+    "guard/bounds/bijectivity obligations discharged statically by the range analysis",
+)
+PROOFS_FALLBACK = counter(
+    "repro.symbolic.proofs_fallback",
+    "obligations the range analysis could not discharge (a launch relying on one raises)",
+)
 
 
 def note_static_proof(amount: int = 1) -> None:
     """Record obligations discharged statically (outside the helpers here)."""
-    _counter("repro.symbolic.proofs_static").inc(amount)
+    PROOFS_STATIC.inc(amount)
 
 
 def prove_guard_redundant(
@@ -88,10 +82,10 @@ def prove_guard_redundant(
     with span("symbolic.range", "symbolic", kernel=kernel, query="guard"):
         proven = prove(predicate, env)
     if proven:
-        _counter("repro.symbolic.guards_eliminated").inc()
-        _counter("repro.symbolic.proofs_static").inc()
+        GUARDS_ELIMINATED.inc()
+        PROOFS_STATIC.inc()
     else:
-        _counter("repro.symbolic.proofs_fallback").inc()
+        PROOFS_FALLBACK.inc()
     return proven
 
 
@@ -115,7 +109,7 @@ def discharge_in_bounds(
     with span("symbolic.range", "symbolic", kernel=kernel, query="in_bounds"):
         proven = prove_in_bounds(expr, lo, hi, env)
     if proven:
-        _counter("repro.symbolic.proofs_static").inc()
+        PROOFS_STATIC.inc()
     else:
-        _counter("repro.symbolic.proofs_fallback").inc()
+        PROOFS_FALLBACK.inc()
     return proven

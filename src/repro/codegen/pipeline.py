@@ -18,8 +18,9 @@ import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
+from ..obs.metrics import REGISTRY
 from ..symbolic import (
-    CACHE_STATS,
+    CACHE_PREFIX,
     CostWeights,
     Expr,
     SymbolicEnv,
@@ -40,10 +41,10 @@ class GenerationReport:
     original_ops: int
     optimized_ops: int
     details: dict[str, object] = field(default_factory=dict)
-    #: cache-counter increments observed while the kernel was generated
-    #: (simplify/fixpoint/proof/range/print hits, misses and hit rates plus
-    #: per-rule application counts; see ``repro.symbolic.cache_statistics``)
-    cache_stats: dict[str, object] = field(default_factory=dict)
+    #: ``REGISTRY.delta`` of the ``repro.symbolic.cache.`` instruments over the
+    #: generation (simplify/fixpoint/proof/range/print hits and misses, per-rule
+    #: application counts, table-size changes; see ``repro.symbolic.cache_statistics``)
+    cache_stats: dict[str, float] = field(default_factory=dict)
 
     @property
     def reduction(self) -> float:
@@ -53,9 +54,11 @@ class GenerationReport:
         return 1.0 - self.optimized_ops / self.original_ops
 
     def cache_hit_rate(self, kind: str = "proof") -> float | None:
-        """Hit rate of one memo layer (``simplify``/``fixpoint``/``proof``/``range``/``print``)."""
-        value = self.cache_stats.get(f"{kind}_hit_rate")
-        return value if isinstance(value, float) else None
+        """Hit rate of one memo layer (``simplify``/``fixpoint``/``proof``/``range``/``print``);
+        ``None`` when the layer saw no lookups."""
+        hits = self.cache_stats.get(f"{CACHE_PREFIX}{kind}_hits", 0.0)
+        lookups = hits + self.cache_stats.get(f"{CACHE_PREFIX}{kind}_misses", 0.0)
+        return hits / lookups if lookups else None
 
     def row(self) -> tuple[str, float, int, int]:
         return (self.name, self.generation_seconds, self.original_ops, self.optimized_ops)
@@ -76,11 +79,11 @@ def time_generation(
     The report also carries the cache-counter increments observed during the
     run, so callers can see how much work the memo layers absorbed.
     """
-    stats_before = CACHE_STATS.snapshot()
+    stats_before = REGISTRY.snapshot(CACHE_PREFIX)
     started = time.perf_counter()
     result = generator()
     elapsed = time.perf_counter() - started
-    stats_delta = CACHE_STATS.delta(stats_before, CACHE_STATS.snapshot())
+    stats_delta = REGISTRY.delta(stats_before, REGISTRY.snapshot(CACHE_PREFIX))
 
     original_ops = 0
     optimized_ops = 0

@@ -10,11 +10,12 @@ tune.search); this package is where all of their telemetry converges:
   (:func:`export_trace`), so a whole ``autotune(measure_top_k=...)`` run or
   serve replay opens directly in a trace viewer.
 * :mod:`repro.obs.metrics` — the **metrics registry**
-  (:data:`REGISTRY`): counters, gauges and reservoir histograms, the
-  shared ceil-based nearest-rank :func:`percentile`, absorbed stat sources
-  (the symbolic cache counters by default; services register their
-  :class:`~repro.serve.metrics.ServiceStats`), one snapshot/delta API and
-  a Prometheus-style text exposition.
+  (:data:`REGISTRY`), the only place a process-wide count lives: counters
+  (the symbolic cache counters among them), gauges and reservoir
+  histograms, the shared ceil-based nearest-rank :func:`percentile`, one
+  snapshot/delta API and a Prometheus-style text exposition.  A service's
+  ledger is a per-instance value its ``stats()`` returns, not a registry
+  entry.
 * :mod:`repro.obs.report` — **attribution**: per-thread span trees,
   per-stage self-time breakdown and Chrome-trace schema validation.
 

@@ -120,22 +120,19 @@ def run_instrumented_autotune(app: str = "matmul", measure_top_k: int = 3) -> di
 
 
 def _run_replay(requests: int) -> dict:
-    """A short serve replay with the service registered on the registry."""
+    """A short serve replay: the service's ledger and the process registry."""
     from ..cache import ShardedLRUCache
     from ..serve.service import CompileService
     from ..serve.traffic import synthetic_requests
 
     trace = synthetic_requests(total=requests, duplicate_fraction=0.5, seed=0)
     with CompileService(workers=2, cache=ShardedLRUCache(shards=4)) as service:
-        source = service.register_metrics()
-        try:
-            started = time.perf_counter()
-            service.submit_batch(trace)
-            elapsed = time.perf_counter() - started
-            snapshot = REGISTRY.snapshot()
-        finally:
-            REGISTRY.unregister_source(source)
-    return {"requests": requests, "wall_seconds": elapsed, "metrics": snapshot}
+        started = time.perf_counter()
+        service.submit_batch(trace)
+        elapsed = time.perf_counter() - started
+        stats = service.stats().as_dict()
+    return {"requests": requests, "wall_seconds": elapsed, "stats": stats,
+            "metrics": REGISTRY.snapshot()}
 
 
 def main(argv: list[str] | None = None) -> dict:

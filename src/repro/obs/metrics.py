@@ -1,30 +1,23 @@
-"""The metrics registry: counters, gauges, histograms and absorbed sources.
+"""The metrics registry: counters, gauges and histograms.
 
-One process-wide :class:`MetricsRegistry` (:data:`REGISTRY`) unifies the
-stack's previously ad-hoc accounting:
-
-* **Owned metrics** — :class:`Counter` / :class:`Gauge` / :class:`Histogram`
-  instruments created through :meth:`MetricsRegistry.counter` and friends
-  (the proof and guard counters, search-stage counters, ...).
-* **Absorbed sources** — existing stat producers registered as callables
-  that return a (possibly nested) dict: the symbolic engine's global
-  :data:`~repro.symbolic.stats.CACHE_STATS` is registered by default, and a
-  :class:`~repro.serve.CompileService` plugs its
-  :class:`~repro.serve.metrics.ServiceStats` in with
-  ``CompileService.register_metrics``.  Sources are read live at snapshot
-  time, so the registry never holds stale copies.
+One process-wide :class:`MetricsRegistry` (:data:`REGISTRY`) is the only
+place a process-wide count lives: the symbolic cache counters
+(:mod:`repro.symbolic.stats`), the proof and guard counters and the farm's
+lifecycle events are all :class:`Counter` / :class:`Gauge` /
+:class:`Histogram` instruments created through
+:meth:`MetricsRegistry.counter` and friends.  A service's request ledger is
+not: it is a per-instance value its ``stats()`` returns.
 
 Everything is visible through one **snapshot/delta API**
-(:meth:`MetricsRegistry.snapshot` returns a flat dotted-key mapping;
-:meth:`MetricsRegistry.delta` subtracts two snapshots, clamped at zero so a
-counter reset mid-window can never surface a negative rate) and a
-**Prometheus-style text exposition** (:meth:`MetricsRegistry.render_prometheus`,
-served by ``python -m repro.serve --metrics``).
+(:meth:`MetricsRegistry.snapshot` returns a flat dotted-key mapping, optionally
+narrowed to a name prefix; :meth:`MetricsRegistry.delta` subtracts two
+snapshots) and a **Prometheus-style text exposition**
+(:meth:`MetricsRegistry.render_prometheus`, served by ``python -m repro.serve
+--metrics``).
 
 The ceil-based nearest-rank :func:`percentile` lives here as the single
-shared implementation — :class:`Histogram` (and through it
-:class:`~repro.serve.metrics.LatencyRecorder`) and the serve benchmark's
-tail-latency assertions all use it.
+shared implementation — :class:`Histogram` (and through it the serve
+ledger's latency) and the serve benchmark's tail-latency assertions all use it.
 """
 
 from __future__ import annotations
@@ -34,8 +27,6 @@ import re
 import threading
 from collections import deque
 from collections.abc import Callable, Mapping
-
-from .trace import instant
 
 __all__ = [
     "percentile",
@@ -58,8 +49,8 @@ def percentile(ordered: list[float], q: float) -> float:
     equivalent — Python rounds half-to-even, so p50 of an even window picked
     the lower or upper middle sample depending on whether the midpoint rank
     happened to be even (p50 of [1, 2] chose 1 while p50 of [1, 2, 3, 4]
-    chose 3).  This is the single shared implementation; the serve-side
-    latency recorder and the benchmark tail assertions both call it.
+    chose 3).  This is the single shared implementation; :class:`Histogram`
+    and the benchmark tail assertions both call it.
     """
     if not ordered:
         return 0.0
@@ -134,7 +125,7 @@ class Gauge:
 class Histogram:
     """A bounded sample window with exact running count/sum (thread-safe).
 
-    The one reservoir (the serve latency recorder is a view over it): the most
+    The one reservoir (the serve ledger's latency is one): the most
     recent ``max_samples`` observations back the percentiles, while ``count`` and
     ``sum`` stay exact forever, so the mean never loses precision to
     eviction.  Percentiles use the shared nearest-rank :func:`percentile`.
@@ -179,17 +170,6 @@ class Histogram:
         }
 
 
-def _flatten(prefix: str, value, out: dict[str, float]) -> None:
-    """Flatten a nested numeric mapping into dotted keys (non-numerics dropped)."""
-    if isinstance(value, Mapping):
-        for key, inner in value.items():
-            _flatten(f"{prefix}.{key}" if prefix else str(key), inner, out)
-    elif isinstance(value, bool):
-        out[prefix] = float(value)
-    elif isinstance(value, (int, float)):
-        out[prefix] = float(value)
-
-
 _PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
 
 
@@ -202,15 +182,11 @@ def _prom_name(name: str) -> str:
 
 
 class MetricsRegistry:
-    """Instruments plus absorbed stat sources behind one snapshot/delta API."""
+    """Counters, gauges and histograms behind one snapshot/delta API."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self._sources: dict[str, Callable[[], Mapping]] = {}
-        #: bumped by :meth:`on_reset`; snapshots carry it so delta() can tell
-        #: that an underlying source was zeroed mid-window
-        self._epoch = 0
 
     # -- instrument creation (create-or-get, type-checked) ---------------------
 
@@ -237,109 +213,37 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "", max_samples: int = 10_000) -> Histogram:
         return self._get_or_create(Histogram, name, help, max_samples=max_samples)
 
-    # -- absorbed sources ------------------------------------------------------
-
-    def register_source(self, name: str, fn: Callable[[], Mapping]) -> None:
-        """Absorb an external stat producer (read live at snapshot time).
-
-        ``fn`` returns a possibly nested mapping; numeric leaves surface in
-        snapshots as ``<name>.<dotted.path>`` keys.  Re-registering a name
-        replaces its callable (a restarted service takes over its slot).
-        """
-        with self._lock:
-            self._sources[name] = fn
-
-    def unregister_source(self, name: str) -> bool:
-        with self._lock:
-            return self._sources.pop(name, None) is not None
-
-    def sources(self) -> list[str]:
-        with self._lock:
-            return sorted(self._sources)
-
-    def on_reset(self, source: str = "") -> None:
-        """Record that an absorbed source was zeroed (bumps the epoch).
-
-        :func:`repro.symbolic.stats.reset_cache_statistics` routes through
-        here: snapshot holders compare epochs through :meth:`delta`, so a
-        reset between two snapshots yields clamped (never negative) deltas
-        instead of nonsense differences.
-        """
-        with self._lock:
-            self._epoch += 1
-        self.counter(
-            "repro.obs.source_resets",
-            "times an absorbed stat source was reset mid-flight",
-        ).inc()
-
     # -- snapshot / delta / exposition ----------------------------------------
 
-    def _read_sources(self) -> list[tuple[str, Mapping]]:
-        """Every absorbed source's current value, read live.
-
-        A raising source (a closed service, say) is skipped — one broken
-        source must not blank the snapshot — but never silently: each
-        failure bumps ``repro.obs.source_errors`` and drops an
-        ``obs.source_error`` instant naming the source and the exception.
-        """
+    def _instruments(self, prefix: str = "") -> list[Counter | Gauge | Histogram]:
         with self._lock:
-            sources = list(self._sources.items())
-        produced = []
-        for name, fn in sources:
-            try:
-                produced.append((name, fn()))
-            except Exception as exc:  # noqa: BLE001 - isolate the source; counted, see docstring
-                self.counter(
-                    "repro.obs.source_errors", "absorbed stat sources that raised when read"
-                ).inc()
-                instant("obs.source_error", "obs", source=name, error=type(exc).__name__)
-        return produced
+            return [metric for name, metric in self._metrics.items() if name.startswith(prefix)]
 
-    def snapshot(self) -> dict[str, float]:
-        """A flat ``{dotted_name: value}`` view of every metric and source."""
-        # sources first: a failure they count lands in this same snapshot
-        produced = self._read_sources()
-        with self._lock:
-            metrics = list(self._metrics.values())
-            epoch = self._epoch
-        out: dict[str, float] = {"__epoch__": float(epoch)}
-        for metric in metrics:
+    def snapshot(self, prefix: str = "") -> dict[str, float]:
+        """A flat ``{dotted_name: value}`` view of every metric named ``prefix...``."""
+        out: dict[str, float] = {}
+        for metric in self._instruments(prefix):
             out.update(metric.collect())
-        for name, value in produced:
-            _flatten(name, value, out)
         return out
 
     @staticmethod
     def delta(before: Mapping[str, float], after: Mapping[str, float]) -> dict[str, float]:
-        """Per-key increments between two snapshots, clamped at zero.
+        """Per-key change between two snapshots (``after - before``).
 
-        When the epoch advanced between the snapshots (a source was reset
-        through :meth:`on_reset`) the ``before`` values are stale baselines
-        of zeroed counters, so each key's delta falls back to its ``after``
-        value — the exact count since the reset — rather than going
-        negative.  Keys that appear only in ``after`` count from zero.
+        Counters never reset, so a counter's delta is its exact count over the
+        window; a gauge's may be negative (the memo table shrinks when it is
+        cleared).  Keys that appear only in ``after`` count from zero.
         """
-        reset_between = after.get("__epoch__", 0.0) != before.get("__epoch__", 0.0)
-        out: dict[str, float] = {}
-        for key, after_value in after.items():
-            if key == "__epoch__":
-                continue
-            base = 0.0 if reset_between else float(before.get(key, 0.0))
-            out[key] = max(0.0, after_value - base)
-        return out
+        return {key: value - before.get(key, 0.0) for key, value in after.items()}
 
     def render_prometheus(self) -> str:
         """The registry as Prometheus text exposition (format version 0.0.4).
 
-        Owned counters and gauges expose their declared type; histograms
-        expose as summaries (``quantile`` labels plus ``_count``/``_sum``);
-        absorbed-source leaves expose as untyped gauges.
+        Counters and gauges expose their declared type; histograms expose as
+        summaries (``quantile`` labels plus ``_count``/``_sum``).
         """
         lines: list[str] = []
-        produced = self._read_sources()
-        with self._lock:
-            metrics = list(self._metrics.values())
-        for metric in metrics:
+        for metric in self._instruments():
             name = _prom_name(metric.name)
             if metric.help:
                 lines.append(f"# HELP {name} {metric.help}")
@@ -354,35 +258,11 @@ class MetricsRegistry:
             else:
                 lines.append(f"# TYPE {name} {metric.kind}")
                 lines.append(f"{name} {metric.value:g}")
-        for source, value in produced:
-            flat: dict[str, float] = {}
-            _flatten(source, value, flat)
-            for key in sorted(flat):
-                lines.append(f"# TYPE {_prom_name(key)} gauge")
-                lines.append(f"{_prom_name(key)} {flat[key]:g}")
         return "\n".join(lines) + "\n"
-
-    def clear(self) -> None:
-        """Drop every owned metric and absorbed source (test isolation)."""
-        with self._lock:
-            self._metrics.clear()
-            self._sources.clear()
-            self._epoch = 0
-
-
-def _default_registry() -> MetricsRegistry:
-    registry = MetricsRegistry()
-    # the symbolic engine's global cache counters are the first absorbed
-    # source: every snapshot shows simplify/fixpoint/proof/range/print
-    # hit/miss counts without the callers touching CACHE_STATS directly
-    from ..symbolic.stats import cache_statistics
-
-    registry.register_source("repro.symbolic.cache", cache_statistics)
-    return registry
 
 
 #: the process-wide registry every instrumentation point records into
-REGISTRY = _default_registry()
+REGISTRY = MetricsRegistry()
 
 
 def counter(name: str, help: str = "") -> Counter:

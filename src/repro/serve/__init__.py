@@ -37,7 +37,7 @@ from .admission import (
     Rejected,
 )
 from .farm import CompileFarm, FarmCompileError
-from .metrics import FarmStats, LaneStats, LatencyRecorder, ServiceStats
+from .metrics import FarmStats, LaneStats, ServiceStats
 from .service import (
     CompileRequest,
     CompileService,
@@ -70,7 +70,6 @@ __all__ = [
     "LANE_INTERACTIVE",
     "LANE_SWEEP",
     "LaneStats",
-    "LatencyRecorder",
     "PersistedKernel",
     "Rejected",
     "ServiceStats",

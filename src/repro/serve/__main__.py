@@ -26,9 +26,10 @@ trace-seconds in, exercising the restart/re-drive path mid-burst.  The
 report's ``trace`` block is a pure function of the seed — identical between
 ``--workers 1`` and ``--workers 4``.
 
-With ``--metrics`` the replay also prints the unified registry
-(:data:`repro.obs.REGISTRY` — service stats plus the symbolic cache
-counters) in Prometheus text exposition; set ``REPRO_TRACE=1`` (or pass
+With ``--metrics`` the replay also prints the process registry
+(:data:`repro.obs.REGISTRY` — the symbolic cache, proof and farm-event
+counters; the service's own ledger is the report's ``stats`` / ``farm``
+block) in Prometheus text exposition; set ``REPRO_TRACE=1`` (or pass
 ``--trace PATH``) to export the replay as Chrome trace-event JSON.
 """
 
@@ -152,25 +153,21 @@ def run_replay(args: argparse.Namespace) -> dict:
         cache=ShardedLRUCache(shards=args.shards, capacity_per_shard=max(64, distinct)),
         store=args.store,
     ) as service:
-        source = service.register_metrics()
-        try:
-            with span("serve.replay", "serve", requests=len(requests),
-                      passes=max(1, args.passes), workers=args.workers):
-                for index in range(max(1, args.passes)):
-                    with span("serve.pass", "serve", index=index + 1):
-                        started = time.perf_counter()
-                        service.submit_batch(requests)
-                        elapsed = time.perf_counter() - started
-                    report["passes"].append({
-                        "pass": index + 1,
-                        "wall_seconds": elapsed,
-                        "requests_per_second": len(requests) / elapsed if elapsed > 0 else float("inf"),
-                    })
-                service.flush()
-            report["stats"] = service.stats().as_dict()
-            report["metrics"] = REGISTRY.snapshot()
-        finally:
-            REGISTRY.unregister_source(source)
+        with span("serve.replay", "serve", requests=len(requests),
+                  passes=max(1, args.passes), workers=args.workers):
+            for index in range(max(1, args.passes)):
+                with span("serve.pass", "serve", index=index + 1):
+                    started = time.perf_counter()
+                    service.submit_batch(requests)
+                    elapsed = time.perf_counter() - started
+                report["passes"].append({
+                    "pass": index + 1,
+                    "wall_seconds": elapsed,
+                    "requests_per_second": len(requests) / elapsed if elapsed > 0 else float("inf"),
+                })
+            service.flush()
+        report["stats"] = service.stats().as_dict()
+        report["metrics"] = REGISTRY.snapshot()
     return report
 
 
@@ -204,36 +201,32 @@ def run_farm_replay(args: argparse.Namespace) -> dict:
     limits = {LANE_INTERACTIVE: args.limit_interactive, LANE_SWEEP: args.limit_sweep}
     with CompileFarm(workers=args.workers, store=args.store,
                      admission=limits) as farm:
-        source = farm.register_metrics()
-        try:
-            with span("serve.farm_replay", "serve", requests=len(trace),
-                      workers=args.workers):
-                started = time.perf_counter()
-                futures = []
-                killed_pid = None
-                for timed in trace:
-                    if args.speed > 0:
-                        lag = timed.at / args.speed - (time.perf_counter() - started)
-                        if lag > 0:
-                            time.sleep(lag)
-                    if (args.kill_worker_at is not None and killed_pid is None
-                            and timed.at >= args.kill_worker_at):
-                        killed_pid = farm.kill_worker(0)
-                    futures.append(farm.submit(timed.request, lane=timed.lane))
-                outcomes = [f.result(timeout=300.0) for f in futures]
-                elapsed = time.perf_counter() - started
-            shed = sum(1 for o in outcomes if isinstance(o, Rejected))
-            report["replay"] = {
-                "wall_seconds": elapsed,
-                "requests_per_second": len(trace) / elapsed if elapsed > 0 else float("inf"),
-                "shed": shed,
-                "served": len(outcomes) - shed,
-                "killed_pid": killed_pid,
-            }
-            report["farm"] = farm.stats().as_dict()
-            report["metrics"] = REGISTRY.snapshot()
-        finally:
-            REGISTRY.unregister_source(source)
+        with span("serve.farm_replay", "serve", requests=len(trace),
+                  workers=args.workers):
+            started = time.perf_counter()
+            futures = []
+            killed_pid = None
+            for timed in trace:
+                if args.speed > 0:
+                    lag = timed.at / args.speed - (time.perf_counter() - started)
+                    if lag > 0:
+                        time.sleep(lag)
+                if (args.kill_worker_at is not None and killed_pid is None
+                        and timed.at >= args.kill_worker_at):
+                    killed_pid = farm.kill_worker(0)
+                futures.append(farm.submit(timed.request, lane=timed.lane))
+            outcomes = [f.result(timeout=300.0) for f in futures]
+            elapsed = time.perf_counter() - started
+        shed = sum(1 for o in outcomes if isinstance(o, Rejected))
+        report["replay"] = {
+            "wall_seconds": elapsed,
+            "requests_per_second": len(trace) / elapsed if elapsed > 0 else float("inf"),
+            "shed": shed,
+            "served": len(outcomes) - shed,
+            "killed_pid": killed_pid,
+        }
+        report["farm"] = farm.stats().as_dict()
+        report["metrics"] = REGISTRY.snapshot()
     return report
 
 

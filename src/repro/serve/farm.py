@@ -148,7 +148,6 @@ class CompileFarm(CompileService):
     # rides the sweep lane
     _WARM_LANE = LANE_SWEEP
     _BATCH_SUBMIT = {"lane": _WARM_LANE}
-    _METRICS_NAME = "repro.farm"
 
     def __init__(
         self,

@@ -1,11 +1,13 @@
 """Serving observability: the per-lane request ledger and its snapshot views.
 
 Every submission is counted on one :class:`LaneLedger` and resolves through
-exactly one outcome on it; each records one latency sample (cache hits
-included — a hit's microseconds are part of the distribution a traffic
-replay should see) into a bounded reservoir.  :class:`ServiceStats` (the
-in-process service, one lane) and :class:`LaneStats` (one farm lane, inside
-:class:`FarmStats`) are two named, immutable views of that same ledger:
+exactly one outcome on it; each records one latency sample in seconds (cache
+hits included — a hit's microseconds are part of the distribution a traffic
+replay should see) into the ledger's bounded
+:class:`~repro.obs.metrics.Histogram`, which :meth:`LaneLedger.read` reports in
+milliseconds.  :class:`ServiceStats` (the in-process service, one lane) and
+:class:`LaneStats` (one farm lane, inside :class:`FarmStats`) are two named,
+immutable views of that same ledger:
 ``deduped`` is ``coalesced``, ``persistent_hits`` is ``store_hits``,
 ``completed`` is ``resolved``.  Their counter invariants are exact at
 quiescence (see :meth:`repro.serve.CompileService.stats` for what a
@@ -18,40 +20,7 @@ from dataclasses import dataclass, field, fields
 
 from ..obs.metrics import Histogram
 
-__all__ = ["FarmStats", "LaneLedger", "LaneStats", "LatencyRecorder", "ServiceStats"]
-
-
-class LatencyRecorder:
-    """Per-request latencies: a millisecond view over one :class:`Histogram`.
-
-    The reservoir (most recent ``max_samples`` values backing the
-    percentiles, exact running count/sum so the mean never loses precision
-    to eviction) is :class:`repro.obs.metrics.Histogram`; this class only
-    records seconds into it and reports milliseconds out of it.
-    """
-
-    def __init__(self, max_samples: int = 10_000):
-        self._histogram = Histogram("latency", max_samples=max_samples)
-
-    def record(self, seconds: float) -> None:
-        self._histogram.observe(seconds)
-
-    @property
-    def count(self) -> int:
-        return self._histogram.count
-
-    def snapshot(self) -> dict:
-        """Consistent ``{count, mean_ms, p50/p95/p99/p999_ms, max_ms}`` view.
-
-        ``p999_ms`` is the farm's SLO percentile: over a bounded reservoir it
-        is exact for replay windows up to ``max_samples`` requests, which is
-        why the burst benchmark sizes its trace under the reservoir.
-        """
-        stats = self._histogram.collect()
-        snapshot = {"count": int(stats["latency.count"])}
-        for name in ("mean", "p50", "p95", "p99", "p999", "max"):
-            snapshot[f"{name}_ms"] = stats[f"latency.{name}"] * 1e3
-        return snapshot
+__all__ = ["FarmStats", "LaneLedger", "LaneStats", "ServiceStats"]
 
 
 class LaneLedger:
@@ -70,14 +39,24 @@ class LaneLedger:
     def __init__(self, max_samples: int):
         self.submitted = 0
         self.outcomes = dict.fromkeys(self.OUTCOMES, 0)
-        self.latency = LatencyRecorder(max_samples)
+        self.latency = Histogram("latency", max_samples=max_samples)
 
     def settle(self, outcome: str, seconds: float) -> None:
         self.outcomes[outcome] += 1
-        self.latency.record(seconds)
+        self.latency.observe(seconds)
 
     def read(self) -> dict:
-        """The ledger under :class:`LaneStats`' field names."""
+        """The ledger under :class:`LaneStats`' field names.
+
+        ``latency`` is ``{count, mean_ms, p50/p95/p99/p999_ms, max_ms}``.
+        ``p999_ms`` is the farm's SLO percentile: over the bounded reservoir
+        it is exact for replay windows up to ``max_samples`` requests, which is
+        why the burst benchmark sizes its trace under the reservoir.
+        """
+        collected = self.latency.collect()
+        latency = {"count": int(collected["latency.count"])}
+        for name in ("mean", "p50", "p95", "p99", "p999", "max"):
+            latency[f"{name}_ms"] = collected[f"latency.{name}"] * 1e3
         outcomes = self.outcomes
         return {
             "submitted": self.submitted,
@@ -88,7 +67,7 @@ class LaneLedger:
             "compiled": outcomes["compiled"],
             "store_hits": outcomes["store_hit"],
             "dedup_waits": outcomes["dedup_wait"],
-            "latency": self.latency.snapshot(),
+            "latency": latency,
         }
 
 

@@ -378,8 +378,6 @@ class CompileService:
     _WARM_LANE = _LANE
     #: ``submit`` keywords a batch uses unless its caller names others
     _BATCH_SUBMIT: Mapping = {}
-    #: default :meth:`register_metrics` source name
-    _METRICS_NAME = "repro.serve"
 
     def __init__(
         self,
@@ -635,24 +633,6 @@ class CompileService:
             latency=ledger["latency"],
             shards=tuple(cache_stats["per_shard"]),
         )
-
-    def register_metrics(self, name: str = "", registry=None) -> str:
-        """Absorb :meth:`stats` into an observability registry.
-
-        Registers the stats' JSON form as a live source on the
-        :data:`repro.obs.REGISTRY` (or ``registry``): every snapshot and the
-        Prometheus exposition then carry the hit rates, latency percentiles
-        and queue depths under ``<name>.*`` keys (default ``repro.serve``;
-        ``repro.farm`` for a farm).  Returns the source name so callers can
-        ``unregister_source`` it when the service's lifetime is shorter than
-        the process's.
-        """
-        from ..obs.metrics import REGISTRY
-
-        name = name or self._METRICS_NAME
-        target = registry if registry is not None else REGISTRY
-        target.register_source(name, lambda: self.stats().as_dict())
-        return name
 
     def flush(self) -> None:
         """Persist the durable tier (atomic).  A no-op without a store, or

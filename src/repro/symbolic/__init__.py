@@ -19,8 +19,9 @@ Public surface of the engine used throughout the LEGO reproduction:
   :class:`MLIRArithPrinter`;
 * caching — expressions are hash-consed (interned), derived answers live in
   one table keyed by (expression, fact set) (:func:`clear_memos` empties it),
-  :func:`cache_statistics` reports hit rates of the rewrite/proof/range/print
-  memo layers and :data:`RULE_REGISTRY` lists the Table II rules as data.
+  :func:`cache_statistics` snapshots the registry counters of the
+  rewrite/proof/range/print memo layers and :data:`RULE_REGISTRY` lists the
+  Table II rules as data.
 """
 
 from .expr import (
@@ -43,7 +44,7 @@ from .expr import (
     symbols,
 )
 from .ranges import Interval, affine_strides, is_mixed_radix_bijection
-from .stats import CACHE_STATS, CacheCounters, cache_statistics, reset_cache_statistics
+from .stats import CACHE_PREFIX, cache_statistics
 from .memo import clear_memos
 from .symranges import SymInterval, SymbolicEnv, constant_interval
 from .prover import (
@@ -110,11 +111,9 @@ __all__ = [
     "RewriteRule",
     "RULE_REGISTRY",
     "rules_for",
-    "CACHE_STATS",
-    "CacheCounters",
+    "CACHE_PREFIX",
     "cache_statistics",
     "clear_memos",
-    "reset_cache_statistics",
     "intern_table_size",
     "CostWeights",
     "choose_cheapest",

@@ -124,10 +124,11 @@ def bench_guard_elimination() -> dict:
 def _ladder_counts() -> dict[str, int]:
     """The prover's per-stage discharge counters, zeros included."""
     from .prover import LADDER_STAGES
-    from .stats import CACHE_STATS
+    from .stats import CACHE_PREFIX, cache_statistics
 
-    counts = CACHE_STATS.rule_applications
-    return {stage: counts.get("ladder:" + stage, 0) for stage in LADDER_STAGES}
+    counts = cache_statistics()
+    return {stage: int(counts[f"{CACHE_PREFIX}rule_applications.ladder:{stage}"])
+            for stage in LADDER_STAGES}
 
 
 def run() -> dict:

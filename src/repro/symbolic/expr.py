@@ -54,7 +54,9 @@ import threading
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
+from ..obs.metrics import REGISTRY
 from .memo import MEMO, memo_put
+from .stats import CACHE_PREFIX
 
 __all__ = [
     "Expr",
@@ -110,6 +112,9 @@ def _intern_lock(key: tuple) -> threading.Lock:
 def intern_table_size() -> int:
     """Number of live interned expression nodes (cache-statistics hook)."""
     return len(_INTERN)
+
+
+REGISTRY.gauge(CACHE_PREFIX + "interned_nodes", fn=intern_table_size)
 
 
 def _finalize(obj: "Expr", ekey: tuple) -> "Expr":

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 
-from .stats import CACHE_STATS
+from ..obs.metrics import REGISTRY
+from .stats import CACHE_PREFIX, MEMO_RESETS
 
 __all__ = ["MEMO", "MEMO_CAP", "FACT_TOKENS", "NO_FACTS", "intern_facts", "memo_put", "clear_memos"]
 
@@ -48,6 +49,9 @@ NO_FACTS = 0
 #: different fact set minted after it.
 FACT_TOKENS: dict[tuple, int] = {}
 _NEXT_TOKEN = itertools.count(NO_FACTS + 1)
+
+REGISTRY.gauge(CACHE_PREFIX + "memo_entries", fn=lambda: len(MEMO))
+REGISTRY.gauge(CACHE_PREFIX + "fact_tokens", fn=lambda: len(FACT_TOKENS))
 
 
 def intern_facts(facts: tuple) -> int:
@@ -76,4 +80,4 @@ def clear_memos() -> None:
     """
     MEMO.clear()
     FACT_TOKENS.clear()
-    CACHE_STATS.memo_resets += 1
+    MEMO_RESETS.inc()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .stats import CACHE_STATS
+from .stats import PRINT_HITS, PRINT_MISSES
 
 from .expr import (
     Add,
@@ -82,10 +82,10 @@ class PythonPrinter:
         key = (expr._id, parent_prec)
         cached = self._memo.get(key)
         if cached is not None:
-            CACHE_STATS.print_hits += 1
+            PRINT_HITS.inc()
             return cached
         text = self._print_uncached(expr, parent_prec)
-        CACHE_STATS.print_misses += 1
+        PRINT_MISSES.inc()
         self._memo[key] = text
         return text
 
@@ -241,10 +241,10 @@ class MLIRArithPrinter:
     def _lower(self, expr: Expr) -> str:
         cached = self._cache.get(expr._id)
         if cached is not None:
-            CACHE_STATS.print_hits += 1
+            PRINT_HITS.inc()
             return cached
         name = self._lower_uncached(expr)
-        CACHE_STATS.print_misses += 1
+        PRINT_MISSES.inc()
         self._cache[expr._id] = name
         return name
 

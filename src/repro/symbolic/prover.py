@@ -30,7 +30,8 @@ ladder (:func:`_ladder_nonneg`): refute first, then four proving stages
    layouts need it).
 
 Which outcome each obligation met — ``refuted``, a stage, or ``abstain`` — is
-counted once in ``CACHE_STATS.rule_applications`` under ``ladder:<outcome>``.
+counted once, on the registry counter
+``repro.symbolic.cache.rule_applications.ladder:<outcome>``.
 :func:`brute_force_check` enumerates small concrete domains and is the test
 suite's oracle that the symbolic reasoning is sound.
 
@@ -69,7 +70,7 @@ from .expr import (
     as_expr,
 )
 from .memo import MEMO, memo_put
-from .stats import CACHE_STATS
+from .stats import PROOF_HITS, PROOF_MISSES, rule_counter
 from .symranges import SymbolicEnv
 
 __all__ = [
@@ -136,10 +137,10 @@ def _memoised(tag: str, on_const: Callable[[int], bool]):
             key = (tag, expr._id, env.fact_token)
             hit = MEMO.get(key)
             if hit is not None:
-                CACHE_STATS.proof_hits += 1
+                PROOF_HITS.inc()
                 return hit
             result = impl(expr, env)
-            CACHE_STATS.proof_misses += 1
+            PROOF_MISSES.inc()
             memo_put(key, result)
             return result
 
@@ -238,9 +239,10 @@ def is_positive(expr: Expr, env: SymbolicEnv) -> bool:
 
 
 #: the ladder's outcomes, in order; each miss of :func:`_ladder_nonneg` bumps
-#: ``CACHE_STATS.rule_applications["ladder:<outcome>"]`` exactly once (as does
-#: a refutation made above it, by :func:`prove_le` or a rewrite rule)
+#: the outcome's counter in :data:`_LADDER_COUNTERS` exactly once (as does a
+#: refutation made above it, by :func:`prove_le` or a rewrite rule)
 LADDER_STAGES = ("refuted", "structure", "range", "expand", "facts", "abstain")
+_LADDER_COUNTERS = {stage: rule_counter("ladder:" + stage) for stage in LADDER_STAGES}
 
 _ZERO = Const(0)
 
@@ -256,7 +258,7 @@ def refuted(lhs: Expr, rhs: Expr, env: SymbolicEnv, gap: int = 0) -> bool:
     for point in env.witnesses():
         try:
             if lhs.evaluate(point) + gap > rhs.evaluate(point):
-                CACHE_STATS.count_rule("ladder:refuted")
+                _LADDER_COUNTERS["refuted"].inc()
                 return True
         except (KeyError, ZeroDivisionError):
             continue
@@ -298,7 +300,7 @@ def _ladder_stages(expr: Expr, env: SymbolicEnv) -> bool:
         else:
             stage = "abstain"
             _record_query("abstain", lambda: f"0 <= {expr}", False)
-    CACHE_STATS.count_rule("ladder:" + stage)
+    _LADDER_COUNTERS[stage].inc()
     return stage != "abstain"
 
 
@@ -329,10 +331,10 @@ def prove_le(lhs: ExprLike, rhs: ExprLike, env: SymbolicEnv) -> bool:
     key = ("le", lhs._id, rhs._id, env.fact_token)
     hit = MEMO.get(key)
     if hit is not None:
-        CACHE_STATS.proof_hits += 1
+        PROOF_HITS.inc()
         return _record_query("le", lambda: f"{lhs} <= {rhs}", hit)
     result = not refuted(lhs, rhs, env) and _prove_le_impl(lhs, rhs, env)
-    CACHE_STATS.proof_misses += 1
+    PROOF_MISSES.inc()
     memo_put(key, result)
     return _record_query("le", lambda: f"{lhs} <= {rhs}", result)
 

@@ -46,9 +46,10 @@ with the lower operation count (Section IV-A's cost model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..obs.metrics import Counter
 from .expr import (
     Add,
     BoolAnd,
@@ -68,7 +69,13 @@ from .expr import (
 )
 from .memo import MEMO, NO_FACTS, memo_put
 from .prover import is_nonzero, is_positive, prove_le, prove_lt, prove_nonneg, refuted
-from .stats import CACHE_STATS
+from .stats import (
+    FIXPOINT_HITS,
+    FIXPOINT_MISSES,
+    SIMPLIFY_HITS,
+    SIMPLIFY_MISSES,
+    rule_counter,
+)
 from .symranges import SymbolicEnv, constant_interval
 
 __all__ = [
@@ -103,6 +110,11 @@ class RewriteRule:
     node_type: type
     description: str
     fn: Callable[[Expr, SymbolicEnv, "_Rewriter"], Optional[Expr]]
+    #: this rule's application counter (held, so an application is one increment)
+    counter: Counter = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "counter", rule_counter(self.name))
 
 
 #: all rules, in registration (= application) order
@@ -155,7 +167,7 @@ class _Rewriter:
         key = ("simplify", expr._id, self._token)
         cached = MEMO.get(key)
         if cached is not None:
-            CACHE_STATS.simplify_hits += 1
+            SIMPLIFY_HITS.inc()
             return cached
         if depth > _MAX_DEPTH:
             self._cutoff_hit = True
@@ -167,7 +179,7 @@ class _Rewriter:
         subtree_clean = not self._cutoff_hit
         self._cutoff_hit = self._cutoff_hit or outer_cutoff
         if subtree_clean:
-            CACHE_STATS.simplify_misses += 1
+            SIMPLIFY_MISSES.inc()
             memo_put(key, result)
         return result
 
@@ -188,7 +200,7 @@ class _Rewriter:
             for rule in rules:
                 out = rule.fn(expr, self.env, self)
                 if out is not None and out is not expr:
-                    CACHE_STATS.count_rule(rule.name)
+                    rule.counter.inc()
                     expr = out
                     break
             else:
@@ -216,9 +228,9 @@ def simplify_fixpoint(expr: ExprLike, env: SymbolicEnv | None = None) -> Expr:
     token = env.fact_token
     cached = MEMO.get(("fixpoint", expr._id, token))
     if cached is not None:
-        CACHE_STATS.fixpoint_hits += 1
+        FIXPOINT_HITS.inc()
         return cached
-    CACHE_STATS.fixpoint_misses += 1
+    FIXPOINT_MISSES.inc()
     chain = [expr]
     current = expr
     converged = False

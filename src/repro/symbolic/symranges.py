@@ -46,7 +46,7 @@ from .expr import (
 )
 from .memo import MEMO, intern_facts, memo_put
 from .ranges import Interval
-from .stats import CACHE_STATS
+from .stats import RANGE_HITS, RANGE_MISSES, rule_counter
 
 __all__ = ["SymInterval", "SymbolicEnv", "constant_interval"]
 
@@ -126,6 +126,9 @@ class SymInterval:
 #: this many draws; an unbounded range end is drawn within this span of the
 #: other (small sizes are what make ``x < BN``-shaped obligations fail)
 _WITNESS_COUNT, _WITNESS_ATTEMPTS, _WITNESS_SPAN = 6, 24, 6
+
+#: environments whose draws found no witness at all
+_NO_WITNESS = rule_counter("witness:none")
 
 
 class SymbolicEnv:
@@ -349,7 +352,7 @@ class SymbolicEnv:
                     if len(found) == _WITNESS_COUNT:
                         break
             if not found:
-                CACHE_STATS.count_rule("witness:none")
+                _NO_WITNESS.inc()
             points = self._witnesses = tuple(found)
         return points
 
@@ -422,7 +425,7 @@ class SymbolicEnv:
         key = ("range", expr._id, self.fact_token)
         cached = MEMO.get(key)
         if cached is not None:
-            CACHE_STATS.range_hits += 1
+            RANGE_HITS.inc()
             return cached
         cutoffs_before = self._range_cutoff_events
         result = self._range_of_dispatch(expr, _depth)
@@ -431,7 +434,7 @@ class SymbolicEnv:
             if lo is None or (isinstance(lo, Const) and lo.value < 1):
                 result = SymInterval(Const(1), result.hi)
         if self._range_cutoff_events == cutoffs_before:
-            CACHE_STATS.range_misses += 1
+            RANGE_MISSES.inc()
             memo_put(key, result)
         return result
 

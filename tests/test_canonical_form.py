@@ -254,11 +254,11 @@ def test_the_text_family_never_serves_a_printer_with_substitutions():
 
 def test_goldens_are_byte_identical_under_a_tiny_memo_cap(monkeypatch):
     """A cap flush in the middle of a constructor loses entries, never answers."""
-    from repro.symbolic import cache_statistics
+    from repro.symbolic import CACHE_PREFIX, cache_statistics
 
     monkeypatch.setattr(memo_module, "MEMO_CAP", 64)
-    resets = cache_statistics()["memo_resets"]
+    resets = cache_statistics()[CACHE_PREFIX + "memo_resets"]
     artifacts = build_artifacts()
-    assert cache_statistics()["memo_resets"] - resets > 20
+    assert cache_statistics()[CACHE_PREFIX + "memo_resets"] - resets > 20
     for path in golden_kernel_paths():
         assert artifacts[path.name] == path.read_text(), path.name

@@ -594,21 +594,37 @@ def test_farm_replay_summary_identical_across_worker_counts(tmp_path, capsys):
 # -- observability ------------------------------------------------------------------
 
 
-def test_farm_registers_metrics_and_counts_events():
+def test_farm_counts_shed_events():
     from repro.obs import REGISTRY
 
     requests = _small_trace(12, duplicate_fraction=0.0, seed=43)
+    before = REGISTRY.snapshot("repro.farm.")
     with CompileFarm(workers=1, admission={LANE_SWEEP: 1}) as farm:
-        source = farm.register_metrics()
-        try:
-            futures = [farm.submit(r, lane=LANE_SWEEP) for r in requests]
-            for f in futures:
-                f.result(timeout=120)
-            snapshot = REGISTRY.snapshot()
-        finally:
-            REGISTRY.unregister_source(source)
-    assert snapshot[f"{source}.submitted"] == len(requests)
-    assert snapshot[f"{source}.lost"] == 0
-    sheds = snapshot[f"{source}.shed"]
-    assert sheds > 0
-    assert snapshot.get("repro.farm.sheds", 0.0) >= sheds
+        futures = [farm.submit(r, lane=LANE_SWEEP) for r in requests]
+        for f in futures:
+            f.result(timeout=120)
+        stats = farm.stats()
+    events = REGISTRY.delta(before, REGISTRY.snapshot("repro.farm."))
+    assert stats.submitted == len(requests)
+    assert stats.lost == 0
+    assert stats.shed > 0
+    assert events["repro.farm.sheds"] == stats.shed
+
+
+def test_cli_farm_metrics_expose_each_family_once(capsys):
+    """The farm's ledger is the report's ``farm`` block; the exposition is the
+    process registry, where every family is declared once."""
+    report = serve_main([
+        "--farm", "--workers", "1", "--speed", "0", "--kill-worker-at", "0",
+        "--apps", "matmul,lud", "--unique", "6", "--seed", "41",
+        "--phases", "steady:0.2:60:0.9", "--metrics",
+    ])
+    from repro.obs.metrics import _prom_name
+
+    printed = capsys.readouterr().out
+    assert report["farm"]["restarts"] >= 1
+    declared = [line.split()[2] for line in printed.splitlines() if line.startswith("# TYPE ")]
+    assert "repro_farm_restarts" in declared
+    assert len(declared) == len(set(declared)), sorted(declared)
+    # the report's snapshot is the same registry: no ledger key, no epoch
+    assert {_prom_name(key) for key in report["metrics"]} <= set(declared)

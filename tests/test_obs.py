@@ -4,10 +4,11 @@ Covers the ISSUE-8 satellite contracts explicitly:
 
 * the shared ceil-based nearest-rank percentile (one implementation, both
   call sites pinned),
-* :class:`~repro.serve.metrics.LatencyRecorder` under concurrent
-  ``record()`` — exact count/total at quiescence, reservoir eviction order,
-* :class:`~repro.symbolic.stats.CacheCounters` snapshot/delta round-trips,
-  including a reset between the snapshots (negative deltas are impossible),
+* :class:`~repro.obs.metrics.Histogram` under concurrent ``observe()`` —
+  exact count/total at quiescence, reservoir eviction order — and the serve
+  ledger's millisecond view of it,
+* registry deltas (``after - before``: counters never reset) and the keys
+  the measured ladder reads,
 * span-tree reconstruction, per-stage attribution and the Chrome trace-event
   schema validator the ``obs-smoke`` CI job runs.
 """
@@ -50,30 +51,30 @@ def test_percentile_nearest_rank_semantics():
 
 
 def test_percentile_is_the_single_shared_implementation():
-    """The serve recorder is a millisecond view over the one obs reservoir."""
+    """The serve ledger's latency is the one obs reservoir, read in milliseconds."""
     from repro.obs.metrics import Histogram
-    from repro.serve.metrics import LatencyRecorder
+    from repro.serve.metrics import LaneLedger
 
-    recorder, histogram = LatencyRecorder(), Histogram("latency")
-    assert isinstance(recorder._histogram, Histogram)
+    ledger, histogram = LaneLedger(10_000), Histogram("latency")
+    assert isinstance(ledger.latency, Histogram)
     for ms in (5, 1, 4, 2, 3):
-        recorder.record(ms / 1e3)
+        ledger.settle("compiled", ms / 1e3)
         histogram.observe(ms / 1e3)
-    snap, collected = recorder.snapshot(), histogram.collect()
+    snap, collected = ledger.read()["latency"], histogram.collect()
     assert set(snap) == {"count", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "p999_ms", "max_ms"}
     for name in ("mean", "p50", "p95", "p99", "p999", "max"):
         assert snap[f"{name}_ms"] == collected[f"latency.{name}"] * 1e3
     assert collected["latency.p999"] == percentile([0.001, 0.002, 0.003, 0.004, 0.005], 0.999)
 
 
-def test_latency_recorder_percentiles_pinned():
+def test_ledger_latency_percentiles_pinned():
     """The p50/p95/p99 regression behaviour the serve side always had."""
-    from repro.serve.metrics import LatencyRecorder
+    from repro.serve.metrics import LaneLedger
 
-    recorder = LatencyRecorder()
+    ledger = LaneLedger(10_000)
     for ms in range(1, 101):
-        recorder.record(ms / 1e3)
-    snap = recorder.snapshot()
+        ledger.settle("memory_hit", ms / 1e3)
+    snap = ledger.read()["latency"]
     assert snap["count"] == 100
     assert snap["p50_ms"] == pytest.approx(50.0)
     assert snap["p95_ms"] == pytest.approx(95.0)
@@ -81,111 +82,141 @@ def test_latency_recorder_percentiles_pinned():
     assert snap["max_ms"] == pytest.approx(100.0)
 
 
-# -- LatencyRecorder under concurrency (satellite 3) --------------------------------
+# -- Histogram under concurrency ----------------------------------------------------
 
 
-def test_latency_recorder_concurrent_record_exact_at_quiescence():
-    from repro.serve.metrics import LatencyRecorder
+def test_histogram_concurrent_observe_exact_at_quiescence():
+    from repro.obs.metrics import Histogram
 
-    recorder = LatencyRecorder(max_samples=50_000)
+    histogram = Histogram("latency", max_samples=50_000)
     threads, per_thread = 8, 2_000
     barrier = threading.Barrier(threads)
 
     def hammer():
         barrier.wait()
         for _ in range(per_thread):
-            recorder.record(0.001)
+            histogram.observe(0.001)
 
     workers = [threading.Thread(target=hammer) for _ in range(threads)]
     for w in workers:
         w.start()
     for w in workers:
         w.join()
-    snap = recorder.snapshot()
-    assert recorder.count == threads * per_thread
-    assert snap["count"] == threads * per_thread
+    snap = histogram.collect()
+    assert histogram.count == threads * per_thread
+    assert snap["latency.count"] == threads * per_thread
     # the running sum is exact: mean of identical samples is the sample
-    assert snap["mean_ms"] == pytest.approx(1.0)
+    assert snap["latency.mean"] == pytest.approx(0.001)
 
 
-def test_latency_recorder_reservoir_evicts_oldest_first():
-    from repro.serve.metrics import LatencyRecorder
+def test_histogram_reservoir_evicts_oldest_first():
+    from repro.obs.metrics import Histogram
 
-    recorder = LatencyRecorder(max_samples=10)
+    histogram = Histogram("latency", max_samples=10)
     for value in range(25):
-        recorder.record(float(value))
+        histogram.observe(float(value))
     # the reservoir keeps exactly the 10 most recent samples (15..24) while
     # count/total still cover all 25
-    snap = recorder.snapshot()
-    assert snap["max_ms"] == pytest.approx(24.0 * 1e3)
-    assert snap["p999_ms"] == pytest.approx(24.0 * 1e3)
-    assert snap["count"] == 25
-    assert snap["mean_ms"] == pytest.approx(sum(range(25)) / 25 * 1e3)
-    assert snap["p50_ms"] == pytest.approx(19.0 * 1e3)
+    snap = histogram.collect()
+    assert snap["latency.max"] == 24.0
+    assert snap["latency.p999"] == 24.0
+    assert snap["latency.count"] == 25
+    assert snap["latency.mean"] == pytest.approx(sum(range(25)) / 25)
+    assert snap["latency.p50"] == 19.0
 
 
-def test_latency_recorder_rejects_nonpositive_bound():
-    from repro.serve.metrics import LatencyRecorder
+def test_histogram_rejects_nonpositive_bound():
+    from repro.obs.metrics import Histogram
 
     with pytest.raises(ValueError):
-        LatencyRecorder(max_samples=0)
+        Histogram("latency", max_samples=0)
 
 
-# -- CacheCounters snapshot/delta round-trips (satellites 3 + 6) --------------------
+# -- registry deltas ----------------------------------------------------------------
 
 
-def test_cache_counters_delta_roundtrip():
-    from repro.symbolic.stats import CacheCounters
-
-    counters = CacheCounters()
-    before = counters.snapshot()
-    counters.simplify_hits += 5
-    counters.simplify_misses += 1
-    counters.count_rule("mod_fold")
-    counters.count_rule("mod_fold")
-    after = counters.snapshot()
-    delta = CacheCounters.delta(before, after)
-    assert delta["simplify_hits"] == 5
-    assert delta["simplify_misses"] == 1
-    assert delta["simplify_hit_rate"] == pytest.approx(5 / 6)
-    assert delta["rule_applications"] == {"mod_fold": 2}
-    assert "epoch" not in delta
-
-
-def test_cache_counters_delta_never_negative_across_reset():
-    """A third-party snapshot holder survives a reset mid-window (satellite 6)."""
-    from repro.symbolic.stats import CacheCounters
-
-    counters = CacheCounters()
-    counters.simplify_hits = 100
-    counters.proof_misses = 40
-    counters.count_rule("add_fold")
-    before = counters.snapshot()
-    counters.reset()  # bumps the epoch
-    counters.simplify_hits = 3
-    after = counters.snapshot()
-    delta = CacheCounters.delta(before, after)
-    assert all(
-        value >= 0
-        for value in delta.values()
-        if isinstance(value, (int, float))
-    ), delta
-    # the delta is the exact count since the reset, not after-minus-stale
-    assert delta["simplify_hits"] == 3
-    assert delta["proof_misses"] == 0
-    assert delta["rule_applications"] == {}
+def test_registry_delta_is_after_minus_before():
+    """Counters never reset, so a delta is the exact count over the window;
+    a gauge's may be negative."""
+    registry = MetricsRegistry()
+    hits, misses = registry.counter("t.simplify_hits"), registry.counter("t.simplify_misses")
+    rule = registry.counter("t.rule_applications.mod_fold")
+    size = {"entries": 40}
+    registry.gauge("t.memo_entries", fn=lambda: size["entries"])
+    hits.inc(100)
+    before = registry.snapshot()
+    hits.inc(5)
+    misses.inc()
+    rule.inc()
+    rule.inc()
+    size["entries"] = 3  # the table was cleared mid-window
+    registry.counter("t.late").inc(4)
+    delta = MetricsRegistry.delta(before, registry.snapshot())
+    assert delta == {"t.simplify_hits": 5.0, "t.simplify_misses": 1.0,
+                     "t.rule_applications.mod_fold": 2.0, "t.memo_entries": -37.0,
+                     "t.late": 4.0}
 
 
-def test_reset_cache_statistics_routes_through_registry():
-    from repro.symbolic.stats import reset_cache_statistics
+def test_registry_snapshot_prefix_narrows_to_one_family():
+    registry = MetricsRegistry()
+    registry.counter("a.hits").inc()
+    registry.gauge("a.size", fn=lambda: 4)
+    registry.counter("b.hits").inc(2)
+    assert registry.snapshot("a.") == {"a.hits": 1.0, "a.size": 4.0}
+    assert set(registry.snapshot()) == {"a.hits", "a.size", "b.hits"}
 
-    before = REGISTRY.snapshot()
-    reset_cache_statistics()
-    after = REGISTRY.snapshot()
-    assert after["__epoch__"] > before["__epoch__"]
-    # registry-level deltas across the reset are clamped non-negative too
-    delta = MetricsRegistry.delta(before, after)
-    assert all(value >= 0 for value in delta.values())
+
+def test_counter_concurrent_inc_exact_at_quiescence():
+    """The symbolic cache counters are registry counters: exact under threads."""
+    import sys
+
+    counter = MetricsRegistry().counter("t.hits")
+    threads, per_thread = 8, 5_000
+    barrier = threading.Barrier(threads)
+
+    def hammer():
+        barrier.wait()
+        for _ in range(per_thread):
+            counter.inc()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often: an unlocked += would lose updates
+    try:
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert counter.value == threads * per_thread
+
+
+def test_rewrite_rule_holds_its_registry_counter():
+    from repro.symbolic import CACHE_PREFIX, SymbolicEnv, cache_statistics, simplify
+    from repro.symbolic.simplify import RULE_REGISTRY
+
+    (rule,) = [r for r in RULE_REGISTRY if r.name == "mod-range-identity"]
+    key = f"{CACHE_PREFIX}rule_applications.{rule.name}"
+    assert rule.counter is REGISTRY.counter(key)
+    env = SymbolicEnv()
+    i = env.declare_index("i", 8)
+    before = cache_statistics()
+    assert simplify(i % 8, env) == i
+    assert MetricsRegistry.delta(before, cache_statistics())[key] == 1.0
+
+
+def test_generation_report_hit_rate_from_hits_and_misses():
+    from repro.codegen import GenerationReport
+    from repro.symbolic import CACHE_PREFIX
+
+    report = GenerationReport("k", 0.0, 0, 0, cache_stats={
+        CACHE_PREFIX + "simplify_hits": 5.0, CACHE_PREFIX + "simplify_misses": 1.0,
+        CACHE_PREFIX + "proof_hits": 0.0, CACHE_PREFIX + "proof_misses": 0.0,
+    })
+    assert report.cache_hit_rate("simplify") == pytest.approx(5 / 6)
+    assert report.cache_hit_rate("proof") is None
 
 
 # -- tracer -------------------------------------------------------------------------
@@ -323,56 +354,6 @@ def test_registry_create_or_get_and_type_conflicts():
         backed.set(1.0)
 
 
-def test_registry_absorbs_live_sources_and_delta_clamps():
-    registry = MetricsRegistry()
-    state = {"hits": 10, "nested": {"misses": 2}}
-    registry.register_source("svc", lambda: state)
-    before = registry.snapshot()
-    assert before["svc.hits"] == 10.0
-    assert before["svc.nested.misses"] == 2.0
-    state["hits"] = 25  # sources are read live, never copied
-    after = registry.snapshot()
-    delta = MetricsRegistry.delta(before, after)
-    assert delta["svc.hits"] == 15.0
-    # a shrinking value (reset without epoch bump) clamps to zero
-    state["hits"] = 1
-    assert MetricsRegistry.delta(after, registry.snapshot())["svc.hits"] == 0.0
-    assert registry.unregister_source("svc")
-    assert "svc.hits" not in registry.snapshot()
-
-
-def test_registry_epoch_reset_semantics():
-    registry = MetricsRegistry()
-    counts = {"n": 100}
-    registry.register_source("src", lambda: counts)
-    before = registry.snapshot()
-    registry.on_reset("src")
-    counts["n"] = 5
-    after = registry.snapshot()
-    delta = MetricsRegistry.delta(before, after)
-    # after the reset the delta is the exact post-reset count, never -95
-    assert delta["src.n"] == 5.0
-    assert registry.snapshot()["repro.obs.source_resets"] == 1.0
-
-
-def test_registry_dead_source_skipped():
-    registry = MetricsRegistry()
-
-    def dead():
-        raise RuntimeError("service closed")
-
-    registry.register_source("healthy", lambda: {"hits": 3})
-    registry.counter("alive").inc()
-    assert registry.snapshot().get("repro.obs.source_errors", 0.0) == 0.0
-    registry.register_source("gone", dead)
-    snap = registry.snapshot()
-    assert snap["alive"] == 1.0 and snap["healthy.hits"] == 3.0
-    assert not any(key.startswith("gone") for key in snap)
-    assert snap["repro.obs.source_errors"] == 1.0, "a swallowed source failure left no trace"
-    text = registry.render_prometheus()  # the exposition isolates and counts too
-    assert "healthy_hits 3" in text and "repro_obs_source_errors 2" in text
-
-
 def test_prometheus_exposition():
     registry = MetricsRegistry()
     registry.counter("test.total", help="requests").inc(2)
@@ -380,7 +361,6 @@ def test_prometheus_exposition():
     hist = registry.histogram("test.lat")
     for v in range(1, 101):
         hist.observe(float(v))
-    registry.register_source("src", lambda: {"hits": 9})
     text = registry.render_prometheus()
     assert "# HELP test_total requests" in text
     assert "# TYPE test_total counter" in text
@@ -389,23 +369,39 @@ def test_prometheus_exposition():
     assert 'test_lat{quantile="0.5"} 50' in text
     assert 'test_lat{quantile="0.99"} 99' in text
     assert "test_lat_count 100" in text
-    assert "src_hits 9" in text
 
 
-def test_default_registry_absorbs_symbolic_cache():
+def test_default_registry_holds_symbolic_cache_counters():
     snap = REGISTRY.snapshot()
     assert any(key.startswith("repro.symbolic.cache.") for key in snap)
 
 
-def test_service_register_metrics_roundtrip():
-    from repro.serve import CompileService
+#: every registry key perfbench's ladder reads (``perfbench/layers.py``)
+_LADDER_KEYS = (
+    *(f"repro.symbolic.cache.{kind}_{outcome}"
+      for kind in ("simplify", "fixpoint", "proof", "range") for outcome in ("hits", "misses")),
+    "repro.symbolic.cache.interned_nodes",
+    "repro.symbolic.guards_eliminated",
+    "repro.symbolic.proofs_static",
+    "repro.symbolic.proofs_fallback",
+)
 
-    registry = MetricsRegistry()
-    with CompileService(workers=1) as service:
-        name = service.register_metrics(registry=registry)
-        snap = registry.snapshot()
-        assert f"{name}.submitted" in snap
-        assert registry.unregister_source(name)
+
+def test_registry_carries_every_key_the_ladder_reads():
+    from repro.apps.registry import get_app
+    from repro.serve import CompileRequest
+    from repro.serve.service import default_compiler
+    from repro.serve.traffic import generating_apps
+
+    for name in generating_apps():
+        space = get_app(name).space
+        default_compiler(CompileRequest(name, next(iter(space))))
+    snap = REGISTRY.snapshot()
+    missing = [key for key in _LADDER_KEYS if key not in snap]
+    assert not missing, missing
+    # one executor per substrate: nothing counts fallbacks, perfbench reads a 0
+    assert snap.get("repro.vm.fallbacks", 0.0) == 0.0
+    assert not any("epoch" in key for key in snap), "counters never reset: no epoch"
 
 
 # -- span trees and attribution -----------------------------------------------------

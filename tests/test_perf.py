@@ -25,11 +25,11 @@ from repro.perf import (
     trace_to_cost,
 )
 from repro.obs.metrics import percentile
-from repro.serve.metrics import LatencyRecorder
+from repro.serve.metrics import LaneLedger
 from repro.tune import autotune
 
 
-# -- satellite: LatencyRecorder percentile bias ------------------------------------
+# -- satellite: latency percentile bias ---------------------------------------------
 
 
 def test_percentile_nearest_rank_even_window():
@@ -41,10 +41,10 @@ def test_percentile_nearest_rank_even_window():
 
 
 def test_percentile_pins_p50_p95_p99_exactly():
-    recorder = LatencyRecorder()
+    ledger = LaneLedger(10_000)
     for v in range(1, 101):  # 1..100 milliseconds
-        recorder.record(v / 1e3)
-    snap = recorder.snapshot()
+        ledger.settle("compiled", v / 1e3)
+    snap = ledger.read()["latency"]
     # nearest rank over n=100: p-th percentile is the p-th smallest sample
     assert snap["p50_ms"] == pytest.approx(50.0)
     assert snap["p95_ms"] == pytest.approx(95.0)

@@ -4,8 +4,9 @@ import operator
 
 import pytest
 
+from repro.obs import REGISTRY
 from repro.symbolic import (
-    CACHE_STATS,
+    CACHE_PREFIX,
     Const,
     Interval,
     Min,
@@ -28,6 +29,12 @@ from repro.symbolic import (
     record_proof_queries,
     simplify_fixpoint,
 )
+
+
+def _delta(before: dict) -> dict:
+    """Symbolic cache counts since the ``before`` snapshot, by field name."""
+    delta = REGISTRY.delta(before, cache_statistics())
+    return {key[len(CACHE_PREFIX):]: value for key, value in delta.items()}
 
 
 # -- one soundness oracle for every Interval transfer function ----------------------
@@ -260,13 +267,13 @@ def test_a_changed_fact_changes_the_token_and_the_answers():
     assert simplify_fixpoint(wrapped, env) == i + 8
     assert prove_le(i, 7, env)
     assert env.range_of(i * 2 + 1) == SymInterval(1, 15)
-    token, entries = env.fact_token, cache_statistics()["memo_entries"]
+    token, entries = env.fact_token, cache_statistics()[CACHE_PREFIX + "memo_entries"]
     assert entries > 0
     env.declare_index("i", 8)  # a no-op declaration keeps the token and the answers
-    before = CACHE_STATS.snapshot()
+    before = cache_statistics()
     assert env.fact_token == token
     assert simplify_fixpoint(wrapped, env) == i + 8
-    assert CACHE_STATS.delta(before, CACHE_STATS.snapshot())["fixpoint_hits"] == 1
+    assert _delta(before)["fixpoint_hits"] == 1
     env.declare_range("i", 8, 15)  # a changed fact: new token, new answers
     assert env.fact_token != token
     assert simplify_fixpoint(wrapped, env) == i - 8
@@ -274,7 +281,7 @@ def test_a_changed_fact_changes_the_token_and_the_answers():
     assert env.range_of(i * 2 + 1) == SymInterval(17, 31)
     # nothing was dropped: the old fact set's entries are still there for
     # whoever declares those facts again
-    assert cache_statistics()["memo_entries"] > entries
+    assert cache_statistics()[CACHE_PREFIX + "memo_entries"] > entries
     again = SymbolicEnv()
     again.declare_index("i", 8)
     assert again.fact_token == token
@@ -300,15 +307,15 @@ def test_a_diverging_copy_does_not_disturb_the_original():
     assert env.range_of(i * 2 + 1) == SymInterval(1, 15)
     clone = env.copy()
     assert clone.fact_token == env.fact_token
-    before = CACHE_STATS.snapshot()
+    before = cache_statistics()
     assert clone.range_of(i * 2 + 1) == SymInterval(1, 15)  # the original's entry
-    assert CACHE_STATS.delta(before, CACHE_STATS.snapshot())["range_misses"] == 0
+    assert _delta(before)["range_misses"] == 0
     clone.declare_range("i", 0, 3)
     assert clone.fact_token != env.fact_token
     assert clone.range_of(i * 2 + 1) == SymInterval(1, 7)
-    before = CACHE_STATS.snapshot()
+    before = cache_statistics()
     assert env.range_of(i * 2 + 1) == SymInterval(1, 15)  # still a hit, still right
-    assert CACHE_STATS.delta(before, CACHE_STATS.snapshot())["range_misses"] == 0
+    assert _delta(before)["range_misses"] == 0
 
 
 def _matmul_like_env(order):
@@ -334,9 +341,9 @@ def test_same_facts_in_any_order_share_every_answer():
     second = _matmul_like_env(["r", "le", "size", "k", "div"])
     assert first is not second and first.fact_token == second.fact_token
     answer = simplify_fixpoint(expr, first)
-    before = CACHE_STATS.snapshot()
+    before = cache_statistics()
     assert simplify_fixpoint(expr, second) is answer
-    delta = CACHE_STATS.delta(before, CACHE_STATS.snapshot())
+    delta = _delta(before)
     assert (delta["fixpoint_hits"], delta["fixpoint_misses"]) == (1, 0)
     assert delta["simplify_misses"] == delta["proof_misses"] == delta["range_misses"] == 0
     # ``<=`` facts are ordered (the prover takes the first that fits): two of
@@ -422,14 +429,14 @@ def test_filling_past_the_cap_resets_without_reusing_tokens(monkeypatch):
     old.declare_range("x", 0, 7)
     old_token = old.fact_token
     assert simplify_fixpoint(x % 8, old) == x
-    resets = cache_statistics()["memo_resets"]
+    resets = cache_statistics()[CACHE_PREFIX + "memo_resets"]
     n = 0
-    while cache_statistics()["memo_resets"] == resets:  # fill under the old token
+    while cache_statistics()[CACHE_PREFIX + "memo_resets"] == resets:  # fill under the old token
         n += 1
         assert simplify_fixpoint((x + 8 * n) % 8, old) == x
         assert n < 64, "the cap never fired"
-    assert cache_statistics()["memo_resets"] == resets + 1
-    assert cache_statistics()["memo_entries"] < 64
+    assert cache_statistics()[CACHE_PREFIX + "memo_resets"] == resets + 1
+    assert cache_statistics()[CACHE_PREFIX + "memo_entries"] < 64
     # a different fact set minted after the reset must not get the old token:
     # ``old`` still holds it, and still files entries under it
     new = SymbolicEnv()
@@ -485,11 +492,10 @@ def test_entry_points_agree_on_strict_positivity():
 
 
 def test_ladder_counts_the_discharging_stage():
-    from repro.symbolic import cache_statistics
-
     def ladder_counts():
-        rules = cache_statistics()["rule_applications"]
-        return {k: v for k, v in rules.items() if k.startswith("ladder:")}
+        rules = CACHE_PREFIX + "rule_applications."
+        return {k[len(rules):]: v for k, v in cache_statistics().items()
+                if k.startswith(rules + "ladder:")}
 
     env = SymbolicEnv()
     i = env.declare_index("i", 16)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.apps.registry import available_apps, get_app
 from repro.symbolic import (
+    CACHE_PREFIX,
     Interval,
     SymbolicEnv,
     Var,
@@ -68,8 +69,9 @@ def holds(env: SymbolicEnv, point: dict) -> bool:
 
 
 def ladder_counts() -> dict:
-    rules = cache_statistics()["rule_applications"]
-    return {k: v for k, v in rules.items() if k.startswith(("ladder:", "witness:"))}
+    rules = CACHE_PREFIX + "rule_applications."
+    return {k[len(rules):]: v for k, v in cache_statistics().items()
+            if k.startswith((rules + "ladder:", rules + "witness:"))}
 
 
 def ladder_delta(before: dict) -> dict:
