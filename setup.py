@@ -1,9 +1,14 @@
-"""Setuptools shim (legacy editable install; metadata lives in pyproject.toml)."""
+"""Setuptools shim for ``pip install -e .``; the version is ``repro.__version__``."""
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+_INIT = (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text()
 
 setup(
     name="repro",
-    version="1.1.0",
+    version=re.search(r'^__version__ = "([^"]+)"', _INIT, re.M).group(1),
     description=(
         "LEGO: a layout expression language for code generation of "
         "hierarchical mapping (reproduction)"

@@ -2,9 +2,8 @@
 
 :mod:`repro.bench.figures` exposes one function per experiment (``table1``
 ... ``table5``, ``fig11`` ... ``fig13``), each returning plain Python data
-(lists of dict rows) so it can be asserted on in tests, rendered by the
-pytest-benchmark harnesses in ``benchmarks/``, or pretty-printed by
-:func:`repro.bench.harness.format_table`.
+(lists of dict rows) so it can be asserted on in ``tests/test_experiments.py``
+or pretty-printed by :func:`repro.bench.harness.format_table`.
 """
 
 from .harness import ExperimentResult, format_series, format_table

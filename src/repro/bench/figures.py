@@ -3,9 +3,8 @@
 Every function returns an :class:`~repro.bench.harness.ExperimentResult`
 whose rows reproduce the corresponding table/figure series.  Absolute times
 come from the analytic device model (DESIGN.md documents the substitution);
-the assertions in ``tests/test_experiments.py`` and the narrative in
-EXPERIMENTS.md focus on the *shape* the paper reports — who wins, by what
-factor, and where the crossovers fall.
+the assertions in ``tests/test_experiments.py`` focus on the *shape* the
+paper reports — who wins, by what factor, and where the crossovers fall.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "fig12b",
     "fig12c",
     "fig13",
-    "all_experiments",
 ]
 
 
@@ -406,8 +404,3 @@ def table5(sizes=(2048, 4096, 8192)) -> ExperimentResult:
         notes="The staged variant is several times faster than the naive one and LEGO-MLIR "
         "holds a slight edge over the CUDA SDK baseline, as in the paper.",
     )
-
-
-def all_experiments() -> list[ExperimentResult]:
-    """Run every reproduced experiment (used by EXPERIMENTS.md regeneration)."""
-    return [table1(), table2(), table3(), table4(), fig11(), fig12a(), fig12b(), fig12c(), fig13(), table5()]

@@ -6,7 +6,7 @@ memory offset of a coordinate is the dot product of coordinates and strides.
 Table I lists the side-by-side specifications.  This module implements that
 algebra so the reproduction can
 
-* state the Table I comparison programmatically (``benchmarks/bench_table1``),
+* state the Table I comparison programmatically (``figures.table1``),
 * machine-check that each pair of specifications describes the same mapping
   (:func:`equivalent`), and
 * demonstrate the paper's expressiveness claim: :func:`strides_from_layout`

@@ -108,7 +108,7 @@ class TimeBreakdown:
         return self.total * 1e6
 
     def as_dict(self) -> dict[str, float | str]:
-        """JSON-friendly form (used by the autotune benchmark artifact)."""
+        """JSON-friendly form."""
         return {
             "total": self.total,
             "compute": self.compute,

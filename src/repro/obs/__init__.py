@@ -21,7 +21,7 @@ tune.search); this package is where all of their telemetry converges:
 
 ``python -m repro.obs`` runs an instrumented autotune plus a short serve
 replay, prints the per-stage attribution report and writes
-``BENCH_obs.json`` (the ``obs-smoke`` CI artifact).
+``BENCH_obs.json``.
 """
 
 from .metrics import (

@@ -3,10 +3,9 @@
 Runs a bounded two-stage matmul autotune (analytic pre-filter over a small
 subspace, measured re-rank of the top-k) with tracing forced on, prints the
 per-stage self-time attribution table reconstructed from the span tree, and
-writes ``BENCH_obs.json`` — the artifact the ``obs-smoke`` CI job validates
-and uploads.  Optionally (``--replay``) it also replays a short burst of
-synthetic compile traffic so the serve-side spans and registry metrics show
-up in the same report::
+writes ``BENCH_obs.json``.  Optionally (``--replay``) it also replays a short
+burst of synthetic compile traffic so the serve-side spans and registry
+metrics show up in the same report::
 
     PYTHONPATH=src python -m repro.obs --measure-top-k 3 --trace trace.json
 

@@ -8,8 +8,8 @@ per-stage attribution report ``python -m repro.obs`` prints.
 
 Within one thread's tree the self times of a root and its descendants sum
 *exactly* to the root's duration, so the interesting number is the root's
-own self time — the **unattributed** remainder no named stage covers.  The
-``obs-smoke`` gate asserts the named stages of an instrumented autotune
+own self time — the **unattributed** remainder no named stage covers.
+``tests/test_obs.py`` asserts the named stages of an instrumented autotune
 cover >= 90% of the run's wall time (and that the reconstructed tree's
 self-time sum matches the wall clock, which catches containment bugs).
 

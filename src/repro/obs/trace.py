@@ -13,9 +13,8 @@ Design constraints, in priority order:
    environment variable enables it (or a test/CLI flips it with
    :func:`set_tracing` / :func:`tracing`).  A disabled :func:`span` call is
    one attribute read and the return of a shared no-op context manager —
-   no allocation, no clock read, no lock.  The serve benchmark asserts the
-   end-to-end replay overhead of the disabled instrumentation stays under
-   2% (see ``benchmarks/bench_obs.py``).
+   no allocation, no clock read, no lock.  ``tests/test_obs.py`` bounds
+   the disabled spans of a serve replay under 2% of its wall time.
 2. **Thread-safe and nestable.**  Spans nest lexically per thread (the
    span tree is reconstructed from timestamp containment per ``tid``, the
    same model the Chrome viewer uses); the event buffer appends under one

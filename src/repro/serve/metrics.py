@@ -114,7 +114,7 @@ class ServiceStats:
         return (self.memory_hits / lookups) if lookups else 0.0
 
     def as_dict(self) -> dict:
-        """JSON-ready form (the CLI and the benchmark artifact emit this)."""
+        """JSON-ready form (the CLI report's ``stats`` block)."""
         return _as_dict(self, memory_hit_rate=self.hit_rate,
                         shards=[dict(s) for s in self.shards])
 

@@ -123,7 +123,7 @@ class TuneResult:
         ]
 
     def summary(self) -> dict:
-        """Compact JSON-friendly summary (used by the benchmark artifacts)."""
+        """Compact JSON-friendly summary of the sweep and its winner."""
         best = self.best
         return {
             "app": self.app,

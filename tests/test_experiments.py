@@ -4,7 +4,9 @@ import pytest
 
 from repro.bench import figures
 from repro.bench.harness import ExperimentResult, format_series, format_table
-from repro.bench.roofline import lud_roofline, stencil_roofline
+from repro.codegen import compare_expansion_strategies
+from repro.core import GroupBy, Row, TileBy
+from repro.symbolic import SymbolicEnv, Var, operation_count, simplify_fixpoint, symbols
 
 
 def test_table1_all_layouts_equivalent():
@@ -39,7 +41,7 @@ def test_table4_op_reductions():
 
 @pytest.fixture(scope="module")
 def fig11_rows():
-    return figures.fig11(sizes=(2048, 8192)).rows
+    return figures.fig11().rows
 
 
 def test_fig11_lego_tracks_triton(fig11_rows):
@@ -65,7 +67,7 @@ def test_fig11_fused_kernels_beat_pytorch(fig11_rows):
 
 
 def test_fig12a_nw_speedups_in_band():
-    result = figures.fig12a(sizes=(2048, 8192))
+    result = figures.fig12a()
     speedups = [row["speedup"] for row in result.rows]
     assert all(1.3 <= s <= 2.2 for s in speedups)
     assert speedups[-1] >= speedups[0]  # grows with problem size
@@ -87,21 +89,68 @@ def test_fig12c_brick_speedups_in_band():
 
 
 def test_fig13_rooflines_move_toward_the_roof():
-    lud_rows = {row["kernel"]: row for row in lud_roofline(2048)}
-    assert lud_rows["LUD block 64 (coarsen 4)"]["achieved_gflops"] > lud_rows["LUD block 16 (coarsen 1)"]["achieved_gflops"]
-    stencil_rows = stencil_roofline(512)
-    for array_row, brick_row in zip(stencil_rows[::2], stencil_rows[1::2]):
+    rows = {row["kernel"]: row for row in figures.fig13().rows}
+    assert all(row["achieved_gflops"] > 0 for row in rows.values())
+    assert rows["LUD block 64 (coarsen 4)"]["achieved_gflops"] > rows["LUD block 16 (coarsen 1)"]["achieved_gflops"]
+    arrays = [name for name in rows if name.endswith("(array)")]
+    assert len(arrays) == 6
+    for name in arrays:
+        array_row, brick_row = rows[name], rows[name.replace("(array)", "(brick)")]
         assert brick_row["achieved_gflops"] > array_row["achieved_gflops"]
         assert brick_row["achieved_gflops"] <= brick_row["memory_roof_gflops"] * 1.05
 
 
 def test_table5_transpose_shape():
-    result = figures.table5(sizes=(2048, 8192))
+    result = figures.table5()
     for row in result.rows:
         assert row["lego_mlir_gbs"] > row["cuda_sdk_gbs"] * 0.98
     naive = [r for r in result.rows if r["variant"] == "naive"]
     smem = [r for r in result.rows if r["variant"] == "smem"]
     assert min(s["lego_mlir_gbs"] for s in smem) > 3 * max(n["lego_mlir_gbs"] for n in naive)
+
+
+# -- ablations -----------------------------------------------------------------------
+
+
+def _tiled_matmul_pointer(with_facts: bool = True):
+    """The tiled matmul A-tile pointer offset, with or without its range facts."""
+    M, K, BM, BK = symbols("M K BM BK")
+    pid_m, k = Var("pid_m"), Var("k")
+    env = SymbolicEnv()
+    if with_facts:
+        env.declare_size(M, K, BM, BK)
+        env.declare_index(pid_m, M // BM)
+        env.declare_index(k, K // BK)
+        env.declare_divisible(M, BM)
+        env.declare_divisible(K, BK)
+    tile = TileBy([M // BM, K // BK], [BM, BK]).OrderBy(Row(M, K))[pid_m, k, :, :]
+    if with_facts:
+        tile.contribute_env(env)
+    return tile.offset, env
+
+
+def test_ablation_expansion_helps_the_tiled_pointer_not_the_rowwise_offset():
+    # Section IV-A: pre-expansion exposes divisibility folds in tiled
+    # pointers and only adds terms to an already-simple row offset
+    tiled = compare_expansion_strategies(*_tiled_matmul_pointer())
+    assert tiled["expanded"] <= tiled["unexpanded"]
+    M, N = symbols("M N")
+    row = Var("row")
+    env = SymbolicEnv()
+    env.declare_size(M, N)
+    env.declare_index(row, M)
+    rowwise = GroupBy([M, N]).OrderBy(Row(M, N))[row, :]
+    rowwise.contribute_env(env)
+    counts = compare_expansion_strategies(rowwise.offset, env)
+    assert counts["unexpanded"] <= counts["expanded"]
+
+
+def test_ablation_range_facts_more_than_halve_the_op_count():
+    # how much of Table IV's reduction the range-proved Table II rules buy
+    # over plain algebraic clean-up of the same lowered expression
+    with_facts = operation_count(simplify_fixpoint(*_tiled_matmul_pointer()))
+    without = operation_count(simplify_fixpoint(*_tiled_matmul_pointer(with_facts=False)))
+    assert with_facts < without / 2
 
 
 def test_experiment_result_helpers():

@@ -564,20 +564,26 @@ def test_parse_phases():
         parse_phases(" , ")
 
 
-def _replay_report(tmp_path, workers: int) -> dict:
+#: a two-app trace small enough to replay twice per test
+_SMALL_TRACE = (
+    "--apps", "matmul,lud", "--unique", "10", "--seed", "41",
+    "--phases", "steady:0.3:60:0.9,burst:0.2:200:0.7",
+)
+
+
+def _replay_report(tmp_path, workers: int, *trace: str) -> dict:
+    """The JSON report of a speed-0 farm replay of the ``trace`` options."""
     out = tmp_path / f"replay-{workers}.json"
     serve_main([
-        "--farm", "--workers", str(workers), "--speed", "0",
-        "--apps", "matmul,lud", "--unique", "10", "--seed", "41",
-        "--phases", "steady:0.3:60:0.9,burst:0.2:200:0.7",
+        "--farm", "--workers", str(workers), "--speed", "0", *trace,
         "--json", str(out),
     ])
     return json.loads(out.read_text())
 
 
 def test_farm_replay_summary_identical_across_worker_counts(tmp_path, capsys):
-    solo = _replay_report(tmp_path, 1)
-    quad = _replay_report(tmp_path, 4)
+    solo = _replay_report(tmp_path, 1, *_SMALL_TRACE)
+    quad = _replay_report(tmp_path, 4, *_SMALL_TRACE)
     capsys.readouterr()  # swallow the CLI's JSON dumps
     assert solo["trace"] == quad["trace"], (
         "the trace fingerprint must not depend on how many workers served it"
@@ -589,6 +595,24 @@ def test_farm_replay_summary_identical_across_worker_counts(tmp_path, capsys):
         assert report["replay"]["served"] + report["replay"]["shed"] == \
             report["trace"]["requests"]
     assert quad["farm"]["workers"] == 4 and solo["farm"]["workers"] == 1
+
+
+def test_burst_replay_absorbs_a_mid_burst_kill_without_loss_or_shedding(tmp_path, capsys):
+    # steady serving, a 4x burst, a cool-down: 679 requests, under both
+    # lanes' default caps, with one worker SIGKILLed 1.6 trace-seconds in
+    report = _replay_report(
+        tmp_path, 2,
+        "--phases", "steady:1.2:100:0.9,burst:1.2:400:0.7,cooldown:0.8:80:0.9",
+        "--unique", "48", "--seed", "7", "--kill-worker-at", "1.6",
+    )
+    capsys.readouterr()
+    farm = report["farm"]
+    assert (farm["lost"], farm["double_compiled"], farm["errors"]) == (0, 0, 0)
+    assert farm["restarts"] >= 1, "the mid-burst kill was never absorbed"
+    assert {lane: row["shed"] for lane, row in farm["lanes"].items()} == {
+        LANE_INTERACTIVE: 0, LANE_SWEEP: 0,
+    }
+    assert report["replay"]["served"] == report["trace"]["requests"] == 679
 
 
 # -- observability ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The unified observability layer: tracer, metrics registry, attribution.
 
-Covers the ISSUE-8 satellite contracts explicitly:
+Covers these contracts explicitly:
 
 * the shared ceil-based nearest-rank percentile (one implementation, both
   call sites pinned),
@@ -10,7 +10,9 @@ Covers the ISSUE-8 satellite contracts explicitly:
 * registry deltas (``after - before``: counters never reset) and the keys
   the measured ladder reads,
 * span-tree reconstruction, per-stage attribution and the Chrome trace-event
-  schema validator the ``obs-smoke`` CI job runs.
+  schema validator,
+* the instrumented autotune's stage coverage (``python -m repro.obs``) and
+  the cost of disabled spans against a serve replay.
 """
 
 import json
@@ -26,6 +28,7 @@ from repro.obs import (
     Tracer,
     attribution,
     percentile,
+    span,
     span_trees,
     validate_chrome_trace,
 )
@@ -473,6 +476,44 @@ def test_end_to_end_traced_block_attributes(tmp_path):
     assert set(report["stages"]) >= {"job.load", "job.compute"}
     assert report["coverage"] > 0.5
     assert validate_chrome_trace(tracer.chrome_trace()) == []
+
+
+def test_instrumented_autotune_attributes_its_wall_time_to_the_named_stages():
+    from repro.obs.__main__ import run_instrumented_autotune
+
+    report = run_instrumented_autotune("matmul", measure_top_k=3)
+    assert report["missing_stages"] == [], "the span tree misses a required stage"
+    assert report["coverage"] >= 0.90
+    # self-times sum to the root's wall (a containment bug breaks this first)
+    wall, self_sum = report["attribution"]["wall_ms"], report["attribution"]["self_sum_ms"]
+    assert wall > 0 and abs(self_sum - wall) <= 0.1 * wall
+    assert report["schema_problems"] == []
+    assert len(report["trace"]["traceEvents"]) > 10
+
+
+def test_disabled_spans_cost_under_two_percent_of_a_serve_replay():
+    # arithmetic, not an A/B of wall clocks: the per-call cost of a disabled
+    # span times the spans a traced 400-request replay records
+    from repro.serve import CompileService, synthetic_requests
+
+    calls = 20_000
+    with tracing(False):
+        started = time.perf_counter()
+        for _ in range(calls):
+            with span("test.noop", "test", key=1):
+                pass
+        disabled_seconds = (time.perf_counter() - started) / calls
+    requests = synthetic_requests(total=400, duplicate_fraction=0.5, seed=3)
+    with tracing(True):
+        TRACER.clear()
+        with CompileService(workers=2) as service:
+            started = time.perf_counter()
+            service.submit_batch(requests)
+            replay_seconds = time.perf_counter() - started
+        spans = len(TRACER.events())
+        TRACER.clear()
+    assert spans > 0, "the traced replay recorded no spans"
+    assert spans * disabled_seconds < 0.02 * replay_seconds
 
 
 # -- serialization satellites -------------------------------------------------------

@@ -392,6 +392,7 @@ def test_measured_autotune_reproduces_lud_block64_coarsen4():
     skipped = [p for p in result.profiles if p.status != "measured"]
     assert len(measured) == 5
     assert all(p.status == "skipped" and p.config["block"] >= 128 for p in skipped)
+    assert result.summary()["max_analytic_error"] < 10.0
     # measured candidates re-rank strictly ahead of analytic-only ones
     measured = [c for c in result.ranked if c.measured]
     assert result.ranked[: len(measured)] == measured
@@ -406,6 +407,7 @@ def test_measured_autotune_reproduces_nw_skewed_layout():
     # wavefront-phase factor is near 1, not exactly 1)
     assert best.config["layout"] not in ("row", "col")
     assert best.metrics["bank_conflict_factor"] < 1.1
+    assert result.summary()["max_analytic_error"] < 10.0
     conflicted = [p for p in result.profiles
                   if p.ok and p.config["layout"] in ("row", "col")]
     for p in conflicted:

@@ -356,6 +356,42 @@ def test_same_facts_in_any_order_share_every_answer():
     assert one_way.fact_token != other_way.fact_token
 
 
+def _application_index_expressions():
+    """(index expression, facts) pairs the matmul, NW and LUD kernels lower."""
+    from repro.apps import lud, matmul
+    from repro.codegen import CodegenContext
+    from repro.core.slicing import LayoutSlice
+
+    ctx = matmul.build_matmul_context("nn")
+    pairs = []
+    for value in ctx._bindings.values():
+        if isinstance(value, LayoutSlice):
+            value.contribute_env(ctx.env)
+            value = value.offset
+        pairs.append((as_expr(value), ctx.env))
+    # NW's anti-diagonal staging index (its layout is a GenP device function)
+    nw_ctx = CodegenContext(name="nw")
+    i0, i1 = nw_ctx.index("i0", 16), nw_ctx.index("i1", 16)
+    wave = i0 + i1
+    pairs.append((as_expr((wave % 31) * 16 + (wave * 16 + i0) % 16), nw_ctx.env))
+    lud_ctx = CodegenContext(name="lud")
+    coords = [lud_ctx.index(name, extent)
+              for name, extent in (("r_i", 4), ("r_j", 4), ("ty", 16), ("tx", 16))]
+    pairs.append((as_expr(lud.coarsened_thread_layout(64, 16).apply(*coords)), lud_ctx.env))
+    return pairs
+
+
+def test_unchanged_facts_resimplify_every_application_expression_from_the_memo():
+    pairs = _application_index_expressions()
+    answers = [simplify_fixpoint(expr, env) for expr, env in pairs]
+    before = cache_statistics()
+    again = [simplify_fixpoint(expr, env) for expr, env in pairs]
+    assert all(a is b for a, b in zip(again, answers))
+    delta = _delta(before)
+    assert (delta["fixpoint_hits"], delta["fixpoint_misses"]) == (len(pairs), 0)
+    assert delta["simplify_misses"] == delta["proof_misses"] == delta["range_misses"] == 0
+
+
 def _one_fact_apart():
     """(name, expression, env A, env B): A and B differ in exactly one fact of
     one family, and the expression's answers differ with it."""

@@ -158,12 +158,17 @@ def test_batch_compiles_each_distinct_kernel_exactly_once():
             release.set()
         kernels = [future.result(timeout=60) for future in futures]
         stats = service.stats()
+        service.submit_batch(requests)  # the same batch, replayed warm
+        warm = service.stats()
     assert len(calls) == len(distinct), "a kernel compiled more than once"
     assert sorted(set(calls)) == sorted(r.local_key() for r in distinct)
     assert stats.compiled == len(distinct)
     assert stats.deduped == len(requests) - len(distinct) and stats.memory_hits == 0
     # all duplicates share the leader's kernel object
     assert kernels[0] is kernels[5] is kernels[-5]
+    # the warm replay is all memory hits and compiles nothing
+    assert warm.memory_hits - stats.memory_hits == len(requests)
+    assert warm.compiled == stats.compiled
 
 
 def test_stats_invariants_hold_under_concurrent_submitters():

@@ -205,17 +205,20 @@ def test_search_rejects_empty_spaces_before_evaluating(toy_spec, budget):
     assert calls == []
 
 
-def test_autotune_and_search_share_one_evaluation_key():
+@pytest.mark.parametrize("app", ["lud", "nw", "transpose"])
+def test_autotune_and_search_share_one_evaluation_key(app):
     # both spellings default the device to the A100, so one evaluation has
-    # one key: the second sweep is all hits and the cache does not grow
+    # one key: the second sweep is all hits, picks the same winner and the
+    # cache does not grow
     cache = ResultCache()
-    swept = autotune("transpose", cache=cache)
+    swept = autotune(app, cache=cache)
     entries = len(cache)
-    assert swept.cache_misses == entries == 24
-    again = search("transpose", budget=None, measure_top_k=0, cache=cache)
-    assert (again.cache_hits, again.cache_misses) == (24, 0)
+    assert swept.cache_misses == entries == len(get_app(app).space)
+    again = search(app, budget=None, measure_top_k=0, cache=cache)
+    assert (again.cache_hits, again.cache_misses) == (entries, 0)
     assert all(c.cached for c in again.evaluations)
     assert len(cache) == entries
+    assert again.best.config == swept.best.config and swept.best.time_seconds > 0
 
 
 @pytest.mark.parametrize("app", available_apps())
