@@ -278,15 +278,19 @@ def _lud_internal_block_kernel(ctx, m: GlobalArray, offset: int, block: int):
     ``R x R`` elements the coarsened thread layout assigns it
     (``i = r_i * T + ty``, ``j = r_j * T + tx`` — exactly the
     ``element_offset`` expression the generator derives from
-    ``GroupBy([R, R], [T, T]).OrderBy(Row(B, B))``).  The inner product is
-    register-blocked the way the coarsened CUDA kernel is: per ``k`` each
-    thread loads its ``R`` panel fragments once and reuses them across the
-    ``R x R`` accumulators, which is why coarsening divides the
-    shared-memory traffic per flop — the mechanism behind Figure 12b that
-    a measured profile must reproduce.  The fragment loads of consecutive
-    ``k`` go out as one :meth:`~repro.minicuda.SharedArray.load_rows` per
-    slab of lanes (:data:`repro.vm.engine.SLAB_ELEMENTS` over the pass's
-    blocks) and are recorded as the separate loads they stand for; the
+    ``GroupBy([R, R], [T, T]).OrderBy(Row(B, B))``).  A thread's ``R x R``
+    fragments are one access shifted by ``(r_i * T, r_j * T)``: each panel's
+    staging loads and the read-modify-write go out as one grouped access
+    (:meth:`~repro.minicuda.GlobalArray.load_rows`), recorded as the
+    separate accesses they stand for.  The inner product is register-blocked
+    the way the coarsened CUDA kernel is: per ``k`` each thread loads its
+    ``R`` panel fragments once and reuses them across the ``R x R``
+    accumulators, which is why coarsening divides the shared-memory traffic
+    per flop — the mechanism behind Figure 12b that a measured profile must
+    reproduce.  The fragment loads of consecutive ``k`` are the ``R``
+    fragment patterns shifted by ``k``, one
+    :meth:`~repro.minicuda.SharedArray.load_rows` per slab of lanes
+    (:data:`repro.vm.engine.SLAB_ELEMENTS` over the pass's blocks); the
     ``R x R`` accumulators update as one array, each element still summing
     in ``k`` order, so every output bit is that of one multiply-add at a time.
     """
@@ -298,40 +302,40 @@ def _lud_internal_block_kernel(ctx, m: GlobalArray, offset: int, block: int):
     tx, ty = ctx.tx, ctx.ty
     row0 = offset + (ctx.blockIdx.y + 1) * b
     col0 = offset + (ctx.blockIdx.x + 1) * b
+    # fragment r_i * R + r_j of a thread is element (r_i * T + ty, r_j * T + tx)
+    steps = np.arange(r) * t
+    fragment_shifts = np.stack((np.repeat(steps, r), np.tile(steps, r)))
     # stage the panels: each thread loads its R x R elements of each
-    for r_i in range(r):
-        for r_j in range(r):
-            i = r_i * t + ty
-            j = r_j * t + tx
-            peri_row.store(m.load(ctx, offset + i, col0 + j), i, j)
-            peri_col.store(m.load(ctx, row0 + i, offset + j), i, j)
+    staged_row = m.load_rows(ctx, offset + ty, col0 + tx, shifts=fragment_shifts)
+    staged_col = m.load_rows(ctx, row0 + ty, offset + tx, shifts=fragment_shifts)
+    for fragment, (di, dj) in enumerate(fragment_shifts.T.tolist()):
+        i, j = ty + di, tx + dj
+        peri_row.store(staged_row[..., fragment, :], i, j)
+        peri_col.store(staged_col[..., fragment, :], i, j)
     ctx.syncthreads()
     lanes = tx.size
     # accumulator [r_i, r_j] of every thread; it widens to one per block of the pass
     accumulators = np.zeros((r, r, lanes), dtype=np.float32)
     # the k-loop's fragment loads go out a slab of lanes at a time: row
-    # ``kk * R + r_i`` of a group is the load of fragment ``r_i`` at its kk-th k
-    fragments = np.arange(r)[:, None] * t
+    # ``kk * R + r_i`` of a group is fragment pattern ``r_i`` shifted by its kk-th k
+    fragments = steps[:, None]
     col_i, row_j = fragments + ty, fragments + tx
     group = max(1, engine.SLAB_ELEMENTS // (peri_col.batch * r * lanes))
     for k0 in range(0, b, group):
         ks = np.arange(k0, min(k0 + group, b))
-        k_rows = np.repeat(ks, r)[:, None]
+        still = np.zeros_like(ks)
         shape = (-1, ks.size, r, lanes)
-        col_group = peri_col.load_rows(np.tile(col_i, (ks.size, 1)), k_rows).reshape(shape)
-        row_group = peri_row.load_rows(k_rows, np.tile(row_j, (ks.size, 1))).reshape(shape)
+        col_group = peri_col.load_rows(col_i, 0, shifts=(still, ks)).reshape(shape)
+        row_group = peri_row.load_rows(0, row_j, shifts=(ks, still)).reshape(shape)
         for kk in range(ks.size):
             # every [r_i, r_j] at once: each element still adds col * row in k order
             accumulators = (accumulators
                             + col_group[:, kk, :, None] * row_group[:, kk, None, :])
         ctx.count_flops(2 * r * r * lanes * ks.size)
     ctx.syncthreads()
-    for r_i in range(r):
-        for r_j in range(r):
-            i = r_i * t + ty
-            j = r_j * t + tx
-            value = m.load(ctx, row0 + i, col0 + j) - accumulators[..., r_i, r_j, :]
-            m.store(ctx, value, row0 + i, col0 + j)
+    value = (m.load_rows(ctx, row0 + ty, col0 + tx, shifts=fragment_shifts)
+             - accumulators.reshape(accumulators.shape[:-3] + (r * r, lanes)))
+    m.store_rows(ctx, value, row0 + ty, col0 + tx, shifts=fragment_shifts)
 
 
 def run_lud_internal(matrix: np.ndarray, config: LudConfig, step: int = 0,

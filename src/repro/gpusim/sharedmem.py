@@ -28,6 +28,9 @@ rows are one pattern shifted per row (mini-Triton's affine offsets) never
 becomes that matrix: :meth:`AccessLog.log_global_affine` logs one row per
 sector residue, repeated by the number of rows that have it; which rows read
 the same tile, so that mini-Triton gathers it once, is :func:`distinct_bases`.
+Shared rows that are a few patterns shifted by whole amounts (LUD's k-loop)
+score once per shift residue class (:meth:`AccessLog.log_shared_affine`): a
+shift that moves every lane by whole bank words only rotates the banks.
 :func:`repro.vm.engine.run_launch` flushes when the executor returns, and the
 log flushes itself before it would hold more than one slab
 (:data:`repro.vm.engine.SLAB_ELEMENTS`), so a launch of many tiny accesses
@@ -322,6 +325,31 @@ class AccessLog:
                  else _units(offsets, element_bytes, _BANK_BYTES))
         self._append("smem_profile", words, warp_size, repeat)
 
+    def log_shared_affine(self, shifts: np.ndarray, patterns: np.ndarray, element_bytes: int,
+                          warp_size: int, repeat: int = 1) -> None:
+        """Append the shared access whose rows are every pattern at every shift,
+        never building the shifted rows.
+
+        Exactly :meth:`log_shared` of ``shifts[:, None, None] + patterns``
+        (``(shifts · patterns, lanes)`` rows, each cut into warps of its own),
+        paid ``repeat`` times.  The word of lane ``o`` at shift ``s`` is ``(o +
+        s)·e // w``.  With ``m = w/gcd(e, w)`` and ``s = c + t·m``, ``t·m·e`` is
+        a multiple of ``w``, so that word is ``(o + c)·e // w`` plus ``t·m·e/w``
+        — one amount for every lane of the row (a padded tail's repeated lane
+        included).  Adding one amount to every word of a warp keeps equal
+        words equal and distinct ones distinct, and turns ``word mod banks``
+        into a rotation of the banks: the per-bank counts are permuted, so the
+        warp's conflict degree does not change.  Rows of one class ``c = s mod
+        m`` therefore score alike: each pattern is logged once at ``c``, with
+        ``repeat`` times the number of shifts in the class.
+        """
+        shifts = np.asarray(shifts, dtype=np.int64).reshape(-1)
+        patterns = np.asarray(patterns, dtype=np.int64)
+        counts = np.bincount(_residue_classes(shifts, element_bytes, _BANK_BYTES))
+        for residue in counts.nonzero()[0].tolist():
+            words = _units(residue + patterns, element_bytes, _BANK_BYTES)
+            self._append("smem_profile", words, warp_size, repeat * int(counts[residue]))
+
     def log_global(self, offsets: np.ndarray, element_bytes: int, sector_bytes: int,
                    warp_size: int, is_store: bool, repeat: int = 1, valid=None) -> None:
         """Append one global-memory access; scored into the load or store transactions.
@@ -354,6 +382,8 @@ class AccessLog:
         class, logged with ``repeat`` = its row count, so the flush adds
         ``Σ count_s · distinct_s``.  An access with no more rows than classes
         (NW's few-block waves) has no row to save: its rows are logged as they are.
+        ``base`` may have any shape: a grouped access (mini-CUDA's ``load_rows``)
+        passes one base per block and row, every row reading one ``pattern``.
         """
         base = np.asarray(base, dtype=np.int64).reshape(-1)
         pattern = np.asarray(pattern, dtype=np.int64).reshape(-1)

@@ -6,7 +6,7 @@ at once, with all threads of each block vectorised: ``ctx.tx`` / ``ctx.ty`` /
 ``ctx.tz`` are ``(T,)`` values with one entry per thread and
 ``ctx.blockIdx.x/y/z`` are ``(B, 1)`` values with one row per block, so index
 arithmetic broadcasts to ``(B, T)``.  They are
-:class:`~repro.minicuda.smem.SplitIndex` values: under ``+``/``-``/``* int``
+:class:`~repro.vm.split.SplitIndex` values: under ``+``/``-``/``* int``
 an index stays ``block + lane``, which a global access checks, logs and
 gathers without building the ``(B, T)`` arrays; every other use reads the
 same array the op-by-op arithmetic gives.  The shape convention is the whole
@@ -42,7 +42,8 @@ import numpy as np
 from ..gpusim.sharedmem import AccessLog, ConflictProfile, ragged_warp_rows
 from ..vm import engine
 from ..vm.engine import launch_extents, run_launch
-from .smem import SharedArray, SplitIndex, _bump_global, _extrema
+from ..vm.split import block_index, lane_index
+from .smem import SharedArray, _bump_global
 
 __all__ = ["Dim3", "BlockContext", "CudaTrace", "launch"]
 
@@ -161,7 +162,7 @@ class BlockContext:
     their counters and fixes the DRAM sector size global accesses are
     recorded at; ``warp_size`` is the width accesses are cut into warps by.
     ``blockIdx.x/y/z`` are block-only and ``tx/ty/tz`` lane-only
-    :class:`~repro.minicuda.smem.SplitIndex` values (read-only ``(B, 1)`` and
+    :class:`~repro.vm.split.SplitIndex` values (read-only ``(B, 1)`` and
     ``(T,)`` arrays to any use but ``+``/``-``/``* int``), so a global access
     indexed by their sums takes the closed form
     (:meth:`record_global_affine`).
@@ -186,9 +187,9 @@ class BlockContext:
         self.warp_size = warp_size
         self._batch = batch
         linear = np.arange(block_dim.count, dtype=np.int64)
-        self.tx = _lane_index(linear % block_dim.x)
-        self.ty = _lane_index((linear // block_dim.x) % block_dim.y)
-        self.tz = _lane_index(linear // (block_dim.x * block_dim.y))
+        self.tx = lane_index(linear % block_dim.x, block_dim.x)
+        self.ty = lane_index((linear // block_dim.x) % block_dim.y, block_dim.y)
+        self.tz = lane_index(linear // (block_dim.x * block_dim.y), block_dim.z)
         # shared with narrowed sub-contexts so the launcher reads the
         # per-block allocation total off the root context
         self._alloc_sizes: list[int] = []
@@ -283,20 +284,9 @@ class BlockContext:
         _bump_global(trace, is_store, count, count * element_bytes)
 
 
-def _lane_index(lanes: np.ndarray) -> SplitIndex:
-    """A thread index: lane-only, read-only, its extrema known from the start."""
-    lanes.flags.writeable = False
-    return SplitIndex(None, lanes, lane_span=_extrema(lanes))
-
-
 def _block_index(bx: np.ndarray, by: np.ndarray, bz: np.ndarray) -> SimpleNamespace:
-    """``blockIdx``: one block-only split index per axis over its ``(B, 1)`` ids, its
-    extrema known from the start (the int arithmetic on it carries them along)."""
-    axes = {}
-    for axis, ids in zip("xyz", (bx, by, bz)):
-        ids.flags.writeable = False
-        axes[axis] = SplitIndex(ids, None, block_span=_extrema(ids))
-    return SimpleNamespace(**axes)
+    """``blockIdx``: one block-only split index per axis over its ``(B, 1)`` ids."""
+    return SimpleNamespace(x=block_index(bx), y=block_index(by), z=block_index(bz))
 
 
 def launch(

@@ -10,8 +10,10 @@ layout removes.
 
 ``GlobalArray`` wraps a flat NumPy buffer and logs its accesses for per-warp
 sector-transaction (coalescing) analysis.  An index that is still
-``block + lane`` (a :class:`SplitIndex`) is checked, logged and gathered
-without building the per-axis ``(B, T)`` arrays.
+``block + lane`` (a :class:`~repro.vm.split.SplitIndex`) is checked, logged and
+gathered without building the per-axis ``(B, T)`` arrays.  Both arrays take
+grouped accesses — many rows in one call, each row an access shifted by whole
+elements — that the trace records as the separate accesses they stand for.
 """
 
 from __future__ import annotations
@@ -20,208 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ..vm.split import SplitIndex, flat_index, materialised, split_access
+
 __all__ = ["SharedArray", "GlobalArray", "SplitIndex"]
-
-
-_LOW, _HIGH = -(1 << 63), (1 << 63) - 1  # the int64 range
-
-
-def _wrapped(value: int) -> int:
-    """``value`` as int64 arithmetic leaves it: reduced mod 2^64 into the signed range."""
-    return value if _LOW <= value <= _HIGH else (value - _LOW) % (1 << 64) + _LOW
-
-
-def _scaled(span, factor: int):
-    """The extrema of a part multiplied by ``factor`` (``None`` once they leave int64,
-    where only the wrapped array can say what it holds)."""
-    if span is None:
-        return None
-    low, high = span[0] * factor, span[1] * factor
-    if low > high:
-        low, high = high, low
-    return (low, high) if _LOW <= low and high <= _HIGH else None
-
-
-def _extrema(part: np.ndarray) -> tuple[int, int]:
-    """``(min, max)`` of an int64 array as Python ints (a short one sorted as a list,
-    cheaper than two reductions)."""
-    if part.size <= 64:
-        values = sorted(part.reshape(-1).tolist())
-        return values[0], values[-1]
-    return int(part.min()), int(part.max())
-
-
-def _summed(x, x_span, y, y_span):
-    """Sum of two parts (either may be ``None``) and the sum's extrema if known."""
-    if y is None:
-        return x, x_span
-    if x is None:
-        return y, y_span
-    return x + y, None
-
-
-class SplitIndex:
-    """An int64 index ``block + lane + offset`` that remembers its split.
-
-    ``block`` is a per-block ``(B, 1)`` array, ``lane`` a per-lane array of
-    rank 1 (either may be ``None``) and ``offset`` a Python int.
-    ``ctx.blockIdx.x/y/z`` and ``ctx.tx/ty/tz`` are split indices, and they
-    stay split only under ``+``/``-`` with Python ints, with int64 arrays of
-    rank <= 1 (copied on entry unless they own read-only data) and with each
-    other, and under ``*`` by a Python int.  Any other use — comparisons, ``//``/``%``, ``np.maximum``,
-    slicing, ``.copy()``, float operands, rank >= 2 arrays, ``ctx.compact``
-    — reads :attr:`data`, the materialised read-only array, equal to the
-    op-by-op int64 array (int64 wraps alike in either association).
-    :class:`GlobalArray` reads the split itself.  The extrema of each part
-    are taken once and follow the int arithmetic, so checking ``ii + dz``
-    reduces nothing.
-    """
-
-    __slots__ = ("block", "lane", "offset", "_block_span", "_lane_span", "_data")
-    __hash__ = None
-
-    def __init__(self, block, lane, offset: int = 0, block_span=None, lane_span=None):
-        self.block = block
-        self.lane = lane
-        self.offset = offset
-        self._block_span = block_span
-        self._lane_span = lane_span
-        self._data = None
-
-    @property
-    def data(self) -> np.ndarray:
-        if self._data is None:
-            block, lane = self.block, self.lane
-            data = block if lane is None else lane if block is None else block + lane
-            if self.offset:
-                data = data + self.offset
-            data.flags.writeable = False  # a write would leave the split behind
-            self._data = data
-        return self._data
-
-    def block_span(self) -> tuple[int, int]:
-        """``(min, max)`` of the block part, as Python ints."""
-        if self._block_span is None:
-            self._block_span = _extrema(self.block)
-        return self._block_span
-
-    def lane_span(self) -> tuple[int, int]:
-        """``(min, max)`` of the lane part, as Python ints."""
-        if self._lane_span is None:
-            self._lane_span = _extrema(self.lane)
-        return self._lane_span
-
-    @property
-    def shape(self) -> tuple:
-        # what np.shape() reads: the parts answer without building the array
-        if self.block is None or self.lane is None:
-            return (self.lane if self.block is None else self.block).shape
-        return np.broadcast_shapes(self.block.shape, self.lane.shape)
-
-    dtype = np.dtype(np.int64)
-
-    def _times(self, factor: int) -> "SplitIndex":
-        if factor == 1:
-            return self
-        block, lane = self.block, self.lane
-        return SplitIndex(None if block is None else block * factor,
-                          None if lane is None else lane * factor,
-                          _wrapped(self.offset * factor),
-                          _scaled(self._block_span, factor), _scaled(self._lane_span, factor))
-
-    def __array__(self, dtype=None, copy=None):
-        data = self.data
-        if dtype is not None and np.dtype(dtype) != data.dtype:
-            return data.astype(dtype)
-        return data.copy() if copy else data
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method == "__call__" and len(inputs) == 2 and not kwargs:
-            kept = _split2(ufunc, *inputs)
-            if kept is not None:
-                return kept
-        inputs = tuple(_materialised(x) for x in inputs)
-        if "out" in kwargs:
-            kwargs["out"] = tuple(_materialised(x) for x in kwargs["out"])
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-    def __getattr__(self, name):
-        # every other ndarray attribute (reshape, copy, astype, min, ...) reads the array
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.data, name)
-
-    def __repr__(self) -> str:
-        return repr(self.data)
-
-
-def _materialised(x):
-    return x.data if isinstance(x, SplitIndex) else x
-
-
-def _parts(x):
-    """``(block, lane, offset, block_span, lane_span)`` of an operand that may join a
-    split index, else ``None``."""
-    if type(x) is SplitIndex:
-        return x.block, x.lane, x.offset, x._block_span, x._lane_span
-    if type(x) is np.ndarray and x.dtype == np.int64 and x.ndim <= 1:
-        if x.ndim == 0:
-            return None, None, int(x), None, None
-        # the split must not follow a later in-place update of x: only an
-        # array that owns its read-only data is kept as it is
-        lane = x if x.base is None and not x.flags.writeable else x.copy()
-        return None, lane, 0, None, None
-    if type(x) is int and _LOW <= x <= _HIGH:
-        return None, None, x, None, None
-    return None
-
-
-def _split2(op, a, b) -> SplitIndex | None:
-    """``op(a, b)`` kept split, or ``None`` (the caller reads the arrays)."""
-    if op is np.multiply:
-        if type(b) is int and type(a) is SplitIndex and _LOW <= b <= _HIGH:
-            return a._times(b)
-        if type(a) is int and type(b) is SplitIndex and _LOW <= a <= _HIGH:
-            return b._times(a)
-        return None
-    if op is not np.add and op is not np.subtract:
-        return None
-    a, b = _parts(a), _parts(b)
-    if a is None or b is None:
-        return None
-    if op is np.subtract:
-        b = (None if b[0] is None else -b[0], None if b[1] is None else -b[1], -b[2],
-             _scaled(b[3], -1), _scaled(b[4], -1))
-    block, block_span = _summed(a[0], a[3], b[0], b[3])
-    lane, lane_span = _summed(a[1], a[4], b[1], b[4])
-    return SplitIndex(block, lane, _wrapped(a[2] + b[2]), block_span, lane_span)
-
-
-def _arithmetic(op, reflected: bool = False):
-    def method(self, other):
-        a, b = (other, self) if reflected else (self, other)
-        kept = _split2(op, a, b)
-        return kept if kept is not None else op(_materialised(a), _materialised(b))
-    return method
-
-
-def _forwarded(name: str):
-    def method(self, *args):
-        return getattr(self.data, name)(*args)
-    method.__name__ = name
-    return method
-
-
-for _name, _op in (("add", np.add), ("sub", np.subtract), ("mul", np.multiply)):
-    setattr(SplitIndex, f"__{_name}__", _arithmetic(_op))
-    setattr(SplitIndex, f"__r{_name}__", _arithmetic(_op, reflected=True))
-for _name in ("lt", "le", "gt", "ge", "eq", "ne", "floordiv", "rfloordiv", "mod", "rmod",
-              "divmod", "rdivmod", "truediv", "rtruediv", "pow", "rpow", "matmul", "rmatmul",
-              "and", "rand", "or", "ror", "xor", "rxor", "lshift", "rlshift", "rshift",
-              "rrshift", "neg", "pos", "abs", "invert", "getitem", "len", "iter", "contains",
-              "bool", "int", "float", "index", "str", "format"):
-    setattr(SplitIndex, f"__{_name}__", _forwarded(f"__{_name}__"))
-del _name, _op
 
 
 def _layout_table(layout, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -277,36 +80,23 @@ class _LayoutArray:
         return self.size * self.dtype.itemsize
 
     def _physical(self, indices: tuple) -> np.ndarray:
-        """Map per-thread logical indices to physical element offsets, in one pass.
-
-        Each index is checked as given (a broadcast has the same extrema) by
-        one reduction: viewed unsigned, a negative index is larger than any
-        extent.  Python ints are checked without NumPy; an index that is not
-        an integer (CUDA refuses a float subscript) is a ``TypeError``.
-        """
+        """Map per-thread logical indices to physical element offsets, in one pass
+        (every axis checked by :func:`repro.vm.split.flat_index`)."""
         if len(indices) != len(self.shape):
             raise ValueError(
                 f"{self.name} has {len(self.shape)} logical dimensions, got {len(indices)} indices"
             )
-        flat = None
-        for axis, ((extent, stride), index) in enumerate(zip(self._axes, indices)):
-            if type(index) is int:
-                bad = not 0 <= index < extent
-            else:
-                index = np.asarray(_materialised(index))
-                if index.dtype != np.int64:
-                    if index.dtype.kind not in "biu":
-                        raise TypeError(f"{self.name}: axis {axis} index must be an integer, "
-                                        f"got {index.dtype}")
-                    index = index.astype(np.int64)
-                bad = index.size and index.view(np.uint64).max() >= extent
-            if bad:
-                raise IndexError(f"{self.name}: axis {axis} index out of range [0, {extent}) "
-                                 f"(got [{np.min(index)}, {np.max(index)}])")
-            term = index if stride == 1 else index * stride
-            flat = term if flat is None else flat + term
-        flat = np.asarray(0 if flat is None else flat, dtype=np.int64)
+        flat = flat_index(self.name, self._axes, indices)
         return flat if self._table is None else self._table[flat]
+
+    def _shift_rows(self, shifts) -> np.ndarray:
+        """``shifts`` as the ``(axes, rows)`` int64 array a grouped access takes."""
+        shifts = np.asarray(shifts)
+        if shifts.dtype.kind not in "iu" or shifts.ndim != 2 or len(shifts) != len(self.shape):
+            raise TypeError(f"{self.name}: shifts must be one integer row of shifts per axis "
+                            f"({len(self.shape)}), got a {shifts.dtype} array of shape "
+                            f"{shifts.shape}")
+        return shifts.astype(np.int64, copy=False)
 
     def to_numpy(self) -> np.ndarray:
         """The logical-view contents (undoing the layout), as a dense array."""
@@ -361,7 +151,7 @@ class SharedArray(_LayoutArray):
 
     def _decode(self, indices: tuple) -> np.ndarray:
         """Physical offsets of an access, a fresh array the kernel never sees."""
-        indices = tuple(map(_materialised, indices))
+        indices = tuple(map(materialised, indices))
         try:
             flat = np.ravel_multi_index(indices, self.shape)
         except (TypeError, ValueError):
@@ -410,15 +200,21 @@ class SharedArray(_LayoutArray):
             return self.data[np.arange(self.batch)[:, None], physical]
         return self.data[:, physical]
 
-    def load_rows(self, *indices) -> np.ndarray:
+    def load_rows(self, *indices, shifts=None) -> np.ndarray:
         """Many block-uniform loads in one call: ``(B, instructions, lanes)``.
 
-        The indices broadcast to ``(instructions, lanes)``; row ``r`` of the
+        The indices broadcast to ``(patterns, lanes)``; row ``r`` of the
         result is what ``load`` of row ``r`` returns, and the trace records
         exactly those separate loads — each row cut into warps of its own,
-        paid by every block.  A per-block index (a rank-3 ``(B, instructions,
-        lanes)`` pattern) or any rank but 2 is a ``TypeError``; a per-block
-        access is a :meth:`load`.
+        paid by every block.  ``shifts`` (``(axes, shifts)``, one row of
+        shifts per axis) issues every pattern at every shift: row ``s ·
+        patterns + p`` is pattern ``p`` at ``indices + shifts[:, s]``.  Without
+        a layout table a shift moves each lane of a row by one flat amount,
+        so the trace scores each pattern once per shift residue class
+        (:meth:`~repro.gpusim.sharedmem.AccessLog.log_shared_affine`); every
+        shifted row is still checked, on the extreme shifts of each axis.  A
+        per-block index (a rank-3 ``(B, instructions, lanes)`` pattern) or any
+        rank but 2 is a ``TypeError``; a per-block access is a :meth:`load`.
         """
         physical = self._decode(indices)
         if physical.ndim != 2:
@@ -426,8 +222,39 @@ class SharedArray(_LayoutArray):
                 f"{self.name}: load_rows takes one block-uniform (instructions, lanes) "
                 f"pattern, got a rank-{physical.ndim} access"
             )
+        if shifts is not None:
+            shifts = self._shift_rows(shifts)
+            flat = self._flat_shifts(indices, shifts)
+            if flat is not None:
+                ctx = self._context
+                rows = flat.size * physical.shape[0]
+                ctx.trace.smem_load_bytes += (float(self.batch * rows * physical.shape[1])
+                                              * self.dtype.itemsize)
+                ctx.trace.log_shared_affine(flat, physical, self.dtype.itemsize, ctx.warp_size,
+                                            self.batch)
+                return self.data[:, (flat[:, None, None] + physical).reshape(rows, -1)]
+            # through a layout table, or out of range: decode the rows themselves
+            shifted = self._decode(tuple(np.asarray(materialised(index)) + row[:, None, None]
+                                         for index, row in zip(indices, shifts)))
+            physical = np.broadcast_to(shifted, (shifts.shape[1],) + physical.shape)
+            physical = physical.reshape(-1, physical.shape[-1])
         self._record(physical, self.batch, is_store=False)
         return self.data[:, physical]
+
+    def _flat_shifts(self, indices: tuple, shifts: np.ndarray) -> np.ndarray | None:
+        """The flat ``(shifts,)`` offsets of a shifted load without a layout table whose
+        shifted rows are all in range (each axis checked on its extreme shifts), else
+        ``None``."""
+        if self._table is not None:
+            return None
+        flat = 0
+        for (extent, stride), index, row in zip(self._axes, indices, shifts):
+            index = np.asarray(materialised(index))
+            if (not index.size or int(index.min()) + int(row.min()) < 0
+                    or int(index.max()) + int(row.max()) >= extent):
+                return None
+            flat = flat + (row if stride == 1 else row * stride)
+        return flat
 
     def store(self, value, *indices) -> None:
         physical, batched = self._access(indices, is_store=True)
@@ -467,6 +294,8 @@ class GlobalArray(_LayoutArray):
     one ``pattern`` (``ctx.record_global_affine`` logs it without building
     the rows), and the gather or scatter reads ``base + pattern`` in C order
     (the last writer still wins).  Anything else takes the dense path.
+    :meth:`load_rows` / :meth:`store_rows` issue many such accesses, one per
+    row of shifts, in one call.
     """
 
     def __init__(self, array: np.ndarray, layout=None, name: str = "gmem"):
@@ -480,55 +309,12 @@ class GlobalArray(_LayoutArray):
             self.data = np.empty_like(logical_flat)
             self.data[self._table] = logical_flat
 
-    def _split(self, ctx, indices: tuple):
-        """``(base (B, 1), pattern)`` of an access that keeps its split, else ``None``.
-
-        Axes are checked in order, as the dense path checks them, so an
-        access that raises raises the same error on either path.  An axis
-        whose lane part or rest (block part plus offset) dips below 0 moves
-        the lane minimum from one to the other; then both lie in
-        ``[0, extent)``, so neither ``base`` nor ``pattern`` wraps.
-        """
-        batch = ctx._batch
-        if self._table is not None or batch is None or len(indices) != len(self._axes):
+    def _split(self, ctx, indices: tuple, shifts=None):
+        """``(base, pattern)`` of an access that keeps its split, else ``None``
+        (:func:`repro.vm.split.split_access`; a layout table keeps the dense path)."""
+        if self._table is not None:
             return None
-        base = pattern = None
-        shift = moved = 0  # Python ints: what base gains, what pattern loses
-        for axis, ((extent, stride), index) in enumerate(zip(self._axes, indices)):
-            if type(index) is not SplitIndex:
-                return None
-            block, lane, offset = index.block, index.lane, index.offset
-            low = high = offset
-            if block is not None:
-                if len(block) != batch:
-                    return None
-                block_low, block_high = index.block_span()
-                low, high = offset + block_low, offset + block_high
-                term = block if stride == 1 else block * stride
-                base = term if base is None else base + term
-            rest_low = low
-            if lane is not None:
-                if lane.size == 0:
-                    return None
-                lane_low, lane_high = index.lane_span()
-                low, high = low + lane_low, high + lane_high
-                term = lane if stride == 1 else lane * stride
-                pattern = term if pattern is None else pattern + term
-                if lane_low < 0 or rest_low < 0:
-                    moved += lane_low * stride
-            if low < 0 or high >= extent:
-                if low < _LOW or high > _HIGH:
-                    return None  # the dense index wraps: only it can say what it holds
-                raise IndexError(f"{self.name}: axis {axis} index out of range [0, {extent}) "
-                                 f"(got [{low}, {high}])")
-            shift += offset * stride
-        if base is None or pattern is None:
-            return None
-        if shift or moved:
-            base = base + _wrapped(shift + moved)
-        if moved:
-            pattern = pattern - _wrapped(moved)
-        return base, pattern.reshape(-1)
+        return split_access(self.name, self._axes, indices, ctx._batch, shifts)
 
     def load(self, ctx, *indices) -> np.ndarray:
         split = self._split(ctx, indices)
@@ -550,3 +336,52 @@ class GlobalArray(_LayoutArray):
             physical = self._physical(indices)
             ctx.record_global(physical, self.dtype.itemsize, is_store=True)
         self.data[physical] = np.broadcast_to(np.asarray(value, dtype=self.dtype), physical.shape)
+
+    # -- grouped accesses: row q is the access at indices + shifts[:, q] ---------------
+
+    def load_rows(self, ctx, *indices, shifts) -> np.ndarray:
+        """Many loads in one call: ``(B, rows, lanes)``, row ``q`` what :meth:`load` at
+        ``indices + shifts[:, q]`` returns (``shifts`` is ``(axes, rows)``).
+
+        A split access is checked once on each axis's extreme shifts, logged
+        as the ``B · rows`` separate accesses it stands for (each row cut into
+        warps of its own) and gathered at once.  Anything else — not split,
+        or some row out of range — is re-issued one row at a time, so the
+        dense path and its errors are exactly those of the separate loads.
+        """
+        shifts = self._shift_rows(shifts)
+        split = self._split(ctx, indices, shifts)
+        if split is None:
+            return np.stack([self.load(ctx, *row) for row in _shifted(indices, shifts)],
+                            axis=-2)
+        base, pattern = split
+        ctx.record_global_affine(base, pattern, self.dtype.itemsize, is_store=False)
+        return self.data[base[..., None] + pattern]
+
+    def store_rows(self, ctx, value, *indices, shifts) -> None:
+        """Many stores in one call: ``value[..., q, :]`` (or a value of rank <= 1, for
+        every row) is :meth:`store` at ``indices + shifts[:, q]``.
+
+        Checked, logged and re-issued as :meth:`load_rows`; the scatter writes
+        row after row, each in C order, so the last writer is the separate
+        stores' last writer.
+        """
+        shifts = self._shift_rows(shifts)
+        value = np.asarray(value, dtype=self.dtype)
+        split = self._split(ctx, indices, shifts)
+        if split is None:
+            for q, row in enumerate(_shifted(indices, shifts)):
+                self.store(ctx, value[..., q, :] if value.ndim >= 2 else value, *row)
+            return
+        base, pattern = split
+        ctx.record_global_affine(base, pattern, self.dtype.itemsize, is_store=True)
+        # (rows, B, lanes) in C order, row after row: a scatter writes in memory order
+        physical = np.ascontiguousarray(base.T)[..., None] + pattern
+        values = np.broadcast_to(value, base.shape + pattern.shape).transpose(1, 0, 2)
+        self.data[physical] = np.ascontiguousarray(values)
+
+
+def _shifted(indices: tuple, shifts: np.ndarray):
+    """The separate accesses of a grouped one: ``indices + shifts[:, q]`` for each row."""
+    for row in shifts.T.tolist():
+        yield tuple(index + shift for index, shift in zip(indices, row))

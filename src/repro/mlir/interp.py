@@ -3,10 +3,16 @@
 The interpreter executes a pass of thread blocks at a time with all threads
 of each block vectorised (each SSA value is a per-thread array with one row
 per block, or a block-uniform value), mirroring the mini-CUDA substrate.
-Global memrefs are NumPy buffers shared across blocks; workgroup (shared)
-memrefs are allocated one row per block.  Loads and stores go to the launch
-result's access log, which scores the per-warp sector transactions and
-shared-memory bank conflicts that feed the analytic device model.
+``gpu.block_id`` and ``gpu.thread_id`` are :class:`~repro.vm.split.SplitIndex`
+values, so ``arith.addi`` / ``subi`` / ``muli`` by a constant keep an index
+``block (B, 1) + lane (T,) + int``; every other op reads the materialised
+array.  Global memrefs are NumPy buffers shared across blocks; workgroup
+(shared) memrefs are allocated one row per block.  Every access is checked
+per axis (an ``IndexError`` names the memref, the axis and the range) and
+goes to the launch result's access log, which scores the per-warp sector
+transactions and shared-memory bank conflicts that feed the analytic device
+model.  A global access whose index keeps its split is checked on the parts'
+extrema, logged in closed form and gathered at ``base + pattern``.
 
 Supported operations: the ``arith`` / ``memref`` / ``gpu`` / ``scf`` subset
 produced by :mod:`repro.codegen.mlir`.
@@ -22,6 +28,7 @@ import numpy as np
 from ..gpusim.sharedmem import AccessLog, ConflictProfile
 from ..vm import engine
 from ..vm.engine import launch_extents, run_launch
+from ..vm.split import block_index, flat_index, lane_index, split_access
 from .ir import Block, FuncOp, Module, Operation, Value
 from .types import MemRefType
 
@@ -68,11 +75,12 @@ class GpuLaunchResult(AccessLog):
 class _BlockExecutor:
     """Executes one function body for a pass of thread blocks at once.
 
-    ``gpu.block_id`` binds to ``(B, 1)`` arrays, so every block's SSA values
-    materialise together: per-thread values broadcast to ``(B, T)`` rows,
-    block-uniform values stay rank <= 1 (logged once with ``repeat = B``).
-    ``memref.alloc`` buffers get one row per block; kernel argument buffers
-    stay flat and are shared by all blocks.
+    ``gpu.block_id`` binds to block-only ``(B, 1)`` and ``gpu.thread_id`` to
+    lane-only ``(T,)`` split indices, so every block's SSA values are computed
+    together: an index kept split is ``block + lane``, any other per-thread
+    value is a ``(B, T)`` array, and block-uniform values stay rank <= 1
+    (logged once with ``repeat = B``).  ``memref.alloc`` buffers get one row
+    per block; kernel argument buffers stay flat and are shared by all blocks.
     """
 
     def __init__(
@@ -86,9 +94,9 @@ class _BlockExecutor:
     ):
         batch = int(block_ids.size)
         self.block_idx = (
-            (block_ids % grid_dim[0]).reshape(batch, 1),
-            ((block_ids // grid_dim[0]) % grid_dim[1]).reshape(batch, 1),
-            (block_ids // (grid_dim[0] * grid_dim[1])).reshape(batch, 1),
+            block_index((block_ids % grid_dim[0]).reshape(batch, 1)),
+            block_index(((block_ids // grid_dim[0]) % grid_dim[1]).reshape(batch, 1)),
+            block_index((block_ids // (grid_dim[0] * grid_dim[1])).reshape(batch, 1)),
         )
         self._batch = batch
         self.block_dim = block_dim
@@ -103,9 +111,9 @@ class _BlockExecutor:
         count = block_dim[0] * block_dim[1] * block_dim[2]
         linear = np.arange(count, dtype=np.int64)
         self.thread_ids = {
-            "x": linear % block_dim[0],
-            "y": (linear // block_dim[0]) % block_dim[1],
-            "z": linear // (block_dim[0] * block_dim[1]),
+            "x": lane_index(linear % block_dim[0], block_dim[0]),
+            "y": lane_index((linear // block_dim[0]) % block_dim[1], block_dim[1]),
+            "z": lane_index(linear // (block_dim[0] * block_dim[1]), block_dim[2]),
         }
         self.values: dict[int, object] = {}
 
@@ -228,15 +236,18 @@ class _BlockExecutor:
             self.shared_allocated += int(buffer.nbytes // self._batch)
         self.set(op.result, op.result)
 
+    @staticmethod
+    def _axes(memref_type: MemRefType) -> tuple:
+        """``(extent, stride)`` of each axis of a row-major memref."""
+        axes, stride = [], 1
+        for extent in reversed(memref_type.shape):
+            axes.append((extent, stride))
+            stride *= extent
+        return tuple(reversed(axes))
+
     def _flat_offsets(self, source: Value, index_values: Sequence) -> np.ndarray:
-        memref_type = source.type
-        assert isinstance(memref_type, MemRefType)
-        shape = memref_type.shape
-        arrays = [np.asarray(v, dtype=np.int64) for v in index_values]
-        arrays = np.broadcast_arrays(*arrays) if len(arrays) > 1 else [np.asarray(arrays[0])]
-        flat = arrays[0]
-        for extent, coords in zip(shape[1:], arrays[1:]):
-            flat = flat * extent + coords
+        """The dense flat offsets of an access, every axis checked."""
+        flat = flat_index(str(source), self._axes(source.type), index_values)
         return np.atleast_1d(flat)
 
     def _buffer_of(self, source: Value) -> np.ndarray:
@@ -266,7 +277,10 @@ class _BlockExecutor:
         result = self.result
         result.log_global(rows, element_bytes, result.sector_bytes, self.warp_size, is_store,
                           repeat)
-        count = float(rows.size * repeat)
+        self._count_global(float(rows.size * repeat), element_bytes, is_store)
+
+    def _count_global(self, count: float, element_bytes: int, is_store: bool) -> None:
+        result = self.result
         if is_store:
             result.store_elements += count
             result.store_bytes += count * element_bytes
@@ -286,12 +300,33 @@ class _BlockExecutor:
         else:
             self._record_global(offsets, element_bytes, is_store)
 
+    def _split(self, source: Value, index_values: Sequence):
+        """``(base (B, 1), pattern)`` of a kernel-argument access whose index keeps its
+        split (logged in closed form), else ``None``."""
+        if self._buffer_is_batched(source):
+            return None  # workgroup buffers keep the block-uniform path
+        return split_access(str(source), self._axes(source.type), index_values, self._batch)
+
+    def _record_split(self, base: np.ndarray, pattern: np.ndarray, element_bytes: int,
+                      is_store: bool) -> None:
+        result = self.result
+        result.log_global_affine(base, pattern, element_bytes, result.sector_bytes,
+                                 self.warp_size, is_store)
+        self._count_global(float(base.size * pattern.size), element_bytes, is_store)
+
     def _load(self, op: Operation) -> None:
         source = op.operands[0]
         memref_type = source.type
         assert isinstance(memref_type, MemRefType)
         buffer = self._buffer_of(source)
-        offsets = self._flat_offsets(source, [self.get(v) for v in op.operands[1:]])
+        index_values = [self.get(v) for v in op.operands[1:]]
+        split = self._split(source, index_values)
+        if split is not None:
+            base, pattern = split
+            self._record_split(base, pattern, buffer.dtype.itemsize, is_store=False)
+            self.set(op.result, buffer[base + pattern])
+            return
+        offsets = self._flat_offsets(source, index_values)
         self._record(memref_type, offsets, buffer.dtype.itemsize, is_store=False)
         if not self._buffer_is_batched(source):
             values = buffer[offsets]
@@ -307,9 +342,18 @@ class _BlockExecutor:
         memref_type = dest.type
         assert isinstance(memref_type, MemRefType)
         buffer = self._buffer_of(dest)
-        offsets = self._flat_offsets(dest, [self.get(v) for v in op.operands[2:]])
-        self._record(memref_type, offsets, buffer.dtype.itemsize, is_store=True)
+        index_values = [self.get(v) for v in op.operands[2:]]
         raw = np.asarray(value, dtype=buffer.dtype)
+        split = self._split(dest, index_values)
+        if split is not None:
+            base, pattern = split
+            self._record_split(base, pattern, buffer.dtype.itemsize, is_store=True)
+            # C order over (B, lanes), as the dense path: the last writer is unchanged
+            offsets = base + pattern
+            buffer[offsets] = np.broadcast_to(raw, offsets.shape)
+            return
+        offsets = self._flat_offsets(dest, index_values)
+        self._record(memref_type, offsets, buffer.dtype.itemsize, is_store=True)
         if not self._buffer_is_batched(dest):
             # flat argument buffer: C-order fancy assignment is block-major,
             # so duplicate offsets resolve to the highest block id

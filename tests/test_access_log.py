@@ -195,6 +195,53 @@ def test_the_affine_comparison_catches_a_residue_taken_mod_the_element_size(monk
         _assert_affine_equals_materialised()
 
 
+# -- shifted shared rows: scored once per shift residue class -----------------------------
+
+
+def _shifted_shared_accesses(seed):
+    """``(shifts, patterns, element_bytes, warp_size)`` draws: odd and even shifts (and
+    negative ones), patterns with broadcast lanes (one word read by many) and
+    conflicting lanes (words a bank apart), rows a warp cuts and rows it covers."""
+    rng = np.random.default_rng(seed)
+    lanes = np.arange(48)
+    pattern_sets = [
+        np.stack([lanes, lanes // 4, lanes * 3]),  # plain, broadcast, stride 3
+        np.stack([lanes % 4 * 32, lanes % 2 * 64 + 1, lanes * 16]),  # conflicting lanes
+        rng.integers(0, 512, size=(2, 37)),
+    ]
+    for element_bytes in (1, 2, 4, 8):
+        for warp_size in (16, 32, 64):
+            for patterns in pattern_sets:
+                for shifts in (np.array([0, 2, 4, 10]), np.array([1, 3, 7]),
+                               rng.integers(-40, 200, size=int(rng.integers(1, 12)))):
+                    yield shifts, patterns, element_bytes, warp_size
+
+
+def _assert_shifted_equals_materialised(seeds=range(2)):
+    for seed in seeds:
+        for shifts, patterns, element_bytes, warp_size in _shifted_shared_accesses(seed):
+            closed, rows = CudaTrace(), CudaTrace()
+            closed.log_shared_affine(shifts, patterns, element_bytes, warp_size, 3)
+            materialised = (shifts[:, None, None] + patterns).reshape(-1, patterns.shape[1])
+            rows.log_shared(materialised, element_bytes, warp_size, 3)
+            closed.flush()
+            rows.flush()
+            assert _profile_counters(closed) == _profile_counters(rows), \
+                (seed, shifts, element_bytes, warp_size)
+
+
+def test_shifted_shared_rows_score_as_the_materialised_rows():
+    _assert_shifted_equals_materialised()
+
+
+def test_the_shifted_comparison_catches_dropped_residue_classes(monkeypatch):
+    """Sub-word elements: an odd shift moves lanes across a bank word boundary."""
+    monkeypatch.setattr(sharedmem, "_residue_classes",
+                        lambda base, element_bytes, unit_bytes: np.zeros_like(base))
+    with pytest.raises(AssertionError):
+        _assert_shifted_equals_materialised()
+
+
 def test_a_masked_access_is_never_cut_into_warps():
     offsets = np.arange(64)[None, :]
     with pytest.raises(ValueError, match="masked"):

@@ -121,11 +121,50 @@ def test_interpreter_rejects_wrong_buffer_size():
                        arguments=[np.zeros(4, dtype=np.float32)])
 
 
-def test_interpreter_raises_on_out_of_bounds_memref_access():
-    module = _loading_kernel(99)  # verifies fine, faults at runtime
-    with pytest.raises(IndexError):
-        run_gpu_kernel(module, "k", grid=(1, 1, 1), block=(1, 1, 1),
-                       arguments=[np.zeros(8, dtype=np.float32)])
+def _lane_kernel(shape, index_of):
+    """A kernel loading ``shape``-memref element ``index_of(builder, tx, bx)``."""
+    module, fn, builder = _gpu_kernel([MemRefType(shape, F32)])
+    tx, bx = gpu.thread_id(builder, "x"), gpu.block_id(builder, "x")
+    memref.load(builder, fn.argument(0), index_of(builder, tx, bx))
+    gpu.return_(builder)
+    verify_module(module)
+    return module
+
+
+def _below_zero(builder, tx, bx):  # tx - 3 over (8,) wrapped to the end
+    return [arith.subi(builder, tx, arith.constant(builder, 3))]
+
+
+def _past_the_row(builder, tx, bx):  # column tx + 2 of (2, 4) ran into row 1
+    return [arith.constant(builder, 0), arith.addi(builder, tx, arith.constant(builder, 2))]
+
+
+def _past_the_end(builder, tx, bx):  # a too-large flat index named no memref
+    return [arith.addi(builder, tx, arith.constant(builder, 5))]
+
+
+def _split_past_the_end(builder, tx, bx):  # block + lane, checked on the parts
+    return [arith.addi(builder, tx, arith.muli(builder, bx, arith.constant(builder, 6)))]
+
+
+@pytest.mark.parametrize("module, shape, grid, block, message", [
+    (lambda: _loading_kernel(99), (8,), 1, 1, r"axis 0 index out of range \[0, 8\) \(got \[99, 99\]\)"),
+    (lambda: _lane_kernel((8,), _below_zero), (8,), 1, 8,
+     r"axis 0 index out of range \[0, 8\) \(got \[-3, 4\]\)"),
+    (lambda: _lane_kernel((2, 4), _past_the_row), (2, 4), 1, 4,
+     r"axis 1 index out of range \[0, 4\) \(got \[2, 5\]\)"),
+    (lambda: _lane_kernel((8,), _past_the_end), (8,), 1, 4,
+     r"axis 0 index out of range \[0, 8\) \(got \[5, 8\]\)"),
+    (lambda: _lane_kernel((8,), _split_past_the_end), (8,), 2, 4,
+     r"axis 0 index out of range \[0, 8\) \(got \[0, 9\]\)"),
+], ids=["constant", "below-zero", "past-the-row", "past-the-end", "split"])
+def test_interpreter_raises_on_out_of_bounds_memref_access(module, shape, grid, block, message):
+    """Every axis is checked, on the dense and the split path, and the error names
+    the memref — a negative index does not wrap, a column does not run into the
+    next row."""
+    with pytest.raises(IndexError, match="^%arg0: " + message + "$"):
+        run_gpu_kernel(module(), "k", grid=(grid, 1, 1), block=(block, 1, 1),
+                       arguments=[np.zeros(shape, dtype=np.float32)])
 
 
 def test_interpreter_rejects_unsupported_operations():

@@ -1,13 +1,16 @@
-"""mini-CUDA indices that stay ``block + lane`` until the gather.
+"""Indices that stay ``block + lane`` until the gather, on mini-CUDA and MLIR.
 
-``ctx.blockIdx`` and ``ctx.tx/ty/tz`` are :class:`SplitIndex` values; a global
+``ctx.blockIdx`` and ``ctx.tx/ty/tz`` (and the MLIR interpreter's
+``gpu.block_id`` / ``gpu.thread_id``) are :class:`SplitIndex` values; a global
 access whose indices all keep the split takes the closed form (bounds on the
 parts' extrema, ``log_global_affine``, one gather at ``base + pattern``).
 Every test here runs the same launch twice — once with the split indices,
-once with the same indices materialised (``np.asarray``), which is the dense
-path — and requires the same values, the same counters and the same errors.
+once with the same indices materialised (``np.asarray``, or in MLIR every
+index passed through ``arith.maxsi(v, 0)``), which is the dense path — and
+requires the same values, the same counters and the same errors.
 """
 
+import copy
 import dataclasses
 from dataclasses import replace
 
@@ -19,6 +22,10 @@ from repro.gpusim import A100_80GB
 from repro.minicuda import GlobalArray, launch
 from repro.minicuda.runtime import BlockContext
 from repro.minicuda.smem import SplitIndex
+from repro.mlir import interp, run_gpu_kernel
+from repro.mlir.dialects import arith, build_gpu_module, gpu, memref
+from repro.mlir.ir import OpBuilder, Operation, Value
+from repro.mlir.types import F32, INDEX, MemRefType
 
 DEVICES = [replace(A100_80GB, warp_size=warp, dram_sector_bytes=sector)
            for warp in (16, 32, 64) for sector in (32, 64)]
@@ -258,3 +265,144 @@ def test_the_stencil_equals_the_dense_path(monkeypatch):
                 dense_run = run(by_name[name], n, brick, layout, dense=True)
                 assert np.array_equal(split_run[0], dense_run[0]), (name, brick)
                 assert split_run[1] == dense_run[1], (name, brick)
+
+
+# -- the MLIR interpreter: the same split, read by memref.load / memref.store ------------
+
+
+def _laundered(module):
+    """A copy of ``module`` whose every memref index goes through ``arith.maxsi(v, 0)``:
+    the same (non-negative) values, never split, so every access is dense."""
+    module = copy.deepcopy(module)
+    for fn in module.functions:
+        zero = Value(name="launder_zero", type=INDEX)
+        constant = Operation("arith.constant", results=[zero], attributes={"value": 0})
+        zero.defining_op = constant
+        _launder(fn.body, zero)
+        fn.body.operations.insert(0, constant)
+    return module
+
+
+def _launder(block, zero):
+    operations = []
+    for op in block.operations:
+        for region in op.regions:
+            for inner in region.blocks:
+                _launder(inner, zero)
+        first = {"memref.load": 1, "memref.store": 2}.get(op.name)
+        if first is not None:
+            for position in range(first, len(op.operands)):
+                kept = Value(name=f"launder{len(operations)}", type=INDEX)
+                clamp = Operation("arith.maxsi", operands=[op.operands[position], zero],
+                                  results=[kept])
+                kept.defining_op = clamp
+                operations.append(clamp)
+                op.operands[position] = kept
+        operations.append(op)
+    block.operations = operations
+
+
+@pytest.fixture
+def mlir_closed_forms(monkeypatch):
+    """Counts the MLIR accesses that take the closed form."""
+    taken = []
+    record = interp._BlockExecutor._record_split
+
+    def counted(self, *args, **kwargs):
+        taken.append(1)
+        return record(self, *args, **kwargs)
+
+    monkeypatch.setattr(interp._BlockExecutor, "_record_split", counted)
+    return taken
+
+
+def _run_module(module, name, grid, block, arguments, device):
+    arguments = [np.array(argument) for argument in arguments]
+    result = run_gpu_kernel(module, name, grid=grid, block=block, arguments=arguments,
+                            device=device)
+    return arguments, _counters(result)
+
+
+def _assert_split_equals_dense(module, name, grid, block, arguments, device, closed):
+    closed.clear()
+    split = _run_module(module, name, grid, block, arguments, device)
+    took = len(closed)
+    closed.clear()
+    dense = _run_module(_laundered(module), name, grid, block, arguments, device)
+    assert not closed
+    for mine, theirs in zip(split[0], dense[0]):
+        assert np.array_equal(mine, theirs)
+    assert split[1] == dense[1]
+    return took
+
+
+@pytest.mark.parametrize("variant, skew", [("naive", False), ("naive", True), ("smem", False),
+                                           ("smem", True)])
+def test_mlir_transpose_equals_the_dense_path(variant, skew, mlir_closed_forms):
+    """Values and every ``GpuLaunchResult`` field; both global accesses take the closed
+    form, the workgroup tile keeps the block-uniform path."""
+    from repro.apps.transpose import TransposeConfig, generate_transpose_module
+
+    cases = [(n, tile) for n in (16, 64, 256) for tile in (4, 8, 16)]
+    for position, (n, tile) in enumerate(cases):
+        kernel = generate_transpose_module(n, tile, variant, skew=skew)
+        config = TransposeConfig(n=n, tile=tile)
+        source = np.random.default_rng(n + tile).standard_normal(n * n).astype(np.float32)
+        took = _assert_split_equals_dense(
+            kernel.module, kernel.kernel_names[0], config.grid(), config.block(),
+            [source, np.zeros_like(source)], DEVICES[position % len(DEVICES)],
+            mlir_closed_forms)
+        assert took == 2, (n, tile)
+
+
+def _copy_kernel(shape, index_of):
+    """``out[store index] = src[load index]`` over two ``shape`` memrefs, the indices
+    built from ``index_of(builder, tx, bx, constant) -> (load, store)``."""
+    module = build_gpu_module("m")
+    fn = gpu.func(module, "k", [MemRefType(shape, F32), MemRefType(shape, F32)])
+    builder = OpBuilder(fn.body)
+    tx, bx = gpu.thread_id(builder, "x"), gpu.block_id(builder, "x")
+    load_index, store_index = index_of(builder, tx, bx, lambda v: arith.constant(builder, v))
+    value = memref.load(builder, fn.argument(0), load_index)
+    memref.store(builder, value, fn.argument(1), store_index)
+    gpu.return_(builder)
+    return module
+
+
+def _reversed_in_block(builder, tx, bx, const):
+    """Lane part ``-tx`` dips below 0, the sum ``8·bx + 7 - tx`` stays in range."""
+    reverse = arith.addi(builder, arith.muli(builder, bx, const(8)),
+                         arith.subi(builder, const(7), tx))
+    return [arith.addi(builder, arith.muli(builder, bx, const(8)), tx)], [reverse]
+
+
+def _colliding(builder, tx, bx, const):
+    """Blocks two apart write one element (``2·bx + tx`` over four lanes): the last
+    writer, the highest block, must win on either path."""
+    spread = arith.addi(builder, arith.muli(builder, bx, const(8)), tx)
+    return [spread], [arith.addi(builder, arith.muli(builder, bx, const(2)), tx)]
+
+
+def _two_axes(builder, tx, bx, const):
+    """A ``(rows, cols)`` memref: row from the block, column from block and lane."""
+    row = arith.addi(builder, bx, const(1))
+    column = arith.subi(builder, arith.addi(builder, arith.muli(builder, bx, const(2)),
+                                            const(3)), tx)
+    return [row, arith.muli(builder, tx, const(1))], [row, column]
+
+
+@pytest.mark.parametrize("shape, index_of, grid, block", [
+    ((64,), _reversed_in_block, 8, 8),
+    ((128,), _colliding, 16, 4),
+    ((12, 40), _two_axes, 11, 4),
+], ids=["lane-below-zero", "colliding-stores", "two-axes"])
+def test_mlir_split_kernels_equal_the_dense_path(shape, index_of, grid, block,
+                                                 mlir_closed_forms):
+    module = _copy_kernel(shape, index_of)
+    source = np.arange(int(np.prod(shape)), dtype=np.float32).reshape(shape) + 1
+    for device in DEVICES:
+        took = _assert_split_equals_dense(module, "k", (grid, 1, 1), (block, 1, 1),
+                                          [source, np.zeros_like(source)], device,
+                                          mlir_closed_forms)
+        assert took == 2
+
