@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codegen import CodegenContext, CudaKernel, GuardProofError, get_backend, note_static_proof
+from ..codegen import CodegenContext, CudaKernel, GuardProofError, KernelFamily, get_backend, note_static_proof
 from ..core import GroupBy, Row
 from ..gpusim import A100_80GB, DeviceSpec
 from ..minicuda import GlobalArray, launch
@@ -111,20 +111,27 @@ def generate_lud_internal_kernel(config: LudConfig) -> CudaKernel:
 
     The only generated expression is the element offset each thread derives
     from the coarsened thread layout; the kernel body is otherwise identical
-    across configurations (coarsening is "just a layout").
+    across configurations (coarsening is "just a layout"): it is lowered and
+    proven in bounds once, in ``R`` and ``T`` (:class:`~repro.codegen.KernelFamily`).
     """
-    layout = coarsened_thread_layout(config.block, config.cuda_block)
+    lowered = KernelFamily.of(_lud_internal_context).specialise(R=config.coarsening, T=config.cuda_block)
+    template = LUD_INTERNAL_TEMPLATE.format(B=config.block, R=config.coarsening)
+    return get_backend("cuda").generate(f"lud_internal_b{config.block}", template, lowered)
+
+
+def _lud_internal_context() -> CodegenContext:
+    coarsening, cuda_block = Var("R"), Var("T")
     r_i, r_j, tx, ty = Var("r_i"), Var("r_j"), Var("tx"), Var("ty")
-    ctx = CodegenContext(name=f"lud_internal_b{config.block}")
-    coarsening = config.coarsening
+    ctx = CodegenContext(name="lud_internal")
+    ctx.size(coarsening, cuda_block)
     ctx.index(r_i, coarsening)
     ctx.index(r_j, coarsening)
-    ctx.index(tx, config.cuda_block)
-    ctx.index(ty, config.cuda_block)
-    ctx.bind("element_offset", layout.apply(r_i, r_j, ty, tx))
-    ctx.require_in_bounds("element_offset", 0, config.block * config.block - 1)
-    template = LUD_INTERNAL_TEMPLATE.format(B=config.block, R=coarsening)
-    return get_backend("cuda").generate(f"lud_internal_b{config.block}", template, ctx)
+    ctx.index(tx, cuda_block)
+    ctx.index(ty, cuda_block)
+    block = coarsening * cuda_block
+    ctx.bind("element_offset", coarsened_thread_layout(block, cuda_block).apply(r_i, r_j, ty, tx))
+    ctx.require_in_bounds("element_offset", 0, block * block - 1)
+    return ctx
 
 
 def lud_reference(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,13 +175,6 @@ def lud_blocked(matrix: np.ndarray, block: int) -> np.ndarray:
         # internal kernel: rank-`block` update of the trailing submatrix
         a[end:, end:] -= a[end:, start:end] @ a[start:end, end:]
     return a
-
-
-def split_lu(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split the packed LUD output into ``(L, U)`` factors."""
-    lower = np.tril(packed, -1) + np.eye(packed.shape[0])
-    upper = np.triu(packed)
-    return lower, upper
 
 
 def check_element_offsets(kernel, config: LudConfig) -> None:

@@ -1,7 +1,8 @@
 """Code generation: templates, contexts and the unified backend registry.
 
 * :func:`render_template` — the ``{{ }}`` placeholder engine,
-* :class:`CodegenContext` — symbols, assumptions and named layout bindings,
+* :class:`CodegenContext` — symbols, assumptions and named layout bindings;
+  :class:`KernelFamily` — one lowered once in its sizes, specialised by substitution,
 * :class:`GeneratedKernel` / :class:`Backend` / :func:`get_backend` /
   :func:`register_backend` — the backend protocol and registry shared by the
   Triton, CUDA and MLIR generators (one lower-render-validate path, one
@@ -22,7 +23,7 @@ optional at import time.
 """
 
 from .template import TemplateError, extract_placeholders, render_template
-from .context import CodegenContext, LoweredBinding, lower_expression
+from .context import CodegenContext, KernelFamily, LoweredBinding, SpecialisationError, lower_expression
 from .guards import (
     GuardProofError,
     discharge_in_bounds,
@@ -47,6 +48,8 @@ __all__ = [
     "render_template",
     "CodegenContext",
     "LoweredBinding",
+    "KernelFamily",
+    "SpecialisationError",
     "lower_expression",
     "GuardProofError",
     "prove_guard_redundant",

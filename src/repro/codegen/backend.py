@@ -32,7 +32,7 @@ from importlib import import_module
 from typing import Iterable, Mapping, Sequence
 
 from ..symbolic import CostWeights, PythonPrinter, operation_count
-from .context import CodegenContext, LoweredBinding
+from .context import CodegenContext, KernelFamily, LoweredBinding
 from .template import extract_placeholders, render_template
 
 __all__ = [
@@ -118,7 +118,7 @@ class Backend(abc.ABC):
         self,
         name: str,
         template,
-        context: CodegenContext,
+        context: CodegenContext | KernelFamily,
         extra_bindings: Mapping[str, object] | None = None,
         *,
         cost_weights: CostWeights | None = None,
@@ -153,7 +153,7 @@ class TemplateBackend(Backend):
         self,
         name: str,
         template: str,
-        context: CodegenContext,
+        context: CodegenContext | KernelFamily,
         extra_bindings: Mapping[str, object] | None = None,
         *,
         cost_weights: CostWeights | None = None,

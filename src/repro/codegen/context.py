@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..core.slicing import LayoutSlice
 from ..symbolic import (
@@ -25,14 +25,16 @@ from ..symbolic import (
     Expr,
     PythonPrinter,
     SymbolicEnv,
+    SymInterval,
     Var,
     as_expr,
     expand,
     operation_count,
     simplify_fixpoint,
 )
+from ..symbolic.memo import MEMO, memo_put
 
-__all__ = ["LoweredBinding", "CodegenContext", "lower_expression"]
+__all__ = ["LoweredBinding", "CodegenContext", "lower_expression", "KernelFamily", "SpecialisationError"]
 
 
 @dataclass
@@ -43,8 +45,14 @@ class LoweredBinding:
     expr: Expr
     variant: str  # "unexpanded" | "expanded"
     ops: int
-    raw_ops: int
+    raw: Expr  # before simplification; ``sizes`` are substituted on first read
     substitutions: dict[str, str] = field(default_factory=dict)
+    weights: CostWeights = field(default_factory=CostWeights)
+    sizes: Mapping[str, int] = field(default_factory=dict)
+
+    @property
+    def raw_ops(self) -> int:
+        return operation_count(self.raw.subs(self.sizes), self.weights)
 
     def render(self, printer: PythonPrinter | None = None, extra_substitutions: Mapping[str, str] | None = None) -> str:
         printer = printer or PythonPrinter()
@@ -142,10 +150,6 @@ class CodegenContext:
         """Bind a name to an expression, a layout slice or a sequence of expressions."""
         self._bindings[name] = value
 
-    def bind_many(self, **values) -> None:
-        for name, value in values.items():
-            self.bind(name, value)
-
     def require_in_bounds(self, name: str, lo, hi) -> None:
         """Register the obligation ``lo <= binding <= hi`` (inclusive).
 
@@ -200,7 +204,7 @@ class CodegenContext:
         The result is cached: as long as no binding, substitution,
         environment fact or weighting changed since the previous call, the
         previously lowered bindings are returned without re-simplifying
-        anything (``render`` and ``total_ops`` both call ``lower``).
+        anything (``render`` calls ``lower``).
         """
         weights = cost_weights or self.weights
         if self._lowered is not None and self._lowered_key == self._lowering_key(weights):
@@ -244,23 +248,59 @@ class CodegenContext:
             expr = value.offset
         else:
             expr = as_expr(value)
-        raw_ops = operation_count(expr, weights)
         simplified, variant, ops = lower_expression(expr, self.env, self.pre_expand, weights)
-        return LoweredBinding(
-            name=name,
-            expr=simplified,
-            variant=variant,
-            ops=ops,
-            raw_ops=raw_ops,
-            substitutions=substitutions,
-        )
+        return LoweredBinding(name, simplified, variant, ops, expr, substitutions, weights)
 
     def render(self, printer: PythonPrinter | None = None) -> dict[str, str]:
         """Lower all bindings and render them to source text."""
         printer = printer or PythonPrinter()
         return {name: binding.render(printer) for name, binding in self.lower().items()}
 
-    def total_ops(self) -> int:
-        """Total operation count across all lowered bindings (Table IV metric)."""
-        lowered = self.lower()
-        return operation_count([b.expr for b in lowered.values()], self.weights)
+
+class SpecialisationError(ValueError):
+    """Sizes that break a fact a :class:`KernelFamily` was lowered under."""
+
+
+@dataclass(frozen=True)
+class KernelFamily:
+    """A context lowered once with its extents as size symbols (see DESIGN.md);
+    a member is a family with no sizes left, read by backends as a lowered context."""
+
+    name: str
+    sizes: tuple[str, ...]
+    divisibility: tuple[tuple[Expr, Expr], ...]
+    bindings: tuple[LoweredBinding, ...]
+    proven_bounds: tuple[tuple[str, bool], ...]
+    generation_seconds: float
+
+    @classmethod
+    def of(cls, build: Callable[..., CodegenContext], *args) -> "KernelFamily":
+        """The family of ``build(*args)``, lowered once into the symbolic memo table."""
+        key = ("kernel_family", build, *args)
+        family = MEMO.get(key)
+        if family is None:
+            ctx = build(*args)
+            lowered = ctx.lower()
+            sizes = tuple(name for name, r in ctx.env.variables().items() if r == SymInterval.positive())
+            family = cls(ctx.name, sizes, tuple(ctx.env.divisibility_facts()), tuple(lowered.values()),
+                         tuple(ctx.proven_bounds.items()), ctx.generation_seconds or 0.0)
+            memo_put(key, family)
+        return family
+
+    def specialise(self, **sizes: int) -> "KernelFamily":
+        """The member at ``sizes``, after checking every fact the family was lowered under."""
+        started = time.perf_counter()
+        if set(sizes) != set(self.sizes) or any(type(v) is not int or v < 1 for v in sizes.values()):
+            raise SpecialisationError(f"family {self.name!r} takes int sizes >= 1 {self.sizes}, got {sizes}")
+        for dividend, divisor in self.divisibility:
+            if dividend.evaluate(sizes) % divisor.evaluate(sizes):
+                raise SpecialisationError(f"family {self.name!r} needs {divisor} | {dividend}, got {sizes}")
+        bindings = tuple(LoweredBinding(b.name, e, b.variant, operation_count(e, b.weights), b.raw,
+                                        dict(b.substitutions), b.weights, sizes)
+                         for b in self.bindings for e in (b.expr.subs(sizes),))
+        return KernelFamily(self.name, (), (), bindings, self.proven_bounds, time.perf_counter() - started)
+
+    def lower(self, cost_weights: CostWeights | None = None) -> dict[str, LoweredBinding]:
+        if cost_weights is not None:
+            raise TypeError("a family member keeps the weights its family was lowered with")
+        return {binding.name: binding for binding in self.bindings}

@@ -36,7 +36,7 @@ from ..mlir.verifier import verify_module
 from ..symbolic import Const, CostWeights, Expr, FloorDiv, Max, Min, Mod, Mul, Var, as_expr
 from ..symbolic.expr import Add
 from .backend import Backend, GeneratedKernel, register_backend, validate_bound
-from .context import CodegenContext
+from .context import CodegenContext, KernelFamily
 
 __all__ = [
     "MlirKernel",
@@ -122,7 +122,7 @@ class MlirBackend(Backend):
     The ``template`` is a module-builder callable
     ``build(exprs: dict[str, Expr]) -> (Module, Sequence[str])`` receiving
     the lowered (simplified) index expression of every context binding; the
-    backend lowers, validates required names, runs the builder, verifies the
+    backend lowers the context, runs the builder, verifies the
     module and returns an :class:`MlirKernel` with the printed text.
     """
 
@@ -132,11 +132,10 @@ class MlirBackend(Backend):
         self,
         name: str,
         template: Callable[[dict[str, Expr]], tuple[Module, Sequence[str]]],
-        context: CodegenContext,
+        context: CodegenContext | KernelFamily,
         extra_bindings: Mapping[str, object] | None = None,
         *,
         cost_weights: CostWeights | None = None,
-        requires: Sequence[str] | None = None,
         **options,
     ) -> MlirKernel:
         if options:
@@ -146,8 +145,6 @@ class MlirBackend(Backend):
         if extra_bindings:
             for key, value in extra_bindings.items():
                 exprs.setdefault(key, as_expr(value))
-        if requires:
-            validate_bound(name, requires, exprs)
         module, kernel_names = template(exprs)
         verify_module(module)
         return MlirKernel(
@@ -195,42 +192,13 @@ def generate_transpose_module(n: int, tile: int = 32, variant: str = "smem",
     uses the bank-conflict-free skewed layout; without it the tile is plain
     row-major, which serialises the transposed read — the configuration knob
     the layout autotuner sweeps.  The index expressions for the global and
-    shared buffers are derived from LEGO layouts and simplified before
-    emission, then generation flows through ``get_backend("mlir")``.
+    shared buffers are derived from LEGO layouts and lowered once per
+    ``(variant, skew)`` (:class:`~repro.codegen.KernelFamily`), then the
+    module is built per ``(n, tile)`` through ``get_backend("mlir")``.
     """
-    if n % tile != 0:
-        raise ValueError(f"transpose size {n} must be a multiple of the tile {tile}")
     if variant not in ("naive", "smem"):
         raise ValueError(f"unknown transpose variant {variant!r}")
-
-    # -- layouts ---------------------------------------------------------------
-    data_layout = GroupBy([n, n]).OrderBy(Row(n, n))
-    smem_layout = skewed_tile_layout(tile) if skew else GroupBy([tile, tile]).OrderBy(Row(tile, tile))
-
-    # -- symbolic index expressions --------------------------------------------
-    tx, ty, bx, by = Var("tx"), Var("ty"), Var("bx"), Var("by")
-    # pre_expand="never" keeps the single simplify_fixpoint pass the MLIR
-    # path has always used (and the golden files pin).
-    ctx = CodegenContext(name=f"transpose_{variant}", pre_expand="never")
-    ctx.index(tx, tile)
-    ctx.index(ty, tile)
-    ctx.index(bx, n // tile)
-    ctx.index(by, n // tile)
-
-    row = by * tile + ty
-    col = bx * tile + tx
-    ctx.bind("in_offset", data_layout.apply(row, col))
-    required = ["in_offset", "out_offset"]
-    if variant == "naive":
-        ctx.bind("out_offset", data_layout.apply(col, row))
-    else:
-        # coalesced write: the block writes the transposed tile row-by-row
-        out_row = bx * tile + ty
-        out_col = by * tile + tx
-        ctx.bind("out_offset", data_layout.apply(out_row, out_col))
-        ctx.bind("smem_write", smem_layout.apply(ty, tx))
-        ctx.bind("smem_read", smem_layout.apply(tx, ty))
-        required += ["smem_write", "smem_read"]
+    lowered = KernelFamily.of(_transpose_context, variant, bool(skew)).specialise(N=n, T=tile)
 
     # -- module construction ------------------------------------------------------
     kernel_name = f"transpose_{variant}"
@@ -271,4 +239,30 @@ def generate_transpose_module(n: int, tile: int = 32, variant: str = "smem",
 
     from .backend import get_backend
 
-    return get_backend("mlir").generate(kernel_name, build, ctx, requires=required)
+    return get_backend("mlir").generate(kernel_name, build, lowered)
+
+
+def _transpose_context(variant: str, skew: bool) -> CodegenContext:
+    """The transpose's index expressions in the size symbols ``N`` and ``T``."""
+    n, tile = Var("N"), Var("T")
+    data_layout = GroupBy([n, n]).OrderBy(Row(n, n))
+    smem_layout = skewed_tile_layout(tile) if skew else GroupBy([tile, tile]).OrderBy(Row(tile, tile))
+    tx, ty, bx, by = Var("tx"), Var("ty"), Var("bx"), Var("by")
+    # pre_expand="never" keeps the single simplify_fixpoint pass the MLIR
+    # path has always used (and the golden files pin).
+    ctx = CodegenContext(name=f"transpose_{variant}", pre_expand="never")
+    ctx.size(n, tile)
+    ctx.divisible(n, tile)
+    ctx.index(tx, tile)
+    ctx.index(ty, tile)
+    ctx.index(bx, n // tile)
+    ctx.index(by, n // tile)
+    ctx.bind("in_offset", data_layout.apply(by * tile + ty, bx * tile + tx))
+    if variant == "naive":
+        ctx.bind("out_offset", data_layout.apply(bx * tile + tx, by * tile + ty))
+    else:
+        # coalesced write: the block writes the transposed tile row-by-row
+        ctx.bind("out_offset", data_layout.apply(bx * tile + ty, by * tile + tx))
+        ctx.bind("smem_write", smem_layout.apply(ty, tx))
+        ctx.bind("smem_read", smem_layout.apply(tx, ty))
+    return ctx

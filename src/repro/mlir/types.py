@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -87,10 +86,6 @@ class MemRefType(Type):
                 raise ValueError("dynamic memref shapes have no static element count")
             total *= d
         return total
-
-
-def make_shape(shape: Sequence[int]) -> tuple:
-    return tuple(int(s) for s in shape)
 
 
 F32 = FloatType(32)

@@ -3,7 +3,9 @@
 Every memoised answer — a one-pass rewrite, a fixpoint, a prover verdict, a
 range, an expansion, an operation count, the canonical text, an ``Add`` /
 ``Mul`` constructor's result — is a pure function of interned expressions and
-the facts it was derived under (none, for the last three).  Expression ids are
+the facts it was derived under (none, for the last three); a kernel family
+(:class:`repro.codegen.KernelFamily`) is one of its builder and arguments, and
+is keyed ``("kernel_family", builder, args...)``.  Expression ids are
 global and never reused, so the table is keyed ``(family, expr id..., fact
 token)`` (``ops``: the collection's ids and the weights; ``add`` / ``mul``: the
 operands' ids, a literal int as a 1-tuple; ``str``: the id alone): the

@@ -25,9 +25,9 @@ ladder (:func:`_ladder_nonneg`): refute first, then four proving stages
    which lets the n-ary ``Add`` canonicaliser cancel syntactically
    different but equal terms (``nt_n*(X + 1) - nt_n - nt_n*X``);
 4. **facts** — term cancellation against relational facts: user-declared
-   ``lhs <= rhs`` constraints plus the built-in lemma ``min(a, b) * max(1, a
-   // b) <= a`` (which Z3 discharges for the paper; grouped thread-block
-   layouts need it).
+   ``lhs <= rhs`` constraints, symbolic index ends (``r_i <= R - 1``) and
+   the built-in lemma ``min(a, b) * max(1, a // b) <= a`` (which Z3
+   discharges for the paper; grouped thread-block layouts need it).
 
 Which outcome each obligation met — ``refuted``, a stage, or ``abstain`` — is
 counted once, on the registry counter
@@ -356,9 +356,10 @@ def _prove_le_impl(lhs: Expr, rhs: Expr, env: SymbolicEnv) -> bool:
 def _product_facts(expr: Expr, env: SymbolicEnv) -> list[tuple[Expr, Expr]]:
     """Relational facts usable for term cancellation in ``expr``.
 
-    Combines user-declared ``declare_le`` facts with instances of the lemma
+    Combines user-declared ``declare_le`` facts, instances of the lemma
     ``Min(a, b) * Max(1, a // b) <= a`` for every ``Min``/``Max`` pair of that
-    shape appearing in ``expr`` (both orientations of the ``Min``).
+    shape appearing in ``expr`` (both orientations of the ``Min``) and, last,
+    ``x <= hi`` for each variable declared with a symbolic upper end ``hi``.
     """
     facts: list[tuple[Expr, Expr]] = list(env.le_facts())
     # The structural identity d * (x // d) <= x for non-negative x, positive d.
@@ -381,7 +382,8 @@ def _product_facts(expr: Expr, env: SymbolicEnv) -> list[tuple[Expr, Expr]]:
                 continue
             if is_nonneg(a, env) and is_positive(b, env):
                 facts.append((Mul(min_node, max_node), a))
-    return facts
+    return facts + [(Var(name), r.hi) for name, r in env.variables().items()
+                    if r.hi is not None and not isinstance(r.hi, Const)]
 
 
 def _mul_factors(expr: Expr) -> tuple[int, list[Expr]]:
