@@ -12,25 +12,28 @@ access from the per-lane *element* indices into the shared buffer;
 ``access_conflict_profile`` aggregates a whole kernel phase.
 
 Recorders do not score.  The three substrates' launch traces are
-:class:`AccessLog` instances: every recorder — mini-CUDA's and MLIR's a row per
-block, mini-Triton's a row per program — appends the dense ``(rows, lanes)``
-offsets of an access (:meth:`AccessLog.log_shared`,
-:meth:`AccessLog.log_global`) with the number of blocks that ``repeat`` it,
-and :meth:`AccessLog.flush` scores what is pending in one pass: accesses of
-one kind are pooled into one warp-row matrix (:func:`warp_rows`;
+:class:`AccessLog` dataclasses, and the base owns what they share: the
+global volume (elements, bytes, transactions), flops and the sector size.
+Every recorder — mini-CUDA's and MLIR's a row per block, mini-Triton's a row
+per program — appends the dense ``(rows, lanes)`` offsets of an access
+(:meth:`AccessLog.log_shared`, :meth:`AccessLog.log_global`) with the number
+of blocks that ``repeat`` it; a global access adds its elements and bytes at
+once, and :meth:`AccessLog.flush` scores what is pending in one pass:
+accesses of one kind are pooled into one warp-row matrix (:func:`warp_rows`;
 :func:`ragged_warp_rows` when their lengths differ — a ragged tail is padded
 by repeating the row's last lane, which adds neither a distinct value nor a
 word to any bank), sorted only when some row is out of order (a coalesced
 layout arrives sorted), and scored by :func:`row_conflict_degrees` (banks) or
 :func:`distinct_total` (sectors — a launch needs only their total, so it is
 one scan of the flattened matrix, not a per-row reduction).  An access whose
-rows are one pattern shifted per row (mini-Triton's affine offsets) never
-becomes that matrix: :meth:`AccessLog.log_global_affine` logs one row per
-sector residue, repeated by the number of rows that have it; which rows read
-the same tile, so that mini-Triton gathers it once, is :func:`distinct_bases`.
-Shared rows that are a few patterns shifted by whole amounts (LUD's k-loop)
-score once per shift residue class (:meth:`AccessLog.log_shared_affine`): a
-shift that moves every lane by whole bank words only rotates the banks.
+rows are one pattern shifted per row (a :class:`repro.vm.split.SplitIndex`'s
+``base + pattern``, on every substrate) never becomes that matrix:
+:meth:`AccessLog.log_global_affine` logs one row per sector residue, repeated
+by the number of rows that have it; which rows read the same tile, so that
+mini-Triton gathers it once, is :func:`distinct_bases`.  Shared rows that are
+a few patterns shifted by whole amounts (LUD's k-loop) score once per shift
+residue class (:meth:`AccessLog.log_shared_affine`): a shift that moves every
+lane by whole bank words only rotates the banks.
 :func:`repro.vm.engine.run_launch` flushes when the executor returns, and the
 log flushes itself before it would hold more than one slab
 (:data:`repro.vm.engine.SLAB_ELEMENTS`), so a launch of many tiny accesses
@@ -297,22 +300,39 @@ def _pooled_rows(accesses: list, warp_size: int) -> np.ndarray:
     return ragged_warp_rows(lanes, counts, warp_size)
 
 
+@dataclass
 class AccessLog:
-    """Base of the three launch traces: the launch's accesses, pending one scoring pass.
+    """Base of the three launch traces: global volume, and the launch's accesses
+    pending one scoring pass.
 
     A recorder appends an access — ``(rows, lanes)`` element offsets, every
     row cut into warps of ``warp_size`` lanes of its own, the whole pattern
-    paid ``repeat`` times (a block-uniform access: one row, every block) —
-    and :meth:`flush` commits the bank-conflict profile and the sector
-    transactions of everything pending.  The counters are final once the
-    launcher has returned (:func:`repro.vm.engine.run_launch` flushes); code
-    that drives a block context by hand on a trace of its own calls
-    :meth:`flush` before it reads them.  The state appears with the first
-    access, so the dataclasses that inherit from this need no field for it.
+    paid ``repeat`` times (a block-uniform access: one row, every block).  A
+    global access adds its elements and bytes at once; :meth:`flush` commits
+    the bank-conflict profile and the sector transactions of everything
+    pending.  The counters are final once the launcher has returned
+    (:func:`repro.vm.engine.run_launch` flushes); code that drives a block
+    context by hand on a trace of its own calls :meth:`flush` before it reads
+    them.  The pending state appears with the first access, so it is no field.
     """
+
+    load_elements: float = 0.0
+    store_elements: float = 0.0
+    load_bytes: float = 0.0
+    store_bytes: float = 0.0
+    load_transactions: float = 0.0
+    store_transactions: float = 0.0
+    flops: float = 0.0
+    #: DRAM sector granularity (bytes) every global access is recorded at; the
+    #: trace->cost adapter charges moved bytes at the same size
+    sector_bytes: int = 32
 
     _pending = None  # {(counter, warp_size, repeat): [accesses, masked rows]}
     _pending_slots = 0  # warp-row slots a flush would build: chunks * warp_size
+
+    @property
+    def dram_bytes(self) -> float:
+        return self.load_bytes + self.store_bytes
 
     def log_shared(self, offsets: np.ndarray, element_bytes: int, warp_size: int,
                    repeat: int = 1, fresh: bool = False) -> None:
@@ -350,26 +370,32 @@ class AccessLog:
             words = _units(residue + patterns, element_bytes, _BANK_BYTES)
             self._append("smem_profile", words, warp_size, repeat * int(counts[residue]))
 
-    def log_global(self, offsets: np.ndarray, element_bytes: int, sector_bytes: int,
-                   warp_size: int, is_store: bool, repeat: int = 1, valid=None) -> None:
+    def log_global(self, offsets: np.ndarray, element_bytes: int, warp_size: int,
+                   is_store: bool, repeat: int = 1, valid=None, lanes: int | None = None) -> None:
         """Append one global-memory access; scored into the load or store transactions.
 
         ``valid`` (mini-Triton's mask) marks the lanes that touch memory; a
         row with none contributes nothing.  Masked rows are whole programs:
         they are deduplicated uncut, so ``warp_size`` must cover the row.
+        The access moves its valid lanes, ``repeat`` times over; ``lanes``
+        says how many there are when the rows carry padding (mini-CUDA's
+        compacted threads).
         """
-        sectors = _units(offsets, element_bytes, sector_bytes)
+        sectors = _units(offsets, element_bytes, self.sector_bytes)
         masked_rows = 0
         if valid is not None:
             if sectors.shape[1] > warp_size:
                 raise ValueError("a masked access cannot be cut into warps")
+            valid = np.broadcast_to(np.asarray(valid, dtype=bool), sectors.shape)
+            lanes = int(np.count_nonzero(valid))
             sectors, masked = _masked_last(sectors, valid)
             masked_rows = int(np.count_nonzero(masked))
+        self._moved(is_store, (sectors.size if lanes is None else lanes) * repeat, element_bytes)
         self._append("store_transactions" if is_store else "load_transactions",
                      sectors, warp_size, repeat, masked_rows)
 
     def log_global_affine(self, base: np.ndarray, pattern: np.ndarray, element_bytes: int,
-                          sector_bytes: int, warp_size: int, is_store: bool) -> None:
+                          warp_size: int, is_store: bool) -> None:
         """Append the access whose row ``p`` is ``base[p] + pattern``, never building the rows.
 
         Exactly :meth:`log_global` of ``base[:, None] + pattern``: the sector
@@ -387,6 +413,8 @@ class AccessLog:
         """
         base = np.asarray(base, dtype=np.int64).reshape(-1)
         pattern = np.asarray(pattern, dtype=np.int64).reshape(-1)
+        sector_bytes = self.sector_bytes
+        self._moved(is_store, base.size * pattern.size, element_bytes)
         counter = "store_transactions" if is_store else "load_transactions"
         if base.size <= sector_bytes // math.gcd(element_bytes, sector_bytes):
             self._append(counter, _units(base[:, None] + pattern, element_bytes, sector_bytes),
@@ -397,6 +425,16 @@ class AccessLog:
         sectors = _units(live[:, None] + pattern, element_bytes, sector_bytes)
         for units, repeat in zip(sectors, rows[live].tolist()):
             self._append(counter, units[None, :], warp_size, repeat)
+
+    def _moved(self, is_store: bool, elements: int, element_bytes: int) -> None:
+        """Add a global access's elements and bytes to the load or store volume."""
+        count = float(elements)
+        if is_store:
+            self.store_elements += count
+            self.store_bytes += count * element_bytes
+        else:
+            self.load_elements += count
+            self.load_bytes += count * element_bytes
 
     def _append(self, counter: str, units: np.ndarray, warp_size: int, repeat: int,
                 masked_rows: int = 0) -> None:

@@ -42,8 +42,8 @@ import numpy as np
 from ..gpusim.sharedmem import AccessLog, ConflictProfile, ragged_warp_rows
 from ..vm import engine
 from ..vm.engine import launch_extents, run_launch
-from ..vm.split import block_index, lane_index
-from .smem import SharedArray, _bump_global
+from ..vm.split import block_index, lane_index, per_block
+from .smem import SharedArray
 
 __all__ = ["Dim3", "BlockContext", "CudaTrace", "launch"]
 
@@ -73,31 +73,15 @@ class Dim3:
 class CudaTrace(AccessLog):
     """Counters accumulated over one launch (final once its access log is flushed)."""
 
-    #: global memory
-    load_elements: float = 0.0
-    store_elements: float = 0.0
-    load_bytes: float = 0.0
-    store_bytes: float = 0.0
-    load_transactions: float = 0.0
-    store_transactions: float = 0.0
     #: shared memory
     smem_load_bytes: float = 0.0
     smem_store_bytes: float = 0.0
     smem_profile: ConflictProfile = field(default_factory=ConflictProfile)
-    #: arithmetic
-    flops: float = 0.0
     #: launch geometry
     blocks: int = 0
     threads_per_block: int = 0
     smem_per_block: int = 0
-    #: DRAM sector granularity (bytes) every global access of the launch is
-    #: recorded at; the trace->cost adapter charges moved bytes at the same size
-    sector_bytes: int = 32
     extras: dict = field(default_factory=dict)
-
-    @property
-    def dram_bytes(self) -> float:
-        return self.load_bytes + self.store_bytes
 
     @property
     def smem_bytes(self) -> float:
@@ -144,15 +128,14 @@ class _CompactedThreads:
         # compacted flop counts are already lane-sums across blocks
         self._parent.trace.flops += float(flops)
 
-    def record_global(self, physical: np.ndarray, element_bytes: int, is_store: bool) -> None:
-        trace = self._parent.trace
+    def record_global(self, name: str, physical: np.ndarray, element_bytes: int,
+                      is_store: bool) -> None:
         flat = physical.reshape(-1)
         if flat.size != self._lanes:
-            raise TypeError("compacted access does not match the active lane count")
-        count = float(flat.size)
-        trace.log_global(flat[self._chunks], element_bytes, trace.sector_bytes, self.warp_size,
-                         is_store)
-        _bump_global(trace, is_store, count, count * element_bytes)
+            raise TypeError(f"{name}: compacted access does not match the active lane count")
+        # the warp rows carry padding: the access moves its real lanes only
+        self._parent.trace.log_global(flat[self._chunks], element_bytes, self.warp_size,
+                                      is_store, lanes=flat.size)
 
 
 class BlockContext:
@@ -164,8 +147,8 @@ class BlockContext:
     ``blockIdx.x/y/z`` are block-only and ``tx/ty/tz`` lane-only
     :class:`~repro.vm.split.SplitIndex` values (read-only ``(B, 1)`` and
     ``(T,)`` arrays to any use but ``+``/``-``/``* int``), so a global access
-    indexed by their sums takes the closed form
-    (:meth:`record_global_affine`).
+    indexed by their sums is logged in closed form
+    (:meth:`~repro.gpusim.sharedmem.AccessLog.log_global_affine`).
     """
 
     def __init__(
@@ -253,35 +236,14 @@ class BlockContext:
 
     # -- global-memory accounting (called by GlobalArray.load / store) ------
 
-    def record_global(self, physical: np.ndarray, element_bytes: int, is_store: bool) -> None:
-        trace = self.trace
-        if physical.ndim == 2 and physical.shape[0] == self._batch:
+    def record_global(self, name: str, physical: np.ndarray, element_bytes: int,
+                      is_store: bool) -> None:
+        if per_block(name, physical, self._batch):
             rows, repeat = physical, 1
-        elif physical.ndim <= 1:
+        else:
             # block-uniform access: every block repeats the same pattern
             rows, repeat = physical.reshape(1, -1), self._batch
-        else:
-            raise TypeError(
-                f"cannot classify a rank-{physical.ndim} global access: expected one row "
-                f"per block ({self._batch}) or a block-uniform index"
-            )
-        trace.log_global(rows, element_bytes, trace.sector_bytes, self.warp_size, is_store,
-                         repeat)
-        count = float(rows.size * repeat)
-        _bump_global(trace, is_store, count, count * element_bytes)
-
-    def record_global_affine(self, base: np.ndarray, pattern: np.ndarray, element_bytes: int,
-                             is_store: bool) -> None:
-        """Log the access whose block ``b`` reads ``base[b] + pattern``, never building the rows.
-
-        Each block's row is still cut into warps of ``warp_size`` lanes, as
-        :meth:`record_global` cuts the materialised ``(B, lanes)`` rows.
-        """
-        trace = self.trace
-        trace.log_global_affine(base, pattern, element_bytes, trace.sector_bytes,
-                                self.warp_size, is_store)
-        count = float(base.size * pattern.size)
-        _bump_global(trace, is_store, count, count * element_bytes)
+        self.trace.log_global(rows, element_bytes, self.warp_size, is_store, repeat)
 
 
 def _block_index(bx: np.ndarray, by: np.ndarray, bz: np.ndarray) -> SimpleNamespace:

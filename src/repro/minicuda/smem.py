@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..vm.split import SplitIndex, flat_index, materialised, split_access
+from ..vm.split import flat_index, materialised, per_block, split_access
 
-__all__ = ["SharedArray", "GlobalArray", "SplitIndex"]
+__all__ = ["SharedArray", "GlobalArray"]
 
 
 def _layout_table(layout, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -40,16 +40,6 @@ def _layout_table(layout, shape: tuple[int, ...]) -> np.ndarray | None:
             f"layout maps {table.size} elements but the array has {expected}"
         )
     return table
-
-
-def _bump_global(trace, is_store: bool, count: float, nbytes: float) -> None:
-    """Add one global access to the trace's load or store volume (its sectors are logged)."""
-    if is_store:
-        trace.store_elements += count
-        trace.store_bytes += nbytes
-    else:
-        trace.load_elements += count
-        trace.load_bytes += nbytes
 
 
 class _LayoutArray:
@@ -159,17 +149,6 @@ class SharedArray(_LayoutArray):
             return np.array(self._physical(indices))
         return flat if self._table is None else self._table[flat]
 
-    def _classify(self, physical: np.ndarray) -> bool:
-        """Whether an access differs per block (``True``) or is block-uniform."""
-        if physical.ndim == 2 and physical.shape[0] == self.batch:
-            return True
-        if physical.ndim <= 1:
-            return False
-        raise TypeError(
-            f"{self.name}: cannot classify a rank-{physical.ndim} access: expected one row "
-            f"per block ({self.batch}) or a block-uniform index"
-        )
-
     def _record(self, rows: np.ndarray, repeat: int, is_store: bool) -> None:
         """Log ``rows`` (each cut into warps of its own), paid ``repeat`` times."""
         ctx = self._context
@@ -184,7 +163,7 @@ class SharedArray(_LayoutArray):
 
     def _access(self, indices: tuple, is_store: bool) -> tuple[np.ndarray, bool]:
         physical = self._decode(indices)
-        batched = self._classify(physical)
+        batched = per_block(self.name, physical, self.batch)
         # block-uniform: every block repeats the one pattern
         if batched:
             self._record(physical, 1, is_store)
@@ -291,8 +270,8 @@ class GlobalArray(_LayoutArray):
     table, never builds the per-axis arrays: each axis is checked on
     ``min/max(block) + min/max(lane)`` (the extrema of the dense index, so
     the errors read the same), the flat index is one ``base (B, 1)`` plus
-    one ``pattern`` (``ctx.record_global_affine`` logs it without building
-    the rows), and the gather or scatter reads ``base + pattern`` in C order
+    one ``pattern`` (``log_global_affine`` logs it without building the
+    rows), and the gather or scatter reads ``base + pattern`` in C order
     (the last writer still wins).  Anything else takes the dense path.
     :meth:`load_rows` / :meth:`store_rows` issue many such accesses, one per
     row of shifts, in one call.
@@ -320,21 +299,21 @@ class GlobalArray(_LayoutArray):
         split = self._split(ctx, indices)
         if split is not None:
             base, pattern = split
-            ctx.record_global_affine(base, pattern, self.dtype.itemsize, is_store=False)
+            ctx.trace.log_global_affine(base, pattern, self.dtype.itemsize, ctx.warp_size, False)
             return self.data[base + pattern]
         physical = self._physical(indices)
-        ctx.record_global(physical, self.dtype.itemsize, is_store=False)
+        ctx.record_global(self.name, physical, self.dtype.itemsize, is_store=False)
         return self.data[physical]
 
     def store(self, ctx, value, *indices) -> None:
         split = self._split(ctx, indices)
         if split is not None:
             base, pattern = split
-            ctx.record_global_affine(base, pattern, self.dtype.itemsize, is_store=True)
+            ctx.trace.log_global_affine(base, pattern, self.dtype.itemsize, ctx.warp_size, True)
             physical = base + pattern
         else:
             physical = self._physical(indices)
-            ctx.record_global(physical, self.dtype.itemsize, is_store=True)
+            ctx.record_global(self.name, physical, self.dtype.itemsize, is_store=True)
         self.data[physical] = np.broadcast_to(np.asarray(value, dtype=self.dtype), physical.shape)
 
     # -- grouped accesses: row q is the access at indices + shifts[:, q] ---------------
@@ -355,7 +334,7 @@ class GlobalArray(_LayoutArray):
             return np.stack([self.load(ctx, *row) for row in _shifted(indices, shifts)],
                             axis=-2)
         base, pattern = split
-        ctx.record_global_affine(base, pattern, self.dtype.itemsize, is_store=False)
+        ctx.trace.log_global_affine(base, pattern, self.dtype.itemsize, ctx.warp_size, False)
         return self.data[base[..., None] + pattern]
 
     def store_rows(self, ctx, value, *indices, shifts) -> None:
@@ -374,7 +353,7 @@ class GlobalArray(_LayoutArray):
                 self.store(ctx, value[..., q, :] if value.ndim >= 2 else value, *row)
             return
         base, pattern = split
-        ctx.record_global_affine(base, pattern, self.dtype.itemsize, is_store=True)
+        ctx.trace.log_global_affine(base, pattern, self.dtype.itemsize, ctx.warp_size, True)
         # (rows, B, lanes) in C order, row after row: a scatter writes in memory order
         physical = np.ascontiguousarray(base.T)[..., None] + pattern
         values = np.broadcast_to(value, base.shape + pattern.shape).transpose(1, 0, 2)

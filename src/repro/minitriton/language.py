@@ -15,12 +15,16 @@ one-program launch is the pass of one).  Values derived from the program id
 become :class:`BatchedTensor`\\ s — NumPy arrays with a leading batch
 (program) axis — while values that do not depend on it stay plain arrays
 shared by all programs, exactly as a register common to all CTAs would be.
-Pointer arithmetic keeps its structure: ``+``/``-`` of program-id scalars and
-int64 blocks, and ``*`` by an int, yield :class:`AffineOffsets` — a base per
-program plus one block pattern — which an unmasked ``load``/``store``
-bounds-checks and scores on the form; everything else materialises it.  An
-unmasked load whose bases repeat gathers each distinct tile once
-(:class:`SharedTiles`), and ``tl.dot`` casts each of them once.
+Pointer arithmetic keeps its structure: ``+``/``-`` of program-id scalars,
+int64 blocks and ints, and ``*`` by an int, go through the substrates' one
+combiner (:func:`repro.vm.split.combine`) and yield :class:`SplitOffsets` — a
+:class:`~repro.vm.split.SplitIndex` whose block part is the program and whose
+lanes are the block pattern.  An unmasked ``load``/``store`` checks and
+decomposes it with :func:`~repro.vm.split.split_access`, and a dense one with
+:func:`~repro.vm.split.flat_index`, so its ``IndexError`` reads as mini-CUDA's
+and MLIR's; everything else materialises it.  An unmasked load whose bases
+repeat gathers each distinct tile once (:class:`SharedTiles`), and ``tl.dot``
+casts each of them once.
 
 Alignment convention: a ``BatchedTensor`` stores ``data`` of shape
 ``(P,) + block_shape``; binary operations pad the shorter *block* rank with
@@ -43,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gpusim.sharedmem import AccessLog, distinct_bases
+from ..vm.split import SplitIndex, combine, flat_index, split_access
 
 __all__ = [
     "constexpr",
@@ -107,24 +112,9 @@ class KernelTrace(AccessLog):
     (:class:`~repro.gpusim.sharedmem.AccessLog`) and the launcher flushes it.
     """
 
-    load_elements: float = 0.0
-    store_elements: float = 0.0
-    load_bytes: float = 0.0
-    store_bytes: float = 0.0
-    load_transactions: float = 0.0
-    store_transactions: float = 0.0
-    flops: float = 0.0
     tensor_core_flops: float = 0.0
     programs: int = 0
-    #: DRAM sector granularity (bytes) the transaction counters are recorded
-    #: at — the trace->cost adapter charges moved bytes at the same size, so
-    #: recording and costing can never disagree
-    sector_bytes: int = 32
     extras: dict = field(default_factory=dict)
-
-    @property
-    def dram_bytes(self) -> float:
-        return self.load_bytes + self.store_bytes
 
 
 class BatchedTensor:
@@ -190,47 +180,25 @@ class BatchedTensor:
     # -- binary (generated below) ------------------------------------------
 
 
-_INT64 = np.iinfo(np.int64)
+class SplitOffsets(BatchedTensor):
+    """Pointer offsets that keep their :class:`~repro.vm.split.SplitIndex`.
 
-
-class AffineOffsets(BatchedTensor):
-    """Integer offsets ``base[p] + pattern``: an int64 base per program, one block pattern.
-
-    ``program_id``-derived pointer arithmetic keeps this form (see
-    :func:`_affine2`): the base is ``(P,)``, the pattern is program-uniform
-    and carries the block shape.  ``data`` is the materialised
-    ``(P,) + block`` array — what every other op, dtype or mask reads — and
-    is built once, on first use.
+    Program-id-derived pointer arithmetic builds ``split`` (see
+    :func:`_apply2`): its block part is ``(P, 1)``, its lane part the
+    program-uniform block pattern.  ``data`` is the materialised ``(P,) +
+    block`` array — what every other op, dtype or mask reads — built once, on
+    first use.
     """
 
-    __slots__ = ("base", "pattern", "_data")
+    __slots__ = ("split",)
 
-    def __init__(self, base: np.ndarray, pattern: np.ndarray):
-        self.base = base
-        self.pattern = pattern
-        self.block_ndim = pattern.ndim
-        self._data = None
+    def __init__(self, split: SplitIndex):
+        self.split = split
+        self.block_ndim = split.lane.ndim
 
     @property
     def data(self) -> np.ndarray:
-        if self._data is None:
-            self._data = self.base.reshape(self.base.shape + (1,) * self.block_ndim) + self.pattern
-        return self._data
-
-    def span(self) -> tuple[int, int] | None:
-        """``(min, max)`` over every program's offsets, as Python ints.
-
-        ``None`` when there are none, or when a sum leaves int64 (the
-        materialised array wraps there, so only it can say what it holds).
-        """
-        base, pattern = self.base, self.pattern
-        if not (base.size and pattern.size):
-            return None
-        low = int(base.min()) + int(pattern.min())
-        high = int(base.max()) + int(pattern.max())
-        if low < _INT64.min or high > _INT64.max:
-            return None
-        return low, high
+        return self.split.data
 
 
 class SharedTiles(BatchedTensor):
@@ -256,66 +224,52 @@ class SharedTiles(BatchedTensor):
         return self._data
 
 
-def _gather(data: np.ndarray, offsets: AffineOffsets) -> BatchedTensor:
-    """``data[offsets.data]``, gathering each distinct base's tile once when bases repeat.
+def _gather(data: np.ndarray, base: np.ndarray, pattern: np.ndarray,
+            block_shape: tuple) -> BatchedTensor:
+    """``data[base + pattern]`` (``base`` ``(P, 1)``, ``pattern`` a flat block of
+    ``block_shape``), gathering each distinct base's tile once when bases repeat.
 
     One program, or bases strictly increasing (a row per program), cannot
     repeat: one compare pass and the plain gather.
     """
-    base, pattern = offsets.base, offsets.pattern
+    base = base.reshape(-1)
     if base.size > 1 and not (base[1:] > base[:-1]).all():
         unique, index = distinct_bases(base)
         if unique.size < base.size:
-            rows = unique.reshape(unique.shape + (1,) * pattern.ndim)
-            return SharedTiles(data[rows + pattern], index)
-    return BatchedTensor(data[offsets.data], offsets.block_ndim)
+            return SharedTiles(data[unique[:, None] + pattern].reshape(unique.shape + block_shape),
+                               index)
+    return BatchedTensor(data[base[:, None] + pattern].reshape(base.shape + block_shape),
+                         len(block_shape))
 
 
-def _affine_parts(x):
-    """``(base, pattern)`` of an operand that may join an affine form (either may be
-    ``None``), or ``None`` when it may not."""
-    if isinstance(x, AffineOffsets):
-        return x.base, x.pattern
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+#: the ops that keep pointer offsets split
+_SPLIT_OPS = (np.add, np.subtract, np.multiply)
+
+
+def _parts(x):
+    """Split parts (:func:`repro.vm.split.combine`) of an operand that may join
+    pointer offsets — split offsets, an int64 program value (the block part), an
+    int64 block (a lane of any rank) or a Python int — else ``None``."""
+    if type(x) is SplitOffsets:
+        split = x.split
+        return split.block, split.lane, split.offset, split._block_span, split._lane_span
     if isinstance(x, BatchedTensor):
-        return (x.data, None) if x.block_ndim == 0 and x.data.dtype == np.int64 else None
+        if x.block_ndim == 0 and x.data.dtype == np.int64:
+            return x.data[:, None], None, 0, None, None
+        return None
+    if type(x) is int:
+        return (None, None, x, None, None) if _INT64_MIN <= x <= _INT64_MAX else None
     if isinstance(x, np.ndarray) and x.dtype == np.int64:
-        return None, x.copy()  # the form must not follow a later in-place update of x
-    return (None, x) if type(x) is int else None
+        if x.ndim == 0:
+            return None, None, int(x), None, None
+        # a plain copy: the split must not follow a later in-place update of x
+        return None, np.array(x), 0, None, None
+    return None
 
 
-def _joined(op, x, y):
-    if y is None:
-        return x
-    if x is None:
-        return y if op is np.add else -y
-    return op(x, y)
-
-
-def _affine2(op, a, b) -> AffineOffsets | None:
-    """``op(a, b)`` kept affine, or ``None`` (the caller materialises).
-
-    ``+``/``-`` of rank-0 int64 batched values, int64 plain arrays, Python
-    ints and affine offsets is affine once some operand has a block (an
-    affine one, or a plain array of rank >= 1); so is ``*`` of affine
-    offsets by a Python int.  Int64 arithmetic wraps alike in either
-    association, so the materialised form equals the op-by-op array.
-    """
-    if op is np.multiply:
-        if type(b) is int and isinstance(a, AffineOffsets):
-            return AffineOffsets(a.base * b, a.pattern * b)
-        if type(a) is int and isinstance(b, AffineOffsets):
-            return AffineOffsets(b.base * a, b.pattern * a)
-        return None
-    if (op is not np.add and op is not np.subtract) or not (_has_block(a) or _has_block(b)):
-        return None
-    parts_a, parts_b = _affine_parts(a), _affine_parts(b)
-    if parts_a is None or parts_b is None:
-        return None
-    return AffineOffsets(_joined(op, parts_a[0], parts_b[0]), _joined(op, parts_a[1], parts_b[1]))
-
-
-def _has_block(x) -> bool:
-    return isinstance(x, AffineOffsets) or (isinstance(x, np.ndarray) and x.ndim > 0)
+def _has_lanes(x) -> bool:
+    return type(x) is SplitOffsets or (isinstance(x, np.ndarray) and x.ndim > 0)
 
 
 def _block_rank(x) -> int:
@@ -343,9 +297,12 @@ def _apply2(op, a, b):
     """Apply a two-operand NumPy op under the batch-alignment convention."""
     if not (isinstance(a, BatchedTensor) or isinstance(b, BatchedTensor)):
         return op(a, b)
-    affine = _affine2(op, a, b)
-    if affine is not None:
-        return affine
+    # +/- of program values, int64 blocks and ints, and * by an int, keep the split
+    # once some operand has lanes
+    if op in _SPLIT_OPS and (_has_lanes(a) or _has_lanes(b)):
+        split = combine(op, _parts(a), _parts(b))
+        if split is not None:
+            return SplitOffsets(split)
     rank = builtins.max(_block_rank(a), _block_rank(b))
     return BatchedTensor(op(_aligned_raw(a, rank), _aligned_raw(b, rank)), rank)
 
@@ -389,6 +346,8 @@ class DeviceBuffer:
         self._shape = array.shape
         self.data = np.ascontiguousarray(array).reshape(-1)
         self.name = name
+        #: ``(extent, stride)`` of the one flat axis every access checks against
+        self.axes = ((self.data.size, 1),)
 
     @property
     def dtype(self) -> np.dtype:
@@ -454,19 +413,6 @@ def cdiv(a: int, b: int) -> int:
 
 def _np_shape(x) -> tuple:
     return np.asarray(x).shape if not isinstance(x, np.ndarray) else x.shape
-
-
-def _extent(raw: np.ndarray) -> tuple[int, int] | None:
-    """``(min, max)`` of an offset array; ``None`` when it is empty."""
-    return (raw.min(), raw.max()) if raw.size else None
-
-
-def _check_unmasked(what: str, buffer: DeviceBuffer, span) -> None:
-    """Raise when an unmasked access's ``(min, max)`` offset leaves the buffer."""
-    size = buffer.data.size
-    if span is not None and (span[0] < 0 or span[1] >= size):
-        raise IndexError(f"out-of-bounds unmasked {what} on {buffer.name}: "
-                         f"range [{span[0]}, {span[1]}] vs size {size}")
 
 
 def _masked_gather(buffer: DeviceBuffer, raw: np.ndarray, mask: np.ndarray, other):
@@ -567,10 +513,7 @@ class _Language:
         flat = offsets.reshape(programs, -1)
         if valid is not None:
             valid = np.broadcast_to(valid, offsets.shape).reshape(programs, -1)
-            count = float(valid.sum())
-        else:
-            count = float(flat.size)
-        self._log(flat, element_bytes, is_store, count, valid=valid)
+        self._trace.log_global(flat, element_bytes, flat.shape[1], is_store, valid=valid)
 
     def _record_uniform(self, offsets: np.ndarray, element_bytes: int,
                         is_store: bool, valid: np.ndarray | None = None) -> None:
@@ -578,33 +521,15 @@ class _Language:
         flat = offsets.reshape(-1)
         if valid is not None:
             flat = flat[np.broadcast_to(valid, offsets.shape).reshape(-1)]
-        self._log(flat[None, :], element_bytes, is_store, float(flat.size) * self._programs,
-                  repeat=self._programs)
+        self._trace.log_global(flat[None, :], element_bytes, flat.size, is_store,
+                               repeat=self._programs)
 
-    def _record_affine(self, base: np.ndarray, pattern: np.ndarray, element_bytes: int,
-                       is_store: bool) -> None:
-        """Log affine offsets: a row per program, ``base[p] + pattern``, counted in closed form."""
-        trace = self._trace
-        pattern = pattern.reshape(-1)
-        trace.log_global_affine(base, pattern, element_bytes, trace.sector_bytes, pattern.size,
-                                is_store)
-        self._count_volume(float(base.size * pattern.size), element_bytes, is_store)
-
-    def _log(self, rows: np.ndarray, element_bytes: int, is_store: bool, count: float,
-             repeat: int = 1, valid: np.ndarray | None = None) -> None:
-        trace = self._trace
-        trace.log_global(rows, element_bytes, trace.sector_bytes, rows.shape[1], is_store,
-                         repeat, valid)
-        self._count_volume(count, element_bytes, is_store)
-
-    def _count_volume(self, count: float, element_bytes: int, is_store: bool) -> None:
-        trace = self._trace
-        if is_store:
-            trace.store_elements += count
-            trace.store_bytes += count * element_bytes
-        else:
-            trace.load_elements += count
-            trace.load_bytes += count * element_bytes
+    def _split(self, buffer: DeviceBuffer, offsets):
+        """``(base, pattern)`` of unmasked offsets that keep their split, else ``None``
+        (:func:`repro.vm.split.split_access`)."""
+        if type(offsets) is not SplitOffsets:
+            return None
+        return split_access(buffer.name, buffer.axes, (offsets.split,), self._programs)
 
     # -- memory operations -------------------------------------------------
 
@@ -616,12 +541,12 @@ class _Language:
         data = buffer.data
         element_bytes = buffer.element_bytes
         offsets = pointer.offsets
-        if mask is None and isinstance(offsets, AffineOffsets):
-            span = offsets.span()
-            if span is not None:
-                _check_unmasked("load", buffer, span)
-                self._record_affine(offsets.base, offsets.pattern, element_bytes, is_store=False)
-                return _gather(data, offsets)
+        split = self._split(buffer, offsets) if mask is None else None
+        if split is not None:
+            base, pattern = split
+            self._trace.log_global_affine(base, pattern, element_bytes, pattern.size,
+                                          is_store=False)
+            return _gather(data, base, pattern, offsets.split.lane.shape)
         if not isinstance(offsets, BatchedTensor) and isinstance(mask, BatchedTensor):
             # a uniform pointer guarded by a per-program mask gathers
             # differently in each program: replay it batched
@@ -631,9 +556,8 @@ class _Language:
             )
             offsets = BatchedTensor(raw, np.ndim(np.asarray(offsets)))
         if isinstance(offsets, BatchedTensor):
-            raw = offsets.data.astype(np.int64, copy=False)
             if mask is None:
-                _check_unmasked("load", buffer, _extent(raw))
+                raw = flat_index(buffer.name, buffer.axes, (offsets.data,))
                 self._record_batched(raw, element_bytes, is_store=False)
                 return BatchedTensor(data[raw], offsets.block_ndim)
             rank = builtins.max(offsets.block_ndim, _block_rank(mask))
@@ -646,11 +570,11 @@ class _Language:
             self._record_batched(raw, element_bytes, is_store=False, valid=mask_raw)
             return BatchedTensor(values, rank)
         # program-uniform access: identical in every program
-        raw = np.asarray(offsets, dtype=np.int64)
         if mask is None:
-            _check_unmasked("load", buffer, _extent(raw))
+            raw = flat_index(buffer.name, buffer.axes, (offsets,))
             self._record_uniform(raw, element_bytes, is_store=False)
             return _as_tensor(data[raw])
+        raw = np.asarray(offsets, dtype=np.int64)
         mask_raw = np.broadcast_to(np.asarray(mask, dtype=bool), raw.shape)
         values = _masked_gather(buffer, raw, mask_raw, other)
         self._record_uniform(raw, element_bytes, is_store=False, valid=mask_raw)
@@ -685,16 +609,21 @@ class _Language:
         )
         values = np.broadcast_to(np.asarray(_aligned_raw(value, rank)), raw.shape)
         if mask is None:
-            span = offsets.span() if isinstance(offsets, AffineOffsets) and raw.size else None
-            _check_unmasked("store", buffer, span or _extent(raw))
+            split = self._split(buffer, offsets)
+            if split is None:
+                raw = flat_index(buffer.name, buffer.axes, (raw,))
             # C-order flatten is program-major: duplicate offsets resolve to
             # the highest program id, matching sequential execution
             data[raw.reshape(-1)] = values.reshape(-1).astype(data.dtype, copy=False)
-            if span:
-                self._record_affine(offsets.base, np.broadcast_to(offsets.pattern, raw.shape[1:]),
-                                    element_bytes, is_store=True)
-            else:
+            if split is None:
                 self._record_batched(raw, element_bytes, is_store=True)
+                return
+            base, pattern = split
+            lanes = offsets.split.lane.shape
+            if raw.shape[1:] != lanes:  # the value widens the block
+                pattern = np.broadcast_to(pattern.reshape(lanes), raw.shape[1:]).reshape(-1)
+            self._trace.log_global_affine(base, pattern, element_bytes, pattern.size,
+                                          is_store=True)
             return
         mask_raw = np.broadcast_to(
             np.asarray(_aligned_raw(mask, rank), dtype=bool), raw.shape

@@ -28,44 +28,25 @@ import numpy as np
 from ..gpusim.sharedmem import AccessLog, ConflictProfile
 from ..vm import engine
 from ..vm.engine import launch_extents, run_launch
-from ..vm.split import block_index, flat_index, lane_index, split_access
+from ..vm.split import block_index, flat_index, lane_index, per_block, split_access
 from .ir import Block, FuncOp, Module, Operation, Value
 from .types import MemRefType
 
 __all__ = ["GpuLaunchResult", "run_gpu_kernel"]
 
-#: CUDA defaults, used when no DeviceSpec is supplied to the launcher
+#: the CUDA default warp width, used when no DeviceSpec is supplied to the launcher
 _WARP = 32
-_SECTOR_BYTES = 32
 
 
 @dataclass
 class GpuLaunchResult(AccessLog):
     """Traffic counters accumulated while interpreting a launch (final once its log is flushed)."""
 
-    load_elements: float = 0.0
-    store_elements: float = 0.0
-    load_bytes: float = 0.0
-    store_bytes: float = 0.0
-    load_transactions: float = 0.0
-    store_transactions: float = 0.0
     smem_bytes: float = 0.0
     smem_profile: ConflictProfile = field(default_factory=ConflictProfile)
-    flops: float = 0.0
     blocks: int = 0
     threads_per_block: int = 0
     smem_per_block: int = 0
-    #: DRAM sector granularity (bytes) the transaction counters were
-    #: recorded at; moved-byte accounting uses the same size
-    sector_bytes: int = _SECTOR_BYTES
-
-    @property
-    def dram_bytes(self) -> float:
-        return self.load_bytes + self.store_bytes
-
-    @property
-    def moved_dram_bytes(self) -> float:
-        return (self.load_transactions + self.store_transactions) * float(self.sector_bytes)
 
     @property
     def bank_conflict_factor(self) -> float:
@@ -187,23 +168,13 @@ class _BlockExecutor:
         else:
             raise NotImplementedError(f"interpreter does not support {name}")
 
-    def _is_batched(self, array: np.ndarray) -> bool:
-        """Whether a value differs per block (``True``) or is block-uniform."""
-        if array.ndim == 2 and array.shape[0] == self._batch:
-            return True
-        if array.ndim <= 1:
-            return False
-        raise NotImplementedError(
-            f"cannot classify a rank-{array.ndim} value: expected one row per block "
-            f"({self._batch}) or a block-uniform value"
-        )
-
     def _count_flops(self, op: Operation) -> None:
         if op.name.endswith("f"):
             value = self.values.get(id(op.results[0])) if op.results else None
             raw = np.asarray(value) if value is not None else np.asarray(1)
             # a block-uniform value is computed by every block
-            self.result.flops += float(raw.size) * (1 if self._is_batched(raw) else self._batch)
+            batched = per_block(op.name, raw, self._batch)
+            self.result.flops += float(raw.size) * (1 if batched else self._batch)
 
     def _compare(self, op: Operation):
         predicate = op.attributes["predicate"]
@@ -266,39 +237,16 @@ class _BlockExecutor:
         bound = self.values.get(id(source))
         return bound is not None and id(bound) in self._batched_buffers
 
-    def _rows(self, offsets: np.ndarray) -> tuple[np.ndarray, int]:
-        """An access as log rows: one per block, or the block-uniform row repeated."""
-        if self._is_batched(offsets):
-            return offsets, 1
-        return offsets.reshape(1, -1), self._batch
-
-    def _record_global(self, offsets: np.ndarray, element_bytes: int, is_store: bool) -> None:
-        rows, repeat = self._rows(offsets)
-        result = self.result
-        result.log_global(rows, element_bytes, result.sector_bytes, self.warp_size, is_store,
-                          repeat)
-        self._count_global(float(rows.size * repeat), element_bytes, is_store)
-
-    def _count_global(self, count: float, element_bytes: int, is_store: bool) -> None:
-        result = self.result
-        if is_store:
-            result.store_elements += count
-            result.store_bytes += count * element_bytes
-        else:
-            result.load_elements += count
-            result.load_bytes += count * element_bytes
-
-    def _record_shared(self, offsets: np.ndarray, element_bytes: int) -> None:
-        rows, repeat = self._rows(offsets)
-        self.result.smem_bytes += float(self._batch * rows.shape[1]) * element_bytes
-        self.result.log_shared(rows, element_bytes, self.warp_size, repeat)
-
-    def _record(self, memref_type: MemRefType, offsets: np.ndarray, element_bytes: int,
+    def _record(self, source: Value, offsets: np.ndarray, batched: bool, element_bytes: int,
                 is_store: bool) -> None:
-        if memref_type.memory_space == 3:
-            self._record_shared(offsets, element_bytes)
+        """Log a dense access: one row per block, or the block-uniform row repeated."""
+        rows, repeat = (offsets, 1) if batched else (offsets.reshape(1, -1), self._batch)
+        result = self.result
+        if source.type.memory_space == 3:
+            result.smem_bytes += float(self._batch * rows.shape[1]) * element_bytes
+            result.log_shared(rows, element_bytes, self.warp_size, repeat)
         else:
-            self._record_global(offsets, element_bytes, is_store)
+            result.log_global(rows, element_bytes, self.warp_size, is_store, repeat)
 
     def _split(self, source: Value, index_values: Sequence):
         """``(base (B, 1), pattern)`` of a kernel-argument access whose index keeps its
@@ -307,30 +255,24 @@ class _BlockExecutor:
             return None  # workgroup buffers keep the block-uniform path
         return split_access(str(source), self._axes(source.type), index_values, self._batch)
 
-    def _record_split(self, base: np.ndarray, pattern: np.ndarray, element_bytes: int,
-                      is_store: bool) -> None:
-        result = self.result
-        result.log_global_affine(base, pattern, element_bytes, result.sector_bytes,
-                                 self.warp_size, is_store)
-        self._count_global(float(base.size * pattern.size), element_bytes, is_store)
-
     def _load(self, op: Operation) -> None:
         source = op.operands[0]
-        memref_type = source.type
-        assert isinstance(memref_type, MemRefType)
+        assert isinstance(source.type, MemRefType)
         buffer = self._buffer_of(source)
         index_values = [self.get(v) for v in op.operands[1:]]
         split = self._split(source, index_values)
         if split is not None:
             base, pattern = split
-            self._record_split(base, pattern, buffer.dtype.itemsize, is_store=False)
+            self.result.log_global_affine(base, pattern, buffer.dtype.itemsize, self.warp_size,
+                                          is_store=False)
             self.set(op.result, buffer[base + pattern])
             return
         offsets = self._flat_offsets(source, index_values)
-        self._record(memref_type, offsets, buffer.dtype.itemsize, is_store=False)
+        batched = per_block(str(source), offsets, self._batch)
+        self._record(source, offsets, batched, buffer.dtype.itemsize, is_store=False)
         if not self._buffer_is_batched(source):
             values = buffer[offsets]
-        elif self._is_batched(offsets):
+        elif batched:
             values = buffer[np.arange(self._batch)[:, None], offsets]
         else:
             values = buffer[:, offsets]
@@ -339,26 +281,27 @@ class _BlockExecutor:
     def _store(self, op: Operation) -> None:
         value = self.get(op.operands[0])
         dest = op.operands[1]
-        memref_type = dest.type
-        assert isinstance(memref_type, MemRefType)
+        assert isinstance(dest.type, MemRefType)
         buffer = self._buffer_of(dest)
         index_values = [self.get(v) for v in op.operands[2:]]
         raw = np.asarray(value, dtype=buffer.dtype)
         split = self._split(dest, index_values)
         if split is not None:
             base, pattern = split
-            self._record_split(base, pattern, buffer.dtype.itemsize, is_store=True)
+            self.result.log_global_affine(base, pattern, buffer.dtype.itemsize, self.warp_size,
+                                          is_store=True)
             # C order over (B, lanes), as the dense path: the last writer is unchanged
             offsets = base + pattern
             buffer[offsets] = np.broadcast_to(raw, offsets.shape)
             return
         offsets = self._flat_offsets(dest, index_values)
-        self._record(memref_type, offsets, buffer.dtype.itemsize, is_store=True)
+        batched = per_block(str(dest), offsets, self._batch)
+        self._record(dest, offsets, batched, buffer.dtype.itemsize, is_store=True)
         if not self._buffer_is_batched(dest):
             # flat argument buffer: C-order fancy assignment is block-major,
             # so duplicate offsets resolve to the highest block id
             buffer[offsets] = np.broadcast_to(raw, offsets.shape)
-        elif self._is_batched(offsets):
+        elif batched:
             buffer[np.arange(self._batch)[:, None], offsets] = np.broadcast_to(raw, offsets.shape)
         else:
             buffer[:, offsets] = np.broadcast_to(raw, (self._batch,) + offsets.shape)
@@ -422,7 +365,7 @@ def run_gpu_kernel(
     result = GpuLaunchResult(
         blocks=grid[0] * grid[1] * grid[2],
         threads_per_block=threads,
-        sector_bytes=device.dram_sector_bytes if device is not None else _SECTOR_BYTES,
+        sector_bytes=device.dram_sector_bytes if device is not None else 32,
     )
 
     def execute(total, result):

@@ -1,24 +1,27 @@
 """Index values that stay ``block + lane`` until an access reads them.
 
-mini-CUDA's ``ctx.blockIdx`` / ``ctx.tx`` and the MLIR interpreter's
-``gpu.block_id`` / ``gpu.thread_id`` are :class:`SplitIndex` values: a
-per-block ``(B, 1)`` part, a per-lane ``(T,)`` part and an int, kept apart
-under ``+``/``-`` and ``* int``, so an access indexed by them never builds the
-``(B, T)`` arrays.  :func:`split_access` turns such an access into ``base +
-pattern`` (the form :meth:`repro.gpusim.sharedmem.AccessLog.log_global_affine`
-scores) after checking every axis on the parts' extrema, and
-:func:`flat_index` is the dense path's per-axis check.  Both raise the one
-``IndexError`` text, ``<array>: axis <a> index out of range [0, <extent>)
-(got [lo, hi])``, so an access fails alike on either path and on either
-substrate.
+Every substrate keeps an index as a :class:`SplitIndex`: a per-block ``(B,
+1)`` part, a per-lane part and an int, kept apart under ``+``/``-`` and ``*
+int`` by the one combiner (:func:`combine`), so an access indexed by it never
+builds the ``(B,) + lanes`` array.  mini-CUDA's ``ctx.blockIdx`` / ``ctx.tx``
+and the MLIR interpreter's ``gpu.block_id`` / ``gpu.thread_id`` are split
+indices with ``(T,)`` lanes; mini-Triton's pointer arithmetic joins its
+program ids (the block part) and ``tl.arange`` blocks (lanes of any rank).
+:func:`split_access` turns an access into ``base + pattern`` (the form
+:meth:`repro.gpusim.sharedmem.AccessLog.log_global_affine` scores) after
+checking every axis on the parts' extrema, and :func:`flat_index` is the dense
+path's per-axis check.  Both raise the one ``IndexError`` text, ``<array>:
+axis <a> index out of range [0, <extent>) (got [lo, hi])``, so an access fails
+alike on either path and on every substrate.  :func:`per_block` tells an
+access with one row per block from a block-uniform one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SplitIndex", "block_index", "flat_index", "lane_index", "materialised",
-           "split_access"]
+__all__ = ["SplitIndex", "block_index", "combine", "flat_index", "lane_index", "materialised",
+           "per_block", "split_access"]
 
 
 _LOW, _HIGH = -(1 << 63), (1 << 63) - 1  # the int64 range
@@ -62,15 +65,16 @@ class SplitIndex:
     """An int64 index ``block + lane + offset`` that remembers its split.
 
     ``block`` is a per-block ``(B, 1)`` array, ``lane`` a per-lane array of
-    rank 1 (either may be ``None``) and ``offset`` a Python int.
-    mini-CUDA's ``ctx.blockIdx.x/y/z`` and ``ctx.tx/ty/tz`` and the MLIR
-    interpreter's ``gpu.block_id`` / ``gpu.thread_id`` are split indices, and they
-    stay split only under ``+``/``-`` with Python ints, with int64 arrays of
-    rank <= 1 (copied on entry unless they own read-only data) and with each
-    other, and under ``*`` by a Python int.  Any other use — comparisons, ``//``/``%``, ``np.maximum``,
-    slicing, ``.copy()``, float operands, rank >= 2 arrays, ``ctx.compact``
-    — reads :attr:`data`, the materialised read-only array, equal to the
-    op-by-op int64 array (int64 wraps alike in either association).
+    any rank (either may be ``None``) and ``offset`` a Python int; lane ``o``
+    of block ``b`` is ``block[b] + lane[o] + offset``, so the index is ``(B,)
+    + lane.shape``.  mini-CUDA's ``ctx.blockIdx.x/y/z`` and ``ctx.tx/ty/tz``
+    and the MLIR interpreter's ``gpu.block_id`` / ``gpu.thread_id`` are split
+    indices, and they stay split only under ``+``/``-`` with Python ints, with
+    int64 arrays of rank <= 1 and with each other, and under ``*`` by a Python
+    int.  Any other use — comparisons, ``//``/``%``, ``np.maximum``, slicing,
+    ``.copy()``, float operands, rank >= 2 arrays, ``ctx.compact`` — reads
+    :attr:`data`, the materialised read-only array, equal to the op-by-op
+    int64 array (int64 wraps alike in either association).
     :func:`split_access` reads the split itself.  The extrema of each part
     are taken once and follow the int arithmetic, so checking ``ii + dz``
     reduces nothing.
@@ -91,6 +95,8 @@ class SplitIndex:
     def data(self) -> np.ndarray:
         if self._data is None:
             block, lane = self.block, self.lane
+            if block is not None and lane is not None and lane.ndim > 1:
+                block = block.reshape(block.shape[:1] + (1,) * lane.ndim)
             data = block if lane is None else lane if block is None else block + lane
             if self.offset:
                 data = data + self.offset
@@ -115,18 +121,9 @@ class SplitIndex:
         # what np.shape() reads: the parts answer without building the array
         if self.block is None or self.lane is None:
             return (self.lane if self.block is None else self.block).shape
-        return np.broadcast_shapes(self.block.shape, self.lane.shape)
+        return self.block.shape[:1] + self.lane.shape
 
     dtype = np.dtype(np.int64)
-
-    def _times(self, factor: int) -> "SplitIndex":
-        if factor == 1:
-            return self
-        block, lane = self.block, self.lane
-        return SplitIndex(None if block is None else block * factor,
-                          None if lane is None else lane * factor,
-                          _wrapped(self.offset * factor),
-                          _scaled(self._block_span, factor), _scaled(self._lane_span, factor))
 
     def __array__(self, dtype=None, copy=None):
         data = self.data
@@ -136,7 +133,7 @@ class SplitIndex:
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method == "__call__" and len(inputs) == 2 and not kwargs:
-            kept = _split2(ufunc, *inputs)
+            kept = combine(ufunc, _parts(inputs[0]), _parts(inputs[1]))
             if kept is not None:
                 return kept
         inputs = tuple(materialised(x) for x in inputs)
@@ -161,7 +158,8 @@ def materialised(x):
 
 def _parts(x):
     """``(block, lane, offset, block_span, lane_span)`` of an operand that may join a
-    split index, else ``None``."""
+    split index — a split index, an int64 array of rank <= 1 (a lane) or a Python
+    int — else ``None``."""
     if type(x) is SplitIndex:
         return x.block, x.lane, x.offset, x._block_span, x._lane_span
     if type(x) is np.ndarray and x.dtype == np.int64 and x.ndim <= 1:
@@ -176,22 +174,38 @@ def _parts(x):
     return None
 
 
-def _split2(op, a, b) -> SplitIndex | None:
-    """``op(a, b)`` kept split, or ``None`` (the caller reads the arrays)."""
-    if op is np.multiply:
-        if type(b) is int and type(a) is SplitIndex and _LOW <= b <= _HIGH:
-            return a._times(b)
-        if type(a) is int and type(b) is SplitIndex and _LOW <= a <= _HIGH:
-            return b._times(a)
-        return None
-    if op is not np.add and op is not np.subtract:
-        return None
-    a, b = _parts(a), _parts(b)
+def _times(parts, factor: int):
+    """``parts`` multiplied by the Python int ``factor``."""
+    if factor == 1:
+        return parts
+    block, lane, offset, block_span, lane_span = parts
+    return (None if block is None else block * factor,
+            None if lane is None else lane * factor,
+            _wrapped(offset * factor), _scaled(block_span, factor), _scaled(lane_span, factor))
+
+
+def combine(op, a, b) -> SplitIndex | None:
+    """``op(a, b)`` kept split, or ``None`` (the caller reads the arrays).
+
+    ``a`` and ``b`` are the operands' parts, ``(block, lane, offset,
+    block_span, lane_span)`` (``None`` for an operand that cannot join; each
+    substrate builds its own operands' parts, copying a lane the caller could
+    still change).  ``+``/``-`` join any two; ``*`` keeps a split times a
+    Python int (parts with neither a block nor a lane).  Lanes broadcast
+    right-aligned.
+    """
     if a is None or b is None:
         return None
+    if op is np.multiply:
+        if b[0] is None and b[1] is None:
+            return SplitIndex(*_times(a, b[2]))
+        if a[0] is None and a[1] is None:
+            return SplitIndex(*_times(b, a[2]))
+        return None
     if op is np.subtract:
-        b = (None if b[0] is None else -b[0], None if b[1] is None else -b[1], -b[2],
-             _scaled(b[3], -1), _scaled(b[4], -1))
+        b = _times(b, -1)
+    elif op is not np.add:
+        return None
     block, block_span = _summed(a[0], a[3], b[0], b[3])
     lane, lane_span = _summed(a[1], a[4], b[1], b[4])
     return SplitIndex(block, lane, _wrapped(a[2] + b[2]), block_span, lane_span)
@@ -200,7 +214,7 @@ def _split2(op, a, b) -> SplitIndex | None:
 def _arithmetic(op, reflected: bool = False):
     def method(self, other):
         a, b = (other, self) if reflected else (self, other)
-        kept = _split2(op, a, b)
+        kept = combine(op, _parts(a), _parts(b))
         return kept if kept is not None else op(materialised(a), materialised(b))
     return method
 
@@ -236,6 +250,18 @@ def block_index(ids: np.ndarray) -> SplitIndex:
     the start (the int arithmetic on it carries them along)."""
     ids.flags.writeable = False
     return SplitIndex(ids, None, block_span=_extrema(ids))
+
+
+def per_block(name: str, index: np.ndarray, batch: int) -> bool:
+    """Whether an access (or a value) has one row per block (``True``: 2-D with
+    leading extent ``batch``) or is block-uniform (``False``: rank <= 1, the same
+    in every block); any other shape is a ``TypeError``."""
+    if index.ndim == 2 and index.shape[0] == batch:
+        return True
+    if index.ndim <= 1:
+        return False
+    raise TypeError(f"{name}: cannot classify a rank-{index.ndim} value: expected one row "
+                    f"per block ({batch}) or a block-uniform value")
 
 
 def _out_of_range(name: str, axis: int, extent: int, low, high) -> IndexError:

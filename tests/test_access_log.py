@@ -19,7 +19,8 @@ from repro.vm import engine
 def _profile_counters(trace) -> tuple:
     profile = trace.smem_profile
     return (profile.accesses, profile.total_passes, profile.worst_degree,
-            dict(profile.histogram), trace.load_transactions, trace.store_transactions)
+            dict(profile.histogram), trace.load_transactions, trace.store_transactions,
+            trace.load_elements, trace.store_elements, trace.load_bytes, trace.store_bytes)
 
 
 def _ordering(rows, order):
@@ -63,21 +64,22 @@ def _random_accesses(seed):
 
 
 def _log_all(accesses, warp_size, sector_bytes) -> CudaTrace:
-    trace = CudaTrace()
+    trace = CudaTrace(sector_bytes=sector_bytes)
     for access in accesses:
         offsets, element_bytes = access["offsets"], access["element_bytes"]
         if access["kind"] == "shared":
             trace.log_shared(offsets, element_bytes, warp_size, access["repeat"])
         else:
             cut = offsets.shape[1] if access["valid"] is not None else warp_size
-            trace.log_global(offsets, element_bytes, sector_bytes, cut,
-                             access["kind"] == "store", access["repeat"], access["valid"])
+            trace.log_global(offsets, element_bytes, cut, access["kind"] == "store",
+                             access["repeat"], access["valid"])
     trace.flush()
     return trace
 
 
 def _score_each_alone(accesses, warp_size, sector_bytes) -> CudaTrace:
-    """The reference: one access, one row, one warp at a time."""
+    """The reference: one access, one row, one warp at a time; a global warp moves
+    its valid lanes, ``repeat`` times over."""
     trace = CudaTrace()
     for access in accesses:
         element_bytes, repeat = access["element_bytes"], access["repeat"]
@@ -92,10 +94,15 @@ def _score_each_alone(accesses, warp_size, sector_bytes) -> CudaTrace:
                         trace.smem_profile.record(warp_conflict_degree(warp, element_bytes))
                     continue
                 sectors = np.unique(warp * element_bytes // sector_bytes).size * repeat
+                lanes = warp.size * repeat
                 if access["kind"] == "store":
                     trace.store_transactions += sectors
+                    trace.store_elements += lanes
+                    trace.store_bytes += lanes * element_bytes
                 else:
                     trace.load_transactions += sectors
+                    trace.load_elements += lanes
+                    trace.load_bytes += lanes * element_bytes
     return trace
 
 
@@ -170,17 +177,17 @@ def _affine_accesses(seed):
 def _assert_affine_equals_materialised(seeds=range(3)):
     for seed in seeds:
         for base, pattern, element_bytes, sector_bytes, warp_size in _affine_accesses(seed):
-            closed, rows = CudaTrace(), CudaTrace()
-            closed.log_global_affine(base, pattern, element_bytes, sector_bytes, warp_size, False)
-            closed.log_global_affine(base, pattern, element_bytes, sector_bytes, warp_size, True)
+            closed, rows = (CudaTrace(sector_bytes=sector_bytes) for _ in range(2))
+            closed.log_global_affine(base, pattern, element_bytes, warp_size, False)
+            closed.log_global_affine(base, pattern, element_bytes, warp_size, True)
             materialised = base[:, None] + pattern
-            rows.log_global(materialised, element_bytes, sector_bytes, warp_size, False)
-            rows.log_global(materialised, element_bytes, sector_bytes, warp_size, True)
+            rows.log_global(materialised, element_bytes, warp_size, False)
+            rows.log_global(materialised, element_bytes, warp_size, True)
             assert closed.load_transactions == 0.0  # pending until the flush, as the log is
+            assert closed.load_elements == closed.store_elements == materialised.size  # at once
             closed.flush()
             rows.flush()
-            assert (closed.load_transactions, closed.store_transactions) == \
-                (rows.load_transactions, rows.store_transactions), \
+            assert _profile_counters(closed) == _profile_counters(rows), \
                 (seed, element_bytes, sector_bytes, warp_size)
 
 
@@ -245,7 +252,7 @@ def test_the_shifted_comparison_catches_dropped_residue_classes(monkeypatch):
 def test_a_masked_access_is_never_cut_into_warps():
     offsets = np.arange(64)[None, :]
     with pytest.raises(ValueError, match="masked"):
-        CudaTrace().log_global(offsets, 4, 32, 32, False, valid=offsets < 40)
+        CudaTrace().log_global(offsets, 4, 32, False, valid=offsets < 40)
 
 
 # -- flush boundaries ---------------------------------------------------------------
@@ -296,6 +303,27 @@ def test_a_hand_driven_block_context_is_scored_by_its_own_traces_flush():
     trace.flush()
     assert trace.smem_profile == ConflictProfile(1, 8, 8, {8: 1})
     assert trace.load_transactions == 16.0
+
+
+def test_compacted_lanes_move_only_themselves():
+    """``compact_threads`` cuts each block's active lanes into warps of their own; the
+    padding that fills a warp's tail adds no element, no byte and no sector."""
+    active = [5, 33, 0, 17]  # ragged tails, and a block with no lane at all
+    source = GlobalArray(np.arange(4 * 64, dtype=np.float32), name="src")
+
+    def kernel(ctx):
+        blocks, lanes = np.asarray(ctx.blockIdx.x), np.asarray(ctx.tx)
+        compacted = ctx.compact_threads(lanes < np.asarray(active)[blocks])
+        source.load(compacted, compacted.compact(blocks * 64 + lanes * 3 % 64))
+
+    trace = launch(kernel, grid=4, block=64)
+    sectors = 0
+    for block, count in enumerate(active):
+        offsets = block * 64 + np.arange(count) * 3 % 64
+        sectors += sum(np.unique(offsets[start:start + 32] // 8).size
+                       for start in range(0, count, 32))
+    assert (trace.load_elements, trace.load_bytes) == (55.0, 220.0)
+    assert trace.load_transactions == sectors
 
 
 def test_the_log_keeps_its_own_copy_of_an_access():

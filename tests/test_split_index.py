@@ -20,12 +20,12 @@ import pytest
 from repro.apps.stencil import STENCILS, brick_layout, run_stencil
 from repro.gpusim import A100_80GB
 from repro.minicuda import GlobalArray, launch
-from repro.minicuda.runtime import BlockContext
-from repro.minicuda.smem import SplitIndex
-from repro.mlir import interp, run_gpu_kernel
+from repro.minicuda.runtime import BlockContext, CudaTrace
+from repro.mlir import GpuLaunchResult, run_gpu_kernel
 from repro.mlir.dialects import arith, build_gpu_module, gpu, memref
 from repro.mlir.ir import OpBuilder, Operation, Value
 from repro.mlir.types import F32, INDEX, MemRefType
+from repro.vm.split import SplitIndex
 
 DEVICES = [replace(A100_80GB, warp_size=warp, dram_sector_bytes=sector)
            for warp in (16, 32, 64) for sector in (32, 64)]
@@ -38,18 +38,23 @@ def _counters(trace) -> dict:
     return dataclasses.asdict(trace)
 
 
-@pytest.fixture
-def closed_forms(monkeypatch):
-    """Counts the accesses that take the closed form."""
+def _count_closed_forms(monkeypatch, trace_type) -> list:
+    """Counts the accesses a ``trace_type`` logs in closed form."""
     taken = []
-    record = BlockContext.record_global_affine
+    record = trace_type.log_global_affine
 
     def counted(self, *args, **kwargs):
         taken.append(1)
         return record(self, *args, **kwargs)
 
-    monkeypatch.setattr(BlockContext, "record_global_affine", counted)
+    monkeypatch.setattr(trace_type, "log_global_affine", counted)
     return taken
+
+
+@pytest.fixture
+def closed_forms(monkeypatch):
+    """Counts the mini-CUDA accesses that take the closed form."""
+    return _count_closed_forms(monkeypatch, CudaTrace)
 
 
 def _kernel(kind, dense, threads):
@@ -192,7 +197,7 @@ def test_parts_far_outside_the_array_that_sum_into_it(closed_forms):
 
 
 def _context(blocks=5, threads=6):
-    from repro.minicuda.runtime import CudaTrace, Dim3
+    from repro.minicuda.runtime import Dim3
 
     return BlockContext(np.arange(blocks, dtype=np.int64), Dim3(threads), Dim3(blocks),
                         CudaTrace())
@@ -305,15 +310,7 @@ def _launder(block, zero):
 @pytest.fixture
 def mlir_closed_forms(monkeypatch):
     """Counts the MLIR accesses that take the closed form."""
-    taken = []
-    record = interp._BlockExecutor._record_split
-
-    def counted(self, *args, **kwargs):
-        taken.append(1)
-        return record(self, *args, **kwargs)
-
-    monkeypatch.setattr(interp._BlockExecutor, "_record_split", counted)
-    return taken
+    return _count_closed_forms(monkeypatch, GpuLaunchResult)
 
 
 def _run_module(module, name, grid, block, arguments, device):
@@ -406,3 +403,40 @@ def test_mlir_split_kernels_equal_the_dense_path(shape, index_of, grid, block,
                                           mlir_closed_forms)
         assert took == 2
 
+
+
+# -- one row classifier: one row per block, or block-uniform ------------------------------
+
+
+def _classified(substrate, index):
+    """Load ``index`` from an 8-element array over 3 blocks of 4 threads."""
+    if substrate == "mlir":
+        module = build_gpu_module("m")
+        fn = gpu.func(module, "k", [MemRefType((8,), F32), INDEX])
+        builder = OpBuilder(fn.body)
+        memref.load(builder, fn.argument(0), [fn.argument(1)])
+        gpu.return_(builder)
+        run_gpu_kernel(module, "k", grid=(3, 1, 1), block=(4, 1, 1),
+                       arguments=[np.zeros(8, dtype=np.float32), index])
+        return
+
+    def kernel(ctx):
+        if substrate == "shared":
+            ctx.shared_array((8,), name="%arg0").load(index)
+        else:
+            GlobalArray(np.zeros(8, dtype=np.float32), name="%arg0").load(ctx, index)
+
+    launch(kernel, grid=3, block=4)
+
+
+@pytest.mark.parametrize("substrate", ["shared", "global", "mlir"])
+def test_an_index_neither_per_block_nor_block_uniform_is_one_type_error(substrate):
+    """A rank-2 index with one row per block and a rank-1 one are accepted; any other
+    shape raises the one text on shared, global and MLIR accesses."""
+    _classified(substrate, np.zeros((3, 4), dtype=np.int64))
+    _classified(substrate, np.zeros(4, dtype=np.int64))
+    for index in (np.zeros((2, 4), dtype=np.int64), np.zeros((3, 2, 2), dtype=np.int64)):
+        with pytest.raises(TypeError, match=rf"^%arg0: cannot classify a rank-{index.ndim} value: "
+                                            r"expected one row per block \(3\) or a "
+                                            r"block-uniform value$"):
+            _classified(substrate, index)

@@ -149,38 +149,39 @@ def _spy_loads(monkeypatch) -> list:
 def test_pointer_arithmetic_stays_affine_until_the_gather(monkeypatch):
     """The kernel's offsets reach ``tl.load`` as ``base + pattern`` and
     materialise to the op-by-op array; outputs and counters are the same."""
-    from repro.minitriton.language import AffineOffsets
+    from repro.minitriton.language import SplitOffsets
 
     loaded = _spy_loads(monkeypatch)
     x = np.arange(40, dtype=np.float32)
     affine, affine_trace = _copy(AFFINE, x, 40, 3)
     plain, plain_trace = _copy(_materialised(AFFINE), x, 40, 3)
     seen = [pointer.offsets for pointer, _ in loaded]
-    assert isinstance(seen[0], AffineOffsets) and not isinstance(seen[1], AffineOffsets)
+    assert isinstance(seen[0], SplitOffsets) and not isinstance(seen[1], SplitOffsets)
     np.testing.assert_array_equal(seen[0].data, seen[1].data)
     np.testing.assert_array_equal(affine, plain)
     assert affine_trace == plain_trace
 
 
 @pytest.mark.parametrize("shift, x_size, y_size, what", [
-    (-3, 32, 32, r"load on x: range \[-3, 28\] vs size 32"),
-    (5, 32, 40, r"load on x: range \[5, 36\] vs size 32"),
-    (0, 32, 30, r"store on y: range \[0, 31\] vs size 30"),
+    (-3, 32, 32, r"x: axis 0 index out of range \[0, 32\) \(got \[-3, 28\]\)"),
+    (5, 32, 40, r"x: axis 0 index out of range \[0, 32\) \(got \[5, 36\]\)"),
+    (0, 32, 30, r"y: axis 0 index out of range \[0, 30\) \(got \[0, 31\]\)"),
 ])
 def test_out_of_bounds_affine_accesses_raise_the_materialised_message(shift, x_size, y_size, what):
     messages = []
     for offsets in (AFFINE, _materialised(AFFINE)):
-        with pytest.raises(IndexError, match="out-of-bounds unmasked " + what) as error:
+        with pytest.raises(IndexError, match="^" + what + "$") as error:
             _copy(offsets, np.arange(x_size, dtype=np.float32), y_size, shift)
         messages.append(str(error.value))
     assert messages[0] == messages[1]
 
 
 def test_an_affine_sum_that_wraps_int64_takes_the_materialised_path():
-    from repro.minitriton.language import AffineOffsets
+    from repro.vm.split import SplitIndex, split_access
 
     low = np.iinfo(np.int64).min
-    assert AffineOffsets(np.array([low]), np.arange(4) + low).span() is None
+    assert split_access("x", ((64, 1),), (SplitIndex(np.array([[low]]), np.arange(4) + low),),
+                        1) is None
     x = np.arange(64, dtype=np.float32)
     wrapped, wrapped_trace = _copy(WRAPPING, x, 64, -(2 ** 62))
     plain, plain_trace = _copy(_materialised(WRAPPING), x, 64, -(2 ** 62))
@@ -586,8 +587,8 @@ def _program_sectors(sectors, valid=None):
     through ``AccessLog.log_global`` (unit-sized elements and sectors)."""
     counts = []
     for index, row in enumerate(sectors):
-        trace = CudaTrace()
-        trace.log_global(row[None], 1, 1, row.size, False,
+        trace = CudaTrace(sector_bytes=1)
+        trace.log_global(row[None], 1, row.size, False,
                          valid=None if valid is None else valid[index][None])
         trace.flush()
         counts.append(int(trace.load_transactions))
