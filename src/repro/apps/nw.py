@@ -131,19 +131,25 @@ def nw_reference(reference: np.ndarray, penalty: int) -> np.ndarray:
     ``reference[i, j]`` is the substitution score of aligning item ``i`` of
     the first sequence with item ``j`` of the second; gaps cost ``penalty``.
     Returns the full ``(n+1) x (n+1)`` score matrix (row/column 0 hold the
-    gap-only prefix scores, as in Rodinia).
+    gap-only prefix scores, as in Rodinia).  The cells of one anti-diagonal
+    ``i + j = d`` depend only on the two before it, so each is one NumPy step;
+    in the flat score matrix they are the stride-``n`` run at ``d + n*i``, and
+    their left, upper and diagonal neighbours the same run shifted back.
     """
     n = reference.shape[0]
     score = np.zeros((n + 1, n + 1), dtype=np.int32)
     score[0, :] = -penalty * np.arange(n + 1)
     score[:, 0] = -penalty * np.arange(n + 1)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            score[i, j] = max(
-                score[i - 1, j - 1] + reference[i - 1, j - 1],
-                score[i, j - 1] - penalty,
-                score[i - 1, j] - penalty,
-            )
+    flat, ref, width = score.reshape(-1), np.ascontiguousarray(reference).reshape(-1), n + 1
+    ref_step = max(n - 1, 1)
+    for d in range(2, 2 * n + 1):
+        lo, hi = max(1, d - n), min(n, d - 1)
+        start, stop = d + n * lo, d + n * hi + 1
+        ref_start = lo * (n - 1) + d - n - 1
+        flat[start:stop:n] = np.maximum(
+            flat[start - width - 1:stop - width - 1:n] + ref[ref_start:ref_start + (hi - lo) * ref_step + 1:ref_step],
+            np.maximum(flat[start - 1:stop - 1:n], flat[start - width:stop - width:n]) - penalty,
+        )
     return score
 
 

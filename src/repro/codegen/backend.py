@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Iterable, Mapping, Sequence
 
+from ..obs.trace import span
 from ..symbolic import CostWeights, PythonPrinter, operation_count
 from .context import CodegenContext, KernelFamily, LoweredBinding
 from .template import extract_placeholders, render_template
@@ -159,8 +160,6 @@ class TemplateBackend(Backend):
         cost_weights: CostWeights | None = None,
         **options,
     ) -> GeneratedKernel:
-        from ..obs.trace import span
-
         lowered = context.lower(cost_weights=cost_weights)
         with span("codegen.render", "codegen", kernel=name, backend=self.name):
             printer = self.printer_cls()

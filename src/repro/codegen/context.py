@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from ..core.slicing import LayoutSlice
+from ..obs.trace import span
 from ..symbolic import (
     CostWeights,
     Expr,
@@ -30,6 +31,7 @@ from ..symbolic import (
     as_expr,
     expand,
     operation_count,
+    print_text,
     simplify_fixpoint,
 )
 from ..symbolic.memo import MEMO, memo_put
@@ -55,12 +57,15 @@ class LoweredBinding:
         return operation_count(self.raw.subs(self.sizes), self.weights)
 
     def render(self, printer: PythonPrinter | None = None, extra_substitutions: Mapping[str, str] | None = None) -> str:
-        printer = printer or PythonPrinter()
-        subs = dict(self.substitutions)
+        """The text of :attr:`expr` under ``printer``'s class, with its substitutions
+        overridden by the binding's and then by ``extra_substitutions``."""
+        if printer is None:
+            printer_cls, subs = PythonPrinter, dict(self.substitutions)
+        else:
+            printer_cls, subs = type(printer), {**printer.substitutions, **self.substitutions}
         if extra_substitutions:
             subs.update(extra_substitutions)
-        merged = type(printer)(substitutions={**printer.substitutions, **subs})
-        return merged.doprint(self.expr)
+        return print_text(self.expr, printer_cls, subs)
 
 
 #: Ties on total op count are broken towards the variant with fewer integer
@@ -209,8 +214,6 @@ class CodegenContext:
         weights = cost_weights or self.weights
         if self._lowered is not None and self._lowered_key == self._lowering_key(weights):
             return self._lowered
-        from ..obs.trace import span
-
         started = time.perf_counter()
         lowered: dict[str, LoweredBinding] = {}
         with span("codegen.lower", "codegen", kernel=self.name, bindings=len(self._bindings)):
@@ -295,9 +298,10 @@ class KernelFamily:
         for dividend, divisor in self.divisibility:
             if dividend.evaluate(sizes) % divisor.evaluate(sizes):
                 raise SpecialisationError(f"family {self.name!r} needs {divisor} | {dividend}, got {sizes}")
+        table = {Var(name): as_expr(value) for name, value in sizes.items()}
         bindings = tuple(LoweredBinding(b.name, e, b.variant, operation_count(e, b.weights), b.raw,
                                         dict(b.substitutions), b.weights, sizes)
-                         for b in self.bindings for e in (b.expr.subs(sizes),))
+                         for b in self.bindings for e in (b.expr.subs(table),))
         return KernelFamily(self.name, (), (), bindings, self.proven_bounds, time.perf_counter() - started)
 
     def lower(self, cost_weights: CostWeights | None = None) -> dict[str, LoweredBinding]:

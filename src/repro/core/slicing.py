@@ -21,13 +21,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..symbolic import Expr, PythonPrinter, SymbolicEnv, Var, as_expr
+from ..symbolic import Expr, SymbolicEnv, Var, as_expr
 from .blocks import GroupBy
 
 __all__ = ["IndexAtom", "LayoutSlice", "slice_layout"]
-
-
-_printer = PythonPrinter()
 
 
 def _sanitize(text: str) -> str:
@@ -57,7 +54,7 @@ class IndexAtom:
         return "[" + ", ".join(parts) + "]"
 
     def triton_render(self) -> str:
-        extent_text = _printer.doprint(as_expr(self.extent))
+        extent_text = str(as_expr(self.extent))
         base = f"tl.arange(0, {extent_text})"
         suffix = self.broadcast_suffix()
         if suffix:
@@ -131,7 +128,7 @@ def slice_layout(layout: GroupBy, items: Sequence) -> LayoutSlice:
             if item.stop is not None:
                 extent = item.stop
             position = sliced_axes.index(axis)
-            extent_text = _sanitize(_printer.doprint(as_expr(extent)))
+            extent_text = _sanitize(str(as_expr(extent)))
             var = Var(
                 f"_sl{axis}_{extent_text}",
                 meta={"range": (0, as_expr(extent) - 1)},

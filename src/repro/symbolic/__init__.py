@@ -15,13 +15,13 @@ Public surface of the engine used throughout the LEGO reproduction:
 * strides — :func:`affine_strides`, :func:`is_mixed_radix_bijection` (exact
   affine decomposition behind static layout-bijectivity proofs);
 * cost model — :func:`operation_count`, :func:`choose_cheapest`;
-* printers — :class:`PythonPrinter`, :class:`TritonPrinter`, :class:`CPrinter`,
-  :class:`MLIRArithPrinter`;
+* printers — :class:`PythonPrinter`, :class:`TritonPrinter`, :class:`CPrinter`
+  and :func:`print_text` (their text, read from the memo table);
 * caching — expressions are hash-consed (interned), derived answers live in
   one table keyed by (expression, fact set) (:func:`clear_memos` empties it),
   :func:`cache_statistics` snapshots the registry counters of the
-  rewrite/proof/range/print memo layers and :data:`RULE_REGISTRY` lists the
-  Table II rules as data.
+  rewrite/proof/range/substitution/print memo layers and
+  :data:`RULE_REGISTRY` lists the Table II rules as data.
 """
 
 from .expr import (
@@ -69,7 +69,7 @@ from .simplify import (
     simplify_fixpoint,
 )
 from .cost import CostWeights, choose_cheapest, operation_count
-from .printers import CPrinter, MLIRArithPrinter, PythonPrinter, TritonPrinter
+from .printers import CPrinter, PythonPrinter, TritonPrinter, print_text
 
 __all__ = [
     "Add",
@@ -119,7 +119,7 @@ __all__ = [
     "choose_cheapest",
     "operation_count",
     "CPrinter",
-    "MLIRArithPrinter",
     "PythonPrinter",
     "TritonPrinter",
+    "print_text",
 ]

@@ -47,7 +47,12 @@ class CostWeights:
 
     @staticmethod
     def gpu_default() -> "CostWeights":
-        return CostWeights(add=1, mul=1, floordiv=8, mod=8, minmax=2, cmp=1, boolean=1)
+        """Division and modulo at 8, min/max at 2 (one shared frozen instance)."""
+        return _GPU_DEFAULT
+
+
+_FLAT = CostWeights()
+_GPU_DEFAULT = CostWeights(add=1, mul=1, floordiv=8, mod=8, minmax=2, cmp=1, boolean=1)
 
 
 def _node_cost(node: Expr, weights: CostWeights) -> int:
@@ -80,7 +85,7 @@ def operation_count(exprs: Expr | Iterable[Expr], weights: CostWeights | None = 
     collection (one node or many): lowering, ``kernel_payload`` and the tuner
     all ask for the same bindings under the same two weightings.
     """
-    weights = weights or CostWeights()
+    weights = weights or _FLAT
     exprs = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
     key = ("ops", *[expr._id for expr in exprs], weights)
     cached = MEMO.get(key)

@@ -23,8 +23,9 @@ construction routes every node through a global intern table, so two
 structurally identical expressions are the *same object*.  Structural
 equality therefore degenerates to a pointer comparison in the common case,
 dictionary lookups use a hash precomputed at construction time, and the
-rewrite engine (:mod:`repro.symbolic.simplify`), the prover and the printers
-key their memo tables on the per-node integer :attr:`Expr.expr_id`.
+rewrite engine (:mod:`repro.symbolic.simplify`), the prover, ``subs`` and the
+printers key their entries in the memo table on the per-node integer
+:attr:`Expr.expr_id`.
 
 The one wrinkle is :class:`Var.meta`: rendering hints do not participate in
 equality (two variables with the same name are the same variable), but they
@@ -55,8 +56,8 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from ..obs.metrics import REGISTRY
-from .memo import MEMO, memo_put
-from .stats import CACHE_PREFIX
+from .memo import MEMO, PLAIN_TEXT, memo_put
+from .stats import CACHE_PREFIX, PRINT_HITS, SUBS_HITS, SUBS_MISSES
 
 __all__ = [
     "Expr",
@@ -211,7 +212,9 @@ class Expr:
         """Substitute sub-expressions.
 
         Keys may be variables (most common), arbitrary sub-expressions or
-        plain variable names (strings are accepted for convenience).
+        plain variable names (strings are accepted for convenience).  The
+        result is filed in the memo table under this node's id and the sorted
+        ``(key id, value id)`` pairs of the substitution.
         """
         table: dict[Expr, Expr] = {}
         for key, value in mapping.items():
@@ -220,7 +223,15 @@ class Expr:
             else:
                 key_expr = as_expr(key)
             table[key_expr] = as_expr(value)
-        return self._substitute(table)
+        memo_key = ("subs", self._id, *sorted((key._id, value._id) for key, value in table.items()))
+        node = MEMO.get(memo_key)
+        if node is None:
+            SUBS_MISSES.inc()
+            node = self._substitute(table)
+            memo_put(memo_key, node)
+        else:
+            SUBS_HITS.inc()
+        return node
 
     def _substitute(self, table: Mapping["Expr", "Expr"]) -> "Expr":
         if self in table:
@@ -262,15 +273,14 @@ class Expr:
         return str(self)
 
     def __str__(self) -> str:
-        """Canonical text: a ``PythonPrinter`` with no substitutions, memoised."""
-        key = ("str", self._id)
-        text = MEMO.get(key)
-        if text is None:
-            from .printers import PythonPrinter
+        """Canonical text: the memoised text of a ``PythonPrinter`` with no substitutions."""
+        entry = MEMO.get(("text", PLAIN_TEXT, self._id))
+        if entry is not None:
+            PRINT_HITS.inc()
+            return entry[0]
+        from .printers import PythonPrinter
 
-            text = PythonPrinter().doprint(self)
-            memo_put(key, text)
-        return text
+        return PythonPrinter().doprint(self)
 
     # -- operators ------------------------------------------------------------
 
@@ -395,6 +405,10 @@ class Var(Expr):
     def __new__(cls, name: str, meta: Mapping[str, object] | None = None) -> "Var":
         if not isinstance(name, str) or not name:
             raise TypeError("Var requires a non-empty string name")
+        if not meta:
+            cached = _INTERN.get(("Var", name, ()))
+            if cached is not None:
+                return cached  # type: ignore[return-value]
         meta_dict = dict(meta) if meta else {}
         intern_key: tuple | None
         try:

@@ -2,27 +2,26 @@
 
 The paper prints the simplified index expressions with SymPy's Python and C
 printers, plus a custom MLIR printer built on the MLIR Python bindings.  This
-module provides the reproduction's equivalents:
+module provides the reproduction's text printers (MLIR operations are emitted
+by :func:`repro.codegen.mlir.lower_expr_to_ops`):
 
 * :class:`PythonPrinter` — Python / Triton source (floor ``//`` and ``%``),
 * :class:`TritonPrinter` — Python syntax plus rendering hints carried in
   ``Var.meta`` (``tl.arange`` atoms with broadcast suffixes, ``tl.program_id``),
 * :class:`CPrinter` — C / CUDA source (``/`` and ``%``; all layout indices are
-  non-negative so truncating division agrees with floor division),
-* :class:`MLIRArithPrinter` — a straight-line sequence of ``arith`` dialect
-  operations in SSA form, used by the MLIR integration.
+  non-negative so truncating division agrees with floor division).
 
-``doprint`` may be called repeatedly; each printer keeps an identity-keyed
-memo (expressions are hash-consed, so ``Expr.expr_id`` identifies a subtree)
-that makes re-printing shared subtrees O(1).  The memo is private to the
-printer instance because the rendered text depends on its substitutions.
+Printers keep no memo of their own.  The text of every node is a family of
+the symbolic memo table (:mod:`repro.symbolic.memo`), keyed ``("text", token,
+expr id)``: the token is interned from the printer class and its sorted
+substitutions, re-read on every ``doprint``, and ``str(expr)`` is the
+substitution-free :class:`PythonPrinter` case (token ``PLAIN_TEXT``).  An
+entry holds the node's text and its precedence; the parent parenthesises.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
-
-from .stats import PRINT_HITS, PRINT_MISSES
 
 from .expr import (
     Add,
@@ -39,14 +38,33 @@ from .expr import (
     Mul,
     Var,
 )
+from .memo import MEMO, PLAIN_TEXT, intern_text, memo_put
+from .stats import PRINT_HITS, PRINT_MISSES
 
-__all__ = ["PythonPrinter", "TritonPrinter", "CPrinter", "MLIRArithPrinter"]
+__all__ = ["PythonPrinter", "TritonPrinter", "CPrinter", "print_text"]
 
 
 _PREC_ADD = 10
 _PREC_MUL = 20
-_PREC_UNARY = 30
 _PREC_ATOM = 100
+
+
+def _text_token(printer_cls: type, substitutions: Mapping[str, str]) -> int:
+    if not substitutions and printer_cls is PythonPrinter:
+        return PLAIN_TEXT
+    return intern_text((printer_cls, tuple(sorted(substitutions.items()))))
+
+
+def print_text(expr: Expr, printer_cls: type["PythonPrinter"], substitutions: Mapping[str, str]) -> str:
+    """``printer_cls(substitutions).doprint(expr)``; a memo hit builds no printer."""
+    token = _text_token(printer_cls, substitutions)
+    entry = MEMO.get(("text", token, expr._id))
+    if entry is not None:
+        PRINT_HITS.inc()
+        return entry[0]
+    printer = printer_cls(substitutions)
+    printer._token = token
+    return printer._print(expr, _PREC_ADD)
 
 
 class PythonPrinter:
@@ -61,75 +79,66 @@ class PythonPrinter:
     def __init__(self, substitutions: Mapping[str, str] | None = None):
         #: optional variable-name -> source-text substitutions
         self.substitutions = dict(substitutions or {})
-        #: identity-keyed memo: (expr_id, parent precedence) -> rendered text
-        self._memo: dict[tuple[int, int], str] = {}
-        self._memo_subs: tuple | None = None
 
     # -- public API ------------------------------------------------------------
 
     def doprint(self, expr: Expr) -> str:
-        # substitutions is a public mutable attribute; drop the memo whenever
-        # it changed so cached text never reflects stale substitutions
-        subs_key = tuple(sorted(self.substitutions.items()))
-        if subs_key != self._memo_subs:
-            self._memo.clear()
-            self._memo_subs = subs_key
+        # substitutions is a public mutable attribute: the token is re-read here
+        self._token = _text_token(type(self), self.substitutions)
         return self._print(expr, _PREC_ADD)
 
     # -- dispatch ---------------------------------------------------------------
 
     def _print(self, expr: Expr, parent_prec: int) -> str:
-        key = (expr._id, parent_prec)
-        cached = self._memo.get(key)
-        if cached is not None:
+        key = ("text", self._token, expr._id)
+        entry = MEMO.get(key)
+        if entry is None:
+            entry = self._print_uncached(expr)
+            PRINT_MISSES.inc()
+            memo_put(key, entry)
+        else:
             PRINT_HITS.inc()
-            return cached
-        text = self._print_uncached(expr, parent_prec)
-        PRINT_MISSES.inc()
-        self._memo[key] = text
-        return text
+        text, prec = entry
+        return f"({text})" if prec < parent_prec else text
 
-    def _print_uncached(self, expr: Expr, parent_prec: int) -> str:
+    def _print_uncached(self, expr: Expr) -> tuple[str, int]:
+        """The node's text and the precedence below which a parent wraps it."""
         if isinstance(expr, Const):
-            text = str(expr.value)
-            if expr.value < 0 and parent_prec > _PREC_ADD:
-                return f"({text})"
-            return text
+            return str(expr.value), (_PREC_ADD if expr.value < 0 else _PREC_ATOM)
         if isinstance(expr, Var):
-            return self._print_var(expr)
+            return self._print_var(expr), _PREC_ATOM
         if isinstance(expr, Add):
-            return self._wrap(self._print_add(expr), _PREC_ADD, parent_prec)
+            return self._print_add(expr), _PREC_ADD
         if isinstance(expr, Mul):
-            return self._wrap(self._print_mul(expr), _PREC_MUL, parent_prec)
+            return self._print_mul(expr), _PREC_MUL
         if isinstance(expr, FloorDiv):
             text = (
                 f"{self._print(expr.numerator, _PREC_MUL + 1)}"
                 f"{self.floordiv_op}"
                 f"{self._print(expr.denominator, _PREC_MUL + 1)}"
             )
-            return self._wrap(text, _PREC_MUL, parent_prec)
+            return text, _PREC_MUL
         if isinstance(expr, Mod):
             text = (
                 f"{self._print(expr.value_expr, _PREC_MUL + 1)}"
                 f" {self.mod_op} "
                 f"{self._print(expr.modulus, _PREC_MUL + 1)}"
             )
-            return self._wrap(text, _PREC_MUL, parent_prec)
+            return text, _PREC_MUL
         if isinstance(expr, Min):
             inner = ", ".join(self._print(a, _PREC_ADD) for a in expr.args)
-            return f"{self.min_func}({inner})"
+            return f"{self.min_func}({inner})", _PREC_ATOM
         if isinstance(expr, Max):
             inner = ", ".join(self._print(a, _PREC_ADD) for a in expr.args)
-            return f"{self.max_func}({inner})"
+            return f"{self.max_func}({inner})", _PREC_ATOM
         if isinstance(expr, Cmp):
-            text = f"{self._print(expr.lhs, _PREC_ADD)} {expr.op} {self._print(expr.rhs, _PREC_ADD)}"
-            return f"({text})"
+            return f"({self._print(expr.lhs, _PREC_ADD)} {expr.op} {self._print(expr.rhs, _PREC_ADD)})", _PREC_ATOM
         if isinstance(expr, BoolAnd):
-            return "(" + " and ".join(self._print(a, _PREC_ADD) for a in expr.args) + ")"
+            return "(" + " and ".join(self._print(a, _PREC_ADD) for a in expr.args) + ")", _PREC_ATOM
         if isinstance(expr, BoolOr):
-            return "(" + " or ".join(self._print(a, _PREC_ADD) for a in expr.args) + ")"
+            return "(" + " or ".join(self._print(a, _PREC_ADD) for a in expr.args) + ")", _PREC_ATOM
         if isinstance(expr, BoolNot):
-            return f"(not {self._print(expr.args[0], _PREC_ADD)})"
+            return f"(not {self._print(expr.args[0], _PREC_ADD)})", _PREC_ATOM
         raise TypeError(f"cannot print expression of type {type(expr).__name__}")
 
     # -- helpers ----------------------------------------------------------------
@@ -159,11 +168,6 @@ class PythonPrinter:
         # '%' factors are parenthesised; '%'/'//' share Python's precedence
         # with '*' and would otherwise re-associate incorrectly.
         return "*".join(self._print(a, _PREC_MUL + 1) for a in expr.args)
-
-    def _wrap(self, text: str, prec: int, parent_prec: int) -> str:
-        if prec < parent_prec:
-            return f"({text})"
-        return text
 
 
 class TritonPrinter(PythonPrinter):
@@ -203,103 +207,3 @@ class CPrinter(PythonPrinter):
         if isinstance(render, str):
             return render
         return var.name
-
-
-class MLIRArithPrinter:
-    """Emit an expression as a straight-line sequence of ``arith`` dialect ops.
-
-    ``lower(expr)`` returns ``(lines, result_name)`` where ``lines`` is a list
-    of MLIR operation strings (``%cN = arith.constant ...``, ``%N = arith.addi
-    ...``) and ``result_name`` is the SSA value holding the expression result.
-    Variables must be bound to existing SSA names via ``value_names``.
-    """
-
-    def __init__(self, value_names: Mapping[str, str], index_type: str = "index"):
-        self.value_names = dict(value_names)
-        self.index_type = index_type
-        self._lines: list[str] = []
-        self._counter = 0
-        # identity-keyed (hash-consed ids): shared subtrees lower to one SSA
-        # value without any structural hashing of the tree
-        self._cache: dict[int, str] = {}
-        self._const_cache: dict[int, str] = {}
-
-    def _fresh(self, prefix: str = "v") -> str:
-        self._counter += 1
-        return f"%{prefix}{self._counter}"
-
-    def _emit(self, text: str) -> None:
-        self._lines.append(text)
-
-    def lower(self, expr: Expr) -> tuple[list[str], str]:
-        self._lines = []
-        name = self._lower(expr)
-        return list(self._lines), name
-
-    # -- recursive lowering ------------------------------------------------------
-
-    def _lower(self, expr: Expr) -> str:
-        cached = self._cache.get(expr._id)
-        if cached is not None:
-            PRINT_HITS.inc()
-            return cached
-        name = self._lower_uncached(expr)
-        PRINT_MISSES.inc()
-        self._cache[expr._id] = name
-        return name
-
-    def _lower_uncached(self, expr: Expr) -> str:
-        ty = self.index_type
-        if isinstance(expr, Const):
-            if expr.value in self._const_cache:
-                return self._const_cache[expr.value]
-            name = self._fresh("c")
-            self._emit(f"{name} = arith.constant {expr.value} : {ty}")
-            self._const_cache[expr.value] = name
-            return name
-        if isinstance(expr, Var):
-            if expr.name not in self.value_names:
-                raise KeyError(f"no SSA value bound for variable {expr.name!r}")
-            return self.value_names[expr.name]
-        if isinstance(expr, Add):
-            return self._fold_binary(expr.args, "arith.addi")
-        if isinstance(expr, Mul):
-            return self._fold_binary(expr.args, "arith.muli")
-        if isinstance(expr, FloorDiv):
-            lhs = self._lower(expr.numerator)
-            rhs = self._lower(expr.denominator)
-            name = self._fresh()
-            self._emit(f"{name} = arith.floordivsi {lhs}, {rhs} : {ty}")
-            return name
-        if isinstance(expr, Mod):
-            lhs = self._lower(expr.value_expr)
-            rhs = self._lower(expr.modulus)
-            name = self._fresh()
-            self._emit(f"{name} = arith.remsi {lhs}, {rhs} : {ty}")
-            return name
-        if isinstance(expr, Min):
-            return self._fold_binary(expr.args, "arith.minsi")
-        if isinstance(expr, Max):
-            return self._fold_binary(expr.args, "arith.maxsi")
-        if isinstance(expr, Cmp):
-            pred = {"<": "slt", "<=": "sle", ">": "sgt", ">=": "sge", "==": "eq", "!=": "ne"}[expr.op]
-            lhs = self._lower(expr.lhs)
-            rhs = self._lower(expr.rhs)
-            name = self._fresh("b")
-            self._emit(f"{name} = arith.cmpi {pred}, {lhs}, {rhs} : {ty}")
-            return name
-        if isinstance(expr, BoolAnd):
-            return self._fold_binary(expr.args, "arith.andi", ty="i1")
-        if isinstance(expr, BoolOr):
-            return self._fold_binary(expr.args, "arith.ori", ty="i1")
-        raise TypeError(f"cannot lower expression of type {type(expr).__name__} to MLIR")
-
-    def _fold_binary(self, args, opname: str, ty: str | None = None) -> str:
-        ty = ty or self.index_type
-        names = [self._lower(a) for a in args]
-        current = names[0]
-        for nxt in names[1:]:
-            fresh = self._fresh()
-            self._emit(f"{fresh} = {opname} {current}, {nxt} : {ty}")
-            current = fresh
-        return current

@@ -2,8 +2,8 @@
 
 The hash-consed IR (:mod:`repro.symbolic.expr`) enables identity-keyed
 memoisation throughout the stack: the rewrite engine, the fixpoint driver, the
-prover and the range analysis share one process-wide table (:mod:`.memo`), the
-code printers keep per-instance caches.  Their hit/miss counters, the table's
+prover, the range analysis, ``Expr.subs`` and the code printers share one
+process-wide table (:mod:`.memo`).  Their hit/miss counters, the table's
 resets and every rewrite rule's applications are :class:`~repro.obs.metrics.
 Counter` s on :data:`repro.obs.REGISTRY`, named ``repro.symbolic.cache.<field>``
 (rules: ``repro.symbolic.cache.rule_applications.<rule>``); the intern table's
@@ -35,6 +35,8 @@ RANGE_HITS = REGISTRY.counter(CACHE_PREFIX + "range_hits")
 RANGE_MISSES = REGISTRY.counter(CACHE_PREFIX + "range_misses")
 PRINT_HITS = REGISTRY.counter(CACHE_PREFIX + "print_hits")
 PRINT_MISSES = REGISTRY.counter(CACHE_PREFIX + "print_misses")
+SUBS_HITS = REGISTRY.counter(CACHE_PREFIX + "subs_hits")
+SUBS_MISSES = REGISTRY.counter(CACHE_PREFIX + "subs_misses")
 #: times the memo table was emptied (its cap, or ``clear_memos()``)
 MEMO_RESETS = REGISTRY.counter(CACHE_PREFIX + "memo_resets")
 

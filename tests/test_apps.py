@@ -171,6 +171,32 @@ def nw_case():
     return reference, config, gold
 
 
+def _nw_cell_loop(reference, penalty):
+    """The cell-by-cell dynamic program: the oracle of the anti-diagonal ``nw_reference``."""
+    n = reference.shape[0]
+    score = np.zeros((n + 1, n + 1), dtype=np.int32)
+    score[0, :] = -penalty * np.arange(n + 1)
+    score[:, 0] = -penalty * np.arange(n + 1)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            score[i, j] = max(
+                score[i - 1, j - 1] + reference[i - 1, j - 1],
+                score[i, j - 1] - penalty,
+                score[i - 1, j] - penalty,
+            )
+    return score
+
+
+@pytest.mark.parametrize("penalty", [0, 10])
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+def test_nw_reference_equals_the_cell_loop(n, penalty):
+    rng = np.random.default_rng(1000 * n + penalty)
+    reference = rng.integers(-12, 13, size=(n, n)).astype(np.int32)
+    got = nw.nw_reference(reference, penalty)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, _nw_cell_loop(reference, penalty))
+
+
 def test_nw_blocked_row_major_matches_reference(nw_case):
     reference, config, gold = nw_case
     score, _ = nw.run_nw_blocked(reference, config, layout=None)

@@ -10,9 +10,10 @@ identities.  Three things pin that:
   *identical object* for any operand list, memo cleared or warm;
 * the **canonical-form invariant** itself must hold on every node the 85-kernel
   corpus interns (it is what ``_split_coeff`` reads);
-* the memo **families** (constructor answers, collection op counts, canonical
-  text) must only ever save work: same values across ``clear_memos()``, and
-  the goldens byte-identical under a cap small enough to flush mid-constructor.
+* the memo **families** (constructor answers, collection op counts, printed
+  text, substitutions) must only ever save work: same values across
+  ``clear_memos()``, never one printer's text for another's, and the goldens
+  byte-identical under a cap small enough to flush mid-constructor.
 """
 
 import random
@@ -23,7 +24,18 @@ import pytest
 
 from golden_kernels import build_artifacts, golden_kernel_paths
 from repro.codegen import CodegenContext
-from repro.symbolic import CostWeights, clear_memos, operation_count
+from repro.serve import CompileRequest
+from repro.serve.service import default_compiler
+from repro.symbolic import (
+    CACHE_PREFIX,
+    CostWeights,
+    CPrinter,
+    PythonPrinter,
+    TritonPrinter,
+    cache_statistics,
+    clear_memos,
+    operation_count,
+)
 from repro.symbolic.expr import _INTERN, _TYPE_ORDER, Add, Const, Expr, Mul, Var, as_expr
 from test_witnesses import compile_corpus
 
@@ -244,12 +256,92 @@ def test_the_text_family_never_serves_a_printer_with_substitutions():
     lane = ctx.index("cf_lane", 32)
     ctx.bind("offset", pid * 32 + lane)
     lowered = ctx.lower()["offset"]
-    canonical = str(lowered.expr)  # filed under ("str", id) before the render below
+    canonical = str(lowered.expr)  # filed under the plain-text token before the render below
     ctx.substitute(cf_pid="tl.program_id(0)")
     rendered = ctx.render()["offset"]
     assert rendered != canonical
     assert "tl.program_id(0)" in rendered and "tl.program_id(0)" not in canonical
     assert str(lowered.expr) == canonical
+
+
+def _printed(cases, expr):
+    return [cls(subs).doprint(expr) for cls, subs in cases]
+
+
+def test_the_text_memo_never_crosses_printers_or_substitutions():
+    x = Var("tm_x", meta={"triton_render": "pid_x"})
+    y = Var("tm_y", meta={"triton_render": "tl.program_id(0)", "c_render": "blockIdx.x"})
+    expr = (x * 4 + y) // 3 + (x % 5) * y - Const(2)
+    cases = [(cls, subs) for cls in (PythonPrinter, TritonPrinter, CPrinter)
+             for subs in ({}, {"tm_x": "X"}, {"tm_y": "Y"})]
+    cold = []
+    for case in cases:  # each on an empty table: nothing to cross
+        clear_memos()
+        cold.extend(_printed([case], expr))
+    assert len(set(cold)) == len(cases)
+    clear_memos()
+    assert _printed(cases, expr) == cold  # one table, filled in this order ...
+    assert _printed(cases[::-1], expr) == cold[::-1]  # ... and served from it
+    assert str(expr) == cold[0] == "-2 + tm_y*(tm_x % 5) + (tm_y + 4*tm_x)//3"
+
+    printer = PythonPrinter()
+    assert printer.doprint(expr) == cold[0]
+    printer.substitutions["tm_x"] = "X"  # changed between two doprints
+    assert printer.doprint(expr) == cold[1]
+    printer.substitutions.clear()
+    assert printer.doprint(expr) == cold[0]
+
+    clear_memos()
+    assert not any(key[0] == "text" for key in memo_module.MEMO)
+    misses = cache_statistics()[CACHE_PREFIX + "print_misses"]
+    assert _printed(cases, expr) == cold
+    assert cache_statistics()[CACHE_PREFIX + "print_misses"] > misses
+
+
+def _random_expr(rng: random.Random, names, depth: int) -> Expr:
+    if depth == 0 or rng.random() < 0.2:
+        return Var(rng.choice(names)) if rng.random() < 0.7 else Const(rng.randint(-3, 9))
+    op = rng.choice(("add", "mul", "floordiv", "mod"))
+    left, right = _random_expr(rng, names, depth - 1), _random_expr(rng, names, depth - 1)
+    if op == "add":
+        return left + right
+    if op == "mul":
+        return left * right
+    divisor = rng.randint(2, 7)
+    return left // divisor if op == "floordiv" else left % divisor
+
+
+def test_subs_returns_the_node_of_the_unmemoised_walk():
+    rng = random.Random(38)
+    names = ("sb_a", "sb_b", "sb_c")
+    for _ in range(200):
+        expr = _random_expr(rng, names, 4)
+        sub = _random_expr(rng, names, 1)
+        for mapping in ({"sb_a": rng.randint(1, 9)},
+                        {Var("sb_b"): Var("sb_c") * 2, "sb_a": Var("sb_d")},
+                        {sub: Var("sb_e"), Var("sb_c"): 7}):
+            table = {(Var(k) if isinstance(k, str) else as_expr(k)): as_expr(v) for k, v in mapping.items()}
+            walked = expr._substitute(table)
+            assert expr.subs(mapping) is walked
+            assert expr.subs(mapping) is walked  # served from the memo
+    hits = cache_statistics()[CACHE_PREFIX + "subs_hits"]
+    assert expr.subs(mapping) is walked and cache_statistics()[CACHE_PREFIX + "subs_hits"] == hits + 1
+    clear_memos()
+    assert expr.subs(mapping) is walked
+
+
+def test_a_second_compile_of_the_corpus_prints_and_substitutes_nothing():
+    requests = [CompileRequest(spec.name, config) for spec, config in compile_corpus()]
+    assert len(requests) == 85
+    first = [getattr(default_compiler(request), "source", None) for request in requests]
+    before = cache_statistics()
+    second = [getattr(default_compiler(request), "source", None) for request in requests]
+    after = cache_statistics()
+    delta = {name: after[CACHE_PREFIX + name] - before[CACHE_PREFIX + name]
+             for name in ("print_misses", "subs_misses", "memo_resets", "print_hits", "subs_hits")}
+    assert delta["print_misses"] == delta["subs_misses"] == delta["memo_resets"] == 0, delta
+    assert delta["print_hits"] > 0 and delta["subs_hits"] > 0, delta
+    assert second == first
 
 
 def test_goldens_are_byte_identical_under_a_tiny_memo_cap(monkeypatch):

@@ -191,6 +191,19 @@ def test_lower_expr_to_ops_builds_arith():
     assert value.type.__class__.__name__ == "IndexType"
 
 
+def test_lower_expr_to_ops_lowers_to_arith_ops():
+    from repro.mlir.types import INDEX
+
+    builder = OpBuilder(Block())
+    x, y = symbols("x y")
+    values = {name: builder.block.add_argument(name, INDEX) for name in ("x", "y")}
+    result = lower_expr_to_ops(builder, x * 4 + y % 2, values)
+    ops = [op.name for op in builder.block.operations]
+    assert result.defining_op is builder.block.operations[-1]
+    assert any("arith.muli" in op for op in ops)
+    assert any("arith.remsi" in op or "arith.remui" in op for op in ops)
+
+
 def test_lower_expr_unbound_variable_raises_named_valueerror():
     builder = OpBuilder(Block())
     # Same shared validation as the Triton/CUDA template paths: a ValueError

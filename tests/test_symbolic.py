@@ -13,7 +13,6 @@ from repro.symbolic import (
     Interval,
     Max,
     Min,
-    MLIRArithPrinter,
     Mod,
     Mul,
     PythonPrinter,
@@ -397,12 +396,3 @@ def test_c_printer_uses_c_operators():
     x = Var("x")
     text = CPrinter().doprint(x // 4 + x % 3)
     assert "/" in text and "%" in text and "//" not in text
-
-
-def test_mlir_arith_printer_lowers_to_ops():
-    x, y = symbols("x y")
-    printer = MLIRArithPrinter({"x": "%x", "y": "%y"})
-    ops, result = printer.lower(x * 4 + y % 2)
-    assert result.startswith("%")
-    assert any("arith.muli" in op for op in ops)
-    assert any("arith.remsi" in op or "arith.remui" in op for op in ops)
