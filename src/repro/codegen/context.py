@@ -35,6 +35,7 @@ from ..symbolic import (
     simplify_fixpoint,
 )
 from ..symbolic.memo import MEMO, memo_put
+from .guards import discharge_in_bounds
 
 __all__ = ["LoweredBinding", "CodegenContext", "lower_expression", "KernelFamily", "SpecialisationError"]
 
@@ -230,8 +231,6 @@ class CodegenContext:
 
     def _discharge_obligations(self, lowered: Mapping[str, LoweredBinding]) -> dict[str, bool]:
         """Discharge every registered in-bounds obligation against ``lowered``."""
-        from .guards import discharge_in_bounds
-
         verdicts: dict[str, bool] = {}
         for name, (lo, hi) in self._obligations.items():
             binding = lowered.get(name)

@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..obs.metrics import counter
+from ..obs.trace import span
 from ..symbolic import Expr, ExprLike, SymbolicEnv, as_expr, prove, prove_in_bounds
 
 __all__ = [
@@ -76,8 +77,6 @@ def prove_guard_redundant(
     the dynamic guard (or refuse the launch).  Verdicts update the guard-elimination counters and
     the proof runs inside a ``symbolic.range`` span.
     """
-    from ..obs.trace import span
-
     predicate = as_expr(predicate)
     with span("symbolic.range", "symbolic", kernel=kernel, query="guard"):
         proven = prove(predicate, env)
@@ -104,8 +103,6 @@ def discharge_in_bounds(
     ``proofs_static`` / ``proofs_fallback`` but not ``guards_eliminated`` —
     an in-bounds fact enables guard removal, it is not itself a guard.
     """
-    from ..obs.trace import span
-
     with span("symbolic.range", "symbolic", kernel=kernel, query="in_bounds"):
         proven = prove_in_bounds(expr, lo, hi, env)
     if proven:

@@ -33,6 +33,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from ..apps.registry import available_apps, get_app
 from ..cache import ResultCache, ShardedLRUCache, code_fingerprint, stable_digest
 from ..codegen.backend import GeneratedKernel
 from ..obs.trace import span
@@ -196,8 +197,6 @@ def default_compiler(request: CompileRequest) -> GeneratedKernel | None:
     (external baselines, layouts that patch an existing kernel) — a
     *negative* result the service caches like any other.
     """
-    from ..apps.registry import get_app
-
     spec = get_app(request.app)
     if spec.generate is None:
         raise ValueError(f"app {request.app!r} does not generate kernels")
@@ -693,8 +692,6 @@ def table_requests(table, apps=None) -> list[CompileRequest]:
     land in is salted by the current source anyway (rows that carry no
     ``code`` stamp are trusted).
     """
-    from ..apps.registry import available_apps, get_app
-
     wanted = set(apps) if apps is not None else None
     registered = set(available_apps())
     fingerprint = code_fingerprint()

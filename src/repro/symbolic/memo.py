@@ -67,19 +67,18 @@ REGISTRY.gauge(CACHE_PREFIX + "fact_tokens", fn=lambda: len(FACT_TOKENS))
 
 def intern_facts(facts: tuple) -> int:
     """Intern one fact-set key (a tuple of hashable families) as an int."""
-    if not any(facts):
-        return NO_FACTS
-    token = FACT_TOKENS.get(facts)
-    if token is None:
-        token = FACT_TOKENS.setdefault(facts, next(_NEXT_TOKEN))
-    return token
+    return _intern(FACT_TOKENS, facts) if any(facts) else NO_FACTS
 
 
 def intern_text(printer: tuple) -> int:
     """Intern one ``(printer class, sorted substitutions)`` key as an int."""
-    token = TEXT_TOKENS.get(printer)
+    return _intern(TEXT_TOKENS, printer)
+
+
+def _intern(tokens: dict[tuple, int], key: tuple) -> int:
+    token = tokens.get(key)
     if token is None:
-        token = TEXT_TOKENS.setdefault(printer, next(_NEXT_TOKEN))
+        token = tokens.setdefault(key, next(_NEXT_TOKEN))
     return token
 
 

@@ -57,14 +57,11 @@ def _text_token(printer_cls: type, substitutions: Mapping[str, str]) -> int:
 
 def print_text(expr: Expr, printer_cls: type["PythonPrinter"], substitutions: Mapping[str, str]) -> str:
     """``printer_cls(substitutions).doprint(expr)``; a memo hit builds no printer."""
-    token = _text_token(printer_cls, substitutions)
-    entry = MEMO.get(("text", token, expr._id))
+    entry = MEMO.get(("text", _text_token(printer_cls, substitutions), expr._id))
     if entry is not None:
         PRINT_HITS.inc()
         return entry[0]
-    printer = printer_cls(substitutions)
-    printer._token = token
-    return printer._print(expr, _PREC_ADD)
+    return printer_cls(substitutions).doprint(expr)
 
 
 class PythonPrinter:
