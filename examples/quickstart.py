@@ -54,7 +54,7 @@ def lower_a_data_layout() -> None:
 
     binding = ctx.lower()["a_tile_offset"]
     print("Data layout of A:", data_layout)
-    print("  lowered offset:", binding.render(TritonPrinter()))
+    print("  lowered offset:", binding.render(TritonPrinter))
     print(f"  arithmetic ops: {binding.ops} (raw lowering had {binding.raw_ops})")
     print()
 

@@ -162,9 +162,8 @@ class TemplateBackend(Backend):
     ) -> GeneratedKernel:
         lowered = context.lower(cost_weights=cost_weights)
         with span("codegen.render", "codegen", kernel=name, backend=self.name):
-            printer = self.printer_cls()
             rendered: dict[str, object] = {
-                binding_name: binding.render(printer) for binding_name, binding in lowered.items()
+                binding_name: binding.render(self.printer_cls) for binding_name, binding in lowered.items()
             }
             if extra_bindings:
                 for key, value in extra_bindings.items():

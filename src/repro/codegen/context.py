@@ -57,16 +57,9 @@ class LoweredBinding:
     def raw_ops(self) -> int:
         return operation_count(self.raw.subs(self.sizes), self.weights)
 
-    def render(self, printer: PythonPrinter | None = None, extra_substitutions: Mapping[str, str] | None = None) -> str:
-        """The text of :attr:`expr` under ``printer``'s class, with its substitutions
-        overridden by the binding's and then by ``extra_substitutions``."""
-        if printer is None:
-            printer_cls, subs = PythonPrinter, dict(self.substitutions)
-        else:
-            printer_cls, subs = type(printer), {**printer.substitutions, **self.substitutions}
-        if extra_substitutions:
-            subs.update(extra_substitutions)
-        return print_text(self.expr, printer_cls, subs)
+    def render(self, printer_cls: type[PythonPrinter] = PythonPrinter) -> str:
+        """The text of :attr:`expr` under ``printer_cls`` with the binding's substitutions."""
+        return print_text(self.expr, printer_cls, self.substitutions)
 
 
 #: Ties on total op count are broken towards the variant with fewer integer
@@ -253,10 +246,9 @@ class CodegenContext:
         simplified, variant, ops = lower_expression(expr, self.env, self.pre_expand, weights)
         return LoweredBinding(name, simplified, variant, ops, expr, substitutions, weights)
 
-    def render(self, printer: PythonPrinter | None = None) -> dict[str, str]:
+    def render(self, printer_cls: type[PythonPrinter] = PythonPrinter) -> dict[str, str]:
         """Lower all bindings and render them to source text."""
-        printer = printer or PythonPrinter()
-        return {name: binding.render(printer) for name, binding in self.lower().items()}
+        return {name: binding.render(printer_cls) for name, binding in self.lower().items()}
 
 
 class SpecialisationError(ValueError):

@@ -106,7 +106,7 @@ def generate_accessor_wrapper(
     else:
         context.bind("offset", layout.apply(*index_vars))
         lowered = context.lower()["offset"]
-        offset_text = lowered.render(CPrinter())
+        offset_text = lowered.render(CPrinter)
 
     args = ", ".join(f"int {index_name}" for index_name in index_names)
     return _WRAPPER_TEMPLATE.format(

@@ -56,8 +56,8 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from ..obs.metrics import REGISTRY
-from .memo import MEMO, PLAIN_TEXT, memo_put
-from .stats import CACHE_PREFIX, PRINT_HITS, SUBS_HITS, SUBS_MISSES
+from .memo import MEMO, memo_put
+from .stats import CACHE_PREFIX, SUBS_HITS, SUBS_MISSES
 
 __all__ = [
     "Expr",
@@ -273,14 +273,8 @@ class Expr:
         return str(self)
 
     def __str__(self) -> str:
-        """Canonical text: the memoised text of a ``PythonPrinter`` with no substitutions."""
-        entry = MEMO.get(("text", PLAIN_TEXT, self._id))
-        if entry is not None:
-            PRINT_HITS.inc()
-            return entry[0]
-        from .printers import PythonPrinter
-
-        return PythonPrinter().doprint(self)
+        """Canonical text: the text of a ``PythonPrinter`` with no substitutions."""
+        return print_text(self, PythonPrinter, {})
 
     # -- operators ------------------------------------------------------------
 
@@ -891,3 +885,7 @@ _TYPE_ORDER = {
     "BoolOr": 10,
     "BoolNot": 11,
 }
+
+
+# The printers import the node classes above; ``str(expr)`` prints through them.
+from .printers import PythonPrinter, print_text  # noqa: E402

@@ -316,15 +316,12 @@ def split_access(name: str, axes, indices, batch, shifts=None):
     re-issues the rows one at a time, and the first bad row raises).  An
     axis whose lane part or rest (block part, shift and offset) dips below 0
     moves the lane minimum from one to the other; then both lie in ``[0,
-    extent)``, so neither ``base`` nor ``pattern`` wraps.  The constant (the
-    offsets) is added to the smaller of the two when that keeps the pattern
-    in ``[0, 2^63)``.
+    extent)``, so neither ``base`` nor ``pattern`` wraps.
     """
     if batch is None or len(indices) != len(axes):
         return None
     base = pattern = rows = None
     shift = moved = 0  # Python ints: what base gains, what pattern loses
-    pattern_low = pattern_high = 0  # the pattern's extrema (strides are >= 0)
     for axis, ((extent, stride), index) in enumerate(zip(axes, indices)):
         if type(index) is not SplitIndex:
             return None
@@ -350,7 +347,6 @@ def split_access(name: str, axes, indices, batch, shifts=None):
                 return None
             lane_low, lane_high = index.lane_span()
             low, high = low + lane_low, high + lane_high
-            pattern_low, pattern_high = pattern_low + lane_low * stride, pattern_high + lane_high * stride
             term = lane if stride == 1 else lane * stride
             pattern = term if pattern is None else pattern + term
             if lane_low < 0 or rest_low < 0:
@@ -366,12 +362,6 @@ def split_access(name: str, axes, indices, batch, shifts=None):
         base = base + (0 if rows is None else rows)
         if base.shape[1] != shifts.shape[1]:
             base = np.broadcast_to(base, (batch, shifts.shape[1]))
-    if pattern.size < base.size and 0 <= pattern_low + shift and pattern_high + shift <= _HIGH:
-        # the constant goes to the smaller part; a pattern in [0, 2^63) leaves
-        # base = address - pattern in int64 too
-        if shift:
-            pattern = pattern + shift
-        return base, pattern.reshape(-1)
     if shift or moved:
         base = base + _wrapped(shift + moved)
     if moved:

@@ -61,7 +61,7 @@ def build_artifacts() -> dict[str, str]:
     for var in (i, j, k):
         ctx.index(var, 512)
     ctx.bind("brick_offset", layout.apply(i, j, k))
-    rendered = {name: b.render(PythonPrinter()) for name, b in ctx.lower().items()}
+    rendered = {name: b.render(PythonPrinter) for name, b in ctx.lower().items()}
     artifacts["stencil_brick_offset.txt"] = rendered["brick_offset"] + "\n"
 
     return artifacts
