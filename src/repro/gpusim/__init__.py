@@ -5,8 +5,6 @@ Replaces the paper's physical A100 for performance-shape reproduction:
 * :class:`DeviceSpec` / :data:`A100_80GB` — device capability description,
 * :class:`KernelCost`, :func:`estimate_time`, :func:`roofline_point` — the
   roofline-with-overheads kernel model,
-* :func:`warp_transactions`, :func:`coalescing_efficiency`,
-  :class:`AccessPattern`, :func:`strided_traffic` — global-memory coalescing,
 * :func:`warp_conflict_degree`, :func:`access_conflict_profile` —
   shared-memory bank conflicts,
 * cuBLAS / PyTorch baselines for Figure 11.
@@ -22,7 +20,6 @@ from .device import (
     bytes_per_element,
     get_device,
 )
-from .memory import AccessPattern, coalescing_efficiency, strided_traffic, warp_transactions
 from .sharedmem import ConflictProfile, access_conflict_profile, warp_conflict_degree
 from .kernelmodel import (
     KernelCost,
@@ -47,10 +44,6 @@ __all__ = [
     "get_device",
     "DeviceSpec",
     "bytes_per_element",
-    "AccessPattern",
-    "coalescing_efficiency",
-    "strided_traffic",
-    "warp_transactions",
     "ConflictProfile",
     "access_conflict_profile",
     "warp_conflict_degree",

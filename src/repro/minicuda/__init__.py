@@ -15,6 +15,12 @@ NumPy-backed execution model that
 * provides global-memory views whose per-warp sector transactions are
   recorded (:class:`GlobalArray`).
 
+The block runtime itself — :class:`Dim3`, :class:`BlockContext`, the arrays
+and the pass loop — lives in :mod:`repro.vm.blocks` and :mod:`repro.vm.arrays`,
+where the MLIR interpreter runs on it too; this package adds the launch trace
+(:class:`CudaTrace`) and :func:`launch`.  A ``GlobalArray`` holds its own copy
+of the array it wraps (``to_numpy()`` reads the result back).
+
 :func:`repro.perf.trace_to_cost` converts the recorded counters into a
 :class:`repro.gpusim.KernelCost` for the analytic device model.
 
@@ -23,8 +29,13 @@ estimation read the same small full launch, and :mod:`repro.perf`
 extrapolates the cost to the paper-scale problem (``Case.scale``).
 """
 
-from .runtime import BlockContext, CudaTrace, Dim3, launch
-from .smem import GlobalArray, SharedArray
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
+
+from ..vm.arrays import GlobalArray, SharedArray
+from ..vm.blocks import BlockContext, BlockTrace, Dim3, launch_blocks
 
 __all__ = [
     "Dim3",
@@ -34,3 +45,34 @@ __all__ = [
     "SharedArray",
     "GlobalArray",
 ]
+
+
+@dataclass
+class CudaTrace(BlockTrace):
+    """Counters accumulated over one launch (final once its access log is flushed)."""
+
+    #: shared memory
+    smem_load_bytes: float = 0.0
+    smem_store_bytes: float = 0.0
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def smem_bytes(self) -> float:
+        return self.smem_load_bytes + self.smem_store_bytes
+
+    def add_smem_bytes(self, nbytes: float, is_store: bool) -> None:
+        if is_store:
+            self.smem_store_bytes += nbytes
+        else:
+            self.smem_load_bytes += nbytes
+
+
+def launch(kernel: Callable, grid, block, args: Sequence = (), device=None) -> CudaTrace:
+    """Run ``kernel(ctx, *args)`` over every block of ``grid`` x ``block`` threads.
+
+    One pass of :data:`repro.vm.engine.SLAB_ELEMENTS` lanes at a time
+    (:func:`repro.vm.blocks.launch_blocks`); ``device`` (a
+    :class:`~repro.gpusim.DeviceSpec`) sets the warp width and DRAM sector
+    granularity the accounting uses instead of the CUDA-default 32/32.
+    """
+    return launch_blocks(CudaTrace, kernel, grid, block, args, device)

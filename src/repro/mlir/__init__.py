@@ -12,7 +12,8 @@ provides the minimum honest equivalent:
 * :mod:`repro.mlir.printer` — the generic textual form;
 * :mod:`repro.mlir.verifier` — structural/SSA checks;
 * :mod:`repro.mlir.interp` — an interpreter that executes ``gpu.func``
-  kernels over a launch grid on NumPy memrefs, recording memory traffic.
+  kernels over a launch grid on mini-CUDA's block runtime (:mod:`repro.vm.blocks`),
+  recording memory traffic.
 
 The op names, SSA structure and type syntax follow MLIR so that the emitted
 modules read like the ones the paper's artifact produces.

@@ -22,7 +22,7 @@ them into a measured cost:
 from __future__ import annotations
 
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost
-from ..minicuda.runtime import CudaTrace
+from ..minicuda import CudaTrace
 from ..minitriton.language import KernelTrace
 from ..mlir.interp import GpuLaunchResult
 
@@ -51,8 +51,7 @@ def _dram_traffic(trace, device: DeviceSpec) -> tuple[float, float]:
     """``(useful_bytes, moved_bytes)`` of the trace's global-memory traffic.
 
     Transactions are charged at the sector size the trace stamped; a
-    hand-built trace stamped 0 takes ``device.dram_sector_bytes``, the same
-    parameter :func:`repro.gpusim.memory.warp_transactions` takes.
+    hand-built trace stamped 0 takes ``device.dram_sector_bytes``.
     """
     useful = float(trace.load_bytes + trace.store_bytes)
     transactions = float(trace.load_transactions + trace.store_transactions)

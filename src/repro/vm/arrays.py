@@ -1,4 +1,5 @@
-"""Shared- and global-memory arrays with layout redirection and accounting.
+"""Shared- and global-memory arrays of the block runtime, with layout redirection
+and accounting.
 
 ``SharedArray`` is the reproduction of the paper's NW integration style: the
 kernel keeps addressing the buffer with its *logical* multi-dimensional
@@ -14,6 +15,10 @@ sector-transaction (coalescing) analysis.  An index that is still
 gathered without building the per-axis ``(B, T)`` arrays.  Both arrays take
 grouped accesses — many rows in one call, each row an access shifted by whole
 elements — that the trace records as the separate accesses they stand for.
+mini-CUDA kernels index both directly; the MLIR interpreter runs
+``memref.load`` / ``memref.store`` on them (a workgroup memref is a
+``SharedArray``, a kernel-argument memref a ``GlobalArray`` over the
+caller's buffer).
 """
 
 from __future__ import annotations
@@ -122,7 +127,7 @@ def _per_block_values(raw: np.ndarray, batch: int, block_shape: tuple) -> np.nda
 class SharedArray(_LayoutArray):
     """A shared-memory array addressed by logical indices through a layout.
 
-    Allocated by :meth:`repro.minicuda.BlockContext.shared_array`, one copy per
+    Allocated by :meth:`repro.vm.blocks.BlockContext.shared_array`, one copy per
     block of the context's pass: ``data`` is ``(B, words)``.  Accesses take
     per-thread index arrays — one row per block, or block-uniform — and each
     is logged on the launch trace, which splits it into warps and scores their
@@ -152,14 +157,9 @@ class SharedArray(_LayoutArray):
     def _record(self, rows: np.ndarray, repeat: int, is_store: bool) -> None:
         """Log ``rows`` (each cut into warps of its own), paid ``repeat`` times."""
         ctx = self._context
-        trace = ctx.trace
         itemsize = self.dtype.itemsize
-        nbytes = float(repeat * rows.size) * itemsize
-        if is_store:
-            trace.smem_store_bytes += nbytes
-        else:
-            trace.smem_load_bytes += nbytes
-        trace.log_shared(rows, itemsize, ctx.warp_size, repeat, fresh=True)
+        ctx.trace.add_smem_bytes(float(repeat * rows.size) * itemsize, is_store)
+        ctx.trace.log_shared(rows, itemsize, ctx.warp_size, repeat, fresh=True)
 
     def _access(self, indices: tuple, is_store: bool) -> tuple[np.ndarray, bool]:
         physical = self._decode(indices)
@@ -207,8 +207,8 @@ class SharedArray(_LayoutArray):
             if flat is not None:
                 ctx = self._context
                 rows = flat.size * physical.shape[0]
-                ctx.trace.smem_load_bytes += (float(self.batch * rows * physical.shape[1])
-                                              * self.dtype.itemsize)
+                ctx.trace.add_smem_bytes(float(self.batch * rows * physical.shape[1])
+                                         * self.dtype.itemsize, is_store=False)
                 ctx.trace.log_shared_affine(flat, physical, self.dtype.itemsize, ctx.warp_size,
                                             self.batch)
                 return self.data[:, (flat[:, None, None] + physical).reshape(rows, -1)]
@@ -287,6 +287,15 @@ class GlobalArray(_LayoutArray):
             # scatter the logical contents into their physical positions
             self.data = np.empty_like(logical_flat)
             self.data[self._table] = logical_flat
+
+    @classmethod
+    def over(cls, buffer: np.ndarray, shape: Sequence[int], name: str) -> "GlobalArray":
+        """A row-major array of logical ``shape`` whose ``data`` is the flat ``buffer``
+        itself: stores write through to the caller's memory, nothing is copied."""
+        array = cls.__new__(cls)
+        _LayoutArray.__init__(array, shape, buffer.dtype, None, name)
+        array.data = buffer
+        return array
 
     def _split(self, ctx, indices: tuple, shifts=None):
         """``(base, pattern)`` of an access that keeps its split, else ``None``

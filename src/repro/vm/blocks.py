@@ -1,6 +1,6 @@
-"""Block/thread execution model for the mini-CUDA substrate.
+"""The block runtime mini-CUDA and the MLIR interpreter both execute on.
 
-A kernel is an ordinary Python function ``kernel(ctx, *args)``.  The
+A block kernel is a callable ``kernel(ctx, *args)``.  The
 :class:`BlockContext` it receives stands for a pass of thread blocks executed
 at once, with all threads of each block vectorised: ``ctx.tx`` / ``ctx.ty`` /
 ``ctx.tz`` are ``(T,)`` values with one entry per thread and
@@ -26,9 +26,10 @@ Kernels cooperate through two small control-flow hooks:
   boolean-compressing the thread arrays), each block's compacted lanes cut
   into warps of their own.
 
-:func:`launch` runs the kernel over every block of the grid and returns a
-:class:`CudaTrace` with the accumulated global-memory traffic and
-shared-memory conflict profile.
+:func:`launch_blocks` is the one pass loop: it runs the kernel over every
+block of the grid into a fresh :class:`BlockTrace` — mini-CUDA's
+``CudaTrace`` or the MLIR interpreter's ``GpuLaunchResult`` — with the
+accumulated global-memory traffic and shared-memory conflict profile.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..gpusim.sharedmem import AccessLog, ConflictProfile, ragged_warp_rows
-from ..vm import engine
-from ..vm.engine import launch_extents, run_launch
-from ..vm.split import block_index, lane_index, per_block
-from .smem import SharedArray
+from . import engine
+from .arrays import SharedArray
+from .engine import launch_extents, run_launch
+from .split import block_index, lane_index, per_block
 
-__all__ = ["Dim3", "BlockContext", "CudaTrace", "launch"]
+__all__ = ["Dim3", "BlockContext", "BlockTrace", "launch_blocks"]
 
 
 @dataclass(frozen=True)
@@ -70,26 +71,28 @@ class Dim3:
 
 
 @dataclass
-class CudaTrace(AccessLog):
-    """Counters accumulated over one launch (final once its access log is flushed)."""
+class BlockTrace(AccessLog):
+    """Counters of one block launch (final once its access log is flushed).
 
-    #: shared memory
-    smem_load_bytes: float = 0.0
-    smem_store_bytes: float = 0.0
+    The base of mini-CUDA's ``CudaTrace`` and the MLIR interpreter's
+    ``GpuLaunchResult``: the launch geometry and the shared-memory conflict
+    profile.  Each subclass keeps its own shared-volume fields, which every
+    shared access adds to through :meth:`add_smem_bytes`.
+    """
+
     smem_profile: ConflictProfile = field(default_factory=ConflictProfile)
     #: launch geometry
     blocks: int = 0
     threads_per_block: int = 0
     smem_per_block: int = 0
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def smem_bytes(self) -> float:
-        return self.smem_load_bytes + self.smem_store_bytes
 
     @property
     def bank_conflict_factor(self) -> float:
         return self.smem_profile.average_degree
+
+    def add_smem_bytes(self, nbytes: float, is_store: bool) -> None:
+        """Count ``nbytes`` of shared-memory traffic (a load, or a store)."""
+        raise NotImplementedError
 
 
 class _CompactedThreads:
@@ -156,7 +159,7 @@ class BlockContext:
         block_ids: np.ndarray,
         block_dim: Dim3,
         grid_dim: Dim3,
-        trace: CudaTrace,
+        trace: BlockTrace,
         warp_size: int = 32,
     ):
         batch = int(block_ids.size)
@@ -251,14 +254,10 @@ def _block_index(bx: np.ndarray, by: np.ndarray, bz: np.ndarray) -> SimpleNamesp
     return SimpleNamespace(x=block_index(bx), y=block_index(by), z=block_index(bz))
 
 
-def launch(
-    kernel: Callable,
-    grid,
-    block,
-    args: Sequence = (),
-    device=None,
-) -> CudaTrace:
-    """Run ``kernel`` over every block of ``grid`` x ``block`` threads.
+def launch_blocks(trace_type, kernel: Callable, grid, block, args: Sequence = (),
+                  device=None) -> BlockTrace:
+    """Run ``kernel`` over every block of ``grid`` x ``block`` threads into a fresh
+    ``trace_type`` (a :class:`BlockTrace` subclass).
 
     ``kernel`` is called as ``kernel(ctx, *args)`` once per pass of
     :data:`repro.vm.engine.SLAB_ELEMENTS` lanes.  ``device`` (a
@@ -268,7 +267,7 @@ def launch(
     grid = Dim3.of(grid, "grid")
     block = Dim3.of(block, "block")
     warp_size = device.warp_size if device is not None else 32
-    run_trace = CudaTrace(
+    run_trace = trace_type(
         blocks=grid.count, threads_per_block=block.count,
         sector_bytes=device.dram_sector_bytes if device is not None else 32,
     )

@@ -1,7 +1,8 @@
 """The one launch path of the three substrates.
 
-:func:`repro.minitriton.launch`, :func:`repro.minicuda.launch` and
-:func:`repro.mlir.run_gpu_kernel` each validate their geometry with
+:func:`repro.minitriton.launch` and the block runtime's pass loop
+(:func:`repro.vm.blocks.launch_blocks`, which :func:`repro.minicuda.launch`
+and :func:`repro.mlir.run_gpu_kernel` both call) validate their geometry with
 :func:`launch_extents` and hand their executor to :func:`run_launch`: the
 whole grid runs once on the substrate's batched executor, then the launch's
 access log is scored.  An exception raised by the executor propagates to the
@@ -18,8 +19,8 @@ from typing import Callable
 __all__ = ["SLAB_ELEMENTS", "engine_mode", "launch_extents", "run_launch", "use_engine"]
 
 #: Elements one NumPy call of the engine should see — the one size that tiles a
-#: launch.  The mini-CUDA and MLIR executors cut the grid into passes of this
-#: many lanes, and a trace's access log (:class:`repro.gpusim.sharedmem.AccessLog`)
+#: launch.  The block runtime (mini-CUDA and MLIR) cuts the grid into passes of
+#: this many lanes, and a trace's access log (:class:`repro.gpusim.sharedmem.AccessLog`)
 #: pools tiny accesses up to it and flushes before it would hold more.  At
 #: 8 bytes a lane a slab is 512 KB: a pass's temporaries stay in cache and
 #: under glibc's mmap threshold (at 2**19 lanes each was a fresh 4 MB mapping).

@@ -11,8 +11,7 @@ import pytest
 
 from repro.gpusim import sharedmem, warp_conflict_degree
 from repro.gpusim.sharedmem import AccessLog, ConflictProfile
-from repro.minicuda import Dim3, GlobalArray, launch
-from repro.minicuda.runtime import BlockContext, CudaTrace
+from repro.minicuda import BlockContext, CudaTrace, Dim3, GlobalArray, launch
 from repro.vm import engine
 
 

@@ -176,6 +176,19 @@ def test_interpreter_rejects_unsupported_operations():
         run_gpu_kernel(module, "k", grid=(1, 1, 1), block=(1, 1, 1), arguments=[])
 
 
+@pytest.mark.parametrize("space", [0, 1])
+def test_interpreter_rejects_allocations_outside_workgroup_memory(space):
+    """Only a workgroup buffer is allocated per block; any other ``memref.alloc``
+    is a typed error, as a block-dependent ``scf.for`` is."""
+    module, fn, builder = _gpu_kernel([])
+    buffer = memref.alloc(builder, MemRefType((4,), F32, memory_space=space))
+    memref.store(builder, arith.constant(builder, 1.0, F32), buffer, [arith.constant(builder, 0)])
+    gpu.return_(builder)
+    verify_module(module)
+    with pytest.raises(NotImplementedError, match=rf"^memref.alloc in memory space {space}: "):
+        run_gpu_kernel(module, "k", grid=(2, 1, 1), block=(4, 1, 1), arguments=[])
+
+
 def test_unverified_module_fails_before_interpretation():
     """The generation pipeline's contract: verify first, interpret second —
     an unverifiable module is caught by the verifier, not by a crash."""

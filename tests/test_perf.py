@@ -16,7 +16,7 @@ from repro.apps.lud import LudConfig, lud_case, run_lud_internal
 from repro.apps.registry import Case, get_app
 from repro.apps.softmax import generate_softmax_kernel, run_softmax
 from repro.apps.transpose import TransposeConfig, generate_transpose, run_transpose
-from repro.gpusim import A100_80GB, KernelCost, occupancy_factor, warp_transactions
+from repro.gpusim import A100_80GB, KernelCost, occupancy_factor
 from repro.perf import (
     KernelProfile,
     profile,
@@ -145,10 +145,9 @@ def test_mlir_adapter_matches_hand_computed_transpose_counts():
     # each block reads its tile once and writes it once
     assert trace.load_elements == cfg.n * cfg.n
     assert trace.store_elements == cfg.n * cfg.n
-    # 4-float row segments: sector count independently derived from the
-    # access pattern via the gpusim coalescing model
-    row_bytes = [(r * cfg.n + c) * 4 for r in range(tile) for c in range(tile)]
-    sectors_per_block_access = warp_transactions(row_bytes, A100_80GB.dram_sector_bytes)
+    # 4-float row segments: the distinct sectors one block's tile touches
+    row_bytes = np.array([(r * cfg.n + c) * 4 for r in range(tile) for c in range(tile)])
+    sectors_per_block_access = np.unique(row_bytes // A100_80GB.dram_sector_bytes).size
     assert trace.load_transactions == blocks * sectors_per_block_access
     assert trace.store_transactions == blocks * sectors_per_block_access
     # staged through shared memory: one store + one load per element

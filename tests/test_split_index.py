@@ -19,8 +19,7 @@ import pytest
 
 from repro.apps.stencil import STENCILS, brick_layout, run_stencil
 from repro.gpusim import A100_80GB
-from repro.minicuda import GlobalArray, launch
-from repro.minicuda.runtime import BlockContext, CudaTrace
+from repro.minicuda import BlockContext, CudaTrace, GlobalArray, launch
 from repro.mlir import GpuLaunchResult, run_gpu_kernel
 from repro.mlir.dialects import arith, build_gpu_module, gpu, memref
 from repro.mlir.ir import OpBuilder, Operation, Value
@@ -197,7 +196,7 @@ def test_parts_far_outside_the_array_that_sum_into_it(closed_forms):
 
 
 def _context(blocks=5, threads=6):
-    from repro.minicuda.runtime import Dim3
+    from repro.minicuda import Dim3
 
     return BlockContext(np.arange(blocks, dtype=np.int64), Dim3(threads), Dim3(blocks),
                         CudaTrace())

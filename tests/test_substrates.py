@@ -5,19 +5,15 @@ import pytest
 
 from repro.gpusim import (
     A100_80GB,
-    AccessPattern,
     KernelCost,
     access_conflict_profile,
     bytes_per_element,
-    coalescing_efficiency,
     cublas_matmul_time,
     estimate_time,
     occupancy_factor,
     pytorch_elementwise_time,
     roofline_point,
-    strided_traffic,
     warp_conflict_degree,
-    warp_transactions,
 )
 from repro.gpusim.sharedmem import (
     ConflictProfile,
@@ -545,15 +541,6 @@ def test_the_launch_sector_size_is_the_one_recorded_and_charged():
 # -- analytic device model -------------------------------------------------------------------------
 
 
-def test_warp_transactions_and_coalescing():
-    contiguous = [4 * i for i in range(32)]
-    strided = [128 * i for i in range(32)]
-    assert warp_transactions(contiguous) == 4
-    assert warp_transactions(strided) == 32
-    assert coalescing_efficiency(contiguous, 4) == 1.0
-    assert coalescing_efficiency(strided, 4) == pytest.approx(4 / 32)
-
-
 def test_warp_conflict_degree_broadcast_and_conflict():
     same_word = [7] * 32
     assert warp_conflict_degree(same_word) == 1  # broadcast
@@ -679,14 +666,6 @@ def test_access_conflict_profile_merge():
     assert merged.accesses == 3
     assert merged.worst_degree == 3
     assert merged.average_degree == pytest.approx((2 + 1 + 3) / 3)
-
-
-def test_access_pattern_traffic():
-    pattern = AccessPattern(contiguous_run=32, run_stride=64, num_runs=100, element_bytes=4)
-    summary = strided_traffic([pattern], A100_80GB)
-    assert summary["useful_bytes"] == 32 * 100 * 4
-    assert summary["moved_bytes"] >= summary["useful_bytes"]
-    assert 0 < summary["efficiency"] <= 1
 
 
 def test_bytes_per_element():
