@@ -262,6 +262,7 @@ class ResultCache:
             if self.path is None or not self._dirty:
                 return self.path
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            _publish_atomically(self.path, json.dumps(self._entries, sort_keys=True, indent=1))
+            # compact: an indent forces json's pure-Python encoder, this is the C one
+            _publish_atomically(self.path, json.dumps(self._entries, sort_keys=True))
             self._dirty = False
             return self.path

@@ -35,7 +35,7 @@ from ..mlir.types import F32, INDEX, MemRefType
 from ..mlir.verifier import verify_module
 from ..symbolic import Const, CostWeights, Expr, FloorDiv, Max, Min, Mod, Mul, Var, as_expr
 from ..symbolic.expr import Add
-from .backend import Backend, GeneratedKernel, register_backend, validate_bound
+from .backend import Backend, GeneratedKernel, get_backend, register_backend, validate_bound
 from .context import CodegenContext, KernelFamily
 
 __all__ = [
@@ -81,38 +81,39 @@ def lower_expr_to_ops(
 
 
 def _lower_validated(builder: OpBuilder, expr: Expr, values: dict[str, Value]) -> Value:
-    if isinstance(expr, Const):
-        return arith.constant(builder, expr.value, INDEX)
-    if isinstance(expr, Var):
-        return values[expr.name]
+    lower = _LOWERING.get(type(expr))
+    if lower is None:
+        raise NotImplementedError(f"cannot lower expression node {type(expr).__name__} to MLIR")
+    return lower(builder, expr, values)
 
-    def binary(fold, args):
+
+def _folded(name: str):
+    """Lower an n-ary node as the left fold of ``arith.<name>`` over its arguments."""
+    op_name = f"arith.{name}"
+
+    def lower(builder: OpBuilder, expr: Expr, values: dict[str, Value]) -> Value:
+        args = expr.args
         result = _lower_validated(builder, args[0], values)
         for arg in args[1:]:
-            result = fold(builder, result, _lower_validated(builder, arg, values))
+            rhs = _lower_validated(builder, arg, values)
+            result = builder.insert(op_name, [result, rhs], [result.type]).result
         return result
 
-    if isinstance(expr, Add):
-        return binary(arith.addi, expr.args)
-    if isinstance(expr, Mul):
-        return binary(arith.muli, expr.args)
-    if isinstance(expr, FloorDiv):
-        return arith.divsi(
-            builder,
-            _lower_validated(builder, expr.numerator, values),
-            _lower_validated(builder, expr.denominator, values),
-        )
-    if isinstance(expr, Mod):
-        return arith.remsi(
-            builder,
-            _lower_validated(builder, expr.value_expr, values),
-            _lower_validated(builder, expr.modulus, values),
-        )
-    if isinstance(expr, Min):
-        return binary(arith.minsi, expr.args)
-    if isinstance(expr, Max):
-        return binary(arith.maxsi, expr.args)
-    raise NotImplementedError(f"cannot lower expression node {type(expr).__name__} to MLIR")
+    return lower
+
+
+#: expression node type -> lowering; ``FloorDiv`` / ``Mod`` are the binary folds
+#: of their two arguments (numerator, denominator / value, modulus)
+_LOWERING = {
+    Const: lambda builder, expr, values: arith.constant(builder, expr.value, INDEX),
+    Var: lambda builder, expr, values: values[expr.name],
+    Add: _folded("addi"),
+    Mul: _folded("muli"),
+    FloorDiv: _folded("divsi"),
+    Mod: _folded("remsi"),
+    Min: _folded("minsi"),
+    Max: _folded("maxsi"),
+}
 
 
 @register_backend
@@ -236,8 +237,6 @@ def generate_transpose_module(n: int, tile: int = 32, variant: str = "smem",
             memref.store(builder, staged, out_buffer, [out_index])
         gpu.return_(builder)
         return module, (kernel_name,)
-
-    from .backend import get_backend
 
     return get_backend("mlir").generate(kernel_name, build, lowered)
 

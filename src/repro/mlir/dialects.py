@@ -24,13 +24,13 @@ class arith:
 
     @staticmethod
     def constant(builder: OpBuilder, value: int | float, type: Type = INDEX) -> Value:
-        def make() -> Value:
-            op = builder.insert(
+        key = ("const", type.text, value)
+        cached = builder.constants.get(key)
+        if cached is None:
+            cached = builder.constants[key] = builder.insert(
                 "arith.constant", [], [type], {"value": value}, result_hint="c"
-            )
-            return op.result
-
-        return builder.cached_constant(("const", str(type), value), make)
+            ).result
+        return cached
 
     @staticmethod
     def _binary(builder: OpBuilder, name: str, lhs: Value, rhs: Value) -> Value:

@@ -53,8 +53,10 @@ class GpuLaunchResult(BlockTrace):
 
 
 def _index(value):
-    """A memref subscript as the arrays take it: a scalar becomes one lane, so a
-    load at constant indices is a ``(B, 1)`` value like every other one."""
+    """A memref subscript as the arrays take it: a scalar becomes one lane.  A
+    shared array already reads all-scalar indices as one lane per block,
+    ``(B, 1)``; a global one returns the block-uniform scalar, so the lane is
+    what keeps every MLIR load an array."""
     return value if type(value) is SplitIndex else np.atleast_1d(value)
 
 

@@ -23,14 +23,17 @@ from .types import Type
 __all__ = ["Value", "Operation", "Block", "Region", "FuncOp", "Module", "OpBuilder"]
 
 
-@dataclass(eq=False)
 class Value:
     """An SSA value: a name, a type and the operation (or block) defining it."""
 
-    name: str
-    type: Type
-    defining_op: Optional["Operation"] = None
-    is_block_arg: bool = False
+    __slots__ = ("name", "type", "defining_op", "is_block_arg")
+
+    def __init__(self, name: str, type: Type, defining_op: Optional["Operation"] = None,
+                 is_block_arg: bool = False):
+        self.name = name
+        self.type = type
+        self.defining_op = defining_op
+        self.is_block_arg = is_block_arg
 
     def __str__(self) -> str:
         return f"%{self.name}"
@@ -39,15 +42,22 @@ class Value:
         return f"%{self.name}: {self.type}"
 
 
-@dataclass(eq=False)
 class Operation:
-    """One operation: ``results = name(operands) {attributes}``."""
+    """One operation: ``results = name(operands) {attributes}``.
 
-    name: str
-    operands: list[Value] = field(default_factory=list)
-    results: list[Value] = field(default_factory=list)
-    attributes: dict[str, object] = field(default_factory=dict)
-    regions: list["Region"] = field(default_factory=list)
+    The containers are the ones passed in (an omitted one is a fresh empty
+    list or dict), so code that rewrites a module edits them in place.
+    """
+
+    __slots__ = ("name", "operands", "results", "attributes", "regions")
+
+    def __init__(self, name: str, operands: list[Value] | None = None, results: list[Value] | None = None,
+                 attributes: dict[str, object] | None = None, regions: list["Region"] | None = None):
+        self.name = name
+        self.operands = [] if operands is None else operands
+        self.results = [] if results is None else results
+        self.attributes = {} if attributes is None else attributes
+        self.regions = [] if regions is None else regions
 
     @property
     def result(self) -> Value:
@@ -73,10 +83,6 @@ class Block:
         value = Value(name=name, type=type, is_block_arg=True)
         self.arguments.append(value)
         return value
-
-    def append(self, op: Operation) -> Operation:
-        self.operations.append(op)
-        return op
 
     def __iter__(self):
         return iter(self.operations)
@@ -142,7 +148,9 @@ class OpBuilder:
         self.block = block
         self._prefix = name_prefix
         self._counter = itertools.count()
-        self._constants: dict[tuple, Value] = {}
+        #: ``arith.constant`` results deduplicated within the block,
+        #: keyed ``("const", type text, value)``
+        self.constants: dict[tuple, Value] = {}
 
     def fresh_name(self, hint: str | None = None) -> str:
         return f"{hint or self._prefix}{next(self._counter)}"
@@ -156,24 +164,18 @@ class OpBuilder:
         regions: Iterable[Region] = (),
         result_hint: str | None = None,
     ) -> Operation:
-        """Create an operation, append it to the block and return it."""
-        op = Operation(
-            name=name,
-            operands=list(operands),
-            attributes=dict(attributes or {}),
-            regions=list(regions),
-        )
-        for result_type in result_types:
-            value = Value(name=self.fresh_name(result_hint), type=result_type, defining_op=op)
-            op.results.append(value)
-        self.block.append(op)
-        return op
+        """Create an operation, append it to the block and return it.
 
-    def cached_constant(self, key: tuple, make) -> Value:
-        """Deduplicate constants (``arith.constant``) within one block."""
-        if key not in self._constants:
-            self._constants[key] = make()
-        return self._constants[key]
+        The operands, attributes and regions are copied into fresh containers
+        (an empty one is not copied), and each result type gets a fresh name.
+        """
+        op = Operation(name, list(operands) if operands else [], [],
+                       dict(attributes) if attributes else {}, list(regions) if regions else [])
+        hint = result_hint or self._prefix
+        for result_type in result_types:
+            op.results.append(Value(f"{hint}{next(self._counter)}", result_type, op))
+        self.block.operations.append(op)
+        return op
 
     def at_block(self, block: Block) -> "OpBuilder":
         """A builder inserting into ``block`` but sharing this builder's names."""
@@ -181,5 +183,5 @@ class OpBuilder:
         child.block = block
         child._prefix = self._prefix
         child._counter = self._counter
-        child._constants = {}
+        child.constants = {}
         return child

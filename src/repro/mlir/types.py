@@ -1,4 +1,9 @@
-"""MLIR-style types for the mini IR: index, integers, floats, memrefs."""
+"""MLIR-style types for the mini IR: index, integers, floats, memrefs.
+
+Every type prints once: its text is the ``text`` attribute, computed when the
+type is constructed, and ``str``, ``==`` and ``hash`` read it (two types are
+equal when they are of one class and print alike).
+"""
 
 from __future__ import annotations
 
@@ -10,26 +15,27 @@ __all__ = ["Type", "IndexType", "IntType", "FloatType", "MemRefType", "F32", "F1
 
 
 class Type:
-    """Base class of IR types."""
+    """Base class of IR types; a subclass sets ``text``, its printed form."""
 
-    def __str__(self) -> str:  # pragma: no cover - overridden
-        raise NotImplementedError
+    text: str
+
+    def __str__(self) -> str:
+        return self.text
 
     def __repr__(self) -> str:
-        return str(self)
+        return self.text
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and str(self) == str(other)
+        return type(self) is type(other) and self.text == other.text
 
     def __hash__(self) -> int:
-        return hash(str(self))
+        return hash(self.text)
 
 
 class IndexType(Type):
     """The MLIR ``index`` type."""
 
-    def __str__(self) -> str:
-        return "index"
+    text = "index"
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +44,8 @@ class IntType(Type):
 
     width: int = 32
 
-    def __str__(self) -> str:
-        return f"i{self.width}"
+    def __post_init__(self):
+        object.__setattr__(self, "text", f"i{self.width}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +54,8 @@ class FloatType(Type):
 
     width: int = 32
 
-    def __str__(self) -> str:
-        return f"f{self.width}"
+    def __post_init__(self):
+        object.__setattr__(self, "text", f"f{self.width}")
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -72,11 +78,9 @@ class MemRefType(Type):
         object.__setattr__(self, "shape", tuple(self.shape))
         if self.element_type is None:
             object.__setattr__(self, "element_type", FloatType(32))
-
-    def __str__(self) -> str:
-        dims = "x".join("?" if d is None else str(d) for d in self.shape)
+        dims = "x".join(["?" if d is None else str(d) for d in self.shape])
         space = f", {self.memory_space}" if self.memory_space else ""
-        return f"memref<{dims}x{self.element_type}{space}>"
+        object.__setattr__(self, "text", f"memref<{dims}x{self.element_type.text}{space}>")
 
     @property
     def num_elements(self) -> int:

@@ -26,7 +26,7 @@ class VerificationError(ValueError):
     """Raised when the module violates a structural rule."""
 
 
-_BINARY_ARITH = {
+_BINARY_ARITH = (
     "arith.addi",
     "arith.subi",
     "arith.muli",
@@ -36,52 +36,50 @@ _BINARY_ARITH = {
     "arith.maxsi",
     "arith.addf",
     "arith.mulf",
-}
+)
+#: operation name -> (operand count or None, position of the accessed memref or None)
+_SIGNATURES = {name: (2, None) for name in _BINARY_ARITH}
+_SIGNATURES["memref.load"] = (None, 0)
+_SIGNATURES["memref.store"] = (None, 1)
 
 
-def _check_operands_defined(op: Operation, defined: set[int], func_name: str) -> None:
-    for operand in op.operands:
-        if id(operand) not in defined:
-            raise VerificationError(
-                f"{func_name}: operand {operand} of {op.name} used before definition"
-            )
+def _verify_block(block: Block, defined: set[Value], func_name: str, terminator: str | None) -> None:
+    """One pass over the block: each operation's operands, signature, regions and results.
 
-
-def _verify_block(block: Block, defined: set[int], func_name: str, terminator: str | None) -> None:
-    for argument in block.arguments:
-        defined.add(id(argument))
+    ``defined`` holds the values in scope (SSA values compare by identity).
+    """
+    defined.update(block.arguments)
     for op in block.operations:
-        _check_operands_defined(op, defined, func_name)
-        _verify_operation(op, defined, func_name)
+        name, operands = op.name, op.operands
+        for operand in operands:
+            if operand not in defined:
+                raise VerificationError(f"{func_name}: operand {operand} of {name} used before definition")
+        signature = _SIGNATURES.get(name)
+        if signature is not None:
+            arity, source = signature
+            if arity is not None and len(operands) != arity:
+                raise VerificationError(f"{func_name}: {name} expects {arity} operands, got {len(operands)}")
+            if source is not None:
+                _verify_memref_access(op, operands[source], operands[source + 1:], func_name)
+        if name == "scf.for":
+            if len(operands) != 3:
+                raise VerificationError(f"{func_name}: scf.for expects 3 operands (lb, ub, step)")
+            if not op.regions or not op.regions[0].blocks:
+                raise VerificationError(f"{func_name}: scf.for requires a body region")
+            _verify_block(op.regions[0].blocks[0], set(defined), func_name, terminator="scf.yield")
+        elif op.regions:
+            for region in op.regions:
+                for inner in region.blocks:
+                    _verify_block(inner, set(defined), func_name, terminator=None)
         for result in op.results:
-            if id(result) in defined:
+            if result in defined:
                 raise VerificationError(f"{func_name}: value {result} defined twice")
-            defined.add(id(result))
+            defined.add(result)
     if terminator is not None:
         if not block.operations or block.operations[-1].name != terminator:
             raise VerificationError(
                 f"{func_name}: block must terminate with {terminator}"
             )
-
-
-def _verify_operation(op: Operation, defined: set[int], func_name: str) -> None:
-    if op.name in _BINARY_ARITH and len(op.operands) != 2:
-        raise VerificationError(f"{func_name}: {op.name} expects 2 operands, got {len(op.operands)}")
-    if op.name == "memref.load":
-        _verify_memref_access(op, op.operands[0], op.operands[1:], func_name)
-    if op.name == "memref.store":
-        _verify_memref_access(op, op.operands[1], op.operands[2:], func_name)
-    if op.name == "scf.for":
-        if len(op.operands) != 3:
-            raise VerificationError(f"{func_name}: scf.for expects 3 operands (lb, ub, step)")
-        if not op.regions or not op.regions[0].blocks:
-            raise VerificationError(f"{func_name}: scf.for requires a body region")
-        body_defined = set(defined)
-        _verify_block(op.regions[0].blocks[0], body_defined, func_name, terminator="scf.yield")
-    elif op.regions:
-        for region in op.regions:
-            for block in region.blocks:
-                _verify_block(block, set(defined), func_name, terminator=None)
 
 
 def _verify_memref_access(op: Operation, source: Value, indices, func_name: str) -> None:
@@ -102,9 +100,8 @@ def _verify_memref_access(op: Operation, source: Value, indices, func_name: str)
 
 
 def verify_function(fn: FuncOp) -> None:
-    defined: set[int] = {id(argument) for argument in fn.arguments}
     terminator = "gpu.return" if fn.kind == "gpu.func" else "func.return"
-    _verify_block(fn.body, defined, fn.name, terminator=terminator)
+    _verify_block(fn.body, set(fn.arguments), fn.name, terminator=terminator)
 
 
 def verify_module(module: Module) -> None:

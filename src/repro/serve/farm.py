@@ -50,6 +50,7 @@ from .service import (
     CompileRequest,
     CompileService,
     _Ticket,
+    _TicketFuture,
     default_compiler,
     kernel_from_payload,
     resolve_tiers,
@@ -213,7 +214,8 @@ class CompileFarm(CompileService):
     # -- public API -----------------------------------------------------------
 
     def submit(self, request: CompileRequest, lane: str = LANE_INTERACTIVE) -> Future:
-        """Enqueue one request on ``lane`` (the shared front half)."""
+        """Enqueue one request on ``lane`` (the shared front half); the future
+        cannot be cancelled, as :meth:`CompileService.submit`'s cannot."""
         self._admission.check_lane(lane)
         return self._submit(request, lane)
 
@@ -334,7 +336,7 @@ class CompileFarm(CompileService):
 
     def _lead_locked(self, ticket: _Ticket) -> Future:
         ticket.id = next(self._ticket_ids)
-        ticket.future = Future()
+        ticket.future = _TicketFuture()
         self._queues[ticket.lane].append(ticket)
         self._wakeup()
         return ticket.future

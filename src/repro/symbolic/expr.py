@@ -191,12 +191,15 @@ class Expr:
         return ()
 
     def free_vars(self) -> set[str]:
-        """Names of all variables occurring in the expression."""
-        out: set[str] = set()
-        for node in self.walk():
-            if isinstance(node, Var):
-                out.add(node.name)
-        return out
+        """Names of all variables occurring in the expression (a fresh set).
+
+        The names are filed in the memo table as ``("free_vars", id)``.
+        """
+        names = MEMO.get(("free_vars", self._id))
+        if names is None:
+            names = frozenset(node.name for node in self.walk() if isinstance(node, Var))
+            memo_put(("free_vars", self._id), names)
+        return set(names)
 
     def walk(self) -> Iterator["Expr"]:
         """Pre-order traversal of the expression tree."""

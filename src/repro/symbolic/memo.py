@@ -2,16 +2,16 @@
 
 Every memoised answer — a one-pass rewrite, a fixpoint, a prover verdict, a
 range, an expansion, an operation count, a substitution, the text of a node
-under a printer, an ``Add`` / ``Mul`` constructor's result — is a pure
-function of interned expressions and the facts it was derived under (none,
-for the last four); a kernel family (:class:`repro.codegen.KernelFamily`) is
-one of its builder and arguments, keyed ``("kernel_family", builder,
-args...)``.  Expression ids are global and never reused, so the table is keyed
-``(family, expr id..., fact token)`` (``ops``: the collection's ids and the
-weights; ``add`` / ``mul``: the operands' ids, a literal int as a 1-tuple;
-``subs``: the id and the sorted ``(key id, value id)`` pairs; ``text``: a
-printer token and the id): the
-token is interned here from an environment's *whole* declared fact set
+under a printer, an ``Add`` / ``Mul`` constructor's result, a node's free
+variables — is a pure function of interned expressions and the facts it was
+derived under (none, for the last five); a kernel family
+(:class:`repro.codegen.KernelFamily`) is one of its builder and arguments,
+keyed ``("kernel_family", builder, args...)``.  Expression ids are global
+and never reused, so the table is keyed ``(family, expr id..., fact token)``
+(``ops``: the collection's ids and the weights; ``add`` / ``mul``: the
+operands' ids, a literal int as a 1-tuple; ``subs``: the id and the sorted
+``(key id, value id)`` pairs; ``text``: a printer token and the id;
+``free_vars``: the id, a frozenset of names): the token is interned here from an environment's *whole* declared fact set
 (:attr:`SymbolicEnv.fact_token`), equal tokens mean equal fact sets, and an
 entry is therefore never served under weaker or different facts — while
 sibling kernels and repeat compiles that declare the same facts share every

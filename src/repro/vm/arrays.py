@@ -163,6 +163,9 @@ class SharedArray(_LayoutArray):
 
     def _access(self, indices: tuple, is_store: bool) -> tuple[np.ndarray, bool]:
         physical = self._decode(indices)
+        if physical.ndim == 0:
+            # all-scalar indices are one lane: a load is one value per block, (B, 1)
+            physical = physical.reshape(1)
         batched = per_block(self.name, physical, self.batch)
         # block-uniform: every block repeats the one pattern
         if batched:

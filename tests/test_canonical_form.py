@@ -330,6 +330,26 @@ def test_subs_returns_the_node_of_the_unmemoised_walk():
     assert expr.subs(mapping) is walked
 
 
+def test_free_vars_memo_equals_the_tree_walk_on_the_corpus():
+    """``free_vars`` is the memo family ``("free_vars", id)``: every binding of the
+    85 kernels (simplified and raw) gets the walk's names, a fresh set each time,
+    and ``clear_memos()`` empties the family."""
+    exprs = [expr for spec, config in compile_corpus()
+             for kernel in [spec.generate(config)] if kernel is not None
+             for binding in kernel.bindings.values() for expr in (binding.expr, binding.raw)]
+    assert exprs
+    for expr in exprs:
+        walked = {node.name for node in expr.walk() if isinstance(node, Var)}
+        first = expr.free_vars()
+        assert first == walked
+        first.add("not a variable")  # the caller's set, not the memo's
+        assert expr.free_vars() == walked
+    family = {key[1] for key in memo_module.MEMO if key[0] == "free_vars"}
+    assert family >= {expr.expr_id for expr in exprs}
+    clear_memos()
+    assert not any(key[0] == "free_vars" for key in memo_module.MEMO)
+
+
 def test_a_second_compile_of_the_corpus_prints_and_substitutes_nothing():
     requests = [CompileRequest(spec.name, config) for spec, config in compile_corpus()]
     assert len(requests) == 85

@@ -220,6 +220,44 @@ def test_compiler_errors_propagate_and_are_not_cached():
     assert stats.errors == 1 and stats.compiled == 1
 
 
+def test_a_queued_leader_refuses_cancel_and_still_resolves():
+    """A cancelled leader queued behind another compile would never run: its
+    ticket would stay in flight and every later request would coalesce onto it."""
+    release = threading.Event()
+    compiler, calls = _counting_compiler(release)
+    running, queued = CompileRequest("matmul", {"variant": "nn"}), CompileRequest("matmul", {"variant": "tn"})
+    with CompileService(compiler=compiler, workers=1) as service:
+        try:
+            first = service.submit(running)
+            leader = service.submit(queued)  # waits for the one worker
+            assert not leader.cancel() and not leader.cancelled()
+        finally:
+            release.set()
+        assert first.result(timeout=60) is not None
+        assert service.submit(queued).result(timeout=60) is leader.result(timeout=60)
+        stats = service.stats()
+    assert len(calls) == 2
+    assert stats.submitted == stats.completed == 3 and stats.queue_depth == 0
+
+
+def test_a_follower_refuses_cancel_and_every_waiter_gets_the_kernel():
+    """A cancelled follower would make the leader's settling raise
+    ``InvalidStateError`` and leave the followers after it unset."""
+    release = threading.Event()
+    compiler, calls = _counting_compiler(release)
+    request = CompileRequest("matmul", {"variant": "nn"})
+    with CompileService(compiler=compiler, workers=1) as service:
+        try:
+            futures = [service.submit(request) for _ in range(3)]  # a leader, two followers
+            assert not futures[1].cancel()
+        finally:
+            release.set()
+        kernels = [future.result(timeout=60) for future in futures]
+        stats = service.stats()
+    assert kernels[0] is not None and kernels[0] is kernels[1] is kernels[2]
+    assert len(calls) == 1 and stats.deduped == 2 and stats.completed == 3
+
+
 # -- one contract, both spellings ---------------------------------------------------
 #
 # CompileFarm is CompileService with processes: everything below runs once on

@@ -455,6 +455,23 @@ def test_a_float_index_is_refused_not_truncated(access):
         launch(kernel, grid=3, block=2)
 
 
+def test_a_shared_access_at_scalar_indices_is_one_lane_per_block():
+    """``buf[0]`` is one value per block, ``(B, 1)``: a ``(B,)`` row would broadcast
+    against the lanes, and block ``b`` would write ``[0, 1, 2, 3]`` instead of ``b``."""
+    out = GlobalArray(np.zeros((4, 4), dtype=np.int64), name="out")
+
+    def kernel(ctx):
+        buf = ctx.shared_array((4,), dtype=np.int64, name="buf")
+        buf[ctx.tx] = ctx.blockIdx.x + 0 * ctx.tx
+        value = buf[0]
+        assert value.shape == (4, 1)
+        buf[1] = value + 10  # the matching store: one lane per block
+        out.store(ctx, buf[1] + 0 * ctx.tx, ctx.blockIdx.x, ctx.tx)
+
+    launch(kernel, grid=4, block=4)
+    assert out.to_numpy().tolist() == [[10 + b] * 4 for b in range(4)]
+
+
 @pytest.mark.parametrize("layout", [None, "col"], ids=["row-major", "table"])
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("bad, got", [(-2, r"\[-2, 1\]"), (None, None)])
