@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codegen import CodegenContext, TritonKernel, get_backend
+from ..codegen import CodegenContext, KernelFamily, TritonKernel, get_backend
 from ..core import Row, TileBy
 from ..gpusim import A100_80GB, DeviceSpec
 from ..symbolic import Var
@@ -191,7 +191,7 @@ def build_grouped_gemm_context() -> CodegenContext:
 
 def generate_grouped_gemm_kernel() -> TritonKernel:
     return get_backend("triton").generate(
-        "grouped_gemm", GROUPED_GEMM_TEMPLATE, build_grouped_gemm_context()
+        "grouped_gemm", GROUPED_GEMM_TEMPLATE, KernelFamily.of(build_grouped_gemm_context)
     )
 
 

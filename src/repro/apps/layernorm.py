@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codegen import CodegenContext, TritonKernel, get_backend
+from ..codegen import CodegenContext, KernelFamily, TritonKernel, get_backend
 from ..core import GroupBy, Row
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, estimate_time
 from ..gpusim.baselines import pytorch_elementwise_time
@@ -109,13 +109,13 @@ def build_layernorm_context(name: str = "layernorm") -> CodegenContext:
 
 def generate_layernorm_forward() -> TritonKernel:
     return get_backend("triton").generate(
-        "layernorm_fwd", LAYERNORM_FWD_TEMPLATE, build_layernorm_context("layernorm_fwd")
+        "layernorm_fwd", LAYERNORM_FWD_TEMPLATE, KernelFamily.of(build_layernorm_context, "layernorm_fwd")
     )
 
 
 def generate_layernorm_backward() -> TritonKernel:
     return get_backend("triton").generate(
-        "layernorm_bwd", LAYERNORM_BWD_TEMPLATE, build_layernorm_context("layernorm_bwd")
+        "layernorm_bwd", LAYERNORM_BWD_TEMPLATE, KernelFamily.of(build_layernorm_context, "layernorm_bwd")
     )
 
 

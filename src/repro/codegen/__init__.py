@@ -2,11 +2,12 @@
 
 * :func:`render_template` — the ``{{ }}`` placeholder engine,
 * :class:`CodegenContext` — symbols, assumptions and named layout bindings;
-  :class:`KernelFamily` — one lowered once in its sizes, specialised by substitution,
+  :class:`KernelFamily` — a context lowered once in its sizes, the one input
+  of every backend (Triton's as lowered, CUDA's and MLIR's specialised by
+  substitution),
 * :class:`GeneratedKernel` / :class:`Backend` / :func:`get_backend` /
   :func:`register_backend` — the backend protocol and registry shared by the
-  Triton, CUDA and MLIR generators (one lower-render-validate path, one
-  result type),
+  Triton, CUDA and MLIR generators (one input type, one result type),
 * :func:`generate_accessor_wrapper` — CUDA accessor-struct emission for
   layouts applied per-access (the NW integration style),
 * :func:`prove_guard_redundant` / :func:`discharge_in_bounds` — static guard

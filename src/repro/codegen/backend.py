@@ -11,9 +11,9 @@ now flows through one abstraction:
   (``TritonKernel``, ``CudaKernel``, ``MlirKernel``) subclass it, so existing
   call sites keep their familiar fields while new code (the autotuner) can
   treat every backend uniformly.
-* :class:`Backend` — the protocol: ``generate(name, template, context)``
-  returns a :class:`GeneratedKernel`.
-* :class:`TemplateBackend` — the shared lower-render-validate implementation
+* :class:`Backend` — the protocol: ``generate(name, template, family)``
+  returns a :class:`GeneratedKernel` for a lowered :class:`KernelFamily`.
+* :class:`TemplateBackend` — the shared render-validate implementation
   used by the Triton and CUDA template paths (they differ only in printer
   and result class).
 * :func:`register_backend` / :func:`get_backend` /
@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ..obs.trace import span
 from ..symbolic import CostWeights, PythonPrinter, operation_count
-from .context import CodegenContext, KernelFamily, LoweredBinding
+from .context import KernelFamily, LoweredBinding
 from .template import extract_placeholders, render_template
 
 __all__ = [
@@ -115,27 +115,17 @@ class Backend(abc.ABC):
     name: str = "?"
 
     @abc.abstractmethod
-    def generate(
-        self,
-        name: str,
-        template,
-        context: CodegenContext | KernelFamily,
-        extra_bindings: Mapping[str, object] | None = None,
-        *,
-        cost_weights: CostWeights | None = None,
-        **options,
-    ) -> GeneratedKernel:
-        """Lower ``context``, instantiate ``template`` and return the kernel.
+    def generate(self, name: str, template, family: KernelFamily, **options) -> GeneratedKernel:
+        """Instantiate ``template`` with the lowered bindings of ``family`` and return the kernel.
 
-        ``cost_weights`` optionally overrides the operation-count weights used
-        for expanded-vs-unexpanded variant selection (see
-        :meth:`CodegenContext.lower`).  Backend-specific ``options`` carry
+        ``family`` is lowered already (:meth:`KernelFamily.of`; CUDA and MLIR
+        pass a specialised member).  Backend-specific ``options`` carry
         metadata such as Triton ``constants`` or CUDA ``launch_bounds``.
         """
 
 
 class TemplateBackend(Backend):
-    """Shared lower-render-validate path for template-driven backends.
+    """Shared render-validate path for template-driven backends.
 
     Subclasses set :attr:`printer_cls` (how expressions print),
     :attr:`kernel_cls` (the result dataclass) and implement
@@ -150,24 +140,10 @@ class TemplateBackend(Backend):
             raise TypeError(f"{self.name} backend got unexpected options: {sorted(options)}")
         return {}
 
-    def generate(
-        self,
-        name: str,
-        template: str,
-        context: CodegenContext | KernelFamily,
-        extra_bindings: Mapping[str, object] | None = None,
-        *,
-        cost_weights: CostWeights | None = None,
-        **options,
-    ) -> GeneratedKernel:
-        lowered = context.lower(cost_weights=cost_weights)
+    def generate(self, name: str, template: str, family: KernelFamily, **options) -> GeneratedKernel:
+        lowered = family.lower()
         with span("codegen.render", "codegen", kernel=name, backend=self.name):
-            rendered: dict[str, object] = {
-                binding_name: binding.render(self.printer_cls) for binding_name, binding in lowered.items()
-            }
-            if extra_bindings:
-                for key, value in extra_bindings.items():
-                    rendered.setdefault(key, value)
+            rendered = {bname: binding.render(self.printer_cls) for bname, binding in lowered.items()}
             validate_bound(name, extract_placeholders(template), rendered)
             source = render_template(template, rendered)
         return self.kernel_cls(
@@ -175,8 +151,8 @@ class TemplateBackend(Backend):
             source=source,
             bindings=lowered,
             backend=self.name,
-            generation_seconds=context.generation_seconds or 0.0,
-            proven_bounds=dict(context.proven_bounds),
+            generation_seconds=family.generation_seconds,
+            proven_bounds=dict(family.proven_bounds),
             **self.kernel_kwargs(dict(options)),
         )
 

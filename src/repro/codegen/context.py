@@ -34,22 +34,25 @@ from ..symbolic import (
     print_text,
     simplify_fixpoint,
 )
+from ..symbolic.expr import _substitution
 from ..symbolic.memo import MEMO, memo_put
 from .guards import discharge_in_bounds
 
 __all__ = ["LoweredBinding", "CodegenContext", "lower_expression", "KernelFamily", "SpecialisationError"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoweredBinding:
-    """One named index expression after simplification."""
+    """One named index expression after simplification.
+
+    Frozen: one instance serves every kernel generated from its family."""
 
     name: str
     expr: Expr
     variant: str  # "unexpanded" | "expanded"
     ops: int
     raw: Expr  # before simplification; ``sizes`` are substituted on first read
-    substitutions: dict[str, str] = field(default_factory=dict)
+    substitutions: Mapping[str, str] = field(default_factory=dict)
     weights: CostWeights = field(default_factory=CostWeights)
     sizes: Mapping[str, int] = field(default_factory=dict)
 
@@ -105,8 +108,6 @@ class CodegenContext:
         self._bindings: dict[str, object] = {}
         self._substitutions: dict[str, str] = {}
         self.generation_seconds: float | None = None
-        self._lowered: dict[str, LoweredBinding] | None = None
-        self._lowered_key: tuple | None = None
         #: access-in-bounds obligations: binding name -> (lo, hi), inclusive
         self._obligations: dict[str, tuple[Expr, Expr]] = {}
         #: obligation verdicts from the last :meth:`lower`: name -> bool
@@ -171,55 +172,17 @@ class CodegenContext:
 
     # -- lowering -----------------------------------------------------------------
 
-    def _lowering_key(self, weights: CostWeights) -> tuple:
-        """Identity key of the inputs that determine the lowering result."""
-        binding_ids = []
-        for name, value in self._bindings.items():
-            if isinstance(value, Expr):
-                binding_ids.append((name, value._id))
-            elif isinstance(value, LayoutSlice):
-                # slices are mutable: include the offset expression identity
-                # so reassigning it invalidates the cached lowering
-                binding_ids.append((name, id(value), value.offset._id))
-            else:
-                binding_ids.append((name, id(value)))
-        return (
-            tuple(binding_ids),
-            tuple((name, lo._id, hi._id) for name, (lo, hi) in self._obligations.items()),
-            tuple(sorted(self._substitutions.items())),
-            self.pre_expand,
-            weights,
-            self.env.fact_token,
-        )
-
-    def lower(self, cost_weights: CostWeights | None = None) -> dict[str, LoweredBinding]:
-        """Simplify every binding; records the wall-clock generation time.
-
-        ``cost_weights`` optionally overrides the context's operation-count
-        weights for this lowering — pass :meth:`CostWeights.gpu_default` to
-        make the expanded-vs-unexpanded variant selection use GPU-realistic
-        division/modulo costs instead of the paper's flat counts.
-
-        The result is cached: as long as no binding, substitution,
-        environment fact or weighting changed since the previous call, the
-        previously lowered bindings are returned without re-simplifying
-        anything (``render`` calls ``lower``).
-        """
-        weights = cost_weights or self.weights
-        if self._lowered is not None and self._lowered_key == self._lowering_key(weights):
-            return self._lowered
+    def lower(self) -> dict[str, LoweredBinding]:
+        """Simplify every binding and discharge every obligation; records the wall-clock
+        generation time.  Each call lowers afresh: a kernel lowers once as a :class:`KernelFamily`."""
         started = time.perf_counter()
         lowered: dict[str, LoweredBinding] = {}
         with span("codegen.lower", "codegen", kernel=self.name, bindings=len(self._bindings)):
             for name, value in self._bindings.items():
-                lowered[name] = self._lower_one(name, value, weights)
+                lowered[name] = self._lower_one(name, value)
             if self._obligations:
                 self.proven_bounds = self._discharge_obligations(lowered)
         self.generation_seconds = time.perf_counter() - started
-        self._lowered = lowered
-        # Key computed after lowering: contribute_env may have added facts on
-        # the first pass, and the key must reflect the settled environment.
-        self._lowered_key = self._lowering_key(weights)
         return lowered
 
     def _discharge_obligations(self, lowered: Mapping[str, LoweredBinding]) -> dict[str, bool]:
@@ -234,8 +197,7 @@ class CodegenContext:
             )
         return verdicts
 
-    def _lower_one(self, name: str, value, weights: CostWeights | None = None) -> LoweredBinding:
-        weights = weights or self.weights
+    def _lower_one(self, name: str, value) -> LoweredBinding:
         substitutions = dict(self._substitutions)
         if isinstance(value, LayoutSlice):
             value.contribute_env(self.env)
@@ -243,12 +205,8 @@ class CodegenContext:
             expr = value.offset
         else:
             expr = as_expr(value)
-        simplified, variant, ops = lower_expression(expr, self.env, self.pre_expand, weights)
-        return LoweredBinding(name, simplified, variant, ops, expr, substitutions, weights)
-
-    def render(self, printer_cls: type[PythonPrinter] = PythonPrinter) -> dict[str, str]:
-        """Lower all bindings and render them to source text."""
-        return {name: binding.render(printer_cls) for name, binding in self.lower().items()}
+        simplified, variant, ops = lower_expression(expr, self.env, self.pre_expand, self.weights)
+        return LoweredBinding(name, simplified, variant, ops, expr, substitutions, self.weights)
 
 
 class SpecialisationError(ValueError):
@@ -257,8 +215,10 @@ class SpecialisationError(ValueError):
 
 @dataclass(frozen=True)
 class KernelFamily:
-    """A context lowered once with its extents as size symbols (see DESIGN.md);
-    a member is a family with no sizes left, read by backends as a lowered context."""
+    """A context lowered once with its extents as size symbols (see DESIGN.md), and
+    what every backend takes.  A Triton family goes to its backend as it is (its
+    sizes are launch arguments); CUDA and MLIR take a member, a family with no
+    sizes left."""
 
     name: str
     sizes: tuple[str, ...]
@@ -277,7 +237,7 @@ class KernelFamily:
             lowered = ctx.lower()
             sizes = tuple(name for name, r in ctx.env.variables().items() if r == SymInterval.positive())
             family = cls(ctx.name, sizes, tuple(ctx.env.divisibility_facts()), tuple(lowered.values()),
-                         tuple(ctx.proven_bounds.items()), ctx.generation_seconds or 0.0)
+                         tuple(ctx.proven_bounds.items()), ctx.generation_seconds)
             memo_put(key, family)
         return family
 
@@ -289,13 +249,12 @@ class KernelFamily:
         for dividend, divisor in self.divisibility:
             if dividend.evaluate(sizes) % divisor.evaluate(sizes):
                 raise SpecialisationError(f"family {self.name!r} needs {divisor} | {dividend}, got {sizes}")
-        table = {Var(name): as_expr(value) for name, value in sizes.items()}
+        table, pairs = _substitution(sizes)
         bindings = tuple(LoweredBinding(b.name, e, b.variant, operation_count(e, b.weights), b.raw,
-                                        dict(b.substitutions), b.weights, sizes)
-                         for b in self.bindings for e in (b.expr.subs(table),))
+                                        b.substitutions, b.weights, sizes)
+                         for b in self.bindings for e in (b.expr._subs_keyed(table, pairs),))
         return KernelFamily(self.name, (), (), bindings, self.proven_bounds, time.perf_counter() - started)
 
-    def lower(self, cost_weights: CostWeights | None = None) -> dict[str, LoweredBinding]:
-        if cost_weights is not None:
-            raise TypeError("a family member keeps the weights its family was lowered with")
+    def lower(self) -> dict[str, LoweredBinding]:
+        """The lowered bindings by name."""
         return {binding.name: binding for binding in self.bindings}

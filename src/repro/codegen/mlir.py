@@ -25,7 +25,7 @@ shared validation helper) instead of a bare ``KeyError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from ..core import GenP, GroupBy, Row
 from ..mlir.dialects import arith, build_gpu_module, gpu, memref
@@ -33,7 +33,7 @@ from ..mlir.ir import Module, OpBuilder, Value
 from ..mlir.printer import print_module
 from ..mlir.types import F32, INDEX, MemRefType
 from ..mlir.verifier import verify_module
-from ..symbolic import Const, CostWeights, Expr, FloorDiv, Max, Min, Mod, Mul, Var, as_expr
+from ..symbolic import Const, Expr, FloorDiv, Max, Min, Mod, Mul, Var, as_expr
 from ..symbolic.expr import Add
 from .backend import Backend, GeneratedKernel, get_backend, register_backend, validate_bound
 from .context import CodegenContext, KernelFamily
@@ -122,39 +122,27 @@ class MlirBackend(Backend):
 
     The ``template`` is a module-builder callable
     ``build(exprs: dict[str, Expr]) -> (Module, Sequence[str])`` receiving
-    the lowered (simplified) index expression of every context binding; the
-    backend lowers the context, runs the builder, verifies the
-    module and returns an :class:`MlirKernel` with the printed text.
+    the lowered (simplified) index expression of every binding of the family
+    member; the backend runs the builder, verifies the module and returns an
+    :class:`MlirKernel` with the printed text.
     """
 
     name = "mlir"
 
-    def generate(
-        self,
-        name: str,
-        template: Callable[[dict[str, Expr]], tuple[Module, Sequence[str]]],
-        context: CodegenContext | KernelFamily,
-        extra_bindings: Mapping[str, object] | None = None,
-        *,
-        cost_weights: CostWeights | None = None,
-        **options,
-    ) -> MlirKernel:
+    def generate(self, name: str, template: Callable[[dict[str, Expr]], tuple[Module, Sequence[str]]],
+                 family: KernelFamily, **options) -> MlirKernel:
         if options:
             raise TypeError(f"mlir backend got unexpected options: {sorted(options)}")
-        lowered = context.lower(cost_weights=cost_weights)
-        exprs: dict[str, Expr] = {bname: binding.expr for bname, binding in lowered.items()}
-        if extra_bindings:
-            for key, value in extra_bindings.items():
-                exprs.setdefault(key, as_expr(value))
-        module, kernel_names = template(exprs)
+        lowered = family.lower()
+        module, kernel_names = template({bname: binding.expr for bname, binding in lowered.items()})
         verify_module(module)
         return MlirKernel(
             name=name,
             source=print_module(module),
             bindings=lowered,
             backend=self.name,
-            generation_seconds=context.generation_seconds or 0.0,
-            proven_bounds=dict(context.proven_bounds),
+            generation_seconds=family.generation_seconds,
+            proven_bounds=dict(family.proven_bounds),
             module=module,
             kernel_names=tuple(kernel_names),
         )

@@ -11,7 +11,7 @@ from operator import attrgetter
 
 from .ir import Block, FuncOp, Module, Operation
 
-__all__ = ["print_module", "print_function", "print_operation"]
+__all__ = ["print_module"]
 
 _INDENT = "  "
 _NAME = attrgetter("name")
@@ -74,18 +74,6 @@ def _emit_function(fn: FuncOp, pad: str, lines: list[str]) -> None:
     for op in fn.body.operations:
         _emit_operation(op, inner, lines)
     lines.append(pad + "}")
-
-
-def print_operation(op: Operation, indent: int = 0) -> str:
-    lines: list[str] = []
-    _emit_operation(op, _INDENT * indent, lines)
-    return "\n".join(lines)
-
-
-def print_function(fn: FuncOp, indent: int = 0) -> str:
-    lines: list[str] = []
-    _emit_function(fn, _INDENT * indent, lines)
-    return "\n".join(lines)
 
 
 def print_module(module: Module) -> str:

@@ -48,13 +48,11 @@ from .trace import (
     Span,
     Tracer,
     chrome_trace,
-    clear_trace,
     export_trace,
     instant,
     set_tracing,
     span,
     trace_enabled,
-    trace_events,
     tracing,
 )
 
@@ -87,10 +85,8 @@ __all__ = [
     "trace_enabled",
     "set_tracing",
     "tracing",
-    "trace_events",
     "chrome_trace",
     "export_trace",
-    "clear_trace",
     # metrics
     "REGISTRY",
     "MetricsRegistry",

@@ -46,10 +46,8 @@ __all__ = [
     "trace_enabled",
     "set_tracing",
     "tracing",
-    "trace_events",
     "chrome_trace",
     "export_trace",
-    "clear_trace",
 ]
 
 #: the environment variable that turns tracing on process-wide
@@ -270,11 +268,6 @@ def tracing(enabled: bool = True):
         TRACER.enabled = previous
 
 
-def trace_events() -> list[dict]:
-    """The process tracer's recorded events."""
-    return TRACER.events()
-
-
 def chrome_trace() -> dict:
     """The process tracer's buffer as a Chrome trace-event JSON object."""
     return TRACER.chrome_trace()
@@ -283,8 +276,3 @@ def chrome_trace() -> dict:
 def export_trace(path) -> Path:
     """Write the process tracer's buffer to ``path`` as Chrome-trace JSON."""
     return TRACER.export(path)
-
-
-def clear_trace() -> None:
-    """Reset the process tracer (drops events, restarts the epoch)."""
-    TRACER.clear()

@@ -64,7 +64,6 @@ from .simplify import (
     RULE_REGISTRY,
     RewriteRule,
     expand,
-    rules_for,
     simplify,
     simplify_fixpoint,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "simplify_fixpoint",
     "RewriteRule",
     "RULE_REGISTRY",
-    "rules_for",
     "CACHE_PREFIX",
     "cache_statistics",
     "clear_memos",

@@ -219,14 +219,11 @@ class Expr:
         result is filed in the memo table under this node's id and the sorted
         ``(key id, value id)`` pairs of the substitution.
         """
-        table: dict[Expr, Expr] = {}
-        for key, value in mapping.items():
-            if isinstance(key, str):
-                key_expr: Expr = Var(key)
-            else:
-                key_expr = as_expr(key)
-            table[key_expr] = as_expr(value)
-        memo_key = ("subs", self._id, *sorted((key._id, value._id) for key, value in table.items()))
+        return self._subs_keyed(*_substitution(mapping))
+
+    def _subs_keyed(self, table: Mapping["Expr", "Expr"], pairs: tuple) -> "Expr":
+        """:meth:`subs` of a table already normalised by :func:`_substitution`."""
+        memo_key = ("subs", self._id, *pairs)
         node = MEMO.get(memo_key)
         if node is None:
             SUBS_MISSES.inc()
@@ -454,6 +451,14 @@ def symbols(names: str | Iterable[str]) -> tuple[Var, ...]:
     else:
         parts = list(names)
     return tuple(Var(p) for p in parts)
+
+
+def _substitution(mapping: Mapping[ExprLike, ExprLike]) -> tuple[dict[Expr, Expr], tuple]:
+    """A substitution's table (string keys are variable names) and its sorted
+    ``(key id, value id)`` memo pairs, built once for any number of nodes."""
+    table = {Var(key) if isinstance(key, str) else as_expr(key): as_expr(value)
+             for key, value in mapping.items()}
+    return table, tuple(sorted((key._id, value._id) for key, value in table.items()))
 
 
 class _NaryExpr(Expr):

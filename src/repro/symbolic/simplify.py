@@ -84,7 +84,6 @@ __all__ = [
     "simplify_fixpoint",
     "RewriteRule",
     "RULE_REGISTRY",
-    "rules_for",
 ]
 
 _MAX_PASSES = 8
@@ -121,11 +120,6 @@ class RewriteRule:
 RULE_REGISTRY: list[RewriteRule] = []
 
 _RULES_BY_TYPE: dict[type, tuple[RewriteRule, ...]] = {}
-
-
-def rules_for(node_type: type) -> tuple[RewriteRule, ...]:
-    """The registered rules for one node type, in application order."""
-    return _RULES_BY_TYPE.get(node_type, ())
 
 
 def _rule(node_type: type, name: str, description: str):

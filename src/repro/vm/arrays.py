@@ -105,14 +105,16 @@ class _LayoutArray:
         return f"{type(self).__name__}({self.name}, shape={self.shape}, layout={layout_name})"
 
 
-def _per_block_values(raw: np.ndarray, batch: int, block_shape: tuple) -> np.ndarray:
+def _per_block_values(name: str, raw: np.ndarray, batch: int, block_shape: tuple) -> np.ndarray:
     """Broadcast a store value to ``(batch,) + block_shape``.
 
     A value of that shape already (NW's wavefront step) is returned as it
     is.  Values of rank >= 2 whose leading extent is the batch count carry
     one slice per block; leading singleton block axes (an artifact of the
     ``(B, 1)`` block-index arrays) are squeezed until the per-block shape
-    lines up.  Anything else is block-uniform and broadcasts right-aligned.
+    lines up.  Anything else is block-uniform and broadcasts right-aligned;
+    a value that does not (lanes stored at one element) is a ``TypeError``
+    naming the array.
     """
     if raw.shape == (batch,) + tuple(block_shape):
         return raw
@@ -121,7 +123,11 @@ def _per_block_values(raw: np.ndarray, batch: int, block_shape: tuple) -> np.nda
         while len(per_block) > len(block_shape) and per_block[0] == 1:
             per_block = per_block[1:]
             raw = raw.reshape((batch,) + per_block)
-    return np.broadcast_to(raw, (batch,) + tuple(block_shape))
+    try:
+        return np.broadcast_to(raw, (batch,) + tuple(block_shape))
+    except ValueError:
+        raise TypeError(f"{name}: cannot store a value of shape {raw.shape} at {tuple(block_shape)} "
+                        f"lanes in each of {batch} blocks") from None
 
 
 class SharedArray(_LayoutArray):
@@ -242,10 +248,10 @@ class SharedArray(_LayoutArray):
         physical, batched = self._access(indices, is_store=True)
         raw = np.asarray(value, dtype=self.dtype)
         if batched:
-            values = _per_block_values(raw, self.batch, physical.shape[1:])
+            values = _per_block_values(self.name, raw, self.batch, physical.shape[1:])
             self.data[np.arange(self.batch)[:, None], physical] = values
         else:
-            self.data[:, physical] = _per_block_values(raw, self.batch, physical.shape)
+            self.data[:, physical] = _per_block_values(self.name, raw, self.batch, physical.shape)
 
     # ``buf[i, j]`` sugar used by the ported Rodinia kernels
     def __getitem__(self, indices):

@@ -258,7 +258,7 @@ def test_the_text_family_never_serves_a_printer_with_substitutions():
     lowered = ctx.lower()["offset"]
     canonical = str(lowered.expr)  # filed under the plain-text token before the render below
     ctx.substitute(cf_pid="tl.program_id(0)")
-    rendered = ctx.render()["offset"]
+    rendered = ctx.lower()["offset"].render()
     assert rendered != canonical
     assert "tl.program_id(0)" in rendered and "tl.program_id(0)" not in canonical
     assert str(lowered.expr) == canonical

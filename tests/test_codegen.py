@@ -6,6 +6,7 @@ import pytest
 from repro.codegen import (
     CodegenContext,
     GeneratedKernel,
+    KernelFamily,
     TemplateError,
     available_backends,
     extract_placeholders,
@@ -122,21 +123,20 @@ def test_generation_report_shows_the_memo_table_and_a_sibling_hitting_it():
 # -- Triton backend ------------------------------------------------------------------------------
 
 
-def test_triton_backend_validates_placeholders():
+def _present_context() -> CodegenContext:
     ctx = CodegenContext("k")
     ctx.bind("present", Var("x") + 1)
+    return ctx
+
+
+def test_triton_backend_validates_placeholders():
     with pytest.raises(ValueError):
-        get_backend("triton").generate("k", "{{ present }} {{ absent }}", ctx)
+        get_backend("triton").generate("k", "{{ present }} {{ absent }}",
+                                       KernelFamily.of(_present_context))
 
 
 def test_triton_backend_renders_arange():
-    M, N = symbols("M N")
-    row = Var("row")
-    ctx = CodegenContext("k")
-    ctx.size(M, N)
-    ctx.index(row, M)
-    ctx.bind("offs", GroupBy([M, N]).OrderBy(Row(M, N))[row, :])
-    kernel = get_backend("triton").generate("k", "ptr + {{ offs }}", ctx)
+    kernel = get_backend("triton").generate("k", "ptr + {{ offs }}", KernelFamily.of(_simple_context))
     assert "tl.arange(0, N)" in kernel.source
     assert kernel.binding_ops() >= 1
 
@@ -153,14 +153,18 @@ def test_matmul_kernel_matches_figure10():
 # -- CUDA backend -----------------------------------------------------------------------------------
 
 
-def test_cuda_backend_uses_c_syntax():
+def _flat_context() -> CodegenContext:
     B = Var("B")
     i = Var("i")
     ctx = CodegenContext("k")
     ctx.size(B)
     ctx.index(i, B * B)
     ctx.bind("offset", (i // B) * B + i % B)
-    kernel = get_backend("cuda").generate("k", "m[{{ offset }}]", ctx)
+    return ctx
+
+
+def test_cuda_backend_uses_c_syntax():
+    kernel = get_backend("cuda").generate("k", "m[{{ offset }}]", KernelFamily.of(_flat_context))
     assert "//" not in kernel.source
     assert "/" in kernel.source or "%" in kernel.source or kernel.source == "m[i]"
 
@@ -282,8 +286,8 @@ def _simple_context() -> CodegenContext:
 
 
 def test_all_backends_share_generated_kernel_result_type():
-    triton = get_backend("triton").generate("k", "{{ offs }}", _simple_context())
-    cuda = get_backend("cuda").generate("k", "{{ offs }}", _simple_context())
+    triton = get_backend("triton").generate("k", "{{ offs }}", KernelFamily.of(_simple_context))
+    cuda = get_backend("cuda").generate("k", "{{ offs }}", KernelFamily.of(_simple_context))
     mlir = generate_transpose_module(64, 16, "smem")
     for kernel, backend in ((triton, "triton"), (cuda, "cuda"), (mlir, "mlir")):
         assert isinstance(kernel, GeneratedKernel)
@@ -297,15 +301,14 @@ def test_all_backends_share_generated_kernel_result_type():
 
 def test_backends_reject_unknown_options():
     with pytest.raises(TypeError, match="unexpected options"):
-        get_backend("triton").generate("k", "{{ offs }}", _simple_context(), banana=1)
+        get_backend("triton").generate("k", "{{ offs }}", KernelFamily.of(_simple_context), banana=1)
 
 
 def test_unbound_placeholders_error_is_uniform_across_backends():
-    ctx = CodegenContext("k")
-    ctx.bind("present", Var("x") + 1)
     for backend in ("triton", "cuda"):
         with pytest.raises(ValueError, match=r"kernel 'k' has unbound placeholders: absent"):
-            get_backend(backend).generate("k", "{{ present }} {{ absent }}", ctx)
+            get_backend(backend).generate("k", "{{ present }} {{ absent }}",
+                                          KernelFamily.of(_present_context))
 
 
 def test_transpose_without_skew_uses_row_major_tile():
@@ -325,24 +328,20 @@ def test_cost_weights_flip_expansion_variant():
     from repro.symbolic.expr import Mod
 
     x, y, z, w, v, a, b = symbols("x y z w v a b")
-    ctx = CodegenContext("flip")
-    ctx.size(Var("c"))
-    ctx.index(b, 8)
-    ctx.nonneg(x, y, z, w, v, a)
-    # Unexpanded the modulo survives but the factored product stays cheap;
-    # expanded the modulo simplifies away ((8a + b)*4 % 32 -> 4b) at the cost
-    # of distributing the product.  Flat weights therefore keep the
-    # unexpanded form, GPU-realistic div/mod weights prefer the expanded one.
-    expr = (x + y + z + w + v) * Var("c") + Mod((a * 8 + b) * 4, 32)
-    ctx.bind("offs", expr)
 
-    flat = ctx.lower()["offs"]
-    assert flat.variant == "unexpanded"
+    def lowered(weights=None):
+        ctx = CodegenContext("flip", weights=weights)
+        ctx.size(Var("c"))
+        ctx.index(b, 8)
+        ctx.nonneg(x, y, z, w, v, a)
+        # Unexpanded the modulo survives but the factored product stays cheap;
+        # expanded the modulo simplifies away ((8a + b)*4 % 32 -> 4b) at the cost
+        # of distributing the product.  Flat weights therefore keep the
+        # unexpanded form, GPU-realistic div/mod weights prefer the expanded one.
+        ctx.bind("offs", (x + y + z + w + v) * Var("c") + Mod((a * 8 + b) * 4, 32))
+        return ctx.lower()["offs"]
 
-    gpu = ctx.lower(cost_weights=CostWeights.gpu_default())["offs"]
+    assert lowered().variant == "unexpanded"
+    gpu = lowered(CostWeights.gpu_default())
     assert gpu.variant == "expanded"
     assert "%" not in str(gpu.expr)
-
-    # the lowering cache keys on the weights: asking again with flat weights
-    # returns the unexpanded choice, not the cached GPU-weighted one
-    assert ctx.lower()["offs"].variant == "unexpanded"

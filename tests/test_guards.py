@@ -9,12 +9,13 @@ from repro.apps.registry import get_app
 from repro.codegen import (
     CodegenContext,
     GuardProofError,
+    KernelFamily,
     discharge_in_bounds,
     get_backend,
     prove_guard_redundant,
 )
 from repro.obs.metrics import counter
-from repro.symbolic import BoolAnd, Mod, SymbolicEnv, Var, as_expr
+from repro.symbolic import BoolAnd, Mod, SymbolicEnv, Var
 
 
 # -- the codegen proof-obligation API ----------------------------------------------
@@ -46,24 +47,27 @@ def test_require_in_bounds_on_unbound_name_raises():
         ctx.lower()
 
 
-def test_obligations_participate_in_the_lowering_cache_key():
+def test_an_obligation_added_after_a_lowering_is_discharged_by_the_next():
     ctx = CodegenContext("obligations")
     i = ctx.index("i", 16)
     ctx.bind("offset", i * 4)
-    first = ctx.lower()
+    ctx.lower()
     assert ctx.proven_bounds == {}
     ctx.require_in_bounds("offset", 0, 60)
-    second = ctx.lower()  # a new obligation must invalidate the cached lowering
+    ctx.lower()
     assert ctx.proven_bounds == {"offset": True}
-    assert second is not first
 
 
-def test_generated_kernel_carries_proven_bounds():
+def _carries_context() -> CodegenContext:
     ctx = CodegenContext("carries")
     i = ctx.index("i", 8)
     ctx.bind("off", i * 2)
     ctx.require_in_bounds("off", 0, 14)
-    kernel = get_backend("triton").generate("carries", "x = {{ off }}", ctx)
+    return ctx
+
+
+def test_generated_kernel_carries_proven_bounds():
+    kernel = get_backend("triton").generate("carries", "x = {{ off }}", KernelFamily.of(_carries_context))
     assert kernel.proven_bounds == {"off": True}
 
 
@@ -102,18 +106,27 @@ def test_lud_bijectivity_is_static_and_agrees_with_enumeration(block, cuda_block
     assert kernel.proven_bounds == {"element_offset": True}
 
 
+def _lud_offset_family(name: str, offset) -> KernelFamily:
+    """A family whose ``element_offset`` is ``offset(r_i, r_j, ty, tx)``, every index in ``[0, 2)``."""
+    def build():
+        r_i, r_j, ty, tx = Var("r_i"), Var("r_j"), Var("ty"), Var("tx")
+        ctx = CodegenContext(name)
+        for var, extent in ((r_i, 2), (r_j, 2), (ty, 2), (tx, 2)):
+            ctx.index(var, extent)
+        ctx.bind("element_offset", offset(r_i, r_j, ty, tx))
+        return ctx
+
+    return KernelFamily.of(build)
+
+
 def test_lud_nonaffine_layout_is_refused():
     # a multiplicative swizzle: flat * 5 % 16 is a bijection on [0, 16)
     # (5 is coprime with 16) but not affine, so the static proof abstains —
     # and an abstention is an error, not an enumeration
     cfg = lud.LudConfig(n=8, block=4, cuda_block=2)
-    r_i, r_j, ty, tx = Var("r_i"), Var("r_j"), Var("ty"), Var("tx")
-    ctx = CodegenContext("swizzled")
-    for var, extent in ((r_i, 2), (r_j, 2), (ty, 2), (tx, 2)):
-        ctx.index(var, extent)
-    flat = tx + 2 * as_expr(ty) + 4 * as_expr(r_j) + 8 * as_expr(r_i)
-    ctx.bind("element_offset", Mod(flat * 5, 16))
-    kernel = get_backend("triton").generate("swizzled", "x = {{ element_offset }}", ctx)
+    family = _lud_offset_family("swizzled",
+                                lambda r_i, r_j, ty, tx: Mod((tx + 2 * ty + 4 * r_j + 8 * r_i) * 5, 16))
+    kernel = get_backend("triton").generate("swizzled", "x = {{ element_offset }}", family)
     assert lud.prove_element_offset_bijection(kernel, cfg) is None
     lud.check_element_offsets(kernel, cfg)  # a bijection all the same
     with pytest.raises(GuardProofError, match="not affine"):
@@ -123,13 +136,9 @@ def test_lud_nonaffine_layout_is_refused():
 
 def test_lud_broken_layout_is_statically_rejected():
     cfg = lud.LudConfig(n=8, block=4, cuda_block=2)
-    r_i, r_j, ty, tx = Var("r_i"), Var("r_j"), Var("ty"), Var("tx")
-    ctx = CodegenContext("broken")
-    for var, extent in ((r_i, 2), (r_j, 2), (ty, 2), (tx, 2)):
-        ctx.index(var, extent)
     # stride 2 on tx collides with ty's stride: not a mixed-radix basis
-    ctx.bind("element_offset", 2 * as_expr(tx) + 2 * as_expr(ty) + 4 * as_expr(r_j) + 8 * as_expr(r_i))
-    kernel = get_backend("triton").generate("broken", "x = {{ element_offset }}", ctx)
+    family = _lud_offset_family("broken", lambda r_i, r_j, ty, tx: 2 * tx + 2 * ty + 4 * r_j + 8 * r_i)
+    kernel = get_backend("triton").generate("broken", "x = {{ element_offset }}", family)
     assert lud.prove_element_offset_bijection(kernel, cfg) is False
     with pytest.raises(ValueError, match="not a bijection"):
         lud.assert_element_offset_bijection(kernel, cfg)

@@ -1,17 +1,21 @@
-"""Kernel families: LUD's coarsening kernels and the MLIR transposes are
-lowered once in their size symbols and specialised per configuration.
+"""Kernel families: every generator lowers once.  LUD's coarsening kernels and
+the MLIR transposes are lowered in their size symbols and specialised per
+configuration; the Triton kernels' families go to the backend as lowered.
 
-The oracle is the per-configuration lowering the families replaced: a
-``CodegenContext`` built with literal extents, here and only here, fed to the
-same template or module builder.
+The oracle is the per-request lowering the families replaced: a
+``CodegenContext`` built with literal extents (here and only here) or, for
+Triton, the generator's own context lowered afresh, fed to the same template
+or module builder.
 """
 
+import dataclasses
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
-from repro.apps import lud
+from repro.apps import grouped_gemm, layernorm, lud, matmul, softmax
 from repro.apps.registry import get_app
 from repro.codegen import CodegenContext, KernelFamily, SpecialisationError
 from repro.codegen import mlir as mlir_codegen
@@ -60,10 +64,29 @@ def literal_transpose_context(variant, skew, N, T):
     return ctx
 
 
+def fresh_family(build, *args, **sizes):
+    """``build(*args, **sizes)`` lowered afresh, under a memo key no other call shares."""
+    return KernelFamily.of(partial(build, *args, **sizes))
+
+
 def literal_families(build_literal):
     """A stand-in for ``KernelFamily`` whose members are literal contexts."""
     return SimpleNamespace(of=lambda build, *args: SimpleNamespace(
-        specialise=lambda **sizes: build_literal(*args, **sizes)))
+        specialise=lambda **sizes: fresh_family(build_literal, *args, **sizes)))
+
+
+#: a stand-in for ``KernelFamily`` under which every request lowers its own context
+FRESH_FAMILIES = SimpleNamespace(of=fresh_family)
+
+#: every Triton generator, with the module whose ``KernelFamily`` it reads
+TRITON_GENERATORS = {
+    **{f"matmul_{variant}": (matmul, partial(matmul.generate_matmul_kernel, variant))
+       for variant in ("nn", "nt", "tn", "tt")},
+    "grouped_gemm": (grouped_gemm, grouped_gemm.generate_grouped_gemm_kernel),
+    "softmax": (softmax, softmax.generate_softmax_kernel),
+    "layernorm_fwd": (layernorm, layernorm.generate_layernorm_forward),
+    "layernorm_bwd": (layernorm, layernorm.generate_layernorm_backward),
+}
 
 
 def assert_same_kernel(member, literal):
@@ -98,20 +121,43 @@ def test_transpose_members_match_the_literal_lowering(monkeypatch):
         assert_same_kernel(member, generate_transpose_module(*case))
 
 
+@pytest.mark.parametrize("name", TRITON_GENERATORS)
+def test_triton_families_match_a_fresh_lowering(monkeypatch, name):
+    module, generate = TRITON_GENERATORS[name]
+    kernel, again = generate(), generate()
+    assert kernel.source == again.source
+    for binding_name, binding in kernel.bindings.items():
+        assert again.bindings[binding_name] is binding  # one frozen binding serves the family
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            binding.expr = binding.raw
+    monkeypatch.setattr(module, "KernelFamily", FRESH_FAMILIES)
+    assert_same_kernel(kernel, generate())
+
+
 def test_a_family_is_lowered_once():
-    clear_memos()
-    with tracing(True):
+    def lowerings(generate_all):
         TRACER.clear()
-        for config in LUD_CONFIGS:
-            lud_kernel(config)
-        lud_lowerings = [e for e in TRACER.events() if e["name"] == "codegen.lower"]
-        TRACER.clear()
+        generate_all()
+        return [e for e in TRACER.events() if e["name"] == "codegen.lower"]
+
+    def every_transpose():
         for variant, skew in TRANSPOSE_FAMILIES:
             for n, tile in TRANSPOSE_SHAPES:
                 generate_transpose_module(n, tile, variant, skew)
-        transpose_lowerings = [e for e in TRACER.events() if e["name"] == "codegen.lower"]
+
+    def every_triton_kernel_three_times():
+        for _ in range(3):
+            for _, generate in TRITON_GENERATORS.values():
+                generate()
+
+    clear_memos()
+    with tracing(True):
+        lud_lowerings = lowerings(lambda: [lud_kernel(config) for config in LUD_CONFIGS])
+        transpose_lowerings = lowerings(every_transpose)
+        triton_lowerings = lowerings(every_triton_kernel_three_times)
     assert len(lud_lowerings) == 1
     assert len(transpose_lowerings) == len(TRANSPOSE_FAMILIES)
+    assert sorted(e["args"]["kernel"] for e in triton_lowerings) == sorted(TRITON_GENERATORS)
 
 
 @pytest.mark.parametrize("sizes", [

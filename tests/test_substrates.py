@@ -472,6 +472,19 @@ def test_a_shared_access_at_scalar_indices_is_one_lane_per_block():
     assert out.to_numpy().tolist() == [[10 + b] * 4 for b in range(4)]
 
 
+@pytest.mark.parametrize("grid", [2, 4], ids=["B<T", "B==T"])
+@pytest.mark.parametrize("value", ["lanes", "lanes per block"])
+def test_a_shared_store_of_lanes_at_scalar_indices_names_the_array(grid, value):
+    """``buf[0] = ctx.tx`` stores four lanes at one element: a ``TypeError`` naming
+    ``buf``, not NumPy's broadcast ``ValueError`` (with ``B == T`` the shapes nearly line up)."""
+    def kernel(ctx):
+        buf = ctx.shared_array((4,), dtype=np.int64, name="buf")
+        buf[0] = ctx.tx if value == "lanes" else ctx.tx + ctx.blockIdx.x
+
+    with pytest.raises(TypeError, match=r"^buf: cannot store a value of shape \((\d, )?4,?\) at \(1,\) lanes"):
+        launch(kernel, grid=grid, block=4)
+
+
 @pytest.mark.parametrize("layout", [None, "col"], ids=["row-major", "table"])
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("bad, got", [(-2, r"\[-2, 1\]"), (None, None)])
