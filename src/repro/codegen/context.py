@@ -53,12 +53,11 @@ class LoweredBinding:
     ops: int
     raw: Expr  # before simplification; ``sizes`` are substituted on first read
     substitutions: Mapping[str, str] = field(default_factory=dict)
-    weights: CostWeights = field(default_factory=CostWeights)
     sizes: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def raw_ops(self) -> int:
-        return operation_count(self.raw.subs(self.sizes), self.weights)
+        return operation_count(self.raw.subs(self.sizes))
 
     def render(self, printer_cls: type[PythonPrinter] = PythonPrinter) -> str:
         """The text of :attr:`expr` under ``printer_cls`` with the binding's substitutions."""
@@ -70,19 +69,13 @@ class LoweredBinding:
 _DIVMOD_WEIGHTS = CostWeights(add=0, mul=0, floordiv=1, mod=1, minmax=0, cmp=0, boolean=0)
 
 
-def lower_expression(
-    expr: Expr,
-    env: SymbolicEnv,
-    pre_expand: str = "auto",
-    weights: CostWeights | None = None,
-) -> tuple[Expr, str, int]:
+def lower_expression(expr: Expr, env: SymbolicEnv, pre_expand: str = "auto") -> tuple[Expr, str, int]:
     """Simplify ``expr`` under ``env`` choosing the expansion strategy.
 
     ``pre_expand`` is ``"auto"`` (generate both variants, keep the cheaper —
-    the paper's cost model), ``"never"`` or ``"always"``.  Returns
-    ``(simplified, variant, op_count)``.
+    the paper's cost model: a flat operation count), ``"never"`` or
+    ``"always"``.  Returns ``(simplified, variant, op_count)``.
     """
-    weights = weights or CostWeights()
     candidates: list[tuple[str, Expr]] = []
     if pre_expand in ("auto", "never"):
         candidates.append(("unexpanded", simplify_fixpoint(expr, env)))
@@ -90,7 +83,7 @@ def lower_expression(
         candidates.append(("expanded", simplify_fixpoint(expand(expr), env)))
     best_variant, best_expr, best_cost = None, None, None
     for variant, simplified in candidates:
-        cost = (operation_count(simplified, weights), operation_count(simplified, _DIVMOD_WEIGHTS))
+        cost = (operation_count(simplified), operation_count(simplified, _DIVMOD_WEIGHTS))
         if best_cost is None or cost < best_cost:
             best_variant, best_expr, best_cost = variant, simplified, cost
     assert best_expr is not None and best_variant is not None and best_cost is not None
@@ -100,11 +93,10 @@ def lower_expression(
 class CodegenContext:
     """Collects symbols, assumptions and named bindings for one kernel."""
 
-    def __init__(self, name: str = "kernel", pre_expand: str = "auto", weights: CostWeights | None = None):
+    def __init__(self, name: str = "kernel", pre_expand: str = "auto"):
         self.name = name
         self.env = SymbolicEnv()
         self.pre_expand = pre_expand
-        self.weights = weights or CostWeights()
         self._bindings: dict[str, object] = {}
         self._substitutions: dict[str, str] = {}
         self.generation_seconds: float | None = None
@@ -205,8 +197,8 @@ class CodegenContext:
             expr = value.offset
         else:
             expr = as_expr(value)
-        simplified, variant, ops = lower_expression(expr, self.env, self.pre_expand, self.weights)
-        return LoweredBinding(name, simplified, variant, ops, expr, substitutions, self.weights)
+        simplified, variant, ops = lower_expression(expr, self.env, self.pre_expand)
+        return LoweredBinding(name, simplified, variant, ops, expr, substitutions)
 
 
 class SpecialisationError(ValueError):
@@ -250,8 +242,8 @@ class KernelFamily:
             if dividend.evaluate(sizes) % divisor.evaluate(sizes):
                 raise SpecialisationError(f"family {self.name!r} needs {divisor} | {dividend}, got {sizes}")
         table, pairs = _substitution(sizes)
-        bindings = tuple(LoweredBinding(b.name, e, b.variant, operation_count(e, b.weights), b.raw,
-                                        b.substitutions, b.weights, sizes)
+        bindings = tuple(LoweredBinding(b.name, e, b.variant, operation_count(e), b.raw,
+                                        b.substitutions, sizes)
                          for b in self.bindings for e in (b.expr._subs_keyed(table, pairs),))
         return KernelFamily(self.name, (), (), bindings, self.proven_bounds, time.perf_counter() - started)
 

@@ -19,15 +19,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from ..obs.metrics import REGISTRY
-from ..symbolic import (
-    CACHE_PREFIX,
-    CostWeights,
-    Expr,
-    SymbolicEnv,
-    expand,
-    operation_count,
-    simplify_fixpoint,
-)
+from ..symbolic import CACHE_PREFIX, Expr, SymbolicEnv, expand, operation_count, simplify_fixpoint
 
 __all__ = ["GenerationReport", "time_generation", "compare_expansion_strategies"]
 
@@ -121,16 +113,9 @@ def time_generation(
     return result, report
 
 
-def compare_expansion_strategies(
-    expr: Expr,
-    env: SymbolicEnv,
-    weights: CostWeights | None = None,
-) -> dict[str, int]:
+def compare_expansion_strategies(expr: Expr, env: SymbolicEnv) -> dict[str, int]:
     """Section IV-A ablation: op counts of the unexpanded vs expanded pipeline."""
-    weights = weights or CostWeights()
-    unexpanded = simplify_fixpoint(expr, env)
-    expanded = simplify_fixpoint(expand(expr), env)
     return {
-        "unexpanded": operation_count(unexpanded, weights),
-        "expanded": operation_count(expanded, weights),
+        "unexpanded": operation_count(simplify_fixpoint(expr, env)),
+        "expanded": operation_count(simplify_fixpoint(expand(expr), env)),
     }

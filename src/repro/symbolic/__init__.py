@@ -14,14 +14,14 @@ Public surface of the engine used throughout the LEGO reproduction:
   :func:`brute_force_check`;
 * strides — :func:`affine_strides`, :func:`is_mixed_radix_bijection` (exact
   affine decomposition behind static layout-bijectivity proofs);
-* cost model — :func:`operation_count`, :func:`choose_cheapest`;
+* cost model — :func:`operation_count` and its :class:`CostWeights`;
 * printers — :class:`PythonPrinter`, :class:`TritonPrinter`, :class:`CPrinter`
   and :func:`print_text` (their text, read from the memo table);
 * caching — expressions are hash-consed (interned), derived answers live in
   one table keyed by (expression, fact set) (:func:`clear_memos` empties it),
   :func:`cache_statistics` snapshots the registry counters of the
   rewrite/proof/range/substitution/print memo layers and
-  :data:`RULE_REGISTRY` lists the Table II rules as data.
+  :data:`RULE_REGISTRY` lists the rewrite rules as data.
 """
 
 from .expr import (
@@ -67,7 +67,7 @@ from .simplify import (
     simplify,
     simplify_fixpoint,
 )
-from .cost import CostWeights, choose_cheapest, operation_count
+from .cost import CostWeights, operation_count
 from .printers import CPrinter, PythonPrinter, TritonPrinter, print_text
 
 __all__ = [
@@ -114,7 +114,6 @@ __all__ = [
     "clear_memos",
     "intern_table_size",
     "CostWeights",
-    "choose_cheapest",
     "operation_count",
     "CPrinter",
     "PythonPrinter",

@@ -16,9 +16,9 @@ to gate the range analysis on three observable outcomes:
 
 The report also carries the prover ladder's outcome table — how many
 obligations were ``refuted`` at a witness valuation, how many proof-cache
-misses each stage (``structure``, ``range``, ``expand``, ``facts``) discharged
-while the gates ran — and the text of every obligation that abstained: those
-are neither false at a witness nor proven, i.e. the prover's completeness gaps.
+misses each stage (``structure``, ``range``, ``facts``) discharged while the
+gates ran — and the text of every obligation that abstained: those are neither
+false at a witness nor proven, i.e. the prover's completeness gaps.
 
 Writes ``BENCH_symbolic.json`` and exits nonzero when any gate fails.
 """

@@ -5,26 +5,26 @@ sometimes exposes more simplification opportunities (LUD) and sometimes only
 adds operations (NW).  LEGO therefore generates both variants, counts the
 arithmetic operations in each, and emits the cheaper one.  Table IV reports
 the op counts of user-specified index arithmetic before and after LEGO.
+The one place a variant is picked is :func:`repro.codegen.lower_expression`.
 
 This module provides:
 
 * :func:`operation_count` — count +, *, //, %, min/max and comparisons in one
   expression or a collection of expressions (duplicate sub-expressions that a
   backend compiler would CSE are counted once);
-* :func:`choose_cheapest` — pick the lowest-cost variant from candidates;
 * :class:`CostWeights` — optional per-operation weights (integer division and
   modulo are substantially more expensive than add/mul on GPUs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from .expr import Add, BoolAnd, BoolNot, BoolOr, Cmp, Const, Expr, FloorDiv, Max, Min, Mod, Mul, Var
 from .memo import MEMO, memo_put
 
-__all__ = ["CostWeights", "operation_count", "choose_cheapest"]
+__all__ = ["CostWeights", "operation_count"]
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,17 @@ def operation_count(exprs: Expr | Iterable[Expr], weights: CostWeights | None = 
     collection — the Triton and CUDA compilers CSE these, and the paper's op
     counts (Table IV) reflect the user-visible arithmetic rather than a fully
     duplicated tree.  The count is memoised under the ids of the whole
-    collection (one node or many): lowering, ``kernel_payload`` and the tuner
-    all ask for the same bindings under the same two weightings.
+    collection (one node or many) and the weights, the flat count under
+    ``None`` so that an unweighted call hashes no weights: lowering,
+    ``kernel_payload`` and the tuner all ask for the same bindings, flat or
+    GPU-weighted.
     """
-    weights = weights or _FLAT
     exprs = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
     key = ("ops", *[expr._id for expr in exprs], weights)
     cached = MEMO.get(key)
     if cached is not None:
         return cached
+    weights = weights or _FLAT
     total = 0
     seen: set[Expr] = set()
     for expr in exprs:
@@ -100,27 +102,3 @@ def operation_count(exprs: Expr | Iterable[Expr], weights: CostWeights | None = 
                 total += _node_cost(node, weights)
     memo_put(key, total)
     return total
-
-
-def choose_cheapest(
-    candidates: Sequence[tuple[str, Expr | Sequence[Expr]]],
-    weights: CostWeights | None = None,
-) -> tuple[str, Expr | Sequence[Expr], int]:
-    """Pick the candidate with the lowest operation count.
-
-    ``candidates`` is a sequence of ``(label, expression-or-expressions)``
-    pairs; returns ``(label, expressions, cost)`` of the winner.  Ties go to
-    the earlier candidate, so callers should list the unexpanded variant
-    first (matching the paper's preference when expansion does not help).
-    """
-    if not candidates:
-        raise ValueError("choose_cheapest requires at least one candidate")
-    weights = weights or CostWeights()
-    best: tuple[str, Expr | Sequence[Expr], int] | None = None
-    for label, exprs in candidates:
-        group = [exprs] if isinstance(exprs, Expr) else list(exprs)
-        cost = operation_count(group, weights)
-        if best is None or cost < best[2]:
-            best = (label, exprs, cost)
-    assert best is not None
-    return best

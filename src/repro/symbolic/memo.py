@@ -8,8 +8,8 @@ derived under (none, for the last five); a kernel family
 (:class:`repro.codegen.KernelFamily`) is one of its builder and arguments,
 keyed ``("kernel_family", builder, args...)``.  Expression ids are global
 and never reused, so the table is keyed ``(family, expr id..., fact token)``
-(``ops``: the collection's ids and the weights; ``add`` / ``mul``: the
-operands' ids, a literal int as a 1-tuple; ``subs``: the id and the sorted
+(``ops``: the collection's ids and the weights, ``None`` when flat;
+``add`` / ``mul``: the operands' ids, a literal int as a 1-tuple; ``subs``: the id and the sorted
 ``(key id, value id)`` pairs; ``text``: a printer token and the id;
 ``free_vars``: the id, a frozenset of names): the token is interned here from an environment's *whole* declared fact set
 (:attr:`SymbolicEnv.fact_token`), equal tokens mean equal fact sets, and an

@@ -6,7 +6,7 @@ with the Z3 SMT solver.  This reproduction replaces Z3 with a purpose-built
 prover that is complete for the queries layout lowering actually generates.
 Every obligation — ``e >= 0``, ``e > 0`` (as ``e - 1 >= 0``), ``a <= b`` (as
 ``b - a >= 0``), an in-bounds pair — is reduced to *one* non-negativity
-ladder (:func:`_ladder_nonneg`): refute first, then four proving stages
+ladder (:func:`_ladder_nonneg`): refute first, then three proving stages
 (:func:`_ladder_stages`), each strictly stronger than the last:
 
 0. **refute** — the obligation evaluates false at one of the environment's
@@ -21,13 +21,11 @@ ladder (:func:`_ladder_nonneg`): refute first, then four proving stages
 2. **range** — the lower end of :meth:`SymbolicEnv.range_of` (exact integer
    arithmetic when every bound involved is a literal, so negative
    coefficients and div/mod folding are covered) is itself non-negative;
-3. **expand** — stages 1-2 again after distributing products over sums,
-   which lets the n-ary ``Add`` canonicaliser cancel syntactically
-   different but equal terms (``nt_n*(X + 1) - nt_n - nt_n*X``);
-4. **facts** — term cancellation against relational facts: user-declared
-   ``lhs <= rhs`` constraints, symbolic index ends (``r_i <= R - 1``) and
-   the built-in lemma ``min(a, b) * max(1, a // b) <= a`` (which Z3
-   discharges for the paper; grouped thread-block layouts need it).
+3. **facts** — term cancellation, on the form with products distributed
+   over sums, against relational facts: user-declared ``lhs <= rhs``
+   constraints, symbolic index ends (``r_i <= R - 1``) and the built-in
+   lemma ``min(a, b) * max(1, a // b) <= a`` (which Z3 discharges for the
+   paper; grouped thread-block layouts need it).
 
 Which outcome each obligation met — ``refuted``, a stage, or ``abstain`` — is
 counted once, on the registry counter
@@ -241,7 +239,7 @@ def is_positive(expr: Expr, env: SymbolicEnv) -> bool:
 #: the ladder's outcomes, in order; each miss of :func:`_ladder_nonneg` bumps
 #: the outcome's counter in :data:`_LADDER_COUNTERS` exactly once (as does a
 #: refutation made above it, by :func:`prove_le` or a rewrite rule)
-LADDER_STAGES = ("refuted", "structure", "range", "expand", "facts", "abstain")
+LADDER_STAGES = ("refuted", "structure", "range", "facts", "abstain")
 _LADDER_COUNTERS = {stage: rule_counter("ladder:" + stage) for stage in LADDER_STAGES}
 
 _ZERO = Const(0)
@@ -282,24 +280,18 @@ def _ladder_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
 
 def _ladder_stages(expr: Expr, env: SymbolicEnv) -> bool:
     """The proving stages, listed in one place: structure, range lower end,
-    expand, declared facts."""
+    declared facts."""
     from .simplify import expand  # local import: simplify imports this module
 
     if is_nonneg(expr, env):
         stage = "structure"
     elif _lower_end_nonneg(expr, env):
         stage = "range"
+    elif _nonneg_with_facts(expand(expr), env):
+        stage = "facts"
     else:
-        expanded = expand(expr)
-        if expanded is not expr and (
-            is_nonneg(expanded, env) or _lower_end_nonneg(expanded, env)
-        ):
-            stage = "expand"
-        elif _nonneg_with_facts(expanded, env):
-            stage = "facts"
-        else:
-            stage = "abstain"
-            _record_query("abstain", lambda: f"0 <= {expr}", False)
+        stage = "abstain"
+        _record_query("abstain", lambda: f"0 <= {expr}", False)
     _LADDER_COUNTERS[stage].inc()
     return stage != "abstain"
 

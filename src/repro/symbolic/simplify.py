@@ -21,9 +21,9 @@ Additional (documented) rules beyond Table II that the paper's generated code
 requires (cf. Figure 10):
 
 * nested modulo: ``(x % m) % d -> x % d`` when ``d`` divides ``m``;
-* divisibility folding: ``(x // d) * d -> x`` and ``x % d -> 0`` when the user
-  declared ``d | x`` (e.g. ``BK | K`` for full-tile matmul configurations);
-* ``min``/``max`` collapsing when one side is provably dominant.
+* divisibility folding: ``(x // d) * d -> x`` and (through rule 1)
+  ``x % d -> 0`` when the user declared ``d | x`` (e.g. ``BK | K`` for
+  full-tile matmul configurations).
 
 Architecture
 ------------
@@ -50,23 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..obs.metrics import Counter
-from .expr import (
-    Add,
-    BoolAnd,
-    BoolNot,
-    BoolOr,
-    Cmp,
-    Const,
-    Expr,
-    ExprLike,
-    FloorDiv,
-    Max,
-    Min,
-    Mod,
-    Mul,
-    Var,
-    as_expr,
-)
+from .expr import Add, Const, Expr, ExprLike, FloorDiv, Mod, Mul, Var, as_expr
 from .memo import MEMO, NO_FACTS, memo_put
 from .prover import is_nonzero, is_positive, prove_le, prove_lt, prove_nonneg, refuted
 from .stats import (
@@ -76,7 +60,7 @@ from .stats import (
     SIMPLIFY_MISSES,
     rule_counter,
 )
-from .symranges import SymbolicEnv, constant_interval
+from .symranges import SymbolicEnv
 
 __all__ = [
     "simplify",
@@ -252,13 +236,6 @@ def simplify_fixpoint(expr: ExprLike, env: SymbolicEnv | None = None) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@_rule(Mod, "mod-divisible-zero", "x % d -> 0 when d | x (declared or structural)")
-def _mod_divisible_zero(expr: Mod, env: SymbolicEnv, rw: _Rewriter) -> Optional[Expr]:
-    if env.divides(expr.modulus, expr.value_expr):
-        return Const(0)
-    return None
-
-
 @_rule(Mod, "mod-split-multiple", "Table II rule 1: (d*q + r) % d -> r % d when d != 0")
 def _mod_split_multiple(expr: Mod, env: SymbolicEnv, rw: _Rewriter) -> Optional[Expr]:
     value, modulus = expr.value_expr, expr.modulus
@@ -337,47 +314,6 @@ def _div_negative_const(expr: FloorDiv, env: SymbolicEnv, rw: _Rewriter) -> Opti
         if prove_le(Const(-num.value), den, env):
             return Const(-1)
     return None
-
-
-@_rule(
-    FloorDiv,
-    "div-interval-collapse",
-    "x // c -> q when the constant range of x lies within [q*c, (q+1)*c)",
-)
-def _div_interval_collapse(expr: FloorDiv, env: SymbolicEnv, rw: _Rewriter) -> Optional[Expr]:
-    # Range analysis carries exact constant bounds through negative
-    # coefficients, so this subsumes div-range-zero (q == 0, x >= 0)
-    # and additionally collapses negative-range and shifted numerators.
-    den = expr.denominator
-    if not isinstance(den, Const) or den.value <= 0:
-        return None
-    bounds = constant_interval(expr.numerator, env)
-    if not bounds.bounded():
-        return None
-    quotient = bounds.lo // den.value
-    if bounds.hi // den.value != quotient:
-        return None
-    return Const(quotient)
-
-
-@_rule(
-    Mod,
-    "mod-interval-collapse",
-    "x % c -> x - q*c when the constant range of x lies within [q*c, (q+1)*c)",
-)
-def _mod_interval_collapse(expr: Mod, env: SymbolicEnv, rw: _Rewriter) -> Optional[Expr]:
-    mod = expr.modulus
-    if not isinstance(mod, Const) or mod.value <= 0:
-        return None
-    bounds = constant_interval(expr.value_expr, env)
-    if not bounds.bounded():
-        return None
-    quotient = bounds.lo // mod.value
-    if bounds.hi // mod.value != quotient:
-        return None
-    if quotient == 0:
-        return expr.value_expr
-    return Add(expr.value_expr, Const(-quotient * mod.value))
 
 
 @_rule(FloorDiv, "div-split-multiple", "Table II rule 2: (d*q + r) / d -> q + r/d when d != 0")
@@ -595,54 +531,6 @@ def _mul_div_cancel(expr: Mul, env: SymbolicEnv, rw: _Rewriter) -> Optional[Expr
     if len(factors) == 1:
         return factors[0]
     return Mul(*factors)
-
-
-# ---------------------------------------------------------------------------
-# min / max
-# ---------------------------------------------------------------------------
-
-
-@_rule(Min, "min-dominated", "drop Min arguments some other argument is provably <=")
-def _min_dominated(expr: Min, env: SymbolicEnv, rw: _Rewriter) -> Optional[Expr]:
-    args = list(expr.args)
-    kept: list[Expr] = []
-    for arg in args:
-        dominated = False
-        for other in args:
-            if other is arg:
-                continue
-            # drop `arg` if some other argument is provably <= arg
-            if other != arg and prove_le(other, arg, env) and not prove_le(arg, other, env):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(arg)
-    if not kept or len(kept) == len(args):
-        return None
-    if len(kept) == 1:
-        return kept[0]
-    return Min(*kept)
-
-
-@_rule(Max, "max-dominated", "drop Max arguments provably <= some other argument")
-def _max_dominated(expr: Max, env: SymbolicEnv, rw: _Rewriter) -> Optional[Expr]:
-    args = list(expr.args)
-    kept: list[Expr] = []
-    for arg in args:
-        dominated = False
-        for other in args:
-            if other is arg:
-                continue
-            if other != arg and prove_le(arg, other, env) and not prove_le(other, arg, env):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(arg)
-    if not kept or len(kept) == len(args):
-        return None
-    if len(kept) == 1:
-        return kept[0]
-    return Max(*kept)
 
 
 # ---------------------------------------------------------------------------

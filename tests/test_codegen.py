@@ -318,30 +318,3 @@ def test_transpose_without_skew_uses_row_major_tile():
     # the skew's (tx + ty) % tile arithmetic disappears with the row-major tile
     assert "arith.remsi" in skewed.source
     assert "arith.remsi" not in plain.source
-
-
-# -- GPU-weighted variant selection -------------------------------------------------
-
-
-def test_cost_weights_flip_expansion_variant():
-    from repro.symbolic import CostWeights
-    from repro.symbolic.expr import Mod
-
-    x, y, z, w, v, a, b = symbols("x y z w v a b")
-
-    def lowered(weights=None):
-        ctx = CodegenContext("flip", weights=weights)
-        ctx.size(Var("c"))
-        ctx.index(b, 8)
-        ctx.nonneg(x, y, z, w, v, a)
-        # Unexpanded the modulo survives but the factored product stays cheap;
-        # expanded the modulo simplifies away ((8a + b)*4 % 32 -> 4b) at the cost
-        # of distributing the product.  Flat weights therefore keep the
-        # unexpanded form, GPU-realistic div/mod weights prefer the expanded one.
-        ctx.bind("offs", (x + y + z + w + v) * Var("c") + Mod((a * 8 + b) * 4, 32))
-        return ctx.lower()["offs"]
-
-    assert lowered().variant == "unexpanded"
-    gpu = lowered(CostWeights.gpu_default())
-    assert gpu.variant == "expanded"
-    assert "%" not in str(gpu.expr)

@@ -9,7 +9,6 @@ from repro.symbolic import (
     CACHE_PREFIX,
     Const,
     Interval,
-    Min,
     SymbolicEnv,
     SymInterval,
     Var,
@@ -276,7 +275,7 @@ def test_a_changed_fact_changes_the_token_and_the_answers():
     assert _delta(before)["fixpoint_hits"] == 1
     env.declare_range("i", 8, 15)  # a changed fact: new token, new answers
     assert env.fact_token != token
-    assert simplify_fixpoint(wrapped, env) == i - 8
+    assert simplify_fixpoint(wrapped, env) == wrapped  # i + 8 in [16, 23] no longer fits rule 5
     assert not prove_le(i, 7, env)
     assert env.range_of(i * 2 + 1) == SymInterval(17, 31)
     # nothing was dropped: the old fact set's entries are still there for
@@ -412,7 +411,8 @@ def _one_fact_apart():
     yield "range", x % 8, ranged(7), ranged(8)
     yield "divisible", (x // d) * d, sized(lambda e: e.declare_divisible(x, d)), sized(lambda e: None)
     yield "positive", (x % (d - 1)) // (d - 1), sized(lambda e: e.declare_positive(d - 1)), sized(lambda e: None)
-    yield "le", Min(x, d), sized(lambda e: e.declare_le(x, d)), sized(lambda e: None)
+    # Table II rule 4 (x // a -> 0) needs x < d, which only the facts stage proves
+    yield "le", x // d, sized(lambda e: e.declare_le(x, d - 1)), sized(lambda e: None)
 
 
 def _answers(expr, env):
@@ -487,15 +487,7 @@ def test_filling_past_the_cap_resets_without_reusing_tokens(monkeypatch):
 # -- simplify rules fed by range facts ----------------------------------------------
 
 
-def test_div_interval_collapse_handles_negative_ranges():
-    env = SymbolicEnv()
-    j = env.declare_range("j", -3, -1)
-    # [-3, -1] lies within [-4, 0), so j // 4 is the constant -1 — out of
-    # reach of the nonneg-only div rules
-    assert simplify_fixpoint(as_expr(j) // 4, env) == Const(-1)
-
-
-def test_mod_interval_collapse_rewrites_to_offset():
+def test_negative_range_modulo_evaluates_soundly():
     env = SymbolicEnv()
     j = env.declare_range("j", -3, -1)
     simplified = simplify_fixpoint(as_expr(j) % 4, env)

@@ -23,7 +23,6 @@ from repro.symbolic import (
     Var,
     as_expr,
     brute_force_check,
-    choose_cheapest,
     expand,
     operation_count,
     prove,
@@ -357,18 +356,6 @@ def test_operation_count_counts_nodes():
     assert operation_count((x + y) * 2) == 2
     assert operation_count([x + y, x * y]) == 2
     assert operation_count(x // y, CostWeights(floordiv=8)) == 8
-
-
-def test_choose_cheapest_picks_minimum():
-    x, y = symbols("x y")
-    cheap = x + y
-    pricey = (x + y) * (x + y) // 3
-    label, chosen, cost = choose_cheapest([("pricey", pricey), ("cheap", cheap)])
-    assert label == "cheap"
-    assert chosen == cheap
-    assert cost == operation_count(cheap)
-    with pytest.raises(ValueError):
-        choose_cheapest([])
 
 
 def test_expand_distributes_products():
