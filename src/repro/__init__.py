@@ -27,10 +27,10 @@ Mapping" (Tavakkoli, Oancea, Hall).  It provides:
   (``python -m repro.serve``);
 * :mod:`repro.cache` — the shared cache tiers (sharded in-memory LRU,
   atomic persistent JSON store) behind the service and the autotuner;
-* :mod:`repro.check` — the differential verification subsystem: NumPy
-  reference models per app, a runner that executes every generated kernel
-  on its substrate and proves it numerically correct, property-based
-  fuzzing of the symbolic layer and a sweep CLI
+* :mod:`repro.check` — the evidence pass: NumPy reference models per app,
+  one pass that executes every generated kernel on its substrate, proves it
+  numerically correct and costs the trace of that run against the analytic
+  model, property-based fuzzing of the symbolic layer and a sweep CLI
   (``python -m repro.check``);
 * :mod:`repro.bench` — the harness that regenerates every table and figure
   of the evaluation section.

@@ -44,11 +44,10 @@ __all__ = ["AppSpec", "Case", "register_app", "get_app", "available_apps"]
 class Case:
     """One executable instance of an app configuration.
 
-    Built by :attr:`AppSpec.case` and executed once by
-    :func:`repro.check.run_case`; :mod:`repro.check` compares the output
-    element-wise against the app's NumPy reference model and
-    :mod:`repro.perf` does the same *and* turns the trace of that same
-    execution into a measured cost.
+    Built by :attr:`AppSpec.case` and executed once by :mod:`repro.check`'s
+    one pass, which compares the output element-wise against the app's
+    NumPy reference model and, when it measures, turns the trace of that
+    same execution into a measured cost.
 
     ``config`` is the resolved case configuration — the sampled
     configuration with problem sizes shrunk to something the Python
@@ -106,8 +105,7 @@ class AppSpec:
     #: NumPy ground-truth model ``reference(config, inputs) -> array``:
     #: given a resolved case configuration and the named input buffers of a
     #: :class:`Case`, produce the expected output.  Every execution of a case
-    #: (:mod:`repro.check`, :mod:`repro.perf`) is compared against it within
-    #: per-dtype tolerances.
+    #: (:mod:`repro.check`) is compared against it within per-dtype tolerances.
     reference: Callable[[Mapping, Mapping], object] | None = None
     #: the one case builder: ``case(config, rng, device=None) -> Case | None``
     #: (``None`` when the configuration selects nothing executable — an

@@ -14,9 +14,10 @@ them into a measured cost:
   which the launcher set from the device) — never a literal 32, so poorly
   coalesced kernels pay for the full sectors they touch while the recording
   and the costing can never disagree about the sector size;
-* :func:`trace_metrics` summarises the measured memory behaviour
-  (coalescing efficiency, bank-conflict factor, useful vs moved bytes) for
-  the profiling reports.
+* :func:`trace_summary` is the one JSON-friendly view of a trace a
+  :class:`~repro.check.CheckReport` carries: the counters it recorded and
+  the measured memory behaviour (coalescing efficiency, bank-conflict
+  factor, useful vs moved bytes).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..minicuda import CudaTrace
 from ..minitriton.language import KernelTrace
 from ..mlir.interp import GpuLaunchResult
 
-__all__ = ["trace_to_cost", "trace_metrics"]
+__all__ = ["trace_to_cost", "trace_summary"]
 
 
 def trace_to_cost(trace, device: DeviceSpec = A100_80GB, **overrides) -> KernelCost:
@@ -58,8 +59,14 @@ def _dram_traffic(trace, device: DeviceSpec) -> tuple[float, float]:
     return useful, transactions * float(trace.sector_bytes or device.dram_sector_bytes)
 
 
-def trace_metrics(trace, device: DeviceSpec = A100_80GB) -> dict:
-    """Measured memory-behaviour summary of one trace (JSON-friendly).
+#: extensive counters copied into the summary when the trace records them
+#: (``programs`` on a Triton trace, ``blocks`` on the block-model ones)
+_COUNTERS = ("programs", "blocks", "load_elements", "store_elements",
+             "load_bytes", "store_bytes", "flops")
+
+
+def trace_summary(trace, device: DeviceSpec = A100_80GB) -> dict:
+    """The counters and measured memory behaviour of one trace (JSON-friendly).
 
     ``coalescing_efficiency`` is useful bytes over sector bytes actually
     moved (1.0 = every transferred byte was requested; broadcast reuse of a
@@ -68,13 +75,14 @@ def trace_metrics(trace, device: DeviceSpec = A100_80GB) -> dict:
     records no shared traffic).
     """
     useful, moved = _dram_traffic(trace, device)
-    return {
-        "useful_dram_bytes": useful,
-        "moved_dram_bytes": moved,
-        "coalescing_efficiency": (useful / moved) if moved else 1.0,
-        "bank_conflict_factor": float(getattr(trace, "bank_conflict_factor", 1.0)),
-        "flops": float(trace.flops),
-    }
+    summary = {name: float(getattr(trace, name)) for name in _COUNTERS if hasattr(trace, name)}
+    summary.update(
+        useful_dram_bytes=useful,
+        moved_dram_bytes=moved,
+        coalescing_efficiency=(useful / moved) if moved else 1.0,
+        bank_conflict_factor=float(getattr(trace, "bank_conflict_factor", 1.0)),
+    )
+    return summary
 
 
 def _triton_cost(

@@ -1,27 +1,33 @@
-"""The differential runner: execute a generated kernel, prove it correct.
+"""The evidence pass: execute a generated kernel once, judge it, measure it.
 
 The golden-kernel tests pin correctness by byte-identical kernel *text*; a
 rewrite-engine or backend bug that changes semantics while the goldens stay
 untouched (a new simplify rule, a cost-weight variant flip) would ship
-silently.  This module converts that textual safety net into an executable
-one: every registered application carries a NumPy **reference model** and
-one **case** builder (:class:`~repro.apps.registry.AppSpec.reference` /
-``case``), and :func:`run_check`
+silently.  This module is the executable net beside them, and the
+measurement the tuner ranks by is read off the same run.  Every registered
+application carries a NumPy **reference model** and one **case** builder
+(:class:`~repro.apps.registry.AppSpec.reference` / ``case``), and one pass
+over an ``(app, config)`` pair
 
-1. builds a small *full-launch* case from a configuration (kernel
-   -determining axes intact, problem sizes shrunk),
-2. generates the kernel through the app's generator — or the compilation
+1. builds a small *full-launch* case from the configuration (kernel
+   -determining axes intact, problem sizes shrunk), its inputs drawn from
+   a generator seeded by ``(seed, app, configuration)``,
+2. resolves the kernel through the app's generator — or the compilation
    service when one is passed — regenerating at the case size when the
    downsizing changed a kernel-determining axis,
 3. executes it on the matching substrate (Triton -> ``minitriton.launch``,
    CUDA -> ``minicuda``, MLIR -> ``mlir.interp``) — every launch runs its
    whole grid, so the output is always complete,
-4. asserts the output matches the reference within per-dtype tolerances and
-   returns a structured :class:`CheckReport`.
+4. compares the output with the reference within per-dtype tolerances, and
+5. when the pass measures (:func:`profile`, :func:`sweep`), turns the trace
+   of that same run into a measured :class:`~repro.gpusim.KernelCost`
+   (:func:`~repro.check.adapters.trace_to_cost`), extrapolates it to the
+   app's full-size problem and sets the analytic estimate beside it.
 
-Steps 1-3 are :func:`run_case` and step 4 is :func:`judge_case`;
-:func:`repro.perf.profile` calls the same two on the one execution it
-measures, so a measured configuration needs no second launch to be verified.
+The outcome is one :class:`CheckReport` row.  :func:`run_check` and
+:func:`check_kernel` stop after step 4, so a verdict costs no trace->cost
+conversion and no analytic model; a wrong output is a ``failed`` row that
+is never measured, so no wrong kernel is ranked by its speed.
 
 Every case derives its inputs from ``(seed, app, configuration)`` through
 SHA-256 — *never* from interpreter hash randomisation or module-level RNG
@@ -31,13 +37,16 @@ state — so any reported failure reproduces from the printed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..apps.registry import AppSpec, available_apps, get_app
 from ..cache import stable_digest
+from ..gpusim import A100_80GB, DeviceSpec, TimeBreakdown, estimate_time
+from ..obs.trace import span
+from .adapters import trace_summary, trace_to_cost
 
 __all__ = [
     "CheckFailure",
@@ -48,12 +57,10 @@ __all__ = [
     "stable_seed",
     "sample_configs",
     "resolve_case_kernel",
-    "run_case",
-    "judge_case",
     "run_check",
     "check_kernel",
-    "check_app",
-    "check_all",
+    "profile",
+    "sweep",
     "differential_verifier",
 ]
 
@@ -101,14 +108,19 @@ def stable_seed(*parts) -> int:
 
 @dataclass
 class CheckReport:
-    """The structured outcome of one differential check."""
+    """One ``(app, config)`` row: the verdict on one execution and its cost.
+
+    The verdict fields are always set; the measured ones (from
+    ``target_config`` down) stay empty unless the pass measured
+    (:func:`profile`, :func:`sweep`) and the output passed.
+    """
 
     app: str
     backend: str = ""
-    #: the configuration the check was asked about (as sampled/submitted)
+    #: the configuration the row was asked about (as sampled/submitted)
     config: dict = field(default_factory=dict)
     #: the resolved small full-launch configuration actually executed
-    check_config: dict = field(default_factory=dict)
+    case_config: dict = field(default_factory=dict)
     status: str = "skipped"  # "passed" | "failed" | "skipped"
     reason: str = ""
     dtype: str = ""
@@ -119,8 +131,24 @@ class CheckReport:
     atol: float = 0.0
     seed: int = 0
     kernel: str = ""
-    #: extensive counters of the substrate trace (empty when none was produced)
+    #: device-zoo name of the device model a measuring pass ran against
+    device: str = ""
+    #: counters and memory behaviour of the substrate trace
+    #: (:func:`~repro.check.adapters.trace_summary`; empty when none was produced)
     trace: dict = field(default_factory=dict)
+    #: the full-size configuration the analytic model was evaluated at
+    target_config: dict = field(default_factory=dict)
+    #: device-model breakdown of the case as executed
+    measured: TimeBreakdown | None = None
+    #: breakdown extrapolated to the full-size problem (what the tuner ranks by)
+    extrapolated: TimeBreakdown | None = None
+    #: the app's analytic estimate at ``target_config`` (seconds)
+    analytic_seconds: float = 0.0
+    #: ``max(measured, analytic) / min(measured, analytic)`` (>= 1)
+    analytic_error: float = 1.0
+    #: extrapolation bookkeeping (see :class:`~repro.apps.registry.Case`)
+    scale: float = 1.0
+    launches: int = 1
 
     @property
     def passed(self) -> bool:
@@ -130,27 +158,20 @@ class CheckReport:
     def skipped(self) -> bool:
         return self.status == "skipped"
 
+    @property
+    def measured_seconds(self) -> float:
+        """The extrapolated full-size measured time (0.0 when not measured)."""
+        return self.extrapolated.total if self.extrapolated is not None else 0.0
+
     def as_dict(self) -> dict:
-        return {
-            "app": self.app,
-            "backend": self.backend,
-            "config": dict(self.config),
-            "check_config": dict(self.check_config),
-            "status": self.status,
-            "reason": self.reason,
-            "dtype": self.dtype,
-            "elements": self.elements,
-            "max_abs_error": self.max_abs_error,
-            "max_rel_error": self.max_rel_error,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "seed": self.seed,
-            "kernel": self.kernel,
-            "trace": dict(self.trace),
-        }
+        row = asdict(self)
+        row.update(measured_ms=self.measured_seconds * 1e3,
+                   analytic_ms=self.analytic_seconds * 1e3,
+                   bound=self.extrapolated.bound if self.extrapolated is not None else "")
+        return row
 
     def summary(self) -> str:
-        """One log line: outcome, errors and the reproducing seed."""
+        """One log line: outcome, errors, measured vs analytic and the seed."""
         if self.status == "skipped":
             return f"{self.app} {self.config}: skipped ({self.reason})"
         detail = (
@@ -159,6 +180,10 @@ class CheckReport:
         )
         if self.status == "failed" and self.reason:
             detail = f"{self.reason}; {detail}"
+        if self.extrapolated is not None:
+            detail += (f" measured={self.measured_seconds * 1e3:.4g}ms "
+                       f"analytic={self.analytic_seconds * 1e3:.4g}ms "
+                       f"error={self.analytic_error:.2f}x bound={self.extrapolated.bound}")
         return f"{self.app} {self.config}: {self.status.upper()} ({detail})"
 
 
@@ -170,43 +195,21 @@ class CheckFailure(AssertionError):
         self.report = report
 
 
-#: trace attributes copied into the report, when the substrate provides them
-_TRACE_COUNTERS = (
-    "programs",
-    "blocks",
-    "load_elements",
-    "store_elements",
-    "load_bytes",
-    "store_bytes",
-    "flops",
-)
-
-
-def _trace_counters(trace) -> dict:
-    counters = {}
-    for name in _TRACE_COUNTERS:
-        value = getattr(trace, name, None)
-        if value is not None:
-            counters[name] = float(value)
-    return counters
-
-
 def _resolve(app) -> AppSpec:
     return app if isinstance(app, AppSpec) else get_app(app)
 
 
-def sample_configs(spec: AppSpec, samples: int, seed: int, label: str) -> list[dict]:
+def sample_configs(spec: AppSpec, samples: int, seed: int) -> list[dict]:
     """``samples`` random valid configs, the paper-preferred one always included.
 
     Random sampling alone could land every pick on evaluation-only baseline
     rows (e.g. the eager-framework implementations), and a sweep that
-    executes zero kernels for an app verifies/measures nothing — so the
+    executes zero kernels for an app verifies and measures nothing — so the
     first-enumerated configuration (apps list paper-preferred values first)
     is *prepended* when absent, never swapped in for a sampled config, so
-    the randomized coverage stays at ``samples``.  ``label`` keeps the
-    verification and profiling subsystems' draws independent under one seed.
+    the randomized coverage stays at ``samples``.
     """
-    configs = spec.space.sample(samples, random.Random(stable_seed(seed, spec.name, label)))
+    configs = spec.space.sample(samples, random.Random(stable_seed(seed, spec.name, "configs")))
     preferred = next(iter(spec.space), None)
     if preferred is not None and preferred not in configs:
         configs = [preferred, *configs]
@@ -214,7 +217,7 @@ def sample_configs(spec: AppSpec, samples: int, seed: int, label: str) -> list[d
 
 
 def resolve_case_kernel(spec: AppSpec, case, config: Mapping, *, kernel=None, service=None):
-    """Resolve the kernel a case executes with (shared with :mod:`repro.perf`).
+    """Resolve the kernel a case executes with.
 
     ``kernel`` is an already-compiled candidate (the service's
     first-compilation hook passes one); it is used directly when the case
@@ -246,13 +249,13 @@ def resolve_case_kernel(spec: AppSpec, case, config: Mapping, *, kernel=None, se
     return use
 
 
-def _compare(report: CheckReport, actual, reference) -> CheckReport:
+def _compare(report: CheckReport, actual, reference) -> None:
     actual = np.asarray(actual)
     reference = np.asarray(reference)
     if actual.shape != reference.shape:
         report.status = "failed"
         report.reason = f"shape mismatch: kernel {actual.shape} vs reference {reference.shape}"
-        return report
+        return
     tolerance = tolerance_for(actual.dtype)
     report.dtype = actual.dtype.name
     report.elements = int(actual.size)
@@ -273,78 +276,83 @@ def _compare(report: CheckReport, actual, reference) -> CheckReport:
     else:
         report.status = "failed"
         report.reason = "output disagrees with the reference model"
-    return report
 
 
-def run_case(spec: AppSpec, config: Mapping, *, seed: int,
-             device=None, kernel=None, service=None):
-    """Build the case of ``config`` and execute it on its substrate.
+def _measure(report: CheckReport, spec: AppSpec, case, trace, device: DeviceSpec) -> None:
+    """Cost the trace of the run just judged; fields are set only on success.
 
-    The prefix :func:`run_check` and :func:`repro.perf.profile` share: seed
-    a NumPy generator from ``(seed, app, configuration)``, build the case
-    with ``spec.case``, resolve the kernel (:func:`resolve_case_kernel`)
-    and execute it on its substrate.  ``device`` is the
-    :class:`~repro.gpusim.DeviceSpec` the builder sizes the case for and the
-    substrate records its trace at; ``None`` keeps the CUDA defaults.  Returns ``(case, kernel, output, trace)``, or ``None`` when
-    the configuration selects nothing executable (an external baseline);
-    whatever the builder, the generator or the substrate raises propagates.
+    The measured breakdown is the case as executed; the extrapolated one
+    scales the cost's extensive counters by ``case.scale`` (the intensive
+    measurements — coalescing, conflict degree, flops per byte — ride along)
+    and charges ``case.launches``.  The analytic estimate is the app's
+    ``evaluate`` at the case's target configuration on the same device.
     """
-    from ..obs.trace import span
+    if trace is None:
+        report.reason = "substrate records no trace for this app"
+        return
+    with span("perf.adapt", "perf", app=spec.name):
+        cost = trace_to_cost(trace, device, name=report.kernel or spec.name,
+                             dtype=case.dtype, tensor_core=case.tensor_core)
+        measured = estimate_time(cost, device)
+        extrapolated = estimate_time(replace(cost.scaled(case.scale), launches=case.launches),
+                                     device)
+    target = dict(case.target_config or case.config)
+    analytic = spec.evaluate(dict(target), device=device)
+    analytic = float(analytic["time_seconds"] if isinstance(analytic, Mapping) else analytic)
+    report.target_config, report.scale, report.launches = target, float(case.scale), int(case.launches)
+    report.measured, report.extrapolated, report.analytic_seconds = measured, extrapolated, analytic
+    if extrapolated.total > 0 and analytic > 0:
+        report.analytic_error = max(extrapolated.total, analytic) / min(extrapolated.total, analytic)
 
-    rng = np.random.default_rng(
-        stable_seed(seed, spec.name, {k: config[k] for k in sorted(config)})
-    )
-    case = spec.case(dict(config), rng, device=device)
-    if case is None:
-        return None
-    with span("perf.resolve", "perf", app=spec.name):
-        use = resolve_case_kernel(spec, case, config, kernel=kernel, service=service)
-    with span("vm.execute", "vm", app=spec.name, kernel=getattr(use, "name", "") or spec.name):
-        output, trace = case.execute(use, device=device)
-    return case, use, output, trace
 
+def _run(spec: AppSpec, config: Mapping, *, seed: int, device: DeviceSpec | None = None,
+         kernel=None, service=None, measure: bool = False) -> CheckReport:
+    """The one pass (see the module docstring); never raises on a bad kernel.
 
-def judge_case(spec: AppSpec, config: Mapping, run, *, seed: int) -> CheckReport:
-    """The verdict on one executed case: its output against ``spec.reference``.
-
-    ``run`` is what :func:`run_case` returned for ``config`` under ``seed``.
+    ``device`` is the :class:`~repro.gpusim.DeviceSpec` the case is sized
+    for and the substrate records at (``None`` keeps the CUDA defaults).
+    The measuring pass keeps the ``perf.*`` span names the ladder attributes.
     """
-    case, use, output, trace = run
     report = CheckReport(app=spec.name, backend=spec.backend, config=dict(config), seed=seed,
-                         check_config=dict(case.config), kernel=getattr(use, "name", "") or "")
-    if trace is not None:
-        report.trace = _trace_counters(trace)
-    return _compare(report, output, spec.reference(case.config, case.inputs))
-
-
-def _check(spec: AppSpec, config: Mapping, *, seed: int, kernel, service) -> CheckReport:
-    from ..obs.trace import span
-
-    with span("check.run", "check", app=spec.name, seed=seed) as root:
-        report = _check_inner(spec, config, seed=seed, kernel=kernel, service=service)
+                         device=device.name if device is not None else "")
+    name, category = ("perf.profile", "perf") if measure else ("check.run", "check")
+    with span(name, category, app=spec.name, seed=seed) as root:
+        try:
+            _execute(report, spec, config, device=device, kernel=kernel, service=service,
+                     measure=measure)
+        except Exception as exc:  # noqa: BLE001 - a config the app cannot build, execute or cost is a failed row
+            report.status = "failed"
+            report.reason = f"{type(exc).__name__}: {exc}"
         root.add(status=report.status)
     return report
 
 
-def _check_inner(spec: AppSpec, config: Mapping, *, seed: int, kernel, service) -> CheckReport:
-    report = CheckReport(app=spec.name, backend=spec.backend, config=dict(config), seed=seed)
+def _execute(report: CheckReport, spec: AppSpec, config: Mapping, *, device, kernel, service,
+             measure: bool) -> None:
     if spec.case is None or spec.reference is None:
         report.reason = "app registers no reference model / case builder"
-        return report
-    try:
-        run = run_case(spec, config, seed=seed, kernel=kernel, service=service)
-        if run is None:
-            report.reason = "configuration selects no executable kernel"
-            return report
-        return judge_case(spec, config, run, seed=seed)
-    except Exception as exc:  # noqa: BLE001 - a config the app cannot build or execute is a failure
-        report.status = "failed"
-        report.reason = f"{type(exc).__name__}: {exc}"
-        return report
+        return
+    rng = np.random.default_rng(
+        stable_seed(report.seed, spec.name, {k: config[k] for k in sorted(config)}))
+    case = spec.case(dict(config), rng, device=device)
+    if case is None:
+        report.reason = "configuration selects no executable kernel"
+        return
+    with span("perf.resolve", "perf", app=spec.name):
+        use = resolve_case_kernel(spec, case, config, kernel=kernel, service=service)
+    report.kernel = getattr(use, "name", "") or ""
+    with span("vm.execute", "vm", app=spec.name, kernel=report.kernel or spec.name):
+        output, trace = case.execute(use, device=device)
+    report.case_config = dict(case.config)
+    if trace is not None:
+        report.trace = trace_summary(trace, device or A100_80GB)
+    _compare(report, output, spec.reference(case.config, case.inputs))
+    if measure and report.passed:
+        _measure(report, spec, case, trace, device)
 
 
 def run_check(app, config: Mapping, *, seed: int = 0, service=None) -> CheckReport:
-    """Differentially check one ``(app, config)`` pair end to end.
+    """The verdict on one ``(app, config)`` pair, end to end.
 
     Generates the kernel (through ``service`` when given, else inline),
     executes the app's case on its substrate and compares against the
@@ -352,38 +360,41 @@ def run_check(app, config: Mapping, *, seed: int = 0, service=None) -> CheckRepo
     returned :class:`CheckReport` (use :func:`differential_verifier` for the
     raising form the compilation service hooks into).
     """
-    return _check(_resolve(app), config, seed=seed, kernel=None, service=service)
+    return _run(_resolve(app), config, seed=seed, service=service)
 
 
 def check_kernel(app, config: Mapping, kernel, *, seed: int = 0) -> CheckReport:
-    """Differentially check an already-compiled kernel for ``config``.
+    """The verdict on an already-compiled kernel for ``config``.
 
     Used by the service's first-compilation hook: the freshly compiled
     kernel is executed directly when the case preserves its
     kernel-determining axes, and a downsized twin is regenerated through the
     same generator otherwise.
     """
-    return _check(_resolve(app), config, seed=seed, kernel=kernel, service=None)
+    return _run(_resolve(app), config, seed=seed, kernel=kernel)
 
 
-def check_app(app, samples: int = 3, *, seed: int = 0, service=None) -> list[CheckReport]:
-    """Check ``samples`` randomly drawn valid configurations of one app
-    (:func:`sample_configs` keeps the paper-preferred one in the draw)."""
-    spec = _resolve(app)
-    configs = sample_configs(spec, samples, seed, "configs")
-    return [_check(spec, config, seed=seed, kernel=None, service=service) for config in configs]
+def profile(app, config: Mapping, *, device: DeviceSpec = A100_80GB, seed: int = 0,
+            service=None) -> CheckReport:
+    """Verify and measure one ``(app, config)`` pair in one execution.
+
+    The row of :func:`run_check` on ``device``, plus — when the output
+    passed — the measured and extrapolated breakdowns of the same run and
+    the analytic estimate beside them.  Never raises on a substrate, model
+    or verification failure.
+    """
+    return _run(_resolve(app), config, seed=seed, device=device, service=service, measure=True)
 
 
-def check_all(
-    apps: Sequence[str] | None = None,
-    samples: int = 3,
-    *,
-    seed: int = 0,
-    service=None,
-) -> dict[str, list[CheckReport]]:
-    """Sweep apps x sampled configs; returns reports grouped by app name."""
-    names = list(apps) if apps else available_apps()
-    return {name: check_app(name, samples, seed=seed, service=service) for name in names}
+def sweep(apps: Sequence[str] | None = None, samples: int = 3, *, seed: int = 0,
+          device: DeviceSpec = A100_80GB, service=None) -> dict[str, list[CheckReport]]:
+    """Verify and measure each app's :func:`sample_configs` draw; rows grouped by app."""
+    results = {}
+    for name in list(apps) if apps else available_apps():
+        spec = get_app(name)
+        results[name] = [profile(spec, config, device=device, seed=seed, service=service)
+                         for config in sample_configs(spec, samples, seed)]
+    return results
 
 
 def differential_verifier(seed: int = 0):

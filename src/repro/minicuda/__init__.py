@@ -21,11 +21,11 @@ where the MLIR interpreter runs on it too; this package adds the launch trace
 (:class:`CudaTrace`) and :func:`launch`.  A ``GlobalArray`` holds its own copy
 of the array it wraps (``to_numpy()`` reads the result back).
 
-:func:`repro.perf.trace_to_cost` converts the recorded counters into a
+:func:`repro.check.trace_to_cost` converts the recorded counters into a
 :class:`repro.gpusim.KernelCost` for the analytic device model.
 
 Every launch runs its whole grid: functional correctness and performance
-estimation read the same small full launch, and :mod:`repro.perf`
+estimation read the same small full launch, and :func:`repro.check.profile`
 extrapolates the cost to the paper-scale problem (``Case.scale``).
 """
 

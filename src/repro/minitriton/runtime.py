@@ -14,7 +14,7 @@ per call of the kernel body (see :mod:`repro.minitriton.language`):
 
 Every launch runs the whole grid, so device buffers are always complete.
 Paper-scale problems are costed by tracing a small full launch and
-extrapolating with ``Case.scale`` / ``KernelCost.scaled`` (:mod:`repro.perf`).
+extrapolating with ``Case.scale`` / ``KernelCost.scaled`` (:func:`repro.check.profile`).
 """
 
 from __future__ import annotations

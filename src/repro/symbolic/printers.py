@@ -187,9 +187,10 @@ class TritonPrinter(PythonPrinter):
 class CPrinter(PythonPrinter):
     """C / CUDA printer.
 
-    Layout lowering only ever produces non-negative indices, so C's truncating
-    integer division coincides with floor division and ``/`` / ``%`` are safe
-    spellings of :class:`FloorDiv` / :class:`Mod`.
+    Spells :class:`FloorDiv` / :class:`Mod` as ``/`` / ``%``, which C
+    truncates toward zero where the Python printer floors: the two
+    renderings agree only where both operands are non-negative, and nothing
+    here checks that they are (DESIGN.md, "SymPy + Z3").
     """
 
     floordiv_op = "/"

@@ -11,7 +11,7 @@ package makes that sweep a first-class subsystem:
   the unified backend registry, evaluate it on the analytic device model,
   rank by (estimated time, GPU-weighted index-op count), re-rank the top
   ``measure_top_k`` of that one ranking by *measured* substrate cost
-  through :mod:`repro.perf`, differentially verify the winners and persist
+  through :func:`repro.check.profile`, differentially verify the winners and persist
   them in a :class:`TuningTable`; :func:`autotune` is its exhaustive
   spelling (the whole space, nothing persisted).  Both return a
   :class:`TuneResult`,

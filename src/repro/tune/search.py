@@ -15,15 +15,15 @@ a strictly more expensive scorer:
    :func:`~repro.tune.tuner.evaluate_configs`.
 2. **Draining measured re-rank** — :func:`measure_candidates` profiles the
    analytic leaders, in analytic order, on their substrate through
-   :func:`repro.perf.profile` with per-candidate fault isolation: a skipped
-   or failed profile — a launch that raised, or one whose output disagrees
-   with the app's reference model — demotes that candidate (it keeps its
-   analytic rank and records the outcome in its metrics), frees its slot
-   for the next-ranked one and never kills the sweep.
+   :func:`repro.check.profile` with per-candidate fault isolation: a
+   skipped or failed row — a launch that raised, or one whose output
+   disagrees with the app's reference model — demotes that candidate (it
+   keeps its analytic rank and records the outcome in its metrics), frees
+   its slot for the next-ranked one and never kills the sweep.
 3. **Verification** (``verify_top_k``) — the winners' differential verdicts
-   are collected before the result is handed out: the one the measured
-   rung recorded for the execution it timed, a :mod:`repro.check` launch
-   only for winners it did not execute.
+   are collected before the result is handed out: the row the measured
+   rung recorded for the execution it timed, a :func:`repro.check.run_check`
+   launch only for winners it did not execute.
 4. **Persistence** — winners land in a :class:`~repro.tune.tables.TuningTable`
    in the durable cache tier, keyed per device: searching the zoo
    (:data:`repro.gpusim.DEVICE_ZOO`) builds per-device tuning tables that
@@ -66,24 +66,24 @@ def _sampled_pool(spec, space: SearchSpace, budget: int, seed: int) -> list[dict
     return [first] + [config for config in space.sample(budget, rng) if config != first]
 
 
-def _attach_profile(candidate: Candidate, kernel_profile) -> None:
-    """Fold a profile's outcome into its candidate (demote on failure)."""
-    if kernel_profile.ok:
-        candidate.measured_time_seconds = kernel_profile.measured_seconds
+def _attach_profile(candidate: Candidate, row) -> None:
+    """Fold a measured row into its candidate (demote when it was not measured)."""
+    if row.extrapolated is not None:
+        candidate.measured_time_seconds = row.measured_seconds
         candidate.metrics = {
             **candidate.metrics,
-            "analytic_error": kernel_profile.analytic_error,
-            "measured_bound": kernel_profile.extrapolated.bound,
-            "coalescing_efficiency": kernel_profile.metrics.get("coalescing_efficiency", 1.0),
-            "bank_conflict_factor": kernel_profile.metrics.get("bank_conflict_factor", 1.0),
+            "analytic_error": row.analytic_error,
+            "measured_bound": row.extrapolated.bound,
+            "coalescing_efficiency": row.trace.get("coalescing_efficiency", 1.0),
+            "bank_conflict_factor": row.trace.get("bank_conflict_factor", 1.0),
         }
     else:
         # fault isolation: the candidate keeps its analytic rank (below every
         # measured candidate) and carries the failure for the report
         candidate.metrics = {
             **candidate.metrics,
-            "profile_status": kernel_profile.status,
-            "profile_reason": kernel_profile.reason,
+            "profile_status": row.status,
+            "profile_reason": row.reason,
         }
 
 
@@ -97,21 +97,21 @@ def measure_candidates(
 ) -> list:
     """Profile candidates on their substrate and fold the times into them.
 
-    Returns one :class:`~repro.perf.KernelProfile` per candidate, in input
-    order.  **Per-candidate fault isolation**: :func:`repro.perf.profile`
+    Returns one measured :class:`~repro.check.CheckReport` per candidate, in
+    input order.  **Per-candidate fault isolation**: :func:`repro.check.profile`
     never raises, so one bad candidate is demoted and the sweep always
     completes.
     """
-    from ..perf import profile
+    from ..check import profile
 
     spec = _resolve(app)
-    profiles = [
+    rows = [
         profile(spec, candidate.config, device=device, seed=seed, service=service)
         for candidate in candidates
     ]
-    for candidate, kernel_profile in zip(candidates, profiles):
-        _attach_profile(candidate, kernel_profile)
-    return profiles
+    for candidate, row in zip(candidates, rows):
+        _attach_profile(candidate, row)
+    return rows
 
 
 def search(
@@ -143,8 +143,8 @@ def search(
     ``measure_top_k`` successful profiles, taken in analytic order, re-rank
     the leaders by *measured* substrate cost; each profiled candidate
     records its analytic-vs-measured disagreement in
-    ``metrics["analytic_error"]`` and the full
-    :class:`~repro.perf.KernelProfile` lands in :attr:`TuneResult.profiles`.
+    ``metrics["analytic_error"]`` and its measured
+    :class:`~repro.check.CheckReport` lands in :attr:`TuneResult.profiles`.
     Candidates whose configuration selects nothing executable (external
     baselines) keep their analytic rank below every measured candidate.
     The winner is recorded in ``table`` keyed
@@ -169,7 +169,7 @@ def search(
     # defines __len__, so a fresh store is falsy and the warm-sweep contract
     # (pass the same cache twice, second sweep replays) would silently break
     cache = cache if cache is not None else ResultCache()
-    # id(candidate) -> the verdict on the execution the measured rung timed
+    # id(candidate) -> the row of the execution the measured rung timed
     verdicts: dict = {}
 
     started = time.perf_counter()
@@ -213,12 +213,12 @@ def search(
                 while result.measured < measure_top_k and position < end:
                     batch = ranking[position:position + measure_top_k]
                     position += len(batch)
-                    batch_profiles = measure_candidates(spec, batch, device=device_spec,
-                                                        seed=seed, service=service)
-                    result.profiles.extend(batch_profiles)
-                    for candidate, kernel_profile in zip(batch, batch_profiles):
-                        if kernel_profile.check is not None:
-                            verdicts[id(candidate)] = kernel_profile.check
+                    rows = measure_candidates(spec, batch, device=device_spec,
+                                              seed=seed, service=service)
+                    result.profiles.extend(rows)
+                    for candidate, row in zip(batch, rows):
+                        if not row.skipped:
+                            verdicts[id(candidate)] = row
             result.stage_seconds["measure"] = time.perf_counter() - stage_started
 
         if verify_top_k > 0:

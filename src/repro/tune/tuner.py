@@ -88,8 +88,8 @@ class TuneResult:
     stage_seconds: dict = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: :class:`~repro.perf.KernelProfile` of each candidate the measured
-    #: stage profiled (skips and failures included)
+    #: measured :class:`~repro.check.CheckReport` of each candidate the
+    #: measured stage profiled (skips and failures included)
     profiles: list = field(default_factory=list)
     #: differential-check reports of the top-ranked configs (``verify_top_k``)
     verification: list = field(default_factory=list)
@@ -110,7 +110,7 @@ class TuneResult:
     @property
     def measured(self) -> int:
         """Candidates re-ranked by measured substrate cost."""
-        return sum(1 for p in self.profiles if p.ok)
+        return sum(1 for p in self.profiles if p.extrapolated is not None)
 
     def __len__(self) -> int:
         return len(self.evaluations)

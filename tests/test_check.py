@@ -1,6 +1,11 @@
-"""The differential verification subsystem: runner, fuzzer, hooks, mutations."""
+"""The evidence pass: runner, sweep CLI and its gates, fuzzer, hooks, mutations."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,16 +13,17 @@ import pytest
 from repro.apps.registry import AppSpec, Case, available_apps, get_app
 from repro.check import (
     CheckFailure,
-    check_all,
-    check_app,
+    CheckReport,
     check_kernel,
     differential_verifier,
     fuzz_symbolic,
     fuzz_trial,
     run_check,
     stable_seed,
+    sweep,
     tolerance_for,
 )
+from repro.check.__main__ import main
 from repro.minitriton.language import KernelTrace
 from repro.serve import CompileRequest, CompileService
 from repro.serve.service import default_compiler
@@ -36,8 +42,9 @@ from repro.tune.space import Choice, SearchSpace
 
 @pytest.mark.parametrize("app", sorted(available_apps()))
 def test_every_app_differentially_verifies(app):
-    """Sampled configs of every app execute on their substrate and match NumPy."""
-    reports = check_app(app, samples=2, seed=0)
+    """Sampled configs of every app execute on their substrate, match NumPy
+    and are measured from that same execution."""
+    reports = sweep([app], samples=2, seed=0)[app]
     assert reports, f"{app} produced no check reports"
     assert all(r.status in ("passed", "skipped") for r in reports), [
         r.summary() for r in reports if r.status == "failed"
@@ -48,6 +55,7 @@ def test_every_app_differentially_verifies(app):
     for report in executed:
         assert report.elements > 0
         assert report.dtype
+        assert report.extrapolated is not None and report.analytic_seconds > 0
 
 
 def test_paper_configs_verify_for_all_apps():
@@ -59,8 +67,8 @@ def test_paper_configs_verify_for_all_apps():
         assert report.status == "passed", report.summary()
 
 
-def test_check_all_groups_reports_by_app():
-    results = check_all(["softmax", "nw"], samples=1, seed=0)
+def test_sweep_groups_rows_by_app():
+    results = sweep(["softmax", "nw"], samples=1, seed=0)
     assert set(results) == {"softmax", "nw"}
     assert all(isinstance(reports, list) and reports for reports in results.values())
 
@@ -98,7 +106,7 @@ def test_check_kernel_regenerates_when_check_shrinks_kernel_axes():
     kernel = spec.generate(config)  # n = 2048 baked into the memref types
     report = check_kernel("transpose", config, kernel, seed=0)
     assert report.status == "passed", report.summary()
-    assert report.check_config["n"] == 16
+    assert report.case_config["n"] == 16
 
 
 def test_lud_check_launches_the_coarsened_internal_wave(monkeypatch):
@@ -141,6 +149,143 @@ def test_runner_accepts_full_launch_traces():
     report = run_check(spec, {"x": 1}, seed=0)
     assert report.status == "passed"
     assert report.trace["programs"] == 4.0
+
+
+def test_check_report_summary_reads_reasonably():
+    report = CheckReport(app="x", config={"a": 1}, reason="because")
+    assert "skipped" in report.summary()
+    assert report.as_dict()["extrapolated"] is None
+
+
+# -- the sweep CLI: one execution per configuration, every gate fails it on its own ------
+
+
+def _vm_launches(run):
+    from repro.obs.trace import TRACER, tracing
+
+    with tracing(True):
+        TRACER.clear()
+        result = run()
+        return result, [e for e in TRACER.events() if e["name"] == "vm.execute"]
+
+
+def test_measured_configurations_launch_exactly_once():
+    from repro.tune import autotune
+
+    tuned, launches = _vm_launches(
+        lambda: autotune("transpose", measure_top_k=3, verify_top_k=3))
+    assert tuned.measured == 3 and [r.status for r in tuned.verification] == ["passed"] * 3
+    assert len(launches) == 3  # verification read the measured rung's verdicts
+    report, launches = _vm_launches(
+        lambda: main(["--apps", "softmax,nw", "--samples", "1", "--fuzz", "0", "--json", "-"]))
+    assert report["ok"] and report["failures"] == []
+    assert len(launches) == report["measured"] > 0
+
+
+def test_check_sweep_cli_writes_artifact(tmp_path):
+    path = tmp_path / "BENCH_check.json"
+    report = main(["--apps", "softmax", "--samples", "1", "--fuzz", "0", "--json", str(path)])
+    assert report["ok"] is True
+    assert json.loads(path.read_text())["verified"] == report["verified"]
+    rows = report["apps"]["softmax"]
+    assert rows["measured"] >= 1
+    measured_rows = [r for r in rows["rows"] if r["extrapolated"] is not None]
+    assert measured_rows[0]["measured_ms"] > 0
+    assert measured_rows[0]["analytic_ms"] > 0
+    assert "coalescing_efficiency" in measured_rows[0]["trace"]
+
+
+def _sweep(*argv):
+    return main(["--samples", "1", "--fuzz", "0", "--json", "-", *argv])
+
+
+def test_analytic_bound_fails_the_sweep_though_every_verdict_passes(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    path = tmp_path / "BENCH_check.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "repro.check", "--apps", "transpose", "--samples", "1",
+         "--fuzz", "0", "--max-error-for", "transpose=1.0", "--json", str(path)],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    report = json.loads(path.read_text())
+    group = report["apps"]["transpose"]
+    assert report["ok"] is False and report["failed"] == 0 and report["verified"] > 0
+    assert group["max_error"] == 1.0 and group["max_analytic_error"] > 1.0
+    assert not group["errors_ok"]
+    assert "ANALYTIC ERROR transpose" in run.stdout
+
+
+@pytest.mark.parametrize("value, message", [
+    ("transpsoe=100", "transpsoe not in the sweep"),
+    ("transpose=abc", "'abc' is not a positive number"),
+    ("transpose=0", "'0' is not a positive number"),
+    ("transpose", "expected APP=BOUND"),
+])
+def test_max_error_for_rejects_bad_input_as_a_usage_error(value, message, capsys):
+    with pytest.raises(SystemExit) as exited:
+        _sweep("--apps", "transpose", "--max-error-for", value)
+    assert exited.value.code == 2
+    error = capsys.readouterr().err
+    assert "argument --max-error-for" in error and message in error
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--apps", "transpose,transpsoe"), "argument --apps: unknown app(s) transpsoe"),
+    (("--apps", "transpose", "--samples", "0"), "argument --samples: '0' is not a positive integer"),
+])
+def test_bad_sweep_arguments_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--json", "-"])
+    assert exited.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_wrong_output_fails_the_sweep(monkeypatch):
+    from repro.apps import lud
+
+    real = lud._lud_internal_block_kernel
+
+    def collapsed_rows(ctx, m, offset, block):
+        ctx.ty = ctx.ty // 2 * 2
+        real(ctx, m, offset, block)
+
+    monkeypatch.setattr(lud, "_lud_internal_block_kernel", collapsed_rows)
+    report = _sweep("--apps", "lud")
+    assert not report["ok"] and report["failed"] >= 1
+    assert all("disagrees" in failure["reason"] for failure in report["failures"])
+    assert all(failure["extrapolated"] is None for failure in report["failures"])
+
+
+def test_failed_measurement_fails_the_sweep(monkeypatch):
+    import repro.check.runner as runner
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("no cost for this trace")
+
+    monkeypatch.setattr(runner, "trace_to_cost", broken)
+    report = _sweep("--apps", "softmax")
+    assert not report["ok"] and report["verified"] == 0 and report["failed"] >= 1
+    assert all("RuntimeError: no cost" in failure["reason"] for failure in report["failures"])
+
+
+def test_app_with_no_measured_row_fails_the_sweep(monkeypatch):
+    from repro.apps import registry
+
+    spec = get_app("softmax")
+    monkeypatch.setitem(registry._APPS, "softmax", dataclasses.replace(
+        spec, case=lambda config, rng, device=None: None))
+    report = _sweep("--apps", "softmax")
+    assert not report["ok"] and report["failed"] == 0
+    assert report["apps"]["softmax"]["measured"] == 0
+
+
+def test_fuzz_failure_fails_the_sweep(broken_mod_rule):
+    # NW's case runs a hand-written kernel, so only the fuzz can see the broken rule
+    report = main(["--apps", "nw", "--samples", "1", "--fuzz", "60", "--json", "-"])
+    assert not report["ok"] and report["failures"] == []
+    assert report["failed"] == len(report["fuzz"]["failures"]) > 0
 
 
 # -- mutation tests: a deliberately broken rewrite must be caught -------------------------

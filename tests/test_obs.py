@@ -519,11 +519,10 @@ def test_disabled_spans_cost_under_two_percent_of_a_serve_replay():
 # -- serialization satellites -------------------------------------------------------
 
 
-def test_kernel_profile_serializes_device():
-    from repro.perf.profile import KernelProfile
+def test_check_report_serializes_device():
+    from repro.check import CheckReport
 
-    profile = KernelProfile(app="matmul", device="a100-80gb")
-    payload = profile.as_dict()
+    payload = CheckReport(app="matmul", device="a100-80gb").as_dict()
     assert payload["device"] == "a100-80gb"
 
 

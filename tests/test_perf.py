@@ -1,4 +1,4 @@
-"""Measured profiling: trace->cost adapters, profile(), two-stage tuning.
+"""Measurement in the evidence pass: trace->cost adapters, profile(), two-stage tuning.
 
 The adapter tests pin the measured :class:`KernelCost` of one app per
 substrate against hand-computed element/byte/transaction counts on tiny
@@ -17,13 +17,7 @@ from repro.apps.registry import Case, get_app
 from repro.apps.softmax import generate_softmax_kernel, run_softmax
 from repro.apps.transpose import TransposeConfig, generate_transpose, run_transpose
 from repro.gpusim import A100_80GB, KernelCost, occupancy_factor
-from repro.perf import (
-    KernelProfile,
-    profile,
-    profile_app,
-    trace_metrics,
-    trace_to_cost,
-)
+from repro.check import profile, sweep, trace_summary, trace_to_cost
 from repro.obs.metrics import percentile
 from repro.serve.metrics import LaneLedger
 from repro.tune import autotune
@@ -100,8 +94,9 @@ def test_triton_adapter_matches_hand_computed_softmax_counts():
     assert cost.flops == 3 * m * n
     assert cost.blocks == m
     assert cost.tensor_core is False and cost.dtype == "fp32"
-    metrics = trace_metrics(trace, A100_80GB)
-    assert metrics["coalescing_efficiency"] == pytest.approx(1.0)
+    summary = trace_summary(trace, A100_80GB)
+    assert summary["coalescing_efficiency"] == pytest.approx(1.0)
+    assert summary["programs"] == m and summary["load_elements"] == m * n
 
 
 def test_cuda_adapter_matches_hand_computed_lud_counts():
@@ -163,10 +158,10 @@ def test_trace_to_cost_rejects_unknown_trace_types():
     with pytest.raises(TypeError, match="no trace->cost mapping for SimpleNamespace"):
         trace_to_cost(SimpleNamespace(flops=0.0), A100_80GB)
     # the per-type registry and its MRO walk are gone with their three registrants
-    import repro.perf
+    import repro.check
 
     for gone in ("register_adapter", "adapter_for"):
-        assert not hasattr(repro.perf, gone) and not hasattr(repro.perf.adapters, gone)
+        assert not hasattr(repro.check, gone) and not hasattr(repro.check.adapters, gone)
 
 
 def test_profile_threads_the_device_into_substrate_recording():
@@ -179,10 +174,10 @@ def test_profile_threads_the_device_into_substrate_recording():
     wide = replace(A100_80GB, dram_sector_bytes=128)
     default = profile("softmax", {"implementation": "lego"})
     coarse = profile("softmax", {"implementation": "lego"}, device=wide)
-    assert default.ok and coarse.ok
-    assert default.metrics["coalescing_efficiency"] == pytest.approx(1.0)
-    assert coarse.metrics["coalescing_efficiency"] == pytest.approx(0.5)
-    assert coarse.metrics["moved_dram_bytes"] == 2 * default.metrics["moved_dram_bytes"]
+    assert default.measured is not None and coarse.measured is not None
+    assert default.trace["coalescing_efficiency"] == pytest.approx(1.0)
+    assert coarse.trace["coalescing_efficiency"] == pytest.approx(0.5)
+    assert coarse.trace["moved_dram_bytes"] == 2 * default.trace["moved_dram_bytes"]
 
 
 def test_lud_static_smem_limit_follows_the_device():
@@ -232,15 +227,15 @@ def test_scaled_lud_cost_matches_wider_wave():
 def test_profile_transpose_measures_and_compares():
     report = profile("transpose", {"variant": "smem", "skew": 1, "tile": 32,
                                    "generator": "lego"})
-    assert report.ok
+    assert report.passed and report.measured is not None
     assert report.measured_seconds > 0
     assert report.analytic_seconds > 0
     assert report.analytic_error < 3.0
     assert report.target_config["n"] == 2048
     assert report.scale == (2048 // 32) ** 2 / 4.0
-    assert report.metrics["bank_conflict_factor"] == pytest.approx(1.0)
+    assert report.trace["bank_conflict_factor"] == pytest.approx(1.0)
     row = report.as_dict()
-    assert row["status"] == "measured" and row["bound"] in ("dram", "smem", "compute", "l2")
+    assert row["status"] == "passed" and row["bound"] in ("dram", "smem", "compute", "l2")
 
 
 def test_profile_skips_evaluation_only_baselines():
@@ -254,9 +249,9 @@ def test_profile_is_seed_deterministic():
     config = {"layout": "antidiagonal", "block": 8}
     a = profile("nw", config, seed=7)
     b = profile("nw", config, seed=7)
-    assert a.ok and b.ok
+    assert a.measured is not None and b.measured is not None
     assert a.measured_seconds == b.measured_seconds
-    assert a.metrics == b.metrics
+    assert a.trace == b.trace
 
 
 def test_profile_and_search_take_no_engine():
@@ -266,12 +261,13 @@ def test_profile_and_search_take_no_engine():
     config = {"variant": "smem", "skew": 1, "tile": 32, "generator": "lego"}
     measured = profile("transpose", config)
     tuned = autotune("transpose", measure_top_k=1)
-    assert measured.ok and [p.ok for p in tuned.profiles] == [True]
+    assert measured.measured is not None
+    assert [p.extrapolated is not None for p in tuned.profiles] == [True]
     for artifact in (measured, tuned, *tuned.profiles):
         assert not hasattr(artifact, "engine")
     assert "engine" not in measured.as_dict() and "engine" not in tuned.summary()
     for call in (lambda: profile("transpose", config, engine="treewalk"),
-                 lambda: profile_app("transpose", 1, engine="treewalk"),
+                 lambda: sweep(["transpose"], 1, engine="treewalk"),
                  lambda: autotune("transpose", engine="treewalk"),
                  lambda: search("transpose", engine="treewalk")):
         with pytest.raises(TypeError, match="unexpected keyword argument 'engine'"):
@@ -309,10 +305,11 @@ def _counting_spec(corrupt=()):
 def test_profile_executes_its_case_once_and_carries_the_verdict():
     spec, calls = _counting_spec()
     report = profile(spec, {"x": 1})
-    assert report.ok and calls == [1]
-    assert report.check.passed and report.check.elements == 4
-    assert report.as_dict()["check"] == {"status": "passed", "max_abs_error": 0.0,
-                                         "max_rel_error": 0.0}
+    assert report.measured is not None and calls == [1]
+    assert report.passed and report.elements == 4
+    row = report.as_dict()
+    assert {key: row[key] for key in ("status", "max_abs_error", "max_rel_error")} == {
+        "status": "passed", "max_abs_error": 0.0, "max_rel_error": 0.0}
 
 
 def test_wrong_output_is_a_failed_profile_the_ladder_demotes():
@@ -322,9 +319,9 @@ def test_wrong_output_is_a_failed_profile_the_ladder_demotes():
     spec, calls = _counting_spec(corrupt={1})
     bad = profile(spec, {"x": 1})
     assert bad.status == "failed" and "disagrees with the reference" in bad.reason
-    assert bad.check.status == "failed" and bad.measured is None
+    assert bad.measured is None and bad.extrapolated is None
     result = search(spec, measure_top_k=2)
-    assert [p.status for p in result.profiles] == ["failed", "measured"]
+    assert [p.status for p in result.profiles] == ["failed", "passed"]
     assert result.best.config == {"x": 2} and result.best.measured
     assert result.ranked[-1].metrics["profile_status"] == "failed"
     # the verdicts are read back, not re-executed: two more launches, then the raise
@@ -334,33 +331,11 @@ def test_wrong_output_is_a_failed_profile_the_ladder_demotes():
     assert sorted(calls) == [1, 2]
 
 
-def _vm_launches(run):
-    from repro.obs.trace import TRACER, tracing
-
-    with tracing(True):
-        TRACER.clear()
-        result = run()
-        return result, [e for e in TRACER.events() if e["name"] == "vm.execute"]
-
-
-def test_measured_configurations_launch_exactly_once():
-    from repro.perf.__main__ import main
-
-    tuned, launches = _vm_launches(
-        lambda: autotune("transpose", measure_top_k=3, verify_top_k=3))
-    assert tuned.measured == 3 and [r.status for r in tuned.verification] == ["passed"] * 3
-    assert len(launches) == 3  # verification read the measured rung's verdicts
-    report, launches = _vm_launches(
-        lambda: main(["--apps", "softmax,nw", "--samples", "1", "--json", "-"]))
-    assert report["ok"] and report["check_failures"] == []
-    assert len(launches) == report["measured"] > 0
-
-
-def test_profile_app_always_includes_the_preferred_config():
-    profiles = profile_app("lud", samples=1)
+def test_sweep_always_includes_the_preferred_config():
+    rows = sweep(["lud"], samples=1)["lud"]
     first = next(iter(get_app("lud").space))
-    assert profiles[0].config == first
-    assert any(p.ok for p in profiles)
+    assert rows[0].config == first
+    assert any(row.measured is not None for row in rows)
 
 
 def test_lud_perf_case_rejects_static_smem_overflow():
@@ -387,8 +362,8 @@ def test_measured_autotune_reproduces_lud_block64_coarsen4():
     assert best.metrics["analytic_error"] < 10.0
     # five distinct kernels measured; the block-128/256 leaders between
     # them need more static shared memory than the device allows
-    measured = [p for p in result.profiles if p.status == "measured"]
-    skipped = [p for p in result.profiles if p.status != "measured"]
+    measured = [p for p in result.profiles if p.measured is not None]
+    skipped = [p for p in result.profiles if p.measured is None]
     assert len(measured) == 5
     assert all(p.status == "skipped" and p.config["block"] >= 128 for p in skipped)
     assert result.summary()["max_analytic_error"] < 10.0
@@ -408,9 +383,9 @@ def test_measured_autotune_reproduces_nw_skewed_layout():
     assert best.metrics["bank_conflict_factor"] < 1.1
     assert result.summary()["max_analytic_error"] < 10.0
     conflicted = [p for p in result.profiles
-                  if p.ok and p.config["layout"] in ("row", "col")]
+                  if p.measured is not None and p.config["layout"] in ("row", "col")]
     for p in conflicted:
-        assert p.metrics["bank_conflict_factor"] > 1.1
+        assert p.trace["bank_conflict_factor"] > 1.1
 
 
 def test_measured_autotune_reproduces_transpose_smem_over_naive():
@@ -433,26 +408,3 @@ def test_measured_autotune_records_disagreement_per_candidate():
         assert candidate.metrics["analytic_error"] >= 1.0
         assert "coalescing_efficiency" in candidate.metrics
         assert candidate.metrics["measured_bound"] in ("dram", "smem", "compute", "l2")
-
-
-# -- the sweep CLI -------------------------------------------------------------------
-
-
-def test_perf_sweep_cli_writes_artifact(tmp_path):
-    from repro.perf.__main__ import main
-
-    path = tmp_path / "BENCH_perf.json"
-    report = main(["--apps", "softmax", "--samples", "1", "--json", str(path)])
-    assert report["ok"] is True
-    assert path.exists()
-    rows = report["apps"]["softmax"]
-    assert rows["measured"] >= 1
-    measured_rows = [r for r in rows["rows"] if r["status"] == "measured"]
-    assert measured_rows[0]["measured_ms"] > 0
-    assert measured_rows[0]["analytic_ms"] > 0
-    assert "coalescing_efficiency" in measured_rows[0]["metrics"]
-
-
-def test_kernel_profile_summary_reads_reasonably():
-    report = KernelProfile(app="x", config={"a": 1}, reason="because")
-    assert "skipped" in report.summary()

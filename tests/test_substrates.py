@@ -24,7 +24,7 @@ from repro.gpusim.sharedmem import (
 )
 from repro.minicuda import CudaTrace, Dim3, GlobalArray, launch
 from repro.minitriton import compile_kernel, from_device, launch as tl_launch, to_device
-from repro.perf import trace_to_cost
+from repro.check import trace_to_cost
 from repro.core import GroupBy, antidiagonal
 
 
