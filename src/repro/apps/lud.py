@@ -180,7 +180,7 @@ def lud_blocked(matrix: np.ndarray, block: int) -> np.ndarray:
 def check_element_offsets(kernel, config: LudConfig) -> None:
     """Enumerate the kernel's generated ``element_offset`` over its block.
 
-    The oracle ``python -m repro.symbolic.bench`` and the tests cross-check
+    The oracle :func:`repro.symbolic.bench.run` and the tests cross-check
     the static proof (:func:`prove_element_offset_bijection`) against;
     nothing on the check or tuning path calls it.  Evaluates the lowered
     index expression

@@ -1,6 +1,6 @@
 """``repro.obs`` — the unified tracing & metrics layer.
 
-The stack spans five subsystems (codegen -> serve -> check -> perf ->
+The stack spans four subsystems (codegen -> serve -> check ->
 tune.search); this package is where all of their telemetry converges:
 
 * :mod:`repro.obs.trace` — the structured **span tracer**: context-manager
@@ -19,9 +19,8 @@ tune.search); this package is where all of their telemetry converges:
 * :mod:`repro.obs.report` — **attribution**: per-thread span trees,
   per-stage self-time breakdown and Chrome-trace schema validation.
 
-``python -m repro.obs`` runs an instrumented autotune plus a short serve
-replay, prints the per-stage attribution report and writes
-``BENCH_obs.json``.
+The package has no CLI: ``python3 perfbench/run.py --workload tune_sweep
+--trace 1`` is the attributed run, its rungs summing to the traced wall.
 """
 
 from .metrics import (
@@ -38,7 +37,6 @@ from .metrics import (
 from .report import (
     SpanNode,
     attribution,
-    render_attribution,
     span_trees,
     validate_chrome_trace,
 )
@@ -101,6 +99,5 @@ __all__ = [
     "SpanNode",
     "span_trees",
     "attribution",
-    "render_attribution",
     "validate_chrome_trace",
 ]

@@ -4,7 +4,8 @@ The tracer records flat ``ph="X"`` complete events; this module rebuilds
 the per-thread span trees from timestamp containment (the same model the
 Chrome viewer renders), computes **self time** per span (duration minus
 the duration of its direct children) and aggregates by span name into the
-per-stage attribution report ``python -m repro.obs`` prints.
+per-stage attribution report (:func:`attribution`; perfbench's traced runs
+publish their rungs from it).
 
 Within one thread's tree the self times of a root and its descendants sum
 *exactly* to the root's duration, so the interesting number is the root's
@@ -26,7 +27,6 @@ __all__ = [
     "SpanNode",
     "span_trees",
     "attribution",
-    "render_attribution",
     "validate_chrome_trace",
 ]
 
@@ -168,29 +168,6 @@ def attribution(events: list[dict], root_name: str | None = None) -> dict:
         "other_threads": dict(sorted(other.items(), key=lambda kv: -kv[1]["self_ms"])),
         "spans": len(root_ids),
     }
-
-
-def render_attribution(report: dict) -> str:
-    """The attribution report as an aligned text table (the CLI's output)."""
-    lines = [
-        f"root span: {report['root']}  wall={report['wall_ms']:.2f}ms  "
-        f"spans={report['spans']}  coverage={report['coverage'] * 100:.1f}%"
-    ]
-    lines.append(f"{'stage':<28} {'count':>6} {'total_ms':>10} {'self_ms':>10} {'share':>7}")
-    for name, row in report["stages"].items():
-        lines.append(
-            f"{name:<28} {row['count']:>6} {row['total_ms']:>10.3f} "
-            f"{row['self_ms']:>10.3f} {row['share'] * 100:>6.1f}%"
-        )
-    if report["other_threads"]:
-        lines.append("worker threads (overlapping the wall clock):")
-        for name, row in report["other_threads"].items():
-            lines.append(f"{'  ' + name:<28} {row['count']:>6} {'':>10} {row['self_ms']:>10.3f}")
-    lines.append(
-        f"unattributed: {report['unattributed_ms']:.3f}ms "
-        f"({(1 - report['coverage']) * 100:.1f}% of wall)"
-    )
-    return "\n".join(lines)
 
 
 #: event phases the exporter may legally produce

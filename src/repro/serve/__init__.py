@@ -10,8 +10,9 @@
   admission (over-cap submissions shed with a typed :class:`Rejected`),
   cross-process claim-file dedup, worker health checking with restart and
   request re-drive,
-* :class:`ServiceStats` / :class:`FarmStats` + :class:`LaneStats` — two
-  views of the per-lane ledger (:mod:`repro.serve.metrics`),
+* :class:`FarmStats` + :class:`LaneStats` — the one snapshot of the
+  per-lane ledger either executor's ``stats()`` returns
+  (:mod:`repro.serve.metrics`),
 * :func:`synthetic_requests` / :func:`traffic_trace` + ``python -m
   repro.serve`` — deterministic traffic replay (uniform-duplicate traces,
   or Zipf-popular Poisson arrivals across configurable burst phases).
@@ -37,7 +38,7 @@ from .admission import (
     Rejected,
 )
 from .farm import CompileFarm, FarmCompileError
-from .metrics import FarmStats, LaneStats, ServiceStats
+from .metrics import FarmStats, LaneStats
 from .service import (
     CompileRequest,
     CompileService,
@@ -72,7 +73,6 @@ __all__ = [
     "LaneStats",
     "PersistedKernel",
     "Rejected",
-    "ServiceStats",
     "TimedRequest",
     "default_compiler",
     "default_service",

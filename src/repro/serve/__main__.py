@@ -4,7 +4,8 @@ Two modes share one CLI:
 
 **Thread-service replay** (the default) drives the in-process
 :class:`~repro.serve.service.CompileService` with a deterministic trace and
-reports throughput plus the full ``ServiceStats`` snapshot as JSON::
+reports throughput plus the service's ``stats()`` snapshot and its memory
+tier's per-shard counters as JSON::
 
     PYTHONPATH=src python -m repro.serve --requests 500 --workers 4 --passes 2
 
@@ -167,6 +168,8 @@ def run_replay(args: argparse.Namespace) -> dict:
                 })
             service.flush()
         report["stats"] = service.stats().as_dict()
+        report["cache"] = service.cache.stats()
+        report["store_entries"] = len(service.store) if service.store is not None else 0
         report["metrics"] = REGISTRY.snapshot()
     return report
 
@@ -226,6 +229,7 @@ def run_farm_replay(args: argparse.Namespace) -> dict:
             "killed_pid": killed_pid,
         }
         report["farm"] = farm.stats().as_dict()
+        report["store_entries"] = len(farm.store)
         report["metrics"] = REGISTRY.snapshot()
     return report
 

@@ -117,14 +117,8 @@ class AdmissionController:
             self._pending[lane] -= 1
 
     def snapshot(self) -> dict:
-        """Per-lane ``{limit, pending, sheds}`` under one lock (admitted
+        """Per-lane ``{limit, sheds}`` under one lock (admitted and pending
         counts live on the service's lane ledger, not here)."""
         with self._lock:
-            return {
-                lane: {
-                    "limit": self._limits[lane],
-                    "pending": self._pending[lane],
-                    "sheds": self._sheds[lane],
-                }
-                for lane in sorted(self._limits)
-            }
+            return {lane: {"limit": self._limits[lane], "sheds": self._sheds[lane]}
+                    for lane in sorted(self._limits)}

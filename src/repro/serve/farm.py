@@ -45,7 +45,7 @@ from typing import Mapping
 from ..cache import ClaimRegistry, ShardedFileStore, ShardedLRUCache
 from ..obs import record_farm_event
 from .admission import LANE_INTERACTIVE, LANE_SWEEP, AdmissionController, Rejected
-from .metrics import FarmStats, LaneStats
+from .metrics import FarmStats
 from .service import (
     CompileRequest,
     CompileService,
@@ -244,29 +244,13 @@ class CompileFarm(CompileService):
     # -- stats / lifecycle -----------------------------------------------------
 
     def stats(self) -> FarmStats:
-        admission = self._admission.snapshot()
         with self._lock:
-            lanes = tuple(
-                LaneStats(lane=lane, limit=admission[lane]["limit"],
-                          shed=admission[lane]["sheds"],
-                          pending=admission[lane]["pending"], **ledger)
-                for lane, ledger in self._read_ledgers_locked().items()
-            )
-            return FarmStats(
-                workers=self.workers,
+            return self._stats_locked(
                 alive=sum(1 for h in self._workers.values() if h.alive),
-                submitted=sum(lane.submitted for lane in lanes),
-                shed=sum(lane.shed for lane in lanes),
-                resolved=sum(lane.resolved for lane in lanes),
-                errors=sum(lane.errors for lane in lanes),
-                compiled=sum(self._compile_counts.values()),
                 executions=self._executions,
                 redriven=self._redriven,
                 restarts=self._restarts,
-                warmed=self._warmed,
                 double_compiled=sum(1 for c in self._compile_counts.values() if c > 1),
-                store=self.store.stats() | {"entries": len(self.store)},
-                lanes=lanes,
             )
 
     def drain(self, timeout: float = 60.0) -> bool:
@@ -320,6 +304,9 @@ class CompileFarm(CompileService):
 
     def _release(self, lane: str) -> None:
         self._admission.release(lane)
+
+    def _admission_locked(self) -> dict[str, dict]:
+        return self._admission.snapshot()
 
     def _follow_locked(self, leader: _Ticket, follower: _Ticket) -> None:
         if follower.lane == LANE_INTERACTIVE and leader.lane != LANE_INTERACTIVE:

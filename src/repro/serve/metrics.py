@@ -1,26 +1,26 @@
-"""Serving observability: the per-lane request ledger and its snapshot views.
+"""Serving observability: the per-lane request ledger and its one snapshot.
 
 Every submission is counted on one :class:`LaneLedger` and resolves through
 exactly one outcome on it; each records one latency sample in seconds (cache
 hits included — a hit's microseconds are part of the distribution a traffic
 replay should see) into the ledger's bounded
 :class:`~repro.obs.metrics.Histogram`, which :meth:`LaneLedger.read` reports in
-milliseconds.  :class:`ServiceStats` (the in-process service, one lane) and
-:class:`LaneStats` (one farm lane, inside :class:`FarmStats`) are two named,
-immutable views of that same ledger:
-``deduped`` is ``coalesced``, ``persistent_hits`` is ``store_hits``,
-``completed`` is ``resolved``.  Their counter invariants are exact at
-quiescence (see :meth:`repro.serve.CompileService.stats` for what a
-mid-traffic snapshot can and cannot tear).
+milliseconds.  Both executors read their ledgers out the same way: one
+:class:`LaneStats` per lane inside one :class:`FarmStats`, whichever of
+:class:`~repro.serve.CompileService` or :class:`~repro.serve.CompileFarm`
+took the snapshot.  Their counter invariants are exact at quiescence (see
+:meth:`repro.serve.CompileService.stats`).  Memory-tier lookups and per-shard
+counts are the cache's own (``service.cache.stats()``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from ..obs.metrics import Histogram
 
-__all__ = ["FarmStats", "LaneLedger", "LaneStats", "ServiceStats"]
+__all__ = ["FarmStats", "LaneLedger", "LaneStats"]
 
 
 class LaneLedger:
@@ -80,53 +80,14 @@ def _as_dict(stats, **derived) -> dict:
 
 
 @dataclass(frozen=True)
-class ServiceStats:
-    """Snapshot of one :class:`~repro.serve.CompileService`.
-
-    Once the service is quiescent (every submitted future resolved), the
-    request-path counters satisfy two exact invariants (asserted by the
-    concurrency tests):
-
-    * ``submitted == memory_hits + memory_misses`` — every submission does
-      exactly one lookup in the in-memory tier, and
-    * ``memory_misses == deduped + compiled + persistent_hits + errors`` —
-      every miss either piggybacked on an in-flight compile, compiled fresh,
-      was restored from the durable tier, or failed.
-    """
-
-    submitted: int = 0
-    completed: int = 0
-    compiled: int = 0
-    deduped: int = 0
-    errors: int = 0
-    memory_hits: int = 0
-    memory_misses: int = 0
-    persistent_hits: int = 0
-    queue_depth: int = 0
-    workers: int = 0
-    store_entries: int = 0
-    latency: dict = field(default_factory=dict)
-    shards: tuple = ()
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.memory_hits + self.memory_misses
-        return (self.memory_hits / lookups) if lookups else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-ready form (the CLI report's ``stats`` block)."""
-        return _as_dict(self, memory_hit_rate=self.hit_rate,
-                        shards=[dict(s) for s in self.shards])
-
-
-@dataclass(frozen=True)
 class LaneStats:
-    """One priority lane's ledger inside a :class:`FarmStats` snapshot.
+    """One lane's ledger inside a :class:`FarmStats` snapshot.
 
     At quiescence ``submitted == shed + resolved`` and ``resolved ==
     memory_hits + coalesced + compiled + store_hits + dedup_waits +
     errors`` — every admitted request resolves through exactly one of those
-    outcomes (asserted by the serving-contract tests).
+    outcomes (asserted by the serving-contract tests).  ``limit`` is the
+    lane's pending cap (0: uncapped, the in-process service's one lane).
     """
 
     lane: str = ""
@@ -134,19 +95,23 @@ class LaneStats:
     submitted: int = 0
     shed: int = 0
     resolved: int = 0
-    pending: int = 0
     errors: int = 0
     #: the memory tier answered without starting a leader
     memory_hits: int = 0
     #: piggybacked on an identical in-flight ticket (front-half dedup)
     coalesced: int = 0
-    #: a worker compiled the kernel fresh (claims make this exactly-once)
+    #: a leader compiled the kernel fresh (claims make this exactly-once)
     compiled: int = 0
-    #: a worker answered from the shared durable store
+    #: a leader answered from the durable store
     store_hits: int = 0
-    #: a worker waited out another process's claim, then read the store
+    #: a worker process waited out another one's claim, then read the store
     dedup_waits: int = 0
     latency: dict = field(default_factory=dict)
+
+    @property
+    def pending(self) -> int:
+        """Admitted, unresolved requests (0 at quiescence)."""
+        return self.submitted - self.shed - self.resolved
 
     @property
     def hit_rate(self) -> float:
@@ -156,43 +121,64 @@ class LaneStats:
         return (hits / served) if served else 0.0
 
     def as_dict(self) -> dict:
-        return _as_dict(self, hit_rate=self.hit_rate)
+        return _as_dict(self, pending=self.pending, hit_rate=self.hit_rate)
 
 
 @dataclass(frozen=True)
 class FarmStats:
-    """Snapshot of one :class:`~repro.serve.farm.CompileFarm`.
+    """Snapshot of a :class:`~repro.serve.CompileService` or a
+    :class:`~repro.serve.farm.CompileFarm`: its lanes and their totals.
 
-    The farm-wide invariants (exact at quiescence, chaos included):
+    The counters from ``submitted`` to ``dedup_waits`` are the lanes' own,
+    summed, so the lane invariants hold for them too.  The invariants every
+    executor keeps (exact at quiescence, chaos included):
 
     * ``submitted == shed + resolved`` — no request is ever lost: it is
       either shed at admission (resolving with a typed ``Rejected``) or
       resolved exactly once, surviving worker kills via re-drive;
+    * ``resolved == memory_hits + coalesced + compiled + store_hits +
+      dedup_waits + errors``.
+
+    The process fields after them are a farm's (an in-process service,
+    whose leaders are threads, leaves them 0):
+
     * ``double_compiled == 0`` — no distinct kernel reports more than one
       fresh compilation across every worker process (claim files +
       store-before-done ordering);
     * ``executions >=`` the number of *leader* resolutions (``compiled +
-      store_hits + dedup_waits`` over the lanes, plus worker-reported
-      errors) — memory hits and followers resolve without an execution.  A
-      worker killed mid-ticket never reports, so re-drives add none: the
-      two are equal unless a ticket was failed (``max_redrives``, ``close``)
-      while an execution of it was still to report.
+      store_hits + dedup_waits``, plus worker-reported errors) — memory
+      hits and followers resolve without an execution.  A worker killed
+      mid-ticket never reports, so re-drives add none: the two are equal
+      unless a ticket was failed (``max_redrives``, ``close``) while an
+      execution of it was still to report.
     """
 
+    #: the lane counters a snapshot totals
+    TOTALS: ClassVar[tuple] = ("submitted", "shed", "resolved", "errors", "memory_hits",
+                               "coalesced", "compiled", "store_hits", "dedup_waits")
+
     workers: int = 0
-    alive: int = 0
+    warmed: int = 0
+    lanes: tuple = ()
     submitted: int = 0
     shed: int = 0
     resolved: int = 0
     errors: int = 0
+    memory_hits: int = 0
+    coalesced: int = 0
     compiled: int = 0
+    store_hits: int = 0
+    dedup_waits: int = 0
+    alive: int = 0
     executions: int = 0
     redriven: int = 0
     restarts: int = 0
-    warmed: int = 0
     double_compiled: int = 0
-    store: dict = field(default_factory=dict)
-    lanes: tuple = ()
+
+    #: the same counters as a lane's, so the same derivations: ``lost`` is
+    #: the lanes' ``pending``, summed (0 at quiescence, or a bug)
+    hit_rate = LaneStats.hit_rate
+    lost = LaneStats.pending
 
     def lane(self, name: str) -> LaneStats:
         for lane in self.lanes:
@@ -200,11 +186,6 @@ class FarmStats:
                 return lane
         raise KeyError(name)
 
-    @property
-    def lost(self) -> int:
-        """Admitted-but-unresolved requests; 0 at quiescence, or a bug."""
-        return self.submitted - self.shed - self.resolved
-
     def as_dict(self) -> dict:
-        return _as_dict(self, lost=self.lost,
+        return _as_dict(self, lost=self.lost, hit_rate=self.hit_rate,
                         lanes={lane.lane: lane.as_dict() for lane in self.lanes})

@@ -39,7 +39,7 @@ from ..codegen.backend import GeneratedKernel
 from ..obs.trace import span
 from ..symbolic import CostWeights
 from ..symbolic.expr import Expr
-from .metrics import LaneLedger, ServiceStats
+from .metrics import FarmStats, LaneLedger, LaneStats
 
 __all__ = [
     "CompileRequest",
@@ -378,9 +378,9 @@ class CompileService:
 
     The thread pool is an asynchrony device, not a throughput one (the GIL
     serialises the compiles); :class:`~repro.serve.farm.CompileFarm`
-    overrides four hooks (``_admit``, ``_release``, ``_follow_locked``,
-    ``_lead_locked``) to run leaders in worker processes behind capped
-    priority lanes.
+    overrides five hooks (``_admit``, ``_release``, ``_admission_locked``,
+    ``_follow_locked``, ``_lead_locked``) to run leaders in worker
+    processes behind capped priority lanes.
     """
 
     #: the one, uncapped lane of the in-process service
@@ -463,7 +463,7 @@ class CompileService:
             ledger = self._lanes[lane]
             ledger.submitted += 1
         # Lock-free fast path: one counted lookup per submission (this is
-        # what keeps ``submitted == memory_hits + memory_misses`` exact).
+        # what keeps the cache's ``hits + misses == submitted`` exact).
         hit, value = self.cache.lookup(key)
         if hit:
             with self._lock:
@@ -493,8 +493,8 @@ class CompileService:
             # entry, so an uncounted re-check closes the race (the
             # exactly-once window of a store-less service; for a farm, a
             # worker round trip saved).  Serving from it is a dedup against
-            # that concurrent compile, which keeps ``memory_misses ==
-            # deduped + compiled + persistent_hits + errors`` exact.
+            # that concurrent compile, so every counted miss is still shed or
+            # resolved through exactly one outcome other than a memory hit.
             late_hit, value = self.cache.peek(key)
             if not late_hit:
                 self._inflight[key] = ticket
@@ -539,6 +539,11 @@ class CompileService:
 
     def _release(self, lane: str) -> None:
         """Give back the slot :meth:`_admit` reserved."""
+
+    def _admission_locked(self) -> dict[str, dict]:
+        """Per lane ``{limit, sheds}``: the one lane here is uncapped
+        (limit 0) and sheds nothing."""
+        return {self._LANE: {"limit": 0, "sheds": 0}}
 
     def _follow_locked(self, leader: _Ticket, follower: _Ticket) -> None:
         """``follower`` just coalesced onto the still-unresolved ``leader``."""
@@ -618,41 +623,29 @@ class CompileService:
 
     # -- observability / lifecycle --------------------------------------------
 
-    def _read_ledgers_locked(self) -> dict[str, dict]:
-        return {lane: self._lanes[lane].read() for lane in sorted(self._lanes)}
+    def stats(self) -> FarmStats:
+        """A :class:`~repro.serve.metrics.FarmStats` snapshot of the ledger.
 
-    def stats(self) -> ServiceStats:
-        """A :class:`~repro.serve.metrics.ServiceStats` snapshot.
-
-        The documented counter invariants are exact once the service is
-        quiescent.  A snapshot taken mid-traffic cannot freeze both the
-        ledger and the shard counters at one instant (they live under
-        different locks by design); the shard counters are read *first*, so
-        a live snapshot may at worst undercount lookups relative to
-        submissions (requests between the two reads), never show more
-        lookups than submissions.  Memory-tier counters come from the cache
-        object; when one cache is shared between services, those counters
-        aggregate over all of them.
+        Its counter invariants are exact once the service is quiescent.  The
+        memory tier's lookups (one per submission: ``submitted == hits +
+        misses`` on a cache no other service shares) and its per-shard
+        counts are read from ``self.cache.stats()``.
         """
-        cache_stats = self.cache.stats()
         with self._lock:
-            ledger = self._read_ledgers_locked()[self._LANE]
-            queue_depth = len(self._inflight)
-        return ServiceStats(
-            submitted=ledger["submitted"],
-            completed=ledger["resolved"],
-            compiled=ledger["compiled"],
-            deduped=ledger["coalesced"],
-            errors=ledger["errors"],
-            memory_hits=cache_stats["hits"],
-            memory_misses=cache_stats["misses"],
-            persistent_hits=ledger["store_hits"],
-            queue_depth=queue_depth,
-            workers=self.workers,
-            store_entries=len(self.store) if self.store is not None else 0,
-            latency=ledger["latency"],
-            shards=tuple(cache_stats["per_shard"]),
+            return self._stats_locked()
+
+    def _stats_locked(self, **process) -> FarmStats:
+        """The snapshot both executors return: one :class:`LaneStats` per
+        ledger, their totals, and the executor's ``process`` fields."""
+        admission = self._admission_locked()
+        lanes = tuple(
+            LaneStats(lane=lane, limit=admission[lane]["limit"], shed=admission[lane]["sheds"],
+                      **self._lanes[lane].read())
+            for lane in sorted(self._lanes)
         )
+        totals = {name: sum(getattr(lane, name) for lane in lanes) for name in FarmStats.TOTALS}
+        return FarmStats(workers=self.workers, warmed=self._warmed, lanes=lanes,
+                         **totals, **process)
 
     def flush(self) -> None:
         """Persist the durable tier (atomic).  A no-op without a store, or

@@ -1,7 +1,6 @@
-"""Range-analysis benchmark: static proofs, guard elimination, generation time.
+"""Range-analysis gates: static proofs, guard elimination, generation time.
 
-The ``range-smoke`` CI job runs this module (``python -m repro.symbolic.bench``)
-to gate the range analysis on three observable outcomes:
+:func:`run` checks the range analysis on three observable outcomes:
 
 * **LUD bijectivity is static** — every distinct kernel shape of the tuned
   LUD search space must discharge its ``element_offset`` bijectivity proof
@@ -20,13 +19,12 @@ misses each stage (``structure``, ``range``, ``facts``) discharged while the
 gates ran — and the text of every obligation that abstained: those are neither
 false at a witness nor proven, i.e. the prover's completeness gaps.
 
-Writes ``BENCH_symbolic.json`` and exits nonzero when any gate fails.
+``tests/test_rule_ledger.py`` pins the report against the firing ledger, and
+perfbench times :func:`run` as ``symbolic.range_probe_ms``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import time
 
 #: wall-clock ceiling for generating (and proving) every LUD kernel shape;
@@ -158,31 +156,3 @@ def run() -> dict:
         "ok": ok,
     }
 
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    out_path = argv[0] if argv else "BENCH_symbolic.json"
-    report = run()
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    lud, guards = report["lud_bijectivity"], report["guard_elimination"]
-    print(
-        f"lud: {lud['static_proofs']}/{lud['shapes']} shapes static "
-        f"({lud['cross_checked']} cross-checked) in {lud['generation_seconds']:.2f}s"
-    )
-    print(
-        f"guards eliminated: nw={guards['nw_guards_eliminated']:.0f} "
-        f"stencil={guards['stencil_guards_eliminated']:.0f}"
-    )
-    outcomes = sum(report["prover_ladder"].values())
-    print(f"prover ladder ({outcomes} outcomes): " + " ".join(
-        f"{stage}={count}" for stage, count in report["prover_ladder"].items()
-    ))
-    for text in report["abstentions"]:
-        print(f"  abstained: {text}")
-    print(f"ok={report['ok']} -> {out_path}")
-    return 0 if report["ok"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -420,7 +420,7 @@ def test_check_through_service_with_warm_durable_store(tmp_path):
     with CompileService(workers=1, store=store) as restored:
         report = run_check("transpose", config, seed=0, service=restored)
         assert report.status == "passed", report.summary()
-        assert restored.stats().persistent_hits == 1
+        assert restored.stats().store_hits == 1
 
 
 def test_service_verifies_unstamped_durable_restores(tmp_path):
@@ -445,7 +445,7 @@ def test_service_verifies_unstamped_durable_restores(tmp_path):
     for _ in range(2):  # second service restores the now-stamped entry
         with CompileService(workers=1, store=good_store, verify=counting_verifier) as consumer:
             assert consumer.compile(request) is not None
-            assert consumer.stats().persistent_hits == 1
+            assert consumer.stats().store_hits == 1
     assert len(checked) == 1
 
 

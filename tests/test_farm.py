@@ -592,6 +592,7 @@ def test_farm_replay_summary_identical_across_worker_counts(tmp_path, capsys):
         farm = report["farm"]
         assert farm["lost"] == 0
         assert farm["double_compiled"] == 0
+        assert report["store_entries"] == farm["compiled"]  # a fresh store: one entry per compile
         assert report["replay"]["served"] + report["replay"]["shed"] == \
             report["trace"]["requests"]
     assert quad["farm"]["workers"] == 4 and solo["farm"]["workers"] == 1

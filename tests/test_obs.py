@@ -11,8 +11,8 @@ Covers these contracts explicitly:
   the measured ladder reads,
 * span-tree reconstruction, per-stage attribution and the Chrome trace-event
   schema validator,
-* the instrumented autotune's stage coverage (``python -m repro.obs``) and
-  the cost of disabled spans against a serve replay.
+* the stage coverage of a traced tuning sweep and the cost of disabled
+  spans against a serve replay.
 """
 
 import json
@@ -479,16 +479,29 @@ def test_end_to_end_traced_block_attributes(tmp_path):
 
 
 def test_instrumented_autotune_attributes_its_wall_time_to_the_named_stages():
-    from repro.obs.__main__ import run_instrumented_autotune
+    from repro.apps.registry import get_app
+    from repro.tune import search
 
-    report = run_instrumented_autotune("matmul", measure_top_k=3)
-    assert report["missing_stages"] == [], "the span tree misses a required stage"
+    spec = get_app("matmul")
+    space = spec.space.subspace(variant=("nn",), BM=(128, 64), BN=(128, 64),
+                                BK=(64, 32), GM=(8,))  # 8 of the 2 000 points
+    with tracing(True):
+        TRACER.clear()
+        search(spec, space=space, budget=None, measure_top_k=3)
+        events = TRACER.events()
+        trace = TRACER.chrome_trace()
+        TRACER.clear()
+    report = attribution(events, root_name="tune.search")
+    # the analytic pre-filter and its model, the compile batch, the substrate
+    # launches and the measured re-rank each hold a named share of the wall
+    required = ("search.prefilter", "tune.model", "serve.compile", "vm.execute", "search.measure")
+    assert set(required) <= set(report["stages"]), "the span tree misses a required stage"
     assert report["coverage"] >= 0.90
     # self-times sum to the root's wall (a containment bug breaks this first)
-    wall, self_sum = report["attribution"]["wall_ms"], report["attribution"]["self_sum_ms"]
+    wall, self_sum = report["wall_ms"], report["self_sum_ms"]
     assert wall > 0 and abs(self_sum - wall) <= 0.1 * wall
-    assert report["schema_problems"] == []
-    assert len(report["trace"]["traceEvents"]) > 10
+    assert validate_chrome_trace(trace) == []
+    assert len(trace["traceEvents"]) > 10
 
 
 def test_disabled_spans_cost_under_two_percent_of_a_serve_replay():

@@ -103,3 +103,18 @@ def test_firing_counts_are_pinned(measured):
     moved = {name: (LEDGER[name][0], counts) for name, counts in measured.items()
              if counts != LEDGER[name][0]}
     assert not moved, f"(pinned, measured) per {SOURCES}: {moved}"
+
+
+def test_the_range_gates_pass_on_the_pinned_ladder():
+    """:func:`repro.symbolic.bench.run`, the entry point perfbench's range probe
+    times, passes every gate and reports the ``symbench`` column above."""
+    clear_memos()
+    report = symbench.run()
+    assert report["ok"] and report["abstentions"] == []
+    lud = report["lud_bijectivity"]
+    assert lud["static_proofs"] == lud["shapes"] == 27 and lud["fallbacks"] == []
+    guards = report["guard_elimination"]
+    assert (guards["nw_guards_eliminated"], guards["stencil_guards_eliminated"]) == (7, 1)
+    column = SOURCES.index("symbench")
+    assert report["prover_ladder"] == {
+        stage: LEDGER[f"ladder:{stage}"][0][column] for stage in LADDER_STAGES}

@@ -8,7 +8,6 @@ import pytest
 from repro.apps.registry import get_app
 from repro.cache import ShardedLRUCache
 from repro.serve import (
-    LANE_INTERACTIVE,
     CompileFarm,
     CompileRequest,
     CompileService,
@@ -163,42 +162,12 @@ def test_batch_compiles_each_distinct_kernel_exactly_once():
     assert len(calls) == len(distinct), "a kernel compiled more than once"
     assert sorted(set(calls)) == sorted(r.local_key() for r in distinct)
     assert stats.compiled == len(distinct)
-    assert stats.deduped == len(requests) - len(distinct) and stats.memory_hits == 0
+    assert stats.coalesced == len(requests) - len(distinct) and stats.memory_hits == 0
     # all duplicates share the leader's kernel object
     assert kernels[0] is kernels[5] is kernels[-5]
     # the warm replay is all memory hits and compiles nothing
     assert warm.memory_hits - stats.memory_hits == len(requests)
     assert warm.compiled == stats.compiled
-
-
-def test_stats_invariants_hold_under_concurrent_submitters():
-    compiler, calls = _counting_compiler()
-    requests = synthetic_requests(apps=["matmul", "softmax", "layernorm"],
-                                  total=120, duplicate_fraction=0.7, seed=3)
-    distinct = len({r.local_key() for r in requests})
-    service = CompileService(compiler=compiler, workers=4)
-    threads = 6
-    barrier = threading.Barrier(threads)
-    chunks = [requests[i::threads] for i in range(threads)]
-
-    def client(chunk):
-        barrier.wait()
-        service.submit_batch(chunk)
-
-    pool = [threading.Thread(target=client, args=(chunk,)) for chunk in chunks]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
-    stats = service.stats()
-    service.close()
-    assert stats.submitted == stats.completed == len(requests)
-    assert stats.submitted == stats.memory_hits + stats.memory_misses
-    assert stats.memory_misses == stats.deduped + stats.compiled + stats.persistent_hits + stats.errors
-    assert stats.compiled == len(calls) == distinct
-    assert stats.errors == 0 and stats.queue_depth == 0
-    assert stats.latency["count"] == len(requests)
-    assert sum(s["hits"] for s in stats.shards) == stats.memory_hits
 
 
 def test_compiler_errors_propagate_and_are_not_cached():
@@ -236,8 +205,9 @@ def test_a_queued_leader_refuses_cancel_and_still_resolves():
         assert first.result(timeout=60) is not None
         assert service.submit(queued).result(timeout=60) is leader.result(timeout=60)
         stats = service.stats()
+    (lane,) = stats.lanes
     assert len(calls) == 2
-    assert stats.submitted == stats.completed == 3 and stats.queue_depth == 0
+    assert stats.submitted == stats.resolved == 3 and lane.pending == 0
 
 
 def test_a_follower_refuses_cancel_and_every_waiter_gets_the_kernel():
@@ -255,7 +225,7 @@ def test_a_follower_refuses_cancel_and_every_waiter_gets_the_kernel():
         kernels = [future.result(timeout=60) for future in futures]
         stats = service.stats()
     assert kernels[0] is not None and kernels[0] is kernels[1] is kernels[2]
-    assert len(calls) == 1 and stats.deduped == 2 and stats.completed == 3
+    assert len(calls) == 1 and stats.coalesced == 2 and stats.resolved == 3
 
 
 # -- one contract, both spellings ---------------------------------------------------
@@ -270,48 +240,78 @@ def serving_stack(request, tmp_path):
     store location per test, so a second call is a restart on that store.
     With ``hold``, the service's leaders wait for it before compiling: an
     in-process compile holds the interpreter lock and can starve the
-    submitting thread until it is done (a farm compiles in another process)."""
+    submitting thread until it is done (a farm compiles in another process).
+    ``compiler`` replaces the service's compiler (a farm's workers always run
+    the default one)."""
 
-    def open_stack(durable: bool = False, hold: threading.Event | None = None):
+    def open_stack(durable: bool = False, hold: threading.Event | None = None,
+                   compiler=None):
         if request.param == "service":
             def held(compile_request):
                 hold.wait(timeout=120)
                 return default_compiler(compile_request)
 
-            return CompileService(held if hold is not None else None, workers=2,
+            return CompileService(held if hold is not None else compiler, workers=4,
                                   store=tmp_path / "kernels.json" if durable else None)
         return CompileFarm(workers=1, store=tmp_path / "farm" if durable else None)
 
     return open_stack
 
 
-def _ledger(stack) -> dict:
-    """The default lane's ledger under one set of names, after checking the
-    view-specific invariants (exact at quiescence)."""
+#: what each lane row of a snapshot's ``as_dict()`` carries, on either stack
+_LANE_ROW = {"lane", "limit", "submitted", "shed", "resolved", "pending", "errors",
+             "memory_hits", "coalesced", "compiled", "store_hits", "dedup_waits",
+             "latency", "hit_rate"}
+
+
+def _ledger(stack) -> FarmStats:
+    """The stack's snapshot, after checking the one ledger's invariants (exact
+    at quiescence) on its totals and on every lane."""
     stats = stack.stats()
-    if isinstance(stats, FarmStats):
-        assert stats.lost == 0 and stats.double_compiled == 0
-        assert stats.submitted == stats.shed + stats.resolved
-        for lane in stats.lanes:
-            assert lane.submitted == lane.shed + lane.resolved
-            assert lane.resolved == (lane.memory_hits + lane.coalesced + lane.compiled
-                                     + lane.store_hits + lane.dedup_waits + lane.errors)
-            assert "worker_hits" not in lane.as_dict()  # the tier that never hit is gone
+    assert stats.lost == 0 and stats.double_compiled == 0 and stats.redriven == 0
+    for ledger in (stats, *stats.lanes):
+        assert ledger.submitted == ledger.shed + ledger.resolved
+        assert ledger.resolved == (ledger.memory_hits + ledger.coalesced + ledger.compiled
+                                   + ledger.store_hits + ledger.dedup_waits + ledger.errors)
+    for lane in stats.lanes:
+        assert lane.pending == 0 and lane.latency["count"] == lane.resolved
+        assert set(lane.as_dict()) == _LANE_ROW
+    if isinstance(stack, CompileFarm):
         # every leader resolution is one worker execution (nothing was re-driven;
         # the only errors here are worker-reported, on the leader of each group)
-        leaders = sum(l.compiled + l.store_hits + l.dedup_waits for l in stats.lanes)
-        assert stats.redriven == 0 and leaders <= stats.executions <= leaders + stats.errors
-        lane = stats.lane(LANE_INTERACTIVE)
-        return {"compiled": lane.compiled, "memory_hits": lane.memory_hits,
-                "coalesced": lane.coalesced, "store_hits": lane.store_hits,
-                "errors": lane.errors, "latency": lane.latency}
-    assert stats.submitted == stats.completed == stats.memory_hits + stats.memory_misses
-    assert stats.memory_misses == (stats.deduped + stats.compiled
-                                   + stats.persistent_hits + stats.errors)
-    assert stats.queue_depth == 0 and stats.latency["count"] == stats.completed
-    return {"compiled": stats.compiled, "memory_hits": stats.memory_hits,
-            "coalesced": stats.deduped, "store_hits": stats.persistent_hits,
-            "errors": stats.errors, "latency": stats.latency}
+        leaders = stats.compiled + stats.store_hits + stats.dedup_waits
+        assert leaders <= stats.executions <= leaders + stats.errors
+    return stats
+
+
+def test_contract_one_ledger_balances_under_concurrent_submitters(serving_stack):
+    compiler, calls = _counting_compiler()
+    requests = synthetic_requests(apps=["matmul", "softmax", "layernorm"],
+                                  total=120, duplicate_fraction=0.7, seed=3)
+    distinct = len({r.local_key() for r in requests})
+    threads = 6
+    barrier = threading.Barrier(threads)
+    with serving_stack(compiler=compiler) as stack:
+        def client(chunk):
+            barrier.wait()
+            stack.submit_batch(chunk)
+
+        pool = [threading.Thread(target=client, args=(requests[i::threads],))
+                for i in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        stats = _ledger(stack)
+        cache = stack.cache.stats()
+    assert stats.submitted == len(requests) and stats.errors == 0
+    # the ledger's count against one kept outside it: the service's compiler
+    # calls, the farm's worker executions (none store-served on a fresh store)
+    outside = stats.executions if isinstance(stack, CompileFarm) else len(calls)
+    assert stats.compiled == outside == distinct, "a kernel compiled more than once"
+    # one counted memory-tier lookup per submission, summed over the shards
+    assert cache["hits"] + cache["misses"] == stats.submitted
+    assert sum(shard["hits"] for shard in cache["per_shard"]) == cache["hits"] == stats.memory_hits
 
 
 _CONTRACT_REQUESTS = [
@@ -327,7 +327,7 @@ def test_contract_serves_the_default_compilers_kernels(serving_stack):
         served = [stack.compile(r) for r in _CONTRACT_REQUESTS]
         ledger = _ledger(stack)
     assert [getattr(k, "source", None) for k in served] == expected
-    assert expected[-1] is None and ledger["compiled"] == len(_CONTRACT_REQUESTS)
+    assert expected[-1] is None and ledger.compiled == len(_CONTRACT_REQUESTS)
 
 
 def test_contract_duplicates_compile_once_and_share_the_result(serving_stack):
@@ -339,9 +339,9 @@ def test_contract_duplicates_compile_once_and_share_the_result(serving_stack):
         submitted.set()
         kernels = [f.result(timeout=120) for f in futures]
         ledger = _ledger(stack)
-    assert ledger["compiled"] == len(distinct), "a kernel compiled more than once"
-    assert ledger["coalesced"] + ledger["memory_hits"] == len(requests) - len(distinct)
-    assert ledger["coalesced"] > 0, "no duplicate met its leader in flight"
+    assert ledger.compiled == len(distinct), "a kernel compiled more than once"
+    assert ledger.coalesced + ledger.memory_hits == len(requests) - len(distinct)
+    assert ledger.coalesced > 0, "no duplicate met its leader in flight"
     for index, kernel in enumerate(kernels):
         assert kernel is kernels[index % len(distinct)], "duplicates must share one kernel"
 
@@ -352,7 +352,7 @@ def test_contract_negative_result_is_cached_not_recompiled(serving_stack):
         assert stack.compile(declined) is None
         assert stack.compile(declined) is None
         ledger = _ledger(stack)
-    assert ledger["compiled"] == 1 and ledger["memory_hits"] == 1
+    assert ledger.compiled == 1 and ledger.memory_hits == 1
 
 
 def test_contract_compiler_error_reaches_every_waiter_and_is_not_cached(serving_stack):
@@ -364,8 +364,8 @@ def test_contract_compiler_error_reaches_every_waiter_and_is_not_cached(serving_
         with pytest.raises((ValueError, FarmCompileError), match="targets backend"):
             stack.compile(wrong_backend)  # not cached: a retry leads (and fails) again
         ledger = _ledger(stack)
-    assert ledger["errors"] == 4
-    assert ledger["memory_hits"] == 0 and ledger["compiled"] == 0
+    assert ledger.errors == 4
+    assert ledger.memory_hits == 0 and ledger.compiled == 0
 
 
 def test_contract_closed_stack_rejects_submissions(serving_stack):
@@ -379,11 +379,11 @@ def test_contract_closed_stack_rejects_submissions(serving_stack):
 def test_contract_restart_on_the_same_store_compiles_nothing(serving_stack):
     with serving_stack(durable=True) as first:
         fresh = [first.compile(r) for r in _CONTRACT_REQUESTS]
-        assert _ledger(first)["compiled"] == len(_CONTRACT_REQUESTS)
+        assert _ledger(first).compiled == len(_CONTRACT_REQUESTS)
     with serving_stack(durable=True) as second:
         restored = [second.compile(r) for r in _CONTRACT_REQUESTS]
         ledger = _ledger(second)
-    assert ledger["compiled"] == 0 and ledger["store_hits"] == len(_CONTRACT_REQUESTS)
+    assert ledger.compiled == 0 and ledger.store_hits == len(_CONTRACT_REQUESTS)
     assert [getattr(k, "source", None) for k in restored] == \
         [getattr(k, "source", None) for k in fresh]
 
@@ -396,10 +396,11 @@ def test_contract_memory_hit_is_done_on_return_and_its_latency_is_measured(servi
         assert all(f.done() for f in hits), "a memory hit settles before submit returns"
         assert all(f.result() is first for f in hits)
         ledger = _ledger(stack)
-    assert ledger["memory_hits"] == 5 and ledger["compiled"] == 1
+    assert ledger.memory_hits == 5 and ledger.compiled == 1
     # five of the six samples are memory hits, so the median is a hit's own
     # measured time: microseconds, but never a literal zero
-    assert 0.0 < ledger["latency"]["p50_ms"] < ledger["latency"]["max_ms"]
+    (lane,) = [lane for lane in ledger.lanes if lane.submitted]
+    assert 0.0 < lane.latency["p50_ms"] < lane.latency["max_ms"]
 
 
 # -- the persistent tier ------------------------------------------------------------
@@ -417,7 +418,7 @@ def test_persistent_tier_warms_a_fresh_service(tmp_path):
         restored = second.compile(request)
         stats = second.stats()
     assert calls == [], "the durable tier should have answered"
-    assert stats.persistent_hits == 1 and stats.compiled == 0
+    assert stats.store_hits == 1 and stats.compiled == 0
     assert isinstance(restored, PersistedKernel)
     assert restored.source == fresh.source
     assert restored.rendered_expressions() == fresh.rendered_expressions()
@@ -443,7 +444,7 @@ def test_store_prunes_entries_stranded_by_a_code_change(tmp_path, monkeypatch):
     monkeypatch.setattr(persistent, "_CODE_FINGERPRINT", "edited-source")
     with CompileService(workers=1, store=store) as second:
         second.compile(CompileRequest("matmul", {"variant": "nn"}))
-        assert second.stats().persistent_hits == 0  # old entry unreachable
+        assert second.stats().store_hits == 0  # old entry unreachable
         assert second.stats().compiled == 1
     reloaded = ResultCache(store)
     assert reloaded.get("eval-entry") == {"time_seconds": 1.0}
@@ -494,7 +495,7 @@ def test_autotune_ranking_unchanged_by_persisted_kernels(tmp_path):
     with CompileService(workers=2, store=store) as second:
         warm = autotune("lud", service=second)
         stats = second.stats()
-    assert stats.persistent_hits > 0 and stats.compiled == 0
+    assert stats.store_hits > 0 and stats.compiled == 0
     # the space has grown satellite axes since the paper's grid; the paper
     # winner is the subset that must survive
     assert warm.best.config == cold.best.config
@@ -536,8 +537,9 @@ def test_cli_replay_reports_warm_second_pass(tmp_path, capsys):
     stats = report["stats"]
     assert stats["submitted"] == 80 and stats["errors"] == 0
     # the second pass never compiles: everything is already resident
-    assert stats["compiled"] + stats["persistent_hits"] + stats["deduped"] <= 40
-    assert stats["memory_hits"] >= 40
+    assert stats["compiled"] + stats["store_hits"] + stats["coalesced"] <= 40
+    assert stats["memory_hits"] >= 40 and report["cache"]["hits"] == stats["memory_hits"]
+    assert report["store_entries"] == report["distinct"]  # one durable entry per kernel
     assert out.exists()
     printed = capsys.readouterr().out
     assert '"requests_per_second"' in printed
@@ -546,7 +548,8 @@ def test_cli_replay_reports_warm_second_pass(tmp_path, capsys):
 def test_service_stats_latency_includes_p999():
     with CompileService(workers=2) as service:
         service.compile(CompileRequest("matmul", {"variant": "nn"}))
-        latency = service.stats().latency
+        (lane,) = service.stats().lanes
+    latency = lane.latency
     assert {"p50_ms", "p95_ms", "p99_ms", "p999_ms"} <= set(latency)
     assert latency["p999_ms"] >= latency["p99_ms"] >= latency["p50_ms"] >= 0.0
 
