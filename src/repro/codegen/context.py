@@ -41,7 +41,7 @@ from .guards import discharge_in_bounds
 __all__ = ["LoweredBinding", "CodegenContext", "lower_expression", "KernelFamily", "SpecialisationError"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LoweredBinding:
     """One named index expression after simplification.
 
@@ -54,6 +54,14 @@ class LoweredBinding:
     raw: Expr  # before simplification; ``sizes`` are substituted on first read
     substitutions: Mapping[str, str] = field(default_factory=dict)
     sizes: Mapping[str, int] = field(default_factory=dict)
+
+    def __init__(self, name: str, expr: Expr, variant: str, ops: int, raw: Expr,
+                 substitutions: Mapping[str, str] | None = None,
+                 sizes: Mapping[str, int] | None = None):
+        # one dict update, not the frozen __init__'s object.__setattr__ per field
+        vars(self).update(name=name, expr=expr, variant=variant, ops=ops, raw=raw,
+                          substitutions={} if substitutions is None else substitutions,
+                          sizes={} if sizes is None else sizes)
 
     @property
     def raw_ops(self) -> int:

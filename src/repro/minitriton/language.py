@@ -23,8 +23,17 @@ lanes are the block pattern.  An unmasked ``load``/``store`` checks and
 decomposes it with :func:`~repro.vm.split.split_access`, and a dense one with
 :func:`~repro.vm.split.flat_index`, so its ``IndexError`` reads as mini-CUDA's
 and MLIR's; everything else materialises it.  An unmasked load whose bases
-repeat gathers each distinct tile once (:class:`SharedTiles`), and ``tl.dot``
-casts each of them once.
+repeat gathers each distinct tile once (:class:`SharedTiles`).  Which programs
+share a tile (the tile classes, :func:`~repro.gpusim.sharedmem.distinct_bases`)
+depends only on the bases relative to the first, so a pass computes them once
+per such pattern and every later load reuses them (a GEMM's K step only moves
+its bases).  ``tl.dot`` of two shared-tile operands multiplies each distinct
+tile pair once when the pairs are no more than the programs, and casts each
+tile once otherwise.
+
+The launch state — the pass's program ids, the launch trace and the tile
+classes — lives on :data:`tl` per thread, so threads that launch at once do
+not see each other's pass.
 
 Alignment convention: a ``BatchedTensor`` stores ``data`` of shape
 ``(P,) + block_shape``; binary operations pad the shorter *block* rank with
@@ -42,6 +51,7 @@ performance model.
 from __future__ import annotations
 
 import builtins
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,24 +232,6 @@ class SharedTiles(BatchedTensor):
         if self._data is None:
             self._data = self.tiles[self.index]
         return self._data
-
-
-def _gather(data: np.ndarray, base: np.ndarray, pattern: np.ndarray,
-            block_shape: tuple) -> BatchedTensor:
-    """``data[base + pattern]`` (``base`` ``(P, 1)``, ``pattern`` a flat block of
-    ``block_shape``), gathering each distinct base's tile once when bases repeat.
-
-    One program, or bases strictly increasing (a row per program), cannot
-    repeat: one compare pass and the plain gather.
-    """
-    base = base.reshape(-1)
-    if base.size > 1 and not (base[1:] > base[:-1]).all():
-        unique, index = distinct_bases(base)
-        if unique.size < base.size:
-            return SharedTiles(data[unique[:, None] + pattern].reshape(unique.shape + block_shape),
-                               index)
-    return BatchedTensor(data[base[:, None] + pattern].reshape(base.shape + block_shape),
-                         len(block_shape))
 
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -442,19 +434,32 @@ def _fp32_operand(x) -> tuple[np.ndarray, np.dtype]:
     return raw.astype(np.float32), raw.dtype
 
 
+def _tile_pair_product(a: SharedTiles, b: SharedTiles) -> np.ndarray:
+    """``a.data @ b.data`` in float32, multiplying each distinct tile pair once.
+
+    Every ``(i, j)`` product of ``a.tiles[i] @ b.tiles[j]`` is one matrix
+    product of the same two float32 tiles the per-program product would
+    multiply, so gathering program ``p``'s at ``(a.index[p], b.index[p])`` is
+    bit-identical to it.
+    """
+    pairs = np.matmul(a.tiles.astype(np.float32)[:, None], b.tiles.astype(np.float32)[None, :])
+    return pairs[a.index, b.index]
+
+
 # ---------------------------------------------------------------------------
 # the namespace
 # ---------------------------------------------------------------------------
 
 
-class _Language:
+class _Language(threading.local):
     """The ``tl`` namespace generated kernels see.
 
     The launcher binds a pass of program ids and the launch trace around
-    each call of the kernel.  The flop-counting rule is that a
-    program-uniform value would have been computed by every program, so
-    plain operands count ``size * P`` while batched operands already carry
-    the program axis in their size.
+    each call of the kernel.  That launch state is per thread: two threads
+    that launch at once each see their own pass, trace and tile classes.
+    The flop-counting rule is that a program-uniform value would have been
+    computed by every program, so plain operands count ``size * P`` while
+    batched operands already carry the program axis in their size.
     """
 
     constexpr = constexpr
@@ -471,6 +476,9 @@ class _Language:
         self._pids: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._grid: tuple[int, int, int] = (1, 1, 1)
         self._programs: int = 0
+        #: the pass's tile classes: ``(base - base[0]).tobytes()`` -> the
+        #: :func:`distinct_bases` of those relative bases
+        self._classes: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- launch state ------------------------------------------------------
 
@@ -479,11 +487,13 @@ class _Language:
         self._grid = grid
         self._trace = trace
         self._programs = int(pids[0].size)
+        self._classes = {}
 
     def _end(self):
         self._pids = None
         self._trace = None
         self._programs = 0
+        self._classes = {}
 
     # -- program / grid queries --------------------------------------------
 
@@ -531,6 +541,34 @@ class _Language:
             return None
         return split_access(buffer.name, buffer.axes, (offsets.split,), self._programs)
 
+    def _gather(self, data: np.ndarray, base: np.ndarray, pattern: np.ndarray,
+                block_shape: tuple) -> BatchedTensor:
+        """``data[base + pattern]`` (``base`` ``(P, 1)``, ``pattern`` a flat block of
+        ``block_shape``), gathering each distinct base's tile once when bases repeat.
+
+        One program, or bases strictly increasing (a row per program), cannot
+        repeat: one compare pass and the plain gather.  Which programs share a
+        tile depends only on the bases relative to the first, and a loop step
+        moves every base by one amount, so the pass computes the classes of
+        each relative pattern once and every later load reuses them.
+        """
+        base = base.reshape(-1)
+        if base.size > 1 and not (base[1:] > base[:-1]).all():
+            first = int(base[0])
+            relative = base - first
+            key = relative.tobytes()
+            classes = self._classes.get(key)
+            if classes is None:
+                unique, index = distinct_bases(relative)
+                index.flags.writeable = False  # every load of the pattern shares it
+                classes = self._classes[key] = (unique, index)
+            unique, index = classes
+            if unique.size < base.size:
+                return SharedTiles(data[unique[:, None] + (pattern + first)]
+                                   .reshape(unique.shape + block_shape), index)
+        return BatchedTensor(data[base[:, None] + pattern].reshape(base.shape + block_shape),
+                             len(block_shape))
+
     # -- memory operations -------------------------------------------------
 
     def load(self, pointer, mask=None, other=0.0):
@@ -546,7 +584,7 @@ class _Language:
             base, pattern = split
             self._trace.log_global_affine(base, pattern, element_bytes, pattern.size,
                                           is_store=False)
-            return _gather(data, base, pattern, offsets.split.lane.shape)
+            return self._gather(data, base, pattern, offsets.split.lane.shape)
         if not isinstance(offsets, BatchedTensor) and isinstance(mask, BatchedTensor):
             # a uniform pointer guarded by a per-program mask gathers
             # differently in each program: replay it batched
@@ -637,10 +675,20 @@ class _Language:
     # -- arithmetic --------------------------------------------------------
 
     def dot(self, a, b, acc=None):
-        """Block matrix multiply with float32 accumulation (tensor-core ``tl.dot``)."""
-        (a32, a_dtype), (b32, b_dtype) = _fp32_operand(a), _fp32_operand(b)
+        """Block matrix multiply with float32 accumulation (tensor-core ``tl.dot``).
+
+        Two shared-tile operands whose distinct tile pairs are no more than
+        the programs multiply each pair once (:func:`_tile_pair_product`);
+        every other pair multiplies per program.
+        """
+        if (isinstance(a, SharedTiles) and isinstance(b, SharedTiles)
+                and a.tiles.shape[0] * b.tiles.shape[0] <= self._programs):
+            a32, a_dtype, b32, b_dtype = a.tiles, a.tiles.dtype, b.tiles, b.tiles.dtype
+            result = _tile_pair_product(a, b)
+        else:
+            (a32, a_dtype), (b32, b_dtype) = _fp32_operand(a), _fp32_operand(b)
+            result = np.matmul(a32, b32)
         batched = isinstance(a, BatchedTensor) or isinstance(b, BatchedTensor)
-        result = np.matmul(a32, b32)
         if acc is not None:
             acc_raw = acc.data if isinstance(acc, BatchedTensor) else np.asarray(acc, dtype=np.float32)
             result = result + np.asarray(acc_raw, dtype=np.float32)

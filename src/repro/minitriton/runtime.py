@@ -6,9 +6,11 @@ per call of the kernel body (see :mod:`repro.minitriton.language`):
 
 * :func:`compile_kernel` — execute the source in a namespace providing ``tl``
   (the language namespace) and a no-op ``@triton.jit`` decorator, and return
-  the requested kernel function;
+  the requested kernel function; a ``(source, kernel_name)`` pair is compiled
+  once per process, since the function holds no launch state;
 * :func:`launch` — run the kernel for every program id in the grid and
-  return the recorded memory/arithmetic trace;
+  return the recorded memory/arithmetic trace, binding each pass's program
+  ids and the trace on ``tl`` for the calling thread only;
 * :func:`to_device` / :func:`from_device` — move NumPy arrays in and out of
   :class:`~repro.minitriton.language.DeviceBuffer` allocations.
 
@@ -20,6 +22,7 @@ extrapolating with ``Case.scale`` / ``KernelCost.scaled`` (:func:`repro.check.pr
 from __future__ import annotations
 
 import builtins
+import functools
 import types
 from typing import Callable, Mapping, Sequence
 
@@ -68,11 +71,15 @@ def _namespace_max(*args, **kwargs):
     return builtins.max(*args, **kwargs)
 
 
+@functools.lru_cache(maxsize=64)
 def compile_kernel(source: str, kernel_name: str) -> Callable:
     """Execute kernel source and return the kernel function.
 
     The namespace provides ``tl``, ``triton`` and ``min``/``max`` builtins —
-    everything the paper's generated kernels reference.
+    everything the paper's generated kernels reference.  A ``(source,
+    kernel_name)`` pair is compiled once per process: the function holds no
+    launch state (every launch binds its own program ids and trace through
+    the one ``tl``), so each later call returns the same function.
     """
     namespace: dict[str, object] = {
         "tl": tl,

@@ -1,5 +1,7 @@
 """Execution substrates: mini-Triton, mini-CUDA and the analytic GPU model."""
 
+import builtins
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,119 @@ def test_a_shared_tile_is_a_snapshot_not_a_view_of_the_buffer(monkeypatch):
     assert isinstance(loaded[0][1], SharedTiles)
     np.testing.assert_array_equal(from_device(yb), np.tile(x[:16].reshape(2, 1, 8), (1, 2, 1)).ravel())
     np.testing.assert_array_equal(from_device(xb)[:16], -1.0)
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` (a builtin if the module does not define it) so that
+    every call appends its arguments to the returned list."""
+    calls, original = [], getattr(module, name, None) or getattr(builtins, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def _gemm_inputs(shape_a, shape_b, seed=3):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(shape_a).astype(np.float16),
+            rng.standard_normal(shape_b).astype(np.float16))
+
+
+@pytest.mark.parametrize("app", ["matmul", "grouped_gemm"])
+def test_tile_classes_are_computed_once_per_base_pattern(app, monkeypatch):
+    """The bench-size GEMM launches (one pass of 1 024 programs) reload A's and B's
+    tiles at every K step; a step only moves the bases, so the pass computes two
+    sets of tile classes, not one per load (matmul 64 loads, grouped GEMM 32)."""
+    from repro.minitriton import language
+
+    calls = _count_calls(monkeypatch, language, "distinct_bases")
+    loads = _count_calls(monkeypatch, language.tl, "_gather")
+    if app == "matmul":
+        from repro.apps.matmul import MatmulConfig, generate_matmul_kernel, run_matmul
+
+        a, b = _gemm_inputs((256, 256), (256, 256))
+        config = MatmulConfig(256, 256, 256, BM=8, BN=8, BK=8, GM=4)
+        out, _ = run_matmul(generate_matmul_kernel("nn"), a, b, config, "nn")
+        expected = a.astype(np.float32) @ b.astype(np.float32)
+    else:
+        from repro.apps.grouped_gemm import (GroupedGemmConfig, generate_grouped_gemm_kernel,
+                                             run_grouped_gemm)
+
+        a, b = _gemm_inputs((4, 128, 128), (4, 128, 128))
+        config = GroupedGemmConfig(groups=4, M=128, N=128, K=128, BM=8, BN=8, BK=8)
+        out, _ = run_grouped_gemm(generate_grouped_gemm_kernel(), a, b, config)
+        expected = np.matmul(a.astype(np.float32), b.astype(np.float32))
+    assert (len(calls), len(loads)) == (2, 64 if app == "matmul" else 32)
+    np.testing.assert_allclose(out.astype(np.float32), expected, rtol=1e-2, atol=5e-2)
+
+
+def test_repeated_launches_compile_their_source_once(monkeypatch):
+    """``run_matmul`` and ``run_softmax`` called three times each ``exec`` two sources."""
+    from repro.apps.matmul import MatmulConfig, generate_matmul_kernel, run_matmul
+    from repro.apps.softmax import generate_softmax_kernel, run_softmax
+    from repro.minitriton import runtime
+
+    compile_kernel.cache_clear()
+    execs = _count_calls(monkeypatch, runtime, "exec")
+    a, b = _gemm_inputs((16, 16), (16, 16))
+    x = np.random.default_rng(4).standard_normal((8, 16)).astype(np.float32)
+    for _ in range(3):
+        run_matmul(generate_matmul_kernel("nn"), a, b, MatmulConfig(16, 16, 16, 8, 8, 8, 2), "nn")
+        run_softmax(generate_softmax_kernel(), x)
+    assert len(execs) == 2
+    info = compile_kernel.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
+def _per_program_product(a, b):
+    """``tl.dot``'s per-program product of two shared-tile operands."""
+    return np.matmul(a.tiles.astype(np.float32)[a.index], b.tiles.astype(np.float32)[b.index])
+
+
+@pytest.mark.parametrize("group", [1, 4])
+@pytest.mark.parametrize("variant", ["nn", "nt", "tn", "tt"])
+def test_the_tile_pair_dot_is_the_per_program_product_bit_for_bit(variant, group, monkeypatch):
+    """A 64 x 40 x 24 matmul: 8 x 5 distinct tiles cover its 40 programs exactly,
+    so every ``tl.dot`` multiplies tile pairs; outputs and counters equal the run
+    that multiplies per program."""
+    from repro.apps.matmul import MatmulConfig, generate_matmul_kernel, run_matmul
+    from repro.minitriton import language
+
+    config = MatmulConfig(64, 40, 24, BM=8, BN=8, BK=8, GM=group)
+    a, b = _gemm_inputs((64, 24), (24, 40))
+    kernel = generate_matmul_kernel(variant)
+    pairs = _count_calls(monkeypatch, language, "_tile_pair_product")
+    out, trace = run_matmul(kernel, a, b, config, variant)
+    assert len(pairs) == 3 and all(x.tiles.shape[0] * y.tiles.shape[0] == 40 for x, y in pairs)
+    monkeypatch.setattr(language, "_tile_pair_product", _per_program_product)
+    plain, plain_trace = run_matmul(kernel, a, b, config, variant)
+    assert out.tobytes() == plain.tobytes()
+    assert trace == plain_trace
+    np.testing.assert_allclose(out.astype(np.float32), a.astype(np.float32) @ b.astype(np.float32),
+                               rtol=1e-2, atol=5e-2)
+
+
+def test_tile_pairs_that_outnumber_the_programs_multiply_per_program(monkeypatch):
+    """Grouped GEMM, 2 groups of 16 x 16 tiles-of-8: A and B each load 4 distinct
+    tiles a step, and 4 x 4 pairs exceed the 8 programs."""
+    from repro.apps.grouped_gemm import (GroupedGemmConfig, generate_grouped_gemm_kernel,
+                                         run_grouped_gemm)
+    from repro.minitriton import language
+
+    pairs = _count_calls(monkeypatch, language, "_tile_pair_product")
+    dots = _count_calls(monkeypatch, language.tl, "dot")
+    a, b = _gemm_inputs((2, 16, 16), (2, 16, 16))
+    config = GroupedGemmConfig(groups=2, M=16, N=16, K=16, BM=8, BN=8, BK=8)
+    out, _ = run_grouped_gemm(generate_grouped_gemm_kernel(), a, b, config)
+    assert pairs == []
+    assert [(type(x).__name__, x.tiles.shape[0], type(y).__name__, y.tiles.shape[0])
+            for x, y, _ in dots] == [("SharedTiles", 4, "SharedTiles", 4)] * 2
+    np.testing.assert_allclose(out.astype(np.float32),
+                               np.matmul(a.astype(np.float32), b.astype(np.float32)),
+                               rtol=1e-2, atol=5e-2)
 
 
 FLOP_KERNEL = """

@@ -377,6 +377,37 @@ def test_outputs_and_counters_do_not_depend_on_the_slab(monkeypatch, name):
         assert observe(name)[1] == reference()[name], (lanes, programs)
 
 
+def test_concurrent_triton_launches_keep_their_own_launch_state():
+    """Four threads launch four different Triton kernels at once, thirty times
+    each, with the interpreter switching threads as often as it can: every
+    launch is exactly the serial one, output bits and every trace counter."""
+    import threading
+
+    names = ("softmax", "matmul-nn", "layernorm-fwd", "grouped_gemm")
+    for name in names:  # generate the kernels serially: only the launches race
+        assert_matches_reference(name)
+    outcomes = {name: [] for name in names}
+
+    def launch_many(name):
+        for _ in range(30):
+            try:
+                outcomes[name].append(observe(name)[1] == reference()[name])
+            except Exception as error:  # a clobbered launch may raise; it is counted below
+                outcomes[name].append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=launch_many, args=(name,)) for name in names]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == {name: [True] * 30 for name in names}
+
+
 # -- the benchmark's launches, at bench size --------------------------------------------
 
 
