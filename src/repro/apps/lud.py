@@ -361,7 +361,7 @@ def run_lud_internal(matrix: np.ndarray, config: LudConfig, step: int = 0,
             f"LUD block {config.block} needs {static_smem} bytes of static shared "
             f"memory, over the {device.max_static_smem_bytes}-byte launch limit"
         )
-    gmem = GlobalArray(matrix.astype(np.float32), name="m")
+    gmem = GlobalArray(matrix.astype(np.float32, copy=False), name="m")
     trace = launch(
         _lud_internal_block_kernel,
         grid=(trailing, trailing),

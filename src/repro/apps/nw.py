@@ -247,8 +247,12 @@ class _NwStep(NamedTuple):
     neighbour_columns: np.ndarray  # (3, cells)
 
 
+class _NwSteps(tuple):
+    """The steps; their up-left cells in step order, each step's ``runs`` long at ``cells``."""
+
+
 @functools.lru_cache(maxsize=None)
-def _nw_steps(block: int) -> tuple[_NwStep, ...]:
+def _nw_steps(block: int) -> _NwSteps:
     """The ``2 * block - 1`` wavefront steps of a block, built once per block size.
 
     Step ``m`` holds the buffer cells ``(i, j)`` on anti-diagonal ``m``.  The
@@ -265,7 +269,12 @@ def _nw_steps(block: int) -> tuple[_NwStep, ...]:
         for array in step:
             array.flags.writeable = False
         steps.append(step)
-    return tuple(steps)
+    table = _NwSteps(steps)
+    table.i_up, table.j_left = (np.concatenate(cells) for cells in zip(*(s[2:4] for s in steps)))
+    table.i_up.flags.writeable = table.j_left.flags.writeable = False
+    table.runs = np.array([step.i.size for step in steps])
+    table.cells = [slice(end - run, end) for run, end in zip(table.runs, table.runs.cumsum())]
+    return table
 
 
 def _nw_block_kernel(ctx, score: GlobalArray, reference: GlobalArray, config: NwConfig,
@@ -276,10 +285,10 @@ def _nw_block_kernel(ctx, score: GlobalArray, reference: GlobalArray, config: Nw
     ``bx_offset``, so every launched block is on the wavefront and in the
     matrix — :func:`_prove_wave_guard` proves it — and nothing is masked.
     Each step of the forward sweep comes from the block size's step table
-    (:func:`_nw_steps`) and reads its three neighbours in one
-    :meth:`~repro.minicuda.SharedArray.load_rows`, recorded as the three
-    loads it stands for; the block offsets stay ``block + lane`` up to the
-    global gathers.
+    (:func:`_nw_steps`): one :meth:`~repro.minicuda.SharedArray.load_rows` reads its
+    three neighbours, and it slices the block's ``reference`` cells, read before the
+    sweep in one load whose ``runs`` are the steps.  Both are recorded as the separate
+    loads they stand for; the offsets stay ``block + lane`` up to the global gathers.
     """
     b = config.block
     # blocks on wave w: block_x + block_y == w
@@ -299,10 +308,11 @@ def _nw_block_kernel(ctx, score: GlobalArray, reference: GlobalArray, config: Nw
     ctx.syncthreads()
 
     # forward sweep over the 2b-1 anti-diagonals
-    for step in _nw_steps(b):
+    steps = _nw_steps(b)
+    refs = reference.load(ctx, base_i + steps.i_up, base_j + steps.j_left, runs=steps.runs)
+    for step, ref_vals in zip(steps, [refs[..., cells] for cells in steps.cells]):
         up_left, left, up = buff.load_rows(step.neighbour_rows,
                                            step.neighbour_columns).swapaxes(0, 1)
-        ref_vals = reference.load(ctx, base_i + step.i_up, base_j + step.j_left)
         value = np.maximum(up_left + ref_vals, np.maximum(left - config.penalty, up - config.penalty))
         buff.store(value, step.i, step.j)
         ctx.count_flops(3 * step.i.size)
@@ -344,7 +354,7 @@ def run_nw_blocked(
     score[0, :] = -config.penalty * np.arange(n + 1)
     score[:, 0] = -config.penalty * np.arange(n + 1)
     score_buf = GlobalArray(score, name="score")
-    ref_buf = GlobalArray(reference.astype(np.int32), name="reference")
+    ref_buf = GlobalArray(reference.astype(np.int32, copy=False), name="reference")
 
     merged = CudaTrace()
     launches = 0

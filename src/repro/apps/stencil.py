@@ -289,8 +289,8 @@ def run_stencil(
     halo cells are not updated — and stays.
     """
     n = grid.shape[0]
-    src = GlobalArray(grid.astype(np.float32), layout=layout, name="src")
-    dst = GlobalArray(grid.astype(np.float32), layout=layout, name="dst")
+    src = GlobalArray(grid.astype(np.float32, copy=False), layout=layout, name="src")
+    dst = GlobalArray(grid.astype(np.float32, copy=False), layout=layout, name="dst")
     blocks = n // brick
     interior_span = interior_block_span(n, brick, spec.radius)
     if interior_span is not None and not _prove_interior_span(n, brick, spec.radius):

@@ -395,7 +395,7 @@ class AccessLog:
                      sectors, warp_size, repeat, masked_rows)
 
     def log_global_affine(self, base: np.ndarray, pattern: np.ndarray, element_bytes: int,
-                          warp_size: int, is_store: bool) -> None:
+                          warp_size: int, is_store: bool, runs=None) -> None:
         """Append the access whose row ``p`` is ``base[p] + pattern``, never building the rows.
 
         Exactly :meth:`log_global` of ``base[:, None] + pattern``: the sector
@@ -410,6 +410,9 @@ class AccessLog:
         (NW's few-block waves) has no row to save: its rows are logged as they are.
         ``base`` may have any shape: a grouped access (mini-CUDA's ``load_rows``)
         passes one base per block and row, every row reading one ``pattern``.
+        ``runs`` (lane counts adding up to the pattern) cuts every row into
+        back-to-back accesses, each cut into warps of its own
+        (:func:`ragged_warp_rows`); the class argument holds warp by warp.
         """
         base = np.asarray(base, dtype=np.int64).reshape(-1)
         pattern = np.asarray(pattern, dtype=np.int64).reshape(-1)
@@ -417,14 +420,17 @@ class AccessLog:
         self._moved(is_store, base.size * pattern.size, element_bytes)
         counter = "store_transactions" if is_store else "load_transactions"
         if base.size <= sector_bytes // math.gcd(element_bytes, sector_bytes):
-            self._append(counter, _units(base[:, None] + pattern, element_bytes, sector_bytes),
+            units = _units(base[:, None] + pattern, element_bytes, sector_bytes)
+            self._append(counter, units if runs is None else
+                         ragged_warp_rows(units, np.tile(runs, base.size), warp_size),
                          warp_size, 1)
             return
         rows = np.bincount(_residue_classes(base, element_bytes, sector_bytes))
         live = rows.nonzero()[0]
         sectors = _units(live[:, None] + pattern, element_bytes, sector_bytes)
         for units, repeat in zip(sectors, rows[live].tolist()):
-            self._append(counter, units[None, :], warp_size, repeat)
+            self._append(counter, units[None, :] if runs is None else
+                         ragged_warp_rows(units, runs, warp_size), warp_size, repeat)
 
     def _moved(self, is_store: bool, elements: int, element_bytes: int) -> None:
         """Add a global access's elements and bytes to the load or store volume."""

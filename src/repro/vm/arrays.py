@@ -137,7 +137,10 @@ class SharedArray(_LayoutArray):
     block of the context's pass: ``data`` is ``(B, words)``.  Accesses take
     per-thread index arrays — one row per block, or block-uniform — and each
     is logged on the launch trace, which splits it into warps and scores their
-    conflict degrees.  An access decodes in one native call
+    conflict degrees.  A per-block access reads or writes the flat buffer at
+    ``physical + block * size`` (the offsets are range-checked, so none
+    reaches another block's words); a block-uniform load is one ``take``
+    along the words.  An access decodes in one native call
     (``np.ravel_multi_index`` plus the layout table); a rejected index falls
     back to the per-axis scan, which raises the error that names it.
     :meth:`load_rows` issues many block-uniform loads in one call.
@@ -149,6 +152,9 @@ class SharedArray(_LayoutArray):
         self._context = context
         self.batch = context._batch
         self.data = np.zeros((self.batch, self.size), dtype=self.dtype)
+        # one flat buffer: block b's physical word w is word w + b * size of the view
+        self._flat = self.data.reshape(-1)
+        self._block_words = np.arange(0, self._flat.size, self.size or 1).reshape(-1, 1)
 
     def _decode(self, indices: tuple) -> np.ndarray:
         """Physical offsets of an access, a fresh array the kernel never sees."""
@@ -185,8 +191,8 @@ class SharedArray(_LayoutArray):
     def load(self, *indices) -> np.ndarray:
         physical, batched = self._access(indices, is_store=False)
         if batched:
-            return self.data[np.arange(self.batch)[:, None], physical]
-        return self.data[:, physical]
+            return self._flat.take(physical + self._block_words)
+        return self.data.take(physical, axis=1)
 
     def load_rows(self, *indices, shifts=None) -> np.ndarray:
         """Many block-uniform loads in one call: ``(B, instructions, lanes)``.
@@ -220,14 +226,14 @@ class SharedArray(_LayoutArray):
                                          * self.dtype.itemsize, is_store=False)
                 ctx.trace.log_shared_affine(flat, physical, self.dtype.itemsize, ctx.warp_size,
                                             self.batch)
-                return self.data[:, (flat[:, None, None] + physical).reshape(rows, -1)]
+                return self.data.take((flat[:, None, None] + physical).reshape(rows, -1), axis=1)
             # through a layout table, or out of range: decode the rows themselves
             shifted = self._decode(tuple(np.asarray(materialised(index)) + row[:, None, None]
                                          for index, row in zip(indices, shifts)))
             physical = np.broadcast_to(shifted, (shifts.shape[1],) + physical.shape)
             physical = physical.reshape(-1, physical.shape[-1])
         self._record(physical, self.batch, is_store=False)
-        return self.data[:, physical]
+        return self.data.take(physical, axis=1)
 
     def _flat_shifts(self, indices: tuple, shifts: np.ndarray) -> np.ndarray | None:
         """The flat ``(shifts,)`` offsets of a shifted load without a layout table whose
@@ -249,7 +255,7 @@ class SharedArray(_LayoutArray):
         raw = np.asarray(value, dtype=self.dtype)
         if batched:
             values = _per_block_values(self.name, raw, self.batch, physical.shape[1:])
-            self.data[np.arange(self.batch)[:, None], physical] = values
+            self._flat[physical + self._block_words] = values
         else:
             self.data[:, physical] = _per_block_values(self.name, raw, self.batch, physical.shape)
 
@@ -280,18 +286,20 @@ class GlobalArray(_LayoutArray):
     ``min/max(block) + min/max(lane)`` (the extrema of the dense index, so
     the errors read the same), the flat index is one ``base (B, 1)`` plus
     one ``pattern`` (``log_global_affine`` logs it without building the
-    rows), and the gather or scatter reads ``base + pattern`` in C order
-    (the last writer still wins).  Anything else takes the dense path.
+    rows), and the gather (``take``) or scatter reads ``base + pattern`` in C
+    order (the last writer still wins).  Anything else takes the dense path.
     :meth:`load_rows` / :meth:`store_rows` issue many such accesses, one per
-    row of shifts, in one call.
+    row of shifts, in one call; :meth:`load` with ``runs`` issues back-to-back
+    accesses of ``runs[k]`` lanes each (NW's reference block, one run per
+    anti-diagonal), each cut into warps of its own.
     """
 
     def __init__(self, array: np.ndarray, layout=None, name: str = "gmem"):
         array = np.asarray(array)
         super().__init__(array.shape, array.dtype, layout, name)
-        logical_flat = np.ascontiguousarray(array).reshape(-1).copy()
+        logical_flat = np.ascontiguousarray(array).reshape(-1)
         if self._table is None:
-            self.data = logical_flat
+            self.data = logical_flat.copy()
         else:
             # scatter the logical contents into their physical positions
             self.data = np.empty_like(logical_flat)
@@ -313,15 +321,38 @@ class GlobalArray(_LayoutArray):
             return None
         return split_access(self.name, self._axes, indices, ctx._batch, shifts)
 
-    def load(self, ctx, *indices) -> np.ndarray:
+    def load(self, ctx, *indices, runs=None) -> np.ndarray:
+        if runs is not None:
+            return self._load_runs(ctx, indices, np.asarray(runs, dtype=np.int64))
         split = self._split(ctx, indices)
         if split is not None:
             base, pattern = split
             ctx.trace.log_global_affine(base, pattern, self.dtype.itemsize, ctx.warp_size, False)
-            return self.data[base + pattern]
+            return self.data.take(base + pattern)
         physical = self._physical(indices)
         ctx.record_global(self.name, physical, self.dtype.itemsize, is_store=False)
-        return self.data[physical]
+        return self.data.take(physical)
+
+    def _load_runs(self, ctx, indices: tuple, runs: np.ndarray) -> np.ndarray:
+        """:meth:`load` with ``runs``: the loads of the next ``runs[k]`` lanes each, split
+        and logged as those loads (each run cut into warps of its own), else re-issued
+        one run at a time, so the dense path and its errors are exactly theirs."""
+        lanes = np.broadcast_shapes(*map(np.shape, indices))[-1:]
+        if runs.ndim != 1 or lanes != (int(runs.sum()),) or runs.min(initial=0) < 0:
+            raise ValueError(f"{self.name}: runs {runs.tolist()} do not cut {lanes} lanes")
+        try:
+            split = self._split(ctx, indices)
+        except IndexError:
+            split = None  # the run out of range raises below, as its own load would
+        if split is None:
+            dense = np.broadcast_arrays(*map(materialised, indices))
+            return np.concatenate([self.load(ctx, *(index[..., end - run:end] for index in dense))
+                                   for run, end in zip(runs.tolist(), np.cumsum(runs).tolist())],
+                                  axis=-1)
+        base, pattern = split
+        ctx.trace.log_global_affine(base, pattern, self.dtype.itemsize, ctx.warp_size, False,
+                                    runs)
+        return self.data.take(base + pattern)
 
     def store(self, ctx, value, *indices) -> None:
         split = self._split(ctx, indices)
@@ -353,7 +384,7 @@ class GlobalArray(_LayoutArray):
                             axis=-2)
         base, pattern = split
         ctx.trace.log_global_affine(base, pattern, self.dtype.itemsize, ctx.warp_size, False)
-        return self.data[base[..., None] + pattern]
+        return self.data.take(base[..., None] + pattern)
 
     def store_rows(self, ctx, value, *indices, shifts) -> None:
         """Many stores in one call: ``value[..., q, :]`` (or a value of rank <= 1, for

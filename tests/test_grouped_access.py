@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.apps import lud
+from repro.core import GroupBy, antidiagonal
 from repro.gpusim import A100_80GB
 from repro.gpusim.device import DEVICE_ZOO
 from repro.gpusim.sharedmem import AccessLog
@@ -289,3 +290,163 @@ def test_a_shifted_shared_row_out_of_range_is_refused():
 
     with pytest.raises(IndexError, match=r"^panel: axis 0 index out of range \[0, 8\)"):
         launch(kernel, grid=2, block=4)
+
+
+# -- ragged grouped loads against the runs issued one call each -------------------------
+
+#: back-to-back runs over a diagonal-ish lane pattern: a lone lane, an empty run, runs
+#: shorter and longer than a warp, and one that crosses rows of the array
+RUNS = np.array([1, 0, 5, 16, 33, 2, 70, 3])
+_LANES = np.arange(RUNS.sum())
+RUN_ROWS, RUN_COLUMNS = _LANES % 7, (_LANES * 5) % 61
+
+
+def _split_index(ctx, rows, columns):
+    """``block + lane``: the access keeps its split."""
+    return ctx.blockIdx.x * 3 + rows, ctx.blockIdx.x + columns
+
+
+def _dense_index(ctx, rows, columns):
+    """``bx // 1`` reads the block ids: the access takes the dense path."""
+    return ctx.blockIdx.x // 1 * 3 + rows, ctx.blockIdx.x + columns
+
+
+def _ragged_kernel(grouped, index):
+    def kernel(ctx, src, seen):
+        if grouped:
+            seen.append(src.load(ctx, *index(ctx, RUN_ROWS, RUN_COLUMNS), runs=RUNS))
+            return
+        ends = np.cumsum(RUNS)
+        seen.append(np.concatenate(
+            [src.load(ctx, *index(ctx, RUN_ROWS[end - run:end], RUN_COLUMNS[end - run:end]))
+             for run, end in zip(RUNS, ends)], axis=-1))
+
+    return kernel
+
+
+def _ragged_runs(reissued, index, grid, dtype, device, layout=None):
+    """The grouped and the separate loads' values and counters agree; the number of
+    ``GlobalArray`` calls the grouped load made."""
+    out = {}
+    for grouped in (False, True):
+        data = np.arange(128 * 128).reshape(128, 128).astype(dtype)
+        src = GlobalArray(data, layout=layout, name="src")
+        seen = []
+        reissued.clear()
+        trace = launch(_ragged_kernel(grouped, index), grid=grid, block=4, args=(src, seen),
+                       device=device)
+        out[grouped] = (seen[0], _counters(trace), len(reissued))
+    np.testing.assert_array_equal(out[True][0], out[False][0])
+    assert out[True][0].shape == (grid, RUNS.sum())
+    assert out[True][1] == out[False][1], (device.name, grid, dtype)
+    return out[True][2]
+
+
+@pytest.mark.parametrize("grid", [2, 40], ids=["few-rows", "residue-classes"])
+@pytest.mark.parametrize("dtype", [np.int16, np.float32, np.float64])
+def test_a_ragged_load_equals_its_runs_issued_one_call_each(reissued, monkeypatch, grid, dtype):
+    """Values and every counter on every device: 2 blocks are logged as the rows they
+    are, 40 outnumber every sector residue class of these element sizes."""
+    logged = []
+    log_global_affine = AccessLog.log_global_affine
+
+    def spied(self, base, pattern, element_bytes, warp_size, is_store, runs=None):
+        classes = self.sector_bytes // np.gcd(element_bytes, self.sector_bytes)
+        logged.append((np.size(base) > classes, runs is not None))
+        return log_global_affine(self, base, pattern, element_bytes, warp_size, is_store, runs)
+
+    monkeypatch.setattr(AccessLog, "log_global_affine", spied)
+    for device in DEVICES:
+        logged.clear()
+        assert _ragged_runs(reissued, _split_index, grid, dtype, device) == 1  # one load
+        # the separate runs but the empty one, then the ragged load
+        assert logged == [(grid == 40, False)] * (RUNS.size - 1) + [(grid == 40, True)]
+
+
+@pytest.mark.parametrize("case", ["dense", "layout"])
+def test_a_ragged_load_that_is_not_split_is_issued_run_by_run(reissued, case):
+    """A dense index, or an array behind a layout table, re-issues the runs one
+    ``load`` each: the separate runs' values and counters."""
+    layout = GroupBy([128, 128]).OrderBy(antidiagonal(128)) if case == "layout" else None
+    index = _dense_index if case == "dense" else _split_index
+    for device in DEVICES:
+        assert _ragged_runs(reissued, index, 3, np.float32, device, layout) == 1 + RUNS.size
+
+
+@pytest.mark.parametrize("index", [_split_index, _dense_index], ids=["split", "dense"])
+def test_a_ragged_load_out_of_range_raises_its_run_error(index):
+    """The run that leaves the array raises what its own load raises, on either path."""
+    messages = {}
+    for grouped in (False, True):
+        src = GlobalArray(np.zeros((128, 64), dtype=np.float32), name="src")
+        with pytest.raises(IndexError) as error:
+            launch(_ragged_kernel(grouped, index), grid=5, block=4, args=(src, []))
+        messages[grouped] = str(error.value)
+    assert messages[True] == messages[False]
+    assert messages[True].startswith("src: axis 1 index out of range [0, 64) (got [")
+
+
+def test_runs_must_cut_the_lane_axis():
+    def kernel(ctx, runs):
+        src = GlobalArray(np.zeros((4, 4)), name="src")
+        src.load(ctx, ctx.blockIdx.x, ctx.tx, runs=runs)
+
+    for runs in ([1, 2], [5, -1], [[4]]):
+        with pytest.raises(ValueError, match=r"^src: runs .* do not cut \(4,\) lanes$"):
+            launch(kernel, grid=2, block=4, args=(runs,))
+
+
+@pytest.mark.parametrize("block", [2, 16, 32])
+def test_one_nw_pass_makes_five_global_accesses(reissued, block):
+    """Three boundary loads, one ragged load of the whole reference block (it was one
+    load per anti-diagonal step, ``2b - 1`` of them) and the interior store."""
+    from repro.apps.nw import NwConfig, nw_buffer_layout, nw_reference, run_nw_blocked
+
+    config = NwConfig(n=4 * block, block=block)  # 7 waves, one launch and pass each
+    similarity = np.random.default_rng(block).integers(-4, 5, size=(config.n, config.n))
+    out, trace = run_nw_blocked(similarity, config, layout=nw_buffer_layout(block, "row"))
+    assert trace.extras["launches"] == 7
+    assert len(reissued) == 5 * 7
+    np.testing.assert_array_equal(out, nw_reference(similarity, config.penalty))
+
+
+# -- flat shared addressing against the 2-D fancy form -------------------------------------
+
+
+@pytest.mark.parametrize("layout", [None, "antidiagonal"])
+def test_flat_shared_accesses_equal_the_two_dimensional_index(layout):
+    """Per-block ``load`` / ``store`` (duplicate indices in a row: the last writer
+    wins) and block-uniform ``load_rows``, with and without ``shifts``, read and
+    write what ``data[rows, physical]`` does."""
+    from repro.apps.nw import nw_buffer_layout
+
+    buffer_layout = None if layout is None else nw_buffer_layout(16, layout)
+    table = np.arange(17 * 17) if layout is None else buffer_layout.permutation_vector()
+    lanes = np.arange(24)
+
+    def kernel(ctx):
+        buf = ctx.shared_array((17, 17), dtype=np.int32, layout=buffer_layout, name="buff")
+        blocks = np.arange(buf.batch)[:, None]
+        buf.data[...] = np.arange(buf.data.size).reshape(buf.data.shape) % 1009
+        # per-block: every block its own cells, two lanes of each row on one cell
+        rows = (np.asarray(ctx.blockIdx.x) * 3 + lanes // 2) % 17
+        columns = (np.asarray(ctx.blockIdx.x) + lanes // 2 * 5) % 17
+        physical = table[rows * 17 + columns]
+        np.testing.assert_array_equal(buf.load(rows, columns), buf.data[blocks, physical])
+        values = (lanes + 100 * blocks).astype(np.int32)
+        expected = buf.data.copy()
+        expected[blocks, physical] = values
+        buf.store(values, rows, columns)
+        np.testing.assert_array_equal(buf.data, expected)
+        assert (buf.data[blocks, physical][:, 1::2] == values[:, 1::2]).all()  # last writer
+        # block-uniform rows, then every row at every shift
+        patterns = np.stack([lanes % 13, lanes // 3]), np.stack([lanes // 2, lanes % 11])
+        np.testing.assert_array_equal(
+            buf.load_rows(*patterns), buf.data[:, table[patterns[0] * 17 + patterns[1]]])
+        shifts = np.array([[0, 1, 3], [2, 0, 5]])
+        shifted = [(pattern + shift[:, None, None]).reshape(-1, lanes.size)
+                   for pattern, shift in zip(patterns, shifts)]
+        np.testing.assert_array_equal(buf.load_rows(*patterns, shifts=shifts),
+                                      buf.data[:, table[shifted[0] * 17 + shifted[1]]])
+
+    launch(kernel, grid=5, block=lanes.size)

@@ -500,6 +500,34 @@ def test_global_array_records_transactions_and_layout_roundtrip():
     assert trace.store_transactions >= 8
 
 
+def test_the_launchers_copy_their_inputs_once_and_own_the_copy():
+    """``run_stencil``, ``run_nw_blocked`` and ``run_lud_internal`` hand an input of the
+    kernel's dtype to ``GlobalArray`` as it is, which copies it: the launch never
+    writes the caller's array, and a later change of it reaches no result."""
+    from repro.apps import lud, nw, stencil
+
+    rng = np.random.default_rng(0)
+    runs = [
+        (lambda x: stencil.run_stencil(x, stencil.STENCILS[0], brick=4),
+         rng.standard_normal((8, 8, 8)).astype(np.float32)),
+        (lambda x: stencil.run_stencil(x, stencil.STENCILS[0], brick=4,
+                                       layout=stencil.brick_layout(8, 4)),
+         rng.standard_normal((8, 8, 8)).astype(np.float32)),
+        (lambda x: nw.run_nw_blocked(x, nw.NwConfig(n=8, block=4)),
+         rng.integers(-4, 5, size=(8, 8)).astype(np.int32)),
+        (lambda x: lud.run_lud_internal(x, lud.LudConfig(n=8, block=4, cuda_block=2)),
+         rng.standard_normal((8, 8)).astype(np.float32)),
+    ]
+    for run, array in runs:
+        saved = array.copy()
+        out = run(array)[0]
+        np.testing.assert_array_equal(array, saved)
+        kept = out.copy()
+        array[...] = 7
+        np.testing.assert_array_equal(out, kept)
+        np.testing.assert_array_equal(run(saved)[0], kept)
+
+
 def test_global_array_out_of_range_raises():
     array = GlobalArray(np.zeros((4, 4), dtype=np.float32))
 
