@@ -248,7 +248,8 @@ class _NwStep(NamedTuple):
 
 
 class _NwSteps(tuple):
-    """The steps; their up-left cells in step order, each step's ``runs`` long at ``cells``."""
+    """The steps; their up-left cells in step order, each step's ``runs`` long at ``cells``;
+    the block's interior cells, row-major (``interior_i``, ``interior_j``)."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,7 +272,10 @@ def _nw_steps(block: int) -> _NwSteps:
         steps.append(step)
     table = _NwSteps(steps)
     table.i_up, table.j_left = (np.concatenate(cells) for cells in zip(*(s[2:4] for s in steps)))
-    table.i_up.flags.writeable = table.j_left.flags.writeable = False
+    cells = np.arange(block * block)
+    table.interior_i, table.interior_j = cells // block + 1, cells % block + 1
+    for array in (table.i_up, table.j_left, table.interior_i, table.interior_j):
+        array.flags.writeable = False
     table.runs = np.array([step.i.size for step in steps])
     table.cells = [slice(end - run, end) for run, end in zip(table.runs, table.runs.cumsum())]
     return table
@@ -325,8 +329,7 @@ def _nw_block_kernel(ctx, score: GlobalArray, reference: GlobalArray, config: Nw
     # on the latency-bound diagonal phase the layout optimisation targets).
     interior = buff.to_numpy()[..., 1:, 1:]
     flat_interior = interior.reshape(interior.shape[:-2] + (-1,))
-    rows_grid, cols_grid = np.meshgrid(np.arange(1, b + 1), np.arange(1, b + 1), indexing="ij")
-    score.store(ctx, flat_interior, base_i + rows_grid.reshape(-1), base_j + cols_grid.reshape(-1))
+    score.store(ctx, flat_interior, base_i + steps.interior_i, base_j + steps.interior_j)
 
 
 def run_nw_blocked(

@@ -209,16 +209,39 @@ def _prove_interior_span(n: int, brick: int, radius: int) -> bool:
     return prove_guard_redundant(predicate, env, kernel="stencil_interior")
 
 
+#: neighbours one grouped load reads at most: a cube-125pt pass never builds its
+#: whole ``(B, 125, lanes)`` index at once
+_ROWS_PER_LOAD = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_groups(spec: StencilSpec) -> tuple[np.ndarray, ...]:
+    """The stencil's offsets as read-only ``(3, <= _ROWS_PER_LOAD)`` shift tables, in
+    offset order (``(dz, dy, dx)`` down each column), built once per stencil."""
+    shifts = np.array(stencil_offsets(spec), dtype=np.int64).T
+    groups = tuple(np.ascontiguousarray(shifts[:, start:start + _ROWS_PER_LOAD])
+                   for start in range(0, shifts.shape[1], _ROWS_PER_LOAD))
+    for group in groups:
+        group.flags.writeable = False
+    return groups
+
+
 def _stencil_update(ctx, src: GlobalArray, dst: GlobalArray, spec: StencilSpec,
                     ii, jj, kk, lanes: int):
-    """Accumulate the stencil at ``(ii, jj, kk)`` and write the result back."""
-    offsets = stencil_offsets(spec)
-    weight = 1.0 / len(offsets)
+    """Accumulate the stencil at ``(ii, jj, kk)`` and write the result back.
+
+    The neighbours are read in grouped loads (:meth:`GlobalArray.load_rows`,
+    one per shift table of :func:`_shift_groups`) and summed in offset order,
+    so the sum is the per-neighbour loads' to the bit.
+    """
+    points = spec.points
     acc = np.zeros(np.shape(ii), dtype=np.float32)
-    for dz, dy, dx in offsets:
-        acc += src.load(ctx, ii + dz, jj + dy, kk + dx)
-    ctx.count_flops(len(offsets) * lanes)
-    dst.store(ctx, acc * weight, ii, jj, kk)
+    for shifts in _shift_groups(spec):
+        rows = src.load_rows(ctx, ii, jj, kk, shifts=shifts)
+        for q in range(shifts.shape[1]):
+            acc += rows[..., q, :]
+    ctx.count_flops(points * lanes)
+    dst.store(ctx, acc * (1.0 / points), ii, jj, kk)
 
 
 def _stencil_kernel(ctx, src: GlobalArray, dst: GlobalArray, n: int, spec: StencilSpec,
@@ -229,10 +252,11 @@ def _stencil_kernel(ctx, src: GlobalArray, dst: GlobalArray, n: int, spec: Stenc
     has discharged the interior predicate) the blocks whose coordinates lie
     inside the span skip the per-thread interior mask and the
     ``compact_threads`` compression entirely; only boundary blocks keep the
-    guarded path.  An interior block's ``ii + dz`` (block part plus lane part
-    plus an offset) stays that sum into every neighbour load, so a load is
-    checked on the parts' extrema and logged in closed form; the boundary
-    blocks' comparisons and ``ctx.compact`` read the materialised arrays.
+    guarded path.  An interior block's ``ii`` (block part plus lane part)
+    keeps that split into its grouped neighbour loads, so a load is checked
+    on the parts' extrema and logged in closed form; the boundary blocks'
+    comparisons and ``ctx.compact`` read the materialised arrays, and their
+    grouped loads are decoded once.
     """
     r = spec.radius
     bx, by, bz = ctx.blockIdx.x, ctx.blockIdx.y, ctx.blockIdx.z

@@ -59,6 +59,7 @@ __all__ = [
     "access_conflict_profile",
     "AccessLog",
     "distinct_bases",
+    "shift_classes",
     "warp_rows",
     "ragged_warp_rows",
     "distinct_total",
@@ -215,6 +216,22 @@ def _residue_classes(base: np.ndarray, element_bytes: int, unit_bytes: int) -> n
     class, one class per residue, so ``base · e`` is never formed.
     """
     return base % (unit_bytes // math.gcd(element_bytes, unit_bytes))
+
+
+def shift_classes(shifts, element_bytes: int, unit_bytes: int) -> list[tuple[int, int]]:
+    """``(shift, count)`` per residue class of ``shifts`` (whole elements), in first-seen
+    order: the class's first shift and how many shifts it holds.
+
+    Shifting every lane of an access by any shift of one class scores the same
+    (the argument of :meth:`AccessLog.log_global_affine`), so a recorder logs
+    the access once per class at its first shift, paid ``count`` times.
+    """
+    shifts = np.asarray(shifts, dtype=np.int64).reshape(-1)
+    residues = _residue_classes(shifts, element_bytes, unit_bytes)
+    classes: dict[int, list[int]] = {}
+    for shift, residue in zip(shifts.tolist(), residues.tolist()):
+        classes.setdefault(residue, [shift, 0])[1] += 1
+    return [tuple(entry) for entry in classes.values()]
 
 
 def distinct_bases(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +396,10 @@ class AccessLog:
         they are deduplicated uncut, so ``warp_size`` must cover the row.
         The access moves its valid lanes, ``repeat`` times over; ``lanes``
         says how many there are when the rows carry padding (mini-CUDA's
-        compacted threads).
+        compacted threads).  A recorder of many copies of one access, each
+        shifted by whole elements, logs one copy per sector residue class
+        with ``repeat`` = the class's count (:func:`shift_classes`; the
+        argument is :meth:`log_global_affine`'s).
         """
         sectors = _units(offsets, element_bytes, self.sector_bytes)
         masked_rows = 0

@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..vm.split import flat_index, materialised, per_block, split_access
+from ..gpusim.sharedmem import shift_classes
+from ..vm.split import flat_index, materialised, per_block, shifted_flat_index, split_access
 
 __all__ = ["SharedArray", "GlobalArray"]
 
@@ -139,9 +140,11 @@ class SharedArray(_LayoutArray):
     is logged on the launch trace, which splits it into warps and scores their
     conflict degrees.  A per-block access reads or writes the flat buffer at
     ``physical + block * size`` (the offsets are range-checked, so none
-    reaches another block's words); a block-uniform load is one ``take``
-    along the words.  An access decodes in one native call
-    (``np.ravel_multi_index`` plus the layout table); a rejected index falls
+    reaches another block's words), a block-uniform store at every block's
+    ``physical + block * size`` in one scatter (C order: the last lane of a
+    row on one word wins, as it would in each block), and a block-uniform
+    load is one ``take`` along the words.  An access decodes in one native
+    call (``np.ravel_multi_index`` plus the layout table); a rejected index falls
     back to the per-axis scan, which raises the error that names it.
     :meth:`load_rows` issues many block-uniform loads in one call.
     """
@@ -218,15 +221,18 @@ class SharedArray(_LayoutArray):
             )
         if shifts is not None:
             shifts = self._shift_rows(shifts)
-            flat = self._flat_shifts(indices, shifts)
-            if flat is not None:
+            dense = (None if self._table is not None
+                     else shifted_flat_index(self._axes, indices, shifts))
+            if dense is not None:
+                moves = dense[1]
                 ctx = self._context
-                rows = flat.size * physical.shape[0]
+                rows = moves.size * physical.shape[0]
                 ctx.trace.add_smem_bytes(float(self.batch * rows * physical.shape[1])
                                          * self.dtype.itemsize, is_store=False)
-                ctx.trace.log_shared_affine(flat, physical, self.dtype.itemsize, ctx.warp_size,
+                ctx.trace.log_shared_affine(moves, physical, self.dtype.itemsize, ctx.warp_size,
                                             self.batch)
-                return self.data.take((flat[:, None, None] + physical).reshape(rows, -1), axis=1)
+                return self.data.take((moves[:, None, None] + physical).reshape(rows, -1),
+                                      axis=1)
             # through a layout table, or out of range: decode the rows themselves
             shifted = self._decode(tuple(np.asarray(materialised(index)) + row[:, None, None]
                                          for index, row in zip(indices, shifts)))
@@ -235,29 +241,12 @@ class SharedArray(_LayoutArray):
         self._record(physical, self.batch, is_store=False)
         return self.data.take(physical, axis=1)
 
-    def _flat_shifts(self, indices: tuple, shifts: np.ndarray) -> np.ndarray | None:
-        """The flat ``(shifts,)`` offsets of a shifted load without a layout table whose
-        shifted rows are all in range (each axis checked on its extreme shifts), else
-        ``None``."""
-        if self._table is not None:
-            return None
-        flat = 0
-        for (extent, stride), index, row in zip(self._axes, indices, shifts):
-            index = np.asarray(materialised(index))
-            if (not index.size or int(index.min()) + int(row.min()) < 0
-                    or int(index.max()) + int(row.max()) >= extent):
-                return None
-            flat = flat + (row if stride == 1 else row * stride)
-        return flat
-
     def store(self, value, *indices) -> None:
         physical, batched = self._access(indices, is_store=True)
         raw = np.asarray(value, dtype=self.dtype)
-        if batched:
-            values = _per_block_values(self.name, raw, self.batch, physical.shape[1:])
-            self._flat[physical + self._block_words] = values
-        else:
-            self.data[:, physical] = _per_block_values(self.name, raw, self.batch, physical.shape)
+        lanes = physical.shape[1:] if batched else physical.shape
+        self._flat[physical + self._block_words] = _per_block_values(self.name, raw, self.batch,
+                                                                     lanes)
 
     # ``buf[i, j]`` sugar used by the ported Rodinia kernels
     def __getitem__(self, indices):
@@ -288,10 +277,21 @@ class GlobalArray(_LayoutArray):
     one ``pattern`` (``log_global_affine`` logs it without building the
     rows), and the gather (``take``) or scatter reads ``base + pattern`` in C
     order (the last writer still wins).  Anything else takes the dense path.
-    :meth:`load_rows` / :meth:`store_rows` issue many such accesses, one per
-    row of shifts, in one call; :meth:`load` with ``runs`` issues back-to-back
-    accesses of ``runs[k]`` lanes each (NW's reference block, one run per
-    anti-diagonal), each cut into warps of its own.
+    :meth:`load_rows` / :meth:`store_rows` issue many accesses, one per row of
+    shifts, in one call.  A split one is folded into the bases.  A dense one
+    on an array without a layout table is decoded once
+    (:func:`~repro.vm.split.shifted_flat_index`: each axis checked on its
+    index's extrema plus its extreme shifts) and, since a shift of whole
+    elements moves every lane alike, logged once per sector residue class of
+    the rows' flat shifts, ``repeat`` = the class's row count
+    (:func:`~repro.gpusim.sharedmem.shift_classes`).  Either is gathered a
+    row at a time into one array, or scattered row after row in C order at
+    once.  A layout table (a brick layout is not shift-invariant) or a row
+    out of range re-issues the rows one at a time, so their errors are those
+    of the separate accesses.
+    :meth:`load` with ``runs`` issues back-to-back accesses of ``runs[k]``
+    lanes each (NW's reference block, one run per anti-diagonal), each cut
+    into warps of its own.
     """
 
     def __init__(self, array: np.ndarray, layout=None, name: str = "gmem"):
@@ -371,42 +371,94 @@ class GlobalArray(_LayoutArray):
         """Many loads in one call: ``(B, rows, lanes)``, row ``q`` what :meth:`load` at
         ``indices + shifts[:, q]`` returns (``shifts`` is ``(axes, rows)``).
 
-        A split access is checked once on each axis's extreme shifts, logged
-        as the ``B · rows`` separate accesses it stands for (each row cut into
-        warps of its own) and gathered at once.  Anything else — not split,
-        or some row out of range — is re-issued one row at a time, so the
-        dense path and its errors are exactly those of the separate loads.
+        Checked once, logged as the separate loads and gathered into one
+        array, split or dense (see the class); through a layout table or with
+        a row out of range, re-issued one row at a time.
         """
         shifts = self._shift_rows(shifts)
         split = self._split(ctx, indices, shifts)
-        if split is None:
+        if split is not None:
+            base, pattern = split
+            ctx.trace.log_global_affine(base, pattern, self.dtype.itemsize, ctx.warp_size,
+                                        False)
+            return self._gather_rows(pattern, base.T[..., None])
+        dense = self._dense_rows(indices, shifts)
+        if dense is None:
             return np.stack([self.load(ctx, *row) for row in _shifted(indices, shifts)],
                             axis=-2)
-        base, pattern = split
-        ctx.trace.log_global_affine(base, pattern, self.dtype.itemsize, ctx.warp_size, False)
-        return self.data.take(base[..., None] + pattern)
+        flat, moves = dense
+        self._record_rows(ctx, flat, moves, is_store=False)
+        return self._gather_rows(flat, moves.tolist())
 
     def store_rows(self, ctx, value, *indices, shifts) -> None:
         """Many stores in one call: ``value[..., q, :]`` (or a value of rank <= 1, for
         every row) is :meth:`store` at ``indices + shifts[:, q]``.
 
-        Checked, logged and re-issued as :meth:`load_rows`; the scatter writes
-        row after row, each in C order, so the last writer is the separate
-        stores' last writer.
+        Checked, logged and re-issued as :meth:`load_rows` (a dense value that
+        some row's store would refuse re-issues the rows too); the scatter
+        writes row after row, each in C order, so the last writer is the
+        separate stores' last writer.
         """
         shifts = self._shift_rows(shifts)
         value = np.asarray(value, dtype=self.dtype)
         split = self._split(ctx, indices, shifts)
-        if split is None:
+        if split is not None:
+            base, pattern = split
+            ctx.trace.log_global_affine(base, pattern, self.dtype.itemsize, ctx.warp_size,
+                                        True)
+            # (rows, B, lanes) in C order, row after row: a scatter writes in memory order
+            physical = np.ascontiguousarray(base.T)[..., None] + pattern
+            values = np.broadcast_to(value, base.shape + pattern.shape).transpose(1, 0, 2)
+            self.data[physical] = np.ascontiguousarray(values)
+            return
+        dense = self._dense_rows(indices, shifts)
+        values = None if dense is None else _row_values(value, dense[0].shape, dense[1].size)
+        if values is None:
             for q, row in enumerate(_shifted(indices, shifts)):
                 self.store(ctx, value[..., q, :] if value.ndim >= 2 else value, *row)
             return
-        base, pattern = split
-        ctx.trace.log_global_affine(base, pattern, self.dtype.itemsize, ctx.warp_size, True)
-        # (rows, B, lanes) in C order, row after row: a scatter writes in memory order
-        physical = np.ascontiguousarray(base.T)[..., None] + pattern
-        values = np.broadcast_to(value, base.shape + pattern.shape).transpose(1, 0, 2)
-        self.data[physical] = np.ascontiguousarray(values)
+        flat, moves = dense
+        self._record_rows(ctx, flat, moves, is_store=True)
+        self.data[moves.reshape((-1,) + (1,) * flat.ndim) + flat] = values
+
+    def _gather_rows(self, offsets: np.ndarray, moves) -> np.ndarray:
+        """``data`` at ``offsets + moves[q]`` for every row ``q``, as ``(..., rows, lanes)``.
+
+        Gathered a row at a time into one array, so the index of a whole
+        grouped access (``rows`` times a pass's lanes) is never built.
+        """
+        shape = np.broadcast_shapes(offsets.shape, np.shape(moves[0]))
+        rows = np.empty((len(moves),) + shape, dtype=self.dtype)
+        for q, move in enumerate(moves):
+            rows[q] = self.data.take(offsets + move)
+        return np.moveaxis(rows, 0, -2)
+
+    def _dense_rows(self, indices: tuple, shifts: np.ndarray):
+        """``(flat, moves)`` of a dense grouped access taken whole (row ``q`` at ``flat +
+        moves[q]``), else ``None``: a layout table, a bad row, or all-scalar indices."""
+        if self._table is not None or len(indices) != len(self.shape):
+            return None
+        dense = shifted_flat_index(self._axes, indices, shifts)
+        return None if dense is None or dense[0].ndim == 0 else dense
+
+    def _record_rows(self, ctx, flat: np.ndarray, moves: np.ndarray, is_store: bool) -> None:
+        """Log the rows ``flat + moves[q]``: one per sector residue class of the moves."""
+        itemsize = self.dtype.itemsize
+        for move, count in shift_classes(moves, itemsize, ctx.trace.sector_bytes):
+            ctx.record_global(self.name, flat + move, itemsize, is_store, count)
+
+
+def _row_values(value: np.ndarray, shape: tuple, rows: int) -> np.ndarray | None:
+    """A grouped store's values, ``(rows,) + shape``: ``value[..., q, :]`` is row ``q``'s
+    (a value of rank <= 1 every row's); ``None`` where some row's store would refuse it."""
+    try:
+        if value.ndim < 2:
+            return np.broadcast_to(value, (rows,) + shape)
+        if value.shape[-2] != rows:
+            return None
+        return np.moveaxis(np.broadcast_to(value, shape[:-1] + (rows,) + shape[-1:]), -2, 0)
+    except ValueError:
+        return None
 
 
 def _shifted(indices: tuple, shifts: np.ndarray):

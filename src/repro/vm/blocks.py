@@ -132,13 +132,13 @@ class _CompactedThreads:
         self._parent.trace.flops += float(flops)
 
     def record_global(self, name: str, physical: np.ndarray, element_bytes: int,
-                      is_store: bool) -> None:
+                      is_store: bool, repeat: int = 1) -> None:
         flat = physical.reshape(-1)
         if flat.size != self._lanes:
             raise TypeError(f"{name}: compacted access does not match the active lane count")
         # the warp rows carry padding: the access moves its real lanes only
         self._parent.trace.log_global(flat[self._chunks], element_bytes, self.warp_size,
-                                      is_store, lanes=flat.size)
+                                      is_store, repeat, lanes=flat.size)
 
 
 class BlockContext:
@@ -240,12 +240,13 @@ class BlockContext:
     # -- global-memory accounting (called by GlobalArray.load / store) ------
 
     def record_global(self, name: str, physical: np.ndarray, element_bytes: int,
-                      is_store: bool) -> None:
+                      is_store: bool, repeat: int = 1) -> None:
+        """Log a dense global access, paid ``repeat`` times (a grouped access's class)."""
         if per_block(name, physical, self._batch):
-            rows, repeat = physical, 1
+            rows = physical
         else:
             # block-uniform access: every block repeats the same pattern
-            rows, repeat = physical.reshape(1, -1), self._batch
+            rows, repeat = physical.reshape(1, -1), repeat * self._batch
         self.trace.log_global(rows, element_bytes, self.warp_size, is_store, repeat)
 
 

@@ -10,10 +10,12 @@ program ids (the block part) and ``tl.arange`` blocks (lanes of any rank).
 :func:`split_access` turns an access into ``base + pattern`` (the form
 :meth:`repro.gpusim.sharedmem.AccessLog.log_global_affine` scores) after
 checking every axis on the parts' extrema, and :func:`flat_index` is the dense
-path's per-axis check.  Both raise the one ``IndexError`` text, ``<array>:
-axis <a> index out of range [0, <extent>) (got [lo, hi])``, so an access fails
-alike on either path and on every substrate.  :func:`per_block` tells an
-access with one row per block from a block-uniform one.
+path's per-axis check.  Both raise the one ``IndexError`` text, ``<array>: axis
+<a> index out of range [0, <extent>) (got [lo, hi])``, so an access fails alike
+on either path and on every substrate.  :func:`shifted_flat_index` decodes a
+dense grouped access once (its caller re-issues a bad row, which raises that
+text).  :func:`per_block` tells an access with one row per block from a
+block-uniform one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["SplitIndex", "block_index", "combine", "flat_index", "lane_index", "materialised",
-           "per_block", "split_access"]
+           "per_block", "shifted_flat_index", "split_access"]
 
 
 _LOW, _HIGH = -(1 << 63), (1 << 63) - 1  # the int64 range
@@ -295,6 +297,34 @@ def flat_index(name: str, axes, indices) -> np.ndarray:
         term = index if stride == 1 else index * stride
         flat = term if flat is None else flat + term
     return np.asarray(0 if flat is None else flat, dtype=np.int64)
+
+
+def shifted_flat_index(axes, indices, shifts):
+    """``(flat, moves)`` of a dense grouped access whose every row is in range, else
+    ``None``: row ``q`` (the access at ``indices + shifts[:, q]``) reads ``flat +
+    moves[q]``.
+
+    Row ``q`` is in range exactly when, on every axis, the index's extrema
+    plus ``shifts[axis, q]`` are; so all rows are when each axis holds at its
+    extreme shifts, and the index is decoded once whatever the row count.  An
+    empty or non-integer index also gives ``None``: its caller re-issues the
+    rows one at a time, and the first bad one raises its own error.
+    """
+    flat = None
+    moves = 0
+    for (extent, stride), index, row in zip(axes, indices, shifts):
+        index = np.asarray(materialised(index))
+        if index.dtype.kind not in "iu" or not index.size:
+            return None
+        low, high = _extrema(index)
+        shift_low, shift_high = _extrema(row)
+        if low + shift_low < 0 or high + shift_high >= extent:
+            return None
+        index = index.astype(np.int64, copy=False)
+        term = index if stride == 1 else index * stride
+        flat = term if flat is None else flat + term
+        moves = moves + (row if stride == 1 else row * stride)
+    return flat, moves
 
 
 def split_access(name: str, axes, indices, batch, shifts=None):

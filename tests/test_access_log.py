@@ -201,6 +201,34 @@ def test_the_affine_comparison_catches_a_residue_taken_mod_the_element_size(monk
         _assert_affine_equals_materialised()
 
 
+def _assert_shift_classes_equal_every_copy(seeds=range(2)):
+    """A dense access shifted by every shift (the bases of the affine draws) scores as
+    its first shift per class, logged with ``repeat`` = the class's count."""
+    for seed in seeds:
+        for shifts, pattern, element_bytes, sector_bytes, warp_size in _affine_accesses(seed):
+            access = np.stack([pattern, pattern[::-1] + 7])
+            copies, classes = (CudaTrace(sector_bytes=sector_bytes) for _ in range(2))
+            for shift in shifts.tolist():
+                copies.log_global(access + shift, element_bytes, warp_size, False)
+            for shift, count in sharedmem.shift_classes(shifts, element_bytes, sector_bytes):
+                classes.log_global(access + shift, element_bytes, warp_size, False, count)
+            copies.flush()
+            classes.flush()
+            assert _profile_counters(classes) == _profile_counters(copies), \
+                (seed, element_bytes, sector_bytes, warp_size)
+
+
+def test_a_shifted_access_scores_once_per_residue_class():
+    _assert_shift_classes_equal_every_copy()
+
+
+def test_the_shift_class_comparison_catches_a_residue_taken_mod_the_element_size(monkeypatch):
+    monkeypatch.setattr(sharedmem, "_residue_classes",
+                        lambda base, element_bytes, unit_bytes: base % element_bytes)
+    with pytest.raises(AssertionError):
+        _assert_shift_classes_equal_every_copy()
+
+
 # -- shifted shared rows: scored once per shift residue class -----------------------------
 
 

@@ -6,8 +6,10 @@ every shift and scores each pattern once per shift residue class
 (``AccessLog.log_shared_affine``).  Every test here holds a grouped access to
 the same rows issued one call each: the same values, the same last writer,
 every trace counter (the bank-conflict histogram included) and the same
-errors.  The LUD internal kernel, which issues its fragments that way, is held
-to its per-fragment form, kept here as the oracle.
+errors, whether the index keeps its ``block + lane`` split or is dense.  The
+LUD internal kernel and the stencil, which issue their fragments and
+neighbours that way, are held to their per-fragment and per-offset forms,
+kept here as the oracles.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.apps import lud
+from repro.apps import lud, stencil
 from repro.core import GroupBy, antidiagonal
 from repro.gpusim import A100_80GB
 from repro.gpusim.device import DEVICE_ZOO
@@ -133,6 +135,53 @@ def test_lud_grouped_fragments_equal_the_per_fragment_kernel(monkeypatch, reissu
         assert seen[1] == expected[1], (shape, device.name)
 
 
+# -- the stencil: grouped neighbour loads against the per-offset kernel ------------------
+
+
+def _per_offset_update(ctx, src, dst, spec, ii, jj, kk, lanes):
+    """The stencil update as it issued its neighbours before grouping: one load per
+    offset, summed in offset order."""
+    offsets = stencil.stencil_offsets(spec)
+    weight = 1.0 / len(offsets)
+    acc = np.zeros(np.shape(ii), dtype=np.float32)
+    for dz, dy, dx in offsets:
+        acc += src.load(ctx, ii + dz, jj + dy, kk + dx)
+    ctx.count_flops(len(offsets) * lanes)
+    dst.store(ctx, acc * weight, ii, jj, kk)
+
+
+@pytest.mark.parametrize("spec", stencil.STENCILS, ids=lambda spec: spec.name)
+def test_the_stencil_equals_the_per_offset_kernel(monkeypatch, spec):
+    """Output bits and every counter for bricks 2/4/8 in both layouts, on two sector
+    sizes; on the array layout no neighbour is loaded alone."""
+    grouped = stencil._stencil_update
+    single_loads = []
+    load = GlobalArray.load
+
+    def counted(self, *args, **kwargs):
+        single_loads.append(1)
+        return load(self, *args, **kwargs)
+
+    monkeypatch.setattr(GlobalArray, "load", counted)
+    for brick in (2, 4, 8):
+        n = brick
+        while n < max(4 * brick, 2 * spec.radius + 2):  # stencil_case's grid
+            n += brick
+        grid = np.random.default_rng(n + brick).standard_normal((n, n, n)).astype(np.float32)
+        for layout in (None, stencil.brick_layout(n, brick)):
+            for device in (DEVICES[0], DEVICES[-1]):
+                runs = []
+                for update in (_per_offset_update, grouped):
+                    monkeypatch.setattr(stencil, "_stencil_update", update)
+                    single_loads.clear()
+                    out, trace = stencil.run_stencil(grid, spec, layout=layout, brick=brick,
+                                                     device=device)
+                    runs.append((out, _counters(trace), len(single_loads)))
+                np.testing.assert_array_equal(runs[1][0], runs[0][0])
+                assert runs[1][1] == runs[0][1], (spec.name, brick, layout is None, device.name)
+                assert runs[0][2] > 0 and (runs[1][2] == 0) == (layout is None)
+
+
 # -- grouped global accesses against the separate ones -----------------------------------
 
 
@@ -181,9 +230,10 @@ def test_grouped_global_rows_equal_the_separate_accesses(reissued, collide, dtyp
             assert runs[True][2] == runs[False][2], (device.name, threads, collide)
 
 
-def test_a_grouped_access_that_is_not_split_is_issued_row_by_row():
-    """A dense index (``ty // 2 * 2`` is not ``block + lane``) takes the dense path of
-    each row: the values of the separate loads, and the rows written one at a time."""
+def test_a_dense_grouped_access_in_range_is_issued_whole(reissued):
+    """A dense index (``tx // 2 * 2`` is not ``block + lane``) in range is decoded once
+    and re-issues no row: the values of the separate loads, and the rows written row
+    after row."""
 
     def kernel(ctx, src, out, seen):
         dense = ctx.tx // 2 * 2
@@ -196,12 +246,132 @@ def test_a_grouped_access_that_is_not_split_is_issued_row_by_row():
     out = GlobalArray(np.zeros((8, 8), dtype=np.float32), name="out")
     seen = []
     launch(kernel, grid=4, block=6, args=(src, out, seen))
+    assert not reissued
     rows = np.arange(4)[:, None, None] + np.array([0, 1])[:, None]
     columns = np.arange(6) // 2 * 2 + np.array([0, 2])[:, None]
     np.testing.assert_array_equal(seen[0], src.to_numpy()[rows, columns])
     expected = np.zeros((8, 8), dtype=np.float32)
     expected[rows, columns] = src.to_numpy()[rows, columns] + 1
     np.testing.assert_array_equal(out.to_numpy(), expected)
+
+
+# -- dense grouped accesses: decoded once, logged once per sector residue class ---------
+
+#: row shifts of every sign and several sector residue classes (the flat moves on a
+#: 200-wide array are 0, 200, 203, 3, 401, 16, -195 and 17)
+DENSE_SHIFTS = np.array([[0, 1, 1, 0, 2, 0, -1, 0], [0, 0, 3, 3, 1, 16, 5, 17]])
+
+
+def _dense_start(ctx, collide):
+    """A dense ``(B, T)`` index (``// 1`` reads the block ids), overlapping within and
+    across blocks with ``collide``."""
+    bx, tx = ctx.blockIdx.x // 1, ctx.tx // 1
+    return (bx + 1, tx // 2) if collide else (bx * 3 + 1, tx * 4 + 1)
+
+
+def _dense_kernel(grouped, shifts, collide, compacted):
+    """Load rows of ``src`` at a dense index + shift and store them into ``out`` in
+    reverse row order (every writer of an element writes its own value), on the block
+    context or on its compacted lanes (every third lane dropped)."""
+
+    def kernel(ctx, src, out, seen):
+        rows = _dense_start(ctx, collide)
+        if compacted:
+            ctx = ctx.compact_threads(np.asarray(ctx.tx) % 3 != 1)
+            rows = tuple(map(ctx.compact, rows))
+        if grouped:
+            values = src.load_rows(ctx, *rows, shifts=shifts)
+            out.store_rows(ctx, values[..., ::-1, :], *rows, shifts=shifts)
+        else:
+            values = np.stack([src.load(ctx, rows[0] + di, rows[1] + dj)
+                               for di, dj in shifts.T.tolist()], axis=-2)
+            for q, (di, dj) in enumerate(shifts.T.tolist()):
+                out.store(ctx, values[..., -1 - q, :], rows[0] + di, rows[1] + dj)
+        seen.append(values)
+
+    return kernel
+
+
+def _dense_runs(reissued, device, dtype, shifts, collide, compacted, grid=7, threads=40):
+    """The separate and the grouped accesses' values, written grid and counters (or the
+    error each raised); how many single-row accesses the grouped one re-issued."""
+    runs = {}
+    for grouped in (False, True):
+        shape = (24, 200)
+        src = GlobalArray(np.arange(24 * 200).reshape(shape).astype(dtype), name="src")
+        out = GlobalArray(np.zeros(shape, dtype=dtype), name="out")
+        seen = []
+        reissued.clear()
+        try:
+            trace = launch(_dense_kernel(grouped, shifts, collide, compacted), grid=grid,
+                           block=threads, args=(src, out, seen), device=device)
+        except IndexError as error:
+            runs[grouped] = str(error)
+            continue
+        runs[grouped] = (seen[0], out.to_numpy(), _counters(trace))
+    return runs, len(reissued)
+
+
+@pytest.mark.parametrize("compacted", [False, True], ids=["blocks", "compacted"])
+@pytest.mark.parametrize("collide", [False, True], ids=["disjoint", "colliding"])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_dense_grouped_rows_equal_the_separate_accesses(reissued, dtype, collide, compacted):
+    """Values, the last writer and every counter on every device, for warps that cut a
+    row and warps that cover it: the sector residue modulus depends on the element and
+    the sector size.  Nothing is re-issued."""
+    for device in DEVICES:
+        for threads in (5, 40):
+            runs, count = _dense_runs(reissued, device, dtype, DENSE_SHIFTS, collide, compacted,
+                                      threads=threads)
+            assert count == 0
+            np.testing.assert_array_equal(runs[True][0], runs[False][0])
+            np.testing.assert_array_equal(runs[True][1], runs[False][1])
+            assert runs[True][2] == runs[False][2], (device.name, threads, collide, compacted)
+
+
+@pytest.mark.parametrize("compacted", [False, True], ids=["blocks", "compacted"])
+@pytest.mark.parametrize("shifts", [
+    [[0, 1, 30], [0, 0, 0]],  # the third row leaves axis 0
+    [[0, 0, 0], [0, -1, -5]],  # the second row leaves axis 1 below 0
+    [[1, 0], [2, 600]],  # the second row leaves axis 1 above
+], ids=["axis0", "axis1-low", "axis1-high"])
+def test_a_dense_grouped_row_out_of_range_raises_the_first_bad_rows_error(reissued, shifts,
+                                                                         compacted):
+    """The rows are re-issued one at a time, so the first bad row raises its own
+    ``IndexError`` text."""
+    shifts = np.array(shifts)
+    for device in (DEVICES[0], DEVICES[-1]):
+        runs, count = _dense_runs(reissued, device, np.float32, shifts, False, compacted)
+        assert runs[True] == runs[False]
+        assert runs[True].startswith("src: axis ")
+        assert count > 0
+
+
+def test_a_dense_grouped_access_through_a_layout_table_is_issued_row_by_row(reissued):
+    """A layout table is not shift-invariant: every row is its own load, with its own
+    values and counters."""
+    layout = GroupBy([16, 16]).OrderBy(antidiagonal(16))
+    shifts = np.array([[0, 1, 2], [0, 3, 1]])
+    runs = {}
+    for grouped in (False, True):
+        src = GlobalArray(np.arange(256, dtype=np.float32).reshape(16, 16), layout=layout,
+                          name="src")
+        seen = []
+
+        def kernel(ctx, src, seen, grouped=grouped):
+            rows = ctx.blockIdx.x // 1, ctx.tx // 1
+            if grouped:
+                seen.append(src.load_rows(ctx, *rows, shifts=shifts))
+            else:
+                seen.append(np.stack([src.load(ctx, rows[0] + di, rows[1] + dj)
+                                      for di, dj in shifts.T.tolist()], axis=-2))
+
+        reissued.clear()
+        trace = launch(kernel, grid=6, block=12, args=(src, seen))
+        runs[grouped] = (seen[0], _counters(trace), len(reissued))
+    np.testing.assert_array_equal(runs[True][0], runs[False][0])
+    assert runs[True][1] == runs[False][1]
+    assert runs[True][2] == runs[False][2] == shifts.shape[1]
 
 
 @pytest.mark.parametrize("shifts, message", [
@@ -415,9 +585,9 @@ def test_one_nw_pass_makes_five_global_accesses(reissued, block):
 
 @pytest.mark.parametrize("layout", [None, "antidiagonal"])
 def test_flat_shared_accesses_equal_the_two_dimensional_index(layout):
-    """Per-block ``load`` / ``store`` (duplicate indices in a row: the last writer
-    wins) and block-uniform ``load_rows``, with and without ``shifts``, read and
-    write what ``data[rows, physical]`` does."""
+    """Per-block ``load`` / ``store``, block-uniform ``store`` (duplicate indices in a
+    row: the last writer wins) and block-uniform ``load_rows``, with and without
+    ``shifts``, read and write what ``data[rows, physical]`` does."""
     from repro.apps.nw import nw_buffer_layout
 
     buffer_layout = None if layout is None else nw_buffer_layout(16, layout)
@@ -439,6 +609,17 @@ def test_flat_shared_accesses_equal_the_two_dimensional_index(layout):
         buf.store(values, rows, columns)
         np.testing.assert_array_equal(buf.data, expected)
         assert (buf.data[blocks, physical][:, 1::2] == values[:, 1::2]).all()  # last writer
+        # block-uniform: one pattern in every block, two lanes of it on one cell; the
+        # values are the same in every block, or one row per block
+        uniform = lanes // 2 % 17, lanes // 2 * 3 % 17
+        physical = table[uniform[0] * 17 + uniform[1]]
+        for values in (lanes.astype(np.int32), (lanes + 100 * blocks).astype(np.int32)):
+            expected = buf.data.copy()
+            expected[:, physical] = values
+            buf.store(values, *uniform)
+            np.testing.assert_array_equal(buf.data, expected)
+            stored = np.broadcast_to(values, (buf.batch, lanes.size))
+            assert (buf.data[:, physical][:, 1::2] == stored[:, 1::2]).all()  # last writer
         # block-uniform rows, then every row at every shift
         patterns = np.stack([lanes % 13, lanes // 3]), np.stack([lanes // 2, lanes % 11])
         np.testing.assert_array_equal(

@@ -246,15 +246,15 @@ def test_the_stencil_equals_the_dense_path(monkeypatch):
     split = GlobalArray._split
     closed = []
 
-    def spied(self, ctx, indices):
-        result = split(self, ctx, indices)
+    def spied(self, ctx, indices, shifts=None):
+        result = split(self, ctx, indices, shifts)
         closed.append(result is not None)
         return result
 
     def run(spec, n, brick, layout, dense):
         grid = np.random.default_rng(n + brick).standard_normal((n, n, n)).astype(np.float32)
         monkeypatch.setattr(GlobalArray, "_split",
-                            (lambda self, ctx, indices: None) if dense else spied)
+                            (lambda self, ctx, indices, shifts=None: None) if dense else spied)
         out, trace = run_stencil(grid, spec, layout=layout, brick=brick)
         return out, _counters(trace)
 
