@@ -156,6 +156,15 @@ class BatchedTensor:
     def __repr__(self) -> str:
         return f"BatchedTensor(P={self.data.shape[0]}, block={self.data.shape[1:]})"
 
+    def __bool__(self):
+        # one kernel body runs every program of the pass: a branch would take
+        # one side for all of them, whatever each program's own value says
+        raise TypeError(
+            "a program-dependent value has no single truth value: `if`, `while`, "
+            "`and`/`or`/`not`, chained comparisons and `min`/`max` with a key= "
+            "cannot branch per program; use tl.where, tl.minimum or tl.maximum"
+        )
+
     # -- indexing ----------------------------------------------------------
 
     def __getitem__(self, key) -> "BatchedTensor":

@@ -4,10 +4,12 @@ The LEGO/Triton integration produces kernel *source text*.  This runtime turns
 that text into a callable and runs it over a launch grid, a pass of programs
 per call of the kernel body (see :mod:`repro.minitriton.language`):
 
-* :func:`compile_kernel` — execute the source in a namespace providing ``tl``
-  (the language namespace) and a no-op ``@triton.jit`` decorator, and return
-  the requested kernel function; a ``(source, kernel_name)`` pair is compiled
-  once per process, since the function holds no launch state;
+* :func:`compile_kernel` — parse the source, hoist its loop-invariant index
+  arithmetic (:mod:`repro.minitriton.hoist`), execute it in a namespace
+  providing ``tl`` (the language namespace) and a no-op ``@triton.jit``
+  decorator, and return the requested kernel function; a ``(source,
+  kernel_name)`` pair is compiled once per process, since the function holds
+  no launch state;
 * :func:`launch` — run the kernel for every program id in the grid and
   return the recorded memory/arithmetic trace, binding each pass's program
   ids and the trace on ``tl`` for the calling thread only;
@@ -21,6 +23,7 @@ extrapolating with ``Case.scale`` / ``KernelCost.scaled`` (:func:`repro.check.pr
 
 from __future__ import annotations
 
+import ast
 import builtins
 import functools
 import types
@@ -29,6 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..vm.engine import launch_extents, run_launch
+from .hoist import hoist_invariants
 from .language import BatchedTensor, DeviceBuffer, KernelTrace, _apply2, cdiv, tl
 
 __all__ = ["TritonJitShim", "compile_kernel", "launch", "to_device", "from_device"]
@@ -37,10 +41,11 @@ __all__ = ["TritonJitShim", "compile_kernel", "launch", "to_device", "from_devic
 #: the program-major store order intact).  It counts programs, not lanes — the
 #: block size is unknown before the body runs — so it is the slab
 #: (:data:`repro.vm.engine.SLAB_ELEMENTS`) in its own unit.  Best-of-15 launch,
-#: ms, at 8192 / 2048 / 1024 / 512 / 256 programs a pass: softmax 7.2 / 4.2 /
-#: 4.3 / 4.7 / 5.7, layernorm 7.1 / 4.3 / 4.5 / 5.1 / 6.7, matmul 35.2 / 35.2 /
-#: 34.5 / 38.6 / 43.2, grouped GEMM 18.8 / 18.8 / 18.8 / 21.3 / 24.8 — do not
-#: go below 1024.
+#: ms, of the bench launches (2-vCPU x86 host) at 8192 / 2048 / 1024 / 512 / 256
+#: programs a pass: softmax (4096 x 64) 1.63 / 1.21 / 1.32 / 1.52 / 1.94,
+#: layernorm (4096 x 64) 1.51 / 1.12 / 1.32 / 1.63 / 2.29, matmul (1 024
+#: programs) 3.37 / 3.37 / 3.36 / 4.88 / 7.86, grouped GEMM (1 024 programs)
+#: 2.18 / 2.16 / 2.17 / 2.91 / 4.25 — do not go below 1024.
 PROGRAM_CHUNK = 1024
 
 
@@ -58,28 +63,44 @@ class TritonJitShim(types.SimpleNamespace):
         return cdiv(a, b)
 
 
+def _folded(np_op, builtin, args, kwargs):
+    """``builtin(*args)``, folding pairwise through ``np_op`` once a batched value
+    takes part (``min(GM, nt_m - pid)``): a batched value has no truth value to
+    compare by."""
+    if kwargs or len(args) < 2 or not any(isinstance(a, BatchedTensor) for a in args):
+        return builtin(*args, **kwargs)
+    result = args[0]
+    for arg in args[1:]:
+        if isinstance(result, BatchedTensor) or isinstance(arg, BatchedTensor):
+            result = _apply2(np_op, result, arg)
+        else:
+            result = builtin(result, arg)
+    return result
+
+
 def _namespace_min(*args, **kwargs):
-    """``min`` builtin that understands batched scalars (``min(GM, nt_m - pid)``)."""
-    if len(args) == 2 and not kwargs and any(isinstance(a, BatchedTensor) for a in args):
-        return _apply2(np.minimum, args[0], args[1])
-    return builtins.min(*args, **kwargs)
+    """``min`` builtin that understands batched scalars."""
+    return _folded(np.minimum, builtins.min, args, kwargs)
 
 
 def _namespace_max(*args, **kwargs):
-    if len(args) == 2 and not kwargs and any(isinstance(a, BatchedTensor) for a in args):
-        return _apply2(np.maximum, args[0], args[1])
-    return builtins.max(*args, **kwargs)
+    return _folded(np.maximum, builtins.max, args, kwargs)
 
 
 @functools.lru_cache(maxsize=64)
 def compile_kernel(source: str, kernel_name: str) -> Callable:
-    """Execute kernel source and return the kernel function.
+    """Compile kernel source, execute it and return the kernel function.
 
-    The namespace provides ``tl``, ``triton`` and ``min``/``max`` builtins —
-    everything the paper's generated kernels reference.  A ``(source,
-    kernel_name)`` pair is compiled once per process: the function holds no
-    launch state (every launch binds its own program ids and trace through
-    the one ``tl``), so each later call returns the same function.
+    The source is parsed and its loops' invariant index operands are hoisted
+    (:func:`~repro.minitriton.hoist.hoist_invariants`, the Triton compiler's
+    loop-invariant code motion) before it compiles: the text is never
+    rewritten, only the code object, and outputs and trace counters are those
+    of the source run as written.  The namespace provides ``tl``, ``triton``
+    and ``min``/``max`` builtins — everything the paper's generated kernels
+    reference.  A ``(source, kernel_name)`` pair is compiled once per process:
+    the function holds no launch state (every launch binds its own program
+    ids and trace through the one ``tl``), so each later call returns the
+    same function.
     """
     namespace: dict[str, object] = {
         "tl": tl,
@@ -88,7 +109,10 @@ def compile_kernel(source: str, kernel_name: str) -> Callable:
         "max": _namespace_max,
         "range": range,
     }
-    code = compile(source, filename=f"<lego-kernel:{kernel_name}>", mode="exec")
+    filename = f"<lego-kernel:{kernel_name}>"
+    tree = ast.parse(source, filename=filename)
+    hoist_invariants(tree)
+    code = compile(tree, filename=filename, mode="exec")
     exec(code, namespace)  # noqa: S102 - generated by this package, not user input
     if kernel_name not in namespace:
         raise KeyError(f"kernel {kernel_name!r} not defined by the provided source")

@@ -441,6 +441,37 @@ def test_elementwise_flops_count_the_broadcast_result_in_any_operand_order(expre
     assert trace.flops == 64
 
 
+PER_PROGRAM_KERNEL = """
+@triton.jit
+def per_program(y_ptr):
+    pid = tl.program_id(axis=0)
+    {body}
+    tl.store(y_ptr + pid, v)
+"""
+
+
+@pytest.mark.parametrize("expression,expected", [
+    ("min(pid, 2, 5)", [0, 1, 2, 2]), ("min(5, 2, pid)", [0, 1, 2, 2]),
+    ("max(pid, 1, 2)", [2, 2, 2, 3]), ("min(3, 7, pid + 1, 2 * pid)", [0, 2, 3, 3]),
+])
+def test_namespace_min_and_max_fold_any_number_of_arguments_per_program(expression, expected):
+    fn = compile_kernel(PER_PROGRAM_KERNEL.format(body=f"v = {expression}"), "per_program")
+    yb = to_device(np.zeros(4, dtype=np.int64), "y")
+    tl_launch(fn, grid=4, kernel_args={"y_ptr": yb})
+    assert from_device(yb).tolist() == expected
+
+
+@pytest.mark.parametrize("body", ["v = 1 if pid < 2 else 7", "v = pid if pid else 7",
+                                  "v = (pid < 2) and 1", "v = 0 < pid < 3",
+                                  "v = min(pid, 2, key=abs)"])
+def test_a_program_dependent_truth_value_is_a_type_error(body):
+    """One body runs every program of the pass: a branch on a batched value
+    would take one side for all of them (it took the true side everywhere)."""
+    fn = compile_kernel(PER_PROGRAM_KERNEL.format(body=body), "per_program")
+    with pytest.raises(TypeError, match="program-dependent value has no single truth value"):
+        tl_launch(fn, grid=4, kernel_args={"y_ptr": to_device(np.zeros(4, dtype=np.int64), "y")})
+
+
 def test_minitriton_dot_records_tensor_core_flops():
     source = """
 @triton.jit
