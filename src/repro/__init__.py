@@ -23,8 +23,8 @@ Mapping" (Tavakkoli, Oancea, Hall).  It provides:
   ranking and a persistent result cache;
 * :mod:`repro.serve` — the concurrent layout-compilation service: batch
   submission with in-flight deduplication over a sharded two-tier kernel
-  cache, service metrics and a synthetic-traffic CLI
-  (``python -m repro.serve``);
+  cache, per-lane service metrics and a multi-process farm
+  (``CompileFarm``) on the same request path;
 * :mod:`repro.cache` — the shared cache tiers (sharded in-memory LRU,
   atomic persistent JSON store) behind the service and the autotuner;
 * :mod:`repro.check` — the evidence pass: NumPy reference models per app,

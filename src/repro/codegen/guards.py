@@ -47,18 +47,12 @@ class GuardProofError(RuntimeError):
     """A launch relies on a guard proof the range analysis did not discharge."""
 
 
-GUARDS_ELIMINATED = counter(
-    "repro.symbolic.guards_eliminated",
-    "bounds guards/predication removed from kernel launches after an always-true proof",
-)
-PROOFS_STATIC = counter(
-    "repro.symbolic.proofs_static",
-    "guard/bounds/bijectivity obligations discharged statically by the range analysis",
-)
-PROOFS_FALLBACK = counter(
-    "repro.symbolic.proofs_fallback",
-    "obligations the range analysis could not discharge (a launch relying on one raises)",
-)
+#: bounds guards/predication removed from kernel launches after an always-true proof
+GUARDS_ELIMINATED = counter("repro.symbolic.guards_eliminated")
+#: guard/bounds/bijectivity obligations discharged statically by the range analysis
+PROOFS_STATIC = counter("repro.symbolic.proofs_static")
+#: obligations the range analysis could not discharge (a launch relying on one raises)
+PROOFS_FALLBACK = counter("repro.symbolic.proofs_fallback")
 
 
 def note_static_proof(amount: int = 1) -> None:

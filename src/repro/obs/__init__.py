@@ -7,13 +7,13 @@ tune.search); this package is where all of their telemetry converges:
   spans (:func:`span`), thread-safe and nestable, ~zero-cost when disabled,
   enabled process-wide by the ``REPRO_TRACE`` environment variable and
   exported as Chrome trace-event / Perfetto-compatible JSON
-  (:func:`export_trace`), so a whole ``autotune(measure_top_k=...)`` run or
-  serve replay opens directly in a trace viewer.
+  (:func:`export_trace`), so a whole ``autotune(measure_top_k=...)`` run
+  opens directly in a trace viewer.
 * :mod:`repro.obs.metrics` — the **metrics registry**
   (:data:`REGISTRY`), the only place a process-wide count lives: counters
   (the symbolic cache counters among them), gauges and reservoir
-  histograms, the shared ceil-based nearest-rank :func:`percentile`, one
-  snapshot/delta API and a Prometheus-style text exposition.  A service's
+  histograms, the shared ceil-based nearest-rank :func:`percentile` and one
+  snapshot/delta API.  A service's
   ledger is a per-instance value its ``stats()`` returns, not a registry
   entry.
 * :mod:`repro.obs.report` — **attribution**: per-thread span trees,

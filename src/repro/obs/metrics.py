@@ -11,19 +11,16 @@ not: it is a per-instance value its ``stats()`` returns.
 Everything is visible through one **snapshot/delta API**
 (:meth:`MetricsRegistry.snapshot` returns a flat dotted-key mapping, optionally
 narrowed to a name prefix; :meth:`MetricsRegistry.delta` subtracts two
-snapshots) and a **Prometheus-style text exposition**
-(:meth:`MetricsRegistry.render_prometheus`, served by ``python -m repro.serve
---metrics``).
+snapshots).
 
 The ceil-based nearest-rank :func:`percentile` lives here as the single
-shared implementation — :class:`Histogram` (and through it the serve
-ledger's latency) and the serve benchmark's tail-latency assertions all use it.
+implementation: :class:`Histogram`, and through it the serve ledger's
+latency, uses it.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import threading
 from collections import deque
 from collections.abc import Callable, Mapping
@@ -49,8 +46,7 @@ def percentile(ordered: list[float], q: float) -> float:
     equivalent — Python rounds half-to-even, so p50 of an even window picked
     the lower or upper middle sample depending on whether the midpoint rank
     happened to be even (p50 of [1, 2] chose 1 while p50 of [1, 2, 3, 4]
-    chose 3).  This is the single shared implementation; :class:`Histogram`
-    and the benchmark tail assertions both call it.
+    chose 3).  This is the single implementation; :class:`Histogram` calls it.
     """
     if not ordered:
         return 0.0
@@ -63,9 +59,8 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self._lock = threading.Lock()
         self._value = 0.0
 
@@ -89,9 +84,8 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "", fn: Callable[[], float] | None = None):
+    def __init__(self, name: str, fn: Callable[[], float] | None = None):
         self.name = name
-        self.help = help
         self._fn = fn
         self._lock = threading.Lock()
         self._value = 0.0
@@ -133,11 +127,10 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "", max_samples: int = 10_000):
+    def __init__(self, name: str, max_samples: int = 10_000):
         if max_samples < 1:
             raise ValueError("Histogram requires a positive sample bound")
         self.name = name
-        self.help = help
         self._lock = threading.Lock()
         self._samples: deque[float] = deque(maxlen=max_samples)
         self._count = 0
@@ -170,17 +163,6 @@ class Histogram:
         }
 
 
-_PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str) -> str:
-    """A Prometheus-legal metric name (dots and dashes become underscores)."""
-    sanitized = _PROM_NAME.sub("_", name)
-    if not sanitized or sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized
-
-
 class MetricsRegistry:
     """Counters, gauges and histograms behind one snapshot/delta API."""
 
@@ -190,7 +172,7 @@ class MetricsRegistry:
 
     # -- instrument creation (create-or-get, type-checked) ---------------------
 
-    def _get_or_create(self, cls, name: str, help: str, **kwargs):
+    def _get_or_create(self, cls, name: str, **kwargs):
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
@@ -200,20 +182,20 @@ class MetricsRegistry:
                         f"requested {cls.kind}"
                     )
                 return existing
-            metric = cls(name, help, **kwargs)
+            metric = cls(name, **kwargs)
             self._metrics[name] = metric
             return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help)
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(Counter, name)
 
-    def gauge(self, name: str, help: str = "", fn: Callable[[], float] | None = None) -> Gauge:
-        return self._get_or_create(Gauge, name, help, fn=fn)
+    def gauge(self, name: str, fn: Callable[[], float] | None = None) -> Gauge:
+        return self._get_or_create(Gauge, name, fn=fn)
 
-    def histogram(self, name: str, help: str = "", max_samples: int = 10_000) -> Histogram:
-        return self._get_or_create(Histogram, name, help, max_samples=max_samples)
+    def histogram(self, name: str, max_samples: int = 10_000) -> Histogram:
+        return self._get_or_create(Histogram, name, max_samples=max_samples)
 
-    # -- snapshot / delta / exposition ----------------------------------------
+    # -- snapshot / delta ---------------------------------------------------
 
     def _instruments(self, prefix: str = "") -> list[Counter | Gauge | Histogram]:
         with self._lock:
@@ -236,45 +218,21 @@ class MetricsRegistry:
         """
         return {key: value - before.get(key, 0.0) for key, value in after.items()}
 
-    def render_prometheus(self) -> str:
-        """The registry as Prometheus text exposition (format version 0.0.4).
-
-        Counters and gauges expose their declared type; histograms expose as
-        summaries (``quantile`` labels plus ``_count``/``_sum``).
-        """
-        lines: list[str] = []
-        for metric in self._instruments():
-            name = _prom_name(metric.name)
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            if isinstance(metric, Histogram):
-                lines.append(f"# TYPE {name} summary")
-                collected = metric.collect()
-                for q in ("0.5", "0.95", "0.99"):
-                    key = f"{metric.name}.p{q[2:].ljust(2, '0')}"
-                    lines.append(f'{name}{{quantile="{q}"}} {collected[key]:g}')
-                lines.append(f"{name}_count {collected[f'{metric.name}.count']:g}")
-                lines.append(f"{name}_sum {collected[f'{metric.name}.sum']:g}")
-            else:
-                lines.append(f"# TYPE {name} {metric.kind}")
-                lines.append(f"{name} {metric.value:g}")
-        return "\n".join(lines) + "\n"
-
 
 #: the process-wide registry every instrumentation point records into
 REGISTRY = MetricsRegistry()
 
 
-def counter(name: str, help: str = "") -> Counter:
+def counter(name: str) -> Counter:
     """Create-or-get a counter on the process registry."""
-    return REGISTRY.counter(name, help)
+    return REGISTRY.counter(name)
 
 
-def gauge(name: str, help: str = "", fn: Callable[[], float] | None = None) -> Gauge:
+def gauge(name: str, fn: Callable[[], float] | None = None) -> Gauge:
     """Create-or-get a gauge on the process registry."""
-    return REGISTRY.gauge(name, help, fn=fn)
+    return REGISTRY.gauge(name, fn=fn)
 
 
-def histogram(name: str, help: str = "", max_samples: int = 10_000) -> Histogram:
+def histogram(name: str, max_samples: int = 10_000) -> Histogram:
     """Create-or-get a histogram on the process registry."""
-    return REGISTRY.histogram(name, help, max_samples=max_samples)
+    return REGISTRY.histogram(name, max_samples=max_samples)

@@ -12,10 +12,7 @@
   request re-drive,
 * :class:`FarmStats` + :class:`LaneStats` — the one snapshot of the
   per-lane ledger either executor's ``stats()`` returns
-  (:mod:`repro.serve.metrics`),
-* :func:`synthetic_requests` / :func:`traffic_trace` + ``python -m
-  repro.serve`` — deterministic traffic replay (uniform-duplicate traces,
-  or Zipf-popular Poisson arrivals across configurable burst phases).
+  (:mod:`repro.serve.metrics`).
 
 Quickstart::
 
@@ -47,24 +44,12 @@ from .service import (
     default_service,
     table_requests,
 )
-from .traffic import (
-    DEFAULT_PHASES,
-    BurstPhase,
-    TimedRequest,
-    generating_apps,
-    synthetic_requests,
-    trace_summary,
-    traffic_trace,
-    zipf_requests,
-)
 
 __all__ = [
     "AdmissionController",
-    "BurstPhase",
     "CompileFarm",
     "CompileRequest",
     "CompileService",
-    "DEFAULT_PHASES",
     "FarmCompileError",
     "FarmStats",
     "LANES",
@@ -73,13 +58,7 @@ __all__ = [
     "LaneStats",
     "PersistedKernel",
     "Rejected",
-    "TimedRequest",
     "default_compiler",
     "default_service",
-    "generating_apps",
-    "synthetic_requests",
     "table_requests",
-    "trace_summary",
-    "traffic_trace",
-    "zipf_requests",
 ]

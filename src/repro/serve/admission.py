@@ -55,15 +55,6 @@ class Rejected:
     queue_depth: int
     limit: int
 
-    def as_dict(self) -> dict:
-        return {
-            "app": self.app,
-            "lane": self.lane,
-            "reason": self.reason,
-            "queue_depth": self.queue_depth,
-            "limit": self.limit,
-        }
-
 
 class AdmissionController:
     """Per-lane bounded admission with exact shed accounting.

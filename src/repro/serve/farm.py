@@ -219,16 +219,12 @@ class CompileFarm(CompileService):
         self._admission.check_lane(lane)
         return self._submit(request, lane)
 
-    # -- chaos hooks (used by the kill tests and the burst benchmark) ----------
+    # -- chaos hook (used by the kill tests) -------------------------------------
 
-    def worker_pids(self) -> list[int]:
-        with self._lock:
-            return [h.pid for h in self._workers.values() if h.alive]
+    def kill_worker(self, index: int = 0) -> int:
+        """Chaos hook: SIGKILL the ``index``-th live worker.
 
-    def kill_worker(self, index: int = 0, sig: int = signal.SIGKILL) -> int:
-        """Chaos hook: signal the ``index``-th live worker (default SIGKILL).
-
-        Returns the pid signalled.  The supervisor notices via pipe EOF,
+        Returns the pid killed.  The supervisor notices via pipe EOF,
         re-drives the worker's in-flight tickets and spawns a replacement —
         exactly the path the chaos suite asserts.
         """
@@ -238,7 +234,7 @@ class CompileFarm(CompileService):
                 raise RuntimeError("no live workers to kill")
             target = alive[index % len(alive)]
             pid = target.pid
-        os.kill(pid, sig)
+        os.kill(pid, signal.SIGKILL)
         return pid
 
     # -- stats / lifecycle -----------------------------------------------------

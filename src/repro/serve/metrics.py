@@ -15,7 +15,7 @@ counts are the cache's own (``service.cache.stats()``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 from ..obs.metrics import Histogram
@@ -50,8 +50,7 @@ class LaneLedger:
 
         ``latency`` is ``{count, mean_ms, p50/p95/p99/p999_ms, max_ms}``.
         ``p999_ms`` is the farm's SLO percentile: over the bounded reservoir
-        it is exact for replay windows up to ``max_samples`` requests, which is
-        why the burst benchmark sizes its trace under the reservoir.
+        it is exact for windows up to ``max_samples`` requests.
         """
         collected = self.latency.collect()
         latency = {"count": int(collected["latency.count"])}
@@ -69,14 +68,6 @@ class LaneLedger:
             "dedup_waits": outcomes["dedup_wait"],
             "latency": latency,
         }
-
-
-def _as_dict(stats, **derived) -> dict:
-    """JSON-ready form of a stats dataclass: its fields (mappings copied)
-    plus the ``derived`` keys, which also replace any non-JSON field."""
-    out = {f.name: getattr(stats, f.name) for f in fields(stats)}
-    out.update(derived)
-    return {k: dict(v) if isinstance(v, dict) else v for k, v in out.items()}
 
 
 @dataclass(frozen=True)
@@ -119,9 +110,6 @@ class LaneStats:
         served = self.resolved - self.errors
         hits = self.memory_hits + self.coalesced + self.store_hits + self.dedup_waits
         return (hits / served) if served else 0.0
-
-    def as_dict(self) -> dict:
-        return _as_dict(self, pending=self.pending, hit_rate=self.hit_rate)
 
 
 @dataclass(frozen=True)
@@ -185,7 +173,3 @@ class FarmStats:
             if lane.lane == name:
                 return lane
         raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        return _as_dict(self, lost=self.lost, hit_rate=self.hit_rate,
-                        lanes={lane.lane: lane.as_dict() for lane in self.lanes})

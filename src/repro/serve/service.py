@@ -208,8 +208,8 @@ def default_compiler(request: CompileRequest) -> GeneratedKernel | None:
     return spec.generate(request.config)
 
 
-#: per-lane latency reservoir size (replay windows up to this many requests
-#: get exact percentiles — the burst benchmark sizes its trace under it)
+#: per-lane latency reservoir size (windows up to this many requests get
+#: exact percentiles)
 _LATENCY_SAMPLES = 20_000
 #: how often a leader waiting out another process's claim re-probes the store
 _CLAIM_POLL = 0.005

@@ -1,21 +1,23 @@
-"""The multi-process compile farm: claims, sharded store, chaos, SLO replay.
+"""The multi-process compile farm: claims, sharded store, chaos, replay.
 
 Everything here runs real worker *processes* (spawn context) — these are the
 tests that earn the farm's headline claims: exactly-once compilation across
 processes, survival of a SIGKILL mid-compile, bounded admission with typed
-shedding, strict interactive priority, and bit-identical replay summaries
-regardless of worker count.
+shedding, strict interactive priority, and identical kernels for one request
+list regardless of worker count.
 """
 
 import json
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
 import pytest
 
 from repro.cache import ClaimRegistry, ResultCache, ShardedFileStore
+from repro.obs import REGISTRY
 from repro.obs.metrics import counter
 from repro.serve import (
     CompileFarm,
@@ -25,13 +27,10 @@ from repro.serve import (
     LANE_SWEEP,
     Rejected,
     default_compiler,
-    synthetic_requests,
     table_requests,
-    trace_summary,
-    traffic_trace,
 )
-from repro.serve.__main__ import main as serve_main, parse_phases
 from repro.tune.tables import TuningTable
+from synthetic_traffic import synthetic_requests
 
 SPAWN = multiprocessing.get_context("spawn")
 
@@ -539,89 +538,61 @@ def test_stale_version_table_warms_nothing(tmp_path):
     assert stats.compiled == 0 and stats.submitted == 0
 
 
-# -- deterministic replay across worker counts ---------------------------------------
+# -- one request list, any worker count, a kill mid-submission -----------------------
 
 
-def test_traffic_trace_is_deterministic():
-    kwargs = dict(apps=["matmul", "lud"], unique=8, seed=31)
-    one = traffic_trace(**kwargs)
-    two = traffic_trace(**kwargs)
-    assert [(t.at, t.lane, t.phase, t.request.local_key()) for t in one] == \
-        [(t.at, t.lane, t.phase, t.request.local_key()) for t in two]
-    assert trace_summary(one) == trace_summary(two)
-    assert trace_summary(traffic_trace(apps=["matmul", "lud"], unique=8,
-                                       seed=32)) != trace_summary(one)
+def _both_lanes(farm, requests, sweep_every: int):
+    """Submit ``requests`` in order, every ``sweep_every``-th on the sweep lane."""
+    return [farm.submit(r, lane=LANE_SWEEP if i % sweep_every == 0 else LANE_INTERACTIVE)
+            for i, r in enumerate(requests)]
 
 
-def test_parse_phases():
-    phases = parse_phases("steady:1:100,burst:0.5:400:0.6")
-    assert [p.name for p in phases] == ["steady", "burst"]
-    assert phases[0].interactive_fraction == 0.8  # the default
-    assert phases[1].rate == 400.0 and phases[1].interactive_fraction == 0.6
-    with pytest.raises(ValueError):
-        parse_phases("oops:1")
-    with pytest.raises(ValueError):
-        parse_phases(" , ")
+def test_farm_replay_summary_identical_across_worker_counts():
+    requests = synthetic_requests(apps=["matmul", "lud"], total=60,
+                                  duplicate_fraction=0.8, seed=41)
+    distinct = len({r.stable_key() for r in requests})
+    served = {}
+    for workers in (1, 4):
+        with CompileFarm(workers=workers) as farm:
+            results = [f.result(timeout=180) for f in _both_lanes(farm, requests, 3)]
+            stats = farm.stats()
+            store_entries = len(farm.store)
+        assert stats.workers == workers
+        assert stats.lost == stats.double_compiled == 0
+        assert stats.shed == 0 and stats.resolved == len(requests)
+        # a fresh store: one entry per compile, one compile per distinct kernel
+        assert store_entries == stats.compiled == distinct
+        served[workers] = [getattr(kernel, "source", None) for kernel in results]
+    assert served[1] == served[4], "the kernels served depend on the worker count"
 
 
-#: a two-app trace small enough to replay twice per test
-_SMALL_TRACE = (
-    "--apps", "matmul,lud", "--unique", "10", "--seed", "41",
-    "--phases", "steady:0.3:60:0.9,burst:0.2:200:0.7",
-)
-
-
-def _replay_report(tmp_path, workers: int, *trace: str) -> dict:
-    """The JSON report of a speed-0 farm replay of the ``trace`` options."""
-    out = tmp_path / f"replay-{workers}.json"
-    serve_main([
-        "--farm", "--workers", str(workers), "--speed", "0", *trace,
-        "--json", str(out),
-    ])
-    return json.loads(out.read_text())
-
-
-def test_farm_replay_summary_identical_across_worker_counts(tmp_path, capsys):
-    solo = _replay_report(tmp_path, 1, *_SMALL_TRACE)
-    quad = _replay_report(tmp_path, 4, *_SMALL_TRACE)
-    capsys.readouterr()  # swallow the CLI's JSON dumps
-    assert solo["trace"] == quad["trace"], (
-        "the trace fingerprint must not depend on how many workers served it"
-    )
-    for report in (solo, quad):
-        farm = report["farm"]
-        assert farm["lost"] == 0
-        assert farm["double_compiled"] == 0
-        assert report["store_entries"] == farm["compiled"]  # a fresh store: one entry per compile
-        assert report["replay"]["served"] + report["replay"]["shed"] == \
-            report["trace"]["requests"]
-    assert quad["farm"]["workers"] == 4 and solo["farm"]["workers"] == 1
-
-
-def test_burst_replay_absorbs_a_mid_burst_kill_without_loss_or_shedding(tmp_path, capsys):
-    # steady serving, a 4x burst, a cool-down: 679 requests, under both
-    # lanes' default caps, with one worker SIGKILLed 1.6 trace-seconds in
-    report = _replay_report(
-        tmp_path, 2,
-        "--phases", "steady:1.2:100:0.9,burst:1.2:400:0.7,cooldown:0.8:80:0.9",
-        "--unique", "48", "--seed", "7", "--kill-worker-at", "1.6",
-    )
-    capsys.readouterr()
-    farm = report["farm"]
-    assert (farm["lost"], farm["double_compiled"], farm["errors"]) == (0, 0, 0)
-    assert farm["restarts"] >= 1, "the mid-burst kill was never absorbed"
-    assert {lane: row["shed"] for lane, row in farm["lanes"].items()} == {
+def test_burst_replay_absorbs_a_mid_burst_kill_without_loss_or_shedding():
+    # 680 requests over every generating app (43 distinct kernels), a quarter
+    # of them on the sweep lane: under both lanes' default caps even when all
+    # are pending at once, with one worker SIGKILLed halfway through submitting,
+    # once the farm is serving
+    requests = synthetic_requests(total=680, duplicate_fraction=0.9, seed=7)
+    half = len(requests) // 2
+    with CompileFarm(workers=2) as farm:
+        futures = _both_lanes(farm, requests[:half], 4)
+        futures[0].result(timeout=120)
+        farm.kill_worker(0)
+        futures += _both_lanes(farm, requests[half:], 4)
+        results = [f.result(timeout=300) for f in futures]
+        stats = farm.stats()
+    assert (stats.lost, stats.double_compiled, stats.errors) == (0, 0, 0)
+    assert stats.restarts >= 1, "the mid-burst kill was never absorbed"
+    assert {lane.lane: lane.shed for lane in stats.lanes} == {
         LANE_INTERACTIVE: 0, LANE_SWEEP: 0,
     }
-    assert report["replay"]["served"] == report["trace"]["requests"] == 679
+    assert not any(isinstance(r, Rejected) for r in results)
+    assert stats.submitted == stats.resolved == len(results) == 680
 
 
 # -- observability ------------------------------------------------------------------
 
 
 def test_farm_counts_shed_events():
-    from repro.obs import REGISTRY
-
     requests = _small_trace(12, duplicate_fraction=0.0, seed=43)
     before = REGISTRY.snapshot("repro.farm.")
     with CompileFarm(workers=1, admission={LANE_SWEEP: 1}) as farm:
@@ -636,20 +607,27 @@ def test_farm_counts_shed_events():
     assert events["repro.farm.sheds"] == stats.shed
 
 
-def test_cli_farm_metrics_expose_each_family_once(capsys):
-    """The farm's ledger is the report's ``farm`` block; the exposition is the
-    process registry, where every family is declared once."""
-    report = serve_main([
-        "--farm", "--workers", "1", "--speed", "0", "--kill-worker-at", "0",
-        "--apps", "matmul,lud", "--unique", "6", "--seed", "41",
-        "--phases", "steady:0.2:60:0.9", "--metrics",
-    ])
-    from repro.obs.metrics import _prom_name
+def test_farm_restarts_counter_counts_each_kill():
+    """The farm's ``restarts`` is the process registry's ``repro.farm.restarts``."""
+    before = REGISTRY.snapshot("repro.farm.")
+    with CompileFarm(workers=1) as farm:
+        farm.kill_worker(0)
+        # the one worker is dead: this resolves only on its replacement
+        farm.submit(CompileRequest("matmul", {"variant": "nn"})).result(timeout=120)
+        stats = farm.stats()
+    events = REGISTRY.delta(before, REGISTRY.snapshot("repro.farm."))
+    assert stats.restarts >= 1 and stats.lost == 0
+    assert events["repro.farm.restarts"] == stats.restarts
 
-    printed = capsys.readouterr().out
-    assert report["farm"]["restarts"] >= 1
-    declared = [line.split()[2] for line in printed.splitlines() if line.startswith("# TYPE ")]
-    assert "repro_farm_restarts" in declared
-    assert len(declared) == len(set(declared)), sorted(declared)
-    # the report's snapshot is the same registry: no ledger key, no epoch
-    assert {_prom_name(key) for key in report["metrics"]} <= set(declared)
+
+def test_kill_worker_sigkills_a_live_worker_and_the_farm_replaces_it():
+    with CompileFarm(workers=1) as farm:
+        killed = farm.kill_worker(0)
+        farm.submit(CompileRequest("matmul", {"variant": "nn"})).result(timeout=120)
+        stats = farm.stats()
+        handles = list(farm._workers.values())
+    # close() joined every process it started, the dead one included
+    assert [h.process.exitcode for h in handles if h.pid == killed] == [-signal.SIGKILL]
+    live = [h.pid for h in handles if h.alive]
+    assert len(live) == 1 and killed not in live
+    assert stats.alive == 1 and stats.restarts == 1 and stats.lost == 0

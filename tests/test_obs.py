@@ -357,23 +357,6 @@ def test_registry_create_or_get_and_type_conflicts():
         backed.set(1.0)
 
 
-def test_prometheus_exposition():
-    registry = MetricsRegistry()
-    registry.counter("test.total", help="requests").inc(2)
-    registry.gauge("test-depth").set(3)
-    hist = registry.histogram("test.lat")
-    for v in range(1, 101):
-        hist.observe(float(v))
-    text = registry.render_prometheus()
-    assert "# HELP test_total requests" in text
-    assert "# TYPE test_total counter" in text
-    assert "test_total 2" in text
-    assert "test_depth 3" in text  # dashes sanitized
-    assert 'test_lat{quantile="0.5"} 50' in text
-    assert 'test_lat{quantile="0.99"} 99' in text
-    assert "test_lat_count 100" in text
-
-
 def test_default_registry_holds_symbolic_cache_counters():
     snap = REGISTRY.snapshot()
     assert any(key.startswith("repro.symbolic.cache.") for key in snap)
@@ -391,14 +374,14 @@ _LADDER_KEYS = (
 
 
 def test_registry_carries_every_key_the_ladder_reads():
-    from repro.apps.registry import get_app
+    from repro.apps.registry import available_apps, get_app
     from repro.serve import CompileRequest
     from repro.serve.service import default_compiler
-    from repro.serve.traffic import generating_apps
 
-    for name in generating_apps():
-        space = get_app(name).space
-        default_compiler(CompileRequest(name, next(iter(space))))
+    for name in available_apps():
+        spec = get_app(name)
+        if spec.generate is not None:
+            default_compiler(CompileRequest(name, next(iter(spec.space))))
     snap = REGISTRY.snapshot()
     missing = [key for key in _LADDER_KEYS if key not in snap]
     assert not missing, missing
@@ -507,7 +490,8 @@ def test_instrumented_autotune_attributes_its_wall_time_to_the_named_stages():
 def test_disabled_spans_cost_under_two_percent_of_a_serve_replay():
     # arithmetic, not an A/B of wall clocks: the per-call cost of a disabled
     # span times the spans a traced 400-request replay records
-    from repro.serve import CompileService, synthetic_requests
+    from repro.serve import CompileService
+    from synthetic_traffic import synthetic_requests
 
     calls = 20_000
     with tracing(False):

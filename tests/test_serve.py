@@ -1,7 +1,12 @@
 """The concurrent compilation service and the symbolic layer's thread safety."""
 
+import dataclasses
+import importlib
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +20,10 @@ from repro.serve import (
     FarmStats,
     PersistedKernel,
     default_compiler,
-    synthetic_requests,
 )
 from repro.serve.service import kernel_from_payload, kernel_payload
 from repro.symbolic import CostWeights, Var
+from synthetic_traffic import synthetic_requests
 
 
 # -- the symbolic layer under threads -----------------------------------------------
@@ -258,10 +263,11 @@ def serving_stack(request, tmp_path):
     return open_stack
 
 
-#: what each lane row of a snapshot's ``as_dict()`` carries, on either stack
-_LANE_ROW = {"lane", "limit", "submitted", "shed", "resolved", "pending", "errors",
+#: the fields each lane row of a snapshot carries, on either stack (``pending``
+#: and ``hit_rate`` are properties derived from them)
+_LANE_ROW = {"lane", "limit", "submitted", "shed", "resolved", "errors",
              "memory_hits", "coalesced", "compiled", "store_hits", "dedup_waits",
-             "latency", "hit_rate"}
+             "latency"}
 
 
 def _ledger(stack) -> FarmStats:
@@ -275,7 +281,8 @@ def _ledger(stack) -> FarmStats:
                                    + ledger.store_hits + ledger.dedup_waits + ledger.errors)
     for lane in stats.lanes:
         assert lane.pending == 0 and lane.latency["count"] == lane.resolved
-        assert set(lane.as_dict()) == _LANE_ROW
+        assert {f.name for f in dataclasses.fields(lane)} == _LANE_ROW
+        assert 0.0 <= lane.hit_rate <= 1.0
     if isinstance(stack, CompileFarm):
         # every leader resolution is one worker execution (nothing was re-driven;
         # the only errors here are worker-reported, on the leader of each group)
@@ -380,12 +387,37 @@ def test_contract_restart_on_the_same_store_compiles_nothing(serving_stack):
     with serving_stack(durable=True) as first:
         fresh = [first.compile(r) for r in _CONTRACT_REQUESTS]
         assert _ledger(first).compiled == len(_CONTRACT_REQUESTS)
+        # one durable entry per kernel, the declined generation's included
+        assert len(first.store) == len(_CONTRACT_REQUESTS)
     with serving_stack(durable=True) as second:
         restored = [second.compile(r) for r in _CONTRACT_REQUESTS]
         ledger = _ledger(second)
     assert ledger.compiled == 0 and ledger.store_hits == len(_CONTRACT_REQUESTS)
     assert [getattr(k, "source", None) for k in restored] == \
         [getattr(k, "source", None) for k in fresh]
+
+
+def test_contract_warm_second_pass_compiles_nothing(serving_stack):
+    """One request list served twice on a fresh store: the second pass is all
+    memory hits, and the store holds one durable entry per distinct kernel."""
+    requests = synthetic_requests(apps=["matmul", "softmax"], total=40, seed=5)
+    distinct = len({r.local_key() for r in requests})
+    with serving_stack(durable=True) as stack:
+        first = stack.submit_batch(requests)
+        cold = _ledger(stack)
+        second = stack.submit_batch(requests)
+        warm = _ledger(stack)
+        cache = stack.cache.stats()
+        store_entries = len(stack.store)
+    assert warm.submitted == 2 * len(requests) and warm.errors == 0
+    assert cold.compiled == distinct
+    assert warm.compiled == cold.compiled and warm.store_hits == cold.store_hits
+    assert warm.coalesced == cold.coalesced
+    assert warm.memory_hits - cold.memory_hits == len(requests)
+    assert cache["hits"] == warm.memory_hits
+    assert store_entries == distinct
+    assert [getattr(k, "source", None) for k in second] == \
+        [getattr(k, "source", None) for k in first]
 
 
 def test_contract_memory_hit_is_done_on_return_and_its_latency_is_measured(serving_stack):
@@ -506,7 +538,7 @@ def test_autotune_ranking_unchanged_by_persisted_kernels(tmp_path):
     ]
 
 
-# -- synthetic traffic and the CLI --------------------------------------------------
+# -- synthetic traffic ----------------------------------------------------------------
 
 
 def test_synthetic_requests_are_deterministic_and_duplicated():
@@ -524,25 +556,18 @@ def test_synthetic_requests_are_deterministic_and_duplicated():
         synthetic_requests(duplicate_fraction=1.0)
 
 
-def test_cli_replay_reports_warm_second_pass(tmp_path, capsys):
-    from repro.serve.__main__ import main
-
-    out = tmp_path / "replay.json"
-    report = main([
-        "--apps", "matmul,softmax", "--requests", "40", "--workers", "2",
-        "--passes", "2", "--store", str(tmp_path / "kernels.json"),
-        "--json", str(out),
-    ])
-    assert report["requests"] == 40 and len(report["passes"]) == 2
-    stats = report["stats"]
-    assert stats["submitted"] == 80 and stats["errors"] == 0
-    # the second pass never compiles: everything is already resident
-    assert stats["compiled"] + stats["store_hits"] + stats["coalesced"] <= 40
-    assert stats["memory_hits"] >= 40 and report["cache"]["hits"] == stats["memory_hits"]
-    assert report["store_entries"] == report["distinct"]  # one durable entry per kernel
-    assert out.exists()
-    printed = capsys.readouterr().out
-    assert '"requests_per_second"' in printed
+def test_the_replay_cli_and_its_traffic_module_are_gone():
+    """The serving surface is the request path: no replay CLI, no traffic traces."""
+    root = Path(__file__).resolve().parents[1]
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.serve.traffic")
+    run = subprocess.run(
+        [sys.executable, "-m", "repro.serve"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode != 0
+    assert "No module named repro.serve.__main__" in run.stderr, run.stderr
 
 
 def test_service_stats_latency_includes_p999():
