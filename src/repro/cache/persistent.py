@@ -52,18 +52,20 @@ def _publish_atomically(path: Path, text: str) -> None:
         raise
 
 
+#: ``json.dumps(payload, sort_keys=True, default=str)``, built once
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def stable_digest(payload: Mapping) -> str:
     """SHA-256 over the canonical JSON form of ``payload``.
 
     The one fingerprint recipe every persistent key in the project derives
     from (the tuner's evaluation keys, the service's kernel-store keys):
-    sorted keys, ``str()`` fallback for non-JSON values, hex digest.  Keep
-    it single-sourced — a canonicalisation change applied to one copy would
-    silently diverge the stores.
+    sorted keys (nested maps included), ``str()`` fallback for non-JSON
+    values, hex digest.  Keep it single-sourced — a canonicalisation change
+    applied to one copy would silently diverge the stores.
     """
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()
-    ).hexdigest()
+    return hashlib.sha256(_CANONICAL_JSON.encode(payload).encode()).hexdigest()
 
 
 _CODE_FINGERPRINT: str | None = None
@@ -131,14 +133,12 @@ class ResultCache:
         A sweep's candidates share a handful of kernels, so the tuner takes
         this once per kernel and :meth:`candidate_key` once per candidate.
         """
-        if expressions:
-            expressions = {name: expressions[name] for name in sorted(expressions)}
         return stable_digest({
             "code": code_fingerprint(),
             "app": app,
             "backend": backend,
             "device": device,
-            "expressions": expressions or None,
+            "expressions": dict(expressions) if expressions else None,
         })
 
     @staticmethod
@@ -146,7 +146,7 @@ class ResultCache:
         """The second half of :meth:`key`: a :meth:`kernel_digest` and the configuration."""
         return stable_digest({
             "kernel": kernel_digest,
-            "config": {name: config[name] for name in sorted(config)},
+            "config": dict(config),
         })
 
     @staticmethod

@@ -66,6 +66,8 @@ _MP_CONTEXT = "spawn"
 _HEALTH_INTERVAL = 0.1
 #: worker respawns before the farm stops replacing dead processes
 _RESTART_LIMIT = 32
+#: longest wait (seconds) for a worker whose pipes broke to exit and be reaped
+_REAP_TIMEOUT = 1.0
 
 
 class FarmCompileError(RuntimeError):
@@ -428,6 +430,10 @@ class CompileFarm(CompileService):
         if not handle.alive:
             return
         handle.alive = False
+        # reap it before re-driving: a pipe can report EOF before the process
+        # is a zombie, and an unreaped one still answers ``os.kill(pid, 0)``,
+        # so its claims would hold the re-driven tickets for the whole lease
+        handle.process.join(timeout=_REAP_TIMEOUT)
         exitcode = handle.process.exitcode
         handle.close_pipes()
         self._restarts += 1

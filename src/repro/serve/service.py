@@ -107,7 +107,7 @@ class CompileRequest:
             "code": code_fingerprint(),
             "app": self.app,
             "backend": self.backend,
-            "config": {name: self.config[name] for name in sorted(self.config)},
+            "config": self.config,
             "cost_weights": (
                 {f.name: getattr(self.cost_weights, f.name) for f in fields(self.cost_weights)}
                 if self.cost_weights is not None

@@ -16,7 +16,8 @@ package makes that sweep a first-class subsystem:
   spelling (the whole space, nothing persisted).  Both return a
   :class:`TuneResult`,
 * :class:`ResultCache` — persistent evaluation cache keyed off the
-  hash-consed lowered index expressions and the device.
+  hash-consed lowered index expressions and the device (a sweep keeps
+  evaluations only in one its caller passes).
 
 Quickstart::
 

@@ -2,9 +2,9 @@
 
 :func:`search` is the only driver; :func:`autotune` is its exhaustive
 spelling (whole space, no tuning table, nothing persisted beyond the
-evaluation cache).  There is one ranking — analytic, then measured in
-analytic order — and each rung scores geometrically fewer candidates with
-a strictly more expensive scorer:
+evaluation cache the caller passes, if any).  There is one ranking —
+analytic, then measured in analytic order — and each rung scores
+geometrically fewer candidates with a strictly more expensive scorer:
 
 1. **Analytic pre-filter** — the whole space when ``budget`` is ``None`` or
    covers it, otherwise a seeded, deterministic sample drawn from the
@@ -12,7 +12,10 @@ a strictly more expensive scorer:
    the product) that always includes the first-enumerated (paper-preferred)
    configuration, so a sampled search can never miss the paper's winner.
    Every pooled configuration is generated and evaluated by
-   :func:`~repro.tune.tuner.evaluate_configs`.
+   :func:`~repro.tune.tuner.evaluate_configs`, through the caller's
+   :class:`~repro.cache.ResultCache` when one is passed (there is no
+   default one: a sample draws without replacement, so a throwaway cache
+   could never hit).
 2. **Draining measured re-rank** — :func:`measure_candidates` profiles the
    analytic leaders, in analytic order, on their substrate through
    :func:`repro.check.profile` with per-candidate fault isolation: a
@@ -165,10 +168,6 @@ def search(
     spec = _resolve(app)
     space = spec.space if space is None else space
     device_spec = get_device(device) if device is not None else A100_80GB
-    # `cache or ...` would discard a caller-passed *empty* cache: ResultCache
-    # defines __len__, so a fresh store is falsy and the warm-sweep contract
-    # (pass the same cache twice, second sweep replays) would silently break
-    cache = cache if cache is not None else ResultCache()
     # id(candidate) -> the row of the execution the measured rung timed
     verdicts: dict = {}
 
@@ -187,13 +186,12 @@ def search(
         root.add(strategy=result.strategy)
 
         stage_started = time.perf_counter()
-        hits_before, misses_before = cache.hits, cache.misses
         with span("search.prefilter", "search", app=spec.name, strategy=result.strategy):
             pool = list(space) if exhaustive else _sampled_pool(spec, space, budget, seed)
             result.evaluations = evaluate_configs(spec, pool, cache=cache, service=service,
                                                   device=device_spec)
-        result.cache_hits = cache.hits - hits_before
-        result.cache_misses = cache.misses - misses_before
+        result.cache_hits = sum(c.cached for c in result.evaluations)
+        result.cache_misses = result.evaluated - result.cache_hits
         result.stage_seconds["prefilter"] = time.perf_counter() - stage_started
 
         result.stage_seconds["measure"] = 0.0
@@ -237,7 +235,8 @@ def search(
             table.put(spec.name, device_spec.name, best.config,
                       time_ms=(best.measured_time_seconds or best.time_seconds) * 1e3,
                       measured=best.measured, source=f"search:{result.strategy}")
-        cache.save()
+        if cache is not None:
+            cache.save()
         result.wall_seconds = time.perf_counter() - started
     return result
 

@@ -11,10 +11,11 @@ analytic performance model (:func:`repro.gpusim.estimate_time` under the
 hood).  Candidates rank by ``(estimated time, GPU-weighted index-op count,
 enumeration order)``: the op-count cost model breaks performance-model ties
 toward cheaper index arithmetic, and enumeration order (paper-preferred
-values first) breaks exact ties deterministically.  Evaluations land in a
-persistent :class:`~repro.cache.ResultCache` keyed off the hash-consed
-lowered expressions, the backend and the device, and salted by the source
-fingerprint, so re-running a sweep on unchanged code costs nothing.
+values first) breaks exact ties deterministically.  A caller that passes a
+:class:`~repro.cache.ResultCache` has evaluations land in it, keyed off the
+hash-consed lowered expressions, the backend and the device and salted by
+the source fingerprint, so re-running a sweep on unchanged code costs
+nothing; without one, no evaluation key is built.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from ..obs.trace import span
 from ..symbolic import CostWeights
 
 __all__ = ["Candidate", "TuneResult", "evaluate_configs"]
+
+#: a ``generate_params`` axis the configuration does not set
+_ABSENT = object()
 
 
 @dataclass
@@ -179,12 +183,13 @@ def _generate_kernels(spec, configs: list[dict], service) -> list:
     """One kernel (or ``None``) per config, through the compile service.
 
     Registry-backed apps request each *projected* config
-    (``AppSpec.generate_config``) once: the pool is grouped by
-    ``CompileRequest.local_key()``, the distinct requests go to
-    ``submit_batch``, and every candidate of a group gets its one kernel
-    object back — candidates differing only in evaluation-side axes share a
-    compilation and pay no submission of their own.  The service's shared
-    cache keeps repeated sweeps warm.
+    (``AppSpec.generate_config``) once: the pool is grouped by its
+    ``generate_params`` values (hashable, as every registered axis value
+    is) before any request is built, one :class:`~repro.serve.CompileRequest`
+    per group goes to ``submit_batch``, and every candidate of a group gets
+    its one kernel object back — candidates differing only in
+    evaluation-side axes share a compilation and pay no request of their
+    own.  The service's shared cache keeps repeated sweeps warm.
     """
     if spec.generate is None:
         return [None] * len(configs)
@@ -193,90 +198,94 @@ def _generate_kernels(spec, configs: list[dict], service) -> list:
     from ..serve import CompileRequest, default_service
 
     service = service or default_service()
-    distinct: dict[tuple, CompileRequest] = {}
-    keys = []
+    params = spec.generate_params
+    groups: dict[tuple, int] = {}
+    slots = []
+    requests = []
     for config in configs:
-        request = CompileRequest(app=spec.name, config=spec.generate_config(config))
-        key = request.local_key()
-        distinct.setdefault(key, request)
-        keys.append(key)
-    kernels = dict(zip(distinct, service.submit_batch(distinct.values())))
-    return [kernels[key] for key in keys]
+        key = (tuple(sorted(config.items())) if params is None
+               else tuple([config.get(name, _ABSENT) for name in params]))
+        slot = groups.get(key)
+        if slot is None:
+            slot = groups[key] = len(requests)
+            requests.append(CompileRequest(app=spec.name, config=spec.generate_config(config)))
+        slots.append(slot)
+    kernels = service.submit_batch(requests)
+    return [kernels[slot] for slot in slots]
 
 
 def evaluate_configs(
     spec,
     configs: list[dict],
     *,
-    cache: ResultCache,
+    cache: ResultCache | None = None,
     service=None,
     device: DeviceSpec = A100_80GB,
 ) -> list["Candidate"]:
     """Analytically evaluate a list of configurations into candidates.
 
     Generation goes through the compilation service: it drives the unified
-    backend, provides the expression fingerprint the cache keys off, and
-    supplies the op-count half of the ranking.  Candidates that share a
-    projected kernel share the rendered-expression work and the kernel half
-    of their cache key (:meth:`~repro.cache.ResultCache.kernel_digest`,
-    memoised by kernel identity — matmul's 2 000 configurations share four
-    kernels, and re-rendering or re-serialising per candidate would dwarf
-    evaluation).  ``device`` is the :class:`~repro.gpusim.DeviceSpec` every
-    app ``evaluate`` is costed against and a component of every cache key.
+    backend and supplies the op-count half of the ranking.  Candidates that
+    share a projected kernel share the rendered-expression work and, when
+    a ``cache`` is given, the kernel half of their cache key
+    (:meth:`~repro.cache.ResultCache.kernel_digest`, memoised by kernel
+    identity — matmul's 2 000 configurations share four kernels).  Without
+    a ``cache`` no key is built and every candidate is evaluated fresh.
+    ``device`` is the :class:`~repro.gpusim.DeviceSpec` every app
+    ``evaluate`` is costed against and a component of every cache key.
     """
     gpu_weights = CostWeights.gpu_default()
 
-    keys: list[str] = []
-    ops: list[int] = []
-    kernels: list[bool] = []
-    # id(kernel) -> (kernel digest, index ops); the generated list keeps every id live
-    rendered_memo: dict[int, tuple] = {}
     with span("serve.compile", "serve", app=spec.name, configs=len(configs)):
         generated = _generate_kernels(spec, configs, service)
-    for config, kernel in zip(configs, generated):
-        memo = rendered_memo.get(id(kernel))
-        if memo is None:
-            expressions = None
-            index_ops = 0
-            # Ad-hoc specs may generate objects that are not GeneratedKernels
-            # (plain source text, say); they degrade to config-only cache keys.
-            renderer = getattr(kernel, "rendered_expressions", None)
-            if renderer is not None:
-                rendered = renderer()
-                if rendered:
-                    expressions = rendered
-                    index_ops = kernel.binding_ops(gpu_weights)
-            memo = (ResultCache.kernel_digest(spec.name, expressions, backend=spec.backend,
-                                              device=device.name), index_ops)
-            rendered_memo[id(kernel)] = memo
-        digest, index_ops = memo
-        keys.append(ResultCache.candidate_key(digest, config))
-        ops.append(index_ops)
-        kernels.append(kernel is not None)
+    # id(kernel) -> (index ops, rendered expressions); the generated list keeps every id live
+    rendered_memo: dict[int, tuple] = {}
+    for kernel in generated:
+        if id(kernel) in rendered_memo:
+            continue
+        expressions = None
+        index_ops = 0
+        # Ad-hoc specs may generate objects that are not GeneratedKernels
+        # (plain source text, say); they degrade to config-only cache keys.
+        renderer = getattr(kernel, "rendered_expressions", None)
+        if renderer is not None:
+            rendered = renderer()
+            if rendered:
+                expressions = rendered
+                index_ops = kernel.binding_ops(gpu_weights)
+        rendered_memo[id(kernel)] = (index_ops, expressions)
 
-    cached_results: list[dict | None] = [cache.get(key) for key in keys]
-    missing = [i for i, entry in enumerate(cached_results) if entry is None]
+    entries: list[dict | None] = [None] * len(configs)
+    if cache is not None:
+        digests = {
+            kernel_id: ResultCache.kernel_digest(spec.name, expressions,
+                                                 backend=spec.backend, device=device.name)
+            for kernel_id, (_, expressions) in rendered_memo.items()
+        }
+        keys = [ResultCache.candidate_key(digests[id(kernel)], config)
+                for config, kernel in zip(configs, generated)]
+        entries = [cache.get(key) for key in keys]
+    missing = [i for i, entry in enumerate(entries) if entry is None]
     with span("tune.model", "tune", app=spec.name,
               configs=len(configs), cached=len(configs) - len(missing)):
         fresh = [_normalize_result(spec.evaluate(configs[i], device=device)) for i in missing]
     for i, result in zip(missing, fresh):
-        cache.put(keys[i], result)
-        cached_results[i] = result
+        entries[i] = result
+        if cache is not None:
+            cache.put(keys[i], result)
 
     freshly_evaluated = set(missing)
     evaluations = []
-    for order, (config, entry, index_ops, has_kernel) in enumerate(
-        zip(configs, cached_results, ops, kernels)
-    ):
+    for order, (config, entry, kernel) in enumerate(zip(configs, entries, generated)):
         assert entry is not None
         metrics = {k: v for k, v in entry.items() if k != "time_seconds"}
         evaluations.append(
             Candidate(
                 config=config,
                 time_seconds=entry["time_seconds"],
-                index_ops=index_ops,
+                index_ops=rendered_memo[id(kernel)][0],
                 order=order,
-                has_kernel=has_kernel,
+                has_kernel=kernel is not None,
                 cached=order not in freshly_evaluated,
                 metrics=metrics,
             )

@@ -386,6 +386,34 @@ def test_sigkill_mid_compile_redrives_without_loss_or_double_compile(supervisor_
     assert supervisor_errors() == 0, "the supervisor isolated a bug"
 
 
+def test_a_killed_leader_is_reaped_so_its_claim_breaks_at_once(supervisor_errors):
+    """The re-driven request breaks the dead leader's claim on its pid, not at
+    lease expiry: the supervisor reaps the killed worker before re-driving,
+    because an unreaped zombie still answers ``os.kill(pid, 0)``."""
+    request = CompileRequest("matmul", {"variant": "nn"})
+    with CompileFarm(workers=1, compile_delay=0.4, claim_ttl=30.0) as farm:
+        future = farm.submit(request)
+        deadline = time.monotonic() + 120.0
+        while not list(farm._claims_dir.glob("*.claim")):
+            assert time.monotonic() < deadline, "the worker never claimed the request"
+            time.sleep(0.005)
+        killed = farm.kill_worker(0)  # inside the compile_delay window, claim held
+        started = time.monotonic()
+        while farm.stats().restarts < 1:
+            assert time.monotonic() < deadline, "the death was never handled"
+            time.sleep(0.005)
+        # the death is handled under the farm lock, so the pid is reaped by now
+        with pytest.raises(ChildProcessError):
+            os.waitpid(killed, os.WNOHANG)
+        kernel = future.result(timeout=60)
+        elapsed = time.monotonic() - started
+        stats = farm.stats()
+    assert kernel is not None and not isinstance(kernel, Rejected)
+    assert elapsed < 5.0, f"the re-drive waited {elapsed:.1f}s on a dead claimant"
+    assert stats.redriven == 1 and stats.lost == stats.errors == 0
+    assert supervisor_errors() == 0, "the supervisor isolated a bug"
+
+
 def test_repeated_kills_exhaust_into_farm_error(supervisor_errors):
     """A request that keeps killing its worker fails loudly, not forever."""
     request = CompileRequest("matmul", {"variant": "nn"})

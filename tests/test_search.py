@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.apps.registry import available_apps
 from repro.tune import (
     Choice,
     ResultCache,
@@ -150,6 +151,81 @@ def test_search_exhaustive_matches_autotune_winner():
     covered = search("nw", budget=result.space_size, measure_top_k=0, cache=cache)
     assert covered.strategy == "exhaustive"
     assert [c.config for c in covered.evaluations] == [c.config for c in result.evaluations]
+
+
+# -- the analytic rung: per-kernel work, and no evaluation cache unless given -------
+
+
+def _candidate_rows(result):
+    return [(c.config, c.time_seconds, c.index_ops, c.order, c.has_kernel, c.metrics)
+            for c in result.evaluations]
+
+
+@pytest.mark.parametrize("app", sorted(available_apps()))
+def test_a_cacheless_search_ranks_exactly_like_a_cached_one(app):
+    bare = search(app, budget=None, measure_top_k=0)
+    cached = search(app, budget=None, measure_top_k=0, cache=ResultCache())
+    assert _candidate_rows(bare) == _candidate_rows(cached)
+    assert bare.best.config == cached.best.config
+    assert bare.best.time_seconds == cached.best.time_seconds
+    # no cache: nothing hit, everything evaluated, and summary() says so
+    assert not any(c.cached for c in bare.evaluations)
+    assert (bare.cache_hits, bare.cache_misses) == (0, bare.evaluated)
+    assert (cached.cache_hits, cached.cache_misses) == (0, cached.evaluated)
+    summary = bare.summary()
+    assert (summary["cache_hits"], summary["cache_misses"]) == (0, bare.evaluated)
+
+
+def test_a_cacheless_search_builds_no_evaluation_key(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(ResultCache, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return staticmethod(counted)
+
+    for name in ("candidate_key", "kernel_digest"):
+        monkeypatch.setattr(ResultCache, name, spy(name))
+    search("matmul", budget=128, measure_top_k=0)
+    autotune("transpose")
+    assert calls == []
+    # the spy is live: a cached search keys every candidate once
+    result = search("matmul", budget=128, measure_top_k=0, cache=ResultCache())
+    assert calls.count("candidate_key") == result.evaluated
+
+
+@pytest.mark.parametrize("app, budget, most", [
+    ("matmul", 128, 4), ("grouped_gemm", 128, 1), ("transpose", None, 24),
+])
+def test_the_prefilter_builds_one_compile_request_per_projected_config(
+        app, budget, most, monkeypatch):
+    import repro.serve
+    from repro.apps.registry import get_app
+    from repro.serve import CompileService
+
+    built = []
+    real = repro.serve.CompileRequest
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(repro.serve, "CompileRequest", counting)
+    spec = get_app(app)
+    with CompileService(workers=1) as service:
+        result = search(app, budget=budget, measure_top_k=0, service=service)
+        submitted = service.stats().submitted
+    projected = {real(app, spec.generate_config(c.config)).local_key()
+                 for c in result.evaluations}
+    assert len(built) == len(projected) == submitted
+    assert {request.local_key() for request in built} == projected
+    if app == "matmul":
+        assert result.evaluated == 129 and len(built) <= most
+    else:
+        assert len(built) == most
 
 
 # -- measured re-rank and fault isolation -------------------------------------------

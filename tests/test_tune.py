@@ -93,6 +93,39 @@ def test_cache_key_depends_on_expressions_config_and_backend():
         assert key == ResultCache.candidate_key(kernel, config)
 
 
+def test_stable_digest_is_the_sorted_json_dumps_form():
+    """Persisted keys are byte-identical to ``json.dumps(sort_keys=True,
+    default=str)``: nested maps sort without pre-sorting, odd values print."""
+    import hashlib
+    from dataclasses import asdict
+    from fractions import Fraction
+
+    from repro.cache import code_fingerprint, stable_digest
+    from repro.serve import CompileRequest
+    from repro.symbolic import CostWeights
+
+    def dumped(payload):
+        text = json.dumps(payload, sort_keys=True, default=str)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    weights = CostWeights.gpu_default()
+    request = CompileRequest("matmul", {"variant": "nn", "BM": 64}, cost_weights=weights)
+    assert request.stable_key() == "kernel-" + dumped({
+        "code": code_fingerprint(), "app": "matmul", "backend": "",
+        "config": {"BM": 64, "variant": "nn"}, "cost_weights": asdict(weights),
+    })
+    kernel = ResultCache.kernel_digest("lud", None, backend="cuda", device="NVIDIA H100 SXM")
+    assert kernel == dumped({
+        "code": code_fingerprint(), "app": "lud", "backend": "cuda",
+        "device": "NVIDIA H100 SXM", "expressions": None,
+    })
+    config = {"z": 1, "scale": Fraction(1, 3), "a": {"y": (2, 3), "x": None}}
+    assert ResultCache.candidate_key(kernel, config) == dumped({"kernel": kernel,
+                                                                "config": config})
+    assert stable_digest(config) == dumped(config)
+    assert '"scale": "1/3"' in json.dumps(config, sort_keys=True, default=str)
+
+
 # -- the registry -------------------------------------------------------------------
 
 
