@@ -80,7 +80,7 @@ def app_spec():
     from ..gpusim import estimate_time
     from ..tune.space import Choice, SearchSpace
     from .matmul import matmul_cost
-    from .registry import AppSpec, register_app
+    from .registry import AppSpec, config_column, register_app
 
     groups, n = 8, 1024
 
@@ -91,6 +91,10 @@ def app_spec():
         Choice("GM", (8, 4, 16, 1, 2)),
     )
 
+    def fused_time(cfg: GroupedGemmConfig, device):
+        # one fused launch: extensive counters scale by the group count
+        return estimate_time(matmul_cost(cfg.per_group(), "lego").scaled(cfg.groups), device).total
+
     def evaluate(config, device=A100_80GB):
         # sizes and device may be overridden (figure harnesses, measured profiler)
         cfg = GroupedGemmConfig(groups=config.get("groups", groups),
@@ -98,15 +102,23 @@ def app_spec():
                                 K=config.get("K", n),
                                 BM=config["BM"], BN=config["BN"], BK=config["BK"],
                                 GM=config.get("GM", 8))
-        # one fused launch: extensive counters scale by the group count
-        cost = matmul_cost(cfg.per_group(), "lego").scaled(cfg.groups)
-        return estimate_time(cost, device).total
+        return fused_time(cfg, device)
+
+    def evaluate_pool(configs, device=A100_80GB):
+        # the same model once over the pool's columns
+        cfg = GroupedGemmConfig(groups=config_column(configs, "groups", groups),
+                                M=config_column(configs, "M", n), N=config_column(configs, "N", n),
+                                K=config_column(configs, "K", n),
+                                BM=config_column(configs, "BM"), BN=config_column(configs, "BN"),
+                                BK=config_column(configs, "BK"), GM=config_column(configs, "GM", 8))
+        return fused_time(cfg, device).tolist()
 
     return register_app(AppSpec(
         name="grouped_gemm",
         backend="triton",
         space=space,
         evaluate=evaluate,
+        evaluate_pool=evaluate_pool,
         generate=lambda config: generate_grouped_gemm_kernel(),
         generate_params=(),
         reference=grouped_gemm_check_reference,

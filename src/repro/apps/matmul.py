@@ -20,6 +20,7 @@ from ..codegen import CodegenContext, KernelFamily, TritonKernel, get_backend
 from ..core import Col, Row, TileBy
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, estimate_time
 from ..gpusim.baselines import cublas_matmul_time, triton_matmul_efficiency
+from ..gpusim.columns import maximum
 from ..minitriton import compile_kernel, from_device, launch, to_device
 from ..symbolic import Max, Min, Var
 
@@ -266,7 +267,9 @@ def matmul_cost(config: MatmulConfig, implementation: str = "lego") -> KernelCos
     """The analytic :class:`~repro.gpusim.KernelCost` of one GEMM launch.
 
     A 256-thread program per output tile, single-stage (no software
-    pipelining): the shape of the generated kernel.
+    pipelining): the shape of the generated kernel.  The config's sizes may
+    be equal-length NumPy columns (a pool, :mod:`repro.gpusim.columns`):
+    then so are the cost's fields.
     """
     if implementation not in ("lego", "triton"):
         raise ValueError(f"unknown implementation {implementation!r}")
@@ -278,22 +281,23 @@ def matmul_cost(config: MatmulConfig, implementation: str = "lego") -> KernelCos
     # is roughly (tiles_n / GM) passes over A plus (tiles_m / GM) passes over
     # B plus one store of C.  The kernel is compute-bound at the evaluated
     # sizes, so this term only matters for the smallest configuration.
-    passes_a = max(1.0, tiles_n / config.GM)
-    passes_b = max(1.0, tiles_m / config.GM)
+    passes_a = maximum(1.0, tiles_n / config.GM)
+    passes_b = maximum(1.0, tiles_m / config.GM)
     dram_bytes = float(element) * (passes_a * m * k + passes_b * k * n + m * n)
     threads_per_block = 256
+    # ``1.0 * x`` is ``float(x)`` for a Python int and for an int column alike
     return KernelCost(
         name=f"matmul_{implementation}",
         flops=2.0 * m * n * k,
         dtype="fp16",
         tensor_core=True,
-        dram_bytes=max(dram_bytes, float(element) * (m * k + k * n + m * n)),
+        dram_bytes=maximum(dram_bytes, float(element) * (m * k + k * n + m * n)),
         compute_efficiency=triton_matmul_efficiency(m, n, k),
         dram_efficiency=0.85,
-        blocks=float(tiles_m * tiles_n),
+        blocks=1.0 * (tiles_m * tiles_n),
         threads_per_block=float(threads_per_block),
-        threads=float(tiles_m * tiles_n * threads_per_block),
-        smem_per_block=float((config.BM + config.BN) * config.BK * element),
+        threads=1.0 * (tiles_m * tiles_n * threads_per_block),
+        smem_per_block=1.0 * ((config.BM + config.BN) * config.BK * element),
     )
 
 
@@ -323,7 +327,7 @@ def app_spec():
     axis so performance-model ties resolve toward it).
     """
     from ..tune.space import Choice, SearchSpace
-    from .registry import AppSpec, register_app
+    from .registry import AppSpec, config_column, register_app
 
     n = 4096
 
@@ -343,11 +347,20 @@ def app_spec():
                            BK=config["BK"], GM=config["GM"])
         return matmul_performance(cfg, "lego", device)
 
+    def evaluate_pool(configs, device=A100_80GB):
+        # the same model once over the pool's columns
+        cfg = MatmulConfig(config_column(configs, "M", n), config_column(configs, "N", n),
+                           config_column(configs, "K", n),
+                           BM=config_column(configs, "BM"), BN=config_column(configs, "BN"),
+                           BK=config_column(configs, "BK"), GM=config_column(configs, "GM"))
+        return matmul_performance(cfg, "lego", device).tolist()
+
     return register_app(AppSpec(
         name="matmul",
         backend="triton",
         space=space,
         evaluate=evaluate,
+        evaluate_pool=evaluate_pool,
         generate=lambda config: generate_matmul_kernel(config["variant"]),
         generate_params=("variant",),
         reference=matmul_reference,

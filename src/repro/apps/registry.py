@@ -15,6 +15,16 @@ stencil, transpose) registers one :class:`AppSpec` that exposes, uniformly:
   estimate in seconds on one :class:`~repro.gpusim.DeviceSpec` (every app's
   model bottoms out in :func:`repro.gpusim.estimate_time`), optionally a
   dict carrying extra metrics next to ``time_seconds``,
+* ``evaluate_pool(configs, device=A100_80GB)`` — optional: the same model
+  over a whole pool in one call, a list of floats each bit-identical (same
+  type, same ``repr``) to ``evaluate(config, device)``.  The tuner costs
+  every pool through :meth:`AppSpec.evaluate_all`, which falls back to one
+  ``evaluate`` per config.  Matmul and grouped GEMM have one: their model
+  runs once over NumPy columns (:mod:`repro.gpusim.columns`).  LUD has
+  none: its model sums its steps with ``np.sum``, whose pairwise rounding
+  depends on the step count, so one ragged sum across configs would round
+  differently.  The other apps keep the per-config form: their spaces are
+  a few dozen points each,
 * ``paper_config`` — the axis values of the configuration the paper's
   evaluation prefers, which the tuner tests assert the sweep reproduces.
 
@@ -35,9 +45,11 @@ from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Callable, Mapping
 
+import numpy as np
+
 from ..tune.space import SearchSpace
 
-__all__ = ["AppSpec", "Case", "register_app", "get_app", "available_apps"]
+__all__ = ["AppSpec", "Case", "config_column", "register_app", "get_app", "available_apps"]
 
 
 @dataclass(frozen=True)
@@ -113,12 +125,46 @@ class AppSpec:
     #: launch on ``device``).  ``rng`` is a ``numpy.random.Generator`` —
     #: inputs must come from it so every run reproduces from its printed seed.
     case: Callable[..., "Case | None"] | None = None
+    #: optional pool form of ``evaluate`` (see the module docstring): a spec
+    #: that swaps ``evaluate`` must swap or drop it too
+    evaluate_pool: Callable[..., list] | None = None
+
+    def evaluate_all(self, configs: list, device) -> list:
+        """The analytic result of every configuration, in order: one
+        ``evaluate_pool`` call when the app has a pool form, else one
+        ``evaluate`` per configuration."""
+        if self.evaluate_pool is None:
+            return [self.evaluate(config, device=device) for config in configs]
+        times = self.evaluate_pool(configs, device=device)
+        if len(times) != len(configs):
+            raise ValueError(f"{self.name}: evaluate_pool returned {len(times)} times "
+                             f"for {len(configs)} configurations")
+        return times
 
     def generate_config(self, config: Mapping) -> dict:
         """Project ``config`` onto the axes that determine the generated kernel."""
         if self.generate_params is None:
             return dict(config)
         return {key: config[key] for key in self.generate_params if key in config}
+
+
+def config_column(configs: list, key: str, default=None):
+    """One axis of a pool as a NumPy column, ``default`` where a config leaves
+    the key out (``None``: every config must set it).  When no config sets
+    it, the plain ``default``: the model then computes with one number."""
+    if default is None:
+        return np.array([config[key] for config in configs])
+    values = [config.get(key, _UNSET) for config in configs]
+    unset = values.count(_UNSET)
+    if unset == len(values):
+        return default
+    if unset:
+        values = [default if value is _UNSET else value for value in values]
+    return np.array(values)
+
+
+#: a pool axis a configuration leaves out
+_UNSET = object()
 
 
 _APPS: dict[str, AppSpec] = {}

@@ -18,6 +18,7 @@ The efficiency curves below encode exactly that and nothing more.
 
 from __future__ import annotations
 
+from .columns import minimum, tier
 from .device import DeviceSpec, bytes_per_element
 from .kernelmodel import KernelCost, estimate_time
 
@@ -29,20 +30,14 @@ __all__ = [
 ]
 
 
+#: (smallest GEMM dimension reached, fraction of tensor-core peak), largest first
+_CUBLAS_EFFICIENCY = ((8192, 0.90), (4096, 0.88), (2048, 0.84), (1024, 0.72), (512, 0.55))
+_TRITON_EFFICIENCY = ((8192, 0.89), (4096, 0.85), (2048, 0.76), (1024, 0.60), (512, 0.42))
+
+
 def cublas_efficiency(m: int, n: int, k: int) -> float:
     """Fraction of tensor-core peak cuBLAS-class libraries achieve on M=N=K-ish GEMMs."""
-    size = min(m, n, k)
-    if size >= 8192:
-        return 0.90
-    if size >= 4096:
-        return 0.88
-    if size >= 2048:
-        return 0.84
-    if size >= 1024:
-        return 0.72
-    if size >= 512:
-        return 0.55
-    return 0.35
+    return tier(minimum(minimum(m, n), k), _CUBLAS_EFFICIENCY, 0.35)
 
 
 def triton_matmul_efficiency(m: int, n: int, k: int) -> float:
@@ -50,20 +45,10 @@ def triton_matmul_efficiency(m: int, n: int, k: int) -> float:
 
     Triton (and hence LEGO's generated kernels, which lower to the same tiling)
     trails cuBLAS slightly at small sizes and matches it at large sizes —
-    the relationship visible in the paper's Figure 11.
+    the relationship visible in the paper's Figure 11.  The sizes may be
+    NumPy columns (:mod:`repro.gpusim.columns`).
     """
-    size = min(m, n, k)
-    if size >= 8192:
-        return 0.89
-    if size >= 4096:
-        return 0.85
-    if size >= 2048:
-        return 0.76
-    if size >= 1024:
-        return 0.60
-    if size >= 512:
-        return 0.42
-    return 0.25
+    return tier(minimum(minimum(m, n), k), _TRITON_EFFICIENCY, 0.25)
 
 
 def cublas_matmul_time(

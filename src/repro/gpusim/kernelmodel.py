@@ -14,13 +14,16 @@ deliberately simple bottleneck ("roofline") model — it is not a cycle
 simulator — but it captures exactly the effects the paper's CUDA and Triton
 experiments exercise: data-movement volume (layouts change DRAM bytes), bank
 conflicts (NW), work-per-thread / parallelism (LUD coarsening) and
-tensor-core utilisation versus problem size (matmul).
+tensor-core utilisation versus problem size (matmul).  The same functions
+cost a whole pool of configurations when the fields are NumPy columns
+(:mod:`repro.gpusim.columns`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
+from .columns import largest, maximum, minimum, ratio, where
 from .device import DeviceSpec
 
 __all__ = [
@@ -34,7 +37,11 @@ __all__ = [
 
 @dataclass
 class KernelCost:
-    """Resource summary of one kernel launch."""
+    """Resource summary of one kernel launch.
+
+    The numeric fields may instead be equal-length NumPy columns, one row per
+    configuration of a pool: :func:`estimate_time` costs them all at once.
+    """
 
     name: str = "kernel"
     #: floating-point (or integer) operations performed
@@ -69,15 +76,17 @@ class KernelCost:
 
     def scaled(self, factor: float) -> "KernelCost":
         """Scale all extensive quantities (used to extrapolate from a sampled block)."""
-        return replace(
-            self,
-            flops=self.flops * factor,
-            dram_bytes=self.dram_bytes * factor,
-            l2_bytes=self.l2_bytes * factor,
-            smem_bytes=self.smem_bytes * factor,
-            threads=self.threads * factor,
-            blocks=self.blocks * factor,
-        )
+        # every field is an init field: this is dataclasses.replace without
+        # its per-field introspection
+        return KernelCost(**{
+            **vars(self),
+            "flops": self.flops * factor,
+            "dram_bytes": self.dram_bytes * factor,
+            "l2_bytes": self.l2_bytes * factor,
+            "smem_bytes": self.smem_bytes * factor,
+            "threads": self.threads * factor,
+            "blocks": self.blocks * factor,
+        })
 
     def arithmetic_intensity(self) -> float:
         """Flops per DRAM byte (the roofline x-axis)."""
@@ -130,58 +139,51 @@ def occupancy_factor(cost: KernelCost, device: DeviceSpec) -> float:
     to hide latency — an SM with plenty of resident blocks still stalls
     when those blocks are narrow (a 64-thread block contributes only two
     warps), which is what separates coarsening factors that share every
-    other resource.  All intentionally coarse.
+    other resource.  All intentionally coarse.  The cost's fields may be
+    NumPy columns (:mod:`repro.gpusim.columns`): then so is the factor.
     """
-    if cost.blocks <= 0:
-        return 1.0
+    blocks, width, smem = cost.blocks, cost.threads_per_block, cost.smem_per_block
     # blocks needed to give every SM at least one resident block
-    wave = min(1.0, cost.blocks / device.num_sms)
+    wave = minimum(1.0, blocks / device.num_sms)
     # resident-thread limit, capped by the hardware's max resident blocks per
     # SM: without the cap a tiny block (32 threads on A100) would report
     # 2048/32 = 64 resident blocks when the scheduler stops at 32
-    if cost.threads_per_block > 0:
-        resident_blocks = max(1, int(device.max_threads_per_sm // max(cost.threads_per_block, 1)))
-        resident_blocks = min(resident_blocks, device.max_blocks_per_sm)
-        if cost.smem_per_block > 0:
-            smem_blocks = max(1, int(device.smem_per_sm_bytes // max(cost.smem_per_block, 1)))
-            resident_blocks = min(resident_blocks, smem_blocks)
-        # fewer than 4 resident blocks — or fewer than 16 resident warps —
-        # per SM limits latency hiding
-        resident_warps = resident_blocks * cost.threads_per_block / device.warp_size
-        latency_hiding = min(1.0, resident_blocks / 4.0, resident_warps / 16.0)
-    else:
-        latency_hiding = 1.0
+    resident_blocks = minimum(maximum(1, device.max_threads_per_sm // maximum(width, 1)),
+                              device.max_blocks_per_sm)
+    smem_blocks = maximum(1, device.smem_per_sm_bytes // maximum(smem, 1))
+    resident_blocks = where(smem > 0, minimum(resident_blocks, smem_blocks), resident_blocks)
+    # fewer than 4 resident blocks — or fewer than 16 resident warps —
+    # per SM limits latency hiding
+    resident_warps = resident_blocks * width / device.warp_size
+    latency_hiding = where(width > 0, minimum(minimum(1.0, resident_blocks / 4.0),
+                                              resident_warps / 16.0), 1.0)
     # combine; never return 0
-    return max(0.05, wave * (0.5 + 0.5 * latency_hiding))
+    return where(blocks > 0, maximum(0.05, wave * (0.5 + 0.5 * latency_hiding)), 1.0)
+
+
+#: the roofline's resources, in the order a tie goes to
+_BOUNDS = ("compute", "dram", "l2", "smem")
 
 
 def estimate_time(cost: KernelCost, device: DeviceSpec) -> TimeBreakdown:
-    """Estimate the wall-clock time of the kernel described by ``cost``."""
+    """Estimate the wall-clock time of the kernel described by ``cost``.
+
+    One body for one configuration and for a pool: when the cost's fields
+    are NumPy columns, so is every field of the breakdown (``bound`` is a
+    column of resource names), each row bit-identical to the scalar call.
+    """
     peak_gflops = device.peak_flops(cost.dtype, cost.tensor_core) * cost.compute_efficiency
-    compute_time = cost.flops / (peak_gflops * 1e9) if cost.flops else 0.0
-
-    dram_bw = device.dram_bandwidth_gbs * 1e9 * cost.dram_efficiency
-    dram_time = cost.dram_bytes / dram_bw if cost.dram_bytes else 0.0
-
-    l2_bytes = cost.l2_bytes if cost.l2_bytes else cost.dram_bytes
-    l2_time = l2_bytes / (device.l2_bandwidth_gbs * 1e9) if l2_bytes else 0.0
-
-    smem_bw = device.smem_bandwidth_gbs * 1e9
-    smem_time = (cost.smem_bytes * cost.bank_conflict_factor) / smem_bw if cost.smem_bytes else 0.0
+    compute_time = ratio(cost.flops, peak_gflops * 1e9)
+    dram_time = ratio(cost.dram_bytes, device.dram_bandwidth_gbs * 1e9 * cost.dram_efficiency)
+    l2_time = ratio(where(cost.l2_bytes, cost.l2_bytes, cost.dram_bytes),
+                    device.l2_bandwidth_gbs * 1e9)
+    smem_time = ratio(cost.smem_bytes * cost.bank_conflict_factor, device.smem_bandwidth_gbs * 1e9)
 
     occupancy = occupancy_factor(cost, device)
-    components = {
-        "compute": compute_time,
-        "dram": dram_time,
-        "l2": l2_time,
-        "smem": smem_time,
-    }
-    bound = max(components, key=components.get)
-    busy = components[bound] / occupancy
+    busy, bound = largest(_BOUNDS, (compute_time, dram_time, l2_time, smem_time))
     overhead = device.launch_overhead_us * 1e-6 * cost.launches
-    total = busy + overhead
     return TimeBreakdown(
-        total=total,
+        total=busy / occupancy + overhead,
         compute=compute_time,
         dram=dram_time,
         l2=l2_time,

@@ -135,11 +135,14 @@ def search(
     ``app`` is a registered app name (``"matmul"``, ``"lud"``, ...) or an
     :class:`~repro.apps.registry.AppSpec`; ``space`` defaults to the app's
     full declared space (narrow it with :meth:`SearchSpace.subspace`).
-    ``budget`` bounds the analytic pre-filter: ``None``, or a budget that
+    ``budget`` sizes the analytic pre-filter: ``None``, or a budget that
     covers the valid space, scans it exhaustively (the result reports
-    ``strategy == "exhaustive"``); a smaller one evaluates a seeded sample
-    (``"halving"``).  ``device`` accepts a zoo key (``"h100"``), a spec name
-    or a :class:`~repro.gpusim.DeviceSpec` and defaults to the A100; it is
+    ``strategy == "exhaustive"``); a smaller one evaluates ``budget`` seeded
+    draws plus the paper configuration (``"halving"``) — matmul's budget of
+    128 pools 129 candidates unless the draw holds the paper's.  A budget
+    below 1 is a ``ValueError``, raised before anything is compiled.
+    ``device`` accepts a zoo key (``"h100"``), a spec name or a
+    :class:`~repro.gpusim.DeviceSpec` and defaults to the A100; it is
     threaded through analytic evaluation, measurement, cache keys and
     persistence, so one persistent store serves per-device sweeps.
 
@@ -165,6 +168,8 @@ def search(
     shared :func:`repro.serve.default_service` used to generate the kernels
     of registry-backed apps (ad-hoc specs always generate inline).
     """
+    if budget is not None and budget < 1:
+        raise ValueError(f"search() needs a budget of at least 1 (or None), got budget={budget}")
     spec = _resolve(app)
     space = spec.space if space is None else space
     device_spec = get_device(device) if device is not None else A100_80GB

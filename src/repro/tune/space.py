@@ -11,7 +11,7 @@ resolve toward the configuration the paper reports.
 Spaces are **streaming**: nothing ever materialises the full cartesian
 product.  ``raw_size`` is a closed-form product, :meth:`SearchSpace.decode`
 maps a linear index to its configuration in O(axes) via mixed-radix
-decomposition, :meth:`size` counts valid configurations without building a
+place values fixed at construction, :meth:`size` counts valid configurations without building a
 list (O(1) for unconstrained spaces, one memoised streaming pass
 otherwise), and :meth:`sample` draws without replacement by drawing
 *indices* — rejection-sampling them against the constraint, falling back to
@@ -62,12 +62,18 @@ class SearchSpace:
             raise ValueError(f"duplicate choice names in search space: {names}")
         self.choices = tuple(choices)
         self.constraint = constraint
-        self._size: int | None = None if constraint is not None else self.raw_size
+        # mixed-radix digits, most significant first: (name, values, place value)
+        self._digits = tuple(
+            (c.name, c.values, prod(len(later.values) for later in self.choices[i + 1:]))
+            for i, c in enumerate(self.choices)
+        )
+        self._raw_size = prod(len(c.values) for c in self.choices) if self.choices else 0
+        self._size: int | None = None if constraint is not None else self._raw_size
 
     @property
     def raw_size(self) -> int:
-        """Cartesian-product size before the constraint (closed form, O(axes))."""
-        return prod(len(c.values) for c in self.choices) if self.choices else 0
+        """Cartesian-product size before the constraint (computed once)."""
+        return self._raw_size
 
     def decode(self, index: int) -> dict:
         """The configuration at linear ``index`` of the (unconstrained) product.
@@ -77,14 +83,10 @@ class SearchSpace:
         element ``itertools.product`` would yield, without enumerating the
         ``i - 1`` before it.  The constraint is *not* applied.
         """
-        raw = self.raw_size
-        if not 0 <= index < raw:
-            raise IndexError(f"index {index} out of range for a {raw}-point space")
-        config = {}
-        for choice in reversed(self.choices):
-            index, digit = divmod(index, len(choice.values))
-            config[choice.name] = choice.values[digit]
-        return {c.name: config[c.name] for c in self.choices}
+        if not 0 <= index < self._raw_size:
+            raise IndexError(f"index {index} out of range for a {self._raw_size}-point space")
+        return {name: values[index // place % len(values)]
+                for name, values, place in self._digits}
 
     def candidates(self) -> Iterator[dict]:
         """Every configuration satisfying the constraint, in deterministic order."""

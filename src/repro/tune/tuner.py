@@ -8,8 +8,10 @@ candidates that differ only in evaluation-side axes collapse onto one
 compile request (``AppSpec.generate_params``), and independent sweeps in
 one process share a warm kernel cache — and evaluated with the app's
 analytic performance model (:func:`repro.gpusim.estimate_time` under the
-hood).  Candidates rank by ``(estimated time, GPU-weighted index-op count,
-enumeration order)``: the op-count cost model breaks performance-model ties
+hood), one :meth:`~repro.apps.registry.AppSpec.evaluate_all` call per pool:
+apps with a pool form cost it in one pass over NumPy columns.  Candidates
+rank by ``(estimated time, GPU-weighted index-op count, enumeration
+order)``: the op-count cost model breaks performance-model ties
 toward cheaper index arithmetic, and enumeration order (paper-preferred
 values first) breaks exact ties deterministically.  A caller that passes a
 :class:`~repro.cache.ResultCache` has evaluations land in it, keyed off the
@@ -268,7 +270,8 @@ def evaluate_configs(
     missing = [i for i, entry in enumerate(entries) if entry is None]
     with span("tune.model", "tune", app=spec.name,
               configs=len(configs), cached=len(configs) - len(missing)):
-        fresh = [_normalize_result(spec.evaluate(configs[i], device=device)) for i in missing]
+        fresh = [_normalize_result(result) for result in
+                 spec.evaluate_all([configs[i] for i in missing], device=device)]
     for i, result in zip(missing, fresh):
         entries[i] = result
         if cache is not None:

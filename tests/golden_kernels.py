@@ -22,7 +22,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def golden_kernel_paths() -> list[Path]:
     """The kernel-text goldens (the directory also holds ``vm_reference.json``,
-    the executor's pinned runs, which ``tests/test_vm.py`` checks)."""
+    the executor's pinned runs, which ``tests/test_vm.py`` checks, and
+    ``analytic_times.json``, which ``tests/test_analytic_model.py`` checks)."""
     return sorted(GOLDEN_DIR.glob("*.txt"))
 
 

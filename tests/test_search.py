@@ -62,6 +62,30 @@ def test_decode_matches_enumeration_order():
         space.decode(space.raw_size)
 
 
+def test_seeded_samples_and_decodes_are_pinned():
+    # recorded before decode read precomputed place values: the draw a seed
+    # makes, its key order and each decoded point must never move
+    from repro.apps.registry import get_app
+
+    matmul, lud = get_app("matmul").space, get_app("lud").space
+    drawn = matmul.sample(6, random.Random(2026))
+    assert drawn == [
+        {"variant": "nn", "BM": 256, "BN": 256, "BK": 64, "GM": 1},
+        {"variant": "nt", "BM": 64, "BN": 256, "BK": 16, "GM": 2},
+        {"variant": "tn", "BM": 128, "BN": 64, "BK": 32, "GM": 2},
+        {"variant": "tn", "BM": 128, "BN": 256, "BK": 32, "GM": 1},
+        {"variant": "tn", "BM": 32, "BN": 64, "BK": 32, "GM": 8},
+        {"variant": "tt", "BM": 16, "BN": 256, "BK": 32, "GM": 1},
+    ]
+    assert all(list(config) == ["variant", "BM", "BN", "BK", "GM"] for config in drawn)
+    assert lud.sample(4, random.Random(2026)) == [
+        {"block": 64, "cuda_block": 32}, {"block": 32, "cuda_block": 16},
+        {"block": 8, "cuda_block": 4}, {"block": 128, "cuda_block": 16},
+    ]
+    assert matmul.decode(1337) == {"variant": "tn", "BM": 32, "BN": 64, "BK": 128, "GM": 16}
+    assert get_app("grouped_gemm").space.decode(624) == {"BM": 256, "BN": 256, "BK": 8, "GM": 2}
+
+
 def test_sample_is_seed_deterministic_and_subset_of_enumeration():
     space = SearchSpace(
         Choice("a", tuple(range(8))), Choice("b", tuple(range(8))),
@@ -226,6 +250,21 @@ def test_the_prefilter_builds_one_compile_request_per_projected_config(
         assert result.evaluated == 129 and len(built) <= most
     else:
         assert len(built) == most
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_a_budget_below_one_is_refused_before_any_request(budget):
+    class Recording:
+        requests = []
+
+        def submit_batch(self, requests):
+            self.requests.extend(requests)
+            raise AssertionError("no request may reach the service")
+
+    service = Recording()
+    with pytest.raises(ValueError, match="budget"):
+        search("matmul", budget=budget, measure_top_k=0, service=service)
+    assert service.requests == []
 
 
 # -- measured re-rank and fault isolation -------------------------------------------
