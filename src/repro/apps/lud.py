@@ -41,6 +41,7 @@ __all__ = [
     "prove_element_offset_bijection",
     "assert_element_offset_bijection",
     "lud_performance_vectorized",
+    "lud_performance_pool",
     "lud_configurations",
     "app_spec",
 ]
@@ -281,14 +282,16 @@ def _lud_internal_block_kernel(ctx, m: GlobalArray, offset: int, block: int):
     ``GroupBy([R, R], [T, T]).OrderBy(Row(B, B))``).  A thread's ``R x R``
     fragments are one access shifted by ``(r_i * T, r_j * T)``: each panel's
     staging loads and the read-modify-write go out as one grouped access
-    (:meth:`~repro.minicuda.GlobalArray.load_rows`), recorded as the
-    separate accesses they stand for.  The inner product is register-blocked
-    the way the coarsened CUDA kernel is: per ``k`` each thread loads its
-    ``R`` panel fragments once and reuses them across the ``R x R``
-    accumulators, which is why coarsening divides the shared-memory traffic
-    per flop — the mechanism behind Figure 12b that a measured profile must
-    reproduce.  The fragment loads of consecutive ``k`` are the ``R``
-    fragment patterns shifted by ``k``, one
+    (:meth:`~repro.minicuda.GlobalArray.load_rows`), and each panel is
+    staged with one grouped shared store
+    (:meth:`~repro.minicuda.SharedArray.store_rows`, a row per fragment),
+    all recorded as the separate accesses they stand for.  The inner
+    product is register-blocked the way the coarsened CUDA kernel is: per
+    ``k`` each thread loads its ``R`` panel fragments once and reuses them
+    across the ``R x R`` accumulators, which is why coarsening divides the
+    shared-memory traffic per flop — the mechanism behind Figure 12b that a
+    measured profile must reproduce.  The fragment loads of consecutive
+    ``k`` are the ``R`` fragment patterns shifted by ``k``, one
     :meth:`~repro.minicuda.SharedArray.load_rows` per slab of lanes
     (:data:`repro.vm.engine.SLAB_ELEMENTS` over the pass's blocks); the
     ``R x R`` accumulators update as one array, each element still summing
@@ -308,10 +311,9 @@ def _lud_internal_block_kernel(ctx, m: GlobalArray, offset: int, block: int):
     # stage the panels: each thread loads its R x R elements of each
     staged_row = m.load_rows(ctx, offset + ty, col0 + tx, shifts=fragment_shifts)
     staged_col = m.load_rows(ctx, row0 + ty, offset + tx, shifts=fragment_shifts)
-    for fragment, (di, dj) in enumerate(fragment_shifts.T.tolist()):
-        i, j = ty + di, tx + dj
-        peri_row.store(staged_row[..., fragment, :], i, j)
-        peri_col.store(staged_col[..., fragment, :], i, j)
+    i, j = ty + fragment_shifts[0][:, None], tx + fragment_shifts[1][:, None]
+    peri_row.store_rows(staged_row, i, j)
+    peri_col.store_rows(staged_col, i, j)
     ctx.syncthreads()
     lanes = tx.size
     # accumulator [r_i, r_j] of every thread; it widens to one per block of the pass
@@ -436,36 +438,69 @@ def lud_performance_vectorized(config: LudConfig, device: DeviceSpec = A100_80GB
     roofline (:func:`~repro.gpusim.estimate_time`'s costs, occupancy formula
     and launch overheads) is evaluated as one NumPy sweep over the ``nb``
     steps; a per-step loop kept in the tests pins it to roundoff.  Returns
-    the total in seconds.
+    the total in seconds, the one body :func:`lud_performance_pool` runs per
+    group, on a group of one.
     """
-    block, tpb = config.block, config.cuda_block * config.cuda_block
-    nb = config.num_blocks
+    return _lud_group_times(config.n, config.block, [config.cuda_block], device)[0]
+
+
+def lud_performance_pool(configs: list[LudConfig], device: DeviceSpec = A100_80GB) -> list[float]:
+    """:func:`lud_performance_vectorized` of every config, in order, in one
+    NumPy pass per ``(n, block)`` group.
+
+    Configs of one group take the same ``nb`` steps and differ only in their
+    CUDA block, which the model sees only through its occupancy's latency
+    hiding: the group's roofline is one ``(configs, steps)`` array, a config
+    per row, summed along the rows.  Rows of equal length sum pairwise
+    exactly as the one row alone does, so every time is bit-identical to the
+    config costed by itself; across groups the step counts differ, which is
+    why a group is the unit of the pass.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for index, config in enumerate(configs):
+        groups.setdefault((config.n, config.block), []).append(index)
+    times = [0.0] * len(configs)
+    for (n, block), members in groups.items():
+        cuda_blocks = [configs[index].cuda_block for index in members]
+        for index, seconds in zip(members, _lud_group_times(n, block, cuda_blocks, device)):
+            times[index] = seconds
+    return times
+
+
+def _lud_group_times(n: int, block: int, cuda_blocks: list[int],
+                     device: DeviceSpec) -> list[float]:
+    """The model's one body: the time of ``(n, block)`` at each CUDA block side."""
+    nb = n // block
     element = 4.0
     launch_overhead = device.launch_overhead_us * 1e-6
     smem_per_block = 2.0 * block * block * element
 
-    # occupancy_factor()'s per-SM terms are the same for every step
-    resident = max(1, int(device.max_threads_per_sm // max(tpb, 1)))
-    resident = min(resident, device.max_blocks_per_sm)
-    resident = min(resident, max(1, int(device.smem_per_sm_bytes // smem_per_block)))
-    warps = resident * tpb / device.warp_size
-    hiding = min(1.0, resident / 4.0, warps / 16.0)
+    # occupancy_factor()'s per-SM terms are the same for every step: one
+    # latency-hiding weight per config, a column against the steps' row
+    weights = []
+    for cuda_block in cuda_blocks:
+        tpb = cuda_block * cuda_block
+        resident = max(1, int(device.max_threads_per_sm // max(tpb, 1)))
+        resident = min(resident, device.max_blocks_per_sm)
+        resident = min(resident, max(1, int(device.smem_per_sm_bytes // smem_per_block)))
+        warps = resident * tpb / device.warp_size
+        weights.append(0.5 + 0.5 * min(1.0, resident / 4.0, warps / 16.0))
+    weight = np.array(weights)[:, None]
 
     def busy(flops, dram_bytes, compute_eff, dram_eff, blocks):
         compute = flops / (device.peak_flops("fp32") * compute_eff * 1e9)
         dram = dram_bytes / (device.dram_bandwidth_gbs * 1e9 * dram_eff)
         l2 = dram_bytes / (device.l2_bandwidth_gbs * 1e9)
         wave = np.minimum(1.0, blocks / device.num_sms)
-        occupancy = np.maximum(0.05, wave * (0.5 + 0.5 * hiding))
+        occupancy = np.maximum(0.05, wave * weight)
         return np.maximum(compute, np.maximum(dram, l2)) / occupancy
 
     trailing = nb - 1 - np.arange(nb, dtype=np.float64)
     perim_blocks = np.maximum(1.0, 2.0 * trailing)
     perim_bytes = element * (2.0 * trailing + 1.0) * block * block * 3.0
     perim_flops = (2.0 * trailing + 1.0) * float(block) ** 3
-    total = float(np.sum(
-        busy(perim_flops, perim_bytes, 0.85, 0.85, perim_blocks)
-    )) + nb * 3 * launch_overhead
+    total = busy(perim_flops, perim_bytes, 0.85, 0.85, perim_blocks).sum(axis=1)
+    total += nb * 3 * launch_overhead
 
     inner = trailing[trailing > 0]
     internal_blocks = inner * inner
@@ -474,8 +509,8 @@ def lud_performance_vectorized(config: LudConfig, device: DeviceSpec = A100_80GB
     internal_busy = busy(internal_flops, internal_bytes, 0.6, 0.85, internal_blocks)
     # an internal step pays estimate_time's own launch overhead plus one
     # host-side overhead (and a perimeter step two, folded above)
-    total += float(np.sum(internal_busy)) + inner.size * 2 * launch_overhead
-    return total
+    total += internal_busy.sum(axis=1) + inner.size * 2 * launch_overhead
+    return total.tolist()
 
 
 def app_spec():
@@ -507,11 +542,15 @@ def app_spec():
     def evaluate(config, device=A100_80GB):
         return lud_performance_vectorized(config_of(config), device)
 
+    def evaluate_pool(configs, device=A100_80GB):
+        return lud_performance_pool([config_of(config) for config in configs], device)
+
     return register_app(AppSpec(
         name="lud",
         backend="cuda",
         space=space,
         evaluate=evaluate,
+        evaluate_pool=evaluate_pool,
         generate=lambda config: generate_lud_internal_kernel(config_of(config)),
         generate_params=("n", "block", "cuda_block"),
         reference=lud_check_reference,

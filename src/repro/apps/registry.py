@@ -20,11 +20,12 @@ stencil, transpose) registers one :class:`AppSpec` that exposes, uniformly:
   type, same ``repr``) to ``evaluate(config, device)``.  The tuner costs
   every pool through :meth:`AppSpec.evaluate_all`, which falls back to one
   ``evaluate`` per config.  Matmul and grouped GEMM have one: their model
-  runs once over NumPy columns (:mod:`repro.gpusim.columns`).  LUD has
-  none: its model sums its steps with ``np.sum``, whose pairwise rounding
-  depends on the step count, so one ragged sum across configs would round
-  differently.  The other apps keep the per-config form: their spaces are
-  a few dozen points each,
+  runs once over NumPy columns (:mod:`repro.gpusim.columns`).  LUD has one
+  pass per ``(n, block)`` group: its model sums its steps with ``np.sum``,
+  whose pairwise rounding depends on the step count, and configs of one
+  group take the same steps, so each row of the group's ``(configs,
+  steps)`` array sums exactly as that config alone.  The other apps keep
+  the per-config form: their spaces are a few dozen points each,
 * ``paper_config`` — the axis values of the configuration the paper's
   evaluation prefers, which the tuner tests assert the sweep reproduces.
 

@@ -146,7 +146,8 @@ class SharedArray(_LayoutArray):
     load is one ``take`` along the words.  An access decodes in one native
     call (``np.ravel_multi_index`` plus the layout table); a rejected index falls
     back to the per-axis scan, which raises the error that names it.
-    :meth:`load_rows` issues many block-uniform loads in one call.
+    :meth:`load_rows` issues many block-uniform loads in one call and
+    :meth:`store_rows` many block-uniform stores.
     """
 
     def __init__(self, context, shape: Sequence[int], dtype=np.float32, layout=None,
@@ -247,6 +248,34 @@ class SharedArray(_LayoutArray):
         lanes = physical.shape[1:] if batched else physical.shape
         self._flat[physical + self._block_words] = _per_block_values(self.name, raw, self.batch,
                                                                      lanes)
+
+    def store_rows(self, value, *indices) -> None:
+        """Many block-uniform stores in one call, the twin of :meth:`load_rows`.
+
+        The indices broadcast to ``(rows, lanes)`` and ``value`` to ``(B, rows,
+        lanes)``: row ``r`` is what :meth:`store` of ``value[..., r, :]`` at row
+        ``r`` writes.  The pattern is decoded once and logged once as exactly
+        those separate stores (each row cut into warps of its own, paid by every
+        block); the scatter writes row after row, each in C order, so the last
+        writer is the separate stores' last writer.  Any rank but 2 is a
+        ``TypeError``; a pattern with a row out of range is re-issued one
+        :meth:`store` per row, so the first bad row raises its own error.
+        """
+        indices = tuple(map(materialised, indices))
+        shape = np.broadcast_shapes(*map(np.shape, indices))
+        if len(shape) != 2:
+            raise TypeError(f"{self.name}: store_rows takes one block-uniform (rows, lanes) "
+                            f"pattern, got a rank-{len(shape)} access")
+        values = _per_block_values(self.name, np.asarray(value, dtype=self.dtype), self.batch,
+                                   shape)
+        try:
+            physical = self._decode(indices)
+        except IndexError:
+            for row, *index in zip(values.swapaxes(0, 1), *np.broadcast_arrays(*indices)):
+                self.store(row, *index)
+            return
+        self._record(physical, self.batch, is_store=True)
+        self._flat[physical + self._block_words[..., None]] = values
 
     # ``buf[i, j]`` sugar used by the ported Rodinia kernels
     def __getitem__(self, indices):

@@ -55,7 +55,11 @@ def _assert_pool_matches(spec, configs, device):
     assert [repr(t) for t in pooled] == [repr(t) for t in single]
 
 
-@pytest.mark.parametrize("app", ["matmul", "grouped_gemm"])
+#: the apps with a pool form
+POOLED = ["matmul", "grouped_gemm", "lud"]
+
+
+@pytest.mark.parametrize("app", POOLED)
 @pytest.mark.parametrize("device", list(DEVICE_ZOO))
 def test_the_pool_form_is_bit_identical_over_the_whole_space(app, device):
     spec = get_app(app)
@@ -84,7 +88,30 @@ def test_a_pool_mixing_problem_sizes_is_bit_identical(app, device):
                          DEVICE_ZOO[device])
 
 
-@pytest.mark.parametrize("app", ["matmul", "grouped_gemm"])
+@pytest.mark.parametrize("device", list(DEVICE_ZOO))
+def test_a_lud_pool_mixing_problem_sizes_is_bit_identical(device):
+    # fig12b passes n per config, and a pool runs one pass per (n, block):
+    # shuffled sizes split the space into groups of every step count, down
+    # to one step (n == block: no internal step at all)
+    spec = get_app("lud")
+    rng = random.Random(12)
+    configs = []
+    for config in list(spec.space) * 3:
+        sizes = [n for n in (256, 512, 1024, 4096, 8192) if n % config["block"] == 0]
+        if rng.random() < 0.7:
+            config = {**config, "n": rng.choice(sizes + [config["block"]])}
+        configs.append(config)
+    rng.shuffle(configs)
+    assert {128, 256} <= {config["block"] for config in configs}
+    assert any(config.get("n") == config["block"] for config in configs)
+    _assert_pool_matches(spec, configs, DEVICE_ZOO[device])
+    # fig12b's own pool: one size set by every config
+    figure = spec.space.subspace(block=(16, 32, 64), cuda_block=(16,))
+    figure = figure.extended(Choice("n", (1024,)))
+    _assert_pool_matches(spec, list(figure), DEVICE_ZOO[device])
+
+
+@pytest.mark.parametrize("app", POOLED)
 def test_a_pool_of_one_and_of_none(app):
     spec = get_app(app)
     _assert_pool_matches(spec, [next(iter(spec.space))], DEVICE_ZOO["a100"])
@@ -117,6 +144,29 @@ def test_evaluate_all_uses_the_pool_once_and_falls_back_per_config():
                     evaluate_pool=lambda configs, device=None: [1.0])
     with pytest.raises(ValueError, match="1 times for 3 configurations"):
         short.evaluate_all(list(space), device=None)
+
+
+def test_evaluate_all_costs_a_lud_pool_in_one_call(monkeypatch):
+    from repro.apps import lud
+
+    calls = []
+    pool = lud.lud_performance_pool
+
+    def counted(configs, device):
+        calls.append(len(configs))
+        return pool(configs, device)
+
+    def single(config, device):
+        raise AssertionError("LUD has a pool form: no per-config call")
+
+    monkeypatch.setattr(lud, "lud_performance_pool", counted)
+    monkeypatch.setattr(lud, "lud_performance_vectorized", single)
+    spec = get_app("lud")
+    configs = list(spec.space)
+    times = spec.evaluate_all(configs, device=DEVICE_ZOO["a100"])
+    assert calls == [27] and len(times) == 27
+    assert [c.time_seconds for c in evaluate_configs(spec, configs)] == times
+    assert calls == [27, 27]
 
 
 if __name__ == "__main__":

@@ -631,3 +631,123 @@ def test_flat_shared_accesses_equal_the_two_dimensional_index(layout):
                                       buf.data[:, table[shifted[0] * 17 + shifted[1]]])
 
     launch(kernel, grid=5, block=lanes.size)
+
+
+# -- grouped shared stores against the separate ones ---------------------------------------
+
+#: (rows, lanes) patterns on a 17 x 17 panel: lane pairs on one cell within a row, and
+#: rows 0 and 2 on the same cells, so the last writer is decided within and across rows
+_LANES48 = np.arange(48)
+STORE_PATTERNS = (np.stack([_LANES48 // 2 % 17, _LANES48 % 13, _LANES48 // 2 % 17, _LANES48 // 3]),
+                  np.stack([_LANES48 // 2 * 3 % 17, _LANES48 // 4, _LANES48 // 2 * 3 % 17,
+                            _LANES48 % 17]))
+
+
+def _store_values(kind, batch):
+    rows, lanes = STORE_PATTERNS[0].shape
+    per_block = np.arange(batch * rows * lanes).reshape(batch, rows, lanes) % 101 + 1
+    return {"per-block": per_block, "uniform": per_block[0], "row": per_block[0, 0],
+            "scalar": 7}[kind]
+
+
+def _shared_store_kernel(grouped, narrowed, layout, kind, dtype, seen):
+    """Store ``STORE_PATTERNS`` with one ``store_rows`` or one ``store`` per row, on the
+    block context or on a pass narrowed to every block but every third one."""
+
+    def kernel(ctx):
+        if narrowed:
+            ctx = ctx.where_blocks(np.asarray(ctx.blockIdx.x) % 3 != 1)
+        buf = ctx.shared_array((17, 17), dtype=dtype, layout=layout, name="panel")
+        values = np.asarray(_store_values(kind, buf.batch), dtype=dtype)
+        if grouped:
+            buf.store_rows(values, *STORE_PATTERNS)
+        else:
+            for row, (i, j) in enumerate(zip(*STORE_PATTERNS)):
+                buf.store(values[..., row, :] if values.ndim >= 2 else values, i, j)
+        seen.append(buf.to_numpy())
+
+    return kernel
+
+
+@pytest.mark.parametrize("narrowed", [False, True], ids=["blocks", "narrowed"])
+@pytest.mark.parametrize("layout", [None, "antidiagonal"])
+@pytest.mark.parametrize("kind", ["per-block", "uniform", "row", "scalar"])
+@pytest.mark.parametrize("dtype", [np.int8, np.float32, np.float64])
+def test_grouped_shared_stores_equal_the_separate_stores(narrowed, layout, kind, dtype):
+    """Values, the last writer on cells stored twice within a row and across rows, and
+    every ``CudaTrace`` counter (the smem histogram included), on every device."""
+    from repro.apps.nw import nw_buffer_layout
+
+    buffer_layout = None if layout is None else nw_buffer_layout(16, layout)
+    for device in DEVICES:
+        runs = {}
+        for grouped in (False, True):
+            seen = []
+            trace = launch(_shared_store_kernel(grouped, narrowed, buffer_layout, kind, dtype,
+                                                seen),
+                           grid=5, block=48, args=(), device=device)
+            runs[grouped] = seen[0], _counters(trace)
+        np.testing.assert_array_equal(runs[True][0], runs[False][0])
+        assert runs[True][1] == runs[False][1], (device.name, kind)
+    # one write at a time, rows then lanes: the last writer of a cell holds it
+    stored = runs[True][0]
+    values = np.broadcast_to(np.asarray(_store_values(kind, len(stored)), dtype=dtype),
+                             (len(stored),) + STORE_PATTERNS[0].shape)
+    expected = np.zeros_like(stored)
+    for (row, lane), i in np.ndenumerate(STORE_PATTERNS[0]):
+        expected[:, i, STORE_PATTERNS[1][row, lane]] = values[:, row, lane]
+    np.testing.assert_array_equal(stored, expected)
+
+
+@pytest.mark.parametrize("index", [_LANES48 % 17, np.zeros((1, 2, 48), dtype=np.int64)],
+                         ids=["rank1", "rank3"])
+def test_grouped_shared_stores_take_one_rank_2_pattern(index):
+    def kernel(ctx):
+        ctx.shared_array((17, 17), name="panel").store_rows(1.0, index, index)
+
+    with pytest.raises(TypeError, match=r"^panel: store_rows takes one block-uniform "
+                                        r"\(rows, lanes\) pattern, got a rank-[13] access$"):
+        launch(kernel, grid=2, block=48)
+
+
+@pytest.mark.parametrize("shift", [(0, 30, 40), (0, 0, -3)], ids=["above", "below"])
+def test_a_grouped_shared_store_out_of_range_raises_the_first_bad_rows_error(shift):
+    """Row 1 leaves the panel (and row 2 further): the grouped store raises the text
+    row 1's own store raises."""
+    errors = {}
+    for grouped in (False, True):
+        def kernel(ctx):
+            buf = ctx.shared_array((17, 17), name="panel")
+            rows = STORE_PATTERNS[0][:3] + np.array(shift)[:, None]
+            if grouped:
+                buf.store_rows(1.0, rows, STORE_PATTERNS[1][:3])
+            else:
+                for i, j in zip(rows, STORE_PATTERNS[1][:3]):
+                    buf.store(1.0, i, j)
+
+        with pytest.raises(IndexError) as error:
+            launch(kernel, grid=2, block=48)
+        errors[grouped] = str(error.value)
+    assert errors[True] == errors[False]
+    assert errors[True].startswith("panel: axis 0 index out of range [0, 17)")
+
+
+def test_one_lud_pass_stages_its_panels_with_two_grouped_stores(monkeypatch):
+    """Block 64 / CUDA block 16 at n = 128 is one pass: one ``store_rows`` per panel
+    (the per-fragment oracle makes one store per fragment and panel, 2 * 4 * 4)."""
+    from repro.vm.arrays import SharedArray
+
+    calls = {"store": 0, "store_rows": 0}
+    for name in calls:
+        method = getattr(SharedArray, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SharedArray, name, counted)
+    _run_lud(monkeypatch, lud._lud_internal_block_kernel, 64, 16, A100_80GB)
+    assert calls == {"store": 0, "store_rows": 2}
+    calls.update(store=0, store_rows=0)
+    _run_lud(monkeypatch, _per_fragment_kernel, 64, 16, A100_80GB)
+    assert calls == {"store": 32, "store_rows": 0}
