@@ -26,7 +26,7 @@ Mapping" (Tavakkoli, Oancea, Hall).  It provides:
   cache, per-lane service metrics and a multi-process farm
   (``CompileFarm``) on the same request path;
 * :mod:`repro.cache` — the shared cache tiers (sharded in-memory LRU,
-  atomic persistent JSON store) behind the service and the autotuner;
+  append-only durable record log) behind the service, farm and autotuner;
 * :mod:`repro.check` — the evidence pass: NumPy reference models per app,
   one pass that executes every generated kernel on its substrate, proves it
   numerically correct and costs the trace of that run against the analytic

@@ -35,9 +35,20 @@ import tempfile
 import time
 from pathlib import Path
 
-from .persistent import _publish_atomically
-
 __all__ = ["Claim", "ClaimRegistry"]
+
+
+def _publish_atomically(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path`` and rename it into place,
+    so a reader sees the old claim or the new one, never a torn one."""
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:  # noqa: BLE001 - re-raised: only the orphaned temp file is removed
+        os.unlink(tmp_name)
+        raise
 
 
 class Claim:

@@ -1,25 +1,25 @@
-"""Persistent JSON-backed result store shared by the tuner and the service.
+"""The one durable store: a ``key -> dict`` map over an append-only record log.
 
-The autotuner's evaluation cache is keyed by a digest of the app, the
-candidate configuration and the lowered index expressions of the generated
-kernel.  The compilation service uses the same store as the durable tier of
-its kernel cache (payloads are kernel sources plus metadata instead of
-evaluation results).
+The autotuner's evaluations and tuning tables, the in-process service's
+kernels and every compile-farm worker share :class:`ResultCache`; all of them
+salt their keys with :func:`code_fingerprint`.  DESIGN.md states the log's
+rules once; in short:
 
-Durability contract:
-
-* :meth:`ResultCache.save` is **atomic**: the store is written to a temp file
-  in the destination directory and moved into place with ``os.replace``, so a
-  crashed or concurrent writer can never leave a truncated JSON file behind.
-* A load that finds an unreadable store falls back to empty and raises the
-  :attr:`corrupt_reset` flag instead of failing, so a corrupted cache costs a
-  re-fill, never an outage.
-* ``get``/``put``/``save`` are serialised by an internal lock; one instance
-  may be shared by the service's worker threads.
+* a record is ``b"\\n" + json.dumps(entries, sort_keys=True) + b"\\n"``, so a
+  torn append spoils only its own line, which a read skips and counts in
+  ``corrupt_entries``;
+* ``put`` and ``get`` touch memory (``items`` and ``len`` reload first);
+  ``save`` appends the unsaved entries as one record
+  (one ``os.write``, ``O_APPEND``, shared ``flock``) and never rewrites a
+  byte; ``reload`` parses the complete records past its offset, later
+  records win, and this handle's unsaved puts win over all of them;
+* ``prune`` is the one rewrite: under an exclusive ``flock``, and only when
+  it drops an entry, it replaces the log with one record of what is kept.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -29,27 +29,6 @@ from pathlib import Path
 from typing import Mapping
 
 __all__ = ["ResultCache", "code_fingerprint", "stable_digest"]
-
-
-def _publish_atomically(path: Path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path`` and rename it into place.
-
-    ``os.replace`` is atomic on POSIX and Windows: a reader (or a crash) can
-    only ever observe the old complete file or the new complete one, never a
-    truncated one.  The one publish step of every durable store here
-    (:class:`ResultCache`, ``ShardedFileStore`` entries, claim refreshes).
-    """
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:  # noqa: BLE001 - re-raised: only the orphaned temp file is removed
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 #: ``json.dumps(payload, sort_keys=True, default=str)``, built once
@@ -100,101 +79,63 @@ def code_fingerprint() -> str:
 
 
 class ResultCache:
-    """A ``key -> result-dict`` map with optional (atomic) JSON persistence."""
+    """A ``key -> result-dict`` map, optionally kept in an append-only log at ``path``."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self.hits = 0
-        self.misses = 0
-        #: a persisted store existed but could not be read; it was discarded
-        self.corrupt_reset = False
+        #: log lines that did not parse (a torn append, a foreign writer); skipped
+        self.corrupt_entries = 0
         self._entries: dict[str, dict] = {}
-        self._dirty = False
+        #: entries put since the last save: appended by the next one
+        self._dirty: dict[str, dict] = {}
+        #: the log file read so far (inode) and the bytes of it consumed
+        self._inode: int | None = None
+        self._offset = 0
         self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
-            try:
-                loaded = json.loads(self.path.read_text())
-                if not isinstance(loaded, dict):
-                    raise json.JSONDecodeError("store root is not an object", "", 0)
-                self._entries = loaded
-            except (OSError, json.JSONDecodeError):
-                self._entries = {}
-                self.corrupt_reset = True
+        self.reload()
 
     @staticmethod
-    def kernel_digest(
-        app: str,
-        expressions: Mapping[str, str] | None = None,
-        backend: str = "",
-        device: str = "",
-    ) -> str:
+    def kernel_digest(app: str, expressions: Mapping[str, str] | None = None,
+                      backend: str = "", device: str = "") -> str:
         """The first half of :meth:`key`: everything but the configuration.
 
         A sweep's candidates share a handful of kernels, so the tuner takes
         this once per kernel and :meth:`candidate_key` once per candidate.
         """
-        return stable_digest({
-            "code": code_fingerprint(),
-            "app": app,
-            "backend": backend,
-            "device": device,
-            "expressions": dict(expressions) if expressions else None,
-        })
+        return stable_digest({"code": code_fingerprint(), "app": app, "backend": backend,
+                              "device": device,
+                              "expressions": dict(expressions) if expressions else None})
 
     @staticmethod
     def candidate_key(kernel_digest: str, config: Mapping) -> str:
         """The second half of :meth:`key`: a :meth:`kernel_digest` and the configuration."""
-        return stable_digest({
-            "kernel": kernel_digest,
-            "config": dict(config),
-        })
+        return stable_digest({"kernel": kernel_digest, "config": dict(config)})
 
     @staticmethod
-    def key(
-        app: str,
-        config: Mapping,
-        expressions: Mapping[str, str] | None = None,
-        backend: str = "",
-        device: str = "",
-    ) -> str:
-        """Stable digest of one candidate evaluation.
+    def key(app: str, config: Mapping, expressions: Mapping[str, str] | None = None,
+            backend: str = "", device: str = "") -> str:
+        """Stable digest of one candidate evaluation: :meth:`candidate_key` of the
+        :meth:`kernel_digest`.
 
-        ``expressions`` maps binding names to the canonical printed form of
-        the lowered (hash-consed) index expressions, so entries invalidate
-        when the expression engine or a layout changes the generated kernel;
-        candidates whose generated kernel is unavailable key off the
-        configuration alone.  ``backend`` is the code-generation target —
-        without it two backends lowering to identical index expressions
-        would collide on one entry.  ``device`` names the
-        :class:`~repro.gpusim.DeviceSpec` an evaluation was costed against —
-        per-device tuning (:mod:`repro.tune.search`) reuses one store across
-        the zoo, and the same configuration evaluates differently on every
-        device.  :func:`code_fingerprint` salts every key so entries also
-        invalidate whenever the analytic performance model changes (which
-        evaluation depends on but the expressions cannot capture).
-
-        The one recipe, in two steps: :meth:`candidate_key` of the
-        :meth:`kernel_digest`, so a caller that keys many configurations of
-        one kernel serialises its expressions once.
+        ``expressions`` (binding name -> canonical printed index expression)
+        invalidates entries when a layout or the expression engine changes the
+        kernel; ``backend`` and ``device`` keep two targets or two zoo devices
+        off one entry; :func:`code_fingerprint` invalidates them when the cost
+        model, which the expressions cannot capture, changes.
         """
         return ResultCache.candidate_key(
             ResultCache.kernel_digest(app, expressions, backend, device), config)
 
     def get(self, key: str) -> dict | None:
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return entry
+            return self._entries.get(key)
 
     def put(self, key: str, result: Mapping) -> None:
         with self._lock:
-            self._entries[key] = dict(result)
-            self._dirty = True
+            self._entries[key] = self._dirty[key] = dict(result)
 
     def __len__(self) -> int:
+        self.reload()
         return len(self._entries)
 
     def items(self, prefix: str = "") -> list[tuple[str, dict]]:
@@ -203,66 +144,126 @@ class ResultCache:
         Digest keys are opaque, but clients that store *namespaced* records
         (the tuning tables' ``"tuning-table/..."`` rows) scan their
         namespace with ``prefix``.  Entries are copied, so a caller can
-        iterate while service workers keep writing.
+        iterate while service workers keep writing.  Reloads first, as
+        ``len`` does: a whole-store read sees what other handles saved.
         """
+        self.reload()
         with self._lock:
-            return [
-                (key, dict(entry))
-                for key, entry in self._entries.items()
-                if key.startswith(prefix)
-            ]
+            return [(key, dict(entry)) for key, entry in self._entries.items()
+                    if key.startswith(prefix)]
 
     def prune(self, keep) -> int:
-        """Drop every entry for which ``keep(key, entry)`` is false.
+        """Drop every entry for which ``keep(key, entry)`` is false; returns how many.
 
-        Returns the number of entries removed.  The store's clients use this
-        to reclaim entries stranded by an invalidation-salt change (e.g. the
-        service's code-fingerprint salt) — without it a long-lived store
-        only ever grows, all dead weight eagerly loaded and re-written.
+        The store's clients reclaim entries stranded by an invalidation-salt
+        change (the service's code-fingerprint salt) this way.  With a log,
+        it is the log's one rewrite (see the module docstring), taken only
+        when something is dropped; the rewrite also persists unsaved puts.
         """
         with self._lock:
-            doomed = [key for key, entry in self._entries.items() if not keep(key, entry)]
-            for key in doomed:
-                del self._entries[key]
-            if doomed:
-                self._dirty = True
-            return len(doomed)
+            try:
+                fd = None if self.path is None else self._locked(os.O_RDONLY, fcntl.LOCK_EX)
+            except FileNotFoundError:
+                fd = None  # nothing on disk yet: only memory to prune
+            try:
+                if fd is not None:
+                    self._read_locked(fd)
+                doomed = [key for key, entry in self._entries.items() if not keep(key, entry)]
+                for key in doomed:
+                    del self._entries[key]
+                    self._dirty.pop(key, None)
+                if doomed and fd is not None:
+                    self._compact_locked()
+                return len(doomed)
+            finally:
+                if fd is not None:
+                    os.close(fd)
 
-    def reload(self) -> bool:
-        """Re-read the backing file, merging entries written by other processes.
-
-        A multi-process reader (the farm stress tests, a monitoring script)
-        can refresh its view of a store that other ``ResultCache`` instances
-        keep saving.  On-disk entries never overwrite this instance's own
-        unsaved (dirty) state: local entries win on key conflicts, so a
-        ``put`` can never be silently lost to a reload.  Returns ``False``
-        (and raises :attr:`corrupt_reset`) if the file was unreadable — by
-        the atomic-save contract that can only mean a non-``ResultCache``
-        writer truncated it.
-        """
-        if self.path is None or not self.path.exists():
-            return True
-        try:
-            loaded = json.loads(self.path.read_text())
-            if not isinstance(loaded, dict):
-                raise json.JSONDecodeError("store root is not an object", "", 0)
-        except (OSError, json.JSONDecodeError):
-            self.corrupt_reset = True
-            return False
+    def reload(self) -> None:
+        """Merge the records other handles appended since this one last read."""
+        if self.path is None:
+            return
         with self._lock:
-            merged = dict(loaded)
-            if self._dirty:
-                merged.update(self._entries)
-            self._entries = merged
-        return True
+            try:
+                fd = os.open(self.path, os.O_RDONLY)
+            except FileNotFoundError:
+                return
+            try:
+                self._read_locked(fd)
+            finally:
+                os.close(fd)
 
     def save(self) -> Path | None:
-        """Atomically write the store back (no-op without a path or changes)."""
+        """Append the unsaved entries as one record (no-op without a path or changes)."""
         with self._lock:
             if self.path is None or not self._dirty:
                 return self.path
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            # compact: an indent forces json's pure-Python encoder, this is the C one
-            _publish_atomically(self.path, json.dumps(self._entries, sort_keys=True))
-            self._dirty = False
+            fd = self._locked(os.O_WRONLY | os.O_APPEND | os.O_CREAT, fcntl.LOCK_SH)
+            try:
+                _write_record(fd, self._dirty)
+            finally:
+                os.close(fd)
+            self._dirty = {}
             return self.path
+
+    # -- the log -------------------------------------------------------------------
+
+    def _locked(self, flags: int, operation: int) -> int:
+        """Open the log and ``flock`` it, reopening while a compaction moved the path."""
+        while True:
+            fd = os.open(self.path, flags, 0o644)
+            fcntl.flock(fd, operation)
+            try:
+                if os.stat(self.path).st_ino == os.fstat(fd).st_ino:
+                    return fd
+            except FileNotFoundError:
+                pass
+            os.close(fd)
+
+    def _read_locked(self, fd: int) -> None:
+        status = os.fstat(fd)
+        # the consumed prefix ends in a newline; a file where it does not is another file
+        if status.st_ino != self._inode or status.st_size < self._offset or (
+                self._offset and os.pread(fd, 1, self._offset - 1) != b"\n"):
+            self._inode, self._offset, self._entries = status.st_ino, 0, {}
+        data = os.pread(fd, status.st_size - self._offset, self._offset)
+        end = data.rfind(b"\n") + 1
+        self._offset += end
+        for line in data[:end].split(b"\n"):
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if isinstance(record, dict):
+                self._entries.update(record)
+            else:
+                self.corrupt_entries += 1
+        self._entries.update(self._dirty)
+
+    def _compact_locked(self) -> None:
+        """Replace the log with one record of every entry (under the exclusive lock)."""
+        fd, tmp_name = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".",
+                                        suffix=".tmp")
+        try:
+            size = _write_record(fd, self._entries)
+            inode = os.fstat(fd).st_ino
+            os.replace(tmp_name, self.path)
+        except BaseException:  # noqa: BLE001 - re-raised: only the orphaned temp file is removed
+            os.unlink(tmp_name)
+            raise
+        finally:
+            os.close(fd)
+        self._inode, self._offset, self._dirty = inode, size, {}
+
+
+def _write_record(fd: int, entries: Mapping) -> int:
+    """One ``os.write`` of one framed record; a short write raises."""
+    # compact: an indent forces json's pure-Python encoder, this is the C one
+    record = b"\n" + json.dumps(entries, sort_keys=True).encode() + b"\n"
+    written = os.write(fd, record)
+    if written != len(record):
+        raise OSError(f"short write: {written} of {len(record)} bytes of a store record")
+    return written

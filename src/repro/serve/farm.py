@@ -2,8 +2,9 @@
 
 :class:`CompileFarm` keeps the service's whole request path — memory tier,
 in-flight coalescing, ledger (:mod:`repro.serve.service`) — and supplies
-only *where a leader runs*: N worker processes share one durable
-:class:`~repro.cache.ShardedFileStore` and each runs the same
+only *where a leader runs*: N worker processes each hold a
+:class:`~repro.cache.ResultCache` handle on one durable log
+(``<store>/kernels/store.log``) and each runs the same
 :func:`~repro.serve.service.resolve_tiers` leader path under claim files,
 so the farm survives ``SIGKILL``-ed workers without losing or
 double-compiling anything.  What processes need, and why it looks this way:
@@ -42,7 +43,7 @@ from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Mapping
 
-from ..cache import ClaimRegistry, ShardedFileStore, ShardedLRUCache
+from ..cache import ClaimRegistry, ResultCache, ShardedLRUCache
 from ..obs import record_farm_event
 from .admission import LANE_INTERACTIVE, LANE_SWEEP, AdmissionController, Rejected
 from .metrics import FarmStats
@@ -68,6 +69,8 @@ _HEALTH_INTERVAL = 0.1
 _RESTART_LIMIT = 32
 #: longest wait (seconds) for a worker whose pipes broke to exit and be reaped
 _REAP_TIMEOUT = 1.0
+#: the durable log's name in the store's ``kernels`` directory
+_STORE_LOG = "store.log"
 
 
 class FarmCompileError(RuntimeError):
@@ -88,7 +91,7 @@ def _worker_main(worker_id: int, spec: dict, task_conn, result_conn) -> None:
     It keeps no memory tier of its own: the supervisor's front half caches
     every resolved kernel before a repeat could reach a worker.
     """
-    store = ShardedFileStore(spec["store_dir"])
+    store = ResultCache(Path(spec["store_dir"]) / _STORE_LOG)
     claims = ClaimRegistry(
         spec["claims_dir"], ttl=spec["claim_ttl"], owner=f"worker-{worker_id}"
     )
@@ -186,7 +189,7 @@ class CompileFarm(CompileService):
         self._open(
             workers,
             ShardedLRUCache(shards=8, capacity_per_shard=2048),
-            ShardedFileStore(self._spec["store_dir"]),
+            ResultCache(Path(self._spec["store_dir"]) / _STORE_LOG),
             self._admission.lanes,
         )
         self._idle = threading.Condition(self._lock)

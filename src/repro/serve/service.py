@@ -220,9 +220,14 @@ _CLAIM_WAIT_LIMIT = 60.0
 # -- the leader path ------------------------------------------------------------------
 
 
-def _restore(request: CompileRequest, store, stable: str, verify):
-    """Probe the durable tier: ``(kernel, payload)``, or ``None`` on a miss."""
+def _restore(request: CompileRequest, store, stable: str, verify, shared: bool):
+    """Probe the durable tier: ``(kernel, payload)``, or ``None`` on a miss.
+
+    A ``shared`` store (other processes append to it) is reloaded first, and
+    a stamp it puts is saved at once."""
     with span("serve.store.probe", "serve", app=request.app) as probe:
+        if shared:
+            store.reload()
         payload = store.get(stable)
         probe.add(tier_hit=payload is not None)
     if payload is None:
@@ -237,6 +242,8 @@ def _restore(request: CompileRequest, store, stable: str, verify):
             verify(request, kernel)
         payload = {**payload, "verified": True}
         store.put(stable, payload)
+        if shared:
+            store.save()
     return kernel, payload
 
 
@@ -262,10 +269,13 @@ def resolve_tiers(request: CompileRequest, store, claims, compiler, verify,
 
     Returns ``(outcome, kernel, payload)``; ``payload`` is the JSON envelope
     read from or written to ``store`` (``None`` without a store).  The
-    in-process service calls this on a pool thread with ``claims=None``; a
-    farm worker calls it with the shared :class:`~repro.cache.ShardedFileStore`
-    and a :class:`~repro.cache.ClaimRegistry`, which is what holds the
-    farm-wide exactly-once-compile invariant:
+    in-process service calls this on a pool thread with ``claims=None`` (its
+    store's probes are dict lookups, its puts saved once at ``close``); a farm
+    worker calls it with its handle on the shared
+    :class:`~repro.cache.ResultCache` log and a
+    :class:`~repro.cache.ClaimRegistry`, which is what holds the farm-wide
+    exactly-once-compile invariant.  With claims, every probe reloads the
+    log first and every put is saved (appended) at once:
 
     1. an existing store entry answers immediately (``store_hit``);
     2. otherwise acquire the claim — a holder that died is broken via its
@@ -275,8 +285,8 @@ def resolve_tiers(request: CompileRequest, store, claims, compiler, verify,
     4. claim won: re-probe the store (the holder may have finished between
        our miss and our claim), then compile, verify, ``put``, release.
 
-    The ``put`` happens **before** this function returns (and so before a
-    worker's done-message and before the claim is released): a leader killed
+    The ``put`` and its ``save`` happen **before** this function returns (and so
+    before a worker's done-message and before the claim is released): a leader killed
     after publishing never causes a recompile, and one killed before
     publishing never reported success — "compiled" is reported at most once
     per kernel.  ``compile_delay`` is the chaos tests' kill window: a sleep
@@ -285,26 +295,29 @@ def resolve_tiers(request: CompileRequest, store, claims, compiler, verify,
     if store is None:
         return _compile(request, None, None, compiler, verify)
     stable = request.stable_key()
-    restored = _restore(request, store, stable, verify)
+    shared = claims is not None
+    restored = _restore(request, store, stable, verify, shared)
     if restored is not None:
         return ("store_hit", *restored)
-    if claims is None:
+    if not shared:
         return _compile(request, store, stable, compiler, verify)
     while True:
         claim = claims.acquire(stable)
         if claim is not None:
             with claim:
-                restored = _restore(request, store, stable, verify)
+                restored = _restore(request, store, stable, verify, shared)
                 if restored is not None:  # the previous holder just finished
                     return ("dedup_wait", *restored)
                 if compile_delay:
                     time.sleep(compile_delay)
                     claim.refresh()
-                return _compile(request, store, stable, compiler, verify)
+                compiled = _compile(request, store, stable, compiler, verify)
+                store.save()
+                return compiled
         # a live sibling process holds the claim: wait for its result
         waited = time.perf_counter()
         while claims.held(stable):
-            restored = _restore(request, store, stable, verify)
+            restored = _restore(request, store, stable, verify, shared)
             if restored is not None:
                 return ("dedup_wait", *restored)
             time.sleep(_CLAIM_POLL)
@@ -648,9 +661,9 @@ class CompileService:
                          **totals, **process)
 
     def flush(self) -> None:
-        """Persist the durable tier (atomic).  A no-op without a store, or
-        with a per-entry file store, whose every ``put`` is already durable."""
-        if isinstance(self.store, ResultCache):
+        """Persist the durable tier: one append of the unsaved puts (a no-op
+        without a store)."""
+        if self.store is not None:
             self.store.save()
 
     def _begin_close(self) -> bool:

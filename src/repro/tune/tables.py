@@ -4,8 +4,8 @@ A search is worth remembering: the winner for one ``app x device x
 problem scale`` keeps winning until the model or the app changes.
 :class:`TuningTable` stores those winners in the durable cache tier
 (:class:`~repro.cache.ResultCache`) under namespaced raw-string keys
-(``tuning-table/v1/<device>/<app>/<signature>``), so the same JSON store
-that persists evaluations and profiles ships the tuned configurations too.
+(``tuning-table/v1/<device>/<app>/<signature>``), so the same durable log
+that persists evaluations ships the tuned configurations too.
 
 :meth:`repro.serve.CompileService.warm_from_table` walks a table and
 pre-compiles every winner through the compilation service — a freshly started server answers

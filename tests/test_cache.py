@@ -1,4 +1,4 @@
-"""The shared cache package: sharded LRU tier + persistent JSON tier."""
+"""The shared cache package: sharded LRU tier + the append-only durable log."""
 
 import json
 import threading
@@ -83,41 +83,63 @@ def test_sharded_lru_counters_consistent_under_threads():
 # -- persistent tier ----------------------------------------------------------------
 
 
-def test_result_cache_save_is_atomic_and_leaves_no_temp_files(tmp_path):
+def test_result_cache_save_appends_one_record(tmp_path):
     path = tmp_path / "store.json"
     cache = ResultCache(path)
     cache.put("k", {"time_seconds": 1.0})
     cache.save()
-    assert json.loads(path.read_text()) == {"k": {"time_seconds": 1.0}}
-    # the temp file was renamed over the destination, not left behind
+    # one framed record: a newline, the entries' JSON, a newline
+    assert path.read_bytes() == b'\n{"k": {"time_seconds": 1.0}}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
     # unchanged store: save is a no-op that still reports the path
     assert cache.save() == path
+    assert path.read_bytes() == b'\n{"k": {"time_seconds": 1.0}}\n'
 
 
-def test_result_cache_corrupt_store_resets_and_flags(tmp_path):
+def test_result_cache_torn_record_is_skipped_and_counted(tmp_path):
+    """A writer died mid-append: its record's start has no closing newline."""
     path = tmp_path / "store.json"
-    path.write_text('{"k": {"time_seconds" TRUNCATED')
+    path.write_bytes(b'\n{"torn": {"time_seconds" ')
     cache = ResultCache(path)
-    assert cache.corrupt_reset is True
-    assert len(cache) == 0
-    # the reset store works and persists over the corpse atomically
-    cache.put("k", {"time_seconds": 2.0})
-    cache.save()
-    assert ResultCache(path).corrupt_reset is False
-    assert ResultCache(path).get("k") == {"time_seconds": 2.0}
+    assert len(cache) == 0 and cache.corrupt_entries == 0  # an open line is not read yet
+    other = ResultCache(path)
+    other.put("k", {"time_seconds": 2.0})
+    other.save()  # its leading newline closes the torn line
+    reader = ResultCache(path)
+    assert reader.get("k") == {"time_seconds": 2.0} and reader.get("torn") is None
+    assert reader.corrupt_entries == 1
+    cache.reload()
+    assert cache.get("k") == {"time_seconds": 2.0} and cache.corrupt_entries == 1
 
 
-def test_result_cache_non_object_root_counts_as_corrupt(tmp_path):
+def test_result_cache_non_object_record_counts_as_corrupt(tmp_path):
     path = tmp_path / "store.json"
-    path.write_text("[1, 2, 3]")
+    path.write_text("[1, 2, 3]\n")
     cache = ResultCache(path)
-    assert cache.corrupt_reset is True and len(cache) == 0
+    assert cache.corrupt_entries == 1 and len(cache) == 0
 
 
 def test_result_cache_missing_or_absent_path_is_not_corrupt(tmp_path):
-    assert ResultCache(tmp_path / "never-written.json").corrupt_reset is False
-    assert ResultCache(None).corrupt_reset is False
+    assert ResultCache(tmp_path / "never-written.json").corrupt_entries == 0
+    assert ResultCache(None).corrupt_entries == 0
+
+
+def test_result_cache_saves_never_rewrite_the_log(tmp_path):
+    """Without a prune, the log before any save is a byte prefix of it after."""
+    path = tmp_path / "store.json"
+    first, second = ResultCache(path), ResultCache(path)
+    before = b""
+    for step in range(6):
+        handle = (first, second)[step % 2]
+        handle.put(f"key-{step}", {"step": step})
+        handle.put("shared", {"step": step})  # a re-put appends, it never rewrites
+        handle.reload()
+        handle.save()
+        after = path.read_bytes()
+        assert after.startswith(before) and len(after) > len(before)
+        before = after
+    reader = ResultCache(path)
+    assert len(reader) == 7 and reader.get("shared") == {"step": 5}  # the later record wins
 
 
 def test_result_cache_key_includes_backend():
@@ -145,9 +167,9 @@ def test_result_cache_concurrent_writers_never_truncate(tmp_path):
         t.start()
     for t in pool:
         t.join()
-    # whatever interleaving happened, the file on disk is complete JSON
+    # whatever interleaving happened, every record on disk is complete
     reloaded = ResultCache(path)
-    assert reloaded.corrupt_reset is False
+    assert reloaded.corrupt_entries == 0
     assert len(reloaded) == threads * 25
 
 
@@ -189,17 +211,20 @@ def test_result_cache_prune_on_store_of_only_stranded_salts(tmp_path):
         "k1": {"salt": "old-version/old-code", "kernel": None},
         "k2": {"salt": "old-version/old-code", "kernel": {"name": "dead"}},
     }
-    path.write_text(json.dumps(stranded))
+    path.write_text("\n" + json.dumps(stranded) + "\n")
     cache = ResultCache(path)
     assert len(cache) == 2
     removed = cache.prune(lambda key, entry: entry.get("salt") == "new-version/new-code")
     assert removed == 2 and len(cache) == 0
-    # pruning dirties the store: save persists the now-empty map atomically
+    # the prune compacted the log to one record of what it kept: nothing
+    assert path.read_bytes() == b"\n{}\n"
     assert cache.save() == path
     reloaded = ResultCache(path)
-    assert len(reloaded) == 0 and reloaded.corrupt_reset is False
-    # a second prune over the empty store removes nothing and stays clean
+    assert len(reloaded) == 0 and reloaded.corrupt_entries == 0
+    # a second prune over the empty store removes nothing and rewrites nothing
+    inode = path.stat().st_ino
     assert reloaded.prune(lambda key, entry: False) == 0
+    assert path.stat().st_ino == inode
 
 
 def test_result_cache_prune_keeps_unsalted_entries():
@@ -246,24 +271,36 @@ def test_result_cache_reload_merges_foreign_saves(tmp_path):
     theirs = ResultCache(path)
     theirs.put("foreign", {"time_seconds": 2.0})
     theirs.save()
-    assert ours.reload() is True
+    ours.reload()
     assert ours.get("foreign") == {"time_seconds": 2.0}
     # the dirty local entry survived the merge and wins any key conflict
     assert ours.get("local") == {"time_seconds": 1.0}
     theirs.put("local", {"time_seconds": 99.0})
     theirs.save()
-    assert ours.reload() is True
+    ours.reload()
     assert ours.get("local") == {"time_seconds": 1.0}, "a reload dropped a dirty put"
-    ours.save()
+    ours.save()  # appended after theirs: the later record wins
     assert ResultCache(path).get("local") == {"time_seconds": 1.0}
 
 
-def test_result_cache_reload_flags_truncated_store(tmp_path):
+def test_result_cache_reload_rereads_a_shrunk_or_compacted_log(tmp_path):
     path = tmp_path / "store.json"
     cache = ResultCache(path)
     cache.put("k", {"time_seconds": 1.0})
     cache.save()
-    path.write_text('{"k": {"time_')  # a non-atomic foreign writer truncated it
-    assert cache.reload() is False
-    assert cache.corrupt_reset is True
-    assert cache.get("k") is not None, "local state must survive a bad reload"
+    cache.reload()  # the whole log is consumed
+    cache.put("dirty", {"time_seconds": 3.0})
+    path.write_text('\n{"j": {"v": 2}}\n')  # a foreign writer shrank it in place
+    cache.reload()
+    assert cache.get("k") is None, "the log no longer holds k"
+    assert cache.get("j") == {"v": 2}
+    assert cache.get("dirty") == {"time_seconds": 3.0}, "a reload dropped a dirty put"
+    other = ResultCache(path)
+    other.put("m", {"v": 4})
+    other.save()
+    inode = path.stat().st_ino
+    assert other.prune(lambda key, entry: key != "j") == 1
+    assert path.stat().st_ino != inode  # the compaction is a new file at the path
+    cache.reload()
+    assert cache.get("j") is None and cache.get("m") == {"v": 4}
+    assert cache.get("dirty") == {"time_seconds": 3.0}

@@ -1,4 +1,4 @@
-"""The multi-process compile farm: claims, sharded store, chaos, replay.
+"""The multi-process compile farm: claims, the shared durable log, chaos, replay.
 
 Everything here runs real worker *processes* (spawn context) — these are the
 tests that earn the farm's headline claims: exactly-once compilation across
@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.cache import ClaimRegistry, ResultCache, ShardedFileStore
+from repro.cache import ClaimRegistry, ResultCache
 from repro.obs import REGISTRY
 from repro.obs.metrics import counter
 from repro.serve import (
@@ -124,57 +124,87 @@ def test_claim_refresh_extends_lease(tmp_path):
     claim.release()
 
 
-# -- the sharded file store ---------------------------------------------------------
+# -- the durable log, shared by handles and processes ------------------------------
 
 
-def test_filestore_roundtrip_and_enumeration(tmp_path):
-    store = ShardedFileStore(tmp_path / "s", shards=4)
+def test_result_cache_roundtrip_and_enumeration(tmp_path):
+    path = tmp_path / "s" / "store.log"
+    store = ResultCache(path)
     assert store.get("missing") is None
     for i in range(20):
         store.put(f"key-{i}", {"index": i})
+    store.save()
     assert len(store) == 20
     assert store.get("key-7") == {"index": 7}
-    assert "key-7" in store and "key-99" not in store
-    assert sorted(store.keys()) == sorted(f"key-{i}" for i in range(20))
+    assert sorted(key for key, _ in store.items()) == sorted(f"key-{i}" for i in range(20))
     assert dict(store.items())["key-3"] == {"index": 3}
-    store.put("key-3", {"index": 33})  # overwrite wins
+    store.put("key-3", {"index": 33})  # overwrite: the later record wins
+    store.save()
     assert store.get("key-3") == {"index": 33}
-    assert store.stats()["corrupt_entries"] == 0
-    assert store.verify_integrity() == {"entries": 20, "corrupt": 0, "stray_tmp": 0}
+    reader = ResultCache(path)
+    assert len(reader) == 20 and reader.get("key-3") == {"index": 33}
+    assert reader.corrupt_entries == 0
+    assert [p.name for p in path.parent.iterdir()] == ["store.log"]
 
 
-def test_filestore_prune(tmp_path):
-    store = ShardedFileStore(tmp_path / "s", shards=2)
+def test_result_cache_prune_compacts_the_log(tmp_path):
+    path = tmp_path / "store.log"
+    store = ResultCache(path)
     for i in range(10):
         store.put(f"key-{i}", {"index": i})
+        store.save()  # ten records
     removed = store.prune(lambda key, value: value["index"] % 2 == 0)
     assert removed == 5
     assert len(store) == 5
     assert all(value["index"] % 2 == 0 for _, value in store.items())
+    assert path.read_bytes().count(b"\n") == 2, "the prune left more than one record"
+    assert len(ResultCache(path)) == 5
 
 
-def test_filestore_flags_foreign_corruption(tmp_path):
-    """Junk written *around* the atomic protocol is detected, not crashed on."""
-    store = ShardedFileStore(tmp_path / "s", shards=2)
+def test_result_cache_counts_foreign_corruption(tmp_path):
+    """Junk appended *around* the record framing is counted, not crashed on."""
+    path = tmp_path / "store.log"
+    store = ResultCache(path)
     store.put("good", {"ok": True})
-    path = store._path("bad")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("{ not json")
-    assert store.get("bad") is None
-    assert store.stats()["corrupt_entries"] == 1
-    integrity = store.verify_integrity()
-    assert integrity["corrupt"] == 1 and integrity["entries"] == 2
-    # and a writer that died between mkstemp and replace leaves legal debris
-    (path.parent / "dead.json.x.tmp").write_text("partial")
-    assert store.verify_integrity()["stray_tmp"] == 1
-    assert store.get("good") == {"ok": True}
+    store.save()
+    with open(path, "ab") as log:
+        log.write(b"\n{ not json\n")
+    store.reload()
+    assert store.corrupt_entries == 1
+    assert store.get("good") == {"ok": True} and len(store) == 1
 
 
 # -- multi-process contention stress (satellite: torn-write property) ----------------
 
 
-def _hammer_store(root: str, writer_id: int, rounds: int, keys: int) -> None:
-    store = ShardedFileStore(root)
+def _save_after_barrier(path: str, barrier, keys: list[str]) -> None:
+    store = ResultCache(path)  # both handles attach before either saves
+    barrier.wait(timeout=60)
+    for key in keys:
+        store.put(key, {"from": key})
+    store.save()
+
+
+def test_two_processes_saving_one_path_lose_nothing(tmp_path):
+    """Two handles on one path each put and save: neither loses the other's entries."""
+    path = str(tmp_path / "store.log")
+    barrier = SPAWN.Barrier(2)
+    writers = [SPAWN.Process(target=_save_after_barrier,
+                             args=(path, barrier, [f"{name}-{i}" for i in range(3)]))
+               for name in ("from-a", "from-b")]
+    for p in writers:
+        p.start()
+    for p in writers:
+        p.join(timeout=120)
+        assert p.exitcode == 0
+    store = ResultCache(path)
+    assert sorted(key for key, _ in store.items()) == sorted(
+        f"{name}-{i}" for name in ("from-a", "from-b") for i in range(3))
+    assert store.corrupt_entries == 0
+
+
+def _hammer_store(path: str, writer_id: int, rounds: int, keys: int) -> None:
+    store = ResultCache(path)
     for round_no in range(rounds):
         for k in range(keys):
             body = f"{writer_id}:{round_no}:{k}" * 20
@@ -182,6 +212,7 @@ def _hammer_store(root: str, writer_id: int, rounds: int, keys: int) -> None:
                 "writer": writer_id, "round": round_no, "body": body,
                 "checksum": _checksum(body),
             })
+        store.save()
 
 
 def _checksum(body: str) -> str:
@@ -190,20 +221,21 @@ def _checksum(body: str) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def test_filestore_multiprocess_writers_never_tear(tmp_path):
-    """N processes overwriting the same keys: every read is a complete write."""
-    root = str(tmp_path / "contended")
+def test_result_cache_multiprocess_writers_never_tear(tmp_path):
+    """N processes re-putting the same keys: every read is a complete write."""
+    path = str(tmp_path / "contended" / "store.log")
     writers = [
-        SPAWN.Process(target=_hammer_store, args=(root, w, 30, 8))
+        SPAWN.Process(target=_hammer_store, args=(path, w, 30, 8))
         for w in range(4)
     ]
     for p in writers:
         p.start()
-    reader = ShardedFileStore(root)
+    reader = ResultCache(path)
     deadline = time.monotonic() + 60.0
     reads = 0
     while any(p.is_alive() for p in writers):
         assert time.monotonic() < deadline, "stress writers wedged"
+        reader.reload()
         for k in range(8):
             value = reader.get(f"shared-{k}")
             if value is not None:
@@ -215,23 +247,25 @@ def test_filestore_multiprocess_writers_never_tear(tmp_path):
         p.join()
         assert p.exitcode == 0
     assert reads > 0, "the reader never overlapped the writers"
-    assert reader.stats()["corrupt_entries"] == 0
-    integrity = reader.verify_integrity()
-    assert integrity["corrupt"] == 0
-    assert integrity["entries"] == 8
+    reader.reload()
+    assert reader.corrupt_entries == 0
+    assert len(reader) == 8
+    # every save wrote all eight keys, so all eight come from the last record
+    final = [value for _, value in reader.items()]
+    assert {(value["writer"], value["round"]) for value in final} == {(final[0]["writer"], 29)}
 
 
 def _hammer_result_cache(path: str, writer_id: int, rounds: int) -> None:
     for round_no in range(rounds):
         cache = ResultCache(path)
-        assert not cache.corrupt_reset, "a writer observed a torn store"
+        assert cache.corrupt_entries == 0, "a writer observed a torn store"
         cache.put(f"writer-{writer_id}/round-{round_no}", {"writer": writer_id})
         cache.reload()
         cache.save()
 
 
 def test_result_cache_multiprocess_saves_stay_readable(tmp_path):
-    """Concurrent reload+save cycles never leave a torn/unparseable store."""
+    """Concurrent reload+save cycles never leave a torn record, and lose no save."""
     path = str(tmp_path / "store.json")
     writers = [
         SPAWN.Process(target=_hammer_result_cache, args=(path, w, 15))
@@ -243,13 +277,52 @@ def test_result_cache_multiprocess_saves_stay_readable(tmp_path):
     while any(p.is_alive() for p in writers):
         assert time.monotonic() < deadline, "result-cache writers wedged"
         observer = ResultCache(path)
-        assert not observer.corrupt_reset, "os.replace atomicity was violated"
+        assert observer.corrupt_entries == 0, "a record was torn"
     for p in writers:
         p.join()
         assert p.exitcode == 0
     final = ResultCache(path)
-    assert not final.corrupt_reset
-    assert len(final) > 0
+    assert final.corrupt_entries == 0
+    assert len(final) == 3 * 15
+
+
+def _append_fresh_and_stale(path: str, writer_id: int, rounds: int) -> None:
+    store = ResultCache(path)
+    for round_no in range(rounds):
+        store.put(f"fresh-{writer_id}-{round_no}", {"salt": "new"})
+        store.put(f"stale-{writer_id}-{round_no}", {"salt": "old"})
+        store.save()
+
+
+def test_prune_under_concurrent_appends_loses_only_the_doomed(tmp_path):
+    """Compactions race spawned appenders: every entry that was kept survives."""
+    path = str(tmp_path / "store.log")
+    seeded = ResultCache(path)
+    for i in range(20):
+        seeded.put(f"seed-stale-{i}", {"salt": "old"})
+        seeded.put(f"seed-fresh-{i}", {"salt": "new"})
+    seeded.save()
+    writers = [SPAWN.Process(target=_append_fresh_and_stale, args=(path, w, 40))
+               for w in range(3)]
+    for p in writers:
+        p.start()
+    pruner = ResultCache(path)
+    fresh = lambda key, entry: entry["salt"] == "new"  # noqa: E731
+    deadline = time.monotonic() + 60.0
+    compactions = 0
+    while any(p.is_alive() for p in writers):
+        assert time.monotonic() < deadline, "appenders wedged behind the compaction lock"
+        compactions += pruner.prune(fresh) > 0
+    for p in writers:
+        p.join()
+        assert p.exitcode == 0
+    assert compactions > 0, "no compaction overlapped the appenders"
+    pruner.prune(fresh)
+    final = ResultCache(path)
+    assert final.corrupt_entries == 0
+    assert sorted(key for key, _ in final.items()) == sorted(
+        [f"seed-fresh-{i}" for i in range(20)]
+        + [f"fresh-{w}-{r}" for w in range(3) for r in range(40)])
 
 
 # -- the farm: serving correctness ---------------------------------------------------
@@ -270,11 +343,12 @@ def test_farm_dedups_duplicates_to_one_compile_each():
         for f in futures:
             f.result(timeout=120)
         stats = farm.stats()
-        integrity = farm.store.verify_integrity()
+        farm.store.reload()
+        corrupt = farm.store.corrupt_entries
     assert stats.compiled == distinct, "duplicates must coalesce, not recompile"
     assert stats.double_compiled == 0
     assert stats.lost == 0
-    assert integrity["corrupt"] == 0
+    assert corrupt == 0
     lane = stats.lane(LANE_INTERACTIVE)
     assert lane.coalesced == len(requests) - distinct
     assert lane.latency["p999_ms"] >= lane.latency["p99_ms"] >= 0.0
@@ -285,17 +359,21 @@ def test_farm_prunes_store_entries_stranded_by_a_code_change(tmp_path):
     from repro.serve.service import kernel_payload
 
     current = CompileRequest("matmul", {"variant": "nn"})
-    seeded = ShardedFileStore(tmp_path / "kernels")
+    seeded = ResultCache(tmp_path / "kernels" / "store.log")
     seeded.put(current.stable_key(), kernel_payload(default_compiler(current)))
     seeded.put("kernel-from-older-source", {**kernel_payload(None), "salt": "0" * 64})
     seeded.put("tuner-entry", {"time_seconds": 1.0})  # unsalted, foreign: kept
+    seeded.save()
     with CompileFarm(workers=1, store=tmp_path) as farm:
-        assert sorted(farm.store.keys()) == sorted([current.stable_key(), "tuner-entry"])
+        assert farm.store.path == seeded.path
+        assert sorted(key for key, _ in farm.store.items()) == sorted(
+            [current.stable_key(), "tuner-entry"])
         assert farm.compile(current).source == default_compiler(current).source
         stats = farm.stats()
-        integrity = farm.store.verify_integrity()
+        entries, corrupt = len(farm.store), farm.store.corrupt_entries
     assert stats.lane(LANE_INTERACTIVE).store_hits == 1 and stats.compiled == 0
-    assert integrity["corrupt"] == 0 and integrity["entries"] == 2
+    assert corrupt == 0 and entries == 2
+    assert len(ResultCache(seeded.path)) == 2, "the pruned entry is still in the log"
 
 
 def test_farm_rejects_unknown_lane():
@@ -367,7 +445,8 @@ def test_sigkill_mid_compile_redrives_without_loss_or_double_compile(supervisor_
         killed = farm.kill_worker(0)
         results = [f.result(timeout=180) for f in futures]
         stats = farm.stats()
-        integrity = farm.store.verify_integrity()
+        farm.store.reload()
+        corrupt = farm.store.corrupt_entries
         claims_left = farm._claims_dir.glob("*.claim")
     assert killed > 0
     assert all(not isinstance(r, Rejected) for r in results)
@@ -381,7 +460,7 @@ def test_sigkill_mid_compile_redrives_without_loss_or_double_compile(supervisor_
     # a killed worker never reports: every leader resolution is backed by (at
     # least) one reported execution, re-drives notwithstanding
     assert stats.executions >= lane.compiled + lane.store_hits + lane.dedup_waits == len(requests)
-    assert integrity["corrupt"] == 0, "the kill corrupted a store shard"
+    assert corrupt == 0, "the kill tore a store record"
     assert list(claims_left) == [], "a claim file outlived the drain"
     assert supervisor_errors() == 0, "the supervisor isolated a bug"
 
