@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .types import Type
 
@@ -24,15 +24,18 @@ __all__ = ["Value", "Operation", "Block", "Region", "FuncOp", "Module", "OpBuild
 
 
 class Value:
-    """An SSA value: a name, a type and the operation (or block) defining it."""
+    """An SSA value: a name and a type.
 
-    __slots__ = ("name", "type", "defining_op", "is_block_arg")
+    The operation whose ``results`` hold it (or the block whose ``arguments``
+    do) defines it.  A value keeps no pointer back: one would make every
+    module a reference cycle that only the cyclic collector frees.
+    """
 
-    def __init__(self, name: str, type: Type, defining_op: Optional["Operation"] = None,
-                 is_block_arg: bool = False):
+    __slots__ = ("name", "type", "is_block_arg")
+
+    def __init__(self, name: str, type: Type, is_block_arg: bool = False):
         self.name = name
         self.type = type
-        self.defining_op = defining_op
         self.is_block_arg = is_block_arg
 
     def __str__(self) -> str:
@@ -173,7 +176,7 @@ class OpBuilder:
                        dict(attributes) if attributes else {}, list(regions) if regions else [])
         hint = result_hint or self._prefix
         for result_type in result_types:
-            op.results.append(Value(f"{hint}{next(self._counter)}", result_type, op))
+            op.results.append(Value(f"{hint}{next(self._counter)}", result_type))
         self.block.operations.append(op)
         return op
 

@@ -4,7 +4,8 @@
   (``app``, ``config``, optional backend and cost weights),
 * :class:`CompileService` — the request path (:mod:`repro.serve.service`):
   memory tier → in-flight coalescing → leader (durable-tier probe, compile,
-  verify, store), with leaders on a thread pool,
+  verify, store), led on the caller's thread by ``compile``, ``submit_batch``
+  and table warming and on a thread pool by ``submit``,
 * :class:`CompileFarm` — the same service with leaders in worker
   *processes* (:mod:`repro.serve.farm`): priority lanes with bounded
   admission (over-cap submissions shed with a typed :class:`Rejected`),

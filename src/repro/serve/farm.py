@@ -192,7 +192,6 @@ class CompileFarm(CompileService):
             ResultCache(Path(self._spec["store_dir"]) / _STORE_LOG),
             self._admission.lanes,
         )
-        self._idle = threading.Condition(self._lock)
         # in dispatch-priority order: interactive first
         self._queues = {lane: collections.deque() for lane in sorted(
             self._admission.lanes, key=lambda lane: (lane != LANE_INTERACTIVE, lane))}
@@ -221,8 +220,7 @@ class CompileFarm(CompileService):
     def submit(self, request: CompileRequest, lane: str = LANE_INTERACTIVE) -> Future:
         """Enqueue one request on ``lane`` (the shared front half); the future
         cannot be cancelled, as :meth:`CompileService.submit`'s cannot."""
-        self._admission.check_lane(lane)
-        return self._submit(request, lane)
+        return self._submit(request, self._lane(lane))
 
     # -- chaos hook (used by the kill tests) -------------------------------------
 
@@ -295,6 +293,10 @@ class CompileFarm(CompileService):
 
     # -- where a leader runs: the front half's hooks ------------------------------
 
+    def _lane(self, lane: str = LANE_INTERACTIVE) -> str:
+        self._admission.check_lane(lane)
+        return lane
+
     def _admit(self, request: CompileRequest, lane: str) -> Rejected | None:
         admitted, depth = self._admission.try_admit(lane)
         if admitted:
@@ -322,7 +324,8 @@ class CompileFarm(CompileService):
             else:
                 self._queues[LANE_INTERACTIVE].appendleft(leader)
 
-    def _lead_locked(self, ticket: _Ticket) -> Future:
+    def _lead_locked(self, ticket: _Ticket, inline: bool) -> Future:
+        # every entry point, synchronous or not, leads in a worker process
         ticket.id = next(self._ticket_ids)
         ticket.future = _TicketFuture()
         self._queues[ticket.lane].append(ticket)

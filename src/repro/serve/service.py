@@ -1,8 +1,8 @@
 """The compile request path: one front half, one leader path, two executors.
 
-A compile request is served the same way whether its leader runs on a pool
-thread (:class:`CompileService`) or in a worker process
-(:class:`~repro.serve.farm.CompileFarm`, a subclass):
+A compile request is served the same way whether its leader runs on the
+caller's thread or a pool thread (:class:`CompileService`) or in a worker
+process (:class:`~repro.serve.farm.CompileFarm`, a subclass):
 
 * **Front half** — :meth:`CompileService._submit`: closed check → one
   *counted* memory-tier lookup → admission → coalesce onto an identical
@@ -341,8 +341,8 @@ class _Ticket:
     started: float
     #: holds an admission slot, released when the ticket resolves
     admitted: bool
-    #: what the submitter waits on, set by ``_settle``; ``None`` when someone
-    #: else answers the submitter (the pool's own future, an inline result)
+    #: what the submitter waits on, set by ``_settle``; ``None`` when the
+    #: pool's own future answers the submitter
     future: Future | None = None
     followers: list = field(default_factory=list)
     resolved: bool = False
@@ -370,7 +370,7 @@ class _TicketFuture(Future):
 
 
 class CompileService:
-    """A deduplicating, two-tier-cached compilation service on a thread pool.
+    """A deduplicating, two-tier-cached compilation service.
 
     ``compiler`` maps a :class:`CompileRequest` to a
     :class:`~repro.codegen.backend.GeneratedKernel` (default: resolve the
@@ -379,9 +379,10 @@ class CompileService:
     :class:`~repro.cache.ResultCache`, or a path to create one.
 
     ``verify`` optionally gates every *first* compilation of a distinct
-    kernel: ``verify(request, kernel)`` runs on the leader's worker thread
-    right after the compiler returns and before the result reaches either
-    cache tier, so a raising verifier (e.g.
+    kernel: ``verify(request, kernel)`` runs on the thread that leads (the
+    caller's for ``compile``, ``submit_batch`` and ``warm_from_table``, a
+    pool thread for ``submit``) right after the compiler returns and before
+    the result reaches either cache tier, so a raising verifier (e.g.
     :func:`repro.check.differential_verifier`) fails the request — and every
     coalesced follower — instead of serving a numerically wrong kernel.
     Memory-tier hits are not re-verified (they passed within this cache's
@@ -390,10 +391,11 @@ class CompileService:
     restore and stamped, so the gate holds for every kernel served.
 
     The thread pool is an asynchrony device, not a throughput one (the GIL
-    serialises the compiles); :class:`~repro.serve.farm.CompileFarm`
-    overrides five hooks (``_admit``, ``_release``, ``_admission_locked``,
-    ``_follow_locked``, ``_lead_locked``) to run leaders in worker
-    processes behind capped priority lanes.
+    serialises the compiles), so only ``submit`` uses it: a synchronous call
+    leads on its own thread.  :class:`~repro.serve.farm.CompileFarm`
+    overrides six hooks (``_lane``, ``_admit``, ``_release``,
+    ``_admission_locked``, ``_follow_locked``, ``_lead_locked``) to run
+    leaders in worker processes behind capped priority lanes.
     """
 
     #: the one, uncapped lane of the in-process service
@@ -438,6 +440,7 @@ class CompileService:
             salt = code_fingerprint()
             store.prune(lambda key, entry: "salt" not in entry or entry["salt"] == salt)
         self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)
         self._lanes = {lane: LaneLedger(_LATENCY_SAMPLES) for lane in lanes}
         self._inflight: dict[tuple, _Ticket] = {}  # local key -> leader ticket
         #: resolutions accounted under the lock whose futures are not yet set
@@ -454,10 +457,13 @@ class CompileService:
         either done already or it rides a ticket that other requests for the
         same kernel may share, and that ticket resolves every waiter it has.
         """
-        return self._submit(request, self._LANE)
+        return self._submit(request, self._lane())
 
-    def _submit(self, request: CompileRequest, lane: str, admit: bool = True) -> Future:
+    def _submit(self, request: CompileRequest, lane: str, admit: bool = True,
+                inline: bool = False) -> Future:
         """The front half every submission takes, whichever executor leads.
+        ``inline`` marks a caller that blocks on the result at once, so it
+        may lead on its own thread (see :meth:`_lead_locked`).
 
         The hot path — a memory-tier hit — takes only the key's shard lock
         (the service lock is held just for the ledger bumps) and returns a
@@ -509,20 +515,24 @@ class CompileService:
             # that concurrent compile, so every counted miss is still shed or
             # resolved through exactly one outcome other than a memory hit.
             late_hit, value = self.cache.peek(key)
-            if not late_hit:
-                self._inflight[key] = ticket
-                return self._lead_locked(ticket)
-            self._resolve_locked(ticket, "coalesced", value)
-        return _settled(value)
+            if late_hit:
+                self._resolve_locked(ticket, "coalesced", value)
+                return _settled(value)
+            self._inflight[key] = ticket
+            future = self._lead_locked(ticket, inline)
+            if future is not None:
+                return future
+        self._lead(ticket)
+        return ticket.future
 
     def compile(self, request: CompileRequest, **how) -> GeneratedKernel | None:
         """Synchronous ``submit``: block until the kernel is available."""
-        return self.submit(request, **how).result()
+        return self._submit(request, self._lane(**how), inline=True).result()
 
     def submit_batch(self, requests: Iterable[CompileRequest], **how) -> list:
-        """Fan a batch out; results come back in submission order."""
-        how = {**self._BATCH_SUBMIT, **how}
-        futures = [self.submit(request, **how) for request in requests]
+        """Submit a batch in order; results come back in submission order."""
+        lane = self._lane(**{**self._BATCH_SUBMIT, **how})
+        futures = [self._submit(request, lane, inline=True) for request in requests]
         return [future.result() for future in futures]
 
     def warm_from_table(self, table, apps: Iterable[str] | None = None) -> int:
@@ -535,7 +545,7 @@ class CompileService:
         is the server's own startup work, not client load).  Returns the
         number of requests warmed.
         """
-        futures = [self._submit(request, self._WARM_LANE, admit=False)
+        futures = [self._submit(request, self._WARM_LANE, admit=False, inline=True)
                    for request in table_requests(table, apps)]
         for future in futures:
             future.result()
@@ -544,6 +554,10 @@ class CompileService:
         return len(futures)
 
     # -- where a leader runs (the hooks a process executor overrides) ------------
+
+    def _lane(self) -> str:
+        """The lane a submission's keywords name: the service has one."""
+        return self._LANE
 
     def _admit(self, request: CompileRequest, lane: str):
         """Reserve a pending slot on ``lane``, or return the shed marker the
@@ -561,17 +575,26 @@ class CompileService:
     def _follow_locked(self, leader: _Ticket, follower: _Ticket) -> None:
         """``follower`` just coalesced onto the still-unresolved ``leader``."""
 
-    def _lead_locked(self, ticket: _Ticket) -> Future:
+    def _lead_locked(self, ticket: _Ticket, inline: bool) -> Future | None:
         """Start ``ticket``'s leader; returns the future its submitter waits
-        on.  Here a pool thread leads, and the pool's own future serves, made a
+        on, or ``None`` when an ``inline`` submitter is to lead on its own
+        thread once the lock drops (the pool's round trip cost a synchronous
+        compile about a third of its median on a 2-vCPU host).  Its future
+        is registered here, under the lock, so a concurrent ``submit``
+        coalesces onto it.  ``submit``'s leader runs on a pool thread, and
+        the pool's own future serves, made a
         :class:`_TicketFuture` in place (a second future per leader added about
         10 us to the median compile on a 2-vCPU host): it is set when
         :meth:`_lead` returns, after the ledger has settled."""
+        if inline:
+            ticket.future = _TicketFuture()
+            return None
         future = self._executor.submit(self._lead, ticket)
         future.__class__ = _TicketFuture
         return future
 
     def _lead(self, ticket: _Ticket):
+        """The one leader body, on whichever thread :meth:`_lead_locked` chose."""
         outcome, kernel, error = "", None, None
         try:
             outcome, kernel, _ = resolve_tiers(
@@ -580,8 +603,11 @@ class CompileService:
             error = exc
         with self._lock:
             self._resolve_locked(ticket, outcome, kernel, error)
+            self._idle.notify_all()  # a closing service waits for every leader
         self._settle()
-        if error is not None:
+        # an inline leader's error is on its ticket's future; an interrupt
+        # still stops the caller's thread at once
+        if error is not None and (ticket.future is None or not isinstance(error, Exception)):
             raise error
         return kernel
 
@@ -675,9 +701,13 @@ class CompileService:
             return True
 
     def close(self, wait: bool = True) -> None:
-        """Drain the pool, persist the store and reject further submissions."""
+        """Reject further submissions, wait (with ``wait``) for every leader,
+        on a pool thread or a caller's, and persist the store."""
         if self._begin_close():
             self._executor.shutdown(wait=wait)
+            if wait:
+                with self._idle:
+                    self._idle.wait_for(lambda: not self._inflight)
             self.flush()
 
     def __enter__(self):

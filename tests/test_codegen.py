@@ -194,7 +194,7 @@ def test_lower_expr_to_ops_builds_arith():
         value = lower_expr_to_ops(builder, expr, values)
         names = [op.name for op in builder.block.operations]
         assert "arith.muli" in names and "arith.remsi" in names
-        assert value.defining_op is builder.block.operations[-1]
+        assert builder.block.operations[-1].results == [value]
         assert value.type.__class__.__name__ == "IndexType"
 
 

@@ -376,6 +376,21 @@ def test_farm_prunes_store_entries_stranded_by_a_code_change(tmp_path):
     assert len(ResultCache(seeded.path)) == 2, "the pruned entry is still in the log"
 
 
+def test_farm_synchronous_calls_run_in_worker_processes(supervisor_errors):
+    """compile() and submit_batch() lead in workers, as submit() does: the farm
+    never leads on the caller's thread, and a batch rides the sweep lane."""
+    requests = _small_trace(6, duplicate_fraction=0.0, seed=23)
+    assert len({r.stable_key() for r in requests}) == len(requests)
+    with CompileFarm(workers=1) as farm:
+        kernels = [farm.compile(requests[0]), *farm.submit_batch(requests[1:])]
+        stats = farm.stats()
+    assert all(kernel is not None for kernel in kernels)
+    assert stats.executions == stats.compiled == len(requests)
+    assert stats.lane(LANE_INTERACTIVE).compiled == 1
+    assert stats.lane(LANE_SWEEP).compiled == len(requests) - 1
+    assert supervisor_errors() == 0, "the supervisor isolated a bug"
+
+
 def test_farm_rejects_unknown_lane():
     with CompileFarm(workers=1) as farm:
         with pytest.raises(ValueError, match="unknown lane"):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,7 @@ def test_parallel_interning_yields_one_node():
 
 
 def test_parallel_generation_matches_sequential_goldens(tmp_path):
-    """Concurrent batch compiles are byte-identical to the inline path."""
+    """Batch compiles through the service are byte-identical to the generators."""
     requests = [
         CompileRequest("matmul", {"variant": "nn"}),
         CompileRequest("matmul", {"variant": "tn"}),
@@ -175,23 +176,53 @@ def test_batch_compiles_each_distinct_kernel_exactly_once():
     assert warm.compiled == stats.compiled
 
 
+def _wait_for(condition, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out waiting for the service"
+        time.sleep(0.001)
+
+
 def test_compiler_errors_propagate_and_are_not_cached():
-    attempts = []
+    """A compile() leads on its own thread; its error reaches a follower that
+    rode its ticket, with the same type, and a retry compiles afresh."""
+    attempts, release = [], threading.Event()
 
     def flaky(request):
-        attempts.append(1)
+        attempts.append(threading.current_thread())
         if len(attempts) == 1:
+            assert release.wait(timeout=60)
             raise RuntimeError("transient backend failure")
         return get_app(request.app).generate(request.config)
 
     request = CompileRequest("matmul", {"variant": "nn"})
-    with CompileService(compiler=flaky, workers=2) as service:
-        with pytest.raises(RuntimeError, match="transient"):
+    raised = []
+
+    def lead():
+        try:
             service.compile(request)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    with CompileService(compiler=flaky, workers=2) as service:
+        leader = threading.Thread(target=lead)
+        leader.start()
+        try:
+            _wait_for(lambda: attempts)
+            follower = service.submit(request)  # rides the inline leader's ticket
+        finally:
+            release.set()
+        leader.join(timeout=60)
+        assert not leader.is_alive()
+        with pytest.raises(RuntimeError, match="transient") as followed:
+            follower.result(timeout=60)
         kernel = service.compile(request)  # error was not cached; retried
         stats = service.stats()
-    assert kernel is not None and len(attempts) == 2
-    assert stats.errors == 1 and stats.compiled == 1
+    assert attempts == [leader, threading.current_thread()], "compile() led off its thread"
+    assert [type(exc) for exc in raised] == [type(followed.value)]
+    assert kernel is not None
+    # the follower settles as an error too, on the leader's one compile
+    assert stats.errors == 2 and stats.compiled == 1 and stats.resolved == 3
 
 
 def test_a_queued_leader_refuses_cancel_and_still_resolves():
@@ -231,6 +262,111 @@ def test_a_follower_refuses_cancel_and_every_waiter_gets_the_kernel():
         stats = service.stats()
     assert kernels[0] is not None and kernels[0] is kernels[1] is kernels[2]
     assert len(calls) == 1 and stats.coalesced == 2 and stats.resolved == 3
+
+
+# -- where a leader runs: the caller's thread, or a pool thread for submit() ---------
+
+
+def _pool_threads() -> set:
+    return {t for t in threading.enumerate() if t.name.startswith("repro-serve")}
+
+
+def test_synchronous_calls_lead_on_the_callers_thread_and_submit_stays_async(tmp_path):
+    from repro.cache import ResultCache
+    from repro.tune.tables import TuningTable
+
+    table = TuningTable(ResultCache(tmp_path / "table.json"))
+    table.put("matmul", "devA", {"variant": "tn"})
+    release, leaders = threading.Event(), []
+
+    def compiler(request):
+        leaders.append(threading.current_thread())
+        if request.config["variant"] == "tt":
+            assert release.wait(timeout=60)
+        return default_compiler(request)
+
+    before = _pool_threads()
+    with CompileService(compiler, workers=2) as service:
+        service.compile(CompileRequest("matmul", {"variant": "nn"}))
+        service.submit_batch([CompileRequest("matmul", {"variant": "nt"})] * 2)
+        assert service.warm_from_table(table) == 1
+        assert leaders == [threading.current_thread()] * 3
+        assert _pool_threads() == before, "a synchronous call started a pool thread"
+        try:
+            future = service.submit(CompileRequest("matmul", {"variant": "tt"}))
+            assert not future.done(), "submit() led on the caller's thread"
+        finally:
+            release.set()
+        assert future.result(timeout=60) is not None
+        assert leaders[-1] in _pool_threads() - before
+        stats = _ledger(service)
+    # the batch's repeat is a memory hit: its first member had led and finished
+    assert stats.compiled == 4 and stats.memory_hits == 1
+
+
+def test_an_inline_leader_serves_submit_and_batch_followers_once():
+    """A compile() leading on its own thread is an in-flight leader like any
+    other: a submit() and a submit_batch() of its key ride its ticket."""
+    release = threading.Event()
+    compiler, calls = _counting_compiler(release)
+    request = CompileRequest("matmul", {"variant": "nn"})
+    before = _pool_threads()
+    with CompileService(compiler=compiler, workers=2) as service:
+        led, batched = [], []
+        leader = threading.Thread(target=lambda: led.append(service.compile(request)))
+        batch = threading.Thread(target=lambda: batched.extend(service.submit_batch([request])))
+        leader.start()
+        try:
+            _wait_for(lambda: calls)  # the leader is held inside the compiler
+            follower = service.submit(request)
+            batch.start()
+            # the ledger counts a follower when it resolves, so watch the ticket
+            _wait_for(lambda: len(service._inflight[request.local_key()].followers) == 2)
+            assert not follower.done()
+        finally:
+            release.set()
+        leader.join(timeout=60)
+        batch.join(timeout=60)
+        assert not leader.is_alive() and not batch.is_alive()
+        assert _pool_threads() == before, "no request of this test needed the pool"
+        stats = _ledger(service)
+    assert len(calls) == 1 and stats.compiled == 1 and stats.coalesced == 2
+    assert led[0] is not None and led[0] is follower.result() is batched[0]
+
+
+def test_close_waits_for_a_caller_thread_leader_before_saving(tmp_path):
+    """close() racing a compile() that leads on its own thread: the kernel the
+    leader puts after close() began still reaches the durable log."""
+    from repro.cache import ResultCache
+
+    entered, release = threading.Event(), threading.Event()
+
+    def gated(request):
+        entered.set()
+        assert release.wait(timeout=60)
+        return default_compiler(request)
+
+    request = CompileRequest("matmul", {"variant": "nn"})
+    store = tmp_path / "kernels.json"
+    service = CompileService(gated, workers=1, store=store)
+    served = []
+    leader = threading.Thread(target=lambda: served.append(service.compile(request)))
+    leader.start()
+    assert entered.wait(timeout=60)
+    opener = threading.Timer(0.2, release.set)
+    opener.start()
+    try:
+        service.close()
+        assert release.is_set(), "close() returned while a leader was still compiling"
+    finally:
+        release.set()
+        opener.join()
+        leader.join(timeout=60)
+    assert not leader.is_alive()
+    stats = _ledger(service)
+    assert stats.compiled == 1 and served[0] is not None
+    saved = ResultCache(store).get(request.stable_key())
+    assert saved is not None and saved["kernel"]["source"] == served[0].source
 
 
 # -- one contract, both spellings ---------------------------------------------------

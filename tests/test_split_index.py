@@ -281,7 +281,6 @@ def _laundered(module):
     for fn in module.functions:
         zero = Value(name="launder_zero", type=INDEX)
         constant = Operation("arith.constant", results=[zero], attributes={"value": 0})
-        zero.defining_op = constant
         _launder(fn.body, zero)
         fn.body.operations.insert(0, constant)
     return module
@@ -299,7 +298,6 @@ def _launder(block, zero):
                 kept = Value(name=f"launder{len(operations)}", type=INDEX)
                 clamp = Operation("arith.maxsi", operands=[op.operands[position], zero],
                                   results=[kept])
-                kept.defining_op = clamp
                 operations.append(clamp)
                 op.operands[position] = kept
         operations.append(op)
